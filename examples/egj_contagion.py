@@ -55,7 +55,7 @@ def main() -> None:
     print(f"  distressed: {exact.distressed}")
     print(f"  exact TDS:  {exact.total_shortfall:.3f}")
 
-    result = (
+    session = (
         network.stress_test()
         .program("elliott-golub-jackson")
         .engine("secure")
@@ -63,13 +63,17 @@ def main() -> None:
         .privacy(epsilon=0.5)
         .seed(99)
         .degree_bound(2)
-        .run(iterations=iterations)
     )
+    result = session.run(iterations=iterations)
+    # the update circuit is a property of (program, format, degree bound),
+    # not of a run: every block evaluates this many AND gates per step
+    spec = session.resolve(iterations=iterations)
+    circuit = spec.program.build_update_circuit(spec.graph.degree_bound)
 
     print("\nDStress secure execution")
     print(f"  released TDS:        {result.aggregate:.3f}")
     print(f"  sensitivity (2/r):   {egj_sensitivity():.0f}")
-    print(f"  AND gates per step:  {result.raw.gmw_and_gates_per_step:,}")
+    print(f"  AND gates per step:  {circuit.stats().and_gates:,}")
     print("  phase seconds:")
     for phase, seconds in result.phases.seconds.items():
         print(f"    {phase:15s} {seconds:7.2f}")

@@ -31,8 +31,6 @@ control. See DESIGN.md for the architecture and README.md for the
 migration table from the pre-1.1 per-engine entry points.
 """
 
-import warnings
-
 from repro.api import (
     BatchResult,
     Engine,
@@ -72,42 +70,6 @@ from repro.privacy import DollarPrivacySpec, PrivacyAccountant
 
 __version__ = "1.1.0"
 
-#: Pre-1.1 top-level names kept importable through a deprecation shim:
-#: ``from repro import PlaintextRun`` still works but warns. The canonical
-#: engine-independent result type is now :class:`repro.RunResult`; the
-#: engine-native types remain public at their defining modules.
-_DEPRECATED_ALIASES = {
-    "PlaintextRun": (
-        "repro.core.engine",
-        "PlaintextRun",
-        "use repro.RunResult (returned by StressTest.run) or import it "
-        "from repro.core.engine",
-    ),
-    "SecureRunResult": (
-        "repro.core.secure_engine",
-        "SecureRunResult",
-        "use repro.RunResult (returned by StressTest.run) or import it "
-        "from repro.core.secure_engine",
-    ),
-}
-
-
-def __getattr__(name):
-    try:
-        module_name, attr, hint = _DEPRECATED_ALIASES[name]
-    except KeyError:
-        raise AttributeError(f"module 'repro' has no attribute {name!r}") from None
-    warnings.warn(
-        f"importing {name!r} from the top-level 'repro' package is "
-        f"deprecated since 1.1.0: {hint}",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)
-
-
 __all__ = [
     "Bank",
     "BatchResult",
@@ -122,7 +84,6 @@ __all__ = [
     "NO_OP_MESSAGE",
     "OneShotRelease",
     "PlaintextEngine",
-    "PlaintextRun",
     "PrivacyAccountant",
     "ProgramSpec",
     "ReleaseRecord",
@@ -130,7 +91,6 @@ __all__ = [
     "Scenario",
     "ScenarioOutcome",
     "SecureEngine",
-    "SecureRunResult",
     "StressTest",
     "VertexProgram",
     "VertexView",

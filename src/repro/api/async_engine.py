@@ -7,8 +7,10 @@ nothing could overlap communication with computation. This backend runs
 each vertex as an asyncio task over a :class:`~repro.core.transport.Transport`:
 a vertex computes its next round as soon as *its own* inbox completes,
 while slow links' deliveries are still in flight elsewhere. The schedule
-itself lives in :func:`repro.core.rounds.run_rounds_async`, shared with
-the sequential :func:`~repro.core.rounds.run_rounds` skeleton.
+itself lives in :func:`repro.core.rounds.run_rounds_async`; the state it
+advances is the same :class:`~repro.core.rounds.RoundLoop` (same float
+arithmetic, same initial state) the ``plaintext`` engine drives with the
+sequential :func:`~repro.core.rounds.run_rounds` skeleton.
 
 Engine options (all reachable through the registry and batch scenarios)::
 
@@ -31,29 +33,21 @@ benchmark quantifies is amortized to zero — ``benchmarks/bench_async.py``
 puts numbers on both effects.
 
 Like every backend the engine executes through the shared run lifecycle;
-under ``release="windowed"`` each window drives its own
-:func:`~repro.core.rounds.run_rounds_async` call, resuming the previous
-window's pending outboxes through the shared resumption contract.
+under ``release="windowed"`` each window is one
+:meth:`~repro.core.rounds.RoundLoop.advance_async` call, resuming the
+previous window's pending outboxes through the shared resumption contract.
 """
 
 from __future__ import annotations
 
 import asyncio
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
-from repro.api.engines import (
-    Engine,
-    _CentralNoiseCore,
-    _from_plaintext,
-    validate_intra_run_width,
-)
+from repro.api.engines import Engine, _PlaintextCore, validate_intra_run_width
 from repro.api.registry import register_engine
 from repro.api.result import RunResult
-from repro.core.engine import PlaintextEngine, PlaintextRun
 from repro.core.lifecycle import ReleasePolicy, RunState, run_lifecycle
-from repro.core.program import NO_OP_MESSAGE
-from repro.core.rounds import run_rounds_async
 from repro.core.transport import (
     Transport,
     attach_wan_extras,
@@ -62,7 +56,6 @@ from repro.core.transport import (
     transport_from_spec,
     wan_meter_snapshot,
 )
-from repro.obs.trace import timed_phase
 from repro.simulation.netsim import TrafficMeter
 
 __all__ = ["AsyncEngine", "run_coroutine"]
@@ -86,89 +79,42 @@ def run_coroutine(coro):
         return pool.submit(asyncio.run, coro).result()
 
 
-class _AsyncCore(_CentralNoiseCore):
-    """Lifecycle stages for the overlapped asyncio backend.
+class _AsyncCore(_PlaintextCore):
+    """The plaintext core with its loop driven as asyncio pipelines.
 
-    Each window is one :func:`~repro.core.rounds.run_rounds_async` drive
-    on its own event loop; the pending outboxes thread through the shared
-    resumption contract between windows (the §3.6 window edge is a full
-    barrier, so nothing is lost to overlap).
+    Arithmetic, initial state, aggregate and result assembly are the
+    plaintext core's; each window is one
+    :meth:`~repro.core.rounds.RoundLoop.advance_async` drive on its own
+    event loop, resuming through the loop's pending outboxes (the §3.6
+    window edge is a full barrier, so nothing is lost to overlap).
     """
 
     def __init__(self, engine, program, graph, config) -> None:
-        self.engine = engine
-        self.program = program
-        self.graph = graph
-        self.config = config
-        self.oracle = PlaintextEngine(program)
+        super().__init__(engine, program, graph, config)
         self.meter = TrafficMeter()
         self.bus = None
         self.before = None
-        self.states: Dict[int, Dict[str, float]] = {}
-        self.inboxes: Dict[int, List[float]] = {}
-        self.pending: Optional[Dict[int, List[float]]] = None
-        self.steps = 0
-        self.trajectory: List[float] = []
 
     def setup(self, state: RunState) -> None:
         self.bus = transport_from_spec(self.engine.transport, self.config, meter=self.meter)
         # A caller-supplied Transport instance may be reused across runs;
         # snapshot its counters so the extras below report *this* run.
         self.before = wan_meter_snapshot(self.bus)
-        degree_bound = self.graph.degree_bound
-        with timed_phase(state.phases, "initialization"):
-            self.states = {
-                v.vertex_id: self.program.initial_state(v, degree_bound)
-                for v in self.graph.vertices()
-            }
-            self.inboxes = {
-                v: [NO_OP_MESSAGE] * degree_bound for v in self.graph.vertex_ids
-            }
+        super().setup(state)
 
     def run_window(self, state: RunState, rounds: int, first: bool) -> None:
-        degree_bound = self.graph.degree_bound
-        self.states, trajectory, self.pending = run_coroutine(
-            run_rounds_async(
-                graph=self.graph,
-                update=lambda _vid, vstate, messages: self.program.float_update(
-                    vstate, messages, degree_bound
-                ),
-                observe=self.oracle._aggregate_float,
-                states=self.states,
-                inboxes=self.inboxes,
-                iterations=rounds,
-                transport=self.bus,
-                fill=NO_OP_MESSAGE,
+        run_coroutine(
+            self.loop.advance_async(
+                rounds,
+                self.bus,
                 max_tasks=self.engine.tasks,
                 overlap=self.engine.overlap,
-                phases=state.phases,
-                first_round=0 if first else self.steps + 1,
-                resume_outboxes=None if first else self.pending,
             )
         )
-        self.steps += rounds
-        self.trajectory.extend(trajectory)
-        state.trajectory = list(self.trajectory)
-
-    def aggregate(self, state: RunState) -> float:
-        return self.oracle._aggregate_float(self.states)
+        state.trajectory = list(self.loop.trajectory)
 
     def finalize(self, state: RunState, started: float) -> RunResult:
-        run = PlaintextRun(
-            aggregate=self.oracle._aggregate_float(self.states),
-            final_states=self.states,
-            trajectory=self.trajectory,
-            phases=state.phases,
-        )
-        result = _from_plaintext(
-            self.engine.name,
-            self.program,
-            run,
-            state.rounds_done,
-            started,
-            graph=self.graph,
-            record=False,
-        )
+        result = super().finalize(state, started)
         result.extras.update(
             {
                 # effective concurrency: the sequential schedule runs one

@@ -50,8 +50,8 @@ def clone_result(result: RunResult) -> Optional[RunResult]:
     Cached and duplicated outcomes must never alias a result another
     consumer can mutate — a cache entry whose trajectory someone edits in
     place would silently poison every later hit. All built-in results
-    deep-copy cleanly; an exotic ``raw`` payload that refuses is treated
-    as uncopyable and the caller falls back to recomputing.
+    deep-copy cleanly; a third-party engine's result that refuses is
+    treated as uncopyable and the caller falls back to recomputing.
     """
     try:
         return copy.deepcopy(result)

@@ -1,23 +1,26 @@
-"""Engine backends: one protocol, four implementations.
+"""Engine backends: one protocol, seven presets over two round bodies.
 
 An :class:`Engine` turns ``(program, graph, iterations, config)`` into a
-:class:`~repro.api.result.RunResult`. The four built-ins wrap the seed's
-previously-disjoint entry points:
+:class:`~repro.api.result.RunResult`. The clear engines are one
+:class:`~repro.core.rounds.RoundLoop` in float or fixed-point
+:class:`~repro.core.rounds.Arithmetic`; the secure engines are one
+:meth:`SecureEngine._window <repro.core.secure_engine.SecureEngine._window>`
+body. A registry name only picks the arithmetic and who drives the rounds:
 
 =============  ==========================================================
-``plaintext``  :meth:`PlaintextEngine.run_float` — the float oracle
-``fixed``      :meth:`PlaintextEngine.run_fixed` — clear circuit eval
-``secure``     :meth:`SecureEngine.run` — the full DStress protocol
+``plaintext``  float arithmetic — the reference oracle
+``fixed``      fixed-point arithmetic — clear circuit evaluation
+``secure``     the full DStress protocol, window drained in place
 ``naive-mpc``  the §5.5 monolithic-MPC baseline (computes the same
                function centrally, projects the monolithic GMW cost)
-``sharded``    float mode partitioned across worker processes within one
-               run (:class:`~repro.api.sharded.ShardedEngine`)
-``async``      float mode as per-vertex asyncio pipelines over a
+``sharded``    float arithmetic, the superstep fanned across worker
+               processes (:class:`~repro.api.sharded.ShardedEngine`)
+``async``      float arithmetic as per-vertex asyncio pipelines over a
                transport bus, overlapping computation with deliveries
                (:class:`~repro.api.async_engine.AsyncEngine`)
-``secure-async``  the full protocol with per-block OT batches dispatched
-               over the transport bus, bit-identical to ``secure``
-               (:class:`~repro.api.secure_async.SecureAsyncEngine`)
+``secure-async``  the same secure window with its per-block batches
+               dispatched over the transport bus, bit-identical to
+               ``secure`` (:class:`~repro.api.secure_async.SecureAsyncEngine`)
 =============  ==========================================================
 
 All built-ins compute the *same function* pre-noise on the same graph
@@ -55,11 +58,11 @@ from repro.core.lifecycle import (
     run_lifecycle,
 )
 from repro.core.program import VertexProgram
-from repro.core.secure_engine import SecureEngine
+from repro.core.rounds import RoundLoop, WindowEvents
+from repro.core.secure_engine import SecureEngine, check_backend
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import ConfigurationError
 from repro.obs.clock import now as clock_now
-from repro.obs.metrics import record_run
 from repro.obs.trace import timed_phase
 from repro.privacy.budget import PrivacyAccountant
 from repro.privacy.mechanisms import two_sided_geometric_sample
@@ -206,37 +209,24 @@ def _from_plaintext(
     run: PlaintextRun,
     iterations: int,
     started: float,
-    graph: Optional[DistributedGraph] = None,
-    record: bool = True,
+    graph: DistributedGraph,
 ) -> RunResult:
-    """Normalize a PlaintextRun, carrying its phase timings and — when the
-    graph is known — a synthesized per-link traffic meter, so every
-    engine's RunResult exposes the same telemetry shape.
-
-    ``record=False`` defers the ambient-recorder absorption to callers
-    (the lifecycle driver, which records once per run) that still attach
-    extras afterwards.
-    """
-    traffic = None
-    if graph is not None:
-        # round-synchronous byte profile is exact arithmetic: one
-        # fixed-point message per directed edge per routed round
-        traffic = meter_from_rounds(graph, iterations, program.fmt.total_bits / 8.0)
-    result = RunResult(
+    """Normalize a PlaintextRun, carrying its phase timings and a
+    synthesized per-link traffic meter, so every engine's RunResult
+    exposes the same telemetry shape."""
+    return RunResult(
         engine=engine_name,
         program=program.name,
         aggregate=run.aggregate,
         trajectory=list(run.trajectory),
         iterations=iterations,
         wall_seconds=clock_now() - started,
-        traffic=traffic,
+        # round-synchronous byte profile is exact arithmetic: one
+        # fixed-point message per directed edge per routed round
+        traffic=meter_from_rounds(graph, iterations, program.fmt.total_bits / 8.0),
         phases=run.phases,
         final_states=run.final_states,
-        raw=run,
     )
-    if record:
-        record_run(result)
-    return result
 
 
 class _CentralNoiseCore(LifecycleCore):
@@ -261,43 +251,40 @@ class _CentralNoiseCore(LifecycleCore):
 
 
 class _PlaintextCore(_CentralNoiseCore):
-    """Float/fixed oracle stages over a resumable
-    :class:`~repro.core.rounds.RoundLoop`."""
+    """The clear round loop's stages: a resumable
+    :class:`~repro.core.rounds.RoundLoop` in float or fixed arithmetic.
 
-    def __init__(self, engine, program, graph, config, fixed: bool) -> None:
+    The sharded and async cores are this core with a different driver for
+    the same loop (a pooled superstep, per-vertex pipelines over a bus).
+    """
+
+    def __init__(self, engine, program, graph, config, fixed: bool = False) -> None:
         self.engine = engine
         self.program = program
         self.graph = graph
         self.config = config
         self.fixed = fixed
         self.inner = PlaintextEngine(program)
-        self.loop = None
+        self.loop: Optional[RoundLoop] = None
 
     def setup(self, state: RunState) -> None:
-        start = self.inner.start_fixed if self.fixed else self.inner.start_float
-        self.loop = start(self.graph, state.phases)
+        self.loop = self.inner.start(self.graph, self.fixed, state.phases)
 
     def run_window(self, state: RunState, rounds: int, first: bool) -> None:
         self.loop.advance(rounds)
         state.trajectory = list(self.loop.trajectory)
 
     def aggregate(self, state: RunState) -> float:
-        observe = (
-            self.inner._aggregate_raw if self.fixed else self.inner._aggregate_float
-        )
-        return observe(self.loop.states)
+        return self.loop.aggregate()
 
     def finalize(self, state: RunState, started: float) -> RunResult:
-        finish = self.inner.finish_fixed if self.fixed else self.inner.finish_float
-        run = finish(self.loop)
         return _from_plaintext(
             self.engine.name,
             self.program,
-            run,
+            self.inner.finish(self.loop),
             state.rounds_done,
             started,
-            graph=self.graph,
-            record=False,
+            self.graph,
         )
 
 
@@ -315,7 +302,7 @@ class PlaintextFloatEngine(Engine):
         self._configure_release(release, windows, window_epsilon)
 
     def execute(self, program, graph, iterations, config, accountant=None):
-        core = _PlaintextCore(self, program, graph, config, fixed=False)
+        core = _PlaintextCore(self, program, graph, config)
         return run_lifecycle(self, core, program, config, iterations, accountant)
 
 
@@ -344,12 +331,12 @@ class _SecureCore(LifecycleCore):
     """The full protocol's stages, driving :class:`SecureEngine` windows.
 
     The two classes are designed together: the core walks the engine's
-    window/aggregation internals (``_begin_run``/``_window_sync``/
+    window/aggregation internals (``_begin_run``/``_window``/
     ``_aggregation_tree``/``_noise_and_reveal``) so the lifecycle path
-    performs the crypto in exactly the transcript order of the historical
+    performs the crypto in exactly the transcript order of
     :meth:`SecureEngine.run`. The async variant in
-    :mod:`repro.api.secure_async` overrides :meth:`run_window` to dispatch
-    each window's batches over a transport bus.
+    :mod:`repro.api.secure_async` overrides only :meth:`drive`, handing
+    the same window's events to a scheduler over a transport bus.
     """
 
     def __init__(self, engine, program, graph, config) -> None:
@@ -357,63 +344,59 @@ class _SecureCore(LifecycleCore):
         self.program = program
         self.graph = graph
         self.config = config
-        self.inner = SecureEngine(
-            program, config, backend=getattr(engine, "backend", "scalar")
-        )
+        self.inner = SecureEngine(program, config, backend=engine.backend)
         self.ctx = None
         self.tree = None
-        self.levels = 1
-        self.noisy_raw = 0
-        self.pre_noise_raw = 0
 
     def setup(self, state: RunState) -> None:
         self.ctx = self.inner._begin_run(
-            self.graph, sum(state.windows), None, None, phases=state.phases
+            self.graph, sum(state.windows), None, phases=state.phases
         )
 
     def run_window(self, state: RunState, rounds: int, first: bool) -> None:
-        self.inner._window_sync(self.ctx, rounds, first)
+        self.drive(self.inner._window(self.ctx, rounds, first))
         state.trajectory = list(self.ctx.trajectory)
+
+    def drive(self, events: WindowEvents) -> None:
+        """Consume one window's wire events; in process there is no wire,
+        so the bytes (already metered by the window body) go nowhere."""
+        for _event in events:
+            pass
 
     def aggregate(self, state: RunState) -> float:
         # the aggregation tree consumes shared randomness, so it runs once
         # per window and hands its root inputs forward to the noise stage
         with timed_phase(self.ctx.phases, "aggregation"):
             self.tree = self.inner._aggregation_tree(self.ctx)
-        self.pre_noise_raw = self.tree[3]
-        return self.pre_noise_raw * self.program.fmt.resolution
+        return self.tree[3] * self.program.fmt.resolution
 
     def noise(self, state, pre_noise, epsilon, end):
-        root_inputs, root_width, self.levels, pre_noise_raw = self.tree
+        root_inputs, root_width, _levels, pre_noise_raw = self.tree
         with timed_phase(self.ctx.phases, "aggregation"):
-            self.noisy_raw = self.inner._noise_and_reveal(
+            noisy_raw = self.inner._noise_and_reveal(
                 self.ctx, root_inputs, root_width, epsilon
             )
-        fmt = self.program.fmt
-        return self.noisy_raw * fmt.resolution, self.noisy_raw - pre_noise_raw
+        return noisy_raw * self.program.fmt.resolution, noisy_raw - pre_noise_raw
 
     def finalize(self, state: RunState, started: float) -> RunResult:
-        secure = self.inner._assemble_result(
-            self.ctx, self.noisy_raw, self.pre_noise_raw, self.levels
-        )
+        # a secure run always releases, so the lifecycle stamps the released
+        # fields (aggregate / pre-noise / noise / epsilon) from its records
+        ctx = self.ctx
+        _root_inputs, _root_width, levels, _pre_noise_raw = self.tree
         return RunResult(
             engine=self.engine.name,
             program=self.program.name,
-            aggregate=secure.noisy_output,
-            trajectory=list(secure.trajectory),
+            aggregate=state.releases[-1].value,
+            trajectory=list(ctx.trajectory),
             iterations=state.rounds_done,
             wall_seconds=clock_now() - started,
-            pre_noise_aggregate=secure.pre_noise_output,
-            noise_raw=secure.noise_raw,
-            epsilon=self.config.output_epsilon,
-            traffic=secure.traffic,
-            phases=secure.phases,
+            traffic=ctx.meter,
+            phases=ctx.phases,
             extras={
-                "transfer_count": float(secure.transfer_count),
-                "gmw_ot_count": float(secure.gmw_ot_count),
-                "aggregation_levels": float(secure.aggregation_levels),
+                "transfer_count": float(ctx.transfer_count),
+                "gmw_ot_count": float(ctx.total_ots),
+                "aggregation_levels": float(levels),
             },
-            raw=secure,
         )
 
 
@@ -436,12 +419,7 @@ class SecureDStressEngine(Engine):
         windows: Optional[Sequence[int]] = None,
         window_epsilon: Optional[float] = None,
     ) -> None:
-        if backend not in ("scalar", "bitsliced"):
-            raise ConfigurationError(
-                f"engine 'secure' has no backend {backend!r}; "
-                "choose 'scalar' or 'bitsliced'"
-            )
-        self.backend = backend
+        self.backend = check_backend(backend, "engine 'secure'")
         self._configure_release(release, windows, window_epsilon)
 
     def execute(self, program, graph, iterations, config, accountant=None):

@@ -6,9 +6,8 @@ The seed codebase grew four incompatible result shapes —
 fit tuple — which made it impossible to write scenario sweeps that swap
 backends. :class:`RunResult` is the common denominator: the headline
 aggregate, the convergence trajectory, iteration/timing data, and the
-secure-only extras (traffic, phases, epsilon) as optionals. The
-engine-native result stays reachable through ``raw`` for callers that
-need backend-specific detail.
+secure-only extras (traffic, phases, epsilon) as optionals;
+backend-specific scalars ride in ``extras``.
 """
 
 from __future__ import annotations
@@ -67,8 +66,6 @@ class RunResult(TrajectoryConvergence):
         continual release has one per window. The headline
         ``aggregate``/``noise_raw``/``epsilon`` fields describe the last
         (cumulative) release.
-    raw:
-        The engine-native result object, untouched.
     """
 
     engine: str
@@ -85,7 +82,6 @@ class RunResult(TrajectoryConvergence):
     final_states: Optional[Dict[int, Dict[str, float]]] = None
     extras: Dict[str, float] = field(default_factory=dict)
     releases: Optional[List[ReleaseRecord]] = None
-    raw: Any = None
 
     @property
     def exact_aggregate(self) -> float:

@@ -4,9 +4,10 @@ The paper's §6 wall-clock numbers are dominated by transfer I/O — a
 secure round's cost is the wire time of its OT-extension batches and §3.5
 transfer aggregates, not the local crypto. The sequential
 ``engine="secure"`` backend computes everything in a straight line, so it
-cannot model that claim. This backend runs the *same* protocol
-(:meth:`repro.core.secure_engine.SecureEngine.run_async`) with every
-block batch dispatched through a
+cannot model that claim. This backend runs the *same* window body
+(:meth:`repro.core.secure_engine.SecureEngine._window` — one generator,
+not a second copy of the loop) with every block batch it yields
+dispatched through a
 :class:`~repro.core.transport.Transport`: as soon as a block's GMW
 evaluation finishes, its per-link OT bytes go on the bus as an asyncio
 task, and the next block's evaluation proceeds while those bytes are
@@ -26,8 +27,8 @@ Engine options (all reachable through the registry and batch scenarios)::
 Determinism contract: released outputs are **bit-identical** to
 ``engine="secure"`` under the same seeds — every
 :meth:`~repro.crypto.rng.DeterministicRNG.fork` consumes parent stream,
-so the async driver performs the crypto in the sequential transcript
-order and overlaps only the wire time, which never touches a payload.
+so the window body performs the crypto in the one transcript order and
+this driver overlaps only the wire time, which never touches a payload.
 The parity matrix asserts this cell by cell. ``result.traffic`` stays
 the protocol meter (per-node *and* per-link, OT-extension bytes
 included); a WAN bus's own delay accounting lands in
@@ -48,7 +49,8 @@ from repro.api.engines import _SecureCore, Engine, validate_intra_run_width
 from repro.api.registry import register_engine
 from repro.api.result import RunResult
 from repro.core.lifecycle import ReleasePolicy, RunState, run_lifecycle
-from repro.core.rounds import SecureRoundScheduler
+from repro.core.rounds import SecureRoundScheduler, WindowEvents
+from repro.core.secure_engine import check_backend
 from repro.core.transport import (
     Transport,
     attach_wire_extras,
@@ -56,7 +58,6 @@ from repro.core.transport import (
     transport_from_spec,
     wan_meter_snapshot,
 )
-from repro.exceptions import ConfigurationError
 
 __all__ = ["SecureAsyncEngine"]
 
@@ -64,10 +65,10 @@ __all__ = ["SecureAsyncEngine"]
 class _SecureAsyncCore(_SecureCore):
     """:class:`~repro.api.engines._SecureCore` with rounds over a bus.
 
-    Setup, aggregation and noising are the synchronous stages of the
-    parent (the aggregation tree is a final local phase, not a round);
-    only the window drive differs — each window's block batches dispatch
-    through a fresh scheduler over the transport.
+    Setup, the window body, aggregation and noising are the parent's
+    (the aggregation tree is a final local phase, not a round); only what
+    happens to the window's wire events differs — they dispatch through a
+    fresh scheduler over the transport.
     """
 
     def __init__(self, engine, program, graph, config) -> None:
@@ -83,12 +84,11 @@ class _SecureAsyncCore(_SecureCore):
         self.bus.open(self.graph, fill=None)
         super().setup(state)
 
-    def run_window(self, state: RunState, rounds: int, first: bool) -> None:
+    def drive(self, events: WindowEvents) -> None:
         scheduler = SecureRoundScheduler(
             self.bus, max_tasks=self.engine.tasks, overlap=self.engine.overlap
         )
-        run_coroutine(self.inner._window_async(self.ctx, scheduler, rounds, first))
-        state.trajectory = list(self.ctx.trajectory)
+        run_coroutine(scheduler.run(events))
 
     def finalize(self, state: RunState, started: float) -> RunResult:
         result = super().finalize(state, started)
@@ -138,15 +138,10 @@ class SecureAsyncEngine(Engine):
         windows: Optional[Sequence[int]] = None,
         window_epsilon: Optional[float] = None,
     ) -> None:
-        if backend not in ("scalar", "bitsliced"):
-            raise ConfigurationError(
-                f"engine 'secure-async' has no backend {backend!r}; "
-                "choose 'scalar' or 'bitsliced'"
-            )
+        self.backend = check_backend(backend, "engine 'secure-async'")
         self.tasks = validate_intra_run_width(tasks, self.name)
         self.transport = check_transport_spec(transport)
         self.overlap = bool(overlap)
-        self.backend = backend
         self._configure_release(release, windows, window_epsilon)
 
     @property

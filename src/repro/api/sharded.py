@@ -38,22 +38,17 @@ the one-shot run of the same total length.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.api.engines import (
-    Engine,
-    _CentralNoiseCore,
-    _from_plaintext,
-    validate_intra_run_width,
-)
+from repro.api.engines import Engine, _PlaintextCore, validate_intra_run_width
 from repro.api.pool import create_pool, in_worker_process
 from repro.api.registry import register_engine
 from repro.api.result import RunResult
-from repro.core.engine import PlaintextEngine, PlaintextRun
+from repro.core.engine import PlaintextEngine, float_arithmetic
 from repro.core.graph import DistributedGraph
 from repro.core.lifecycle import ReleasePolicy, RunState, run_lifecycle
-from repro.core.program import NO_OP_MESSAGE, VertexProgram
-from repro.core.rounds import RoundLoop, route_messages, sequential_superstep
+from repro.core.program import VertexProgram
+from repro.core.rounds import sequential_superstep
 from repro.core.transport import (
     attach_wan_extras,
     check_transport_spec,
@@ -61,7 +56,6 @@ from repro.core.transport import (
     wan_meter_snapshot,
 )
 from repro.exceptions import ConfigurationError
-from repro.obs.trace import timed_phase
 
 __all__ = ["ShardedEngine", "partition_vertices", "cross_shard_edges"]
 
@@ -99,16 +93,15 @@ def cross_shard_edges(graph: DistributedGraph, chunks: List[List[int]]) -> int:
     )
 
 
-# Worker-side globals, installed once per pool worker by the initializer so
-# the per-round payloads carry only shard state, not the program.
-_WORKER_PROGRAM: VertexProgram = None  # type: ignore[assignment]
-_WORKER_DEGREE_BOUND: int = 0
+# Worker-side global, installed once per pool worker by the initializer so
+# the per-round payloads carry only shard state, not the program: the float
+# arithmetic's vertex update — the very function the inline path runs.
+_WORKER_UPDATE: Callable = None  # type: ignore[assignment]
 
 
 def _init_shard_worker(program: VertexProgram, degree_bound: int) -> None:
-    global _WORKER_PROGRAM, _WORKER_DEGREE_BOUND
-    _WORKER_PROGRAM = program
-    _WORKER_DEGREE_BOUND = degree_bound
+    global _WORKER_UPDATE
+    _WORKER_UPDATE = float_arithmetic(program, degree_bound).update
 
 
 def _shard_step(
@@ -116,34 +109,24 @@ def _shard_step(
 ) -> Tuple[Dict[int, Dict[str, float]], Dict[int, List[float]]]:
     """One shard's share of a superstep: update its vertices, in id order."""
     states, inboxes = payload
-    superstep = sequential_superstep(
-        sorted(states),
-        lambda _vid, state, messages: _WORKER_PROGRAM.float_update(
-            state, messages, _WORKER_DEGREE_BOUND
-        ),
-    )
-    return superstep(states, inboxes)
+    return sequential_superstep(sorted(states), _WORKER_UPDATE)(states, inboxes)
 
 
-class _ShardedCore(_CentralNoiseCore):
-    """Lifecycle stages for the sharded backend.
+class _ShardedCore(_PlaintextCore):
+    """The plaintext core with a pooled superstep.
 
     The inline path (one shard, or inside a daemonic batch worker) is the
-    reference engine's own :class:`~repro.core.rounds.RoundLoop` — one
-    float semantics implementation, not two. The pooled path drives the
-    same loop with the superstep fanned across a fresh worker pool per
-    window (pools don't outlive a window: a windowed run may idle for a
-    long release stage between rounds, and worker placement can never
-    change a value — see the determinism argument above).
+    reference engine's own :class:`~repro.core.rounds.RoundLoop`,
+    untouched. The pooled path drives the same loop — same arithmetic,
+    same initial state, same routing — with only the superstep fanned
+    across a fresh worker pool per window (pools don't outlive a window:
+    a windowed run may idle for a long release stage between rounds, and
+    worker placement can never change a value — see the determinism
+    argument above).
     """
 
     def __init__(self, engine, program, graph, config) -> None:
-        self.engine = engine
-        self.program = program
-        self.graph = graph
-        self.config = config
-        self.oracle: Optional[PlaintextEngine] = None
-        self.loop: Optional[RoundLoop] = None
+        super().__init__(engine, program, graph, config)
         self.chunks: List[List[int]] = []
         self.ghost_edges = 0
         self.inline = True
@@ -160,98 +143,49 @@ class _ShardedCore(_CentralNoiseCore):
             else None
         )
         self.before = wan_meter_snapshot(self.bus)
-        self.oracle = PlaintextEngine(self.program, transport=self.bus)
+        # the barrier merge reuses the transport gather: the ghost
+        # exchange is one full-round delivery over the same bus every
+        # other engine routes through (and a WAN bus meters it)
+        self.inner = PlaintextEngine(self.program, transport=self.bus)
         self.inline = len(self.chunks) <= 1 or in_worker_process()
-        if self.inline:
-            self.loop = self.oracle.start_float(self.graph, state.phases)
-        else:
-            self.loop = self._start_pooled(state)
-
-    def _start_pooled(self, state: RunState) -> RoundLoop:
-        program = self.program
-        graph = self.graph
-        oracle = self.oracle
-        degree_bound = graph.degree_bound
-        with timed_phase(state.phases, "initialization"):
-            if oracle.transport is not None:
-                # one execution = one bus session (resets round counters /
-                # fault accounting), same as the inline start_float path
-                oracle.transport.open(graph, NO_OP_MESSAGE)
-            states = {
-                v.vertex_id: program.initial_state(v, degree_bound)
-                for v in graph.vertices()
-            }
-            inboxes: Dict[int, List[float]] = {
-                v: [NO_OP_MESSAGE] * degree_bound for v in graph.vertex_ids
-            }
-
-        def superstep(state_map, inbox_map):
-            payloads = [
-                (
-                    {vid: state_map[vid] for vid in chunk},
-                    {vid: inbox_map[vid] for vid in chunk},
-                )
-                for chunk in self.chunks
-            ]
-            merged_states: Dict[int, Dict[str, float]] = {}
-            merged_outboxes: Dict[int, List[float]] = {}
-            for shard_states, shard_outboxes in self._pool.map(_shard_step, payloads):
-                merged_states.update(shard_states)
-                merged_outboxes.update(shard_outboxes)
-            return merged_states, merged_outboxes
-
-        return RoundLoop(
-            superstep=superstep,
-            # the barrier merge reuses the transport gather: the ghost
-            # exchange is one full-round delivery over the same bus
-            # every other engine routes through (and a WAN bus meters it)
-            route=lambda outboxes: route_messages(
-                graph, outboxes, NO_OP_MESSAGE, transport=oracle.transport
-            ),
-            observe=oracle._aggregate_float,
-            states=states,
-            inboxes=inboxes,
+        self.loop = self.inner.start(
+            self.graph,
             phases=state.phases,
+            superstep=None if self.inline else self._pooled_superstep,
         )
+
+    def _pooled_superstep(self, state_map, inbox_map):
+        payloads = [
+            (
+                {vid: state_map[vid] for vid in chunk},
+                {vid: inbox_map[vid] for vid in chunk},
+            )
+            for chunk in self.chunks
+        ]
+        merged_states: Dict[int, Dict[str, float]] = {}
+        merged_outboxes: Dict[int, List[float]] = {}
+        for shard_states, shard_outboxes in self._pool.map(_shard_step, payloads):
+            merged_states.update(shard_states)
+            merged_outboxes.update(shard_outboxes)
+        return merged_states, merged_outboxes
 
     def run_window(self, state: RunState, rounds: int, first: bool) -> None:
         if self.inline:
-            self.loop.advance(rounds)
-        else:
-            with create_pool(
-                len(self.chunks),
-                initializer=_init_shard_worker,
-                initargs=(self.program, self.graph.degree_bound),
-            ) as pool:
-                self._pool = pool
-                try:
-                    self.loop.advance(rounds)
-                finally:
-                    self._pool = None
-        state.trajectory = list(self.loop.trajectory)
-
-    def aggregate(self, state: RunState) -> float:
-        return self.oracle._aggregate_float(self.loop.states)
+            super().run_window(state, rounds, first)
+            return
+        with create_pool(
+            len(self.chunks),
+            initializer=_init_shard_worker,
+            initargs=(self.program, self.graph.degree_bound),
+        ) as pool:
+            self._pool = pool
+            try:
+                super().run_window(state, rounds, first)
+            finally:
+                self._pool = None
 
     def finalize(self, state: RunState, started: float) -> RunResult:
-        if self.inline:
-            run = self.oracle.finish_float(self.loop)
-        else:
-            run = PlaintextRun(
-                aggregate=self.oracle._aggregate_float(self.loop.states),
-                final_states=self.loop.states,
-                trajectory=self.loop.trajectory,
-                phases=state.phases,
-            )
-        result = _from_plaintext(
-            self.engine.name,
-            self.program,
-            run,
-            state.rounds_done,
-            started,
-            graph=self.graph,
-            record=False,
-        )
+        result = super().finalize(state, started)
         result.extras.update(
             {
                 "shards": float(len(self.chunks)),

@@ -10,6 +10,12 @@ modes:
   equal this mode bit-for-bit (asserted by the integration tests), and the
   gap between float and fixed mode is the quantization error.
 
+The two modes are two :class:`~repro.core.rounds.Arithmetic` values
+(:func:`float_arithmetic`, :func:`fixed_arithmetic`) behind one
+:meth:`PlaintextEngine.start` / :meth:`PlaintextEngine.finish`; nothing
+else in the repository derives a clear run's initial state, aggregate or
+result.
+
 The engine follows §3.6 exactly: an initialization step, ``n`` computation
 + communication steps, one final computation step, then aggregation of the
 designated register (noising is the caller's concern — this engine is the
@@ -22,15 +28,15 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.convergence import TrajectoryConvergence
-from repro.core.graph import DistributedGraph
+from repro.core.graph import DistributedGraph, VertexView
 from repro.core.program import NO_OP_MESSAGE, VertexProgram
-from repro.core.rounds import RoundLoop, route_messages, sequential_superstep
+from repro.core.rounds import Arithmetic, RoundLoop, Superstep
 from repro.core.transport import Transport
 from repro.exceptions import ConfigurationError
 from repro.obs.trace import timed_phase
 from repro.simulation.netsim import PhaseTimer
 
-__all__ = ["PlaintextRun", "PlaintextEngine"]
+__all__ = ["PlaintextRun", "PlaintextEngine", "float_arithmetic", "fixed_arithmetic"]
 
 
 @dataclass
@@ -45,6 +51,54 @@ class PlaintextRun(TrajectoryConvergence):
     #: filled through the shared recorder path so plaintext runs report
     #: phases the same way the secure engine always has
     phases: Optional[PhaseTimer] = None
+
+
+def float_arithmetic(
+    program: VertexProgram, degree_bound: int
+) -> Arithmetic[Dict[str, float], float]:
+    """Plain Python floats: the semantic reference for the model."""
+    register = program.aggregate_register
+    return Arithmetic(
+        fill=NO_OP_MESSAGE,
+        initial=lambda view: program.initial_state(view, degree_bound),
+        update=lambda _vid, state, messages: program.float_update(
+            state, messages, degree_bound
+        ),
+        observe=lambda states: sum(state[register] for state in states.values()),
+        decode=lambda state: state,
+    )
+
+
+def fixed_arithmetic(
+    program: VertexProgram, degree_bound: int
+) -> Arithmetic[Dict[str, int], int]:
+    """Raw fixed-point registers through the MPC update circuit, in the
+    clear — the secure-engine oracle.
+
+    The aggregate is an exact sum of raw registers, decoded once,
+    mirroring the aggregation circuit.
+    """
+    fmt = program.fmt
+    register = program.aggregate_register
+    circuit = program.build_update_circuit(degree_bound)
+    registers = set(program.state_registers(degree_bound))
+
+    def initial(view: VertexView) -> Dict[str, int]:
+        state = program.initial_state(view, degree_bound)
+        missing = registers - set(state)
+        if missing:
+            raise ConfigurationError(f"initial state missing registers {missing}")
+        return program.encode_state(state)
+
+    return Arithmetic(
+        fill=fmt.encode(NO_OP_MESSAGE),
+        initial=initial,
+        update=lambda _vid, state, messages: program.circuit_update(
+            state, messages, degree_bound, circuit
+        ),
+        observe=lambda states: fmt.decode(sum(raw[register] for raw in states.values())),
+        decode=program.decode_state,
+    )
 
 
 class PlaintextEngine:
@@ -62,137 +116,52 @@ class PlaintextEngine:
         self.program = program
         self.transport = transport
 
-    # -- float mode -------------------------------------------------------------
-
-    def start_float(
-        self, graph: DistributedGraph, phases: Optional[PhaseTimer] = None
+    def start(
+        self,
+        graph: DistributedGraph,
+        fixed: bool = False,
+        phases: Optional[PhaseTimer] = None,
+        superstep: Optional[Superstep] = None,
     ) -> RoundLoop:
-        """Initialize a resumable float-mode round loop (§3.6 setup).
+        """Initialize a resumable round loop (§3.6 setup) in float or
+        fixed-point arithmetic.
 
         ``advance(n)`` on the returned loop runs ``n`` computation steps;
-        :meth:`finish_float` packages the loop into a
-        :class:`PlaintextRun`. :meth:`run_float` is the one-shot
-        composition; release policies interleave stages between windows.
+        :meth:`finish` packages the loop into a :class:`PlaintextRun`.
+        :meth:`run_float` / :meth:`run_fixed` are the one-shot
+        compositions; release policies interleave stages between windows.
         """
-        program = self.program
-        degree_bound = graph.degree_bound
         with timed_phase(phases, "initialization"):
+            make = fixed_arithmetic if fixed else float_arithmetic
+            arithmetic = make(self.program, graph.degree_bound)
             if self.transport is not None:
                 # one execution = one bus session: resets per-run transport
                 # state (round counters, fault accounting, mailboxes)
-                self.transport.open(graph, NO_OP_MESSAGE)
-            states = {
-                v.vertex_id: program.initial_state(v, degree_bound)
-                for v in graph.vertices()
-            }
-            inboxes: Dict[int, List[float]] = {
-                v: [NO_OP_MESSAGE] * degree_bound for v in graph.vertex_ids
-            }
-        return RoundLoop(
-            superstep=sequential_superstep(
-                graph.vertex_ids,
-                lambda _vid, state, messages: program.float_update(
-                    state, messages, degree_bound
-                ),
-            ),
-            route=lambda outboxes: route_messages(
-                graph, outboxes, NO_OP_MESSAGE, transport=self.transport
-            ),
-            observe=self._aggregate_float,
-            states=states,
-            inboxes=inboxes,
-            phases=phases,
-        )
+                self.transport.open(graph, arithmetic.fill)
+            return RoundLoop(graph, arithmetic, phases, self.transport, superstep)
 
-    def finish_float(self, loop: RoundLoop) -> PlaintextRun:
-        """Package a float-mode loop's current state as a result."""
+    def finish(self, loop: RoundLoop) -> PlaintextRun:
+        """Package a loop's current state as a result, in real units."""
+        decode = loop.arithmetic.decode
         return PlaintextRun(
-            aggregate=self._aggregate_float(loop.states),
-            final_states=loop.states,
+            aggregate=loop.aggregate(),
+            final_states={vid: decode(state) for vid, state in loop.states.items()},
             trajectory=loop.trajectory,
             phases=loop.phases,
         )
 
     def run_float(self, graph: DistributedGraph, iterations: int) -> PlaintextRun:
         """Reference execution over floats."""
-        loop = self.start_float(graph, PhaseTimer())
-        loop.advance(iterations)
-        return self.finish_float(loop)
-
-    def _aggregate_float(self, states: Dict[int, Dict[str, float]]) -> float:
-        register = self.program.aggregate_register
-        return sum(state[register] for state in states.values())
-
-    # -- fixed-point circuit mode --------------------------------------------------
-
-    def start_fixed(
-        self, graph: DistributedGraph, phases: Optional[PhaseTimer] = None
-    ) -> RoundLoop:
-        """Initialize a resumable fixed-point circuit round loop."""
-        program = self.program
-        fmt = program.fmt
-        degree_bound = graph.degree_bound
-        with timed_phase(phases, "initialization"):
-            circuit = program.build_update_circuit(degree_bound)
-            registers = program.state_registers(degree_bound)
-
-            raw_states: Dict[int, Dict[str, int]] = {}
-            for view in graph.vertices():
-                state = program.initial_state(view, degree_bound)
-                missing = set(registers) - set(state)
-                if missing:
-                    raise ConfigurationError(
-                        f"initial state missing registers {missing}"
-                    )
-                raw_states[view.vertex_id] = program.encode_state(state)
-
-            raw_no_op = fmt.encode(NO_OP_MESSAGE)
-            if self.transport is not None:
-                self.transport.open(graph, raw_no_op)
-            inboxes: Dict[int, List[int]] = {
-                v: [raw_no_op] * degree_bound for v in graph.vertex_ids
-            }
-        return RoundLoop(
-            superstep=sequential_superstep(
-                graph.vertex_ids,
-                lambda _vid, state, messages: program.circuit_update(
-                    state, messages, degree_bound, circuit
-                ),
-            ),
-            route=lambda outboxes: route_messages(
-                graph, outboxes, raw_no_op, transport=self.transport
-            ),
-            observe=self._aggregate_raw,
-            states=raw_states,
-            inboxes=inboxes,
-            phases=phases,
-        )
-
-    def finish_fixed(self, loop: RoundLoop) -> PlaintextRun:
-        """Package a fixed-mode loop's current state as a result."""
-        program = self.program
-        return PlaintextRun(
-            aggregate=self._aggregate_raw(loop.states),
-            final_states={
-                vertex_id: program.decode_state(raw)
-                for vertex_id, raw in loop.states.items()
-            },
-            trajectory=loop.trajectory,
-            phases=loop.phases,
-        )
+        return self._run(graph, iterations, fixed=False)
 
     def run_fixed(self, graph: DistributedGraph, iterations: int) -> PlaintextRun:
         """Clear evaluation of the MPC circuits — the secure-engine oracle.
 
-        Aggregate and states are reported in decoded (real-valued) units;
-        the raw aggregate is an exact sum of raw registers, mirroring the
-        aggregation circuit.
+        Aggregate and states are reported in decoded (real-valued) units.
         """
-        loop = self.start_fixed(graph, PhaseTimer())
-        loop.advance(iterations)
-        return self.finish_fixed(loop)
+        return self._run(graph, iterations, fixed=True)
 
-    def _aggregate_raw(self, raw_states: Dict[int, Dict[str, int]]) -> float:
-        register = self.program.aggregate_register
-        total = sum(raw[register] for raw in raw_states.values())
-        return self.program.fmt.decode(total)
+    def _run(self, graph: DistributedGraph, iterations: int, fixed: bool) -> PlaintextRun:
+        loop = self.start(graph, fixed, PhaseTimer())
+        loop.advance(iterations)
+        return self.finish(loop)

@@ -20,6 +20,12 @@ skeleton so backends only supply the three varying pieces:
 * ``observe`` — record the designated aggregate after each round (the
   convergence trajectory).
 
+:class:`RoundLoop` binds the three to one graph and one
+:class:`Arithmetic` — the float reference or the clear fixed-point
+circuits — and is the single place a clear run's state lives between
+release windows, whichever driver (:func:`run_rounds`,
+:func:`run_rounds_async`) advances it.
+
 Determinism contract: :func:`run_rounds` calls ``superstep`` exactly
 ``iterations + 1`` times with identical inputs regardless of who computes
 the superstep, so two backends whose supersteps are pointwise equal
@@ -32,15 +38,31 @@ round-``r`` inbox is complete — overlapping computation of ready vertices
 with in-flight deliveries of slow ones — while trajectories and final
 states are still assembled in sorted-vertex order, so the result is
 bit-identical to :func:`run_rounds` for pointwise-equal updates.
+
+The secure protocol's rounds have their own body
+(:meth:`SecureEngine._window <repro.core.secure_engine.SecureEngine._window>`,
+a generator of :data:`WindowEvent`); :class:`SecureRoundScheduler` is the
+driver that puts those events on a transport.
 """
 
 from __future__ import annotations
 
 import asyncio
 import copy
-from typing import Callable, Dict, List, Optional, Set, Tuple, TypeVar
+from dataclasses import dataclass
+from typing import (
+    Callable,
+    Dict,
+    Generator,
+    Generic,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    TypeVar,
+)
 
-from repro.core.graph import DistributedGraph
+from repro.core.graph import DistributedGraph, VertexView
 from repro.core.transport import InMemoryTransport, Transport
 from repro.exceptions import ConfigurationError
 from repro.obs.trace import current_recorder, timed_phase
@@ -51,7 +73,11 @@ __all__ = [
     "run_rounds_async",
     "route_messages",
     "sequential_superstep",
+    "Arithmetic",
     "RoundLoop",
+    "LinkBytes",
+    "WindowEvent",
+    "WindowEvents",
     "SecureRoundScheduler",
 ]
 
@@ -66,6 +92,40 @@ M = TypeVar("M")
 
 #: states, inboxes -> new states, outboxes (all keyed by vertex id).
 Superstep = Callable[[Dict[int, S], Dict[int, List[M]]], Tuple[Dict[int, S], Dict[int, List[M]]]]
+
+#: Ordered directed link with a byte payload: the unit the transport
+#: conveys for the secure path.
+LinkBytes = Dict[Tuple[int, int], float]
+
+#: What a secure window puts on the wire, in transcript order: one
+#: ``(step, kind, link_bytes)`` per finished block batch, and ``None`` at
+#: every §3.6 step boundary (the barrier marker).
+WindowEvent = Optional[Tuple[int, str, LinkBytes]]
+#: One secure window: a generator, so a failing driver can ``close()`` it.
+WindowEvents = Generator[WindowEvent, None, None]
+
+
+@dataclass(frozen=True)
+class Arithmetic(Generic[S, M]):
+    """The number representation a clear run computes in.
+
+    The float reference and the clear evaluation of the MPC circuits walk
+    one schedule over one graph; these five pieces are everything that
+    differs between them, so every plaintext-family engine (plaintext,
+    fixed, sharded, async, naive-mpc) takes its initial state, vertex
+    update, aggregate and result decoding from the same value.
+    """
+
+    #: The encoded no-op message padding every unused in-slot.
+    fill: M
+    #: A vertex's state before the first computation step.
+    initial: Callable[[VertexView], S]
+    #: ``(vertex id, state, inbox) -> (new state, outbox)``.
+    update: Callable[[int, S, List[M]], Tuple[S, List[M]]]
+    #: The designated register summed over all vertices, in real units.
+    observe: Callable[[Dict[int, S]], float]
+    #: One vertex's state in real units.
+    decode: Callable[[S], Dict[str, float]]
 
 
 def run_rounds(
@@ -183,61 +243,116 @@ def sequential_superstep(
     return superstep
 
 
-class RoundLoop:
-    """A resumable handle over :func:`run_rounds`.
+class RoundLoop(Generic[S, M]):
+    """A resumable handle over the §3.6 schedule for one graph and one
+    :class:`Arithmetic`.
 
-    Owns the (states, inboxes, pending outboxes) triple between windows so
-    a release policy can interleave aggregate/noise/release stages with
-    the round schedule without the engine re-deriving resumption state.
-    ``advance(n)`` runs ``n`` more computation steps and returns the new
-    trajectory entries; span numbering continues exactly where the
-    previous window stopped, so a windowed run's trace is the one-shot
-    trace with extra release stages in between.
+    Derives the initial states and no-op inboxes, then owns the (states,
+    pending outboxes) pair between windows so a release policy can
+    interleave aggregate/noise/release stages with the round schedule
+    without the engine re-deriving resumption state. ``advance(n)`` runs
+    ``n`` more computation steps through :func:`run_rounds` and returns
+    the new trajectory entries; :meth:`advance_async` runs the same steps
+    as :func:`run_rounds_async` pipelines over a transport. Span numbering
+    continues exactly where the previous window stopped, so a windowed
+    run's trace is the one-shot trace with extra release stages in between.
+
+    ``superstep`` replaces the default one-by-one vertex update (the
+    sharded engine fans it across a process pool); ``transport`` is the
+    bus :meth:`advance` routes over (``None``: the shared in-memory one).
     """
 
     def __init__(
         self,
-        superstep: Superstep,
-        route: Callable[[Dict[int, List[M]]], Dict[int, List[M]]],
-        observe: Callable[[Dict[int, S]], float],
-        states: Dict[int, S],
-        inboxes: Dict[int, List[M]],
+        graph: DistributedGraph,
+        arithmetic: Arithmetic[S, M],
         phases: Optional[PhaseTimer] = None,
+        transport: Optional[Transport] = None,
+        superstep: Optional[Superstep] = None,
     ) -> None:
-        self.superstep = superstep
-        self.route = route
-        self.observe = observe
-        self.states = states
-        self.inboxes = inboxes
+        self.graph = graph
+        self.arithmetic = arithmetic
         self.phases = phases
+        self.transport = transport
+        self.superstep: Superstep = (
+            superstep
+            if superstep is not None
+            else sequential_superstep(graph.vertex_ids, arithmetic.update)
+        )
+        self.states: Dict[int, S] = {
+            view.vertex_id: arithmetic.initial(view) for view in graph.vertices()
+        }
+        self.inboxes: Dict[int, List[M]] = {
+            v: [arithmetic.fill] * graph.degree_bound for v in graph.vertex_ids
+        }
         self.steps = 0
         self.pending: Optional[Dict[int, List[M]]] = None
         self.trajectory: List[float] = []
 
+    def aggregate(self) -> float:
+        """Current aggregate of the designated register."""
+        return self.arithmetic.observe(self.states)
+
     def advance(self, rounds: int) -> List[float]:
         """Run ``rounds`` more computation steps; return their trajectory."""
-        if self.pending is None:
-            self.states, trajectory, self.pending = run_rounds(
+        return self._commit(
+            rounds,
+            run_rounds(
                 self.superstep,
-                self.route,
-                self.observe,
+                self._route,
+                self.arithmetic.observe,
                 self.states,
                 self.inboxes,
                 rounds,
                 phases=self.phases,
-            )
-        else:
-            self.states, trajectory, self.pending = run_rounds(
-                self.superstep,
-                self.route,
-                self.observe,
-                self.states,
-                self.inboxes,
-                rounds,
-                phases=self.phases,
-                first_round=self.steps + 1,
+                first_round=self._next_round(),
                 resume_outboxes=self.pending,
-            )
+            ),
+        )
+
+    async def advance_async(
+        self,
+        rounds: int,
+        transport: Transport,
+        max_tasks: Optional[int] = None,
+        overlap: bool = True,
+    ) -> List[float]:
+        """:meth:`advance` as per-vertex pipelines over ``transport``."""
+        return self._commit(
+            rounds,
+            await run_rounds_async(
+                self.graph,
+                self.arithmetic.update,
+                self.arithmetic.observe,
+                self.states,
+                self.inboxes,
+                rounds,
+                transport,
+                self.arithmetic.fill,
+                max_tasks=max_tasks,
+                overlap=overlap,
+                phases=self.phases,
+                first_round=self._next_round(),
+                resume_outboxes=self.pending,
+            ),
+        )
+
+    def _route(self, outboxes: Dict[int, List[M]]) -> Dict[int, List[M]]:
+        return route_messages(
+            self.graph, outboxes, self.arithmetic.fill, transport=self.transport
+        )
+
+    def _next_round(self) -> int:
+        """Index of the next computation step: round numbering continues
+        across windows (:func:`run_rounds`' resumption contract)."""
+        return 0 if self.pending is None else self.steps + 1
+
+    def _commit(
+        self,
+        rounds: int,
+        outcome: Tuple[Dict[int, S], List[float], Dict[int, List[M]]],
+    ) -> List[float]:
+        self.states, trajectory, self.pending = outcome
         self.steps += rounds
         self.trajectory.extend(trajectory)
         return trajectory
@@ -486,9 +601,7 @@ class SecureRoundScheduler:
         self._gate = asyncio.Semaphore(max_tasks) if max_tasks is not None else None
         self._pending: Set[asyncio.Task] = set()
 
-    async def _deliver(
-        self, link_bytes: Dict[Tuple[int, int], float], round_index: int, kind: str
-    ) -> None:
+    async def _deliver(self, link_bytes: LinkBytes, round_index: int, kind: str) -> None:
         conveys = [
             self.transport.convey(src, dst, num_bytes, round_index, kind=kind)
             for (src, dst), num_bytes in sorted(link_bytes.items())
@@ -502,10 +615,7 @@ class SecureRoundScheduler:
                 await asyncio.gather(*conveys)
 
     async def dispatch(
-        self,
-        link_bytes: Dict[Tuple[int, int], float],
-        round_index: int,
-        kind: str = "crypto",
+        self, link_bytes: LinkBytes, round_index: int, kind: str = "crypto"
     ) -> None:
         """Put one block batch on the wire.
 
@@ -523,6 +633,31 @@ class SecureRoundScheduler:
         # let the fresh task reach its first await so its link delays are
         # genuinely in flight while the caller's next block computes
         await asyncio.sleep(0)
+
+    async def run(self, events: WindowEvents) -> None:
+        """Drive one secure window over the bus.
+
+        ``events`` is :meth:`SecureEngine._window
+        <repro.core.secure_engine.SecureEngine._window>` — the same body
+        ``engine="secure"`` drains with a bare ``for`` loop. The generator
+        does the crypto (in transcript order, between two ``next`` calls);
+        this loop only decides what happens to the bytes it yields.
+        """
+        try:
+            for event in events:
+                if event is None:
+                    await self.barrier()
+                else:
+                    step, kind, link_bytes = event
+                    await self.dispatch(link_bytes, step, kind=kind)
+        except BaseException:
+            # close the window's open round/phase spans, then consume the
+            # in-flight deliveries: unwinding past them would leak their
+            # tasks (and log any sibling faults as never-retrieved) over
+            # the real traceback
+            events.close()
+            await self.drain()
+            raise
 
     async def barrier(self) -> None:
         """Await all in-flight deliveries (the §3.6 step boundary).

@@ -22,17 +22,19 @@ All network traffic is metered per node *and per directed link*; timings
 are recorded per phase. The engine is a faithful simulation: every byte it
 reports corresponds to a protocol message of the real deployment.
 
-Two drivers share the protocol code. :meth:`SecureEngine.run` is the
-historical sequential driver. :meth:`SecureEngine.run_async` walks the
-*same* crypto operations in the *same* order (every
-:meth:`~repro.crypto.rng.DeterministicRNG.fork` consumes parent stream, so
-the order of crypto work is the transcript — reordering it would change
-every share), but hands each finished block batch — a GMW evaluation's
-OT-extension bits, a transfer's aggregates — to a
-:class:`~repro.core.rounds.SecureRoundScheduler` that conveys the bytes
-over a :class:`~repro.core.transport.Transport` while later blocks are
-still computing. Released outputs are bit-identical between the two
-drivers by construction; only wall-clock and the bus's own metering move.
+One window body, two drivers. :meth:`SecureEngine._window` is a plain
+generator that performs every crypto operation of a round window itself,
+in one fixed order (every :meth:`~repro.crypto.rng.DeterministicRNG.fork`
+consumes parent stream, so the order of crypto work *is* the transcript —
+reordering it would change every share), and yields what each finished
+block batch — a GMW evaluation's OT-extension bits, a transfer's
+aggregates — puts on the wire. ``engine="secure"`` (and
+:meth:`SecureEngine.run`) drain it with a ``for`` loop; ``secure-async``
+feeds the same events to a :class:`~repro.core.rounds.SecureRoundScheduler`
+that conveys the bytes over a :class:`~repro.core.transport.Transport`
+while later blocks are still computing. Released outputs are bit-identical
+between the two by construction — there is no second copy of the loop to
+drift; only wall-clock and the bus's own metering move.
 """
 
 from __future__ import annotations
@@ -47,14 +49,13 @@ from repro.core.convergence import TrajectoryConvergence
 from repro.core.graph import DistributedGraph
 from repro.core.node import SimulatedNode
 from repro.core.program import NO_OP_MESSAGE, VertexProgram
-from repro.core.rounds import SecureRoundScheduler
+from repro.core.rounds import LinkBytes, WindowEvents
 from repro.core.setup import AGGREGATION_BLOCK_ID, BlockAssignment, TrustedParty
-from repro.core.transport import Transport
 from repro.crypto.elgamal import ExponentialElGamal
 from repro.crypto.ot import SimulatedObliviousTransfer
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import ConfigurationError
-from repro.mpc.gmw import GMWEngine
+from repro.mpc.gmw import GMWEngine, GMWResult
 from repro.mpc.noise_circuit import (
     build_noised_sum_bits_circuit,
     build_partial_sum_circuit,
@@ -62,17 +63,24 @@ from repro.mpc.noise_circuit import (
 )
 from repro.obs.metrics import absorb_gmw
 from repro.obs.trace import current_recorder, timed_phase
+from repro.privacy.admission import precharge
 from repro.privacy.budget import PrivacyAccountant
 from repro.privacy.edge_privacy import per_iteration_epsilon, transfer_sensitivity
 from repro.sharing.xor import reconstruct_value, share_value
 from repro.simulation.netsim import PhaseTimer, TrafficMeter
 from repro.transfer.protocol import MessageTransferProtocol
 
-__all__ = ["SecureRunResult", "SecureEngine"]
+__all__ = ["SecureRunResult", "SecureEngine", "check_backend"]
 
-#: Ordered directed link with a byte payload: the unit the transport
-#: conveys for the secure path.
-LinkBytes = Dict[Tuple[int, int], float]
+
+def check_backend(backend: str, owner: str) -> str:
+    """The one rule for which GMW gate evaluators exist (``owner`` names
+    the rejecting engine in the error)."""
+    if backend not in ("scalar", "bitsliced"):
+        raise ConfigurationError(
+            f"{owner} has no backend {backend!r}; choose 'scalar' or 'bitsliced'"
+        )
+    return backend
 
 
 def _record_link(
@@ -121,12 +129,11 @@ class SecureRunResult(TrajectoryConvergence):
 
 @dataclass
 class _RunContext:
-    """Mutable state of one execution, shared by the two drivers.
+    """Mutable state of one execution.
 
-    Built once by :meth:`SecureEngine._begin_run`; the sync and async
-    drivers both walk the same context through the same step generators,
-    which is what makes their transcripts — and therefore their released
-    outputs — bit-identical.
+    Built once by :meth:`SecureEngine._begin_run` and walked window by
+    window through :meth:`SecureEngine._window`, whichever driver
+    consumes the window's events.
     """
 
     graph: DistributedGraph
@@ -151,6 +158,14 @@ class _RunContext:
     #: span numbering continues, so the transcript order is unchanged).
     steps: int = 0
 
+    def block_inputs(self, v: int) -> Dict[str, List[int]]:
+        """Vertex ``v``'s update-circuit inputs: its state registers plus
+        one ``msg_in_<slot>`` bus per inbox slot, all as block shares."""
+        shared_inputs = dict(self.state_shares[v])
+        for slot, shares in enumerate(self.inbox_shares[v]):
+            shared_inputs[f"msg_in_{slot}"] = shares
+        return shared_inputs
+
 
 class SecureEngine:
     """Executes vertex programs under the full DStress protocol stack.
@@ -169,9 +184,7 @@ class SecureEngine:
         config: Optional[DStressConfig] = None,
         backend: str = "scalar",
     ) -> None:
-        if backend not in ("scalar", "bitsliced"):
-            raise ConfigurationError(f"unknown secure backend {backend!r}")
-        self.backend = backend
+        self.backend = check_backend(backend, "SecureEngine")
         self.program = program
         self.config = config if config is not None else DStressConfig()
         if program.fmt.total_bits != self.config.fmt.total_bits:
@@ -202,42 +215,65 @@ class SecureEngine:
         degree (e.g. ``[10, 100]``). This reveals each vertex's bucket —
         roughly its size class, which the paper notes is acceptable — in
         exchange for much cheaper MPC steps at low-degree vertices.
+
+        ``accountant`` is charged ``output_epsilon`` up front and refunded
+        if the run fails: the budget pays for a published output, not for
+        an attempt.
         """
-        ctx = self._begin_run(graph, iterations, accountant, bucket_bounds)
-        self._window_sync(ctx, iterations, first=True)
-        return self._finish_run(ctx)
+        config = self.config
+        fmt = self.program.fmt
+        admitted = precharge(
+            accountant, [(f"{self.program.name}-release", config.output_epsilon)]
+        )
+        try:
+            ctx = self._begin_run(graph, iterations, bucket_bounds)
+            for _event in self._window(ctx, iterations, first=True):
+                pass
+            with timed_phase(ctx.phases, "aggregation"):
+                noisy_raw, pre_noise_raw, levels = self._aggregate_and_noise(ctx)
+        except BaseException:
+            if admitted is not None:
+                admitted.refund()
+            raise
 
-    async def run_async(
-        self,
-        graph: DistributedGraph,
-        iterations: int,
-        transport: Transport,
-        accountant: Optional[PrivacyAccountant] = None,
-        bucket_bounds: Optional[List[int]] = None,
-        max_tasks: Optional[int] = None,
-        overlap: bool = True,
-    ) -> SecureRunResult:
-        """Execute the protocol with its rounds scheduled over ``transport``.
+        edge_eps = None
+        if config.edge_noise_alpha is not None:
+            delta = transfer_sensitivity(config.collusion_bound)
+            eps_transfer = -math.log(config.edge_noise_alpha) * delta / 2.0
+            edge_eps = per_iteration_epsilon(
+                config.collusion_bound, fmt.total_bits, eps_transfer
+            )
+        return SecureRunResult(
+            noisy_output=noisy_raw * fmt.resolution,
+            pre_noise_output=pre_noise_raw * fmt.resolution,
+            noise_raw=noisy_raw - pre_noise_raw,
+            iterations=iterations,
+            traffic=ctx.meter,
+            phases=ctx.phases,
+            num_vertices=graph.num_vertices,
+            num_edges=graph.num_edges,
+            transfer_count=ctx.transfer_count,
+            gmw_ot_count=ctx.total_ots,
+            gmw_and_gates_per_step=ctx.circuit_and_gates,
+            output_epsilon=config.output_epsilon,
+            edge_epsilon_per_iteration=edge_eps,
+            aggregation_levels=levels,
+            trajectory=ctx.trajectory,
+        )
 
-        Identical crypto, identical order, identical released outputs to
-        :meth:`run` — the difference is that every block batch's bytes are
-        dispatched through the bus (overlapping OT computation of later
-        blocks with in-flight deliveries when ``overlap=True``), and a
-        faulted delivery raises a
-        :class:`~repro.exceptions.TransportError` at the step barrier
-        instead of silently sharing a dict. ``max_tasks`` bounds the
-        number of batch deliveries in flight.
-        """
-        transport.open(graph, fill=None)
-        scheduler = SecureRoundScheduler(transport, max_tasks=max_tasks, overlap=overlap)
-        ctx = self._begin_run(graph, iterations, accountant, bucket_bounds)
-        await self._window_async(ctx, scheduler, iterations, first=True)
-        return self._finish_run(ctx)
+    # ------------------------------------------------------------- window --
 
-    # ------------------------------------------------------------ windows --
-
-    def _window_sync(self, ctx: _RunContext, rounds: int, first: bool) -> None:
+    def _window(self, ctx: _RunContext, rounds: int, first: bool) -> WindowEvents:
         """Advance the §3.6 schedule by ``rounds`` computation steps.
+
+        The one window body. It performs the crypto itself, in transcript
+        order, and yields what goes on the wire: ``(step, kind,
+        link_bytes)`` after each finished block batch, ``None`` at each
+        step boundary. The consumer only decides what happens to those
+        bytes — nothing (drain the generator) or a dispatch over the bus
+        (:meth:`SecureRoundScheduler.run
+        <repro.core.rounds.SecureRoundScheduler.run>`) — so it cannot
+        change a share.
 
         A fresh window runs ``rounds`` full (computation + communication)
         steps plus the final computation step. A resumed window first runs
@@ -247,7 +283,6 @@ class SecureEngine:
         same total length. Round span numbering continues across windows.
         """
         recorder = current_recorder()
-        graph = ctx.graph
         base = ctx.steps
         if not first:
             if rounds < 1:
@@ -255,76 +290,27 @@ class SecureEngine:
                     "a resumed window needs at least one computation step"
                 )
             with recorder.span("round", round=base - 1):
-                with timed_phase(ctx.phases, "communication"):
-                    for _batch in self._communication_transfers(ctx):
-                        pass
-        full = rounds if first else rounds - 1
-        for index in range(full):
-            with recorder.span("round", round=base + index):
-                with timed_phase(ctx.phases, "computation"):
-                    for _batch in self._computation_blocks(ctx):
-                        pass
-                ctx.trajectory.append(
-                    self._simulated_aggregate(graph, ctx.state_shares)
-                )
-                with timed_phase(ctx.phases, "communication"):
-                    for _batch in self._communication_transfers(ctx):
-                        pass
-        # Final computation step (§3.6).
-        with recorder.span("round", round=base + full):
-            with timed_phase(ctx.phases, "computation"):
-                for _batch in self._computation_blocks(ctx):
-                    pass
-        ctx.trajectory.append(self._simulated_aggregate(graph, ctx.state_shares))
-        ctx.steps = base + full + 1
-
-    async def _window_async(
-        self, ctx: _RunContext, scheduler: SecureRoundScheduler, rounds: int, first: bool
-    ) -> None:
-        """:meth:`_window_sync` with batches dispatched over the bus."""
-        recorder = current_recorder()
-        graph = ctx.graph
-        base = ctx.steps
-        try:
-            if not first:
-                if rounds < 1:
-                    raise ConfigurationError(
-                        "a resumed window needs at least one computation step"
-                    )
-                with recorder.span("round", round=base - 1):
-                    with timed_phase(ctx.phases, "communication"):
-                        for batch in self._communication_transfers(ctx):
-                            await scheduler.dispatch(batch, base - 1, kind="transfer")
-                        await scheduler.barrier()
-            full = rounds if first else rounds - 1
-            for index in range(full):
-                step = base + index
-                with recorder.span("round", round=step):
-                    with timed_phase(ctx.phases, "computation"):
-                        for batch in self._computation_blocks(ctx):
-                            await scheduler.dispatch(batch, step, kind="ot")
-                        await scheduler.barrier()
-                    ctx.trajectory.append(
-                        self._simulated_aggregate(graph, ctx.state_shares)
-                    )
-                    with timed_phase(ctx.phases, "communication"):
-                        for batch in self._communication_transfers(ctx):
-                            await scheduler.dispatch(batch, step, kind="transfer")
-                        await scheduler.barrier()
-            # Final computation step (§3.6).
-            with recorder.span("round", round=base + full):
+                yield from self._communication_step(ctx, base - 1)
+        final = base + (rounds if first else rounds - 1)
+        for step in range(base, final + 1):
+            with recorder.span("round", round=step):
                 with timed_phase(ctx.phases, "computation"):
                     for batch in self._computation_blocks(ctx):
-                        await scheduler.dispatch(batch, base + full, kind="ot")
-                    await scheduler.barrier()
-        except BaseException:
-            # unwinding past in-flight deliveries would leak their tasks
-            # (and log any sibling faults as never-retrieved); consume
-            # them before the real traceback propagates
-            await scheduler.drain()
-            raise
-        ctx.trajectory.append(self._simulated_aggregate(graph, ctx.state_shares))
-        ctx.steps = base + full + 1
+                        yield step, "ot", batch
+                    yield None
+                ctx.trajectory.append(
+                    self._simulated_aggregate(ctx.graph, ctx.state_shares)
+                )
+                if step < final:  # the final computation step (§3.6) routes nothing
+                    yield from self._communication_step(ctx, step)
+        ctx.steps = final + 1
+
+    def _communication_step(self, ctx: _RunContext, step: int) -> WindowEvents:
+        """One communication step's transfer batches, then its barrier."""
+        with timed_phase(ctx.phases, "communication"):
+            for batch in self._communication_transfers(ctx):
+                yield step, "transfer", batch
+            yield None
 
     # --------------------------------------------------------- run phases --
 
@@ -332,12 +318,11 @@ class SecureEngine:
         self,
         graph: DistributedGraph,
         iterations: int,
-        accountant: Optional[PrivacyAccountant],
         bucket_bounds: Optional[List[int]],
         phases: Optional[PhaseTimer] = None,
     ) -> _RunContext:
         """Setup + initialization (§3.4, §3.6 init): everything before the
-        first computation step, identical for both drivers.
+        first computation step.
 
         ``phases`` lets a lifecycle driver share one timer between its
         stage timings and the engine's fine-grained phases; direct callers
@@ -352,9 +337,6 @@ class SecureEngine:
         meter = TrafficMeter()
         phases = phases if phases is not None else PhaseTimer()
         vertex_bound = self._assign_buckets(graph, bucket_bounds)
-
-        if accountant is not None:
-            accountant.charge(config.output_epsilon, label=f"{program.name}-release")
 
         # ---------------------------------------------------------- setup --
         with timed_phase(phases, "setup"):
@@ -476,44 +458,6 @@ class SecureEngine:
                 self._meter_share_distribution(meter, v, assignment.blocks[v], word_bytes)
         return state_shares, inbox_shares
 
-    def _finish_run(self, ctx: _RunContext) -> SecureRunResult:
-        """Aggregation + noising + result assembly, identical for both
-        drivers (the aggregation tree is one final phase, not a round)."""
-        with timed_phase(ctx.phases, "aggregation"):
-            noisy_raw, pre_noise_raw, levels = self._aggregate_and_noise(ctx)
-        return self._assemble_result(ctx, noisy_raw, pre_noise_raw, levels)
-
-    def _assemble_result(
-        self, ctx: _RunContext, noisy_raw: int, pre_noise_raw: int, levels: int
-    ) -> SecureRunResult:
-        """Wrap a finished context and its last release into the result."""
-        config = self.config
-        fmt = self.program.fmt
-        bits = fmt.total_bits
-        edge_eps = None
-        if config.edge_noise_alpha is not None:
-            delta = transfer_sensitivity(config.collusion_bound)
-            eps_transfer = -math.log(config.edge_noise_alpha) * delta / 2.0
-            edge_eps = per_iteration_epsilon(config.collusion_bound, bits, eps_transfer)
-
-        return SecureRunResult(
-            noisy_output=noisy_raw * fmt.resolution,
-            pre_noise_output=pre_noise_raw * fmt.resolution,
-            noise_raw=noisy_raw - pre_noise_raw,
-            iterations=ctx.iterations,
-            traffic=ctx.meter,
-            phases=ctx.phases,
-            num_vertices=ctx.graph.num_vertices,
-            num_edges=ctx.graph.num_edges,
-            transfer_count=ctx.transfer_count,
-            gmw_ot_count=ctx.total_ots,
-            gmw_and_gates_per_step=ctx.circuit_and_gates,
-            output_epsilon=config.output_epsilon,
-            edge_epsilon_per_iteration=edge_eps,
-            aggregation_levels=levels,
-            trajectory=ctx.trajectory,
-        )
-
     # ------------------------------------------------------------ phases --
 
     def _simulated_aggregate(self, graph: DistributedGraph, state_shares) -> float:
@@ -568,30 +512,27 @@ class SecureEngine:
         """One §3.6 computation step, block by block.
 
         Evaluates each vertex block's update circuit under GMW (in vertex
-        order — the transcript order) and yields the block's OT batch as
-        per-link bytes *after* metering it, so a driver can overlap the
-        delivery of block ``b`` with the evaluation of block ``b + 1``
-        simply by consuming the generator one item at a time.
+        order — the transcript order), commits the block's new state and
+        outbox shares, and yields its OT batch as per-link bytes *after*
+        metering it, so a driver can overlap the delivery of block ``b``
+        with the evaluation of block ``b + 1`` simply by consuming the
+        generator one item at a time.
 
-        With ``backend="bitsliced"`` the per-vertex evaluations are
-        batched into numpy lanes but the generator's contract — one link
-        batch per vertex, in vertex order, identical bytes — is unchanged,
-        so both drivers (and the secure-async scheduler) consume it
-        without knowing which backend ran.
+        The backend only decides how the evaluations are produced
+        (:meth:`_evaluate_scalar` lazily, one per vertex;
+        :meth:`_evaluate_bitsliced` as numpy lane batches); the contract —
+        one link batch per vertex, in vertex order, identical bytes — is
+        the same, so the window's consumer never knows which backend ran.
         """
-        if self.backend == "bitsliced":
-            yield from self._computation_blocks_bitsliced(ctx)
-            return
-        gmw = ctx.gmw
+        evaluate = (
+            self._evaluate_bitsliced
+            if self.backend == "bitsliced"
+            else self._evaluate_scalar
+        )
         meter = ctx.meter
-        for view in ctx.graph.vertices():
-            v = view.vertex_id
+        for v, result in evaluate(ctx):
             bound = ctx.vertex_bound[v]
             registers = self.program.state_registers(bound)
-            shared_inputs = dict(ctx.state_shares[v])
-            for slot in range(bound):
-                shared_inputs[f"msg_in_{slot}"] = ctx.inbox_shares[v][slot]
-            result = gmw.evaluate(ctx.circuits[bound], shared_inputs, ctx.rng)
             ctx.state_shares[v] = {reg: result.output_shares[reg] for reg in registers}
             ctx.outbox_shares[v] = [
                 result.output_shares[f"msg_out_{slot}"] for slot in range(bound)
@@ -604,65 +545,52 @@ class SecureEngine:
             ctx.total_ots += result.traffic.ot_count
             yield link_bytes
 
-    def _computation_blocks_bitsliced(self, ctx: _RunContext) -> Iterator[LinkBytes]:
-        """The bit-sliced computation step: offline, online, then emit.
+    def _evaluate_scalar(self, ctx: _RunContext) -> Iterator[Tuple[int, GMWResult]]:
+        """The per-gate backend: one ``gmw.evaluate`` per vertex, on demand."""
+        for v in ctx.graph.vertex_ids:
+            circuit = ctx.circuits[ctx.vertex_bound[v]]
+            yield v, ctx.gmw.evaluate(circuit, ctx.block_inputs(v), ctx.rng)
+
+    def _evaluate_bitsliced(self, ctx: _RunContext) -> Iterator[Tuple[int, GMWResult]]:
+        """The bit-sliced backend: offline, online, then emit.
 
         **Offline** walks the vertices in vertex order — the transcript
         order — drawing each block's per-gate randomness from ``ctx.rng``
         exactly as a scalar ``gmw.evaluate`` call would (same forks, same
         bytes), accumulating lane pools per circuit bound. **Online**
         evaluates each bound's vertices as lanes of one RNG-free batch.
-        Results are then metered and yielded vertex by vertex, so state
-        updates, traffic accumulation order, and the per-link batches this
-        generator hands the round scheduler are bit-identical to the
-        scalar path's.
+        Results are emitted vertex by vertex, so state updates, traffic
+        accumulation order, and the per-link batches handed to the
+        window's consumer are bit-identical to the scalar path's.
         """
         gmw = ctx.gmw
-        meter = ctx.meter
+        vertex_ids = ctx.graph.vertex_ids
 
         with timed_phase(ctx.phases, "gmw-offline"):
             builders: Dict[int, object] = {}
             batch_inputs: Dict[int, List[Dict[str, List[int]]]] = {}
             batch_vertices: Dict[int, List[int]] = {}
-            for view in ctx.graph.vertices():
-                v = view.vertex_id
+            for v in vertex_ids:
                 bound = ctx.vertex_bound[v]
                 builder = builders.get(bound)
                 if builder is None:
                     builder = builders[bound] = gmw.pool_builder(ctx.circuits[bound])
                     batch_inputs[bound] = []
                     batch_vertices[bound] = []
-                shared_inputs = dict(ctx.state_shares[v])
-                for slot in range(bound):
-                    shared_inputs[f"msg_in_{slot}"] = ctx.inbox_shares[v][slot]
                 builder.add_instance(ctx.rng)
-                batch_inputs[bound].append(shared_inputs)
+                batch_inputs[bound].append(ctx.block_inputs(v))
                 batch_vertices[bound].append(v)
 
         with timed_phase(ctx.phases, "gmw-online"):
-            results: Dict[int, object] = {}
+            results: Dict[int, GMWResult] = {}
             for bound, builder in builders.items():
                 batch = gmw.evaluate_batch(
                     ctx.circuits[bound], batch_inputs[bound], pools=builder.build()
                 )
                 results.update(zip(batch_vertices[bound], batch))
 
-        for view in ctx.graph.vertices():
-            v = view.vertex_id
-            bound = ctx.vertex_bound[v]
-            registers = self.program.state_registers(bound)
-            result = results[v]
-            ctx.state_shares[v] = {reg: result.output_shares[reg] for reg in registers}
-            ctx.outbox_shares[v] = [
-                result.output_shares[f"msg_out_{slot}"] for slot in range(bound)
-            ]
-            members = ctx.assignment.blocks[v]
-            link_bytes = self._meter_gmw(meter, members, result)
-            per_member_ots = result.traffic.ot_count // max(1, len(members))
-            for member in members:
-                meter.node(member).ot_transfers += per_member_ots
-            ctx.total_ots += result.traffic.ot_count
-            yield link_bytes
+        for v in vertex_ids:
+            yield v, results[v]
 
     def _communication_transfers(self, ctx: _RunContext) -> Iterator[LinkBytes]:
         """One §3.6 communication step, transfer by transfer.

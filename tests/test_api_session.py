@@ -241,7 +241,7 @@ def test_plaintext_facade_matches_direct_engine(en_network):
     assert facade.aggregate == direct.aggregate
     assert facade.trajectory == direct.trajectory
     assert facade.final_states == direct.final_states
-    assert facade.raw is not None
+    assert facade.converged_at() == direct.converged_at()
     assert facade.epsilon is None and not facade.releases_output
 
 
@@ -305,7 +305,7 @@ def test_secure_result_shape(secure_result):
     assert secure_result.iterations == 3
     # the simulation-only trajectory reaches the pre-noise aggregate
     assert secure_result.trajectory[-1] == secure_result.pre_noise_aggregate
-    assert secure_result.raw.converged_at(tolerance=1e-9) is not None
+    assert secure_result.converged_at(tolerance=1e-9) is not None
     assert "secure" in secure_result.summary()
 
 
@@ -332,19 +332,6 @@ def test_plaintext_run_converged_at(en_network):
 
 
 # ------------------------------------------------------- deprecation shims --
-
-
-def test_deprecated_top_level_names_still_import():
-    with pytest.warns(DeprecationWarning, match="RunResult"):
-        shim = getattr(repro, "PlaintextRun")
-    from repro.core.engine import PlaintextRun
-
-    assert shim is PlaintextRun
-    with pytest.warns(DeprecationWarning, match="RunResult"):
-        shim = getattr(repro, "SecureRunResult")
-    from repro.core.secure_engine import SecureRunResult
-
-    assert shim is SecureRunResult
 
 
 def test_pre_existing_public_imports_unchanged():

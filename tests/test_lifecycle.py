@@ -24,7 +24,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Bank, FinancialNetwork, PrivacyAccountant, StressTest
+from repro import (
+    Bank,
+    FinancialNetwork,
+    PlaintextEngine,
+    PrivacyAccountant,
+    SecureEngine,
+    StressTest,
+)
 from repro.core.lifecycle import (
     MAX_WINDOWS,
     STAGES,
@@ -257,11 +264,16 @@ class TestConvergenceUnification:
         assert plain.converged_at(tolerance) == secure.converged_at(tolerance)
         assert plain.converged_at(tolerance) is not None
 
-    def test_raw_results_share_the_definition(self):
+    def test_native_results_share_the_definition(self):
+        """The protocol-level entry points' own result types stop where
+        the lifecycle's ``RunResult`` stops."""
         plain = make_test().engine("plaintext").run(iterations=6)
         secure = make_test().engine("secure").run(iterations=6)
-        assert plain.raw.converged_at() == plain.converged_at()
-        assert secure.raw.converged_at() == secure.converged_at()
+        spec = make_test().engine("secure").resolve(iterations=6)
+        native_plain = PlaintextEngine(spec.program).run_float(spec.graph, 6)
+        native_secure = SecureEngine(spec.program, spec.config).run(spec.graph, 6)
+        assert native_plain.converged_at() == plain.converged_at()
+        assert native_secure.converged_at() == secure.converged_at()
 
 
 # --------------------------------------------------------------- admission --

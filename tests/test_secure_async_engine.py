@@ -16,13 +16,17 @@ The contract under test, in order of importance:
   :class:`TransportError` at the step barrier instead of hanging the run.
 """
 
+import gc
+import logging
+
 import pytest
 
-from repro import StressTest
+from repro import PrivacyAccountant, StressTest
 from repro.api.registry import get_engine
 from repro.core.transport import FaultInjectingTransport, SimulatedWanTransport
 from repro.exceptions import ConfigurationError, TransportError
 from repro.finance import Bank, FinancialNetwork
+from repro.obs import TraceRecorder, recording
 from repro.simulation.netsim import project_wan_seconds
 
 ITERATIONS = 2
@@ -185,6 +189,83 @@ class TestFaultInjection:
         assert not outcome.ok
         assert "chaos-ot-drop" in outcome.error
         assert "dropped" in outcome.error
+
+
+    def test_fault_inside_a_resumed_window_unwinds_cleanly(self, network, caplog):
+        """The window body is a generator the scheduler closes on failure;
+        a fault in window 2 must unwind exactly like one in window 1:
+        typed error, window 1 paid for, windows 2-3 refunded, nothing
+        left on the event loop."""
+        # round 2 is window 2's computation step (window 1 ends at round 1)
+        bus = FaultInjectingTransport(drop=self._all_pairs(2))
+        accountant = PrivacyAccountant(epsilon_max=10.0)
+        session = (
+            _template(network)
+            .engine(
+                "secure-async",
+                tasks=4,
+                transport=bus,
+                release="windowed",
+                windows=[1, 1, 1],
+                window_epsilon=0.1,
+            )
+            .privacy(accountant=accountant)
+        )
+        with caplog.at_level(logging.DEBUG, logger="asyncio"):
+            with pytest.raises(TransportError, match=r"round 2: ot delivery .* was dropped"):
+                session.run(iterations=3)
+            gc.collect()  # an orphaned task reports itself when collected
+        leaked = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        assert leaked == []  # no "never retrieved" / "destroyed but pending"
+
+        assert accountant.spent == pytest.approx(0.1)
+        kinds = [(entry.kind, entry.label) for entry in accountant.ledger]
+        label = "eisenberg-noe-release"
+        assert kinds == [
+            ("charge", f"{label}-w1"),
+            ("charge", f"{label}-w2"),
+            ("charge", f"{label}-w3"),
+            ("refund", f"{label}-w3"),
+            ("refund", f"{label}-w2"),
+        ]
+        assert accountant.reconcile().ok
+
+
+class TestOneBodyOneTrace:
+    """``secure`` and ``secure-async`` consume one window generator, so a
+    recorder sees the same spans, in the same order, under the same
+    parents — a second copy of the loop could not keep that up."""
+
+    @staticmethod
+    def _span_tree(network, engine, **options):
+        recorder = TraceRecorder()
+        with recording(recorder):
+            _template(network).engine(engine, **options).run(iterations=ITERATIONS)
+        # the root ``run`` span names its engine; everything else must match
+        return [
+            (
+                span.name,
+                {k: v for k, v in span.attrs.items() if k != "engine"},
+                span.parent_id,
+            )
+            for span in recorder.spans
+        ]
+
+    @pytest.mark.parametrize(
+        "release, spans",
+        [
+            ({}, 13),
+            ({"release": "windowed", "windows": [1, 1], "window_epsilon": 0.1}, 16),
+        ],
+        ids=["oneshot", "windowed"],
+    )
+    def test_sync_and_async_emit_the_same_span_tree(self, network, release, spans):
+        sync = self._span_tree(network, "secure", **release)
+        overlapped = self._span_tree(
+            network, "secure-async", transport="memory", **release
+        )
+        assert overlapped == sync
+        assert len(sync) == spans
 
 
 class TestEngineWiring:

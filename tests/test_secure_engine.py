@@ -132,6 +132,25 @@ class TestPrivacyStructure:
         with pytest.raises(PrivacyBudgetExceeded):
             engine.run(graph, iterations=1, accountant=accountant)
 
+    def test_failed_run_refunds_its_charge(self, small_egj_network, monkeypatch):
+        """A direct run that dies mid-round published nothing, so it must
+        leave nothing on the books (it used to keep the epsilon)."""
+        fmt = FixedPointFormat(16, 8)
+        program = ElliottGolubJacksonProgram(fmt)
+        graph = small_egj_network.to_egj_graph(degree_bound=2)
+        accountant = PrivacyAccountant(epsilon_max=1.0)
+        engine = SecureEngine(program, make_config())
+
+        def broken_transfer(*args, **kwargs):
+            raise RuntimeError("transfer died mid-round")
+
+        monkeypatch.setattr(engine.transfer, "execute", broken_transfer)
+        with pytest.raises(RuntimeError, match="mid-round"):
+            engine.run(graph, iterations=1, accountant=accountant)
+        assert accountant.spent == 0.0
+        assert accountant.reconcile().ok
+        assert [entry.kind for entry in accountant.ledger] == ["charge", "refund"]
+
     def test_edge_epsilon_reported(self, en_run):
         result, _, _, config = en_run
         delta = config.collusion_bound + 1
