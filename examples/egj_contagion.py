@@ -14,6 +14,7 @@ Run: python examples/egj_contagion.py
 """
 
 from repro import StressTest
+from repro.core.program import compiled_update_circuit
 from repro.finance import (
     Bank,
     FinancialNetwork,
@@ -66,9 +67,10 @@ def main() -> None:
     )
     result = session.run(iterations=iterations)
     # the update circuit is a property of (program, format, degree bound),
-    # not of a run: every block evaluates this many AND gates per step
+    # not of a run: every block evaluates this many AND gates per step, and
+    # the run above already compiled it into the process-wide plan table
     spec = session.resolve(iterations=iterations)
-    circuit = spec.program.build_update_circuit(spec.graph.degree_bound)
+    circuit = compiled_update_circuit(spec.program, spec.graph.degree_bound)
 
     print("\nDStress secure execution")
     print(f"  released TDS:        {result.aggregate:.3f}")

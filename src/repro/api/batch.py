@@ -491,6 +491,31 @@ def _prepare_batch(
     )
 
 
+def _compile_plans(prepared: _PreparedBatch) -> None:
+    """Compile, in this process, the circuit plans the scenarios that will
+    actually execute need (:meth:`Engine.compile_plans
+    <repro.api.engines.Engine.compile_plans>`).
+
+    Called before the pool forks: workers inherit the process-wide plan
+    table copy-on-write, so a sweep builds each distinct circuit once —
+    not once per worker per run — and the next sweep in this process
+    builds nothing. Cache hits never reach here: an all-hit replay
+    compiles nothing.
+    """
+    for index in prepared.to_run:
+        payload = prepared.payloads[index]
+        compile_plans = getattr(payload.engine, "compile_plans", None)
+        if compile_plans is None:
+            continue  # an engine-shaped object outside the Engine base
+        try:
+            compile_plans(payload.program, payload.graph, payload.config)
+        except Exception:
+            # whatever stops this scenario's circuits from compiling stops
+            # its run the same way; the run reports it under the scenario's
+            # name (and refunds its charge), which this prelude cannot
+            pass
+
+
 def _cached_outcome(prepared: _PreparedBatch, index: int) -> ScenarioOutcome:
     return ScenarioOutcome(
         name=prepared.payloads[index].label,
@@ -653,6 +678,7 @@ def run_batch(
     survive process restarts.
     """
     prepared = _prepare_batch(template, scenarios, workers, accountant, cache)
+    _compile_plans(prepared)
     if stream:
         outcomes = _stream_outcomes(prepared)
         next(outcomes)  # enter the generator: arms the refund-on-abandon finally

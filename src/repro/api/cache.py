@@ -31,15 +31,14 @@ which builds the persistent one).
 from __future__ import annotations
 
 import copy
-import dataclasses
 import hashlib
 from abc import ABC, abstractmethod
 from typing import Any, Dict, Optional
 
 from repro.api.result import RunResult
 from repro.api.session import ResolvedRun
-from repro.core.graph import DistributedGraph
-from repro.crypto.group import CyclicGroup
+from repro.core.program import program_token
+from repro.core.tokens import Unfingerprintable, stable_token
 
 __all__ = ["ScenarioCache", "ScenarioCacheBase", "run_fingerprint", "clone_result"]
 
@@ -57,57 +56,6 @@ def clone_result(result: RunResult) -> Optional[RunResult]:
         return copy.deepcopy(result)
     except Exception:
         return None
-
-
-class _Unfingerprintable(Exception):
-    """Internal: a value has no stable content token; the run is uncacheable."""
-
-
-def _token(value: Any) -> Any:
-    """A stable, content-based token for ``value`` (or raise).
-
-    Scalars tokenize as themselves; containers recurse; dataclasses
-    recurse over their fields; a :class:`CyclicGroup` is identified by its
-    name and order (the singletons carry no other run-relevant state).
-    Unknown object types raise — identity-based ``repr`` strings are not
-    stable across processes and must never silently key a cache hit.
-    """
-    if value is None or isinstance(value, (bool, int, float, str, bytes)):
-        return (type(value).__name__, value)
-    if isinstance(value, (list, tuple)):
-        return ("seq", tuple(_token(item) for item in value))
-    if isinstance(value, (set, frozenset)):
-        return ("set", tuple(sorted(_token(item) for item in value)))
-    if isinstance(value, dict):
-        return (
-            "map",
-            tuple(sorted((_token(k), _token(v)) for k, v in value.items())),
-        )
-    if isinstance(value, CyclicGroup):
-        return ("group", value.name, value.order)
-    if isinstance(value, DistributedGraph):
-        return (
-            "graph",
-            value.degree_bound,
-            tuple(
-                (
-                    view.vertex_id,
-                    _token(view.data),
-                    tuple(view.out_neighbors),
-                    tuple(view.in_neighbors),
-                )
-                for view in value.vertices()
-            ),
-        )
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return (
-            "dc:" + type(value).__name__,
-            tuple(
-                (f.name, _token(getattr(value, f.name)))
-                for f in dataclasses.fields(value)
-            ),
-        )
-    raise _Unfingerprintable(type(value).__name__)
 
 
 def run_fingerprint(
@@ -137,33 +85,27 @@ def run_fingerprint(
     reusable after GC).
     """
     engine = resolved.engine
-    program = resolved.program
     try:
         graph_key = id(resolved.graph)
         if _graph_tokens is not None and graph_key in _graph_tokens:
             graph_digest = _graph_tokens[graph_key]
         else:
             graph_digest = hashlib.sha256(
-                repr(_token(resolved.graph)).encode("utf-8")
+                repr(stable_token(resolved.graph)).encode("utf-8")
             ).hexdigest()
             if _graph_tokens is not None:
                 _graph_tokens[graph_key] = graph_digest
         # sub-tokens are already stable tuples; assembling them directly
-        # (no outer _token pass) avoids re-walking every nested tuple
+        # (no outer stable_token pass) avoids re-walking every nested tuple
         token = (
             ("graph", graph_digest),
-            ("config", _token(resolved.config)),
-            (
-                "program",
-                type(program).__module__ + "." + type(program).__qualname__,
-                program.name,
-                _token(vars(program)),
-            ),
+            ("config", stable_token(resolved.config)),
+            ("program",) + program_token(resolved.program),
             (
                 "engine",
                 type(engine).__module__ + "." + type(engine).__qualname__,
                 engine.name,
-                _token(vars(engine)),
+                stable_token(vars(engine)),
             ),
             (
                 "iterations",
@@ -172,7 +114,7 @@ def run_fingerprint(
                 resolved.max_iterations,
             ),
         )
-    except _Unfingerprintable:
+    except Unfingerprintable:
         return None
     return hashlib.sha256(repr(token).encode("utf-8")).hexdigest()
 

@@ -57,9 +57,9 @@ from repro.core.lifecycle import (
     resolve_release_policy,
     run_lifecycle,
 )
-from repro.core.program import VertexProgram
+from repro.core.program import VertexProgram, compiled_update_circuit
 from repro.core.rounds import RoundLoop, WindowEvents
-from repro.core.secure_engine import SecureEngine, check_backend
+from repro.core.secure_engine import SecureEngine, check_backend, compile_secure_plans
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import ConfigurationError
 from repro.obs.clock import now as clock_now
@@ -115,6 +115,15 @@ class Engine(ABC):
         accountant: Optional[PrivacyAccountant] = None,
     ) -> RunResult:
         """Run ``program`` for ``iterations`` rounds and normalize the result."""
+
+    def compile_plans(
+        self, program: VertexProgram, graph: DistributedGraph, config: DStressConfig
+    ) -> None:
+        """Compile, into the process-wide plan table
+        (:mod:`repro.mpc.plan`), the circuits one run of this engine will
+        evaluate. The batch layer calls it in the parent before forking
+        its pool so workers inherit the plans; engines that evaluate no
+        circuit (the default) have nothing to do."""
 
     def _configure_release(
         self,
@@ -319,6 +328,9 @@ class PlaintextFixedEngine(Engine):
     ) -> None:
         self._configure_release(release, windows, window_epsilon)
 
+    def compile_plans(self, program, graph, config):
+        compiled_update_circuit(program, graph.degree_bound)
+
     def execute(self, program, graph, iterations, config, accountant=None):
         core = _PlaintextCore(self, program, graph, config, fixed=True)
         return run_lifecycle(self, core, program, config, iterations, accountant)
@@ -422,6 +434,11 @@ class SecureDStressEngine(Engine):
         self.backend = check_backend(backend, "engine 'secure'")
         self._configure_release(release, windows, window_epsilon)
 
+    def compile_plans(self, program, graph, config):
+        compile_secure_plans(
+            program, config, graph, self.release_policy.epsilon_schedule(config)
+        )
+
     def execute(self, program, graph, iterations, config, accountant=None):
         core = _SecureCore(self, program, graph, config)
         return run_lifecycle(self, core, program, config, iterations, accountant)
@@ -511,6 +528,8 @@ class NaiveMPCEngine(Engine):
 
     def release_label(self, program_name: str) -> str:
         return f"{program_name}-naive-release"
+
+    compile_plans = PlaintextFixedEngine.compile_plans
 
     def execute(self, program, graph, iterations, config, accountant=None):
         core = _NaiveCore(self, program, graph, config)

@@ -45,7 +45,12 @@ from __future__ import annotations
 from typing import Optional, Sequence, Union
 
 from repro.api.async_engine import run_coroutine
-from repro.api.engines import _SecureCore, Engine, validate_intra_run_width
+from repro.api.engines import (
+    Engine,
+    SecureDStressEngine,
+    _SecureCore,
+    validate_intra_run_width,
+)
 from repro.api.registry import register_engine
 from repro.api.result import RunResult
 from repro.core.lifecycle import ReleasePolicy, RunState, run_lifecycle
@@ -149,6 +154,8 @@ class SecureAsyncEngine(Engine):
         """In-flight batch concurrency when overlapping, 1 for the
         sequential schedule — what the batch planner budgets for."""
         return self.tasks if self.overlap else 1
+
+    compile_plans = SecureDStressEngine.compile_plans
 
     def execute(self, program, graph, iterations, config, accountant=None):
         core = _SecureAsyncCore(self, program, graph, config)

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional
 
 from repro.core.convergence import TrajectoryConvergence
 from repro.core.graph import DistributedGraph, VertexView
-from repro.core.program import NO_OP_MESSAGE, VertexProgram
+from repro.core.program import NO_OP_MESSAGE, VertexProgram, compiled_update_circuit
 from repro.core.rounds import Arithmetic, RoundLoop, Superstep
 from repro.core.transport import Transport
 from repro.exceptions import ConfigurationError
@@ -80,7 +80,7 @@ def fixed_arithmetic(
     """
     fmt = program.fmt
     register = program.aggregate_register
-    circuit = program.build_update_circuit(degree_bound)
+    circuit = compiled_update_circuit(program, degree_bound)
     registers = set(program.state_registers(degree_bound))
 
     def initial(view: VertexView) -> Dict[str, int]:

@@ -24,14 +24,16 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.core.graph import VertexView
+from repro.core.tokens import Unfingerprintable, stable_token
 from repro.exceptions import SensitivityError
 from repro.mpc.circuit import Circuit
 from repro.mpc.fixedpoint import FixedPointBuilder, FixedPointFormat
+from repro.mpc.plan import PLANS
 
-__all__ = ["VertexProgram", "ProgramSpec"]
+__all__ = ["VertexProgram", "ProgramSpec", "program_token", "compiled_update_circuit"]
 
 #: The no-op message value (§3.1): vertices always emit D messages, padding
 #: with this value, so communication patterns leak nothing.
@@ -155,3 +157,34 @@ class VertexProgram(ABC):
             for slot in range(degree_bound)
         ]
         return new_state, out_messages
+
+
+def program_token(program: VertexProgram) -> Tuple[Any, ...]:
+    """Content token of everything a program's behaviour depends on: its
+    class, its name and every instance attribute (the fixed-point format
+    among them). Raises :class:`~repro.core.tokens.Unfingerprintable` when
+    an attribute has no stable token.
+
+    The result cache and the compiled-circuit table both key on this, so
+    neither can call two programs equal when the other would not.
+    """
+    return (
+        type(program).__module__ + "." + type(program).__qualname__,
+        program.name,
+        stable_token(vars(program)),
+    )
+
+
+def compiled_update_circuit(program: VertexProgram, degree_bound: int) -> Circuit:
+    """``program.build_update_circuit(degree_bound)``, built and compiled
+    once per process (:mod:`repro.mpc.plan`) and sealed, so every run of
+    the same *(program, format, degree bound)* shares one circuit.
+
+    A program with an untokenisable attribute is built every time — the
+    rule the result cache follows for the same program.
+    """
+    try:
+        key: Any = ("update", program_token(program), degree_bound)
+    except Unfingerprintable:
+        key = None
+    return PLANS.get(key, lambda: program.build_update_circuit(degree_bound))

@@ -41,26 +41,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.aggregation import AggregationPlan, plan_groups, reshare_word
 from repro.core.config import DStressConfig
 from repro.core.convergence import TrajectoryConvergence
 from repro.core.graph import DistributedGraph
 from repro.core.node import SimulatedNode
-from repro.core.program import NO_OP_MESSAGE, VertexProgram
+from repro.core.program import NO_OP_MESSAGE, VertexProgram, compiled_update_circuit
 from repro.core.rounds import LinkBytes, WindowEvents
 from repro.core.setup import AGGREGATION_BLOCK_ID, BlockAssignment, TrustedParty
 from repro.crypto.elgamal import ExponentialElGamal
 from repro.crypto.ot import SimulatedObliviousTransfer
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import ConfigurationError
+from repro.mpc.circuit import Circuit
 from repro.mpc.gmw import GMWEngine, GMWResult
-from repro.mpc.noise_circuit import (
-    build_noised_sum_bits_circuit,
-    build_partial_sum_circuit,
-    geometric_bits_seed_width,
-)
+from repro.mpc.noise_circuit import geometric_bits_seed_width
+from repro.mpc.plan import noised_sum_bits_circuit, partial_sum_circuit
 from repro.obs.metrics import absorb_gmw
 from repro.obs.trace import current_recorder, timed_phase
 from repro.privacy.admission import precharge
@@ -70,7 +68,7 @@ from repro.sharing.xor import reconstruct_value, share_value
 from repro.simulation.netsim import PhaseTimer, TrafficMeter
 from repro.transfer.protocol import MessageTransferProtocol
 
-__all__ = ["SecureRunResult", "SecureEngine", "check_backend"]
+__all__ = ["SecureRunResult", "SecureEngine", "check_backend", "compile_secure_plans"]
 
 
 def check_backend(backend: str, owner: str) -> str:
@@ -90,6 +88,63 @@ def _record_link(
     meter.record_send(src, dst, num_bytes)
     key = (src, dst)
     link_bytes[key] = link_bytes.get(key, 0.0) + num_bytes
+
+
+def _aggregation_plan(
+    graph: DistributedGraph, config: DStressConfig, bits: int
+) -> AggregationPlan:
+    return AggregationPlan(
+        groups=plan_groups(graph.vertex_ids, config.aggregation_fanout),
+        value_bits=bits,
+    )
+
+
+def _root_circuit(
+    program: VertexProgram,
+    config: DStressConfig,
+    num_inputs: int,
+    width: int,
+    epsilon: Optional[float],
+) -> Tuple[Circuit, int]:
+    """The root block's noised-sum circuit for one release at ``epsilon``
+    (``None``: the config's one-shot budget) and its seed-bus width."""
+    magnitude_bits = config.noise_magnitude_bits_for(program.sensitivity, epsilon)
+    circuit = noised_sum_bits_circuit(
+        num_inputs=num_inputs,
+        value_bits=width,
+        alpha=config.noise_alpha_for(program.sensitivity, epsilon),
+        magnitude_bits=magnitude_bits,
+        precision_bits=config.noise_precision_bits,
+    )
+    return circuit, geometric_bits_seed_width(magnitude_bits, config.noise_precision_bits)
+
+
+def compile_secure_plans(
+    program: VertexProgram,
+    config: DStressConfig,
+    graph: DistributedGraph,
+    epsilons: Sequence[Optional[float]] = (None,),
+) -> None:
+    """Compile, into the process-wide plan table, every circuit a
+    lifecycle run of ``program`` on ``graph`` evaluates: the update
+    circuit at the graph's degree bound, the aggregation tree's partial
+    sums and one noised-sum root per release epsilon.
+
+    The batch layer calls this before it forks its pool, so the workers
+    inherit compiled plans instead of each building their own; the walk
+    below mirrors :meth:`SecureEngine._begin_run` and
+    :meth:`SecureEngine._aggregation_tree`, which then hit the table.
+    """
+    bits = program.fmt.total_bits
+    compiled_update_circuit(program, graph.degree_bound)
+    plan = _aggregation_plan(graph, config, bits)
+    root_inputs = graph.num_vertices
+    if plan.is_hierarchical:
+        for size in sorted({len(group) for group in plan.groups}):
+            partial_sum_circuit(size, bits, plan.group_sum_bits)
+        root_inputs = len(plan.groups)
+    for epsilon in epsilons:
+        _root_circuit(program, config, root_inputs, plan.root_input_bits, epsilon)
 
 
 @dataclass
@@ -141,7 +196,7 @@ class _RunContext:
     nodes: Dict[int, SimulatedNode]
     assignment: BlockAssignment
     vertex_bound: Dict[int, int]
-    circuits: Dict[int, object]
+    circuits: Dict[int, Circuit]
     circuit_and_gates: int
     gmw: GMWEngine
     state_shares: Dict[int, Dict[str, List[int]]]
@@ -350,7 +405,7 @@ class SecureEngine:
             )
 
         circuits = {
-            bound: program.build_update_circuit(bound)
+            bound: compiled_update_circuit(program, bound)
             for bound in sorted(set(vertex_bound.values()))
         }
         if self.backend == "bitsliced":
@@ -748,10 +803,7 @@ class SecureEngine:
         fmt = program.fmt
         bits = fmt.total_bits
 
-        plan = AggregationPlan(
-            groups=plan_groups(graph.vertex_ids, config.aggregation_fanout),
-            value_bits=bits,
-        )
+        plan = _aggregation_plan(graph, config, bits)
         root_members = assignment.blocks[AGGREGATION_BLOCK_ID]
 
         def reshare_to(
@@ -778,7 +830,7 @@ class SecureEngine:
                 # The group's aggregation block: reuse the first member's
                 # block (already a uniformly random k+1 subset).
                 group_block = assignment.blocks[group[0]]
-                circuit = build_partial_sum_circuit(len(group), bits, group_width)
+                circuit = partial_sum_circuit(len(group), bits, group_width)
                 shared_inputs = {}
                 for index, v in enumerate(group):
                     shared_inputs[f"state_{index}"] = reshare_to(
@@ -821,16 +873,9 @@ class SecureEngine:
         program = self.program
         root_members = ctx.assignment.blocks[AGGREGATION_BLOCK_ID]
 
-        alpha = config.noise_alpha_for(program.sensitivity, epsilon)
-        magnitude_bits = config.noise_magnitude_bits_for(program.sensitivity, epsilon)
-        root_circuit = build_noised_sum_bits_circuit(
-            num_inputs=len(root_inputs),
-            value_bits=root_width,
-            alpha=alpha,
-            magnitude_bits=magnitude_bits,
-            precision_bits=config.noise_precision_bits,
+        root_circuit, seed_width = _root_circuit(
+            program, config, len(root_inputs), root_width, epsilon
         )
-        seed_width = geometric_bits_seed_width(magnitude_bits, config.noise_precision_bits)
         shared_inputs = {f"state_{i}": shares for i, shares in enumerate(root_inputs)}
         # Every root member contributes its own uniform word as its share of
         # the seed; XOR of the shares is the seed, so one honest member

@@ -20,6 +20,8 @@ import struct
 __all__ = ["DeterministicRNG"]
 
 _BLOCK_BYTES = hashlib.sha256().digest_size
+_sha256 = hashlib.sha256
+_pack_counter = struct.Struct(">Q").pack
 
 
 class DeterministicRNG:
@@ -41,18 +43,25 @@ class DeterministicRNG:
         self._counter = 0
         self._buffer = b""
 
-    def _refill(self) -> None:
-        block = self._key + struct.pack(">Q", self._counter)
-        self._buffer += hashlib.sha256(block).digest()
-        self._counter += 1
-
     def randbytes(self, n: int) -> bytes:
         """Return ``n`` uniformly random bytes."""
         if n < 0:
             raise ValueError("cannot generate a negative number of bytes")
-        while len(self._buffer) < n:
-            self._refill()
-        out, self._buffer = self._buffer[:n], self._buffer[n:]
+        buffer = self._buffer
+        if len(buffer) < n:
+            key = self._key
+            start = self._counter
+            self._counter = stop = start + -(-(n - len(buffer)) // _BLOCK_BYTES)
+            if stop - start == 1:  # the common small draw: one block, no join
+                buffer += _sha256(key + _pack_counter(start)).digest()
+            else:
+                # a bit-sliced offline phase asks for tens of kilobytes at a
+                # time: all the counter blocks it needs, in one join
+                buffer += b"".join(
+                    _sha256(key + _pack_counter(counter)).digest()
+                    for counter in range(start, stop)
+                )
+        out, self._buffer = buffer[:n], buffer[n:]
         return out
 
     def randbits(self, k: int) -> int:

@@ -19,14 +19,20 @@ phase (:class:`OfflinePoolBuilder`) *before* any gate is evaluated, in
 exactly the byte order the scalar engine would draw it — the same
 ``rng.fork("gmw-party-p")`` calls, then bulk ``randbytes`` whose top bits
 are the scalar ``randbit()`` results (``randbit`` == ``randbits(1)``
-consumes one byte and keeps its top bit). Pools are sized from
-:func:`repro.mpc.cost.gmw_cost` and indexed by AND-gate *ordinal* in
-gate-list order, so the online phase may evaluate layers in any order
+consumes one byte and keeps its top bit). Pools are sized from the
+circuit's compiled plan (the AND count :func:`repro.mpc.cost.gmw_cost`
+reports) and indexed by AND-gate *ordinal* in gate-list order, so the online phase may evaluate layers in any order
 while every gate consumes the same random bits as its scalar twin. The
 result: output shares — not just revealed outputs — and per-pair traffic
 are bit-identical to the scalar transcript. The online phase touches no
 RNG at all, so its latency is pure lane arithmetic (wire-bound once a
 real transport carries the precomputed masks).
+
+**Compile once.** Everything derived from the gate list — statistics,
+layer schedule, the numpy index vectors — lives on the circuit's
+:class:`~repro.mpc.circuit.CircuitPlan`: the first use compiles (and
+seals) the circuit, every later batch reads the plan. Circuits that come
+from the process-wide table (:mod:`repro.mpc.plan`) arrive compiled.
 
 Requires numpy (an optional dependency: the core library stays pure
 stdlib); constructing :class:`BitslicedGMWEngine` without it raises
@@ -45,8 +51,7 @@ from repro.exceptions import (
     OfflinePoolExhaustedError,
     ProtocolError,
 )
-from repro.mpc.circuit import Circuit, CircuitLayer, GateOp, layerize
-from repro.mpc.cost import gmw_cost
+from repro.mpc.circuit import Circuit, CircuitLayer, CircuitStats, GateOp
 from repro.mpc.gmw import GMWEngine, GMWResult, GMWTraffic
 
 try:  # pragma: no cover - exercised implicitly by every import site
@@ -103,31 +108,35 @@ def _tail_mask(count: int) -> "np.ndarray":
 
 def pack_lane_axis(bits: "np.ndarray") -> "np.ndarray":
     """Pack the last axis (one entry per lane, values 0/1) into uint64
-    words; shape ``(..., L)`` becomes ``(..., lane_words(L))``."""
+    words; shape ``(..., L)`` becomes ``(..., lane_words(L))``.
+
+    ``np.packbits`` does the bit gathering in C, eight lanes to the byte,
+    least-significant lane first; the bytes are zero-padded to whole words
+    (the canonical tail-zero form) and viewed as explicitly little-endian
+    ``uint64``, so lane ``l`` is bit ``l % 64`` of word ``l // 64`` on any
+    host. Needs numpy >= 1.17 (``bitorder=``).
+    """
     require_numpy("lane packing")
-    bits = np.asarray(bits, dtype=np.uint64)
-    count = bits.shape[-1]
-    words = lane_words(count)
-    padded = np.zeros(bits.shape[:-1] + (words * LANE_BITS,), dtype=np.uint64)
-    padded[..., :count] = bits
-    shaped = padded.reshape(bits.shape[:-1] + (words, LANE_BITS))
-    shifts = np.arange(LANE_BITS, dtype=np.uint64)
-    return np.bitwise_or.reduce(shaped << shifts, axis=-1)
+    bits = np.asarray(bits)
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    padded = np.zeros(
+        bits.shape[:-1] + (lane_words(bits.shape[-1]) * (LANE_BITS // 8),),
+        dtype=np.uint8,
+    )
+    padded[..., : packed.shape[-1]] = packed
+    return padded.view("<u8")
 
 
 def unpack_lane_axis(words: "np.ndarray", count: int) -> "np.ndarray":
     """Inverse of :func:`pack_lane_axis`: expand the last (word) axis back
     to ``count`` lanes of 0/1 ``uint8`` values (tail bits discarded)."""
     require_numpy("lane unpacking")
-    words = np.asarray(words, dtype=np.uint64)
+    words = np.ascontiguousarray(words, dtype="<u8")
     if count > words.shape[-1] * LANE_BITS:
         raise ProtocolError(
             f"cannot unpack {count} lanes from {words.shape[-1]} words"
         )
-    shifts = np.arange(LANE_BITS, dtype=np.uint64)
-    bits = (words[..., :, None] >> shifts) & np.uint64(1)
-    flat = bits.reshape(words.shape[:-1] + (words.shape[-1] * LANE_BITS,))
-    return flat[..., :count].astype(np.uint8)
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=count, bitorder="little")
 
 
 def pack_bits(bits: Sequence[int]) -> "np.ndarray":
@@ -244,10 +253,10 @@ class OfflinePoolBuilder:
         self.circuit = circuit
         self.num_parties = num_parties
         self.mode = mode
-        # Sized from the cost model, not by walking gates: the offline
-        # phase is exactly as trustworthy as gmw_cost's AND count (the
-        # cross-check test in tests/test_mpc_gmw.py pins the two together).
-        self.and_gates = gmw_cost(circuit, num_parties, 0, 0, mode=mode).and_gates
+        # Sized from the compiled plan, not by walking gates: the plan's
+        # AND count is the one gmw_cost reports, and the cross-check test
+        # in tests/test_mpc_gmw.py pins both to the scalar transcript.
+        self.and_gates = circuit.compile().stats.and_gates
         self._instances: List["np.ndarray"] = []
         self._triples: List[Tuple["np.ndarray", "np.ndarray", "np.ndarray"]] = []
 
@@ -325,7 +334,7 @@ class OfflinePoolBuilder:
 
 
 # ---------------------------------------------------------------------------
-# Layer schedule cache
+# Layer schedule and bus kernels
 # ---------------------------------------------------------------------------
 
 
@@ -343,24 +352,52 @@ class _LayerArrays:
         self.ordinals = np.asarray(layer.and_ordinals, dtype=np.intp)
 
 
-class _Schedule:
-    __slots__ = ("num_gates", "layers", "and_gates", "and_depth")
-
-    def __init__(self, circuit: Circuit) -> None:
-        stats = circuit.stats()
-        self.num_gates = len(circuit.gates)
-        self.layers = [_LayerArrays(layer) for layer in layerize(circuit)]
-        self.and_gates = stats.and_gates
-        self.and_depth = stats.and_depth
+def _lane_layers(circuit: Circuit) -> List[_LayerArrays]:
+    """The compiled schedule's index vectors, built on first use and kept
+    on the plan (so every later batch, run and thread reuses them)."""
+    plan = circuit.compile()
+    if plan.lane_layers is None:
+        plan.lane_layers = [_LayerArrays(layer) for layer in plan.layers]
+    return plan.lane_layers
 
 
-def _schedule_for(circuit: Circuit) -> _Schedule:
-    cached = getattr(circuit, "_bitslice_schedule", None)
-    if cached is not None and cached.num_gates == len(circuit.gates):
-        return cached
-    schedule = _Schedule(circuit)
-    circuit._bitslice_schedule = schedule  # type: ignore[attr-defined]
-    return schedule
+def _bus_bits(values: Sequence[Sequence[int]], width: int) -> "np.ndarray":
+    """Bit planes of one bus: ``values[lane][party]`` (integer shares) to
+    ``uint8[width, parties, lanes]`` of 0/1, least-significant bit first."""
+    if width <= LANE_BITS:
+        mask = (1 << width) - 1
+        words = np.array(
+            [[int(share) & mask for share in shares] for shares in values],
+            dtype=np.uint64,
+        ).T  # (parties, lanes)
+        shifts = np.arange(width, dtype=np.uint64)[:, None, None]
+        return ((words >> shifts) & np.uint64(1)).astype(np.uint8)
+    # wider than a machine word (the noise circuit's seed bus): per bit
+    bits = np.zeros((width, len(values[0]), len(values)), dtype=np.uint8)
+    for lane, shares in enumerate(values):
+        for p, share in enumerate(shares):
+            value = int(share)
+            for position in range(width):
+                bits[position, p, lane] = (value >> position) & 1
+    return bits
+
+
+def _bus_values(bits: "np.ndarray") -> List[List[int]]:
+    """Inverse of :func:`_bus_bits`: ``uint8[width, parties, lanes]`` back
+    to ``values[lane][party]`` as Python integers."""
+    width = bits.shape[0]
+    if width <= LANE_BITS:
+        shifts = np.arange(width, dtype=np.uint64)[:, None, None]
+        words = np.bitwise_or.reduce(bits.astype(np.uint64) << shifts, axis=0)
+        return words.T.tolist()
+    _, parties, lanes = bits.shape
+    values = [[0] * parties for _ in range(lanes)]
+    for position in range(width):
+        plane = bits[position].tolist()
+        for p in range(parties):
+            for lane in range(lanes):
+                values[lane][p] |= plane[p][lane] << position
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +495,7 @@ class BitslicedGMWEngine(GMWEngine):
         if lanes == 0:
             return []
 
-        schedule = _schedule_for(circuit)
+        layers = _lane_layers(circuit)
         words = lane_words(lanes)
         ones = _tail_mask(lanes)  # canonical all-ones lane vector
 
@@ -466,16 +503,10 @@ class BitslicedGMWEngine(GMWEngine):
         wires[circuit.one, 0, :] = ones
 
         for name, bus in circuit.input_buses.items():
-            bits = np.zeros((len(bus), n, lanes), dtype=np.uint64)
-            for lane, shared_inputs in enumerate(shared_inputs_list):
-                shares = shared_inputs[name]
-                for p in range(n):
-                    value = int(shares[p])
-                    for position in range(len(bus)):
-                        bits[position, p, lane] = (value >> position) & 1
+            bits = _bus_bits([inputs[name] for inputs in shared_inputs_list], len(bus))
             wires[np.asarray(bus, dtype=np.intp)] = pack_lane_axis(bits)
 
-        for layer in schedule.layers:
+        for layer in layers:
             if layer.op is GateOp.XOR:
                 wires[layer.out] = wires[layer.a] ^ wires[layer.b]
             elif layer.op is GateOp.NOT:
@@ -499,44 +530,31 @@ class BitslicedGMWEngine(GMWEngine):
                     z[:, 0, :] ^= d & e
                 wires[layer.out] = z
 
-        return self._collect_results(circuit, schedule, wires, lanes)
+        return self._collect_results(circuit, wires, lanes)
 
     def _collect_results(
-        self,
-        circuit: Circuit,
-        schedule: _Schedule,
-        wires: "np.ndarray",
-        lanes: int,
+        self, circuit: Circuit, wires: "np.ndarray", lanes: int
     ) -> List[GMWResult]:
         n = self.num_parties
-        self._record_bulk_ot_stats(schedule.and_gates * lanes)
+        stats = circuit.compile().stats
+        self._record_bulk_ot_stats(stats.and_gates * lanes)
 
-        bus_bits: Dict[str, "np.ndarray"] = {}
+        bus_shares: Dict[str, List[List[int]]] = {}  # name -> [lane][party]
         bus_widths: Dict[str, int] = {}
         for name, bus in circuit.output_buses.items():
-            # (width, n, lanes) of 0/1
-            bus_bits[name] = unpack_lane_axis(wires[np.asarray(bus, dtype=np.intp)], lanes)
+            bits = unpack_lane_axis(wires[np.asarray(bus, dtype=np.intp)], lanes)
+            bus_shares[name] = _bus_values(bits)
             bus_widths[name] = len(bus)
 
-        results = []
-        for lane in range(lanes):
-            output_shares: Dict[str, List[int]] = {}
-            for name, bits in bus_bits.items():
-                shares = [0] * n
-                for position in range(bus_widths[name]):
-                    row = bits[position, :, lane]
-                    for p in range(n):
-                        shares[p] |= int(row[p]) << position
-                output_shares[name] = shares
-            results.append(
-                GMWResult(
-                    num_parties=n,
-                    bus_widths=dict(bus_widths),
-                    output_shares=output_shares,
-                    traffic=self._closed_form_traffic(schedule),
-                )
+        return [
+            GMWResult(
+                num_parties=n,
+                bus_widths=dict(bus_widths),
+                output_shares={name: shares[lane] for name, shares in bus_shares.items()},
+                traffic=self._closed_form_traffic(stats),
             )
-        return results
+            for lane in range(lanes)
+        ]
 
     def _record_bulk_ot_stats(self, and_instances: int) -> None:
         """Mirror the scalar engine's OT backend accounting in one update
@@ -550,13 +568,13 @@ class BitslicedGMWEngine(GMWEngine):
         stats.sender_bytes += transfers * self.ot.sender_bytes_per_transfer(1)
         stats.receiver_bytes += transfers * self.ot.receiver_bytes_per_transfer(1)
 
-    def _closed_form_traffic(self, schedule: _Schedule) -> GMWTraffic:
+    def _closed_form_traffic(self, stats: CircuitStats) -> GMWTraffic:
         """Per-instance traffic identical to the scalar loop — including
         ``pair_bits`` dict *insertion order*, which downstream metering
         (``SecureEngine._meter_gmw`` float accumulation) iterates."""
         n = self.num_parties
         traffic = GMWTraffic(num_parties=n)
-        ands = schedule.and_gates
+        ands = stats.and_gates
         if ands:
             if self.mode == "ot":
                 # Scalar insertion order per gate: for i, for j != i:
@@ -573,5 +591,5 @@ class BitslicedGMWEngine(GMWEngine):
                     for q in range(n):
                         if q != p:
                             traffic.add_pair(p, q, 2 * ands)
-        traffic.rounds = schedule.and_depth
+        traffic.rounds = stats.and_depth
         return traffic

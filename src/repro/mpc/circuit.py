@@ -14,11 +14,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.exceptions import CircuitError
 
-__all__ = ["GateOp", "Gate", "Circuit", "CircuitStats", "CircuitLayer", "layerize"]
+__all__ = [
+    "GateOp",
+    "Gate",
+    "Circuit",
+    "CircuitStats",
+    "CircuitLayer",
+    "CircuitPlan",
+    "layerize",
+]
 
 
 class GateOp(Enum):
@@ -39,7 +47,7 @@ class Gate:
     out: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class CircuitStats:
     """Size/depth statistics used by the cost model (§5.2)."""
 
@@ -105,18 +113,39 @@ def layerize(circuit: "Circuit") -> List[CircuitLayer]:
     return sorted(buckets.values(), key=lambda la: (la.level, order[(la.level, la.op)]))
 
 
+class CircuitPlan:
+    """Everything an evaluator derives from a circuit's gate list, computed
+    once by :meth:`Circuit.compile`: the cost statistics, the layered
+    schedule, and (filled in by :mod:`repro.mpc.bitslice` on first use, so
+    this module stays numpy-free) the schedule's numpy index vectors.
+    """
+
+    __slots__ = ("stats", "layers", "lane_layers")
+
+    def __init__(self, stats: CircuitStats, layers: List[CircuitLayer]) -> None:
+        self.stats = stats
+        self.layers = layers
+        self.lane_layers: Optional[List[Any]] = None
+
+
 class Circuit:
     """A Boolean circuit with named input/output buses.
 
     Wires are dense integer ids. Wire 0 is the constant 0 and wire 1 the
     constant 1; they are always present so the builder can fold constants.
+
+    A circuit is built, then *compiled* (:meth:`compile`), which seals it:
+    a compiled circuit may be shared between runs and threads (the
+    process-wide table in :mod:`repro.mpc.plan` does exactly that), so
+    every mutator raises :class:`CircuitError` from then on.
     """
 
     def __init__(self) -> None:
         self._num_wires = 2  # wires 0 and 1 are the constants
-        self.gates: List[Gate] = []
+        self.gates: Sequence[Gate] = []
         self.input_buses: Dict[str, List[int]] = {}
         self.output_buses: Dict[str, List[int]] = {}
+        self._plan: Optional[CircuitPlan] = None
 
     # -- construction ------------------------------------------------------
 
@@ -134,13 +163,19 @@ class Circuit:
     def num_wires(self) -> int:
         return self._num_wires
 
+    def _check_unsealed(self) -> None:
+        if self.sealed:
+            raise CircuitError("circuit is sealed")
+
     def new_wire(self) -> int:
+        self._check_unsealed()
         wire = self._num_wires
         self._num_wires += 1
         return wire
 
     def add_input_bus(self, name: str, width: int) -> List[int]:
         """Declare a named ``width``-bit input bus; returns its wires."""
+        self._check_unsealed()
         if name in self.input_buses:
             raise CircuitError(f"duplicate input bus {name!r}")
         if width < 1:
@@ -151,6 +186,7 @@ class Circuit:
 
     def mark_output_bus(self, name: str, wires: Sequence[int]) -> None:
         """Expose existing wires as a named output bus."""
+        self._check_unsealed()
         if name in self.output_buses:
             raise CircuitError(f"duplicate output bus {name!r}")
         for wire in wires:
@@ -210,22 +246,52 @@ class Circuit:
 
     # -- analysis ----------------------------------------------------------
 
+    @property
+    def sealed(self) -> bool:
+        return self._plan is not None
+
+    def compile(self) -> CircuitPlan:
+        """Seal the circuit and return its plan, computed on the first
+        call and memoised on the instance.
+
+        Two threads racing here both compute the same plan and one
+        assignment wins; either is correct, so no lock is needed.
+        """
+        plan = self._plan
+        if plan is None:
+            plan = CircuitPlan(self._walk_stats(), layerize(self))
+            # the gate list is reachable around the mutators; a shared
+            # circuit must not change under a reader
+            self.gates = tuple(self.gates)
+            self._plan = plan
+        return plan
+
     def stats(self) -> CircuitStats:
-        """Gate counts and multiplicative (AND) depth."""
+        """Gate counts and multiplicative (AND) depth (read from the plan
+        once compiled; a circuit still under construction is walked)."""
+        plan = self._plan
+        return plan.stats if plan is not None else self._walk_stats()
+
+    def _walk_stats(self) -> CircuitStats:
         depth = [0] * self._num_wires
-        stats = CircuitStats(num_wires=self._num_wires)
+        xor_gates = and_gates = not_gates = 0
         for gate in self.gates:
             if gate.op is GateOp.AND:
-                stats.and_gates += 1
+                and_gates += 1
                 depth[gate.out] = max(depth[gate.a], depth[gate.b]) + 1
             elif gate.op is GateOp.XOR:
-                stats.xor_gates += 1
+                xor_gates += 1
                 depth[gate.out] = max(depth[gate.a], depth[gate.b])
             else:
-                stats.not_gates += 1
+                not_gates += 1
                 depth[gate.out] = depth[gate.a]
-        stats.and_depth = max(depth) if self._num_wires else 0
-        return stats
+        return CircuitStats(
+            num_wires=self._num_wires,
+            xor_gates=xor_gates,
+            and_gates=and_gates,
+            not_gates=not_gates,
+            and_depth=max(depth),
+        )
 
     # -- plaintext evaluation (the oracle used in tests) --------------------
 

@@ -58,10 +58,12 @@ def gmw_cost(
     triple and each party broadcasts its two mask bits (``d``/``e``) to
     the other ``parties - 1``.
 
-    These counts are cross-checked gate-for-gate against the
-    :class:`~repro.mpc.gmw.GMWEngine` transcript in
+    The gate counts are read from the circuit's compiled plan when it has
+    one (:meth:`~repro.mpc.circuit.Circuit.compile`; a circuit still under
+    construction is walked), and are cross-checked gate-for-gate against
+    the :class:`~repro.mpc.gmw.GMWEngine` transcript in
     ``tests/test_mpc_gmw.py`` — the bit-sliced offline phase sizes its
-    randomness pools from them, so drift would surface as a hard
+    randomness pools from the same plan, so drift would surface as a hard
     :class:`~repro.exceptions.OfflinePoolExhaustedError`.
     """
     if mode not in ("ot", "beaver"):

@@ -1,0 +1,141 @@
+"""Compile once: the process-wide table of sealed, compiled circuits.
+
+A DStress circuit has no data-dependent control flow (§3.1, §3.7), so the
+circuit a block evaluates is a pure function of a few scalars — the
+program's parameters, the fixed-point format and the degree bound for an
+update circuit; the input count, widths and noise parameters for the
+aggregation circuits. Building one gate by gate, walking it for its
+statistics and layering it costs tens of milliseconds; this table pays
+that once per distinct circuit per process.
+
+* **Key.** Whatever the caller's builder depends on, as a hashable
+  content token. :func:`repro.core.program.compiled_update_circuit` keys
+  update circuits by the program token :func:`~repro.api.cache.run_fingerprint`
+  uses plus the degree bound; the aggregation circuits below key on their
+  scalar arguments. ``key=None`` means "no stable token": built and
+  compiled, never published — a cache must only ever err toward a miss.
+* **Sealing.** Every circuit handed out is compiled
+  (:meth:`~repro.mpc.circuit.Circuit.compile`), hence immutable, so runs
+  and threads share one object safely.
+* **Threads.** Lookup and publication are single ``OrderedDict``
+  operations, atomic under the interpreter lock; there is no lock of our
+  own (nothing for a forked child to inherit in a locked state). Two
+  threads missing on one key both build; ``setdefault`` publishes the
+  first and the other build is dropped, so every caller gets one object.
+  The two counters are plain integers like the service's: exact whenever
+  compiles do not race, and only ever telemetry.
+* **Forks.** Worker processes inherit the parent's table copy-on-write;
+  the batch layer compiles what its payloads need before it forks.
+* **Size.** :data:`PLAN_TABLE_SIZE` entries, least recently used evicted.
+  A constant, not an option: an entry is at most a few megabytes of gate
+  tuples, a process sees a handful of distinct shapes (one per program ×
+  degree bucket, one per network size and epsilon for the noise circuit),
+  and an eviction costs one rebuild — there is nothing to tune.
+
+Not cached here, deliberately: keys, certificates and offline randomness
+pools all depend on the run's seed.
+"""
+
+from __future__ import annotations
+
+from collections import OrderedDict
+from typing import Callable, Hashable, Optional
+
+from repro.mpc.circuit import Circuit
+from repro.mpc.noise_circuit import (
+    build_noised_sum_bits_circuit,
+    build_partial_sum_circuit,
+)
+from repro.obs.trace import current_recorder
+
+__all__ = [
+    "PLAN_TABLE_SIZE",
+    "PLANS",
+    "PlanTable",
+    "noised_sum_bits_circuit",
+    "partial_sum_circuit",
+]
+
+PLAN_TABLE_SIZE = 32
+
+
+def _count(name: str) -> None:
+    """Mirror a table event into the ambient recorder's registry, so a
+    traced batch reports exactly the circuits *it* built and reused."""
+    recorder = current_recorder()
+    if recorder.enabled:
+        recorder.metrics.inc(name)
+
+
+class PlanTable:
+    """Content key -> sealed circuit, with build/hit counters (also
+    emitted as ``mpc.plan.builds`` / ``mpc.plan.hits`` under a recorder)."""
+
+    def __init__(self) -> None:
+        self._circuits: "OrderedDict[Hashable, Circuit]" = OrderedDict()
+        #: circuits built (and compiled) through this table, cached or not
+        self.builds = 0
+        #: lookups answered without building
+        self.hits = 0
+
+    def __len__(self) -> int:
+        return len(self._circuits)
+
+    def clear(self) -> None:
+        self._circuits.clear()
+
+    def get(self, key: Optional[Hashable], build: Callable[[], Circuit]) -> Circuit:
+        """The compiled circuit for ``key``, building it on a miss."""
+        circuits = self._circuits
+        circuit = None if key is None else circuits.get(key)
+        if circuit is not None:
+            self.hits += 1
+            _count("mpc.plan.hits")
+            try:
+                circuits.move_to_end(key)
+            except KeyError:  # evicted by a racing publisher; still valid
+                pass
+            return circuit
+        circuit = build()
+        circuit.compile()
+        self.builds += 1
+        _count("mpc.plan.builds")
+        if key is None:
+            return circuit
+        circuit = circuits.setdefault(key, circuit)
+        while len(circuits) > PLAN_TABLE_SIZE:
+            try:
+                circuits.popitem(last=False)
+            except KeyError:  # a racing publisher already trimmed it
+                break
+        return circuit
+
+
+#: The process-wide table every engine reads.
+PLANS = PlanTable()
+
+
+def noised_sum_bits_circuit(
+    num_inputs: int,
+    value_bits: int,
+    alpha: float,
+    magnitude_bits: int,
+    precision_bits: int = 16,
+) -> Circuit:
+    """:func:`~repro.mpc.noise_circuit.build_noised_sum_bits_circuit`,
+    compiled once per distinct argument tuple."""
+    return PLANS.get(
+        ("noised-sum-bits", num_inputs, value_bits, alpha, magnitude_bits, precision_bits),
+        lambda: build_noised_sum_bits_circuit(
+            num_inputs, value_bits, alpha, magnitude_bits, precision_bits
+        ),
+    )
+
+
+def partial_sum_circuit(num_inputs: int, value_bits: int, output_bits: int) -> Circuit:
+    """:func:`~repro.mpc.noise_circuit.build_partial_sum_circuit`, compiled
+    once per distinct argument tuple."""
+    return PLANS.get(
+        ("partial-sum", num_inputs, value_bits, output_bits),
+        lambda: build_partial_sum_circuit(num_inputs, value_bits, output_bits),
+    )

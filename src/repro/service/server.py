@@ -57,6 +57,7 @@ from repro.exceptions import (
     ScenarioValidationError,
     ServiceProtocolError,
 )
+from repro.mpc.plan import PLANS
 from repro.obs.trace import current_recorder
 from repro.privacy.admission import precharge, release_schedule
 from repro.privacy.budget import PrivacyAccountant
@@ -303,6 +304,8 @@ class StressTestService:
                 "hits": self.cache.hits,
                 "misses": self.cache.misses,
             }
+        # circuits compiled vs reused by this process's runs (repro.mpc.plan)
+        body["plans"] = {"builds": PLANS.builds, "hits": PLANS.hits}
         body["inflight"] = len(self._inflight)
         return body
 

@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, List
 
 from repro.core.aggregation import partial_sum_width
-from repro.core.program import VertexProgram
-from repro.mpc.noise_circuit import build_noised_sum_bits_circuit, build_partial_sum_circuit
+from repro.core.program import VertexProgram, compiled_update_circuit
+from repro.mpc.plan import noised_sum_bits_circuit, partial_sum_circuit
 from repro.simulation.timing import CostConstants
 from repro.transfer.protocol import TransferTraffic
 
@@ -88,20 +86,20 @@ class ScalabilityEstimator:
 
     # -- operation counts -------------------------------------------------------
 
-    @lru_cache(maxsize=32)
-    def _update_circuit_ands(self, degree_bound: int) -> int:
-        return self.program.build_update_circuit(degree_bound).stats().and_gates
+    # AND counts come off the process-wide compiled plans: an estimate
+    # and a run of the same shape build each circuit once between them.
 
-    @lru_cache(maxsize=8)
+    def _update_circuit_ands(self, degree_bound: int) -> int:
+        return compiled_update_circuit(self.program, degree_bound).stats().and_gates
+
     def _aggregation_ands(self, group_inputs: int, input_bits: int) -> int:
-        circuit = build_partial_sum_circuit(
+        circuit = partial_sum_circuit(
             group_inputs, input_bits, partial_sum_width(input_bits, group_inputs)
         )
         return circuit.stats().and_gates
 
-    @lru_cache(maxsize=8)
     def _noising_ands(self, root_inputs: int, input_bits: int) -> int:
-        circuit = build_noised_sum_bits_circuit(
+        circuit = noised_sum_bits_circuit(
             num_inputs=root_inputs,
             value_bits=input_bits,
             alpha=0.999,

@@ -24,6 +24,7 @@ from repro.exceptions import ConfigurationError
 from repro.mpc.circuit import Circuit
 from repro.mpc.fixedpoint import FixedPointBuilder, FixedPointFormat
 from repro.mpc.gmw import GMWEngine
+from repro.mpc.plan import PLANS
 
 __all__ = [
     "matrix_multiply_circuit",
@@ -64,7 +65,8 @@ def measure_matmul_seconds(
     """Evaluate one N x N matrix multiply under GMW; returns (seconds,
     AND-gate count)."""
     rng = rng if rng is not None else DeterministicRNG("naive-baseline")
-    circuit = matrix_multiply_circuit(n, fmt)
+    # every naive-mpc run re-measures the same few sizes: compile each once
+    circuit = PLANS.get(("matmul", n, fmt), lambda: matrix_multiply_circuit(n, fmt))
     engine = GMWEngine(parties)
     shares = {}
     for name, wires in circuit.input_buses.items():

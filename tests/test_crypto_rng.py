@@ -1,5 +1,7 @@
 """Tests for the deterministic RNG."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,6 +95,29 @@ class TestRanges:
     def test_randbytes_negative(self):
         with pytest.raises(ValueError):
             DeterministicRNG(0).randbytes(-1)
+
+    def test_stream_is_pinned(self):
+        """Every seeded result in the repository hangs off this stream: a
+        faster ``randbytes`` must not move one byte of it."""
+        digest = hashlib.sha256(DeterministicRNG(0).randbytes(100_000)).hexdigest()
+        assert digest == "4e7c7c867fb3bfcab44595b1eed7eda6c5865788ddf9c8747da947955b40aa39"
+
+    def test_chunked_reads_equal_one_whole_read(self):
+        """The bulk path (a request larger than the buffer) and the
+        buffered path interleave without dropping or repeating a byte,
+        across block boundaries (a block is 32 bytes)."""
+        sizes = [1, 31, 32, 33, 1000, 0, 64, 7] * 12
+        whole = DeterministicRNG(9).randbytes(sum(sizes))
+        chunked = DeterministicRNG(9)
+        assert b"".join(chunked.randbytes(n) for n in sizes) == whole
+        assert chunked.randbytes(40) == DeterministicRNG(9).randbytes(sum(sizes) + 40)[-40:]
+
+    def test_fork_consumes_exactly_32_parent_bytes(self):
+        forked = DeterministicRNG(10)
+        forked.fork("label")
+        skipped = DeterministicRNG(10)
+        skipped.randbytes(32)
+        assert forked.randbytes(48) == skipped.randbytes(48)
 
 
 class TestCollections:
