@@ -18,7 +18,7 @@ Correctness rides along: all three passes must release bit-identical
 values, and both warm passes must report zero misses and zero epsilon.
 
 Smoke mode (``REPRO_BENCH_SMOKE=1``) shrinks the sweep so CI exercises
-the full disk path — store, sidecars, restart, hits — in seconds.
+the full disk path — store, restart, disk hits, memory hits — in seconds.
 """
 
 from __future__ import annotations
@@ -99,6 +99,10 @@ def test_restarted_sweep_skips_engine_work_and_epsilon(benchmark):
         assert warm.aggregates() == cold.aggregates() == hot.aggregates()
         assert warm_cache.disk_hits >= NUM_SCENARIOS
         assert warm_cache.memory_hits >= NUM_SCENARIOS  # the hot pass
+        # one file per entry, and nothing else left in the directory
+        files = os.listdir(cache_dir)
+        assert len(files) == NUM_SCENARIOS and all(f.endswith(".json") for f in files)
+        entry_bytes = warm_cache.total_bytes() // NUM_SCENARIOS
 
         rows = []
         for label, batch, accountant, seconds in (
@@ -134,6 +138,8 @@ def test_restarted_sweep_skips_engine_work_and_epsilon(benchmark):
                 "directory: the process-restart shape",
                 "released values verified bit-identical across all passes "
                 "before timing",
+                f"one <fingerprint>.json per entry, {entry_bytes} bytes each "
+                "(version + identity + created stamp + dstress.obs.run document)",
             ],
         )
 

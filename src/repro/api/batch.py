@@ -306,13 +306,7 @@ def _resolve_cache(cache) -> Optional[ScenarioCacheBase]:
         # layer imports the batch layer, not the other way around
         from repro.service.cachetier import RemoteScenarioCache
 
-        rest = cache[len("tcp://"):]
-        host, sep, port = rest.rpartition(":")
-        if not sep or not port.isdigit():
-            raise ConfigurationError(
-                f"cache endpoint {cache!r} is not tcp://host:port"
-            )
-        return RemoteScenarioCache(host or "127.0.0.1", int(port))
+        return RemoteScenarioCache.from_endpoint(cache)
     if isinstance(cache, (str, os.PathLike)):
         return PersistentScenarioCache(cache)
     if isinstance(cache, ScenarioCacheBase):

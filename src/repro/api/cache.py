@@ -143,7 +143,7 @@ class ScenarioCacheBase(ABC):
     def _persist(self, fingerprint: str, result: RunResult) -> None:
         """Remember ``result``. The caller keeps ownership: never mutate
         it, and isolate (copy/serialize) whatever is retained — a
-        disk-only store that just pickles it need not copy at all."""
+        disk-only store that just serializes it need not copy at all."""
 
     @abstractmethod
     def clear(self) -> None:

@@ -12,70 +12,64 @@ executions and zero fresh epsilon charges**.
 
 Layout and guarantees:
 
-* **Content-addressed entries.** Each fingerprint owns two files:
-  ``<fp>.pkl`` (the pickled :class:`~repro.api.result.RunResult`) and
-  ``<fp>.json`` (a sidecar with format version, fingerprint,
-  engine/program identity, payload size, created/used timestamps).
-* **Atomic writes.** Every file lands via tmpfile + :func:`os.replace`
-  in the cache directory, so a worker killed mid-write can never leave a
-  torn entry — only a stale ``.tmp-*`` file, swept on the next init.
-* **Versioned format, err toward miss.** An unreadable payload, an
-  invalid sidecar, or a sidecar written by a different
+* **One file per entry.** Each fingerprint owns ``<fp>.json``: format
+  version, fingerprint, engine/program identity, created stamp and the
+  result's ``dstress.obs.run`` document
+  (:meth:`~repro.api.result.RunResult.to_doc`). A result the schema
+  cannot hold is not persisted — it lives in the memory tier only.
+* **Atomic writes.** The file lands via tmpfile + fsync +
+  :func:`os.replace` in the cache directory, so a worker killed
+  mid-write can never leave a torn entry — only a stale ``.tmp-*`` file,
+  swept on the next init.
+* **Versioned format, err toward miss.** A file that is not JSON, not a
+  valid document, written for another fingerprint or under a different
   :data:`DISK_FORMAT_VERSION` is treated as a miss and discarded; a
   wrong hit is the one failure mode a result cache must never have.
 * **Two tiers.** An in-process memory tier (plain dict of golden copies)
   fronts the disk tier, so hot sweeps pay one deep copy per hit —
   exactly what the memory-only cache costs today — and the disk is only
   read the first time each entry is seen by this process.
-* **LRU eviction under a byte cap.** ``max_bytes`` bounds the payload
-  bytes on disk; the least-recently-used entries (sidecar ``used_at``,
-  refreshed on every disk hit and store — memory-tier hits deliberately
-  skip the refresh to keep the hot path write-free) are evicted first,
-  and evictions are counted on the instance (``evictions`` /
-  ``evicted_bytes``, see :meth:`stats`).
+* **LRU eviction under a byte cap.** ``max_bytes`` bounds the entry
+  bytes on disk; the least-recently-used entries go first. An entry's
+  LRU stamp is its file's mtime, set from the injectable
+  :func:`~repro.obs.clock.wall_time` on every store and disk hit —
+  memory-tier hits deliberately skip it to keep the hot path free of
+  system calls — and evictions are counted on the instance
+  (``evictions`` / ``evicted_bytes``, see :meth:`stats`).
 * **Cross-process safety.** Atomic replace + tolerate-vanishing-files
   reads mean two concurrent sweeps (or ``workers>1`` batches) sharing a
   directory can interleave freely: the worst interleaving costs a miss
   and a recompute, never corruption or a wrong hit.
 
-**Trust model.** Entries are ``pickle`` payloads, and unpickling
-executes code: anyone who can write to the cache directory can run
-arbitrary code in every process that reads it. Point ``cache=`` only at
-directories exactly as trusted as the code you run — your own service's
-state directory, a team-owned volume — never at world-writable paths.
-The cross-process guarantees above are about *crash and race* safety
-between cooperating writers, not about malicious ones.
+Nothing in the directory is ever executed: reading an entry parses JSON
+into a fixed whitelist of result classes. A writer is still trusted for
+*content* — it can file a well-formed wrong result under a fingerprint —
+so share the directory only between parties allowed to publish.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import pickle
 import uuid
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 from repro.api.cache import ScenarioCacheBase, clone_result
-from repro.obs.clock import wall_time
 from repro.api.result import RunResult
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ResultFormatError
+from repro.obs.clock import wall_time
 
 __all__ = ["PersistentScenarioCache", "DISK_FORMAT_VERSION"]
 
-#: Version stamped into every entry's sidecar. Bump it whenever the
-#: pickled payload shape or the fingerprint inputs change incompatibly:
+#: Version stamped into every entry. Bump it whenever the entry layout,
+#: the result document or the fingerprint inputs change incompatibly:
 #: entries from other versions read as misses, never as wrong hits.
-DISK_FORMAT_VERSION = 1
+DISK_FORMAT_VERSION = 2
 
-_PAYLOAD_SUFFIX = ".pkl"
-_SIDECAR_SUFFIX = ".json"
+_ENTRY_SUFFIX = ".json"
+_V1_PAYLOAD_SUFFIX = ".pkl"
 _TMP_PREFIX = ".tmp-"
-
-#: How old a sidecar-less payload must be before it is swept as an
-#: orphan. A live writer lands the payload microseconds before the
-#: sidecar; only a writer that died in that gap leaves one this stale.
-_ORPHAN_GRACE_SECONDS = 60.0
 
 #: Eviction empties the store down to this fraction of ``max_bytes``
 #: rather than stopping exactly at the cap, so a store arriving at a
@@ -97,7 +91,7 @@ class PersistentScenarioCache(ScenarioCacheBase):
     directory:
         Where entries live. Everything this cache writes stays inside it.
     max_bytes:
-        Optional hard cap on the total payload bytes kept on disk;
+        Optional hard cap on the total entry bytes kept on disk;
         exceeding it evicts least-recently-used entries after every
         store. A single entry larger than the cap is rejected outright
         (memory tier included, counted on ``rejections``) — it alone, so
@@ -131,9 +125,8 @@ class PersistentScenarioCache(ScenarioCacheBase):
         self.evictions = 0
         self.evicted_bytes = 0
         self.rejections = 0
-        self._sweep_stale_tmp()
-        self._sweep_orphan_payloads()
-        # running payload-byte estimate, seeded from disk once: the
+        self._sweep_leftovers()
+        # running entry-byte estimate, seeded from disk once: the
         # common under-cap store must not pay a directory walk. Stores
         # add to it, eviction walks resync it from disk; another
         # process's concurrent writes are invisible until our own next
@@ -148,41 +141,58 @@ class PersistentScenarioCache(ScenarioCacheBase):
         if self._memory is not None and fingerprint in self._memory:
             clone = clone_result(self._memory[fingerprint])
             if clone is not None:
-                # no sidecar touch here: the hot path must cost exactly
-                # one deep copy (the entry's used_at was refreshed when
+                # no mtime touch here: the hot path must cost exactly
+                # one deep copy (the entry's stamp was refreshed when
                 # this process first read or wrote it, which bounds the
                 # LRU staleness at the process lifetime)
                 self.memory_hits += 1
                 return clone
             del self._memory[fingerprint]  # uncopyable entry: evict
-        _, sidecar_path = self._paths(fingerprint)
-        if not sidecar_path.exists():
-            # plain miss: nothing to clean up — and nothing to race. A
-            # _discard here could delete a concurrent writer's entry that
-            # lands between this check and the unlink (the sidecar is the
-            # last file written, so present-but-invalid can only mean
-            # corruption or version skew, never a writer mid-persist).
-            return None
-        meta = self._read_sidecar(fingerprint)
-        result = self._read_entry(fingerprint, meta)
+        path = self._path(fingerprint)
+        try:
+            raw = path.read_bytes()
+        except OSError:
+            return None  # plain miss: nothing to clean up
+        result = _decode_entry(fingerprint, raw)
         if result is None:
+            # corruption or version skew: discard so it isn't re-tried
+            # forever. Racing a writer that replaced the file since the
+            # read costs that entry — a later miss, never a wrong hit.
+            _unlink_quietly(path)
             return None
         self.disk_hits += 1
-        self._touch(fingerprint, meta)
+        now = wall_time()
+        try:
+            os.utime(path, (now, now))  # the LRU stamp
+        except OSError:
+            pass  # a lost touch only skews eviction order, never correctness
         if self._memory is not None:
-            # keep the unpickled object as the golden copy; hand out a clone
+            # keep the decoded object as the golden copy; hand out a clone
             self._memory[fingerprint] = result
             return clone_result(result)
         return result
 
     def _persist(self, fingerprint: str, result: RunResult) -> None:
-        # pickling isolates the disk copy by itself, so a memory_tier=False
+        # encoding isolates the disk copy by itself, so a memory_tier=False
         # store never deep-copies; only the memory tier needs its own clone
         try:
-            payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
+            document = result.to_doc()
+        except ResultFormatError:
             self._remember(fingerprint, result)
-            return  # unpicklable result: memory-tier entry only (if any)
+            return  # outside the schema: memory-tier entry only (if any)
+        now = wall_time()
+        payload = json.dumps(
+            {
+                "version": DISK_FORMAT_VERSION,
+                "fingerprint": fingerprint,
+                "engine": result.engine,
+                "program": result.program,
+                "created_at": now,
+                "result": document,
+            },
+            allow_nan=False,
+            separators=(",", ":"),
+        ).encode("utf-8")
         if self.max_bytes is not None and len(payload) > self.max_bytes:
             # an entry that can never fit under the cap must not enter the
             # LRU walk at all — as the batch's newest entry it would sort
@@ -193,26 +203,8 @@ class PersistentScenarioCache(ScenarioCacheBase):
             self.rejections += 1
             return
         self._remember(fingerprint, result)
-        payload_path, sidecar_path = self._paths(fingerprint)
-        now = wall_time()
-        meta = {
-            "version": DISK_FORMAT_VERSION,
-            "fingerprint": fingerprint,
-            "engine": result.engine,
-            "program": result.program,
-            "payload_bytes": len(payload),
-            "created_at": now,
-            "used_at": now,
-        }
         try:
-            # payload first, sidecar second: an entry is live only once its
-            # sidecar validates, so a crash between the two writes leaves a
-            # sidecar-less payload that reads as a miss (and is swept by
-            # eviction), never a live pointer to missing data
-            self._atomic_write(payload_path, payload)
-            self._atomic_write(
-                sidecar_path, json.dumps(meta, sort_keys=True).encode("utf-8")
-            )
+            self._atomic_write(self._path(fingerprint), payload, now)
         except OSError:
             return  # a full/readonly/raced disk costs persistence, not the run
         if self.max_bytes is not None:
@@ -223,31 +215,19 @@ class PersistentScenarioCache(ScenarioCacheBase):
     def clear(self) -> None:
         if self._memory is not None:
             self._memory.clear()
-        for path in self.directory.iterdir():
-            if path.suffix in (_PAYLOAD_SUFFIX, _SIDECAR_SUFFIX) or path.name.startswith(
-                _TMP_PREFIX
-            ):
-                _unlink_quietly(path)
+        for path in self._entry_paths():
+            _unlink_quietly(path)
+        self._sweep_leftovers()
         self._approx_bytes = 0
 
     def __len__(self) -> int:
-        return sum(
-            1
-            for path in self.directory.glob("*" + _SIDECAR_SUFFIX)
-            if not path.name.startswith(_TMP_PREFIX)
-        )
+        return sum(1 for _ in self._entry_paths())
 
     # ----------------------------------------------------------- telemetry --
 
     def total_bytes(self) -> int:
-        """Payload bytes currently on disk (sidecars are not counted)."""
-        total = 0
-        for payload_path, _ in self._entry_paths():
-            try:
-                total += payload_path.stat().st_size
-            except OSError:
-                continue
-        return total
+        """Entry bytes currently on disk."""
+        return sum(size for _used_at, _fingerprint, size in self._walk())
 
     def stats(self) -> Dict[str, int]:
         """One snapshot of the cache's telemetry counters and footprint."""
@@ -272,89 +252,41 @@ class PersistentScenarioCache(ScenarioCacheBase):
             if clone is not None:
                 self._memory[fingerprint] = clone
 
-    def _paths(self, fingerprint: str) -> Tuple[Path, Path]:
-        return (
-            self.directory / (fingerprint + _PAYLOAD_SUFFIX),
-            self.directory / (fingerprint + _SIDECAR_SUFFIX),
-        )
+    def _path(self, fingerprint: str) -> Path:
+        return self.directory / (fingerprint + _ENTRY_SUFFIX)
 
-    def _entry_paths(self):
-        """(payload, sidecar) pairs for every sidecar currently on disk."""
-        for sidecar_path in self.directory.glob("*" + _SIDECAR_SUFFIX):
-            if sidecar_path.name.startswith(_TMP_PREFIX):
+    def _entry_paths(self) -> Iterator[Path]:
+        return self.directory.glob("*" + _ENTRY_SUFFIX)
+
+    def _walk(self) -> Iterator[Tuple[float, str, int]]:
+        """``(LRU stamp, fingerprint, bytes)`` per entry — one ``stat``
+        each; entries another process evicts mid-walk are skipped."""
+        for path in self._entry_paths():
+            try:
+                status = path.stat()
+            except OSError:
                 continue
-            fingerprint = sidecar_path.name[: -len(_SIDECAR_SUFFIX)]
-            yield self.directory / (fingerprint + _PAYLOAD_SUFFIX), sidecar_path
+            yield status.st_mtime, path.name[: -len(_ENTRY_SUFFIX)], status.st_size
 
-    def _atomic_write(self, path: Path, data: bytes) -> None:
-        """Write ``data`` to ``path`` so readers see old-or-new, never torn."""
+    def _atomic_write(self, path: Path, data: bytes, stamp: float) -> None:
+        """Write ``data`` to ``path`` so readers see old-or-new, never
+        torn, with ``stamp`` as its mtime (the entry's LRU stamp)."""
         tmp = self.directory / f"{_TMP_PREFIX}{os.getpid()}-{uuid.uuid4().hex}"
         try:
             with open(tmp, "wb") as handle:
                 handle.write(data)
                 handle.flush()
                 os.fsync(handle.fileno())
+            os.utime(tmp, (stamp, stamp))
             os.replace(tmp, path)
         finally:
             _unlink_quietly(tmp)
-
-    def _read_sidecar(self, fingerprint: str) -> Optional[Dict[str, Any]]:
-        _, sidecar_path = self._paths(fingerprint)
-        try:
-            meta = json.loads(sidecar_path.read_bytes())
-        except (OSError, ValueError):
-            return None
-        if (
-            not isinstance(meta, dict)
-            or meta.get("version") != DISK_FORMAT_VERSION
-            or meta.get("fingerprint") != fingerprint
-        ):
-            return None
-        return meta
-
-    def _read_entry(
-        self, fingerprint: str, meta: Optional[Dict[str, Any]]
-    ) -> Optional[RunResult]:
-        """Validate and unpickle one disk entry given its already-read
-        sidecar; anything wrong is a miss (and the remains are discarded
-        so they aren't re-tried forever)."""
-        if meta is None:
-            self._discard(fingerprint)
-            return None
-        payload_path, _ = self._paths(fingerprint)
-        try:
-            result = pickle.loads(payload_path.read_bytes())
-        except Exception:
-            self._discard(fingerprint)
-            return None
-        if not isinstance(result, RunResult):
-            self._discard(fingerprint)
-            return None
-        return result
-
-    def _touch(self, fingerprint: str, meta: Dict[str, Any]) -> None:
-        """Refresh the entry's LRU timestamp from its already-read
-        sidecar (best effort — a lost touch only skews eviction order,
-        never correctness)."""
-        meta = dict(meta)
-        meta["used_at"] = wall_time()
-        _, sidecar_path = self._paths(fingerprint)
-        try:
-            self._atomic_write(
-                sidecar_path, json.dumps(meta, sort_keys=True).encode("utf-8")
-            )
-        except OSError:
-            pass
-
-    def _discard(self, fingerprint: str) -> None:
-        for path in self._paths(fingerprint):
-            _unlink_quietly(path)
 
     def _evict_to_cap(self, protect: Optional[str] = None) -> None:
         """Full eviction walk: resync the byte estimate from disk, then
         evict oldest-used entries until the cap holds. Only reached when
         the running estimate crosses the cap (rare), so its directory
-        walk and sidecar reads are off the common store path.
+        walk is off the common store path.
 
         ``protect`` exempts the entry whose store triggered this walk: it
         fit under the cap (oversized ones were rejected before writing),
@@ -364,70 +296,52 @@ class PersistentScenarioCache(ScenarioCacheBase):
         every restart."""
         if self.max_bytes is None:
             return
-        # orphaned payloads are invisible to the sidecar walk below, so
-        # the walk sweeps them first — otherwise a crashed writer's
-        # half-entry would count against nothing yet occupy real bytes
-        self._sweep_orphan_payloads()
-        sized: List[Tuple[str, int]] = []  # (fingerprint, bytes)
-        total = 0
-        for payload_path, sidecar_path in self._entry_paths():
-            try:
-                size = payload_path.stat().st_size
-            except OSError:
-                # sidecar without payload: half-written or raced entry —
-                # remove the orphan sidecar so len() stays honest
-                _unlink_quietly(sidecar_path)
-                continue
-            sized.append((sidecar_path.name[: -len(_SIDECAR_SUFFIX)], size))
-            total += size
+        entries = sorted(self._walk())  # oldest first; fingerprint breaks ties
+        total = sum(size for _used_at, _fingerprint, size in entries)
         if total > self.max_bytes:
-            # over cap for real: only now pay a sidecar read per entry.
-            # Evict down to a low-water mark, not just under the cap —
+            # evict down to a low-water mark, not just under the cap —
             # at steady state an exactly-at-cap store would otherwise
             # cross the cap (and pay this whole walk) on every store
             target = int(self.max_bytes * _EVICTION_LOW_WATER)
-            entries = []  # (used_at, fingerprint, bytes)
-            for fingerprint, size in sized:
-                meta = self._read_sidecar(fingerprint)
-                used_at = float(meta.get("used_at", 0.0)) if meta else 0.0
-                entries.append((used_at, fingerprint, size))
-            entries.sort()  # oldest first; fingerprint breaks ties stably
-            for used_at, fingerprint, size in entries:
+            for _used_at, fingerprint, size in entries:
                 if total <= target:
                     break
                 if fingerprint == protect:
                     continue
-                self._discard(fingerprint)
+                _unlink_quietly(self._path(fingerprint))
                 self.evictions += 1
                 self.evicted_bytes += size
                 total -= size
         self._approx_bytes = total
 
-    def _sweep_stale_tmp(self) -> None:
-        """Remove tmp files left by crashed writers. Racing a *live*
-        writer's tmp at worst turns its store into a no-op (a miss later),
-        which is the direction a cache is allowed to err."""
-        for path in self.directory.glob(_TMP_PREFIX + "*"):
-            _unlink_quietly(path)
+    def _sweep_leftovers(self) -> None:
+        """Remove tmp files left by crashed writers, and format-1 pickle
+        payloads (unlinked unopened; their sidecars read as version-skew
+        misses). Racing a *live* writer's tmp at worst turns its store
+        into a no-op (a miss later), which is the direction a cache is
+        allowed to err."""
+        for pattern in (_TMP_PREFIX + "*", "*" + _V1_PAYLOAD_SUFFIX):
+            for path in self.directory.glob(pattern):
+                _unlink_quietly(path)
 
-    def _sweep_orphan_payloads(self) -> None:
-        """Remove payloads whose sidecar never landed (a writer died
-        between the two writes): they read as misses but occupy real
-        bytes that no eviction walk would otherwise ever see. The grace
-        period keeps this from racing a live writer mid-``_persist``."""
-        now = wall_time()
-        for payload_path in self.directory.glob("*" + _PAYLOAD_SUFFIX):
-            if payload_path.name.startswith(_TMP_PREFIX):
-                continue
-            sidecar_path = payload_path.with_suffix(_SIDECAR_SUFFIX)
-            if sidecar_path.exists():
-                continue
-            try:
-                age = now - payload_path.stat().st_mtime
-            except OSError:
-                continue
-            if age > _ORPHAN_GRACE_SECONDS:
-                _unlink_quietly(payload_path)
+
+def _decode_entry(fingerprint: str, raw: bytes) -> Optional[RunResult]:
+    """The result inside one entry file, or ``None`` for anything that is
+    not a current-version entry for ``fingerprint``."""
+    try:
+        entry = json.loads(raw)
+    except (ValueError, RecursionError):
+        return None
+    if (
+        not isinstance(entry, dict)
+        or entry.get("version") != DISK_FORMAT_VERSION
+        or entry.get("fingerprint") != fingerprint
+    ):
+        return None
+    try:
+        return RunResult.from_doc(entry.get("result"))
+    except ResultFormatError:
+        return None
 
 
 def _unlink_quietly(path: Path) -> None:

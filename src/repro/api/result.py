@@ -17,6 +17,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.core.convergence import TrajectoryConvergence
 from repro.core.lifecycle import ReleaseRecord
+from repro.obs.export import export_run, run_from_doc, run_to_doc
 from repro.simulation.netsim import PhaseTimer, TrafficMeter
 
 __all__ = ["RunResult"]
@@ -99,15 +100,22 @@ class RunResult(TrajectoryConvergence):
         """Whether this run consumed privacy budget (noised its output)."""
         return self.epsilon is not None
 
+    def to_doc(self) -> Dict[str, Any]:
+        """This result as its ``dstress.obs.run`` document — the one
+        serialization every cache, wire and export carries (DESIGN.md
+        "The run document"). A value the schema cannot hold is a
+        :class:`~repro.exceptions.ResultFormatError`."""
+        return run_to_doc(self)
+
+    @classmethod
+    def from_doc(cls, doc: Any) -> "RunResult":
+        """The inverse of :meth:`to_doc`, equal field for field; any other
+        input is a :class:`~repro.exceptions.ResultFormatError`."""
+        return run_from_doc(doc)
+
     def export(self, recorder: Any = None) -> Dict[str, Any]:
-        """Versioned JSON-safe export (``dstress.obs.run`` schema).
-
-        Pass a :class:`~repro.obs.trace.TraceRecorder` to embed its spans
-        and metrics alongside the run's own telemetry; the schema is
-        documented (and append-only) in DESIGN.md "Observability".
-        """
-        from repro.obs.export import export_run
-
+        """:meth:`to_doc` plus a ``trace`` entry: the spans and metrics of
+        the :class:`~repro.obs.trace.TraceRecorder` passed, else null."""
         return export_run(self, recorder=recorder)
 
     def summary(self) -> str:

@@ -56,6 +56,13 @@ class ConvergenceError(DStressError):
     """An iterative solver failed to converge within its iteration bound."""
 
 
+class ResultFormatError(DStressError):
+    """A :class:`~repro.api.result.RunResult` does not fit the
+    ``dstress.obs.run`` document, or a document does not decode to one
+    (unknown schema, version, field or type; a non-finite float). Caches
+    read it as "uncacheable" / "miss", the service as a failed release."""
+
+
 class TransportError(DStressError):
     """A message-bus delivery fault: a dropped, duplicated, or timed-out
     round message (see :mod:`repro.core.transport`).

@@ -35,6 +35,7 @@ from repro.api.pool import scrub_repro_env
 from repro.exceptions import ConfigurationError
 from repro.net.peer import PeerAddress
 from repro.net.transport import TcpTransport
+from repro.obs.export import encode_run_fields
 
 __all__ = ["ClusterOutcome", "ClusterRun", "run_scenario_cluster"]
 
@@ -99,15 +100,12 @@ class ClusterRun:
 
 
 def _result_summary(result) -> Dict[str, Any]:
-    """The picklable, bit-comparable essence of a released run result."""
-    return {
-        "engine": result.engine,
-        "aggregate": result.aggregate,
-        "pre_noise_aggregate": result.pre_noise_aggregate,
-        "noise_raw": result.noise_raw,
-        "trajectory": list(result.trajectory),
-        "extras": dict(result.extras),
-    }
+    """The bit-comparable essence of a released run result: a key
+    projection of its ``dstress.obs.run`` document."""
+    return encode_run_fields(
+        result,
+        ("engine", "aggregate", "pre_noise_aggregate", "noise_raw", "trajectory", "extras"),
+    )
 
 
 def _child_main(run: ClusterRun, party_id: int, conn) -> None:

@@ -48,10 +48,11 @@ Frame kinds and payload layouts (all integers big-endian):
 Scalar value encoding (``ROUND_VALUE`` payloads): a 1-byte tag then the
 value — ``0`` float64, ``1`` int64, ``2`` arbitrary-size int (sign byte +
 u32 length + magnitude bytes), ``3`` ``None``, ``4``/``5`` ``True`` /
-``False``, ``6`` pickle fallback for anything else. The pickle tag means
-a connection is as trusted as the code on both ends — same trust model as
-the on-disk scenario cache; the cluster launcher only ever connects
-processes it forked itself.
+``False``. That is the whole table: round values are floats (float
+arithmetic) or ints (fixed point), and a value of any other type is a
+:class:`~repro.exceptions.WireFormatError` at encode, an unknown tag the
+same error at decode — bytes off a peer socket are parsed, never
+executed.
 
 Decoders never over-read and never block: :func:`decode_frame` consumes
 exactly one frame from a buffer and reports how many bytes it used, and
@@ -62,7 +63,6 @@ garbage, or oversized input.
 
 from __future__ import annotations
 
-import pickle
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -161,7 +161,6 @@ _TAG_BIGINT = 2
 _TAG_NONE = 3
 _TAG_TRUE = 4
 _TAG_FALSE = 5
-_TAG_PICKLE = 6
 
 _F64 = struct.Struct("!d")
 _I64 = struct.Struct("!q")
@@ -185,44 +184,37 @@ def _encode_value(value: Any) -> bytes:
         sign = 1 if value < 0 else 0
         magnitude = abs(value).to_bytes((abs(value).bit_length() + 7) // 8, "big")
         return bytes([_TAG_BIGINT, sign]) + _U32.pack(len(magnitude)) + magnitude
-    return bytes([_TAG_PICKLE]) + pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    raise WireFormatError(f"cannot encode a {type(value).__name__} as a round value")
 
 
 def _decode_value(data: bytes, where: str) -> Any:
     if not data:
         raise WireFormatError(f"{where}: empty value encoding")
     tag, body = data[0], data[1:]
-    try:
-        if tag == _TAG_NONE:
-            _expect_len(body, 0, where)
-            return None
-        if tag == _TAG_TRUE:
-            _expect_len(body, 0, where)
-            return True
-        if tag == _TAG_FALSE:
-            _expect_len(body, 0, where)
-            return False
-        if tag == _TAG_FLOAT:
-            _expect_len(body, _F64.size, where)
-            return _F64.unpack(body)[0]
-        if tag == _TAG_INT64:
-            _expect_len(body, _I64.size, where)
-            return _I64.unpack(body)[0]
-        if tag == _TAG_BIGINT:
-            if len(body) < 1 + _U32.size:
-                raise WireFormatError(f"{where}: truncated bigint value")
-            sign = body[0]
-            (length,) = _U32.unpack(body[1 : 1 + _U32.size])
-            magnitude = body[1 + _U32.size :]
-            _expect_len(magnitude, length, where)
-            value = int.from_bytes(magnitude, "big")
-            return -value if sign else value
-        if tag == _TAG_PICKLE:
-            return pickle.loads(body)
-    except WireFormatError:
-        raise
-    except Exception as exc:  # struct/pickle errors -> one named class
-        raise WireFormatError(f"{where}: malformed value payload: {exc}") from exc
+    if tag == _TAG_NONE:
+        _expect_len(body, 0, where)
+        return None
+    if tag == _TAG_TRUE:
+        _expect_len(body, 0, where)
+        return True
+    if tag == _TAG_FALSE:
+        _expect_len(body, 0, where)
+        return False
+    if tag == _TAG_FLOAT:
+        _expect_len(body, _F64.size, where)
+        return _F64.unpack(body)[0]
+    if tag == _TAG_INT64:
+        _expect_len(body, _I64.size, where)
+        return _I64.unpack(body)[0]
+    if tag == _TAG_BIGINT:
+        if len(body) < 1 + _U32.size:
+            raise WireFormatError(f"{where}: truncated bigint value")
+        sign = body[0]
+        (length,) = _U32.unpack(body[1 : 1 + _U32.size])
+        magnitude = body[1 + _U32.size :]
+        _expect_len(magnitude, length, where)
+        value = int.from_bytes(magnitude, "big")
+        return -value if sign else value
     raise WireFormatError(f"{where}: unknown value tag {tag}")
 
 

@@ -26,26 +26,15 @@ from typing import Optional
 
 from repro.api.cache import ScenarioCache, ScenarioCacheBase
 from repro.api.diskcache import PersistentScenarioCache
-from repro.exceptions import ServiceProtocolError
 from repro.privacy.budget import PrivacyAccountant
 from repro.service.cachetier import CacheTierServer, RemoteScenarioCache
+from repro.service.lineserver import JsonLinesServer
 from repro.service.server import StressTestService
-
-
-def _parse_endpoint(value: str) -> tuple:
-    text = value[len("tcp://"):] if value.startswith("tcp://") else value
-    host, sep, port = text.rpartition(":")
-    if not sep or not port.isdigit():
-        raise ServiceProtocolError(
-            f"cache endpoint {value!r} is not tcp://host:port"
-        )
-    return host or "127.0.0.1", int(port)
 
 
 def _build_cache(args: argparse.Namespace) -> Optional[ScenarioCacheBase]:
     if args.cache:
-        host, port = _parse_endpoint(args.cache)
-        return RemoteScenarioCache(host, port)
+        return RemoteScenarioCache.from_endpoint(args.cache)
     if args.cache_dir:
         return PersistentScenarioCache(args.cache_dir)
     if args.no_cache:
@@ -53,30 +42,25 @@ def _build_cache(args: argparse.Namespace) -> Optional[ScenarioCacheBase]:
     return ScenarioCache()
 
 
-async def _run_service(args: argparse.Namespace) -> int:
+def _build_service(args: argparse.Namespace) -> JsonLinesServer:
     accountant = None
     if args.budget > 0:
         accountant = PrivacyAccountant(epsilon_max=args.budget)
-    service = StressTestService(
+    return StressTestService(
         args.host,
         args.port,
         accountant=accountant,
         cache=_build_cache(args),
         max_workers=args.workers,
     )
-    port = await service.start()
-    print(f"LISTENING {port}", flush=True)
-    await service.serve_until_closed()
-    return 0
 
 
-async def _run_cachetier(args: argparse.Namespace) -> int:
-    backing: ScenarioCacheBase
-    if args.cache_dir:
-        backing = PersistentScenarioCache(args.cache_dir)
-    else:
-        backing = ScenarioCache()
-    server = CacheTierServer(backing, args.host, args.port)
+def _build_cachetier(args: argparse.Namespace) -> JsonLinesServer:
+    backing = PersistentScenarioCache(args.cache_dir) if args.cache_dir else ScenarioCache()
+    return CacheTierServer(backing, args.host, args.port)
+
+
+async def _serve(server: JsonLinesServer) -> int:
     port = await server.start()
     print(f"LISTENING {port}", flush=True)
     await server.serve_until_closed()
@@ -130,9 +114,9 @@ def main(argv: Optional[list] = None) -> int:
         help="run the service without any release cache",
     )
     args = parser.parse_args(argv)
-    runner = _run_cachetier if args.role == "cache" else _run_service
+    build = _build_cachetier if args.role == "cache" else _build_service
     try:
-        return asyncio.run(runner(args))
+        return asyncio.run(_serve(build(args)))
     except KeyboardInterrupt:
         with contextlib.suppress(Exception):
             print("interrupted, shutting down", file=sys.stderr)

@@ -11,10 +11,12 @@ session, and a *fleet* of replicas shares one release store keyed by
 notarized fingerprint: the first replica to release a scenario pays the
 engine run and the epsilon; every other replica answers from the tier.
 
-Results cross the wire as base64-pickled :class:`RunResult` payloads —
-the **same trust model as the disk cache** (DESIGN.md "Persistent
-scenario cache"): the bytes are as trusted as the code on both ends of
-the connection, which in this reproduction is always our own fleet.
+Results cross the wire as their ``dstress.obs.run`` document
+(:meth:`RunResult.to_doc`), a JSON object inside the JSON line, and both
+ends decode it through the whitelisting :meth:`RunResult.from_doc`: a
+peer can hand the tier a malformed payload (an error line) or a
+well-formed wrong result (so expose the port only to replicas allowed to
+publish), but never code.
 
 Failure semantics follow the cache's prime directive — *only err toward
 miss*. By default the remote cache is **tolerant**: an unreachable or
@@ -27,42 +29,21 @@ would rather fail loudly than quietly forfeit deduplication.
 
 from __future__ import annotations
 
-import asyncio
-import base64
-import binascii
-import json
-import pickle
 from typing import Any, Dict, Optional
 
 from repro.api.cache import ScenarioCacheBase
 from repro.api.result import RunResult
-from repro.exceptions import ServiceError, ServiceUnavailableError
+from repro.exceptions import ConfigurationError, ResultFormatError, ServiceError
 from repro.obs.trace import current_recorder
 from repro.service.client import ServiceClient
-from repro.service.server import SERVICE_PROTOCOL_VERSION
+from repro.service.lineserver import JsonLinesServer
 
 __all__ = ["CacheTierServer", "RemoteScenarioCache"]
 
-_MAX_LINE_BYTES = 64 * 1024 * 1024  # pickled trajectories are chunky
+_MAX_LINE_BYTES = 64 * 1024 * 1024  # per-node traffic tables are chunky
 
 
-def _encode_result(result: RunResult) -> Optional[str]:
-    try:
-        payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception:
-        return None
-    return base64.b64encode(payload).decode("ascii")
-
-
-def _decode_result(text: str) -> Optional[RunResult]:
-    try:
-        result = pickle.loads(base64.b64decode(text.encode("ascii")))
-    except (Exception, binascii.Error):
-        return None
-    return result if isinstance(result, RunResult) else None
-
-
-class CacheTierServer:
+class CacheTierServer(JsonLinesServer):
     """Serve one :class:`ScenarioCacheBase` to the fleet.
 
     Ops: ``ping``, ``lookup`` (fingerprint → payload or miss), ``store``
@@ -80,137 +61,25 @@ class CacheTierServer:
         max_line_bytes: int = _MAX_LINE_BYTES,
         name: str = "dstress-cachetier",
     ) -> None:
+        super().__init__(host, port, max_line_bytes=max_line_bytes, name=name)
         self.backing = backing
-        self.host = host
-        self.port = port
-        self.name = name
-        self.max_line_bytes = max_line_bytes
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._closed = asyncio.Event()
-        self._connections: "set[asyncio.Task[None]]" = set()
-        self.counters: Dict[str, int] = {
-            "requests": 0,
-            "lookups": 0,
-            "hits": 0,
-            "stores": 0,
-            "malformed": 0,
-        }
-
-    async def start(self) -> int:
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self.host,
-            self.port,
-            limit=self.max_line_bytes,
+        self.counters.update(lookups=0, hits=0, stores=0)
+        self._ops.update(
+            lookup=self._lookup, store=self._store, stats=self._stats, clear=self._clear
         )
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self.port
 
-    async def serve_until_closed(self) -> None:
-        await self._closed.wait()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
-
-    async def close(self) -> None:
-        self._closed.set()
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-            task.add_done_callback(self._connections.discard)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    self.counters["malformed"] += 1
-                    await self._send(
-                        writer,
-                        self._error(
-                            f"request line exceeds {self.max_line_bytes} bytes"
-                        ),
-                    )
-                    break
-                if not line:
-                    break
-                response = self._dispatch_line(line)
-                await self._send(writer, response)
-                if response.get("op") == "shutdown":
-                    self._closed.set()
-                    break
-        except asyncio.CancelledError:
-            pass  # deliberate shutdown cancellation: close quietly
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (asyncio.CancelledError, ConnectionResetError, BrokenPipeError):
-                pass
-
-    async def _send(self, writer: asyncio.StreamWriter, body: Dict[str, Any]) -> None:
-        writer.write(json.dumps(body, allow_nan=False).encode("utf-8") + b"\n")
-        await writer.drain()
-
-    def _ok(self, **fields: Any) -> Dict[str, Any]:
-        body = {"ok": True, "version": SERVICE_PROTOCOL_VERSION}
-        body.update(fields)
-        return body
-
-    def _error(self, message: str) -> Dict[str, Any]:
-        return {
-            "ok": False,
-            "version": SERVICE_PROTOCOL_VERSION,
-            "status": "error",
-            "error": "ServiceProtocolError",
-            "message": message,
-        }
-
-    def _dispatch_line(self, line: bytes) -> Dict[str, Any]:
-        self.counters["requests"] += 1
-        try:
-            request = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            self.counters["malformed"] += 1
-            return self._error(f"request is not valid JSON: {exc}")
-        if not isinstance(request, dict) or not isinstance(request.get("op"), str):
-            self.counters["malformed"] += 1
-            return self._error("request must be an object with a string 'op'")
-        op = request["op"]
-        if op == "ping":
-            return self._ok(op="ping", server=self.name)
-        if op == "stats":
-            return self._ok(
-                op="stats",
-                counters=dict(self.counters),
-                entries=len(self.backing),
-                hits=self.backing.hits,
-                misses=self.backing.misses,
-            )
-        if op == "shutdown":
-            return self._ok(op="shutdown")
-        if op == "clear":
-            self.backing.clear()
-            return self._ok(op="clear")
-        if op == "lookup":
-            return self._lookup(request)
-        if op == "store":
-            return self._store(request)
-        self.counters["malformed"] += 1
-        return self._error(
-            f"unknown op {op!r}; supported: ping, lookup, store, stats, "
-            "clear, shutdown"
+    async def _stats(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        return self._ok(
+            op="stats",
+            counters=dict(self.counters),
+            entries=len(self.backing),
+            hits=self.backing.hits,
+            misses=self.backing.misses,
         )
+
+    async def _clear(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        self.backing.clear()
+        return self._ok(op="clear")
 
     def _fingerprint_of(self, request: Dict[str, Any]) -> Optional[str]:
         fingerprint = request.get("fingerprint")
@@ -218,36 +87,31 @@ class CacheTierServer:
             return None
         return fingerprint
 
-    def _lookup(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    async def _lookup(self, request: Dict[str, Any]) -> Dict[str, Any]:
         fingerprint = self._fingerprint_of(request)
         if fingerprint is None:
-            self.counters["malformed"] += 1
-            return self._error("lookup requires a non-empty string 'fingerprint'")
+            return self._malformed("lookup requires a non-empty string 'fingerprint'")
         self.counters["lookups"] += 1
         with current_recorder().span("cachetier.lookup", fingerprint=fingerprint[:16]):
             result = self.backing.lookup(fingerprint)
         if result is None:
             return self._ok(op="lookup", hit=False)
-        payload = _encode_result(result)
-        if payload is None:
-            # unpicklable entry: err toward miss, never a broken payload
+        try:
+            payload = result.to_doc()
+        except ResultFormatError:
+            # outside the schema: err toward miss, never a broken payload
             return self._ok(op="lookup", hit=False)
         self.counters["hits"] += 1
         return self._ok(op="lookup", hit=True, payload=payload)
 
-    def _store(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    async def _store(self, request: Dict[str, Any]) -> Dict[str, Any]:
         fingerprint = self._fingerprint_of(request)
-        payload = request.get("payload")
-        if fingerprint is None or not isinstance(payload, str):
-            self.counters["malformed"] += 1
-            return self._error(
-                "store requires a non-empty string 'fingerprint' and a "
-                "string 'payload'"
-            )
-        result = _decode_result(payload)
-        if result is None:
-            self.counters["malformed"] += 1
-            return self._error("store payload does not decode to a RunResult")
+        if fingerprint is None:
+            return self._malformed("store requires a non-empty string 'fingerprint'")
+        try:
+            result = RunResult.from_doc(request.get("payload"))
+        except ResultFormatError as exc:
+            return self._malformed(f"store payload does not decode to a RunResult: {exc}")
         self.counters["stores"] += 1
         with current_recorder().span("cachetier.store", fingerprint=fingerprint[:16]):
             self.backing.store(fingerprint, result)
@@ -260,8 +124,8 @@ class RemoteScenarioCache(ScenarioCacheBase):
     Drop-in anywhere a cache is accepted — ``run_batch(cache=...)``
     (including the ``"tcp://host:port"`` shorthand), a
     :class:`~repro.service.server.StressTestService`, or a session.
-    Entries arrive already isolated (they were pickled on the wire), so
-    no extra copy is made.
+    Entries arrive already isolated (they were decoded off the wire),
+    so no extra copy is made.
     """
 
     def __init__(
@@ -277,6 +141,17 @@ class RemoteScenarioCache(ScenarioCacheBase):
         self._client = ServiceClient(
             host, port, timeout=timeout, max_line_bytes=_MAX_LINE_BYTES
         )
+
+    @classmethod
+    def from_endpoint(cls, endpoint: str) -> "RemoteScenarioCache":
+        """The cache behind a ``tcp://host:port`` (or bare ``host:port``)
+        endpoint string; an empty host means loopback."""
+        host, sep, port = endpoint.removeprefix("tcp://").rpartition(":")
+        if not sep or not port.isdigit():
+            raise ConfigurationError(
+                f"cache endpoint {endpoint!r} is not tcp://host:port"
+            )
+        return cls(host or "127.0.0.1", int(port))
 
     # ----------------------------------------------------------- plumbing --
 
@@ -304,21 +179,20 @@ class RemoteScenarioCache(ScenarioCacheBase):
         body = self._call({"op": "lookup", "fingerprint": fingerprint})
         if body is None or not body.get("hit"):
             return None
-        payload = body.get("payload")
-        if not isinstance(payload, str):
+        try:
+            return RunResult.from_doc(body.get("payload"))
+        except ResultFormatError:
             return None
-        return _decode_result(payload)
 
     def _persist(self, fingerprint: str, result: RunResult) -> None:
-        payload = _encode_result(result)
-        if payload is None:
+        try:
+            payload = result.to_doc()
+        except ResultFormatError:
             return
         self._call({"op": "store", "fingerprint": fingerprint, "payload": payload})
 
     def clear(self) -> None:
-        body = self._call({"op": "clear"})
-        if body is None and self.strict:  # pragma: no cover - strict raises above
-            raise ServiceUnavailableError(f"cache tier {self.endpoint} unreachable")
+        self._call({"op": "clear"})
 
     def __len__(self) -> int:
         body = self._call({"op": "stats"})

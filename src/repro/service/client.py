@@ -28,7 +28,7 @@ from repro.exceptions import (
     ServiceProtocolError,
     ServiceUnavailableError,
 )
-from repro.service.server import SERVICE_PROTOCOL_VERSION
+from repro.service.lineserver import SERVICE_PROTOCOL_VERSION
 
 __all__ = ["ServiceClient", "ServiceResponse"]
 
@@ -175,7 +175,7 @@ class ServiceClient:
                     ) from exc
         try:
             parsed = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise ServiceProtocolError(
                 f"service response is not valid JSON: {exc}"
             ) from exc

@@ -1,11 +1,8 @@
 """:class:`StressTestService` — the long-running stress-test server.
 
-One asyncio TCP server speaking newline-delimited JSON (one request
-object per line, one response object per line — the service sibling of
-the :mod:`repro.net.wire` length-prefix rule: the receiver always knows
-where a message ends, so garbage is rejected at the line, never by
-wandering into the stream). Ops: ``ping``, ``submit``, ``stats``,
-``shutdown``.
+A :class:`~repro.service.lineserver.JsonLinesServer` (newline-delimited
+JSON, one response line per request line). Ops: ``ping``, ``submit``,
+``stats``, ``shutdown``.
 
 A ``submit`` carries a scenario document (see
 :mod:`repro.service.scenario_ast`) and walks four gates, all on the
@@ -44,9 +41,7 @@ silence.
 from __future__ import annotations
 
 import asyncio
-import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
 from typing import Any, Dict, Optional
 
 from repro.api.cache import ScenarioCacheBase
@@ -58,50 +53,45 @@ from repro.exceptions import (
     ServiceProtocolError,
 )
 from repro.mpc.plan import PLANS
+from repro.obs.export import encode_run_fields
 from repro.obs.trace import current_recorder
 from repro.privacy.admission import precharge, release_schedule
 from repro.privacy.budget import PrivacyAccountant
+from repro.service.lineserver import (
+    SERVICE_PROTOCOL_VERSION,
+    Handler,
+    JsonLinesServer,
+)
 from repro.service.scenario_ast import NotarizedScenario, notarize
 
 __all__ = ["StressTestService", "SERVICE_PROTOCOL_VERSION", "result_payload"]
 
-#: Version stamped into every response; clients refuse a mismatch.
-SERVICE_PROTOCOL_VERSION = 1
-
-#: Longest request line the server will read (the JSON-lines analogue of
-#: the wire layer's frame cap: refused before allocation balloons).
+#: Longest request line the service reads unless told otherwise.
 DEFAULT_MAX_LINE_BYTES = 1024 * 1024
+
+#: What a release response carries of a result: the published values and
+#: their provenance, not the run's telemetry. ``releases`` because under
+#: continual release the per-window outputs ARE the product — a windowed
+#: submission's client sees every published value, not just the final one.
+_PAYLOAD_FIELDS = (
+    "engine", "program", "aggregate", "pre_noise_aggregate", "noise_raw",
+    "trajectory", "iterations", "epsilon", "extras", "releases",
+)  # fmt: skip
 
 
 def result_payload(result: Any) -> Dict[str, Any]:
-    """The JSON-safe, bit-comparable essence of a released run result.
+    """The JSON-safe, bit-comparable essence of a released run result: a
+    key projection of its ``dstress.obs.run`` document.
 
     Floats survive JSON round-trips exactly (``repr``-based encoding), so
     two payloads comparing equal means the underlying releases are
     bit-identical — the same contract :func:`repro.net.cluster` uses for
     cluster summaries.
     """
-    payload = {
-        "engine": result.engine,
-        "program": result.program,
-        "aggregate": result.aggregate,
-        "pre_noise_aggregate": result.pre_noise_aggregate,
-        "noise_raw": result.noise_raw,
-        "trajectory": list(result.trajectory),
-        "iterations": result.iterations,
-        "epsilon": result.epsilon,
-        "extras": {k: v for k, v in result.extras.items()},
-    }
-    releases = getattr(result, "releases", None)
-    if releases:
-        # continual release: the per-window outputs ARE the product — a
-        # windowed submission's client sees every published value, not
-        # just the final one
-        payload["releases"] = [asdict(record) for record in releases]
-    return payload
+    return encode_run_fields(result, _PAYLOAD_FIELDS)
 
 
-class StressTestService:
+class StressTestService(JsonLinesServer):
     """The standing service: submit notarized scenarios, get releases.
 
     Parameters
@@ -133,162 +123,44 @@ class StressTestService:
     ) -> None:
         if max_workers < 1:
             raise ServiceProtocolError("max_workers must be at least 1")
-        self.host = host
-        self.port = port
-        self.name = name
+        super().__init__(host, port, max_line_bytes=max_line_bytes, name=name)
         self.accountant = accountant
         self.cache = cache
-        self.max_line_bytes = max_line_bytes
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix=f"{name}-worker"
         )
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._closed = asyncio.Event()
         #: fingerprint -> future resolving to the shared response body;
         #: the single-flight table.
         self._inflight: Dict[str, "asyncio.Future[Dict[str, Any]]"] = {}
-        #: open connection handlers, cancelled at shutdown so a client
-        #: holding its connection open cannot orphan a task.
-        self._connections: "set[asyncio.Task[None]]" = set()
-        self.counters: Dict[str, int] = {
-            "requests": 0,
-            "admitted": 0,
-            "rejected": 0,
-            "over_budget": 0,
-            "deduped": 0,
-            "cache_hits": 0,
-            "engine_runs": 0,
-            "failed": 0,
-            "malformed": 0,
-        }
+        self.counters.update(
+            admitted=0,
+            rejected=0,
+            over_budget=0,
+            deduped=0,
+            cache_hits=0,
+            engine_runs=0,
+            failed=0,
+        )
+        self._ops.update(stats=self._stats, submit=self._submit)
 
     # ---------------------------------------------------------- lifecycle --
 
-    async def start(self) -> int:
-        """Bind and start serving; returns the actually-bound port."""
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self.host,
-            self.port,
-            limit=self.max_line_bytes,
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self.port
-
     async def serve_until_closed(self) -> None:
-        """Block until :meth:`close` (or a ``shutdown`` op) is called."""
-        await self._closed.wait()
-        await self._shutdown()
+        await super().serve_until_closed()
+        self._executor.shutdown(wait=True)
 
-    async def close(self) -> None:
-        self._closed.set()
-
-    async def _shutdown(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+    async def _drain(self) -> None:
         # let in-flight runs finish: their futures answer joined waiters
         pending = [f for f in self._inflight.values() if not f.done()]
         if pending:
             await asyncio.gather(*pending, return_exceptions=True)
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
-        self._executor.shutdown(wait=True)
 
-    # --------------------------------------------------------- connection --
+    async def _call(self, handler: Handler, request: Dict[str, Any]) -> Dict[str, Any]:
+        with current_recorder().span("service.request", op=request["op"]):
+            return await super()._call(handler, request)
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-            task.add_done_callback(self._connections.discard)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    self.counters["malformed"] += 1
-                    await self._send(
-                        writer,
-                        self._error_body(
-                            "ServiceProtocolError",
-                            f"request line exceeds {self.max_line_bytes} bytes",
-                        ),
-                    )
-                    break
-                if not line:
-                    break
-                response = await self._dispatch_line(line)
-                await self._send(writer, response)
-                if response.get("op") == "shutdown":
-                    self._closed.set()
-                    break
-        except asyncio.CancelledError:
-            pass  # deliberate shutdown cancellation: close quietly
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (asyncio.CancelledError, ConnectionResetError, BrokenPipeError):
-                pass
-
-    async def _send(self, writer: asyncio.StreamWriter, body: Dict[str, Any]) -> None:
-        writer.write(json.dumps(body, allow_nan=False).encode("utf-8") + b"\n")
-        await writer.drain()
-
-    def _error_body(
-        self, error: str, message: str, status: str = "error"
-    ) -> Dict[str, Any]:
-        return {
-            "ok": False,
-            "version": SERVICE_PROTOCOL_VERSION,
-            "status": status,
-            "error": error,
-            "message": message,
-        }
-
-    async def _dispatch_line(self, line: bytes) -> Dict[str, Any]:
-        self.counters["requests"] += 1
-        try:
-            request = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            self.counters["malformed"] += 1
-            return self._error_body(
-                "ServiceProtocolError", f"request is not valid JSON: {exc}"
-            )
-        if not isinstance(request, dict) or not isinstance(request.get("op"), str):
-            self.counters["malformed"] += 1
-            return self._error_body(
-                "ServiceProtocolError", "request must be an object with a string 'op'"
-            )
-        op = request["op"]
-        recorder = current_recorder()
-        with recorder.span("service.request", op=op):
-            if op == "ping":
-                return self._ok(op="ping", server=self.name)
-            if op == "stats":
-                return self._stats_body()
-            if op == "shutdown":
-                return self._ok(op="shutdown")
-            if op == "submit":
-                return await self._submit(request.get("scenario"))
-        self.counters["malformed"] += 1
-        return self._error_body(
-            "ServiceProtocolError",
-            f"unknown op {op!r}; supported: ping, stats, submit, shutdown",
-        )
-
-    def _ok(self, **fields: Any) -> Dict[str, Any]:
-        body = {"ok": True, "version": SERVICE_PROTOCOL_VERSION}
-        body.update(fields)
-        return body
+    async def _stats(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        return self._stats_body()
 
     def _stats_body(self) -> Dict[str, Any]:
         body = self._ok(op="stats", counters=dict(self.counters))
@@ -311,7 +183,8 @@ class StressTestService:
 
     # ------------------------------------------------------------- submit --
 
-    async def _submit(self, doc: Any) -> Dict[str, Any]:
+    async def _submit(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        doc = request.get("scenario")
         metrics = current_recorder().metrics if current_recorder().enabled else None
         # Gate 1: notarize. Bounded by the whitelist caps, so validation
         # on the loop thread cannot be weaponized into a stall.
@@ -399,22 +272,22 @@ class StressTestService:
                 self._executor,
                 lambda: execute_resolved(notarized.resolved, accountant=None),
             )
-        except DStressError as exc:
+            # encoded here, not at send time: a result the response cannot
+            # carry (ResultFormatError) is a failed release like any other
+            body = self._release_body(notarized, result, cached=False)
+        except Exception as exc:  # not only DStressError: never hang the waiters
             self.counters["failed"] += 1
             if metrics is not None:
                 metrics.inc("service.failed")
             if charge is not None:
                 # the release never happened: the pre-charge goes back
                 charge.refund()
-            return self._error_body(type(exc).__name__, str(exc))
-        except Exception as exc:  # defensive: report, never hang the waiters
-            self.counters["failed"] += 1
-            if charge is not None:
-                charge.refund()
+            if isinstance(exc, DStressError):
+                return self._error_body(type(exc).__name__, str(exc))
             return self._error_body("ServiceError", f"engine crashed: {exc}")
         if self.cache is not None:
             self.cache.store(notarized.fingerprint, result)
-        return self._release_body(notarized, result, cached=False)
+        return body
 
     def _release_body(
         self, notarized: NotarizedScenario, result: Any, cached: bool

@@ -48,14 +48,24 @@ class TrafficMeter:
     inspectable (:meth:`link_bytes`, :attr:`num_links`).
     """
 
-    def __init__(self) -> None:
-        self._stats: Dict[int, NodeStats] = {}
-        self._links: Dict[Tuple[int, int], float] = {}
+    def __init__(
+        self,
+        nodes: Optional[Dict[int, NodeStats]] = None,
+        links: Optional[Dict[Tuple[int, int], float]] = None,
+    ) -> None:
+        # a meter rebuilt from :meth:`nodes` and :meth:`links` keeps their
+        # order: the totals below are float sums over it
+        self._stats: Dict[int, NodeStats] = dict(nodes or {})
+        self._links: Dict[Tuple[int, int], float] = dict(links or {})
 
     def node(self, node_id: int) -> NodeStats:
         if node_id not in self._stats:
             self._stats[node_id] = NodeStats()
         return self._stats[node_id]
+
+    def nodes(self) -> Dict[int, NodeStats]:
+        """All metered nodes in first-seen order (a shallow copy)."""
+        return dict(self._stats)
 
     def record_send(self, src: int, dst: int, num_bytes: float) -> None:
         """A point-to-point message: bytes leave ``src`` and enter ``dst``."""

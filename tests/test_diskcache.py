@@ -12,7 +12,6 @@ import hashlib
 import json
 import multiprocessing
 import os
-import pickle
 import signal
 import time
 from pathlib import Path
@@ -159,18 +158,23 @@ def test_lookup_of_unknown_fingerprint_misses(tmp_path):
     assert (cache.hits, cache.misses) == (0, 2)
 
 
-def test_corrupted_payload_reads_as_miss_and_is_discarded(tmp_path):
+def _entry(tmp_path, tag) -> Path:
+    return tmp_path / (_fp(tag) + ".json")
+
+
+def test_corrupted_entry_reads_as_miss_and_is_discarded(tmp_path):
     cache = PersistentScenarioCache(tmp_path, memory_tier=False)
     cache.store(_fp("a"), _result(1.0))
-    (tmp_path / (_fp("a") + ".pkl")).write_bytes(b"not a pickle at all")
+    _entry(tmp_path, "a").write_bytes(b"not a cache entry at all")
     assert cache.lookup(_fp("a")) is None
     assert len(cache) == 0  # the remains were cleaned up, not retried forever
 
 
-def test_corrupted_sidecar_reads_as_miss(tmp_path):
+def test_truncated_entry_reads_as_miss(tmp_path):
     cache = PersistentScenarioCache(tmp_path, memory_tier=False)
     cache.store(_fp("a"), _result(1.0))
-    (tmp_path / (_fp("a") + ".json")).write_text("{truncated")
+    whole = _entry(tmp_path, "a").read_bytes()
+    _entry(tmp_path, "a").write_bytes(whole[: len(whole) // 2])
     assert cache.lookup(_fp("a")) is None
     assert len(cache) == 0
 
@@ -178,7 +182,9 @@ def test_corrupted_sidecar_reads_as_miss(tmp_path):
 def test_version_bump_reads_as_miss(tmp_path, monkeypatch):
     cache = PersistentScenarioCache(tmp_path, memory_tier=False)
     cache.store(_fp("a"), _result(1.0))
-    monkeypatch.setattr(diskcache_mod, "DISK_FORMAT_VERSION", 2)
+    monkeypatch.setattr(
+        diskcache_mod, "DISK_FORMAT_VERSION", diskcache_mod.DISK_FORMAT_VERSION + 1
+    )
     stale_reader = PersistentScenarioCache(tmp_path, memory_tier=False)
     assert stale_reader.lookup(_fp("a")) is None
     # and a fresh store under the new version works
@@ -189,51 +195,62 @@ def test_version_bump_reads_as_miss(tmp_path, monkeypatch):
 def test_wrong_payload_type_reads_as_miss(tmp_path):
     cache = PersistentScenarioCache(tmp_path, memory_tier=False)
     cache.store(_fp("a"), _result(1.0))
-    # a valid pickle of the wrong type must not be handed out as a result
-    (tmp_path / (_fp("a") + ".pkl")).write_bytes(pickle.dumps({"not": "a RunResult"}))
+    # a well-formed entry whose result is not a run document must not be
+    # handed out as a result
+    entry = json.loads(_entry(tmp_path, "a").read_bytes())
+    entry["result"] = {"not": "a RunResult"}
+    _entry(tmp_path, "a").write_text(json.dumps(entry))
     assert cache.lookup(_fp("a")) is None
 
 
-def test_memory_hits_never_write_to_disk(tmp_path):
+def test_entry_stored_under_another_fingerprint_reads_as_miss(tmp_path):
+    cache = PersistentScenarioCache(tmp_path, memory_tier=False)
+    cache.store(_fp("a"), _result(1.0))
+    os.replace(_entry(tmp_path, "a"), _entry(tmp_path, "b"))
+    assert cache.lookup(_fp("b")) is None
+
+
+def test_memory_hits_never_touch_the_disk(tmp_path):
     # the hot path's cost contract is one deep copy: a memory-tier hit
-    # must not rewrite the sidecar (no fsync per hit on a hot sweep)
+    # must not refresh the entry's LRU stamp (no system call per hit on a
+    # hot sweep)
     cache = PersistentScenarioCache(tmp_path)
     cache.store(_fp("a"), _result(1.0))
-    sidecar = tmp_path / (_fp("a") + ".json")
-    before = sidecar.read_bytes()
+    before = _entry(tmp_path, "a").stat()
     assert cache.lookup(_fp("a")) is not None
     assert cache.memory_hits == 1
-    assert sidecar.read_bytes() == before  # used_at untouched
+    after = _entry(tmp_path, "a").stat()
+    assert (after.st_mtime_ns, after.st_size) == (before.st_mtime_ns, before.st_size)
 
 
-def test_orphan_payloads_are_swept_after_grace_period(tmp_path):
-    # a writer SIGKILLed between the payload and sidecar writes leaves a
-    # sidecar-less payload: invisible to lookups and the eviction walk,
-    # it must be reclaimed — but only once old enough that no live
-    # writer can still be mid-persist
-    stale = tmp_path / (_fp("dead") + ".pkl")
-    stale.write_bytes(b"payload whose sidecar never landed")
-    old = time.time() - 3600
-    os.utime(stale, (old, old))
-    fresh = tmp_path / (_fp("live") + ".pkl")
-    fresh.write_bytes(b"a writer might still be mid-persist")
-
-    probe = PersistentScenarioCache(tmp_path / "probe")
-    probe.store(_fp("size"), _result(0.0))
-    entry_bytes = probe.total_bytes()
-
-    cache = PersistentScenarioCache(tmp_path, max_bytes=max(entry_bytes + 1, 64))
-    assert not stale.exists()  # swept on init
-    assert fresh.exists()  # grace period protects a possibly-live writer
-
-    # the eviction walk (triggered by crossing the cap) sweeps orphans
-    # that appear after init, too
-    late = tmp_path / (_fp("late") + ".pkl")
-    late.write_bytes(b"crashed after init")
-    os.utime(late, (old, old))
+def test_lru_stamp_is_the_injectable_wall_clock(tmp_path, monkeypatch):
+    # eviction order must be decided by repro.obs.clock, not by whatever
+    # the kernel stamped the file with: tests (and replayed traces) own time
+    stamps = iter([1000.0, 2000.0, 3000.0])
+    monkeypatch.setattr(diskcache_mod, "wall_time", lambda: next(stamps))
+    cache = PersistentScenarioCache(tmp_path, memory_tier=False)
     cache.store(_fp("a"), _result(1.0))
-    cache.store(_fp("b"), _result(2.0))  # crosses the cap: full walk runs
-    assert not late.exists()
+    cache.store(_fp("b"), _result(2.0))
+    assert _entry(tmp_path, "a").stat().st_mtime == 1000.0
+    assert cache.lookup(_fp("a")) is not None  # a disk hit refreshes it
+    assert _entry(tmp_path, "a").stat().st_mtime == 3000.0
+    assert _entry(tmp_path, "b").stat().st_mtime == 2000.0
+    assert json.loads(_entry(tmp_path, "a").read_bytes())["created_at"] == 1000.0
+
+
+def test_format_one_leftovers_are_swept_unopened(tmp_path):
+    # a directory written by the two-file format: payloads are unlinked at
+    # init without being read, sidecars read as version-skew misses
+    payload = tmp_path / (_fp("old") + ".pkl")
+    payload.write_bytes(b"whatever a v1 writer left here")
+    sidecar = _entry(tmp_path, "old")
+    sidecar.write_text(
+        json.dumps({"version": 1, "fingerprint": _fp("old"), "payload_bytes": 30})
+    )
+    cache = PersistentScenarioCache(tmp_path)
+    assert not payload.exists()
+    assert cache.lookup(_fp("old")) is None
+    assert not sidecar.exists() and len(cache) == 0
 
 
 def test_memory_tier_serves_hits_after_disk_vanishes(tmp_path):
@@ -354,15 +371,15 @@ def test_sigkilled_writer_never_leaves_a_torn_entry(tmp_path):
     os.kill(writer.pid, signal.SIGKILL)
     writer.join()
 
-    # restart: stale tmp files are swept, and EVERY entry with a live
-    # sidecar must unpickle (the payload is written before the sidecar,
-    # so a kill between the two leaves a miss, never a dangling sidecar)
+    # restart: stale tmp files are swept, and EVERY entry file must
+    # decode (an entry is one atomic replace, so a kill at any point
+    # leaves a whole entry or none)
     cache = PersistentScenarioCache(tmp_path, memory_tier=False)
     assert not list(tmp_path.glob(".tmp-*"))
-    sidecars = list(tmp_path.glob("*.json"))
-    assert sidecars, "writer should have landed at least one entry"
-    for sidecar in sidecars:
-        fingerprint = sidecar.name[: -len(".json")]
+    entries = list(tmp_path.glob("*.json"))
+    assert entries, "writer should have landed at least one entry"
+    for entry in entries:
+        fingerprint = entry.name[: -len(".json")]
         hit = cache.lookup(fingerprint)
         assert hit is not None, f"torn entry {fingerprint}"
 
@@ -412,7 +429,7 @@ def test_cache_path_argument_builds_persistent_cache(template, tmp_path):
     cache_dir = tmp_path / "cache"
     first = template.run_many(_scenarios(), cache=str(cache_dir))
     assert (first.cache_hits, first.cache_misses) == (0, 3)
-    assert cache_dir.is_dir() and len(list(cache_dir.glob("*.pkl"))) == 3
+    assert cache_dir.is_dir() and len(list(cache_dir.glob("*.json"))) == 3
     # a second batch through a NEW cache object (fresh memory tier,
     # same directory) is all hits — the in-process-restart shape
     second = template.run_many(_scenarios(), cache=cache_dir)  # PathLike works too

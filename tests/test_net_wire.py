@@ -48,7 +48,6 @@ _values = st.one_of(
     st.integers(min_value=-(2**63), max_value=2**63 - 1),
     st.integers(min_value=2**63, max_value=2**200),  # bigint tag
     st.integers(min_value=-(2**200), max_value=-(2**63) - 1),
-    st.lists(st.floats(allow_nan=False), max_size=4),  # pickle fallback
 )
 
 _hello_frames = st.builds(

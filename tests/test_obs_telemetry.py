@@ -458,6 +458,34 @@ class TestClockLintRule:
         assert offenders == []
 
 
+class TestNoCodeExecutingSerializerRule:
+    def test_no_module_under_src_imports_pickle_or_its_kin(self):
+        """A decoder that can execute what it reads must not exist in
+        ``src/repro``: results travel as ``dstress.obs.run`` documents
+        and round values as typed scalars. (``multiprocessing`` pickles
+        between a parent and the workers it forked — that is the standard
+        library's IPC, not a decoder of ours.)"""
+        import ast
+
+        banned = {"pickle", "marshal", "shelve", "dill"}
+        src = Path(__file__).resolve().parent.parent / "src" / "repro"
+        offenders = []
+        for path in sorted(src.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    continue
+                for module in modules:
+                    if module.split(".")[0] in banned:
+                        offenders.append(
+                            f"{path.relative_to(src)}:{node.lineno} imports {module}"
+                        )
+        assert offenders == []
+
+
 # -------------------------------------------------- bench deltas JSON --
 
 

@@ -258,6 +258,55 @@ class TestSingleFlight:
         assert h.service.counters["failed"] == 1
 
 
+    def test_unencodable_result_is_one_typed_failure_not_a_dropped_connection(
+        self, monkeypatch
+    ):
+        # a result the response cannot carry used to blow up at send time:
+        # the connection dropped, the client retried, the engine ran twice
+        # and the pre-charge was kept for a release nobody received
+        real_execute = server_module.execute_resolved
+
+        def non_finite_execute(resolved, accountant=None):
+            result = real_execute(resolved, accountant=accountant)
+            result.extras["overflowed"] = float("inf")
+            return result
+
+        monkeypatch.setattr(server_module, "execute_resolved", non_finite_execute)
+        acct = PrivacyAccountant()
+        cache = ScenarioCache()
+        with ServiceHarness(accountant=acct, cache=cache) as h:
+            with h.client() as c:
+                response = c.submit(make_doc())
+                assert c.ping().ok  # same connection, still open
+        assert not response.ok
+        assert response.error == "ResultFormatError"
+        assert "overflowed" in response.message
+        counters = h.service.counters
+        assert (counters["engine_runs"], counters["admitted"], counters["failed"]) == (
+            1,
+            1,
+            1,
+        )
+        assert len(cache) == 0, "nothing was released, so nothing is stored"
+        assert acct.spent == 0.0, "failed release must be refunded"
+        assert acct.reconcile().ok
+
+
+    def test_unencodable_cached_result_is_a_typed_error_too(self):
+        from repro.api import RunResult
+        from repro.service.scenario_ast import notarize
+
+        cache = ScenarioCache()
+        poisoned = RunResult("secure", "eisenberg-noe", float("nan"), [], 0, 0.0)
+        cache.store(notarize(make_doc()).fingerprint, poisoned)
+        with ServiceHarness(cache=cache) as h:
+            with h.client() as c:
+                response = c.submit(make_doc())
+                assert c.ping().ok
+        assert not response.ok and response.error == "ResultFormatError"
+        assert h.service.counters["engine_runs"] == 0
+
+
 class TestProtocol:
     def test_garbage_line_gets_typed_error_not_silence(self):
         with ServiceHarness() as h:
