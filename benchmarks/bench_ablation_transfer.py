@@ -86,15 +86,18 @@ def test_kurosawa_optimization(benchmark):
     for bits in (4, 8, 12, 16):
         counting = CountingGroup(TOY_GROUP_64)
         elgamal = ExponentialElGamal(counting, dlog_half_width=64)
-        keys = [elgamal.keygen(rng) for _ in range(bits)]
-        publics = [kp.public for kp in keys]
+        signer = SchnorrSigner(counting)
+        member = generate_member_keys(elgamal, bits, rng)
+        nk = counting.random_scalar(rng)
+        cert = build_certificate(elgamal, signer, signer.keygen(rng), 0, 0, [member], nk, rng)
 
+        # one subshare for one receiver, as every member of B_u sends it
         counting.reset()
-        elgamal.encrypt_bits_kurosawa(publics, [1] * bits, rng)
+        MessageTransferProtocol(elgamal, bits).sender_encrypt((1 << bits) - 1, cert, rng)
         with_opt = counting.exp_count
 
         counting.reset()
-        for pk in publics:
+        for pk in cert.keys[0]:
             elgamal.encrypt_int(pk, 1, rng)
         without_opt = counting.exp_count
 

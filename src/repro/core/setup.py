@@ -26,7 +26,7 @@ from repro.crypto.elgamal import ExponentialElGamal
 from repro.crypto.keys import SchnorrSigner, SchnorrSignature, SigningKeyPair
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import ConfigurationError, CryptoError
-from repro.transfer.certificates import BlockCertificate, MemberKeys, build_certificate
+from repro.transfer.certificates import BlockCertificate, MemberKeys, build_certificates
 
 __all__ = ["BlockAssignment", "TrustedParty", "AGGREGATION_BLOCK_ID"]
 
@@ -122,16 +122,12 @@ class TrustedParty:
         which certificate — the owner forwards them privately — so the TP
         still learns nothing about edges.
         """
-        return [
-            build_certificate(
-                self.elgamal,
-                self.signer,
-                self.signing_key,
-                owner=owner,
-                edge_slot=slot,
-                member_keys=block_member_keys,
-                neighbor_key=neighbor_key,
-                rng=self._rng,
-            )
-            for slot, neighbor_key in enumerate(neighbor_keys)
-        ]
+        return build_certificates(
+            self.elgamal,
+            self.signer,
+            self.signing_key,
+            owner,
+            block_member_keys,
+            neighbor_keys,
+            self._rng,
+        )

@@ -40,8 +40,6 @@ class EllipticCurveGroup(CyclicGroup):
         self._field_bytes = (p.bit_length() + 7) // 8
         if not self._on_curve(self._g):
             raise CryptoError(f"{name}: generator is not on the curve (bad constants)")
-        # Fixed-window table for the generator; built lazily on first use.
-        self._g_window: list[Point] | None = None
 
     # -- curve arithmetic (affine wrappers over Jacobian internals) -------
 
@@ -139,9 +137,6 @@ class EllipticCurveGroup(CyclicGroup):
 
     def exp(self, base: Point, exponent: int) -> Point:
         return self._jac_scalar_mul(base, exponent)
-
-    def power_of_g(self, exponent: int) -> Point:
-        return self._jac_scalar_mul(self._g, exponent)
 
     def inv(self, a: Point) -> Point:
         if a is None:

@@ -9,10 +9,11 @@
    ephemeral half is also raised to ``r`` (the ``Adjust`` step of
    Appendix A). Neither operation needs the secret key.
 
-The module also implements the Kurosawa multi-recipient optimization used by
-the prototype (§5.1): one ephemeral scalar is shared across the ``L`` bit
-ciphertexts destined for the same recipient, saving ``L - 1``
-exponentiations per subshare at the cost of needing ``L`` public keys.
+``encrypt_with_ephemeral`` is the hook for the Kurosawa multi-recipient
+optimization of the prototype (§5.1): one ephemeral scalar shared across the
+``L`` bit ciphertexts destined for the same recipient saves ``L - 1``
+exponentiations per subshare at the cost of needing ``L`` public keys
+(:meth:`repro.transfer.protocol.MessageTransferProtocol.sender_encrypt`).
 """
 
 from __future__ import annotations
@@ -78,8 +79,8 @@ class ElGamal:
     def decrypt(self, secret_key: int, ciphertext: Ciphertext) -> Any:
         """Recover the group element ``m`` from ``(c1, c2)``."""
         g = self.group
-        shared = g.exp(ciphertext.c1, secret_key)
-        return g.mul(ciphertext.c2, g.inv(shared))
+        # c1**(q - x) is the inverse of the shared secret c1**x
+        return g.mul(ciphertext.c2, g.exp(ciphertext.c1, g.order - secret_key))
 
     def multiply(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         """Homomorphic product: decrypts to the product of the plaintexts."""
@@ -163,34 +164,6 @@ class ExponentialElGamal(ElGamal):
             total = self.add(total, ct)
         return total
 
-    # -- Kurosawa multi-recipient optimization (§5.1) ----------------------
-
-    def encrypt_bits_kurosawa(
-        self,
-        public_keys: Sequence[Any],
-        bits: Sequence[int],
-        rng: DeterministicRNG,
-    ) -> List[Ciphertext]:
-        """Encrypt ``L`` bits for one recipient holding ``L`` public keys.
-
-        A single ephemeral scalar ``y`` is reused for every bit, so the
-        ``g**y`` half is computed once: ``L + 1`` exponentiations instead of
-        ``2L``. Requires one *distinct* public key per bit, exactly as the
-        paper describes for [44].
-        """
-        if len(public_keys) != len(bits):
-            raise CryptoError("need exactly one public key per bit")
-        g = self.group
-        y = g.random_scalar(rng)
-        c1 = g.power_of_g(y)
-        out = []
-        for pk, bit in zip(public_keys, bits):
-            if bit not in (0, 1):
-                raise CryptoError("bits must be 0 or 1")
-            c2 = g.mul(g.power_of_g(bit), g.exp(pk, y))
-            out.append(Ciphertext(c1=c1, c2=c2))
-        return out
-
 
 class CountingGroup(CyclicGroup):
     """Wrapper that counts group operations for the cost model.
@@ -232,6 +205,11 @@ class CountingGroup(CyclicGroup):
     def power_of_g(self, exponent: int) -> Any:
         self.exp_count += 1
         return self.inner.power_of_g(exponent)
+
+    def exp_many(self, base: Any, exponents: Sequence[int]) -> List[Any]:
+        # a batch is still one exponentiation per exponent to the cost model
+        self.exp_count += len(exponents)
+        return self.inner.exp_many(base, exponents)
 
     def inv(self, a: Any) -> Any:
         self.inv_count += 1

@@ -13,7 +13,7 @@ so ElGamal and the transfer protocol are generic over the instantiation.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any
+from typing import Any, List, Optional, Sequence
 
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import CryptoError
@@ -87,6 +87,11 @@ class CyclicGroup(ABC):
         precomputation."""
         return self.exp(self.generator, exponent)
 
+    def exp_many(self, base: Any, exponents: Sequence[int]) -> List[Any]:
+        """Return ``[base**e for e in exponents]``; subclasses may share
+        the work that depends only on ``base``."""
+        return [self.exp(base, exponent) for exponent in exponents]
+
     def random_scalar(self, rng: DeterministicRNG) -> int:
         """Return a uniform nonzero scalar in ``[1, q)``."""
         return 1 + rng.randbelow(self.order - 1)
@@ -113,6 +118,8 @@ class SchnorrGroup(CyclicGroup):
     Elements are Python ints in ``[1, p)`` that are quadratic residues.
     ``exp`` maps to native ``pow`` so these groups are fast even in pure
     Python, which makes them the default for the large simulation runs.
+    ``power_of_g`` reads a fixed-base table and ``exp_many`` shares one
+    squaring chain between all the exponents of a base.
     """
 
     def __init__(self, p: int, q: int, g: int, name: str = "schnorr") -> None:
@@ -125,6 +132,7 @@ class SchnorrGroup(CyclicGroup):
         self._g = g
         self.name = name
         self._size = (p.bit_length() + 7) // 8
+        self._g_table: Optional[List[List[int]]] = None
 
     @property
     def generator(self) -> int:
@@ -140,8 +148,64 @@ class SchnorrGroup(CyclicGroup):
     def exp(self, base: int, exponent: int) -> int:
         return pow(base, exponent % self.order, self.p)
 
+    def power_of_g(self, exponent: int) -> int:
+        """``g**exponent`` as a product of table entries, one per non-zero
+        byte of the reduced exponent — a short exponent walks only its own
+        bytes."""
+        exponent %= self.order
+        table = self._g_table or self._build_g_table()
+        p = self.p
+        acc = 1
+        little = exponent.to_bytes((exponent.bit_length() + 7) // 8, "little")
+        for row, byte in zip(table, little):
+            if byte:
+                acc = acc * row[byte] % p
+        return acc
+
+    def _build_g_table(self) -> List[List[int]]:
+        """``table[i][b] = g**(b * 256**i)``, built on first use and kept
+        for the life of the group object (one multiplication per entry)."""
+        p = self.p
+        table = []
+        step = self._g
+        for _ in range((self.order.bit_length() + 7) // 8):
+            row = [1]
+            for _ in range(255):
+                row.append(row[-1] * step % p)
+            table.append(row)
+            step = row[-1] * step % p
+        self._g_table = table
+        return table
+
+    def exp_many(self, base: int, exponents: Sequence[int]) -> List[int]:
+        """One squaring chain ``base**(16**i)`` for the whole batch, then
+        per exponent a bucket (Yao) combine over its hex digits:
+        ``prod_d bucket[d]**d`` by running products, no further squaring."""
+        p = self.p
+        digits = [format(exponent % self.order, "x")[::-1] for exponent in exponents]
+        chain = [base]
+        for _ in range(max(map(len, digits), default=0) - 1):
+            chain.append(pow(chain[-1], 16, p))
+        out = []
+        for hexed in digits:
+            buckets = {}
+            for power, digit in zip(chain, hexed):
+                held = buckets.get(digit)
+                buckets[digit] = power if held is None else held * power % p
+            acc = running = 1
+            for digit in "fedcba987654321":
+                held = buckets.get(digit)
+                if held is not None:
+                    running = running * held % p
+                acc = acc * running % p
+            out.append(acc)
+        return out
+
     def inv(self, a: int) -> int:
-        return pow(a, self.p - 2, self.p)
+        try:
+            return pow(a, -1, self.p)
+        except ValueError:
+            raise CryptoError("element has no inverse modulo p") from None
 
     def is_element(self, a: Any) -> bool:
         return isinstance(a, int) and 0 < a < self.p and pow(a, self.order, self.p) == 1

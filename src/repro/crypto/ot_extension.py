@@ -24,7 +24,7 @@ engine can use it unchanged.
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.crypto.ot import ObliviousTransfer, _mask, _xor
 from repro.crypto.rng import DeterministicRNG

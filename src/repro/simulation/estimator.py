@@ -123,7 +123,9 @@ class ScalabilityEstimator:
     def transfer_seconds(self) -> float:
         """One §3.5 edge transfer (§5.2: linear in k, exponentiations
         dominate). Critical path: a sender member's encryptions, then the
-        endpoints' and receivers' exponentiations."""
+        endpoints' and receivers' exponentiations. ``seconds_per_exp`` is
+        calibrated on variable-base ``group.exp``, so it is an upper bound
+        for the noise (``g`` table) and decrypt (``exp_many``) terms."""
         bits = self.program.fmt.total_bits
         k1 = self.block_size
         exps = k1 * (bits + 1) + k1 * bits + k1 + bits

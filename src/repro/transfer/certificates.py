@@ -28,6 +28,7 @@ __all__ = [
     "MemberKeys",
     "BlockCertificate",
     "build_certificate",
+    "build_certificates",
     "certificate_digest",
     "verify_certificate",
     "generate_member_keys",
@@ -91,6 +92,45 @@ def certificate_digest(group: CyclicGroup, owner: int, edge_slot: int, keys: Seq
     return hasher.digest()
 
 
+def build_certificates(
+    elgamal: ElGamal,
+    signer: SchnorrSigner,
+    tp_key: SigningKeyPair,
+    owner: int,
+    member_keys: Sequence[MemberKeys],
+    neighbor_keys: Sequence[int],
+    rng: DeterministicRNG,
+    first_slot: int = 0,
+) -> List[BlockCertificate]:
+    """Trusted-party construction of a block's certificates, one per
+    neighbor key, for edge slots ``first_slot, first_slot + 1, ...``.
+
+    Every member public key is raised to all of the owner's neighbor keys
+    in one ``exp_many`` call (one base, ``D`` exponents); each slot's table
+    is then signed, slot by slot, in the order the keys were given.
+    """
+    if not member_keys:
+        raise ProtocolError("a certificate needs at least one member")
+    group = elgamal.group
+    for neighbor_key in neighbor_keys:
+        if not (0 < neighbor_key < group.order):
+            raise CryptoError("neighbor key must be a nonzero scalar")
+    # randomized[y][t][slot]
+    randomized = [
+        [group.exp_many(pk, neighbor_keys) for pk in member.publics]
+        for member in member_keys
+    ]
+    certificates = []
+    for index in range(len(neighbor_keys)):
+        keys = [[per_slot[index] for per_slot in member] for member in randomized]
+        edge_slot = first_slot + index
+        signature = signer.sign(tp_key, certificate_digest(group, owner, edge_slot, keys), rng)
+        certificates.append(
+            BlockCertificate(owner=owner, edge_slot=edge_slot, keys=keys, signature=signature)
+        )
+    return certificates
+
+
 def build_certificate(
     elgamal: ElGamal,
     signer: SchnorrSigner,
@@ -101,20 +141,10 @@ def build_certificate(
     neighbor_key: int,
     rng: DeterministicRNG,
 ) -> BlockCertificate:
-    """Trusted-party construction of one block certificate.
-
-    Every member public key is raised to the owner's neighbor key for this
-    edge slot, then the whole table is signed.
-    """
-    if not member_keys:
-        raise ProtocolError("a certificate needs at least one member")
-    randomized = [
-        [elgamal.rerandomize_key(pk, neighbor_key) for pk in member.publics]
-        for member in member_keys
-    ]
-    digest = certificate_digest(elgamal.group, owner, edge_slot, randomized)
-    signature = signer.sign(tp_key, digest, rng)
-    return BlockCertificate(owner=owner, edge_slot=edge_slot, keys=randomized, signature=signature)
+    """The single certificate for ``edge_slot``; see :func:`build_certificates`."""
+    return build_certificates(
+        elgamal, signer, tp_key, owner, member_keys, [neighbor_key], rng, first_slot=edge_slot
+    )[0]
 
 
 def verify_certificate(

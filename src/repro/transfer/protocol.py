@@ -24,12 +24,12 @@ members of ``B_u`` and node ``v`` are linear in ``k``, and each member of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence
 
-from repro.crypto.elgamal import Ciphertext, ExponentialElGamal
+from repro.crypto.elgamal import ExponentialElGamal
 from repro.crypto.rng import DeterministicRNG
-from repro.exceptions import DecryptionError, ProtocolError
+from repro.exceptions import ProtocolError
 from repro.privacy.mechanisms import two_sided_geometric_sample
 from repro.sharing.xor import share_value, xor_all
 from repro.transfer.certificates import BlockCertificate, MemberKeys
@@ -240,17 +240,19 @@ class MessageTransferProtocol:
     def receiver_decrypt(self, aggregate: AggregatedShare, member: MemberKeys) -> int:
         """Decrypt the L noised sums and take parities as fresh share bits.
 
-        Raises :class:`DecryptionError` when a noised sum escapes the dlog
-        window — the Appendix B failure event.
+        Raises :class:`~repro.exceptions.DecryptionError` when a noised sum
+        escapes the dlog window — the Appendix B failure event.
         """
         if len(member.pairs) != self.message_bits:
             raise ProtocolError("receiver key count does not match message bits")
         group = self.elgamal.group
+        # one base, L secrets: c1**(q - x_t) is already the inverse mask
+        masks = group.exp_many(
+            aggregate.c1, [group.order - pair.secret for pair in member.pairs]
+        )
         share = 0
-        for t in range(self.message_bits):
-            secret = member.pairs[t].secret
-            masked = group.mul(aggregate.c2[t], group.inv(group.exp(aggregate.c1, secret)))
-            total = self.elgamal.dlog_table.recover(masked)
+        for t, mask in enumerate(masks):
+            total = self.elgamal.dlog_table.recover(group.mul(aggregate.c2[t], mask))
             share |= (total & 1) << t
         return share
 

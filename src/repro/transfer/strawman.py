@@ -22,7 +22,7 @@ The final protocol (strawman #3 + even geometric noise) lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Sequence, Set, Tuple
+from typing import List, Sequence, Set
 
 from repro.crypto.elgamal import Ciphertext, ExponentialElGamal, KeyPair
 from repro.crypto.rng import DeterministicRNG

@@ -8,7 +8,7 @@ from conftest import scale
 
 from repro.crypto.dlog import BabyStepGiantStep
 from repro.crypto.ec import P256
-from repro.crypto.elgamal import CountingGroup, ElGamal, ExponentialElGamal
+from repro.crypto.elgamal import ElGamal, ExponentialElGamal
 from repro.crypto.group import GROUP_256, TOY_GROUP_64
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import CryptoError, DecryptionError
@@ -129,44 +129,6 @@ class TestReRandomization:
         cts = [eg.encrypt_int(pk_r, v, rng) for v in (5, 6, 7)]
         total = eg.sum_ciphertexts(cts)
         assert eg.decrypt_int(kp.secret, eg.adjust(total, r)) == 18
-
-
-class TestKurosawa:
-    """The §5.1 multi-recipient optimization [44]."""
-
-    def test_bits_roundtrip(self, eg, rng):
-        kps = [eg.keygen(rng) for _ in range(8)]
-        bits = [1, 0, 1, 1, 0, 0, 1, 0]
-        cts = eg.encrypt_bits_kurosawa([kp.public for kp in kps], bits, rng)
-        assert [eg.decrypt_int(kp.secret, ct) for kp, ct in zip(kps, cts)] == bits
-
-    def test_shared_ephemeral(self, eg, rng):
-        kps = [eg.keygen(rng) for _ in range(4)]
-        cts = eg.encrypt_bits_kurosawa([kp.public for kp in kps], [1, 0, 1, 0], rng)
-        assert len({eg.group.element_to_bytes(ct.c1) for ct in cts}) == 1
-
-    def test_saves_exponentiations(self, rng):
-        counting = CountingGroup(TOY_GROUP_64)
-        eg = ExponentialElGamal(counting, dlog_half_width=4)
-        kps = [eg.keygen(rng) for _ in range(8)]
-        counting.reset()
-        eg.encrypt_bits_kurosawa([kp.public for kp in kps], [1] * 8, rng)
-        kurosawa_exps = counting.exp_count
-        counting.reset()
-        for kp in kps:
-            eg.encrypt_int(kp.public, 1, rng)
-        naive_exps = counting.exp_count
-        assert kurosawa_exps < naive_exps
-
-    def test_key_count_mismatch(self, eg, rng):
-        kps = [eg.keygen(rng) for _ in range(3)]
-        with pytest.raises(CryptoError):
-            eg.encrypt_bits_kurosawa([kp.public for kp in kps], [1, 0], rng)
-
-    def test_non_bit_rejected(self, eg, rng):
-        kps = [eg.keygen(rng) for _ in range(2)]
-        with pytest.raises(CryptoError):
-            eg.encrypt_bits_kurosawa([kp.public for kp in kps], [1, 2], rng)
 
 
 class TestOverOtherGroups:
