@@ -18,6 +18,8 @@ CI smoke job asserts on:
   ``ScenarioValidationError`` rejection *before* anything is built or
   charged;
 * a garbage (non-JSON) line — a typed protocol error, never silence;
+* engine runs execute in ``--workers`` worker **processes** forked by the
+  server: they exist while it serves and are gone after it;
 * a clean ``shutdown`` op — the subprocess exits 0 with no orphans.
 
 The script exits non-zero if any of that fails, so CI uses it as the
@@ -38,6 +40,7 @@ from repro.service import ServiceClient, build_session, validate_scenario
 ITERATIONS = 2
 EPSILON = 0.11
 CONCURRENT_CLIENTS = 6
+WORKERS = 2
 
 
 def scenario_doc(name="service-demo", seed=11, epsilon=EPSILON):
@@ -65,7 +68,8 @@ def launch_service():
     env = dict(os.environ)
     env["PYTHONPATH"] = "src"
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.service", "--port", "0", "--budget", "0.5"],
+        [sys.executable, "-m", "repro.service", "--port", "0", "--budget", "0.5",
+         "--workers", str(WORKERS)],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -74,6 +78,22 @@ def launch_service():
     line = proc.stdout.readline().strip()
     assert line.startswith("LISTENING "), f"unexpected announcement: {line!r}"
     return proc, int(line.split()[1])
+
+
+def worker_pids(server_pid):
+    """The server's engine workers: the only children it has."""
+    found = subprocess.run(
+        ["pgrep", "-P", str(server_pid)], capture_output=True, text=True
+    )
+    return [int(pid) for pid in found.stdout.split()]
+
+
+def exists(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 def main() -> None:
@@ -87,6 +107,9 @@ def main() -> None:
     try:
         with ServiceClient("127.0.0.1", port) as client:
             assert client.ping().ok, "service did not answer ping"
+            workers = worker_pids(proc.pid)
+            assert len(workers) == WORKERS, f"expected {WORKERS} workers: {workers}"
+            print(f"  {WORKERS} engine worker processes forked: {workers}")
 
             # -- released scenario: bit-identical to the direct run -------
             first = client.submit(doc).raise_for_status()
@@ -163,7 +186,9 @@ def main() -> None:
             client.shutdown()
         code = proc.wait(timeout=30)
         assert code == 0, f"service exited {code}"
-        print("  shutdown: service subprocess exited 0")
+        orphans = [pid for pid in workers if exists(pid)]
+        assert not orphans, f"workers survived the shutdown: {orphans}"
+        print("  shutdown: service subprocess exited 0, its workers with it")
     finally:
         if proc.poll() is None:
             proc.kill()

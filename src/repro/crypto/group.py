@@ -13,7 +13,7 @@ so ElGamal and the transfer protocol are generic over the instantiation.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import CryptoError
@@ -225,8 +225,20 @@ class SchnorrGroup(CyclicGroup):
     def element_size_bytes(self) -> int:
         return self._size
 
+    def __reduce__(self) -> Tuple[Any, Tuple[int, int, int, str]]:
+        # parameters only (the fixed-base table is a 0.3 MB cache); a named group
+        # unpickles as this process's instance: a worker builds each table once
+        return _restore_group, (self.p, self.order, self._g, self.name)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SchnorrGroup({self.name}, |p|={self.p.bit_length()} bits)"
+
+
+def _restore_group(p: int, q: int, g: int, name: str) -> SchnorrGroup:
+    named = _NAMED_GROUPS.get(name)
+    if named is not None and (named.p, named.order, named.generator) == (p, q, g):
+        return named
+    return SchnorrGroup(p, q, g, name)
 
 
 # Precomputed safe-prime groups (generated offline with Miller-Rabin, 40
@@ -260,6 +272,11 @@ GROUP_512 = SchnorrGroup(
     g=0x4,
     name="schnorr-512",
 )
+
+
+_NAMED_GROUPS = {
+    group.name: group for group in (TOY_GROUP_64, GROUP_160, GROUP_256, GROUP_512)
+}
 
 
 def default_group() -> CyclicGroup:

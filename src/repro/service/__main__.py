@@ -95,7 +95,10 @@ def main(argv: Optional[list] = None) -> int:
         "--workers",
         type=int,
         default=2,
-        help="bound on concurrently-executing engine runs (default 2)",
+        help=(
+            "engine worker processes, forked before the port is bound: a resolved run goes "
+            "out, its result comes back; budget, cache and gates stay here (default 2)"
+        ),
     )
     parser.add_argument(
         "--cache-dir",

@@ -11,7 +11,9 @@ other in-flight request:
 
 1. **Notarize.** Whitelist-validate, canonicalize, resolve, fingerprint.
    A malformed or unwhitelisted document gets a typed ``rejected``
-   response before anything is built further or charged.
+   response before anything is built further or charged. Notarizing is
+   pure, so the last notarizations are kept by canonical text: a re-submit
+   costs a lookup, not a resolve on the thread every client waits behind.
 2. **Single-flight.** If an identical scenario (same notarized
    fingerprint) is already executing, this request *joins* it: no second
    engine run, no second charge — N concurrent identical requests cost
@@ -28,24 +30,33 @@ other in-flight request:
    that subsequently *fails* refunds its pre-charge — nothing was
    released, so nothing was spent — and answers with a typed ``error``.
 
-Execution happens on a bounded worker pool (a ``ThreadPoolExecutor`` of
-``max_workers`` threads; engines are synchronous and their intra-run
-process pools are env-scrubbed, see :mod:`repro.api.pool`). Every
-response is typed from the :class:`~repro.exceptions.ServiceError`
+Execution happens in ``max_workers`` persistent worker **processes**
+(:func:`repro.api.pool.create_executor`: forked in :meth:`start` before
+the listener binds, gone when this process is) — engines are pure
+Python, threads would share one interpreter lock. What crosses the hop,
+pickled over a pipe to a forked child: the notarized ``ResolvedRun`` out,
+the ``RunResult`` and the worker's plan-table counters back. The gates,
+the accountant, the cache, the counters and the response encoding stay
+here; a worker gets ``accountant=None`` and never sees the cache.
+
+Every response is typed from the :class:`~repro.exceptions.ServiceError`
 taxonomy — rejected / over-budget / malformed / failed — **never a
 hang**: any exception a handler can raise is mapped onto a response
 line, and a connection that sends garbage gets an error line, not
-silence.
+silence. A worker that dies mid-run costs every run in flight a typed
+error and an exact refund; the pool is rebuilt for the next submit.
 """
 
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Optional
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from typing import Any, Dict, Optional, Tuple
 
 from repro.api.cache import ScenarioCacheBase
-from repro.api.session import execute_resolved
+from repro.api.pool import create_executor
+from repro.api.session import ResolvedRun, execute_resolved
 from repro.exceptions import (
     DStressError,
     PrivacyBudgetExceeded,
@@ -62,12 +73,14 @@ from repro.service.lineserver import (
     Handler,
     JsonLinesServer,
 )
-from repro.service.scenario_ast import NotarizedScenario, notarize
+from repro.service.scenario_ast import NotarizedScenario, canonical_json, notarize
 
 __all__ = ["StressTestService", "SERVICE_PROTOCOL_VERSION", "result_payload"]
 
 #: Longest request line the service reads unless told otherwise.
 DEFAULT_MAX_LINE_BYTES = 1024 * 1024
+#: Notarizations a service remembers (each holds one resolved network).
+_NOTARIZED_KEPT = 64
 
 #: What a release response carries of a result: the published values and
 #: their provenance, not the run's telemetry. ``releases`` because under
@@ -91,6 +104,13 @@ def result_payload(result: Any) -> Dict[str, Any]:
     return encode_run_fields(result, _PAYLOAD_FIELDS)
 
 
+def _run_in_worker(resolved: ResolvedRun) -> Tuple[Any, int, int]:
+    """Worker entry point: the run, and this worker's ``PLANS`` build/hit deltas."""
+    builds, hits = PLANS.builds, PLANS.hits
+    result = execute_resolved(resolved, accountant=None)
+    return result, PLANS.builds - builds, PLANS.hits - hits
+
+
 class StressTestService(JsonLinesServer):
     """The standing service: submit notarized scenarios, get releases.
 
@@ -105,9 +125,9 @@ class StressTestService(JsonLinesServer):
         :class:`~repro.api.diskcache.PersistentScenarioCache`, or the
         fleet-shared :class:`~repro.service.cachetier.RemoteScenarioCache`.
     max_workers:
-        Bound on concurrently-executing engine runs. Further admitted
-        requests queue on the executor (admission happens first, so the
-        budget semantics are unaffected by queueing order).
+        Worker processes, i.e. the bound on concurrently-executing engine
+        runs. Further admitted requests queue on the executor (admission
+        happens first, so budget semantics are unaffected by queueing order).
     """
 
     def __init__(
@@ -126,9 +146,12 @@ class StressTestService(JsonLinesServer):
         super().__init__(host, port, max_line_bytes=max_line_bytes, name=name)
         self.accountant = accountant
         self.cache = cache
-        self._executor = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix=f"{name}-worker"
-        )
+        self._max_workers = max_workers
+        self._executor: Optional[ProcessPoolExecutor] = None
+        #: circuits compiled / reused, summed over the workers' runs
+        self._plans = {"builds": 0, "hits": 0}
+        #: canonical document text -> its notarization, most recent last
+        self._notarized: Dict[str, NotarizedScenario] = {}
         #: fingerprint -> future resolving to the shared response body;
         #: the single-flight table.
         self._inflight: Dict[str, "asyncio.Future[Dict[str, Any]]"] = {}
@@ -145,9 +168,20 @@ class StressTestService(JsonLinesServer):
 
     # ---------------------------------------------------------- lifecycle --
 
+    async def start(self) -> int:
+        # workers first: forked before there is a socket to inherit
+        self._executor = create_executor(self._max_workers)
+        try:
+            return await super().start()
+        except BaseException:
+            self._executor.shutdown()
+            raise
+
     async def serve_until_closed(self) -> None:
-        await super().serve_until_closed()
-        self._executor.shutdown(wait=True)
+        try:
+            await super().serve_until_closed()
+        finally:
+            self._executor.shutdown(wait=True)
 
     async def _drain(self) -> None:
         # let in-flight runs finish: their futures answer joined waiters
@@ -176,12 +210,22 @@ class StressTestService(JsonLinesServer):
                 "hits": self.cache.hits,
                 "misses": self.cache.misses,
             }
-        # circuits compiled vs reused by this process's runs (repro.mpc.plan)
-        body["plans"] = {"builds": PLANS.builds, "hits": PLANS.hits}
+        body["plans"] = dict(self._plans)
         body["inflight"] = len(self._inflight)
         return body
 
     # ------------------------------------------------------------- submit --
+
+    def _notarize(self, doc: Any) -> NotarizedScenario:
+        try:
+            text = canonical_json(doc)
+        except (ScenarioValidationError, RecursionError):
+            return notarize(doc)  # no key for it: the notary words the refusal
+        notarized = self._notarized.pop(text, None) or notarize(doc)
+        self._notarized[text] = notarized
+        if len(self._notarized) > _NOTARIZED_KEPT:
+            del self._notarized[next(iter(self._notarized))]
+        return notarized
 
     async def _submit(self, request: Dict[str, Any]) -> Dict[str, Any]:
         doc = request.get("scenario")
@@ -189,7 +233,7 @@ class StressTestService(JsonLinesServer):
         # Gate 1: notarize. Bounded by the whitelist caps, so validation
         # on the loop thread cannot be weaponized into a stall.
         try:
-            notarized = notarize(doc)
+            notarized = self._notarize(doc)
         except ScenarioValidationError as exc:
             self.counters["rejected"] += 1
             if metrics is not None:
@@ -263,15 +307,17 @@ class StressTestService(JsonLinesServer):
     async def _execute(
         self, notarized: NotarizedScenario, charge: Any
     ) -> Dict[str, Any]:
-        """Run the engine on the worker pool; store or refund afterwards."""
+        """Run the engine in a worker process; store or refund afterwards."""
         metrics = current_recorder().metrics if current_recorder().enabled else None
         loop = asyncio.get_running_loop()
         self.counters["engine_runs"] += 1
+        executor = self._executor
         try:
-            result = await loop.run_in_executor(
-                self._executor,
-                lambda: execute_resolved(notarized.resolved, accountant=None),
+            result, builds, hits = await loop.run_in_executor(
+                executor, _run_in_worker, notarized.resolved
             )
+            self._plans["builds"] += builds
+            self._plans["hits"] += hits
             # encoded here, not at send time: a result the response cannot
             # carry (ResultFormatError) is a failed release like any other
             body = self._release_body(notarized, result, cached=False)
@@ -284,6 +330,10 @@ class StressTestService(JsonLinesServer):
                 charge.refund()
             if isinstance(exc, DStressError):
                 return self._error_body(type(exc).__name__, str(exc))
+            if isinstance(exc, BrokenProcessPool) and executor is self._executor:
+                # a worker died: every run in flight lands here, the first rebuilds
+                executor.shutdown(wait=True)
+                self._executor = create_executor(self._max_workers)
             return self._error_body("ServiceError", f"engine crashed: {exc}")
         if self.cache is not None:
             self.cache.store(notarized.fingerprint, result)

@@ -1,5 +1,7 @@
 """Tests for Schnorr groups and the group interface."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,6 +76,35 @@ class TestSerialization:
         bad = (TOY_GROUP_64.p - 1).to_bytes(TOY_GROUP_64.element_size_bytes, "big")
         with pytest.raises(CryptoError):
             TOY_GROUP_64.element_from_bytes(bad)
+
+
+class TestPickle:
+    """A group crosses a process boundary as its four parameters: the
+    fixed-base table it may have built stays behind."""
+
+    @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.name)
+    def test_named_group_unpickles_as_the_module_instance(self, group):
+        group.power_of_g(12345)  # builds the table (278 KB pickled at 256 bits)
+        data = pickle.dumps(group)
+        assert len(data) < 1024
+        assert pickle.loads(data) is group
+
+    def test_ad_hoc_group_round_trips_by_value(self):
+        group = SchnorrGroup(TOY_GROUP_64.p, TOY_GROUP_64.order, 16, name="ad-hoc")
+        expected = group.power_of_g(12345)
+        data = pickle.dumps(group)
+        assert len(data) < 1024
+        loaded = pickle.loads(data)
+        assert loaded is not group
+        assert (loaded.p, loaded.order, loaded.generator, loaded.name) == (
+            group.p, group.order, 16, "ad-hoc",
+        )  # fmt: skip
+        assert loaded.power_of_g(12345) == expected
+
+    def test_a_name_alone_does_not_select_the_module_instance(self):
+        impostor = SchnorrGroup(TOY_GROUP_64.p, TOY_GROUP_64.order, 16, name="toy-64")
+        loaded = pickle.loads(pickle.dumps(impostor))
+        assert loaded is not TOY_GROUP_64 and loaded.generator == 16
 
 
 class TestValidation:

@@ -18,6 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import scale
+from tests.test_service_faults import small_doc
+from tests.test_service_server import ServiceHarness
 
 import repro.mpc.plan as plan_module
 from repro import Bank, FinancialNetwork, PrivacyAccountant, Scenario, StressTest
@@ -43,7 +45,7 @@ from repro.mpc.plan import (
     partial_sum_circuit,
 )
 from repro.obs import TraceRecorder, recording
-from repro.service import StressTestService
+from repro.service import build_session, validate_scenario
 
 np = pytest.importorskip("numpy")
 
@@ -277,10 +279,22 @@ class TestPlanTable:
 
 
     def test_counters_are_in_the_service_stats_body(self, fresh_plans):
-        partial_sum_circuit(2, 8, 10)
-        partial_sum_circuit(2, 8, 10)
-        body = StressTestService()._stats_body()
-        assert body["plans"] == {"builds": 1, "hits": 1}
+        # runs execute in the service's worker processes, each with its own
+        # table: the stats body is the sum of what they report back
+        docs = [small_doc(f"plans-{seed}", seed=seed) for seed in (1, 2)]
+        for doc in docs:
+            build_session(validate_scenario(doc)).run(iterations=doc["iterations"])
+        expected = {"builds": fresh_plans.builds, "hits": fresh_plans.hits}
+        assert expected["builds"] > 0 and expected["hits"] > 0
+        fresh_plans.clear()
+        fresh_plans.builds = fresh_plans.hits = 0
+        with ServiceHarness(max_workers=1) as h:
+            with h.client() as c:
+                assert c.stats().body["plans"] == {"builds": 0, "hits": 0}
+                for doc in docs:
+                    c.submit(doc).raise_for_status()
+                assert c.stats().body["plans"] == expected
+        assert (fresh_plans.builds, fresh_plans.hits) == (0, 0)
 
 
 # ----------------------------------------------------------- runs and sweeps --

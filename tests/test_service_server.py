@@ -11,6 +11,7 @@ audit ledger still reconciling bit-for-bit.
 
 import asyncio
 import json
+import multiprocessing
 import socket
 import threading
 import time
@@ -20,7 +21,11 @@ import pytest
 
 import repro.service.server as server_module
 from repro.api.cache import ScenarioCache
-from repro.exceptions import ConvergenceError, PrivacyBudgetExceeded
+from repro.exceptions import (
+    ConvergenceError,
+    PrivacyBudgetExceeded,
+    ScenarioValidationError,
+)
 from repro.privacy.budget import PrivacyAccountant
 from repro.service import (
     ServiceClient,
@@ -30,6 +35,24 @@ from repro.service import (
 )
 
 ITERATIONS = 2
+
+# engine runs execute in worker processes forked from this one: a gate or
+# a call recorder they must share with the test lives in shared memory
+FORK = multiprocessing.get_context("fork")
+
+
+class ForkSharedCalls:
+    """The ``append`` / ``len`` of a list, counted across forked processes."""
+
+    def __init__(self):
+        self._count = FORK.Value("i", 0)
+
+    def append(self, _item):
+        with self._count.get_lock():
+            self._count.value += 1
+
+    def __len__(self):
+        return self._count.value
 
 
 def make_doc(name="svc-test", seed=7, epsilon=0.23, engine="secure"):
@@ -158,10 +181,45 @@ class TestSubmit:
         assert h.service.counters["engine_runs"] == 0
 
 
+class TestNotarizationMemo:
+    """A re-submitted document is notarized once per service: the resolve
+    stays off the loop thread every other client's request waits behind."""
+
+    def test_resubmit_and_reordered_keys_reuse_one_notarization(self):
+        service = StressTestService()
+        doc = make_doc()
+        first = service._notarize(doc)
+        assert service._notarize(make_doc()) is first
+        assert service._notarize(dict(reversed(list(doc.items())))) is first
+        assert service._notarize(make_doc(seed=8)) is not first
+        assert first.fingerprint == server_module.notarize(doc).fingerprint
+
+    def test_refusals_are_worded_by_the_notary_and_not_remembered(self):
+        service = StressTestService()
+        for doc in (make_doc(engine="evil"), make_doc(epsilon=float("nan")), None):
+            for _ in range(2):
+                with pytest.raises(ScenarioValidationError) as refused:
+                    service._notarize(doc)
+                with pytest.raises(ScenarioValidationError) as direct:
+                    server_module.notarize(doc)
+                assert str(refused.value) == str(direct.value)
+        assert not service._notarized
+
+    def test_memo_is_bounded_and_drops_the_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(server_module, "_NOTARIZED_KEPT", 2)
+        service = StressTestService()
+        first = service._notarize(make_doc(seed=1))
+        service._notarize(make_doc(seed=2))
+        assert service._notarize(make_doc(seed=1)) is first  # now the most recent
+        service._notarize(make_doc(seed=3))  # drops seed=2
+        assert len(service._notarized) == 2
+        assert service._notarize(make_doc(seed=1)) is first
+
+
 class TestSingleFlight:
     def test_concurrent_identical_requests_run_once_charge_once(self, monkeypatch):
-        release_gate = threading.Event()
-        calls = []
+        release_gate = FORK.Event()
+        calls = ForkSharedCalls()
         real_execute = server_module.execute_resolved
 
         def gated_execute(resolved, accountant=None):
@@ -205,7 +263,7 @@ class TestSingleFlight:
         """Two in-flight requests whose combined epsilon exceeds the
         remaining budget: one admitted, the loser gets a typed
         over-budget refusal, and the ledger still reconciles."""
-        release_gate = threading.Event()
+        release_gate = FORK.Event()
         real_execute = server_module.execute_resolved
 
         def gated_execute(resolved, accountant=None):
