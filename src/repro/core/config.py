@@ -27,8 +27,8 @@ class DStressConfig:
         Fixed-point format of state registers and messages (``L`` bits).
     group:
         DDH group for ElGamal and OT accounting. The paper deployed
-        secp384r1; the default 256-bit Schnorr group keeps pure-Python
-        runs fast (see DESIGN.md).
+        secp384r1; the default 256-bit Schnorr group keeps runs fast
+        (see DESIGN.md).
     dlog_half_width:
         Decryption window of the exponential-ElGamal table — ``N_l / 2``
         in the Appendix B failure analysis.

@@ -175,6 +175,19 @@ def _child_main(run: ClusterRun, party_id: int, conn) -> None:
         os._exit(1)
 
 
+def _compile_plans(run: ClusterRun) -> None:
+    """Compile the run's circuit plans (:meth:`Engine.compile_plans
+    <repro.api.engines.Engine.compile_plans>`) in this process, before the
+    parties fork: they inherit the plan table copy-on-write instead of
+    each recompiling the same circuits. Whatever fails here fails in every
+    party too, and a party can report it up its pipe; this prelude cannot."""
+    try:
+        resolved = run.build(0).engine(run.engine, **run.engine_options).resolve(run.iterations)
+        resolved.engine.compile_plans(resolved.program, resolved.graph, resolved.config)
+    except Exception:
+        pass
+
+
 def run_scenario_cluster(
     build: ScenarioBuilder,
     *,
@@ -229,6 +242,7 @@ def run_scenario_cluster(
         trace_dir=trace_dir,
         env_allowlist=tuple(env_allowlist),
     )
+    _compile_plans(run)
     ctx = get_context("fork")
     pipes = []
     procs = []

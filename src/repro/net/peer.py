@@ -38,6 +38,7 @@ from repro.net.wire import (
     Frame,
     MessageKind,
     decode_frame,
+    decode_header,
     encode_frame,
 )
 
@@ -62,25 +63,24 @@ async def read_frame(
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
     timeout: Optional[float] = None,
     where: str = "peer",
-) -> Frame:
-    """Read exactly one frame, mapping every failure to the taxonomy.
+) -> Tuple[Frame, int]:
+    """Read exactly one frame, mapping every failure to the taxonomy;
+    returns it with the bytes it took on the wire.
 
-    Reads the fixed header first (so the payload length is known before
-    any payload byte is read — never over-reads into the next frame),
-    refuses oversized declarations via the codec, and distinguishes a
-    clean EOF *between* frames (``PeerDisconnectedError`` naming a closed
-    connection) from an EOF *mid-frame* (a partial read — the connection
-    died while a frame was in flight).
+    Reads the fixed header first and validates it alone — magic, version,
+    kind, declared length against the cap — so garbage and an oversized
+    declaration are refused at eight bytes, before a payload byte is read
+    or buffered for, and the payload read never runs into the next frame.
+    Distinguishes a clean EOF *between* frames (``PeerDisconnectedError``
+    naming a closed connection) from an EOF *mid-frame* (a partial read —
+    the connection died while a frame was in flight).
     """
 
-    async def _read() -> Frame:
+    async def _read() -> Tuple[Frame, int]:
         header = await reader.readexactly(HEADER_BYTES)
-        # Decode the header alone (declared-length + cap check) before
-        # reading the payload, so a hostile length never allocates.
-        _, _, _, length = _header_fields(header)
+        _, length = decode_header(header, max_frame_bytes)
         payload = await reader.readexactly(length) if length else b""
-        frame, _ = decode_frame(header + payload, max_frame_bytes=max_frame_bytes)
-        return frame
+        return decode_frame(header + payload, max_frame_bytes=max_frame_bytes)
 
     try:
         if timeout is not None:
@@ -99,16 +99,6 @@ async def read_frame(
         raise PeerDisconnectedError(f"{where}: connection closed (EOF)") from None
     except (ConnectionResetError, BrokenPipeError) as exc:
         raise PeerDisconnectedError(f"{where}: connection reset: {exc}") from exc
-
-
-def _header_fields(header: bytes) -> Tuple[bytes, int, int, int]:
-    """Split a raw header without validating kind/magic — full validation
-    happens in :func:`~repro.net.wire.decode_frame` once the payload is
-    in hand; here we only need the length to size the payload read. The
-    cap check still runs first so a hostile length is refused unread."""
-    import struct
-
-    return struct.unpack("!2sBBI", header)
 
 
 def write_frame(
@@ -173,7 +163,7 @@ async def expect_hello(
     where: str,
 ) -> int:
     """Read and validate the first frame of a connection (the HELLO)."""
-    frame = await read_frame(
+    frame, _ = await read_frame(
         reader, max_frame_bytes=max_frame_bytes, timeout=timeout, where=where
     )
     return check_hello(

@@ -68,7 +68,6 @@ from repro.net.wire import (
     Frame,
     MessageKind,
     convey_kind,
-    encode_frame,
 )
 from repro.simulation.netsim import TrafficMeter
 
@@ -474,10 +473,10 @@ class TcpTransport(Transport):
     ) -> None:
         try:
             while True:
-                frame = await read_frame(
+                frame, wire_bytes = await read_frame(
                     reader, max_frame_bytes=self.max_frame_bytes, where=label
                 )
-                await self._handle_frame(frame, pid)
+                await self._handle_frame(frame, wire_bytes, pid)
         except asyncio.CancelledError:
             raise
         except PeerDisconnectedError as exc:
@@ -487,12 +486,9 @@ class TcpTransport(Transport):
         except TransportError as exc:  # wire garbage, oversized frame, ...
             self._mark_peer_failed(pid, exc)
 
-    async def _handle_frame(self, frame: Frame, pid: int) -> None:
+    async def _handle_frame(self, frame: Frame, wire_bytes: int, pid: int) -> None:
         self._stats["frames_received"] += 1
-        # the codec is canonical, so re-encoding gives the exact wire size
-        self._stats["bytes_received"] += len(
-            encode_frame(frame, max_frame_bytes=self.max_frame_bytes)
-        )
+        self._stats["bytes_received"] += wire_bytes
         if frame.kind is MessageKind.ROUND_VALUE:
             if not self._run_started.is_set():
                 # mesh startup skew: a fast peer's round-0 frames can land

@@ -81,6 +81,7 @@ __all__ = [
     "MessageKind",
     "Frame",
     "encode_frame",
+    "decode_header",
     "decode_frame",
     "convey_kind",
 ]
@@ -261,28 +262,19 @@ def encode_frame(frame: Frame, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES) -
     return _HEADER.pack(MAGIC, PROTOCOL_VERSION, int(kind), len(payload)) + payload
 
 
-def decode_frame(
-    data: bytes,
-    offset: int = 0,
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-) -> Tuple[Frame, int]:
-    """Decode exactly one frame from ``data[offset:]``.
-
-    Returns ``(frame, next_offset)`` where ``next_offset`` is the first
-    byte *after* the decoded frame — the decoder never reads past the
-    declared length, so trailing bytes (the next frame) are untouched.
-    Truncated buffers, garbage headers, unknown kinds/versions, and
-    oversized declarations all raise a named
-    :class:`~repro.exceptions.WireFormatError`; nothing hangs or
-    silently consumes garbage.
-    """
-    view = memoryview(data)[offset:]
-    if len(view) < HEADER_BYTES:
+def decode_header(
+    header: bytes, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
+) -> Tuple[MessageKind, int]:
+    """Validate the first :data:`HEADER_BYTES` of ``header`` — magic,
+    version, kind, declared length against the cap — and return
+    ``(kind, payload_length)``. Needs no payload byte, so a stream reader
+    refuses a hostile declaration before it reads or buffers for it."""
+    if len(header) < HEADER_BYTES:
         raise WireFormatError(
-            f"truncated frame: {len(view)} bytes cannot hold the "
+            f"truncated frame: {len(header)} bytes cannot hold the "
             f"{HEADER_BYTES}-byte header"
         )
-    magic, version, kind_byte, length = _HEADER.unpack_from(view, 0)
+    magic, version, kind_byte, length = _HEADER.unpack_from(header, 0)
     if magic != MAGIC:
         raise WireFormatError(f"bad magic {bytes(magic)!r}; this is not a DStress frame")
     if version != PROTOCOL_VERSION:
@@ -299,6 +291,26 @@ def decode_frame(
             f"{kind.name} frame declares a {length}-byte payload, over the "
             f"{max_frame_bytes}-byte frame cap"
         )
+    return kind, length
+
+
+def decode_frame(
+    data: bytes,
+    offset: int = 0,
+    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
+) -> Tuple[Frame, int]:
+    """Decode exactly one frame from ``data[offset:]``.
+
+    Returns ``(frame, next_offset)`` where ``next_offset`` is the first
+    byte *after* the decoded frame — the decoder never reads past the
+    declared length, so trailing bytes (the next frame) are untouched.
+    Truncated buffers, garbage headers, unknown kinds/versions, and
+    oversized declarations all raise a named
+    :class:`~repro.exceptions.WireFormatError`; nothing hangs or
+    silently consumes garbage.
+    """
+    view = memoryview(data)[offset:]
+    kind, length = decode_header(view, max_frame_bytes)
     if len(view) < HEADER_BYTES + length:
         raise WireFormatError(
             f"truncated {kind.name} frame: header declares {length} payload "

@@ -125,7 +125,7 @@ class ScalabilityEstimator:
         dominate). Critical path: a sender member's encryptions, then the
         endpoints' and receivers' exponentiations. ``seconds_per_exp`` is
         calibrated on variable-base ``group.exp``, so it is an upper bound
-        for the noise (``g`` table) and decrypt (``exp_many``) terms."""
+        for the ``g``-table terms (noise, ``g^y``)."""
         bits = self.program.fmt.total_bits
         k1 = self.block_size
         exps = k1 * (bits + 1) + k1 * bits + k1 + bits

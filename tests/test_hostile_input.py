@@ -19,7 +19,14 @@ from hypothesis import strategies as st
 
 from repro.api import PersistentScenarioCache, RunResult
 from repro.api.cache import ScenarioCache
-from repro.exceptions import ResultFormatError, ServiceError, WireFormatError
+from repro.exceptions import (
+    FrameTooLargeError,
+    PeerDisconnectedError,
+    ResultFormatError,
+    ServiceError,
+    WireFormatError,
+)
+from repro.net.peer import read_frame
 from repro.net.wire import (
     HEADER_BYTES,
     MAGIC,
@@ -219,6 +226,60 @@ class TestRoundValue:
             Frame(kind=MessageKind.ROUND_VALUE, src=1, dst=2, round_index=3),
             HEADER_BYTES + 14 + 1,
         )
+
+
+# ------------------------------------------- (iv) frame headers off a stream --
+
+
+def _read_from_stream(fed: bytes, eof: bool = False, **kwargs):
+    """``read_frame`` against a stream that has received exactly ``fed``
+    (and, without ``eof``, stays open): a reader that waits for more than
+    the header to refuse a frame runs into the timeout instead."""
+
+    async def scenario():
+        reader = asyncio.StreamReader()
+        reader.feed_data(fed)
+        if eof:
+            reader.feed_eof()
+        return await read_frame(reader, timeout=2.0, **kwargs)
+
+    return asyncio.run(scenario())
+
+
+class TestReadFrame:
+    def test_an_oversized_declaration_is_refused_on_the_header_alone(self):
+        header = struct.pack(
+            "!2sBBI", MAGIC, PROTOCOL_VERSION, int(MessageKind.CRYPTO), 2**31
+        )
+        with pytest.raises(FrameTooLargeError, match="2147483648-byte payload"):
+            _read_from_stream(header, max_frame_bytes=1 << 20)
+
+    @pytest.mark.parametrize(
+        "header, complaint",
+        [
+            (struct.pack("!2sBBI", b"XX", PROTOCOL_VERSION, 2, 64), "bad magic"),
+            (struct.pack("!2sBBI", MAGIC, PROTOCOL_VERSION + 1, 2, 64), "protocol version"),
+            (struct.pack("!2sBBI", MAGIC, PROTOCOL_VERSION, 99, 64), "unknown message kind"),
+        ],
+    )
+    def test_a_garbage_header_is_refused_at_eight_bytes(self, header, complaint):
+        with pytest.raises(WireFormatError, match=complaint):
+            _read_from_stream(header)
+
+    def test_eof_mid_frame_is_a_disconnect(self):
+        data = _round_value_frame(b"\x03")
+        with pytest.raises(PeerDisconnectedError, match="mid-frame"):
+            _read_from_stream(data[:-3], eof=True)
+        with pytest.raises(PeerDisconnectedError, match="mid-frame"):
+            _read_from_stream(data[:5], eof=True)
+        with pytest.raises(PeerDisconnectedError, match=r"closed \(EOF\)"):
+            _read_from_stream(b"", eof=True)
+
+    def test_a_whole_frame_comes_back_with_its_wire_size(self):
+        data = _round_value_frame(b"\x03")
+        frame, wire_bytes = _read_from_stream(data + b"next frame")
+        assert frame == Frame(kind=MessageKind.ROUND_VALUE, src=1, dst=2, round_index=3)
+        assert wire_bytes == len(data)
 
 
 # ------------------------------------------------- nothing is ever executed --
