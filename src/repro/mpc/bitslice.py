@@ -1,18 +1,20 @@
-"""Bit-sliced GMW: whole gate layers as numpy ``uint64`` lane operations.
+"""Bit-sliced GMW: whole AND rounds as numpy ``uint64`` lane operations.
 
 The scalar :class:`~repro.mpc.gmw.GMWEngine` evaluates one gate of one
 circuit instance per Python step. This module packs the same computation
 across *instances*: lane ``l`` of every wire word is circuit instance
 ``l`` (``l // 64`` selects the word, ``l % 64`` the bit), so a batch of
-``L`` instances occupies ``ceil(L / 64)`` words per wire per party::
+``L`` instances occupies ``ceil(L / 64)`` words per slot per party::
 
-    wires : uint64[num_wires, parties, words]      bit l of word w  =
-    lane layout (one wire, one party):             instance 64*w + l
+    slots : uint64[num_slots, parties, words]      bit l of word w  =
+    lane layout (one slot, one party):             instance 64*w + l
         word 0: | inst 63 ... inst 1 inst 0 |
         word 1: | inst 127 ... inst 65 inst 64 | (tail bits forced to 0)
 
-A whole :class:`~repro.mpc.circuit.CircuitLayer` of XOR gates is then one
-array XOR; an AND layer is a handful of broadcast ANDs/XOR-reductions.
+The circuit runs as its :class:`~repro.mpc.circuit.StageSchedule`: per AND
+round one XOR phase (one gather + one ``bitwise_xor.reduceat`` into a
+contiguous slice of the slot cube) and one AND phase (two gathers, a
+broadcast AND, one in-place XOR onto the round's pre-placed masks).
 
 **Offline/online split.** All per-gate randomness is drawn in an offline
 phase (:class:`OfflinePoolBuilder`) *before* any gate is evaluated, in
@@ -21,18 +23,20 @@ exactly the byte order the scalar engine would draw it — the same
 are the scalar ``randbit()`` results (``randbit`` == ``randbits(1)``
 consumes one byte and keeps its top bit). Pools are sized from the
 circuit's compiled plan (the AND count :func:`repro.mpc.cost.gmw_cost`
-reports) and indexed by AND-gate *ordinal* in gate-list order, so the online phase may evaluate layers in any order
-while every gate consumes the same random bits as its scalar twin. The
+reports) and indexed by AND-gate *ordinal* in gate-list order, so the
+online phase may evaluate the gates in stage order while every gate
+consumes the same random bits as its scalar twin. The
 result: output shares — not just revealed outputs — and per-pair traffic
 are bit-identical to the scalar transcript. The online phase touches no
 RNG at all, so its latency is pure lane arithmetic (wire-bound once a
 real transport carries the precomputed masks).
 
-**Compile once.** Everything derived from the gate list — statistics,
-layer schedule, the numpy index vectors — lives on the circuit's
-:class:`~repro.mpc.circuit.CircuitPlan`: the first use compiles (and
-seals) the circuit, every later batch reads the plan. Circuits that come
-from the process-wide table (:mod:`repro.mpc.plan`) arrive compiled.
+**Compile once.** Everything derived from the gate list — statistics and
+the stage schedule with its index vectors — is built by
+:meth:`Circuit.compile <repro.mpc.circuit.Circuit.compile>` onto the
+circuit's :class:`~repro.mpc.circuit.CircuitPlan`: the first use compiles
+(and seals) an ad-hoc circuit, circuits from the process-wide table
+(:mod:`repro.mpc.plan`) arrive compiled, and a forked worker inherits both.
 
 Requires numpy (an optional dependency: the core library stays pure
 stdlib); constructing :class:`BitslicedGMWEngine` without it raises
@@ -51,7 +55,7 @@ from repro.exceptions import (
     OfflinePoolExhaustedError,
     ProtocolError,
 )
-from repro.mpc.circuit import Circuit, CircuitLayer, CircuitStats, GateOp
+from repro.mpc.circuit import Circuit, CircuitStats
 from repro.mpc.gmw import GMWEngine, GMWResult, GMWTraffic
 
 try:  # pragma: no cover - exercised implicitly by every import site
@@ -172,8 +176,9 @@ class OfflinePools:
     ``ot_masks[g, i, j]`` holds, for AND ordinal ``g``, the mask bit party
     ``i`` drew as OT *sender* toward receiver ``j`` (diagonal zero), one
     lane per instance. In beaver mode ``triple_a/b/c[g, p]`` hold party
-    ``p``'s share of the dealer triple. Consumption is tracked per gate
-    ordinal; re-use or out-of-range access raises
+    ``p``'s share of the dealer triple. A pool is single-use: the online
+    phase takes all of it at once, in its schedule's gate order, and
+    re-use or an ordinal outside the pool raises
     :class:`OfflinePoolExhaustedError`.
     """
 
@@ -213,12 +218,18 @@ class OfflinePools:
         self._consumed[ordinals] = True
 
     def take_ot(self, ordinals: "np.ndarray") -> "np.ndarray":
+        """Claim ``ordinals`` (a schedule's ``and_order``) and return, in
+        that order, each gate's masks folded per party: what party ``p``
+        drew as sender XOR what it receives, ``(gates, n, words)``."""
         if self.mode != "ot" or self.ot_masks is None:
             raise OfflinePoolExhaustedError(
                 f"pool holds {self.mode!r}-mode randomness, not OT masks"
             )
         self._claim(ordinals)
-        return self.ot_masks[ordinals]
+        masks = self.ot_masks
+        folded = np.bitwise_xor.reduce(masks, axis=2)  # party as sender
+        folded ^= np.bitwise_xor.reduce(masks, axis=1)  # party as receiver
+        return folded[ordinals]
 
     def take_beaver(
         self, ordinals: "np.ndarray"
@@ -334,31 +345,8 @@ class OfflinePoolBuilder:
 
 
 # ---------------------------------------------------------------------------
-# Layer schedule and bus kernels
+# Bus kernels
 # ---------------------------------------------------------------------------
-
-
-class _LayerArrays:
-    """A :class:`CircuitLayer` with its gate indices as ready-made numpy
-    index vectors (fancy-indexing the wire cube gate-batch at a time)."""
-
-    __slots__ = ("op", "a", "b", "out", "ordinals")
-
-    def __init__(self, layer: CircuitLayer) -> None:
-        self.op = layer.op
-        self.a = np.asarray([g.a for g in layer.gates], dtype=np.intp)
-        self.b = np.asarray([g.b for g in layer.gates], dtype=np.intp)
-        self.out = np.asarray([g.out for g in layer.gates], dtype=np.intp)
-        self.ordinals = np.asarray(layer.and_ordinals, dtype=np.intp)
-
-
-def _lane_layers(circuit: Circuit) -> List[_LayerArrays]:
-    """The compiled schedule's index vectors, built on first use and kept
-    on the plan (so every later batch, run and thread reuses them)."""
-    plan = circuit.compile()
-    if plan.lane_layers is None:
-        plan.lane_layers = [_LayerArrays(layer) for layer in plan.layers]
-    return plan.lane_layers
 
 
 def _bus_bits(values: Sequence[Sequence[int]], width: int) -> "np.ndarray":
@@ -410,7 +398,7 @@ class BitslicedGMWEngine(GMWEngine):
 
     ``evaluate`` matches the scalar engine bit-for-bit (output shares,
     traffic, OT stats, RNG stream consumption); ``evaluate_batch`` runs
-    many instances of one circuit with amortized layer evaluation. The
+    many instances of one circuit for the price of one stage walk. The
     OT backend must be the rng-silent
     :class:`~repro.crypto.ot.SimulatedObliviousTransfer`: a backend that
     consumes party randomness per transfer (DDH, IKNP extension) would
@@ -495,56 +483,56 @@ class BitslicedGMWEngine(GMWEngine):
         if lanes == 0:
             return []
 
-        layers = _lane_layers(circuit)
+        schedule = circuit.compile().schedule
         words = lane_words(lanes)
-        ones = _tail_mask(lanes)  # canonical all-ones lane vector
+        and_lo, and_hi = schedule.and_lo, schedule.and_hi
 
-        wires = np.zeros((circuit.num_wires, n, words), dtype=np.uint64)
-        wires[circuit.one, 0, :] = ones
+        # slots[:and_lo] primaries, [and_lo:and_hi] AND outputs (seeded with
+        # each gate's share of the offline randomness), then kept XOR wires
+        slots = np.empty((schedule.num_slots, n, words), dtype=np.uint64)
+        slots[:and_lo] = 0
+        slots[circuit.one, 0, :] = _tail_mask(lanes)  # canonical all-ones lanes
+        for name, bus_slots in schedule.input_slots.items():
+            bits = _bus_bits([inputs[name] for inputs in shared_inputs_list], len(bus_slots))
+            slots[bus_slots] = pack_lane_axis(bits)
+        ot = self.mode == "ot"
+        if ot:
+            slots[and_lo:and_hi] = pools.take_ot(schedule.and_order)
+        else:
+            triple_a, triple_b, slots[and_lo:and_hi] = pools.take_beaver(schedule.and_order)
 
-        for name, bus in circuit.input_buses.items():
-            bits = _bus_bits([inputs[name] for inputs in shared_inputs_list], len(bus))
-            wires[np.asarray(bus, dtype=np.intp)] = pack_lane_axis(bits)
-
-        for layer in layers:
-            if layer.op is GateOp.XOR:
-                wires[layer.out] = wires[layer.a] ^ wires[layer.b]
-            elif layer.op is GateOp.NOT:
-                flipped = wires[layer.a]  # fancy index -> copy
-                flipped[:, 0, :] ^= ones
-                wires[layer.out] = flipped
-            else:
-                x = wires[layer.a]  # (gates, n, words)
-                y = wires[layer.b]
-                if self.mode == "ot":
-                    masks = pools.take_ot(layer.ordinals)  # (gates, n, n, words)
-                    sum_x = np.bitwise_xor.reduce(x, axis=1)  # (gates, words)
-                    z = sum_x[:, None, :] & y
-                    z ^= np.bitwise_xor.reduce(masks, axis=2)  # party as sender
-                    z ^= np.bitwise_xor.reduce(masks, axis=1)  # party as receiver
+        xor = np.bitwise_xor
+        for gather, starts, xor_lo, xor_hi, and_a, and_b, lo, hi in schedule.stages:
+            if xor_hi > xor_lo:
+                xor.reduceat(slots[gather], starts, axis=0, out=slots[xor_lo:xor_hi])
+            if hi > lo:
+                x = slots[and_a]  # (gates, n, words)
+                y = slots[and_b]
+                z = slots[lo:hi]
+                if ot:
+                    z ^= xor.reduce(x, axis=1)[:, None, :] & y
                 else:
-                    a, b, c = pools.take_beaver(layer.ordinals)  # (gates, n, words)
-                    d = np.bitwise_xor.reduce(x ^ a, axis=1)  # opened masks
-                    e = np.bitwise_xor.reduce(y ^ b, axis=1)
-                    z = c ^ (d[:, None, :] & b) ^ (e[:, None, :] & a)
+                    a, b = triple_a[lo - and_lo : hi - and_lo], triple_b[lo - and_lo : hi - and_lo]
+                    d = xor.reduce(x ^ a, axis=1)  # opened masks
+                    e = xor.reduce(y ^ b, axis=1)
+                    z ^= (d[:, None, :] & b) ^ (e[:, None, :] & a)
                     z[:, 0, :] ^= d & e
-                wires[layer.out] = z
 
-        return self._collect_results(circuit, wires, lanes)
+        return self._collect_results(circuit, slots, lanes)
 
     def _collect_results(
-        self, circuit: Circuit, wires: "np.ndarray", lanes: int
+        self, circuit: Circuit, slots: "np.ndarray", lanes: int
     ) -> List[GMWResult]:
         n = self.num_parties
-        stats = circuit.compile().stats
+        plan = circuit.compile()
+        stats = plan.stats
         self._record_bulk_ot_stats(stats.and_gates * lanes)
 
         bus_shares: Dict[str, List[List[int]]] = {}  # name -> [lane][party]
         bus_widths: Dict[str, int] = {}
-        for name, bus in circuit.output_buses.items():
-            bits = unpack_lane_axis(wires[np.asarray(bus, dtype=np.intp)], lanes)
-            bus_shares[name] = _bus_values(bits)
-            bus_widths[name] = len(bus)
+        for name, bus_slots in plan.schedule.output_slots.items():
+            bus_shares[name] = _bus_values(unpack_lane_axis(slots[bus_slots], lanes))
+            bus_widths[name] = len(bus_slots)
 
         return [
             GMWResult(

@@ -5,12 +5,18 @@ fixed-point addition, subtraction, comparison, multiplication and division.
 This module lowers those operations onto the Boolean IR in
 :mod:`repro.mpc.circuit` using standard constructions:
 
-* ripple-carry adders (2 AND gates per bit),
-* two's-complement subtraction and negation,
-* borrow-based unsigned/signed comparators,
-* shift-and-add multipliers,
-* restoring long division,
+* ripple-carry adders (1 AND gate per bit: ``carry' = c ^ ((a^c) & (b^c))``;
+  a wrapping add never builds the carry out of its top bit),
+* two's-complement subtraction and sign-conditional negation (one
+  half-adder chain, no multiplexer),
+* borrow-based comparators (signed = unsigned with the sign bits flipped),
+* shift-and-add multipliers that build only the product bits asked for,
+* restoring long division whose row ``k`` is ``k + 1`` bits wide,
 * 1-AND-per-bit multiplexers.
+
+AND gates are what GMW pays for (one OT per ordered party pair each, one
+round per AND layer), so every construction here is sized by its AND count
+and AND depth; ``tests/test_circuit_bill.py`` pins both per primitive.
 
 Buses are lists of wire ids, least-significant bit first. All operations
 are data-oblivious by construction — there is no data-dependent control
@@ -97,11 +103,11 @@ class CircuitBuilder:
     # -- addition / subtraction ---------------------------------------------
 
     def _full_adder(self, a: int, b: int, carry: int) -> Tuple[int, int]:
-        """Return (sum, carry_out); 2 AND gates."""
+        """Return (sum, carry_out); 1 AND gate."""
         c = self.circuit
-        a_xor_b = c.xor(a, b)
-        total = c.xor(a_xor_b, carry)
-        carry_out = c.xor(c.and_(a, b), c.and_(carry, a_xor_b))
+        a_xor_c = c.xor(a, carry)
+        total = c.xor(a_xor_c, b)
+        carry_out = c.xor(carry, c.and_(a_xor_c, c.xor(b, carry)))
         return total, carry_out
 
     def add(self, a: Bus, b: Bus, width: Optional[int] = None, carry_in: Optional[int] = None) -> Bus:
@@ -111,12 +117,11 @@ class CircuitBuilder:
             width = max(len(a), len(b))
         a = self.zero_extend(self.truncate(a, width), width)
         b = self.zero_extend(self.truncate(b, width), width)
-        carry = carry_in if carry_in is not None else self.circuit.zero
-        out = []
-        for x, y in zip(a, b):
-            bit, carry = self._full_adder(x, y, carry)
-            out.append(bit)
-        return out
+        if not width:
+            return []
+        c = self.circuit
+        out, carry = self.add_with_carry(a[:-1], b[:-1], carry_in)
+        return out + [c.xor(c.xor(a[-1], carry), b[-1])]
 
     def add_with_carry(self, a: Bus, b: Bus, carry_in: Optional[int] = None) -> Tuple[Bus, int]:
         """Like :meth:`add` but also returns the final carry-out wire."""
@@ -132,7 +137,14 @@ class CircuitBuilder:
 
     def negate(self, a: Bus) -> Bus:
         """Two's-complement negation: ``~a + 1``."""
-        return self.add(self.bitwise_not(a), self.const_bus(1, len(a)))
+        return self.negate_if(self.circuit.one, a)
+
+    def negate_if(self, negative: int, a: Bus) -> Bus:
+        """``-a`` where the wire ``negative`` is 1, else ``a``:
+        ``(a ^ negative) + negative``, one AND per bit and no mux."""
+        c = self.circuit
+        flipped = [c.xor(x, negative) for x in a]
+        return self.add(flipped, self.const_bus(0, len(a)), carry_in=negative)
 
     def sub(self, a: Bus, b: Bus, width: Optional[int] = None) -> Bus:
         """Two's-complement subtraction ``a - b`` (wraparound)."""
@@ -163,15 +175,9 @@ class CircuitBuilder:
         a = self.sign_extend(a, width)
         b = self.sign_extend(b, width)
         c = self.circuit
-        sign_a, sign_b = a[-1], b[-1]
-        unsigned_lt = self.lt_unsigned(a, b)
-        signs_differ = c.xor(sign_a, sign_b)
-        # If the signs differ, a < b iff a is the negative one; otherwise
-        # the unsigned comparison is already correct.
-        return c.xor(
-            c.and_(signs_differ, sign_a),
-            c.and_(c.inv(signs_differ), unsigned_lt),
-        )
+        # adding 2**(width-1) to both (flip the sign bits) maps signed
+        # order onto unsigned order
+        return self.lt_unsigned(a[:-1] + [c.inv(a[-1])], b[:-1] + [c.inv(b[-1])])
 
     def eq(self, a: Bus, b: Bus) -> int:
         """Wire that is 1 iff ``a == b``."""
@@ -246,7 +252,7 @@ class CircuitBuilder:
 
     def abs_signed(self, a: Bus) -> Bus:
         """Absolute value of a two's-complement bus."""
-        return self.mux(self.is_negative(a), self.negate(a), a)
+        return self.negate_if(self.is_negative(a), a)
 
     def relu(self, a: Bus) -> Bus:
         """``max(a, 0)`` for a signed bus — used for shortfall clamping."""
@@ -254,50 +260,64 @@ class CircuitBuilder:
 
     # -- multiplication ----------------------------------------------------------
 
-    def mul_full(self, a: Bus, b: Bus) -> Bus:
-        """Unsigned product of widths |a| and |b|, width |a|+|b|."""
-        total_width = len(a) + len(b)
-        accumulator = self.const_bus(0, total_width)
-        for position, b_bit in enumerate(b):
-            row = [self.circuit.and_(a_bit, b_bit) for a_bit in a]
-            shifted = self.zero_extend(self.shift_left_const(row, position), total_width)
-            accumulator = self.add(accumulator, shifted, width=total_width)
+    def mul_full(self, a: Bus, b: Bus, width: Optional[int] = None) -> Bus:
+        """Unsigned product of widths |a| and |b|: its low ``width`` bits
+        (default all |a|+|b|). Partial products and adder cells that could
+        only reach a bit at or above ``width`` are never built."""
+        if width is None:
+            width = len(a) + len(b)
+        accumulator = self.const_bus(0, width)
+        for position, b_bit in enumerate(b[:width]):
+            row = [self.circuit.and_(a_bit, b_bit) for a_bit in a[: width - position]]
+            shifted = self.zero_extend(self.shift_left_const(row, position), width)
+            accumulator = self.add(accumulator, shifted, width=width)
         return accumulator
 
     def mul_full_signed(self, a: Bus, b: Bus) -> Bus:
         """Signed product via sign-and-magnitude around the unsigned core."""
-        width = len(a) + len(b)
         sign = self.circuit.xor(a[-1], b[-1])
         product = self.mul_full(self.abs_signed(a), self.abs_signed(b))
-        return self.mux(sign, self.negate(product), self.truncate(product, width))
+        return self.negate_if(sign, product)
 
     def mul(self, a: Bus, b: Bus, width: Optional[int] = None) -> Bus:
         """Unsigned product truncated to ``width`` (default max operand)."""
         if width is None:
             width = max(len(a), len(b))
-        return self.truncate(self.mul_full(a, b), width)
+        return self.mul_full(a, b, width=width)
 
     # -- division ------------------------------------------------------------------
 
     def div_unsigned(self, dividend: Bus, divisor: Bus) -> Tuple[Bus, Bus]:
         """Restoring long division; returns (quotient, remainder).
 
-        Quotient has the dividend's width, remainder the divisor's. The
-        behaviour on divisor == 0 is quotient of all ones (the comparison
-        never restores), which callers guard with an explicit mux when a
-        zero divisor is possible — data-oblivious code cannot raise.
+        Quotient has the dividend's width, remainder the divisor's. Row
+        ``k`` (from the dividend's top bit) holds a running remainder
+        below ``2**(k+1)``, so it subtracts and restores ``k + 1`` bits
+        only (at most ``len(divisor) + 1``), against the divisor's low
+        ``k + 1`` bits; a divisor with a higher bit set cannot fit, which
+        one AND chain over the divisor, built once, tells every row.
+
+        The behaviour on divisor == 0 is quotient of all ones (the
+        comparison never restores) and the dividend's low bits as the
+        remainder, which callers guard with an explicit mux when a zero
+        divisor is possible — data-oblivious code cannot raise.
         """
-        reg_width = len(divisor) + 1
-        remainder = self.const_bus(0, reg_width)
-        divisor_ext = self.zero_extend(divisor, reg_width)
-        quotient_bits: List[int] = [self.circuit.zero] * len(dividend)
+        c = self.circuit
+        width = len(divisor)
+        # fits[j] is 1 iff divisor < 2**j, i.e. divisor bits >= j are zero
+        fits = [c.one] * (width + 2)
+        for j in range(width - 1, 0, -1):
+            fits[j] = c.and_(fits[j + 1], c.inv(divisor[j]))
+        remainder: Bus = []
+        quotient_bits: List[int] = [c.zero] * len(dividend)
         for position in range(len(dividend) - 1, -1, -1):
-            shifted = [dividend[position]] + remainder[:-1]
-            difference, borrow = self.sub_with_borrow(shifted, divisor_ext)
-            q_bit = self.circuit.inv(borrow)
+            shifted = ([dividend[position]] + remainder)[: width + 1]
+            live = len(shifted)
+            difference, borrow = self.sub_with_borrow(shifted, divisor[:live])
+            q_bit = c.and_(c.inv(borrow), fits[live])
             quotient_bits[position] = q_bit
             remainder = self.mux(q_bit, difference, shifted)
-        return quotient_bits, self.truncate(remainder, len(divisor))
+        return quotient_bits, self.zero_extend(remainder, width + 1)[:width]
 
     # -- debugging helpers -------------------------------------------------------------
 

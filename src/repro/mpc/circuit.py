@@ -12,19 +12,25 @@ for the cost model are the AND count and the AND *depth* (round count).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.exceptions import CircuitError
+
+try:  # optional: only the stage schedule's index vectors use it
+    import numpy as _np
+except ImportError:  # pragma: no cover - container always ships numpy
+    _np = None  # type: ignore[assignment]
 
 __all__ = [
     "GateOp",
     "Gate",
     "Circuit",
     "CircuitStats",
-    "CircuitLayer",
     "CircuitPlan",
+    "Stage",
+    "StageSchedule",
     "layerize",
 ]
 
@@ -37,8 +43,7 @@ class GateOp(Enum):
     NOT = "not"
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     """One gate: ``out = op(a, b)`` (``b`` unused for NOT)."""
 
     op: GateOp
@@ -62,70 +67,213 @@ class CircuitStats:
         return self.xor_gates + self.and_gates + self.not_gates
 
 
-@dataclass
-class CircuitLayer:
-    """One batch of like-typed gates whose inputs all come from earlier
-    layers — the unit a bit-sliced evaluator executes as a single array op.
+class Stage(NamedTuple):
+    """One AND round of a :class:`StageSchedule`: an XOR phase, then an AND
+    phase, each writing one contiguous slice of the slot array.
 
-    ``and_ordinals[k]`` is the position of ``gates`` entry ``k`` among the
-    circuit's AND gates *in gate-list order* (empty for XOR/NOT layers).
+    XOR phase: slot ``xor_lo + k`` is the XOR of the slots
+    ``gather[starts[k]:starts[k + 1]]`` (every segment non-empty: the
+    constant zero is the one-element segment ``[0]``). AND phase: slot
+    ``and_lo + k`` is ``and_a[k] & and_b[k]``. Every index read was
+    written by an earlier phase.
+    """
+
+    gather: Sequence[int]
+    starts: Sequence[int]
+    xor_lo: int
+    xor_hi: int
+    and_a: Sequence[int]
+    and_b: Sequence[int]
+    and_lo: int
+    and_hi: int
+
+
+class StageSchedule(NamedTuple):
+    """A circuit as ``and_depth + 1`` :class:`Stage` s over a dense slot array.
+
+    Only wires somebody has to hold get a slot: the primary wires (the two
+    constants and the inputs — slot 0 is the constant 0, slot 1 the
+    constant 1), every AND output, and the XOR/NOT wires that are an AND
+    operand, a circuit output or read by a gate of a later AND round. Every
+    other free gate is folded into the XOR sets of the slots that read it
+    (a NOT is the constant-one slot in the set, ``x ^ x`` cancels).
+
+    Slots are numbered ``[primaries | AND outputs | kept XOR wires]``, the
+    last two in stage order, so each phase writes a contiguous slice and
+    the AND outputs as a whole are the slice ``and_lo:and_hi``, row ``k``
+    of which belongs to AND ordinal ``and_order[k]`` *in gate-list order*.
     The scalar engine draws per-gate randomness in gate-list order, so the
-    ordinal is the index into an offline-precomputed randomness pool: a
-    layered schedule may evaluate AND gates in any order without shifting
-    which random bits each gate consumes.
+    ordinal is the index into an offline-precomputed randomness pool: the
+    schedule reorders the gates without shifting which random bits each
+    one consumes. ``and_order`` is a permutation of ``range(and_gates)``
+    (checked when the schedule is built), which is what lets the pool's
+    single-use check run once per batch.
+
+    The index vectors are numpy ``intp`` arrays when numpy is importable
+    (the one consumer, :mod:`repro.mpc.bitslice`, requires it) and tuples
+    otherwise.
     """
 
-    level: int
-    op: GateOp
-    gates: List[Gate] = field(default_factory=list)
-    and_ordinals: List[int] = field(default_factory=list)
+    num_slots: int
+    stages: List[Stage]
+    and_lo: int
+    and_hi: int
+    and_order: Sequence[int]
+    input_slots: Dict[str, Sequence[int]]
+    output_slots: Dict[str, Sequence[int]]
 
 
-def layerize(circuit: "Circuit") -> List[CircuitLayer]:
-    """Group ``circuit.gates`` into a layered topological schedule.
+def _index_vector(values: Sequence[int]) -> Any:
+    if _np is None:
+        return tuple(values)
+    return _np.asarray(values, dtype=_np.intp)
 
-    Every gate (including the free XOR/NOT gates — a chain ``a^b^c^d``
-    must still evaluate in dependency order) is assigned level
-    ``1 + max(level of inputs)``, with input/constant wires at level 0;
-    gates sharing a ``(level, op)`` bucket are independent and can run as
-    one batched operation. Buckets are emitted in ascending level order,
-    ties broken by first appearance in the gate list, so the schedule is
-    deterministic and evaluating layers in order respects every wire
-    dependency.
+
+_PRIMARY, _AND, _FOLDED, _KEPT = range(4)
+_ONE = frozenset((1,))
+
+
+def layerize(circuit: "Circuit") -> StageSchedule:
+    """Schedule ``circuit.gates`` as one XOR phase + one AND phase per AND
+    round (see :class:`StageSchedule`).
+
+    One walk of the gate list assigns every wire its AND depth, marks the
+    free-gate outputs that need a slot and carries, per free-gate output,
+    the set of slot-holding wires whose XOR it is: an operand of the same
+    depth contributes its own set, an operand of a lower depth is kept and
+    contributes itself — so a set only names slots an earlier phase wrote.
     """
-    level = [0] * circuit.num_wires
-    buckets: Dict[tuple, CircuitLayer] = {}  # keyed (level, op), insertion-ordered
-    and_ordinal = 0
+    num_wires = circuit.num_wires
+    and_op, not_op = GateOp.AND, GateOp.NOT
+    depth = [0] * num_wires
+    kind = bytearray(num_wires)  # _PRIMARY until a gate writes the wire
+    # wire -> the slot-holding wires whose XOR it is (a slot holder: itself)
+    terms = [frozenset((wire,)) for wire in range(num_wires)]
+    terms[circuit.zero] = frozenset()
+    and_gates: List[Gate] = []
+    folded: List[int] = []
     for gate in circuit.gates:
-        gate_level = level[gate.a] + 1
-        if gate.op is not GateOp.NOT:
-            gate_level = max(gate_level, level[gate.b] + 1)
-        level[gate.out] = gate_level
-        key = (gate_level, gate.op)
-        layer = buckets.get(key)
-        if layer is None:
-            layer = buckets[key] = CircuitLayer(level=gate_level, op=gate.op)
-        layer.gates.append(gate)
-        if gate.op is GateOp.AND:
-            layer.and_ordinals.append(and_ordinal)
-            and_ordinal += 1
-    order: Dict[tuple, int] = {key: i for i, key in enumerate(buckets)}
-    return sorted(buckets.values(), key=lambda la: (la.level, order[(la.level, la.op)]))
+        op, a, b, out = gate
+        if op is not_op:
+            depth[out] = depth[a]
+            kind[out] = _FOLDED
+            terms[out] = terms[a] ^ _ONE
+            folded.append(out)
+            continue
+        level = depth[a] if depth[a] > depth[b] else depth[b]
+        if op is and_op:
+            level += 1  # an AND reads both operands across the round
+            depth[out] = level
+            kind[out] = _AND
+            and_gates.append(gate)
+        else:
+            depth[out] = level
+            kind[out] = _FOLDED
+            terms[out] = (terms[a] if depth[a] == level else frozenset((a,))) ^ (
+                terms[b] if depth[b] == level else frozenset((b,))
+            )
+            folded.append(out)
+        if depth[a] < level and kind[a] == _FOLDED:
+            kind[a] = _KEPT
+        if depth[b] < level and kind[b] == _FOLDED:
+            kind[b] = _KEPT
+    for bus in circuit.output_buses.values():
+        for wire in bus:
+            if kind[wire] == _FOLDED:
+                kind[wire] = _KEPT
+
+    # slots: primaries in wire order, AND outputs then kept wires by depth
+    # (stable, so gate-list order within a depth)
+    slot_of = [0] * num_wires
+    slot = 0
+    for wire in range(num_wires):
+        if kind[wire] == _PRIMARY:
+            slot_of[wire] = slot
+            slot += 1
+    and_lo = slot
+    ordinal_of = {gate.out: ordinal for ordinal, gate in enumerate(and_gates)}
+    and_gates.sort(key=lambda gate: depth[gate.out])
+    for gate in and_gates:
+        slot_of[gate.out] = slot
+        slot += 1
+    kept = sorted([w for w in folded if kind[w] == _KEPT], key=depth.__getitem__)
+    xor_lo = slot
+    for wire in kept:
+        slot_of[wire] = slot
+        slot += 1
+
+    # one flat vector per role, sliced per stage (both lists are in depth
+    # order, so a stage's rows are contiguous)
+    rounds = max(depth) + 1
+    xor_rows = [0] * rounds
+    gather_rows = [0] * rounds
+    gather: List[int] = []
+    starts: List[int] = []
+    for wire in kept:
+        level = depth[wire]
+        members = sorted([slot_of[t] for t in terms[wire]]) or [slot_of[circuit.zero]]
+        starts.append(gather_rows[level])
+        gather.extend(members)
+        xor_rows[level] += 1
+        gather_rows[level] += len(members)
+    and_rows = [0] * rounds  # stage r evaluates the AND gates of depth r + 1
+    for gate in and_gates:
+        and_rows[depth[gate.out] - 1] += 1
+    gather_v = _index_vector(gather)
+    starts_v = _index_vector(starts)
+    and_a = _index_vector([slot_of[gate.a] for gate in and_gates])
+    and_b = _index_vector([slot_of[gate.b] for gate in and_gates])
+    stages = []
+    xor_at = gather_at = and_at = 0
+    for level in range(rounds):
+        xor_end = xor_at + xor_rows[level]
+        gather_end = gather_at + gather_rows[level]
+        and_end = and_at + and_rows[level]
+        stages.append(
+            Stage(
+                gather=gather_v[gather_at:gather_end],
+                starts=starts_v[xor_at:xor_end],
+                xor_lo=xor_lo + xor_at,
+                xor_hi=xor_lo + xor_end,
+                and_a=and_a[and_at:and_end],
+                and_b=and_b[and_at:and_end],
+                and_lo=and_lo + and_at,
+                and_hi=and_lo + and_end,
+            )
+        )
+        xor_at, gather_at, and_at = xor_end, gather_end, and_end
+
+    and_order = [ordinal_of[gate.out] for gate in and_gates]
+    if sorted(and_order) != list(range(len(and_gates))):  # pragma: no cover
+        raise CircuitError("stage schedule does not cover every AND gate exactly once")
+    return StageSchedule(
+        num_slots=slot,
+        stages=stages,
+        and_lo=and_lo,
+        and_hi=xor_lo,
+        and_order=_index_vector(and_order),
+        input_slots={
+            name: _index_vector([slot_of[w] for w in bus])
+            for name, bus in circuit.input_buses.items()
+        },
+        output_slots={
+            name: _index_vector([slot_of[w] for w in bus])
+            for name, bus in circuit.output_buses.items()
+        },
+    )
 
 
 class CircuitPlan:
     """Everything an evaluator derives from a circuit's gate list, computed
-    once by :meth:`Circuit.compile`: the cost statistics, the layered
-    schedule, and (filled in by :mod:`repro.mpc.bitslice` on first use, so
-    this module stays numpy-free) the schedule's numpy index vectors.
+    once by :meth:`Circuit.compile`: the cost statistics and the stage
+    schedule with its index vectors.
     """
 
-    __slots__ = ("stats", "layers", "lane_layers")
+    __slots__ = ("stats", "schedule")
 
-    def __init__(self, stats: CircuitStats, layers: List[CircuitLayer]) -> None:
+    def __init__(self, stats: CircuitStats, schedule: StageSchedule) -> None:
         self.stats = stats
-        self.layers = layers
-        self.lane_layers: Optional[List[Any]] = None
+        self.schedule = schedule
 
 
 class Circuit:
@@ -145,6 +293,11 @@ class Circuit:
         self.gates: Sequence[Gate] = []
         self.input_buses: Dict[str, List[int]] = {}
         self.output_buses: Dict[str, List[int]] = {}
+        # operands -> output wire of the gate already computing that op of
+        # them (XOR/AND keyed low wire first); dropped when sealed
+        self._xor_of: Dict[Tuple[int, int], int] = {}
+        self._and_of: Dict[Tuple[int, int], int] = {}
+        self._not_of: Dict[int, int] = {}
         self._plan: Optional[CircuitPlan] = None
 
     # -- construction ------------------------------------------------------
@@ -164,7 +317,7 @@ class Circuit:
         return self._num_wires
 
     def _check_unsealed(self) -> None:
-        if self.sealed:
+        if self._plan is not None:
             raise CircuitError("circuit is sealed")
 
     def new_wire(self) -> int:
@@ -198,12 +351,23 @@ class Circuit:
             raise CircuitError(f"wire {wire} out of range")
 
     def add_gate(self, op: GateOp, a: int, b: int = 0) -> int:
-        """Append a gate and return its output wire."""
+        """Append a gate and return its output wire — the existing wire
+        when a gate already computes ``op`` of the same operands (XOR and
+        AND are symmetric), so a repeated subexpression is paid for once."""
+        self._check_unsealed()
         self._check_wire(a)
-        if op is not GateOp.NOT:
+        if op is GateOp.NOT:
+            known: Dict[Any, int] = self._not_of
+            key: Any = a
+        else:
             self._check_wire(b)
-        out = self.new_wire()
-        self.gates.append(Gate(op=op, a=a, b=b, out=out))
+            known = self._xor_of if op is GateOp.XOR else self._and_of
+            key = (a, b) if a <= b else (b, a)
+        out = known.get(key)
+        if out is None:
+            out = known[key] = self._num_wires
+            self._num_wires += 1
+            self.gates.append(Gate(op, a, b, out))
         return out
 
     def xor(self, a: int, b: int) -> int:
@@ -263,6 +427,7 @@ class Circuit:
             # the gate list is reachable around the mutators; a shared
             # circuit must not change under a reader
             self.gates = tuple(self.gates)
+            self._xor_of = self._and_of = self._not_of = {}
             self._plan = plan
         return plan
 

@@ -133,12 +133,18 @@ class FixedPointBuilder(CircuitBuilder):
         return self.const_bus(self.fmt.to_unsigned(self.fmt.encode(value)), self.fmt.total_bits)
 
     def fx_mul(self, a: Bus, b: Bus) -> Bus:
-        """Signed fixed-point multiply: full product, then drop F bits."""
-        if len(a) != self.fmt.total_bits or len(b) != self.fmt.total_bits:
+        """Signed fixed-point multiply: bits ``F .. F+L-1`` of the signed
+        product. They depend on the low ``F + L`` bits of the magnitude
+        product only (negation carries upward), so that is all that is
+        multiplied out."""
+        fmt = self.fmt
+        if len(a) != fmt.total_bits or len(b) != fmt.total_bits:
             raise CircuitError("fx_mul operands must be in the fixed format")
-        product = self.mul_full_signed(a, b)
-        shifted = self.shift_right_const(product, self.fmt.fraction_bits, signed=True)
-        return self.truncate(shifted, self.fmt.total_bits)
+        sign = self.circuit.xor(a[-1], b[-1])
+        magnitude = self.mul_full(
+            self.abs_signed(a), self.abs_signed(b), width=fmt.fraction_bits + fmt.total_bits
+        )
+        return self.negate_if(sign, magnitude)[fmt.fraction_bits :]
 
     def fx_div(self, a: Bus, b: Bus) -> Bus:
         """Signed fixed-point divide: ``(|a| << F) / |b|`` with sign fixup."""
@@ -148,8 +154,7 @@ class FixedPointBuilder(CircuitBuilder):
         dividend = self.shift_left_const(self.abs_signed(a), self.fmt.fraction_bits)
         divisor = self.abs_signed(b)
         quotient, _ = self.div_unsigned(dividend, divisor)
-        quotient = self.truncate(quotient, self.fmt.total_bits)
-        return self.mux(sign, self.negate(quotient), quotient)
+        return self.negate_if(sign, self.truncate(quotient, self.fmt.total_bits))
 
     def fx_add(self, a: Bus, b: Bus) -> Bus:
         return self.add(a, b, width=self.fmt.total_bits)

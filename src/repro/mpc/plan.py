@@ -5,8 +5,8 @@ circuit a block evaluates is a pure function of a few scalars — the
 program's parameters, the fixed-point format and the degree bound for an
 update circuit; the input count, widths and noise parameters for the
 aggregation circuits. Building one gate by gate, walking it for its
-statistics and layering it costs tens of milliseconds; this table pays
-that once per distinct circuit per process.
+statistics and scheduling it into stages costs tens of milliseconds; this
+table pays that once per distinct circuit per process.
 
 * **Key.** Whatever the caller's builder depends on, as a hashable
   content token. :func:`repro.core.program.compiled_update_circuit` keys
@@ -24,8 +24,10 @@ that once per distinct circuit per process.
   first and the other build is dropped, so every caller gets one object.
   The two counters are plain integers like the service's: exact whenever
   compiles do not race, and only ever telemetry.
-* **Forks.** Worker processes inherit the parent's table copy-on-write;
-  the batch layer compiles what its payloads need before it forks.
+* **Forks.** Worker processes inherit the parent's table copy-on-write —
+  the stage schedule and its index vectors included, since ``compile()``
+  builds all of the plan; the batch layer compiles what its payloads need
+  before it forks.
 * **Size.** :data:`PLAN_TABLE_SIZE` entries, least recently used evicted.
   A constant, not an option: an entry is at most a few megabytes of gate
   tuples, a process sees a handful of distinct shapes (one per program ×

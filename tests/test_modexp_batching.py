@@ -5,6 +5,13 @@ metered byte or RNG draw moved when they replaced the per-call ``pow``.
 ``GOLDEN`` at the bottom was recorded from the parent commit, before any
 kernel changed, by running this file as a script there
 (``PYTHONPATH=src python tests/test_modexp_batching.py``).
+
+PR 21 shrank the update circuit (1-AND adders, narrow-row divider,
+truncated multiplier): fewer AND gates means fewer OTs, so the ``traffic``
+byte fields and ``total_ot_transfers`` — and only those — were re-recorded
+the same way at that PR. The ``released`` and ``rng`` entries are still
+the original record and passed unedited; ``total_exponentiations`` did not
+move.
 """
 
 from __future__ import annotations
@@ -345,24 +352,24 @@ GOLDEN = {
         "released": [16.96875, 1.4453125, 3974, [1.10546875, 1.4453125]],
         "rng": [458, 16],
         "traffic": {
-            "max_node_bytes_sent": 5465300.25,
-            "mean_node_bytes_sent": 4100964.03125,
+            "max_node_bytes_sent": 3019472.25,
+            "mean_node_bytes_sent": 2266593.03125,
             "nodes": 4,
-            "total_bytes_sent": 16403856.125,
+            "total_bytes_sent": 9066372.125,
             "total_exponentiations": 3024,
-            "total_ot_transfers": 243024,
+            "total_ot_transfers": 132672,
         },
     },
     "toy-64": {
         "released": [4.9453125, 1.4453125, 896, [1.10546875, 1.4453125]],
         "rng": [328, 24],
         "traffic": {
-            "max_node_bytes_sent": 1489988.25,
-            "mean_node_bytes_sent": 1118004.75,
+            "max_node_bytes_sent": 822944.25,
+            "mean_node_bytes_sent": 617721.75,
             "nodes": 4,
-            "total_bytes_sent": 4472019.0,
+            "total_bytes_sent": 2470887.0,
             "total_exponentiations": 3024,
-            "total_ot_transfers": 243024,
+            "total_ot_transfers": 132672,
         },
     },
 }

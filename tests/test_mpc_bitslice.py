@@ -38,10 +38,14 @@ from repro.mpc.bitslice import (
     unpack_bits,
     unpack_lane_axis,
 )
+from repro.finance.eisenberg_noe import EisenbergNoeProgram
+from repro.finance.elliott_golub_jackson import ElliottGolubJacksonProgram
 from repro.mpc.builder import CircuitBuilder
 from repro.mpc.circuit import Circuit, GateOp, layerize
 from repro.mpc.cost import gmw_cost
+from repro.mpc.fixedpoint import FixedPointFormat
 from repro.mpc.gmw import GMWEngine
+from repro.mpc.noise_circuit import build_noised_sum_bits_circuit
 from repro.sharing.xor import share_value
 
 
@@ -128,50 +132,206 @@ class TestLaneCodec:
             unpack_lane_axis(np.zeros(1, dtype=np.uint64), LANE_BITS + 1)
 
 
-# -------------------------------------------------------- layer schedule --
+# -------------------------------------------------------- stage schedule --
 
 
-class TestLayerize:
-    def test_layers_respect_dependencies_and_cover_all_gates(self):
+def and_depths(circuit):
+    """AND depth of every AND gate, in gate-list order (the test's own walk)."""
+    depth = [0] * circuit.num_wires
+    out = []
+    for gate in circuit.gates:
+        if gate.op is GateOp.NOT:
+            depth[gate.out] = depth[gate.a]
+        else:
+            depth[gate.out] = max(depth[gate.a], depth[gate.b]) + (gate.op is GateOp.AND)
+        if gate.op is GateOp.AND:
+            out.append(depth[gate.out])
+    return out
+
+
+class TestStageSchedule:
+    def test_every_phase_reads_only_what_an_earlier_phase_wrote(self):
         circuit = mixed_circuit()
-        produced = set()  # constants + inputs available at level 0
-        seen = []
-        for layer in layerize(circuit):
-            for gate in layer.gates:
-                inputs = {gate.a} if gate.op is GateOp.NOT else {gate.a, gate.b}
-                for wire in inputs:
-                    # produced by an earlier layer, or primary
-                    assert wire in produced or wire not in {
-                        g.out for g in circuit.gates
-                    }
-                seen.append(gate)
-            produced.update(g.out for g in layer.gates)
-        assert sorted(seen, key=lambda g: g.out) == sorted(
-            circuit.gates, key=lambda g: g.out
+        schedule = layerize(circuit)
+        written = set(range(schedule.and_lo))  # constants + inputs
+        for stage in schedule.stages:
+            assert set(stage.gather.tolist()) <= written
+            assert stage.starts.tolist() == sorted(set(stage.starts.tolist()))
+            assert len(stage.starts) == stage.xor_hi - stage.xor_lo
+            if len(stage.starts):
+                assert stage.starts[0] == 0 and stage.starts[-1] < len(stage.gather)
+            xor_slots = set(range(stage.xor_lo, stage.xor_hi))
+            assert not xor_slots & written
+            written |= xor_slots
+            assert set(stage.and_a.tolist()) | set(stage.and_b.tolist()) <= written
+            assert len(stage.and_a) == len(stage.and_b) == stage.and_hi - stage.and_lo
+            and_slots = set(range(stage.and_lo, stage.and_hi))
+            assert not and_slots & written
+            written |= and_slots
+        # every slot is written exactly once, every bus has its slots
+        assert written == set(range(schedule.num_slots))
+        for slots in schedule.output_slots.values():
+            assert set(slots.tolist()) <= written
+        assert {n: len(s) for n, s in schedule.output_slots.items()} == {
+            n: len(bus) for n, bus in circuit.output_buses.items()
+        }
+        assert sorted(np.concatenate(list(schedule.input_slots.values())).tolist()) == list(
+            range(2, schedule.and_lo)
         )
 
-    def test_and_ordinals_follow_gate_list_order(self):
+    def test_one_stage_per_and_round_and_ordinals_in_gate_list_order(self):
+        """Stage ``r`` evaluates exactly the AND gates of depth ``r + 1``,
+        and row ``k`` of the AND slice names that gate's ordinal in
+        gate-list order — the index into the offline pool."""
         circuit = mixed_circuit()
-        ordinal_of = {}
-        for layer in layerize(circuit):
-            for gate, ordinal in zip(layer.gates, layer.and_ordinals):
-                ordinal_of[gate.out] = ordinal
-        expected = 0
-        for gate in circuit.gates:
-            if gate.op is GateOp.AND:
-                assert ordinal_of[gate.out] == expected
-                expected += 1
+        schedule = layerize(circuit)
+        depths = and_depths(circuit)
+        assert len(schedule.stages) == circuit.stats().and_depth + 1
+        order = schedule.and_order.tolist()
+        assert sorted(order) == list(range(circuit.stats().and_gates))
+        assert schedule.and_hi - schedule.and_lo == len(order)
+        row = 0
+        for index, stage in enumerate(schedule.stages):
+            ordinals = order[row : row + (stage.and_hi - stage.and_lo)]
+            assert ordinals == [o for o, d in enumerate(depths) if d == index + 1]
+            assert stage.and_lo == schedule.and_lo + row
+            row += len(ordinals)
+        assert row == len(order)
+        assert schedule.stages[-1].and_hi == schedule.stages[-1].and_lo  # outputs only
 
-    def test_same_op_chain_splits_into_layers(self):
-        """a^b^c^d built as a chain must not collapse into one XOR layer
-        (each link reads the previous link's output)."""
+    def test_a_same_depth_xor_chain_folds_into_one_set(self):
+        """a^b^c^d built as a chain is one kept wire whose XOR set is the
+        four inputs — the links in between hold no slot."""
         circuit = Circuit()
-        wires = [circuit.new_wire() for _ in range(4)]
+        wires = circuit.add_input_bus("x", 4)
         acc = wires[0]
         for wire in wires[1:]:
             acc = circuit.add_gate(GateOp.XOR, acc, wire)
-        layers = layerize(circuit)
-        assert [layer.level for layer in layers] == [1, 2, 3]
+        circuit.mark_output_bus("parity", [acc])
+        schedule = layerize(circuit)
+        assert schedule.num_slots == 2 + 4 + 1
+        (stage,) = schedule.stages
+        assert stage.gather.tolist() == [2, 3, 4, 5]
+        assert stage.starts.tolist() == [0]
+        assert schedule.output_slots["parity"].tolist() == [6]
+
+    def test_only_wires_somebody_holds_get_a_slot(self):
+        circuit = mixed_circuit()
+        stats = circuit.stats()
+        schedule = layerize(circuit)
+        kept = schedule.num_slots - schedule.and_hi
+        free_gates = stats.xor_gates + stats.not_gates
+        assert schedule.and_hi - schedule.and_lo == stats.and_gates
+        assert 0 < kept < free_gates
+
+
+# --------------------------------------- schedule ≡ the gate-by-gate walk --
+
+
+def assert_schedule_matches_the_gate_walk(circuit, parties=3, mode="ot", seed="walk"):
+    """Every input assignment as one lane of one batch: the stage schedule
+    must reveal what ``Circuit.evaluate`` computes gate by gate, and leave
+    each party holding exactly the share the scalar engine leaves it."""
+    widths = {name: len(bus) for name, bus in circuit.input_buses.items()}
+    assignments = [{}]
+    for name, width in widths.items():
+        assignments = [{**a, name: v} for a in assignments for v in range(1 << width)]
+    scalar = GMWEngine(parties, mode=mode)
+    share_rng = DeterministicRNG(f"{seed}-shares")
+    batch = [
+        {name: scalar.share_input(value, widths[name], share_rng) for name, value in a.items()}
+        for a in assignments
+    ]
+    sliced = BitslicedGMWEngine(parties, mode=mode)
+    got = sliced.evaluate_batch(circuit, batch, DeterministicRNG(seed))
+    scalar_rng = DeterministicRNG(seed)
+    for assignment, shares, lane in zip(assignments, batch, got):
+        plain = circuit.evaluate(assignment)
+        assert {name: lane.reveal(name) for name in plain} == plain, assignment
+        assert lane.output_shares == scalar.evaluate(circuit, shares, scalar_rng).output_shares
+
+
+@st.composite
+def raw_circuits(draw):
+    """Gates appended through ``add_gate`` — no constant folding — over
+    any earlier wire, the two constants included; outputs drawn from all
+    wires, repeats allowed."""
+    circuit = Circuit()
+    circuit.add_input_bus("x", draw(st.integers(1, 3)))
+    circuit.add_input_bus("y", draw(st.integers(1, 2)))
+    for _ in range(draw(st.integers(0, 40))):
+        wire = st.integers(0, circuit.num_wires - 1)
+        op = draw(st.sampled_from([GateOp.XOR, GateOp.XOR, GateOp.AND, GateOp.NOT]))
+        circuit.add_gate(op, draw(wire), draw(wire))
+    wire = st.integers(0, circuit.num_wires - 1)
+    circuit.mark_output_bus("out", draw(st.lists(wire, min_size=1, max_size=6)))
+    if draw(st.booleans()):
+        circuit.mark_output_bus("more", draw(st.lists(wire, min_size=1, max_size=3)))
+    return circuit
+
+
+class TestScheduleEquivalence:
+    @given(raw_circuits(), st.sampled_from([2, 3]), st.sampled_from(["ot", "beaver"]))
+    @settings(max_examples=scale(60), deadline=None)
+    def test_random_circuits(self, circuit, parties, mode):
+        assert_schedule_matches_the_gate_walk(circuit, parties, mode)
+
+    def edge_case(self, build):
+        circuit = Circuit()
+        x = circuit.add_input_bus("x", 3)
+        outputs = build(circuit, x)
+        circuit.mark_output_bus("out", outputs)
+        return circuit
+
+    @pytest.mark.parametrize("mode", ["ot", "beaver"])
+    def test_named_edge_cases(self, mode):
+        def raw(op):
+            return lambda c, a, b=0: c.add_gate(op, a, b)
+
+        xor, and_, not_ = raw(GateOp.XOR), raw(GateOp.AND), raw(GateOp.NOT)
+        cases = {
+            "an output that is an input or a constant": lambda c, x: [x[1], c.zero, c.one, x[1]],
+            "x ^ x is the empty set, as an output and as an AND operand": lambda c, x: [
+                xor(c, x[0], x[0]),
+                and_(c, xor(c, x[0], x[0]), x[1]),
+                xor(c, and_(c, not_(c, xor(c, x[2], x[2])), x[1]), x[0]),
+            ],
+            "NOT of an AND output": lambda c, x: [
+                not_(c, and_(c, x[0], x[1])),
+                and_(c, not_(c, and_(c, x[0], x[1])), x[2]),
+            ],
+            "a wire read three rounds later": lambda c, x: [
+                xor(
+                    c,
+                    xor(c, x[0], x[1]),  # depth 0 ...
+                    and_(c, and_(c, and_(c, x[0], x[1]), x[2]), not_(c, x[0])),  # ... meets depth 3
+                ),
+                and_(c, xor(c, x[0], x[1]), and_(c, and_(c, x[1], x[2]), x[0])),
+            ],
+            "duplicate output wires": lambda c, x: (
+                [and_(c, x[0], x[1])] * 3 + [xor(c, x[1], x[2])] * 2
+            ),
+            "no AND gate at all": lambda c, x: [
+                xor(c, not_(c, x[0]), x[2]),
+                not_(c, not_(c, x[1])),
+            ],
+        }
+        for name, build in cases.items():
+            circuit = self.edge_case(build)
+            assert_schedule_matches_the_gate_walk(circuit, mode=mode, seed=name)
+        no_and = layerize(self.edge_case(cases["no AND gate at all"]))
+        assert len(no_and.stages) == 1 and no_and.and_lo == no_and.and_hi
+        assert len(no_and.and_order) == 0
+
+    def test_repeated_gates_are_one_wire(self):
+        circuit = Circuit()
+        a, b = circuit.add_input_bus("x", 2)
+        first = circuit.add_gate(GateOp.AND, a, b)
+        assert circuit.add_gate(GateOp.AND, b, a) == first
+        assert circuit.add_gate(GateOp.XOR, a, b) == circuit.add_gate(GateOp.XOR, b, a) != first
+        assert circuit.add_gate(GateOp.NOT, a) == circuit.add_gate(GateOp.NOT, a, b)
+        assert circuit.add_gate(GateOp.XOR, a, a) != circuit.add_gate(GateOp.AND, a, a)
+        assert circuit.stats().total_gates == 5
 
 
 # ------------------------------------------------------ transcript parity --
@@ -287,6 +447,59 @@ class TestTranscriptParity:
             assert oe._transpose_bits_numpy(cols, count) == oe._transpose_bits_python(
                 cols, count
             )
+
+
+class TestRealCircuitParity:
+    """The circuits a secure run actually evaluates, not a toy adder: the
+    bit-sliced engine must leave every party the *share* the scalar engine
+    leaves it, and cost model, pool and scalar transcript must agree on
+    what that costs."""
+
+    @pytest.fixture(scope="class")
+    def circuits(self):
+        fmt = FixedPointFormat(12, 6)
+        return {
+            "en-update": EisenbergNoeProgram(fmt).build_update_circuit(2),
+            "egj-update": ElliottGolubJacksonProgram(fmt).build_update_circuit(2),
+            "noised-sum": build_noised_sum_bits_circuit(3, 12, 0.8, 5, 8),
+        }
+
+    @pytest.mark.parametrize("mode", ["ot", "beaver"])
+    @pytest.mark.parametrize("name", ["en-update", "egj-update", "noised-sum"])
+    def test_output_shares_cost_model_and_pool_agree(self, circuits, name, mode):
+        circuit = circuits[name]
+        parties, lanes = 3, 3
+        scalar = GMWEngine(parties, mode=mode)
+        sliced = BitslicedGMWEngine(parties, mode=mode)
+        share_rng = DeterministicRNG(f"{name}-inputs")
+        batch = [
+            {
+                bus: scalar.share_input(share_rng.randbits(len(wires)), len(wires), share_rng)
+                for bus, wires in circuit.input_buses.items()
+            }
+            for _ in range(lanes)
+        ]
+        scalar_rng, sliced_rng = DeterministicRNG(name), DeterministicRNG(name)
+        refs = [scalar.evaluate(circuit, shares, scalar_rng) for shares in batch]
+        pools = sliced.precompute(circuit, lanes, sliced_rng)
+        gots = sliced.evaluate_batch(circuit, batch, pools=pools)
+        assert pools.remaining == 0
+        assert scalar_rng.randbytes(32) == sliced_rng.randbytes(32)
+
+        cost = gmw_cost(
+            circuit,
+            parties,
+            scalar.ot.sender_bytes_per_transfer(1),
+            scalar.ot.receiver_bytes_per_transfer(1),
+            mode=mode,
+        )
+        assert pools.and_gates == cost.and_gates == circuit.stats().and_gates
+        for ref, got in zip(refs, gots):
+            assert got.output_shares == ref.output_shares
+            assert list(got.traffic.pair_bits.items()) == list(ref.traffic.pair_bits.items())
+            assert got.traffic.ot_count == ref.traffic.ot_count == cost.total_ots
+            assert got.traffic.rounds == ref.traffic.rounds == cost.rounds
+            assert ref.traffic.sent_bits == [cost.sent_bits_per_party] * parties
 
 
 # ------------------------------------------------- offline/online account --

@@ -9,6 +9,7 @@ mutated, and a vectorised kernel that packs a bit somewhere the scalar
 loop did not.
 """
 
+import os
 import pickle
 import sys
 import threading
@@ -21,6 +22,7 @@ from conftest import scale
 from tests.test_service_faults import small_doc
 from tests.test_service_server import ServiceHarness
 
+import repro.mpc.circuit as circuit_module
 import repro.mpc.plan as plan_module
 from repro import Bank, FinancialNetwork, PrivacyAccountant, Scenario, StressTest
 from repro.api.cache import ScenarioCache, run_fingerprint
@@ -58,6 +60,25 @@ from repro.mpc.bitslice import (  # noqa: E402
     pack_lane_axis,
     unpack_lane_axis,
 )
+
+
+def schedule_fields(schedule):
+    """A :class:`StageSchedule` as plain comparable data."""
+    return (
+        schedule.num_slots,
+        schedule.and_lo,
+        schedule.and_hi,
+        schedule.and_order.tolist(),
+        {name: slots.tolist() for name, slots in schedule.input_slots.items()},
+        {name: slots.tolist() for name, slots in schedule.output_slots.items()},
+        [
+            (
+                stage.gather.tolist(), stage.starts.tolist(), stage.xor_lo, stage.xor_hi,
+                stage.and_a.tolist(), stage.and_b.tolist(), stage.and_lo, stage.and_hi,
+            )
+            for stage in schedule.stages
+        ],
+    )
 
 
 def adder_circuit(width: int = 8) -> Circuit:
@@ -103,12 +124,10 @@ class TestSealing:
     def test_plan_matches_the_uncompiled_walk(self):
         circuit = adder_circuit()
         walked = circuit.stats()
-        layers = layerize(circuit)
+        schedule = layerize(circuit)
         plan = circuit.compile()
         assert plan.stats == walked == circuit.stats()
-        assert [(la.level, la.op, la.gates, la.and_ordinals) for la in plan.layers] == [
-            (la.level, la.op, la.gates, la.and_ordinals) for la in layers
-        ]
+        assert schedule_fields(plan.schedule) == schedule_fields(schedule)
 
     def test_building_stays_pure_and_unsealed(self):
         program = EisenbergNoeProgram(FixedPointFormat(12, 6))
@@ -128,7 +147,28 @@ class TestSealing:
         }
         assert engine.evaluate(circuit, shares, rng).reveal("sum") == 14
         assert circuit.sealed
-        assert circuit.compile().lane_layers is not None
+        assert isinstance(circuit.compile().schedule.and_order, np.ndarray)
+
+    def test_compile_builds_the_whole_plan_and_evaluation_builds_nothing(
+        self, monkeypatch
+    ):
+        """The stage schedule and its index vectors are part of what
+        ``compile()`` computes — nothing is left to the first batch (which,
+        in a forked worker, would be every worker's first batch)."""
+        circuit = adder_circuit()
+        plan = circuit.compile()
+        for stage in plan.schedule.stages:
+            for vector in (stage.gather, stage.starts, stage.and_a, stage.and_b):
+                assert isinstance(vector, np.ndarray) and vector.dtype == np.intp
+        monkeypatch.setattr(circuit_module, "layerize", None)  # would raise if called
+        engine = BitslicedGMWEngine(3)
+        rng = DeterministicRNG("built")
+        shares = {
+            "a": engine.share_input(200, 8, rng),
+            "b": engine.share_input(100, 8, rng),
+        }
+        assert engine.evaluate(circuit, shares, rng).reveal("sum") == 44
+        assert circuit.compile() is plan
 
     @pytest.mark.parametrize("mode", ["ot", "beaver"])
     def test_plan_cost_model_and_scalar_transcript_agree(self, mode):
@@ -373,17 +413,27 @@ class TestRunsSharePlans:
         assert (PLANS.builds, PLANS.hits, dict(counted_builders)) == before
         assert len(PLANS) == 0
 
-    def test_forked_workers_inherit_the_parents_plans(self, counted_builders):
+    def test_forked_workers_inherit_the_parents_plans(self, counted_builders, monkeypatch):
         template = _secure_template()
         scenarios = [
             Scenario(name=f"shock-{i}", network=_network(i / 10.0), iterations=1)
             for i in range(4)
         ]
+        # a worker that had to schedule a circuit itself would fail its
+        # scenario: everything a batch evaluates is on the plan at fork time
+        parent, schedules = os.getpid(), []
+
+        def parent_only(circuit):
+            assert os.getpid() == parent, "stage schedule built in a forked worker"
+            schedules.append(circuit)
+            return layerize(circuit)
+
+        monkeypatch.setattr(circuit_module, "layerize", parent_only)
         batch = template.run_many(scenarios, workers=2)
         assert not batch.failures
         # built here, before the fork — and this process still holds them
         assert counted_builders == {"update": 1, "noise": 1}
-        assert len(PLANS) == 2
+        assert len(schedules) == len(PLANS) == 2
 
     def test_a_program_that_cannot_compile_fails_only_its_own_scenario(
         self, fresh_plans
