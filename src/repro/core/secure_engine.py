@@ -4,8 +4,9 @@ Runs a vertex program over a distributed graph such that no coalition of
 at most ``k`` nodes learns anything beyond the differentially-private
 output:
 
-1. **Setup** — the trusted party assigns blocks and issues block
-   certificates; each node forwards certificates to its in-neighbors.
+1. **Setup** — once per deployment (:func:`repro.core.setup.deployment_for`):
+   the trusted party assigns blocks and issues block certificates. Per
+   run, each node forwards certificates to its in-neighbors.
 2. **Initialization** — every node XOR-shares its vertex's initial state
    (and ``D`` no-op inbox slots) among its block.
 3. **Computation steps** — each block evaluates the program's update
@@ -47,10 +48,14 @@ from repro.core.aggregation import AggregationPlan, plan_groups, reshare_word
 from repro.core.config import DStressConfig
 from repro.core.convergence import TrajectoryConvergence
 from repro.core.graph import DistributedGraph
-from repro.core.node import SimulatedNode
 from repro.core.program import NO_OP_MESSAGE, VertexProgram, compiled_update_circuit
 from repro.core.rounds import LinkBytes, WindowEvents
-from repro.core.setup import AGGREGATION_BLOCK_ID, BlockAssignment, TrustedParty
+from repro.core.setup import (
+    AGGREGATION_BLOCK_ID,
+    BlockAssignment,
+    Deployment,
+    deployment_for,
+)
 from repro.crypto.elgamal import ExponentialElGamal
 from repro.crypto.ot import SimulatedObliviousTransfer
 from repro.crypto.rng import DeterministicRNG
@@ -125,17 +130,27 @@ def compile_secure_plans(
     graph: DistributedGraph,
     epsilons: Sequence[Optional[float]] = (None,),
 ) -> None:
-    """Compile, into the process-wide plan table, every circuit a
-    lifecycle run of ``program`` on ``graph`` evaluates: the update
-    circuit at the graph's degree bound, the aggregation tree's partial
-    sums and one noised-sum root per release epsilon.
+    """Build, into the process-wide tables, what a lifecycle run of
+    ``program`` on ``graph`` reads and no run changes: the §3.4 deployment
+    under the config's seed, and every circuit the run evaluates — the
+    update circuit at the graph's degree bound, the aggregation tree's
+    partial sums and one noised-sum root per release epsilon.
 
-    The batch layer calls this before it forks its pool, so the workers
-    inherit compiled plans instead of each building their own; the walk
-    below mirrors :meth:`SecureEngine._begin_run` and
-    :meth:`SecureEngine._aggregation_tree`, which then hit the table.
+    The batch layer and the cluster harness call this before they fork,
+    so workers and parties inherit one deployment and compiled plans
+    instead of each building their own; the walk below mirrors
+    :meth:`SecureEngine._begin_run` and
+    :meth:`SecureEngine._aggregation_tree`, which then hit the tables.
     """
     bits = program.fmt.total_bits
+    deployment_for(
+        config.group,
+        DeterministicRNG(config.seed),
+        graph.vertex_ids,
+        graph.degree_bound,
+        config.collusion_bound,
+        bits,
+    )
     compiled_update_circuit(program, graph.degree_bound)
     plan = _aggregation_plan(graph, config, bits)
     root_inputs = graph.num_vertices
@@ -193,8 +208,7 @@ class _RunContext:
 
     graph: DistributedGraph
     iterations: int
-    nodes: Dict[int, SimulatedNode]
-    assignment: BlockAssignment
+    deployment: Deployment
     vertex_bound: Dict[int, int]
     circuits: Dict[int, Circuit]
     circuit_and_gates: int
@@ -212,6 +226,10 @@ class _RunContext:
     #: §3.6 schedule exactly where the previous window stopped (the round
     #: span numbering continues, so the transcript order is unchanged).
     steps: int = 0
+
+    @property
+    def assignment(self) -> BlockAssignment:
+        return self.deployment.assignment
 
     def block_inputs(self, v: int) -> Dict[str, List[int]]:
         """Vertex ``v``'s update-circuit inputs: its state registers plus
@@ -395,13 +413,21 @@ class SecureEngine:
 
         # ---------------------------------------------------------- setup --
         with timed_phase(phases, "setup"):
-            nodes, assignment = self._setup_blocks(graph, config, rng, meter, bits)
+            deployment = deployment_for(
+                config.group,
+                rng,
+                graph.vertex_ids,
+                graph.degree_bound,
+                config.collusion_bound,
+                bits,
+            )
+            self._setup_blocks(graph, meter, bits)
 
         # --------------------------------------------------------- init --
         with timed_phase(phases, "initialization"):
             state_shares, inbox_shares = self._share_initial_state(
-                graph, config, program, vertex_bound, assignment, rng, meter,
-                word_bytes,
+                graph, config, program, vertex_bound, deployment.assignment, rng,
+                meter, word_bytes,
             )
 
         circuits = {
@@ -427,8 +453,7 @@ class SecureEngine:
         return _RunContext(
             graph=graph,
             iterations=iterations,
-            nodes=nodes,
-            assignment=assignment,
+            deployment=deployment,
             vertex_bound=vertex_bound,
             circuits=circuits,
             circuit_and_gates=circuits[max(circuits)].stats().and_gates,
@@ -440,42 +465,14 @@ class SecureEngine:
             rng=rng,
         )
 
-    def _setup_blocks(
-        self,
-        graph: DistributedGraph,
-        config: DStressConfig,
-        rng: DeterministicRNG,
-        meter: TrafficMeter,
-        bits: int,
-    ) -> Tuple[Dict[int, SimulatedNode], BlockAssignment]:
-        """§3.4 setup: node keys, block assignment, certificate forwarding."""
-        nodes: Dict[int, SimulatedNode] = {
-            v: SimulatedNode.create(v, self.elgamal, bits, graph.degree_bound, rng)
-            for v in graph.vertex_ids
-        }
-        tp = TrustedParty(self.elgamal, rng)
-        assignment = tp.assign_blocks(graph.vertex_ids, config.collusion_bound)
-        certificates = {
-            v: tp.build_block_certificates(
-                v,
-                [nodes[m].member_keys for m in assignment.blocks[v]],
-                nodes[v].neighbor_keys,
-            )
-            for v in graph.vertex_ids
-        }
-        # Each node forwards certificate `slot` of its own block to the
-        # in-neighbor on that slot; leftover slots stay with the owner
-        # (used for padded self-transfers when configured).
+    def _setup_blocks(self, graph: DistributedGraph, meter: TrafficMeter, bits: int) -> None:
+        """The per-run part of §3.4: each node forwards certificate ``slot``
+        of its own block to the in-neighbor on that slot. Leftover slots
+        stay with the owner (padded self-transfers encrypt under them)."""
+        cert_bytes = self.config.block_size * bits * self.elgamal.group.element_size_bytes
         for view in graph.vertices():
-            for slot, neighbor in enumerate(view.in_neighbors):
-                nodes[neighbor].neighbor_certificates[view.vertex_id] = certificates[
-                    view.vertex_id
-                ][slot]
-                cert_bytes = (
-                    config.block_size * bits * self.elgamal.group.element_size_bytes
-                )
+            for neighbor in view.in_neighbors:
                 meter.record_send(view.vertex_id, neighbor, cert_bytes)
-        return nodes, assignment
 
     def _share_initial_state(
         self,
@@ -659,19 +656,18 @@ class SecureEngine:
         config = self.config
         fmt = self.program.fmt
         graph = ctx.graph
+        deployment = ctx.deployment
         for view in graph.vertices():
             u = view.vertex_id
             for out_slot, v in enumerate(view.out_neighbors):
+                # the certificate v forwarded to u at setup: B_v's keys
+                # under the neighbor key of the slot u occupies at v
                 in_slot = graph.vertex(v).in_slot(u)
-                certificate = ctx.nodes[u].neighbor_certificates[v]
-                neighbor_key = ctx.nodes[v].neighbor_keys[in_slot]
-                receiver_members = ctx.assignment.blocks[v]
-                receiver_keys = [ctx.nodes[m].member_keys for m in receiver_members]
                 result = self.transfer.execute(
                     ctx.outbox_shares[u][out_slot],
-                    certificate,
-                    neighbor_key,
-                    receiver_keys,
+                    deployment.certificates[v][in_slot],
+                    deployment.neighbor_keys[v][in_slot],
+                    [deployment.member_keys[m] for m in ctx.assignment.blocks[v]],
                     ctx.rng,
                 )
                 ctx.inbox_shares[v][in_slot] = result.receiver_shares
@@ -695,55 +691,30 @@ class SecureEngine:
                     )
 
     def _padded_self_transfers(self, ctx: _RunContext, view) -> Iterator[LinkBytes]:
-        """Run full no-op transfers on unused slots (degree hiding)."""
+        """Run full no-op transfers on unused slots (degree hiding), each
+        under the leftover certificate the owner kept for that slot."""
         config = self.config
         fmt = self.program.fmt
+        deployment = ctx.deployment
         v = view.vertex_id
+        receiver_keys = [deployment.member_keys[m] for m in ctx.assignment.blocks[v]]
         for slot in range(view.in_degree, ctx.vertex_bound[v]):
-            certificate = ctx.nodes[v].neighbor_certificates.get(("self", slot))
-            if certificate is None:
-                # Leftover certificate for this slot, retained by the owner.
-                certificate = self._own_certificate(ctx.nodes, ctx.assignment, v, slot)
-                ctx.nodes[v].neighbor_certificates[("self", slot)] = certificate
             shares = share_value(
                 fmt.to_unsigned(fmt.encode(NO_OP_MESSAGE)),
                 fmt.total_bits,
                 config.block_size,
                 ctx.rng,
             )
-            receiver_keys = [ctx.nodes[m].member_keys for m in ctx.assignment.blocks[v]]
             result = self.transfer.execute(
-                shares, certificate, ctx.nodes[v].neighbor_keys[slot], receiver_keys,
+                shares,
+                deployment.certificates[v][slot],
+                deployment.neighbor_keys[v][slot],
+                receiver_keys,
                 ctx.rng,
             )
             ctx.inbox_shares[v][slot] = result.receiver_shares
             ctx.transfer_count += 1
             yield self._meter_transfer(ctx.meter, v, v, ctx.assignment, result.traffic)
-
-    def _own_certificate(self, nodes, assignment, v: int, slot: int):
-        """Rebuild the leftover certificate for slot ``slot`` of node ``v``.
-
-        In a deployment the node would simply have kept the certificate the
-        TP sent; the simulation reconstructs it on demand to avoid storing
-        all D certificates for every node.
-        """
-        # The certificate contents only depend on member keys and the
-        # neighbor key, both of which the owner legitimately holds.
-        from repro.crypto.keys import SchnorrSigner
-        from repro.transfer.certificates import build_certificate
-
-        signer = SchnorrSigner(self.elgamal.group)
-        throwaway = signer.keygen(DeterministicRNG(f"self-cert-{v}-{slot}"))
-        return build_certificate(
-            self.elgamal,
-            signer,
-            throwaway,
-            owner=v,
-            edge_slot=slot,
-            member_keys=[nodes[m].member_keys for m in assignment.blocks[v]],
-            neighbor_key=nodes[v].neighbor_keys[slot],
-            rng=DeterministicRNG(f"self-cert-rng-{v}-{slot}"),
-        )
 
     def _meter_transfer(
         self, meter: TrafficMeter, u: int, v: int, assignment: BlockAssignment, traffic

@@ -13,7 +13,7 @@ so ElGamal and the transfer protocol are generic over the instantiation.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Hashable, List, Optional, Sequence, Tuple
 
 from repro.crypto.modexp import Modulus
 from repro.crypto.rng import DeterministicRNG
@@ -81,6 +81,14 @@ class CyclicGroup(ABC):
     def element_size_bytes(self) -> int:
         """Serialized size of one element; drives traffic accounting."""
 
+    @property
+    def token(self) -> Optional[Hashable]:
+        """Content token of the algebra, for process-wide tables of values
+        computed in it (:data:`repro.core.setup.DEPLOYMENTS`). ``None`` —
+        the default, hence every wrapper that observes calls — means no
+        stable token: such a group's results are never shared."""
+        return None
+
     # -- Conveniences shared by all instantiations ------------------------
 
     def power_of_g(self, exponent: int) -> Any:
@@ -140,6 +148,11 @@ class SchnorrGroup(CyclicGroup):
     @property
     def generator(self) -> int:
         return self._g
+
+    @property
+    def token(self) -> Optional[Hashable]:
+        # a subclass may observe or alter calls: only the exact class shares
+        return ("schnorr", self.p, self._g) if type(self) is SchnorrGroup else None
 
     @property
     def identity(self) -> int:

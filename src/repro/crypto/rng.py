@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from typing import Tuple
 
 __all__ = ["DeterministicRNG"]
 
@@ -42,6 +43,15 @@ class DeterministicRNG:
         self._key = hashlib.sha256(b"repro.rng.v1|" + bytes(seed)).digest()
         self._counter = 0
         self._buffer = b""
+
+    def getstate(self) -> Tuple[bytes, int, bytes]:
+        """The stream's position as a hashable value: two generators in
+        equal states produce identical streams from here on."""
+        return self._key, self._counter, self._buffer
+
+    def setstate(self, state: Tuple[bytes, int, bytes]) -> None:
+        """Move to a position :meth:`getstate` returned."""
+        self._key, self._counter, self._buffer = state
 
     def randbytes(self, n: int) -> bytes:
         """Return ``n`` uniformly random bytes."""

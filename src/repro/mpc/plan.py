@@ -34,14 +34,16 @@ table pays that once per distinct circuit per process.
   degree bucket, one per network size and epsilon for the noise circuit),
   and an eviction costs one rebuild — there is nothing to tune.
 
-Not cached here, deliberately: keys, certificates and offline randomness
-pools all depend on the run's seed.
+The rules above are :class:`SealedTable`'s; the §3.4 keys and certificates
+live in a second instance of it, keyed by the root seed's stream among
+other things (:data:`repro.core.setup.DEPLOYMENTS`). Offline randomness
+pools are not cached: they depend on the run's seed and are used once.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Hashable, Optional
+from typing import Any, Callable, Hashable, Optional
 
 from repro.mpc.circuit import Circuit
 from repro.mpc.noise_circuit import (
@@ -54,6 +56,7 @@ __all__ = [
     "PLAN_TABLE_SIZE",
     "PLANS",
     "PlanTable",
+    "SealedTable",
     "noised_sum_bits_circuit",
     "partial_sum_circuit",
 ]
@@ -61,56 +64,74 @@ __all__ = [
 PLAN_TABLE_SIZE = 32
 
 
-def _count(name: str) -> None:
-    """Mirror a table event into the ambient recorder's registry, so a
-    traced batch reports exactly the circuits *it* built and reused."""
-    recorder = current_recorder()
-    if recorder.enabled:
-        recorder.metrics.inc(name)
+class SealedTable:
+    """Content key -> sealed value, least recently used out once the
+    entries' total weight passes ``bound``; build/hit counters, mirrored
+    as ``<metric>.builds`` / ``<metric>.hits`` into the ambient recorder's
+    registry, so a traced batch reports exactly what *it* built and reused.
+    """
 
-
-class PlanTable:
-    """Content key -> sealed circuit, with build/hit counters (also
-    emitted as ``mpc.plan.builds`` / ``mpc.plan.hits`` under a recorder)."""
-
-    def __init__(self) -> None:
-        self._circuits: "OrderedDict[Hashable, Circuit]" = OrderedDict()
-        #: circuits built (and compiled) through this table, cached or not
+    def __init__(
+        self,
+        metric: str,
+        bound: int,
+        weigh: Callable[[Any], int] = lambda value: 1,
+        seal: Callable[[Any], Any] = lambda value: None,
+    ) -> None:
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+        self._metric = metric
+        self._weigh = weigh
+        self._seal = seal
+        self.bound = bound
+        #: values built through this table, published or not
         self.builds = 0
         #: lookups answered without building
         self.hits = 0
 
     def __len__(self) -> int:
-        return len(self._circuits)
+        return len(self._entries)
 
     def clear(self) -> None:
-        self._circuits.clear()
+        self._entries.clear()
 
-    def get(self, key: Optional[Hashable], build: Callable[[], Circuit]) -> Circuit:
-        """The compiled circuit for ``key``, building it on a miss."""
-        circuits = self._circuits
-        circuit = None if key is None else circuits.get(key)
-        if circuit is not None:
+    def _mirror(self, event: str) -> None:
+        recorder = current_recorder()
+        if recorder.enabled:
+            recorder.metrics.inc(f"{self._metric}.{event}")
+
+    def get(self, key: Optional[Hashable], build: Callable[[], Any]) -> Any:
+        """The value for ``key``, building and sealing it on a miss;
+        whatever that raises propagates and publishes nothing."""
+        entries = self._entries
+        value = None if key is None else entries.get(key)
+        if value is not None:
             self.hits += 1
-            _count("mpc.plan.hits")
+            self._mirror("hits")
             try:
-                circuits.move_to_end(key)
+                entries.move_to_end(key)
             except KeyError:  # evicted by a racing publisher; still valid
                 pass
-            return circuit
-        circuit = build()
-        circuit.compile()
+            return value
+        value = build()
+        self._seal(value)
         self.builds += 1
-        _count("mpc.plan.builds")
-        if key is None:
-            return circuit
-        circuit = circuits.setdefault(key, circuit)
-        while len(circuits) > PLAN_TABLE_SIZE:
+        self._mirror("builds")
+        if key is None or self._weigh(value) > self.bound:
+            return value
+        value = entries.setdefault(key, value)
+        while sum(map(self._weigh, list(entries.values()))) > self.bound:
             try:
-                circuits.popitem(last=False)
+                entries.popitem(last=False)
             except KeyError:  # a racing publisher already trimmed it
                 break
-        return circuit
+        return value
+
+
+class PlanTable(SealedTable):
+    """Content key -> compiled circuit (``mpc.plan.builds`` / ``.hits``)."""
+
+    def __init__(self) -> None:
+        super().__init__("mpc.plan", PLAN_TABLE_SIZE, seal=Circuit.compile)
 
 
 #: The process-wide table every engine reads.

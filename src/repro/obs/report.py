@@ -88,6 +88,23 @@ def _render_round_timeline(spans: List[Dict[str, Any]], out: List[str]) -> None:
     out.extend(_table(["round", "start", "end", "duration", "spans"], rows))
 
 
+def _render_tables(counters: Dict[str, float], out: List[str]) -> None:
+    """The build-once tables the traced run touched (``mpc.plan``: compiled
+    circuits, ``core.setup``: §3.4 deployments): built here vs. found."""
+    tables = sorted(
+        {name.rsplit(".", 1)[0] for name in counters if name.endswith((".builds", ".hits"))}
+    )
+    if not tables:
+        return
+    out.append("")
+    out.append("Build-once tables:")
+    rows = [
+        [table, *(int(counters.get(f"{table}.{event}", 0)) for event in ("builds", "hits"))]
+        for table in tables
+    ]
+    out.extend(_table(["table", "built", "found"], rows))
+
+
 def _render_ledger(ledger: Dict[str, Any], out: List[str]) -> None:
     out.append("")
     reconciliation = ledger.get("reconciliation", {})
@@ -124,6 +141,7 @@ def render(payload: Dict[str, Any]) -> str:
         trace = payload.get("trace")
         if trace:
             _render_round_timeline(trace.get("spans", []), out)
+            _render_tables((trace.get("metrics") or {}).get("counters", {}), out)
         if payload.get("phases"):
             _render_phases(payload["phases"], out)
         if payload.get("traffic"):
