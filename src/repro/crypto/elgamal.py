@@ -211,6 +211,10 @@ class CountingGroup(CyclicGroup):
         self.exp_count += len(exponents)
         return self.inner.exp_many(base, exponents)
 
+    def exp_bases(self, bases: Sequence[Any], exponent: int) -> List[Any]:
+        self.exp_count += len(bases)
+        return self.inner.exp_bases(bases, exponent)
+
     def inv(self, a: Any) -> Any:
         self.inv_count += 1
         return self.inner.inv(a)

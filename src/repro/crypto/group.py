@@ -101,6 +101,12 @@ class CyclicGroup(ABC):
         the work that depends only on ``base``."""
         return [self.exp(base, exponent) for exponent in exponents]
 
+    def exp_bases(self, bases: Sequence[Any], exponent: int) -> List[Any]:
+        """Return ``[b**exponent for b in bases]``, the twin of
+        :meth:`exp_many`; subclasses may share the work that depends only
+        on ``exponent``."""
+        return [self.exp(base, exponent) for base in bases]
+
     def random_scalar(self, rng: DeterministicRNG) -> int:
         """Return a uniform nonzero scalar in ``[1, q)``."""
         return 1 + rng.randbelow(self.order - 1)
@@ -121,6 +127,11 @@ class CyclicGroup(ABC):
         return int.from_bytes(digest, "big") % self.order
 
 
+#: a negative exponent above ``-_SHORT`` is walked by magnitude (two table rows)
+_SHORT_BYTES = 2
+_SHORT = 1 << (8 * _SHORT_BYTES)
+
+
 class SchnorrGroup(CyclicGroup):
     """The order-``q`` subgroup of ``Z_p^*`` for a safe prime ``p = 2q+1``.
 
@@ -128,8 +139,9 @@ class SchnorrGroup(CyclicGroup):
     ``exp`` is one :meth:`repro.crypto.modexp.Modulus.powm` — libcrypto's
     constant-time Montgomery ladder where the interpreter links it,
     ``pow`` otherwise — which makes these groups the default for the
-    large simulation runs. ``power_of_g`` reads a fixed-base table;
-    ``exp_many`` is the inherited loop over ``exp``.
+    large simulation runs. ``exp_many`` and ``exp_bases`` are one
+    :meth:`~repro.crypto.modexp.Modulus.powm_many` batch each (the shared
+    operand converted once); ``power_of_g`` reads a fixed-base table.
     """
 
     def __init__(self, p: int, q: int, g: int, name: str = "schnorr") -> None:
@@ -143,6 +155,7 @@ class SchnorrGroup(CyclicGroup):
         self.name = name
         self._size = (p.bit_length() + 7) // 8
         self._g_table: Optional[List[List[int]]] = None
+        self._g_inverse_table: Optional[List[List[int]]] = None
         self._modulus = Modulus(p)
 
     @property
@@ -164,12 +177,25 @@ class SchnorrGroup(CyclicGroup):
     def exp(self, base: int, exponent: int) -> int:
         return self._modulus.powm(base, exponent % self.order)
 
+    def exp_many(self, base: int, exponents: Sequence[int]) -> List[int]:
+        q = self.order
+        return self._modulus.powm_many([(base, exponent % q) for exponent in exponents])
+
+    def exp_bases(self, bases: Sequence[int], exponent: int) -> List[int]:
+        exponent %= self.order
+        return self._modulus.powm_many([(base, exponent) for base in bases])
+
     def power_of_g(self, exponent: int) -> int:
         """``g**exponent`` as a product of table entries, one per non-zero
-        byte of the reduced exponent — a short exponent walks only its own
-        bytes."""
-        exponent %= self.order
-        table = self._g_table or self._build_g_table()
+        byte — a short exponent walks only its own bytes, and a short
+        negative one (signed edge noise) walks its magnitude over the
+        rows of ``g**-1`` instead of wrapping to full width."""
+        if -_SHORT < exponent < 0:
+            exponent = -exponent
+            table = self._g_inverse_table or self._build_g_inverse_table()
+        else:
+            exponent %= self.order
+            table = self._g_table or self._build_g_table()
         p = self.p
         acc = 1
         little = exponent.to_bytes((exponent.bit_length() + 7) // 8, "little")
@@ -181,16 +207,23 @@ class SchnorrGroup(CyclicGroup):
     def _build_g_table(self) -> List[List[int]]:
         """``table[i][b] = g**(b * 256**i)``, built on first use and kept
         for the life of the group object (one multiplication per entry)."""
+        self._g_table = self._byte_rows(self._g, (self.order.bit_length() + 7) // 8)
+        return self._g_table
+
+    def _build_g_inverse_table(self) -> List[List[int]]:
+        """The same rows for ``g**-1``, as many as a short exponent has bytes."""
+        self._g_inverse_table = self._byte_rows(self.inv(self._g), _SHORT_BYTES)
+        return self._g_inverse_table
+
+    def _byte_rows(self, step: int, count: int) -> List[List[int]]:
         p = self.p
         table = []
-        step = self._g
-        for _ in range((self.order.bit_length() + 7) // 8):
+        for _ in range(count):
             row = [1]
             for _ in range(255):
                 row.append(row[-1] * step % p)
             table.append(row)
             step = row[-1] * step % p
-        self._g_table = table
         return table
 
     def inv(self, a: int) -> int:
@@ -275,8 +308,9 @@ def default_group() -> CyclicGroup:
     """The group used by default throughout the simulation.
 
     We default to the 256-bit Schnorr group: it is comfortably in the DDH
-    regime while keeping exponentiation (17 µs through libcrypto, 130 µs
-    on the ``pow`` fallback) fast enough for end-to-end runs. The
+    regime while keeping exponentiation (17 µs inside a batch and 20 µs
+    for a single ``exp`` through libcrypto, 130 µs on the ``pow``
+    fallback) fast enough for end-to-end runs. The
     paper's secp384r1 curve is available from
     :mod:`repro.crypto.ec` for fidelity experiments.
     """

@@ -4,23 +4,27 @@
 :class:`Modulus` reaches its ``BN_mod_exp_mont_consttime`` through
 ``ctypes``: one Montgomery context per modulus, a fixed-window ladder whose
 multiplication schedule does not follow the exponent's bits, 8× faster
-than ``pow`` at 256 bits. Where the library or one symbol is missing,
-``powm`` is ``pow`` — decided once at import and readable as
+than ``pow`` at 256 bits. There is one loop, :meth:`Modulus.powm_many`,
+over ``(base, exponent)`` pairs — a row of bases under one exponent, or
+one base under a row of exponents, converts the shared operand once —
+and ``powm`` is its one-pair case. Where the library or one symbol is
+missing, that loop is ``pow`` — decided once at import and readable as
 :data:`BACKEND`; nothing selects it.
 
 The library is loaded with ``PyDLL``: every foreign call holds the
 interpreter lock, so the per-modulus ``BN_CTX`` — the one piece of native
-state a call writes to — is never entered by two threads. Operands and
-the result are allocated per call and freed before ``powm`` returns;
-nothing native is shared *between* calls.
+state a call writes to — is never entered by two threads. The three
+operand ``BIGNUM``s and the output buffer are allocated per batch, local
+to the call and freed before it returns; nothing native is shared
+*between* calls.
 """
 
 from __future__ import annotations
 
 import ctypes
 import weakref
-from ctypes import c_char_p, c_int, c_void_p
-from typing import Optional, Tuple
+from ctypes import c_char, c_char_p, c_int, c_void_p
+from typing import Iterable, List, NoReturn, Optional, Tuple
 
 from repro.exceptions import CryptoError
 
@@ -30,6 +34,7 @@ _SONAMES = ("libcrypto.so.3", "libcrypto.so.1.1", "libcrypto.3.dylib", "libcrypt
 
 #: name -> (restype, *argtypes) of every libcrypto symbol this module calls
 _SYMBOLS = {
+    "BN_new": (c_void_p,),
     "BN_bin2bn": (c_void_p, c_char_p, c_int, c_void_p),
     "BN_bn2binpad": (c_int, c_void_p, c_char_p, c_int),
     "BN_free": (None, c_void_p),
@@ -72,6 +77,16 @@ def _free_native(lib: ctypes.PyDLL, modulus: int, ctx: int, mont: int) -> None:
     lib.BN_free(modulus)
 
 
+def _checked(exponent: int, p: int) -> int:
+    if not 0 <= exponent < p:
+        raise CryptoError("exponent outside [0, p): reduce it modulo the group order")
+    return exponent
+
+
+def _refuse() -> NoReturn:
+    raise CryptoError("libcrypto failed a modular exponentiation")
+
+
 class Modulus:
     """An odd modulus ``p >= 3``; ``powm(b, e)`` is ``b**e mod p``."""
 
@@ -88,29 +103,47 @@ class Modulus:
 
     def powm(self, base: int, exponent: int) -> int:
         """``base**exponent mod p`` for any integer base and ``0 <= exponent < p``."""
+        return self.powm_many(((base, exponent),))[0]
+
+    def powm_many(self, pairs: Iterable[Tuple[int, int]]) -> List[int]:
+        """``[b**e mod p for b, e in pairs]``, any integer bases, every
+        ``0 <= e < p``. An operand that is the previous pair's object is
+        not converted again."""
         p = self.p
-        if not 0 <= exponent < p:
-            raise CryptoError("exponent outside [0, p): reduce it modulo the group order")
         lib = _LIB
         if lib is None:
-            return pow(base, exponent, p)
+            return [pow(base, _checked(exponent, p), p) for base, exponent in pairs]
         modulus, ctx, mont = self._native or self._build_native(lib)
         size = self._size
-        a = lib.BN_bin2bn((base % p).to_bytes(size, "big"), size, None)
-        e = lib.BN_bin2bn(exponent.to_bytes(size, "big"), size, None)
-        out = ctypes.create_string_buffer(size)
+        bin2bn, bn2binpad = lib.BN_bin2bn, lib.BN_bn2binpad
+        mod_exp = lib.BN_mod_exp_mont_consttime
+        from_bytes = int.from_bytes
+        results: List[int] = []
+        # no pair holds ``results``: the first one converts both operands
+        held_base: object = results
+        held_exponent: object = results
+        a: Optional[int] = None  # what was never allocated: BN_free(NULL) is a no-op
+        e: Optional[int] = None
+        r: Optional[int] = None
         try:
-            if not (
-                a
-                and e
-                and lib.BN_mod_exp_mont_consttime(a, a, e, modulus, ctx, mont) == 1
-                and lib.BN_bn2binpad(a, out, size) == size
-            ):
-                raise CryptoError("libcrypto failed a modular exponentiation")
+            r = lib.BN_new() or _refuse()
+            out = (c_char * size)()
+            for base, exponent in pairs:
+                # a failed conversion raises before assigning: the old pointer is freed
+                if base is not held_base:
+                    a = bin2bn((base % p).to_bytes(size, "big"), size, a) or _refuse()
+                    held_base = base
+                if exponent is not held_exponent:
+                    e = bin2bn(_checked(exponent, p).to_bytes(size, "big"), size, e) or _refuse()
+                    held_exponent = exponent
+                if mod_exp(r, a, e, modulus, ctx, mont) != 1 or bn2binpad(r, out, size) != size:
+                    _refuse()
+                results.append(from_bytes(out, "big"))
         finally:
-            lib.BN_free(a)  # BN_free(NULL) is a no-op
+            lib.BN_free(a)
             lib.BN_free(e)
-        return int.from_bytes(out.raw, "big")
+            lib.BN_free(r)
+        return results
 
     def _build_native(self, lib: ctypes.PyDLL) -> Tuple[int, int, int]:
         raw = self.p.to_bytes(self._size, "big")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Tuple
+from typing import List, Tuple
 
 __all__ = ["DeterministicRNG"]
 
@@ -109,6 +109,15 @@ class DeterministicRNG:
     def random(self) -> float:
         """Return a uniform float in ``[0, 1)`` with 53 bits of precision."""
         return self.randbits(53) / float(1 << 53)
+
+    def randoms(self, count: int) -> List[float]:
+        """``count`` draws of :meth:`random` from one read of the stream
+        (which does not depend on how it is chunked): the same values and
+        the same state afterwards as ``count`` sequential calls."""
+        raw = self.randbytes(7 * count)
+        scale = float(1 << 53)
+        from_bytes = int.from_bytes
+        return [(from_bytes(raw[i : i + 7], "big") >> 3) / scale for i in range(0, len(raw), 7)]
 
     def shuffle(self, items: list) -> None:
         """Fisher-Yates shuffle of ``items`` in place."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import List
 
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import SensitivityError
@@ -19,6 +20,7 @@ __all__ = [
     "laplace_mechanism",
     "geometric_sample",
     "two_sided_geometric_sample",
+    "two_sided_geometric_samples",
     "two_sided_geometric_mechanism",
     "laplace_tail_probability",
     "LaplaceMechanism",
@@ -60,11 +62,14 @@ def geometric_sample(alpha: float, rng: DeterministicRNG) -> int:
     """One-sided geometric on {0, 1, ...} with ``P(k) = (1-alpha) alpha^k``."""
     if not 0.0 < alpha < 1.0:
         raise SensitivityError("alpha must lie in (0, 1)")
-    u = rng.random()
+    return _geometric_quantile(rng.random(), math.log(alpha))
+
+
+def _geometric_quantile(u: float, log_alpha: float) -> int:
+    """Inverse CDF: smallest k with 1 - alpha^{k+1} >= u."""
     if u <= 0.0:
         return 0
-    # Inverse CDF: smallest k with 1 - alpha^{k+1} >= u.
-    return max(0, math.ceil(math.log(1.0 - u) / math.log(alpha)) - 1)
+    return max(0, math.ceil(math.log(1.0 - u) / log_alpha) - 1)
 
 
 def two_sided_geometric_sample(alpha: float, rng: DeterministicRNG) -> int:
@@ -74,6 +79,17 @@ def two_sided_geometric_sample(alpha: float, rng: DeterministicRNG) -> int:
     which has exactly this PMF.
     """
     return geometric_sample(alpha, rng) - geometric_sample(alpha, rng)
+
+
+def two_sided_geometric_samples(alpha: float, count: int, rng: DeterministicRNG) -> List[int]:
+    """``count`` draws of :func:`two_sided_geometric_sample` from one read
+    of the stream: the same values, and the same generator state
+    afterwards, as ``count`` sequential calls."""
+    if not 0.0 < alpha < 1.0:
+        raise SensitivityError("alpha must lie in (0, 1)")
+    log_alpha = math.log(alpha)
+    halves = [_geometric_quantile(u, log_alpha) for u in rng.randoms(2 * count)]
+    return [halves[i] - halves[i + 1] for i in range(0, len(halves), 2)]
 
 
 def two_sided_geometric_mechanism(

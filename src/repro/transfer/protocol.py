@@ -30,7 +30,7 @@ from typing import Any, List, Optional, Sequence
 from repro.crypto.elgamal import ExponentialElGamal
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import ProtocolError
-from repro.privacy.mechanisms import two_sided_geometric_sample
+from repro.privacy.mechanisms import two_sided_geometric_samples
 from repro.sharing.xor import share_value, xor_all
 from repro.transfer.certificates import BlockCertificate, MemberKeys
 
@@ -151,6 +151,14 @@ class MessageTransferProtocol:
         self.message_bits = message_bits
         self.noise_alpha = noise_alpha
 
+    def _check_width(self, vector: Sequence[Any], what: str) -> None:
+        """Refuse a per-bit vector that is not exactly ``message_bits`` long
+        (a short one would fail untyped, a long one be silently cut)."""
+        if len(vector) != self.message_bits:
+            raise ProtocolError(
+                f"{what} holds {len(vector)} elements, the protocol moves {self.message_bits} bits"
+            )
+
     # -- role: member of the sending block B_u -------------------------------
 
     def sender_encrypt(
@@ -163,22 +171,26 @@ class MessageTransferProtocol:
 
         Returns one :class:`EncryptedSubshare` per member of ``B_v``; the
         Kurosawa optimization spends ``L + 1`` exponentiations per
-        receiver instead of ``2L``.
+        receiver instead of ``2L``: the receiver's whole key row goes to
+        the one ephemeral scalar in a single batch, and ``g**bit`` is a
+        multiplication by ``g`` where the bit is set.
         """
         if certificate.bits != self.message_bits:
             raise ProtocolError("certificate bit width does not match the protocol")
+        for row in certificate.keys:
+            self._check_width(row, "a certificate key row")
         group = self.elgamal.group
-        receivers = certificate.block_size
-        subshares = share_value(share_word, self.message_bits, receivers, rng)
+        g = group.generator
+        subshares = share_value(share_word, self.message_bits, certificate.block_size, rng)
         encrypted = []
-        for y in range(receivers):
+        for y, subshare in enumerate(subshares):
             ephemeral = group.random_scalar(rng)
             c1 = group.power_of_g(ephemeral)
-            c2 = []
-            for t in range(self.message_bits):
-                bit = (subshares[y] >> t) & 1
-                pk = certificate.keys[y][t]
-                c2.append(group.mul(group.power_of_g(bit), group.exp(pk, ephemeral)))
+            masks = group.exp_bases(certificate.keys[y], ephemeral)
+            c2 = [
+                group.mul(mask, g) if (subshare >> t) & 1 else mask
+                for t, mask in enumerate(masks)
+            ]
             encrypted.append(EncryptedSubshare(c1=c1, c2=c2))
         return encrypted
 
@@ -194,13 +206,23 @@ class MessageTransferProtocol:
         ``bundles[x][y]`` is sender ``x``'s subshare for receiver ``y``.
         The Kurosawa ``c1`` halves multiply once per receiver (they are
         shared across bits), and every bit ciphertext receives an
-        independent even geometric offset.
+        independent even geometric offset; the ``b * L`` offsets come
+        from one read of the stream, in receiver-then-bit order.
         """
         group = self.elgamal.group
+        bits = self.message_bits
         block_size = len(bundles)
         for row in bundles:
             if len(row) != block_size:
                 raise ProtocolError("subshare matrix must be square (k+1 x k+1)")
+            for sub in row:
+                self._check_width(sub.c2, "an encrypted subshare")
+        count = block_size * bits
+        if self.noise_alpha is None:
+            offsets = [0] * count
+        else:
+            draws = two_sided_geometric_samples(self.noise_alpha, count, rng)
+            offsets = [2 * draw for draw in draws]
         aggregates = []
         noise_terms: List[List[int]] = []
         for y in range(block_size):
@@ -208,18 +230,15 @@ class MessageTransferProtocol:
             c1 = column[0].c1
             for sub in column[1:]:
                 c1 = group.mul(c1, sub.c1)
+            noises = offsets[y * bits : (y + 1) * bits]
             c2 = []
-            noises = []
-            for t in range(self.message_bits):
+            for t, noise in enumerate(noises):
                 acc = column[0].c2[t]
                 for sub in column[1:]:
                     acc = group.mul(acc, sub.c2[t])
-                noise = 0
                 if self.noise_alpha is not None:
-                    noise = 2 * two_sided_geometric_sample(self.noise_alpha, rng)
                     acc = group.mul(acc, group.power_of_g(noise))
                 c2.append(acc)
-                noises.append(noise)
             aggregates.append(AggregatedShare(c1=c1, c2=c2))
             noise_terms.append(noises)
         return aggregates, noise_terms
@@ -229,10 +248,11 @@ class MessageTransferProtocol:
     def adjust(self, aggregates: Sequence[AggregatedShare], neighbor_key: int) -> List[AggregatedShare]:
         """Node ``v``: raise each shared ephemeral half to the neighbor key
         so the receivers' original secret keys apply."""
-        group = self.elgamal.group
+        for agg in aggregates:
+            self._check_width(agg.c2, "an aggregate")
+        adjusted = self.elgamal.group.exp_bases([agg.c1 for agg in aggregates], neighbor_key)
         return [
-            AggregatedShare(c1=group.exp(agg.c1, neighbor_key), c2=list(agg.c2))
-            for agg in aggregates
+            AggregatedShare(c1=c1, c2=list(agg.c2)) for c1, agg in zip(adjusted, aggregates)
         ]
 
     # -- role: member of the receiving block B_v ------------------------------------
@@ -245,6 +265,7 @@ class MessageTransferProtocol:
         """
         if len(member.pairs) != self.message_bits:
             raise ProtocolError("receiver key count does not match message bits")
+        self._check_width(aggregate.c2, "an aggregate")
         group = self.elgamal.group
         # one base, L secrets: c1**(q - x_t) is already the inverse mask
         masks = group.exp_many(

@@ -4,7 +4,10 @@
 Every parity test runs against both kernels through the one seam the
 module has (``modexp._LIB``, ``None`` = the fallback), so the line a
 machine without libcrypto would run is tested on a machine that has it.
-``exp_many`` ≡ the loop stays where it was: ``tests/test_modexp_batching.py``.
+The kernel is one loop over ``(base, exponent)`` pairs (``powm_many``; a
+single ``powm`` is its one-pair case): parity, the failure model and the
+thread hammer below all go through that loop. ``exp_many`` / ``exp_bases``
+≡ the loop over ``exp`` is in ``tests/test_modexp_batching.py``.
 """
 
 from __future__ import annotations
@@ -113,6 +116,81 @@ class TestParityWithPow:
             Modulus(p)
 
 
+def pairs_for(group):
+    """Batches with the shapes the callers send — one base under many
+    exponents, many bases under one exponent (the shared operand the
+    *same object*), and mixed — over bases the kernel must reduce first."""
+    p = group.p
+    base = st.one_of(
+        st.sampled_from([0, 1, p - 1, p, 2 * p, p + 1, -1, -p]),
+        st.integers(min_value=-2 * p, max_value=3 * p),
+    )
+    exponent = st.one_of(
+        st.sampled_from([0, 1, 2, group.order, p - 1]), st.integers(min_value=0, max_value=p - 1)
+    )
+    same_base = st.tuples(base, st.lists(exponent, max_size=6)).map(
+        lambda drawn: [(drawn[0], e) for e in drawn[1]]
+    )
+    same_exponent = st.tuples(st.lists(base, max_size=6), exponent).map(
+        lambda drawn: [(b, drawn[1]) for b in drawn[0]]
+    )
+    mixed = st.lists(st.tuples(base, exponent), max_size=6)
+    return st.one_of(same_base, same_exponent, mixed, st.tuples(same_base, mixed).map(sum_lists))
+
+
+def sum_lists(lists):
+    return [pair for batch in lists for pair in batch]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestBatchParityWithPow:
+    @pytest.mark.parametrize("group", SCHNORR_GROUPS, ids=by_name)
+    @given(data=st.data())
+    @settings(max_examples=scale(40), deadline=None)
+    def test_a_batch_equals_pow_pair_by_pair(self, backend, group, data):
+        pairs = data.draw(pairs_for(group))
+        with kernel(backend):
+            assert group._modulus.powm_many(pairs) == [pow(b, e, group.p) for b, e in pairs]
+
+    @pytest.mark.parametrize("group", SCHNORR_GROUPS, ids=by_name)
+    def test_edges(self, backend, group):
+        p, q = group.p, group.order
+        modulus = group._modulus
+        base, exponent = group.power_of_g(77), q // 3
+        with kernel(backend):
+            assert modulus.powm_many([]) == []
+            assert modulus.powm_many(iter([(base, exponent)])) == [pow(base, exponent, p)]
+            assert modulus.powm(base, exponent) == pow(base, exponent, p)
+            # the same objects again and again, then equal values in new objects
+            repeated = [(base, exponent)] * 3 + [(base + 0 * p, int(str(exponent)))] + [(base, 2)]
+            assert modulus.powm_many(repeated) == [pow(b, e, p) for b, e in repeated]
+            zeros = [(0, 5), (p, 5), (2 * p, 0), (0, 0), (-p, 1)]
+            assert modulus.powm_many(zeros) == [0, 0, 1, 1, 0]
+            assert modulus.powm_many([(p + 2, 3), (3 * p - 1, 2), (-1, q)]) == [8, 1, p - 1]
+
+    def test_an_exponent_out_of_range_mid_batch_is_a_typed_error(self, backend):
+        modulus = Modulus(1019)
+        with kernel(backend):
+            for exponent in (-1, 1019, 1 << 64):
+                with pytest.raises(CryptoError, match="exponent outside"):
+                    modulus.powm_many([(2, 3), (2, exponent), (2, 4)])
+            assert modulus.powm_many([(2, 3), (2, 1018)]) == [8, 1]
+
+
+def test_both_kernels_return_identical_lists():
+    if modexp.BACKEND != "libcrypto":
+        pytest.skip("this interpreter links no libcrypto")
+    for group in SCHNORR_GROUPS:
+        base = group.power_of_g(4242)
+        step = group.order // 104729
+        pairs = [(base, (i + 1) * step) for i in range(8)] + [
+            (base * (i + 2) % group.p, step) for i in range(8)
+        ]
+        native = group._modulus.powm_many(pairs)
+        with mock.patch.object(modexp, "_LIB", None):
+            assert group._modulus.powm_many(pairs) == native
+
+
 # ----------------------------------------------------------- failure model --
 
 
@@ -125,21 +203,38 @@ class TestForeignCallFailures:
         """The real library, recording each call; ``refuse`` replaces one
         symbol's return value without making the call."""
 
-        def __init__(self, refuse=None, returns=None):
+        def __init__(self, refuse=None, returns=None, after=0):
             self._real, self._refuse, self._returns = modexp._LIB, refuse, returns
+            self._after = after  # let this many calls of the symbol through first
             self.calls = []
 
         def __getattr__(self, name):
             real = getattr(self._real, name)
 
             def call(*args):
-                self.calls.append((name, args))
-                return self._returns if name == self._refuse else real(*args)
+                refused = name == self._refuse and self._after <= 0
+                if name == self._refuse:
+                    self._after -= 1
+                result = self._returns if refused else real(*args)
+                self.calls.append((name, args, result))
+                return result
 
             return call
 
         def args_of(self, name):
-            return [args for called, args in self.calls if called == name]
+            return [args for called, args, _result in self.calls if called == name]
+
+        def allocated(self):
+            """Every ``BIGNUM`` handed out: ``BN_new``, and ``BN_bin2bn``
+            asked to allocate (no destination) rather than to refill."""
+            return sorted(
+                result
+                for called, args, result in self.calls
+                if result and (called == "BN_new" or (called == "BN_bin2bn" and args[2] is None))
+            )
+
+        def freed(self):
+            return sorted(p for (p,) in self.args_of("BN_free") if p)
 
     @pytest.mark.parametrize(
         "name, returns", [("BN_mod_exp_mont_consttime", 0), ("BN_bn2binpad", -1)]
@@ -151,9 +246,60 @@ class TestForeignCallFailures:
         with mock.patch.object(modexp, "_LIB", spy):
             with pytest.raises(CryptoError, match="libcrypto failed"):
                 modulus.powm(4, 5)
-        freed = spy.args_of("BN_free")
-        assert len(freed) == 2 and all(pointer for (pointer,) in freed)
+        assert len(spy.freed()) == 3 and spy.freed() == spy.allocated()
         assert modulus.powm(4, 5) == 1024
+
+    @pytest.mark.parametrize(
+        "name, returns, after",
+        [
+            ("BN_new", None, 0),
+            ("BN_bin2bn", None, 0),  # the first base
+            ("BN_bin2bn", None, 1),  # the first exponent
+            ("BN_bin2bn", None, 3),  # a refill mid-batch: the old pointer must still be freed
+            ("BN_mod_exp_mont_consttime", 0, 2),
+            ("BN_bn2binpad", 0, 3),
+        ],
+    )
+    def test_a_refusal_anywhere_in_a_batch_frees_every_operand(
+        self, name, returns, after
+    ):
+        group = TOY_GROUP_64
+        modulus = Modulus(group.p)
+        base = group.power_of_g(5)
+        pairs = [(base, e) for e in (3, 4, 5, 6)] + [(b, 7) for b in (2, 3, 4)]
+        want = [pow(b, e, group.p) for b, e in pairs]
+        assert modulus.powm_many(pairs) == want
+        spy = self.Spy(name, returns, after)
+        with mock.patch.object(modexp, "_LIB", spy):
+            with pytest.raises(CryptoError, match="libcrypto failed"):
+                modulus.powm_many(pairs)
+        assert spy.freed() == spy.allocated()
+        assert modulus.powm_many(pairs) == want
+
+    def test_an_exponent_out_of_range_mid_batch_frees_every_operand(self):
+        modulus = Modulus(TOY_GROUP_64.p)
+        modulus.powm(4, 5)
+        spy = self.Spy()
+        with mock.patch.object(modexp, "_LIB", spy):
+            with pytest.raises(CryptoError, match="exponent outside"):
+                modulus.powm_many([(4, 5), (9, 6), (9, TOY_GROUP_64.p), (4, 7)])
+        assert len(spy.allocated()) == 3 and spy.freed() == spy.allocated()
+        assert len(spy.args_of("BN_mod_exp_mont_consttime")) == 2
+
+    def test_a_batch_allocates_three_operands_whatever_its_length(self):
+        group = GROUP_256
+        modulus = Modulus(group.p)
+        modulus.powm(4, 5)
+        base = group.power_of_g(5)
+        row, column = [(base, e) for e in range(2, 18)], [(b, 9) for b in range(2, 18)]
+        for pairs in ([(base, 3)], row, column):
+            spy = self.Spy()
+            with mock.patch.object(modexp, "_LIB", spy):
+                assert modulus.powm_many(pairs) == [pow(b, e, group.p) for b, e in pairs]
+            assert len(spy.allocated()) == 3 and spy.freed() == spy.allocated()
+            # the shared operand is converted once, the varying one per pair
+            assert len(spy.args_of("BN_bin2bn")) == len(pairs) + 1
+            assert len(spy.args_of("BN_mod_exp_mont_consttime")) == len(pairs)
 
     @pytest.mark.parametrize(
         "name, returns", [("BN_MONT_CTX_set", 0), ("BN_CTX_new", None), ("BN_MONT_CTX_new", None)]
@@ -215,26 +361,40 @@ def check_samples(group, seed, count):
     return all(group.exp(base, e) == pow(base, e, group.p) for e in exponents)
 
 
-def hammer(group, threads=4, rounds=100, budget_s=30.0):
-    """``threads`` (more than this box has cores) in a tight ``exp`` loop on
-    one group object with the switch interval at its floor; returns the
-    wrong answers and which threads finished. Each ``powm`` is several
-    foreign calls, so the interpreter does switch threads inside one; what
-    keeps them apart is that no native operand is shared between calls and
-    the one shared ``BN_CTX`` is only entered with the interpreter lock
-    held. Load the library with ``CDLL`` and two threads do meet inside
-    it — a wrong answer or a crash in libcrypto on most runs of this, not
-    on all, which is why the test also pins the loader's type."""
+def hammer(group, threads=4, rounds=60, budget_s=30.0):
+    """``threads`` (more than this box has cores) in a tight loop of single
+    ``exp`` calls and whole batches (mixed pairs, one base under a row of
+    exponents, a row of bases under one exponent) on one group object with
+    the switch interval at its floor; returns the wrong answers and which
+    threads finished. A batch is several foreign calls per pair, so the
+    interpreter does switch threads inside one; what keeps them apart is
+    that a batch's operands are local to its call and the one shared
+    ``BN_CTX`` is only entered with the interpreter lock held. Load the
+    library with ``CDLL`` and two threads do meet inside it — a wrong answer
+    or a crash in libcrypto on most runs of this, not on all, which is why
+    the test also pins the loader's type."""
     base = group.power_of_g(99)
     step = group.order // 104729
     table = [(base * (i + 1) % group.p, (i + 3) * step % group.order) for i in range(32)]
     table = [(b, e, pow(b, e, group.p)) for b, e in table]
+    pairs = [(b, e) for b, e, _want in table]
+    wants = [want for _b, _e, want in table]
+    exponents = [e for _b, e in pairs]
+    bases = [b for b, _e in pairs]
+    row_wants = [pow(base, e, group.p) for e in exponents]
+    column_wants = [pow(b, step, group.p) for b in bases]
     wrong, done = [], []
     deadline = time.monotonic() + budget_s
 
     def work(index):
         for _ in range(rounds):
             wrong.extend((b, e) for b, e, want in table if group.exp(b, e) != want)
+            if group._modulus.powm_many(pairs) != wants:
+                wrong.append("mixed batch")
+            if group.exp_many(base, exponents) != row_wants:
+                wrong.append("one base, a row of exponents")
+            if group.exp_bases(bases, step) != column_wants:
+                wrong.append("a row of bases, one exponent")
             if time.monotonic() > deadline:
                 return
         done.append(index)

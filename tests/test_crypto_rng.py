@@ -112,6 +112,16 @@ class TestRanges:
         assert b"".join(chunked.randbytes(n) for n in sizes) == whole
         assert chunked.randbytes(40) == DeterministicRNG(9).randbytes(sum(sizes) + 40)[-40:]
 
+    @pytest.mark.parametrize("skip", [0, 1, 13, 32])
+    def test_randoms_equal_sequential_random_calls(self, skip):
+        """One read for ``count`` uniforms: value for value, and the same
+        state afterwards, wherever in a block the read starts."""
+        for count in (0, 1, 2, 9, 96, 500):
+            batched, sequential = DeterministicRNG(12), DeterministicRNG(12)
+            batched.randbytes(skip), sequential.randbytes(skip)
+            assert batched.randoms(count) == [sequential.random() for _ in range(count)]
+            assert batched.getstate() == sequential.getstate()
+
     def test_fork_consumes_exactly_32_parent_bytes(self):
         forked = DeterministicRNG(10)
         forked.fork("label")

@@ -14,14 +14,19 @@ import pickle
 import struct
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import PersistentScenarioCache, RunResult
 from repro.api.cache import ScenarioCache
+from repro.crypto.elgamal import ExponentialElGamal
+from repro.crypto.group import TOY_GROUP_64
+from repro.crypto.keys import SchnorrSigner
+from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import (
     FrameTooLargeError,
     PeerDisconnectedError,
+    ProtocolError,
     ResultFormatError,
     ServiceError,
     WireFormatError,
@@ -37,6 +42,9 @@ from repro.net.wire import (
     encode_frame,
 )
 from repro.service import CacheTierServer, RemoteScenarioCache
+from repro.sharing import share_value
+from repro.transfer.certificates import build_certificate, generate_member_keys
+from repro.transfer.protocol import EncryptedSubshare, MessageTransferProtocol
 
 FP = "f" * 64
 
@@ -280,6 +288,56 @@ class TestReadFrame:
         frame, wire_bytes = _read_from_stream(data + b"next frame")
         assert frame == Frame(kind=MessageKind.ROUND_VALUE, src=1, dst=2, round_index=3)
         assert wire_bytes == len(data)
+
+
+# ------------------------------------------------ (v) transfer role inputs --
+
+
+def _transfer_transcript(bits=4, block=3):
+    rng = DeterministicRNG("hostile-widths")
+    elgamal = ExponentialElGamal(TOY_GROUP_64, dlog_half_width=64)
+    signer = SchnorrSigner(TOY_GROUP_64)
+    members = [generate_member_keys(elgamal, bits, rng) for _ in range(block)]
+    neighbor_key = TOY_GROUP_64.random_scalar(rng)
+    certificate = build_certificate(
+        elgamal, signer, signer.keygen(rng), 0, 0, members, neighbor_key, rng
+    )
+    protocol = MessageTransferProtocol(elgamal, bits, noise_alpha=0.5)
+    bundles = [
+        protocol.sender_encrypt(share, certificate, rng)
+        for share in share_value(0b1010, bits, block, rng)
+    ]
+    return protocol, bundles, neighbor_key, members, rng
+
+
+class TestTransferRoleWidths:
+    """Whatever widths the per-bit vectors of a subshare matrix arrive
+    with, the roles downstream either run on exactly ``L`` bits or raise
+    ``ProtocolError``: no ``IndexError``, no vector quietly cut."""
+
+    @given(widths=st.lists(st.integers(min_value=0, max_value=9), min_size=9, max_size=9))
+    @example(widths=[4] * 9)
+    @example(widths=[4] * 8 + [5])
+    @settings(max_examples=40, deadline=None)
+    def test_any_width_matrix_is_moved_whole_or_refused(self, widths):
+        protocol, bundles, neighbor_key, members, rng = _transfer_transcript()
+        bits = protocol.message_bits
+        hostile = [
+            [
+                EncryptedSubshare(c1=sub.c1, c2=(sub.c2 * 3)[: widths[3 * x + y]])
+                for y, sub in enumerate(row)
+            ]
+            for x, row in enumerate(bundles)
+        ]
+        try:
+            aggregates, _ = protocol.aggregate(hostile, rng)
+        except ProtocolError:
+            assert any(width != bits for width in widths)
+            return
+        assert all(width == bits for width in widths)
+        for aggregate, member in zip(protocol.adjust(aggregates, neighbor_key), members):
+            assert len(aggregate.c2) == bits
+            assert 0 <= protocol.receiver_decrypt(aggregate, member) < 1 << bits
 
 
 # ------------------------------------------------- nothing is ever executed --

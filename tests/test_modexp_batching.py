@@ -26,16 +26,22 @@ from conftest import scale
 
 from repro import DStressConfig, StressTest
 from repro.api import engines as api_engines
-from repro.core.setup import TrustedParty
+from repro.core.secure_engine import SecureEngine
+from repro.core.setup import BlockAssignment, TrustedParty
 from repro.crypto.ec import P384
 from repro.crypto.elgamal import CountingGroup, ExponentialElGamal
 from repro.crypto.group import GROUP_160, GROUP_256, GROUP_512, TOY_GROUP_64
 from repro.crypto.keys import SchnorrSigner
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import CryptoError
+from repro.finance import EisenbergNoeProgram
 from repro.finance.scenarios import apply_shock, uniform_shock
 from repro.graphgen import RandomNetworkParams, random_network
+from repro.mpc.fixedpoint import FixedPointFormat
 from repro.sharing.xor import share_value
+from repro.simulation.estimator import ScalabilityEstimator
+from repro.simulation.netsim import TrafficMeter
+from repro.simulation.timing import PAPER_COST_CONSTANTS
 from repro.transfer.certificates import (
     build_certificate,
     generate_member_keys,
@@ -97,6 +103,27 @@ class TestExpMany:
             assert group.mul(group.exp(base, x), mask) == group.identity
 
 
+class TestExpBases:
+    """The same-exponent twin: a row of bases under one scalar."""
+
+    @pytest.mark.parametrize("group", ALL_GROUPS, ids=by_name)
+    @given(data=st.data())
+    @settings(max_examples=scale(6), deadline=None)
+    def test_equals_the_loop_over_exp(self, group, data):
+        bases = [group.power_of_g(n) for n in data.draw(st.lists(exponents_for(group), max_size=5))]
+        exponent = data.draw(exponents_for(group))
+        assert group.exp_bases(bases, exponent) == [group.exp(base, exponent) for base in bases]
+
+    @pytest.mark.parametrize("group", ALL_GROUPS, ids=by_name)
+    def test_edges(self, group):
+        q = group.order
+        base = group.power_of_g(7)
+        assert group.exp_bases([], 5) == []
+        assert group.exp_bases([base, base, group.identity], q) == [group.identity] * 3
+        assert group.exp_bases([base, base], -1) == [group.inv(base)] * 2
+        assert group.exp_bases((base,), q + 3) == [group.exp(base, 3)]
+
+
 class TestPowerOfG:
     @pytest.mark.parametrize("group", ALL_GROUPS, ids=by_name)
     @given(data=st.data())
@@ -113,6 +140,18 @@ class TestPowerOfG:
         assert group.power_of_g(0) == group.identity
         assert group.power_of_g(group.order) == group.identity
         assert group.power_of_g(group.order + 3) == group.power_of_g(3)
+
+    @pytest.mark.parametrize("group", SCHNORR_GROUPS, ids=by_name)
+    def test_a_short_negative_exponent_costs_its_magnitude(self, group):
+        """Signed edge noise walks one or two rows of ``g**-1``, not the
+        full-width wrap ``q - n``; beyond two bytes it wraps as before."""
+        group.power_of_g(-1)
+        rows = group._g_inverse_table
+        assert len(rows) == 2 and all(len(row) == 256 for row in rows)
+        assert rows[0][1] == group.inv(group.generator)
+        for n in (1, 255, 256, 65_535, 65_536, 65_537):
+            assert group.power_of_g(-n) == pow(group.generator, group.order - n, group.p)
+        assert group._g_inverse_table is rows
 
     @pytest.mark.parametrize("group", SCHNORR_GROUPS, ids=by_name)
     def test_table_is_built_once_per_group_object(self, group):
@@ -175,7 +214,15 @@ class TestCounting:
         counting.exp_many(base, [])
         assert (counting.exp_count, counting.mul_count, counting.inv_count) == (3, 0, 0)
 
-    def test_one_transfer_is_396_exponentiations_and_no_inversion(self):
+    def test_exp_bases_counts_one_exponentiation_per_base(self):
+        counting = CountingGroup(TOY_GROUP_64)
+        bases = [TOY_GROUP_64.power_of_g(n) for n in (9, 10, 11)]
+        assert counting.exp_bases(bases, 5) == [TOY_GROUP_64.exp(base, 5) for base in bases]
+        assert counting.exp_count == 3
+        counting.exp_bases([], 5)
+        assert (counting.exp_count, counting.mul_count, counting.inv_count) == (3, 0, 0)
+
+    def test_one_transfer_is_252_exponentiations_and_no_inversion(self):
         counting = CountingGroup(TOY_GROUP_64)
         rng = DeterministicRNG("execute-count")
         elgamal, members, neighbor_key, certificate = transfer_fixture(counting, rng)
@@ -185,8 +232,59 @@ class TestCounting:
         counting.reset()
         result = protocol.execute(shares, certificate, neighbor_key, members, rng)
         assert result.reconstruct(BITS) == message
-        assert counting.exp_count == 396
+        # b^2 (L + 1) + b L + b + b L: what ``_meter_transfer`` prices; the
+        # senders' ``g**bit`` is a multiplication, not an exponentiation
+        assert counting.exp_count == 252
         assert counting.inv_count == 0
+
+    @pytest.mark.parametrize("bits", [2, 5, 16])
+    @pytest.mark.parametrize("block", [1, 2, 3, 4])
+    def test_counted_equals_modelled(self, block, bits):
+        """What a ``CountingGroup`` counts, role by role, is what the
+        engine meters per transfer and what the estimator prices."""
+        counting = CountingGroup(TOY_GROUP_64)
+        rng = DeterministicRNG(f"counted-{block}-{bits}")
+        elgamal, members, neighbor_key, certificate = transfer_fixture(
+            counting, rng, bits=bits, block=block
+        )
+        protocol = MessageTransferProtocol(elgamal, bits, noise_alpha=0.4)
+        shares = share_value(rng.randbits(bits), bits, block, rng)
+
+        def counted(role):
+            counting.reset()
+            out = role()
+            return out, counting.exp_count
+
+        bundle, per_sender = counted(lambda: protocol.sender_encrypt(shares[0], certificate, rng))
+        bundles = [bundle] + [protocol.sender_encrypt(s, certificate, rng) for s in shares[1:]]
+        (aggregates, _noise), at_u = counted(lambda: protocol.aggregate(bundles, rng))
+        adjusted, at_v = counted(lambda: protocol.adjust(aggregates, neighbor_key))
+        _share, per_receiver = counted(lambda: protocol.receiver_decrypt(adjusted[0], members[0]))
+        assert (per_sender, at_u, at_v, per_receiver) == (
+            block * (bits + 1), block * bits, block, bits
+        )
+
+        counting.reset()
+        result = protocol.execute(shares, certificate, neighbor_key, members, rng)
+        assert counting.exp_count == block * per_sender + at_u + at_v + block * per_receiver
+        assert counting.inv_count == 0
+
+        # the engine's meter: blocks B_0 and B_1 of disjoint members
+        meter = TrafficMeter()
+        blocks = {0: [0] + list(range(2, block + 1)), 1: [1] + list(range(10, 9 + block))}
+        SecureEngine._meter_transfer(
+            None, meter, 0, 1, BlockAssignment(blocks=blocks, signature=None), result.traffic
+        )
+        assert sum(node.exponentiations for node in meter.nodes().values()) == counting.exp_count
+
+        # the estimator: one sender, then u, v and one receiver (critical path)
+        estimator = ScalabilityEstimator(
+            EisenbergNoeProgram(FixedPointFormat(bits, 1)),
+            PAPER_COST_CONSTANTS,
+            collusion_bound=block - 1,
+        )
+        modelled = estimator.transfer_seconds() / PAPER_COST_CONSTANTS.seconds_per_exp
+        assert round(modelled) == per_sender + at_u + at_v + per_receiver
 
     def test_plain_decrypt_folds_the_inversion_into_the_exponent(self):
         counting = CountingGroup(TOY_GROUP_64)
@@ -215,7 +313,7 @@ class TestSenderEncrypt:
         for member_keys in certificate.keys:
             for public in member_keys:
                 elgamal.encrypt_int(public, 1, rng)
-        assert kurosawa == BLOCK * (2 * 8 + 1) < counting.exp_count
+        assert kurosawa == BLOCK * (8 + 1) < counting.exp_count
 
 
 # ----------------------------------------------------------- certificates --

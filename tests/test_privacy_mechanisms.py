@@ -20,6 +20,7 @@ from repro.privacy.mechanisms import (
     laplace_sample,
     laplace_tail_probability,
     two_sided_geometric_sample,
+    two_sided_geometric_samples,
 )
 
 
@@ -102,6 +103,25 @@ class TestGeometric:
     def test_invalid_alpha(self, rng):
         with pytest.raises(SensitivityError):
             geometric_sample(1.5, rng)
+        for alpha in (0.0, 1.0, -0.1, 1.5):
+            before = rng.getstate()
+            with pytest.raises(SensitivityError):
+                two_sided_geometric_samples(alpha, 4, rng)
+            assert rng.getstate() == before
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.4, 0.9, 0.999])
+    @pytest.mark.parametrize("count", [0, 1, 48, 333])
+    def test_batched_draw_equals_the_sequential_sampler(self, alpha, count):
+        """The edge noise of one transfer comes from one read of the
+        stream: every value, and the generator's position afterwards,
+        are those of ``count`` sequential draws."""
+        batched, sequential = DeterministicRNG("noise"), DeterministicRNG("noise")
+        batched.randbytes(5), sequential.randbytes(5)  # start mid-block
+        assert two_sided_geometric_samples(alpha, count, batched) == [
+            two_sided_geometric_sample(alpha, sequential) for _ in range(count)
+        ]
+        assert batched.getstate() == sequential.getstate()
+        assert batched.randbytes(16) == sequential.randbytes(16)
 
 
 class TestAccountant:

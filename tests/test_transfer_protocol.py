@@ -1,11 +1,14 @@
 """Tests for the full L-bit message transfer protocol (§3.5)."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import scale
 
+from repro.crypto import modexp
 from repro.crypto.elgamal import ExponentialElGamal
 from repro.crypto.group import TOY_GROUP_64
 from repro.crypto.keys import SchnorrSigner
@@ -13,11 +16,18 @@ from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import CryptoError, DecryptionError, ProtocolError
 from repro.sharing import share_value
 from repro.transfer.certificates import (
+    BlockCertificate,
+    MemberKeys,
     build_certificate,
     generate_member_keys,
     verify_certificate,
 )
-from repro.transfer.protocol import MessageTransferProtocol, TransferTraffic
+from repro.transfer.protocol import (
+    AggregatedShare,
+    EncryptedSubshare,
+    MessageTransferProtocol,
+    TransferTraffic,
+)
 
 BITS = 8
 BLOCK = 3
@@ -98,6 +108,92 @@ class TestEndToEnd:
             except DecryptionError:
                 failures += 1
         assert failures > 0
+
+
+@pytest.fixture(params=["libcrypto", "pow"])
+def either_kernel(request):
+    """Both modexp kernels: the batch path must refuse a malformed vector
+    itself, whichever loop would have run under it."""
+    if request.param == "pow":
+        with mock.patch.object(modexp, "_LIB", None):
+            yield
+    else:
+        yield
+
+
+def resized(vector, width):
+    """``vector`` cut or padded (with its own last element) to ``width``."""
+    return (list(vector) + [vector[-1]] * width)[:width]
+
+
+@pytest.mark.usefixtures("either_kernel")
+class TestMalformedRoleInputs:
+    """A per-bit vector of the wrong width is a ``ProtocolError`` at the
+    role that receives it: a short one never reaches an index, a long one
+    is never silently cut, and nothing is drawn before the refusal."""
+
+    WIDTHS = [0, 1, BITS - 1, BITS + 1, 2 * BITS]
+
+    @pytest.fixture
+    def transcript(self, toy_elgamal, setup, rng):
+        _, _, members, nk, cert = setup
+        proto = MessageTransferProtocol(toy_elgamal, BITS, noise_alpha=0.5)
+        bundles = [proto.sender_encrypt(s, cert, rng) for s in share_value(9, BITS, BLOCK, rng)]
+        aggregates, _ = proto.aggregate(bundles, rng)
+        return proto, bundles, aggregates, proto.adjust(aggregates, nk), members, cert
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_receiver_refuses_a_short_or_long_aggregate(self, transcript, width):
+        proto, _, _, adjusted, members, _ = transcript
+        bad = AggregatedShare(c1=adjusted[0].c1, c2=resized(adjusted[0].c2, width))
+        with pytest.raises(ProtocolError, match=f"holds {width} elements"):
+            proto.receiver_decrypt(bad, members[0])
+        assert proto.receiver_decrypt(adjusted[0], members[0]) >= 0
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_v_refuses_a_short_or_long_aggregate(self, transcript, setup, width):
+        proto, _, aggregates, _, _, _ = transcript
+        bad = list(aggregates)
+        bad[1] = AggregatedShare(c1=bad[1].c1, c2=resized(bad[1].c2, width))
+        with pytest.raises(ProtocolError, match=f"holds {width} elements"):
+            proto.adjust(bad, setup[3])
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_u_refuses_a_ragged_subshare_matrix(self, transcript, rng, width):
+        proto, bundles, _, _, _, _ = transcript
+        ragged = [list(row) for row in bundles]
+        ragged[2][1] = EncryptedSubshare(c1=ragged[2][1].c1, c2=resized(ragged[2][1].c2, width))
+        before = rng.getstate()
+        with pytest.raises(ProtocolError, match=f"holds {width} elements"):
+            proto.aggregate(ragged, rng)
+        with pytest.raises(ProtocolError, match="square"):
+            proto.aggregate([row[:-1] for row in bundles], rng)
+        with pytest.raises(ProtocolError, match="square"):
+            proto.aggregate(bundles[:-1], rng)
+        assert rng.getstate() == before
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("row", [1, 2])
+    def test_sender_refuses_a_key_row_of_the_wrong_width(self, transcript, rng, row, width):
+        proto, _, _, _, _, cert = transcript
+        keys = [list(member) for member in cert.keys]
+        keys[row] = resized(keys[row], width)
+        bad = BlockCertificate(cert.owner, cert.edge_slot, keys, cert.signature)
+        assert bad.bits == BITS  # the first row alone would pass
+        before = rng.getstate()
+        with pytest.raises(ProtocolError, match=f"holds {width} elements"):
+            proto.sender_encrypt(5, bad, rng)
+        assert rng.getstate() == before
+
+    def test_execute_refuses_a_missing_receiver_and_a_short_key_set(self, transcript, setup, rng):
+        proto, _, _, _, members, cert = transcript
+        before = rng.getstate()
+        with pytest.raises(ProtocolError, match="equal size"):
+            proto.execute([1, 2, 3], cert, setup[3], members[:-1], rng)
+        assert rng.getstate() == before  # refused before any role ran
+        short = MemberKeys(pairs=members[0].pairs[:-1])
+        with pytest.raises(ProtocolError, match="key count"):
+            proto.execute([1, 2, 3], cert, setup[3], [short] + members[1:], rng)
 
 
 class TestEdgePrivacyMechanics:
