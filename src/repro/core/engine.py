@@ -30,7 +30,7 @@ from typing import Dict, List, Optional
 from repro.core.convergence import TrajectoryConvergence
 from repro.core.graph import DistributedGraph, VertexView
 from repro.core.program import NO_OP_MESSAGE, VertexProgram, compiled_update_circuit
-from repro.core.rounds import Arithmetic, RoundLoop, Superstep
+from repro.core.rounds import Arithmetic, RoundLoop, Superstep, batched_superstep
 from repro.core.transport import Transport
 from repro.exceptions import ConfigurationError
 from repro.obs.trace import timed_phase
@@ -134,6 +134,17 @@ class PlaintextEngine:
         with timed_phase(phases, "initialization"):
             make = fixed_arithmetic if fixed else float_arithmetic
             arithmetic = make(self.program, graph.degree_bound)
+            if fixed and superstep is None:
+                # a computation step is one walk of the circuit, a lane per
+                # vertex (the async pipelines keep arithmetic.update)
+                program, degree_bound = self.program, graph.degree_bound
+                circuit = compiled_update_circuit(program, degree_bound)
+                superstep = batched_superstep(
+                    graph.vertex_ids,
+                    lambda states, inboxes: program.circuit_update_many(
+                        states, inboxes, degree_bound, circuit
+                    ),
+                )
             if self.transport is not None:
                 # one execution = one bus session: resets per-run transport
                 # state (round counters, fault accounting, mailboxes)

@@ -13,7 +13,7 @@ every vertex must fit its in- and out-neighbors into ``D`` slots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
 
@@ -54,6 +54,7 @@ class DistributedGraph:
             raise ConfigurationError("degree bound D must be at least 1")
         self.degree_bound = degree_bound
         self._vertices: Dict[int, VertexView] = {}
+        self._routes: Optional[List[Tuple[int, int, int, int]]] = None
 
     # -- construction ---------------------------------------------------------
 
@@ -62,6 +63,7 @@ class DistributedGraph:
             raise ConfigurationError(f"duplicate vertex {vertex_id}")
         view = VertexView(vertex_id=vertex_id, data=dict(data))
         self._vertices[vertex_id] = view
+        self._routes = None
         return view
 
     def add_edge(self, src: int, dst: int, **edge_data: float) -> None:
@@ -90,6 +92,7 @@ class DistributedGraph:
         in_slot = dest.in_degree
         source.out_neighbors.append(dst)
         dest.in_neighbors.append(src)
+        self._routes = None
         for name, value in edge_data.items():
             source.data[f"out_{name}_{out_slot}"] = value
             dest.data[f"in_{name}_{in_slot}"] = value
@@ -118,6 +121,27 @@ class DistributedGraph:
         for view in self.vertices():
             for dst in view.out_neighbors:
                 yield (view.vertex_id, dst)
+
+    def routes(self) -> List[Tuple[int, int, int, int]]:
+        """Every edge as ``(src, out_slot, dst, in_slot)``, in vertex then
+        out-slot order (the order of :meth:`edges`): the message ``src``
+        puts on out-slot ``out_slot`` arrives on in-slot ``in_slot`` of
+        ``dst``. Built on first use, dropped when the graph changes — a
+        round routes by walking this list, not by searching neighbor lists.
+        """
+        routes = self._routes
+        if routes is None:
+            in_slots = {
+                (src, view.vertex_id): in_slot
+                for view in self._vertices.values()
+                for in_slot, src in enumerate(view.in_neighbors)
+            }
+            routes = self._routes = [
+                (src, out_slot, dst, in_slots[src, dst])
+                for src in self.vertex_ids
+                for out_slot, dst in enumerate(self._vertices[src].out_neighbors)
+            ]
+        return routes
 
     def max_degree(self) -> int:
         """Largest in- or out-degree actually present."""

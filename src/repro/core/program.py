@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from functools import lru_cache
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.core.graph import VertexView
 from repro.core.tokens import Unfingerprintable, stable_token
@@ -130,6 +131,13 @@ class VertexProgram(ABC):
     def decode_state(self, raw: Dict[str, int]) -> Dict[str, float]:
         return {name: self.fmt.decode(value) for name, value in raw.items()}
 
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def slot_names(prefix: str, degree_bound: int) -> Tuple[str, ...]:
+        """``(prefix_0, ..., prefix_{D-1})``: the per-slot register and bus
+        names, formatted once per process instead of once per update."""
+        return tuple(f"{prefix}_{slot}" for slot in range(degree_bound))
+
     def circuit_update(
         self,
         raw_state: Dict[str, int],
@@ -142,21 +150,39 @@ class VertexProgram(ABC):
         This is the bit-exact oracle for the secure engine: GMW evaluation
         of the same circuit on shares must reconstruct to these outputs.
         """
+        return self.circuit_update_many([raw_state], [raw_messages], degree_bound, circuit)[0]
+
+    def circuit_update_many(
+        self,
+        raw_states: Sequence[Dict[str, int]],
+        raw_inboxes: Sequence[List[int]],
+        degree_bound: int,
+        circuit: Circuit | None = None,
+    ) -> List[Tuple[Dict[str, int], List[int]]]:
+        """:meth:`circuit_update` of many vertices in one walk of the
+        circuit (:meth:`Circuit.evaluate_many
+        <repro.mpc.circuit.Circuit.evaluate_many>`): entry ``i`` of the
+        result is the new state and outbox of ``raw_states[i]`` under
+        ``raw_inboxes[i]``."""
         if circuit is None:
             circuit = self.build_update_circuit(degree_bound)
-        inputs = {name: self.fmt.to_unsigned(value) for name, value in raw_state.items()}
-        for slot in range(degree_bound):
-            inputs[f"msg_in_{slot}"] = self.fmt.to_unsigned(raw_messages[slot])
-        outputs = circuit.evaluate(inputs)
-        new_state = {
-            name: self.fmt.from_unsigned(outputs[name])
-            for name in self.state_registers(degree_bound)
-        }
-        out_messages = [
-            self.fmt.from_unsigned(outputs[f"msg_out_{slot}"])
-            for slot in range(degree_bound)
+        to_unsigned, from_unsigned = self.fmt.to_unsigned, self.fmt.from_unsigned
+        msg_in = self.slot_names("msg_in", degree_bound)
+        inputs_list = []
+        for raw_state, raw_messages in zip(raw_states, raw_inboxes):
+            inputs = {name: to_unsigned(value) for name, value in raw_state.items()}
+            for name, value in zip(msg_in, raw_messages):
+                inputs[name] = to_unsigned(value)
+            inputs_list.append(inputs)
+        registers = self.state_registers(degree_bound)
+        msg_out = self.slot_names("msg_out", degree_bound)
+        return [
+            (
+                {name: from_unsigned(outputs[name]) for name in registers},
+                [from_unsigned(outputs[name]) for name in msg_out],
+            )
+            for outputs in circuit.evaluate_many(inputs_list)
         ]
-        return new_state, out_messages
 
 
 def program_token(program: VertexProgram) -> Tuple[Any, ...]:

@@ -57,6 +57,7 @@ from typing import (
     Generic,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
     TypeVar,
@@ -73,6 +74,7 @@ __all__ = [
     "run_rounds_async",
     "route_messages",
     "sequential_superstep",
+    "batched_superstep",
     "Arithmetic",
     "RoundLoop",
     "LinkBytes",
@@ -243,6 +245,27 @@ def sequential_superstep(
     return superstep
 
 
+def batched_superstep(
+    vertex_ids: List[int],
+    update_many: Callable[[Sequence[S], Sequence[List[M]]], List[Tuple[S, List[M]]]],
+) -> Superstep:
+    """A superstep that hands all vertices, in id order, to one
+    ``update_many(states, inboxes) -> [(new state, outbox)]`` call, entry
+    for entry what the per-vertex ``update`` returns; the produced maps
+    have :func:`sequential_superstep`'s insertion order."""
+
+    def superstep(states, inboxes):
+        updated = update_many(
+            [states[vertex_id] for vertex_id in vertex_ids],
+            [inboxes[vertex_id] for vertex_id in vertex_ids],
+        )
+        new_states = {vid: state for vid, (state, _) in zip(vertex_ids, updated)}
+        outboxes = {vid: outbox for vid, (_, outbox) in zip(vertex_ids, updated)}
+        return new_states, outboxes
+
+    return superstep
+
+
 class RoundLoop(Generic[S, M]):
     """A resumable handle over the §3.6 schedule for one graph and one
     :class:`Arithmetic`.
@@ -258,7 +281,8 @@ class RoundLoop(Generic[S, M]):
     run's trace is the one-shot trace with extra release stages in between.
 
     ``superstep`` replaces the default one-by-one vertex update (the
-    sharded engine fans it across a process pool); ``transport`` is the
+    sharded engine fans it across a process pool, the ``fixed`` engine
+    evaluates it as one circuit walk); ``transport`` is the
     bus :meth:`advance` routes over (``None``: the shared in-memory one).
     """
 
@@ -439,15 +463,11 @@ async def run_rounds_async(
         full_rounds = iterations - 1
     else:
         full_rounds = iterations
-    # (out_slot -> (dst, in_slot)) per vertex, precomputed once: senders
-    # resolve the destination slot, the transport only moves payloads.
-    routes: Dict[int, List[Tuple[int, int]]] = {
-        vid: [
-            (dst, graph.vertex(dst).in_slot(vid))
-            for dst in graph.vertex(vid).out_neighbors
-        ]
-        for vid in vertex_ids
-    }
+    # the graph's routing table grouped by sender: senders resolve the
+    # destination slot, the transport only moves payloads.
+    routes: Dict[int, List[Tuple[int, int, int]]] = {vid: [] for vid in vertex_ids}
+    for src, out_slot, dst, in_slot in graph.routes():
+        routes[src].append((out_slot, dst, in_slot))
     # round -> vertex -> state-after-that-computation-step. A round is
     # observed (in sorted-vertex order, preserving the reference float
     # summation order) as soon as every vertex has recorded it, and its
@@ -500,7 +520,7 @@ async def run_rounds_async(
                     record(round_index, vid, state)
                     sends = [
                         transport.send(vid, dst, in_slot, outbox[out_slot], round_index)
-                        for out_slot, (dst, in_slot) in enumerate(routes[vid])
+                        for out_slot, dst, in_slot in routes[vid]
                     ]
                     with timed_phase(phases, "communication"):
                         if sends:
@@ -540,7 +560,7 @@ async def run_rounds_async(
                         record(round_index, vid, current[vid])
                 with timed_phase(phases, "communication"):
                     for vid in vertex_ids:
-                        for out_slot, (dst, in_slot) in enumerate(routes[vid]):
+                        for out_slot, dst, in_slot in routes[vid]:
                             await transport.send(
                                 vid, dst, in_slot, outboxes[vid][out_slot], round_index
                             )

@@ -657,12 +657,15 @@ class SecureEngine:
         fmt = self.program.fmt
         graph = ctx.graph
         deployment = ctx.deployment
+        routes: Dict[int, List[Tuple[int, int, int, int]]] = {
+            vid: [] for vid in graph.vertex_ids
+        }
+        for route in graph.routes():
+            routes[route[0]].append(route)
         for view in graph.vertices():
-            u = view.vertex_id
-            for out_slot, v in enumerate(view.out_neighbors):
+            for u, out_slot, v, in_slot in routes[view.vertex_id]:
                 # the certificate v forwarded to u at setup: B_v's keys
                 # under the neighbor key of the slot u occupies at v
-                in_slot = graph.vertex(v).in_slot(u)
                 result = self.transfer.execute(
                     ctx.outbox_shares[u][out_slot],
                     deployment.certificates[v][in_slot],

@@ -293,10 +293,8 @@ class InMemoryTransport(Transport):
 
     def deliver_outboxes(self, graph, outboxes, fill):
         inboxes = {v: [fill] * graph.degree_bound for v in graph.vertex_ids}
-        for view in graph.vertices():
-            for out_slot, neighbor in enumerate(view.out_neighbors):
-                in_slot = graph.vertex(neighbor).in_slot(view.vertex_id)
-                inboxes[neighbor][in_slot] = outboxes[view.vertex_id][out_slot]
+        for src, out_slot, dst, in_slot in graph.routes():
+            inboxes[dst][in_slot] = outboxes[src][out_slot]
         return inboxes
 
 
@@ -389,7 +387,7 @@ class SimulatedWanTransport(InMemoryTransport):
         return delay
 
     def deliver_outboxes(self, graph, outboxes, fill):
-        for src, dst in graph.edges():
+        for src, _out_slot, dst, _in_slot in graph.routes():
             self._account(src, dst)
         return super().deliver_outboxes(graph, outboxes, fill)
 
@@ -462,16 +460,19 @@ class FaultInjectingTransport(Transport):
         self._sync_round += 1
         inboxes = self.inner.deliver_outboxes(graph, outboxes, fill)
         dropped: List[str] = []
+        # a fault triple naming a non-edge is inert: only real routes match
+        in_slots = (
+            {(src, dst): in_slot for src, _out_slot, dst, in_slot in graph.routes()}
+            if self.duplicate or self.drop
+            else {}
+        )
         for src, dst, fault_round in sorted(self.duplicate):
-            if fault_round == round_index and dst in graph.vertex(src).out_neighbors:
-                raise _duplicate_delivery_error(
-                    src, dst, graph.vertex(dst).in_slot(src), round_index
-                )
+            if fault_round == round_index and (src, dst) in in_slots:
+                raise _duplicate_delivery_error(src, dst, in_slots[src, dst], round_index)
         for src, dst, fault_round in sorted(self.drop):
-            if fault_round == round_index and dst in graph.vertex(src).out_neighbors:
-                in_slot = graph.vertex(dst).in_slot(src)
+            if fault_round == round_index and (src, dst) in in_slots:
                 dropped.append(
-                    f"delivery {src}->{dst} (in-slot {in_slot}) was dropped"
+                    f"delivery {src}->{dst} (in-slot {in_slots[src, dst]}) was dropped"
                 )
         if dropped:
             raise TransportError(

@@ -154,8 +154,8 @@ class EisenbergNoeProgram(VertexProgram):
 
     def state_registers(self, degree_bound: int) -> List[str]:
         registers = ["prorate", "cash", "total_debt", "shortfall"]
-        registers += [f"debt_{t}" for t in range(degree_bound)]
-        registers += [f"credit_{t}" for t in range(degree_bound)]
+        registers += self.slot_names("debt", degree_bound)
+        registers += self.slot_names("credit", degree_bound)
         return registers
 
     # -- INIT (Figure 2a) --------------------------------------------------------
@@ -166,12 +166,18 @@ class EisenbergNoeProgram(VertexProgram):
             "cash": vertex.data.get("cash", 0.0),
             "shortfall": 0.0,
         }
+        data = vertex.data
+        names = self.slot_names
         total_debt = 0.0
-        for t in range(degree_bound):
-            debt = vertex.data.get(f"out_debt_{t}", 0.0)
-            credit = vertex.data.get(f"in_debt_{t}", 0.0)
-            state[f"debt_{t}"] = debt
-            state[f"credit_{t}"] = credit
+        for debt_name, credit_name, out_debt, in_debt in zip(
+            names("debt", degree_bound),
+            names("credit", degree_bound),
+            names("out_debt", degree_bound),
+            names("in_debt", degree_bound),
+        ):
+            debt = data.get(out_debt, 0.0)
+            state[debt_name] = debt
+            state[credit_name] = data.get(in_debt, 0.0)
             total_debt += debt
         state["total_debt"] = total_debt
         return state
@@ -185,8 +191,8 @@ class EisenbergNoeProgram(VertexProgram):
         degree_bound: int,
     ) -> Tuple[Dict[str, float], List[float]]:
         liquid = state["cash"]
-        for t in range(degree_bound):
-            liquid += state[f"credit_{t}"] - messages[t]
+        for credit, message in zip(self.slot_names("credit", degree_bound), messages):
+            liquid += state[credit] - message
         total_debt = state["total_debt"]
 
         prorate = state["prorate"]
@@ -195,8 +201,9 @@ class EisenbergNoeProgram(VertexProgram):
 
         new_state = dict(state)
         new_state["prorate"] = prorate
-        new_state["shortfall"] = total_debt * (1.0 - prorate)
-        out = [state[f"debt_{t}"] * (1.0 - prorate) for t in range(degree_bound)]
+        unpaid = 1.0 - prorate
+        new_state["shortfall"] = total_debt * unpaid
+        out = [state[debt] * unpaid for debt in self.slot_names("debt", degree_bound)]
         return new_state, out
 
     # -- UPDATE + COMMUNICATE (circuit form) ---------------------------------------------

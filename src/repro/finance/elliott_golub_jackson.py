@@ -127,8 +127,8 @@ class ElliottGolubJacksonProgram(VertexProgram):
 
     def state_registers(self, degree_bound: int) -> List[str]:
         registers = ["value", "base", "orig_value", "threshold", "penalty", "shortfall"]
-        registers += [f"insh_{t}" for t in range(degree_bound)]
-        registers += [f"orig_{t}" for t in range(degree_bound)]
+        registers += self.slot_names("insh", degree_bound)
+        registers += self.slot_names("orig", degree_bound)
         return registers
 
     # -- INIT (Figure 2b) ------------------------------------------------------
@@ -142,9 +142,16 @@ class ElliottGolubJacksonProgram(VertexProgram):
             "penalty": vertex.data.get("penalty", 0.0),
             "shortfall": 0.0,
         }
-        for t in range(degree_bound):
-            state[f"insh_{t}"] = vertex.data.get(f"in_insh_{t}", 0.0)
-            state[f"orig_{t}"] = vertex.data.get(f"in_orig_issuer_{t}", 0.0)
+        data = vertex.data
+        names = self.slot_names
+        for insh, orig, in_insh, in_orig in zip(
+            names("insh", degree_bound),
+            names("orig", degree_bound),
+            names("in_insh", degree_bound),
+            names("in_orig_issuer", degree_bound),
+        ):
+            state[insh] = data.get(in_insh, 0.0)
+            state[orig] = data.get(in_orig, 0.0)
         return state
 
     # -- UPDATE + COMMUNICATE (float form) --------------------------------------------
@@ -156,8 +163,11 @@ class ElliottGolubJacksonProgram(VertexProgram):
         degree_bound: int,
     ) -> Tuple[Dict[str, float], List[float]]:
         value = state["base"]
-        for t in range(degree_bound):
-            value += state[f"insh_{t}"] * (1.0 - messages[t]) * state[f"orig_{t}"]
+        names = self.slot_names
+        for insh, orig, message in zip(
+            names("insh", degree_bound), names("orig", degree_bound), messages
+        ):
+            value += state[insh] * (1.0 - message) * state[orig]
         if value < state["threshold"]:
             value -= state["penalty"]
 

@@ -17,11 +17,13 @@ contiguous slice of the slot cube) and one AND phase (two gathers, a
 broadcast AND, one in-place XOR onto the round's pre-placed masks).
 
 **Offline/online split.** All per-gate randomness is drawn in an offline
-phase (:class:`OfflinePoolBuilder`) *before* any gate is evaluated, in
-exactly the byte order the scalar engine would draw it — the same
-``rng.fork("gmw-party-p")`` calls, then bulk ``randbytes`` whose top bits
-are the scalar ``randbit()`` results (``randbit`` == ``randbits(1)``
-consumes one byte and keeps its top bit). Pools are sized from the
+phase (:class:`OfflinePoolBuilder`) *before* any gate is evaluated, from
+exactly the stream positions the scalar engine reads — the same
+``rng.fork("gmw-party-p")`` calls, then in ``ot`` mode each party's
+packed mask read (eight masks to the byte; the layout is in
+:mod:`repro.mpc.gmw`), which ``np.unpackbits`` turns into that party's
+row of the pool; in ``beaver`` mode the parent stream's one-byte
+``randbit()`` draws, top bits kept. Pools are sized from the
 circuit's compiled plan (the AND count :func:`repro.mpc.cost.gmw_cost`
 reports) and indexed by AND-gate *ordinal* in gate-list order, so the
 online phase may evaluate the gates in stage order while every gate
@@ -55,8 +57,8 @@ from repro.exceptions import (
     OfflinePoolExhaustedError,
     ProtocolError,
 )
-from repro.mpc.circuit import Circuit, CircuitStats
-from repro.mpc.gmw import GMWEngine, GMWResult, GMWTraffic
+from repro.mpc.circuit import Circuit
+from repro.mpc.gmw import GMWEngine, GMWResult, mask_stream_bytes
 
 try:  # pragma: no cover - exercised implicitly by every import site
     import numpy as np
@@ -157,13 +159,6 @@ def unpack_bits(words: "np.ndarray", count: int) -> List[int]:
     return [int(b) for b in unpack_lane_axis(words, count)]
 
 
-def _bits_from_bytes(raw: bytes) -> "np.ndarray":
-    """Top bit of each byte — exactly what ``DeterministicRNG.randbit``
-    returns per one-byte draw, so a bulk ``randbytes(n)`` reproduces ``n``
-    successive scalar ``randbit()`` calls."""
-    return np.frombuffer(raw, dtype=np.uint8) >> 7
-
-
 # ---------------------------------------------------------------------------
 # Offline phase: per-gate randomness pools
 # ---------------------------------------------------------------------------
@@ -254,7 +249,8 @@ class OfflinePoolBuilder:
     order* (for the secure engine: vertex order), interleaved freely with
     other builders — each call consumes exactly the bytes the scalar
     ``GMWEngine.evaluate`` would for that instance, so a mixed-bound walk
-    keeps the global RNG stream aligned. Then :meth:`build` packs lanes.
+    keeps the global RNG stream aligned. Then :meth:`build` packs lanes
+    (in ``ot`` mode it also unpacks every instance's mask read, in one pass).
     """
 
     def __init__(self, circuit: Circuit, num_parties: int, mode: str) -> None:
@@ -268,12 +264,13 @@ class OfflinePoolBuilder:
         # AND count is the one gmw_cost reports, and the cross-check test
         # in tests/test_mpc_gmw.py pins both to the scalar transcript.
         self.and_gates = circuit.compile().stats.and_gates
-        self._instances: List["np.ndarray"] = []
+        #: ot: every party's packed mask read, one ``bytes`` per instance
+        self._masks: List[bytes] = []
         self._triples: List[Tuple["np.ndarray", "np.ndarray", "np.ndarray"]] = []
 
     @property
     def num_instances(self) -> int:
-        return len(self._instances) if self.mode == "ot" else len(self._triples)
+        return len(self._masks) if self.mode == "ot" else len(self._triples)
 
     def add_instance(self, rng: DeterministicRNG) -> None:
         n = self.num_parties
@@ -282,24 +279,19 @@ class OfflinePoolBuilder:
         # per party (unconditionally, in both modes).
         party_rngs = [rng.fork(f"gmw-party-{p}") for p in range(n)]
         if self.mode == "ot":
-            # Step 2 (ot): per gate in list order, sender i draws one mask
-            # bit toward each j != i from its own fork — per-party streams
-            # are independent, so gate-major order per party is a straight
-            # byte run: ands * (n - 1) bytes, top bits kept.
-            cube = np.zeros((ands, n, n), dtype=np.uint8)
-            columns = np.arange(n)
-            for i, party_rng in enumerate(party_rngs):
-                raw = party_rng.randbytes(ands * (n - 1))
-                bits = _bits_from_bytes(raw).reshape(ands, n - 1)
-                cube[:, i, columns[columns != i]] = bits
-            self._instances.append(cube)
+            # Step 2 (ot): sender i reads its ands * (n - 1) masks from its
+            # own fork in one go (repro.mpc.gmw, "Mask stream"); build()
+            # unpacks every instance's read at once.
+            size = mask_stream_bytes(ands, n)
+            self._masks.append(b"".join([party.randbytes(size) for party in party_rngs]))
         else:
             # Step 2 (beaver): per gate in list order the *parent* rng
             # draws: a_plain, b_plain (1 byte each), then three
-            # share_value(·, 1, n, rng) calls of n-1 one-byte draws each.
+            # share_value(·, 1, n, rng) calls of n-1 one-byte draws each;
+            # a one-byte randbit() keeps the byte's top bit.
             per_gate = 2 + 3 * (n - 1)
             raw = rng.randbytes(ands * per_gate)
-            bits = _bits_from_bytes(raw).reshape(ands, per_gate)
+            bits = (np.frombuffer(raw, dtype=np.uint8) >> 7).reshape(ands, per_gate)
             a_plain = bits[:, 0]
             b_plain = bits[:, 1]
             c_plain = a_plain & b_plain
@@ -313,17 +305,23 @@ class OfflinePoolBuilder:
     def build(self) -> OfflinePools:
         count = self.num_instances
         if self.mode == "ot":
-            stacked = (
-                np.stack(self._instances, axis=-1)
-                if count
-                else np.zeros((self.and_gates, self.num_parties, self.num_parties, 0), dtype=np.uint8)
-            )
+            n, ands = self.num_parties, self.and_gates
+            # eight masks to the byte, gate-major, sender i's receivers
+            # j != i in party order: (instance, sender, gate, receiver rank)
+            raw = np.frombuffer(b"".join(self._masks), dtype=np.uint8)
+            bits = np.unpackbits(
+                raw.reshape(count, n, mask_stream_bytes(ands, n)), axis=-1, count=ands * (n - 1)
+            ).reshape(count, n, ands, n - 1)
+            cube = np.zeros((ands, n, n, count), dtype=np.uint8)
+            columns = np.arange(n)
+            for i in range(n):
+                cube[:, i, columns != i, :] = bits[:, i].transpose(1, 2, 0)
             return OfflinePools(
                 mode="ot",
-                num_parties=self.num_parties,
+                num_parties=n,
                 num_instances=count,
-                and_gates=self.and_gates,
-                ot_masks=pack_lane_axis(stacked),
+                and_gates=ands,
+                ot_masks=pack_lane_axis(cube),
             )
         packed = []
         for component in range(3):
@@ -400,9 +398,10 @@ class BitslicedGMWEngine(GMWEngine):
     traffic, OT stats, RNG stream consumption); ``evaluate_batch`` runs
     many instances of one circuit for the price of one stage walk. The
     OT backend must be the rng-silent
-    :class:`~repro.crypto.ot.SimulatedObliviousTransfer`: a backend that
-    consumes party randomness per transfer (DDH, IKNP extension) would
-    shift the scalar transcript the offline phase replays.
+    :class:`~repro.crypto.ot.SimulatedObliviousTransfer`: the lanes compute
+    what a correct OT returns and never run the backend, so one that does
+    per-transfer work and draws (DDH, IKNP extension) would be billed but
+    not executed, and its draws are not something the offline phase reads.
     """
 
     def __init__(
@@ -419,8 +418,6 @@ class BitslicedGMWEngine(GMWEngine):
                 f"{type(self.ot).__name__} consumes per-transfer randomness, "
                 "which the offline phase cannot replay"
             )
-        self._sender_bits = 8 * self.ot.sender_bytes_per_transfer(1)
-        self._receiver_bits = 8 * self.ot.receiver_bytes_per_transfer(1)
 
     # -- offline phase -----------------------------------------------------
 
@@ -555,29 +552,3 @@ class BitslicedGMWEngine(GMWEngine):
         stats.transfers += transfers
         stats.sender_bytes += transfers * self.ot.sender_bytes_per_transfer(1)
         stats.receiver_bytes += transfers * self.ot.receiver_bytes_per_transfer(1)
-
-    def _closed_form_traffic(self, stats: CircuitStats) -> GMWTraffic:
-        """Per-instance traffic identical to the scalar loop — including
-        ``pair_bits`` dict *insertion order*, which downstream metering
-        (``SecureEngine._meter_gmw`` float accumulation) iterates."""
-        n = self.num_parties
-        traffic = GMWTraffic(num_parties=n)
-        ands = stats.and_gates
-        if ands:
-            if self.mode == "ot":
-                # Scalar insertion order per gate: for i, for j != i:
-                # (i, j) then (j, i). Gate multiplicity only scales counts.
-                for i in range(n):
-                    for j in range(n):
-                        if i == j:
-                            continue
-                        traffic.add_pair(i, j, ands * self._sender_bits)
-                        traffic.add_pair(j, i, ands * self._receiver_bits)
-                traffic.ot_count = ands * n * (n - 1)
-            else:
-                for p in range(n):
-                    for q in range(n):
-                        if q != p:
-                            traffic.add_pair(p, q, 2 * ands)
-        traffic.rounds = stats.and_depth
-        return traffic

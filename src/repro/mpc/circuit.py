@@ -463,25 +463,50 @@ class Circuit:
     def evaluate(self, inputs: Dict[str, int]) -> Dict[str, int]:
         """Evaluate in the clear. ``inputs`` maps bus name to integer value
         (interpreted modulo ``2**width``); returns output bus values."""
+        return self.evaluate_many([inputs])[0]
+
+    def evaluate_many(self, inputs_list: Sequence[Dict[str, int]]) -> List[Dict[str, int]]:
+        """Evaluate once per entry of ``inputs_list``, in one walk of the
+        gate list: a wire holds one ``int`` whose bit ``l`` is its value in
+        instance ``l`` (a *lane*), so XOR is ``^``, AND is ``&`` and NOT is
+        ``^`` with the all-lanes word, whatever the number of instances.
+
+        The buses are transposed at the edges through binary text (the
+        lanes' values written side by side, one stride-``width`` slice per
+        wire), which keeps both transposes in C.
+        """
+        lanes = len(inputs_list)
+        if not lanes:
+            return []
+        full = (1 << lanes) - 1
         values = [0] * self._num_wires
-        values[self.one] = 1
+        values[self.one] = full
         for name, wires in self.input_buses.items():
-            if name not in inputs:
-                raise CircuitError(f"missing input bus {name!r}")
-            value = inputs[name] & ((1 << len(wires)) - 1)
+            width = len(wires)
+            mask = (1 << width) - 1
+            try:
+                # the last lane first: lane 0 is then every slice's low bit
+                text = "".join(
+                    [format(inputs[name] & mask, f"0{width}b") for inputs in reversed(inputs_list)]
+                )
+            except KeyError:
+                raise CircuitError(f"missing input bus {name!r}") from None
             for position, wire in enumerate(wires):
-                values[wire] = (value >> position) & 1
-        for gate in self.gates:
-            if gate.op is GateOp.XOR:
-                values[gate.out] = values[gate.a] ^ values[gate.b]
-            elif gate.op is GateOp.AND:
-                values[gate.out] = values[gate.a] & values[gate.b]
+                values[wire] = int(text[width - 1 - position :: width], 2)
+        xor_op, and_op = GateOp.XOR, GateOp.AND
+        for op, a, b, out in self.gates:
+            if op is xor_op:
+                values[out] = values[a] ^ values[b]
+            elif op is and_op:
+                values[out] = values[a] & values[b]
             else:
-                values[gate.out] = values[gate.a] ^ 1
-        outputs = {}
+                values[out] = values[a] ^ full
+        # an empty bus has no rows below and keeps its 0
+        outputs: List[Dict[str, int]] = [dict.fromkeys(self.output_buses, 0) for _ in range(lanes)]
         for name, wires in self.output_buses.items():
-            value = 0
-            for position, wire in enumerate(wires):
-                value |= values[wire] << position
-            outputs[name] = value
+            # one row of lane bits per wire, most significant wire first, so
+            # a column read top to bottom is one lane's value in binary
+            rows = [format(values[wire], f"0{lanes}b") for wire in reversed(wires)]
+            for lane, column in zip(reversed(outputs), zip(*rows)):
+                lane[name] = int("".join(column), 2)
         return outputs

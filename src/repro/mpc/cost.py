@@ -60,11 +60,11 @@ def gmw_cost(
 
     The gate counts are read from the circuit's compiled plan when it has
     one (:meth:`~repro.mpc.circuit.Circuit.compile`; a circuit still under
-    construction is walked), and are cross-checked gate-for-gate against
-    the :class:`~repro.mpc.gmw.GMWEngine` transcript in
-    ``tests/test_mpc_gmw.py`` — the bit-sliced offline phase sizes its
-    randomness pools from the same plan, so drift would surface as a hard
-    :class:`~repro.exceptions.OfflinePoolExhaustedError`.
+    construction is walked), and are cross-checked against the transfers
+    the scalar :class:`~repro.mpc.gmw.GMWEngine`'s OT backend records, one
+    per call, in ``tests/test_mpc_gmw.py`` — the bit-sliced offline phase
+    sizes its randomness pools from the same plan, so drift would surface
+    as a hard :class:`~repro.exceptions.OfflinePoolExhaustedError`.
     """
     if mode not in ("ot", "beaver"):
         raise ValueError(f"unknown GMW mode {mode!r}")

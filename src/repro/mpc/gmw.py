@@ -11,8 +11,20 @@ This is the MPC engine DStress invokes for every computation step (§3.3,
   (the ``beaver`` mode, used for the backend ablation).
 
 Inputs arrive already shared and outputs stay shared: DStress never opens
-intermediate values (§3.3). The engine tracks per-party traffic in bits and
-interaction rounds (= AND depth), which feed the cost model.
+intermediate values (§3.3). The engine reports per-party traffic in bits and
+interaction rounds (= AND depth), which feed the cost model; both follow
+from the circuit's gate counts alone (:meth:`GMWEngine._closed_form_traffic`).
+
+**Mask stream.** In ``ot`` mode every party forks one sub-stream off the
+run's generator (``rng.fork("gmw-party-p")``, 32 parent bytes each) and
+reads all its sender masks from it up front, eight to the byte
+(:func:`mask_stream_bytes`): mask ``k = gate_ordinal * (n - 1) +
+receiver_rank`` — AND gates numbered in gate-list order, the receivers of
+sender ``i`` ranked in party order with ``i`` left out — is bit
+``7 - k % 8`` of byte ``k // 8``; the tail bits of the last byte are
+unused. Whatever the OT backend draws per transfer comes after the masks
+on the same sub-stream. :mod:`repro.mpc.bitslice` unpacks the same read, so
+the two engines leave every party the same share of every wire.
 """
 
 from __future__ import annotations
@@ -23,10 +35,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.crypto.ot import ObliviousTransfer, SimulatedObliviousTransfer
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import CircuitError, ProtocolError
-from repro.mpc.circuit import Circuit, GateOp
+from repro.mpc.circuit import Circuit, CircuitStats, GateOp
 from repro.sharing.xor import reconstruct_value, share_value
 
-__all__ = ["GMWEngine", "GMWResult", "GMWTraffic"]
+__all__ = ["GMWEngine", "GMWResult", "GMWTraffic", "mask_stream_bytes"]
+
+
+def mask_stream_bytes(and_gates: int, num_parties: int) -> int:
+    """Bytes one party reads for its ``and_gates * (n - 1)`` sender masks."""
+    return (and_gates * (num_parties - 1) + 7) // 8
 
 
 @dataclass
@@ -101,6 +118,10 @@ class GMWResult:
         return reconstruct_value(self.output_shares[name], self.bus_widths[name], signed=signed)
 
 
+#: Shifts that read a byte's bits most significant first.
+_BIT_SHIFTS = (7, 6, 5, 4, 3, 2, 1, 0)
+
+
 class GMWEngine:
     """Evaluates circuits under the GMW protocol.
 
@@ -152,9 +173,17 @@ class GMWEngine:
         """
         n = self.num_parties
         self._check_shared_inputs(circuit, shared_inputs)
+        stats = circuit.stats()
+        ot_mode = self.mode == "ot"
 
-        traffic = GMWTraffic(num_parties=n)
         party_rngs = [rng.fork(f"gmw-party-{p}") for p in range(n)]
+        # masks[i][k]: the module docstring's mask k of sender i
+        size = mask_stream_bytes(stats.and_gates, n) if ot_mode else 0
+        masks = [
+            [(byte >> shift) & 1 for byte in party_rng.randbytes(size) for shift in _BIT_SHIFTS]
+            for party_rng in party_rngs
+        ]
+        base = 0  # mask index of the next AND gate's first receiver
 
         # wire_shares[w] is the list of n share bits of wire w.
         wire_shares: List[List[int]] = [[0] * n for _ in range(circuit.num_wires)]
@@ -167,36 +196,22 @@ class GMWEngine:
                 for p in range(n):
                     wire_shares[wire][p] = (shares[p] >> position) & 1
 
-        sender_bits = 8 * self.ot.sender_bytes_per_transfer(1)
-        receiver_bits = 8 * self.ot.receiver_bytes_per_transfer(1)
-
-        # Round counting: AND gates whose inputs are ready can share one
-        # round of interaction, so rounds == multiplicative depth.
-        and_depth = [0] * circuit.num_wires
-
-        for gate in circuit.gates:
-            out = gate.out
-            a_shares = wire_shares[gate.a]
-            if gate.op is GateOp.XOR:
-                b_shares = wire_shares[gate.b]
-                wire_shares[out] = [x ^ y for x, y in zip(a_shares, b_shares)]
-                and_depth[out] = max(and_depth[gate.a], and_depth[gate.b])
-            elif gate.op is GateOp.NOT:
+        xor_op, not_op = GateOp.XOR, GateOp.NOT
+        for op, a, b, out in circuit.gates:
+            a_shares = wire_shares[a]
+            if op is xor_op:
+                wire_shares[out] = [x ^ y for x, y in zip(a_shares, wire_shares[b])]
+            elif op is not_op:
                 flipped = list(a_shares)
                 flipped[0] ^= 1
                 wire_shares[out] = flipped
-                and_depth[out] = and_depth[gate.a]
-            else:  # AND
-                b_shares = wire_shares[gate.b]
-                if self.mode == "ot":
-                    z = self._and_via_ot(a_shares, b_shares, party_rngs, traffic,
-                                         sender_bits, receiver_bits)
-                else:
-                    z = self._and_via_beaver(a_shares, b_shares, rng, traffic)
-                wire_shares[out] = z
-                and_depth[out] = max(and_depth[gate.a], and_depth[gate.b]) + 1
-
-        traffic.rounds = max(and_depth) if and_depth else 0
+            elif ot_mode:
+                wire_shares[out] = self._and_via_ot(
+                    a_shares, wire_shares[b], masks, base, party_rngs
+                )
+                base += n - 1
+            else:
+                wire_shares[out] = self._and_via_beaver(a_shares, wire_shares[b], rng)
 
         output_shares: Dict[str, List[int]] = {}
         bus_widths: Dict[str, int] = {}
@@ -212,7 +227,7 @@ class GMWEngine:
             num_parties=n,
             bus_widths=bus_widths,
             output_shares=output_shares,
-            traffic=traffic,
+            traffic=self._closed_form_traffic(stats),
         )
 
     def _check_shared_inputs(
@@ -229,37 +244,68 @@ class GMWEngine:
                     f"input bus {name!r} has {len(shared_inputs[name])} shares, expected {n}"
                 )
 
+    def _closed_form_traffic(self, stats: CircuitStats) -> GMWTraffic:
+        """One evaluation's traffic, from the gate counts: every AND gate
+        costs the same bits on the same links — one OT per ordered pair
+        (two opened mask bits per party toward every other in ``beaver``
+        mode) — and one round per AND layer.
+
+        The ``pair_bits`` *insertion order* (for ``i``, for ``j != i``:
+        ``(i, j)`` then ``(j, i)``) is part of the contract: downstream
+        metering (``SecureEngine._meter_gmw`` float accumulation) iterates
+        it.
+        """
+        n = self.num_parties
+        traffic = GMWTraffic(num_parties=n)
+        ands = stats.and_gates
+        if ands:
+            if self.mode == "ot":
+                sender_bits = 8 * ands * self.ot.sender_bytes_per_transfer(1)
+                receiver_bits = 8 * ands * self.ot.receiver_bytes_per_transfer(1)
+                for i in range(n):
+                    for j in range(n):
+                        if i != j:
+                            traffic.add_pair(i, j, sender_bits)
+                            traffic.add_pair(j, i, receiver_bits)
+                traffic.ot_count = ands * n * (n - 1)
+            else:
+                for p in range(n):
+                    for q in range(n):
+                        if q != p:
+                            traffic.add_pair(p, q, 2 * ands)
+        traffic.rounds = stats.and_depth
+        return traffic
+
     def _and_via_ot(
         self,
         x: List[int],
         y: List[int],
+        masks: List[List[int]],
+        base: int,
         party_rngs: List[DeterministicRNG],
-        traffic: GMWTraffic,
-        sender_bits: int,
-        receiver_bits: int,
     ) -> List[int]:
         """GMW AND: local terms plus one OT per ordered party pair.
 
         ``z = XOR_i x_i y_i  XOR  XOR_{i != j} x_i y_j``; the cross term
         ``x_i y_j`` is shared between sender ``i`` (holding ``x_i``) and
-        receiver ``j`` (holding ``y_j``): the sender masks with a random bit
-        ``r`` and offers ``(r, r XOR x_i)``.
+        receiver ``j`` (holding ``y_j``): the sender masks with its random
+        bit ``r`` (``masks[i][base + rank of j]``) and offers
+        ``(r, r XOR x_i)``.
         """
         n = self.num_parties
+        transfer_bit = self.ot.transfer_bit
         z = [x[p] & y[p] for p in range(n)]
         for i in range(n):
             x_i = x[i]
             rng_i = party_rngs[i]
+            k = base
             for j in range(n):
                 if i == j:
                     continue
-                r = rng_i.randbit()
-                received = self.ot.transfer_bit(r, r ^ x_i, y[j], rng_i)
+                r = masks[i][k]
+                k += 1
                 z[i] ^= r
-                z[j] ^= received
-                traffic.ot_count += 1
-                traffic.add_pair(i, j, sender_bits)
-                traffic.add_pair(j, i, receiver_bits)
+                z[j] ^= transfer_bit(r, r ^ x_i, y[j], rng_i)
         return z
 
     def _and_via_beaver(
@@ -267,7 +313,6 @@ class GMWEngine:
         x: List[int],
         y: List[int],
         rng: DeterministicRNG,
-        traffic: GMWTraffic,
     ) -> List[int]:
         """AND via a trusted-dealer Beaver triple (ablation backend).
 
@@ -283,13 +328,9 @@ class GMWEngine:
         c = share_value(a_plain & b_plain, 1, n, rng)
         d = 0
         e = 0
-        for p in range(n):
+        for p in range(n):  # each party broadcasts its two mask bits
             d ^= x[p] ^ a[p]
             e ^= y[p] ^ b[p]
-            # Each party broadcasts its two mask bits to the other n-1.
-            for q in range(n):
-                if q != p:
-                    traffic.add_pair(p, q, 2)
         z = [c[p] ^ (d & b[p]) ^ (e & a[p]) for p in range(n)]
         z[0] ^= d & e
         return z

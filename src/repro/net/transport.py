@@ -562,16 +562,8 @@ class TcpTransport(Transport):
             )
         round_index = self._sync_round
         self._sync_round += 1
-        for view in graph.vertices():
-            for out_slot, neighbor in enumerate(view.out_neighbors):
-                in_slot = graph.vertex(neighbor).in_slot(view.vertex_id)
-                await self._inner_send(
-                    view.vertex_id,
-                    neighbor,
-                    in_slot,
-                    outboxes[view.vertex_id][out_slot],
-                    round_index,
-                )
+        for src, out_slot, dst, in_slot in graph.routes():
+            await self._inner_send(src, dst, in_slot, outboxes[src][out_slot], round_index)
         inboxes = {}
         for vid in graph.vertex_ids:
             inboxes[vid] = await Transport.gather_round(self, vid, round_index)

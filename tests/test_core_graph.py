@@ -87,3 +87,42 @@ class TestSlots:
         assert diamond().max_degree() == 2
         empty = DistributedGraph(3)
         assert empty.max_degree() == 0
+
+
+class TestRoutes:
+    @staticmethod
+    def derived(graph):
+        return [
+            (view.vertex_id, out_slot, dst, graph.vertex(dst).in_slot(view.vertex_id))
+            for view in graph.vertices()
+            for out_slot, dst in enumerate(view.out_neighbors)
+        ]
+
+    def test_equals_the_in_slot_derivation(self):
+        graph = diamond()
+        assert graph.routes() == self.derived(graph)
+        assert graph.routes() == [(0, 0, 1, 0), (0, 1, 2, 0), (1, 0, 3, 0), (2, 0, 3, 1)]
+        assert [(src, dst) for src, _, dst, _ in graph.routes()] == list(graph.edges())
+
+    def test_vertex_order_is_by_id_not_insertion(self):
+        graph = DistributedGraph(degree_bound=2)
+        for v in (2, 0, 1):
+            graph.add_vertex(v)
+        graph.add_edge(2, 0)
+        graph.add_edge(1, 0)
+        graph.add_edge(0, 2)
+        assert graph.routes() == self.derived(graph) == [(0, 0, 2, 0), (1, 0, 0, 1), (2, 0, 0, 0)]
+
+    def test_built_once_and_dropped_when_the_graph_changes(self):
+        graph = diamond()
+        first = graph.routes()
+        assert graph.routes() is first
+        graph.add_edge(3, 0, debt=4.0)
+        assert (3, 0, 0, 0) in graph.routes()
+        assert graph.routes() == self.derived(graph)
+        graph.add_vertex(4)
+        graph.add_edge(4, 0)
+        assert graph.routes()[-1] == (4, 0, 0, 1)
+
+    def test_empty_graph_has_no_routes(self):
+        assert DistributedGraph(degree_bound=1).routes() == []

@@ -29,9 +29,18 @@ this matrix.
 import pytest
 
 from repro import StressTest
+from repro.api.async_engine import run_coroutine
+from repro.core.engine import PlaintextEngine
+from repro.core.rounds import RoundLoop, sequential_superstep
+from repro.core.transport import InMemoryTransport
 from repro.mpc.bitslice import HAVE_NUMPY
 from repro.crypto.rng import DeterministicRNG
-from repro.finance import apply_shock, uniform_shock
+from repro.finance import (
+    EisenbergNoeProgram,
+    ElliottGolubJacksonProgram,
+    apply_shock,
+    uniform_shock,
+)
 from repro.graphgen import (
     CorePeripheryParams,
     ScaleFreeParams,
@@ -136,6 +145,38 @@ def test_fixed_engine_reproducible_and_near_float(
     assert len(first.trajectory) == len(reference.trajectory)
     for fixed_point, float_point in zip(first.trajectory, reference.trajectory):
         assert abs(fixed_point - float_point) <= QUANTIZATION_TOLERANCE
+
+
+@pytest.mark.parametrize("program", PROGRAMS)
+@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+def test_fixed_superstep_is_the_per_vertex_circuit_update(networks, program, graph_name):
+    """The ``fixed`` engine evaluates a computation step as one walk of
+    the update circuit, a lane per vertex; vertex by vertex through
+    ``circuit_update`` — sequentially, and as async pipelines over a bus —
+    must leave the same states, outboxes and trajectory."""
+    network = networks[graph_name]
+    if program == "eisenberg-noe":
+        engine, graph = PlaintextEngine(EisenbergNoeProgram()), network.to_en_graph()
+    else:
+        engine, graph = PlaintextEngine(ElliottGolubJacksonProgram()), network.to_egj_graph()
+    batched = engine.start(graph, fixed=True)
+    arithmetic = batched.arithmetic
+    assert batched.superstep.__qualname__.startswith("batched_superstep")
+    one_by_one = RoundLoop(
+        graph,
+        arithmetic,
+        superstep=sequential_superstep(graph.vertex_ids, arithmetic.update),
+    )
+    pipelined = engine.start(graph, fixed=True)
+    batched.advance(ITERATIONS)
+    one_by_one.advance(ITERATIONS)
+    run_coroutine(pipelined.advance_async(ITERATIONS, InMemoryTransport(), max_tasks=4))
+    assert batched.trajectory[-1] != 0.0, "shock produced no dynamics"
+    for other in (one_by_one, pipelined):
+        assert other.states == batched.states
+        assert list(other.states) == list(batched.states)  # summation order
+        assert other.pending == batched.pending
+        assert other.trajectory == batched.trajectory
 
 
 # ------------------------------------------------------- the secure column --

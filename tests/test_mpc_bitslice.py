@@ -44,7 +44,7 @@ from repro.mpc.builder import CircuitBuilder
 from repro.mpc.circuit import Circuit, GateOp, layerize
 from repro.mpc.cost import gmw_cost
 from repro.mpc.fixedpoint import FixedPointFormat
-from repro.mpc.gmw import GMWEngine
+from repro.mpc.gmw import GMWEngine, mask_stream_bytes
 from repro.mpc.noise_circuit import build_noised_sum_bits_circuit
 from repro.sharing.xor import share_value
 
@@ -398,21 +398,59 @@ class TestTranscriptParity:
             assert result.reveal(bus) == plain[bus]
 
     def test_ot_pool_replays_scalar_draw_order(self):
-        """OT-mode mask bits: pool entry (gate g, sender i, receiver j)
-        must be the bit the scalar engine's ``party_rngs[i]`` would hand
-        gate g — forks and draws in transcript order."""
+        """OT-mode mask bits: pool entry (gate g, sender i, receiver j) is
+        bit ``7 - k % 8`` of byte ``k // 8`` of the one read sender ``i``'s
+        fork makes, ``k = g * (n - 1) + rank of j`` — forks in transcript
+        order, eight masks to the byte, the last byte's tail bits unused."""
         circuit = mixed_circuit(4)
         parties = 3
+        ands = circuit.stats().and_gates
+        assert ands * (parties - 1) % 8  # the read ends inside a byte
         engine = BitslicedGMWEngine(parties, mode="ot")
-        pools = engine.precompute(circuit, 1, DeterministicRNG("replay"))
         rng = DeterministicRNG("replay")
-        party_rngs = [rng.fork(f"gmw-party-{p}") for p in range(parties)]
-        for g in range(circuit.stats().and_gates):
+        pools = engine.precompute(circuit, 1, rng)
+        replay = DeterministicRNG("replay")
+        party_rngs = [replay.fork(f"gmw-party-{p}") for p in range(parties)]
+        size = mask_stream_bytes(ands, parties)
+        assert size == -(-ands * (parties - 1) // 8)
+        streams = [party_rng.randbytes(size) for party_rng in party_rngs]
+        for g in range(ands):
             for i in range(parties):
-                for j in range(parties):
-                    if i != j:
-                        expected = party_rngs[i].randbit()
-                        assert int(pools.ot_masks[g, i, j, 0] & np.uint64(1)) == expected
+                receivers = [j for j in range(parties) if j != i]
+                for rank, j in enumerate(receivers):
+                    k = g * (parties - 1) + rank
+                    expected = (streams[i][k // 8] >> (7 - k % 8)) & 1
+                    assert int(pools.ot_masks[g, i, j, 0] & np.uint64(1)) == expected
+                assert int(pools.ot_masks[g, i, i, 0]) == 0
+        # only the 32-byte forks came off the parent stream
+        assert rng.getstate() == replay.getstate()
+
+    def test_scalar_over_a_drawing_ot_backend_reads_masks_first(self):
+        """A backend that draws per transfer (DDH) takes its randomness
+        from the sender's fork *after* the packed masks: the run is
+        deterministic, reconstructs to the clear evaluation, and the
+        parties' masks are the ones the rng-silent backend would use."""
+        circuit = mixed_circuit(4)
+        parties = 2
+        scalar = GMWEngine(parties)
+        shares = shared_batch(scalar, 4, [(11, 6)])[0]
+        plain = circuit.evaluate({"x": 11, "y": 6})
+        runs = []
+        for _ in range(2):
+            engine = GMWEngine(parties, ot=DDHObliviousTransfer(TOY_GROUP_64))
+            rng = DeterministicRNG("ddh")
+            runs.append((engine.evaluate(circuit, shares, rng), rng.getstate()))
+            assert engine.ot.stats.transfers == circuit.stats().and_gates * parties * (parties - 1)
+        (first, first_state), (second, second_state) = runs
+        assert first.output_shares == second.output_shares
+        assert first_state == second_state
+        for bus, value in plain.items():
+            assert first.reveal(bus) == value
+        # OT returns m_choice whatever the backend: same masks, same shares
+        silent_rng = DeterministicRNG("ddh")
+        silent = scalar.evaluate(circuit, shares, silent_rng)
+        assert silent.output_shares == first.output_shares
+        assert silent_rng.getstate() == first_state
 
     def test_beaver_pool_replays_scalar_draw_order(self):
         """Beaver triples: pool consumption order equals the scalar

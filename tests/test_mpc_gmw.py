@@ -12,6 +12,7 @@ from repro.crypto.ot_extension import IKNPOTExtension
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import CircuitError, ProtocolError
 from repro.mpc.builder import CircuitBuilder
+from repro.mpc.circuit import Circuit
 from repro.mpc.cost import gmw_cost
 from repro.mpc.gmw import GMWEngine
 from repro.sharing import xor_all
@@ -243,6 +244,38 @@ class TestAccounting:
         assert sum(traffic.sent_bits) == parties * predicted.sent_bits_per_party
         expected_triples = stats.and_gates if mode == "beaver" else 0
         assert predicted.beaver_triples == expected_triples
+        # the reported traffic is closed-form; the backend's own record,
+        # one per transfer_bit call, is the gate-for-gate count behind it
+        backend = engine.ot.stats
+        assert backend.transfers == predicted.total_ots
+        if mode == "ot":
+            assert 8 * backend.total_bytes == sum(traffic.sent_bits)
+
+    def test_pair_traffic_pinned_by_hand(self, rng):
+        """The closed form is the only traffic source in both engines, so
+        its per-pair attribution, insertion order and rounds are pinned
+        here as literals worked out from the per-gate rule: two chained AND
+        gates, three parties, TOY_GROUP_64 (8-byte elements). ``ot``: per
+        gate and ordered pair ``(i, j)`` the sender puts 8 + 2 bytes = 80
+        bits on ``i -> j`` and the receiver 8 bytes = 64 bits on
+        ``j -> i``, visited for ``i``, for ``j != i``: ``(i, j)`` then
+        ``(j, i)``; every link carries both directions' share, 144 a gate.
+        ``beaver``: per gate every party opens 2 bits to every other."""
+        circuit = Circuit()
+        a, b, c = circuit.add_input_bus("x", 3)
+        circuit.mark_output_bus("out", [circuit.and_(circuit.and_(a, b), c)])
+        expected = {
+            "ot": ([(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)], 288, 12),
+            "beaver": ([(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)], 4, 0),
+        }
+        for mode, (order, bits, ots) in expected.items():
+            engine = GMWEngine(3, ot=SimulatedObliviousTransfer(TOY_GROUP_64), mode=mode)
+            shares = {"x": engine.share_input(5, 3, rng)}
+            traffic = engine.evaluate(circuit, shares, rng).traffic
+            assert list(traffic.pair_bits.items()) == [(pair, bits) for pair in order]
+            assert traffic.sent_bits == traffic.received_bits == [2 * bits] * 3
+            assert traffic.rounds == 2
+            assert traffic.ot_count == ots
 
     def test_sent_received_balance(self, rng):
         circuit = adder_circuit()

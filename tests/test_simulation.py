@@ -136,7 +136,14 @@ class TestNaiveBaseline:
         fmt = FixedPointFormat(8, 2)
         fit = fit_naive_baseline([2, 3], fmt, parties=2)
         assert fit.coefficient > 0
-        # The §5.5 punchline: centuries at N=1750 under pure-Python GMW.
-        assert fit.years_end_to_end(1750, 12) > 1.0
+        # The §5.5 extrapolation, whatever the box: the zero-intercept cubic
+        # lies between the measured points' own t / N^3, and N = 1750 over
+        # 12 iterations is the paper's (1750/25)^3 * 11 multiplies at N = 25.
+        per_cube = [seconds / n**3 for n, seconds in fit.sample_points]
+        assert min(per_cube) <= fit.coefficient <= max(per_cube)
+        year = 365.25 * 24 * 3600
+        assert fit.years_end_to_end(1750, 12) * year == pytest.approx(
+            70**3 * 11 * fit.seconds_for_multiply(25)
+        )
         # And monotone in N.
         assert fit.seconds_for_multiply(25) > fit.seconds_for_multiply(10)
