@@ -29,8 +29,12 @@ schedule and ``result.traffic`` carries the per-node byte meters.
 
 Unlike the sharded engine there is no per-round state pickling: all
 vertex tasks share the parent process, so the fan-out cost the sharded
-benchmark quantifies is amortized to zero — ``benchmarks/bench_async.py``
-puts numbers on both effects.
+benchmark quantifies is amortized to zero. Nor is there a Task per
+message: a vertex hands its whole round to the bus in one
+:meth:`~repro.core.transport.Transport.send_round` call, which the
+in-memory bus delivers inline — the only Tasks are the vertex pipelines.
+``tests/test_async_overlap.py`` holds both numbers to account: the Task
+count, and overlap beating the sequential schedule on a realtime WAN.
 
 Like every backend the engine executes through the shared run lifecycle;
 under ``release="windowed"`` each window is one
@@ -146,8 +150,8 @@ class AsyncEngine(Engine):
     waits always stay concurrent — that is the point); ``transport`` picks
     the bus (``"memory"``, ``"wan"``, or a
     :class:`~repro.core.transport.Transport` instance); ``overlap=False``
-    runs the same bus strictly sequentially, the baseline
-    ``benchmarks/bench_async.py`` measures the overlap against.
+    runs the same bus strictly sequentially — one edge per bus call — the
+    baseline the overlap is measured against.
     """
 
     name = "async"

@@ -9,7 +9,8 @@ cannot model that claim. This backend runs the *same* window body
 not a second copy of the loop) with every block batch it yields
 dispatched through a
 :class:`~repro.core.transport.Transport`: as soon as a block's GMW
-evaluation finishes, its per-link OT bytes go on the bus as an asyncio
+evaluation finishes, its per-link OT bytes go on the bus as one
+:meth:`~repro.core.transport.Transport.convey_round` call in an asyncio
 task, and the next block's evaluation proceeds while those bytes are
 still in flight on a simulated WAN.
 
@@ -126,8 +127,8 @@ class SecureAsyncEngine(Engine):
     ``transport`` picks the bus (``"memory"``, ``"wan"``, or a
     :class:`~repro.core.transport.Transport` instance); ``overlap=False``
     awaits every link delivery one at a time — the honest sequential
-    baseline ``benchmarks/bench_secure_async.py`` measures the overlap
-    against.
+    baseline the overlap is measured against
+    (``tests/test_async_overlap.py``).
     """
 
     name = "secure-async"

@@ -58,13 +58,12 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
     TypeVar,
 )
 
 from repro.core.graph import DistributedGraph, VertexView
-from repro.core.transport import InMemoryTransport, Transport
+from repro.core.transport import InMemoryTransport, LinkLoad, Transport
 from repro.exceptions import ConfigurationError
 from repro.obs.trace import current_recorder, timed_phase
 from repro.simulation.netsim import PhaseTimer
@@ -409,12 +408,17 @@ async def run_rounds_async(
     window edge is a full barrier anyway, so nothing is lost to overlap.
 
     Each vertex runs its own task: compute round ``r``, push the round's
-    out-edge messages onto the bus, then await its complete round-``r``
-    inbox (:meth:`~repro.core.transport.Transport.gather_round` — the
-    round barrier) before computing round ``r + 1``. Nothing synchronizes
+    out-edge messages onto the bus in one
+    :meth:`~repro.core.transport.Transport.send_round` call, then await
+    its complete round-``r`` inbox
+    (:meth:`~repro.core.transport.Transport.gather_round` — the round
+    barrier) before computing round ``r + 1``. Nothing synchronizes
     *across* vertices between rounds, so a vertex whose neighbors already
     delivered computes ahead while slow links are still in flight — the
     communication/computation overlap the paper's WAN deployment assumes.
+    The pipelines are the only Tasks this driver creates: a message is a
+    call into the bus, which overlaps the links of one batch itself where
+    they have a delay to wait.
 
     ``max_tasks`` bounds how many vertex pipelines may occupy the compute
     section at once: an :class:`asyncio.Semaphore` around the compute
@@ -426,9 +430,9 @@ async def run_rounds_async(
     matrix asserts. The gate covers the compute section only; the message
     waits must stay concurrent or a one-task schedule would deadlock on
     its own barrier. ``overlap=False`` degrades to the fully
-    sequential schedule — every send awaited one at a time, in vertex-id
-    order — which is the honest WAN baseline the async engine is measured
-    against.
+    sequential schedule — one ``send_round`` per edge, awaited one at a
+    time in vertex-id order — which is the honest WAN baseline the async
+    engine is measured against.
 
     Bit-identity argument: a vertex's round-``r`` inbox is complete if and
     only if it holds exactly the deliveries ``route_messages`` would have
@@ -468,6 +472,11 @@ async def run_rounds_async(
     routes: Dict[int, List[Tuple[int, int, int]]] = {vid: [] for vid in vertex_ids}
     for src, out_slot, dst, in_slot in graph.routes():
         routes[src].append((out_slot, dst, in_slot))
+
+    def deliveries(vid: int, outbox: List[M]) -> List[Tuple[int, int, M]]:
+        """``vid``'s round of ``(dst, in_slot, payload)``, out-slot order."""
+        return [(dst, in_slot, outbox[out_slot]) for out_slot, dst, in_slot in routes[vid]]
+
     # round -> vertex -> state-after-that-computation-step. A round is
     # observed (in sorted-vertex order, preserving the reference float
     # summation order) as soon as every vertex has recorded it, and its
@@ -518,13 +527,11 @@ async def run_rounds_async(
                         with timed_phase(phases, "computation"):
                             state, outbox = update(vid, state, inbox)
                     record(round_index, vid, state)
-                    sends = [
-                        transport.send(vid, dst, in_slot, outbox[out_slot], round_index)
-                        for out_slot, dst, in_slot in routes[vid]
-                    ]
                     with timed_phase(phases, "communication"):
-                        if sends:
-                            await asyncio.gather(*sends)
+                        if routes[vid]:
+                            await transport.send_round(
+                                vid, round_index, deliveries(vid, outbox)
+                            )
                         inbox = await transport.gather_round(vid, round_index)
             with recorder.span("round", round=first_round + full_rounds, vertex=vid):
                 with timed_phase(phases, "computation"):
@@ -545,8 +552,9 @@ async def run_rounds_async(
             raise
     else:
         # Sequential reference schedule over the same bus: compute every
-        # vertex, then await every send one at a time, then gather — no
-        # overlap anywhere, so wall-clock pays the full sum of link delays.
+        # vertex, then send every edge as its own one-message round, one
+        # at a time, then gather — no overlap anywhere, so wall-clock pays
+        # the full sum of link delays.
         current = dict(states)
         current_inboxes = dict(inboxes)
         for round_index in range(full_rounds):
@@ -560,10 +568,8 @@ async def run_rounds_async(
                         record(round_index, vid, current[vid])
                 with timed_phase(phases, "communication"):
                     for vid in vertex_ids:
-                        for out_slot, dst, in_slot in routes[vid]:
-                            await transport.send(
-                                vid, dst, in_slot, outboxes[vid][out_slot], round_index
-                            )
+                        for delivery in deliveries(vid, outboxes[vid]):
+                            await transport.send_round(vid, round_index, [delivery])
                     for vid in vertex_ids:
                         current_inboxes[vid] = await transport.gather_round(
                             vid, round_index
@@ -592,8 +598,9 @@ class SecureRoundScheduler:
     reordering crypto work would change the transcript and break
     bit-identity with ``engine="secure"``); what *can* overlap is the
     wire time. This scheduler is that overlap: :meth:`dispatch` hands a
-    finished batch's per-link bytes to the bus as an asyncio task and
-    returns to the caller immediately, so block ``b + 1``'s OT
+    finished batch's per-link bytes to the bus as one
+    :meth:`~repro.core.transport.Transport.convey_round` call in an
+    asyncio task and returns to the caller immediately, so block ``b + 1``'s OT
     computation proceeds while block ``b``'s bytes are still in flight on
     a :class:`~repro.core.transport.SimulatedWanTransport`;
     :meth:`barrier` is the §3.6 step boundary — computation steps and
@@ -604,8 +611,8 @@ class SecureRoundScheduler:
     dispatch itself never blocks the computing coroutine).
     ``overlap=False`` awaits every link of every batch one at a time —
     the honest sequential baseline, paying the full sum of link delays —
-    which is what ``benchmarks/bench_secure_async.py`` measures the
-    overlap against.
+    which is what the tier-1 overlap ratio test in
+    ``tests/test_async_overlap.py`` measures the overlap against.
     """
 
     def __init__(
@@ -619,37 +626,35 @@ class SecureRoundScheduler:
         self.transport = transport
         self.overlap = bool(overlap)
         self._gate = asyncio.Semaphore(max_tasks) if max_tasks is not None else None
-        self._pending: Set[asyncio.Task] = set()
+        #: This step's delivery tasks, finished or not: a batch that has
+        #: already failed must still be in here for :meth:`barrier` to raise.
+        self._pending: List[asyncio.Task] = []
 
-    async def _deliver(self, link_bytes: LinkBytes, round_index: int, kind: str) -> None:
-        conveys = [
-            self.transport.convey(src, dst, num_bytes, round_index, kind=kind)
-            for (src, dst), num_bytes in sorted(link_bytes.items())
-        ]
-        if not conveys:
-            return
+    async def _deliver(self, links: List[LinkLoad], round_index: int, kind: str) -> None:
         if self._gate is None:
-            await asyncio.gather(*conveys)
+            await self.transport.convey_round(round_index, kind, links)
         else:
             async with self._gate:
-                await asyncio.gather(*conveys)
+                await self.transport.convey_round(round_index, kind, links)
 
     async def dispatch(
         self, link_bytes: LinkBytes, round_index: int, kind: str = "crypto"
     ) -> None:
         """Put one block batch on the wire.
 
-        Overlapping mode schedules the delivery and yields once (so the
-        new task actually enters its link waits before the caller resumes
-        computing); sequential mode awaits every link in sorted order.
+        Overlapping mode schedules the batch as one ``convey_round`` task
+        and yields once (so the task actually enters its link waits before
+        the caller resumes computing); sequential mode awaits every link
+        as its own one-link call, in sorted order.
         """
-        if not self.overlap:
-            for (src, dst), num_bytes in sorted(link_bytes.items()):
-                await self.transport.convey(src, dst, num_bytes, round_index, kind=kind)
+        links = [(src, dst, num_bytes) for (src, dst), num_bytes in sorted(link_bytes.items())]
+        if not links:
             return
-        task = asyncio.ensure_future(self._deliver(link_bytes, round_index, kind))
-        self._pending.add(task)
-        task.add_done_callback(self._pending.discard)
+        if not self.overlap:
+            for link in links:
+                await self.transport.convey_round(round_index, kind, [link])
+            return
+        self._pending.append(asyncio.ensure_future(self._deliver(links, round_index, kind)))
         # let the fresh task reach its first await so its link delays are
         # genuinely in flight while the caller's next block computes
         await asyncio.sleep(0)
@@ -687,8 +692,7 @@ class SecureRoundScheduler:
         task is awaited even on failure (``return_exceptions=True``), so
         sibling faults are consumed rather than logged as unretrieved.
         """
-        pending = list(self._pending)
-        self._pending.clear()
+        pending, self._pending = self._pending, []
         if not pending:
             return
         outcomes = await asyncio.gather(*pending, return_exceptions=True)
@@ -703,7 +707,6 @@ class SecureRoundScheduler:
         abandoned tasks would otherwise surface as "exception was never
         retrieved" noise over the real traceback.
         """
-        pending = list(self._pending)
-        self._pending.clear()
+        pending, self._pending = self._pending, []
         if pending:
             await asyncio.gather(*pending, return_exceptions=True)

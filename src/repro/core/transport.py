@@ -9,18 +9,20 @@ travels:
 
 * :class:`Transport` — the protocol: a synchronous full-round delivery
   (:meth:`~Transport.deliver_outboxes`, the hook behind
-  :func:`repro.core.rounds.route_messages`) plus the asynchronous per-edge
-  path (:meth:`~Transport.send` / :meth:`~Transport.gather_round`) the
-  async engine schedules vertex tasks over. ``gather_round`` *is* the
-  round barrier: a vertex's round-``r`` gather resolves exactly when all
-  of its expected round-``r`` messages have been delivered (or accounted
-  as faulted), never earlier. A third path, :meth:`~Transport.convey`,
-  carries slot-less cryptographic payloads (GMW OT-extension batches, §3.5
-  transfer aggregates) for the secure engine's rounds — same link model,
-  byte counts instead of values.
+  :func:`repro.core.rounds.route_messages`) plus the asynchronous path
+  the async engine schedules vertex pipelines over: one
+  :meth:`~Transport.send_round` call carries a vertex's whole round of
+  out-edge messages, and :meth:`~Transport.gather_round` *is* the round
+  barrier — a vertex's round-``r`` gather resolves exactly when all of
+  its expected round-``r`` messages have been delivered (or accounted as
+  faulted), never earlier. A third call, :meth:`~Transport.convey_round`,
+  carries one batch of slot-less cryptographic payloads (a block's GMW
+  OT-extension bytes, a §3.5 transfer's aggregates) for the secure
+  engine's rounds — same link model, byte counts instead of values.
 * :class:`InMemoryTransport` — the reference path. Zero-delay, in-order
   per slot, bit-identical to the historical dict shuffle; every engine
-  that claims parity with ``plaintext`` runs over this.
+  that claims parity with ``plaintext`` runs over this. A round message
+  is a function call here: no await suspends and no Task is created.
 * :class:`SimulatedWanTransport` — injects per-link latency and
   bandwidth delays derived from :class:`~repro.core.config.DStressConfig`
   (``wan_latency_seconds`` / ``wan_bandwidth_bytes`` / ``wan_jitter``)
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 import asyncio
 from abc import ABC, abstractmethod
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import ConfigurationError, TransportError
@@ -60,6 +62,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (config imports nothi
     from repro.core.graph import DistributedGraph
 
 __all__ = [
+    "Delivery",
+    "LinkLoad",
     "Transport",
     "InMemoryTransport",
     "SimulatedWanTransport",
@@ -79,6 +83,13 @@ _EMPTY = object()
 
 #: A link is one directed edge's (src, dst) pair.
 Link = Tuple[int, int]
+
+#: One round message of a :meth:`Transport.send_round` batch:
+#: ``(dst, in_slot, payload)``.
+Delivery = Tuple[int, int, Any]
+
+#: One link of a :meth:`Transport.convey_round` batch: ``(src, dst, num_bytes)``.
+LinkLoad = Tuple[int, int, float]
 
 
 def validate_wan_params(
@@ -135,7 +146,7 @@ class Transport(ABC):
         ``degree_bound`` messages.
         """
 
-    # -- asynchronous per-edge path -------------------------------------------
+    # -- asynchronous path ----------------------------------------------------
 
     def open(self, graph: "DistributedGraph", fill: Any) -> None:
         """Bind to a graph for one execution — sync or async.
@@ -145,7 +156,7 @@ class Transport(ABC):
         state a subclass keeps (round counters, fault accounting). Every
         engine calls this once at the start of each execution, so a bus
         instance reused across runs starts each run fresh; for the async
-        path, call it before the first :meth:`send`.
+        path, call it before the first :meth:`send_round`.
         """
         self._graph = graph
         self._fill = fill
@@ -157,31 +168,37 @@ class Transport(ABC):
         self._faulted: Dict[Tuple[int, int], List[str]] = {}
         self._events: Dict[Tuple[int, int], asyncio.Event] = {}
 
-    async def send(
-        self, src: int, dst: int, in_slot: int, payload: Any, round_index: int
+    async def send_round(
+        self, src: int, round_index: int, deliveries: Sequence[Delivery]
     ) -> None:
-        """Deliver one round message into ``dst``'s in-slot.
+        """Deliver one vertex's round of messages, each into its ``dst``'s
+        in-slot.
 
-        Subclasses that model the wire override this to await the link
-        delay before handing off to :meth:`_deliver`.
+        ``deliveries`` is ``src``'s ``[(dst, in_slot, payload)]`` in
+        out-slot order. The reference bus delivers them inline — the call
+        never suspends — and a bus that models the wire overrides this to
+        pay its link delays (overlapped within the call) before handing
+        each message to :meth:`_deliver`.
         """
-        self._deliver(src, dst, in_slot, payload, round_index)
+        for dst, in_slot, payload in deliveries:
+            self._deliver(src, dst, in_slot, payload, round_index)
 
-    async def convey(
-        self, src: int, dst: int, num_bytes: float, round_index: int, kind: str = "crypto"
+    async def convey_round(
+        self, round_index: int, kind: str, links: Sequence[LinkLoad]
     ) -> None:
-        """Carry ``num_bytes`` of cryptographic payload over ``src -> dst``.
+        """Carry one batch of cryptographic payload, ``num_bytes`` per
+        ``(src, dst, num_bytes)`` link.
 
         This is the bus's side-channel for protocol traffic that has no
         in-slot — a block's GMW OT-extension batch, a §3.5 transfer's
         subshare aggregates — where the *values* are computed by the
         protocol simulation and only the *bytes* travel. The reference bus
-        carries them instantly; :class:`SimulatedWanTransport` meters the
-        bytes into its per-link accounting and awaits the payload-scaled
-        link delay (latency + ``num_bytes / bandwidth``), which is what
-        the secure-async engine overlaps OT computation against; and
-        :class:`FaultInjectingTransport` raises a
-        :class:`~repro.exceptions.TransportError` for faulted deliveries
+        carries them instantly; :class:`SimulatedWanTransport` meters every
+        link into its per-link accounting and awaits the slowest
+        payload-scaled link delay (latency + ``num_bytes / bandwidth``),
+        which is what the secure-async engine overlaps OT computation
+        against; and :class:`FaultInjectingTransport` raises a
+        :class:`~repro.exceptions.TransportError` for a faulted link
         instead of hanging the round. ``kind`` names the payload class in
         fault messages (``"ot"`` / ``"transfer"``).
         """
@@ -285,8 +302,10 @@ class InMemoryTransport(Transport):
     """The reference bus: zero delay, nothing metered, bit-identical.
 
     ``deliver_outboxes`` is exactly the historical dict shuffle; the async
-    path delivers each payload untouched, so any engine scheduling over
-    this transport reproduces the sequential inboxes verbatim.
+    path delivers each payload untouched and inline (``send_round`` and
+    ``convey_round`` are the protocol's reference bodies), so any engine
+    scheduling over this transport reproduces the sequential inboxes
+    verbatim.
     """
 
     name = "memory"
@@ -391,18 +410,37 @@ class SimulatedWanTransport(InMemoryTransport):
             self._account(src, dst)
         return super().deliver_outboxes(graph, outboxes, fill)
 
-    async def send(self, src, dst, in_slot, payload, round_index):
-        delay = self._account(src, dst)
-        if self.realtime and delay > 0:
-            await asyncio.sleep(delay)
+    async def send_round(self, src, round_index, deliveries):
+        # account every link first, land the zero-delay ones inline, then
+        # sleep the delayed ones concurrently: a batch costs its slowest
+        # link, and a Task exists only where a link has a delay to wait
+        delays = [self._account(src, dst) for dst, _in_slot, _payload in deliveries]
+        delayed = []
+        for delay, (dst, in_slot, payload) in zip(delays, deliveries):
+            if self.realtime and delay > 0:
+                delayed.append((delay, dst, in_slot, payload))
+            else:
+                self._deliver(src, dst, in_slot, payload, round_index)
+        if delayed:
+            await asyncio.gather(
+                *(self._deliver_after(src, round_index, *entry) for entry in delayed)
+            )
+
+    async def _deliver_after(self, src, round_index, delay, dst, in_slot, payload):
+        await asyncio.sleep(delay)
         self._deliver(src, dst, in_slot, payload, round_index)
 
-    async def convey(self, src, dst, num_bytes, round_index, kind="crypto"):
-        delay = self.link_delay(src, dst, num_bytes=num_bytes)
-        self.simulated_seconds += delay
-        self.meter.record_send(src, dst, num_bytes)
-        if self.realtime and delay > 0:
-            await asyncio.sleep(delay)
+    async def convey_round(self, round_index, kind, links):
+        slowest = 0.0
+        for src, dst, num_bytes in links:
+            delay = self.link_delay(src, dst, num_bytes=num_bytes)
+            self.simulated_seconds += delay
+            self.meter.record_send(src, dst, num_bytes)
+            slowest = max(slowest, delay)
+        # nothing lands at the far end of a convey, so the batch's link
+        # waits overlapping in full is one sleep of the slowest of them
+        if self.realtime and slowest > 0:
+            await asyncio.sleep(slowest)
 
 
 class FaultInjectingTransport(Transport):
@@ -481,39 +519,55 @@ class FaultInjectingTransport(Transport):
             )
         return inboxes
 
-    async def send(self, src, dst, in_slot, payload, round_index):
-        # no real-edge guard needed here: engines only send() along the
+    async def send_round(self, src, round_index, deliveries):
+        # no real-edge guard needed here: engines only send along the
         # graph's actual edges, so a fault triple naming a non-edge never
-        # matches a send — inert on this path exactly as on the sync one
-        if (src, dst, round_index) in self.drop:
-            await self.inner.fault_delivery(
-                src,
-                dst,
-                in_slot,
-                round_index,
-                f"delivery {src}->{dst} (in-slot {in_slot}) was dropped",
-            )
-            return
-        await self.inner.send(src, dst, in_slot, payload, round_index)
-        if (src, dst, round_index) in self.duplicate:
-            await self.inner.send(src, dst, in_slot, payload, round_index)
+        # matches a delivery — inert on this path exactly as on the sync one
+        forwarded = []
+        replays = []
+        for dst, in_slot, payload in deliveries:
+            link = (src, dst, round_index)
+            if link in self.drop:
+                await self.inner.fault_delivery(
+                    src,
+                    dst,
+                    in_slot,
+                    round_index,
+                    f"delivery {src}->{dst} (in-slot {in_slot}) was dropped",
+                )
+                continue
+            forwarded.append((dst, in_slot, payload))
+            if link in self.duplicate:
+                replays.append((dst, in_slot, payload))
+        # replays go last, so every unfaulted sibling lands before the
+        # first replay trips the inner bus's duplicate-slot check
+        await self.inner.send_round(src, round_index, forwarded + replays)
 
-    async def convey(self, src, dst, num_bytes, round_index, kind="crypto"):
+    async def convey_round(self, round_index, kind, links):
         # crypto payloads have no in-slot and no gather barrier, so both
-        # fault classes raise right here in the conveying task — the
+        # fault classes raise right here in the conveying call — the
         # secure round scheduler's barrier propagates the error instead
-        # of waiting forever on bytes that will never (or twice) arrive
-        if (src, dst, round_index) in self.drop:
-            raise TransportError(
-                f"round {round_index}: {kind} delivery {src}->{dst} was dropped"
-            )
-        if (src, dst, round_index) in self.duplicate:
-            raise TransportError(
-                f"round {round_index}: duplicate {kind} delivery {src}->{dst} "
-                "(crypto payloads are one-shot; a replay would desynchronize "
-                "the protocol transcript)"
-            )
-        await self.inner.convey(src, dst, num_bytes, round_index, kind=kind)
+        # of waiting forever on bytes that will never (or twice) arrive;
+        # the batch's unfaulted links are still carried first
+        clean = []
+        fault: Optional[TransportError] = None
+        for src, dst, num_bytes in links:
+            link = (src, dst, round_index)
+            if link in self.drop:
+                fault = fault or TransportError(
+                    f"round {round_index}: {kind} delivery {src}->{dst} was dropped"
+                )
+            elif link in self.duplicate:
+                fault = fault or TransportError(
+                    f"round {round_index}: duplicate {kind} delivery {src}->{dst} "
+                    "(crypto payloads are one-shot; a replay would desynchronize "
+                    "the protocol transcript)"
+                )
+            else:
+                clean.append((src, dst, num_bytes))
+        await self.inner.convey_round(round_index, kind, clean)
+        if fault is not None:
+            raise fault
 
 
 def _tcp_from_env(config, meter):

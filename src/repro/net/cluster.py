@@ -85,7 +85,7 @@ class ClusterRun:
     #: Harness deadline for each child's report, seconds.
     timeout: float = 120.0
     #: Chaos: ``{party_id: round_index}`` — those parties hard-exit
-    #: (``os._exit(17)``) the first time a send/convey reaches that round.
+    #: (``os._exit(17)``) the first time a delivery or convey reaches that round.
     die_at_round: Dict[int, int] = field(default_factory=dict)
     #: When set, each child runs under a :class:`~repro.obs.trace.TraceRecorder`
     #: and writes ``party-<id>.jsonl`` here after its run; the parent merges

@@ -27,7 +27,12 @@ daemon thread. Every public entry point bridges onto it —
 ``run_coroutine_threadsafe`` wrapped back into the caller's loop for the
 async methods, ``.result()`` for the sync ones — so all mailbox and
 connection state is mutated on exactly one thread, and the engine's own
-event loop (created per ``asyncio.run``) never touches a socket.
+event loop (created per ``asyncio.run``) never touches a socket. A hop
+is paid per protocol call, not per message: one :meth:`send_round`
+carries a vertex's whole round (its frames written in out-slot order),
+one :meth:`convey_round` a whole crypto batch (in link order), and one
+:meth:`gather_round` a vertex's barrier — so the hops a run makes scale
+with vertex-rounds and batches, never with edges or links.
 
 Failure model: a read loop that hits EOF/ECONNRESET without a prior BYE
 marks the peer failed and sets a transport-wide failure event; every
@@ -145,7 +150,7 @@ class TcpTransport(Transport):
         )
         self.meter = meter if meter is not None else TrafficMeter()
         #: Chaos hook: ``os._exit(17)`` the whole process the first time a
-        #: send/convey reaches this round — how the kill-a-peer tests die
+        #: delivery or convey reaches this round — how the kill-a-peer tests die
         #: mid-round without cooperation from the engine above.
         self.die_at_round: Optional[int] = None
 
@@ -548,7 +553,8 @@ class TcpTransport(Transport):
 
         One call is one round (engines open the bus per run, so the round
         counter starts at this run's zero): every edge goes through the
-        async send path — cross-owner edges genuinely travel TCP — and
+        frame writer ``send_round`` uses — cross-owner edges genuinely
+        travel TCP — and
         every vertex's inbox is gathered with the same failure/timeout
         protection the async engines get.
         """
@@ -571,20 +577,16 @@ class TcpTransport(Transport):
 
     # ---------------------------------------------------- Transport: async --
 
-    async def send(self, src, dst, in_slot, payload, round_index):
-        await self._on_io(
-            self._inner_send(src, dst, in_slot, payload, round_index)
-        )
+    async def send_round(self, src, round_index, deliveries):
+        await self._on_io(self._inner_send_round(src, round_index, deliveries))
 
     async def gather_round(self, vertex_id, round_index):
         return await self._on_io(
             Transport.gather_round(self, vertex_id, round_index)
         )
 
-    async def convey(self, src, dst, num_bytes, round_index, kind="crypto"):
-        await self._on_io(
-            self._inner_convey(src, dst, num_bytes, round_index, kind)
-        )
+    async def convey_round(self, round_index, kind, links):
+        await self._on_io(self._inner_convey_round(round_index, kind, links))
 
     async def fault_delivery(self, src, dst, in_slot, round_index, description):
         await self._on_io(
@@ -594,12 +596,20 @@ class TcpTransport(Transport):
     async def _inner_fault(self, src, dst, in_slot, round_index, description):
         # chaos is replicated like everything else: every party's wrapper
         # drops the same delivery, so each replica accounts it locally and
-        # no wire frame is sent (the wrapper never called send)
+        # no wire frame is sent (the wrapper left it out of the batch)
         self._fault((dst, round_index), description)
 
     def _maybe_die(self, round_index: int) -> None:
         if self.die_at_round is not None and round_index >= self.die_at_round:
             os._exit(17)
+
+    async def _inner_send_round(self, src, round_index, deliveries):
+        for dst, in_slot, payload in deliveries:
+            await self._inner_send(src, dst, in_slot, payload, round_index)
+
+    async def _inner_convey_round(self, round_index, kind, links):
+        for src, dst, num_bytes in links:
+            await self._inner_convey(src, dst, num_bytes, round_index, kind)
 
     async def _inner_send(self, src, dst, in_slot, payload, round_index):
         self._maybe_die(round_index)

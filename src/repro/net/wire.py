@@ -126,7 +126,7 @@ _CONVEY_KINDS = frozenset(
 
 
 def convey_kind(kind: str) -> MessageKind:
-    """Map a :meth:`~repro.core.transport.Transport.convey` kind string
+    """Map a :meth:`~repro.core.transport.Transport.convey_round` kind string
     onto its typed frame kind (unknown strings travel as ``CRYPTO``)."""
     return {
         "ot": MessageKind.GMW_BATCH,

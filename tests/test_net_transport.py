@@ -18,6 +18,7 @@ stays fast; the separate-OS-process acceptance path lives in
 
 import asyncio
 import threading
+from collections import Counter
 
 import pytest
 
@@ -34,7 +35,9 @@ from repro.exceptions import (
     TransportError,
     TransportTimeoutError,
 )
-from repro.finance import Bank, FinancialNetwork
+from repro.crypto.rng import DeterministicRNG
+from repro.finance import Bank, FinancialNetwork, apply_shock, uniform_shock
+from repro.graphgen import CorePeripheryParams, core_periphery_network
 from repro.net.peer import PeerAddress, dial_peer
 from repro.net.transport import ENV_PARTY, ENV_PEERS, TcpTransport, session_id
 
@@ -110,6 +113,26 @@ def _assert_released_identical(summary, reference):
     assert summary.trajectory == reference.trajectory
 
 
+def _count_calls(bus):
+    """Count ``bus``'s hops onto its io thread (``_on_io``) next to the
+    per-message work they carry (one ``_inner_send`` per edge, one
+    ``_inner_convey`` per crypto link)."""
+    counts = Counter()
+    for name in ("_on_io", "_inner_send", "_inner_convey"):
+        original = getattr(bus, name)
+
+        async def counted(*args, _original=original, _name=name):
+            counts[_name] += 1
+            return await _original(*args)
+
+        setattr(bus, name, counted)
+    return counts
+
+
+def _wire_sent(result):
+    return result.extras["wire_frames_sent"], result.extras["wire_bytes_sent"]
+
+
 class TestAsyncEngineBitIdentity:
     def test_three_party_mesh_matches_in_memory(self):
         reference = _template().engine("async").run(iterations=ITERATIONS)
@@ -147,11 +170,47 @@ class TestAsyncEngineBitIdentity:
         reference = _template().engine("async").run(iterations=ITERATIONS)
         _assert_released_identical(result, reference)
 
+    def test_hops_scale_with_vertex_rounds_not_edges(self):
+        """One io-thread hop per vertex-round send and per gather: on a
+        graph with three times as many edges as vertices the hops stay
+        under the edge count, and the wire carries what it always did."""
+        network = apply_shock(
+            core_periphery_network(
+                CorePeripheryParams(num_banks=8, core_size=3), DeterministicRNG(1)
+            ),
+            uniform_shock(range(3), 0.9, "core"),
+        )
+        session = StressTest(network).program("eisenberg-noe").seed(1).engine("async")
+        reference = session.run(iterations=ITERATIONS)
+        vertex_rounds = 8 * ITERATIONS
+        transports, peers = _mesh(2, "test-async-hops")
+        counts = [_count_calls(t) for t in transports]
+        try:
+            results, errors = _run_parties(
+                transports,
+                peers,
+                lambda i, bus: session.clone()
+                .engine("async", transport=bus)
+                .run(iterations=ITERATIONS),
+            )
+        finally:
+            _close_all(transports)
+        assert errors == [None, None]
+        for result, count in zip(results, counts):
+            _assert_released_identical(result, reference)
+            assert count["_inner_send"] == 23 * ITERATIONS  # one per edge-round
+            assert count["_on_io"] <= 2 * vertex_rounds < count["_inner_send"]
+            assert _wire_sent(result) == (16.0, 496.0)
+
 
 class TestSecureAsyncBitIdentity:
     def test_two_party_mesh_matches_secure_engine(self):
+        """Released bits match the in-memory engine, one io-thread hop
+        carries a whole crypto batch (never one per link), and each party
+        puts the same frames and bytes on the wire as a hop per link did."""
         reference = _template().engine("secure").run(iterations=ITERATIONS)
         transports, peers = _mesh(2, "test-secure-mesh")
+        counts = [_count_calls(t) for t in transports]
         try:
             results, errors = _run_parties(
                 transports,
@@ -170,6 +229,10 @@ class TestSecureAsyncBitIdentity:
             assert result.trajectory == reference.trajectory
             # the OT batches genuinely travelled: megabytes, not frames
             assert result.extras["wire_bytes_sent"] > 1000
+        for count in counts:
+            assert count["_on_io"] == 20  # the run's crypto batches
+            assert count["_inner_convey"] == 110  # the links they carry
+        assert [_wire_sent(r) for r in results] == [(36.0, 980128.0), (42.0, 982448.0)]
 
 
 class TestSynchronousPath:

@@ -130,8 +130,11 @@ def test_async_send_gather_round_trip():
 
     async def scenario():
         bus.open(graph, fill=-1.0)
-        await bus.send(0, 1, graph.vertex(1).in_slot(0), 41.0, 0)
-        await bus.send(0, 2, graph.vertex(2).in_slot(0), 42.0, 0)
+        await bus.send_round(
+            0,
+            0,
+            [(1, graph.vertex(1).in_slot(0), 41.0), (2, graph.vertex(2).in_slot(0), 42.0)],
+        )
         inbox_1 = await bus.gather_round(1, 0)
         inbox_2 = await bus.gather_round(2, 0)
         # no in-edges at vertex 0: resolves immediately, all fill
@@ -157,10 +160,10 @@ def test_gather_blocks_until_round_complete():
 
     async def senders():
         order.append("send-1")
-        await bus.send(1, 3, graph.vertex(3).in_slot(1), 1.5, 0)
+        await bus.send_round(1, 0, [(3, graph.vertex(3).in_slot(1), 1.5)])
         await asyncio.sleep(0)  # give the receiver a chance to (not) fire
         order.append("send-2")
-        await bus.send(2, 3, graph.vertex(3).in_slot(2), 2.5, 0)
+        await bus.send_round(2, 0, [(3, graph.vertex(3).in_slot(2), 2.5)])
 
     async def scenario():
         bus.open(graph, fill=0.0)
@@ -182,8 +185,8 @@ def test_dropped_delivery_raises_instead_of_hanging():
 
     async def scenario():
         bus.open(graph, fill=0.0)
-        await bus.send(1, 3, graph.vertex(3).in_slot(1), 1.5, 0)
-        await bus.send(2, 3, graph.vertex(3).in_slot(2), 2.5, 0)
+        await bus.send_round(1, 0, [(3, graph.vertex(3).in_slot(1), 1.5)])
+        await bus.send_round(2, 0, [(3, graph.vertex(3).in_slot(2), 2.5)])
         return await bus.gather_round(3, 0)
 
     with pytest.raises(TransportError, match=r"round 0: vertex 3 .* 1->3 .* dropped"):
@@ -196,7 +199,7 @@ def test_duplicate_delivery_raises_at_the_sender():
 
     async def scenario():
         bus.open(graph, fill=0.0)
-        await bus.send(0, 1, graph.vertex(1).in_slot(0), 9.0, 2)
+        await bus.send_round(0, 2, [(1, graph.vertex(1).in_slot(0), 9.0)])
 
     with pytest.raises(TransportError, match="round 2: duplicate delivery 0->1"):
         _run(scenario())
@@ -269,12 +272,58 @@ def test_unfaulted_rounds_still_deliver_on_a_faulty_bus():
 
     async def scenario():
         bus.open(graph, fill=0.0)
-        await bus.send(1, 3, graph.vertex(3).in_slot(1), 1.5, 0)
-        await bus.send(2, 3, graph.vertex(3).in_slot(2), 2.5, 0)
+        await bus.send_round(1, 0, [(3, graph.vertex(3).in_slot(1), 1.5)])
+        await bus.send_round(2, 0, [(3, graph.vertex(3).in_slot(2), 2.5)])
         return await bus.gather_round(3, 0)
 
     inbox = _run(scenario())
     assert sorted(inbox) == [1.5, 2.5]
+
+
+def _fan_out_graph() -> DistributedGraph:
+    """0 -> {1, 2, 3}: one vertex-round is a three-delivery batch."""
+    graph = DistributedGraph(degree_bound=3)
+    for vid in range(4):
+        graph.add_vertex(vid)
+    for dst in (1, 2, 3):
+        graph.add_edge(0, dst)
+    return graph
+
+
+def _fan_out_batch(graph):
+    return [(dst, graph.vertex(dst).in_slot(0), 10.0 * dst) for dst in (1, 2, 3)]
+
+
+def test_drop_inside_a_batch_faults_only_its_link():
+    graph = _fan_out_graph()
+    bus = FaultInjectingTransport(drop=[(0, 2, 0)])
+
+    async def scenario():
+        bus.open(graph, fill=0.0)
+        await bus.send_round(0, 0, _fan_out_batch(graph))
+        landed = [await bus.gather_round(dst, 0) for dst in (1, 3)]
+        with pytest.raises(TransportError, match=r"round 0: vertex 2 .* 0->2 .* dropped"):
+            await bus.gather_round(2, 0)
+        return landed
+
+    inbox_1, inbox_3 = _run(scenario())
+    assert inbox_1[graph.vertex(1).in_slot(0)] == 10.0
+    assert inbox_3[graph.vertex(3).in_slot(0)] == 30.0
+
+
+def test_duplicate_inside_a_batch_raises_after_its_siblings_land():
+    graph = _fan_out_graph()
+    bus = FaultInjectingTransport(duplicate=[(0, 1, 0)])
+
+    async def scenario():
+        bus.open(graph, fill=0.0)
+        with pytest.raises(TransportError, match="round 0: duplicate delivery 0->1"):
+            await bus.send_round(0, 0, _fan_out_batch(graph))
+        return [await bus.gather_round(dst, 0) for dst in (1, 2, 3)]
+
+    inboxes = _run(scenario())
+    for dst, inbox in zip((1, 2, 3), inboxes):
+        assert inbox[graph.vertex(dst).in_slot(0)] == 10.0 * dst
 
 
 # ----------------------------------------------------------------- convey --
@@ -286,7 +335,7 @@ def test_memory_convey_is_instant_noop():
     bus = InMemoryTransport()
 
     async def scenario():
-        await bus.convey(0, 1, 1024.0, 0, kind="ot")
+        await bus.convey_round(0, "ot", [(0, 1, 1024.0)])
 
     _run(scenario())  # nothing to assert beyond "returns immediately"
 
@@ -302,8 +351,8 @@ def test_wan_convey_accounts_payload_scaled_delay_and_meters():
     )
 
     async def scenario():
-        await bus.convey(0, 1, 500.0, 0, kind="ot")
-        await bus.convey(0, 1, 500.0, 1, kind="transfer")
+        await bus.convey_round(0, "ot", [(0, 1, 500.0)])
+        await bus.convey_round(1, "transfer", [(0, 1, 500.0)])
 
     _run(scenario())
     # latency + 500/1000 serialization, twice, no jitter
@@ -323,7 +372,7 @@ def test_faulty_convey_drop_raises_named_error():
     bus = FaultInjectingTransport(drop=[(4, 7, 2)])
 
     async def scenario():
-        await bus.convey(4, 7, 64.0, 2, kind="ot")
+        await bus.convey_round(2, "ot", [(4, 7, 64.0)])
 
     with pytest.raises(TransportError, match=r"round 2: ot delivery 4->7 was dropped"):
         _run(scenario())
@@ -333,7 +382,7 @@ def test_faulty_convey_duplicate_raises_named_error():
     bus = FaultInjectingTransport(duplicate=[(4, 7, 1)])
 
     async def scenario():
-        await bus.convey(4, 7, 64.0, 1, kind="transfer")
+        await bus.convey_round(1, "transfer", [(4, 7, 64.0)])
 
     with pytest.raises(TransportError, match=r"round 1: duplicate transfer delivery 4->7"):
         _run(scenario())
@@ -343,7 +392,28 @@ def test_unfaulted_convey_passes_on_a_faulty_bus():
     bus = FaultInjectingTransport(drop=[(4, 7, 2)])
 
     async def scenario():
-        await bus.convey(4, 7, 64.0, 0, kind="ot")  # different round: clean
-        await bus.convey(7, 4, 64.0, 2, kind="ot")  # different link: clean
+        await bus.convey_round(0, "ot", [(4, 7, 64.0)])  # different round: clean
+        await bus.convey_round(2, "ot", [(7, 4, 64.0)])  # different link: clean
 
     _run(scenario())
+
+
+@pytest.mark.parametrize(
+    "faults, message",
+    [
+        ({"drop": [(4, 7, 2)]}, r"round 2: ot delivery 4->7 was dropped"),
+        ({"duplicate": [(4, 7, 2)]}, r"round 2: duplicate ot delivery 4->7"),
+    ],
+    ids=["drop", "duplicate"],
+)
+def test_fault_inside_a_convey_batch_still_carries_its_siblings(faults, message):
+    meter = TrafficMeter()
+    bus = FaultInjectingTransport(
+        inner=SimulatedWanTransport(latency_seconds=0.01, meter=meter, realtime=False),
+        **faults,
+    )
+    links = [(3, 7, 64.0), (4, 7, 64.0), (7, 4, 32.0)]
+
+    with pytest.raises(TransportError, match=message):
+        _run(bus.convey_round(2, "ot", links))
+    assert meter.links() == {(3, 7): 64.0, (7, 4): 32.0}
