@@ -15,16 +15,18 @@ from __future__ import annotations
 import pytest
 
 from repro.finance import EisenbergNoeProgram
-from repro.mpc.cost import gmw_cost
+from repro.mpc.cost import bill_for
 from repro.mpc.fixedpoint import FixedPointFormat
 from tables import emit_table
 
 FMT = FixedPointFormat(16, 8)
 
 
-def _per_vertex_ots(degree_bound: int, parties: int) -> int:
-    circuit = EisenbergNoeProgram(FMT).build_update_circuit(degree_bound)
-    return gmw_cost(circuit, parties, 1, 1).total_ots
+def _step_ots(degree_bounds, parties: int) -> int:
+    """One computation step's OTs, a block per entry of ``degree_bounds``."""
+    program = EisenbergNoeProgram(FMT)
+    stats = {d: program.build_update_circuit(d).stats() for d in set(degree_bounds)}
+    return bill_for([stats[d] for d in degree_bounds], parties).ots
 
 
 def test_degree_buckets(benchmark):
@@ -34,8 +36,8 @@ def test_degree_buckets(benchmark):
     core_banks, periphery_banks = 10, 90
     big_d, small_d = 8, 2
 
-    uniform_cost = (core_banks + periphery_banks) * _per_vertex_ots(big_d, parties)
-    bucketed_cost = core_banks * _per_vertex_ots(big_d, parties) + periphery_banks * _per_vertex_ots(small_d, parties)
+    uniform_cost = _step_ots([big_d] * (core_banks + periphery_banks), parties)
+    bucketed_cost = _step_ots([big_d] * core_banks + [small_d] * periphery_banks, parties)
 
     rows = [
         ["uniform D=8", uniform_cost / 1e6],
@@ -55,7 +57,7 @@ def test_degree_buckets(benchmark):
             "cost: revealing one bit of approximate degree per bank",
         ],
     )
-    benchmark.pedantic(lambda: _per_vertex_ots(2, parties), rounds=2, iterations=1)
+    benchmark.pedantic(lambda: _step_ots([2], parties), rounds=2, iterations=1)
 
 
 def test_bucket_crossover(benchmark):
@@ -63,8 +65,8 @@ def test_bucket_crossover(benchmark):
     high-degree the savings vanish."""
     parties = 4
     big_d, small_d = 6, 2
-    big_cost = _per_vertex_ots(big_d, parties)
-    small_cost = _per_vertex_ots(small_d, parties)
+    big_cost = _step_ots([big_d], parties)
+    small_cost = _step_ots([small_d], parties)
 
     rows = []
     savings = []
@@ -81,4 +83,4 @@ def test_bucket_crossover(benchmark):
         rows,
         ["savings decay linearly as the high-degree bucket fills"],
     )
-    benchmark.pedantic(lambda: _per_vertex_ots(2, parties), rounds=2, iterations=1)
+    benchmark.pedantic(lambda: _step_ots([2], parties), rounds=2, iterations=1)

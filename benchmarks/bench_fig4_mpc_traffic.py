@@ -5,8 +5,8 @@ The paper reports per-node traffic roughly proportional to the block size
 absolute numbers under ~6 MB per node, the noising circuit being largest.
 
 Traffic here is exact protocol arithmetic (no wall clock): we run the GMW
-engine with its byte accounting and cross-check against the closed-form
-cost model, then print the per-node bytes for each circuit and block size.
+engine with its byte accounting and cross-check against the circuit's
+bill (:mod:`repro.mpc.cost`), then print the per-node bytes for each circuit and block size.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from repro.crypto.group import TOY_GROUP_64
 from repro.crypto.ot import SimulatedObliviousTransfer
 from repro.crypto.rng import DeterministicRNG
 from repro.finance import EisenbergNoeProgram, ElliottGolubJacksonProgram
-from repro.mpc.cost import gmw_cost
+from repro.mpc.cost import bill_for
 from repro.mpc.fixedpoint import FixedPointFormat
 from repro.mpc.gmw import GMWEngine
 from repro.mpc.noise_circuit import build_noised_sum_bits_circuit, build_partial_sum_circuit
@@ -50,16 +50,15 @@ def test_fig4_traffic_per_node(benchmark):
         ),
     }
     ot = SimulatedObliviousTransfer(TOY_GROUP_64)
-    sender_bytes = ot.sender_bytes_per_transfer(1)
-    receiver_bytes = ot.receiver_bytes_per_transfer(1)
+    ot_bytes = (ot.sender_bytes_per_transfer(1), ot.receiver_bytes_per_transfer(1))
 
     rows = []
     for parties in BLOCK_SIZES:
         row = [parties]
         for name, circuit in circuits.items():
             measured = _measured_bytes_per_node(circuit, parties, rng)
-            predicted = gmw_cost(circuit, parties, sender_bytes, receiver_bytes)
-            assert measured == pytest.approx(predicted.sent_bytes_per_party, rel=1e-9), name
+            predicted = bill_for([circuit.stats()], parties, ot_bytes=ot_bytes)
+            assert measured == pytest.approx(predicted.party_sent_bytes, rel=1e-9), name
             row.append(measured / 1e6)
         rows.append(row)
 
@@ -76,7 +75,7 @@ def test_fig4_traffic_per_node(benchmark):
         [
             "paper: <= 6 MB/node at blocks 8-20 with OT extension; linear in block size",
             "ours: per-AND base-OT message sizes (no bit packing), linear in block size",
-            "closed-form cost model verified equal to engine accounting",
+            "the bill verified equal to engine accounting",
         ],
     )
 
@@ -102,26 +101,20 @@ def test_fig4_extension_vs_base_ot_traffic(benchmark):
     base = DDHObliviousTransfer(GROUP_256)
     ext = IKNPOTExtension(base, kappa=80, batch_size=1024)
     rows = []
+    stats = [circuit.stats()]
+
+    def per_party(ot, parties):
+        ot_bytes = (ot.sender_bytes_per_transfer(1), ot.receiver_bytes_per_transfer(1))
+        return bill_for(stats, parties, ot_bytes=ot_bytes).party_sent_bytes
+
     for parties in (2, 3, 4):
-        cost_base = gmw_cost(
-            circuit, parties, base.sender_bytes_per_transfer(1), base.receiver_bytes_per_transfer(1)
-        )
-        cost_ext = gmw_cost(
-            circuit, parties, ext.sender_bytes_per_transfer(1), ext.receiver_bytes_per_transfer(1)
-        )
-        rows.append(
-            [
-                parties,
-                cost_base.sent_bytes_per_party / 1e6,
-                cost_ext.sent_bytes_per_party / 1e6,
-                cost_base.sent_bytes_per_party / cost_ext.sent_bytes_per_party,
-            ]
-        )
-        assert cost_ext.sent_bytes_per_party < cost_base.sent_bytes_per_party / 2
+        cost_base, cost_ext = per_party(base, parties), per_party(ext, parties)
+        rows.append([parties, cost_base / 1e6, cost_ext / 1e6, cost_base / cost_ext])
+        assert cost_ext < cost_base / 2
     emit_table(
         "Figure 4 companion - base OT vs IKNP extension per-node traffic [MB]",
         ["block", "base OT", "IKNP ext", "ratio"],
         rows,
         ["the paper credits OT extension [41, 46] for its low MPC traffic"],
     )
-    benchmark.pedantic(lambda: gmw_cost(circuit, 3, 10, 1), rounds=5, iterations=1)
+    benchmark.pedantic(lambda: per_party(ext, 3), rounds=5, iterations=1)

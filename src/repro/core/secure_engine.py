@@ -61,6 +61,7 @@ from repro.crypto.ot import SimulatedObliviousTransfer
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import ConfigurationError
 from repro.mpc.circuit import Circuit
+from repro.mpc.cost import Bill, bill_for
 from repro.mpc.gmw import GMWEngine, GMWResult
 from repro.mpc.noise_circuit import geometric_bits_seed_width
 from repro.mpc.plan import noised_sum_bits_circuit, partial_sum_circuit
@@ -73,7 +74,7 @@ from repro.sharing.xor import reconstruct_value, share_value
 from repro.simulation.netsim import PhaseTimer, TrafficMeter
 from repro.transfer.protocol import MessageTransferProtocol
 
-__all__ = ["SecureRunResult", "SecureEngine", "check_backend", "compile_secure_plans"]
+__all__ = ["SecureRunResult", "SecureEngine", "check_backend", "compile_secure_plans", "run_bill"]
 
 
 def check_backend(backend: str, owner: str) -> str:
@@ -93,6 +94,29 @@ def _record_link(
     meter.record_send(src, dst, num_bytes)
     key = (src, dst)
     link_bytes[key] = link_bytes.get(key, 0.0) + num_bytes
+
+
+def _meter_transfer(ctx: "_RunContext", u: int, v: int) -> LinkBytes:
+    """Meter one transfer at the run bill's per-role lines; returns its
+    bytes per link for the transport dispatch."""
+    meter, blocks, bill = ctx.meter, ctx.assignment.blocks, ctx.bill
+    traffic = bill.transfer_bytes
+    link_bytes: LinkBytes = {}
+    for member in blocks[u]:
+        if member != u:
+            _record_link(meter, link_bytes, member, u, traffic.sender_member_bytes)
+    if u != v:
+        _record_link(meter, link_bytes, u, v, traffic.node_u_sent_bytes)
+    for member in blocks[v]:
+        if member != v:
+            _record_link(meter, link_bytes, v, member, traffic.receiver_member_bytes)
+    for member in blocks[u]:
+        meter.node(member).exponentiations += bill.sender_exps
+    meter.node(u).exponentiations += bill.u_exps
+    meter.node(v).exponentiations += bill.v_exps
+    for member in blocks[v]:
+        meter.node(member).exponentiations += bill.receiver_exps
+    return link_bytes
 
 
 def _aggregation_plan(
@@ -162,6 +186,34 @@ def compile_secure_plans(
         _root_circuit(program, config, root_inputs, plan.root_input_bits, epsilon)
 
 
+def run_bill(
+    program: VertexProgram,
+    config: DStressConfig,
+    graph: DistributedGraph,
+    iterations: int,
+    vertex_bound: Optional[Dict[int, int]] = None,
+) -> Bill:
+    """The bill of ``iterations`` rounds: ``iterations + 1`` computation
+    steps of every vertex's update circuit at its §3.7 bound (default: the
+    degree bound), and ``iterations`` communication steps of one transfer
+    per edge, or per inbox slot under ``pad_transfers``."""
+    if vertex_bound is None:
+        vertex_bound = {v: graph.degree_bound for v in graph.vertex_ids}
+    stats = {b: compiled_update_circuit(program, b).stats() for b in set(vertex_bound.values())}
+    ot = SimulatedObliviousTransfer(config.group)
+    per_step = sum(vertex_bound.values()) if config.pad_transfers else graph.num_edges
+    return bill_for(
+        [stats[vertex_bound[v]] for v in graph.vertex_ids],
+        config.block_size,
+        steps=iterations + 1,
+        transfers=iterations * per_step,
+        message_bits=program.fmt.total_bits,
+        element_bytes=config.group.element_size_bytes,
+        mode=config.gmw_mode,
+        ot_bytes=(ot.sender_bytes_per_transfer(1), ot.receiver_bytes_per_transfer(1)),
+    )
+
+
 @dataclass
 class SecureRunResult(TrajectoryConvergence):
     """Everything a DStress run produces.
@@ -192,10 +244,6 @@ class SecureRunResult(TrajectoryConvergence):
     #: releases only ``noisy_output``.
     trajectory: List[float] = field(default_factory=list)
 
-    @property
-    def mean_traffic_per_node(self) -> float:
-        return self.traffic.mean_node_total_bytes()
-
 
 @dataclass
 class _RunContext:
@@ -213,6 +261,7 @@ class _RunContext:
     circuits: Dict[int, Circuit]
     circuit_and_gates: int
     gmw: GMWEngine
+    bill: Bill
     state_shares: Dict[int, Dict[str, List[int]]]
     inbox_shares: Dict[int, List[List[int]]]
     outbox_shares: Dict[int, List[List[int]]] = field(default_factory=dict)
@@ -458,6 +507,7 @@ class SecureEngine:
             circuits=circuits,
             circuit_and_gates=circuits[max(circuits)].stats().and_gates,
             gmw=gmw,
+            bill=run_bill(program, config, graph, iterations, vertex_bound),
             state_shares=state_shares,
             inbox_shares=inbox_shares,
             meter=meter,
@@ -675,7 +725,7 @@ class SecureEngine:
                 )
                 ctx.inbox_shares[v][in_slot] = result.receiver_shares
                 ctx.transfer_count += 1
-                yield self._meter_transfer(ctx.meter, u, v, ctx.assignment, result.traffic)
+                yield _meter_transfer(ctx, u, v)
             if config.pad_transfers:
                 yield from self._padded_self_transfers(ctx, view)
             else:
@@ -717,31 +767,7 @@ class SecureEngine:
             )
             ctx.inbox_shares[v][slot] = result.receiver_shares
             ctx.transfer_count += 1
-            yield self._meter_transfer(ctx.meter, v, v, ctx.assignment, result.traffic)
-
-    def _meter_transfer(
-        self, meter: TrafficMeter, u: int, v: int, assignment: BlockAssignment, traffic
-    ) -> LinkBytes:
-        """Distribute §5.3 role traffic onto the simulated nodes; returns
-        the same traffic as per-link bytes for the transport dispatch."""
-        link_bytes: LinkBytes = {}
-        for member in assignment.blocks[u]:
-            if member != u:
-                _record_link(meter, link_bytes, member, u, traffic.sender_member_bytes)
-        if u != v:
-            _record_link(meter, link_bytes, u, v, traffic.node_u_sent_bytes)
-        for member in assignment.blocks[v]:
-            if member != v:
-                _record_link(meter, link_bytes, v, member, traffic.receiver_member_bytes)
-        # Exponentiation counts per role (cost model input).
-        bits = traffic.message_bits
-        for member in assignment.blocks[u]:
-            meter.node(member).exponentiations += traffic.block_size * (bits + 1)
-        meter.node(u).exponentiations += traffic.block_size * bits  # noise terms
-        meter.node(v).exponentiations += traffic.block_size  # adjust
-        for member in assignment.blocks[v]:
-            meter.node(member).exponentiations += bits  # decryption
-        return link_bytes
+            yield _meter_transfer(ctx, v, v)
 
     # -------------------------------------------------------- aggregation --
 

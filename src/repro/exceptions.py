@@ -33,8 +33,8 @@ class OfflinePoolExhaustedError(ProtocolError):
     or a pool consumed twice).
 
     The offline/online split (see DESIGN.md "Bit-sliced GMW") sizes the
-    Beaver-triple / OT-mask pools exactly from :func:`repro.mpc.cost.gmw_cost`;
-    running dry therefore means a provisioning *bug*, and the engine must
+    Beaver-triple / OT-mask pools exactly from the compiled plan's AND
+    count, the one :class:`repro.mpc.cost.Bill` reads; running dry therefore means a provisioning *bug*, and the engine must
     fail loudly rather than silently fall back to drawing fresh scalar
     randomness — a fallback would both desynchronize the deterministic
     transcript and hide the mis-sizing."""

@@ -24,8 +24,8 @@ packed mask read (eight masks to the byte; the layout is in
 :mod:`repro.mpc.gmw`), which ``np.unpackbits`` turns into that party's
 row of the pool; in ``beaver`` mode the parent stream's one-byte
 ``randbit()`` draws, top bits kept. Pools are sized from the
-circuit's compiled plan (the AND count :func:`repro.mpc.cost.gmw_cost`
-reports) and indexed by AND-gate *ordinal* in gate-list order, so the
+circuit's compiled plan (the AND count its
+:class:`~repro.mpc.cost.Bill` reads) and indexed by AND-gate *ordinal* in gate-list order, so the
 online phase may evaluate the gates in stage order while every gate
 consumes the same random bits as its scalar twin. The
 result: output shares — not just revealed outputs — and per-pair traffic
@@ -261,7 +261,7 @@ class OfflinePoolBuilder:
         self.num_parties = num_parties
         self.mode = mode
         # Sized from the compiled plan, not by walking gates: the plan's
-        # AND count is the one gmw_cost reports, and the cross-check test
+        # AND count is the one the bill reads, and the cross-check test
         # in tests/test_mpc_gmw.py pins both to the scalar transcript.
         self.and_gates = circuit.compile().stats.and_gates
         #: ot: every party's packed mask read, one ``bytes`` per instance
@@ -522,8 +522,8 @@ class BitslicedGMWEngine(GMWEngine):
     ) -> List[GMWResult]:
         n = self.num_parties
         plan = circuit.compile()
-        stats = plan.stats
-        self._record_bulk_ot_stats(stats.and_gates * lanes)
+        traffic = [self._closed_form_traffic(plan.stats) for _ in range(lanes)]
+        self._record_bulk_ot_stats(sum(t.ot_count for t in traffic))
 
         bus_shares: Dict[str, List[List[int]]] = {}  # name -> [lane][party]
         bus_widths: Dict[str, int] = {}
@@ -536,18 +536,13 @@ class BitslicedGMWEngine(GMWEngine):
                 num_parties=n,
                 bus_widths=dict(bus_widths),
                 output_shares={name: shares[lane] for name, shares in bus_shares.items()},
-                traffic=self._closed_form_traffic(stats),
+                traffic=traffic[lane],
             )
             for lane in range(lanes)
         ]
 
-    def _record_bulk_ot_stats(self, and_instances: int) -> None:
-        """Mirror the scalar engine's OT backend accounting in one update
-        (ot mode: one transfer per ordered pair per AND gate instance)."""
-        if self.mode != "ot":
-            return
-        n = self.num_parties
-        transfers = and_instances * n * (n - 1)
+    def _record_bulk_ot_stats(self, transfers: int) -> None:
+        """Mirror the scalar engine's OT backend accounting in one update."""
         stats = self.ot.stats
         stats.transfers += transfers
         stats.sender_bytes += transfers * self.ot.sender_bytes_per_transfer(1)

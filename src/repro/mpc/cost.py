@@ -1,92 +1,131 @@
-"""Closed-form cost accounting for GMW executions.
+"""The bill: what a DStress run costs in operations, derived once (§5.2, §5.3).
 
-The scalability projections of Figure 6 are computed (in the paper and
-here) from microbenchmark-calibrated per-operation costs multiplied by
-operation *counts*. This module provides the counts; the calibrated time
-constants live in :mod:`repro.simulation.timing`.
+The only place the counts are derived: the GMW engines build their traffic
+from a bill, the secure engine meters transfers at its run's bill, the
+estimator multiplies bills by calibrated constants (Figure 6), and the
+parity matrix holds every secure run's counters to its bill exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, Tuple
 
-from repro.mpc.circuit import Circuit
+from repro.mpc.circuit import CircuitStats
+from repro.transfer.protocol import TransferTraffic
 
-__all__ = ["GMWCost", "gmw_cost"]
+__all__ = ["Bill", "bill_for"]
 
 
 @dataclass(frozen=True)
-class GMWCost:
-    """Operation counts for one GMW evaluation of one circuit."""
+class Bill:
+    """Operation counts of GMW computation steps and ``transfers`` §3.5
+    transfers among blocks of ``parties`` = b = k + 1 members.
+
+    GMW: in ``ot`` mode every AND gate is one OT per ordered party pair; in
+    ``beaver`` mode every party opens two mask bits to every other; one
+    round per AND layer. A transfer of L = ``message_bits`` bits costs
+    b²(L+1) + bL + b + bL exponentiations over the §5.3 roles below.
+    """
 
     parties: int
-    and_gates: int
-    xor_gates: int
-    rounds: int
-    total_ots: int
-    ots_per_party: int
-    #: bits each party puts on the wire (OT masks, or d/e openings in
-    #: ``beaver`` mode)
-    sent_bits_per_party: int
-    #: trusted-dealer triples consumed (0 in ``ot`` mode) — what the
-    #: bit-sliced offline phase provisions per circuit instance
-    beaver_triples: int = 0
+    #: AND gates and AND depth of the widest / deepest circuit in a step
+    and_gates: int = 0
+    and_rounds: int = 0
+    #: 1-out-of-2 OTs over every step and block (none in ``beaver`` mode)
+    ots: int = 0
+    #: wire bits each ordered pair of one block exchanges, widest circuit
+    pair_bits: int = 0
+    transfers: int = 0
+    message_bits: int = 0
+    element_bytes: int = 0
 
     @property
-    def sent_bytes_per_party(self) -> float:
-        return self.sent_bits_per_party / 8.0
+    def ots_per_party(self) -> int:
+        """OTs a block position is in: sender and receiver per other member."""
+        return 2 * self.ots // self.parties
 
     @property
-    def total_bytes(self) -> float:
-        return self.parties * self.sent_bytes_per_party
+    def party_sent_bytes(self) -> float:
+        """Bytes one party sends in one step of the widest circuit."""
+        return self.pair_bits * (self.parties - 1) / 8
+
+    # -- one §3.5 transfer, per role --
+
+    @property
+    def sender_exps(self) -> int:
+        """Each member of B_u: ``g^y`` and ``L`` ``pk^y`` per receiver."""
+        return self.parties * (self.message_bits + 1)
+
+    @property
+    def u_exps(self) -> int:
+        """Node ``u``: a ``g^noise`` offset per bit per aggregate."""
+        return self.parties * self.message_bits
+
+    @property
+    def v_exps(self) -> int:
+        """Node ``v``: one ``c1^r`` adjustment per aggregate."""
+        return self.parties
+
+    @property
+    def receiver_exps(self) -> int:
+        """Each member of B_v: ``L`` decryption masks."""
+        return self.message_bits
+
+    @property
+    def critical_exps(self) -> int:
+        """One transfer's critical path: a sender, ``u``, ``v``, a receiver."""
+        return self.sender_exps + self.u_exps + self.v_exps + self.receiver_exps
+
+    @property
+    def exponentiations(self) -> int:
+        b = self.parties
+        per_transfer = b * self.sender_exps + self.u_exps + self.v_exps + b * self.receiver_exps
+        return self.transfers * per_transfer
+
+    @cached_property
+    def transfer_bytes(self) -> TransferTraffic:
+        """Wire bytes per §5.3 role of one transfer."""
+        return TransferTraffic(self.element_bytes, self.parties, self.message_bits)
+
+    @property
+    def transfer_sent_bytes(self) -> int:
+        """Bytes one transfer puts on the wire: the b senders, ``u``, ``v``."""
+        t = self.transfer_bytes
+        return self.parties * t.sender_member_bytes + t.node_u_sent_bytes + t.node_v_sent_bytes
 
 
-def gmw_cost(
-    circuit: Circuit,
+def bill_for(
+    stats: Iterable[CircuitStats],
     parties: int,
-    ot_sender_bytes: int,
-    ot_receiver_bytes: int,
+    *,
+    steps: int = 1,
+    transfers: int = 0,
+    message_bits: int = 0,
+    element_bytes: int = 0,
     mode: str = "ot",
-) -> GMWCost:
-    """Predict the cost of evaluating ``circuit`` with ``parties`` parties.
-
-    In ``"ot"`` mode every AND gate runs one OT per ordered party pair, so
-    each party acts ``(parties - 1)`` times as sender and ``(parties - 1)``
-    times as receiver per AND gate: per-party traffic is linear in the
-    block size while the total is quadratic — the two sides of Figures 3
-    and 4. In ``"beaver"`` mode an AND gate instead consumes one dealer
-    triple and each party broadcasts its two mask bits (``d``/``e``) to
-    the other ``parties - 1``.
-
-    The gate counts are read from the circuit's compiled plan when it has
-    one (:meth:`~repro.mpc.circuit.Circuit.compile`; a circuit still under
-    construction is walked), and are cross-checked against the transfers
-    the scalar :class:`~repro.mpc.gmw.GMWEngine`'s OT backend records, one
-    per call, in ``tests/test_mpc_gmw.py`` — the bit-sliced offline phase
-    sizes its randomness pools from the same plan, so drift would surface
-    as a hard :class:`~repro.exceptions.OfflinePoolExhaustedError`.
-    """
+    ot_bytes: Tuple[int, int] = (0, 0),
+) -> Bill:
+    """The bill of ``steps`` computation steps, each evaluating one circuit
+    per entry of ``stats`` (one block each), plus ``transfers`` transfers.
+    ``ot_bytes`` is what one OT puts on the wire, sender then receiver."""
     if mode not in ("ot", "beaver"):
         raise ValueError(f"unknown GMW mode {mode!r}")
-    stats = circuit.stats()
-    pairs = parties * (parties - 1)
+    stats = list(stats)
+    ands = max((s.and_gates for s in stats), default=0)
     if mode == "ot":
-        per_party_bits = stats.and_gates * (parties - 1) * 8 * (ot_sender_bytes + ot_receiver_bytes)
-        total_ots = stats.and_gates * pairs
-        ots_per_party = stats.and_gates * 2 * (parties - 1)
-        triples = 0
+        ots = steps * sum(s.and_gates for s in stats) * parties * (parties - 1)
+        pair_bits = 8 * ands * sum(ot_bytes)
     else:
-        per_party_bits = stats.and_gates * 2 * (parties - 1)
-        total_ots = 0
-        ots_per_party = 0
-        triples = stats.and_gates
-    return GMWCost(
-        parties=parties,
-        and_gates=stats.and_gates,
-        xor_gates=stats.xor_gates,
-        rounds=stats.and_depth,
-        total_ots=total_ots,
-        ots_per_party=ots_per_party,
-        sent_bits_per_party=per_party_bits,
-        beaver_triples=triples,
+        ots, pair_bits = 0, 2 * ands
+    return Bill(
+        parties,
+        and_gates=ands,
+        and_rounds=max((s.and_depth for s in stats), default=0),
+        ots=ots,
+        pair_bits=pair_bits,
+        transfers=transfers,
+        message_bits=message_bits,
+        element_bytes=element_bytes,
     )

@@ -12,8 +12,9 @@ This is the MPC engine DStress invokes for every computation step (§3.3,
 
 Inputs arrive already shared and outputs stay shared: DStress never opens
 intermediate values (§3.3). The engine reports per-party traffic in bits and
-interaction rounds (= AND depth), which feed the cost model; both follow
-from the circuit's gate counts alone (:meth:`GMWEngine._closed_form_traffic`).
+interaction rounds (= AND depth), which feed the cost model; both are read
+off the circuit's :class:`~repro.mpc.cost.Bill`
+(:meth:`GMWEngine._closed_form_traffic`).
 
 **Mask stream.** In ``ot`` mode every party forks one sub-stream off the
 run's generator (``rng.fork("gmw-party-p")``, 32 parent bytes each) and
@@ -36,6 +37,7 @@ from repro.crypto.ot import ObliviousTransfer, SimulatedObliviousTransfer
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import CircuitError, ProtocolError
 from repro.mpc.circuit import Circuit, CircuitStats, GateOp
+from repro.mpc.cost import bill_for
 from repro.sharing.xor import reconstruct_value, share_value
 
 __all__ = ["GMWEngine", "GMWResult", "GMWTraffic", "mask_stream_bytes"]
@@ -68,35 +70,13 @@ class GMWTraffic:
     #: party ``i`` put on the wire addressed to party ``j``.
     pair_bits: Dict[Tuple[int, int], int] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if not self.sent_bits:
-            self.sent_bits = [0] * self.num_parties
-        if not self.received_bits:
-            self.received_bits = [0] * self.num_parties
-
-    def add_pair(self, sender: int, receiver: int, bits: int) -> None:
-        """Account ``bits`` travelling from ``sender`` to ``receiver``
-        (updates the pair map and both per-party totals consistently)."""
-        self.sent_bits[sender] += bits
-        self.received_bits[receiver] += bits
-        key = (sender, receiver)
-        self.pair_bits[key] = self.pair_bits.get(key, 0) + bits
-
     def pair_bytes(self) -> Dict[Tuple[int, int], float]:
         """Bytes per ordered party pair — the block's OT batch, link by link."""
         return {pair: bits / 8.0 for pair, bits in self.pair_bits.items()}
 
     @property
-    def total_bytes(self) -> float:
-        return sum(self.sent_bits) / 8.0
-
-    @property
     def per_party_bytes(self) -> List[float]:
         return [bits / 8.0 for bits in self.sent_bits]
-
-    @property
-    def max_party_bytes(self) -> float:
-        return max(self.per_party_bytes)
 
 
 @dataclass
@@ -150,6 +130,12 @@ class GMWEngine:
         self.num_parties = num_parties
         self.ot = ot if ot is not None else SimulatedObliviousTransfer()
         self.mode = mode
+        # ``pair_bits`` insertion order, which ``SecureEngine._meter_gmw``'s
+        # float accumulation iterates: ``ot`` visits ``(i, j)`` then
+        # ``(j, i)`` pair by pair, ``beaver`` sender by sender
+        n = num_parties
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        self._pairs = sorted(pairs, key=lambda p: (min(p), max(p))) if mode == "ot" else pairs
 
     # -- share plumbing ------------------------------------------------------
 
@@ -245,36 +231,25 @@ class GMWEngine:
                 )
 
     def _closed_form_traffic(self, stats: CircuitStats) -> GMWTraffic:
-        """One evaluation's traffic, from the gate counts: every AND gate
-        costs the same bits on the same links — one OT per ordered pair
-        (two opened mask bits per party toward every other in ``beaver``
-        mode) — and one round per AND layer.
-
-        The ``pair_bits`` *insertion order* (for ``i``, for ``j != i``:
-        ``(i, j)`` then ``(j, i)``) is part of the contract: downstream
-        metering (``SecureEngine._meter_gmw`` float accumulation) iterates
-        it.
-        """
+        """One evaluation's traffic, off its bill: every ordered pair
+        carries the same bits and every party sends and receives ``n - 1``
+        pairs' worth."""
         n = self.num_parties
-        traffic = GMWTraffic(num_parties=n)
-        ands = stats.and_gates
-        if ands:
-            if self.mode == "ot":
-                sender_bits = 8 * ands * self.ot.sender_bytes_per_transfer(1)
-                receiver_bits = 8 * ands * self.ot.receiver_bytes_per_transfer(1)
-                for i in range(n):
-                    for j in range(n):
-                        if i != j:
-                            traffic.add_pair(i, j, sender_bits)
-                            traffic.add_pair(j, i, receiver_bits)
-                traffic.ot_count = ands * n * (n - 1)
-            else:
-                for p in range(n):
-                    for q in range(n):
-                        if q != p:
-                            traffic.add_pair(p, q, 2 * ands)
-        traffic.rounds = stats.and_depth
-        return traffic
+        bill = bill_for(
+            [stats],
+            n,
+            mode=self.mode,
+            ot_bytes=(self.ot.sender_bytes_per_transfer(1), self.ot.receiver_bytes_per_transfer(1)),
+        )
+        bits = bill.pair_bits
+        return GMWTraffic(
+            num_parties=n,
+            sent_bits=[(n - 1) * bits] * n,
+            received_bits=[(n - 1) * bits] * n,
+            ot_count=bill.ots,
+            rounds=bill.and_rounds,
+            pair_bits=dict.fromkeys(self._pairs, bits) if bill.and_gates else {},
+        )
 
     def _and_via_ot(
         self,

@@ -1,13 +1,13 @@
 """Scalability estimator: the Figure 6 projection pipeline (§5.5).
 
-Combines per-operation cost constants with exact protocol operation counts
-to project end-to-end completion time and per-node traffic for deployments
-far larger than the simulation can execute — exactly how the paper reaches
-its N = 1750 / 4.8 hours / 750 MB estimates.
+Multiplies :class:`~repro.mpc.cost.Bill` lines by per-operation cost
+constants to project end-to-end completion time and per-node traffic for
+deployments far larger than the simulation can execute — exactly how the
+paper reaches its N = 1750 / 4.8 hours / 750 MB estimates.
 
-Operation counts come from the real circuits (built at the target degree
-bound) and the real transfer-protocol formulas, so the projection and the
-executable engine share one source of truth. The assumptions mirror §5.5:
+The bills are read off the real compiled circuits at the target degree
+bound, so the projection and the executable engine price one set of
+counts, derived in :mod:`repro.mpc.cost`. The assumptions mirror §5.5:
 a conservative ``D``, block size ``k+1``, ``I`` iterations, a two-level
 aggregation tree of fanout 100, and no overlap between the blocks a node
 serves in.
@@ -20,9 +20,10 @@ from dataclasses import dataclass
 
 from repro.core.aggregation import partial_sum_width
 from repro.core.program import VertexProgram, compiled_update_circuit
+from repro.mpc.circuit import Circuit
+from repro.mpc.cost import Bill, bill_for
 from repro.mpc.plan import noised_sum_bits_circuit, partial_sum_circuit
 from repro.simulation.timing import CostConstants
-from repro.transfer.protocol import TransferTraffic
 
 __all__ = ["DeploymentEstimate", "ScalabilityEstimator"]
 
@@ -84,52 +85,35 @@ class ScalabilityEstimator:
     def block_size(self) -> int:
         return self.collusion_bound + 1
 
-    # -- operation counts -------------------------------------------------------
+    # -- bills -------------------------------------------------------------------
 
-    # AND counts come off the process-wide compiled plans: an estimate
-    # and a run of the same shape build each circuit once between them.
-
-    def _update_circuit_ands(self, degree_bound: int) -> int:
-        return compiled_update_circuit(self.program, degree_bound).stats().and_gates
-
-    def _aggregation_ands(self, group_inputs: int, input_bits: int) -> int:
-        circuit = partial_sum_circuit(
-            group_inputs, input_bits, partial_sum_width(input_bits, group_inputs)
+    def _bill(self, *circuits: Circuit, steps: int = 1, transfers: int = 0) -> Bill:
+        """One block position's bill, off the process-wide compiled plans."""
+        return bill_for(
+            [circuit.stats() for circuit in circuits],
+            self.block_size,
+            steps=steps,
+            transfers=transfers,
+            message_bits=self.program.fmt.total_bits,
+            element_bytes=self.element_bytes,
         )
-        return circuit.stats().and_gates
-
-    def _noising_ands(self, root_inputs: int, input_bits: int) -> int:
-        circuit = noised_sum_bits_circuit(
-            num_inputs=root_inputs,
-            value_bits=input_bits,
-            alpha=0.999,
-            magnitude_bits=18,
-            precision_bits=16,
-        )
-        return circuit.stats().and_gates
 
     # -- per-phase projections -----------------------------------------------------
 
     def computation_step_seconds(self, degree_bound: int) -> float:
-        """One block's update-circuit evaluation (Fig. 3 'EN/EGJ step').
-
-        Per party: ``2 (k) OTs`` per AND gate (as sender to k others and
-        receiver from k others, halved by pipelining both directions).
-        """
-        ands = self._update_circuit_ands(degree_bound)
-        per_party_ots = ands * 2 * self.collusion_bound
-        return per_party_ots * self.constants.seconds_per_ot
+        """One block's update-circuit evaluation (Fig. 3 'EN/EGJ step'):
+        the bill's OTs per party, ``2k`` per AND gate (sender to the ``k``
+        others and receiver from them), each at ``seconds_per_ot``."""
+        bill = self._bill(compiled_update_circuit(self.program, degree_bound))
+        return bill.ots_per_party * self.constants.seconds_per_ot
 
     def transfer_seconds(self) -> float:
         """One §3.5 edge transfer (§5.2: linear in k, exponentiations
-        dominate). Critical path: a sender member's encryptions, then the
-        endpoints' and receivers' exponentiations. ``seconds_per_exp`` is
-        calibrated on variable-base ``group.exp``, so it is an upper bound
-        for the ``g``-table terms (noise, ``g^y``)."""
-        bits = self.program.fmt.total_bits
-        k1 = self.block_size
-        exps = k1 * (bits + 1) + k1 * bits + k1 + bits
-        return exps * self.constants.seconds_per_exp
+        dominate): the bill's critical path — a sender member, ``u``, ``v``
+        and a receiver member. ``seconds_per_exp`` is calibrated on
+        variable-base ``group.exp``, so it is an upper bound for the
+        ``g``-table terms (noise, ``g^y``)."""
+        return self._bill(transfers=1).critical_exps * self.constants.seconds_per_exp
 
     def init_seconds(self, degree_bound: int) -> float:
         registers = len(self.program.state_registers(degree_bound)) + degree_bound
@@ -139,12 +123,16 @@ class ScalabilityEstimator:
         """Two-level tree: parallel group sums, then the noised root."""
         bits = self.program.fmt.total_bits
         group_inputs = min(num_nodes, self.aggregation_fanout)
-        group_ands = self._aggregation_ands(group_inputs, bits)
-        root_inputs = max(1, math.ceil(num_nodes / self.aggregation_fanout))
-        root_bits = partial_sum_width(bits, group_inputs)
-        root_ands = self._noising_ands(root_inputs, root_bits)
-        per_party = (group_ands + root_ands) * 2 * self.collusion_bound
-        return per_party * self.constants.seconds_per_ot
+        group_bits = partial_sum_width(bits, group_inputs)
+        group = partial_sum_circuit(group_inputs, bits, group_bits)
+        root = noised_sum_bits_circuit(
+            num_inputs=max(1, math.ceil(num_nodes / self.aggregation_fanout)),
+            value_bits=group_bits,
+            alpha=0.999,
+            magnitude_bits=18,
+            precision_bits=16,
+        )
+        return self._bill(group, root).ots_per_party * self.constants.seconds_per_ot
 
     # -- end-to-end ---------------------------------------------------------------------
 
@@ -181,25 +169,19 @@ class ScalabilityEstimator:
     def _traffic_per_node(self, num_nodes: int, degree_bound: int, iterations: int) -> float:
         """Average per-node traffic *generated* (bytes sent), as in §5.3.
 
-        GMW: a node serves in ``k+1`` blocks on average; per computation
-        step and block it sends ``ANDs * k * ot_bytes_per_and``.
+        GMW: a node serves in ``k+1`` blocks on average; in each it sends
+        ``ot_bytes_per_and`` per OT it is the sender of, one per AND gate
+        per counterpart.
 
-        Transfers: per edge, the sending block's members put ``(k+1)^2``
-        subshares on the wire, and nodes ``u`` and ``v`` relay ``k+1``
-        aggregates each; with up to ``N * D`` edges per iteration the
+        Transfers: ``D`` per iteration at the node's vertex, each the
+        bill's sent bytes; with up to ``N * D`` edges per iteration the
         network-wide bytes divide evenly across nodes in expectation.
         """
-        ands = self._update_circuit_ands(degree_bound)
-        gmw_per_step = ands * self.collusion_bound * self.ot_bytes_per_and
-        gmw_total = gmw_per_step * self.block_size * (iterations + 1)
-
-        transfer = TransferTraffic(
-            element_bytes=self.element_bytes,
-            block_size=self.block_size,
-            message_bits=self.program.fmt.total_bits,
+        bill = self._bill(
+            compiled_update_circuit(self.program, degree_bound),
+            steps=iterations + 1,
+            transfers=iterations * degree_bound,
         )
-        sub = transfer.subshare_bytes
-        sent_per_edge = sub * (self.block_size**2 + 2 * self.block_size)
-        transfer_total = iterations * degree_bound * sent_per_edge
-
-        return gmw_total + transfer_total
+        sender_ots = bill.ots // bill.parties
+        gmw_total = sender_ots * self.ot_bytes_per_and * self.block_size
+        return gmw_total + bill.transfers * bill.transfer_sent_bytes

@@ -107,11 +107,6 @@ class TrafficMeter:
             return 0.0
         return self.total_bytes_sent / len(self._stats)
 
-    def mean_node_total_bytes(self) -> float:
-        if not self._stats:
-            return 0.0
-        return sum(s.total_bytes for s in self._stats.values()) / len(self._stats)
-
     def summary(self) -> Dict[str, float]:
         return {
             "nodes": len(self._stats),

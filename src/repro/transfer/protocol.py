@@ -115,9 +115,6 @@ class TransferResult:
 
     receiver_shares: List[int]
     noise_terms: List[List[int]]
-    traffic: TransferTraffic
-    #: number of exponential-ElGamal encryptions performed (cost model)
-    encryptions: int = 0
 
     def reconstruct(self, bits: int) -> int:
         return xor_all(self.receiver_shares) & ((1 << bits) - 1)
@@ -307,16 +304,4 @@ class MessageTransferProtocol:
             self.receiver_decrypt(agg, member)
             for agg, member in zip(adjusted, receiver_keys)
         ]
-
-        traffic = TransferTraffic(
-            element_bytes=self.elgamal.group.element_size_bytes,
-            block_size=block_size,
-            message_bits=self.message_bits,
-        )
-        encryptions = block_size * block_size * (self.message_bits + 1)
-        return TransferResult(
-            receiver_shares=receiver_shares,
-            noise_terms=noise_terms,
-            traffic=traffic,
-            encryptions=encryptions,
-        )
+        return TransferResult(receiver_shares=receiver_shares, noise_terms=noise_terms)

@@ -20,18 +20,27 @@ scale-free), all under a fixed seed:
   identical per-link traffic (the per-pair ``GMWTraffic.pair_bits``
   attribution lands on directed links) in every cell. The secure cells
   run on smaller graphs (full MPC per vertex per round) under the demo
-  preset, but still sweep both programs and both graph generators.
+  preset, but still sweep both programs and both graph generators;
+* every secure run's counters — OTs, transfers, AND gates per step and
+  metered exponentiations — equal its bill
+  (:func:`~repro.core.secure_engine.run_bill`) exactly, and so does the
+  OT backend's own record — one transfer per ``transfer_bit`` call under
+  the scalar backend.
 
 Any future backend (remote, ...) earns its registry entry by joining
 this matrix.
 """
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro import StressTest
 from repro.api.async_engine import run_coroutine
+from repro.api.engines import _SecureCore
 from repro.core.engine import PlaintextEngine
 from repro.core.rounds import RoundLoop, sequential_superstep
+from repro.core.secure_engine import run_bill
 from repro.core.transport import InMemoryTransport
 from repro.mpc.bitslice import HAVE_NUMPY
 from repro.crypto.rng import DeterministicRNG
@@ -213,21 +222,59 @@ def secure_networks():
     return {name: build() for name, build in SECURE_GRAPHS.items()}
 
 
+@contextmanager
+def secure_cores():
+    """Collect every secure lifecycle core run inside the block, with the
+    transfers its OT backend recorded by the end of the rounds (the
+    aggregation tree then evaluates more circuits on the same backend)."""
+    seen = []
+    aggregate = _SecureCore.aggregate
+
+    def spy(core, state):
+        seen.append((core, core.ctx.gmw.ot.stats.transfers))
+        return aggregate(core, state)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_SecureCore, "aggregate", spy)
+        yield seen
+
+
+def assert_counters_equal_bill(result, seen):
+    """One secure run's counters against its bill, line by line."""
+    ((core, ot_transfers),) = seen
+    ctx = core.ctx
+    bill = run_bill(core.program, core.config, core.graph, SECURE_ITERATIONS)
+    assert bill.ots > 0 and bill.transfers > 0
+    assert result.extras["gmw_ot_count"] == ctx.total_ots == ot_transfers == bill.ots
+    assert result.extras["transfer_count"] == ctx.transfer_count == bill.transfers
+    assert ctx.circuit_and_gates == bill.and_gates
+    assert result.traffic.summary()["total_exponentiations"] == bill.exponentiations
+
+
 @pytest.fixture(scope="module")
 def secure_references(secure_networks):
     """Per (program, graph) cell: the sequential secure release every
-    transport-scheduled run must reproduce bit-for-bit."""
+    transport-scheduled run must reproduce bit-for-bit, with the core
+    that ran it."""
     references = {}
     for program in PROGRAMS:
         for graph_name, network in secure_networks.items():
-            references[(program, graph_name)] = (
-                StressTest(network)
-                .program(program)
-                .engine("secure")
-                .preset("demo")
-                .run(iterations=SECURE_ITERATIONS)
-            )
+            with secure_cores() as seen:
+                run = (
+                    StressTest(network)
+                    .program(program)
+                    .engine("secure")
+                    .preset("demo")
+                    .run(iterations=SECURE_ITERATIONS)
+                )
+            references[(program, graph_name)] = (run, seen)
     return references
+
+
+@pytest.mark.parametrize("program", PROGRAMS)
+@pytest.mark.parametrize("graph_name", sorted(SECURE_GRAPHS))
+def test_secure_scalar_counters_equal_bill(secure_references, program, graph_name):
+    assert_counters_equal_bill(*secure_references[(program, graph_name)])
 
 
 _needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
@@ -253,14 +300,16 @@ SECURE_VARIANTS = (
 def test_secure_variants_release_bit_identical(
     secure_networks, secure_references, engine_name, options, program, graph_name
 ):
-    reference = secure_references[(program, graph_name)]
-    result = (
-        StressTest(secure_networks[graph_name])
-        .program(program)
-        .engine(engine_name, **options)
-        .preset("demo")
-        .run(iterations=SECURE_ITERATIONS)
-    )
+    reference, _ = secure_references[(program, graph_name)]
+    with secure_cores() as seen:
+        result = (
+            StressTest(secure_networks[graph_name])
+            .program(program)
+            .engine(engine_name, **options)
+            .preset("demo")
+            .run(iterations=SECURE_ITERATIONS)
+        )
+    assert_counters_equal_bill(result, seen)
     # the release itself: aggregate includes the in-MPC sampled noise
     assert result.aggregate == reference.aggregate
     assert result.noise_raw == reference.noise_raw

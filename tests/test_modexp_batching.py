@@ -26,22 +26,17 @@ from conftest import scale
 
 from repro import DStressConfig, StressTest
 from repro.api import engines as api_engines
-from repro.core.secure_engine import SecureEngine
-from repro.core.setup import BlockAssignment, TrustedParty
+from repro.core.setup import TrustedParty
 from repro.crypto.ec import P384
 from repro.crypto.elgamal import CountingGroup, ExponentialElGamal
 from repro.crypto.group import GROUP_160, GROUP_256, GROUP_512, TOY_GROUP_64
 from repro.crypto.keys import SchnorrSigner
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import CryptoError
-from repro.finance import EisenbergNoeProgram
 from repro.finance.scenarios import apply_shock, uniform_shock
 from repro.graphgen import RandomNetworkParams, random_network
-from repro.mpc.fixedpoint import FixedPointFormat
+from repro.mpc.cost import bill_for
 from repro.sharing.xor import share_value
-from repro.simulation.estimator import ScalabilityEstimator
-from repro.simulation.netsim import TrafficMeter
-from repro.simulation.timing import PAPER_COST_CONSTANTS
 from repro.transfer.certificates import (
     build_certificate,
     generate_member_keys,
@@ -232,7 +227,7 @@ class TestCounting:
         counting.reset()
         result = protocol.execute(shares, certificate, neighbor_key, members, rng)
         assert result.reconstruct(BITS) == message
-        # b^2 (L + 1) + b L + b + b L: what ``_meter_transfer`` prices; the
+        # b^2 (L + 1) + b L + b + b L: the bill's transfer line; the
         # senders' ``g**bit`` is a multiplication, not an exponentiation
         assert counting.exp_count == 252
         assert counting.inv_count == 0
@@ -240,8 +235,9 @@ class TestCounting:
     @pytest.mark.parametrize("bits", [2, 5, 16])
     @pytest.mark.parametrize("block", [1, 2, 3, 4])
     def test_counted_equals_modelled(self, block, bits):
-        """What a ``CountingGroup`` counts, role by role, is what the
-        engine meters per transfer and what the estimator prices."""
+        """What a ``CountingGroup`` counts, role by role, is the bill's
+        line for that role — the line the engine meters every transfer at
+        and the estimator prices."""
         counting = CountingGroup(TOY_GROUP_64)
         rng = DeterministicRNG(f"counted-{block}-{bits}")
         elgamal, members, neighbor_key, certificate = transfer_fixture(
@@ -260,31 +256,14 @@ class TestCounting:
         (aggregates, _noise), at_u = counted(lambda: protocol.aggregate(bundles, rng))
         adjusted, at_v = counted(lambda: protocol.adjust(aggregates, neighbor_key))
         _share, per_receiver = counted(lambda: protocol.receiver_decrypt(adjusted[0], members[0]))
-        assert (per_sender, at_u, at_v, per_receiver) == (
-            block * (bits + 1), block * bits, block, bits
+        _result, whole = counted(
+            lambda: protocol.execute(shares, certificate, neighbor_key, members, rng)
         )
-
-        counting.reset()
-        result = protocol.execute(shares, certificate, neighbor_key, members, rng)
-        assert counting.exp_count == block * per_sender + at_u + at_v + block * per_receiver
+        bill = bill_for([], block, transfers=1, message_bits=bits)
+        assert (per_sender, at_u, at_v, per_receiver, whole) == (
+            bill.sender_exps, bill.u_exps, bill.v_exps, bill.receiver_exps, bill.exponentiations
+        )
         assert counting.inv_count == 0
-
-        # the engine's meter: blocks B_0 and B_1 of disjoint members
-        meter = TrafficMeter()
-        blocks = {0: [0] + list(range(2, block + 1)), 1: [1] + list(range(10, 9 + block))}
-        SecureEngine._meter_transfer(
-            None, meter, 0, 1, BlockAssignment(blocks=blocks, signature=None), result.traffic
-        )
-        assert sum(node.exponentiations for node in meter.nodes().values()) == counting.exp_count
-
-        # the estimator: one sender, then u, v and one receiver (critical path)
-        estimator = ScalabilityEstimator(
-            EisenbergNoeProgram(FixedPointFormat(bits, 1)),
-            PAPER_COST_CONSTANTS,
-            collusion_bound=block - 1,
-        )
-        modelled = estimator.transfer_seconds() / PAPER_COST_CONSTANTS.seconds_per_exp
-        assert round(modelled) == per_sender + at_u + at_v + per_receiver
 
     def test_plain_decrypt_folds_the_inversion_into_the_exponent(self):
         counting = CountingGroup(TOY_GROUP_64)

@@ -8,7 +8,7 @@ values), the same :class:`~repro.mpc.gmw.GMWTraffic` — down to
 iterates — and consume the parent RNG stream byte-for-byte like the
 scalar engine, because every later fork in a secure run keys off that
 stream. Offline pools must be sized exactly from
-:func:`repro.mpc.cost.gmw_cost` and fail loudly when over-drawn.
+:class:`repro.mpc.cost.Bill` and fail loudly when over-drawn.
 """
 
 import pytest
@@ -42,7 +42,7 @@ from repro.finance.eisenberg_noe import EisenbergNoeProgram
 from repro.finance.elliott_golub_jackson import ElliottGolubJacksonProgram
 from repro.mpc.builder import CircuitBuilder
 from repro.mpc.circuit import Circuit, GateOp, layerize
-from repro.mpc.cost import gmw_cost
+from repro.mpc.cost import bill_for
 from repro.mpc.fixedpoint import FixedPointFormat
 from repro.mpc.gmw import GMWEngine, mask_stream_bytes
 from repro.mpc.noise_circuit import build_noised_sum_bits_circuit
@@ -524,20 +524,22 @@ class TestRealCircuitParity:
         assert pools.remaining == 0
         assert scalar_rng.randbytes(32) == sliced_rng.randbytes(32)
 
-        cost = gmw_cost(
-            circuit,
+        cost = bill_for(
+            [circuit.stats()],
             parties,
-            scalar.ot.sender_bytes_per_transfer(1),
-            scalar.ot.receiver_bytes_per_transfer(1),
             mode=mode,
+            ot_bytes=(
+                scalar.ot.sender_bytes_per_transfer(1),
+                scalar.ot.receiver_bytes_per_transfer(1),
+            ),
         )
         assert pools.and_gates == cost.and_gates == circuit.stats().and_gates
         for ref, got in zip(refs, gots):
             assert got.output_shares == ref.output_shares
             assert list(got.traffic.pair_bits.items()) == list(ref.traffic.pair_bits.items())
-            assert got.traffic.ot_count == ref.traffic.ot_count == cost.total_ots
-            assert got.traffic.rounds == ref.traffic.rounds == cost.rounds
-            assert ref.traffic.sent_bits == [cost.sent_bits_per_party] * parties
+            assert got.traffic.ot_count == ref.traffic.ot_count == cost.ots
+            assert got.traffic.rounds == ref.traffic.rounds == cost.and_rounds
+            assert ref.traffic.sent_bits == [(parties - 1) * cost.pair_bits] * parties
 
 
 # ------------------------------------------------- offline/online account --
@@ -549,7 +551,7 @@ class TestOfflineAccounting:
     def test_pools_sized_exactly_from_cost_model(self, mode, parties):
         circuit = mixed_circuit()
         engine = BitslicedGMWEngine(parties, mode=mode)
-        cost = gmw_cost(circuit, parties, 0, 0, mode=mode)
+        cost = bill_for([circuit.stats()], parties, mode=mode)
         lanes = 3
         pools = engine.precompute(circuit, lanes, DeterministicRNG("size"))
         assert pools.and_gates == cost.and_gates
@@ -558,7 +560,6 @@ class TestOfflineAccounting:
         if mode == "ot":
             assert pools.ot_masks.shape == (cost.and_gates, parties, parties, words)
         else:
-            assert cost.beaver_triples == cost.and_gates
             for component in (pools.triple_a, pools.triple_b, pools.triple_c):
                 assert component.shape == (cost.and_gates, parties, words)
         # online phase consumes every provisioned gate exactly once:

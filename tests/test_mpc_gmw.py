@@ -13,7 +13,7 @@ from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import CircuitError, ProtocolError
 from repro.mpc.builder import CircuitBuilder
 from repro.mpc.circuit import Circuit
-from repro.mpc.cost import gmw_cost
+from repro.mpc.cost import bill_for
 from repro.mpc.gmw import GMWEngine
 from repro.sharing import xor_all
 
@@ -202,19 +202,18 @@ class TestAccounting:
             "b": engine.share_input(2, 8, rng),
         }
         result = engine.evaluate(circuit, shares, rng)
-        predicted = gmw_cost(
-            circuit,
+        predicted = bill_for(
+            [circuit.stats()],
             parties,
-            ot.sender_bytes_per_transfer(1),
-            ot.receiver_bytes_per_transfer(1),
+            ot_bytes=(ot.sender_bytes_per_transfer(1), ot.receiver_bytes_per_transfer(1)),
         )
-        assert result.traffic.ot_count == predicted.total_ots
-        assert sum(result.traffic.sent_bits) == predicted.parties * predicted.sent_bits_per_party
+        assert result.traffic.ot_count == predicted.ots
+        assert sum(result.traffic.sent_bits) == parties * (parties - 1) * predicted.pair_bits
 
     @pytest.mark.parametrize("mode", ["ot", "beaver"])
     @pytest.mark.parametrize("parties", [2, 3, 4])
     def test_cost_model_matches_transcript_counts(self, mode, parties, rng):
-        """Every ``gmw_cost`` field cross-checked against what the engine
+        """Every bill line cross-checked against what the engine
         actually did — the bit-sliced offline phase sizes its randomness
         pools from these counts, so drift here would mis-provision pools
         (caught as ``OfflinePoolExhaustedError``) rather than just skew a
@@ -222,12 +221,14 @@ class TestAccounting:
         mode, so beaver traffic/round predictions did not exist at all."""
         circuit = adder_circuit()
         engine = GMWEngine(parties, mode=mode)
-        predicted = gmw_cost(
-            circuit,
+        predicted = bill_for(
+            [circuit.stats()],
             parties,
-            engine.ot.sender_bytes_per_transfer(1),
-            engine.ot.receiver_bytes_per_transfer(1),
             mode=mode,
+            ot_bytes=(
+                engine.ot.sender_bytes_per_transfer(1),
+                engine.ot.receiver_bytes_per_transfer(1),
+            ),
         )
         shares = {
             "a": engine.share_input(9, 8, rng),
@@ -236,18 +237,17 @@ class TestAccounting:
         traffic = engine.evaluate(circuit, shares, rng).traffic
         stats = circuit.stats()
         assert predicted.and_gates == stats.and_gates
-        assert predicted.xor_gates == stats.xor_gates
-        assert traffic.ot_count == predicted.total_ots
-        assert traffic.rounds == predicted.rounds
+        assert traffic.ot_count == predicted.ots
+        assert traffic.rounds == predicted.and_rounds
         for party in range(parties):
-            assert traffic.sent_bits[party] == predicted.sent_bits_per_party
-        assert sum(traffic.sent_bits) == parties * predicted.sent_bits_per_party
-        expected_triples = stats.and_gates if mode == "beaver" else 0
-        assert predicted.beaver_triples == expected_triples
+            assert traffic.sent_bits[party] == (parties - 1) * predicted.pair_bits
+            assert 8 * predicted.party_sent_bytes == traffic.sent_bits[party]
+        if mode == "ot":
+            assert predicted.ots_per_party == 2 * (parties - 1) * stats.and_gates
         # the reported traffic is closed-form; the backend's own record,
         # one per transfer_bit call, is the gate-for-gate count behind it
         backend = engine.ot.stats
-        assert backend.transfers == predicted.total_ots
+        assert backend.transfers == predicted.ots
         if mode == "ot":
             assert 8 * backend.total_bytes == sum(traffic.sent_bits)
 

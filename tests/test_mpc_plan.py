@@ -36,7 +36,7 @@ from repro.finance.eisenberg_noe import EisenbergNoeProgram
 from repro.finance.elliott_golub_jackson import ElliottGolubJacksonProgram
 from repro.mpc.builder import CircuitBuilder
 from repro.mpc.circuit import Circuit, GateOp, layerize
-from repro.mpc.cost import gmw_cost
+from repro.mpc.cost import bill_for
 from repro.mpc.fixedpoint import FixedPointFormat
 from repro.mpc.gmw import GMWEngine
 from repro.mpc.plan import (
@@ -173,7 +173,7 @@ class TestSealing:
     @pytest.mark.parametrize("mode", ["ot", "beaver"])
     def test_plan_cost_model_and_scalar_transcript_agree(self, mode):
         """The offline phase sizes its pools from the plan: pin the plan's
-        AND count to ``gmw_cost`` and to what the scalar engine did."""
+        AND count to the bill's and to what the scalar engine did."""
         circuit = adder_circuit()
         parties = 3
         engine = GMWEngine(parties, mode=mode)
@@ -184,9 +184,9 @@ class TestSealing:
         }
         traffic = engine.evaluate(circuit, shares, rng).traffic
         plan = circuit.compile()
-        predicted = gmw_cost(circuit, parties, 1, 1, mode=mode)
+        predicted = bill_for([plan.stats], parties, mode=mode)
         assert plan.stats.and_gates == predicted.and_gates
-        assert plan.stats.and_depth == predicted.rounds == traffic.rounds
+        assert plan.stats.and_depth == predicted.and_rounds == traffic.rounds
         if mode == "ot":
             assert traffic.ot_count == plan.stats.and_gates * parties * (parties - 1)
         builder = BitslicedGMWEngine(parties, mode=mode).pool_builder(circuit)

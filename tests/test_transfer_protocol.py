@@ -14,6 +14,7 @@ from repro.crypto.group import TOY_GROUP_64
 from repro.crypto.keys import SchnorrSigner
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import CryptoError, DecryptionError, ProtocolError
+from repro.mpc.cost import bill_for
 from repro.sharing import share_value
 from repro.transfer.certificates import (
     BlockCertificate,
@@ -311,9 +312,8 @@ class TestTrafficProfile:
             t = TransferTraffic(element_bytes=97, block_size=block, message_bits=12)
             assert low < t.node_u_received_bytes < high
 
-    def test_encryption_count(self, toy_elgamal, setup, rng):
-        _, _, members, nk, cert = setup
-        proto = MessageTransferProtocol(toy_elgamal, BITS, noise_alpha=0.5)
-        shares = share_value(1, BITS, BLOCK, rng)
-        result = proto.execute(shares, cert, nk, members, rng)
-        assert result.encryptions == BLOCK * BLOCK * (BITS + 1)
+    def test_encryption_count(self):
+        """The senders' share of a transfer's bill: ``k+1`` members, each
+        encrypting an (L+1)-element subshare to each of ``k+1`` receivers."""
+        bill = bill_for([], BLOCK, transfers=1, message_bits=BITS)
+        assert BLOCK * bill.sender_exps == BLOCK * BLOCK * (BITS + 1)
