@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro import StressTest
 from repro.core.config import DStressConfig
-from repro.core.secure_engine import SecureEngine
 from repro.crypto.group import TOY_GROUP_64
 from repro.crypto.rng import DeterministicRNG
 from repro.finance import EisenbergNoeProgram, ElliottGolubJacksonProgram
@@ -55,7 +55,13 @@ def _run(program_cls, block_size: int):
         output_epsilon=0.5,
         seed=42,
     )
-    return SecureEngine(program, config).run(graph, iterations=ITERATIONS)
+    return (
+        StressTest(graph)
+        .program(program)
+        .engine("secure")
+        .configure(config)
+        .run(iterations=ITERATIONS)
+    )
 
 
 def test_fig5_left_time_breakdown(benchmark):
@@ -65,7 +71,7 @@ def test_fig5_left_time_breakdown(benchmark):
         for block in BLOCKS:
             result = _run(program_cls, block)
             phases = result.phases.seconds
-            total = result.phases.total
+            total = result.wall_seconds
             totals[(label, block)] = total
             rows.append(
                 [

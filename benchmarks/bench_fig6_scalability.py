@@ -19,8 +19,8 @@ import math
 
 import pytest
 
+from repro import StressTest
 from repro.core.config import DStressConfig
-from repro.core.secure_engine import SecureEngine
 from repro.crypto.group import TOY_GROUP_64
 from repro.crypto.rng import DeterministicRNG
 from repro.finance import EisenbergNoeProgram
@@ -110,8 +110,14 @@ def test_fig6_validation_points(benchmark):
             output_epsilon=0.5,
             seed=1,
         )
-        result = SecureEngine(program, config).run(graph, iterations=iterations)
-        measured_minutes = result.phases.total / 60.0
+        result = (
+            StressTest(graph)
+            .program(program)
+            .engine("secure")
+            .configure(config)
+            .run(iterations=iterations)
+        )
+        measured_minutes = result.wall_seconds / 60.0
 
         estimator = ScalabilityEstimator(
             program,

@@ -21,8 +21,7 @@ from repro import (
     DStressConfig,
     DistributedGraph,
     FixedPointFormat,
-    PlaintextEngine,
-    SecureEngine,
+    StressTest,
     VertexProgram,
     VertexView,
 )
@@ -103,7 +102,8 @@ def main() -> None:
     graph = build_dependency_graph()
     hops = 4
 
-    clear = PlaintextEngine(program).run_float(graph, iterations=hops)
+    session = StressTest(graph).program(program).configure(fmt=fmt)
+    clear = session.clone().engine("plaintext").run(iterations=hops)
     print(f"exact organizations reached within {hops} hops: {clear.aggregate:.0f}")
 
     config = DStressConfig(
@@ -115,11 +115,11 @@ def main() -> None:
         output_epsilon=0.8,
         seed=11,
     )
-    result = SecureEngine(program, config).run(graph, iterations=hops)
-    print(f"released (DP) count:  {result.noisy_output:.2f}")
+    result = session.clone().engine("secure").configure(config).run(iterations=hops)
+    print(f"released (DP) count:  {result.aggregate:.2f}")
     print(
-        f"protocol work: {result.gmw_ot_count:,} OTs, "
-        f"{result.transfer_count} edge transfers, "
+        f"protocol work: {result.extras['gmw_ot_count']:,.0f} OTs, "
+        f"{result.extras['transfer_count']:.0f} edge transfers, "
         f"{result.traffic.total_bytes_sent / 1e6:.2f} MB total"
     )
 

@@ -25,10 +25,11 @@ Quickstart — the unified session API::
     )
     print(result.aggregate)      # the released, noised total shortfall
 
-The protocol-level classes (:class:`SecureEngine`, :class:`PlaintextEngine`,
-:class:`DStressConfig`, ...) remain public for callers that need direct
-control. See DESIGN.md for the architecture and README.md for the
-migration table from the pre-1.1 per-engine entry points.
+Every run goes through one engine lifecycle and returns one
+:class:`RunResult`; a caller holding a bare graph passes it to
+``StressTest(graph)`` or to ``Engine.execute``. The pre-1.1 per-engine
+entry points are removed; README.md maps each to its replacement and
+DESIGN.md describes the architecture.
 """
 
 from repro.api import (
@@ -47,7 +48,6 @@ from repro.core import (
     NO_OP_MESSAGE,
     DistributedGraph,
     OneShotRelease,
-    PlaintextEngine,
     ProgramSpec,
     ReleaseRecord,
     VertexProgram,
@@ -56,7 +56,6 @@ from repro.core import (
 )
 from repro.core.config import DStressConfig, available_presets
 from repro.core.convergence import convergence_index
-from repro.core.secure_engine import SecureEngine
 from repro.finance import (
     Bank,
     EisenbergNoeProgram,
@@ -83,14 +82,12 @@ __all__ = [
     "FixedPointFormat",
     "NO_OP_MESSAGE",
     "OneShotRelease",
-    "PlaintextEngine",
     "PrivacyAccountant",
     "ProgramSpec",
     "ReleaseRecord",
     "RunResult",
     "Scenario",
     "ScenarioOutcome",
-    "SecureEngine",
     "StressTest",
     "VertexProgram",
     "VertexView",

@@ -47,7 +47,7 @@ from typing import Optional, Sequence, Tuple, Union
 from repro.api.registry import register_engine
 from repro.api.result import RunResult
 from repro.core.config import DStressConfig
-from repro.core.engine import PlaintextEngine, PlaintextRun
+from repro.core.engine import plaintext_loop
 from repro.core.graph import DistributedGraph
 from repro.core.lifecycle import (
     LifecycleCore,
@@ -215,26 +215,27 @@ def _central_release_noise(
 def _from_plaintext(
     engine_name: str,
     program: VertexProgram,
-    run: PlaintextRun,
+    loop: RoundLoop,
     iterations: int,
     started: float,
     graph: DistributedGraph,
 ) -> RunResult:
-    """Normalize a PlaintextRun, carrying its phase timings and a
-    synthesized per-link traffic meter, so every engine's RunResult
-    exposes the same telemetry shape."""
+    """A clear round loop's state as a result in real units, with its
+    phase timings and a synthesized per-link traffic meter, so every
+    engine's RunResult exposes the same telemetry shape."""
+    decode = loop.arithmetic.decode
     return RunResult(
         engine=engine_name,
         program=program.name,
-        aggregate=run.aggregate,
-        trajectory=list(run.trajectory),
+        aggregate=loop.aggregate(),
+        trajectory=list(loop.trajectory),
         iterations=iterations,
         wall_seconds=clock_now() - started,
         # round-synchronous byte profile is exact arithmetic: one
         # fixed-point message per directed edge per routed round
         traffic=meter_from_rounds(graph, iterations, program.fmt.total_bits / 8.0),
-        phases=run.phases,
-        final_states=run.final_states,
+        phases=loop.phases,
+        final_states={vid: decode(state) for vid, state in loop.states.items()},
     )
 
 
@@ -273,11 +274,10 @@ class _PlaintextCore(_CentralNoiseCore):
         self.graph = graph
         self.config = config
         self.fixed = fixed
-        self.inner = PlaintextEngine(program)
         self.loop: Optional[RoundLoop] = None
 
     def setup(self, state: RunState) -> None:
-        self.loop = self.inner.start(self.graph, self.fixed, state.phases)
+        self.loop = plaintext_loop(self.program, self.graph, self.fixed, state.phases)
 
     def run_window(self, state: RunState, rounds: int, first: bool) -> None:
         self.loop.advance(rounds)
@@ -290,7 +290,7 @@ class _PlaintextCore(_CentralNoiseCore):
         return _from_plaintext(
             self.engine.name,
             self.program,
-            self.inner.finish(self.loop),
+            self.loop,
             state.rounds_done,
             started,
             self.graph,
@@ -344,25 +344,25 @@ class _SecureCore(LifecycleCore):
 
     The two classes are designed together: the core walks the engine's
     window/aggregation internals (``_begin_run``/``_window``/
-    ``_aggregation_tree``/``_noise_and_reveal``) so the lifecycle path
-    performs the crypto in exactly the transcript order of
-    :meth:`SecureEngine.run`. The async variant in
+    ``_aggregation_tree``/``_noise_and_reveal``) in transcript order —
+    the only order a secure run performs its crypto in. The async variant in
     :mod:`repro.api.secure_async` overrides only :meth:`drive`, handing
     the same window's events to a scheduler over a transport bus.
     """
 
-    def __init__(self, engine, program, graph, config) -> None:
+    def __init__(self, engine, program, graph, config, buckets=None) -> None:
         self.engine = engine
         self.program = program
         self.graph = graph
         self.config = config
+        self.buckets = buckets
         self.inner = SecureEngine(program, config, backend=engine.backend)
         self.ctx = None
         self.tree = None
 
     def setup(self, state: RunState) -> None:
         self.ctx = self.inner._begin_run(
-            self.graph, sum(state.windows), None, phases=state.phases
+            self.graph, sum(state.windows), self.buckets, phases=state.phases
         )
 
     def run_window(self, state: RunState, rounds: int, first: bool) -> None:
@@ -418,7 +418,10 @@ class SecureDStressEngine(Engine):
     ``backend="bitsliced"`` swaps the per-gate GMW loop for the numpy
     lane evaluator with its offline/online phase split
     (:mod:`repro.mpc.bitslice`); released outputs and metered traffic are
-    bit-identical to the default ``"scalar"`` backend.
+    bit-identical to the default ``"scalar"`` backend. ``buckets=[10,
+    100]`` turns on the §3.7 degree buckets: each vertex runs the update
+    circuit of the smallest bucket that holds its degree instead of the
+    global bound.
     """
 
     name = "secure"
@@ -427,11 +430,13 @@ class SecureDStressEngine(Engine):
     def __init__(
         self,
         backend: str = "scalar",
+        buckets: Optional[Sequence[int]] = None,
         release: Union[str, ReleasePolicy] = "oneshot",
         windows: Optional[Sequence[int]] = None,
         window_epsilon: Optional[float] = None,
     ) -> None:
         self.backend = check_backend(backend, "engine 'secure'")
+        self.buckets = None if buckets is None else tuple(buckets)
         self._configure_release(release, windows, window_epsilon)
 
     def compile_plans(self, program, graph, config):
@@ -440,7 +445,7 @@ class SecureDStressEngine(Engine):
         )
 
     def execute(self, program, graph, iterations, config, accountant=None):
-        core = _SecureCore(self, program, graph, config)
+        core = _SecureCore(self, program, graph, config, self.buckets)
         return run_lifecycle(self, core, program, config, iterations, accountant)
 
 

@@ -1,13 +1,9 @@
 """The unified result type every engine backend returns.
 
-The seed codebase grew four incompatible result shapes —
-:class:`~repro.core.engine.PlaintextRun` (float and fixed modes),
-:class:`~repro.core.secure_engine.SecureRunResult` and the naive-baseline
-fit tuple — which made it impossible to write scenario sweeps that swap
-backends. :class:`RunResult` is the common denominator: the headline
-aggregate, the convergence trajectory, iteration/timing data, and the
-secure-only extras (traffic, phases, epsilon) as optionals;
-backend-specific scalars ride in ``extras``.
+Every engine run, whatever the backend, ends in one :class:`RunResult`:
+the headline aggregate, the convergence trajectory, iteration/timing
+data, and the secure-only extras (traffic, phases, epsilon) as
+optionals; backend-specific scalars ride in ``extras``.
 """
 
 from __future__ import annotations
@@ -15,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.core.convergence import TrajectoryConvergence
+from repro.core.convergence import DEFAULT_TOLERANCE, convergence_index, has_converged
 from repro.core.lifecycle import ReleaseRecord
 from repro.obs.export import export_run, run_from_doc, run_to_doc
 from repro.simulation.netsim import PhaseTimer, TrafficMeter
@@ -24,7 +20,7 @@ __all__ = ["RunResult"]
 
 
 @dataclass
-class RunResult(TrajectoryConvergence):
+class RunResult:
     """What one engine execution produced, in engine-independent shape.
 
     Attributes
@@ -94,6 +90,16 @@ class RunResult(TrajectoryConvergence):
         if self.pre_noise_aggregate is not None:
             return self.pre_noise_aggregate
         return self.aggregate
+
+    def converged_at(self, tolerance: float = DEFAULT_TOLERANCE) -> Optional[int]:
+        """Smallest iteration count after which the (pre-noise) aggregate
+        stopped moving by more than ``tolerance`` (``None`` if it never
+        settled)."""
+        return convergence_index(self.trajectory, tolerance)
+
+    def converged(self, tolerance: float = DEFAULT_TOLERANCE) -> bool:
+        """Whether the trajectory's final step moved at most ``tolerance``."""
+        return has_converged(self.trajectory, tolerance)
 
     @property
     def releases_output(self) -> bool:

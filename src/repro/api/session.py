@@ -38,7 +38,7 @@ from repro.api.registry import available_programs, get_engine, get_program
 from repro.api.result import RunResult
 from repro.core.config import DStressConfig
 from repro.core.convergence import DEFAULT_TOLERANCE, convergence_index
-from repro.core.engine import PlaintextEngine
+from repro.core.engine import plaintext_loop
 from repro.core.graph import DistributedGraph
 from repro.core.program import VertexProgram
 from repro.exceptions import ConfigurationError, ConvergenceError
@@ -388,7 +388,8 @@ def choose_iterations(
         cap = max(4, min(2 * graph.num_vertices, _AUTO_ITERATIONS_CAP))
     if cap < 1:
         raise ConfigurationError("max_iterations must be at least 1")
-    probe = PlaintextEngine(program).run_float(graph, cap)
+    probe = plaintext_loop(program, graph)
+    probe.advance(cap)
     chosen = convergence_index(probe.trajectory, tolerance)
     if chosen is None:
         raise ConvergenceError(

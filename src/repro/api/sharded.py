@@ -44,7 +44,7 @@ from repro.api.engines import Engine, _PlaintextCore, validate_intra_run_width
 from repro.api.pool import create_pool, in_worker_process
 from repro.api.registry import register_engine
 from repro.api.result import RunResult
-from repro.core.engine import PlaintextEngine, float_arithmetic
+from repro.core.engine import float_arithmetic, plaintext_loop
 from repro.core.graph import DistributedGraph
 from repro.core.lifecycle import ReleasePolicy, RunState, run_lifecycle
 from repro.core.program import VertexProgram
@@ -146,12 +146,13 @@ class _ShardedCore(_PlaintextCore):
         # the barrier merge reuses the transport gather: the ghost
         # exchange is one full-round delivery over the same bus every
         # other engine routes through (and a WAN bus meters it)
-        self.inner = PlaintextEngine(self.program, transport=self.bus)
         self.inline = len(self.chunks) <= 1 or in_worker_process()
-        self.loop = self.inner.start(
+        self.loop = plaintext_loop(
+            self.program,
             self.graph,
             phases=state.phases,
             superstep=None if self.inline else self._pooled_superstep,
+            transport=self.bus,
         )
 
     def _pooled_superstep(self, state_map, inbox_map):

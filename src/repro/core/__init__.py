@@ -1,7 +1,7 @@
 """DStress core: programming model, plaintext and secure engines."""
 
 from repro.core.convergence import DEFAULT_TOLERANCE, convergence_index, has_converged
-from repro.core.engine import PlaintextEngine, PlaintextRun
+from repro.core.engine import plaintext_loop
 from repro.core.graph import DistributedGraph, VertexView
 from repro.core.lifecycle import (
     STAGES,
@@ -22,8 +22,6 @@ __all__ = [
     "LifecycleCore",
     "NO_OP_MESSAGE",
     "OneShotRelease",
-    "PlaintextEngine",
-    "PlaintextRun",
     "ProgramSpec",
     "ReleasePolicy",
     "ReleaseRecord",
@@ -34,6 +32,7 @@ __all__ = [
     "WindowedRelease",
     "convergence_index",
     "has_converged",
+    "plaintext_loop",
     "route_messages",
     "run_lifecycle",
     "run_rounds",

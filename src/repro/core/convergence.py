@@ -1,6 +1,6 @@
 """Convergence detection over aggregate trajectories.
 
-Both engines record the aggregate of the designated register after every
+Every engine records the aggregate of the designated register after every
 computation step (the *trajectory*). The systemic-risk programs are
 monotone contractions — Eisenberg-Noe's fictitious default algorithm and
 the EGJ discount cascade both settle to a fixpoint in at most ``n``
@@ -8,9 +8,8 @@ rounds — so the first round whose aggregate moves less than a tolerance
 is a sound stopping point (§4.3: "a limited number of iterations provides
 a good approximation").
 
-The helpers here are shared by :class:`~repro.core.engine.PlaintextRun`,
-:class:`~repro.core.secure_engine.SecureRunResult` and the
-``iterations="auto"`` mode of :class:`repro.api.StressTest`.
+The helpers here are shared by :class:`~repro.api.result.RunResult` and
+the ``iterations="auto"`` mode of :class:`repro.api.StressTest`.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from repro.exceptions import ConfigurationError
 
 __all__ = [
     "DEFAULT_TOLERANCE",
-    "TrajectoryConvergence",
     "convergence_index",
     "has_converged",
 ]
@@ -59,26 +57,3 @@ def has_converged(
     if len(trajectory) < 2:
         return False
     return abs(trajectory[-1] - trajectory[-2]) <= tolerance
-
-
-class TrajectoryConvergence:
-    """Mixin for result types that carry a pre-noise ``trajectory``.
-
-    Every result type used to re-implement ``converged_at`` against its
-    own trajectory attribute; this mixin is the single definition, so the
-    plaintext and secure paths cannot drift in tolerance handling again
-    (the regression test pins both engines to the same answer on the
-    seed network).
-    """
-
-    trajectory: Sequence[float]
-
-    def converged_at(self, tolerance: float = DEFAULT_TOLERANCE) -> Optional[int]:
-        """Smallest iteration count after which the (pre-noise) aggregate
-        stopped moving by more than ``tolerance`` (``None`` if it never
-        settled)."""
-        return convergence_index(self.trajectory, tolerance)
-
-    def converged(self, tolerance: float = DEFAULT_TOLERANCE) -> bool:
-        """Whether the trajectory's final step moved at most ``tolerance``."""
-        return has_converged(self.trajectory, tolerance)

@@ -12,9 +12,8 @@ modes:
 
 The two modes are two :class:`~repro.core.rounds.Arithmetic` values
 (:func:`float_arithmetic`, :func:`fixed_arithmetic`) behind one
-:meth:`PlaintextEngine.start` / :meth:`PlaintextEngine.finish`; nothing
-else in the repository derives a clear run's initial state, aggregate or
-result.
+:func:`plaintext_loop`; nothing else in the repository derives a clear
+run's initial state or aggregate.
 
 The engine follows §3.6 exactly: an initialization step, ``n`` computation
 + communication steps, one final computation step, then aggregation of the
@@ -24,10 +23,8 @@ oracle, so it returns the exact aggregate).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from repro.core.convergence import TrajectoryConvergence
 from repro.core.graph import DistributedGraph, VertexView
 from repro.core.program import NO_OP_MESSAGE, VertexProgram, compiled_update_circuit
 from repro.core.rounds import Arithmetic, RoundLoop, Superstep, batched_superstep
@@ -36,21 +33,7 @@ from repro.exceptions import ConfigurationError
 from repro.obs.trace import timed_phase
 from repro.simulation.netsim import PhaseTimer
 
-__all__ = ["PlaintextRun", "PlaintextEngine", "float_arithmetic", "fixed_arithmetic"]
-
-
-@dataclass
-class PlaintextRun(TrajectoryConvergence):
-    """Result of a plaintext execution."""
-
-    aggregate: float
-    final_states: Dict[int, Dict[str, float]]
-    #: per-iteration aggregate of the designated register (convergence data)
-    trajectory: List[float] = field(default_factory=list)
-    #: per-phase wall-clock (initialization/computation/communication),
-    #: filled through the shared recorder path so plaintext runs report
-    #: phases the same way the secure engine always has
-    phases: Optional[PhaseTimer] = None
+__all__ = ["plaintext_loop", "float_arithmetic", "fixed_arithmetic"]
 
 
 def float_arithmetic(
@@ -101,78 +84,39 @@ def fixed_arithmetic(
     )
 
 
-class PlaintextEngine:
-    """Executes vertex programs in the clear.
+def plaintext_loop(
+    program: VertexProgram,
+    graph: DistributedGraph,
+    fixed: bool = False,
+    phases: Optional[PhaseTimer] = None,
+    superstep: Optional[Superstep] = None,
+    transport: Optional[Transport] = None,
+) -> RoundLoop:
+    """Initialize a resumable round loop (§3.6 setup) in float or
+    fixed-point arithmetic; ``advance(n)`` on it runs ``n`` computation
+    steps.
 
     ``transport`` (default: the shared in-memory bus) is the message bus
     rounds are routed over; a
     :class:`~repro.core.transport.SimulatedWanTransport` meters the same
     execution's traffic and link delays without changing any payload.
     """
-
-    def __init__(
-        self, program: VertexProgram, transport: Optional[Transport] = None
-    ) -> None:
-        self.program = program
-        self.transport = transport
-
-    def start(
-        self,
-        graph: DistributedGraph,
-        fixed: bool = False,
-        phases: Optional[PhaseTimer] = None,
-        superstep: Optional[Superstep] = None,
-    ) -> RoundLoop:
-        """Initialize a resumable round loop (§3.6 setup) in float or
-        fixed-point arithmetic.
-
-        ``advance(n)`` on the returned loop runs ``n`` computation steps;
-        :meth:`finish` packages the loop into a :class:`PlaintextRun`.
-        :meth:`run_float` / :meth:`run_fixed` are the one-shot
-        compositions; release policies interleave stages between windows.
-        """
-        with timed_phase(phases, "initialization"):
-            make = fixed_arithmetic if fixed else float_arithmetic
-            arithmetic = make(self.program, graph.degree_bound)
-            if fixed and superstep is None:
-                # a computation step is one walk of the circuit, a lane per
-                # vertex (the async pipelines keep arithmetic.update)
-                program, degree_bound = self.program, graph.degree_bound
-                circuit = compiled_update_circuit(program, degree_bound)
-                superstep = batched_superstep(
-                    graph.vertex_ids,
-                    lambda states, inboxes: program.circuit_update_many(
-                        states, inboxes, degree_bound, circuit
-                    ),
-                )
-            if self.transport is not None:
-                # one execution = one bus session: resets per-run transport
-                # state (round counters, fault accounting, mailboxes)
-                self.transport.open(graph, arithmetic.fill)
-            return RoundLoop(graph, arithmetic, phases, self.transport, superstep)
-
-    def finish(self, loop: RoundLoop) -> PlaintextRun:
-        """Package a loop's current state as a result, in real units."""
-        decode = loop.arithmetic.decode
-        return PlaintextRun(
-            aggregate=loop.aggregate(),
-            final_states={vid: decode(state) for vid, state in loop.states.items()},
-            trajectory=loop.trajectory,
-            phases=loop.phases,
-        )
-
-    def run_float(self, graph: DistributedGraph, iterations: int) -> PlaintextRun:
-        """Reference execution over floats."""
-        return self._run(graph, iterations, fixed=False)
-
-    def run_fixed(self, graph: DistributedGraph, iterations: int) -> PlaintextRun:
-        """Clear evaluation of the MPC circuits — the secure-engine oracle.
-
-        Aggregate and states are reported in decoded (real-valued) units.
-        """
-        return self._run(graph, iterations, fixed=True)
-
-    def _run(self, graph: DistributedGraph, iterations: int, fixed: bool) -> PlaintextRun:
-        loop = self.start(graph, fixed, PhaseTimer())
-        loop.advance(iterations)
-        return self.finish(loop)
+    with timed_phase(phases, "initialization"):
+        make = fixed_arithmetic if fixed else float_arithmetic
+        arithmetic = make(program, graph.degree_bound)
+        if fixed and superstep is None:
+            # a computation step is one walk of the circuit, a lane per
+            # vertex (the async pipelines keep arithmetic.update)
+            degree_bound = graph.degree_bound
+            circuit = compiled_update_circuit(program, degree_bound)
+            superstep = batched_superstep(
+                graph.vertex_ids,
+                lambda states, inboxes: program.circuit_update_many(
+                    states, inboxes, degree_bound, circuit
+                ),
+            )
+        if transport is not None:
+            # one execution = one bus session: resets per-run transport
+            # state (round counters, fault accounting, mailboxes)
+            transport.open(graph, arithmetic.fill)
+        return RoundLoop(graph, arithmetic, phases, transport, superstep)

@@ -29,24 +29,22 @@ in one fixed order (every :meth:`~repro.crypto.rng.DeterministicRNG.fork`
 consumes parent stream, so the order of crypto work *is* the transcript —
 reordering it would change every share), and yields what each finished
 block batch — a GMW evaluation's OT-extension bits, a transfer's
-aggregates — puts on the wire. ``engine="secure"`` (and
-:meth:`SecureEngine.run`) drain it with a ``for`` loop; ``secure-async``
-feeds the same events to a :class:`~repro.core.rounds.SecureRoundScheduler`
-that conveys the bytes over a :class:`~repro.core.transport.Transport`
-while later blocks are still computing. Released outputs are bit-identical
-between the two by construction — there is no second copy of the loop to
-drift; only wall-clock and the bus's own metering move.
+aggregates — puts on the wire. ``engine="secure"`` drains it with a
+``for`` loop; ``secure-async`` feeds the same events to a
+:class:`~repro.core.rounds.SecureRoundScheduler` that conveys the bytes
+over a :class:`~repro.core.transport.Transport` while later blocks are
+still computing. Released outputs are bit-identical between the two by
+construction — there is no second copy of the loop to drift; only
+wall-clock and the bus's own metering move.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.aggregation import AggregationPlan, plan_groups, reshare_word
 from repro.core.config import DStressConfig
-from repro.core.convergence import TrajectoryConvergence
 from repro.core.graph import DistributedGraph
 from repro.core.program import NO_OP_MESSAGE, VertexProgram, compiled_update_circuit
 from repro.core.rounds import LinkBytes, WindowEvents
@@ -67,14 +65,11 @@ from repro.mpc.noise_circuit import geometric_bits_seed_width
 from repro.mpc.plan import noised_sum_bits_circuit, partial_sum_circuit
 from repro.obs.metrics import absorb_gmw
 from repro.obs.trace import current_recorder, timed_phase
-from repro.privacy.admission import precharge
-from repro.privacy.budget import PrivacyAccountant
-from repro.privacy.edge_privacy import per_iteration_epsilon, transfer_sensitivity
 from repro.sharing.xor import reconstruct_value, share_value
 from repro.simulation.netsim import PhaseTimer, TrafficMeter
 from repro.transfer.protocol import MessageTransferProtocol
 
-__all__ = ["SecureRunResult", "SecureEngine", "check_backend", "compile_secure_plans", "run_bill"]
+__all__ = ["SecureEngine", "check_backend", "compile_secure_plans", "run_bill"]
 
 
 def check_backend(backend: str, owner: str) -> str:
@@ -215,37 +210,6 @@ def run_bill(
 
 
 @dataclass
-class SecureRunResult(TrajectoryConvergence):
-    """Everything a DStress run produces.
-
-    ``noisy_output`` is the only value a real deployment would release.
-    ``pre_noise_output`` and ``noise_raw`` exist so tests and benchmarks
-    can verify correctness and noise calibration; they are reconstructed
-    by the simulation harness, not by any protocol participant.
-    """
-
-    noisy_output: float
-    pre_noise_output: float
-    noise_raw: int
-    iterations: int
-    traffic: TrafficMeter
-    phases: PhaseTimer
-    num_vertices: int
-    num_edges: int
-    transfer_count: int = 0
-    gmw_ot_count: int = 0
-    gmw_and_gates_per_step: int = 0
-    output_epsilon: float = 0.0
-    edge_epsilon_per_iteration: Optional[float] = None
-    aggregation_levels: int = 1
-    #: Simulation-only diagnostic: pre-noise aggregate after each
-    #: computation step, reconstructed by the harness from the XOR shares.
-    #: No protocol participant ever sees these values; a real deployment
-    #: releases only ``noisy_output``.
-    trajectory: List[float] = field(default_factory=list)
-
-
-@dataclass
 class _RunContext:
     """Mutable state of one execution.
 
@@ -290,7 +254,9 @@ class _RunContext:
 
 
 class SecureEngine:
-    """Executes vertex programs under the full DStress protocol stack.
+    """The full DStress protocol's window body and aggregation, driven
+    stage by stage by the ``secure`` and ``secure-async`` lifecycle cores
+    (:class:`repro.api.engines._SecureCore`).
 
     ``backend`` selects the GMW gate evaluator: ``"scalar"`` (default) is
     the per-gate Python loop; ``"bitsliced"`` packs every computation
@@ -303,12 +269,12 @@ class SecureEngine:
     def __init__(
         self,
         program: VertexProgram,
-        config: Optional[DStressConfig] = None,
+        config: DStressConfig,
         backend: str = "scalar",
     ) -> None:
         self.backend = check_backend(backend, "SecureEngine")
         self.program = program
-        self.config = config if config is not None else DStressConfig()
+        self.config = config
         if program.fmt.total_bits != self.config.fmt.total_bits:
             raise ConfigurationError("program and config fixed-point formats disagree")
         self.elgamal = ExponentialElGamal(
@@ -318,69 +284,6 @@ class SecureEngine:
             self.elgamal,
             message_bits=self.config.fmt.total_bits,
             noise_alpha=self.config.edge_noise_alpha,
-        )
-
-    # ------------------------------------------------------------------ run --
-
-    def run(
-        self,
-        graph: DistributedGraph,
-        iterations: int,
-        accountant: Optional[PrivacyAccountant] = None,
-        bucket_bounds: Optional[List[int]] = None,
-    ) -> SecureRunResult:
-        """Execute the program for ``iterations`` rounds (sequential driver).
-
-        ``bucket_bounds`` enables the §3.7 degree-bucket optimization:
-        instead of padding every vertex's circuit to the global degree
-        bound D, each vertex uses the smallest bucket that fits its
-        degree (e.g. ``[10, 100]``). This reveals each vertex's bucket —
-        roughly its size class, which the paper notes is acceptable — in
-        exchange for much cheaper MPC steps at low-degree vertices.
-
-        ``accountant`` is charged ``output_epsilon`` up front and refunded
-        if the run fails: the budget pays for a published output, not for
-        an attempt.
-        """
-        config = self.config
-        fmt = self.program.fmt
-        admitted = precharge(
-            accountant, [(f"{self.program.name}-release", config.output_epsilon)]
-        )
-        try:
-            ctx = self._begin_run(graph, iterations, bucket_bounds)
-            for _event in self._window(ctx, iterations, first=True):
-                pass
-            with timed_phase(ctx.phases, "aggregation"):
-                noisy_raw, pre_noise_raw, levels = self._aggregate_and_noise(ctx)
-        except BaseException:
-            if admitted is not None:
-                admitted.refund()
-            raise
-
-        edge_eps = None
-        if config.edge_noise_alpha is not None:
-            delta = transfer_sensitivity(config.collusion_bound)
-            eps_transfer = -math.log(config.edge_noise_alpha) * delta / 2.0
-            edge_eps = per_iteration_epsilon(
-                config.collusion_bound, fmt.total_bits, eps_transfer
-            )
-        return SecureRunResult(
-            noisy_output=noisy_raw * fmt.resolution,
-            pre_noise_output=pre_noise_raw * fmt.resolution,
-            noise_raw=noisy_raw - pre_noise_raw,
-            iterations=iterations,
-            traffic=ctx.meter,
-            phases=ctx.phases,
-            num_vertices=graph.num_vertices,
-            num_edges=graph.num_edges,
-            transfer_count=ctx.transfer_count,
-            gmw_ot_count=ctx.total_ots,
-            gmw_and_gates_per_step=ctx.circuit_and_gates,
-            output_epsilon=config.output_epsilon,
-            edge_epsilon_per_iteration=edge_eps,
-            aggregation_levels=levels,
-            trajectory=ctx.trajectory,
         )
 
     # ------------------------------------------------------------- window --
@@ -440,12 +343,13 @@ class SecureEngine:
         self,
         graph: DistributedGraph,
         iterations: int,
-        bucket_bounds: Optional[List[int]],
+        buckets: Optional[Sequence[int]] = None,
         phases: Optional[PhaseTimer] = None,
     ) -> _RunContext:
         """Setup + initialization (§3.4, §3.6 init): everything before the
         first computation step.
 
+        ``buckets`` are the §3.7 degree buckets (:meth:`_assign_buckets`).
         ``phases`` lets a lifecycle driver share one timer between its
         stage timings and the engine's fine-grained phases; direct callers
         get a fresh one.
@@ -458,7 +362,7 @@ class SecureEngine:
         rng = DeterministicRNG(config.seed)
         meter = TrafficMeter()
         phases = phases if phases is not None else PhaseTimer()
-        vertex_bound = self._assign_buckets(graph, bucket_bounds)
+        vertex_bound = self._assign_buckets(graph, buckets)
 
         # ---------------------------------------------------------- setup --
         with timed_phase(phases, "setup"):
@@ -567,7 +471,7 @@ class SecureEngine:
 
         The harness — not any protocol participant — XORs the shares back
         together so results can expose a convergence trajectory comparable
-        to :class:`~repro.core.engine.PlaintextRun`.
+        to the clear engines'.
         """
         fmt = self.program.fmt
         register = self.program.aggregate_register
@@ -579,18 +483,21 @@ class SecureEngine:
         return fmt.decode(raw)
 
     def _assign_buckets(
-        self, graph: DistributedGraph, bucket_bounds: Optional[List[int]]
+        self, graph: DistributedGraph, buckets: Optional[Sequence[int]]
     ) -> Dict[int, int]:
         """Map each vertex to its degree bound (§3.7 buckets).
 
         Without buckets every vertex pads to the global degree bound.
-        With buckets, each vertex gets the smallest bucket that holds its
-        actual degree; the largest bucket must cover the global bound so
-        any degree is placeable.
+        With buckets (e.g. ``[10, 100]``), each vertex gets the smallest
+        bucket that holds its actual degree; the largest bucket must cover
+        the graph's maximum degree so any degree is placeable. This
+        reveals each vertex's bucket — roughly its size class, which the
+        paper accepts — in exchange for much cheaper MPC steps at
+        low-degree vertices.
         """
-        if bucket_bounds is None:
+        if buckets is None:
             return {v: graph.degree_bound for v in graph.vertex_ids}
-        bounds = sorted(set(bucket_bounds))
+        bounds = sorted(set(buckets))
         if not bounds or bounds[-1] < graph.max_degree():
             raise ConfigurationError(
                 "largest bucket must cover the graph's maximum degree"
@@ -770,19 +677,6 @@ class SecureEngine:
             yield _meter_transfer(ctx, v, v)
 
     # -------------------------------------------------------- aggregation --
-
-    def _aggregate_and_noise(
-        self, ctx: _RunContext, epsilon: Optional[float] = None
-    ) -> Tuple[int, int, int]:
-        """§3.6 aggregation + noising over a (possibly hierarchical) tree.
-
-        ``epsilon`` overrides the config's ``output_epsilon`` for one
-        release (windowed continual release noises each window at its
-        per-window budget); the default keeps the one-shot calibration.
-        """
-        root_inputs, root_width, levels, pre_noise_raw = self._aggregation_tree(ctx)
-        noised_raw = self._noise_and_reveal(ctx, root_inputs, root_width, epsilon)
-        return noised_raw, pre_noise_raw, levels
 
     def _aggregation_tree(
         self, ctx: _RunContext

@@ -54,7 +54,10 @@ def _render_traffic(traffic: Dict[str, Any], out: List[str]) -> None:
 def _render_phases(phases: Dict[str, float], out: List[str]) -> None:
     out.append("")
     out.append("Phase breakdown:")
-    total = sum(phases.values()) or 1.0
+    # the stage:* envelopes partition a lifecycle run and the engine
+    # phases nest inside them, so only the stages sum to the run's time
+    stages = [seconds for name, seconds in phases.items() if name.startswith("stage:")]
+    total = sum(stages or phases.values()) or 1.0
     rows = [
         [name, f"{seconds:.4f}", f"{seconds / total:.1%}"]
         for name, seconds in sorted(phases.items(), key=lambda kv: -kv[1])

@@ -262,7 +262,3 @@ class PhaseTimer:
 
     def add(self, phase: str, elapsed: float) -> None:
         self.seconds[phase] = self.seconds.get(phase, 0.0) + elapsed
-
-    @property
-    def total(self) -> float:
-        return sum(self.seconds.values())

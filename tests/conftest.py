@@ -12,6 +12,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
+from repro.api.registry import get_engine
+from repro.core.config import DStressConfig
 from repro.crypto.elgamal import ExponentialElGamal
 from repro.crypto.group import TOY_GROUP_64
 from repro.crypto.rng import DeterministicRNG
@@ -41,6 +43,17 @@ def scale(max_examples: int) -> int:
     precedes test module import.
     """
     return max(1, int(max_examples * settings.default.max_examples / _BASE_EXAMPLES))
+
+
+def execute(engine, program, graph, iterations, config=None, accountant=None, **options):
+    """One lifecycle run of ``program`` on a bare ``graph`` through the
+    registry engine ``engine`` (constructed with ``options``); the config
+    defaults to the program's fixed-point format."""
+    if config is None:
+        config = DStressConfig(fmt=program.fmt)
+    return get_engine(engine, **options).execute(
+        program, graph, iterations, config, accountant=accountant
+    )
 
 
 @pytest.fixture

@@ -5,20 +5,21 @@ vertex program through the one ``Engine`` protocol and agrees on the
 pre-noise aggregate — ``fixed``, ``secure`` and ``naive-mpc`` bit-for-bit
 (they all evaluate the same circuits), ``plaintext`` within quantization
 error. Plus: config presets validate with actionable errors, iteration
-auto-detection matches the trajectory, and the pre-1.1 top-level names
-keep importing through deprecation shims.
+auto-detection matches the trajectory, and the top-level names keep
+importing without warnings.
 """
 
 import warnings
 
 import pytest
 
+from conftest import execute
+
 import repro
 from repro import (
     DStressConfig,
     EisenbergNoeProgram,
     FinancialNetwork,
-    PlaintextEngine,
     RunResult,
     StressTest,
     available_engines,
@@ -228,8 +229,11 @@ def test_unknown_config_override_is_actionable(en_network):
 
 
 def test_plaintext_facade_matches_direct_engine(en_network):
-    direct = PlaintextEngine(EisenbergNoeProgram(FixedPointFormat(16, 8))).run_float(
-        en_network.to_en_graph(degree_bound=2), iterations=3
+    direct = execute(
+        "plaintext",
+        EisenbergNoeProgram(FixedPointFormat(16, 8)),
+        en_network.to_en_graph(degree_bound=2),
+        3,
     )
     facade = (
         StressTest(en_network)
@@ -251,8 +255,8 @@ def test_auto_iterations_matches_trajectory_convergence(en_network):
     )
     assert result.converged(tolerance=1e-9)
     # the chosen count is exactly the probe trajectory's settle point
-    probe = PlaintextEngine(EisenbergNoeProgram(FixedPointFormat(16, 8))).run_float(
-        en_network.to_en_graph(), iterations=8
+    probe = execute(
+        "plaintext", EisenbergNoeProgram(FixedPointFormat(16, 8)), en_network.to_en_graph(), 8
     )
     assert result.iterations == probe.converged_at()
 
@@ -323,15 +327,15 @@ def test_convergence_index_semantics():
 
 
 def test_plaintext_run_converged_at(en_network):
-    run = PlaintextEngine(EisenbergNoeProgram(FixedPointFormat(16, 8))).run_float(
-        en_network.to_en_graph(), iterations=8
+    run = execute(
+        "plaintext", EisenbergNoeProgram(FixedPointFormat(16, 8)), en_network.to_en_graph(), 8
     )
     settle = run.converged_at()
     assert settle is not None
     assert run.trajectory[settle] == pytest.approx(run.aggregate)
 
 
-# ------------------------------------------------------- deprecation shims --
+# ---------------------------------------------------------- public imports --
 
 
 def test_pre_existing_public_imports_unchanged():
@@ -347,10 +351,8 @@ def test_pre_existing_public_imports_unchanged():
             FinancialNetwork,
             FixedPointFormat,
             NO_OP_MESSAGE,
-            PlaintextEngine,
             PrivacyAccountant,
             ProgramSpec,
-            SecureEngine,
             VertexProgram,
             VertexView,
             clearing_vector,

@@ -2,13 +2,14 @@
 
 import pytest
 
+from conftest import execute
+
 from repro.core.aggregation import (
     AggregationPlan,
     partial_sum_width,
     plan_groups,
     reshare_word,
 )
-from repro.core.engine import PlaintextEngine
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import ProtocolError
 from repro.finance import EisenbergNoeProgram, ElliottGolubJacksonProgram, clearing_vector, egj_fixpoint
@@ -19,63 +20,64 @@ from repro.sharing import xor_all
 class TestFloatEngine:
     def test_en_matches_exact_solver(self, small_en_network, fmt):
         graph = small_en_network.to_en_graph(degree_bound=2)
-        run = PlaintextEngine(EisenbergNoeProgram(fmt)).run_float(graph, iterations=6)
+        run = execute("plaintext", EisenbergNoeProgram(fmt), graph, 6)
         exact = clearing_vector(small_en_network).total_shortfall
         assert run.aggregate == pytest.approx(exact, abs=1e-9)
 
     def test_egj_matches_exact_solver(self, small_egj_network, fmt):
         graph = small_egj_network.to_egj_graph(degree_bound=2)
-        run = PlaintextEngine(ElliottGolubJacksonProgram(fmt)).run_float(graph, iterations=6)
+        run = execute("plaintext", ElliottGolubJacksonProgram(fmt), graph, 6)
         exact = egj_fixpoint(small_egj_network, iterations=6).total_shortfall
         assert run.aggregate == pytest.approx(exact, abs=1e-9)
 
     def test_trajectory_length(self, small_en_network, fmt):
         graph = small_en_network.to_en_graph(degree_bound=2)
-        run = PlaintextEngine(EisenbergNoeProgram(fmt)).run_float(graph, iterations=4)
+        run = execute("plaintext", EisenbergNoeProgram(fmt), graph, 4)
         assert len(run.trajectory) == 5  # n steps + final computation
 
     def test_en_shortfall_monotone_nondecreasing(self, small_en_network, fmt):
         """Fictitious default: shortfall only grows across iterations."""
         graph = small_en_network.to_en_graph(degree_bound=2)
-        run = PlaintextEngine(EisenbergNoeProgram(fmt)).run_float(graph, iterations=8)
+        run = execute("plaintext", EisenbergNoeProgram(fmt), graph, 8)
         for earlier, later in zip(run.trajectory, run.trajectory[1:]):
             assert later >= earlier - 1e-9
 
     def test_zero_iterations_runs_final_step(self, small_en_network, fmt):
         graph = small_en_network.to_en_graph(degree_bound=2)
-        run = PlaintextEngine(EisenbergNoeProgram(fmt)).run_float(graph, iterations=0)
+        run = execute("plaintext", EisenbergNoeProgram(fmt), graph, 0)
         assert len(run.trajectory) == 1
 
 
 class TestFixedEngine:
     def test_en_fixed_close_to_float(self, small_en_network, fmt):
         graph = small_en_network.to_en_graph(degree_bound=2)
-        engine = PlaintextEngine(EisenbergNoeProgram(fmt))
-        float_run = engine.run_float(graph, iterations=5)
-        fixed_run = engine.run_fixed(graph, iterations=5)
+        program = EisenbergNoeProgram(fmt)
+        float_run = execute("plaintext", program, graph, 5)
+        fixed_run = execute("fixed", program, graph, 5)
         assert fixed_run.aggregate == pytest.approx(float_run.aggregate, abs=0.2)
 
     def test_egj_fixed_close_to_float(self, small_egj_network, fmt):
         graph = small_egj_network.to_egj_graph(degree_bound=2)
-        engine = PlaintextEngine(ElliottGolubJacksonProgram(fmt))
-        float_run = engine.run_float(graph, iterations=5)
-        fixed_run = engine.run_fixed(graph, iterations=5)
+        program = ElliottGolubJacksonProgram(fmt)
+        float_run = execute("plaintext", program, graph, 5)
+        fixed_run = execute("fixed", program, graph, 5)
         assert fixed_run.aggregate == pytest.approx(float_run.aggregate, abs=0.3)
 
     def test_fixed_engine_deterministic(self, small_en_network, fmt):
         graph = small_en_network.to_en_graph(degree_bound=2)
-        engine = PlaintextEngine(EisenbergNoeProgram(fmt))
+        program = EisenbergNoeProgram(fmt)
         assert (
-            engine.run_fixed(graph, 4).aggregate == engine.run_fixed(graph, 4).aggregate
+            execute("fixed", program, graph, 4).aggregate
+            == execute("fixed", program, graph, 4).aggregate
         )
 
     def test_higher_precision_reduces_error(self, small_en_network):
         graph = small_en_network.to_en_graph(degree_bound=2)
-        coarse = PlaintextEngine(EisenbergNoeProgram(FixedPointFormat(12, 4)))
-        fine = PlaintextEngine(EisenbergNoeProgram(FixedPointFormat(20, 12)))
+        coarse = EisenbergNoeProgram(FixedPointFormat(12, 4))
+        fine = EisenbergNoeProgram(FixedPointFormat(20, 12))
         exact = clearing_vector(small_en_network).total_shortfall
-        err_coarse = abs(coarse.run_fixed(graph, 5).aggregate - exact)
-        err_fine = abs(fine.run_fixed(graph, 5).aggregate - exact)
+        err_coarse = abs(execute("fixed", coarse, graph, 5).aggregate - exact)
+        err_fine = abs(execute("fixed", fine, graph, 5).aggregate - exact)
         assert err_fine <= err_coarse
 
 

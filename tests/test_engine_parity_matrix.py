@@ -38,7 +38,7 @@ import pytest
 from repro import StressTest
 from repro.api.async_engine import run_coroutine
 from repro.api.engines import _SecureCore
-from repro.core.engine import PlaintextEngine
+from repro.core.engine import plaintext_loop
 from repro.core.rounds import RoundLoop, sequential_superstep
 from repro.core.secure_engine import run_bill
 from repro.core.transport import InMemoryTransport
@@ -165,10 +165,10 @@ def test_fixed_superstep_is_the_per_vertex_circuit_update(networks, program, gra
     must leave the same states, outboxes and trajectory."""
     network = networks[graph_name]
     if program == "eisenberg-noe":
-        engine, graph = PlaintextEngine(EisenbergNoeProgram()), network.to_en_graph()
+        program, graph = EisenbergNoeProgram(), network.to_en_graph()
     else:
-        engine, graph = PlaintextEngine(ElliottGolubJacksonProgram()), network.to_egj_graph()
-    batched = engine.start(graph, fixed=True)
+        program, graph = ElliottGolubJacksonProgram(), network.to_egj_graph()
+    batched = plaintext_loop(program, graph, fixed=True)
     arithmetic = batched.arithmetic
     assert batched.superstep.__qualname__.startswith("batched_superstep")
     one_by_one = RoundLoop(
@@ -176,7 +176,7 @@ def test_fixed_superstep_is_the_per_vertex_circuit_update(networks, program, gra
         arithmetic,
         superstep=sequential_superstep(graph.vertex_ids, arithmetic.update),
     )
-    pipelined = engine.start(graph, fixed=True)
+    pipelined = plaintext_loop(program, graph, fixed=True)
     batched.advance(ITERATIONS)
     one_by_one.advance(ITERATIONS)
     run_coroutine(pipelined.advance_async(ITERATIONS, InMemoryTransport(), max_tasks=4))

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.engine import PlaintextEngine
+from conftest import execute
+
 from repro.crypto.rng import DeterministicRNG
 from repro.finance import EisenbergNoeProgram, ElliottGolubJacksonProgram
 from repro.mpc.fixedpoint import FixedPointFormat
@@ -90,9 +91,8 @@ class TestCircuitVsFloat:
     def test_egj_circuit_tracks_float(self, small_egj_network, fmt):
         program = ElliottGolubJacksonProgram(fmt)
         graph = small_egj_network.to_egj_graph(degree_bound=2)
-        engine = PlaintextEngine(program)
-        float_run = engine.run_float(graph, iterations=4)
-        fixed_run = engine.run_fixed(graph, iterations=4)
+        float_run = execute("plaintext", program, graph, 4)
+        fixed_run = execute("fixed", program, graph, 4)
         for vertex in float_run.final_states:
             assert fixed_run.final_states[vertex]["value"] == pytest.approx(
                 float_run.final_states[vertex]["value"], abs=0.2

@@ -12,9 +12,8 @@ these tests pin the guarantees that refactor introduced:
   per-window charges equals the accountant's ledger ``spent``, and the
   ledger reconciles.
 * **Convergence unification** — ``converged_at`` is one definition
-  (:class:`~repro.core.convergence.TrajectoryConvergence`), so the
-  plaintext and secure engines report the same stopping round on the
-  seed network.
+  (:meth:`~repro.api.result.RunResult.converged_at`), so the plaintext
+  and secure engines report the same stopping round on the seed network.
 * **Admission** — :func:`repro.privacy.admission.precharge` charges a
   whole schedule atomically and refunds exactly the windows that never
   released.
@@ -27,9 +26,7 @@ from hypothesis import strategies as st
 from repro import (
     Bank,
     FinancialNetwork,
-    PlaintextEngine,
     PrivacyAccountant,
-    SecureEngine,
     StressTest,
 )
 from repro.core.lifecycle import (
@@ -263,17 +260,6 @@ class TestConvergenceUnification:
         secure = make_test().engine("secure").run(iterations=6)
         assert plain.converged_at(tolerance) == secure.converged_at(tolerance)
         assert plain.converged_at(tolerance) is not None
-
-    def test_native_results_share_the_definition(self):
-        """The protocol-level entry points' own result types stop where
-        the lifecycle's ``RunResult`` stops."""
-        plain = make_test().engine("plaintext").run(iterations=6)
-        secure = make_test().engine("secure").run(iterations=6)
-        spec = make_test().engine("secure").resolve(iterations=6)
-        native_plain = PlaintextEngine(spec.program).run_float(spec.graph, 6)
-        native_secure = SecureEngine(spec.program, spec.config).run(spec.graph, 6)
-        assert native_plain.converged_at() == plain.converged_at()
-        assert native_secure.converged_at() == secure.converged_at()
 
 
 # --------------------------------------------------------------- admission --

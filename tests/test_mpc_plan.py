@@ -486,7 +486,8 @@ class TestRunsSharePlans:
             ctx = engine._begin_run(graph, 1, None)
             for _event in engine._window(ctx, 1, first=True):
                 pass
-            released = engine._aggregate_and_noise(ctx)
+            root_inputs, width, levels, pre_noise = engine._aggregation_tree(ctx)
+            released = (engine._noise_and_reveal(ctx, root_inputs, width), pre_noise, levels)
             tails[backend] = (released, ctx.rng.randbytes(32))
         assert tails["scalar"] == tails["bitsliced"]
 

@@ -4,11 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import scale
+from conftest import execute, scale
 
 from repro.core.config import DStressConfig
-from repro.core.engine import PlaintextEngine
-from repro.core.secure_engine import SecureEngine
 from repro.crypto.group import TOY_GROUP_64
 from repro.crypto.rng import DeterministicRNG
 from repro.finance import (
@@ -40,7 +38,7 @@ class TestEngineAgreementProperties:
     def test_en_float_engine_matches_solver(self, seed):
         network = _random_net(seed, 8)
         graph = network.to_en_graph(2)
-        run = PlaintextEngine(EisenbergNoeProgram(FMT)).run_float(graph, iterations=16)
+        run = execute("plaintext", EisenbergNoeProgram(FMT), graph, 16)
         exact = clearing_vector(network).total_shortfall
         assert run.aggregate == pytest.approx(exact, abs=1e-6)
 
@@ -49,9 +47,7 @@ class TestEngineAgreementProperties:
     def test_egj_float_engine_matches_solver(self, seed):
         network = _random_net(seed, 8)
         graph = network.to_egj_graph(2)
-        run = PlaintextEngine(ElliottGolubJacksonProgram(FMT)).run_float(
-            graph, iterations=6
-        )
+        run = execute("plaintext", ElliottGolubJacksonProgram(FMT), graph, 6)
         exact = egj_fixpoint(network, iterations=6).total_shortfall
         assert run.aggregate == pytest.approx(exact, abs=1e-6)
 
@@ -62,9 +58,9 @@ class TestEngineAgreementProperties:
         per-step resolution times a modest constant."""
         network = _random_net(seed, 6)
         graph = network.to_en_graph(2)
-        engine = PlaintextEngine(EisenbergNoeProgram(FMT))
-        float_run = engine.run_float(graph, iterations=4)
-        fixed_run = engine.run_fixed(graph, iterations=4)
+        program = EisenbergNoeProgram(FMT)
+        float_run = execute("plaintext", program, graph, 4)
+        fixed_run = execute("fixed", program, graph, 4)
         assert fixed_run.aggregate == pytest.approx(float_run.aggregate, abs=0.5)
 
 
@@ -86,9 +82,9 @@ class TestSecureEngineProperty:
             output_epsilon=0.5,
             seed=seed,
         )
-        result = SecureEngine(program, config).run(graph, iterations=2)
-        oracle = PlaintextEngine(program).run_fixed(graph, iterations=2)
-        assert result.pre_noise_output == pytest.approx(oracle.aggregate, abs=1e-12)
+        result = execute("secure", program, graph, 2, config)
+        oracle = execute("fixed", program, graph, 2)
+        assert result.pre_noise_aggregate == pytest.approx(oracle.aggregate, abs=1e-12)
 
 
 class TestEconomicInvariants:

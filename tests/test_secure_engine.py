@@ -14,14 +14,16 @@ import math
 
 import pytest
 
+from conftest import execute
+
 from repro.core.config import DStressConfig
-from repro.core.engine import PlaintextEngine
 from repro.core.secure_engine import SecureEngine
 from repro.crypto.group import TOY_GROUP_64
 from repro.exceptions import ConfigurationError, PrivacyBudgetExceeded
 from repro.finance import EisenbergNoeProgram, ElliottGolubJacksonProgram
 from repro.mpc.fixedpoint import FixedPointFormat
 from repro.privacy.budget import PrivacyAccountant
+from repro.transfer.protocol import MessageTransferProtocol
 
 
 def make_config(**overrides):
@@ -57,21 +59,21 @@ def en_run(request):
     program = EisenbergNoeProgram(fmt)
     graph = net.to_en_graph(degree_bound=2)
     config = make_config()
-    result = SecureEngine(program, config).run(graph, iterations=4)
-    oracle = PlaintextEngine(program).run_fixed(graph, iterations=4)
+    result = execute("secure", program, graph, 4, config)
+    oracle = execute("fixed", program, graph, 4)
     return result, oracle, graph, config
 
 
 class TestCorrectness:
     def test_pre_noise_output_matches_oracle(self, en_run):
         result, oracle, _, _ = en_run
-        assert result.pre_noise_output == pytest.approx(oracle.aggregate, abs=1e-12)
+        assert result.pre_noise_aggregate == pytest.approx(oracle.aggregate, abs=1e-12)
 
     def test_noisy_output_is_pre_noise_plus_noise(self, en_run):
         result, _, _, _ = en_run
         fmt = FixedPointFormat(16, 8)
-        assert result.noisy_output == pytest.approx(
-            result.pre_noise_output + result.noise_raw * fmt.resolution, abs=1e-12
+        assert result.aggregate == pytest.approx(
+            result.pre_noise_aggregate + result.noise_raw * fmt.resolution, abs=1e-12
         )
 
     def test_egj_secure_matches_oracle(self, small_egj_network):
@@ -79,29 +81,29 @@ class TestCorrectness:
         program = ElliottGolubJacksonProgram(fmt)
         graph = small_egj_network.to_egj_graph(degree_bound=2)
         config = make_config()
-        result = SecureEngine(program, config).run(graph, iterations=3)
-        oracle = PlaintextEngine(program).run_fixed(graph, iterations=3)
-        assert result.pre_noise_output == pytest.approx(oracle.aggregate, abs=1e-12)
+        result = execute("secure", program, graph, 3, config)
+        oracle = execute("fixed", program, graph, 3)
+        assert result.pre_noise_aggregate == pytest.approx(oracle.aggregate, abs=1e-12)
 
     def test_transfer_count_is_edges_times_iterations(self, en_run):
         result, _, graph, _ = en_run
-        assert result.transfer_count == graph.num_edges * result.iterations
+        assert result.extras["transfer_count"] == graph.num_edges * result.iterations
 
     def test_deterministic_given_seed(self, small_egj_network):
         fmt = FixedPointFormat(16, 8)
         program = ElliottGolubJacksonProgram(fmt)
         graph = small_egj_network.to_egj_graph(degree_bound=2)
-        a = SecureEngine(program, make_config(seed=3)).run(graph, iterations=2)
-        b = SecureEngine(program, make_config(seed=3)).run(graph, iterations=2)
-        assert a.noisy_output == b.noisy_output
+        a = execute("secure", program, graph, 2, make_config(seed=3))
+        b = execute("secure", program, graph, 2, make_config(seed=3))
+        assert a.aggregate == b.aggregate
 
     def test_different_seeds_different_noise(self, small_egj_network):
         fmt = FixedPointFormat(16, 8)
         program = ElliottGolubJacksonProgram(fmt)
         graph = small_egj_network.to_egj_graph(degree_bound=2)
-        a = SecureEngine(program, make_config(seed=1)).run(graph, iterations=2)
-        b = SecureEngine(program, make_config(seed=2)).run(graph, iterations=2)
-        assert a.pre_noise_output == b.pre_noise_output
+        a = execute("secure", program, graph, 2, make_config(seed=1))
+        b = execute("secure", program, graph, 2, make_config(seed=2))
+        assert a.pre_noise_aggregate == b.pre_noise_aggregate
         assert a.noise_raw != b.noise_raw
 
 
@@ -119,7 +121,7 @@ class TestPrivacyStructure:
         program = ElliottGolubJacksonProgram(fmt)
         graph = small_egj_network.to_egj_graph(degree_bound=2)
         accountant = PrivacyAccountant(epsilon_max=1.0)
-        SecureEngine(program, make_config()).run(graph, iterations=1, accountant=accountant)
+        execute("secure", program, graph, 1, make_config(), accountant)
         assert accountant.spent == pytest.approx(0.5)
 
     def test_budget_exhaustion_blocks_run(self, small_egj_network):
@@ -127,36 +129,27 @@ class TestPrivacyStructure:
         program = ElliottGolubJacksonProgram(fmt)
         graph = small_egj_network.to_egj_graph(degree_bound=2)
         accountant = PrivacyAccountant(epsilon_max=0.6)
-        engine = SecureEngine(program, make_config())
-        engine.run(graph, iterations=1, accountant=accountant)
+        execute("secure", program, graph, 1, make_config(), accountant)
         with pytest.raises(PrivacyBudgetExceeded):
-            engine.run(graph, iterations=1, accountant=accountant)
+            execute("secure", program, graph, 1, make_config(), accountant)
 
     def test_failed_run_refunds_its_charge(self, small_egj_network, monkeypatch):
-        """A direct run that dies mid-round published nothing, so it must
-        leave nothing on the books (it used to keep the epsilon)."""
+        """A run that dies mid-round published nothing, so it must leave
+        nothing on the books."""
         fmt = FixedPointFormat(16, 8)
         program = ElliottGolubJacksonProgram(fmt)
         graph = small_egj_network.to_egj_graph(degree_bound=2)
         accountant = PrivacyAccountant(epsilon_max=1.0)
-        engine = SecureEngine(program, make_config())
 
         def broken_transfer(*args, **kwargs):
             raise RuntimeError("transfer died mid-round")
 
-        monkeypatch.setattr(engine.transfer, "execute", broken_transfer)
+        monkeypatch.setattr(MessageTransferProtocol, "execute", broken_transfer)
         with pytest.raises(RuntimeError, match="mid-round"):
-            engine.run(graph, iterations=1, accountant=accountant)
+            execute("secure", program, graph, 1, make_config(), accountant)
         assert accountant.spent == 0.0
         assert accountant.reconcile().ok
         assert [entry.kind for entry in accountant.ledger] == ["charge", "refund"]
-
-    def test_edge_epsilon_reported(self, en_run):
-        result, _, _, config = en_run
-        delta = config.collusion_bound + 1
-        eps_transfer = -math.log(config.edge_noise_alpha) * delta / 2
-        expected = config.collusion_bound * delta * config.fmt.total_bits * eps_transfer
-        assert result.edge_epsilon_per_iteration == pytest.approx(expected)
 
     def test_traffic_metered_for_all_nodes(self, en_run):
         result, _, graph, _ = en_run
@@ -206,11 +199,11 @@ class TestBeaverMode:
         fmt = FixedPointFormat(16, 8)
         program = ElliottGolubJacksonProgram(fmt)
         graph = small_egj_network.to_egj_graph(degree_bound=2)
-        ot_run = SecureEngine(program, make_config(seed=9)).run(graph, iterations=2)
-        beaver_run = SecureEngine(program, make_config(seed=9, gmw_mode="beaver")).run(
-            graph, iterations=2
+        ot_run = execute("secure", program, graph, 2, make_config(seed=9))
+        beaver_run = execute(
+            "secure", program, graph, 2, make_config(seed=9, gmw_mode="beaver")
         )
-        assert ot_run.pre_noise_output == beaver_run.pre_noise_output
+        assert ot_run.pre_noise_aggregate == beaver_run.pre_noise_aggregate
 
 
 class TestHierarchicalAggregation:
@@ -218,15 +211,11 @@ class TestHierarchicalAggregation:
         fmt = FixedPointFormat(16, 8)
         program = EisenbergNoeProgram(fmt)
         graph = small_en_network.to_en_graph(degree_bound=2)
-        flat = SecureEngine(program, make_config(aggregation_fanout=100)).run(
-            graph, iterations=1
-        )
-        tree = SecureEngine(program, make_config(aggregation_fanout=2)).run(
-            graph, iterations=1
-        )
-        assert flat.aggregation_levels == 1
-        assert tree.aggregation_levels == 2
-        assert flat.pre_noise_output == tree.pre_noise_output
+        flat = execute("secure", program, graph, 1, make_config(aggregation_fanout=100))
+        tree = execute("secure", program, graph, 1, make_config(aggregation_fanout=2))
+        assert flat.extras["aggregation_levels"] == 1
+        assert tree.extras["aggregation_levels"] == 2
+        assert flat.pre_noise_aggregate == tree.pre_noise_aggregate
 
 
 class TestPaddedTransfers:
@@ -236,9 +225,7 @@ class TestPaddedTransfers:
         fmt = FixedPointFormat(16, 8)
         program = EisenbergNoeProgram(fmt)
         graph = small_en_network.to_en_graph(degree_bound=3)  # degrees < 3
-        result = SecureEngine(program, make_config(pad_transfers=True)).run(
-            graph, iterations=1
-        )
-        assert result.transfer_count == graph.num_vertices * 3
-        oracle = PlaintextEngine(program).run_fixed(graph, iterations=1)
-        assert result.pre_noise_output == pytest.approx(oracle.aggregate, abs=1e-12)
+        result = execute("secure", program, graph, 1, make_config(pad_transfers=True))
+        assert result.extras["transfer_count"] == graph.num_vertices * 3
+        oracle = execute("fixed", program, graph, 1)
+        assert result.pre_noise_aggregate == pytest.approx(oracle.aggregate, abs=1e-12)

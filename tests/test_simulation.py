@@ -45,7 +45,6 @@ class TestTrafficMeter:
         timer.add("compute", 0.5)
         timer.add("transfer", 1.0)
         assert timer.seconds["compute"] == 2.0
-        assert timer.total == 3.0
 
 
 class TestCostConstants:
