@@ -7,7 +7,7 @@ budget. The unified session API turns that into one ``run_many`` call:
 
 * scenarios are resolved and budget-checked *before* any MPC runs —
   an over-budget batch is refused whole;
-* the resolved runs fan across a multiprocessing pool;
+* the resolved runs fan across forked worker processes;
 * results come back in input order, bit-reproducible across runs and
   worker counts.
 

@@ -9,7 +9,7 @@ scenario #1 burns an hour of MPC), charges the shared
 :class:`~repro.privacy.budget.PrivacyAccountant` for every
 output-releasing run (so a batch that would overrun the yearly ln 2
 budget is refused before any compute happens), then fans the resolved
-specs across a ``multiprocessing`` pool.
+specs across the worker processes of :mod:`repro.api.pool`.
 
 Determinism: each scenario runs with its own explicitly-derived seed
 (``scenario.seed``, else the template config's seed), engines draw all
@@ -17,14 +17,11 @@ randomness from :class:`~repro.crypto.rng.DeterministicRNG`, and results
 are returned in input order regardless of worker scheduling — so a batch
 is bit-reproducible across runs and worker counts.
 
-Two execution shapes share that prelude:
-
-* the **barriered** default — :func:`run_batch` collects every outcome
-  and returns a :class:`BatchResult` in input order;
-* the **streaming** variant — ``run_batch(..., stream=True)`` (surfaced
-  as :meth:`StressTest.run_many_iter`) yields each
-  :class:`ScenarioOutcome` the moment its worker finishes, in completion
-  order, with no pool barrier. Same per-scenario bits either way.
+There is one execution body, a stream: ``run_batch(..., stream=True)``
+(surfaced as :meth:`StressTest.run_many_iter`) yields each
+:class:`ScenarioOutcome` the moment its worker finishes, in completion
+order; the default drains the same stream and returns a
+:class:`BatchResult` in input order.
 
 Determinism also enables the scenario-level **cache** (``cache=`` — a
 :class:`~repro.api.cache.ScenarioCache` shared across batches, ``True``
@@ -37,22 +34,24 @@ executes — and only the first is charged against the
 :class:`~repro.privacy.budget.PrivacyAccountant`.
 
 Budget charges are provisional until a release actually happens: a
-releasing scenario that *fails* (its worker raised) has its pre-charge
-refunded in both execution shapes — nothing was published, so nothing
-was spent (§4.5's budget pays for releases, not attempts).
+releasing scenario that *fails* (its engine raised, its worker died or
+could not send its outcome back) has its pre-charge refunded — nothing
+was published, so nothing was spent (§4.5's budget pays for releases,
+not attempts).
 """
 
 from __future__ import annotations
 
 import os
 import traceback
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.api.cache import ScenarioCache, ScenarioCacheBase, clone_result, run_fingerprint
 from repro.api.diskcache import PersistentScenarioCache
 from repro.api.engines import Engine, validate_intra_run_width
-from repro.api.pool import iter_in_pool, map_in_pool, plan_workers
+from repro.api.pool import iter_in_pool, plan_workers
 from repro.api.result import RunResult
 from repro.api.session import ResolvedRun, execute_resolved
 from repro.core.config import DStressConfig
@@ -259,9 +258,19 @@ def _run_payload(payload: ResolvedRun) -> ScenarioOutcome:
         )
 
 
+def _lost_outcome(label: str, exc: BaseException) -> ScenarioOutcome:
+    """A scenario whose worker sent no outcome back: the worker died, or
+    the outcome could not be pickled."""
+    what = "died" if isinstance(exc, BrokenProcessPool) else "failed"
+    return ScenarioOutcome(
+        name=label,
+        error=f"scenario {label!r}: worker process {what} ({type(exc).__name__}: {exc})",
+    )
+
+
 @dataclass
 class _PreparedBatch:
-    """Everything the prelude decided, shared by both execution shapes.
+    """Everything the prelude decided.
 
     Indexes are positions in the input scenario list: ``to_run`` holds
     the payloads that actually execute (cache misses, one per distinct
@@ -277,7 +286,6 @@ class _PreparedBatch:
     duplicates: Dict[int, int]
     cache: Optional[ScenarioCacheBase]
     effective_workers: int
-    epsilon_charged: float
     #: The accountant that was charged (if any) and the admitted
     #: pre-charge per payload index — kept so an abandoned stream can
     #: refund the releases that never executed.
@@ -436,7 +444,6 @@ def _prepare_batch(
         # release window, pricing from the engine's release policy) is
         # the shared repro.privacy.admission authority, the same one the
         # engine lifecycle and the service admission gate charge through.
-        epsilon_charged = 0.0
         charges: Dict[int, Precharge] = {}
         if accountant is not None:
             releasing = [
@@ -462,7 +469,6 @@ def _prepare_batch(
                 )
                 if admitted is not None:
                     charges[i] = admitted
-                    epsilon_charged += admitted.epsilon
     except Exception:
         if cache_obj is not None:
             cache_obj.hits = hits_before
@@ -477,7 +483,6 @@ def _prepare_batch(
         duplicates=duplicates,
         cache=cache_obj,
         effective_workers=effective_workers,
-        epsilon_charged=epsilon_charged,
         accountant=accountant,
         charges=charges,
         hits_before=hits_before,
@@ -520,26 +525,19 @@ def _cached_outcome(prepared: _PreparedBatch, index: int) -> ScenarioOutcome:
 
 
 def _duplicate_outcome(
-    prepared: _PreparedBatch,
-    index: int,
-    primary: ScenarioOutcome,
-    count_hit: bool = True,
+    prepared: _PreparedBatch, index: int, primary: ScenarioOutcome
 ) -> ScenarioOutcome:
     """An in-batch duplicate's outcome, from the scenario that ran for it.
 
-    A successful primary counts as a cache hit and the duplicate gets a
-    private copy of its result — the copy keeps sibling outcomes isolated
-    (mutating one scenario's result must never bleed into another's, or
-    into the cache); a result that refuses to copy is shared as-is,
-    better aliased than absent. A *failed* primary is no hit at all: the
-    duplicate reports the failure under its own name with
-    ``cached=False``, matching the across-batch rule that failures are
-    never stored or reused as successes.
-
-    ``count_hit=False`` defers the hit accounting to the caller — the
-    streaming path clones duplicates *before* yielding the primary (for
-    mutation isolation) but must only count the hit when the duplicate
-    outcome is actually delivered.
+    A successful primary makes the duplicate a cache hit (counted by the
+    stream when the duplicate is delivered) with a private copy of its
+    result — the copy keeps sibling outcomes isolated (mutating one
+    scenario's result must never bleed into another's, or into the
+    cache); a result that refuses to copy is shared as-is, better aliased
+    than absent. A *failed* primary is no hit at all: the duplicate
+    reports the failure under its own name with ``cached=False``,
+    matching the across-batch rule that failures are never stored or
+    reused as successes.
     """
     label = prepared.payloads[index].label
     if not primary.ok or primary.result is None:
@@ -554,8 +552,6 @@ def _duplicate_outcome(
             seconds=0.0,
             cached=False,
         )
-    if count_hit and prepared.cache is not None:
-        prepared.cache.note_hit()
     return ScenarioOutcome(
         name=label,
         result=clone_result(primary.result) or primary.result,
@@ -611,6 +607,8 @@ def _stream_outcomes(prepared: _PreparedBatch) -> Iterator[ScenarioOutcome]:
         for position, outcome in results:
             index = prepared.to_run[position]
             completed.add(index)
+            if isinstance(outcome, BaseException):
+                outcome = _lost_outcome(prepared.payloads[index].label, outcome)
             outcome = _finish_outcome(prepared, index, outcome)
             if (
                 not outcome.ok
@@ -626,7 +624,7 @@ def _stream_outcomes(prepared: _PreparedBatch) -> Iterator[ScenarioOutcome]:
             # not bleed into the duplicates still queued behind it. Hits
             # are counted only as each duplicate is actually delivered.
             duplicates = [
-                _duplicate_outcome(prepared, dup_index, outcome, count_hit=False)
+                _duplicate_outcome(prepared, dup_index, outcome)
                 for dup_index in sorted(dependents.get(index, ()))
             ]
             yield outcome
@@ -658,13 +656,13 @@ def run_batch(
 ):
     """Resolve, budget-check, and execute a list of scenarios.
 
-    ``workers > 1`` runs scenarios in a fork-based ``multiprocessing``
-    pool; ``workers=1`` runs inline (handy under debuggers and on
-    platforms without fork). By default returns a :class:`BatchResult`
-    with outcomes in input order; ``stream=True`` instead returns an
+    ``workers > 1`` runs scenarios in forked worker processes (see
+    :mod:`repro.api.pool`); ``workers=1`` runs inline (handy under
+    debuggers and on platforms without fork). ``stream=True`` returns an
     iterator yielding each :class:`ScenarioOutcome` as its worker
-    finishes (completion order, no pool barrier) — resolution, worker
-    planning, and budget charging still all happen before this call
+    finishes (completion order); by default that stream is drained into
+    a :class:`BatchResult` with outcomes in input order. Resolution,
+    worker planning, and budget charging all happen before this call
     returns. ``cache`` enables scenario-level result reuse: pass a
     :class:`~repro.api.cache.ScenarioCache`, ``True`` for a per-call
     one, or a directory path (``str`` / :class:`os.PathLike`) for a
@@ -673,61 +671,19 @@ def run_batch(
     """
     prepared = _prepare_batch(template, scenarios, workers, accountant, cache)
     _compile_plans(prepared)
-    if stream:
-        outcomes = _stream_outcomes(prepared)
-        next(outcomes)  # enter the generator: arms the refund-on-abandon finally
-        return outcomes
-
     started = clock_now()
-    try:
-        executed = map_in_pool(
-            _run_payload,
-            [prepared.payloads[i] for i in prepared.to_run],
-            prepared.effective_workers,
-        )
-    except Exception:
-        # the pool itself failed (unpicklable payload, killed worker):
-        # nothing came back, so nothing was released — refund every
-        # pre-charge and restore the cache telemetry, exactly as the
-        # streaming path's finally does. (Per-scenario failures are
-        # captured inside _run_payload and do NOT take this path.)
-        if prepared.accountant is not None:
-            for charge in prepared.charges.values():
-                charge.refund()
-        if prepared.cache is not None:
-            prepared.cache.hits = prepared.hits_before
-            prepared.cache.misses = prepared.misses_before
-        raise
-    by_index = {
-        index: _finish_outcome(prepared, index, outcome)
-        for index, outcome in zip(prepared.to_run, executed)
-    }
-    # a releasing scenario that failed published nothing: its eager
-    # pre-charge is refunded, and the batch reports the net draw (summed
-    # over the charges kept, not subtracted, so a fully-refunded batch
-    # reports exactly 0.0 instead of float dust)
-    epsilon_charged = prepared.epsilon_charged
-    if prepared.accountant is not None:
-        kept = dict(prepared.charges)
-        for index, charge in prepared.charges.items():
-            outcome = by_index.get(index)
-            if outcome is not None and not outcome.ok:
-                charge.refund()
-                del kept[index]
-        if len(kept) != len(prepared.charges):
-            epsilon_charged = sum(c.epsilon for c in kept.values())
-    outcomes: List[ScenarioOutcome] = []
-    for index in range(len(prepared.payloads)):
-        if index in by_index:
-            outcomes.append(by_index[index])
-        elif index in prepared.cached_results:
-            outcomes.append(_cached_outcome(prepared, index))
-        else:
-            primary = by_index[prepared.duplicates[index]]
-            outcomes.append(_duplicate_outcome(prepared, index, primary))
+    outcomes = _stream_outcomes(prepared)
+    next(outcomes)  # enter the generator: arms the refund-on-abandon finally
+    if stream:
+        return outcomes
+    position = {payload.label: index for index, payload in enumerate(prepared.payloads)}
+    ordered = sorted(outcomes, key=lambda outcome: position[outcome.name])
+    # a refunded charge reads 0.0: this is the net draw summed in charge
+    # order, and exactly 0.0 (not float dust) when every release failed
+    epsilon_charged = sum((charge.epsilon for charge in prepared.charges.values()), 0.0)
     cache_hits, cache_misses = prepared.cache_counts()
     batch_result = BatchResult(
-        outcomes=outcomes,
+        outcomes=ordered,
         wall_seconds=clock_now() - started,
         workers=prepared.effective_workers,
         epsilon_charged=epsilon_charged,

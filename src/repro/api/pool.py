@@ -1,40 +1,39 @@
-"""Shared process-pool plumbing for the batch, sharded and service layers.
+"""The one process pool of the batch, sharded and service layers.
 
 Three layers fork worker processes: :func:`repro.api.batch.run_batch`
 fans *scenarios* across a pool, the sharded engine fans *vertex shards
 of one run* across a pool, and the service keeps *persistent* engine
-processes for the runs it admits; all are planned and created here. A
-batch or a shard window is one bounded ``map``: :func:`create_pool` is a
-``multiprocessing.Pool``. A service worker may be killed under a run, and
-a ``Pool`` task whose worker dies never completes — a hang where a typed
-error is owed — so :func:`create_executor` is a ``ProcessPoolExecutor``:
-a dead worker fails every pending future with ``BrokenProcessPool``.
+processes for the runs it admits. All three run on
+:func:`create_executor`, a fork-context ``ProcessPoolExecutor``: a worker
+that dies fails every pending future with ``BrokenProcessPool``, so the
+caller gets a typed error to report and refund, never a task that waits
+forever.
 
-* **No nested pools.** ``multiprocessing`` pool workers are daemonic and
-  may not fork children, and an executor worker must not (``workers x
-  shards`` processes on the same cores), so a sharded run scheduled
-  inside either must not open its own pool. :func:`in_worker_process`
-  detects that; the sharded engine then computes its shards inline (same
-  partition, same arithmetic, so the result is bit-identical).
+* **Payloads by inheritance.** What a batch or a shard window hands its
+  workers (the resolved runs, the vertex update) is set in a module slot
+  just before the executor forks (:func:`inheriting`) and read back in
+  the worker (:func:`inherited`); only an index is submitted, and only
+  results are pickled.
+* **No nested pools.** An executor worker must not fork (``workers x
+  shards`` processes on the same cores), nor may a caller's own daemonic
+  ``multiprocessing`` worker, so a sharded run scheduled inside either
+  must not open its own pool. :func:`in_worker_process` detects that; the
+  sharded engine then computes its shards inline (same partition, same
+  arithmetic, so the result is bit-identical).
 * **No oversubscription.** When a batch contains scenarios with intra-run
   parallelism — process shards (``sharded``) or asyncio task concurrency
   (``async``) — the useful parallelism is ``workers x width``;
   :func:`plan_workers` caps the scenario-level worker count so that
   product stays within the CPU budget instead of stacking two layers'
   worth of concurrency.
-* **One fork policy.** Everything uses the fork start method: payloads
-  stay picklable-small, and engines inherit read-only program/graph state
-  instead of re-importing it.
 * **No env leakage.** Fork inheritance copies the parent's environment
   wholesale, so a worker would silently see whatever ``REPRO_*`` knobs
   the *host* process happened to carry — ``REPRO_BENCH_SMOKE`` from a
-  benchmark harness, ``REPRO_TCP_*`` from a cluster launcher, anything a
-  server front-end was started under. Engine behavior must come from the
-  payload (config/transport instances), never from ambient host state,
-  so every pool worker is scrubbed of ``REPRO_*`` variables at
-  initialization; callers that *intend* to pass one through name it in
-  an explicit ``env_allowlist``. Inline execution (``workers == 1``)
-  runs in the caller's own process and is never scrubbed.
+  benchmark harness, ``REPRO_TCP_*`` from a cluster launcher. Engine
+  behavior must come from the payload, never from ambient host state, so
+  every worker is scrubbed of ``REPRO_*`` variables when it starts.
+  Inline execution (``workers == 1``) runs in the caller's own process
+  and is never scrubbed.
 """
 
 from __future__ import annotations
@@ -45,10 +44,10 @@ import os
 import signal
 import stat
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import contextmanager
 from multiprocessing import get_context
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterator, List, Sequence
 
 from repro.exceptions import ConfigurationError
 from repro.obs.trace import set_recorder
@@ -58,9 +57,9 @@ __all__ = [
     "in_worker_process",
     "plan_workers",
     "scrub_repro_env",
-    "create_pool",
     "create_executor",
-    "map_in_pool",
+    "inheriting",
+    "inherited",
     "iter_in_pool",
 ]
 
@@ -68,35 +67,22 @@ __all__ = [
 #: are scrubbed of it so host env cannot steer forked engine runs.
 REPRO_ENV_PREFIX = "REPRO_"
 _IN_EXECUTOR_WORKER = False  # set by _executor_worker_init
+_INHERITED: Any = None  # set by inheriting() around a fork
+_INHERIT_LOCK = threading.Lock()
 
 
-def scrub_repro_env(allowlist: Sequence[str] = ()) -> List[str]:
-    """Delete every ``REPRO_*`` variable from ``os.environ`` except those
-    named in ``allowlist``; returns the names removed (for audits/tests).
+def scrub_repro_env() -> List[str]:
+    """Delete every ``REPRO_*`` variable from ``os.environ``; returns the
+    names removed (for audits/tests).
 
-    Called in freshly-forked workers (pool initializers, cluster
-    children) so an engine process starts from an explicit environment:
-    whatever the payload carries, plus only the allowlisted variables.
+    Called in freshly-forked workers and cluster children so an engine
+    process starts from an explicit environment: whatever its payload
+    carries, nothing ambient.
     """
-    keep = set(allowlist)
-    removed = []
-    for key in list(os.environ):
-        if key.startswith(REPRO_ENV_PREFIX) and key not in keep:
-            del os.environ[key]
-            removed.append(key)
+    removed = [key for key in os.environ if key.startswith(REPRO_ENV_PREFIX)]
+    for key in removed:
+        del os.environ[key]
     return removed
-
-
-def _scrubbing_initializer(
-    allowlist: Tuple[str, ...],
-    initializer: Optional[Callable[..., None]],
-    initargs: Tuple[Any, ...],
-) -> None:
-    """Worker bootstrap: scrub first, then the caller's initializer.
-    Module-level so it survives pickling under any start method."""
-    scrub_repro_env(allowlist)
-    if initializer is not None:
-        initializer(*initargs)
 
 
 def cpu_budget() -> int:
@@ -121,7 +107,7 @@ def plan_workers(requested: int, num_tasks: int, shard_width: int = 1) -> int:
     measured CPU pressure, keeping wide-async and wide-sharded batches
     under one planning rule.) Shard
     pools inside a pool worker always degrade to inline execution
-    (daemonic workers cannot fork), so each worker is one process either
+    (workers must not fork), so each worker is one process either
     way — the only cap worth paying for is the CPU budget: never stack
     more wide-scenario workers than CPUs, and let a serial batch
     (``effective == 1``) keep the parent's full intra-run width. Live
@@ -140,37 +126,6 @@ def plan_workers(requested: int, num_tasks: int, shard_width: int = 1) -> int:
     return effective
 
 
-def _check_may_fork(processes: int) -> None:
-    if processes < 1:
-        raise ConfigurationError("a pool needs at least one process")
-    if in_worker_process():
-        raise ConfigurationError(
-            "cannot open a process pool inside a pool worker; run the "
-            "nested stage inline instead (see repro.api.pool docs)"
-        )
-
-
-def create_pool(
-    processes: int,
-    initializer: Optional[Callable[..., None]] = None,
-    initargs: Tuple[Any, ...] = (),
-    env_allowlist: Sequence[str] = (),
-):
-    """A fork-context pool; the caller owns its lifetime (use ``with``).
-
-    Every worker is scrubbed of ``REPRO_*`` environment variables before
-    the caller's ``initializer`` runs; name variables in
-    ``env_allowlist`` to let them through deliberately.
-    """
-    _check_may_fork(processes)
-    ctx = get_context("fork")
-    return ctx.Pool(
-        processes=processes,
-        initializer=_scrubbing_initializer,
-        initargs=(tuple(env_allowlist), initializer, initargs),
-    )
-
-
 def _exit_with_parent() -> None:
     """Block on the pipe ``multiprocessing`` keeps to our parent: EOF, it is gone."""
     multiprocessing.parent_process().join()
@@ -178,7 +133,8 @@ def _exit_with_parent() -> None:
 
 
 def _executor_worker_init() -> None:
-    """A persistent worker takes nothing ambient from its parent but code and plans."""
+    """A worker takes nothing ambient from its parent but code, plans and
+    what :func:`inheriting` handed down."""
     global _IN_EXECUTOR_WORKER
     _IN_EXECUTOR_WORKER = True
     # a full collection would copy every inherited page (large parent: 6.7 -> 4.8 s)
@@ -202,9 +158,15 @@ def _executor_worker_init() -> None:
 
 
 def create_executor(processes: int) -> ProcessPoolExecutor:
-    """``processes`` persistent fork-context workers, already forked when
-    this returns; the caller owns ``shutdown``. Why an executor: see above."""
-    _check_may_fork(processes)
+    """``processes`` fork-context workers, already forked when this
+    returns; the caller owns ``shutdown``. Why an executor: see above."""
+    if processes < 1:
+        raise ConfigurationError("a pool needs at least one process")
+    if in_worker_process():
+        raise ConfigurationError(
+            "cannot open a process pool inside a pool worker; run the "
+            "nested stage inline instead (see repro.api.pool docs)"
+        )
     executor = ProcessPoolExecutor(
         processes, mp_context=get_context("fork"), initializer=_executor_worker_init
     )
@@ -213,90 +175,82 @@ def create_executor(processes: int) -> ProcessPoolExecutor:
     return executor
 
 
-def map_in_pool(
-    fn: Callable[[Any], Any],
-    payloads: Sequence[Any],
-    workers: int,
-    env_allowlist: Sequence[str] = (),
-) -> List[Any]:
-    """Map ``fn`` over ``payloads`` preserving input order.
+@contextmanager
+def inheriting(value: Any) -> Iterator[None]:
+    """Workers forked inside this block find ``value`` in :func:`inherited`.
 
-    ``workers == 1`` (or a single payload) runs inline — handy under
-    debuggers, on platforms without fork, and inside pool workers where
-    forking again is forbidden. Forked workers are env-scrubbed (see
-    :func:`scrub_repro_env`); the inline path is not (it *is* the
-    caller's process).
+    One value at a time (the lock serializes forks), cleared on exit, so
+    the parent keeps no reference to what it handed down.
+    """
+    global _INHERITED
+    with _INHERIT_LOCK:
+        _INHERITED = value
+        try:
+            yield
+        finally:
+            _INHERITED = None
+
+
+def inherited() -> Any:
+    """In a worker: the value its executor was forked with."""
+    return _INHERITED
+
+
+def _apply_inherited(index: int) -> Any:
+    fn, items = _INHERITED
+    return fn(items[index])
+
+
+def iter_in_pool(fn: Callable[[Any], Any], payloads: Sequence[Any], workers: int):
+    """Yield ``(input_index, outcome)`` pairs as workers finish.
+
+    ``outcome`` is ``fn(payload)``, or the exception that payload's future
+    raised (its worker died, its result could not be pickled back): one
+    payload's failure is that payload's, never the stream's. Yields come
+    in *completion* order; ``workers == 1`` (or a single payload) runs
+    inline, in input order, where ``fn`` raises as it would anywhere.
+
+    The executor is forked and every payload submitted *at call time*, so
+    workers compute while the caller does other things (e.g. streams
+    cache hits) before draining the returned iterator. ``fn`` and the
+    payloads reach the workers by fork inheritance, not pickling. A
+    drained stream shuts the executor down and lets the workers exit on
+    their own; an abandoned one (``close()``, ``break``, GC) cancels what
+    is queued and terminates the workers still running.
     """
     items = list(payloads)
     if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with create_pool(min(workers, len(items)), env_allowlist=env_allowlist) as pool:
-        return pool.map(fn, items)
-
-
-def _indexed_apply(fn: Callable[[Any], Any], pair: Tuple[int, Any]) -> Tuple[int, Any]:
-    """Worker shim for :func:`iter_in_pool`: tag each result with its
-    input index so streaming consumers can reassociate out-of-order
-    completions. Module-level so it pickles."""
-    index, item = pair
-    return index, fn(item)
-
-
-def iter_in_pool(
-    fn: Callable[[Any], Any],
-    payloads: Sequence[Any],
-    workers: int,
-    env_allowlist: Sequence[str] = (),
-):
-    """Yield ``(input_index, fn(payload))`` pairs as workers finish.
-
-    The streaming sibling of :func:`map_in_pool`: no barrier — each
-    result is yielded the moment its worker completes, in *completion*
-    order, tagged with the payload's input index. ``workers == 1`` (or a
-    single payload) runs inline, yielding in input order.
-
-    Unlike a plain generator function, the pool is created and its tasks
-    dispatched *at call time*, so workers compute while the caller does
-    other things (e.g. streams cache hits) before draining the returned
-    iterator. The pool is torn down when the iterator is exhausted or
-    closed.
-    """
-    items = list(payloads)
-    if workers == 1 or len(items) <= 1:
-
-        def _inline():
-            for index, item in enumerate(items):
-                yield index, fn(item)
-
-        return _inline()
-
-    pool = create_pool(min(workers, len(items)), env_allowlist=env_allowlist)
-    # imap_unordered dispatches eagerly: workers start on the payloads now
-    results = pool.imap_unordered(partial(_indexed_apply, fn), list(enumerate(items)))
+        return ((index, fn(item)) for index, item in enumerate(items))
+    with inheriting((fn, items)):
+        executor = create_executor(min(workers, len(items)))
 
     def _drain():
-        exhausted = False
+        futures = {}
+        drained = False
         try:
+            futures = {executor.submit(_apply_inherited, i): i for i in range(len(items))}
             yield None  # priming point (consumed below): arms the finally
-            yield from results
-            exhausted = True
+            for future in as_completed(futures):
+                error = future.exception()
+                yield futures[future], future.result() if error is None else error
+            drained = True
         finally:
-            # clean exhaustion closes the pool and lets workers exit on
-            # their own (atexit handlers and all); terminate() SIGTERMs
-            # them, which could catch user-supplied engine code mid-write
-            # to whatever external state it holds — needless on the happy
-            # path, so it is reserved for abandonment (close()/break/GC
-            # mid-stream), where undelivered results are discarded anyway
-            if exhausted:
-                pool.close()
-            else:
-                pool.terminate()
-            pool.join()
+            # a drained executor's workers exit on their own (atexit
+            # handlers and all); terminating them could catch user engine
+            # code mid-write to its own external state, so that is kept
+            # for abandonment, where undelivered results are discarded
+            if not drained:
+                running = list(executor._processes.values())  # no public handle
+                for future in futures:
+                    future.cancel()
+                for process in running:
+                    process.terminate()
+            executor.shutdown(wait=True)
 
     # enter the generator before handing it out: close() on an unstarted
     # generator skips its body — and with it the finally that owns the
-    # pool teardown — so an abandonment before the first result would
-    # leave teardown to GC finalizers instead of happening right away
+    # teardown — so an abandonment before the first result would leave
+    # the workers to GC finalizers instead of stopping them right away
     drain = _drain()
     next(drain)
     return drain

@@ -406,8 +406,8 @@ def execute_resolved(
 ) -> RunResult:
     """Run a resolved spec: resolve ``"auto"`` iterations, execute, time it.
 
-    Module-level (not a method) so batch worker processes can invoke it by
-    reference on pickled :class:`ResolvedRun` payloads.
+    Module-level (not a method) so service worker processes can invoke it
+    by reference on pickled :class:`ResolvedRun` payloads.
     """
     iterations = resolved.iterations
     if iterations == "auto":

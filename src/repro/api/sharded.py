@@ -7,7 +7,7 @@ contiguous shards, each round's vertex programs run shard-locally in a
 worker process, and boundary ("ghost") messages are exchanged between
 shards at the round barrier — the §3.6 schedule driven by the shared
 :func:`~repro.core.rounds.run_rounds` scheduler, with the superstep fanned
-across a :mod:`repro.api.pool` pool.
+across :mod:`repro.api.pool` worker processes.
 
 Determinism argument (asserted bit-for-bit by the parity tests):
 
@@ -25,12 +25,12 @@ Determinism argument (asserted bit-for-bit by the parity tests):
 4. **Ghost exchange** — routing runs once per round barrier on the full
    outbox map, identical to the single-process route.
 
-Inside a batch worker (daemonic ⇒ no child processes allowed) the same
+Inside a pool worker (which must not fork) the same
 partition runs inline, sequentially; by (2) and (3) the result is
 unchanged, so sharded scenarios compose with ``run_many`` transparently.
 
 Like every backend the engine executes through the shared run lifecycle;
-under ``release="windowed"`` each window spins up its own worker pool and
+under ``release="windowed"`` each window forks its own workers and
 the round loop resumes via the :func:`~repro.core.rounds.run_rounds`
 resumption contract, so the windowed trajectory stays bit-identical to
 the one-shot run of the same total length.
@@ -38,16 +38,15 @@ the one-shot run of the same total length.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.api.engines import Engine, _PlaintextCore, validate_intra_run_width
-from repro.api.pool import create_pool, in_worker_process
+from repro.api.pool import create_executor, in_worker_process, inherited, inheriting
 from repro.api.registry import register_engine
 from repro.api.result import RunResult
-from repro.core.engine import float_arithmetic, plaintext_loop
+from repro.core.engine import plaintext_loop
 from repro.core.graph import DistributedGraph
 from repro.core.lifecycle import ReleasePolicy, RunState, run_lifecycle
-from repro.core.program import VertexProgram
 from repro.core.rounds import sequential_superstep
 from repro.core.transport import (
     attach_wan_extras,
@@ -93,33 +92,24 @@ def cross_shard_edges(graph: DistributedGraph, chunks: List[List[int]]) -> int:
     )
 
 
-# Worker-side global, installed once per pool worker by the initializer so
-# the per-round payloads carry only shard state, not the program: the float
-# arithmetic's vertex update — the very function the inline path runs.
-_WORKER_UPDATE: Callable = None  # type: ignore[assignment]
-
-
-def _init_shard_worker(program: VertexProgram, degree_bound: int) -> None:
-    global _WORKER_UPDATE
-    _WORKER_UPDATE = float_arithmetic(program, degree_bound).update
-
-
 def _shard_step(
     payload: Tuple[Dict[int, Dict[str, float]], Dict[int, List[float]]],
 ) -> Tuple[Dict[int, Dict[str, float]], Dict[int, List[float]]]:
-    """One shard's share of a superstep: update its vertices, in id order."""
+    """One shard's share of a superstep: update its vertices, in id order,
+    with the vertex update the worker inherited at fork — the very function
+    the inline path runs — so a payload carries only shard state."""
     states, inboxes = payload
-    return sequential_superstep(sorted(states), _WORKER_UPDATE)(states, inboxes)
+    return sequential_superstep(sorted(states), inherited())(states, inboxes)
 
 
 class _ShardedCore(_PlaintextCore):
     """The plaintext core with a pooled superstep.
 
-    The inline path (one shard, or inside a daemonic batch worker) is the
+    The inline path (one shard, or inside a pool worker) is the
     reference engine's own :class:`~repro.core.rounds.RoundLoop`,
     untouched. The pooled path drives the same loop — same arithmetic,
     same initial state, same routing — with only the superstep fanned
-    across a fresh worker pool per window (pools don't outlive a window:
+    across fresh workers per window (workers don't outlive a window:
     a windowed run may idle for a long release stage between rounds, and
     worker placement can never change a value — see the determinism
     argument above).
@@ -174,16 +164,16 @@ class _ShardedCore(_PlaintextCore):
         if self.inline:
             super().run_window(state, rounds, first)
             return
-        with create_pool(
-            len(self.chunks),
-            initializer=_init_shard_worker,
-            initargs=(self.program, self.graph.degree_bound),
-        ) as pool:
-            self._pool = pool
-            try:
-                super().run_window(state, rounds, first)
-            finally:
-                self._pool = None
+        with inheriting(self.loop.arithmetic.update):
+            executor = create_executor(len(self.chunks))
+        self._pool = executor
+        try:
+            # a dead worker raises BrokenProcessPool out of the window, and
+            # the lifecycle refunds the run's charge
+            super().run_window(state, rounds, first)
+        finally:
+            self._pool = None
+            executor.shutdown(wait=True)
 
     def finalize(self, state: RunState, started: float) -> RunResult:
         result = super().finalize(state, started)

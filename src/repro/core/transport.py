@@ -584,14 +584,6 @@ _TRANSPORT_SPECS = {
     "wan": lambda config, meter: SimulatedWanTransport.from_config(config, meter=meter),
     "tcp": _tcp_from_env,
 }
-_TRANSPORT_ALIASES = {
-    "in-memory": "memory",
-    "inmemory": "memory",
-    "simulated-wan": "wan",
-    "wan-sim": "wan",
-    "socket": "tcp",
-    "sockets": "tcp",
-}
 
 
 def check_transport_spec(spec, optional: bool = False):
@@ -612,13 +604,11 @@ def check_transport_spec(spec, optional: bool = False):
             "transport must be a Transport instance or a name "
             f"('memory' / 'wan' / 'tcp'), got {type(spec).__name__}"
         )
-    if isinstance(spec, str):
-        canonical = _TRANSPORT_ALIASES.get(spec, spec)
-        if canonical not in _TRANSPORT_SPECS:
-            raise ConfigurationError(
-                f"unknown transport {spec!r}; known transports: "
-                + ", ".join(sorted(_TRANSPORT_SPECS) + sorted(_TRANSPORT_ALIASES))
-            )
+    if isinstance(spec, str) and spec not in _TRANSPORT_SPECS:
+        raise ConfigurationError(
+            f"unknown transport {spec!r}; known transports: "
+            + ", ".join(sorted(_TRANSPORT_SPECS))
+        )
     return spec
 
 
@@ -687,7 +677,7 @@ def transport_from_spec(
     meter: Optional[TrafficMeter] = None,
 ) -> Transport:
     """Resolve a transport spec: an instance passes through, a string
-    (``"memory"`` / ``"wan"`` and aliases) builds one from the config.
+    (``"memory"`` / ``"wan"`` / ``"tcp"``) builds one from the config.
 
     Validation (including the unknown-name error) lives solely in
     :func:`check_transport_spec`, so construction-time and resolve-time
@@ -696,4 +686,4 @@ def transport_from_spec(
     spec = check_transport_spec(spec)
     if isinstance(spec, Transport):
         return spec
-    return _TRANSPORT_SPECS[_TRANSPORT_ALIASES.get(spec, spec)](config, meter)
+    return _TRANSPORT_SPECS[spec](config, meter)

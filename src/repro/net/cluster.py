@@ -29,7 +29,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from multiprocessing import get_context
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.api.pool import scrub_repro_env
 from repro.exceptions import ConfigurationError
@@ -91,12 +91,6 @@ class ClusterRun:
     #: and writes ``party-<id>.jsonl`` here after its run; the parent merges
     #: the shards into ``timeline.json`` (see :mod:`repro.obs.merge`).
     trace_dir: Optional[str] = None
-    #: ``REPRO_*`` environment variables the children may keep. Everything
-    #: else with that prefix is scrubbed at child startup: a forked party
-    #: must take its configuration from this :class:`ClusterRun` (the
-    #: mesh arrives over the pipe, not via ``REPRO_TCP_*``), never from
-    #: whatever harness/server environment the parent happened to run in.
-    env_allowlist: Tuple[str, ...] = ()
 
 
 def _result_summary(result) -> Dict[str, Any]:
@@ -110,7 +104,9 @@ def _result_summary(result) -> Dict[str, Any]:
 
 def _child_main(run: ClusterRun, party_id: int, conn) -> None:
     """One party: listen, report port, connect the mesh, run, report."""
-    scrub_repro_env(run.env_allowlist)
+    # a party takes its configuration from `run` (the mesh arrives over the
+    # pipe, not via REPRO_TCP_*), never from the parent's environment
+    scrub_repro_env()
     transport: Optional[TcpTransport] = None
     try:
         transport = TcpTransport(
@@ -202,7 +198,6 @@ def run_scenario_cluster(
     timeout: float = 120.0,
     die_at_round: Optional[Dict[int, int]] = None,
     trace_dir: Optional[str] = None,
-    env_allowlist: Sequence[str] = (),
 ) -> List[ClusterOutcome]:
     """Run one scenario across ``num_parties`` real OS processes.
 
@@ -220,8 +215,7 @@ def run_scenario_cluster(
 
     Children are scrubbed of ``REPRO_*`` environment variables at startup
     (fork inheritance would otherwise hand every child whatever harness
-    or server knobs the parent ran under); pass ``env_allowlist`` to let
-    named variables through deliberately.
+    or server knobs the parent ran under).
     """
     if num_parties < 2:
         raise ConfigurationError("a cluster needs at least two parties")
@@ -240,7 +234,6 @@ def run_scenario_cluster(
         timeout=timeout,
         die_at_round=dict(die_at_round or {}),
         trace_dir=trace_dir,
-        env_allowlist=tuple(env_allowlist),
     )
     _compile_plans(run)
     ctx = get_context("fork")

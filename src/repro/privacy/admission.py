@@ -2,8 +2,7 @@
 
 Three layers used to hand-roll the same notarize -> charge -> refund
 dance against the :class:`~repro.privacy.budget.PrivacyAccountant`: the
-engine lifecycle, ``run_batch`` (both its streaming and barriered
-paths), and ``StressTestService._submit``. Each copy risked drifting on
+engine lifecycle, ``run_batch``, and ``StressTestService._submit``. Each copy risked drifting on
 the rules — what a releasing run costs, how a multi-window schedule is
 itemized in the audit ledger, and which charges are refunded when a run
 dies halfway. This module is now the single authority:

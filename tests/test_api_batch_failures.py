@@ -9,6 +9,7 @@ CPU, and needs typo errors that are a one-glance fix.
 
 import math
 import os
+import time
 
 import pytest
 
@@ -292,61 +293,42 @@ def test_streaming_failure_refund_does_not_double_on_abandon(template, tmp_path)
 # --------------------------------------------------------- pool teardown --
 
 
-class _RecordingPool:
-    """Wraps a real pool to record which teardown path ran."""
-
-    def __init__(self, pool, events):
-        self._pool = pool
-        self._events = events
-
-    def imap_unordered(self, *args, **kwargs):
-        return self._pool.imap_unordered(*args, **kwargs)
-
-    def close(self):
-        self._events.append("close")
-        self._pool.close()
-
-    def terminate(self):
-        self._events.append("terminate")
-        self._pool.terminate()
-
-    def join(self):
-        self._events.append("join")
-        self._pool.join()
+def _nap(seconds):
+    time.sleep(seconds)
+    return seconds
 
 
-def _double(value):
-    return 2 * value
-
-
-def _recording_create_pool(monkeypatch):
+def _recording_create_executor(monkeypatch):
+    """Patch ``create_executor`` to keep the worker processes it forks."""
     from repro.api import pool as pool_mod
 
-    events = []
-    real_create = pool_mod.create_pool
-    monkeypatch.setattr(
-        pool_mod,
-        "create_pool",
-        lambda n, **kw: _RecordingPool(real_create(n, **kw), events),
-    )
-    return pool_mod, events
+    workers = []
+    real_create = pool_mod.create_executor
+
+    def create(processes):
+        executor = real_create(processes)
+        workers.extend(executor._processes.values())
+        return executor
+
+    monkeypatch.setattr(pool_mod, "create_executor", create)
+    return pool_mod, workers
 
 
 def test_iter_in_pool_closes_gracefully_on_clean_exhaustion(monkeypatch):
-    # terminate() SIGTERMs workers, which could catch user-supplied engine
-    # code mid-write to its own external state; a fully-drained pool must
-    # close and let workers exit on their own instead
-    pool_mod, events = _recording_create_pool(monkeypatch)
-    results = pool_mod.iter_in_pool(_double, [1, 2, 3], workers=2)
-    assert sorted(value for _, value in results) == [2, 4, 6]
-    assert "close" in events and "join" in events
-    assert "terminate" not in events
+    # a SIGTERM could catch user-supplied engine code mid-write to its own
+    # external state; the workers of a fully-drained pool exit on their own
+    pool_mod, workers = _recording_create_executor(monkeypatch)
+    results = pool_mod.iter_in_pool(_nap, [0, 0, 0], workers=2)
+    assert sorted(results) == [(0, 0), (1, 0), (2, 0)]
+    assert len(workers) == 2
+    assert [worker.exitcode for worker in workers] == [0, 0]
 
 
 def test_iter_in_pool_terminates_on_abandonment(monkeypatch):
-    pool_mod, events = _recording_create_pool(monkeypatch)
-    stream = pool_mod.iter_in_pool(_double, [1, 2, 3, 4], workers=2)
-    next(stream)  # take one result, then walk away
+    pool_mod, workers = _recording_create_executor(monkeypatch)
+    stream = pool_mod.iter_in_pool(_nap, [0, 60, 60], workers=2)
+    assert next(stream) == (0, 0)  # the other payloads are asleep in the workers
+    started = time.monotonic()
     stream.close()
-    assert "terminate" in events and "join" in events
-    assert "close" not in events
+    assert time.monotonic() - started < 2.0
+    assert not any(worker.is_alive() for worker in workers)

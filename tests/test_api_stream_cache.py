@@ -218,10 +218,14 @@ def test_abandoned_stream_refunds_uncompleted_releases(template):
     assert accountant.spent == pytest.approx(0.1 + 0.4)
 
 
-def test_pool_failure_refunds_barriered_batch(template):
-    # the pool itself failing (here: an unpicklable payload with forked
-    # workers) must refund every pre-charge — nothing was released
+def test_pool_failure_refunds_barriered_batch(template, monkeypatch):
+    # a pool that cannot start released nothing: every pre-charge comes
+    # back. An engine that cannot be pickled needs not be (the workers
+    # inherit it at fork), and its failure there is refunded the same way
     from repro.api import Engine
+    from repro.api import pool as pool_mod
+    from repro.api.pool import in_worker_process
+    from repro.exceptions import ProtocolError
 
     class UnpicklableReleasingEngine(Engine):
         name = "unpicklable-releasing"
@@ -231,16 +235,26 @@ def test_pool_failure_refunds_barriered_batch(template):
             self.hook = lambda: None  # lambdas cannot pickle
 
         def execute(self, program, graph, iterations, config, accountant=None):
-            raise AssertionError("must never execute in-process")
+            raise ProtocolError(f"in a worker: {in_worker_process()}")
+
+    def refuse(processes):
+        raise OSError("fork refused")
 
     accountant = PrivacyAccountant(epsilon_max=math.log(2))
     scenarios = [
         Scenario(f"s{i}", engine=UnpicklableReleasingEngine(), epsilon=0.1, iterations=2)
         for i in range(2)
     ]
-    with pytest.raises(Exception):
-        template.run_many(scenarios, workers=2, accountant=accountant)
+    with monkeypatch.context() as patch:
+        patch.setattr(pool_mod, "create_executor", refuse)
+        with pytest.raises(OSError, match="fork refused"):
+            template.run_many(scenarios, workers=2, accountant=accountant)
     assert accountant.spent == 0.0
+
+    batch = template.run_many(scenarios, workers=2, accountant=accountant)
+    assert all("in a worker: True" in outcome.error for outcome in batch)
+    assert accountant.spent == 0.0 and batch.epsilon_charged == 0.0
+    assert accountant.reconcile().ok
 
 
 def test_refused_batch_rolls_back_cache_counters(template):

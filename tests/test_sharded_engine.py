@@ -13,7 +13,7 @@ import pytest
 
 from repro import Bank, FinancialNetwork, Scenario, StressTest
 from repro.api import ShardedEngine, get_engine
-from repro.api.pool import cpu_budget, in_worker_process, map_in_pool, plan_workers
+from repro.api.pool import cpu_budget, in_worker_process, plan_workers
 from repro.api.sharded import cross_shard_edges, partition_vertices
 from repro.exceptions import ConfigurationError
 
@@ -240,12 +240,3 @@ def _execute_in_worker(engine, program, graph, config):
         "inline": result.extras["inline"],
         "trajectory": result.trajectory,
     }
-
-
-def test_map_in_pool_preserves_order():
-    assert map_in_pool(_square, [3, 1, 2], workers=2) == [9, 1, 4]
-    assert map_in_pool(_square, [5], workers=4) == [25]
-
-
-def _square(x):
-    return x * x
