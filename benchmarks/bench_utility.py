@@ -50,7 +50,9 @@ def test_noise_impact_on_tds(benchmark):
     """The appendix experiment: DP noise vs the $500B-scale TDS."""
     rng = DeterministicRNG("utility-bench")
     spec = UtilityAnalysis().spec()
-    stats = measure_noise_impact(500e9, spec, rng, trials=2000)
+    # 20 000 releases: the p95 estimate's standard error is ~3B, so the
+    # 270B bound below tests the noise scale, not the draw
+    stats = measure_noise_impact(500e9, spec, rng, trials=20000)
     rows = [
         ["true TDS", f"${stats['true_value']/1e9:.0f}B"],
         ["mean release", f"${stats['mean_release']/1e9:.1f}B"],

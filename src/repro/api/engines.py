@@ -65,7 +65,7 @@ from repro.exceptions import ConfigurationError
 from repro.obs.clock import now as clock_now
 from repro.obs.trace import timed_phase
 from repro.privacy.budget import PrivacyAccountant
-from repro.privacy.mechanisms import two_sided_geometric_sample
+from repro.privacy.mechanisms import geometric_release
 from repro.simulation.naive_baseline import estimate_monolithic_seconds
 from repro.simulation.netsim import TrafficMeter, meter_from_rounds
 
@@ -194,22 +194,21 @@ def _central_release_noise(
     end: int,
     fork_label: Optional[str] = None,
 ) -> Tuple[float, int]:
-    """Central two-sided geometric output noise (plaintext-family engines).
+    """Central grid release (plaintext-family engines and the naive
+    baseline) through :func:`~repro.privacy.mechanisms.geometric_release`.
 
-    The secure engine samples this mechanism inside MPC; the plaintext
-    family (when a windowed policy forces releases) and the naive baseline
-    sample it centrally. The fork is keyed by the cumulative release round
-    ``end``, so window ``j`` of any windowed schedule draws the same noise
-    as the release at round ``end`` of every other schedule reaching it —
-    the bit-identity the windowed property test pins. ``fork_label``
-    overrides the key for the naive baseline's historical one-shot stream.
+    The secure engine samples this mechanism inside MPC. The fork is keyed
+    by the cumulative release round ``end``, so window ``j`` of any
+    windowed schedule draws the same noise as the release at round ``end``
+    of every other schedule reaching it — the bit-identity the windowed
+    property test pins. ``fork_label`` overrides the key for the naive
+    baseline's historical one-shot stream.
     """
     label = fork_label if fork_label is not None else f"windowed-release-{end}"
     rng = DeterministicRNG(config.seed).fork(label)
-    noise_raw = two_sided_geometric_sample(
-        config.noise_alpha_for(program.sensitivity, epsilon), rng
+    return geometric_release(
+        pre_noise, program.sensitivity, epsilon, program.fmt.resolution, rng
     )
-    return pre_noise + noise_raw * program.fmt.resolution, noise_raw
 
 
 def _from_plaintext(

@@ -10,6 +10,7 @@ from repro.core.transport import validate_wan_params
 from repro.crypto.group import GROUP_256, GROUP_512, TOY_GROUP_64, CyclicGroup
 from repro.exceptions import ConfigurationError
 from repro.mpc.fixedpoint import FixedPointFormat
+from repro.privacy.mechanisms import geometric_alpha
 
 __all__ = ["DStressConfig", "available_presets"]
 
@@ -101,29 +102,30 @@ class DStressConfig:
     def noise_alpha_for(
         self, sensitivity: float, epsilon: Optional[float] = None
     ) -> float:
-        """Geometric parameter of the output noise in raw LSB units.
-
-        The discretized Laplace with scale ``s / eps`` (in units of T)
-        becomes a two-sided geometric over LSBs with
-        ``alpha = exp(-eps * resolution / s)``. ``epsilon`` overrides the
-        config's ``output_epsilon`` for per-window continual release;
-        the default is the full one-shot budget.
+        """Geometric parameter of the output noise in raw LSB units
+        (:func:`~repro.privacy.mechanisms.geometric_alpha` on this
+        config's grid). ``epsilon`` overrides the config's
+        ``output_epsilon`` for per-window continual release; the default
+        is the full one-shot budget.
         """
         if sensitivity <= 0:
             raise ConfigurationError("sensitivity must be positive")
         eps = self.output_epsilon if epsilon is None else epsilon
         if eps <= 0:
             raise ConfigurationError("release epsilon must be positive")
-        return math.exp(-eps * self.fmt.resolution / sensitivity)
+        return geometric_alpha(sensitivity, eps, self.fmt.resolution)
 
     def noise_magnitude_bits_for(
         self, sensitivity: float, epsilon: Optional[float] = None
     ) -> int:
         """Magnitude bits covering the noise distribution's useful range.
 
-        The truncated sampler covers ``[0, 2^bits)``; we size it to hold
-        about 16 scale-lengths of the geometric so truncation is a
-        ~``e^-16`` tail event. ``epsilon`` overrides ``output_epsilon``
+        The truncated sampler covers ``[0, 2^bits)`` with ``2^bits >= 16``
+        scale lengths of the geometric. Its coins are quantized to
+        ``noise_precision_bits``, so a top coin may round to probability 0
+        and cut the support short: at the demo preset it ends at ``2^16``,
+        12.8 scale lengths. The exact (eps, delta) this buys is in
+        DESIGN.md "Release noise". ``epsilon`` overrides ``output_epsilon``
         the same way as :meth:`noise_alpha_for` (smaller per-window
         budgets mean wider noise, so the window grows with it).
         """

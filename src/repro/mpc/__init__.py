@@ -5,13 +5,6 @@ from repro.mpc.circuit import Circuit, CircuitStats, Gate, GateOp
 from repro.mpc.cost import Bill, bill_for
 from repro.mpc.fixedpoint import FixedPointBuilder, FixedPointFormat
 from repro.mpc.gmw import GMWEngine, GMWResult, GMWTraffic
-from repro.mpc.noise_circuit import (
-    build_noise_sampler,
-    build_noised_sum_circuit,
-    cdf_thresholds,
-    sample_noise_plaintext,
-    two_sided_geometric_cdf,
-)
 
 __all__ = [
     "Bill",
@@ -26,9 +19,4 @@ __all__ = [
     "Gate",
     "GateOp",
     "bill_for",
-    "build_noise_sampler",
-    "build_noised_sum_circuit",
-    "cdf_thresholds",
-    "sample_noise_plaintext",
-    "two_sided_geometric_cdf",
 ]

@@ -6,106 +6,27 @@ into uniform bits, and run those bits through a circuit that outputs one
 sample of the discretized Laplace (two-sided geometric) distribution. No
 single member ever sees the noise value, so nobody can subtract it.
 
-The circuit is an inverse-CDF sampler: the uniform bits form a B-bit number
-``u`` that is compared against the 2M precomputed CDF thresholds of the
-target distribution over the window ``[-M, M]``; the sample is
-``-M + #{thresholds <= u}``. Comparators against constants are cheap, which
-still leaves this the largest MPC circuit in the system — matching the
-paper's observation that the noising step is the most expensive
-microbenchmark (Figure 3).
+The sample is ``G1 - G2`` for two truncated one-sided geometrics, each
+assembled from independent biased coins — one per magnitude bit, each a
+comparator of uniform bits against a public threshold — so the circuit
+costs ``2 * magnitude_bits`` comparators at any noise scale.
 """
 
 from __future__ import annotations
 
-import math
-from typing import List, Tuple
+from typing import List
 
 from repro.exceptions import CircuitError
 from repro.mpc.builder import Bus, CircuitBuilder
 from repro.mpc.circuit import Circuit
 
 __all__ = [
-    "two_sided_geometric_cdf",
-    "cdf_thresholds",
-    "build_noise_sampler",
-    "build_noised_sum_circuit",
-    "sample_noise_plaintext",
     "geometric_bit_probabilities",
+    "geometric_bit_thresholds",
     "build_geometric_bits_sampler",
     "sample_geometric_bits_plaintext",
     "geometric_bits_seed_width",
 ]
-
-
-def two_sided_geometric_cdf(alpha: float, d: int) -> float:
-    """CDF of the two-sided geometric distribution with parameter ``alpha``.
-
-    ``P(Y = d) = (1 - alpha)/(1 + alpha) * alpha^|d|`` (Ghosh et al. [33]);
-    this is the discretized Laplace used throughout the paper.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise CircuitError("alpha must lie in (0, 1)")
-    if d < 0:
-        return alpha ** (-d) / (1.0 + alpha)
-    return 1.0 - alpha ** (d + 1) / (1.0 + alpha)
-
-
-def cdf_thresholds(alpha: float, bound: int, uniform_bits: int) -> List[int]:
-    """Integer CDF thresholds over the window ``[-bound, bound]``.
-
-    Threshold ``i`` (for ``i = 0 .. 2*bound - 1``) is
-    ``round(P(Y <= -bound + i) * 2**uniform_bits)``; the sampled value is
-    ``-bound + #{i : u >= T_i}``. Tail mass outside the window collapses
-    onto the window edges (a truncated sampler, as any finite circuit
-    must be).
-    """
-    if bound < 1:
-        raise CircuitError("noise bound must be at least 1")
-    grid = 1 << uniform_bits
-    thresholds = []
-    for i in range(2 * bound):
-        cumulative = two_sided_geometric_cdf(alpha, -bound + i)
-        thresholds.append(min(grid - 1, max(1, round(cumulative * grid))))
-    return thresholds
-
-
-def build_noise_sampler(
-    builder: CircuitBuilder,
-    uniform: Bus,
-    alpha: float,
-    bound: int,
-    output_width: int,
-) -> Bus:
-    """Append an inverse-CDF noise sampler to ``builder``.
-
-    ``uniform`` is a bus of shared uniform random bits; the returned bus
-    holds a two's-complement sample of the two-sided geometric distribution
-    truncated to ``[-bound, bound]``.
-    """
-    thresholds = cdf_thresholds(alpha, bound, len(uniform))
-    indicator_bits = []
-    for threshold in thresholds:
-        below = builder.lt_unsigned(uniform, builder.const_bus(threshold, len(uniform)))
-        indicator_bits.append(builder.circuit.inv(below))
-    count = popcount(builder, indicator_bits)
-    count = builder.zero_extend(count, output_width)
-    return builder.sub(count, builder.const_bus(bound, output_width), width=output_width)
-
-
-def popcount(builder: CircuitBuilder, bits: List[int]) -> Bus:
-    """Balanced adder tree summing single-bit wires into a count bus."""
-    if not bits:
-        return [builder.circuit.zero]
-    buses: List[Bus] = [[bit] for bit in bits]
-    while len(buses) > 1:
-        merged = []
-        for i in range(0, len(buses) - 1, 2):
-            width = max(len(buses[i]), len(buses[i + 1])) + 1
-            merged.append(builder.add(buses[i], buses[i + 1], width=width))
-        if len(buses) % 2:
-            merged.append(buses[-1])
-        buses = merged
-    return buses[0]
 
 
 def geometric_bit_probabilities(alpha: float, magnitude_bits: int) -> List[float]:
@@ -127,6 +48,19 @@ def geometric_bit_probabilities(alpha: float, magnitude_bits: int) -> List[float
     return probabilities
 
 
+def geometric_bit_thresholds(
+    alpha: float, magnitude_bits: int, precision_bits: int
+) -> List[int]:
+    """The public comparator thresholds of the sampler's coins: coin ``i``
+    is 1 when ``precision_bits`` uniform bits read below threshold ``i``,
+    i.e. with probability ``threshold_i / 2^precision_bits``."""
+    grid = 1 << precision_bits
+    return [
+        min(grid - 1, max(0, round(probability * grid)))
+        for probability in geometric_bit_probabilities(alpha, magnitude_bits)
+    ]
+
+
 def geometric_bits_seed_width(magnitude_bits: int, precision_bits: int) -> int:
     """Uniform bits consumed by one two-sided geometric sample."""
     return 2 * magnitude_bits * precision_bits
@@ -146,23 +80,20 @@ def build_geometric_bits_sampler(
     each geometric is assembled from ``magnitude_bits`` independent biased
     coins, and each coin is one comparator of ``precision_bits`` uniform
     bits against a public threshold. Cost is
-    ``2 * magnitude_bits`` comparators — orders of magnitude smaller than
-    the inverse-CDF sampler at realistic noise scales.
+    ``2 * magnitude_bits`` comparators.
     """
     needed = geometric_bits_seed_width(magnitude_bits, precision_bits)
     if len(uniform) != needed:
         raise CircuitError(f"sampler needs exactly {needed} uniform bits, got {len(uniform)}")
     if output_width <= magnitude_bits:
         raise CircuitError("output width must exceed the magnitude width")
-    probabilities = geometric_bit_probabilities(alpha, magnitude_bits)
-    grid = 1 << precision_bits
+    thresholds = geometric_bit_thresholds(alpha, magnitude_bits, precision_bits)
 
     def one_geometric(offset: int) -> Bus:
         bits = []
-        for i, probability in enumerate(probabilities):
+        for i, threshold in enumerate(thresholds):
             start = offset + i * precision_bits
             chunk = uniform[start : start + precision_bits]
-            threshold = min(grid - 1, max(0, round(probability * grid)))
             bits.append(builder.lt_unsigned(chunk, builder.const_bus(threshold, precision_bits)))
         return bits  # LSB-first magnitude: plain wiring, no gates
 
@@ -178,54 +109,18 @@ def sample_geometric_bits_plaintext(
 
     ``seed`` packs the uniform bus LSB-first, exactly as the circuit input.
     """
-    probabilities = geometric_bit_probabilities(alpha, magnitude_bits)
-    grid = 1 << precision_bits
-    mask = grid - 1
+    thresholds = geometric_bit_thresholds(alpha, magnitude_bits, precision_bits)
+    mask = (1 << precision_bits) - 1
 
     def one_geometric(offset: int) -> int:
         value = 0
-        for i, probability in enumerate(probabilities):
+        for i, threshold in enumerate(thresholds):
             chunk = (seed >> (offset + i * precision_bits)) & mask
-            threshold = min(grid - 1, max(0, round(probability * grid)))
             if chunk < threshold:
                 value |= 1 << i
         return value
 
     return one_geometric(0) - one_geometric(magnitude_bits * precision_bits)
-
-
-def build_noised_sum_circuit(
-    num_inputs: int,
-    value_bits: int,
-    alpha: float,
-    bound: int,
-    uniform_bits: int = 32,
-) -> Circuit:
-    """The aggregation+noising circuit of §3.6.
-
-    Inputs: ``state_0 .. state_{num_inputs-1}`` (signed, ``value_bits``
-    wide) and ``seed`` (``uniform_bits`` of shared randomness). Output
-    ``noised_sum = sum_i state_i + Y`` where ``Y`` is two-sided geometric.
-    The sum is carried at full width to avoid overflow.
-    """
-    builder = CircuitBuilder()
-    extra = max(1, (num_inputs).bit_length())
-    total_width = value_bits + extra
-    acc = builder.const_bus(0, total_width)
-    for index in range(num_inputs):
-        bus = builder.input_bus(f"state_{index}", value_bits)
-        acc = builder.add(acc, builder.sign_extend(bus, total_width), width=total_width)
-    seed = builder.input_bus("seed", uniform_bits)
-    noise = build_noise_sampler(builder, seed, alpha, bound, total_width)
-    noised = builder.add(acc, noise, width=total_width)
-    builder.output_bus("noised_sum", noised)
-    return builder.circuit
-
-
-def sample_noise_plaintext(alpha: float, bound: int, uniform_bits: int, u: int) -> int:
-    """Bit-exact plaintext mirror of :func:`build_noise_sampler`."""
-    thresholds = cdf_thresholds(alpha, bound, uniform_bits)
-    return -bound + sum(1 for t in thresholds if u >= t)
 
 
 def build_noised_sum_bits_circuit(
@@ -235,14 +130,13 @@ def build_noised_sum_bits_circuit(
     magnitude_bits: int,
     precision_bits: int = 16,
 ) -> Circuit:
-    """Aggregation+noising circuit using the Dwork-style bit sampler.
+    """The aggregation+noising circuit of §3.6.
 
-    This is the variant the secure engine uses: at realistic noise scales
-    (Laplace scale of thousands of fixed-point LSBs) the inverse-CDF table
-    would dwarf the rest of the system, while this circuit stays at
-    ``2 * magnitude_bits`` comparators. Input/output buses match
-    :func:`build_noised_sum_circuit`, except the ``seed`` bus width is
-    ``geometric_bits_seed_width(magnitude_bits, precision_bits)``.
+    Inputs: ``state_0 .. state_{num_inputs-1}`` (signed, ``value_bits``
+    wide) and ``seed`` (``geometric_bits_seed_width(magnitude_bits,
+    precision_bits)`` bits of shared randomness). Output ``noised_sum =
+    sum_i state_i + Y`` with ``Y`` from :func:`build_geometric_bits_sampler`,
+    carried at full width so the sum cannot overflow.
     """
     builder = CircuitBuilder()
     extra = max(1, num_inputs.bit_length())

@@ -19,13 +19,10 @@ from repro.privacy.edge_privacy import (
     transfer_sensitivity,
 )
 from repro.privacy.mechanisms import (
-    LaplaceMechanism,
-    TwoSidedGeometricMechanism,
+    geometric_alpha,
+    geometric_release,
     geometric_sample,
-    laplace_mechanism,
-    laplace_sample,
-    laplace_tail_probability,
-    two_sided_geometric_mechanism,
+    two_sided_geometric_cdf,
     two_sided_geometric_sample,
 )
 from repro.privacy.utility import (
@@ -41,19 +38,16 @@ __all__ = [
     "DEFAULT_GRANULARITY_USD",
     "DollarPrivacySpec",
     "EdgePrivacyAnalysis",
-    "LaplaceMechanism",
     "Precharge",
     "PrivacyAccountant",
-    "TwoSidedGeometricMechanism",
     "UtilityAnalysis",
     "alpha_max_for_failure_budget",
     "dlog_table_entries",
     "epsilon_for_precision",
     "failure_probability",
+    "geometric_alpha",
+    "geometric_release",
     "geometric_sample",
-    "laplace_mechanism",
-    "laplace_sample",
-    "laplace_tail_probability",
     "measure_noise_impact",
     "mechanism_alpha",
     "per_iteration_epsilon",
@@ -63,6 +57,6 @@ __all__ = [
     "runs_per_year",
     "total_transfers",
     "transfer_sensitivity",
-    "two_sided_geometric_mechanism",
+    "two_sided_geometric_cdf",
     "two_sided_geometric_sample",
 ]

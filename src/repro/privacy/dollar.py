@@ -4,8 +4,11 @@ Standard DP protects the presence of one *record*; in the financial
 setting the protected object is a *position*: two input data sets are
 similar when one can be turned into the other by reallocating at most ``T``
 dollars within a single portfolio. Choosing the granularity ``T`` sets the
-unit in which program sensitivity is measured, so the Laplace mechanism
-draws noise from ``T * Lap(s / eps)``.
+unit in which program sensitivity is measured: a release is the value in
+units of ``T``, snapped to the default fixed-point grid and moved by the
+discretized ``Lap(s / eps)`` noise every DStress release carries
+(:func:`~repro.privacy.mechanisms.geometric_release`), then scaled back
+to dollars.
 
 The paper follows Flood et al. in using ``T = $1 billion`` — roughly the
 equity of the 100th largest U.S. bank — which completely protects all
@@ -14,17 +17,27 @@ positions up to that size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import SensitivityError
-from repro.privacy.mechanisms import laplace_mechanism, laplace_tail_probability
+from repro.mpc.fixedpoint import FixedPointFormat
+from repro.privacy.mechanisms import (
+    geometric_alpha,
+    geometric_release,
+    two_sided_geometric_cdf,
+)
 
 __all__ = ["DollarPrivacySpec", "DEFAULT_GRANULARITY_USD"]
 
 #: $1 billion, the granularity suggested by Flood et al. [30] and adopted
 #: in §4.5.
 DEFAULT_GRANULARITY_USD = 1e9
+
+#: The grid a dollar-DP release lands on, in units of ``T``: the default
+#: fixed-point format's LSB, the grid the engines release on.
+_GRID = FixedPointFormat().resolution
 
 
 @dataclass(frozen=True)
@@ -58,18 +71,26 @@ class DollarPrivacySpec:
 
     @property
     def noise_scale_dollars(self) -> float:
-        """Scale of the Laplace noise in dollars: ``T * s / eps``."""
+        """Scale of the discretized Laplace noise in dollars: ``T * s / eps``."""
         return self.granularity * self.sensitivity / self.epsilon
 
     def release(self, value_dollars: float, rng: DeterministicRNG) -> float:
-        """Release a dollar-valued output under dollar-DP."""
-        return laplace_mechanism(
-            value_dollars / self.granularity,
-            self.sensitivity,
-            self.epsilon,
-            rng,
-        ) * self.granularity
+        """Release a dollar-valued output under dollar-DP: a grid point in
+        units of ``T`` plus integer geometric noise, in dollars."""
+        if self.sensitivity == 0:
+            return value_dollars
+        released, _noise_raw = geometric_release(
+            value_dollars / self.granularity, self.sensitivity, self.epsilon, _GRID, rng
+        )
+        return released * self.granularity
 
     def error_probability(self, error_dollars: float) -> float:
-        """``P(|noise| > error_dollars)`` for this release."""
-        return laplace_tail_probability(self.noise_scale_dollars, error_dollars)
+        """``P(|noise| > error_dollars)`` for this release: both tails of
+        the two-sided geometric beyond the last grid step within the error."""
+        if error_dollars < 0:
+            return 1.0
+        if self.sensitivity == 0:
+            return 0.0
+        alpha = geometric_alpha(self.sensitivity, self.epsilon, _GRID)
+        steps = math.floor(error_dollars / (self.granularity * _GRID))
+        return 2.0 * two_sided_geometric_cdf(alpha, -steps - 1)

@@ -1,61 +1,30 @@
-"""Differential privacy mechanisms: Laplace and two-sided geometric.
+"""Differential privacy mechanisms: the two-sided geometric on a grid.
 
-The Laplace mechanism (Dwork et al. [24]) noises the final DStress output
-(§3.1, §3.6); the two-sided geometric mechanism (Ghosh et al. [33]) noises
-the bit sums inside the message transfer protocol (§3.5, Appendix B). Both
-are implemented from first principles on the deterministic RNG.
+DStress publishes one kind of noise, the discretized Laplace — the
+two-sided geometric of Ghosh et al. [33] over fixed-point LSBs (§3.6).
+:func:`geometric_release` is the one clear release: every engine that
+noises centrally and every dollar-DP release goes through it, and the
+secure engine samples the same distribution inside MPC. The transfer
+protocol noises its bit sums with the same sampler (§3.5, Appendix B).
+All draws come from the deterministic RNG.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import SensitivityError
 
 __all__ = [
-    "laplace_sample",
-    "laplace_mechanism",
+    "geometric_alpha",
+    "geometric_release",
     "geometric_sample",
+    "two_sided_geometric_cdf",
     "two_sided_geometric_sample",
     "two_sided_geometric_samples",
-    "two_sided_geometric_mechanism",
-    "laplace_tail_probability",
-    "LaplaceMechanism",
-    "TwoSidedGeometricMechanism",
 ]
-
-
-def laplace_sample(scale: float, rng: DeterministicRNG) -> float:
-    """One draw from ``Lap(scale)`` via inverse-CDF sampling."""
-    if scale <= 0:
-        raise SensitivityError("Laplace scale must be positive")
-    # u in (-0.5, 0.5]; the open lower end avoids log(0).
-    u = rng.random() - 0.5
-    if u == -0.5:
-        u = 0.5
-    return -scale * math.copysign(1.0, u) * math.log(1.0 - 2.0 * abs(u))
-
-
-def laplace_mechanism(value: float, sensitivity: float, epsilon: float, rng: DeterministicRNG) -> float:
-    """``value + Lap(sensitivity / epsilon)`` — epsilon-DP for queries with
-    the given L1 sensitivity."""
-    if sensitivity < 0:
-        raise SensitivityError("sensitivity must be non-negative")
-    if epsilon <= 0:
-        raise SensitivityError("epsilon must be positive")
-    if sensitivity == 0:
-        return value
-    return value + laplace_sample(sensitivity / epsilon, rng)
-
-
-def laplace_tail_probability(scale: float, threshold: float) -> float:
-    """``P(|Lap(scale)| > threshold)`` — used by the §4.5 utility analysis."""
-    if threshold < 0:
-        return 1.0
-    return math.exp(-threshold / scale)
 
 
 def geometric_sample(alpha: float, rng: DeterministicRNG) -> int:
@@ -92,53 +61,47 @@ def two_sided_geometric_samples(alpha: float, count: int, rng: DeterministicRNG)
     return [halves[i] - halves[i + 1] for i in range(0, len(halves), 2)]
 
 
-def two_sided_geometric_mechanism(
-    value: int, sensitivity: int, epsilon: float, rng: DeterministicRNG
-) -> int:
-    """``value + Y`` with ``Y`` two-sided geometric, ``alpha = e^{-eps/s}``.
+def two_sided_geometric_cdf(alpha: float, d: int) -> float:
+    """``P(Y <= d)`` for the two-sided geometric sampled above."""
+    if not 0.0 < alpha < 1.0:
+        raise SensitivityError("alpha must lie in (0, 1)")
+    if d < 0:
+        return alpha ** (-d) / (1.0 + alpha)
+    return 1.0 - alpha ** (d + 1) / (1.0 + alpha)
 
-    For integer-valued queries of sensitivity ``s`` this is the universally
-    utility-maximizing epsilon-DP mechanism of Ghosh et al. [33].
+
+def geometric_alpha(sensitivity: float, epsilon: float, resolution: float) -> float:
+    """The geometric parameter of an epsilon-DP release on a grid.
+
+    The discretized Laplace of scale ``sensitivity / epsilon`` becomes a
+    two-sided geometric over grid steps with
+    ``alpha = exp(-epsilon * resolution / sensitivity)``.
+    """
+    return math.exp(-epsilon * resolution / sensitivity)
+
+
+def geometric_release(
+    value: float,
+    sensitivity: float,
+    epsilon: float,
+    resolution: float,
+    rng: DeterministicRNG,
+) -> Tuple[float, int]:
+    """Release ``value`` under epsilon-DP as a point of the grid.
+
+    ``value`` is snapped to the nearest multiple of ``resolution`` and
+    moved by a two-sided geometric number of grid steps, so nothing below
+    the grid's last bit is published. Returns ``(released, noise_raw)``
+    with ``released == (round(value / resolution) + noise_raw) *
+    resolution``. A zero-sensitivity release is exact: the value comes
+    back unchanged and nothing is drawn.
     """
     if sensitivity < 0:
         raise SensitivityError("sensitivity must be non-negative")
     if epsilon <= 0:
         raise SensitivityError("epsilon must be positive")
     if sensitivity == 0:
-        return value
-    alpha = math.exp(-epsilon / sensitivity)
-    return value + two_sided_geometric_sample(alpha, rng)
-
-
-@dataclass(frozen=True)
-class LaplaceMechanism:
-    """A reusable epsilon-DP Laplace mechanism for a fixed query shape."""
-
-    sensitivity: float
-    epsilon: float
-
-    @property
-    def scale(self) -> float:
-        return self.sensitivity / self.epsilon
-
-    def release(self, value: float, rng: DeterministicRNG) -> float:
-        return laplace_mechanism(value, self.sensitivity, self.epsilon, rng)
-
-    def tail_probability(self, threshold: float) -> float:
-        """``P(|noise| > threshold)``."""
-        return laplace_tail_probability(self.scale, threshold)
-
-
-@dataclass(frozen=True)
-class TwoSidedGeometricMechanism:
-    """A reusable epsilon-DP geometric mechanism for integer queries."""
-
-    sensitivity: int
-    epsilon: float
-
-    @property
-    def alpha(self) -> float:
-        return math.exp(-self.epsilon / self.sensitivity)
-
-    def release(self, value: int, rng: DeterministicRNG) -> int:
-        return two_sided_geometric_mechanism(value, self.sensitivity, self.epsilon, rng)
+        return value, 0
+    alpha = geometric_alpha(sensitivity, epsilon, resolution)
+    noise_raw = two_sided_geometric_sample(alpha, rng)
+    return (round(value / resolution) + noise_raw) * resolution, noise_raw

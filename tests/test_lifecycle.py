@@ -36,10 +36,15 @@ from repro.core.lifecycle import (
     WindowedRelease,
     resolve_release_policy,
 )
+from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import (
     ConfigurationError,
     ScenarioValidationError,
 )
+from repro.finance import apply_shock, uniform_shock
+from repro.graphgen import core_periphery_network
+from repro.graphgen.core_periphery import CorePeripheryParams
+from repro.mpc.fixedpoint import FixedPointFormat
 from repro.privacy.admission import (
     Precharge,
     precharge,
@@ -211,6 +216,53 @@ class TestWindowedRelease:
             run_windowed("plaintext", [2, 2], 5, accountant=accountant)
         assert accountant.spent == 0
         assert accountant.reconcile().ok
+
+
+class TestGridRelease:
+    """Every published number is a fixed-point grid value plus integer
+    geometric noise: no engine publishes bits below the LSB."""
+
+    RESOLUTION = FixedPointFormat(16, 8).resolution
+
+    def assert_on_grid(self, record):
+        steps = round(record.pre_noise / self.RESOLUTION) + record.noise_raw
+        assert record.value == steps * self.RESOLUTION
+        assert (record.value / self.RESOLUTION).is_integer()
+
+    @pytest.mark.parametrize("engine", ALL_ENGINES)
+    def test_every_release_record_is_a_grid_point(self, engine):
+        for record in run_windowed(engine, [1, 1], 2).releases:
+            self.assert_on_grid(record)
+
+    def test_measured_core_periphery_case(self):
+        """Off-grid float aggregates (537.357… and 562.157… LSBs) snap
+        before the noise; the circuit-oracle engines were already on the
+        grid and publish what they always did."""
+        network = apply_shock(
+            core_periphery_network(
+                CorePeripheryParams(num_banks=8, core_size=2), DeterministicRNG(11)
+            ),
+            uniform_shock([0, 1], 0.6),
+        )
+        released = {}
+        for engine in ("plaintext", "async", "sharded", "fixed", "naive-mpc"):
+            options = {"estimate_cost": False} if engine == "naive-mpc" else {}
+            result = (
+                StressTest(network)
+                .program("eisenberg-noe")
+                .preset("demo")
+                .engine(
+                    engine, release="windowed", windows=[1, 1], window_epsilon=0.2, **options
+                )
+                .run(iterations=2)
+            )
+            for record in result.releases:
+                self.assert_on_grid(record)
+            released[engine] = [r.value / self.RESOLUTION for r in result.releases]
+        for engine in ("plaintext", "async", "sharded"):
+            assert released[engine] == [3388.0, 13432.0]
+        for engine in ("fixed", "naive-mpc"):
+            assert released[engine] == [3386.0, 13428.0]
 
 
 # ---------------------------------------------------------- release policy --

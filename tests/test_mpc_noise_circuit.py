@@ -2,73 +2,22 @@
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from repro.core.config import DStressConfig
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import CircuitError
+from repro.finance.eisenberg_noe import EisenbergNoeProgram
 from repro.mpc.gmw import GMWEngine
 from repro.mpc.noise_circuit import (
     build_noised_sum_bits_circuit,
-    build_noised_sum_circuit,
     build_partial_sum_circuit,
-    cdf_thresholds,
     geometric_bit_probabilities,
+    geometric_bit_thresholds,
     geometric_bits_seed_width,
     sample_geometric_bits_plaintext,
-    sample_noise_plaintext,
-    two_sided_geometric_cdf,
 )
-
-
-class TestCdf:
-    def test_cdf_is_valid(self):
-        alpha = 0.8
-        values = [two_sided_geometric_cdf(alpha, d) for d in range(-20, 21)]
-        assert all(0.0 <= v <= 1.0 for v in values)
-        assert values == sorted(values)
-
-    def test_cdf_symmetry(self):
-        alpha = 0.6
-        for d in range(0, 10):
-            # P(Y <= -d-1) == P(Y >= d+1) == 1 - P(Y <= d)
-            assert two_sided_geometric_cdf(alpha, -d - 1) == pytest.approx(
-                1.0 - two_sided_geometric_cdf(alpha, d)
-            )
-
-    def test_pmf_ratio_is_alpha(self):
-        alpha = 0.7
-        pmf = lambda d: two_sided_geometric_cdf(alpha, d) - two_sided_geometric_cdf(alpha, d - 1)
-        assert pmf(1) / pmf(0) == pytest.approx(alpha)
-        assert pmf(5) / pmf(4) == pytest.approx(alpha)
-
-    def test_bad_alpha_rejected(self):
-        with pytest.raises(CircuitError):
-            two_sided_geometric_cdf(1.0, 0)
-        with pytest.raises(CircuitError):
-            cdf_thresholds(0.0, 4, 16)
-
-
-class TestCdfSampler:
-    def test_circuit_matches_mirror(self):
-        circuit = build_noised_sum_circuit(2, value_bits=10, alpha=0.75, bound=15, uniform_bits=20)
-        width = len(circuit.output_buses["noised_sum"])
-        rng = DeterministicRNG("cdf")
-        for _ in range(30):
-            u = rng.randbits(20)
-            a, b = rng.randrange(0, 100), rng.randrange(0, 100)
-            out = circuit.evaluate({"state_0": a, "state_1": b, "seed": u})
-            got = out["noised_sum"]
-            if got >> (width - 1):
-                got -= 1 << width
-            assert got == a + b + sample_noise_plaintext(0.75, 15, 20, u)
-
-    def test_sample_range_bounded(self):
-        rng = DeterministicRNG("range")
-        for _ in range(200):
-            sample = sample_noise_plaintext(0.9, 7, 16, rng.randbits(16))
-            assert -7 <= sample <= 7
 
 
 class TestBitsSampler:
@@ -129,12 +78,6 @@ class TestBitsSampler:
             ratio = counts[d + 1] / counts[d]
             assert ratio == pytest.approx(alpha, abs=0.08)
 
-    def test_bits_sampler_much_smaller_than_cdf(self):
-        """The reason the engine uses it: circuit size at realistic scale."""
-        bits_circ = build_noised_sum_bits_circuit(1, 12, 0.999, magnitude_bits=14, precision_bits=16)
-        cdf_circ = build_noised_sum_circuit(1, 12, 0.999, bound=512, uniform_bits=20)
-        assert bits_circ.stats().and_gates < cdf_circ.stats().and_gates / 5
-
     def test_wrong_seed_width_rejected(self):
         from repro.mpc.builder import CircuitBuilder
         from repro.mpc.noise_circuit import build_geometric_bits_sampler
@@ -143,6 +86,88 @@ class TestBitsSampler:
         seed = builder.input_bus("seed", 10)
         with pytest.raises(CircuitError):
             build_geometric_bits_sampler(builder, seed, 0.9, 4, 16, 8)
+
+
+def one_sided_pmf(alpha: float, magnitude_bits: int, precision_bits: int) -> np.ndarray:
+    """Exact PMF over ``[0, 2^magnitude_bits)`` of one geometric the
+    circuit assembles: coin ``i`` adds ``2^i`` with its quantized
+    probability, independently of the others."""
+    pmf = np.array([1.0])
+    for threshold in geometric_bit_thresholds(alpha, magnitude_bits, precision_bits):
+        p = threshold / (1 << precision_bits)
+        pmf = np.concatenate([pmf * (1.0 - p), pmf * p])
+    return pmf
+
+
+def two_sided_pmf(pmf: np.ndarray) -> np.ndarray:
+    """PMF of ``G1 - G2``: index ``k`` is ``d = k - (len(pmf) - 1)``."""
+    size = 2 * len(pmf) - 1
+    fft_size = 1 << (size - 1).bit_length()
+    product = np.fft.rfft(pmf, fft_size) * np.fft.rfft(pmf[::-1], fft_size)
+    return np.clip(np.fft.irfft(product, fft_size)[:size], 0.0, None)
+
+
+def hockey_stick_delta(pmf: np.ndarray, shift: int, epsilon: float) -> float:
+    """``sum_d max(0, P(d) - e^eps * P(d + shift))``, with ``P = 0`` off
+    the support."""
+    bound = math.exp(epsilon)
+    inside = np.maximum(0.0, pmf[:-shift] - bound * pmf[shift:]).sum()
+    return float(inside + pmf[-shift:].sum())
+
+
+class TestExactPrivacy:
+    """The (epsilon, delta) the in-MPC sampler really gives an
+    Eisenberg-Noe release, from its exact output distribution: the
+    quantized coins make it a truncated, slightly skewed geometric, so
+    the release is (eps', delta)-DP rather than pure eps-DP."""
+
+    @staticmethod
+    def release_delta(preset: str, epsilon_factor: float) -> float:
+        config = DStressConfig.preset(preset)
+        sensitivity = EisenbergNoeProgram().sensitivity
+        bits = config.noise_magnitude_bits_for(sensitivity)
+        pmf = two_sided_pmf(
+            one_sided_pmf(
+                config.noise_alpha_for(sensitivity), bits, config.noise_precision_bits
+            )
+        )
+        shift = round(sensitivity / config.fmt.resolution)
+        assert shift == 2560
+        return hockey_stick_delta(pmf, shift, epsilon_factor * config.output_epsilon)
+
+    def test_paper_preset(self):
+        assert 1e-6 < self.release_delta("paper", 1.0) < 3e-6
+        assert self.release_delta("paper", 1.01) < 1e-9
+
+    def test_demo_preset(self):
+        # its top coin quantizes to probability 0 at 16 precision bits, so
+        # the support ends at 2^16: delta stays ~1e-6 at any eps' near eps
+        assert self.release_delta("demo", 1.05) < 1e-5
+        config = DStressConfig.preset("demo")
+        sensitivity = EisenbergNoeProgram().sensitivity
+        thresholds = geometric_bit_thresholds(
+            config.noise_alpha_for(sensitivity),
+            config.noise_magnitude_bits_for(sensitivity),
+            config.noise_precision_bits,
+        )
+        assert thresholds[-1] == 0 and thresholds[-2] > 0
+
+    def test_pmf_matches_the_sampler(self):
+        """The exact PMF is what the plaintext mirror draws: a symmetric
+        distribution whose neighbouring ratio is alpha near zero."""
+        alpha, bits, precision = 0.8, 10, 16
+        pmf = two_sided_pmf(one_sided_pmf(alpha, bits, precision))
+        zero = (1 << bits) - 1
+        assert pmf.sum() == pytest.approx(1.0)
+        assert pmf == pytest.approx(pmf[::-1], abs=1e-15)
+        assert pmf[zero + 1] / pmf[zero] == pytest.approx(alpha, rel=1e-3)
+        rng = DeterministicRNG("exact")
+        seed_width = geometric_bits_seed_width(bits, precision)
+        draws = [
+            sample_geometric_bits_plaintext(alpha, bits, precision, rng.randbits(seed_width))
+            for _ in range(4000)
+        ]
+        assert sum(d == 0 for d in draws) / 4000 == pytest.approx(pmf[zero], abs=0.02)
 
 
 class TestPartialSum:

@@ -1,4 +1,4 @@
-"""Tests for the DP mechanisms and the budget accountant."""
+"""Tests for the grid release, its geometric sampler and the budget accountant."""
 
 import math
 from collections import Counter
@@ -13,57 +13,39 @@ from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import PrivacyBudgetExceeded, SensitivityError
 from repro.privacy.budget import DEFAULT_EPSILON_MAX, PrivacyAccountant
 from repro.privacy.mechanisms import (
-    LaplaceMechanism,
-    TwoSidedGeometricMechanism,
+    geometric_alpha,
+    geometric_release,
     geometric_sample,
-    laplace_mechanism,
-    laplace_sample,
-    laplace_tail_probability,
+    two_sided_geometric_cdf,
     two_sided_geometric_sample,
     two_sided_geometric_samples,
 )
 
 
-class TestLaplace:
-    def test_mean_and_scale(self):
-        rng = DeterministicRNG("lap")
-        scale = 3.0
-        samples = [laplace_sample(scale, rng) for _ in range(20000)]
-        mean = sum(samples) / len(samples)
-        # Laplace variance is 2 b^2.
-        var = sum((x - mean) ** 2 for x in samples) / len(samples)
-        assert abs(mean) < 0.15
-        assert var == pytest.approx(2 * scale**2, rel=0.1)
-
-    def test_tail_probability_formula(self):
-        rng = DeterministicRNG("tail")
-        scale, threshold = 2.0, 5.0
-        exceed = sum(1 for _ in range(20000) if abs(laplace_sample(scale, rng)) > threshold)
-        assert exceed / 20000 == pytest.approx(
-            laplace_tail_probability(scale, threshold), abs=0.02
+class TestGeometricRelease:
+    @pytest.mark.parametrize("value", [0.0, 537.3570178927795, -3.75, 1e6 + 1 / 3])
+    @pytest.mark.parametrize("resolution", [1.0, 2.0**-8, 0.1])
+    def test_release_is_a_grid_point(self, value, resolution):
+        released, noise_raw = geometric_release(
+            value, 10.0, 0.5, resolution, DeterministicRNG("grid")
         )
-
-    def test_mechanism_centers_on_value(self):
-        rng = DeterministicRNG("mech")
-        released = [laplace_mechanism(100.0, 1.0, 0.5, rng) for _ in range(5000)]
-        assert sum(released) / len(released) == pytest.approx(100.0, abs=0.5)
+        assert released == (round(value / resolution) + noise_raw) * resolution
 
     def test_zero_sensitivity_is_exact(self, rng):
-        assert laplace_mechanism(42.0, 0.0, 0.1, rng) == 42.0
+        before = rng.getstate()
+        assert geometric_release(42.123, 0.0, 0.1, 2.0**-8, rng) == (42.123, 0)
+        assert rng.getstate() == before
 
     def test_invalid_parameters(self, rng):
         with pytest.raises(SensitivityError):
-            laplace_mechanism(0.0, -1.0, 0.1, rng)
+            geometric_release(0.0, -1.0, 0.1, 1.0, rng)
         with pytest.raises(SensitivityError):
-            laplace_mechanism(0.0, 1.0, 0.0, rng)
-        with pytest.raises(SensitivityError):
-            laplace_sample(0.0, rng)
+            geometric_release(0.0, 1.0, 0.0, 1.0, rng)
 
-    def test_mechanism_object(self, rng):
-        mech = LaplaceMechanism(sensitivity=2.0, epsilon=0.5)
-        assert mech.scale == 4.0
-        assert mech.tail_probability(0.0) == 1.0
-        assert 0 < mech.tail_probability(10.0) < 1
+    def test_centers_on_value(self):
+        rng = DeterministicRNG("mech")
+        released = [geometric_release(100.0, 1.0, 0.5, 1.0, rng)[0] for _ in range(5000)]
+        assert sum(released) / len(released) == pytest.approx(100.0, abs=0.5)
 
 
 class TestGeometric:
@@ -88,17 +70,27 @@ class TestGeometric:
         probability ratio within e^eps."""
         rng = DeterministicRNG("ratio")
         epsilon, sensitivity = 0.5, 1
-        mech = TwoSidedGeometricMechanism(sensitivity, epsilon)
-        counts_a = Counter(mech.release(10, rng) for _ in range(30000))
-        counts_b = Counter(mech.release(11, rng) for _ in range(30000))
+
+        def release(value):
+            return geometric_release(value, sensitivity, epsilon, 1.0, rng)[0]
+
+        counts_a = Counter(release(10) for _ in range(30000))
+        counts_b = Counter(release(11) for _ in range(30000))
         for output in range(8, 14):
             if counts_a[output] > 500 and counts_b[output] > 500:
                 ratio = counts_a[output] / counts_b[output]
                 assert math.exp(-epsilon) * 0.85 <= ratio <= math.exp(epsilon) * 1.15
 
     def test_alpha_formula(self):
-        mech = TwoSidedGeometricMechanism(sensitivity=20, epsilon=2.34e-7)
-        assert mech.alpha == pytest.approx(math.exp(-2.34e-7 / 20))
+        """The release draws one two-sided geometric at
+        ``alpha = exp(-eps * resolution / s)``, bit for bit."""
+        alpha = geometric_alpha(20, 2.34e-7, 2.0**-8)
+        assert alpha == math.exp(-2.34e-7 * 2.0**-8 / 20)
+        released, noise_raw = geometric_release(
+            0.0, 20, 2.34e-7, 2.0**-8, DeterministicRNG("alpha")
+        )
+        assert noise_raw == two_sided_geometric_sample(alpha, DeterministicRNG("alpha"))
+        assert released == noise_raw * 2.0**-8
 
     def test_invalid_alpha(self, rng):
         with pytest.raises(SensitivityError):
@@ -122,6 +114,32 @@ class TestGeometric:
         ]
         assert batched.getstate() == sequential.getstate()
         assert batched.randbytes(16) == sequential.randbytes(16)
+
+
+class TestCdf:
+    def test_cdf_is_valid(self):
+        alpha = 0.8
+        values = [two_sided_geometric_cdf(alpha, d) for d in range(-20, 21)]
+        assert all(0.0 <= v <= 1.0 for v in values)
+        assert values == sorted(values)
+
+    def test_cdf_symmetry(self):
+        alpha = 0.6
+        for d in range(0, 10):
+            # P(Y <= -d-1) == P(Y >= d+1) == 1 - P(Y <= d)
+            assert two_sided_geometric_cdf(alpha, -d - 1) == pytest.approx(
+                1.0 - two_sided_geometric_cdf(alpha, d)
+            )
+
+    def test_pmf_ratio_is_alpha(self):
+        alpha = 0.7
+        pmf = lambda d: two_sided_geometric_cdf(alpha, d) - two_sided_geometric_cdf(alpha, d - 1)
+        assert pmf(1) / pmf(0) == pytest.approx(alpha)
+        assert pmf(5) / pmf(4) == pytest.approx(alpha)
+
+    def test_bad_alpha_rejected(self):
+        with pytest.raises(SensitivityError):
+            two_sided_geometric_cdf(1.0, 0)
 
 
 class TestAccountant:

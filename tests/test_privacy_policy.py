@@ -46,6 +46,25 @@ class TestDollarDP:
         spec = DollarPrivacySpec(granularity=1e9, sensitivity=20, epsilon=0.2303)
         assert spec.error_probability(200e9) == pytest.approx(0.10, abs=0.005)
 
+    def test_zero_sensitivity_is_exact(self):
+        spec = DollarPrivacySpec(granularity=1e9, sensitivity=0, epsilon=0.23)
+        assert spec.error_probability(200e9) == 0.0
+        assert spec.error_probability(0.0) == 0.0
+        rng = DeterministicRNG("exact")
+        before = rng.getstate()
+        assert spec.release(123.456e9, rng) == 123.456e9
+        assert rng.getstate() == before
+
+    def test_release_lies_on_the_grid(self):
+        # in units of T, a release is a default-format LSB count: nothing
+        # below the grid's last bit of the exact value is published
+        resolution = FixedPointFormat().resolution
+        spec = DollarPrivacySpec(granularity=0.1, sensitivity=10, epsilon=0.23)
+        rng = DeterministicRNG("grid")
+        for value in (0.0, 3.14159, 512.0 + 1 / 3):
+            steps = spec.release(value, rng) / spec.granularity / resolution
+            assert steps == pytest.approx(round(steps), abs=1e-6)
+
     def test_invalid_specs(self):
         with pytest.raises(SensitivityError):
             DollarPrivacySpec(granularity=0)
