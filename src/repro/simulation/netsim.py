@@ -17,10 +17,8 @@ __all__ = [
     "TrafficMeter",
     "PhaseTimer",
     "WanProjection",
-    "WanValidation",
     "meter_from_rounds",
     "project_wan_seconds",
-    "validate_wan_projection",
 ]
 
 
@@ -85,11 +83,6 @@ class TrafficMeter:
     def num_links(self) -> int:
         """Distinct directed links that carried at least one message."""
         return len(self._links)
-
-    def busiest_links(self, top: int = 5) -> List[Tuple[Tuple[int, int], float]]:
-        """The ``top`` heaviest directed links, descending by bytes."""
-        ranked = sorted(self._links.items(), key=lambda item: (-item[1], item[0]))
-        return ranked[:top]
 
     @property
     def node_ids(self) -> List[int]:
@@ -198,60 +191,6 @@ def project_wan_seconds(
         total_bytes=total_bytes,
         num_links=len(links),
     )
-
-
-@dataclass(frozen=True)
-class WanValidation:
-    """A measured wall-clock next to its :class:`WanProjection`.
-
-    The closing of the loop the projection always promised: run the same
-    byte profile over a *real* transport (the loopback TCP mesh), measure
-    wall-clock, and report it against what :func:`project_wan_seconds`
-    predicts for the metered links. On loopback the latency term is ~0
-    and bandwidth is huge, so ``measured_seconds`` bounds the projection
-    from *below* — a measured time exceeding the WAN projection would
-    mean the model underestimates real serialization and framing costs.
-    """
-
-    measured_seconds: float
-    projection: WanProjection
-
-    @property
-    def measured_vs_sequential(self) -> float:
-        """measured / projected-sequential (``inf`` if nothing projected)."""
-        if self.projection.sequential_seconds <= 0.0:
-            return float("inf") if self.measured_seconds > 0.0 else 1.0
-        return self.measured_seconds / self.projection.sequential_seconds
-
-    @property
-    def measured_vs_overlapped(self) -> float:
-        """measured / projected-overlapped (``inf`` if nothing projected)."""
-        if self.projection.overlapped_seconds <= 0.0:
-            return float("inf") if self.measured_seconds > 0.0 else 1.0
-        return self.measured_seconds / self.projection.overlapped_seconds
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "measured_seconds": self.measured_seconds,
-            "projected_sequential_seconds": self.projection.sequential_seconds,
-            "projected_overlapped_seconds": self.projection.overlapped_seconds,
-            "total_bytes": self.projection.total_bytes,
-            "num_links": float(self.projection.num_links),
-        }
-
-
-def validate_wan_projection(
-    meter: TrafficMeter,
-    latency_seconds: float,
-    bandwidth_bytes: Optional[float],
-    measured_seconds: float,
-) -> WanValidation:
-    """Pair a real run's measured wall-clock with the WAN projection of
-    its metered byte profile (the ``benchmarks/bench_tcp.py`` contract)."""
-    if measured_seconds < 0:
-        raise ValueError("measured wall-clock cannot be negative")
-    projection = project_wan_seconds(meter, latency_seconds, bandwidth_bytes)
-    return WanValidation(measured_seconds=measured_seconds, projection=projection)
 
 
 @dataclass

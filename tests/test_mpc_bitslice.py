@@ -11,6 +11,8 @@ stream. Offline pools must be sized exactly from
 :class:`repro.mpc.cost.Bill` and fail loudly when over-drawn.
 """
 
+import time
+
 import pytest
 
 np = pytest.importorskip("numpy")
@@ -638,3 +640,37 @@ class TestGuards:
             get_engine("secure", backend="vectorized")
         with pytest.raises(ConfigurationError):
             get_engine("secure-async", backend="vectorized")
+
+
+# ------------------------------------------------------------ speed gate --
+
+
+def test_bitsliced_is_at_least_five_times_the_scalar_evaluator():
+    """Both timings come from this run on this machine, interleaved, so the
+    ratio is portable where a committed wall-clock mean would not be.
+    Parity comes first: a speedup of a different transcript means nothing."""
+    circuit = mixed_circuit()
+    scalar = GMWEngine(3)
+    sliced = BitslicedGMWEngine(3)
+    pairs = [(i * 37 % 64, (i * 101 + 7) % 64) for i in range(LANE_BITS)]
+    inputs = shared_batch(scalar, 6, pairs)
+
+    def scalar_run():
+        rng = DeterministicRNG("gate")
+        return [scalar.evaluate(circuit, shares, rng) for shares in inputs]
+
+    def sliced_run():
+        return sliced.evaluate_batch(circuit, inputs, DeterministicRNG("gate"))
+
+    for ref, got in zip(scalar_run(), sliced_run()):
+        assert got.output_shares == ref.output_shares
+        assert list(got.traffic.pair_bits.items()) == list(ref.traffic.pair_bits.items())
+
+    best = {scalar_run: float("inf"), sliced_run: float("inf")}
+    for _ in range(3):
+        for run in best:
+            started = time.perf_counter()
+            run()
+            best[run] = min(best[run], time.perf_counter() - started)
+    ratio = best[scalar_run] / best[sliced_run]
+    assert ratio >= 5.0, f"bit-sliced only {ratio:.1f}x the scalar evaluator"

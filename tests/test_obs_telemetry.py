@@ -505,77 +505,3 @@ class TestNoCodeExecutingSerializerRule:
                             f"{path.relative_to(src)}:{node.lineno} imports {module}"
                         )
         assert offenders == []
-
-
-# -------------------------------------------------- bench deltas JSON --
-
-
-class TestBenchDeltasJson:
-    """benchmarks/check_regression.py --json-out: the markdown tables'
-    machine-readable twin (schema ``dstress.bench.deltas`` v1)."""
-
-    def _guard(self):
-        import importlib.util
-
-        root = Path(__file__).resolve().parent.parent
-        spec = importlib.util.spec_from_file_location(
-            "check_regression", root / "benchmarks" / "check_regression.py"
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
-    def test_check_writes_versioned_deltas_document(self, tmp_path):
-        guard = self._guard()
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(
-            json.dumps(
-                {
-                    "threshold": 0.30,
-                    "benchmarks": {
-                        "bench_ok": {"mean": 1.0},
-                        "bench_slow": {"mean": 1.0},
-                        "bench_gone": {"mean": 1.0},
-                    },
-                    "ratios": {
-                        "speedup": {
-                            "fast": "bench_ok",
-                            "slow": "bench_slow",
-                            "min_speedup": 5.0,
-                        }
-                    },
-                }
-            )
-        )
-        out = tmp_path / "deltas.json"
-        code = guard.check(
-            {"bench_ok": 1.1, "bench_slow": 2.0},
-            baseline,
-            threshold=0.30,
-            json_out=out,
-        )
-        assert code == 1  # bench_slow regressed, bench_gone missing, ratio low
-        doc = json.loads(out.read_text())
-        assert doc["schema"] == "dstress.bench.deltas"
-        assert doc["version"] == 1
-        assert doc["ok"] is False
-        by_name = {row["name"]: row for row in doc["benchmarks"]}
-        assert by_name["bench_ok"]["verdict"] == "ok"
-        assert by_name["bench_slow"]["verdict"].startswith("FAIL")
-        assert by_name["bench_gone"]["current_mean"] is None  # NaN -> null
-        assert json.dumps(doc)  # strictly JSON-serializable (no NaN leaks)
-        (ratio,) = doc["ratios"]
-        assert ratio["measured"] == pytest.approx(2.0 / 1.1)
-        assert ratio["verdict"].startswith("FAIL")
-        assert len(doc["failures"]) == 3
-
-    def test_clean_run_is_ok(self, tmp_path, capsys):
-        guard = self._guard()
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(
-            json.dumps({"threshold": 0.30, "benchmarks": {"b": {"mean": 1.0}}})
-        )
-        out = tmp_path / "deltas.json"
-        assert guard.check({"b": 1.05}, baseline, 0.30, json_out=out) == 0
-        doc = json.loads(out.read_text())
-        assert doc["ok"] is True and doc["failures"] == []

@@ -2,8 +2,8 @@
 
 Fork inheritance copies the parent's environment wholesale, so before
 this fix a pool worker or cluster child silently saw whatever
-``REPRO_*`` knobs the host process ran under (``REPRO_BENCH_SMOKE``
-from a benchmark harness, ``REPRO_TCP_*`` from a cluster launcher). An
+``REPRO_*`` knobs the host process ran under (``REPRO_TCP_*`` from a
+cluster launcher, say). An
 engine process must take its configuration from its payload; ambient
 host env is scrubbed.
 """
