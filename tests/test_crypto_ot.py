@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import scale
 
+from repro.crypto.elgamal import CountingGroup
 from repro.crypto.group import TOY_GROUP_64
 from repro.crypto.ot import DDHObliviousTransfer, SimulatedObliviousTransfer
 from repro.crypto.ot_extension import IKNPOTExtension
@@ -81,6 +82,23 @@ class TestAccounting:
         ot = DDHObliviousTransfer(TOY_GROUP_64)
         assert ot.receiver_bytes_per_transfer(1) == ot.receiver_bytes_per_transfer(1000)
 
+    @pytest.mark.parametrize("choice", [0, 1])
+    def test_ddh_ot_costs_five_exponentiations(self, rng, choice):
+        # Chou-Orlandi: g^a, g^b, B^a, (B/A)^a, A^b -- the per-OT price the
+        # OT-backend ablation table is checked against.
+        group = CountingGroup(TOY_GROUP_64)
+        ot = DDHObliviousTransfer(group)
+        for _ in range(7):
+            ot.transfer(b"x", b"y", choice, rng)
+        assert group.exp_count == 5 * 7
+
+    def test_simulated_ot_does_no_public_key_work(self, rng):
+        group = CountingGroup(TOY_GROUP_64)
+        ot = SimulatedObliviousTransfer(group)
+        for i in range(7):
+            assert ot.transfer(b"x", b"y", i & 1, rng) == (b"y" if i & 1 else b"x")
+        assert group.exp_count == 0
+
 
 class TestIKNPExtension:
     def test_base_ots_amortized(self, rng):
@@ -93,6 +111,16 @@ class TestIKNPExtension:
         assert ext.extension_phases == 2
         assert ext.base_ot_count == 32
         assert base.stats.transfers == 32
+
+    def test_public_key_work_is_kappa_base_ots_per_phase(self, rng):
+        group = CountingGroup(TOY_GROUP_64)
+        ext = IKNPOTExtension(DDHObliviousTransfer(group), kappa=16, batch_size=128)
+        for i in range(100):
+            ext.transfer_bit(i & 1, (i >> 1) & 1, i % 2, rng)
+        # 100 extended OTs fit in one batch: only the kappa base OTs pay
+        # exponentiations, five each.
+        assert ext.extension_phases == 1
+        assert group.exp_count == 5 * ext.kappa
 
     def test_extension_bytes_cheaper_than_base(self):
         base = DDHObliviousTransfer(TOY_GROUP_64)
