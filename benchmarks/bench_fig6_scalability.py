@@ -21,10 +21,12 @@ import pytest
 
 from repro import StressTest
 from repro.core.config import DStressConfig
+from repro.core.program import compiled_update_circuit
 from repro.crypto.group import TOY_GROUP_64
 from repro.crypto.rng import DeterministicRNG
 from repro.finance import EisenbergNoeProgram
 from repro.graphgen import RandomNetworkParams, random_network
+from repro.mpc.cost import bill_for
 from repro.mpc.fixedpoint import FixedPointFormat
 from repro.simulation import PAPER_COST_CONSTANTS, ScalabilityEstimator, measure_cost_constants
 from tables import emit_table
@@ -50,9 +52,16 @@ def test_fig6_projection_paper_regime(benchmark):
                 headline = estimate
         rows.append(row)
 
-    # Headline claim: about five hours and high-hundreds-of-MB per node.
+    # Headline claim: 4.8 hours and high-hundreds-of-MB per node. The
+    # computation term is exactly the compiled D = 100 circuit's bill at
+    # the paper's per-OT cost; that circuit is smaller than the paper's,
+    # so the projection lands under 4.8 h (DESIGN.md, "Known deviations").
     assert headline is not None
-    assert 1.5 < headline.hours_total < 10.0, headline.hours_total
+    block = estimator.block_size
+    bill = bill_for([compiled_update_circuit(program, 100).stats()], block)
+    step = bill.ots_per_party * PAPER_COST_CONSTANTS.seconds_per_ot * block
+    assert headline.seconds_computation == headline.iterations * step
+    assert headline.hours_total < 4.8, headline.hours_total
     assert 300 < headline.traffic_per_node_mb < 3000
 
     # Linear-in-D at fixed N (compare D=100 vs D=10 cost ratio ~ 10x

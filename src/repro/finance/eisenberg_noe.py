@@ -235,21 +235,22 @@ class EisenbergNoeProgram(VertexProgram):
             acc = builder.add(acc, term, width=wide)
         liquid = self._saturate(builder, acc, wide)
 
-        # prorate' = (liquid < totalDebt) ? clamp(liquid / totalDebt) : prorate
+        # prorate' = (liquid < totalDebt) ? liquid / totalDebt : prorate.
+        # The quotient is used only when 0 <= liquid_pos < totalDebt, so it
+        # lies in [0, 1) and the fraction divider is exact there. prorate
+        # starts at 1.0 and only ever takes such a quotient, so one_minus
+        # lies in [0, 1] and every product is a fraction multiply.
         zero = builder.fx_const(0.0)
         one = builder.fx_const(1.0)
         liquid_pos = builder.mux(builder.is_negative(liquid), zero, liquid)
-        quotient = builder.fx_div(liquid_pos, total_debt)
-        # clamp quotient into [0, 1] (guards fixed-point division artifacts)
-        quotient = builder.mux(builder.lt_signed(one, quotient), one, quotient)
-        quotient = builder.mux(builder.is_negative(quotient), zero, quotient)
+        quotient = builder.fx_frac_div(liquid_pos, total_debt)
         under = builder.lt_signed(liquid, total_debt)
         debt_zero = builder.is_zero(total_debt)
         candidate = builder.mux(debt_zero, prorate, quotient)
         prorate_new = builder.mux(under, candidate, prorate)
 
         one_minus = builder.fx_sub(one, prorate_new)
-        shortfall = builder.fx_mul(total_debt, one_minus)
+        shortfall = builder.fx_mul_frac(total_debt, one_minus)
 
         builder.output_bus("prorate", prorate_new)
         builder.output_bus("cash", cash)
@@ -258,7 +259,7 @@ class EisenbergNoeProgram(VertexProgram):
         for t in range(degree_bound):
             builder.output_bus(f"debt_{t}", debts[t])
             builder.output_bus(f"credit_{t}", credits[t])
-            builder.output_bus(f"msg_out_{t}", builder.fx_mul(debts[t], one_minus))
+            builder.output_bus(f"msg_out_{t}", builder.fx_mul_frac(debts[t], one_minus))
         return builder.circuit
 
     def _saturate(self, builder, wide_bus, wide_width: int):

@@ -11,8 +11,13 @@ This module lowers those operations onto the Boolean IR in
   half-adder chain, no multiplexer),
 * borrow-based comparators (signed = unsigned with the sign bits flipped),
 * shift-and-add multipliers that build only the product bits asked for,
+  with one partial-product row per multiplier bit they are given,
 * restoring long division whose row ``k`` is ``k + 1`` bits wide,
 * 1-AND-per-bit multiplexers.
+
+:mod:`repro.mpc.fixedpoint` builds on these, including the fraction
+variants EN uses (a quotient below 1, a multiplier in [0, 1]) that build
+only the bits such operands can have.
 
 AND gates are what GMW pays for (one OT per ordered party pair each, one
 round per AND layer), so every construction here is sized by its AND count

@@ -6,12 +6,19 @@ two's-complement fixed point with F fractional bits. This module defines the
 encoding, a plaintext mirror of every circuit operation (used as the
 bit-exact oracle in tests), and the fixed-point extensions to
 :class:`~repro.mpc.builder.CircuitBuilder`.
+
+Besides the general multiply and divide there are two fraction variants,
+each bit-exact with its general form under a precondition the caller
+guarantees by construction: :meth:`FixedPointBuilder.fx_frac_div` for
+``|a| < |b|`` (the quotient has F bits, so F divider rows instead of
+L + F) and :meth:`FixedPointBuilder.fx_mul_frac` for a multiplier in
+``[0, 1.0]`` (F + 1 partial-product rows instead of L). Their mirrors
+are :meth:`FixedPointFormat.fx_div` and :meth:`FixedPointFormat.fx_mul`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
 
 from repro.exceptions import CircuitError
 from repro.mpc.builder import Bus, CircuitBuilder
@@ -155,6 +162,46 @@ class FixedPointBuilder(CircuitBuilder):
         divisor = self.abs_signed(b)
         quotient, _ = self.div_unsigned(dividend, divisor)
         return self.negate_if(sign, self.truncate(quotient, self.fmt.total_bits))
+
+    def fx_frac_div(self, a: Bus, b: Bus) -> Bus:
+        """:meth:`fx_div` for ``|a| < |b|``, where the quotient is below 1.
+
+        Its integer bits are zero, so the restoring rows that would compute
+        them are skipped: the remainder starts at ``|a|`` and F rows produce
+        the F fraction bits. A remainder below ``|b| <= 2**(L-1)`` doubled
+        still fits L bits, so every row is L bits wide and needs no "divisor
+        fits" chain; the last row's remainder is never used, so not built.
+        Bit-exact with :meth:`fx_div` under the precondition; outside it the
+        result is meaningless.
+        """
+        fmt = self.fmt
+        if len(a) != fmt.total_bits or len(b) != fmt.total_bits:
+            raise CircuitError("fx_frac_div operands must be in the fixed format")
+        c = self.circuit
+        sign = c.xor(a[-1], b[-1])
+        remainder = self.abs_signed(a)
+        divisor = self.abs_signed(b)
+        quotient = [c.zero] * fmt.total_bits
+        for position in range(fmt.fraction_bits - 1, -1, -1):
+            shifted = [c.zero] + remainder[:-1]
+            difference, borrow = self.sub_with_borrow(shifted, divisor)
+            quotient[position] = c.inv(borrow)
+            if position:
+                remainder = self.mux(quotient[position], difference, shifted)
+        return self.negate_if(sign, quotient)
+
+    def fx_mul_frac(self, a: Bus, p: Bus) -> Bus:
+        """:meth:`fx_mul` for ``0 <= p <= 1.0``: such a ``p`` is its own
+        magnitude and has no bit above F, so only its low F + 1 bits become
+        partial-product rows and the sign is ``a``'s. Bit-exact with
+        :meth:`fx_mul` under the precondition."""
+        fmt = self.fmt
+        if len(a) != fmt.total_bits or len(p) != fmt.total_bits:
+            raise CircuitError("fx_mul_frac operands must be in the fixed format")
+        magnitude = self.mul_full(
+            self.abs_signed(a), p[: fmt.fraction_bits + 1], width=fmt.fraction_bits + fmt.total_bits
+        )
+        return self.negate_if(a[-1], magnitude)[fmt.fraction_bits :]
 
     def fx_add(self, a: Bus, b: Bus) -> Bus:
         return self.add(a, b, width=self.fmt.total_bits)

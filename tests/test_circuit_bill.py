@@ -16,6 +16,7 @@ numpy or the stage schedule, so it is an independent oracle for both).
 
 from __future__ import annotations
 
+import random
 import re
 from pathlib import Path
 
@@ -219,6 +220,109 @@ class TestExhaustive:
                 want = -magnitude if (sx < 0) != (sy < 0) else magnitude
                 assert got["div"] == fmt.to_unsigned(want), (sx, sy)
 
+    @pytest.mark.parametrize("total,fraction", [(4, 2), (5, 2), (6, 3), (7, 3), (8, 4), (8, 6)])
+    def test_fraction_primitives_match_fx_div_and_fx_mul_under_their_preconditions(
+        self, total, fraction
+    ):
+        fmt = FixedPointFormat(total, fraction)
+        builder = FixedPointBuilder(fmt)
+        a, b = builder.fx_input("a"), builder.fx_input("b")
+        outputs = {
+            "frac_div": builder.fx_frac_div(a, b),
+            "mul_frac": builder.fx_mul_frac(a, b),
+            "mul": builder.fx_mul(a, b),
+        }
+        divisions = products = 0
+        for (x, y), got in run_all(builder, outputs):
+            sx, sy = fmt.from_unsigned(x), fmt.from_unsigned(y)
+            if abs(sx) < abs(sy):
+                divisions += 1
+                assert got["frac_div"] == fmt.to_unsigned(fmt.fx_div(sx, sy)), (sx, sy)
+            if 0 <= sy <= fmt.scale:
+                products += 1
+                assert got["mul_frac"] == got["mul"], (sx, sy)
+                assert got["mul_frac"] == fmt.to_unsigned(fmt.fx_mul(sx, sy)), (sx, sy)
+        # every pair below the diagonal, and every a against every p in [0, 1.0]
+        assert divisions == sum(
+            abs(fmt.from_unsigned(x)) < abs(fmt.from_unsigned(y))
+            for x in range(1 << total)
+            for y in range(1 << total)
+        )
+        assert products == (1 << total) * (fmt.scale + 1)
+
+
+# ------------------------------------------------------ the EN update --
+
+
+class ClampedDivideFullMultiply(FixedPointBuilder):
+    """The EN circuit's former construction, put behind the fraction
+    primitives' names: the full divider clamped into [0, 1], and the full
+    signed multiply."""
+
+    def fx_frac_div(self, a, b):
+        zero, one = self.fx_const(0.0), self.fx_const(1.0)
+        quotient = self.fx_div(a, b)
+        quotient = self.mux(self.lt_signed(one, quotient), one, quotient)
+        return self.mux(self.is_negative(quotient), zero, quotient)
+
+    def fx_mul_frac(self, a, p):
+        return self.fx_mul(a, p)
+
+
+def en_inputs(fmt, degree, rng):
+    """Random and boundary EN register files, ``prorate`` in [0, 1]."""
+    lo, hi = fmt.min_raw, fmt.max_raw
+    edges = [lo, lo + 1, -fmt.scale, -1, 0, 1, fmt.scale - 1, fmt.scale, hi - 1, hi]
+    prorates = [0, 1, fmt.scale // 2, fmt.scale - 1, fmt.scale]
+
+    def word(small):
+        pick = rng.random()
+        if pick < 0.2:
+            return rng.choice(edges)
+        if pick < 0.6 and small:  # debts and claims of a few units: real defaults
+            return rng.randint(0, 4 * fmt.scale)
+        return rng.randint(lo, hi)
+
+    samples = []
+    for index in range(1500):
+        registers = {
+            "prorate": rng.choice(prorates) if index % 3 == 0 else rng.randint(0, fmt.scale),
+            "cash": word(True),
+            "shortfall": word(False),
+        }
+        for t in range(degree):
+            registers[f"debt_{t}"] = word(True)
+            registers[f"credit_{t}"] = word(True)
+            registers[f"msg_in_{t}"] = word(True)
+        registers["total_debt"] = (
+            fmt.saturate(sum(registers[f"debt_{t}"] for t in range(degree)))
+            if index % 2
+            else word(True)
+        )
+        samples.append({name: fmt.to_unsigned(raw) for name, raw in registers.items()})
+    return samples
+
+
+@pytest.mark.parametrize("degree", [1, 3, 11])
+def test_en_update_is_bit_identical_to_the_clamped_divider_and_full_multiplies(
+    degree, monkeypatch
+):
+    fmt = FixedPointFormat(L, F)
+    program = EisenbergNoeProgram(fmt)
+    circuit = program.build_update_circuit(degree)
+    monkeypatch.setattr(program, "new_builder", lambda: ClampedDivideFullMultiply(fmt))
+    reference = program.build_update_circuit(degree)
+    assert reference.stats().and_gates > circuit.stats().and_gates
+
+    samples = en_inputs(fmt, degree, random.Random(degree))
+    got, want = circuit.evaluate_many(samples), reference.evaluate_many(samples)
+    defaults = 0
+    for registers, out, ref in zip(samples, got, want):
+        assert out == ref, registers
+        assert 0 <= fmt.from_unsigned(out["prorate"]) <= fmt.scale, registers
+        defaults += out["prorate"] < registers["prorate"]
+    assert defaults > 100  # the divider's quotient was taken, often
+
 
 # ------------------------------------------------------------- the bill --
 
@@ -240,6 +344,8 @@ def primitive(name):
         "div_unsigned": lambda: list(builder.div_unsigned(x, y)),
         "fx_mul": lambda: [builder.fx_mul(x, y)],
         "fx_div": lambda: [builder.fx_div(x, y)],
+        "fx_frac_div": lambda: [builder.fx_frac_div(x, y)],
+        "fx_mul_frac": lambda: [builder.fx_mul_frac(x, y)],
     }[name]()
     for index, bus in enumerate(buses):
         builder.output_bus(f"out{index}", bus)
@@ -270,7 +376,10 @@ class TestBill:
     def test_the_table_covers_the_primitives_and_both_programs(self):
         names = [name for name, _, _ in BILL]
         assert len(names) == len(set(names))
-        for required in ("add", "lt_signed", "mul_full", "div_unsigned", "fx_mul", "fx_div"):
+        for required in (
+            "add", "lt_signed", "mul_full", "div_unsigned",
+            "fx_mul", "fx_div", "fx_frac_div", "fx_mul_frac",
+        ):
             assert required in names
         for program in ("EN", "EGJ"):
             for degree in (3, 4, 11):

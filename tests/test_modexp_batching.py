@@ -11,7 +11,9 @@ truncated multiplier): fewer AND gates means fewer OTs, so the ``traffic``
 byte fields and ``total_ot_transfers`` — and only those — were re-recorded
 the same way at that PR. The ``released`` and ``rng`` entries are still
 the original record and passed unedited; ``total_exponentiations`` did not
-move.
+move. The EN update circuit's fraction divider and fraction multiplies
+later cut its AND gates again, and the traffic fields were re-recorded a
+second time under the same rule: ``released`` and ``rng`` passed unedited.
 """
 
 from __future__ import annotations
@@ -429,24 +431,24 @@ GOLDEN = {
         "released": [16.96875, 1.4453125, 3974, [1.10546875, 1.4453125]],
         "rng": [458, 16],
         "traffic": {
-            "max_node_bytes_sent": 3019472.25,
-            "mean_node_bytes_sent": 2266593.03125,
+            "max_node_bytes_sent": 1924400.25,
+            "mean_node_bytes_sent": 1445289.03125,
             "nodes": 4,
-            "total_bytes_sent": 9066372.125,
+            "total_bytes_sent": 5781156.125,
             "total_exponentiations": 3024,
-            "total_ot_transfers": 132672,
+            "total_ot_transfers": 82896,
         },
     },
     "toy-64": {
         "released": [4.9453125, 1.4453125, 896, [1.10546875, 1.4453125]],
         "rng": [328, 24],
         "traffic": {
-            "max_node_bytes_sent": 822944.25,
-            "mean_node_bytes_sent": 617721.75,
+            "max_node_bytes_sent": 524288.25,
+            "mean_node_bytes_sent": 393729.75,
             "nodes": 4,
-            "total_bytes_sent": 2470887.0,
+            "total_bytes_sent": 1574919.0,
             "total_exponentiations": 3024,
-            "total_ot_transfers": 132672,
+            "total_ot_transfers": 82896,
         },
     },
 }

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core.program import compiled_update_circuit
 from repro.finance import EisenbergNoeProgram
+from repro.mpc.cost import bill_for
 from repro.mpc.fixedpoint import FixedPointFormat
 from repro.simulation import (
     PAPER_COST_CONSTANTS,
@@ -67,10 +69,17 @@ class TestEstimator:
         )
 
     def test_paper_headline_magnitudes(self, estimator):
-        """§5.5: N=1750, D=100 runs in about five hours with sub-GB-range
-        per-node traffic. Our projection must land in that regime."""
+        """§5.5: N=1750, D=100 runs in 4.8 hours with sub-GB-range per-node
+        traffic. The computation term is exactly the compiled D = 100
+        circuit's bill at the paper's per-OT cost; that circuit is smaller
+        than the paper's, so the whole projection stays under 4.8 h
+        (DESIGN.md, "Known deviations from the paper")."""
         estimate = estimator.estimate(num_nodes=1750, degree_bound=100, iterations=11)
-        assert 1.5 < estimate.hours_total < 10.0
+        block = estimator.block_size
+        bill = bill_for([compiled_update_circuit(estimator.program, 100).stats()], block)
+        step = bill.ots_per_party * PAPER_COST_CONSTANTS.seconds_per_ot * block
+        assert estimate.seconds_computation == 11 * step
+        assert estimate.hours_total < 4.8
         assert 300 < estimate.traffic_per_node_mb < 3000
 
     def test_time_grows_with_degree(self, estimator):
