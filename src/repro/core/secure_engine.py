@@ -403,6 +403,11 @@ class SecureEngine:
                 ot=SimulatedObliviousTransfer(config.group),
                 mode=config.gmw_mode,
             )
+        bill = run_bill(program, config, graph, iterations, vertex_bound)
+        current_recorder().event(  # on the run span, before any of it is paid
+            "bill", and_gates=bill.and_gates, rounds=bill.and_rounds, ots=bill.ots,
+            transfers=bill.transfers, exponentiations=bill.exponentiations,
+        )
         return _RunContext(
             graph=graph,
             iterations=iterations,
@@ -411,7 +416,7 @@ class SecureEngine:
             circuits=circuits,
             circuit_and_gates=circuits[max(circuits)].stats().and_gates,
             gmw=gmw,
-            bill=run_bill(program, config, graph, iterations, vertex_bound),
+            bill=bill,
             state_shares=state_shares,
             inbox_shares=inbox_shares,
             meter=meter,

@@ -30,7 +30,7 @@ from typing import Dict, List, Tuple
 
 from repro.core.graph import VertexView
 from repro.core.program import VertexProgram
-from repro.exceptions import ConvergenceError
+from repro.exceptions import ConfigurationError, ConvergenceError
 from repro.finance.network import FinancialNetwork
 from repro.mpc.circuit import Circuit
 from repro.mpc.fixedpoint import FixedPointFormat
@@ -176,6 +176,11 @@ class EisenbergNoeProgram(VertexProgram):
             names("in_debt", degree_bound),
         ):
             debt = data.get(out_debt, 0.0)
+            if debt < 0.0:
+                # the update circuit's fraction primitives need debts >= 0
+                raise ConfigurationError(
+                    f"vertex {vertex.vertex_id}: negative debt {debt!r} on {out_debt}"
+                )
             state[debt_name] = debt
             state[credit_name] = data.get(in_debt, 0.0)
             total_debt += debt
@@ -221,38 +226,42 @@ class EisenbergNoeProgram(VertexProgram):
         messages = [builder.fx_input(f"msg_in_{t}") for t in range(degree_bound)]
 
         # liquid = cash + sum_t (credit_t - msg_t), accumulated wide enough
-        # that D-term sums cannot wrap, then saturated into the format.
+        # that D-term sums cannot wrap, and never saturated: its sign and
+        # the comparison with total_debt >= 0 read the wide sum, and the
+        # divider's low L bits are exact whenever its quotient is taken.
         import math
 
         wide = fmt.total_bits + max(1, math.ceil(math.log2(degree_bound + 1)) + 1)
-        acc = builder.sign_extend(cash, wide)
+        liquid = builder.sign_extend(cash, wide)
         for t in range(degree_bound):
             term = builder.sub(
                 builder.sign_extend(credits[t], wide),
                 builder.sign_extend(messages[t], wide),
                 width=wide,
             )
-            acc = builder.add(acc, term, width=wide)
-        liquid = self._saturate(builder, acc, wide)
+            liquid = builder.add(liquid, term, width=wide)
 
-        # prorate' = (liquid < totalDebt) ? liquid / totalDebt : prorate.
-        # The quotient is used only when 0 <= liquid_pos < totalDebt, so it
-        # lies in [0, 1) and the fraction divider is exact there. prorate
-        # starts at 1.0 and only ever takes such a quotient, so one_minus
-        # lies in [0, 1] and every product is a fraction multiply.
-        zero = builder.fx_const(0.0)
-        one = builder.fx_const(1.0)
-        liquid_pos = builder.mux(builder.is_negative(liquid), zero, liquid)
-        quotient = builder.fx_frac_div(liquid_pos, total_debt)
-        under = builder.lt_signed(liquid, total_debt)
-        debt_zero = builder.is_zero(total_debt)
-        candidate = builder.mux(debt_zero, prorate, quotient)
-        prorate_new = builder.mux(under, candidate, prorate)
-
-        one_minus = builder.fx_sub(one, prorate_new)
+        # prorate' = (liquid < totalDebt) ? max(liquid, 0) / totalDebt : prorate.
+        # The quotient is used only when 0 <= liquid < totalDebt, so it
+        # lies in [0, 1) and the fraction divider is exact there; a
+        # negative liquid zeroes it afterwards. prorate starts at 1.0 and
+        # only ever takes such a quotient, so only its low F + 1 bits are
+        # live, one_minus lies in [0, 1], and every product is a fraction
+        # multiply of a debt >= 0.
+        c = builder.circuit
+        live = fmt.fraction_bits + 1
+        quotient = builder.fx_frac_div(liquid[: fmt.total_bits], total_debt)
+        solvent = c.inv(builder.is_negative(liquid))
+        quotient = [c.and_(bit, solvent) for bit in quotient[:live]]
+        under = builder.lt_signed(liquid, builder.sign_extend(total_debt, wide))
+        take = c.and_(under, c.inv(builder.is_zero(total_debt)))
+        prorate_new = builder.mux(take, quotient, prorate[:live])
+        one_minus = builder.zero_extend(
+            builder.sub(builder.fx_const(1.0)[:live], prorate_new), fmt.total_bits
+        )
         shortfall = builder.fx_mul_frac(total_debt, one_minus)
 
-        builder.output_bus("prorate", prorate_new)
+        builder.output_bus("prorate", builder.zero_extend(prorate_new, fmt.total_bits))
         builder.output_bus("cash", cash)
         builder.output_bus("total_debt", total_debt)
         builder.output_bus("shortfall", shortfall)
@@ -261,16 +270,3 @@ class EisenbergNoeProgram(VertexProgram):
             builder.output_bus(f"credit_{t}", credits[t])
             builder.output_bus(f"msg_out_{t}", builder.fx_mul_frac(debts[t], one_minus))
         return builder.circuit
-
-    def _saturate(self, builder, wide_bus, wide_width: int):
-        """Saturate a wide accumulator into the fixed-point format."""
-        fmt = self.fmt
-        max_bus = builder.const_bus(fmt.max_raw, wide_width)
-        min_bus = builder.const_bus(fmt.to_unsigned(fmt.min_raw) | (
-            ((1 << (wide_width - fmt.total_bits)) - 1) << fmt.total_bits
-        ), wide_width)
-        over = builder.lt_signed(max_bus, wide_bus)
-        under = builder.lt_signed(wide_bus, min_bus)
-        clamped = builder.mux(over, max_bus, wide_bus)
-        clamped = builder.mux(under, min_bus, clamped)
-        return builder.truncate(clamped, fmt.total_bits)

@@ -16,8 +16,9 @@ This module lowers those operations onto the Boolean IR in
 * 1-AND-per-bit multiplexers.
 
 :mod:`repro.mpc.fixedpoint` builds on these, including the fraction
-variants EN uses (a quotient below 1, a multiplier in [0, 1]) that build
-only the bits such operands can have.
+variants EN uses (``0 <= a < b`` divided, ``a >= 0`` times a multiplier in
+[0, 1]) that build only the bits such operands can have and no sign
+handling.
 
 AND gates are what GMW pays for (one OT per ordered party pair each, one
 round per AND layer), so every construction here is sized by its AND count
@@ -239,10 +240,6 @@ class CircuitBuilder:
             for t, f in zip(when_true, when_false)
         ]
 
-    def mux_bit(self, select: int, when_true: int, when_false: int) -> int:
-        c = self.circuit
-        return c.xor(when_false, c.and_(select, c.xor(when_false, when_true)))
-
     def min_unsigned(self, a: Bus, b: Bus) -> Bus:
         return self.mux(self.lt_unsigned(a, b), a, b)
 
@@ -251,9 +248,6 @@ class CircuitBuilder:
 
     def min_signed(self, a: Bus, b: Bus) -> Bus:
         return self.mux(self.lt_signed(a, b), a, b)
-
-    def max_signed(self, a: Bus, b: Bus) -> Bus:
-        return self.mux(self.lt_signed(a, b), b, a)
 
     def abs_signed(self, a: Bus) -> Bus:
         """Absolute value of a two's-complement bus."""

@@ -10,10 +10,12 @@ bit-exact oracle in tests), and the fixed-point extensions to
 Besides the general multiply and divide there are two fraction variants,
 each bit-exact with its general form under a precondition the caller
 guarantees by construction: :meth:`FixedPointBuilder.fx_frac_div` for
-``|a| < |b|`` (the quotient has F bits, so F divider rows instead of
-L + F) and :meth:`FixedPointBuilder.fx_mul_frac` for a multiplier in
-``[0, 1.0]`` (F + 1 partial-product rows instead of L). Their mirrors
-are :meth:`FixedPointFormat.fx_div` and :meth:`FixedPointFormat.fx_mul`.
+``0 <= a < b`` (the quotient has F bits, so F divider rows instead of
+L + F) and :meth:`FixedPointBuilder.fx_mul_frac` for ``a >= 0`` and a
+multiplier in ``[0, 1.0]`` (F partial-product rows instead of L, and the
+``1.0`` row XORed in). Their operands are their own magnitudes, so
+neither takes an ``abs`` or fixes up a sign. Their mirrors are
+:meth:`FixedPointFormat.fx_div` and :meth:`FixedPointFormat.fx_mul`.
 """
 
 from __future__ import annotations
@@ -164,57 +166,45 @@ class FixedPointBuilder(CircuitBuilder):
         return self.negate_if(sign, self.truncate(quotient, self.fmt.total_bits))
 
     def fx_frac_div(self, a: Bus, b: Bus) -> Bus:
-        """:meth:`fx_div` for ``|a| < |b|``, where the quotient is below 1.
-
-        Its integer bits are zero, so the restoring rows that would compute
-        them are skipped: the remainder starts at ``|a|`` and F rows produce
-        the F fraction bits. A remainder below ``|b| <= 2**(L-1)`` doubled
-        still fits L bits, so every row is L bits wide and needs no "divisor
-        fits" chain; the last row's remainder is never used, so not built.
-        Bit-exact with :meth:`fx_div` under the precondition; outside it the
-        result is meaningless.
-        """
+        """:meth:`fx_div` for ``0 <= a < b``: no ``abs``, no sign fix-up,
+        and a quotient below 1, so the rows for its integer bits are
+        skipped: the remainder starts at ``a`` and F rows produce the F
+        fraction bits. A remainder is below ``b < 2**(L-1)``, so it is kept
+        in L - 1 bits and doubled fits L: no "divisor fits" chain. The last
+        row's remainder is never built. Bit-exact with :meth:`fx_div` under
+        the precondition; outside it the result is meaningless."""
         fmt = self.fmt
         if len(a) != fmt.total_bits or len(b) != fmt.total_bits:
             raise CircuitError("fx_frac_div operands must be in the fixed format")
         c = self.circuit
-        sign = c.xor(a[-1], b[-1])
-        remainder = self.abs_signed(a)
-        divisor = self.abs_signed(b)
+        remainder = a[:-1]  # every remainder is below b, so its bit L-1 is 0
         quotient = [c.zero] * fmt.total_bits
         for position in range(fmt.fraction_bits - 1, -1, -1):
-            shifted = [c.zero] + remainder[:-1]
-            difference, borrow = self.sub_with_borrow(shifted, divisor)
+            shifted = [c.zero] + remainder
+            difference, borrow = self.sub_with_borrow(shifted, b)
             quotient[position] = c.inv(borrow)
             if position:
-                remainder = self.mux(quotient[position], difference, shifted)
-        return self.negate_if(sign, quotient)
+                remainder = self.mux(quotient[position], difference[:-1], shifted[:-1])
+        return quotient
 
     def fx_mul_frac(self, a: Bus, p: Bus) -> Bus:
-        """:meth:`fx_mul` for ``0 <= p <= 1.0``: such a ``p`` is its own
-        magnitude and has no bit above F, so only its low F + 1 bits become
-        partial-product rows and the sign is ``a``'s. Bit-exact with
-        :meth:`fx_mul` under the precondition."""
+        """:meth:`fx_mul` for ``a >= 0`` and ``0 <= p <= 1.0``: no ``abs``,
+        no negation, and a product at most ``a``, whose sign bit is 0.
+        ``a``'s L - 1 magnitude bits meet ``p``'s F fraction bits in
+        partial-product rows; ``p``'s bit F is set only at ``p = 1.0``,
+        where the other rows are 0, so ``a << F`` is XORed in without an
+        adder. Bit-exact with :meth:`fx_mul` under the precondition."""
         fmt = self.fmt
         if len(a) != fmt.total_bits or len(p) != fmt.total_bits:
             raise CircuitError("fx_mul_frac operands must be in the fixed format")
-        magnitude = self.mul_full(
-            self.abs_signed(a), p[: fmt.fraction_bits + 1], width=fmt.fraction_bits + fmt.total_bits
-        )
-        return self.negate_if(a[-1], magnitude)[fmt.fraction_bits :]
+        c = self.circuit
+        f, magnitude_bits = fmt.fraction_bits, fmt.total_bits - 1
+        product = self.mul_full(a[:magnitude_bits], p[:f], width=f + magnitude_bits)
+        whole = [c.and_(bit, p[f]) for bit in a[:magnitude_bits]]
+        return [c.xor(x, y) for x, y in zip(product[f:], whole)] + [c.zero]
 
     def fx_add(self, a: Bus, b: Bus) -> Bus:
         return self.add(a, b, width=self.fmt.total_bits)
 
     def fx_sub(self, a: Bus, b: Bus) -> Bus:
         return self.sub(a, b, width=self.fmt.total_bits)
-
-
-def _self_test() -> None:  # pragma: no cover - quick manual check
-    fmt = FixedPointFormat(16, 8)
-    assert fmt.decode(fmt.encode(1.5)) == 1.5
-    assert fmt.fx_mul(fmt.encode(1.5), fmt.encode(2.0)) == fmt.encode(3.0)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    _self_test()

@@ -2,8 +2,9 @@
 
 Accepts any document produced by :mod:`repro.obs.export` or
 :mod:`repro.obs.merge` — a run export, a batch export, or a merged
-cluster timeline — and renders the round timeline, per-link traffic
-table, phase breakdown, and ledger summary as plain text.
+cluster timeline — and renders the secure run's bill, the round
+timeline, per-link traffic table, phase breakdown, and ledger summary as
+plain text.
 
 ``--check`` validates instead of rendering: the document must pass
 :func:`~repro.obs.export.validate_export` (which, for batch documents
@@ -91,6 +92,19 @@ def _render_round_timeline(spans: List[Dict[str, Any]], out: List[str]) -> None:
     out.extend(_table(["round", "start", "end", "duration", "spans"], rows))
 
 
+def _render_bill(spans: List[Dict[str, Any]], out: List[str]) -> None:
+    """The secure engine's ``bill`` event: what the run was priced at."""
+    bills = [e["attrs"] for s in spans for e in s.get("events") or [] if e["name"] == "bill"]
+    if bills:
+        bill = bills[0]
+        out.append("")
+        out.append(
+            f"Bill: {bill['and_gates']} AND gates in {bill['rounds']} rounds per step, "
+            f"{bill['ots']} OTs, {bill['transfers']} transfers, "
+            f"{bill['exponentiations']} exponentiations"
+        )
+
+
 def _render_tables(counters: Dict[str, float], out: List[str]) -> None:
     """The build-once tables the traced run touched (``mpc.plan``: compiled
     circuits, ``core.setup``: §3.4 deployments): built here vs. found."""
@@ -143,6 +157,7 @@ def render(payload: Dict[str, Any]) -> str:
             out.append(f"Released under epsilon={payload['epsilon']:g}")
         trace = payload.get("trace")
         if trace:
+            _render_bill(trace.get("spans", []), out)
             _render_round_timeline(trace.get("spans", []), out)
             _render_tables((trace.get("metrics") or {}).get("counters", {}), out)
         if payload.get("phases"):

@@ -4,7 +4,11 @@ import pytest
 
 from conftest import execute
 
+from repro import StressTest
+from repro.api.registry import available_engines
+from repro.core.graph import DistributedGraph
 from repro.crypto.rng import DeterministicRNG
+from repro.exceptions import ConfigurationError
 from repro.finance import EisenbergNoeProgram, ElliottGolubJacksonProgram
 from repro.mpc.fixedpoint import FixedPointFormat
 from repro.mpc.gmw import GMWEngine
@@ -37,6 +41,34 @@ class TestRegisterLayout:
         state = program.initial_state(graph.vertex(0), 2)
         assert state["total_debt"] == pytest.approx(6.0)
         assert state["prorate"] == 1.0
+
+
+def negative_debt_graph() -> DistributedGraph:
+    """A debt ring built without ``FinancialNetwork``, whose contract
+    validation would have refused the negative debt."""
+    graph = DistributedGraph(degree_bound=1)
+    for vertex in range(3):
+        graph.add_vertex(vertex, cash=1.0)
+    graph.add_edge(0, 1, debt=2.0)
+    graph.add_edge(1, 2, debt=-0.5)
+    graph.add_edge(2, 0, debt=1.0)
+    return graph
+
+
+class TestNegativeDebtIsRefused:
+    """The EN update circuit's fraction primitives assume debts >= 0, so
+    ``initial_state`` refuses a negative one on every engine."""
+
+    def test_initial_state_names_the_vertex_and_slot(self, fmt):
+        view = negative_debt_graph().vertex(1)
+        with pytest.raises(ConfigurationError, match="vertex 1: negative debt -0.5 on out_debt_0"):
+            EisenbergNoeProgram(fmt).initial_state(view, 1)
+
+    @pytest.mark.parametrize("engine", available_engines())
+    def test_every_engine_refuses_the_graph(self, engine):
+        session = StressTest(negative_debt_graph()).program("eisenberg-noe").engine(engine)
+        with pytest.raises(ConfigurationError, match="negative debt"):
+            session.run(iterations=1)
 
 
 class TestCircuitShape:

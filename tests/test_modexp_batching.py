@@ -14,6 +14,10 @@ the original record and passed unedited; ``total_exponentiations`` did not
 move. The EN update circuit's fraction divider and fraction multiplies
 later cut its AND gates again, and the traffic fields were re-recorded a
 second time under the same rule: ``released`` and ``rng`` passed unedited.
+A third re-record followed when those primitives dropped the sign handling
+their operands never need (debts, ``total_debt`` and ``prorate`` are never
+negative) and EN stopped saturating its liquid sum: traffic fields only,
+``released`` and ``rng`` unedited.
 """
 
 from __future__ import annotations
@@ -431,24 +435,24 @@ GOLDEN = {
         "released": [16.96875, 1.4453125, 3974, [1.10546875, 1.4453125]],
         "rng": [458, 16],
         "traffic": {
-            "max_node_bytes_sent": 1924400.25,
-            "mean_node_bytes_sent": 1445289.03125,
+            "max_node_bytes_sent": 1528400.25,
+            "mean_node_bytes_sent": 1148289.03125,
             "nodes": 4,
-            "total_bytes_sent": 5781156.125,
+            "total_bytes_sent": 4593156.125,
             "total_exponentiations": 3024,
-            "total_ot_transfers": 82896,
+            "total_ot_transfers": 64896,
         },
     },
     "toy-64": {
         "released": [4.9453125, 1.4453125, 896, [1.10546875, 1.4453125]],
         "rng": [328, 24],
         "traffic": {
-            "max_node_bytes_sent": 524288.25,
-            "mean_node_bytes_sent": 393729.75,
+            "max_node_bytes_sent": 416288.25,
+            "mean_node_bytes_sent": 312729.75,
             "nodes": 4,
-            "total_bytes_sent": 1574919.0,
+            "total_bytes_sent": 1250919.0,
             "total_exponentiations": 3024,
-            "total_ot_transfers": 82896,
+            "total_ot_transfers": 64896,
         },
     },
 }

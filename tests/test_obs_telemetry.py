@@ -257,6 +257,40 @@ class TestTraceDeterminism:
         )
 
 
+class TestBillEvent:
+    """A secure run's bill is on its ``run`` span as one ``bill`` event."""
+
+    @pytest.mark.parametrize("engine", ["secure", "secure-async"])
+    def test_bill_event_matches_what_the_run_metered(self, engine):
+        rec = TraceRecorder(clock=ManualClock())
+        with recording(rec):
+            result = make_test().engine(engine).run(iterations=ITERATIONS)
+        run_span = rec.spans[0]
+        bills = [attrs for _, name, attrs in run_span.events if name == "bill"]
+        assert len(bills) == 1
+        summary = result.traffic.summary()
+        assert bills[0]["ots"] == summary["total_ot_transfers"]
+        assert bills[0]["exponentiations"] == summary["total_exponentiations"]
+        # an event, not a span, and on the run span only
+        assert all(span.name != "bill" for span in rec.spans)
+        assert not any(name == "bill" for span in rec.spans[1:] for _, name, _ in span.events)
+        assert "bill" not in result.extras
+
+        lines = render_report(result.export(recorder=rec)).splitlines()
+        bill = bills[0]
+        assert [line for line in lines if line.startswith("Bill:")] == [
+            f"Bill: {bill['and_gates']} AND gates in {bill['rounds']} rounds per step, "
+            f"{bill['ots']} OTs, {bill['transfers']} transfers, "
+            f"{bill['exponentiations']} exponentiations"
+        ]
+
+    def test_clear_engines_emit_no_bill(self):
+        rec = TraceRecorder(clock=ManualClock())
+        with recording(rec):
+            make_test().engine("fixed").run(iterations=ITERATIONS)
+        assert not any(span.events for span in rec.spans)
+
+
 # ----------------------------------------------------------------- ledger --
 
 
