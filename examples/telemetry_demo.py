@@ -2,8 +2,8 @@
 
 Everything the ``repro.obs`` layer offers, on one small network:
 
-1. a traced ``engine="async"`` run — round/phase spans, the metrics
-   registry, and a versioned ``dstress.obs.run`` JSON export;
+1. a traced ``engine="async"`` run — round/phase spans and a versioned
+   ``dstress.obs.run`` JSON export carrying its phases and traffic;
 2. a mixed success/failure batch against a shared privacy accountant —
    the failed release's pre-charge is refunded, and the append-only
    audit ledger reconciles bit-for-bit with the accountant's books;
@@ -75,10 +75,13 @@ def main() -> None:
     rounds = [s for s in recorder.spans if s.name == "round"]
     print(f"traced aggregate: {result.aggregate:.4f}")
     print(f"spans recorded:   {len(recorder.spans)} ({len(rounds)} round spans)")
-    print(f"metric series:    {len(recorder.metrics.gauges)} gauges")
 
     run_doc = result.export(recorder=recorder)
     assert validate_export(run_doc) == [], "run export must validate"
+    print(
+        f"run export:       {len(run_doc['phases'])} phase timings, "
+        f"{len(run_doc['traffic']['links'])} metered links"
+    )
 
     # -- 2. a mixed batch with an audit ledger --------------------------------
     accountant = PrivacyAccountant()  # eps_max = ln 2 (§4.5)

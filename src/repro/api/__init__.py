@@ -8,10 +8,10 @@ across a process pool while one :class:`~repro.privacy.budget.PrivacyAccountant`
 guards the yearly budget.
 
 Importing this package registers the built-in engines (``plaintext``,
-``fixed``, ``secure``, ``naive-mpc``, ``sharded``, ``async``,
-``secure-async``) and programs (``eisenberg-noe``,
-``elliott-golub-jackson``). See DESIGN.md for the architecture and
-README.md for the old-call → new-call migration table.
+``fixed``, ``secure``, ``naive-mpc``, ``async``, ``secure-async``) and
+programs (``eisenberg-noe``, ``elliott-golub-jackson``). See DESIGN.md
+for the architecture and README.md for the old-call → new-call
+migration table.
 """
 
 from repro.api.async_engine import AsyncEngine
@@ -26,7 +26,6 @@ from repro.api.engines import (
     SecureDStressEngine,
 )
 from repro.api.secure_async import SecureAsyncEngine
-from repro.api.sharded import ShardedEngine
 from repro.api.registry import (
     ProgramEntry,
     available_engines,
@@ -56,7 +55,6 @@ __all__ = [
     "ScenarioOutcome",
     "SecureAsyncEngine",
     "SecureDStressEngine",
-    "ShardedEngine",
     "StressTest",
     "available_engines",
     "available_programs",

@@ -27,12 +27,11 @@ level — asserted by the cross-engine parity matrix. Under
 unchanged (still bit-identical) but wall-clock reflects the link
 schedule and ``result.traffic`` carries the per-node byte meters.
 
-Unlike the sharded engine there is no per-round state pickling: all
-vertex tasks share the parent process, so the fan-out cost the sharded
-benchmark quantifies is amortized to zero. Nor is there a Task per
-message: a vertex hands its whole round to the bus in one
-:meth:`~repro.core.transport.Transport.send_round` call, which the
-in-memory bus delivers inline — the only Tasks are the vertex pipelines.
+All vertex tasks share the parent process, so nothing is pickled per
+round. Nor is there a Task per message: a vertex hands its whole round
+to the bus in one :meth:`~repro.core.transport.Transport.send_round`
+call, which the in-memory bus delivers inline — the only Tasks are the
+vertex pipelines.
 ``tests/test_async_overlap.py`` holds both numbers to account: the Task
 count, and overlap beating the sequential schedule on a realtime WAN.
 
@@ -48,7 +47,7 @@ import asyncio
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence, Union
 
-from repro.api.engines import Engine, _PlaintextCore, validate_intra_run_width
+from repro.api.engines import Engine, _PlaintextCore
 from repro.api.registry import register_engine
 from repro.api.result import RunResult
 from repro.core.lifecycle import ReleasePolicy, RunState, run_lifecycle
@@ -60,9 +59,19 @@ from repro.core.transport import (
     transport_from_spec,
     wan_meter_snapshot,
 )
+from repro.exceptions import ConfigurationError
 from repro.simulation.netsim import TrafficMeter
 
 __all__ = ["AsyncEngine", "run_coroutine"]
+
+
+def check_tasks(tasks, owner: str) -> int:
+    """``tasks`` as given, if it is a positive int (``bool`` is not)."""
+    if isinstance(tasks, bool) or not isinstance(tasks, int) or tasks < 1:
+        raise ConfigurationError(
+            f"engine {owner!r}: tasks must be a positive int, got {tasks!r}"
+        )
+    return tasks
 
 
 def run_coroutine(coro):
@@ -165,17 +174,10 @@ class AsyncEngine(Engine):
         windows: Optional[Sequence[int]] = None,
         window_epsilon: Optional[float] = None,
     ) -> None:
-        self.tasks = validate_intra_run_width(tasks, self.name)
+        self.tasks = check_tasks(tasks, self.name)
         self.transport = check_transport_spec(transport)
         self.overlap = bool(overlap)
         self._configure_release(release, windows, window_epsilon)
-
-    @property
-    def intra_run_width(self) -> int:
-        """What the batch planner should budget for: the task concurrency
-        when overlapping, 1 for the strictly sequential schedule — the
-        same effective concurrency the result extras report."""
-        return self.tasks if self.overlap else 1
 
     def execute(self, program, graph, iterations, config, accountant=None):
         core = _AsyncCore(self, program, graph, config)

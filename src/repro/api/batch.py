@@ -50,7 +50,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.api.cache import ScenarioCache, ScenarioCacheBase, clone_result, run_fingerprint
 from repro.api.diskcache import PersistentScenarioCache
-from repro.api.engines import Engine, validate_intra_run_width
+from repro.api.engines import Engine
 from repro.api.pool import iter_in_pool, plan_workers
 from repro.api.result import RunResult
 from repro.api.session import ResolvedRun, execute_resolved
@@ -84,7 +84,7 @@ class Scenario:
     program: Optional[Union[str, VertexProgram]] = None
     engine: Optional[Union[str, Engine]] = None
     #: constructor options for a registry-named engine (e.g.
-    #: ``engine="sharded", engine_options={"shards": 3}``). Without
+    #: ``engine="async", engine_options={"tasks": 8}``). Without
     #: ``engine``, they re-apply to the template's engine name. Note a
     #: scenario ``engine`` string *replaces* the template's options, same
     #: as calling :meth:`StressTest.engine` again.
@@ -326,25 +326,6 @@ def _resolve_cache(cache) -> Optional[ScenarioCacheBase]:
     )
 
 
-def _intra_run_width(engine: Engine) -> int:
-    """The engine's declared :attr:`~repro.api.engines.Engine.intra_run_width`
-    (1 for engine-shaped objects that don't declare one).
-
-    The property is the authority and raises for invalid base-class
-    declarations; this guard re-checks the *value* (through the same
-    shared :func:`~repro.api.engines.validate_intra_run_width` rule)
-    because a subclass override can bypass the property entirely, and a
-    bad width must be rejected loudly per engine — a ``max()`` over a
-    mixed batch would otherwise mask one engine's bad declaration behind
-    another's valid wider one. Either way the refusal lands before the
-    accountant is charged.
-    """
-    return validate_intra_run_width(
-        getattr(engine, "intra_run_width", 1),
-        getattr(engine, "name", type(engine).__name__),
-    )
-
-
 def _prepare_batch(
     template: "StressTest",
     scenarios,
@@ -420,19 +401,13 @@ def _prepare_batch(
                 first_with[fingerprint] = index
             to_run.append(index)
 
-    # Scenarios with intra-run parallelism (process shards, asyncio task
-    # concurrency) inside a pool worker run that stage inline/serially,
-    # so each worker stays one process; plan_workers additionally caps
-    # the scenario fan-out at the CPU budget so wide batches never run
-    # more compute-bound workers than cores, while a serial batch keeps
-    # the parent's full intra-run width. Planned before the accountant is
-    # touched: a planning failure must not burn budget for runs that
-    # never happen. A refusal from here on also rolls the cache counters
-    # back — an aborted batch executed nothing, so a shared cache's
-    # cumulative hit/miss telemetry must not remember it.
+    # Planned before the accountant is touched: a planning failure must
+    # not burn budget for runs that never happen. A refusal from here on
+    # also rolls the cache counters back — an aborted batch executed
+    # nothing, so a shared cache's cumulative hit/miss telemetry must not
+    # remember it.
     try:
-        width = max((_intra_run_width(payloads[i].engine) for i in to_run), default=1)
-        effective_workers = plan_workers(workers, max(1, len(to_run)), width)
+        effective_workers = plan_workers(workers, max(1, len(to_run)))
 
         # One accountant, charged sequentially (§4.5 composition) for
         # every scenario whose engine noises and releases an output — but

@@ -1,4 +1,4 @@
-"""Engine backends: one protocol, seven presets over two round bodies.
+"""Engine backends: one protocol, six presets over two round bodies.
 
 An :class:`Engine` turns ``(program, graph, iterations, config)`` into a
 :class:`~repro.api.result.RunResult`. The clear engines are one
@@ -13,8 +13,6 @@ body. A registry name only picks the arithmetic and who drives the rounds:
 ``secure``     the full DStress protocol, window drained in place
 ``naive-mpc``  the §5.5 monolithic-MPC baseline (computes the same
                function centrally, projects the monolithic GMW cost)
-``sharded``    float arithmetic, the superstep fanned across worker
-               processes (:class:`~repro.api.sharded.ShardedEngine`)
 ``async``      float arithmetic as per-vertex asyncio pipelines over a
                transport bus, overlapping computation with deliveries
                (:class:`~repro.api.async_engine.AsyncEngine`)
@@ -61,7 +59,6 @@ from repro.core.program import VertexProgram, compiled_update_circuit
 from repro.core.rounds import RoundLoop, WindowEvents
 from repro.core.secure_engine import SecureEngine, check_backend, compile_secure_plans
 from repro.crypto.rng import DeterministicRNG
-from repro.exceptions import ConfigurationError
 from repro.obs.clock import now as clock_now
 from repro.obs.trace import timed_phase
 from repro.privacy.budget import PrivacyAccountant
@@ -75,22 +72,7 @@ __all__ = [
     "PlaintextFixedEngine",
     "SecureDStressEngine",
     "NaiveMPCEngine",
-    "validate_intra_run_width",
 ]
-
-
-def validate_intra_run_width(width, owner: str) -> int:
-    """The one rule for what counts as a valid intra-run width.
-
-    Shared by :attr:`Engine.intra_run_width` and the batch planner so the
-    two layers can never drift on the rule or the error text.
-    """
-    if isinstance(width, bool) or not isinstance(width, int) or width < 1:
-        raise ConfigurationError(
-            f"engine {owner!r} declared an invalid shard width / task "
-            f"concurrency {width!r}; intra-run width must be a positive int"
-        )
-    return width
 
 
 class Engine(ABC):
@@ -154,30 +136,6 @@ class Engine(ABC):
     def release_label(self, program_name: str) -> str:
         """Audit-ledger label for this engine's releases of ``program_name``."""
         return f"{program_name}-release"
-
-    @property
-    def intra_run_width(self) -> int:
-        """Widest parallelism one run of this engine deploys internally.
-
-        The batch layer multiplies this into its worker planning so
-        ``workers x width`` never oversubscribes the CPU budget. The
-        default recognizes the two conventional declarations — process
-        ``shards`` (sharded) and asyncio ``tasks`` (async) — and raises
-        on an invalid declared value, so every caller (not just the
-        batch planner) gets a loud per-engine error rather than a
-        nonsensical width. Engines whose ``shards``/``tasks`` attributes
-        mean something else should override this property.
-        """
-        declared = []
-        for attr in ("shards", "tasks"):
-            value = getattr(self, attr, None)
-            if value is None:
-                continue
-            # any declared value is validated — a non-int declaration
-            # (tasks="16") silently meaning width 1 would hide the
-            # misdeclaration and defeat the oversubscription cap
-            declared.append(validate_intra_run_width(value, self.name))
-        return max(declared) if declared else 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} name={self.name!r}>"
@@ -263,8 +221,8 @@ class _PlaintextCore(_CentralNoiseCore):
     """The clear round loop's stages: a resumable
     :class:`~repro.core.rounds.RoundLoop` in float or fixed arithmetic.
 
-    The sharded and async cores are this core with a different driver for
-    the same loop (a pooled superstep, per-vertex pipelines over a bus).
+    The async core is this core with a different driver for the same
+    loop (per-vertex pipelines over a bus).
     """
 
     def __init__(self, engine, program, graph, config, fixed: bool = False) -> None:

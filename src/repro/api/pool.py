@@ -1,31 +1,21 @@
-"""The one process pool of the batch, sharded and service layers.
+"""The one process pool of the batch and service layers.
 
-Three layers fork worker processes: :func:`repro.api.batch.run_batch`
-fans *scenarios* across a pool, the sharded engine fans *vertex shards
-of one run* across a pool, and the service keeps *persistent* engine
-processes for the runs it admits. All three run on
+Two layers fork worker processes: :func:`repro.api.batch.run_batch`
+fans *scenarios* across a pool, and the service keeps *persistent*
+engine processes for the runs it admits. Both run on
 :func:`create_executor`, a fork-context ``ProcessPoolExecutor``: a worker
 that dies fails every pending future with ``BrokenProcessPool``, so the
 caller gets a typed error to report and refund, never a task that waits
 forever.
 
-* **Payloads by inheritance.** What a batch or a shard window hands its
-  workers (the resolved runs, the vertex update) is set in a module slot
-  just before the executor forks (:func:`inheriting`) and read back in
-  the worker (:func:`inherited`); only an index is submitted, and only
-  results are pickled.
-* **No nested pools.** An executor worker must not fork (``workers x
-  shards`` processes on the same cores), nor may a caller's own daemonic
-  ``multiprocessing`` worker, so a sharded run scheduled inside either
-  must not open its own pool. :func:`in_worker_process` detects that; the
-  sharded engine then computes its shards inline (same partition, same
-  arithmetic, so the result is bit-identical).
-* **No oversubscription.** When a batch contains scenarios with intra-run
-  parallelism — process shards (``sharded``) or asyncio task concurrency
-  (``async``) — the useful parallelism is ``workers x width``;
-  :func:`plan_workers` caps the scenario-level worker count so that
-  product stays within the CPU budget instead of stacking two layers'
-  worth of concurrency.
+* **Payloads by inheritance.** What a batch hands its workers (the
+  resolved runs) is set in a module slot just before the executor forks
+  (:func:`inheriting`) and read back in the worker; only an index is
+  submitted, and only results are pickled.
+* **No nested pools.** An executor worker must not fork, nor may a
+  caller's own daemonic ``multiprocessing`` worker:
+  :func:`in_worker_process` detects both, and :func:`create_executor`
+  refuses to open a pool there.
 * **No env leakage.** Fork inheritance copies the parent's environment
   wholesale, so a worker would silently see whatever ``REPRO_*`` knobs
   the *host* process happened to carry — ``REPRO_TCP_*`` from a
@@ -53,13 +43,11 @@ from repro.exceptions import ConfigurationError
 from repro.obs.trace import set_recorder
 
 __all__ = [
-    "cpu_budget",
     "in_worker_process",
     "plan_workers",
     "scrub_repro_env",
     "create_executor",
     "inheriting",
-    "inherited",
     "iter_in_pool",
 ]
 
@@ -85,45 +73,17 @@ def scrub_repro_env() -> List[str]:
     return removed
 
 
-def cpu_budget() -> int:
-    """Usable CPU count (at least 1; the fallback when undetectable)."""
-    return os.cpu_count() or 1
-
-
 def in_worker_process() -> bool:
     """Whether we are inside a pool worker, which cannot or must not fork."""
     return _IN_EXECUTOR_WORKER or multiprocessing.current_process().daemon
 
 
-def plan_workers(requested: int, num_tasks: int, shard_width: int = 1) -> int:
-    """Effective worker count for a task-level pool.
-
-    ``requested`` is bounded by the number of tasks (idle workers are
-    pointless). ``shard_width`` is the widest intra-run parallelism any
-    task would *like* to deploy — process shards for the sharded engine,
-    or asyncio task concurrency for the async engine. (An event loop is
-    single-threaded, so the task-width cap is deliberately conservative:
-    it bounds the *declared* concurrency budget of the batch rather than
-    measured CPU pressure, keeping wide-async and wide-sharded batches
-    under one planning rule.) Shard
-    pools inside a pool worker always degrade to inline execution
-    (workers must not fork), so each worker is one process either
-    way — the only cap worth paying for is the CPU budget: never stack
-    more wide-scenario workers than CPUs, and let a serial batch
-    (``effective == 1``) keep the parent's full intra-run width. Live
-    processes therefore never exceed ``max(cpu_budget, shard_width)``.
-    ``shard_width == 1`` keeps the historical batch behavior: the
-    caller's worker count is honored even beyond the CPU count (scenario
-    workers are frequently I/O-idle in simulation).
-    """
+def plan_workers(requested: int, num_tasks: int) -> int:
+    """Effective worker count for a task-level pool: ``requested``,
+    bounded by the number of tasks (idle workers are pointless)."""
     if requested < 1:
         raise ConfigurationError("workers must be at least 1")
-    if shard_width < 1:
-        raise ConfigurationError("shard width must be at least 1")
-    effective = min(requested, max(1, num_tasks))
-    if shard_width > 1:
-        effective = max(1, min(effective, cpu_budget()))
-    return effective
+    return min(requested, max(1, num_tasks))
 
 
 def _exit_with_parent() -> None:
@@ -177,7 +137,7 @@ def create_executor(processes: int) -> ProcessPoolExecutor:
 
 @contextmanager
 def inheriting(value: Any) -> Iterator[None]:
-    """Workers forked inside this block find ``value`` in :func:`inherited`.
+    """Workers forked inside this block find ``value`` in the module slot.
 
     One value at a time (the lock serializes forks), cleared on exit, so
     the parent keeps no reference to what it handed down.
@@ -189,11 +149,6 @@ def inheriting(value: Any) -> Iterator[None]:
             yield
         finally:
             _INHERITED = None
-
-
-def inherited() -> Any:
-    """In a worker: the value its executor was forked with."""
-    return _INHERITED
 
 
 def _apply_inherited(index: int) -> Any:

@@ -77,7 +77,7 @@ def get_engine(name: str, **options) -> "Engine":
     """Instantiate the backend registered under ``name`` (or an alias).
 
     ``options`` are forwarded to the factory — e.g.
-    ``get_engine("sharded", shards=4)``. A factory that does not accept
+    ``get_engine("async", tasks=8)``. A factory that does not accept
     the given options raises a :class:`ConfigurationError` naming them.
     """
     # A directly-registered name always wins over an alias of the same

@@ -45,13 +45,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Union
 
-from repro.api.async_engine import run_coroutine
-from repro.api.engines import (
-    Engine,
-    SecureDStressEngine,
-    _SecureCore,
-    validate_intra_run_width,
-)
+from repro.api.async_engine import check_tasks, run_coroutine
+from repro.api.engines import Engine, SecureDStressEngine, _SecureCore
 from repro.api.registry import register_engine
 from repro.api.result import RunResult
 from repro.core.lifecycle import ReleasePolicy, RunState, run_lifecycle
@@ -145,16 +140,10 @@ class SecureAsyncEngine(Engine):
         window_epsilon: Optional[float] = None,
     ) -> None:
         self.backend = check_backend(backend, "engine 'secure-async'")
-        self.tasks = validate_intra_run_width(tasks, self.name)
+        self.tasks = check_tasks(tasks, self.name)
         self.transport = check_transport_spec(transport)
         self.overlap = bool(overlap)
         self._configure_release(release, windows, window_epsilon)
-
-    @property
-    def intra_run_width(self) -> int:
-        """In-flight batch concurrency when overlapping, 1 for the
-        sequential schedule — what the batch planner budgets for."""
-        return self.tasks if self.overlap else 1
 
     compile_plans = SecureDStressEngine.compile_plans
 

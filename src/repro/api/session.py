@@ -133,11 +133,11 @@ class StressTest:
 
     def engine(self, engine: Union[str, Engine], **options: Any) -> "StressTest":
         """Choose the backend — ``"plaintext"``, ``"fixed"``, ``"secure"``,
-        ``"naive-mpc"``, ``"sharded"``, ``"async"``, ``"secure-async"``,
-        or any :class:`Engine` instance.
+        ``"naive-mpc"``, ``"async"``, ``"secure-async"``, or any
+        :class:`Engine` instance.
 
         Keyword ``options`` configure a registry backend at construction
-        time (``.engine("sharded", shards=4)``,
+        time (``.engine("async", tasks=8)``,
         ``.engine("secure-async", tasks=8, transport="wan")``); they
         replace any options from an earlier ``.engine(...)`` call.
         """

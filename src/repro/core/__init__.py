@@ -14,7 +14,7 @@ from repro.core.lifecycle import (
     run_lifecycle,
 )
 from repro.core.program import NO_OP_MESSAGE, ProgramSpec, VertexProgram
-from repro.core.rounds import route_messages, run_rounds, sequential_superstep
+from repro.core.rounds import route_messages, run_rounds
 
 __all__ = [
     "DEFAULT_TOLERANCE",
@@ -36,5 +36,4 @@ __all__ = [
     "route_messages",
     "run_lifecycle",
     "run_rounds",
-    "sequential_superstep",
 ]

@@ -27,8 +27,7 @@ from typing import Dict, Optional
 
 from repro.core.graph import DistributedGraph, VertexView
 from repro.core.program import NO_OP_MESSAGE, VertexProgram, compiled_update_circuit
-from repro.core.rounds import Arithmetic, RoundLoop, Superstep, batched_superstep
-from repro.core.transport import Transport
+from repro.core.rounds import Arithmetic, RoundLoop, batched_superstep
 from repro.exceptions import ConfigurationError
 from repro.obs.trace import timed_phase
 from repro.simulation.netsim import PhaseTimer
@@ -89,22 +88,16 @@ def plaintext_loop(
     graph: DistributedGraph,
     fixed: bool = False,
     phases: Optional[PhaseTimer] = None,
-    superstep: Optional[Superstep] = None,
-    transport: Optional[Transport] = None,
 ) -> RoundLoop:
     """Initialize a resumable round loop (§3.6 setup) in float or
     fixed-point arithmetic; ``advance(n)`` on it runs ``n`` computation
     steps.
-
-    ``transport`` (default: the shared in-memory bus) is the message bus
-    rounds are routed over; a
-    :class:`~repro.core.transport.SimulatedWanTransport` meters the same
-    execution's traffic and link delays without changing any payload.
     """
     with timed_phase(phases, "initialization"):
         make = fixed_arithmetic if fixed else float_arithmetic
         arithmetic = make(program, graph.degree_bound)
-        if fixed and superstep is None:
+        superstep = None
+        if fixed:
             # a computation step is one walk of the circuit, a lane per
             # vertex (the async pipelines keep arithmetic.update)
             degree_bound = graph.degree_bound
@@ -115,8 +108,4 @@ def plaintext_loop(
                     states, inboxes, degree_bound, circuit
                 ),
             )
-        if transport is not None:
-            # one execution = one bus session: resets per-run transport
-            # state (round counters, fault accounting, mailboxes)
-            transport.open(graph, arithmetic.fill)
-        return RoundLoop(graph, arithmetic, phases, transport, superstep)
+        return RoundLoop(graph, arithmetic, phases, superstep)

@@ -1,8 +1,8 @@
 """The shared run lifecycle: one staged spine for every engine backend.
 
 Every DStress execution — float oracle, clear circuit evaluation, the
-sharded/async variants, the full secure protocol, and the naive-MPC
-baseline — walks the same five stages:
+async variant, the full secure protocol, and the naive-MPC baseline —
+walks the same five stages:
 
     setup -> rounds -> aggregate -> noise -> release
 
@@ -43,7 +43,6 @@ from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import ConfigurationError
 from repro.obs.clock import now as clock_now
-from repro.obs.metrics import record_run
 from repro.obs.trace import current_recorder, timed_phase
 from repro.privacy.admission import Precharge, precharge, release_schedule
 from repro.privacy.budget import whole_releases
@@ -282,8 +281,7 @@ def run_lifecycle(
     Owns everything the backends used to duplicate: the ``run`` trace
     span, wall-clock capture, budget admission (one ledger entry per
     release window, refunded for windows that never released if the run
-    fails), the ``stage:*`` phase timings, and the final
-    :func:`~repro.obs.metrics.record_run` absorption. Released fields
+    fails) and the ``stage:*`` phase timings. Released fields
     (aggregate / pre-noise / noise / epsilon / per-window records) are
     stamped onto the core's result uniformly, so a windowed run reports
     its last window exactly like a one-shot run reports its only one.
@@ -345,5 +343,4 @@ def run_lifecycle(
             result.releases = list(state.releases)
             if len(windows) > 1:
                 result.extras["windows"] = float(len(windows))
-        record_run(result)
         return result

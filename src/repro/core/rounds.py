@@ -1,22 +1,21 @@
 """The round scheduler: the §3.6 execution skeleton, engine-independent.
 
-Every DStress execution — float reference, clear circuit evaluation, the
-secure protocol's simulation harness, and the sharded backend — walks the
-same schedule: ``n`` computation+communication rounds (update every
-vertex, route the out-slot messages to the matching in-slots, observe the
-aggregate) followed by one final computation step. This module owns that
+Every DStress execution — float reference, clear circuit evaluation and
+the secure protocol's simulation harness — walks the same schedule:
+``n`` computation+communication rounds (update every vertex, route the
+out-slot messages to the matching in-slots, observe the aggregate)
+followed by one final computation step. This module owns that
 skeleton so backends only supply the three varying pieces:
 
 * ``superstep`` — advance *all* vertices one computation step. The
-  plaintext engines update vertices sequentially
-  (:func:`sequential_superstep`); the sharded engine fans the same work
-  across a process pool and merges at the barrier.
+  float engine updates vertices one by one (:func:`sequential_superstep`);
+  the ``fixed`` engine walks the update circuit once, a lane per vertex
+  (:func:`batched_superstep`).
 * ``route`` — deliver outboxes to inboxes. :func:`route_messages`
   implements the §3.6 slot-to-slot delivery for any payload type (floats
   or raw fixed-point words). Since the transport subsystem landed it is a
-  thin wrapper over :meth:`~repro.core.transport.Transport.deliver_outboxes`;
-  pass ``transport=`` to route a run over a metered/simulated bus instead
-  of the default in-memory one.
+  thin wrapper over :meth:`~repro.core.transport.Transport.deliver_outboxes`
+  on the shared in-memory bus unless ``transport=`` names another.
 * ``observe`` — record the designated aggregate after each round (the
   convergence trajectory).
 
@@ -113,7 +112,7 @@ class Arithmetic(Generic[S, M]):
     The float reference and the clear evaluation of the MPC circuits walk
     one schedule over one graph; these five pieces are everything that
     differs between them, so every plaintext-family engine (plaintext,
-    fixed, sharded, async, naive-mpc) takes its initial state, vertex
+    fixed, async, naive-mpc) takes its initial state, vertex
     update, aggregate and result decoding from the same value.
     """
 
@@ -227,9 +226,7 @@ def sequential_superstep(
     """A superstep that updates vertices one by one, in id order.
 
     The id order fixes dict insertion order of the produced state map,
-    which in turn fixes the float summation order of the observers — the
-    property the sharded backend's merge step must (and does) preserve to
-    stay bit-identical.
+    which in turn fixes the float summation order of the observers.
     """
 
     def superstep(states, inboxes):
@@ -280,9 +277,8 @@ class RoundLoop(Generic[S, M]):
     run's trace is the one-shot trace with extra release stages in between.
 
     ``superstep`` replaces the default one-by-one vertex update (the
-    sharded engine fans it across a process pool, the ``fixed`` engine
-    evaluates it as one circuit walk); ``transport`` is the
-    bus :meth:`advance` routes over (``None``: the shared in-memory one).
+    ``fixed`` engine evaluates it as one circuit walk). :meth:`advance`
+    routes over the shared in-memory bus.
     """
 
     def __init__(
@@ -290,13 +286,11 @@ class RoundLoop(Generic[S, M]):
         graph: DistributedGraph,
         arithmetic: Arithmetic[S, M],
         phases: Optional[PhaseTimer] = None,
-        transport: Optional[Transport] = None,
         superstep: Optional[Superstep] = None,
     ) -> None:
         self.graph = graph
         self.arithmetic = arithmetic
         self.phases = phases
-        self.transport = transport
         self.superstep: Superstep = (
             superstep
             if superstep is not None
@@ -361,9 +355,7 @@ class RoundLoop(Generic[S, M]):
         )
 
     def _route(self, outboxes: Dict[int, List[M]]) -> Dict[int, List[M]]:
-        return route_messages(
-            self.graph, outboxes, self.arithmetic.fill, transport=self.transport
-        )
+        return route_messages(self.graph, outboxes, self.arithmetic.fill)
 
     def _next_round(self) -> int:
         """Index of the next computation step: round numbering continues
@@ -406,6 +398,10 @@ async def run_rounds_async(
     through :meth:`~repro.core.transport.Transport.deliver_outboxes`
     before the per-vertex pipelines start — the §3.6 step boundary at a
     window edge is a full barrier anyway, so nothing is lost to overlap.
+    The first window opens the bus; a resumed one continues the same
+    execution on it (a TCP bus serves exactly one), so the bus numbers
+    rounds across windows: computation step ``s`` communicates as bus
+    round ``s``, and no two windows share a mailbox.
 
     Each vertex runs its own task: compute round ``r``, push the round's
     out-edge messages onto the bus in one
@@ -452,8 +448,10 @@ async def run_rounds_async(
     # the engine exists to exploit (documented in DESIGN.md).
     recorder = current_recorder()
     vertex_ids = graph.vertex_ids
-    transport.open(graph, fill)
-    if resume_outboxes is not None:
+    if resume_outboxes is None:
+        transport.open(graph, fill)
+        full_rounds = iterations
+    else:
         if iterations < 1:
             raise ConfigurationError(
                 "a resumed window needs at least one computation step"
@@ -465,8 +463,6 @@ async def run_rounds_async(
             with timed_phase(phases, "communication"):
                 inboxes = transport.deliver_outboxes(graph, resume_outboxes, fill)
         full_rounds = iterations - 1
-    else:
-        full_rounds = iterations
     # the graph's routing table grouped by sender: senders resolve the
     # destination slot, the transport only moves payloads.
     routes: Dict[int, List[Tuple[int, int, int]]] = {vid: [] for vid in vertex_ids}
@@ -514,7 +510,8 @@ async def run_rounds_async(
             state = states[vid]
             inbox = inboxes[vid]
             for round_index in range(full_rounds):
-                with recorder.span("round", round=first_round + round_index, vertex=vid):
+                bus_round = first_round + round_index
+                with recorder.span("round", round=bus_round, vertex=vid):
                     if gate is not None:
                         async with gate:
                             # the yield makes the gate real: the holder
@@ -530,9 +527,9 @@ async def run_rounds_async(
                     with timed_phase(phases, "communication"):
                         if routes[vid]:
                             await transport.send_round(
-                                vid, round_index, deliveries(vid, outbox)
+                                vid, bus_round, deliveries(vid, outbox)
                             )
-                        inbox = await transport.gather_round(vid, round_index)
+                        inbox = await transport.gather_round(vid, bus_round)
             with recorder.span("round", round=first_round + full_rounds, vertex=vid):
                 with timed_phase(phases, "computation"):
                     state, final_outboxes[vid] = update(vid, state, inbox)
@@ -558,7 +555,8 @@ async def run_rounds_async(
         current = dict(states)
         current_inboxes = dict(inboxes)
         for round_index in range(full_rounds):
-            with recorder.span("round", round=first_round + round_index):
+            bus_round = first_round + round_index
+            with recorder.span("round", round=bus_round):
                 outboxes: Dict[int, List[M]] = {}
                 with timed_phase(phases, "computation"):
                     for vid in vertex_ids:
@@ -569,10 +567,10 @@ async def run_rounds_async(
                 with timed_phase(phases, "communication"):
                     for vid in vertex_ids:
                         for delivery in deliveries(vid, outboxes[vid]):
-                            await transport.send_round(vid, round_index, [delivery])
+                            await transport.send_round(vid, bus_round, [delivery])
                     for vid in vertex_ids:
                         current_inboxes[vid] = await transport.gather_round(
-                            vid, round_index
+                            vid, bus_round
                         )
         with recorder.span("round", round=first_round + full_rounds):
             with timed_phase(phases, "computation"):

@@ -810,7 +810,7 @@ class SecureEngine:
         recorder = current_recorder()
         if recorder.enabled:
             # pair indices are block-local; attribute the bits to the real
-            # member node ids so the series lines up with traffic.link.bytes
+            # member node ids so the series lines up with the per-link meter
             absorb_gmw(
                 recorder.metrics,
                 {

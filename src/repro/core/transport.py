@@ -456,11 +456,11 @@ class FaultInjectingTransport(Transport):
     (:meth:`Transport.fault_delivery`), so the victim's gather raises a
     :class:`TransportError` naming the link instead of hanging; a
     duplicated delivery goes through the inner bus twice, tripping the
-    duplicate check. On the synchronous path (sequential engines, the
-    sharded barrier) each :meth:`deliver_outboxes` call is one round —
-    counted from the start of the execution, since every engine opens
-    the bus per run — and the same faults raise at that round's
-    delivery. Used by the fault-path tests and available for chaos-style
+    duplicate check. On the synchronous path (the resume step of a
+    windowed async run) each :meth:`deliver_outboxes` call is one round —
+    numbered after every round the execution has already sent, so a
+    fault triple names the same round on either path — and the same
+    faults raise at that round's delivery. Used by the fault-path tests and available for chaos-style
     batch runs over any engine.
 
     When the inner bus is shared across real processes (TCP), give every
@@ -523,6 +523,7 @@ class FaultInjectingTransport(Transport):
         # no real-edge guard needed here: engines only send along the
         # graph's actual edges, so a fault triple naming a non-edge never
         # matches a delivery — inert on this path exactly as on the sync one
+        self._sync_round = max(self._sync_round, round_index + 1)
         forwarded = []
         replays = []
         for dst, in_slot, payload in deliveries:

@@ -551,12 +551,14 @@ class TcpTransport(Transport):
     def deliver_outboxes(self, graph, outboxes, fill):
         """The synchronous full-round path, over the same wire machinery.
 
-        One call is one round (engines open the bus per run, so the round
-        counter starts at this run's zero): every edge goes through the
-        frame writer ``send_round`` uses — cross-owner edges genuinely
-        travel TCP — and
-        every vertex's inbox is gathered with the same failure/timeout
-        protection the async engines get.
+        One call is one round, numbered after every round this execution
+        has already sent (the resume step of a windowed run follows the
+        async rounds of the window before it, so a fast peer's frames
+        never land in a mailbox a slow peer is still gathering): every
+        edge goes through the frame writer ``send_round`` uses —
+        cross-owner edges genuinely travel TCP — and every vertex's inbox
+        is gathered with the same failure/timeout protection the async
+        engines get.
         """
         return self._call_io(self._inner_round(graph, outboxes, fill))
 
@@ -613,6 +615,7 @@ class TcpTransport(Transport):
 
     async def _inner_send(self, src, dst, in_slot, payload, round_index):
         self._maybe_die(round_index)
+        self._sync_round = max(self._sync_round, round_index + 1)
         me = self.party_id
         src_owner = self._owner[src]
         dst_owner = self._owner[dst]

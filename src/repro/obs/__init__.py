@@ -16,15 +16,7 @@ tracing by scoping a :class:`TraceRecorder`::
 """
 
 from repro.obs.clock import Clock, ManualClock, SYSTEM_CLOCK, now, wall_time
-from repro.obs.metrics import (
-    MetricsRegistry,
-    absorb_cache,
-    absorb_gmw,
-    absorb_phases,
-    absorb_result,
-    absorb_traffic,
-    record_run,
-)
+from repro.obs.metrics import MetricsRegistry, absorb_cache, absorb_gmw
 from repro.obs.trace import (
     NullRecorder,
     SpanRecord,
@@ -60,10 +52,6 @@ __all__ = [
     "MetricsRegistry",
     "absorb_cache",
     "absorb_gmw",
-    "absorb_phases",
-    "absorb_result",
-    "absorb_traffic",
-    "record_run",
     "NullRecorder",
     "SpanRecord",
     "TraceRecorder",

@@ -1,16 +1,16 @@
-"""A namespaced metrics registry plus absorbers for the repo's existing
-telemetry surfaces.
+"""A namespaced metrics registry plus absorbers for the two telemetry
+sources that have no other home.
 
 The registry is deliberately small: counters (monotonic sums), gauges
 (last-write-wins), and histograms (count/sum/min/max). Keys are
 ``name{label=value,...}`` with labels sorted, so two code paths emitting
 the same logical series always collide onto one entry.
 
-The ``absorb_*`` helpers translate the pre-existing telemetry objects —
-:class:`PhaseTimer`, :class:`TrafficMeter`, GMW ``pair_bits``, cache
-``stats()`` — into registry series under the stable names documented in
-README.md, which is what makes ``repro.obs`` the single query surface
-for "what did this run spend and where did the time go".
+:func:`absorb_gmw` and :func:`absorb_cache` copy GMW ``pair_bits`` and
+scenario-cache counters into series under the names documented in
+README.md. A run's phases, traffic, extras, wall-clock and iteration
+count are not copied: the run export carries them, and phase spans
+carry the timings.
 """
 
 from __future__ import annotations
@@ -74,26 +74,6 @@ class MetricsRegistry:
             mine["max"] = max(mine["max"], hist["max"])
 
 
-def absorb_phases(registry: MetricsRegistry, phases: Any) -> None:
-    """PhaseTimer -> ``phase.seconds{phase=...}`` gauges."""
-    if phases is None:
-        return
-    for name, seconds in phases.seconds.items():
-        registry.set_gauge("phase.seconds", seconds, phase=name)
-
-
-def absorb_traffic(registry: MetricsRegistry, traffic: Any) -> None:
-    """TrafficMeter -> per-node byte gauges + per-directed-link gauges."""
-    if traffic is None:
-        return
-    for node_id in traffic.node_ids:
-        stats = traffic.node(node_id)
-        registry.set_gauge("traffic.node.bytes_sent", stats.bytes_sent, node=node_id)
-        registry.set_gauge("traffic.node.bytes_received", stats.bytes_received, node=node_id)
-    for (src, dst), nbytes in traffic.links().items():
-        registry.set_gauge("traffic.link.bytes", nbytes, src=src, dst=dst)
-
-
 def absorb_gmw(registry: MetricsRegistry, pair_bits: Mapping[Tuple[int, int], Any]) -> None:
     """GMW per-pair bit counts -> ``gmw.pair_bits{src=,dst=}`` counters."""
     for (src, dst), bits in pair_bits.items():
@@ -112,24 +92,3 @@ def absorb_cache(registry: MetricsRegistry, cache: Any) -> None:
         if value is not None:
             registry.set_gauge(f"cache.{attr}", float(value))
 
-
-def absorb_result(registry: MetricsRegistry, result: Any) -> None:
-    """Absorb a finished RunResult's telemetry into the registry."""
-    absorb_phases(registry, getattr(result, "phases", None))
-    absorb_traffic(registry, getattr(result, "traffic", None))
-    registry.set_gauge("run.wall_seconds", result.wall_seconds, engine=result.engine)
-    registry.set_gauge("run.iterations", float(result.iterations), engine=result.engine)
-    for name, value in (result.extras or {}).items():
-        try:
-            registry.set_gauge(f"run.extras.{name}", float(value), engine=result.engine)
-        except (TypeError, ValueError):
-            continue
-
-
-def record_run(result: Any) -> None:
-    """Absorb a finished run into the ambient recorder, if one is active."""
-    from repro.obs.trace import current_recorder
-
-    recorder = current_recorder()
-    if recorder.enabled:
-        absorb_result(recorder.metrics, result)

@@ -115,7 +115,7 @@ def meter_from_rounds(graph, iterations: int, message_bytes: float) -> TrafficMe
     """Synthesize the per-link meter of a round-synchronous run.
 
     The in-memory bus doesn't meter (nothing crosses a wire), which left
-    ``RunResult.traffic`` empty for plaintext/sharded/async runs unless a
+    ``RunResult.traffic`` empty for plaintext/async runs unless a
     :class:`SimulatedWanTransport` happened to be attached. But the byte
     profile of a round-synchronous protocol is straight arithmetic — every
     directed edge carries exactly one fixed-point message per routed

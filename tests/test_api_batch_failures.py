@@ -21,6 +21,7 @@ from repro import (
     StressTest,
 )
 from repro.api import Engine, RunResult
+from repro.api.pool import plan_workers
 from repro.exceptions import (
     ConfigurationError,
     PrivacyBudgetExceeded,
@@ -150,25 +151,24 @@ def test_budget_exhaustion_refuses_batch_before_any_compute(template, tmp_path):
     assert accountant.spent == pytest.approx(0.3)
 
 
-class BadShardsEngine(Engine):
-    """Releasing engine advertising an invalid shard width."""
-
-    name = "test-bad-shards"
-    releases_output = True
-    shards = 0  # plan_workers must reject this before budget is charged
-
-    def execute(self, program, graph, iterations, config, accountant=None):
-        raise AssertionError("must never execute")
+def test_plan_workers_policy():
+    assert plan_workers(3, 5) == 3  # no CPU cap: the caller's count is honored
+    assert plan_workers(8, 2) == 2  # idle workers are pointless
+    with pytest.raises(ConfigurationError, match="at least 1"):
+        plan_workers(0, 3)
 
 
-def test_worker_planning_failure_does_not_burn_budget(template):
+def test_worker_planning_failure_does_not_burn_budget(template, tmp_path):
+    marker = tmp_path / "executions.log"
     accountant = PrivacyAccountant(epsilon_max=math.log(2))
-    session = template.clone().engine(BadShardsEngine()).privacy(epsilon=0.1)
-    with pytest.raises(ConfigurationError, match="shard width"):
+    session = template.clone().engine(MarkerEngine(str(marker))).privacy(epsilon=0.1)
+    # plan_workers must reject this before budget is charged
+    with pytest.raises(ConfigurationError, match="workers must be at least 1"):
         session.run_many(
-            [Scenario(name="never-runs")], workers=2, accountant=accountant
+            [Scenario(name="never-runs")], workers=0, accountant=accountant
         )
     assert accountant.spent == 0.0
+    assert not marker.exists()
 
 
 def test_budget_check_covers_only_releasing_scenarios(template, tmp_path):
@@ -194,16 +194,16 @@ def test_bad_scenario_engine_string_names_registry_entries(template):
     # names the failing scenario, promises nothing ran, and lists what exists
     assert "typo" in message
     assert "no scenario was executed" in message
-    for registered in ("plaintext", "fixed", "secure", "naive-mpc", "sharded"):
+    for registered in ("plaintext", "fixed", "secure", "naive-mpc", "async"):
         assert registered in message
 
 
 def test_bad_template_engine_options_fail_at_resolve_with_scenario_name(template):
     # engine options resolve lazily: an invalid option on the template
     # surfaces at batch-resolve time, tagged with the scenario's name
-    session = template.clone().engine("sharded", shards=-2)
-    with pytest.raises(ConfigurationError, match="bad-shards"):
-        session.run_many([Scenario(name="bad-shards", iterations=2)], workers=1)
+    session = template.clone().engine("async", tasks=-2)
+    with pytest.raises(ConfigurationError, match="bad-tasks"):
+        session.run_many([Scenario(name="bad-tasks", iterations=2)], workers=1)
 
 
 def test_bad_program_string_in_scenario_lists_programs(template):

@@ -134,8 +134,8 @@ def test_cache_misses_on_any_input_delta(template):
         Scenario("new-iters", seed=1, iterations=4),
         Scenario("new-epsilon", seed=1, iterations=3, epsilon=0.4),
         Scenario(
-            "new-engine", seed=1, iterations=3, engine="sharded",
-            engine_options={"shards": 2},
+            "new-engine", seed=1, iterations=3, engine="async",
+            engine_options={"tasks": 2},
         ),
     ]
     result = template.run_many(deltas, cache=cache)

@@ -2,18 +2,16 @@
 
 Bit-identity against ``plaintext`` at every task count is asserted by
 the cross-engine parity matrix (``test_engine_parity_matrix.py``); this
-file covers everything around it — option validation through the
-registry, the simulated-WAN traffic accounting, the sequential
-(``overlap=False``) baseline, transport faults surfacing as
-scenario-named batch errors, and the worker planner accounting for task
-concurrency the way it accounts for shards.
+file covers everything around it — engine options through the registry,
+sessions and batch scenarios, the simulated-WAN traffic accounting, the
+sequential (``overlap=False``) baseline, and transport faults surfacing
+as scenario-named batch errors.
 """
 
 import pytest
 
 from repro import StressTest
 from repro.api import AsyncEngine, Scenario, get_engine
-from repro.api.pool import cpu_budget, plan_workers
 from repro.core.transport import FaultInjectingTransport, InMemoryTransport
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import ConfigurationError, TransportError
@@ -58,15 +56,81 @@ def _session(network, **engine_options):
 def test_engine_options_validated_through_registry():
     with pytest.raises(ConfigurationError, match="positive int"):
         get_engine("async", tasks=0)
-    with pytest.raises(ConfigurationError, match="positive int"):
-        AsyncEngine(tasks=True)
+    # a misdeclared task count must surface, not silently mean "serial"
+    for bad in ("16", 2.5, True, -1):
+        with pytest.raises(ConfigurationError, match="positive int"):
+            AsyncEngine(tasks=bad)
     with pytest.raises(ConfigurationError, match="Transport instance or a name"):
         AsyncEngine(transport=3.14)
     with pytest.raises(ConfigurationError, match="rejected options"):
-        get_engine("async", shards=4)  # sharded's option, not async's
+        get_engine("async", shards=4)  # not an option of this engine
+    with pytest.raises(ConfigurationError, match="tasks"):
+        get_engine("plaintext", tasks=2)  # engine takes no such option
     # aliases resolve
     assert isinstance(get_engine("asyncio"), AsyncEngine)
     assert isinstance(get_engine("overlapped", tasks=2), AsyncEngine)
+
+
+@pytest.mark.parametrize("engine", ["async", "secure-async"])
+@pytest.mark.parametrize("bad", [0, -1, True, False, 2.5, "2", None], ids=repr)
+def test_tasks_must_be_a_positive_int(engine, bad):
+    with pytest.raises(
+        ConfigurationError, match=f"engine '{engine}': tasks must be a positive int"
+    ):
+        get_engine(engine, tasks=bad)
+
+
+@pytest.mark.parametrize("engine", ["async", "secure-async"])
+@pytest.mark.parametrize("tasks", [1, 2, 64])
+def test_tasks_is_kept_as_given(engine, tasks):
+    assert get_engine(engine, tasks=tasks).tasks == tasks
+
+
+def test_engine_options_reach_the_factory():
+    assert get_engine("async", tasks=6).tasks == 6
+    assert get_engine("asyncio").tasks == 4  # alias, default options
+
+
+def test_engine_options_refused_for_instances(network):
+    with pytest.raises(ConfigurationError, match="instance"):
+        StressTest(network).engine(AsyncEngine(tasks=2), tasks=4)
+
+
+def test_engine_options_survive_clone_and_replacement(network):
+    session = _session(network, tasks=3)
+    assert session.clone().resolve(iterations=1).engine.tasks == 3
+    # choosing a new engine drops the previous options
+    session.engine("plaintext")
+    assert session.resolve(iterations=1).engine.name == "plaintext"
+
+
+def test_scenario_engine_options_flow_through(network):
+    template = _session(network, tasks=8)
+    batch = template.run_many(
+        [
+            Scenario(name="inherit", iterations=2),  # template options: tasks=8
+            Scenario(
+                name="narrow", engine="async", engine_options={"tasks": 3}, iterations=2
+            ),
+            Scenario(name="reset", engine="async", iterations=2),  # default 4
+            Scenario(name="rewidth", engine_options={"tasks": 1}, iterations=2),
+        ],
+        workers=1,
+    )
+    assert all(o.ok for o in batch)
+    assert batch.by_name("inherit").result.extras["tasks"] == 8
+    assert batch.by_name("narrow").result.extras["tasks"] == 3
+    assert batch.by_name("reset").result.extras["tasks"] == 4
+    assert batch.by_name("rewidth").result.extras["tasks"] == 1
+
+
+def test_scenario_engine_options_refused_for_instance_template(network):
+    template = StressTest(network).program("eisenberg-noe").engine(AsyncEngine(tasks=2))
+    # the refusal carries the scenario name (batch error contract)
+    with pytest.raises(ConfigurationError, match=r"scenario 'opts'.*Engine instance"):
+        template.run_many(
+            [Scenario(name="opts", engine_options={"tasks": 3})], workers=1
+        )
 
 
 def test_runs_inside_an_already_running_event_loop(network, reference):
@@ -126,21 +190,6 @@ def test_reused_transport_instance_reports_per_run_deltas(network):
     assert bus.meter.total_bytes_sent == pytest.approx(2 * first.extras["wan_bytes"])
 
 
-def test_sharded_wan_transport_is_observable(network, reference):
-    result = (
-        StressTest(network)
-        .program("eisenberg-noe")
-        .engine("sharded", shards=1, transport="wan")
-        .seed(SEED)
-        .run(iterations=ITERATIONS)
-    )
-    assert result.trajectory == reference.trajectory
-    graph = network.to_en_graph(None)
-    expected = graph.num_edges * ITERATIONS * (16 / 8.0)
-    assert result.traffic is not None
-    assert result.extras["wan_bytes"] == pytest.approx(expected)
-
-
 def test_wan_latency_accounts_simulated_seconds(network, reference):
     result = (
         _session(network, tasks=8, transport="wan")
@@ -192,66 +241,7 @@ def test_duplicate_fault_raises_directly(network):
         session.run(iterations=2)
 
 
-# ---------------------------------------------------------- worker planning --
-
-
-def test_intra_run_width_covers_tasks_and_shards():
-    assert AsyncEngine(tasks=6).intra_run_width == 6
-    assert get_engine("sharded", shards=3).intra_run_width == 3
-    assert get_engine("plaintext").intra_run_width == 1
-    # the sequential schedule runs one pipeline: the planner must not be
-    # throttled by a task count that never deploys
-    assert AsyncEngine(tasks=16, overlap=False).intra_run_width == 1
-
-
-def test_intra_run_width_rejects_non_int_declarations():
-    # a misdeclared width must surface, not silently mean "serial"
-    from repro.api import Engine
-
-    class Weird(Engine):
-        name = "weird"
-
-        def __init__(self, tasks):
-            self.tasks = tasks
-
-        def execute(self, program, graph, iterations, config, accountant=None):
-            raise AssertionError
-
-    for bad in ("16", 2.5, True, 0):
-        with pytest.raises(ConfigurationError, match="shard width / task"):
-            Weird(bad).intra_run_width
-
-
-def test_invalid_width_rejected_even_in_mixed_batches(network):
-    # a bad declaration must not hide behind another scenario's valid
-    # wider one (max() would mask it if plan_workers saw only the max)
-    class BadWidthEngine(AsyncEngine):
-        name = "bad-width"
-        intra_run_width = 0
-
-    template = StressTest(network).program("eisenberg-noe").seed(SEED)
-    scenarios = [
-        Scenario("bad", engine=BadWidthEngine(), iterations=2),
-        Scenario("wide", engine="sharded", engine_options={"shards": 4}, iterations=2),
-    ]
-    with pytest.raises(ConfigurationError, match="shard width"):
-        template.run_many(scenarios, workers=2)
-
-
-def test_plan_workers_caps_async_batches_like_sharded_ones(network):
-    # a wide async batch is CPU-capped exactly as a sharded one would be
-    requested = 4 * cpu_budget()
-    tasks = 4 * cpu_budget()
-    assert plan_workers(requested, tasks, shard_width=8) == cpu_budget()
-
-    template = StressTest(network).program("eisenberg-noe").seed(SEED)
-    scenarios = [
-        Scenario(f"s{i}", engine="async", engine_options={"tasks": 8}, iterations=2)
-        for i in range(2 * cpu_budget() + 2)
-    ]
-    batch = template.run_many(scenarios, workers=2 * cpu_budget() + 2)
-    assert batch.workers <= cpu_budget()
-    assert all(outcome.ok for outcome in batch)
+# ------------------------------------------------------------ batch workers --
 
 
 def test_async_inside_batch_workers_stays_bit_identical(network, reference):

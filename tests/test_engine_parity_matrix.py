@@ -1,15 +1,13 @@
 """Cross-engine parity matrix: the correctness bar for every backend.
 
-Engines (``plaintext``, ``fixed``, ``sharded`` at 1/2/3 shards,
-``async`` at 1/4/16 tasks) x programs (``eisenberg-noe``,
+Engines (``plaintext``, ``fixed``, ``async`` at 1/4/16 tasks) x programs (``eisenberg-noe``,
 ``elliott-golub-jackson``) x graph generators (core-periphery,
 scale-free), all under a fixed seed:
 
-* every float-mode backend (``plaintext``, ``sharded@k``, ``async@t``)
-  must produce a **bit-identical** pre-noise trajectory — not
-  approximately equal: float addition is not associative, so bit-identity
-  proves the sharded barrier merge and the async engine's
-  completion-order-independent state assembly both preserve the reference
+* every float-mode backend (``plaintext``, ``async@t``) must produce a
+  **bit-identical** pre-noise trajectory — not approximately equal: float
+  addition is not associative, so bit-identity proves the async engine's
+  completion-order-independent state assembly preserves the reference
   evaluation order;
 * the ``fixed`` backend must be bit-reproducible run-to-run and stay
   within quantization distance of the float oracle;
@@ -66,9 +64,6 @@ QUANTIZATION_TOLERANCE = 0.5
 PROGRAMS = ("eisenberg-noe", "elliott-golub-jackson")
 FLOAT_ENGINES = (
     ("plaintext", {}),
-    ("sharded", {"shards": 1}),
-    ("sharded", {"shards": 2}),
-    ("sharded", {"shards": 3}),
     ("async", {"tasks": 1}),
     ("async", {"tasks": 4}),
     ("async", {"tasks": 16}),

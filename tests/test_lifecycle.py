@@ -56,7 +56,6 @@ from repro.service.scenario_ast import validate_scenario
 ALL_ENGINES = (
     "plaintext",
     "fixed",
-    "sharded",
     "async",
     "secure",
     "secure-async",
@@ -67,7 +66,7 @@ ALL_ENGINES = (
 #: family — their windowed releases are bit-comparable to standalone
 #: runs (the secure family's noise stream position differs by design;
 #: its *pre-noise* values are compared instead).
-FLOAT_FAMILY = ("plaintext", "fixed", "sharded", "async", "naive-mpc")
+FLOAT_FAMILY = ("plaintext", "fixed", "async", "naive-mpc")
 
 WINDOW_EPSILON = 0.1
 
@@ -245,7 +244,7 @@ class TestGridRelease:
             uniform_shock([0, 1], 0.6),
         )
         released = {}
-        for engine in ("plaintext", "async", "sharded", "fixed", "naive-mpc"):
+        for engine in ("plaintext", "async", "fixed", "naive-mpc"):
             options = {"estimate_cost": False} if engine == "naive-mpc" else {}
             result = (
                 StressTest(network)
@@ -259,7 +258,7 @@ class TestGridRelease:
             for record in result.releases:
                 self.assert_on_grid(record)
             released[engine] = [r.value / self.RESOLUTION for r in result.releases]
-        for engine in ("plaintext", "async", "sharded"):
+        for engine in ("plaintext", "async"):
             assert released[engine] == [3388.0, 13432.0]
         for engine in ("fixed", "naive-mpc"):
             assert released[engine] == [3386.0, 13428.0]

@@ -7,8 +7,8 @@ stays fast; the separate-OS-process acceptance path lives in
 
 * **bit-identity** — ``engine="async"`` and ``engine="secure-async"``
   over a TCP mesh release exactly what the in-memory bus releases;
-* **the sync path** — ``deliver_outboxes`` (sequential engines, the
-  sharded barrier) travels the same wire;
+* **the sync path** — ``deliver_outboxes`` (the resume step of a
+  windowed run) travels the same wire;
 * **chaos composition** — :class:`FaultInjectingTransport` wraps a
   ``TcpTransport``, so drop/duplicate chaos works against real sockets;
 * **never a hang** — a peer that vanishes (abrupt socket death, no
@@ -236,19 +236,81 @@ class TestSecureAsyncBitIdentity:
 
 
 class TestSynchronousPath:
-    def test_sharded_engine_routes_rounds_over_tcp(self):
-        """deliver_outboxes is the same wire: the sequential round barrier
-        crosses real sockets and stays bit-identical. (shards=1 keeps the
-        inline path — forking workers from a threaded test is off-limits —
-        which is exactly the synchronous deliver_outboxes contract.)"""
-        reference = _template().engine("plaintext").run(iterations=ITERATIONS)
+    def test_windowed_async_resumes_over_tcp(self):
+        """deliver_outboxes is the same wire: the step that resumes a
+        windowed run crosses real sockets on the bus the first window
+        opened, and every window releases what the in-memory run does."""
+        windowed = {"release": "windowed", "windows": [1, 1]}
+        reference = _template().engine("plaintext", **windowed).run(iterations=ITERATIONS)
         transports, peers = _mesh(2, "test-sync-mesh")
+        resumes = Counter()
+        for party, bus in enumerate(transports):
+
+            def deliver(*args, _party=party, _original=bus.deliver_outboxes):
+                resumes[_party] += 1
+                return _original(*args)
+
+            bus.deliver_outboxes = deliver
         try:
             results, errors = _run_parties(
                 transports,
                 peers,
                 lambda i, bus: _template()
-                .engine("sharded", shards=1, transport=bus)
+                .engine("async", transport=bus, **windowed)
+                .run(iterations=ITERATIONS),
+            )
+        finally:
+            _close_all(transports)
+        assert errors == [None, None]
+        assert resumes == {0: 1, 1: 1}  # one window edge per party
+        for result in results:
+            _assert_released_identical(result, reference)
+            assert result.releases == reference.releases
+
+    @pytest.mark.parametrize(
+        "windows", [[1, 2], [2, 1], [1, 1, 1]], ids=["1-2", "2-1", "1-1-1"]
+    )
+    def test_every_window_split_resumes_over_tcp(self, windows):
+        windowed = {"release": "windowed", "windows": windows}
+        iterations = sum(windows)
+        reference = _template().engine("plaintext", **windowed).run(iterations=iterations)
+        transports, peers = _mesh(2, "test-sync-splits")
+        try:
+            results, errors = _run_parties(
+                transports,
+                peers,
+                lambda i, bus: _template()
+                .engine("async", transport=bus, **windowed)
+                .run(iterations=iterations),
+            )
+        finally:
+            _close_all(transports)
+        assert errors == [None, None]
+        for result in results:
+            _assert_released_identical(result, reference)
+            assert result.releases == reference.releases
+
+    def test_a_slow_party_never_sees_the_next_window_early(self):
+        """Party 1 parks every round-0 gather while party 0 runs ahead into
+        the resume step: its frames belong to round 1, not to the round-0
+        mailboxes party 1 has yet to drain."""
+        windowed = {"release": "windowed", "windows": [1, 1]}
+        reference = _template().engine("plaintext", **windowed).run(iterations=ITERATIONS)
+        transports, peers = _mesh(2, "test-sync-slow")
+        slow = transports[1]
+
+        async def gather(vertex_id, round_index, _original=slow.gather_round):
+            if round_index == 0:
+                await asyncio.sleep(0.2)
+            return await _original(vertex_id, round_index)
+
+        slow.gather_round = gather
+        try:
+            results, errors = _run_parties(
+                transports,
+                peers,
+                lambda i, bus: _template()
+                .engine("async", transport=bus, **windowed)
                 .run(iterations=ITERATIONS),
             )
         finally:
@@ -256,6 +318,7 @@ class TestSynchronousPath:
         assert errors == [None, None]
         for result in results:
             _assert_released_identical(result, reference)
+            assert result.releases == reference.releases
 
 
 class TestFaultInjectionOverTcp:

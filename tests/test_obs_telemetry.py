@@ -185,8 +185,7 @@ class TestMetricsRegistry:
 # ----------------------------------------------- trace determinism parity --
 
 
-ENGINES = ["plaintext", "fixed", "sharded", "async", "naive-mpc", "secure",
-           "secure-async"]
+ENGINES = ["plaintext", "fixed", "async", "naive-mpc", "secure", "secure-async"]
 
 
 class TestTraceDeterminism:

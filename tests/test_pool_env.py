@@ -34,7 +34,7 @@ class TestScrubFunction:
 
 class TestPoolScrubbing:
     def test_forked_workers_are_scrubbed(self, monkeypatch):
-        # every fork fan-out (batch, shard window, service) is this executor
+        # every fork fan-out (batch, service) is this executor
         monkeypatch.setenv(MARKER, "leaked")
         executor = create_executor(2)
         try:

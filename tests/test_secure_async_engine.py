@@ -272,16 +272,17 @@ class TestEngineWiring:
     def test_registry_options_flow_through(self):
         engine = get_engine("secure-async", tasks=8, transport="wan")
         assert engine.tasks == 8
-        assert engine.intra_run_width == 8
-        assert get_engine("secure-async", overlap=False).intra_run_width == 1
+        assert engine.transport == "wan"
+        assert get_engine("secure-async", overlap=False).overlap is False
 
     def test_aliases_resolve(self):
         assert get_engine("secure-asyncio").name == "secure-async"
         assert get_engine("dstress-async").name == "secure-async"
 
     def test_bad_options_fail_loudly(self):
-        with pytest.raises(ConfigurationError, match="intra-run width"):
-            get_engine("secure-async", tasks=0)
+        for bad in (0, True, "8"):
+            with pytest.raises(ConfigurationError, match="positive int"):
+                get_engine("secure-async", tasks=bad)
         with pytest.raises(ConfigurationError, match="transport"):
             get_engine("secure-async", transport=42)
 

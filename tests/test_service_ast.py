@@ -9,8 +9,9 @@ import copy
 
 import pytest
 
+from repro.api import get_engine
 from repro.api.cache import run_fingerprint
-from repro.exceptions import ScenarioValidationError
+from repro.exceptions import ConfigurationError, ScenarioValidationError
 from repro.service.scenario_ast import (
     AST_VERSION,
     MAX_BANKS,
@@ -87,7 +88,7 @@ class TestValidation:
             {"engine": {"name": "evil"}},
             {"engine": {"name": "secure", "options": {"backend": "quantum"}}},
             {"engine": {"name": "secure", "options": {"transport": "tcp"}}},
-            {"engine": {"name": "sharded", "options": {"shards": 0}}},
+            {"engine": {"name": "async", "options": {"tasks": 0}}},
             {"preset": "galactic"},
             {"overrides": {"fmt": "anything"}},
             {"overrides": {"output_epsilon": -1.0}},
@@ -177,9 +178,28 @@ class TestNotarization:
         assert not notarized.releases
         assert notarized.epsilon == 0.0
 
-    def test_malformed_document_never_resolves(self):
-        with pytest.raises(ScenarioValidationError):
-            notarize(base_doc(engine={"name": "evil"}))
+    @pytest.mark.parametrize("name", ["evil", "sharded"])
+    def test_malformed_document_never_resolves(self, name):
+        with pytest.raises(ScenarioValidationError, match=f"got {name!r}"):
+            notarize(base_doc(engine={"name": name}))
+
+    def test_removed_engine_is_unknown_to_the_registry(self):
+        with pytest.raises(ConfigurationError) as refused:
+            get_engine("sharded")
+        registered = str(refused.value).split("registered engines: ")[1]
+        for name in ("async", "fixed", "naive-mpc", "plaintext", "secure", "secure-async"):
+            assert name in registered.split(", ")
+        assert "sharded" not in registered.split(", ")
+
+    @pytest.mark.parametrize("alias", ["shard", "partitioned"])
+    def test_removed_engine_aliases_are_unknown_to_the_registry(self, alias):
+        with pytest.raises(ConfigurationError, match="registered engines: "):
+            get_engine(alias)
+
+    @pytest.mark.parametrize("alias", ["shard", "partitioned"])
+    def test_removed_engine_aliases_never_resolve(self, alias):
+        with pytest.raises(ScenarioValidationError, match=f"got {alias!r}"):
+            notarize(base_doc(engine={"name": alias}))
 
     def test_notarized_run_is_bit_identical_to_direct_run(self):
         doc = base_doc()

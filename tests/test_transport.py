@@ -220,8 +220,8 @@ def test_faults_apply_on_the_synchronous_path_too():
         dup_bus.deliver_outboxes(graph, outboxes, 0.0)
 
 
-def test_sharded_chaos_run_raises_scenario_error():
-    # a sequential-engine chaos run actually exercises the fault
+def test_async_chaos_run_raises_scenario_error():
+    # a chaos run through an engine actually exercises the fault
     from repro import StressTest
     from repro.crypto.rng import DeterministicRNG
     from repro.finance import apply_shock, uniform_shock
@@ -235,7 +235,7 @@ def test_sharded_chaos_run_raises_scenario_error():
     session = (
         StressTest(net)
         .program("eisenberg-noe")
-        .engine("sharded", shards=1, transport=FaultInjectingTransport(drop=[(src, dst, 1)]))
+        .engine("async", transport=FaultInjectingTransport(drop=[(src, dst, 1)]))
         .seed(1)
     )
     with pytest.raises(TransportError, match="round 1"):
@@ -258,7 +258,7 @@ def test_reused_faulty_bus_faults_every_run():
     session = (
         StressTest(net)
         .program("eisenberg-noe")
-        .engine("sharded", shards=1, transport=FaultInjectingTransport(drop=[(src, dst, 0)]))
+        .engine("async", transport=FaultInjectingTransport(drop=[(src, dst, 0)]))
         .seed(1)
     )
     for _ in range(2):

@@ -1,12 +1,12 @@
 """A worker process that dies is a named, refunded failure, never a hang.
 
-Every fork fan-out — ``run_many`` workers, ``sharded`` windows — runs on
-``repro.api.pool.create_executor``: a worker that dies, or cannot send
-its result back, fails its futures instead of leaving a task that never
-completes. Each case runs in a child interpreter under a hard deadline,
-so a regression fails here instead of hanging the suite; the child
-prints one JSON report of the outcomes, the accountant's books and the
-child processes still alive.
+Every fork fan-out — ``run_many`` workers here, service workers in
+``test_service_faults.py`` — runs on ``repro.api.pool.create_executor``:
+a worker that dies, or cannot send its result back, fails its futures
+instead of leaving a task that never completes. Each case runs in a
+child interpreter under a hard deadline, so a regression fails here
+instead of hanging the suite; the child prints one JSON report of the
+outcomes, the accountant's books and the child processes still alive.
 """
 
 import json
@@ -148,33 +148,4 @@ def test_a_result_that_cannot_be_sent_back_fails_only_its_scenario():
     assert errors["fine"] is None and errors["fine-too"] is None
     assert "pickle" in errors["doomed"]
     assert report["charged"] == report["kept"] == 0.1 + 0.15
-    _assert_named_refunded_reaped(report)
-
-
-def test_shard_worker_death_fails_the_run_and_refunds_it():
-    report = _run(
-        """
-        import repro.api.sharded as sharded
-
-        def die(payload):
-            os._exit(9)
-
-        sharded._shard_step = die
-        EPSILON = {"doomed": 0.2}
-        options = {"shards": 2, "release": "windowed", "windows": [2]}
-        doomed = Scenario(
-            "doomed", engine="sharded", engine_options=options, epsilon=0.2, iterations=2
-        )
-        batch = template.run_many([doomed], workers=1, accountant=accountant)
-        session = template.clone().engine("sharded", **options)
-        try:
-            session.privacy(epsilon=0.2, accountant=accountant).run(iterations=2)
-        except Exception as exc:
-            direct = type(exc).__name__
-        report(batch.outcomes, batch.epsilon_charged, direct=direct)
-        """
-    )
-    assert "BrokenProcessPool" in dict(report["outcomes"])["doomed"]
-    assert report["direct"] == "BrokenProcessPool"
-    assert report["charged"] == report["kept"] == 0.0
     _assert_named_refunded_reaped(report)
