@@ -11,6 +11,9 @@ checks the only claim that matters:
 * every party's **released output is bit-identical** to the same scenario
   on the in-memory bus (aggregate, pre-noise value, the exact noise draw,
   the full trajectory) — the transport moved bytes, never results;
+* the cluster ran traced: every party's run export (``party-<id>.json``)
+  and the merged ``timeline.json`` pass ``python -m repro.obs.report
+  --check``;
 * a second cluster where one party is **killed mid-round**
   (``os._exit(17)``, no goodbye) surfaces a *named*
   ``TransportError`` at a survivor within the io timeout — dead peers
@@ -23,9 +26,12 @@ Run: PYTHONPATH=src python examples/tcp_cluster_demo.py
 """
 
 import sys
+import tempfile
+from pathlib import Path
 
 from repro import Bank, FinancialNetwork, StressTest
 from repro.net import run_scenario_cluster
+from repro.obs.report import main as report_main
 
 ITERATIONS = 2
 NUM_PARTIES = 3
@@ -55,6 +61,14 @@ def build_scenario(_party_id):
     )
 
 
+def check_trace(trace_dir: Path) -> None:
+    """Every party's run export and the merged timeline validate."""
+    shards = sorted(trace_dir.glob("party-*.json"))
+    assert len(shards) == NUM_PARTIES, f"expected {NUM_PARTIES} trace shards, got {len(shards)}"
+    documents = [str(path) for path in (*shards, trace_dir / "timeline.json")]
+    assert report_main([*documents, "--check"]) == 0, "a trace document failed --check"
+
+
 def main() -> None:
     print("reference: engine='secure' on the in-memory bus ...")
     reference = build_scenario(None).engine("secure").run(iterations=ITERATIONS)
@@ -62,16 +76,19 @@ def main() -> None:
 
     print(
         f"\ncluster: {NUM_PARTIES} OS processes, engine='secure-async', "
-        "every byte over 127.0.0.1 TCP ..."
+        "every byte over 127.0.0.1 TCP, traced ..."
     )
-    outcomes = run_scenario_cluster(
-        build_scenario,
-        num_parties=NUM_PARTIES,
-        engine="secure-async",
-        iterations=ITERATIONS,
-        session="tcp-cluster-demo",
-        timeout=300.0,
-    )
+    with tempfile.TemporaryDirectory() as trace_dir:
+        outcomes = run_scenario_cluster(
+            build_scenario,
+            num_parties=NUM_PARTIES,
+            engine="secure-async",
+            iterations=ITERATIONS,
+            session="tcp-cluster-demo",
+            timeout=300.0,
+            trace_dir=trace_dir,
+        )
+        check_trace(Path(trace_dir))
     assert [o.status for o in outcomes] == ["ok"] * NUM_PARTIES, (
         "cluster did not complete cleanly: "
         + "; ".join(f"party {o.party_id}: {o.status} {o.error_message}" for o in outcomes)

@@ -15,7 +15,7 @@ sequential :func:`~repro.core.rounds.run_rounds` skeleton.
 Engine options (all reachable through the registry and batch scenarios)::
 
     StressTest(net).program("en").engine("async", tasks=8).run()
-    .engine("async", transport="wan")          # metered simulated WAN
+    .engine("async", transport="wan")          # simulated WAN delays
     .engine("async", transport=my_transport)   # any Transport instance
     .engine("async", overlap=False)            # sequential-over-the-bus
                                                # baseline (benchmark foil)
@@ -25,7 +25,10 @@ result is bit-identical to ``engine="plaintext"`` at every ``tasks``
 level — asserted by the cross-engine parity matrix. Under
 :class:`~repro.core.transport.SimulatedWanTransport` the payloads are
 unchanged (still bit-identical) but wall-clock reflects the link
-schedule and ``result.traffic`` carries the per-node byte meters.
+schedule, and the bus's delay and byte totals for the run land in
+``extras["simulated_seconds"]`` / ``extras["wan_bytes"]``. On every bus
+``result.traffic`` is the protocol's per-link bytes
+(:func:`~repro.simulation.netsim.meter_from_rounds`), never the bus's.
 
 All vertex tasks share the parent process, so nothing is pickled per
 round. Nor is there a Task per message: a vertex hands its whole round
@@ -53,14 +56,12 @@ from repro.api.result import RunResult
 from repro.core.lifecycle import ReleasePolicy, RunState, run_lifecycle
 from repro.core.transport import (
     Transport,
-    attach_wan_extras,
-    attach_wire_extras,
+    attach_bus_extras,
     check_transport_spec,
     transport_from_spec,
-    wan_meter_snapshot,
+    wan_totals,
 )
 from repro.exceptions import ConfigurationError
-from repro.simulation.netsim import TrafficMeter
 
 __all__ = ["AsyncEngine", "run_coroutine"]
 
@@ -104,15 +105,14 @@ class _AsyncCore(_PlaintextCore):
 
     def __init__(self, engine, program, graph, config) -> None:
         super().__init__(engine, program, graph, config)
-        self.meter = TrafficMeter()
         self.bus = None
         self.before = None
 
     def setup(self, state: RunState) -> None:
-        self.bus = transport_from_spec(self.engine.transport, self.config, meter=self.meter)
+        self.bus = transport_from_spec(self.engine.transport, self.config)
         # A caller-supplied Transport instance may be reused across runs;
-        # snapshot its counters so the extras below report *this* run.
-        self.before = wan_meter_snapshot(self.bus)
+        # snapshot its totals so the extras below report *this* run.
+        self.before = wan_totals(self.bus)
         super().setup(state)
 
     def run_window(self, state: RunState, rounds: int, first: bool) -> None:
@@ -138,8 +138,7 @@ class _AsyncCore(_PlaintextCore):
                 "messages_sent": float(self.graph.num_edges * state.rounds_done),
             }
         )
-        attach_wan_extras(result, self.bus, self.before)
-        attach_wire_extras(result, self.bus)
+        attach_bus_extras(result, self.bus, self.before)
         self.close()
         return result
 

@@ -666,9 +666,6 @@ def run_batch(
         cache_misses=cache_misses,
     )
     recorder = current_recorder()
-    if recorder.enabled:
-        recorder.metrics.set_gauge("batch.wall_seconds", batch_result.wall_seconds)
-        recorder.metrics.set_gauge("batch.epsilon_charged", epsilon_charged)
-        if prepared.cache is not None:
-            absorb_cache(recorder.metrics, prepared.cache)
+    if recorder.enabled and prepared.cache is not None:
+        absorb_cache(recorder.metrics, prepared.cache)
     return batch_result

@@ -178,8 +178,9 @@ def _from_plaintext(
     graph: DistributedGraph,
 ) -> RunResult:
     """A clear round loop's state as a result in real units, with its
-    phase timings and a synthesized per-link traffic meter, so every
-    engine's RunResult exposes the same telemetry shape."""
+    phase timings and its per-link traffic from the round arithmetic
+    (whatever bus carried it), so every engine's RunResult exposes the
+    same telemetry shape."""
     decode = loop.arithmetic.decode
     return RunResult(
         engine=engine_name,

@@ -18,7 +18,7 @@ Engine options (all reachable through the registry and batch scenarios)::
 
     StressTest(net).program("en").engine("secure-async").run()
     .engine("secure-async", tasks=8)           # bound in-flight batches
-    .engine("secure-async", transport="wan")   # metered simulated WAN
+    .engine("secure-async", transport="wan")   # simulated WAN delays
     .engine("secure-async", transport=bus)     # any Transport instance
     .engine("secure-async", overlap=False)     # sequential-over-the-bus
                                                # baseline (benchmark foil)
@@ -30,9 +30,9 @@ Determinism contract: released outputs are **bit-identical** to
 :meth:`~repro.crypto.rng.DeterministicRNG.fork` consumes parent stream,
 so the window body performs the crypto in the one transcript order and
 this driver overlaps only the wire time, which never touches a payload.
-The parity matrix asserts this cell by cell. ``result.traffic`` stays
-the protocol meter (per-node *and* per-link, OT-extension bytes
-included); a WAN bus's own delay accounting lands in
+The parity matrix asserts this cell by cell. ``result.traffic`` is the
+protocol meter on every bus (per-node *and* per-link, OT-extension bytes
+included); a WAN bus adds only its delay and byte totals for the run,
 ``extras["simulated_seconds"]`` / ``extras["wan_bytes"]``.
 
 Like every backend the engine executes through the shared run lifecycle;
@@ -54,10 +54,10 @@ from repro.core.rounds import SecureRoundScheduler, WindowEvents
 from repro.core.secure_engine import check_backend
 from repro.core.transport import (
     Transport,
-    attach_wire_extras,
+    attach_bus_extras,
     check_transport_spec,
     transport_from_spec,
-    wan_meter_snapshot,
+    wan_totals,
 )
 
 __all__ = ["SecureAsyncEngine"]
@@ -80,8 +80,8 @@ class _SecureAsyncCore(_SecureCore):
     def setup(self, state: RunState) -> None:
         self.bus = transport_from_spec(self.engine.transport, self.config)
         # A caller-supplied Transport instance may be reused across runs;
-        # snapshot its counters so the extras below report *this* run.
-        self.before = wan_meter_snapshot(self.bus)
+        # snapshot its totals so the extras below report *this* run.
+        self.before = wan_totals(self.bus)
         self.bus.open(self.graph, fill=None)
         super().setup(state)
 
@@ -102,8 +102,7 @@ class _SecureAsyncCore(_SecureCore):
                 "overlap": 1.0 if self.engine.overlap else 0.0,
             }
         )
-        self.engine._attach_bus_extras(result, self.bus, self.before)
-        attach_wire_extras(result, self.bus)
+        attach_bus_extras(result, self.bus, self.before)
         self.close()
         return result
 
@@ -154,23 +153,6 @@ class SecureAsyncEngine(Engine):
         except BaseException as exc:
             core.close(error=exc)
             raise
-
-    @staticmethod
-    def _attach_bus_extras(run_result: RunResult, bus, before) -> None:
-        """Stamp the bus's WAN accounting as per-run deltas.
-
-        Unlike :func:`~repro.core.transport.attach_wan_extras` this keeps
-        ``result.traffic`` pointing at the *protocol* meter — the secure
-        engine's per-node/per-link accounting (role bytes, exponentiation
-        counts, OT-extension links) is strictly richer than the bus's
-        delivery log, so the bus contributes only the delay model.
-        """
-        from repro.core.transport import SimulatedWanTransport, innermost_transport
-
-        bus = innermost_transport(bus)
-        if isinstance(bus, SimulatedWanTransport):
-            run_result.extras["simulated_seconds"] = bus.simulated_seconds - before[0]
-            run_result.extras["wan_bytes"] = bus.meter.total_bytes_sent - before[1]
 
 
 register_engine(

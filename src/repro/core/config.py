@@ -60,7 +60,7 @@ class DStressConfig:
         means unconstrained), and the per-link deterministic jitter
         fraction (each directed link's latency is scaled by a factor in
         ``[1 - jitter, 1 + jitter]`` derived from the seed). Latency 0
-        (the default) keeps the transport a pure meter.
+        (the default) keeps the transport delay-free.
     """
 
     collusion_bound: int = 2

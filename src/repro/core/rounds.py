@@ -211,9 +211,8 @@ def route_messages(
     Delivery is transport-backed: ``transport=None`` routes over the
     shared zero-delay :class:`~repro.core.transport.InMemoryTransport`
     (exactly the historical dict shuffle); passing a
-    :class:`~repro.core.transport.SimulatedWanTransport` meters the same
-    round into its :class:`~repro.simulation.netsim.TrafficMeter` and
-    accounts the link delays without changing a single payload.
+    :class:`~repro.core.transport.SimulatedWanTransport` totals the same
+    round's bytes and link delays without changing a single payload.
     """
     bus = transport if transport is not None else _DEFAULT_TRANSPORT
     return bus.deliver_outboxes(graph, outboxes, fill)

@@ -26,10 +26,9 @@ travels:
 * :class:`SimulatedWanTransport` — injects per-link latency and
   bandwidth delays derived from :class:`~repro.core.config.DStressConfig`
   (``wan_latency_seconds`` / ``wan_bandwidth_bytes`` / ``wan_jitter``)
-  and meters every delivery into a
-  :class:`~repro.simulation.netsim.TrafficMeter`. Delays never change
+  and totals the delay and bytes it carried. Delays never change
   payloads, so results stay bit-identical to the in-memory path — only
-  wall-clock and the meters move.
+  wall-clock and those two totals move.
 * :class:`FaultInjectingTransport` — a chaos *wrapper* that drops or
   duplicates selected deliveries over any inner bus so the failure path
   is testable: a faulted round raises a
@@ -51,11 +50,12 @@ from __future__ import annotations
 
 import asyncio
 from abc import ABC, abstractmethod
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import ConfigurationError, TransportError
-from repro.simulation.netsim import TrafficMeter
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (config imports nothing here)
     from repro.core.config import DStressConfig
@@ -71,9 +71,8 @@ __all__ = [
     "transport_from_spec",
     "check_transport_spec",
     "innermost_transport",
-    "wan_meter_snapshot",
-    "attach_wan_extras",
-    "attach_wire_extras",
+    "wan_totals",
+    "attach_bus_extras",
     "validate_wan_params",
 ]
 
@@ -124,9 +123,11 @@ class Transport(ABC):
     """One way round messages travel between vertices.
 
     A transport instance serves one execution at a time: :meth:`open`
-    resets all per-run state (mailboxes, meters' link accounting is the
-    caller's to reset). Engines may reuse an instance across sequential
-    runs but must not share one across concurrent runs.
+    resets all per-run state (mailboxes, fault accounting); a bus's
+    running totals are not per-run state, and engines report them as
+    deltas. Engines may reuse an instance across sequential runs but must
+    not share one across concurrent runs. A run's per-link traffic is
+    never the bus's: the engine computes it from the protocol.
     """
 
     #: Registry-style name stamped into result extras.
@@ -193,8 +194,8 @@ class Transport(ABC):
         in-slot — a block's GMW OT-extension batch, a §3.5 transfer's
         subshare aggregates — where the *values* are computed by the
         protocol simulation and only the *bytes* travel. The reference bus
-        carries them instantly; :class:`SimulatedWanTransport` meters every
-        link into its per-link accounting and awaits the slowest
+        carries them instantly; :class:`SimulatedWanTransport` adds every
+        link's delay and bytes to its totals and awaits the slowest
         payload-scaled link delay (latency + ``num_bytes / bandwidth``),
         which is what the secure-async engine overlaps OT computation
         against; and :class:`FaultInjectingTransport` raises a
@@ -299,7 +300,7 @@ class Transport(ABC):
 
 
 class InMemoryTransport(Transport):
-    """The reference bus: zero delay, nothing metered, bit-identical.
+    """The reference bus: zero delay, nothing counted, bit-identical.
 
     ``deliver_outboxes`` is exactly the historical dict shuffle; the async
     path delivers each payload untouched and inline (``send_round`` and
@@ -318,7 +319,7 @@ class InMemoryTransport(Transport):
 
 
 class SimulatedWanTransport(InMemoryTransport):
-    """A WAN bus: per-link latency + bandwidth delays, metered traffic.
+    """A WAN bus: per-link latency + bandwidth delays, totalled.
 
     Each directed link ``src -> dst`` gets a deterministic latency of
     ``latency_seconds * jitter_factor(src, dst)`` where the factor is
@@ -331,9 +332,9 @@ class SimulatedWanTransport(InMemoryTransport):
     ``realtime=True`` (the async engines' mode) actually awaits the delay
     so wall-clock reflects the schedule; ``realtime=False`` and the
     synchronous :meth:`deliver_outboxes` path only *account* the delay in
-    :attr:`simulated_seconds`. Either way every delivery is recorded into
-    :attr:`meter` (a :class:`~repro.simulation.netsim.TrafficMeter`), so
-    bandwidth figures are straight protocol arithmetic.
+    :attr:`simulated_seconds`. Either way every delivery's bytes are added
+    to :attr:`bytes_sent`. Both totals run across every execution the bus
+    carries; engines report a run's share as a delta.
     """
 
     name = "wan"
@@ -344,7 +345,6 @@ class SimulatedWanTransport(InMemoryTransport):
         bandwidth_bytes: Optional[float] = None,
         jitter: float = 0.0,
         message_bytes: float = 8.0,
-        meter: Optional[TrafficMeter] = None,
         seed: int = 0,
         realtime: bool = True,
     ) -> None:
@@ -355,18 +355,18 @@ class SimulatedWanTransport(InMemoryTransport):
         self.bandwidth_bytes = bandwidth_bytes
         self.jitter = jitter
         self.message_bytes = message_bytes
-        self.meter = meter if meter is not None else TrafficMeter()
         self.seed = seed
         self.realtime = realtime
         #: Total accounted link-delay seconds (both sync and async paths).
         self.simulated_seconds = 0.0
+        #: Total bytes carried (round messages and conveyed payloads).
+        self.bytes_sent = 0.0
         self._link_factors: Dict[Link, float] = {}
 
     @classmethod
     def from_config(
         cls,
         config: "DStressConfig",
-        meter: Optional[TrafficMeter] = None,
         realtime: bool = True,
     ) -> "SimulatedWanTransport":
         """Build the WAN model a config describes (message size = one
@@ -376,7 +376,6 @@ class SimulatedWanTransport(InMemoryTransport):
             bandwidth_bytes=config.wan_bandwidth_bytes,
             jitter=config.wan_jitter,
             message_bytes=config.fmt.total_bits / 8.0,
-            meter=meter,
             seed=config.seed,
             realtime=realtime,
         )
@@ -402,7 +401,7 @@ class SimulatedWanTransport(InMemoryTransport):
     def _account(self, src: int, dst: int) -> float:
         delay = self.link_delay(src, dst)
         self.simulated_seconds += delay
-        self.meter.record_send(src, dst, self.message_bytes)
+        self.bytes_sent += self.message_bytes
         return delay
 
     def deliver_outboxes(self, graph, outboxes, fill):
@@ -435,7 +434,7 @@ class SimulatedWanTransport(InMemoryTransport):
         for src, dst, num_bytes in links:
             delay = self.link_delay(src, dst, num_bytes=num_bytes)
             self.simulated_seconds += delay
-            self.meter.record_send(src, dst, num_bytes)
+            self.bytes_sent += num_bytes
             slowest = max(slowest, delay)
         # nothing lands at the far end of a convey, so the batch's link
         # waits overlapping in full is one sleep of the slowest of them
@@ -450,7 +449,7 @@ class FaultInjectingTransport(Transport):
     triples; ``inner`` is the bus that actually carries everything else
     (default: a fresh :class:`InMemoryTransport`, the historical
     behavior — but wrapping a :class:`SimulatedWanTransport` or a
-    real-socket ``TcpTransport`` injects the same chaos against a metered
+    real-socket ``TcpTransport`` injects the same chaos against a delayed
     or genuinely networked mesh). On the async path, a dropped delivery
     never reaches the inner bus but *is* accounted at its round barrier
     (:meth:`Transport.fault_delivery`), so the victim's gather raises a
@@ -571,18 +570,18 @@ class FaultInjectingTransport(Transport):
             raise fault
 
 
-def _tcp_from_env(config, meter):
+def _tcp_from_env(config):
     # lazy import: the in-process buses must not pay for (or depend on)
     # the socket subsystem; the spec only resolves when actually asked for
     from repro.net.transport import TcpTransport
 
-    return TcpTransport.from_env(config, meter=meter)
+    return TcpTransport.from_env(config)
 
 
 #: String specs accepted anywhere a transport can be named.
-_TRANSPORT_SPECS = {
-    "memory": lambda config, meter: InMemoryTransport(),
-    "wan": lambda config, meter: SimulatedWanTransport.from_config(config, meter=meter),
+_TRANSPORT_SPECS: Dict[str, Callable[[Any], Transport]] = {
+    "memory": lambda config: InMemoryTransport(),
+    "wan": SimulatedWanTransport.from_config,
     "tcp": _tcp_from_env,
 }
 
@@ -616,7 +615,7 @@ def check_transport_spec(spec, optional: bool = False):
 def innermost_transport(bus) -> "Transport":
     """Peel chaos (or future) wrappers off a bus: the transport that
     actually carries the bytes. Wrappers expose the wrapped bus as
-    ``inner``; everything that introspects a bus's metering goes through
+    ``inner``; everything that introspects a bus's totals goes through
     here so a wrapped WAN or TCP bus reports exactly like a bare one.
     """
     while isinstance(getattr(bus, "inner", None), Transport):
@@ -624,46 +623,36 @@ def innermost_transport(bus) -> "Transport":
     return bus
 
 
-def wan_meter_snapshot(bus) -> Tuple[float, float]:
-    """(simulated_seconds, metered bytes) of a bus before a run starts.
+def wan_totals(bus) -> Tuple[float, float]:
+    """(simulated_seconds, bytes_sent) of a bus before a run starts.
 
-    Engines snapshot these counters so results report per-run deltas even
-    when a caller shares one :class:`SimulatedWanTransport` instance (and
-    therefore one cumulative meter) across several runs. Non-WAN buses
-    snapshot as zeros.
+    A WAN bus's totals run across every execution it carries, so engines
+    snapshot them and report per-run deltas even when a caller shares one
+    :class:`SimulatedWanTransport` instance across several runs. Non-WAN
+    buses snapshot as zeros.
     """
     bus = innermost_transport(bus)
     if isinstance(bus, SimulatedWanTransport):
-        return bus.simulated_seconds, bus.meter.total_bytes_sent
+        return bus.simulated_seconds, bus.bytes_sent
     return 0.0, 0.0
 
 
-def attach_wan_extras(result, bus, before: Tuple[float, float]) -> None:
-    """Stamp a run result with the bus's WAN metering, as per-run deltas.
+def attach_bus_extras(result, bus, before: Tuple[float, float]) -> None:
+    """Stamp what the bus saw of one run onto its result's ``extras``.
 
-    ``result`` is any object with ``traffic`` and ``extras`` attributes
-    (duck-typed so this module stays below :mod:`repro.api`): ``traffic``
-    becomes the bus's live meter (cumulative if the caller shares the bus
-    across runs), while ``extras["simulated_seconds"]`` and
-    ``extras["wan_bytes"]`` are this run's deltas against the ``before``
-    snapshot from :func:`wan_meter_snapshot`. No-op for non-WAN buses.
+    A WAN bus contributes ``simulated_seconds`` and ``wan_bytes``, this
+    run's deltas against the ``before`` snapshot from :func:`wan_totals`;
+    a real-socket bus (anything exposing ``wire_stats()``, possibly under
+    a chaos wrapper) its ``wire_*`` frame and byte counts. ``result`` is
+    duck-typed so this module stays below :mod:`repro.api` and never
+    imports the socket subsystem. ``result.traffic`` is the engine's own:
+    the bus never replaces it.
     """
     bus = innermost_transport(bus)
     if isinstance(bus, SimulatedWanTransport):
-        result.traffic = bus.meter
         result.extras["simulated_seconds"] = bus.simulated_seconds - before[0]
-        result.extras["wan_bytes"] = bus.meter.total_bytes_sent - before[1]
-
-
-def attach_wire_extras(result, bus) -> None:
-    """Stamp real-socket wire accounting onto a run result.
-
-    Duck-typed like :func:`attach_wan_extras` (any bus exposing a
-    ``wire_stats()`` mapping — the real-socket ``TcpTransport``, possibly
-    under a chaos wrapper), so this module never imports the socket
-    subsystem. No-op for in-process buses.
-    """
-    stats_fn = getattr(innermost_transport(bus), "wire_stats", None)
+        result.extras["wan_bytes"] = bus.bytes_sent - before[1]
+    stats_fn = getattr(bus, "wire_stats", None)
     if not callable(stats_fn):
         return
     stats = stats_fn()
@@ -672,11 +661,7 @@ def attach_wire_extras(result, bus) -> None:
     result.extras["wire_party_id"] = float(stats["party_id"])
 
 
-def transport_from_spec(
-    spec,
-    config: "DStressConfig",
-    meter: Optional[TrafficMeter] = None,
-) -> Transport:
+def transport_from_spec(spec, config: "DStressConfig") -> Transport:
     """Resolve a transport spec: an instance passes through, a string
     (``"memory"`` / ``"wan"`` / ``"tcp"``) builds one from the config.
 
@@ -687,4 +672,4 @@ def transport_from_spec(
     spec = check_transport_spec(spec)
     if isinstance(spec, Transport):
         return spec
-    return _TRANSPORT_SPECS[spec](config, meter)
+    return _TRANSPORT_SPECS[spec](config)

@@ -1,8 +1,8 @@
 """Real-socket networking for DStress: framed TCP between genuine peers.
 
 The rest of the repository models the paper's WAN deployment — the
-transport bus meters and *simulates* wire time, but every byte stays in
-one process. This package is the real thing: a length-prefixed, typed
+simulated WAN bus delays deliveries by a link model, but every byte stays
+in one process. This package is the real thing: a length-prefixed, typed
 wire protocol (:mod:`repro.net.wire`), a peer/connection manager that
 dials the full mesh with retry and maps every socket failure onto the
 named :class:`~repro.exceptions.TransportError` taxonomy

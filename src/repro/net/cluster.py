@@ -26,6 +26,7 @@ into :class:`~repro.exceptions.PeerDisconnectedError`.
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass, field
 from multiprocessing import get_context
@@ -88,8 +89,8 @@ class ClusterRun:
     #: (``os._exit(17)``) the first time a delivery or convey reaches that round.
     die_at_round: Dict[int, int] = field(default_factory=dict)
     #: When set, each child runs under a :class:`~repro.obs.trace.TraceRecorder`
-    #: and writes ``party-<id>.jsonl`` here after its run; the parent merges
-    #: the shards into ``timeline.json`` (see :mod:`repro.obs.merge`).
+    #: and writes its run export ``party-<id>.json`` here after its run; the
+    #: parent merges the exports into ``timeline.json`` (see :mod:`repro.obs.merge`).
     trace_dir: Optional[str] = None
 
 
@@ -130,7 +131,6 @@ def _child_main(run: ClusterRun, party_id: int, conn) -> None:
         options["transport"] = transport
         summary: Dict[str, Any]
         if run.trace_dir is not None:
-            from repro.obs.merge import write_trace_shard
             from repro.obs.trace import TraceRecorder, recording
 
             recorder = TraceRecorder(party=party_id)
@@ -138,15 +138,11 @@ def _child_main(run: ClusterRun, party_id: int, conn) -> None:
                 result = test.engine(run.engine, **options).run(
                     iterations=run.iterations
                 )
-            # the shard is written after the run completes: tracing must
+            # the export is written after the run completes: tracing must
             # never add I/O inside the protocol's round schedule
-            shard_path = os.path.join(run.trace_dir, f"party-{party_id}.jsonl")
-            write_trace_shard(
-                shard_path,
-                recorder,
-                traffic=result.traffic,
-                meta={"engine": result.engine, "iterations": result.iterations},
-            )
+            shard_path = os.path.join(run.trace_dir, f"party-{party_id}.json")
+            with open(shard_path, "w") as handle:
+                json.dump(result.export(recorder), handle)
             summary = _result_summary(result)
             summary["trace_shard"] = shard_path
         else:
@@ -208,10 +204,11 @@ def run_scenario_cluster(
     instead of timing out the harness.
 
     ``trace_dir`` turns on per-party tracing: each child records spans and
-    metrics under a :class:`~repro.obs.trace.TraceRecorder` and writes a
-    JSONL shard into the directory; after all reports are in, the parent
-    merges the shards into ``<trace_dir>/timeline.json`` (best effort —
-    a partial cluster still merges whatever shards landed).
+    metrics under a :class:`~repro.obs.trace.TraceRecorder` and writes its
+    run export, ``party-<id>.json``, into the directory; after all reports
+    are in, the parent merges the exports into ``<trace_dir>/timeline.json``
+    (best effort — a partial cluster merges every export that landed and
+    checks).
 
     Children are scrubbed of ``REPRO_*`` environment variables at startup
     (fork inheritance would otherwise hand every child whatever harness
@@ -323,12 +320,7 @@ def run_scenario_cluster(
     if trace_dir is not None:
         from repro.obs.merge import merge_cluster_trace
 
-        try:
-            merge_cluster_trace(trace_dir)
-        except OSError:
-            # a chaos run can leave no shards at all; the outcomes still
-            # tell the caller what happened
-            pass
+        merge_cluster_trace(trace_dir)
     return [outcome for outcome in outcomes if outcome is not None]
 
 

@@ -74,7 +74,6 @@ from repro.net.wire import (
     MessageKind,
     convey_kind,
 )
-from repro.simulation.netsim import TrafficMeter
 
 __all__ = ["TcpTransport", "session_id"]
 
@@ -123,7 +122,6 @@ class TcpTransport(Transport):
         retry_backoff: float = 0.05,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         chunk_bytes: int = 1 << 20,
-        meter: Optional[TrafficMeter] = None,
     ) -> None:
         if num_parties < 1:
             raise ConfigurationError("a TCP mesh needs at least one party")
@@ -148,7 +146,6 @@ class TcpTransport(Transport):
         self.chunk_bytes = min(
             chunk_bytes, max_frame_bytes - CONVEY_HEADER_BYTES
         )
-        self.meter = meter if meter is not None else TrafficMeter()
         #: Chaos hook: ``os._exit(17)`` the whole process the first time a
         #: delivery or convey reaches this round — how the kill-a-peer tests die
         #: mid-round without cooperation from the engine above.
@@ -303,7 +300,6 @@ class TcpTransport(Transport):
     def from_env(
         cls,
         config=None,
-        meter: Optional[TrafficMeter] = None,
         env: Optional[Dict[str, str]] = None,
     ) -> "TcpTransport":
         """Build and fully connect a transport from the environment.
@@ -354,7 +350,6 @@ class TcpTransport(Transport):
             session=environ.get(ENV_SESSION, "dstress"),
             host=mine.host,
             port=mine.port,
-            meter=meter,
         )
         transport.start(addresses)
         return transport
@@ -695,7 +690,6 @@ class TcpTransport(Transport):
         )
         self._stats["frames_sent"] += 1
         self._stats["bytes_sent"] += num_bytes
-        self.meter.record_send(frame.src, frame.dst, float(num_bytes))
         try:
             await asyncio.wait_for(writer.drain(), self.io_timeout)
         except asyncio.TimeoutError:
@@ -748,7 +742,7 @@ class TcpTransport(Transport):
             "detected — mesh stalled?)"
         )
 
-    # ------------------------------------------------------------ metering --
+    # --------------------------------------------------------- wire stats --
 
     def wire_stats(self) -> Dict[str, float]:
         """A snapshot of real wire activity (frames/bytes actually moved)."""

@@ -36,12 +36,7 @@ from repro.obs.export import (
     export_run,
     validate_export,
 )
-from repro.obs.merge import (
-    load_trace_shard,
-    merge_cluster_trace,
-    merge_shards,
-    write_trace_shard,
-)
+from repro.obs.merge import load_trace_shard, merge_cluster_trace, merge_shards
 
 __all__ = [
     "Clock",
@@ -70,5 +65,4 @@ __all__ = [
     "load_trace_shard",
     "merge_cluster_trace",
     "merge_shards",
-    "write_trace_shard",
 ]

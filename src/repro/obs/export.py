@@ -344,27 +344,51 @@ def _issue(issues: List[str], condition: bool, message: str) -> None:
         issues.append(message)
 
 
-def _check_spans(spans: Any, where: str, issues: List[str]) -> None:
+def _check(codec: Codec, value: Any, where: str, issues: List[str]) -> bool:
+    """Run one codec as a check: its complaint becomes an issue."""
+    try:
+        codec(value, where)
+    except ResultFormatError as exc:
+        issues.append(str(exc))
+        return False
+    return True
+
+
+#: A recorder's metrics registry as :meth:`MetricsRegistry.as_dict` writes it.
+_METRICS = _record(counters=_NUMBERS, gauges=_NUMBERS, histograms=_map_of(_NUMBERS))
+
+
+def _check_trace(trace: Any, issues: List[str]) -> None:
+    """A run export's ``trace``: a party id or null, a metrics registry,
+    and spans with finite ``start`` and a finite or null ``end``."""
+    if not isinstance(trace, dict):
+        issues.append("trace must be an object or null")
+        return
+    _check(_optional(_integer), trace.get("party"), "trace.party", issues)
+    _check(_METRICS, trace.get("metrics"), "trace.metrics", issues)
+    spans = trace.get("spans")
     if not isinstance(spans, list):
-        issues.append(f"{where}: spans must be a list")
+        issues.append("trace: spans must be a list")
         return
     ids = set()
     for i, span in enumerate(spans):
+        where = f"trace.spans[{i}]"
         if not isinstance(span, dict):
-            issues.append(f"{where}: span[{i}] is not an object")
+            issues.append(f"{where} is not an object")
             continue
         for key in ("span_id", "name", "start"):
             if key not in span:
-                issues.append(f"{where}: span[{i}] missing {key!r}")
+                issues.append(f"{where} missing {key!r}")
         if "span_id" in span:
             ids.add(span["span_id"])
-        end = span.get("end")
-        if end is not None and "start" in span and end < span["start"]:
-            issues.append(f"{where}: span[{i}] ends before it starts")
+        start, end = span.get("start"), span.get("end")
+        timed = "start" in span and _check(_number, start, f"{where}.start", issues)
+        if _check(_optional(_number), end, f"{where}.end", issues) and timed:
+            _issue(issues, end is None or end >= start, f"{where} ends before it starts")
     for i, span in enumerate(spans):
         parent = isinstance(span, dict) and span.get("parent_id")
         if parent and parent not in ids:
-            issues.append(f"{where}: span[{i}] has unknown parent {parent}")
+            issues.append(f"trace.spans[{i}] has unknown parent {parent}")
 
 
 def validate_export(payload: Any) -> List[str]:
@@ -384,12 +408,8 @@ def validate_export(payload: Any) -> List[str]:
             run_from_doc({k: v for k, v in payload.items() if k != "trace"})
         except ResultFormatError as exc:
             issues.append(f"run document: {exc}")
-        trace = payload.get("trace")
-        if trace is not None:
-            if not isinstance(trace, dict):
-                issues.append("trace must be an object or null")
-            else:
-                _check_spans(trace.get("spans", []), "trace", issues)
+        if payload.get("trace") is not None:
+            _check_trace(payload["trace"], issues)
     elif schema == BATCH_SCHEMA:
         for key in ("wall_seconds", "workers", "epsilon_charged", "outcomes"):
             _issue(issues, key in payload, f"batch document missing {key!r}")

@@ -1,10 +1,12 @@
-"""Cross-process trace collection: JSONL shards and the merged timeline.
+"""Cross-process trace collection: party run exports and the merged timeline.
 
 Each party process in :func:`repro.net.cluster.run_scenario_cluster`
 records its own :class:`~repro.obs.trace.TraceRecorder` and — after its
 engine run completes, so no trace I/O interleaves with the protocol —
-writes one JSONL shard (``party-<id>.jsonl``). The harness then merges
-the shards into a single ``dstress.obs.timeline`` document.
+writes its run export (``party-<id>.json``: the run's ``dstress.obs.run``
+document with the party's spans and metrics as its ``trace``). The
+harness then merges the exports into a single ``dstress.obs.timeline``
+document.
 
 Clocks are per-process monotonic counters with unrelated origins, so the
 merge never compares raw timestamps *across* parties. The causal order
@@ -21,67 +23,32 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.obs.export import SCHEMA_VERSION, TIMELINE_SCHEMA, export_traffic
+from repro.exceptions import ResultFormatError
+from repro.obs.export import RUN_SCHEMA, SCHEMA_VERSION, TIMELINE_SCHEMA, validate_export
 
 __all__ = [
-    "write_trace_shard",
     "load_trace_shard",
     "merge_shards",
     "merge_cluster_trace",
 ]
 
 
-def write_trace_shard(
-    path,
-    recorder: Any,
-    traffic: Any = None,
-    meta: Optional[Dict[str, Any]] = None,
-) -> Path:
-    """Serialize one party's recorder (and optionally its run's traffic
-    meter) as a JSONL shard. One JSON object per line; the ``type`` field
-    discriminates."""
-    path = Path(path)
-    lines: List[Dict[str, Any]] = [
-        {"type": "meta", "party": recorder.party, **(meta or {})}
-    ]
-    lines.extend({"type": "span", **span.to_dict()} for span in recorder.spans)
-    lines.append({"type": "metrics", "metrics": recorder.metrics.as_dict()})
-    exported = export_traffic(traffic)
-    if exported is not None:
-        lines.append({"type": "traffic", "traffic": exported})
-    with path.open("w") as handle:
-        for line in lines:
-            handle.write(json.dumps(line) + "\n")
-    return path
-
-
 def load_trace_shard(path) -> Dict[str, Any]:
-    """Read one JSONL shard back into ``{party, meta, spans, metrics,
-    traffic}``."""
-    shard: Dict[str, Any] = {
-        "party": None,
-        "meta": {},
-        "spans": [],
-        "metrics": None,
-        "traffic": None,
-    }
-    with Path(path).open() as handle:
-        for raw in handle:
-            raw = raw.strip()
-            if not raw:
-                continue
-            record = json.loads(raw)
-            kind = record.pop("type", None)
-            if kind == "meta":
-                shard["party"] = record.pop("party", None)
-                shard["meta"] = record
-            elif kind == "span":
-                shard["spans"].append(record)
-            elif kind == "metrics":
-                shard["metrics"] = record.get("metrics")
-            elif kind == "traffic":
-                shard["traffic"] = record.get("traffic")
-    return shard
+    """Read one party's run export and check it: a valid ``dstress.obs.run``
+    document whose ``trace.party`` is an integer. Anything else — bytes
+    that are not JSON, a foreign schema, a mistyped field, an untraced
+    run — raises :class:`~repro.exceptions.ResultFormatError`."""
+    try:
+        doc = json.loads(Path(path).read_bytes())
+    except (ValueError, RecursionError) as exc:
+        raise ResultFormatError(f"{path}: not a JSON document: {exc}") from None
+    issues = validate_export(doc)
+    if issues:
+        raise ResultFormatError(f"{path}: " + "; ".join(issues))
+    party = (doc.get("trace") or {}).get("party")
+    if doc["schema"] != RUN_SCHEMA or not isinstance(party, int):
+        raise ResultFormatError(f"{path}: not a traced party's run export")
+    return doc
 
 
 def _round_of(span: Dict[str, Any]) -> Optional[int]:
@@ -95,7 +62,8 @@ def _round_of(span: Dict[str, Any]) -> Optional[int]:
 
 
 def merge_shards(shards: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Merge loaded shards into one ``dstress.obs.timeline`` document.
+    """Merge party run exports (as :func:`load_trace_shard` returns them)
+    into one ``dstress.obs.timeline`` document.
 
     Timeline entries aggregate each party's spans per round: entry
     ``(round, party)`` covers every span carrying that ``round`` attr
@@ -106,23 +74,19 @@ def merge_shards(shards: List[Dict[str, Any]]) -> Dict[str, Any]:
     entries: Dict[Any, Dict[str, Any]] = {}
     traffic: Dict[str, Any] = {}
     metrics: Dict[str, Any] = {}
-    for shard in shards:
-        party = shard.get("party")
-        if party is None:
-            continue
+    for doc in shards:
+        trace = doc["trace"]
+        party = trace["party"]
         parties.append(party)
-        if shard.get("traffic") is not None:
-            traffic[str(party)] = shard["traffic"]
-        if shard.get("metrics") is not None:
-            metrics[str(party)] = shard["metrics"]
-        for span in shard.get("spans", []):
+        if doc["traffic"] is not None:
+            traffic[str(party)] = doc["traffic"]
+        metrics[str(party)] = trace["metrics"]
+        for span in trace["spans"]:
             round_index = _round_of(span)
             if round_index is None:
                 continue
             key = (round_index, party)
-            end = span.get("end", span["start"])
-            if end is None:
-                end = span["start"]
+            end = span["start"] if span.get("end") is None else span["end"]
             entry = entries.get(key)
             if entry is None:
                 entries[key] = {
@@ -147,12 +111,17 @@ def merge_shards(shards: List[Dict[str, Any]]) -> Dict[str, Any]:
 
 
 def merge_cluster_trace(trace_dir) -> Dict[str, Any]:
-    """Merge every ``party-*.jsonl`` shard under ``trace_dir`` and write
-    the result next to them as ``timeline.json``."""
+    """Merge every ``party-*.json`` export under ``trace_dir`` and write
+    the result next to them as ``timeline.json``. A shard that cannot be
+    read or does not check (a party that died mid-write, a stray file) is
+    left out of the timeline: its party is missing from ``parties``."""
     trace_dir = Path(trace_dir)
-    shards = [
-        load_trace_shard(path) for path in sorted(trace_dir.glob("party-*.jsonl"))
-    ]
+    shards: List[Dict[str, Any]] = []
+    for path in sorted(trace_dir.glob("party-*.json")):
+        try:
+            shards.append(load_trace_shard(path))
+        except (OSError, ResultFormatError):
+            continue
     timeline = merge_shards(shards)
     (trace_dir / "timeline.json").write_text(json.dumps(timeline, indent=2) + "\n")
     return timeline

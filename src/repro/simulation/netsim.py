@@ -112,18 +112,14 @@ class TrafficMeter:
 
 
 def meter_from_rounds(graph, iterations: int, message_bytes: float) -> TrafficMeter:
-    """Synthesize the per-link meter of a round-synchronous run.
+    """The per-link meter of a round-synchronous run: the clear engines'
+    only traffic record, on every bus.
 
-    The in-memory bus doesn't meter (nothing crosses a wire), which left
-    ``RunResult.traffic`` empty for plaintext/async runs unless a
-    :class:`SimulatedWanTransport` happened to be attached. But the byte
-    profile of a round-synchronous protocol is straight arithmetic — every
-    directed edge carries exactly one fixed-point message per routed
-    round — so this reconstructs byte-for-byte what the WAN transport's
-    meter would have recorded: ``message_bytes * iterations`` on each
-    directed link of ``graph.edges()`` (the transport meters *all* edges
-    each round, empty outboxes included, because a silent edge still
-    transmits framing in the deployment model).
+    A round-synchronous protocol's byte profile is straight arithmetic —
+    every directed edge of ``graph.edges()`` carries one fixed-point
+    message per routed round, empty outboxes included (a silent edge
+    still transmits framing in the deployment model) — so the meter is
+    ``message_bytes * iterations`` on each link, whatever bus carried it.
     """
     meter = TrafficMeter()
     for src, dst in graph.edges():

@@ -184,10 +184,15 @@ def test_reused_transport_instance_reports_per_run_deltas(network):
     engine = AsyncEngine(tasks=4, transport=bus)
     session = StressTest(network).program("eisenberg-noe").engine(engine).seed(SEED)
     first = session.run(iterations=ITERATIONS)
+    links_when_returned = dict(first.traffic.links())
     second = session.run(iterations=ITERATIONS)
-    # the bus's meter is cumulative, but each result reports its own run
+    # the bus's totals are cumulative, but each result reports its own run
     assert second.extras["wan_bytes"] == first.extras["wan_bytes"]
-    assert bus.meter.total_bytes_sent == pytest.approx(2 * first.extras["wan_bytes"])
+    assert bus.bytes_sent == pytest.approx(2 * first.extras["wan_bytes"])
+    # and a returned result never changes: the second run on the same bus
+    # leaves the first one's traffic as it was, and reports the same links
+    assert first.traffic.links() == links_when_returned
+    assert second.traffic.links() == first.traffic.links()
 
 
 def test_wan_latency_accounts_simulated_seconds(network, reference):

@@ -155,7 +155,8 @@ class TestHitEqualsMiss:
             assert summary["trajectory"] == reference.trajectory
             for name in ("transfer_count", "gmw_ot_count"):
                 assert summary["extras"][name] == reference.extras[name]
-            counters = load_trace_shard(summary["trace_shard"])["metrics"]["counters"]
+            shard = load_trace_shard(summary["trace_shard"])
+            counters = shard["trace"]["metrics"]["counters"]
             assert counters["core.setup.hits"] == 1.0
             assert "core.setup.builds" not in counters
 

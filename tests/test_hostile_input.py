@@ -1,7 +1,8 @@
 """Hostile bytes at every place a result or a round value is decoded.
 
 The release store is the long-lived, shared part of a deployment: a
-cache directory, a cache-tier port, a party port. Whatever arrives there
+cache directory, a cache-tier port, a party port, a cluster's trace
+directory. Whatever arrives there
 — arbitrary bytes, arbitrary JSON, a pickle that would run code — must
 come out as a miss or as the layer's one named error: never an escaped
 exception, never a hang, never an executed payload.
@@ -32,6 +33,8 @@ from repro.exceptions import (
     WireFormatError,
 )
 from repro.net.peer import read_frame
+from repro.obs import ManualClock, TraceRecorder, validate_export
+from repro.obs.merge import load_trace_shard, merge_cluster_trace
 from repro.net.wire import (
     HEADER_BYTES,
     MAGIC,
@@ -338,6 +341,85 @@ class TestTransferRoleWidths:
         for aggregate, member in zip(protocol.adjust(aggregates, neighbor_key), members):
             assert len(aggregate.c2) == bits
             assert 0 <= protocol.receiver_decrypt(aggregate, member) < 1 << bits
+
+
+# --------------------------------------------- (vi) a party's trace shard --
+
+
+def _good_shard() -> dict:
+    recorder = TraceRecorder(clock=ManualClock(), party=0)
+    with recorder.span("round", round=0):
+        recorder.metrics.inc("gmw.pair_bits", 8.0, src=0, dst=1)
+    return _good_result().export(recorder)
+
+
+def _spans(doc: dict) -> list:
+    return doc["trace"]["spans"]
+
+
+def _shard_with(mutate) -> bytes:
+    doc = _good_shard()
+    mutate(doc)
+    return json.dumps(doc).encode()
+
+
+_BAD_SHARDS = {
+    "a-jsonl-line-of-a-list": b"[1]\n",
+    "not-json": b"\x00party-0 trace",
+    "truncated": json.dumps(_good_shard()).encode()[:-7],
+    "foreign-schema": _shard_with(lambda doc: doc.update(schema="acme.trace")),
+    "span-without-start": _shard_with(lambda doc: _spans(doc)[0].pop("start")),
+    "span-start-not-a-number": _shard_with(lambda doc: _spans(doc)[0].update(start="a")),
+    "span-end-not-finite": _shard_with(lambda doc: _spans(doc)[0].update(end=1e309)),
+    "party-not-an-int": _shard_with(lambda doc: doc["trace"].update(party="zero")),
+    "untraced-run": _shard_with(lambda doc: doc.update(trace=None)),
+    "metrics-not-a-registry": _shard_with(lambda doc: doc["trace"].update(metrics=[1])),
+}
+
+
+class TestTraceShard:
+    @pytest.mark.parametrize("raw", list(_BAD_SHARDS.values()), ids=list(_BAD_SHARDS))
+    def test_a_bad_shard_is_the_named_error(self, tmp_path, raw):
+        path = tmp_path / "party-0.json"
+        path.write_bytes(raw)
+        with pytest.raises(ResultFormatError):
+            load_trace_shard(path)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda doc: _spans(doc)[0].update(start="a"),
+            lambda doc: doc["trace"].update(party="zero"),
+            lambda doc: doc["trace"]["metrics"].update(gauges={"g": "high"}),
+        ],
+        ids=["span-start", "party", "gauge"],
+    )
+    def test_the_validator_reports_a_mistyped_trace(self, mutate):
+        doc = _good_shard()
+        mutate(doc)
+        assert validate_export(doc) != []
+
+    @given(trace=_json_values)
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_json_trace_loads_or_raises_the_named_error(self, tmp_path, trace):
+        doc = _good_shard()
+        doc["trace"] = trace
+        path = tmp_path / "party-0.json"
+        path.write_text(json.dumps(doc))
+        try:
+            shard = load_trace_shard(path)
+        except ResultFormatError:
+            return
+        assert isinstance(shard["trace"]["party"], int)
+
+    def test_the_merge_leaves_a_bad_shard_out(self, tmp_path):
+        (tmp_path / "party-0.json").write_text(json.dumps(_good_shard()))
+        (tmp_path / "party-1.json").write_bytes(_BAD_SHARDS["span-without-start"])
+        timeline = merge_cluster_trace(tmp_path)
+        assert timeline["parties"] == [0]
+        assert [(e["round"], e["party"]) for e in timeline["entries"]] == [(0, 0)]
+        assert validate_export(timeline) == []
+        assert json.loads((tmp_path / "timeline.json").read_text()) == timeline
 
 
 # ------------------------------------------------- nothing is ever executed --

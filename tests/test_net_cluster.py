@@ -166,6 +166,7 @@ class TestClusterTrace:
         outputs bit-identical to the untraced reference run."""
         import json
 
+        from repro.api import RunResult
         from repro.obs.merge import load_trace_shard
 
         reference = _reference("secure")
@@ -201,14 +202,10 @@ class TestClusterTrace:
         # the reference run's, and link bytes sum to the metered total
         for outcome in outcomes:
             shard = load_trace_shard(outcome.summary["trace_shard"])
-            traffic = shard["traffic"]
-            assert traffic["total_bytes_sent"] == reference.traffic.total_bytes_sent
-            link_sum = sum(nbytes for _, _, nbytes in traffic["links"])
-            assert link_sum == pytest.approx(traffic["total_bytes_sent"])
-            expected_links = {
-                (src, dst): nbytes
-                for (src, dst), nbytes in reference.traffic.links().items()
-            }
-            assert {
-                (src, dst): nbytes for src, dst, nbytes in traffic["links"]
-            } == expected_links
+            assert shard["trace"]["party"] == outcome.party_id
+            traffic = RunResult.from_doc(
+                {key: value for key, value in shard.items() if key != "trace"}
+            ).traffic
+            assert traffic.total_bytes_sent == reference.traffic.total_bytes_sent
+            assert sum(traffic.links().values()) == pytest.approx(traffic.total_bytes_sent)
+            assert traffic.links() == reference.traffic.links()

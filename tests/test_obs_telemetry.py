@@ -23,7 +23,7 @@ from repro import (
     Scenario,
     StressTest,
 )
-from repro.api import Engine
+from repro.api import Engine, RunResult
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import ProtocolError, SensitivityError
 from repro.obs import (
@@ -35,11 +35,11 @@ from repro.obs import (
     TraceRecorder,
     current_recorder,
     export_ledger,
+    load_trace_shard,
     merge_shards,
     recording,
     timed_phase,
     validate_export,
-    write_trace_shard,
 )
 from repro.obs.report import main as report_main
 from repro.obs.report import render as render_report
@@ -424,21 +424,32 @@ class TestExportAndReport:
 # ------------------------------------------------------------ shard merge --
 
 
+#: What each hypothesis-built party exported: the merge reads only its trace.
+_SHARD_RESULT = RunResult(
+    engine="secure-async",
+    program="eisenberg-noe",
+    aggregate=1.0,
+    trajectory=[1.0],
+    iterations=1,
+    wall_seconds=0.0,
+)
+
+
 class TestShardMerge:
     def test_shard_roundtrip_and_merge(self, tmp_path):
         rec = TraceRecorder(clock=ManualClock(), party=1)
         with recording(rec):
             result = make_test().engine("async").run(iterations=ITERATIONS)
-        path = write_trace_shard(
-            tmp_path / "party-1.jsonl", rec, traffic=result.traffic
-        )
-        from repro.obs.merge import load_trace_shard
+        path = tmp_path / "party-1.json"
+        path.write_text(json.dumps(result.export(rec)))
 
         shard = load_trace_shard(path)
-        assert shard["party"] == 1
-        assert len(shard["spans"]) == len(rec.spans)
+        assert shard["trace"]["party"] == 1
+        assert len(shard["trace"]["spans"]) == len(rec.spans)
         timeline = merge_shards([shard])
         assert timeline["parties"] == [1]
+        assert timeline["traffic"] == {"1": result.to_doc()["traffic"]}
+        assert timeline["metrics"] == {"1": rec.metrics.as_dict()}
         assert [e["round"] for e in timeline["entries"]] == list(
             range(ITERATIONS + 1)
         )
@@ -467,15 +478,9 @@ class TestShardMerge:
             for r in range(rounds):
                 with rec.span("round", round=r):
                     pass
-            shards.append(
-                {
-                    "party": party,
-                    "meta": {},
-                    "spans": [s.to_dict() for s in rec.spans],
-                    "metrics": None,
-                    "traffic": None,
-                }
-            )
+            shard = _SHARD_RESULT.export(rec)
+            assert validate_export(shard) == []
+            shards.append(shard)
         timeline = merge_shards(shards)
         keys = [(e["round"], e["party"]) for e in timeline["entries"]]
         assert keys == sorted(keys)

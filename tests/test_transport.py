@@ -36,6 +36,20 @@ def _diamond_graph() -> DistributedGraph:
     return graph
 
 
+class _LinkLoggingWan(SimulatedWanTransport):
+    """A WAN bus that also logs every link it charges a delay for, with the
+    bytes that delay was charged on: the per-link record the bus itself
+    does not keep (a run's traffic is the protocol's, not the bus's)."""
+
+    def __init__(self, **options):
+        super().__init__(**options)
+        self.log = TrafficMeter()
+
+    def link_delay(self, src, dst, num_bytes=None):
+        self.log.record_send(src, dst, self.message_bytes if num_bytes is None else num_bytes)
+        return super().link_delay(src, dst, num_bytes)
+
+
 def _outboxes(graph, base=100.0):
     return {
         vid: [base + 10 * vid + slot for slot in range(graph.degree_bound)]
@@ -62,17 +76,14 @@ def test_in_memory_deliver_matches_legacy_routing():
 def test_route_messages_accepts_explicit_transport_and_meters():
     graph = _diamond_graph()
     outboxes = _outboxes(graph)
-    meter = TrafficMeter()
-    wan = SimulatedWanTransport(
-        latency_seconds=0.5, message_bytes=2.0, meter=meter, realtime=False
-    )
+    wan = _LinkLoggingWan(latency_seconds=0.5, message_bytes=2.0, realtime=False)
     inboxes = route_messages(graph, outboxes, 0.0, transport=wan)
     # payloads untouched by the WAN model...
     assert inboxes == route_messages(graph, outboxes, 0.0)
-    # ...but the round is metered: 4 edges x 2 bytes, and delays accounted
-    assert meter.total_bytes_sent == 8.0
-    assert meter.num_links == 4
-    assert meter.link_bytes(0, 1) == 2.0
+    # ...but the round is carried: 4 edges x 2 bytes, and delays accounted
+    assert wan.bytes_sent == 8.0
+    assert wan.log.num_links == 4
+    assert wan.log.link_bytes(0, 1) == 2.0
     assert wan.simulated_seconds == pytest.approx(4 * 0.5)
 
 
@@ -341,11 +352,9 @@ def test_memory_convey_is_instant_noop():
 
 
 def test_wan_convey_accounts_payload_scaled_delay_and_meters():
-    meter = TrafficMeter()
-    bus = SimulatedWanTransport(
+    bus = _LinkLoggingWan(
         latency_seconds=0.010,
         bandwidth_bytes=1000.0,
-        meter=meter,
         seed=3,
         realtime=False,
     )
@@ -357,7 +366,8 @@ def test_wan_convey_accounts_payload_scaled_delay_and_meters():
     _run(scenario())
     # latency + 500/1000 serialization, twice, no jitter
     assert bus.simulated_seconds == pytest.approx(2 * (0.010 + 0.5))
-    assert meter.link_bytes(0, 1) == pytest.approx(1000.0)
+    assert bus.bytes_sent == pytest.approx(1000.0)
+    assert bus.log.link_bytes(0, 1) == pytest.approx(1000.0)
 
 
 def test_wan_convey_payload_overrides_message_size_for_serialization():
@@ -407,13 +417,11 @@ def test_unfaulted_convey_passes_on_a_faulty_bus():
     ids=["drop", "duplicate"],
 )
 def test_fault_inside_a_convey_batch_still_carries_its_siblings(faults, message):
-    meter = TrafficMeter()
-    bus = FaultInjectingTransport(
-        inner=SimulatedWanTransport(latency_seconds=0.01, meter=meter, realtime=False),
-        **faults,
-    )
+    wan = _LinkLoggingWan(latency_seconds=0.01, realtime=False)
+    bus = FaultInjectingTransport(inner=wan, **faults)
     links = [(3, 7, 64.0), (4, 7, 64.0), (7, 4, 32.0)]
 
     with pytest.raises(TransportError, match=message):
         _run(bus.convey_round(2, "ot", links))
-    assert meter.links() == {(3, 7): 64.0, (7, 4): 32.0}
+    assert wan.log.links() == {(3, 7): 64.0, (7, 4): 32.0}
+    assert wan.bytes_sent == 96.0
