@@ -21,8 +21,12 @@ from repro.mpc.builder import CircuitBuilder
 from repro.mpc.gmw import GMWEngine
 from tables import emit_table
 
-#: Chou-Orlandi exponentiations per OT: g^a, g^b, B^a, (B/A)^a, A^b.
+#: Chou-Orlandi exponentiations per 1-out-of-2 OT (IKNP's base OTs):
+#: g^a, g^b, B^a, (B/A)^a, A^b.
 EXPS_PER_OT = 5
+#: Per 1-out-of-4 OT (one GMW AND between a pair): g^a, g^b, four
+#: (B/A^i)^a, A^b.
+EXPS_PER_OT4 = 7
 
 
 def _small_circuit():
@@ -50,7 +54,7 @@ def test_ot_backend_ablation(benchmark):
     circuit = _small_circuit()
     parties = 3
     ands = circuit.stats().and_gates
-    ots = ands * parties * (parties - 1)
+    ots = ands * parties * (parties - 1) // 2
 
     groups = {
         "simulated": CountingGroup(TOY_GROUP_64),
@@ -79,7 +83,7 @@ def test_ot_backend_ablation(benchmark):
     # base OT pays public-key work for every OT, extension only for its
     # kappa base OTs (one extension phase covers the circuit), the
     # simulated backend none; outputs are identical (asserted in _run).
-    assert exps["DDH base OT"] == EXPS_PER_OT * ots
+    assert exps["DDH base OT"] == EXPS_PER_OT4 * ots
     assert exps["IKNP extension"] == EXPS_PER_OT * iknp.kappa
     assert exps["simulated"] == 0
 
@@ -107,7 +111,9 @@ def test_iknp_base_ot_amortization(benchmark):
     ext = IKNPOTExtension(base, kappa=32, batch_size=4096)
     engine = GMWEngine(2, ot=ext)
     _run(engine, circuit, rng)
-    total_ots = circuit.stats().and_gates * 2
+    # one 1-out-of-4 OT per AND between the two parties, two extended each
+    assert ext.stats.transfers == circuit.stats().and_gates
+    total_ots = 2 * ext.stats.transfers
     rows = [[total_ots, ext.base_ot_count, total_ots / max(1, ext.base_ot_count)]]
     assert ext.base_ot_count == 32  # exactly one extension phase
     emit_table(

@@ -104,9 +104,9 @@ def test_fig3_left_block_size_sweep(benchmark):
         notes.append(f"linearity({name} vs block size) r = {r:.3f}")
         # Time tracks per-party work, checked on its exact count rather
         # than wall-clock (too jittery at sub-100ms runs): each AND puts a
-        # party in one OT as sender and one as receiver per other party.
+        # party in one 1-out-of-4 OT per other party.
         ands = circuits[name].stats().and_gates
-        assert party_ots[name] == [2 * (k - 1) * ands for k in BLOCK_SIZES], (
+        assert party_ots[name] == [(k - 1) * ands for k in BLOCK_SIZES], (
             f"{name} OTs per party not linear in block size"
         )
     emit_table(
@@ -126,21 +126,25 @@ def test_fig3_right_degree_and_n_sweep(benchmark):
     rng = DeterministicRNG("fig3-right")
     parties = 3
 
+    # Time tracks per-party work, asserted on its exact count: a party
+    # takes one OT per AND per other party, at every D and N.
+    def timed(circuit):
+        seconds, ots = _run_gmw(circuit, parties, rng)
+        assert ots == (parties - 1) * circuit.stats().and_gates
+        return seconds
+
     degree_rows = []
     en_times = []
     for degree in DEGREE_BOUNDS:
-        en_circuit = EisenbergNoeProgram(FMT).build_update_circuit(degree)
-        egj_circuit = ElliottGolubJacksonProgram(FMT).build_update_circuit(degree)
-        en_s = _time_gmw(en_circuit, parties, rng)
-        egj_s = _time_gmw(egj_circuit, parties, rng)
+        en_s = timed(EisenbergNoeProgram(FMT).build_update_circuit(degree))
+        egj_s = timed(ElliottGolubJacksonProgram(FMT).build_update_circuit(degree))
         en_times.append(en_s)
         degree_rows.append([degree, en_s, egj_s])
 
     agg_rows = []
     agg_times = []
     for n in AGG_SIZES:
-        circuit = build_partial_sum_circuit(n, FMT.total_bits, FMT.total_bits + 6)
-        agg_s = _time_gmw(circuit, parties, rng)
+        agg_s = timed(build_partial_sum_circuit(n, FMT.total_bits, FMT.total_bits + 6))
         agg_times.append(agg_s)
         agg_rows.append([n, agg_s])
 
@@ -166,8 +170,6 @@ def test_fig3_right_degree_and_n_sweep(benchmark):
     )
     # EN has a division, EGJ two multiplications per slot: at larger D the
     # EGJ step overtakes EN, as in the paper's Fig. 3 bars.
-    assert r_degree > 0.9
-    assert r_agg > 0.9
 
     benchmark.pedantic(
         lambda: _time_gmw(

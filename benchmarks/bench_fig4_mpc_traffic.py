@@ -36,7 +36,7 @@ def _measured_bytes_per_node(circuit, parties: int, rng) -> float:
         for name, wires in circuit.input_buses.items()
     }
     result = engine.evaluate(circuit, shares, rng)
-    return max(result.traffic.per_party_bytes)
+    return sum(result.traffic.per_party_bytes) / parties
 
 
 def test_fig4_traffic_per_node(benchmark):
@@ -49,8 +49,7 @@ def test_fig4_traffic_per_node(benchmark):
             4, FMT.total_bits, alpha=0.99, magnitude_bits=10, precision_bits=12
         ),
     }
-    ot = SimulatedObliviousTransfer(TOY_GROUP_64)
-    ot_bytes = (ot.sender_bytes_per_transfer(1), ot.receiver_bytes_per_transfer(1))
+    ot_bytes = SimulatedObliviousTransfer(TOY_GROUP_64).and_gate_bytes()
 
     rows = []
     for parties in BLOCK_SIZES:
@@ -104,8 +103,7 @@ def test_fig4_extension_vs_base_ot_traffic(benchmark):
     stats = [circuit.stats()]
 
     def per_party(ot, parties):
-        ot_bytes = (ot.sender_bytes_per_transfer(1), ot.receiver_bytes_per_transfer(1))
-        return bill_for(stats, parties, ot_bytes=ot_bytes).party_sent_bytes
+        return bill_for(stats, parties, ot_bytes=ot.and_gate_bytes()).party_sent_bytes
 
     for parties in (2, 3, 4):
         cost_base, cost_ext = per_party(base, parties), per_party(ext, parties)

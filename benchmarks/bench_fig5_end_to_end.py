@@ -17,6 +17,7 @@ import pytest
 
 from repro import StressTest
 from repro.core.config import DStressConfig
+from repro.core.program import compiled_update_circuit
 from repro.crypto.group import TOY_GROUP_64
 from repro.crypto.rng import DeterministicRNG
 from repro.finance import EisenbergNoeProgram, ElliottGolubJacksonProgram
@@ -38,14 +39,22 @@ def _network():
     )
 
 
-def _run(program_cls, block_size: int):
+def _graph(program_cls):
     network = _network()
+    if program_cls is EisenbergNoeProgram:
+        return network.to_en_graph(DEGREE)
+    return network.to_egj_graph(DEGREE)
+
+
+def _step_ands(program_cls) -> int:
+    """AND gates of one computation step: every vertex's update circuit."""
+    circuit = compiled_update_circuit(program_cls(FMT), DEGREE)
+    return _graph(program_cls).num_vertices * circuit.stats().and_gates
+
+
+def _run(program_cls, block_size: int):
     program = program_cls(FMT)
-    graph = (
-        network.to_en_graph(DEGREE)
-        if program_cls is EisenbergNoeProgram
-        else network.to_egj_graph(DEGREE)
-    )
+    graph = _graph(program_cls)
     config = DStressConfig(
         collusion_bound=block_size - 1,
         fmt=FMT,
@@ -89,14 +98,13 @@ def test_fig5_left_time_breakdown(benchmark):
     # Paper shapes: super-linear growth in block size; computation steps
     # dominate; EGJ >= EN at equal block size. The growth is checked on
     # the OT count, not wall-clock (fixed costs blur it at this scale):
-    # each AND is one OT per ordered pair of the k members, and the AND
+    # each AND is one OT per unordered pair of the k members, and the AND
     # count is fixed by the program, not by k.
-    for label in ("EN", "EGJ"):
-        first = BLOCKS[0]
-        ands = ots[(label, first)] / (first * (first - 1))
+    for program_cls, label in ((EisenbergNoeProgram, "EN"), (ElliottGolubJacksonProgram, "EGJ")):
+        ands = (ITERATIONS + 1) * _step_ands(program_cls)
         for block in BLOCKS:
-            assert ots[(label, block)] == ands * block * (block - 1), (
-                f"{label} OTs should grow as k(k-1) per AND"
+            assert ots[(label, block)] == ands * block * (block - 1) // 2, (
+                f"{label} OTs should grow as k(k-1)/2 per AND"
             )
     for block in BLOCKS:
         assert totals[("EGJ", block)] > 0.8 * totals[("EN", block)]

@@ -59,7 +59,8 @@ def test_fig6_projection_paper_regime(benchmark):
     assert headline is not None
     block = estimator.block_size
     bill = bill_for([compiled_update_circuit(program, 100).stats()], block)
-    step = bill.ots_per_party * PAPER_COST_CONSTANTS.seconds_per_ot * block
+    # the paper's backend: two 1-out-of-2 OTs per AND gate and counterpart
+    step = 2 * (block - 1) * bill.and_gates * PAPER_COST_CONSTANTS.seconds_per_ot * block
     assert headline.seconds_computation == headline.iterations * step
     assert headline.hours_total < 4.8, headline.hours_total
     assert 300 < headline.traffic_per_node_mb < 3000

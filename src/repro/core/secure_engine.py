@@ -195,7 +195,6 @@ def run_bill(
     if vertex_bound is None:
         vertex_bound = {v: graph.degree_bound for v in graph.vertex_ids}
     stats = {b: compiled_update_circuit(program, b).stats() for b in set(vertex_bound.values())}
-    ot = SimulatedObliviousTransfer(config.group)
     per_step = sum(vertex_bound.values()) if config.pad_transfers else graph.num_edges
     return bill_for(
         [stats[vertex_bound[v]] for v in graph.vertex_ids],
@@ -205,7 +204,7 @@ def run_bill(
         message_bits=program.fmt.total_bits,
         element_bytes=config.group.element_size_bytes,
         mode=config.gmw_mode,
-        ot_bytes=(ot.sender_bytes_per_transfer(1), ot.receiver_bytes_per_transfer(1)),
+        ot_bytes=SimulatedObliviousTransfer(config.group).and_gate_bytes(),
     )
 
 
@@ -553,9 +552,8 @@ class SecureEngine:
             ]
             members = ctx.assignment.blocks[v]
             link_bytes = self._meter_gmw(meter, members, result)
-            per_member_ots = result.traffic.ot_count // max(1, len(members))
-            for member in members:
-                meter.node(member).ot_transfers += per_member_ots
+            for rank, member in enumerate(members):
+                meter.node(member).ot_transfers += result.traffic.sender_ots(rank)
             ctx.total_ots += result.traffic.ot_count
             yield link_bytes
 

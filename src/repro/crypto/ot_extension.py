@@ -1,9 +1,9 @@
 """IKNP oblivious-transfer extension (Ishai et al. [41]).
 
-GMW consumes one OT per AND gate per ordered party pair, so public-key OT
-would dominate everything. The paper notes (§5.3) that its GMW backend keeps
-traffic low because it uses OT extension: a small number ``kappa`` of *base*
-OTs (public-key) is stretched into an arbitrary number of fast,
+GMW consumes one 1-out-of-4 OT per AND gate per party pair, so public-key
+OT would dominate everything. The paper notes (§5.3) that its GMW backend
+keeps traffic low because it uses OT extension: a small number ``kappa`` of
+*base* OTs (public-key) is stretched into an arbitrary number of fast,
 symmetric-crypto OTs.
 
 This module implements the semi-honest IKNP construction:
@@ -15,7 +15,11 @@ This module implements the semi-honest IKNP construction:
 2. Row-wise, the sender holds ``q_j = t_j XOR (r_j * s)``; hashing rows
    gives two pads per OT of which the receiver can compute exactly one.
 3. Each precomputed *random* OT is derandomized online with one bit from
-   the receiver and two padded messages from the sender.
+   the receiver and two padded messages from the sender. A 1-out-of-4
+   transfer derandomizes two random OTs at once: the receiver sends both
+   choice bits' corrections and the sender pads message ``2a + b`` with a
+   hash of the ``a``-side pad of the first and the ``b``-side pad of the
+   second, so it costs the bytes of two 1-out-of-2 transfers.
 
 The class is a drop-in :class:`~repro.crypto.ot.ObliviousTransfer`; the GMW
 engine can use it unchanged.
@@ -24,9 +28,9 @@ engine can use it unchanged.
 from __future__ import annotations
 
 import hashlib
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.crypto.ot import ObliviousTransfer, _mask, _xor
+from repro.crypto.ot import ObliviousTransfer, _check_four, _check_pair, _mask, _xor
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import ProtocolError
 
@@ -82,7 +86,7 @@ class IKNPOTExtension(ObliviousTransfer):
         Computational security parameter; the paper's GMW backend uses 80,
         modern practice 128.
     batch_size:
-        Number of random OTs precomputed per extension phase.
+        Number of random OTs precomputed per extension phase (at least 1).
     """
 
     def __init__(
@@ -94,6 +98,8 @@ class IKNPOTExtension(ObliviousTransfer):
         super().__init__()
         if kappa < 8:
             raise ProtocolError("kappa too small to be meaningful")
+        if batch_size < 1:
+            raise ProtocolError(f"batch_size must be at least 1, got {batch_size}")
         self.base_ot = base_ot
         self.kappa = kappa
         self.batch_size = batch_size
@@ -167,14 +173,14 @@ class IKNPOTExtension(ObliviousTransfer):
 
     # -- ObliviousTransfer interface -----------------------------------------
 
-    def transfer(self, m0: bytes, m1: bytes, choice: int, rng: DeterministicRNG) -> bytes:
-        if len(m0) != len(m1):
-            raise ProtocolError("OT messages must have equal length")
-        if choice not in (0, 1):
-            raise ProtocolError("OT choice must be 0 or 1")
+    def _take(self, rng: DeterministicRNG) -> Tuple[bytes, bytes, int]:
         if not self._pool:
             self._run_extension(rng)
-        u0, u1, c = self._pool.pop()
+        return self._pool.pop()
+
+    def transfer(self, m0: bytes, m1: bytes, choice: int, rng: DeterministicRNG) -> bytes:
+        _check_pair(m0, m1, choice)
+        u0, u1, c = self._take(rng)
 
         # Online derandomization: receiver reveals d = choice XOR c; the
         # sender pads (m0, m1) with (u_d, u_{1-d}).
@@ -191,6 +197,31 @@ class IKNPOTExtension(ObliviousTransfer):
         )
         return result
 
+    def transfer4(self, messages: Sequence[bytes], choice: int, rng: DeterministicRNG) -> bytes:
+        length = _check_four(messages, choice)
+        first, second = self._take(rng), self._take(rng)
+        # The receiver reveals d_a = a XOR c_1 and d_b = b XOR c_2 for its
+        # choice 2a + b; message 2x + y is padded with H(u1_{x^d_a} ||
+        # u2_{y^d_b}), and the receiver knows exactly u1_{c_1}, u2_{c_2}.
+        d_a = (choice >> 1) ^ first[2]
+        d_b = (choice & 1) ^ second[2]
+        padded = [
+            _xor(m, self._pad4(first[(index >> 1) ^ d_a], second[(index & 1) ^ d_b], length))
+            for index, m in enumerate(messages)
+        ]
+        known = self._pad4(first[first[2]], second[second[2]], length)
+        result = _xor(padded[choice], known)
+
+        self.stats.record(
+            sender_bytes=self.sender_bytes_per_transfer4(length),
+            receiver_bytes=self.receiver_bytes_per_transfer4(length),
+        )
+        return result
+
+    @staticmethod
+    def _pad4(u: bytes, v: bytes, length: int) -> bytes:
+        return _mask(hashlib.sha256(b"iknp-4|" + u + v).digest(), length)
+
     def sender_bytes_per_transfer(self, message_len: int) -> int:
         # Two padded messages; base-OT cost amortizes to kappa bits of
         # column material per extended OT.
@@ -199,3 +230,11 @@ class IKNPOTExtension(ObliviousTransfer):
     def receiver_bytes_per_transfer(self, message_len: int) -> int:
         # One derandomization bit, rounded up.
         return 1
+
+    def sender_bytes_per_transfer4(self, message_len: int) -> int:
+        # Four padded messages and two extended OTs' column material.
+        return 4 * message_len + 2 * ((self.kappa + 7) // 8)
+
+    def receiver_bytes_per_transfer4(self, message_len: int) -> int:
+        # Two derandomization bits, a byte each as in ``transfer``.
+        return 2

@@ -13,8 +13,11 @@ across *instances*: lane ``l`` of every wire word is circuit instance
 
 The circuit runs as its :class:`~repro.mpc.circuit.StageSchedule`: per AND
 round one XOR phase (one gather + one ``bitwise_xor.reduceat`` into a
-contiguous slice of the slot cube) and one AND phase (two gathers, a
-broadcast AND, one in-place XOR onto the round's pre-placed masks).
+contiguous slice of the slot cube) and one AND phase (two gathers, an
+AND, one in-place XOR onto the round's pre-placed masks). In ``ot`` mode
+the slots hold *prefix shares* — party ``p`` the XOR of shares ``0..p``
+— converted once on the way in and out, because in that form a
+1-out-of-4 AND's share update is one AND of the operands.
 
 **Offline/online split.** All per-gate randomness is drawn in an offline
 phase (:class:`OfflinePoolBuilder`) *before* any gate is evaluated, from
@@ -169,12 +172,12 @@ class OfflinePools:
     """Lane-packed per-AND-gate randomness for a batch of instances.
 
     ``ot_masks[g, i, j]`` holds, for AND ordinal ``g``, the mask bit party
-    ``i`` drew as OT *sender* toward receiver ``j`` (diagonal zero), one
-    lane per instance. In beaver mode ``triple_a/b/c[g, p]`` hold party
-    ``p``'s share of the dealer triple. A pool is single-use: the online
-    phase takes all of it at once, in its schedule's gate order, and
-    re-use or an ordinal outside the pool raises
-    :class:`OfflinePoolExhaustedError`.
+    ``i`` drew as OT *sender* toward receiver ``j > i`` (zero on and below
+    the diagonal), one lane per instance. In beaver mode
+    ``triple_a/b/c[g, p]`` hold party ``p``'s share of the dealer triple.
+    A pool is single-use: the online phase takes all of it at once, in its
+    schedule's gate order, and re-use or an ordinal outside the pool
+    raises :class:`OfflinePoolExhaustedError`.
     """
 
     mode: str
@@ -279,11 +282,11 @@ class OfflinePoolBuilder:
         # per party (unconditionally, in both modes).
         party_rngs = [rng.fork(f"gmw-party-{p}") for p in range(n)]
         if self.mode == "ot":
-            # Step 2 (ot): sender i reads its ands * (n - 1) masks from its
-            # own fork in one go (repro.mpc.gmw, "Mask stream"); build()
+            # Step 2 (ot): sender i reads its ands * (n - 1 - i) masks from
+            # its own fork in one go (repro.mpc.gmw, "Mask stream"); build()
             # unpacks every instance's read at once.
-            size = mask_stream_bytes(ands, n)
-            self._masks.append(b"".join([party.randbytes(size) for party in party_rngs]))
+            sizes = [mask_stream_bytes(ands, n, p) for p in range(n)]
+            self._masks.append(b"".join([r.randbytes(s) for r, s in zip(party_rngs, sizes)]))
         else:
             # Step 2 (beaver): per gate in list order the *parent* rng
             # draws: a_plain, b_plain (1 byte each), then three
@@ -307,15 +310,18 @@ class OfflinePoolBuilder:
         if self.mode == "ot":
             n, ands = self.num_parties, self.and_gates
             # eight masks to the byte, gate-major, sender i's receivers
-            # j != i in party order: (instance, sender, gate, receiver rank)
-            raw = np.frombuffer(b"".join(self._masks), dtype=np.uint8)
-            bits = np.unpackbits(
-                raw.reshape(count, n, mask_stream_bytes(ands, n)), axis=-1, count=ands * (n - 1)
-            ).reshape(count, n, ands, n - 1)
+            # j > i in party order: sender i's read is (instance, gate, j)
+            sizes = [mask_stream_bytes(ands, n, i) for i in range(n)]
+            raw = np.frombuffer(b"".join(self._masks), dtype=np.uint8).reshape(count, sum(sizes))
             cube = np.zeros((ands, n, n, count), dtype=np.uint8)
-            columns = np.arange(n)
-            for i in range(n):
-                cube[:, i, columns != i, :] = bits[:, i].transpose(1, 2, 0)
+            offset = 0
+            for i, size in enumerate(sizes[:-1]):
+                receivers = n - 1 - i
+                bits = np.unpackbits(
+                    raw[:, offset : offset + size], axis=-1, count=ands * receivers
+                ).reshape(count, ands, receivers)
+                cube[:, i, i + 1 :, :] = bits.transpose(1, 2, 0)
+                offset += size
             return OfflinePools(
                 mode="ot",
                 num_parties=n,
@@ -492,13 +498,19 @@ class BitslicedGMWEngine(GMWEngine):
         for name, bus_slots in schedule.input_slots.items():
             bits = _bus_bits([inputs[name] for inputs in shared_inputs_list], len(bus_slots))
             slots[bus_slots] = pack_lane_axis(bits)
+        xor = np.bitwise_xor
         ot = self.mode == "ot"
         if ot:
-            slots[and_lo:and_hi] = pools.take_ot(schedule.and_order)
+            # ot mode runs on prefix shares, party p holding the XOR of
+            # shares 0..p: XOR gates commute with that map, the constant
+            # one becomes all ones, and an AND's share update
+            # z_p ^= x_p Y_<=p ^ X_<p y_p (the receiver's 1-out-of-4 output
+            # plus the local term) telescopes to Z_<=p ^= X_<=p & Y_<=p
+            xor.accumulate(slots[:and_lo], axis=1, out=slots[:and_lo])
+            slots[and_lo:and_hi] = xor.accumulate(pools.take_ot(schedule.and_order), axis=1)
         else:
             triple_a, triple_b, slots[and_lo:and_hi] = pools.take_beaver(schedule.and_order)
 
-        xor = np.bitwise_xor
         for gather, starts, xor_lo, xor_hi, and_a, and_b, lo, hi in schedule.stages:
             if xor_hi > xor_lo:
                 xor.reduceat(slots[gather], starts, axis=0, out=slots[xor_lo:xor_hi])
@@ -507,7 +519,7 @@ class BitslicedGMWEngine(GMWEngine):
                 y = slots[and_b]
                 z = slots[lo:hi]
                 if ot:
-                    z ^= xor.reduce(x, axis=1)[:, None, :] & y
+                    z ^= x & y
                 else:
                     a, b = triple_a[lo - and_lo : hi - and_lo], triple_b[lo - and_lo : hi - and_lo]
                     d = xor.reduce(x ^ a, axis=1)  # opened masks
@@ -528,7 +540,10 @@ class BitslicedGMWEngine(GMWEngine):
         bus_shares: Dict[str, List[List[int]]] = {}  # name -> [lane][party]
         bus_widths: Dict[str, int] = {}
         for name, bus_slots in plan.schedule.output_slots.items():
-            bus_shares[name] = _bus_values(unpack_lane_axis(slots[bus_slots], lanes))
+            words = slots[bus_slots]
+            if self.mode == "ot":  # prefix shares back to shares
+                words[:, 1:] ^= slots[bus_slots][:, :-1]
+            bus_shares[name] = _bus_values(unpack_lane_axis(words, lanes))
             bus_widths[name] = len(bus_slots)
 
         return [
@@ -545,5 +560,6 @@ class BitslicedGMWEngine(GMWEngine):
         """Mirror the scalar engine's OT backend accounting in one update."""
         stats = self.ot.stats
         stats.transfers += transfers
-        stats.sender_bytes += transfers * self.ot.sender_bytes_per_transfer(1)
-        stats.receiver_bytes += transfers * self.ot.receiver_bytes_per_transfer(1)
+        sender_bytes, receiver_bytes = self.ot.and_gate_bytes()
+        stats.sender_bytes += transfers * sender_bytes
+        stats.receiver_bytes += transfers * receiver_bytes

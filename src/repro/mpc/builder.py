@@ -20,7 +20,7 @@ variants EN uses (``0 <= a < b`` divided, ``a >= 0`` times a multiplier in
 [0, 1]) that build only the bits such operands can have and no sign
 handling.
 
-AND gates are what GMW pays for (one OT per ordered party pair each, one
+AND gates are what GMW pays for (one 1-out-of-4 OT per party pair each, one
 round per AND layer), so every construction here is sized by its AND count
 and AND depth; ``tests/test_circuit_bill.py`` pins both per primitive.
 

@@ -6,7 +6,7 @@ DAGs of XOR / AND / NOT gates over single-bit wires, with named multi-bit
 *buses* for inputs and outputs (least-significant bit first).
 
 XOR and NOT are "free" in GMW (local share operations); AND is the costly
-gate (one OT per ordered party pair), so the circuit statistics that matter
+gate (one 1-out-of-4 OT per party pair), so the circuit statistics that matter
 for the cost model are the AND count and the AND *depth* (round count).
 """
 

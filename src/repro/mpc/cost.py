@@ -23,33 +23,50 @@ class Bill:
     """Operation counts of GMW computation steps and ``transfers`` §3.5
     transfers among blocks of ``parties`` = b = k + 1 members.
 
-    GMW: in ``ot`` mode every AND gate is one OT per ordered party pair; in
-    ``beaver`` mode every party opens two mask bits to every other; one
-    round per AND layer. A transfer of L = ``message_bits`` bits costs
-    b²(L+1) + bL + b + bL exponentiations over the §5.3 roles below.
+    GMW: in ``ot`` mode every AND gate is one 1-out-of-4 OT per unordered
+    party pair ``{i < j}``, ``i`` the sender; in ``beaver`` mode every
+    party opens two mask bits to every other; one round per AND layer. A
+    transfer of L = ``message_bits`` bits costs b²(L+1) + bL + b + bL
+    exponentiations over the §5.3 roles below.
     """
 
     parties: int
     #: AND gates and AND depth of the widest / deepest circuit in a step
     and_gates: int = 0
     and_rounds: int = 0
-    #: 1-out-of-2 OTs over every step and block (none in ``beaver`` mode)
+    #: 1-out-of-4 OTs over every step and block (none in ``beaver`` mode)
     ots: int = 0
-    #: wire bits each ordered pair of one block exchanges, widest circuit
-    pair_bits: int = 0
+    #: wire bits of one block pair ``{i < j}`` in the widest circuit: what
+    #: ``i`` sends ``j`` (the OT sender's link), then what ``j`` sends ``i``
+    pair_bits: Tuple[int, int] = (0, 0)
     transfers: int = 0
     message_bits: int = 0
     element_bytes: int = 0
 
     @property
     def ots_per_party(self) -> int:
-        """OTs a block position is in: sender and receiver per other member."""
+        """OTs a block position is in: one per AND gate per other member,
+        as sender toward the later members and receiver from the earlier."""
         return 2 * self.ots // self.parties
+
+    def sent_bits(self, party: int) -> int:
+        """Bits block position ``party`` sends in one step of the widest
+        circuit: the sender link to each later member, the receiver link
+        to each earlier one."""
+        down, up = self.pair_bits
+        return (self.parties - 1 - party) * down + party * up
+
+    def received_bits(self, party: int) -> int:
+        """Bits block position ``party`` receives in one step of the widest
+        circuit (what :meth:`sent_bits` counts, seen from the far end)."""
+        down, up = self.pair_bits
+        return party * down + (self.parties - 1 - party) * up
 
     @property
     def party_sent_bytes(self) -> float:
-        """Bytes one party sends in one step of the widest circuit."""
-        return self.pair_bits * (self.parties - 1) / 8
+        """Bytes a block position sends in one step of the widest circuit,
+        averaged over the block (every pair carries both directions)."""
+        return sum(self.pair_bits) * (self.parties - 1) / 16
 
     # -- one §3.5 transfer, per role --
 
@@ -109,16 +126,17 @@ def bill_for(
 ) -> Bill:
     """The bill of ``steps`` computation steps, each evaluating one circuit
     per entry of ``stats`` (one block each), plus ``transfers`` transfers.
-    ``ot_bytes`` is what one OT puts on the wire, sender then receiver."""
+    ``ot_bytes`` is what one AND gate's OT puts on the wire, sender then
+    receiver (:meth:`~repro.crypto.ot.ObliviousTransfer.and_gate_bytes`)."""
     if mode not in ("ot", "beaver"):
         raise ValueError(f"unknown GMW mode {mode!r}")
     stats = list(stats)
     ands = max((s.and_gates for s in stats), default=0)
     if mode == "ot":
-        ots = steps * sum(s.and_gates for s in stats) * parties * (parties - 1)
-        pair_bits = 8 * ands * sum(ot_bytes)
+        ots = steps * sum(s.and_gates for s in stats) * parties * (parties - 1) // 2
+        pair_bits = (8 * ands * ot_bytes[0], 8 * ands * ot_bytes[1])
     else:
-        ots, pair_bits = 0, 2 * ands
+        ots, pair_bits = 0, (2 * ands, 2 * ands)
     return Bill(
         parties,
         and_gates=ands,

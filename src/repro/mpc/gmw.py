@@ -4,9 +4,11 @@ This is the MPC engine DStress invokes for every computation step (§3.3,
 §3.6). Wire values are XOR-shared among the parties of a block:
 
 * XOR and NOT gates are local (XOR of shares / flip by party 0);
-* each AND gate needs one 1-out-of-2 OT per *ordered* pair of parties to
-  compute the cross terms of ``(XOR_i x_i)(XOR_j y_j)`` — this is where the
-  quadratic total cost and linear per-party cost of Figures 3–5 come from;
+* each AND gate needs one 1-out-of-4 OT per *unordered* pair of parties
+  to share the cross terms ``x_i y_j XOR x_j y_i`` of
+  ``(XOR_i x_i)(XOR_j y_j)`` (Goldreich's presentation of GMW) — this is
+  where the quadratic total cost and linear per-party cost of Figures 3–5
+  come from;
 * alternatively, AND gates can burn a Beaver triple from a trusted dealer
   (the ``beaver`` mode, used for the backend ablation).
 
@@ -19,13 +21,15 @@ off the circuit's :class:`~repro.mpc.cost.Bill`
 **Mask stream.** In ``ot`` mode every party forks one sub-stream off the
 run's generator (``rng.fork("gmw-party-p")``, 32 parent bytes each) and
 reads all its sender masks from it up front, eight to the byte
-(:func:`mask_stream_bytes`): mask ``k = gate_ordinal * (n - 1) +
-receiver_rank`` — AND gates numbered in gate-list order, the receivers of
-sender ``i`` ranked in party order with ``i`` left out — is bit
-``7 - k % 8`` of byte ``k // 8``; the tail bits of the last byte are
-unused. Whatever the OT backend draws per transfer comes after the masks
-on the same sub-stream. :mod:`repro.mpc.bitslice` unpacks the same read, so
-the two engines leave every party the same share of every wire.
+(:func:`mask_stream_bytes`). Of a pair ``{i < j}`` party ``i`` is the
+sender, so party ``i`` reads ``and_gates * (n - 1 - i)`` masks and party
+``n - 1`` reads none (it still forks): mask ``k = gate_ordinal *
+(n - 1 - i) + (j - i - 1)`` — AND gates numbered in gate-list order, the
+receivers ``j > i`` in party order — is bit ``7 - k % 8`` of byte
+``k // 8``; the tail bits of the last byte are unused. Whatever the OT
+backend draws per transfer comes after the masks on the sender's
+sub-stream. :mod:`repro.mpc.bitslice` unpacks the same read, so the two
+engines leave every party the same share of every wire.
 """
 
 from __future__ import annotations
@@ -43,9 +47,10 @@ from repro.sharing.xor import reconstruct_value, share_value
 __all__ = ["GMWEngine", "GMWResult", "GMWTraffic", "mask_stream_bytes"]
 
 
-def mask_stream_bytes(and_gates: int, num_parties: int) -> int:
-    """Bytes one party reads for its ``and_gates * (n - 1)`` sender masks."""
-    return (and_gates * (num_parties - 1) + 7) // 8
+def mask_stream_bytes(and_gates: int, num_parties: int, party: int) -> int:
+    """Bytes ``party`` reads for its ``and_gates * (n - 1 - party)`` sender
+    masks."""
+    return (and_gates * (num_parties - 1 - party) + 7) // 8
 
 
 @dataclass
@@ -53,8 +58,8 @@ class GMWTraffic:
     """Per-party and aggregate traffic/interaction statistics for one run.
 
     Beyond the historical per-party totals, every bit on the wire is also
-    attributed to its ordered *pair* ``(sender party, receiver party)`` —
-    the granularity a block's OT-extension batch actually travels at. The
+    attributed to its ordered *pair* ``(source party, destination party)``
+    — the granularity a block's OT batch actually travels at. The
     pair view is what the secure-async scheduler dispatches over the
     transport bus, and what the :class:`~repro.simulation.netsim.TrafficMeter`
     records as per-link bytes; by construction
@@ -78,6 +83,11 @@ class GMWTraffic:
     def per_party_bytes(self) -> List[float]:
         return [bits / 8.0 for bits in self.sent_bits]
 
+    def sender_ots(self, party: int) -> int:
+        """OTs ``party`` ran as the sender: one per AND gate per later party."""
+        n = self.num_parties
+        return self.ot_count // (n * (n - 1) // 2) * (n - 1 - party)
+
 
 @dataclass
 class GMWResult:
@@ -100,6 +110,14 @@ class GMWResult:
 
 #: Shifts that read a byte's bits most significant first.
 _BIT_SHIFTS = (7, 6, 5, 4, 3, 2, 1, 0)
+#: A sender's 1-out-of-4 offer ``m[2a + b] = r ^ b x ^ a y`` as one-byte
+#: messages, at index ``4 r + 2 x + y``.
+_OFFERS = tuple(
+    tuple(bytes([r ^ (b & x) ^ (a & y)]) for a in (0, 1) for b in (0, 1))
+    for r in (0, 1)
+    for x in (0, 1)
+    for y in (0, 1)
+)
 
 
 class GMWEngine:
@@ -132,7 +150,7 @@ class GMWEngine:
         self.mode = mode
         # ``pair_bits`` insertion order, which ``SecureEngine._meter_gmw``'s
         # float accumulation iterates: ``ot`` visits ``(i, j)`` then
-        # ``(j, i)`` pair by pair, ``beaver`` sender by sender
+        # ``(j, i)`` pair by pair, ``beaver`` source by source
         n = num_parties
         pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
         self._pairs = sorted(pairs, key=lambda p: (min(p), max(p))) if mode == "ot" else pairs
@@ -164,12 +182,17 @@ class GMWEngine:
 
         party_rngs = [rng.fork(f"gmw-party-{p}") for p in range(n)]
         # masks[i][k]: the module docstring's mask k of sender i
-        size = mask_stream_bytes(stats.and_gates, n) if ot_mode else 0
         masks = [
-            [(byte >> shift) & 1 for byte in party_rng.randbytes(size) for shift in _BIT_SHIFTS]
-            for party_rng in party_rngs
+            [
+                (byte >> shift) & 1
+                for byte in party_rng.randbytes(mask_stream_bytes(stats.and_gates, n, p))
+                for shift in _BIT_SHIFTS
+            ]
+            if ot_mode
+            else []
+            for p, party_rng in enumerate(party_rngs)
         ]
-        base = 0  # mask index of the next AND gate's first receiver
+        ordinal = 0  # gate-list ordinal of the next AND gate
 
         # wire_shares[w] is the list of n share bits of wire w.
         wire_shares: List[List[int]] = [[0] * n for _ in range(circuit.num_wires)]
@@ -193,9 +216,9 @@ class GMWEngine:
                 wire_shares[out] = flipped
             elif ot_mode:
                 wire_shares[out] = self._and_via_ot(
-                    a_shares, wire_shares[b], masks, base, party_rngs
+                    a_shares, wire_shares[b], masks, ordinal, party_rngs
                 )
-                base += n - 1
+                ordinal += 1
             else:
                 wire_shares[out] = self._and_via_beaver(a_shares, wire_shares[b], rng)
 
@@ -231,24 +254,23 @@ class GMWEngine:
                 )
 
     def _closed_form_traffic(self, stats: CircuitStats) -> GMWTraffic:
-        """One evaluation's traffic, off its bill: every ordered pair
-        carries the same bits and every party sends and receives ``n - 1``
-        pairs' worth."""
+        """One evaluation's traffic, off its bill: of every pair ``{i < j}``
+        the link ``i -> j`` carries the bill's first direction and
+        ``j -> i`` its second."""
         n = self.num_parties
-        bill = bill_for(
-            [stats],
-            n,
-            mode=self.mode,
-            ot_bytes=(self.ot.sender_bytes_per_transfer(1), self.ot.receiver_bytes_per_transfer(1)),
-        )
-        bits = bill.pair_bits
+        bill = bill_for([stats], n, mode=self.mode, ot_bytes=self.ot.and_gate_bytes())
+        down, up = bill.pair_bits
         return GMWTraffic(
             num_parties=n,
-            sent_bits=[(n - 1) * bits] * n,
-            received_bits=[(n - 1) * bits] * n,
+            sent_bits=[bill.sent_bits(p) for p in range(n)],
+            received_bits=[bill.received_bits(p) for p in range(n)],
             ot_count=bill.ots,
             rounds=bill.and_rounds,
-            pair_bits=dict.fromkeys(self._pairs, bits) if bill.and_gates else {},
+            pair_bits=(
+                {(i, j): down if i < j else up for i, j in self._pairs}
+                if bill.and_gates
+                else {}
+            ),
         )
 
     def _and_via_ot(
@@ -256,31 +278,30 @@ class GMWEngine:
         x: List[int],
         y: List[int],
         masks: List[List[int]],
-        base: int,
+        ordinal: int,
         party_rngs: List[DeterministicRNG],
     ) -> List[int]:
-        """GMW AND: local terms plus one OT per ordered party pair.
+        """GMW AND: local terms plus one 1-out-of-4 OT per unordered pair.
 
-        ``z = XOR_i x_i y_i  XOR  XOR_{i != j} x_i y_j``; the cross term
-        ``x_i y_j`` is shared between sender ``i`` (holding ``x_i``) and
-        receiver ``j`` (holding ``y_j``): the sender masks with its random
-        bit ``r`` (``masks[i][base + rank of j]``) and offers
-        ``(r, r XOR x_i)``.
+        ``z = XOR_i x_i y_i  XOR  XOR_{i < j} (x_i y_j XOR x_j y_i)``; the
+        pair's cross term is shared between sender ``i`` and receiver
+        ``j``: the sender masks with its random bit ``r`` (the module
+        docstring's mask of ``(ordinal, i, j)``) and offers ``m[2a + b] =
+        r XOR b x_i XOR a y_i``; the receiver chooses ``2 x_j + y_j``.
         """
         n = self.num_parties
-        transfer_bit = self.ot.transfer_bit
+        transfer4 = self.ot.transfer4
         z = [x[p] & y[p] for p in range(n)]
-        for i in range(n):
-            x_i = x[i]
+        for i in range(n - 1):
+            held = 2 * x[i] + y[i]
+            masks_i = masks[i]
             rng_i = party_rngs[i]
-            k = base
-            for j in range(n):
-                if i == j:
-                    continue
-                r = masks[i][k]
+            k = ordinal * (n - 1 - i)
+            for j in range(i + 1, n):
+                r = masks_i[k]
                 k += 1
                 z[i] ^= r
-                z[j] ^= transfer_bit(r, r ^ x_i, y[j], rng_i)
+                z[j] ^= transfer4(_OFFERS[4 * r + held], 2 * x[j] + y[j], rng_i)[0]
         return z
 
     def _and_via_beaver(

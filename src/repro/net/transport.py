@@ -62,6 +62,7 @@ from repro.exceptions import (
     PeerDisconnectedError,
     TransportError,
     TransportTimeoutError,
+    WireFormatError,
 )
 from repro.net.peer import PeerAddress, dial_peer, expect_hello, read_frame, write_frame
 from repro.net.wire import (
@@ -495,6 +496,7 @@ class TcpTransport(Transport):
                 # before this party's engine has open()ed its mailboxes —
                 # hold the connection (TCP buffers behind it) until then
                 await self._run_started.wait()
+            self._check_round_value(frame, pid)
             try:
                 self._deliver(
                     frame.src,
@@ -516,6 +518,23 @@ class TcpTransport(Transport):
                     ),
                 )
         # convey kinds carry only padding: counted above, nothing to route
+
+    def _check_round_value(self, frame: Frame, pid: int) -> None:
+        """Refuse a round value this party has no mailbox for: a ``dst``
+        it does not own or an ``in_slot`` past the degree bound. The
+        raise ends the read loop and marks the peer failed, so a gather
+        waiting on it fails with this cause instead of timing out."""
+        if self._owner.get(frame.dst) != self.party_id:
+            problem = f"dst {frame.dst} is not a vertex party {self.party_id} owns"
+        elif not 0 <= frame.in_slot < self._graph.degree_bound:
+            problem = f"in_slot {frame.in_slot} is outside [0, {self._graph.degree_bound})"
+        else:
+            return
+        raise WireFormatError(
+            f"party {self.party_id} <- party {pid}: ROUND_VALUE frame "
+            f"(src {frame.src}, dst {frame.dst}, in_slot {frame.in_slot}, "
+            f"round {frame.round_index}) refused: {problem}"
+        )
 
     def _mark_peer_failed(self, pid: int, error: TransportError) -> None:
         self._peer_failure.setdefault(pid, error)

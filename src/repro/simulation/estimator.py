@@ -7,10 +7,12 @@ paper reaches its N = 1750 / 4.8 hours / 750 MB estimates.
 
 The bills are read off the real compiled circuits at the target degree
 bound, so the projection and the executable engine price one set of
-counts, derived in :mod:`repro.mpc.cost`. The assumptions mirror §5.5:
-a conservative ``D``, block size ``k+1``, ``I`` iterations, a two-level
-aggregation tree of fanout 100, and no overlap between the blocks a node
-serves in.
+counts, derived in :mod:`repro.mpc.cost`; GMW is priced in the paper's
+unit, ``PAPER_OTS_PER_AND_PAIR`` 1-out-of-2 OTs per AND gate and
+counterpart, not per 1-out-of-4 OT of the engine. The assumptions mirror
+§5.5: a conservative ``D``, block size ``k+1``, ``I`` iterations, a
+two-level aggregation tree of fanout 100, and no overlap between the
+blocks a node serves in.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from repro.core.program import VertexProgram, compiled_update_circuit
 from repro.mpc.circuit import Circuit
 from repro.mpc.cost import Bill, bill_for
 from repro.mpc.plan import noised_sum_bits_circuit, partial_sum_circuit
-from repro.simulation.timing import CostConstants
+from repro.simulation.timing import PAPER_OTS_PER_AND_PAIR, CostConstants
 
 __all__ = ["DeploymentEstimate", "ScalabilityEstimator"]
 
@@ -102,10 +104,11 @@ class ScalabilityEstimator:
 
     def computation_step_seconds(self, degree_bound: int) -> float:
         """One block's update-circuit evaluation (Fig. 3 'EN/EGJ step'):
-        the bill's OTs per party, ``2k`` per AND gate (sender to the ``k``
-        others and receiver from them), each at ``seconds_per_ot``."""
+        the paper's ``2k`` OTs per AND gate (sender to the ``k`` others and
+        receiver from them; the bill's ``ots_per_party`` is ``k`` per AND
+        gate), each at ``seconds_per_ot``."""
         bill = self._bill(compiled_update_circuit(self.program, degree_bound))
-        return bill.ots_per_party * self.constants.seconds_per_ot
+        return PAPER_OTS_PER_AND_PAIR * bill.ots_per_party * self.constants.seconds_per_ot
 
     def transfer_seconds(self) -> float:
         """One §3.5 edge transfer (§5.2: linear in k, exponentiations
@@ -132,7 +135,8 @@ class ScalabilityEstimator:
             magnitude_bits=18,
             precision_bits=16,
         )
-        return self._bill(group, root).ots_per_party * self.constants.seconds_per_ot
+        bill = self._bill(group, root)
+        return PAPER_OTS_PER_AND_PAIR * bill.ots_per_party * self.constants.seconds_per_ot
 
     # -- end-to-end ---------------------------------------------------------------------
 
@@ -170,8 +174,8 @@ class ScalabilityEstimator:
         """Average per-node traffic *generated* (bytes sent), as in §5.3.
 
         GMW: a node serves in ``k+1`` blocks on average; in each it sends
-        ``ot_bytes_per_and`` per OT it is the sender of, one per AND gate
-        per counterpart.
+        ``ot_bytes_per_and`` per AND gate per counterpart (the bill's
+        ``ots_per_party``).
 
         Transfers: ``D`` per iteration at the node's vertex, each the
         bill's sent bytes; with up to ``N * D`` edges per iteration the
@@ -182,6 +186,5 @@ class ScalabilityEstimator:
             steps=iterations + 1,
             transfers=iterations * degree_bound,
         )
-        sender_ots = bill.ots // bill.parties
-        gmw_total = sender_ots * self.ot_bytes_per_and * self.block_size
+        gmw_total = bill.ots_per_party * self.ot_bytes_per_and * self.block_size
         return gmw_total + bill.transfers * bill.transfer_sent_bytes

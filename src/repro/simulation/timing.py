@@ -22,7 +22,18 @@ from repro.crypto.rng import DeterministicRNG
 from repro.mpc.builder import CircuitBuilder
 from repro.mpc.gmw import GMWEngine
 
-__all__ = ["CostConstants", "measure_cost_constants", "PAPER_COST_CONSTANTS"]
+__all__ = [
+    "CostConstants",
+    "measure_cost_constants",
+    "PAPER_COST_CONSTANTS",
+    "PAPER_OTS_PER_AND_PAIR",
+]
+
+#: 1-out-of-2 OTs the paper's GMW backend runs per AND gate and counterpart
+#: (one as sender, one as receiver): the unit ``seconds_per_ot`` prices.
+#: The engine runs one 1-out-of-4 OT per party pair instead, which stands
+#: for two of these.
+PAPER_OTS_PER_AND_PAIR = 2
 
 
 @dataclass(frozen=True)
@@ -32,7 +43,9 @@ class CostConstants:
     Attributes
     ----------
     seconds_per_ot:
-        Wall time of one GMW AND-gate OT (amortized, extension-style).
+        Wall time of one GMW AND-gate OT (amortized, extension-style), in
+        the paper's unit: a 1-out-of-2 OT, ``PAPER_OTS_PER_AND_PAIR`` per
+        AND gate and counterpart.
     seconds_per_exp:
         Wall time of one group exponentiation.
     seconds_per_share:
@@ -67,9 +80,9 @@ def measure_cost_constants(
 ) -> CostConstants:
     """Measure unit costs on the current machine.
 
-    Times a small GMW evaluation (division by AND count and party pairs
-    gives the per-OT cost) and a batch of exponentiations in the given
-    group. Takes well under a second — cheap enough to run at benchmark
+    Times a small GMW evaluation (division by its 1-out-of-4 OTs, two
+    paper OTs each, gives the per-OT cost) and a batch of exponentiations
+    in the given group. Takes well under a second — cheap enough to run at benchmark
     startup.
     """
     group = group if group is not None else default_group()
@@ -89,7 +102,7 @@ def measure_cost_constants(
     started = clock_now()
     result = engine.evaluate(circuit, shares, rng)
     elapsed = clock_now() - started
-    seconds_per_ot = elapsed / max(1, result.traffic.ot_count)
+    seconds_per_ot = elapsed / max(1, PAPER_OTS_PER_AND_PAIR * result.traffic.ot_count)
 
     # --- per-exponentiation cost ------------------------------------------
     base = group.generator

@@ -22,7 +22,7 @@ scale-free), all under a fixed seed:
 * every secure run's counters — OTs, transfers, AND gates per step and
   metered exponentiations — equal its bill
   (:func:`~repro.core.secure_engine.run_bill`) exactly, and so does the
-  OT backend's own record — one transfer per ``transfer_bit`` call under
+  OT backend's own record — one transfer per ``transfer4`` call under
   the scalar backend.
 
 Any future backend (remote, ...) earns its registry entry by joining

@@ -13,6 +13,7 @@ import base64
 import json
 import pickle
 import struct
+import threading
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.api import PersistentScenarioCache, RunResult
 from repro.api.cache import ScenarioCache
+from repro.core.graph import DistributedGraph
 from repro.crypto.elgamal import ExponentialElGamal
 from repro.crypto.group import TOY_GROUP_64
 from repro.crypto.keys import SchnorrSigner
@@ -30,9 +32,11 @@ from repro.exceptions import (
     ProtocolError,
     ResultFormatError,
     ServiceError,
+    TransportError,
     WireFormatError,
 )
-from repro.net.peer import read_frame
+from repro.net.peer import PeerAddress, read_frame, write_frame
+from repro.net.transport import TcpTransport
 from repro.obs import ManualClock, TraceRecorder, validate_export
 from repro.obs.merge import load_trace_shard, merge_cluster_trace
 from repro.net.wire import (
@@ -239,6 +243,60 @@ class TestRoundValue:
         )
 
 
+_VALID_FRAMES = [
+    Frame(kind=MessageKind.HELLO, session=bytes(range(16)), party_id=1, num_parties=3),
+    Frame(kind=MessageKind.ROUND_VALUE, src=4, dst=5, in_slot=1, round_index=2, value=-2.5),
+    Frame(kind=MessageKind.ROUND_VALUE, src=4, dst=5, round_index=2, value=-(2**70)),
+    Frame(kind=MessageKind.GMW_BATCH, src=1, dst=2, round_index=3, pad_len=5),
+    Frame(kind=MessageKind.TRANSFER_AGG, src=2, dst=1, round_index=0, pad_len=0),
+    Frame(kind=MessageKind.CRYPTO, src=0, dst=3, round_index=9, pad_len=2),
+    Frame(kind=MessageKind.CONTROL, code=2, detail="abort: \u00e9"),
+]
+
+
+def _decodes_or_refuses(data: bytes) -> None:
+    """The codec's whole contract on hostile input: a frame (never read
+    past the buffer) or the one named error — nothing else escapes."""
+    try:
+        frame, consumed = decode_frame(data)
+    except WireFormatError:
+        return
+    assert isinstance(frame, Frame)
+    assert HEADER_BYTES <= consumed <= len(data)
+
+
+def test_every_message_kind_has_a_valid_frame_under_test():
+    assert {frame.kind for frame in _VALID_FRAMES} == set(MessageKind)
+    for frame in _VALID_FRAMES:
+        data = encode_frame(frame)
+        assert decode_frame(data) == (frame, len(data))
+
+
+class TestDecodeFrame:
+    @given(raw=st.binary(max_size=96))
+    @settings(max_examples=300)
+    @example(raw=b"")
+    @example(raw=struct.pack("!2sBBI", MAGIC, PROTOCOL_VERSION, int(MessageKind.HELLO), 0))
+    def test_arbitrary_bytes(self, raw):
+        _decodes_or_refuses(raw)
+
+    @given(data=st.data())
+    @settings(max_examples=300)
+    def test_truncations_of_a_valid_frame(self, data):
+        encoded = encode_frame(data.draw(st.sampled_from(_VALID_FRAMES)))
+        cut = data.draw(st.integers(min_value=0, max_value=len(encoded) - 1))
+        with pytest.raises(WireFormatError):
+            decode_frame(encoded[:cut])
+
+    @given(data=st.data())
+    @settings(max_examples=500)
+    def test_one_byte_mutations_of_a_valid_frame(self, data):
+        encoded = bytearray(encode_frame(data.draw(st.sampled_from(_VALID_FRAMES))))
+        position = data.draw(st.integers(min_value=0, max_value=len(encoded) - 1))
+        encoded[position] = data.draw(st.integers(min_value=0, max_value=255))
+        _decodes_or_refuses(bytes(encoded))
+
+
 # ------------------------------------------- (iv) frame headers off a stream --
 
 
@@ -291,6 +349,82 @@ class TestReadFrame:
         frame, wire_bytes = _read_from_stream(data + b"next frame")
         assert frame == Frame(kind=MessageKind.ROUND_VALUE, src=1, dst=2, round_index=3)
         assert wire_bytes == len(data)
+
+
+# -------------------------------------- (iv b) round values off a party port --
+
+
+def _two_vertex_graph() -> DistributedGraph:
+    """Vertex 0 -> vertex 1 under D = 2: over two parties (owner = vertex
+    rank mod 2) party 1 owns vertex 1 and waits for one frame into it."""
+    graph = DistributedGraph(degree_bound=2)
+    graph.add_vertex(0)
+    graph.add_vertex(1)
+    graph.add_edge(0, 1)
+    return graph
+
+
+def _gather_after_hostile_round_value(frame: Frame, session: str):
+    """Party 0 of a loopback mesh writes ``frame`` to party 1, whose
+    engine then gathers vertex 1's round 0. Returns what the gather raised
+    and the failure party 1 recorded against party 0. The io timeout is
+    the fallback a read loop killed by the frame would leave."""
+    transports = [TcpTransport(i, 2, session=session, io_timeout=5.0) for i in range(2)]
+    try:
+        peers = [PeerAddress(i, "127.0.0.1", t.listen()) for i, t in enumerate(transports)]
+        dialers = [threading.Thread(target=t.connect, args=(peers,)) for t in transports]
+        for dialer in dialers:
+            dialer.start()
+        for dialer in dialers:
+            dialer.join(timeout=30.0)
+        attacker, victim = transports
+        victim.open(_two_vertex_graph(), 0.0)
+
+        async def send():
+            write_frame(attacker._writers[1], frame)
+            await attacker._writers[1].drain()
+
+        attacker._call_io(send(), timeout=10.0)
+        with pytest.raises(TransportError) as caught:
+            asyncio.run(victim.gather_round(1, 0))
+        return caught.value, victim._peer_failure.get(0)
+    finally:
+        for transport in transports:
+            transport.close()
+
+
+class TestHostileRoundValueOverTcp:
+    @pytest.mark.parametrize(
+        "frame, complaint",
+        [
+            (
+                Frame(kind=MessageKind.ROUND_VALUE, src=0, dst=1, in_slot=2, value=1.0),
+                "in_slot 2 is outside [0, 2)",
+            ),
+            (
+                Frame(kind=MessageKind.ROUND_VALUE, src=0, dst=1, in_slot=65535, value=1.0),
+                "in_slot 65535 is outside [0, 2)",
+            ),
+            (
+                Frame(kind=MessageKind.ROUND_VALUE, src=0, dst=99, value=1.0),
+                "dst 99 is not a vertex party 1 owns",
+            ),
+            (
+                Frame(kind=MessageKind.ROUND_VALUE, src=1, dst=0, value=1.0),
+                "dst 0 is not a vertex party 1 owns",
+            ),
+        ],
+        ids=["slot-at-bound", "slot-max", "dst-outside-graph", "dst-of-another-party"],
+    )
+    def test_the_sending_peer_is_failed_with_the_named_error(self, frame, complaint, caplog):
+        raised, recorded = _gather_after_hostile_round_value(frame, f"hostile-{complaint}")
+        # the gather fails on the cause, not on the io timeout
+        assert isinstance(raised, WireFormatError), raised
+        assert isinstance(recorded, WireFormatError)
+        for error in (raised, recorded):
+            assert complaint in str(error)
+            assert f"src {frame.src}, dst {frame.dst}, in_slot {frame.in_slot}" in str(error)
+        assert "Unhandled exception" not in caplog.text
 
 
 # ------------------------------------------------ (v) transfer role inputs --

@@ -17,7 +17,10 @@ second time under the same rule: ``released`` and ``rng`` passed unedited.
 A third re-record followed when those primitives dropped the sign handling
 their operands never need (debts, ``total_debt`` and ``prorate`` are never
 negative) and EN stopped saturating its liquid sum: traffic fields only,
-``released`` and ``rng`` unedited.
+``released`` and ``rng`` unedited. A fourth followed when every GMW AND
+gate took one 1-out-of-4 OT per party pair instead of two 1-out-of-2 OTs
+(half the OTs, fewer bytes per pair): traffic fields only, ``released``
+and ``rng`` unedited.
 """
 
 from __future__ import annotations
@@ -435,24 +438,24 @@ GOLDEN = {
         "released": [16.96875, 1.4453125, 3974, [1.10546875, 1.4453125]],
         "rng": [458, 16],
         "traffic": {
-            "max_node_bytes_sent": 1528400.25,
-            "mean_node_bytes_sent": 1148289.03125,
+            "max_node_bytes_sent": 792120.25,
+            "mean_node_bytes_sent": 602529.03125,
             "nodes": 4,
-            "total_bytes_sent": 4593156.125,
+            "total_bytes_sent": 2410116.125,
             "total_exponentiations": 3024,
-            "total_ot_transfers": 64896,
+            "total_ot_transfers": 32448,
         },
     },
     "toy-64": {
         "released": [4.9453125, 1.4453125, 896, [1.10546875, 1.4453125]],
         "rng": [328, 24],
         "traffic": {
-            "max_node_bytes_sent": 416288.25,
-            "mean_node_bytes_sent": 312729.75,
+            "max_node_bytes_sent": 236584.25,
+            "mean_node_bytes_sent": 176289.75,
             "nodes": 4,
-            "total_bytes_sent": 1250919.0,
+            "total_bytes_sent": 705159.0,
             "total_exponentiations": 3024,
-            "total_ot_transfers": 64896,
+            "total_ot_transfers": 32448,
         },
     },
 }

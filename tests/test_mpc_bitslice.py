@@ -341,7 +341,7 @@ class TestScheduleEquivalence:
 
 class TestTranscriptParity:
     @pytest.mark.parametrize("mode", ["ot", "beaver"])
-    @pytest.mark.parametrize("parties", [2, 3, 4])
+    @pytest.mark.parametrize("parties", [2, 3, 4, 5])
     def test_single_evaluate_is_bit_identical_to_scalar(self, mode, parties):
         circuit = mixed_circuit()
         scalar = GMWEngine(parties, mode=mode)
@@ -399,31 +399,34 @@ class TestTranscriptParity:
         for bus in ("sum", "prod", "lt"):
             assert result.reveal(bus) == plain[bus]
 
-    def test_ot_pool_replays_scalar_draw_order(self):
-        """OT-mode mask bits: pool entry (gate g, sender i, receiver j) is
-        bit ``7 - k % 8`` of byte ``k // 8`` of the one read sender ``i``'s
-        fork makes, ``k = g * (n - 1) + rank of j`` — forks in transcript
-        order, eight masks to the byte, the last byte's tail bits unused."""
+    @pytest.mark.parametrize("parties", [3, 4])
+    def test_ot_pool_replays_scalar_draw_order(self, parties):
+        """OT-mode mask bits: pool entry (gate g, sender i, receiver j > i)
+        is bit ``7 - k % 8`` of byte ``k // 8`` of the one read sender
+        ``i``'s fork makes, ``k = g * (n - 1 - i) + (j - i - 1)`` — forks
+        in transcript order, eight masks to the byte, the last byte's tail
+        bits unused, nothing on or below the diagonal."""
         circuit = mixed_circuit(4)
-        parties = 3
         ands = circuit.stats().and_gates
-        assert ands * (parties - 1) % 8  # the read ends inside a byte
+        assert ands % 8  # every sender's read ends inside a byte
         engine = BitslicedGMWEngine(parties, mode="ot")
         rng = DeterministicRNG("replay")
         pools = engine.precompute(circuit, 1, rng)
         replay = DeterministicRNG("replay")
         party_rngs = [replay.fork(f"gmw-party-{p}") for p in range(parties)]
-        size = mask_stream_bytes(ands, parties)
-        assert size == -(-ands * (parties - 1) // 8)
-        streams = [party_rng.randbytes(size) for party_rng in party_rngs]
+        sizes = [mask_stream_bytes(ands, parties, i) for i in range(parties)]
+        assert sizes == [-(-ands * (parties - 1 - i) // 8) for i in range(parties)]
+        assert sizes[-1] == 0  # the last party is never a sender
+        streams = [party_rng.randbytes(size) for party_rng, size in zip(party_rngs, sizes)]
         for g in range(ands):
             for i in range(parties):
-                receivers = [j for j in range(parties) if j != i]
-                for rank, j in enumerate(receivers):
-                    k = g * (parties - 1) + rank
-                    expected = (streams[i][k // 8] >> (7 - k % 8)) & 1
-                    assert int(pools.ot_masks[g, i, j, 0] & np.uint64(1)) == expected
-                assert int(pools.ot_masks[g, i, i, 0]) == 0
+                for j in range(parties):
+                    got = int(pools.ot_masks[g, i, j, 0])
+                    if j <= i:
+                        assert got == 0
+                        continue
+                    k = g * (parties - 1 - i) + (j - i - 1)
+                    assert got == (streams[i][k // 8] >> (7 - k % 8)) & 1
         # only the 32-byte forks came off the parent stream
         assert rng.getstate() == replay.getstate()
 
@@ -442,7 +445,8 @@ class TestTranscriptParity:
             engine = GMWEngine(parties, ot=DDHObliviousTransfer(TOY_GROUP_64))
             rng = DeterministicRNG("ddh")
             runs.append((engine.evaluate(circuit, shares, rng), rng.getstate()))
-            assert engine.ot.stats.transfers == circuit.stats().and_gates * parties * (parties - 1)
+            ands = circuit.stats().and_gates
+            assert engine.ot.stats.transfers == ands * parties * (parties - 1) // 2
         (first, first_state), (second, second_state) = runs
         assert first.output_shares == second.output_shares
         assert first_state == second_state
@@ -526,22 +530,14 @@ class TestRealCircuitParity:
         assert pools.remaining == 0
         assert scalar_rng.randbytes(32) == sliced_rng.randbytes(32)
 
-        cost = bill_for(
-            [circuit.stats()],
-            parties,
-            mode=mode,
-            ot_bytes=(
-                scalar.ot.sender_bytes_per_transfer(1),
-                scalar.ot.receiver_bytes_per_transfer(1),
-            ),
-        )
+        cost = bill_for([circuit.stats()], parties, mode=mode, ot_bytes=scalar.ot.and_gate_bytes())
         assert pools.and_gates == cost.and_gates == circuit.stats().and_gates
         for ref, got in zip(refs, gots):
             assert got.output_shares == ref.output_shares
             assert list(got.traffic.pair_bits.items()) == list(ref.traffic.pair_bits.items())
             assert got.traffic.ot_count == ref.traffic.ot_count == cost.ots
             assert got.traffic.rounds == ref.traffic.rounds == cost.and_rounds
-            assert ref.traffic.sent_bits == [(parties - 1) * cost.pair_bits] * parties
+            assert ref.traffic.sent_bits == [cost.sent_bits(p) for p in range(parties)]
 
 
 # ------------------------------------------------- offline/online account --

@@ -1,5 +1,7 @@
 """Tests for the GMW engine: correctness, secrecy structure, accounting."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,6 +80,25 @@ class TestCorrectness:
         }
         assert engine.evaluate(builder.circuit, shares, rng).reveal("and") == 2
 
+    @pytest.mark.parametrize("parties", [2, 3, 4, 5])
+    def test_and_truth_table_over_real_ddh_ot(self, parties):
+        """One AND gate under public-key 1-out-of-4 OT, over every way of
+        sharing both inputs: each pair's sender offers all four choices
+        across the table, and the output shares must XOR to ``x AND y``."""
+        circuit = Circuit()
+        (x_wire,) = circuit.add_input_bus("x", 1)
+        (y_wire,) = circuit.add_input_bus("y", 1)
+        circuit.mark_output_bus("z", [circuit.and_(x_wire, y_wire)])
+        ot = DDHObliviousTransfer(TOY_GROUP_64)
+        engine = GMWEngine(parties, ot=ot)
+        rng = DeterministicRNG(b"and-truth-table")
+        sharings = list(itertools.product((0, 1), repeat=parties))
+        for x_shares in sharings:
+            for y_shares in sharings:
+                result = engine.evaluate(circuit, {"x": x_shares, "y": y_shares}, rng)
+                assert result.reveal("z") == xor_all(x_shares) & xor_all(y_shares)
+        assert ot.stats.transfers == len(sharings) ** 2 * parties * (parties - 1) // 2
+
     def test_iknp_backend(self, rng):
         circuit = adder_circuit(4)
         ot = IKNPOTExtension(DDHObliviousTransfer(TOY_GROUP_64), kappa=16, batch_size=256)
@@ -151,7 +172,7 @@ class TestSecrecyStructure:
 
 class TestAccounting:
     def test_ot_count_formula(self, rng):
-        """One OT per AND gate per ordered party pair."""
+        """One 1-out-of-4 OT per AND gate per unordered party pair."""
         circuit = adder_circuit()
         ands = circuit.stats().and_gates
         for parties in (2, 3, 5):
@@ -161,7 +182,7 @@ class TestAccounting:
                 "b": engine.share_input(2, 8, rng),
             }
             result = engine.evaluate(circuit, shares, rng)
-            assert result.traffic.ot_count == ands * parties * (parties - 1)
+            assert result.traffic.ot_count == ands * parties * (parties - 1) // 2
 
     def test_rounds_equal_and_depth(self, rng):
         circuit = adder_circuit()
@@ -202,13 +223,10 @@ class TestAccounting:
             "b": engine.share_input(2, 8, rng),
         }
         result = engine.evaluate(circuit, shares, rng)
-        predicted = bill_for(
-            [circuit.stats()],
-            parties,
-            ot_bytes=(ot.sender_bytes_per_transfer(1), ot.receiver_bytes_per_transfer(1)),
-        )
+        predicted = bill_for([circuit.stats()], parties, ot_bytes=ot.and_gate_bytes())
         assert result.traffic.ot_count == predicted.ots
-        assert sum(result.traffic.sent_bits) == parties * (parties - 1) * predicted.pair_bits
+        pairs = parties * (parties - 1) // 2
+        assert sum(result.traffic.sent_bits) == pairs * sum(predicted.pair_bits)
 
     @pytest.mark.parametrize("mode", ["ot", "beaver"])
     @pytest.mark.parametrize("parties", [2, 3, 4])
@@ -222,13 +240,7 @@ class TestAccounting:
         circuit = adder_circuit()
         engine = GMWEngine(parties, mode=mode)
         predicted = bill_for(
-            [circuit.stats()],
-            parties,
-            mode=mode,
-            ot_bytes=(
-                engine.ot.sender_bytes_per_transfer(1),
-                engine.ot.receiver_bytes_per_transfer(1),
-            ),
+            [circuit.stats()], parties, mode=mode, ot_bytes=engine.ot.and_gate_bytes()
         )
         shares = {
             "a": engine.share_input(9, 8, rng),
@@ -240,12 +252,13 @@ class TestAccounting:
         assert traffic.ot_count == predicted.ots
         assert traffic.rounds == predicted.and_rounds
         for party in range(parties):
-            assert traffic.sent_bits[party] == (parties - 1) * predicted.pair_bits
-            assert 8 * predicted.party_sent_bytes == traffic.sent_bits[party]
+            assert traffic.sent_bits[party] == predicted.sent_bits(party)
+            assert traffic.received_bits[party] == predicted.received_bits(party)
+        assert 8 * predicted.party_sent_bytes * parties == sum(traffic.sent_bits)
         if mode == "ot":
-            assert predicted.ots_per_party == 2 * (parties - 1) * stats.and_gates
+            assert predicted.ots_per_party == (parties - 1) * stats.and_gates
         # the reported traffic is closed-form; the backend's own record,
-        # one per transfer_bit call, is the gate-for-gate count behind it
+        # one per transfer4 call, is the gate-for-gate count behind it
         backend = engine.ot.stats
         assert backend.transfers == predicted.ots
         if mode == "ot":
@@ -256,24 +269,39 @@ class TestAccounting:
         its per-pair attribution, insertion order and rounds are pinned
         here as literals worked out from the per-gate rule: two chained AND
         gates, three parties, TOY_GROUP_64 (8-byte elements). ``ot``: per
-        gate and ordered pair ``(i, j)`` the sender puts 8 + 2 bytes = 80
-        bits on ``i -> j`` and the receiver 8 bytes = 64 bits on
-        ``j -> i``, visited for ``i``, for ``j != i``: ``(i, j)`` then
-        ``(j, i)``; every link carries both directions' share, 144 a gate.
-        ``beaver``: per gate every party opens 2 bits to every other."""
+        gate and pair ``{i < j}`` the sender puts A and four padded bits,
+        8 + 4 bytes = 96 bits, on ``i -> j`` and the receiver B, 8 bytes =
+        64 bits, on ``j -> i``, visited pair by pair: ``(i, j)`` then
+        ``(j, i)``. ``beaver``: per gate every party opens 2 bits to every
+        other."""
         circuit = Circuit()
         a, b, c = circuit.add_input_bus("x", 3)
         circuit.mark_output_bus("out", [circuit.and_(circuit.and_(a, b), c)])
         expected = {
-            "ot": ([(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)], 288, 12),
-            "beaver": ([(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)], 4, 0),
+            "ot": (
+                [
+                    ((0, 1), 192), ((1, 0), 128),
+                    ((0, 2), 192), ((2, 0), 128),
+                    ((1, 2), 192), ((2, 1), 128),
+                ],
+                [384, 320, 256],
+                [256, 320, 384],
+                6,
+            ),
+            "beaver": (
+                [((0, 1), 4), ((0, 2), 4), ((1, 0), 4), ((1, 2), 4), ((2, 0), 4), ((2, 1), 4)],
+                [8, 8, 8],
+                [8, 8, 8],
+                0,
+            ),
         }
-        for mode, (order, bits, ots) in expected.items():
+        for mode, (pairs, sent, received, ots) in expected.items():
             engine = GMWEngine(3, ot=SimulatedObliviousTransfer(TOY_GROUP_64), mode=mode)
             shares = {"x": engine.share_input(5, 3, rng)}
             traffic = engine.evaluate(circuit, shares, rng).traffic
-            assert list(traffic.pair_bits.items()) == [(pair, bits) for pair in order]
-            assert traffic.sent_bits == traffic.received_bits == [2 * bits] * 3
+            assert list(traffic.pair_bits.items()) == pairs
+            assert traffic.sent_bits == sent
+            assert traffic.received_bits == received
             assert traffic.rounds == 2
             assert traffic.ot_count == ots
 
@@ -327,8 +355,8 @@ class TestPairAttribution:
             assert num_bytes == traffic.pair_bits[pair] / 8.0
 
     def test_ot_mode_covers_all_ordered_pairs(self, rng):
-        """OT-based AND gates touch every ordered pair of parties —
-        exactly the quadratic cost structure of Figures 3-5."""
+        """OT-based AND gates put bytes on both directions of every pair
+        of parties — exactly the quadratic cost structure of Figures 3-5."""
         circuit = adder_circuit()
         parties = 4
         engine = GMWEngine(parties)

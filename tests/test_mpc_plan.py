@@ -188,7 +188,7 @@ class TestSealing:
         assert plan.stats.and_gates == predicted.and_gates
         assert plan.stats.and_depth == predicted.and_rounds == traffic.rounds
         if mode == "ot":
-            assert traffic.ot_count == plan.stats.and_gates * parties * (parties - 1)
+            assert traffic.ot_count == plan.stats.and_gates * parties * (parties - 1) // 2
         builder = BitslicedGMWEngine(parties, mode=mode).pool_builder(circuit)
         assert builder.and_gates == plan.stats.and_gates
 

@@ -232,7 +232,7 @@ class TestSecureAsyncBitIdentity:
         for count in counts:
             assert count["_on_io"] == 20  # the run's crypto batches
             assert count["_inner_convey"] == 110  # the links they carry
-        assert [_wire_sent(r) for r in results] == [(36.0, 469504.0), (42.0, 471824.0)]
+        assert [_wire_sent(r) for r in results] == [(36.0, 262912.0), (42.0, 265232.0)]
 
 
 class TestSynchronousPath:

@@ -77,7 +77,8 @@ class TestEstimator:
         estimate = estimator.estimate(num_nodes=1750, degree_bound=100, iterations=11)
         block = estimator.block_size
         bill = bill_for([compiled_update_circuit(estimator.program, 100).stats()], block)
-        step = bill.ots_per_party * PAPER_COST_CONSTANTS.seconds_per_ot * block
+        # the paper's backend: two 1-out-of-2 OTs per AND gate and counterpart
+        step = 2 * (block - 1) * bill.and_gates * PAPER_COST_CONSTANTS.seconds_per_ot * block
         assert estimate.seconds_computation == 11 * step
         assert estimate.hours_total < 4.8
         assert 300 < estimate.traffic_per_node_mb < 3000
