@@ -90,7 +90,14 @@ def main() -> None:
         .program("eisenberg-noe")
         .run_many(
             [
-                Scenario(name="healthy", engine="naive-mpc", epsilon=0.2),
+                # one window over the whole run: a clear engine that releases
+                Scenario(
+                    name="healthy",
+                    engine="fixed",
+                    engine_options={"release": "windowed", "windows": [4]},
+                    iterations=4,
+                    epsilon=0.2,
+                ),
                 Scenario(name="crashes", engine=FlakyReleasingEngine(), epsilon=0.3),
             ],
             accountant=accountant,

@@ -8,7 +8,7 @@ across a process pool while one :class:`~repro.privacy.budget.PrivacyAccountant`
 guards the yearly budget.
 
 Importing this package registers the built-in engines (``plaintext``,
-``fixed``, ``secure``, ``naive-mpc``, ``async``, ``secure-async``) and
+``fixed``, ``secure``, ``async``, ``secure-async``) and
 programs (``eisenberg-noe``, ``elliott-golub-jackson``). See DESIGN.md
 for the architecture and README.md for the old-call → new-call
 migration table.
@@ -20,7 +20,6 @@ from repro.api.cache import ScenarioCache, ScenarioCacheBase, run_fingerprint
 from repro.api.diskcache import PersistentScenarioCache
 from repro.api.engines import (
     Engine,
-    NaiveMPCEngine,
     PlaintextFixedEngine,
     PlaintextFloatEngine,
     SecureDStressEngine,
@@ -42,7 +41,6 @@ __all__ = [
     "AsyncEngine",
     "BatchResult",
     "Engine",
-    "NaiveMPCEngine",
     "PersistentScenarioCache",
     "PlaintextFixedEngine",
     "PlaintextFloatEngine",

@@ -310,19 +310,18 @@ def _resolve_cache(cache) -> Optional[ScenarioCacheBase]:
     if cache is True:
         return ScenarioCache()
     if isinstance(cache, str) and cache.startswith("tcp://"):
-        # a fleet-shared cache tier endpoint; lazy import — the service
-        # layer imports the batch layer, not the other way around
-        from repro.service.cachetier import RemoteScenarioCache
-
-        return RemoteScenarioCache.from_endpoint(cache)
+        # refused, not taken for a directory named "tcp:"
+        raise ConfigurationError(
+            f"cache {cache!r}: the networked cache tier was removed; pass a "
+            f"cache-directory path or a ScenarioCache"
+        )
     if isinstance(cache, (str, os.PathLike)):
         return PersistentScenarioCache(cache)
     if isinstance(cache, ScenarioCacheBase):
         return cache
     raise ConfigurationError(
-        f"cache must be a ScenarioCache, a cache-directory path, a "
-        f"tcp://host:port cache-tier endpoint, True, or None — got "
-        f"{type(cache).__name__}"
+        f"cache must be a ScenarioCache, a cache-directory path, True, or "
+        f"None — got {type(cache).__name__}"
     )
 
 

@@ -1,4 +1,4 @@
-"""Engine backends: one protocol, six presets over two round bodies.
+"""Engine backends: one protocol, five presets over two round bodies.
 
 An :class:`Engine` turns ``(program, graph, iterations, config)`` into a
 :class:`~repro.api.result.RunResult`. The clear engines are one
@@ -11,8 +11,6 @@ body. A registry name only picks the arithmetic and who drives the rounds:
 ``plaintext``  float arithmetic — the reference oracle
 ``fixed``      fixed-point arithmetic — clear circuit evaluation
 ``secure``     the full DStress protocol, window drained in place
-``naive-mpc``  the §5.5 monolithic-MPC baseline (computes the same
-               function centrally, projects the monolithic GMW cost)
 ``async``      float arithmetic as per-vertex asyncio pipelines over a
                transport bus, overlapping computation with deliveries
                (:class:`~repro.api.async_engine.AsyncEngine`)
@@ -63,15 +61,13 @@ from repro.obs.clock import now as clock_now
 from repro.obs.trace import timed_phase
 from repro.privacy.budget import PrivacyAccountant
 from repro.privacy.mechanisms import geometric_release
-from repro.simulation.naive_baseline import estimate_monolithic_seconds
-from repro.simulation.netsim import TrafficMeter, meter_from_rounds
+from repro.simulation.netsim import meter_from_rounds
 
 __all__ = [
     "Engine",
     "PlaintextFloatEngine",
     "PlaintextFixedEngine",
     "SecureDStressEngine",
-    "NaiveMPCEngine",
 ]
 
 
@@ -133,10 +129,6 @@ class Engine(ABC):
         policy = getattr(self, "_release_policy", None)
         return policy if policy is not None else OneShotRelease()
 
-    def release_label(self, program_name: str) -> str:
-        """Audit-ledger label for this engine's releases of ``program_name``."""
-        return f"{program_name}-release"
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} name={self.name!r}>"
 
@@ -150,20 +142,17 @@ def _central_release_noise(
     pre_noise: float,
     epsilon: float,
     end: int,
-    fork_label: Optional[str] = None,
 ) -> Tuple[float, int]:
-    """Central grid release (plaintext-family engines and the naive
-    baseline) through :func:`~repro.privacy.mechanisms.geometric_release`.
+    """Central grid release (plaintext-family engines) through
+    :func:`~repro.privacy.mechanisms.geometric_release`.
 
     The secure engine samples this mechanism inside MPC. The fork is keyed
     by the cumulative release round ``end``, so window ``j`` of any
     windowed schedule draws the same noise as the release at round ``end``
     of every other schedule reaching it — the bit-identity the windowed
-    property test pins. ``fork_label`` overrides the key for the naive
-    baseline's historical one-shot stream.
+    property test pins.
     """
-    label = fork_label if fork_label is not None else f"windowed-release-{end}"
-    rng = DeterministicRNG(config.seed).fork(label)
+    rng = DeterministicRNG(config.seed).fork(f"windowed-release-{end}")
     return geometric_release(
         pre_noise, program.sensitivity, epsilon, program.fmt.resolution, rng
     )
@@ -407,99 +396,6 @@ class SecureDStressEngine(Engine):
         return run_lifecycle(self, core, program, config, iterations, accountant)
 
 
-# -------------------------------------------------------- naive baseline --
-
-
-class _NaiveCore(_PlaintextCore):
-    """The monolithic baseline: fixed-circuit stages + central noise +
-    the cubic cost projection."""
-
-    def __init__(self, engine, program, graph, config) -> None:
-        super().__init__(engine, program, graph, config, fixed=True)
-
-    def noise(self, state, pre_noise, epsilon, end):
-        if epsilon is None:
-            return pre_noise, None
-        # the historical one-shot noise stream is pinned (seeded results
-        # depend on it); windowed releases key their forks by round
-        label = (
-            "naive-output-noise"
-            if self.engine.release_policy.kind == "oneshot"
-            else None
-        )
-        return _central_release_noise(
-            self.program, self.config, pre_noise, epsilon, end, fork_label=label
-        )
-
-    def finalize(self, state: RunState, started: float) -> RunResult:
-        result = super().finalize(state, started)
-        if self.engine.estimate_cost:
-            parties = min(self.config.block_size, self.engine.max_parties)
-            projected, fit = estimate_monolithic_seconds(
-                self.graph.num_vertices,
-                state.rounds_done,
-                self.program.fmt,
-                parties=parties,
-                sample_sizes=self.engine.sample_sizes,
-            )
-            result.extras["projected_mpc_seconds"] = projected
-            result.extras["fit_coefficient"] = fit.coefficient
-        # the monolithic baseline computes centrally: no per-link round
-        # traffic exists, but the meter is present (empty) so every
-        # engine's RunResult exposes the same key scheme
-        result.traffic = TrafficMeter()
-        return result
-
-
-class NaiveMPCEngine(Engine):
-    """The §5.5 monolithic-MPC strawman, as an engine backend.
-
-    The baseline computes the *same* DP release as DStress, just as one
-    giant circuit among all participants — which is exactly why the paper
-    rejects it: the cost is O(N^3) per iteration. Running that circuit for
-    real is infeasible beyond a handful of banks even in the paper's
-    Wysteria prototype, so this adapter does what §5.5 does:
-
-    * computes the aggregate centrally (the monolithic circuit's output
-      equals the reference semantics) and noises it with the same
-      two-sided geometric mechanism the DStress aggregation block samples
-      in MPC;
-    * measures *real* GMW matrix multiplies at small N, fits the cubic,
-      and reports the projected monolithic runtime for this graph in
-      ``extras["projected_mpc_seconds"]`` (the "287 years" number).
-
-    Set ``estimate_cost=False`` to skip the GMW calibration when only the
-    release value matters.
-    """
-
-    name = "naive-mpc"
-    releases_output = True
-
-    def __init__(
-        self,
-        estimate_cost: bool = True,
-        sample_sizes: Sequence[int] = (2, 3),
-        max_parties: int = 3,
-        release: Union[str, ReleasePolicy] = "oneshot",
-        windows: Optional[Sequence[int]] = None,
-        window_epsilon: Optional[float] = None,
-    ) -> None:
-        self.estimate_cost = estimate_cost
-        self.sample_sizes = tuple(sample_sizes)
-        self.max_parties = max_parties
-        self._configure_release(release, windows, window_epsilon)
-
-    def release_label(self, program_name: str) -> str:
-        return f"{program_name}-naive-release"
-
-    compile_plans = PlaintextFixedEngine.compile_plans
-
-    def execute(self, program, graph, iterations, config, accountant=None):
-        core = _NaiveCore(self, program, graph, config)
-        return run_lifecycle(self, core, program, config, iterations, accountant)
-
-
 register_engine("plaintext", PlaintextFloatEngine, aliases=("float", "clear"))
 register_engine("fixed", PlaintextFixedEngine, aliases=("plaintext-fixed",))
 register_engine("secure", SecureDStressEngine, aliases=("dstress",))
-register_engine("naive-mpc", NaiveMPCEngine, aliases=("naive", "monolithic"))

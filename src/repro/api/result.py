@@ -28,8 +28,8 @@ class RunResult:
     engine / program:
         Registry names of the backend and vertex program that ran.
     aggregate:
-        The headline number. For releasing engines (``secure``,
-        ``naive-mpc``) this is the *noised* output — the only value a real
+        The headline number. For releasing runs (``secure``,
+        ``secure-async``, any windowed release) this is the *noised* output — the only value a real
         deployment would publish; for plaintext engines it is exact.
     trajectory:
         Aggregate of the designated register after each computation step.
@@ -54,8 +54,8 @@ class RunResult:
         Decoded per-vertex states (plaintext engines; the secure engine
         never reconstructs them).
     extras:
-        Backend-specific scalars, e.g. the naive baseline's
-        ``projected_mpc_seconds`` extrapolation.
+        Backend-specific scalars, e.g. the secure engine's
+        ``transfer_count`` and ``gmw_ot_count``.
     releases:
         Per-window :class:`~repro.core.lifecycle.ReleaseRecord` entries
         for releasing runs driven through the shared lifecycle. A

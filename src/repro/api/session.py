@@ -133,8 +133,7 @@ class StressTest:
 
     def engine(self, engine: Union[str, Engine], **options: Any) -> "StressTest":
         """Choose the backend — ``"plaintext"``, ``"fixed"``, ``"secure"``,
-        ``"naive-mpc"``, ``"async"``, ``"secure-async"``, or any
-        :class:`Engine` instance.
+        ``"async"``, ``"secure-async"``, or any :class:`Engine` instance.
 
         Keyword ``options`` configure a registry backend at construction
         time (``.engine("async", tasks=8)``,

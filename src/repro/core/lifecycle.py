@@ -1,8 +1,8 @@
 """The shared run lifecycle: one staged spine for every engine backend.
 
 Every DStress execution — float oracle, clear circuit evaluation, the
-async variant, the full secure protocol, and the naive-MPC baseline —
-walks the same five stages:
+async variant, and the full secure protocol — walks the same five
+stages:
 
     setup -> rounds -> aggregate -> noise -> release
 
@@ -76,9 +76,6 @@ MAX_WINDOWS = 64
 class ReleasePolicy(ABC):
     """When (and with what budget) the aggregate/noise/release stages run."""
 
-    #: Registry-style discriminator (``"oneshot"`` / ``"windowed"``).
-    kind: str = "abstract"
-
     #: Whether this policy makes an otherwise non-releasing engine (the
     #: plaintext family) noise and release its output: continual release
     #: publishes per-window values, so it always consumes budget.
@@ -97,7 +94,6 @@ class ReleasePolicy(ABC):
 class OneShotRelease(ReleasePolicy):
     """Run all rounds, then release once — the historical behaviour."""
 
-    kind = "oneshot"
     forces_release = False
 
     def window_schedule(self, iterations: int) -> List[int]:
@@ -124,7 +120,6 @@ class WindowedRelease(ReleasePolicy):
     windows: Tuple[int, ...] = ()
     epsilon_per_window: Optional[float] = None
 
-    kind = "windowed"
     forces_release = True
 
     def __post_init__(self) -> None:
@@ -289,7 +284,7 @@ def run_lifecycle(
     policy = engine.release_policy
     windows = policy.window_schedule(iterations)
     releasing = bool(engine.releases_output)
-    schedule = release_schedule(engine, config, engine.release_label(program.name))
+    schedule = release_schedule(engine, config, f"{program.name}-release")
     recorder = current_recorder()
     with recorder.span("run", engine=engine.name, program=program.name):
         started = clock_now()

@@ -112,8 +112,8 @@ class Arithmetic(Generic[S, M]):
     The float reference and the clear evaluation of the MPC circuits walk
     one schedule over one graph; these five pieces are everything that
     differs between them, so every plaintext-family engine (plaintext,
-    fixed, async, naive-mpc) takes its initial state, vertex
-    update, aggregate and result decoding from the same value.
+    fixed, async) takes its initial state, vertex update, aggregate and
+    result decoding from the same value.
     """
 
     #: The encoded no-op message padding every unused in-slot.

@@ -164,6 +164,5 @@ class ServiceProtocolError(ServiceError):
 
 
 class ServiceUnavailableError(ServiceError):
-    """The service (or the networked cache tier) could not be reached, or
-    the connection died mid-conversation. Client-side only — the sync
-    clients raise this instead of leaking raw ``OSError``/``EOFError``."""
+    """The service could not be reached, or the connection died
+    mid-conversation. Client-side only — the sync client raises this instead of leaking raw ``OSError``/``EOFError``."""

@@ -1,6 +1,6 @@
 """The single place in ``src/repro`` allowed to read the system clock.
 
-Every engine, batch worker, and cache tier times itself through the
+Every engine, batch worker, and cache times itself through the
 module-level :func:`now` / :func:`wall_time` helpers (or through an
 explicitly injected :class:`Clock`), never through ``time.perf_counter``
 directly — a lint test enforces this. Centralising the clock buys two

@@ -16,13 +16,13 @@ removed — dashboards built against version 1 keep working forever.
 
 The run document is also **the** serialization of a :class:`RunResult`
 (:data:`RUN_FIELDS`, :func:`encode_run_fields`, :func:`run_from_doc`):
-the disk cache entry, the cache-tier payload, the service response and
-the cluster summary are that document or a key projection of it. Both
-directions whitelist — anything outside the table's types, or a
-non-finite float, is a :class:`~repro.exceptions.ResultFormatError` — and
-decoding builds ``RunResult``, ``TrafficMeter``, ``NodeStats``,
-``PhaseTimer`` and ``ReleaseRecord`` and nothing else, so a document from
-a socket or a shared directory is data, never code.
+the disk cache entry, the service response and the cluster summary are
+that document or a key projection of it. Both directions whitelist —
+anything outside the table's types, or a non-finite number, is a
+:class:`~repro.exceptions.ResultFormatError` — and decoding builds
+``RunResult``, ``TrafficMeter``, ``NodeStats``, ``PhaseTimer`` and
+``ReleaseRecord`` and nothing else, so a document from a socket or a
+shared directory is data, never code.
 """
 
 from __future__ import annotations
@@ -78,9 +78,19 @@ _real, _list, _dict = _is((int, float), "a number"), _is(list, "a list"), _is(di
 _CANONICAL_INT = re.compile(r"0|-?[1-9][0-9]{0,17}")
 
 
+def _boolean(value: Any, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ResultFormatError(f"{where}: expected a boolean, got {type(value).__name__}")
+    return value
+
+
 def _number(value: Any, where: str) -> Any:
-    if isinstance(_real(value, where), float) and not math.isfinite(value):
-        raise ResultFormatError(f"{where}: non-finite float {value!r}")
+    try:
+        finite = math.isfinite(_real(value, where))
+    except OverflowError:  # an integer too large for any float
+        finite = False
+    if not finite:
+        raise ResultFormatError(f"{where}: non-finite number {value!r}")
     return value
 
 
@@ -356,11 +366,42 @@ def _check(codec: Codec, value: Any, where: str, issues: List[str]) -> bool:
 
 #: A recorder's metrics registry as :meth:`MetricsRegistry.as_dict` writes it.
 _METRICS = _record(counters=_NUMBERS, gauges=_NUMBERS, histograms=_map_of(_NUMBERS))
+#: A span's events as :meth:`Span.to_dict` writes them.
+_EVENTS = _optional(_list_of(_record(time=_number, name=_string, attrs=_dict)))
+#: An audit ledger as :func:`export_ledger` writes it.
+_LEDGER = _record(
+    epsilon_max=_number,
+    period=_integer,
+    spent=_number,
+    entries=_list_of(
+        _record(
+            seq=_integer,
+            kind=_string,
+            label=_string,
+            epsilon=_number,
+            period=_integer,
+            fingerprint=_optional(_string),
+            charge_seq=_optional(_integer),
+        )
+    ),
+    reconciliation=_record(
+        ok=_boolean,
+        ledger_spent=_number,
+        accounted_spent=_number,
+        outstanding=_integer,
+        issues=_list_of(_string),
+    ),
+)
+#: One ``(round, party)`` entry of a merged timeline.
+_TIMELINE_ENTRY = _record(
+    round=_integer, party=_integer, start=_number, end=_number, spans=_integer
+)
 
 
 def _check_trace(trace: Any, issues: List[str]) -> None:
     """A run export's ``trace``: a party id or null, a metrics registry,
-    and spans with finite ``start`` and a finite or null ``end``."""
+    and spans with an integer id and parent, finite ``start``, a finite or
+    null ``end``, an object of attrs and a list of events."""
     if not isinstance(trace, dict):
         issues.append("trace must be an object or null")
         return
@@ -379,15 +420,18 @@ def _check_trace(trace: Any, issues: List[str]) -> None:
         for key in ("span_id", "name", "start"):
             if key not in span:
                 issues.append(f"{where} missing {key!r}")
-        if "span_id" in span:
+        if "span_id" in span and _check(_integer, span["span_id"], f"{where}.span_id", issues):
             ids.add(span["span_id"])
+        _check(_optional(_integer), span.get("parent_id"), f"{where}.parent_id", issues)
+        _check(_optional(_dict), span.get("attrs"), f"{where}.attrs", issues)
+        _check(_EVENTS, span.get("events"), f"{where}.events", issues)
         start, end = span.get("start"), span.get("end")
         timed = "start" in span and _check(_number, start, f"{where}.start", issues)
         if _check(_optional(_number), end, f"{where}.end", issues) and timed:
             _issue(issues, end is None or end >= start, f"{where} ends before it starts")
     for i, span in enumerate(spans):
         parent = isinstance(span, dict) and span.get("parent_id")
-        if parent and parent not in ids:
+        if isinstance(parent, int) and parent and parent not in ids:
             issues.append(f"trace.spans[{i}] has unknown parent {parent}")
 
 
@@ -413,6 +457,9 @@ def validate_export(payload: Any) -> List[str]:
     elif schema == BATCH_SCHEMA:
         for key in ("wall_seconds", "workers", "epsilon_charged", "outcomes"):
             _issue(issues, key in payload, f"batch document missing {key!r}")
+        for key in ("wall_seconds", "epsilon_charged"):
+            if key in payload:
+                _check(_number, payload[key], key, issues)
         outcomes = payload.get("outcomes", [])
         if not isinstance(outcomes, list):
             issues.append("outcomes must be a list")
@@ -420,35 +467,30 @@ def validate_export(payload: Any) -> List[str]:
         for i, outcome in enumerate(outcomes):
             if not isinstance(outcome, dict) or "name" not in outcome:
                 issues.append(f"outcomes[{i}] must be an object with a name")
+            elif "seconds" in outcome:
+                _check(_number, outcome["seconds"], f"outcomes[{i}].seconds", issues)
         ledger = payload.get("ledger")
-        if ledger is not None:
-            if not isinstance(ledger, dict) or "entries" not in ledger:
-                issues.append("ledger must be an object with entries")
-            else:
-                reconciliation = ledger.get("reconciliation", {})
-                if not reconciliation.get("ok", False):
-                    problems = reconciliation.get("issues", ["no reconciliation"])
-                    issues.extend(f"ledger: {p}" for p in problems)
+        if ledger is not None and _check(_LEDGER, ledger, "ledger", issues):
+            reconciliation = ledger["reconciliation"]
+            if not reconciliation["ok"]:
+                problems = reconciliation["issues"] or ["no reconciliation"]
+                issues.extend(f"ledger: {p}" for p in problems)
     elif schema == TIMELINE_SCHEMA:
         for key in ("parties", "entries"):
             _issue(issues, key in payload, f"timeline document missing {key!r}")
+        _check(_list_of(_integer), payload.get("parties", []), "parties", issues)
+        if "traffic" in payload:
+            _check(_map_of(_TRAFFIC), payload["traffic"], "traffic", issues)
         entries = payload.get("entries", [])
         if not isinstance(entries, list):
             issues.append("entries must be a list")
             entries = []
         previous = None
         for i, entry in enumerate(entries):
-            if not isinstance(entry, dict):
-                issues.append(f"entries[{i}] must be an object")
+            if not _check(_TIMELINE_ENTRY, entry, f"entries[{i}]", issues):
                 continue
-            for key in ("round", "party", "start", "end"):
-                if key not in entry:
-                    issues.append(f"entries[{i}] missing {key!r}")
-            if previous is not None and "round" in entry and "party" in entry:
-                if (entry["round"], entry["party"]) < previous:
-                    issues.append(
-                        f"entries[{i}] breaks (round, party) ordering"
-                    )
-            if "round" in entry and "party" in entry:
-                previous = (entry["round"], entry["party"])
+            key = (entry["round"], entry["party"])
+            if previous is not None and key < previous:
+                issues.append(f"entries[{i}] breaks (round, party) ordering")
+            previous = key
     return issues

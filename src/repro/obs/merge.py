@@ -51,13 +51,15 @@ def load_trace_shard(path) -> Dict[str, Any]:
     return doc
 
 
-def _round_of(span: Dict[str, Any]) -> Optional[int]:
+def span_round(span: Dict[str, Any]) -> Optional[int]:
+    """The ``round`` attr of an exported span, or None if it has none
+    that reads as an integer."""
     value = (span.get("attrs") or {}).get("round")
     if value is None:
         return None
     try:
         return int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return None
 
 
@@ -82,7 +84,7 @@ def merge_shards(shards: List[Dict[str, Any]]) -> Dict[str, Any]:
             traffic[str(party)] = doc["traffic"]
         metrics[str(party)] = trace["metrics"]
         for span in trace["spans"]:
-            round_index = _round_of(span)
+            round_index = span_round(span)
             if round_index is None:
                 continue
             key = (round_index, party)

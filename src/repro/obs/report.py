@@ -6,10 +6,12 @@ cluster timeline — and renders the secure run's bill, the round
 timeline, per-link traffic table, phase breakdown, and ledger summary as
 plain text.
 
-``--check`` validates instead of rendering: the document must pass
+Every document is first checked by
 :func:`~repro.obs.export.validate_export` (which, for batch documents
-with an embedded ledger, includes the ledger reconciliation invariant).
-Exit status 1 on any failure — this is the CI smoke gate.
+with an embedded ledger, includes the ledger reconciliation invariant);
+only a document that passes is rendered, so ``--check`` passing means
+rendering succeeds. ``--check`` validates without rendering. Exit status
+1 on any failure — this is the CI smoke gate.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from repro.obs.export import (
     TIMELINE_SCHEMA,
     validate_export,
 )
+from repro.obs.merge import span_round
 
 __all__ = ["main", "render"]
 
@@ -69,10 +72,9 @@ def _render_phases(phases: Dict[str, float], out: List[str]) -> None:
 def _render_round_timeline(spans: List[Dict[str, Any]], out: List[str]) -> None:
     rounds: Dict[int, Dict[str, Any]] = {}
     for span in spans:
-        attrs = span.get("attrs") or {}
-        if "round" not in attrs:
+        index = span_round(span)
+        if index is None:
             continue
-        index = int(attrs["round"])
         end = span.get("end") or span["start"]
         slot = rounds.setdefault(
             index, {"start": span["start"], "end": end, "spans": 0}
@@ -99,9 +101,9 @@ def _render_bill(spans: List[Dict[str, Any]], out: List[str]) -> None:
         bill = bills[0]
         out.append("")
         out.append(
-            f"Bill: {bill['and_gates']} AND gates in {bill['rounds']} rounds per step, "
-            f"{bill['ots']} OTs, {bill['transfers']} transfers, "
-            f"{bill['exponentiations']} exponentiations"
+            f"Bill: {bill.get('and_gates')} AND gates in {bill.get('rounds')} rounds "
+            f"per step, {bill.get('ots')} OTs, {bill.get('transfers')} transfers, "
+            f"{bill.get('exponentiations')} exponentiations"
         )
 
 
@@ -215,19 +217,18 @@ def main(argv=None) -> int:
     for path in args.files:
         try:
             payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             print(f"{path}: unreadable: {exc}", file=sys.stderr)
             failures += 1
             continue
-        if args.check:
-            issues = validate_export(payload)
-            if issues:
-                failures += 1
-                print(f"{path}: INVALID")
-                for issue in issues:
-                    print(f"  - {issue}")
-            else:
-                print(f"{path}: ok ({payload.get('schema')} v{payload.get('version')})")
+        issues = validate_export(payload)
+        if issues:
+            failures += 1
+            print(f"{path}: INVALID")
+            for issue in issues:
+                print(f"  - {issue}")
+        elif args.check:
+            print(f"{path}: ok ({payload.get('schema')} v{payload.get('version')})")
         else:
             try:
                 print(render(payload))

@@ -16,17 +16,13 @@ session/batch API (:mod:`repro.api`) in that service:
   :class:`~repro.privacy.budget.PrivacyAccountant` before scheduling
   (refunded on failure), and concurrent identical requests coalesce
   into one engine run and one epsilon charge (**single-flight**).
-* :mod:`repro.service.cachetier` — a networked cache protocol in front
-  of :class:`~repro.api.diskcache.PersistentScenarioCache`, so a fleet
-  of service replicas deduplicates releases by notarized fingerprint.
 * :mod:`repro.service.client` — the sync :class:`ServiceClient`.
 
-Run a service: ``python -m repro.service`` (see ``--help``); a cache
-tier: ``python -m repro.service --role cache``. DESIGN.md "Service
-layer" documents the AST schema and the admission/single-flight flow.
+Run a service: ``python -m repro.service`` (see ``--help``). DESIGN.md
+"Service layer" documents the AST schema and the admission/single-flight
+flow.
 """
 
-from repro.service.cachetier import CacheTierServer, RemoteScenarioCache
 from repro.service.client import ServiceClient, ServiceResponse
 from repro.service.scenario_ast import (
     AST_VERSION,
@@ -40,9 +36,7 @@ from repro.service.server import StressTestService
 
 __all__ = [
     "AST_VERSION",
-    "CacheTierServer",
     "NotarizedScenario",
-    "RemoteScenarioCache",
     "ServiceClient",
     "ServiceResponse",
     "StressTestService",

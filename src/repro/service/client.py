@@ -28,9 +28,11 @@ from repro.exceptions import (
     ServiceProtocolError,
     ServiceUnavailableError,
 )
-from repro.service.lineserver import SERVICE_PROTOCOL_VERSION
 
-__all__ = ["ServiceClient", "ServiceResponse"]
+__all__ = ["ServiceClient", "ServiceResponse", "SERVICE_PROTOCOL_VERSION"]
+
+#: Version stamped into every response; clients refuse a mismatch.
+SERVICE_PROTOCOL_VERSION = 1
 
 _STATUS_EXCEPTIONS = {
     "rejected": ScenarioValidationError,
@@ -102,7 +104,7 @@ class ServiceResponse:
 
 
 class ServiceClient:
-    """Synchronous JSON-lines client for one service (or cache) endpoint.
+    """Synchronous JSON-lines client for one service endpoint.
 
     Usable as a context manager; the connection is opened lazily on the
     first request and a dead connection is re-dialed once per request

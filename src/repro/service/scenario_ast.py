@@ -206,7 +206,6 @@ _ENGINE_OPTIONS.update(
         "plaintext": {**_RELEASE_OPTIONS},
         "fixed": {**_RELEASE_OPTIONS},
         "secure": {"backend": _str_field("scalar", "bitsliced"), **_RELEASE_OPTIONS},
-        "naive-mpc": {**_RELEASE_OPTIONS},
         "async": {
             "tasks": _int_field(1, 64),
             "overlap": lambda where, value: _require_bool(where, value),

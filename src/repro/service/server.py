@@ -1,8 +1,10 @@
 """:class:`StressTestService` — the long-running stress-test server.
 
-A :class:`~repro.service.lineserver.JsonLinesServer` (newline-delimited
-JSON, one response line per request line). Ops: ``ping``, ``submit``,
-``stats``, ``shutdown``.
+Newline-delimited JSON over asyncio TCP: one request object per line,
+one response object per line (the service sibling of the
+:mod:`repro.net.wire` length-prefix rule: the receiver always knows
+where a message ends, so garbage is rejected at the line). Ops:
+``ping``, ``submit``, ``stats``, ``shutdown``.
 
 A ``submit`` carries a scenario document (see
 :mod:`repro.service.scenario_ast`) and walks four gates, all on the
@@ -18,10 +20,9 @@ other in-flight request:
    fingerprint) is already executing, this request *joins* it: no second
    engine run, no second charge — N concurrent identical requests cost
    one run and one epsilon, and all N get bit-identical responses.
-3. **Cache.** A fingerprint already released (this replica's cache, or
-   the fleet-shared :class:`~repro.service.cachetier.RemoteScenarioCache`
-   tier) is answered from the cache with zero compute and zero charge —
-   re-publishing an already-released value consumes no fresh privacy.
+3. **Cache.** A fingerprint already released is answered from the
+   cache with zero compute and zero charge — re-publishing an
+   already-released value consumes no fresh privacy.
 4. **Admission.** A releasing scenario atomically pre-charges the shared
    :class:`~repro.privacy.budget.PrivacyAccountant` *before* it is
    scheduled (the PR-5 pre-charge/refund machinery: `charge` either
@@ -50,9 +51,10 @@ error and an exact refund; the pool is rebuilt for the next submit.
 from __future__ import annotations
 
 import asyncio
+import json
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, Optional, Tuple
 
 from repro.api.cache import ScenarioCacheBase
 from repro.api.pool import create_executor
@@ -68,11 +70,7 @@ from repro.obs.export import encode_run_fields
 from repro.obs.trace import current_recorder
 from repro.privacy.admission import precharge, release_schedule
 from repro.privacy.budget import PrivacyAccountant
-from repro.service.lineserver import (
-    SERVICE_PROTOCOL_VERSION,
-    Handler,
-    JsonLinesServer,
-)
+from repro.service.client import SERVICE_PROTOCOL_VERSION
 from repro.service.scenario_ast import NotarizedScenario, canonical_json, notarize
 
 __all__ = ["StressTestService", "SERVICE_PROTOCOL_VERSION", "result_payload"]
@@ -81,6 +79,8 @@ __all__ = ["StressTestService", "SERVICE_PROTOCOL_VERSION", "result_payload"]
 DEFAULT_MAX_LINE_BYTES = 1024 * 1024
 #: Notarizations a service remembers (each holds one resolved network).
 _NOTARIZED_KEPT = 64
+
+Handler = Callable[[Dict[str, Any]], Awaitable[Dict[str, Any]]]
 
 #: What a release response carries of a result: the published values and
 #: their provenance, not the run's telemetry. ``releases`` because under
@@ -111,7 +111,7 @@ def _run_in_worker(resolved: ResolvedRun) -> Tuple[Any, int, int]:
     return result, PLANS.builds - builds, PLANS.hits - hits
 
 
-class StressTestService(JsonLinesServer):
+class StressTestService:
     """The standing service: submit notarized scenarios, get releases.
 
     Parameters
@@ -121,9 +121,8 @@ class StressTestService(JsonLinesServer):
         ``None`` runs without admission control (demo/plaintext fleets).
     cache:
         A :class:`~repro.api.cache.ScenarioCacheBase` fronting released
-        results — the in-memory cache, the on-disk
-        :class:`~repro.api.diskcache.PersistentScenarioCache`, or the
-        fleet-shared :class:`~repro.service.cachetier.RemoteScenarioCache`.
+        results — the in-memory cache or the on-disk
+        :class:`~repro.api.diskcache.PersistentScenarioCache`.
     max_workers:
         Worker processes, i.e. the bound on concurrently-executing engine
         runs. Further admitted requests queue on the executor (admission
@@ -143,7 +142,17 @@ class StressTestService(JsonLinesServer):
     ) -> None:
         if max_workers < 1:
             raise ServiceProtocolError("max_workers must be at least 1")
-        super().__init__(host, port, max_line_bytes=max_line_bytes, name=name)
+        self.host = host
+        self.port = port
+        self.name = name
+        #: Longest request line read (the JSON-lines analogue of the wire
+        #: layer's frame cap: refused before allocation balloons).
+        self.max_line_bytes = max_line_bytes
+        self._server: Optional[asyncio.base_events.Server] = None
+        self._closed = asyncio.Event()
+        #: open connection handlers, cancelled at shutdown so a client
+        #: holding its connection open cannot orphan a task.
+        self._connections: "set[asyncio.Task[None]]" = set()
         self.accountant = accountant
         self.cache = cache
         self._max_workers = max_workers
@@ -155,43 +164,154 @@ class StressTestService(JsonLinesServer):
         #: fingerprint -> future resolving to the shared response body;
         #: the single-flight table.
         self._inflight: Dict[str, "asyncio.Future[Dict[str, Any]]"] = {}
-        self.counters.update(
-            admitted=0,
-            rejected=0,
-            over_budget=0,
-            deduped=0,
-            cache_hits=0,
-            engine_runs=0,
-            failed=0,
-        )
-        self._ops.update(stats=self._stats, submit=self._submit)
+        self.counters: Dict[str, int] = {
+            "requests": 0,
+            "malformed": 0,
+            "admitted": 0,
+            "rejected": 0,
+            "over_budget": 0,
+            "deduped": 0,
+            "cache_hits": 0,
+            "engine_runs": 0,
+            "failed": 0,
+        }
+        self._ops: Dict[str, Handler] = {
+            "ping": self._ping,
+            "shutdown": self._shutdown_op,
+            "stats": self._stats,
+            "submit": self._submit,
+        }
 
     # ---------------------------------------------------------- lifecycle --
 
     async def start(self) -> int:
+        """Fork the workers, then bind and serve; returns the bound port."""
         # workers first: forked before there is a socket to inherit
         self._executor = create_executor(self._max_workers)
         try:
-            return await super().start()
+            self._server = await asyncio.start_server(
+                self._handle_connection,
+                self.host,
+                self.port,
+                limit=self.max_line_bytes,
+            )
         except BaseException:
             self._executor.shutdown()
             raise
+        self.port = self._server.sockets[0].getsockname()[1]
+        return self.port
 
     async def serve_until_closed(self) -> None:
+        """Block until :meth:`close` (or a ``shutdown`` op) is called."""
         try:
-            await super().serve_until_closed()
+            await self._closed.wait()
+            if self._server is not None:
+                self._server.close()
+                await self._server.wait_closed()
+                self._server = None
+            # let in-flight runs finish: their futures answer joined waiters
+            pending = [f for f in self._inflight.values() if not f.done()]
+            if pending:
+                await asyncio.gather(*pending, return_exceptions=True)
+            for task in list(self._connections):
+                task.cancel()
+            if self._connections:
+                await asyncio.gather(*self._connections, return_exceptions=True)
         finally:
             self._executor.shutdown(wait=True)
 
-    async def _drain(self) -> None:
-        # let in-flight runs finish: their futures answer joined waiters
-        pending = [f for f in self._inflight.values() if not f.done()]
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
+    async def close(self) -> None:
+        self._closed.set()
 
-    async def _call(self, handler: Handler, request: Dict[str, Any]) -> Dict[str, Any]:
-        with current_recorder().span("service.request", op=request["op"]):
-            return await super()._call(handler, request)
+    # --------------------------------------------------------- connection --
+
+    async def _handle_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        task = asyncio.current_task()
+        if task is not None:
+            self._connections.add(task)
+            task.add_done_callback(self._connections.discard)
+        try:
+            while True:
+                try:
+                    line = await reader.readline()
+                except (asyncio.LimitOverrunError, ValueError):
+                    await self._send(
+                        writer,
+                        self._malformed(
+                            f"request line exceeds {self.max_line_bytes} bytes"
+                        ),
+                    )
+                    break
+                if not line:
+                    break
+                response = await self._dispatch_line(line)
+                await self._send(writer, response)
+                if response.get("op") == "shutdown":
+                    self._closed.set()
+                    break
+        except asyncio.CancelledError:
+            pass  # deliberate shutdown cancellation: close quietly
+        except (ConnectionResetError, BrokenPipeError):
+            pass
+        finally:
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (asyncio.CancelledError, ConnectionResetError, BrokenPipeError):
+                pass
+
+    async def _send(self, writer: asyncio.StreamWriter, body: Dict[str, Any]) -> None:
+        writer.write(json.dumps(body, allow_nan=False).encode("utf-8") + b"\n")
+        await writer.drain()
+
+    async def _dispatch_line(self, line: bytes) -> Dict[str, Any]:
+        self.counters["requests"] += 1
+        try:
+            request = json.loads(line.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:
+            return self._malformed(f"request is not valid JSON: {exc}")
+        if not isinstance(request, dict) or not isinstance(request.get("op"), str):
+            return self._malformed("request must be an object with a string 'op'")
+        handler = self._ops.get(request["op"])
+        if handler is None:
+            return self._malformed(
+                f"unknown op {request['op']!r}; supported: {', '.join(self._ops)}"
+            )
+        try:
+            with current_recorder().span("service.request", op=request["op"]):
+                return await handler(request)
+        except DStressError as exc:
+            return self._error_body(type(exc).__name__, str(exc))
+
+    # ----------------------------------------------------------- envelope --
+
+    def _ok(self, **fields: Any) -> Dict[str, Any]:
+        body = {"ok": True, "version": SERVICE_PROTOCOL_VERSION}
+        body.update(fields)
+        return body
+
+    def _error_body(
+        self, error: str, message: str, status: str = "error"
+    ) -> Dict[str, Any]:
+        return {
+            "ok": False,
+            "version": SERVICE_PROTOCOL_VERSION,
+            "status": status,
+            "error": error,
+            "message": message,
+        }
+
+    def _malformed(self, message: str) -> Dict[str, Any]:
+        self.counters["malformed"] += 1
+        return self._error_body("ServiceProtocolError", message)
+
+    async def _ping(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        return self._ok(op="ping", server=self.name)
+
+    async def _shutdown_op(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        return self._ok(op="shutdown")
 
     async def _stats(self, request: Dict[str, Any]) -> Dict[str, Any]:
         return self._stats_body()
@@ -254,7 +374,7 @@ class StressTestService(JsonLinesServer):
             body["deduped"] = True
             return body
 
-        # Gate 3: the released-results cache (replica-local or fleet tier).
+        # Gate 3: the released-results cache.
         if self.cache is not None:
             prior = self.cache.lookup(notarized.fingerprint)
             if prior is not None:

@@ -3,7 +3,6 @@
 from repro.simulation.estimator import DeploymentEstimate, ScalabilityEstimator
 from repro.simulation.naive_baseline import (
     NaiveBaselineFit,
-    estimate_monolithic_seconds,
     fit_naive_baseline,
     matrix_multiply_circuit,
     measure_matmul_seconds,
@@ -24,7 +23,6 @@ __all__ = [
     "PhaseTimer",
     "ScalabilityEstimator",
     "TrafficMeter",
-    "estimate_monolithic_seconds",
     "fit_naive_baseline",
     "matrix_multiply_circuit",
     "measure_cost_constants",

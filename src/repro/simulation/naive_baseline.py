@@ -10,7 +10,9 @@ DStress's whole architecture.
 We reproduce the same pipeline: build a fixed-point matrix-multiply
 circuit, evaluate it under our GMW engine for small N, fit the cubic, and
 extrapolate. (Data-dependent sparsity cannot be exploited because the
-matrix is private, as the paper notes.)
+matrix is private, as the paper notes.) It is a benchmark fixture, not an
+engine: ``benchmarks/bench_naive_mpc.py`` and
+``examples/scalability_projection.py`` call :func:`fit_naive_baseline`.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ __all__ = [
     "measure_matmul_seconds",
     "NaiveBaselineFit",
     "fit_naive_baseline",
-    "estimate_monolithic_seconds",
 ]
 
 
@@ -65,7 +66,7 @@ def measure_matmul_seconds(
     """Evaluate one N x N matrix multiply under GMW; returns (seconds,
     AND-gate count)."""
     rng = rng if rng is not None else DeterministicRNG("naive-baseline")
-    # every naive-mpc run re-measures the same few sizes: compile each once
+    # a fit re-measures the same few sizes: compile each once
     circuit = PLANS.get(("matmul", n, fmt), lambda: matrix_multiply_circuit(n, fmt))
     engine = GMWEngine(parties)
     shares = {}
@@ -114,24 +115,3 @@ def fit_naive_baseline(
     numerator = sum(t * n**3 for n, t in samples)
     denominator = sum(n**6 for n, _ in samples)
     return NaiveBaselineFit(coefficient=numerator / denominator, sample_points=samples)
-
-
-def estimate_monolithic_seconds(
-    n: int,
-    iterations: int,
-    fmt: FixedPointFormat,
-    parties: int = 3,
-    sample_sizes: Sequence[int] = (2, 3),
-) -> Tuple[float, NaiveBaselineFit]:
-    """Project the naive-MPC runtime for an ``n``-bank, ``iterations``-round
-    stress test (the paper's "about 287 years" pipeline, §5.5).
-
-    Measures real GMW matrix multiplies at ``sample_sizes``, fits the
-    cubic, and extrapolates to ``n`` banks and ``iterations - 1``
-    multiplies. Returns the projected seconds together with the fit so
-    callers can report the calibration points.
-    """
-    if n < 1:
-        raise ConfigurationError("bank count must be positive")
-    fit = fit_naive_baseline(sample_sizes, fmt, parties=parties)
-    return fit.seconds_end_to_end(n, iterations), fit

@@ -18,7 +18,7 @@ from repro import (
     Scenario,
     StressTest,
 )
-from repro.api import Engine, NaiveMPCEngine, RunResult
+from repro.api import Engine, RunResult
 from repro.exceptions import (
     ConfigurationError,
     PrivacyBudgetExceeded,
@@ -39,11 +39,25 @@ def make_network(shock: float = 0.0) -> FinancialNetwork:
     return net
 
 
-def make_scenarios(count: int = 5):
+def make_scenarios(count: int = 5, iterations=None):
     return [
-        Scenario(name=f"shock-{i}", network=make_network(i / 2.0), seed=100 + i)
+        Scenario(
+            name=f"shock-{i}",
+            network=make_network(i / 2.0),
+            seed=100 + i,
+            iterations=iterations,
+        )
         for i in range(count)
     ]
+
+
+#: Rounds of a releasing scenario (its one release window).
+ROUNDS = 4
+
+
+def releasing(template):
+    """The template on a clear engine that releases once, at the end."""
+    return template.clone().engine("fixed", release="windowed", windows=[ROUNDS])
 
 
 @pytest.fixture
@@ -99,13 +113,14 @@ def test_run_many_deterministic_across_runs_and_worker_counts(template):
 
 def test_run_many_seeded_noise_reproducibility(template):
     """Releasing engines draw noise from the scenario seed, nothing else."""
-    noisy = template.clone().engine(NaiveMPCEngine(estimate_cost=False))
-    scenarios = make_scenarios(4)
+    noisy = releasing(template)
+    scenarios = make_scenarios(4, iterations=ROUNDS)
     first = noisy.run_many(scenarios, workers=2)
     second = noisy.run_many(scenarios, workers=1)
     assert first.aggregates() == second.aggregates()
     reseeded = [
-        Scenario(name=s.name, network=s.network, seed=s.seed + 1) for s in scenarios
+        Scenario(name=s.name, network=s.network, seed=s.seed + 1, iterations=ROUNDS)
+        for s in scenarios
     ]
     assert noisy.run_many(reseeded, workers=2).aggregates() != first.aggregates()
 
@@ -179,10 +194,10 @@ def test_worker_failures_are_captured_per_scenario(template):
 
 def test_shared_accountant_charged_per_releasing_scenario(template):
     accountant = PrivacyAccountant(epsilon_max=math.log(2))
-    noisy = template.clone().engine(NaiveMPCEngine(estimate_cost=False)).privacy(
-        epsilon=0.2
+    noisy = releasing(template).privacy(epsilon=0.2)
+    batch = noisy.run_many(
+        make_scenarios(3, iterations=ROUNDS), workers=2, accountant=accountant
     )
-    batch = noisy.run_many(make_scenarios(3), workers=2, accountant=accountant)
     assert batch.epsilon_charged == pytest.approx(0.6)
     assert accountant.spent == pytest.approx(0.6)
     assert [c.label for c in accountant.charges] == ["shock-0", "shock-1", "shock-2"]
@@ -197,26 +212,24 @@ def test_plaintext_scenarios_do_not_consume_budget(template):
 
 def test_over_budget_batch_is_refused_whole(template):
     accountant = PrivacyAccountant(epsilon_max=0.5)
-    noisy = template.clone().engine(NaiveMPCEngine(estimate_cost=False)).privacy(
-        epsilon=0.2
-    )
+    noisy = releasing(template).privacy(epsilon=0.2)
     with pytest.raises(PrivacyBudgetExceeded, match="replenish"):
-        noisy.run_many(make_scenarios(3), workers=1, accountant=accountant)
+        noisy.run_many(
+            make_scenarios(3, iterations=ROUNDS), workers=1, accountant=accountant
+        )
     # refusal is atomic: nothing was charged for runs that never happened
     assert accountant.spent == 0.0
     # after replenishing, the same batch fits
     accountant.replenish()
-    batch = noisy.run_many(make_scenarios(2), workers=1, accountant=accountant)
+    batch = noisy.run_many(
+        make_scenarios(2, iterations=ROUNDS), workers=1, accountant=accountant
+    )
     assert accountant.spent == pytest.approx(0.4)
     assert all(o.ok for o in batch)
 
 
 def test_session_accountant_is_used_by_default(template):
     accountant = PrivacyAccountant()
-    noisy = (
-        template.clone()
-        .engine(NaiveMPCEngine(estimate_cost=False))
-        .privacy(epsilon=0.1, accountant=accountant)
-    )
-    noisy.run_many(make_scenarios(2), workers=1)
+    noisy = releasing(template).privacy(epsilon=0.1, accountant=accountant)
+    noisy.run_many(make_scenarios(2, iterations=ROUNDS), workers=1)
     assert accountant.spent == pytest.approx(0.2)

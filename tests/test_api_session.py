@@ -2,8 +2,8 @@
 
 The contract under test: every registered engine backend executes the same
 vertex program through the one ``Engine`` protocol and agrees on the
-pre-noise aggregate — ``fixed``, ``secure`` and ``naive-mpc`` bit-for-bit
-(they all evaluate the same circuits), ``plaintext`` within quantization
+pre-noise aggregate — ``fixed`` and ``secure`` bit-for-bit (they
+evaluate the same circuits), ``plaintext`` within quantization
 error. Plus: config presets validate with actionable errors, iteration
 auto-detection matches the trajectory, and the top-level names keep
 importing without warnings.
@@ -28,7 +28,6 @@ from repro import (
 )
 from repro.api import (
     Engine,
-    NaiveMPCEngine,
     get_engine,
     get_program,
     register_engine,
@@ -73,13 +72,14 @@ def secure_result(en_network):
 
 
 def test_all_engine_families_registered():
-    assert {"plaintext", "fixed", "secure", "naive-mpc"} <= set(available_engines())
+    assert {"plaintext", "fixed", "secure", "async", "secure-async"} <= set(
+        available_engines()
+    )
 
 
 def test_engine_aliases_resolve_to_same_backend():
     assert type(get_engine("float")) is type(get_engine("plaintext"))
     assert type(get_engine("dstress")) is type(get_engine("secure"))
-    assert type(get_engine("naive")) is type(get_engine("naive-mpc"))
 
 
 def test_unknown_engine_error_lists_registered():
@@ -283,19 +283,12 @@ def test_engine_parity_pre_noise(en_network, secure_result):
     template = StressTest(en_network).program("en").preset("demo").degree_bound(2)
     floats = template.clone().engine("plaintext").run(iterations=3)
     fixed = template.clone().engine("fixed").run(iterations=3)
-    naive = (
-        template.clone()
-        .engine(NaiveMPCEngine(estimate_cost=False))
-        .run(iterations=3)
-    )
     # circuit-evaluating backends agree bit for bit
     assert fixed.exact_aggregate == secure_result.pre_noise_aggregate
-    assert fixed.exact_aggregate == naive.pre_noise_aggregate
     assert fixed.trajectory == secure_result.trajectory
     # float oracle within quantization error of the circuits
     assert floats.aggregate == pytest.approx(fixed.aggregate, abs=0.1)
-    # releasing engines actually noised their headline number
-    assert naive.aggregate == naive.pre_noise_aggregate + naive.noise_raw * 2**-8
+    # the releasing engine actually noised its headline number
     assert secure_result.noise_raw == round(
         (secure_result.aggregate - secure_result.pre_noise_aggregate) * 2**8
     )

@@ -75,8 +75,8 @@ def test_streaming_is_lazy_but_fails_eagerly(template):
     scenarios = [
         Scenario(
             "too-expensive",
-            engine="naive-mpc",
-            engine_options={"estimate_cost": False},
+            engine="fixed",
+            engine_options={"release": "windowed", "windows": [2]},
             epsilon=0.1,
             iterations=2,
         )
@@ -191,8 +191,8 @@ def test_abandoned_stream_refunds_uncompleted_releases(template):
     scenarios = [
         Scenario(
             f"release-{i}",
-            engine="naive-mpc",
-            engine_options={"estimate_cost": False},
+            engine="fixed",
+            engine_options={"release": "windowed", "windows": [2]},
             epsilon=0.1,
             seed=i,
             iterations=2,
@@ -266,8 +266,8 @@ def test_refused_batch_rolls_back_cache_counters(template):
         Scenario("warm-dup", seed=2, iterations=3),
         Scenario(
             "unaffordable",
-            engine="naive-mpc",
-            engine_options={"estimate_cost": False},
+            engine="fixed",
+            engine_options={"release": "windowed", "windows": [2]},
             epsilon=0.1,
             iterations=2,
         ),
@@ -284,8 +284,8 @@ def test_cache_hits_skip_the_accountant(template):
     scenarios = [
         Scenario(
             "release",
-            engine="naive-mpc",
-            engine_options={"estimate_cost": False},
+            engine="fixed",
+            engine_options={"release": "windowed", "windows": [2]},
             epsilon=0.1,
             iterations=2,
         )

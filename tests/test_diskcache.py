@@ -415,8 +415,8 @@ def _scenarios(count=3, epsilon=0.1):
     return [
         Scenario(
             f"s{i}",
-            engine="naive-mpc",
-            engine_options={"estimate_cost": False},
+            engine="fixed",
+            engine_options={"release": "windowed", "windows": [2]},
             epsilon=epsilon,
             seed=i,
             iterations=2,
@@ -440,6 +440,24 @@ def test_cache_path_argument_builds_persistent_cache(template, tmp_path):
             second.by_name(f"s{i}").result.aggregate
             == first.by_name(f"s{i}").result.aggregate
         )
+
+
+def test_a_cache_tier_endpoint_is_refused_not_made_a_directory(
+    template, tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ConfigurationError, match="cache tier was removed"):
+        template.run_many(_scenarios(), cache="tcp://127.0.0.1:7200")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_streaming_batch_refuses_a_cache_tier_endpoint_too(
+    template, tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ConfigurationError, match="cache tier was removed"):
+        list(template.run_many_iter(_scenarios(), cache="tcp://127.0.0.1:7200"))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_streaming_batch_accepts_cache_path(template, tmp_path):

@@ -1,7 +1,7 @@
 """Hostile bytes at every place a result or a round value is decoded.
 
 The release store is the long-lived, shared part of a deployment: a
-cache directory, a cache-tier port, a party port, a cluster's trace
+cache directory, a service port, a party port, a cluster's trace
 directory. Whatever arrives there
 — arbitrary bytes, arbitrary JSON, a pickle that would run code — must
 come out as a miss or as the layer's one named error: never an escaped
@@ -9,7 +9,6 @@ exception, never a hang, never an executed payload.
 """
 
 import asyncio
-import base64
 import json
 import pickle
 import struct
@@ -19,8 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.api import PersistentScenarioCache, RunResult
-from repro.api.cache import ScenarioCache
+from repro.api import BatchResult, PersistentScenarioCache, RunResult, ScenarioOutcome
 from repro.core.graph import DistributedGraph
 from repro.crypto.elgamal import ExponentialElGamal
 from repro.crypto.group import TOY_GROUP_64
@@ -31,14 +29,14 @@ from repro.exceptions import (
     PeerDisconnectedError,
     ProtocolError,
     ResultFormatError,
-    ServiceError,
     TransportError,
     WireFormatError,
 )
 from repro.net.peer import PeerAddress, read_frame, write_frame
 from repro.net.transport import TcpTransport
 from repro.obs import ManualClock, TraceRecorder, validate_export
-from repro.obs.merge import load_trace_shard, merge_cluster_trace
+from repro.obs.merge import load_trace_shard, merge_cluster_trace, merge_shards
+from repro.obs.report import main as report_main
 from repro.net.wire import (
     HEADER_BYTES,
     MAGIC,
@@ -48,7 +46,9 @@ from repro.net.wire import (
     decode_frame,
     encode_frame,
 )
-from repro.service import CacheTierServer, RemoteScenarioCache
+from repro.privacy.budget import PrivacyAccountant
+from repro.service import StressTestService
+from repro.simulation.netsim import PhaseTimer, TrafficMeter
 from repro.sharing import share_value
 from repro.transfer.certificates import build_certificate, generate_member_keys
 from repro.transfer.protocol import EncryptedSubshare, MessageTransferProtocol
@@ -126,79 +126,47 @@ class TestDiskEntry:
             assert _fresh_lookup(tmp_path) is None
 
 
-# ------------------------------------------------------------ (ii) the tier --
+# ---------------------------------------------------- (ii) the service line --
 
 
-def _dispatch(server: CacheTierServer, line: bytes) -> dict:
-    return asyncio.run(server._dispatch_line(line))
+def _dispatch(server: StressTestService, line: bytes) -> dict:
+    return asyncio.run(server._dispatch_line(line + b"\n"))
 
 
-class _ScriptedSocket:
-    """Stands in for the tier's end of a connection: swallows the request,
-    answers with one scripted line."""
-
-    def __init__(self, line: bytes) -> None:
-        self._pending = [line + b"\n"]
-
-    def sendall(self, data: bytes) -> None:
-        pass
-
-    def recv(self, size: int) -> bytes:
-        return self._pending.pop() if self._pending else b""
-
-    def close(self) -> None:
-        pass
+#: Requests that name a real op, so a fuzzed body reaches its handler.
+_service_requests = st.fixed_dictionaries(
+    {"op": st.sampled_from(["ping", "stats", "submit", "shutdown"]) | st.text(max_size=8)},
+    optional={"scenario": _json_values},
+)
 
 
-def _remote_answered_with(line: bytes, strict: bool = False) -> RemoteScenarioCache:
-    remote = RemoteScenarioCache("127.0.0.1", 1, strict=strict)
-    remote._client._sock = _ScriptedSocket(line)
-    return remote
-
-
-class TestCacheTier:
+class TestServiceLine:
     @given(line=st.binary(max_size=256).filter(lambda b: b"\n" not in b))
     @settings(max_examples=100)
     def test_arbitrary_request_bytes_get_a_typed_error_line(self, line):
-        server = CacheTierServer(ScenarioCache())
-        response = _dispatch(server, line + b"\n")
+        response = _dispatch(StressTestService(), line)
         assert response["ok"] is False
         assert response["error"] == "ServiceProtocolError"
         json.dumps(response, allow_nan=False)
 
-    @given(request=_json_values)
+    @given(request=_json_values | _service_requests)
     @settings(max_examples=100)
     def test_arbitrary_json_requests_never_escape(self, request):
-        server = CacheTierServer(ScenarioCache())
-        response = _dispatch(server, json.dumps(request).encode() + b"\n")
+        response = _dispatch(StressTestService(), json.dumps(request).encode())
         assert response["ok"] in (True, False)
         json.dumps(response, allow_nan=False)
 
-    @given(payload=_json_values)
+    @given(scenario=_json_values)
     @settings(max_examples=100)
-    def test_arbitrary_store_payloads_are_refused_and_store_nothing(self, payload):
-        backing = ScenarioCache()
-        server = CacheTierServer(backing)
-        request = {"op": "store", "fingerprint": FP, "payload": payload}
-        response = _dispatch(server, json.dumps(request).encode() + b"\n")
-        assert response["ok"] is False
-        assert response["error"] == "ServiceProtocolError"
-        assert len(backing) == 0 and server.counters["stores"] == 0
-
-    @given(line=st.binary(max_size=256).filter(lambda b: b"\n" not in b))
-    @settings(max_examples=100)
-    def test_arbitrary_response_bytes_are_a_miss(self, line):
-        assert _remote_answered_with(line).lookup(FP) is None
-        with pytest.raises(ServiceError):
-            _remote_answered_with(line, strict=True).lookup(FP)
-
-    @given(payload=_json_values, hit=_json_values)
-    @settings(max_examples=100)
-    def test_arbitrary_lookup_responses_are_a_miss(self, payload, hit):
-        body = {"ok": True, "version": 1, "op": "lookup", "hit": hit, "payload": payload}
-        line = json.dumps(body).encode()
-        assert _remote_answered_with(line).lookup(FP) is None
-        assert _remote_answered_with(line, strict=True).lookup(FP) is None
+    def test_an_arbitrary_submit_is_rejected_before_any_charge(self, scenario):
+        accountant = PrivacyAccountant()
+        server = StressTestService(accountant=accountant)
+        request = {"op": "submit", "scenario": scenario}
+        response = _dispatch(server, json.dumps(request).encode())
+        assert response["status"] == "rejected"
+        assert response["error"] == "ScenarioValidationError"
+        assert accountant.spent == 0.0 and list(accountant.ledger) == []
+        assert server.counters["admitted"] == server.counters["engine_runs"] == 0
 
 
 # ------------------------------------------------------- (iii) round values --
@@ -556,6 +524,99 @@ class TestTraceShard:
         assert json.loads((tmp_path / "timeline.json").read_text()) == timeline
 
 
+# ---------------------------------------------------- (vii) the report CLI --
+
+
+def _report_exports() -> list:
+    """A valid run, batch and timeline export, each with every section the
+    report renders: bill, rounds, build tables, phases, traffic, ledger."""
+    recorder = TraceRecorder(clock=ManualClock(), party=0)
+    with recorder.span("run"):
+        with recorder.span("round", round=0):
+            recorder.event("bill", and_gates=8, rounds=2, ots=24, transfers=3, exponentiations=21)
+            recorder.metrics.inc("mpc.plan.builds", 1.0)
+    traffic = TrafficMeter()
+    traffic.record_send(0, 1, 8.0)
+    result = _good_result()
+    result.traffic = traffic
+    result.phases = PhaseTimer(seconds={"stage:rounds": 0.2, "computation": 0.1})
+    run = result.export(recorder)
+    accountant = PrivacyAccountant()
+    accountant.charge(0.2, label="ok", fingerprint=FP)
+    accountant.refund(accountant.charge(0.1, label="failed"))
+    batch = BatchResult(
+        outcomes=[
+            ScenarioOutcome("ok", result=result, seconds=0.5),
+            ScenarioOutcome("failed", error="ProtocolError: boom", seconds=0.1),
+        ],
+        wall_seconds=0.7,
+        workers=2,
+        epsilon_charged=0.2,
+        cache_misses=2,
+    ).export(accountant)
+    return [run, batch, merge_shards([json.loads(json.dumps(run))])]
+
+
+def _slots(doc) -> list:
+    """Every (container, key) slot of a JSON document, depth first."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    slots = []
+    for key, value in items:
+        slots.append((doc, key))
+        if isinstance(value, (dict, list)):
+            slots.extend(_slots(value))
+    return slots
+
+
+class TestReportCli:
+    """``python -m repro.obs.report`` exits 0 or 1 on any document, never
+    with a traceback, and renders exactly the documents ``--check`` passes."""
+
+    @staticmethod
+    def assert_verdicts_agree(tmp_path, doc) -> int:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        checked = report_main([str(path), "--check"])
+        assert checked in (0, 1)
+        assert report_main([str(path)]) == checked
+        return checked
+
+    def test_the_valid_exports_check_and_render(self, tmp_path):
+        for doc in _report_exports():
+            assert self.assert_verdicts_agree(tmp_path, doc) == 0
+
+    @pytest.mark.parametrize(
+        "index, mutate",
+        [
+            (1, lambda doc: doc["ledger"].update(reconciliation=[])),
+            (1, lambda doc: doc.update(epsilon_charged=None)),
+            (2, lambda doc: doc["entries"].append(dict(doc["entries"][0], round="1"))),
+            (0, lambda doc: doc["trace"]["spans"][0].update(span_id=[1])),
+            (0, lambda doc: doc.update(aggregate=10**400)),
+        ],
+        ids=["reconciliation-list", "epsilon-null", "mixed-rounds", "span-id-list", "huge-int"],
+    )
+    def test_an_inconsistent_export_is_a_named_failure(self, tmp_path, index, mutate):
+        doc = _report_exports()[index]
+        mutate(doc)
+        assert validate_export(doc) != []
+        assert self.assert_verdicts_agree(tmp_path, doc) == 1
+
+    @given(doc=_json_values)
+    @example(doc=[1])
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_arbitrary_json(self, tmp_path, doc):
+        self.assert_verdicts_agree(tmp_path, doc)
+
+    @given(data=st.data())
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_one_field_of_a_valid_export_replaced(self, tmp_path, data):
+        doc = data.draw(st.sampled_from(_report_exports()))
+        container, key = data.draw(st.sampled_from(_slots(doc)))
+        container[key] = data.draw(_json_values)
+        self.assert_verdicts_agree(tmp_path, doc)
+
+
 # ------------------------------------------------- nothing is ever executed --
 
 
@@ -599,28 +660,24 @@ class TestNoCodeExecution:
         assert _fresh_lookup(directory) is None
         assert list(directory.iterdir()) == []
 
-    def test_pickle_sent_as_a_tier_payload(self, bomb):
-        backing = ScenarioCache()
-        server = CacheTierServer(backing)
-        for payload in (base64.b64encode(bomb).decode("ascii"), bomb.decode("latin-1")):
-            request = {"op": "store", "fingerprint": FP, "payload": payload}
-            response = _dispatch(server, json.dumps(request).encode() + b"\n")
-            assert response["error"] == "ServiceProtocolError"
-        assert len(backing) == 0
-
-    def test_pickle_answered_as_a_tier_lookup(self, bomb):
-        body = {
-            "ok": True,
-            "version": 1,
-            "op": "lookup",
-            "hit": True,
-            "payload": base64.b64encode(bomb).decode("ascii"),
-        }
-        assert _remote_answered_with(json.dumps(body).encode()).lookup(FP) is None
-
     def test_pickle_sent_as_a_round_value(self, bomb):
         with pytest.raises(WireFormatError):
             decode_frame(_round_value_frame(b"\x06" + bomb))
+
+    def test_pickle_sent_as_service_request_lines(self, bomb):
+        for line in filter(None, bomb.split(b"\n")):
+            response = _dispatch(StressTestService(), line)
+            assert response["ok"] is False
+            assert response["error"] == "ServiceProtocolError"
+
+    def test_pickle_submitted_as_a_scenario(self, bomb):
+        accountant = PrivacyAccountant()
+        server = StressTestService(accountant=accountant)
+        request = {"op": "submit", "scenario": bomb.decode("latin-1")}
+        response = _dispatch(server, json.dumps(request).encode())
+        assert response["status"] == "rejected"
+        assert response["error"] == "ScenarioValidationError"
+        assert accountant.spent == 0.0
 
     def test_pickle_handed_to_the_decoder_directly(self, bomb):
         for document in (bomb, bomb.decode("latin-1"), {"schema": bomb.decode("latin-1")}):

@@ -59,14 +59,13 @@ ALL_ENGINES = (
     "async",
     "secure",
     "secure-async",
-    "naive-mpc",
 )
 
 #: Engines whose released values are floats of the plaintext oracle
 #: family — their windowed releases are bit-comparable to standalone
 #: runs (the secure family's noise stream position differs by design;
 #: its *pre-noise* values are compared instead).
-FLOAT_FAMILY = ("plaintext", "fixed", "async", "naive-mpc")
+FLOAT_FAMILY = ("plaintext", "fixed", "async")
 
 WINDOW_EPSILON = 0.1
 
@@ -174,16 +173,25 @@ class TestWindowedRelease:
         reconciliation = accountant.reconcile()
         assert reconciliation.ok
         assert [c.label for c in accountant.ledger] == [
-            "eisenberg-noe-release-w1"
-            if engine != "naive-mpc"
-            else "eisenberg-noe-naive-release-w1",
-            "eisenberg-noe-release-w2"
-            if engine != "naive-mpc"
-            else "eisenberg-noe-naive-release-w2",
-            "eisenberg-noe-release-w3"
-            if engine != "naive-mpc"
-            else "eisenberg-noe-naive-release-w3",
+            "eisenberg-noe-release-w1",
+            "eisenberg-noe-release-w2",
+            "eisenberg-noe-release-w3",
         ]
+
+    @pytest.mark.parametrize("engine", FLOAT_FAMILY)
+    def test_one_window_over_the_run_releases_once_at_the_end(self, engine):
+        """``windows=[iterations]`` is the clear engines' one-release
+        configuration: one record at the last round, one ledger charge,
+        under the one-shot label, and the same rounds as the one-shot run."""
+        accountant = PrivacyAccountant(epsilon_max=1.0)
+        single = run_windowed(engine, [4], 4, accountant=accountant)
+        oneshot = make_test().engine(engine).run(iterations=4)
+        assert [(r.window, r.end) for r in single.releases] == [(0, 4)]
+        assert single.aggregate == single.releases[0].value
+        assert single.trajectory == oneshot.trajectory
+        assert single.exact_aggregate == oneshot.exact_aggregate
+        assert [c.label for c in accountant.ledger] == ["eisenberg-noe-release"]
+        assert accountant.spent == pytest.approx(WINDOW_EPSILON)
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -244,15 +252,12 @@ class TestGridRelease:
             uniform_shock([0, 1], 0.6),
         )
         released = {}
-        for engine in ("plaintext", "async", "fixed", "naive-mpc"):
-            options = {"estimate_cost": False} if engine == "naive-mpc" else {}
+        for engine in ("plaintext", "async", "fixed"):
             result = (
                 StressTest(network)
                 .program("eisenberg-noe")
                 .preset("demo")
-                .engine(
-                    engine, release="windowed", windows=[1, 1], window_epsilon=0.2, **options
-                )
+                .engine(engine, release="windowed", windows=[1, 1], window_epsilon=0.2)
                 .run(iterations=2)
             )
             for record in result.releases:
@@ -260,8 +265,7 @@ class TestGridRelease:
             released[engine] = [r.value / self.RESOLUTION for r in result.releases]
         for engine in ("plaintext", "async"):
             assert released[engine] == [3388.0, 13432.0]
-        for engine in ("fixed", "naive-mpc"):
-            assert released[engine] == [3386.0, 13428.0]
+        assert released["fixed"] == [3386.0, 13428.0]
 
 
 # ---------------------------------------------------------- release policy --

@@ -185,7 +185,7 @@ class TestMetricsRegistry:
 # ----------------------------------------------- trace determinism parity --
 
 
-ENGINES = ["plaintext", "fixed", "async", "naive-mpc", "secure", "secure-async"]
+ENGINES = ["plaintext", "fixed", "async", "secure", "secure-async"]
 
 
 class TestTraceDeterminism:
@@ -214,11 +214,7 @@ class TestTraceDeterminism:
             result = make_test().engine(engine).run(iterations=ITERATIONS)
             assert result.phases is not None, engine
             assert result.traffic is not None, engine
-            if engine == "naive-mpc":
-                # centralized baseline: meter present but empty
-                assert result.traffic.links() == {}
-            else:
-                assert result.traffic.total_bytes_sent > 0, engine
+            assert result.traffic.total_bytes_sent > 0, engine
 
     def test_tracing_leaves_rng_stream_position_unchanged(self, monkeypatch):
         """Same number of RNG byte draws with and without the recorder —
@@ -332,7 +328,14 @@ class TestBudgetLedger:
         acct = PrivacyAccountant(epsilon_max=math.log(2))
         template = StressTest(make_network()).program("eisenberg-noe")
         scenarios = [
-            Scenario(name="good", engine="naive-mpc", epsilon=0.2),
+            # one window over the whole run: a clear engine that releases
+            Scenario(
+                name="good",
+                engine="fixed",
+                engine_options={"release": "windowed", "windows": [ITERATIONS]},
+                iterations=ITERATIONS,
+                epsilon=0.2,
+            ),
             Scenario(name="bad", engine=_CrashingReleasingEngine(), epsilon=0.3),
         ]
         batch = template.run_many(scenarios, workers=1, accountant=acct)

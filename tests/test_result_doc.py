@@ -1,9 +1,9 @@
 """The one RunResult document: round trips, projections, the named error.
 
 ``RunResult.to_doc()`` / ``RunResult.from_doc()`` are the only
-serialization of a result; the disk cache entry, the cache-tier payload,
-the service response, the cluster summary and ``export()`` are that
-document or key projections of it. A decoded result must equal the
+serialization of a result; the disk cache entry, the service response,
+the cluster summary and ``export()`` are that document or key
+projections of it. A decoded result must equal the
 computed one field for field — including the *iteration order* of the
 traffic meter, whose totals are float sums over it.
 """
@@ -19,11 +19,9 @@ from repro.core.lifecycle import ReleaseRecord
 from repro.exceptions import ResultFormatError
 from repro.net.cluster import _result_summary
 from repro.obs import validate_export
-from repro.service import RemoteScenarioCache
 from repro.service.server import result_payload
 from repro.simulation.netsim import TrafficMeter, project_wan_seconds
 from tests.test_lifecycle import ALL_ENGINES, make_test, run_windowed
-from tests.test_service_cachetier import TierHarness
 
 MODES = ("one-shot", "windowed")
 
@@ -89,16 +87,6 @@ class TestRoundTrip:
         assert exported.pop("trace") is None
         assert exported == original.to_doc()
         assert validate_export(original.export()) == []
-
-
-def test_cache_tier_store_then_lookup_round_trips(results):
-    with TierHarness() as tier:
-        remote = RemoteScenarioCache("127.0.0.1", tier.port)
-        for (engine, mode), original in results.items():
-            remote.store(f"{engine}/{mode}", original)
-        for (engine, mode), original in results.items():
-            assert_same_result(remote.lookup(f"{engine}/{mode}"), original)
-        remote.close()
 
 
 def test_meter_order_survives_where_sorting_would_lose_it():
@@ -274,8 +262,3 @@ def test_a_result_outside_the_schema_is_simply_not_cached(tmp_path):
     assert len(disk) == 0  # nothing persisted…
     assert disk.lookup("fp") is not None  # …the memory tier still serves it
     assert PersistentScenarioCache(tmp_path).lookup("fp") is None
-    with TierHarness() as tier:
-        remote = RemoteScenarioCache("127.0.0.1", tier.port)
-        remote.store("fp", foreign)
-        assert remote.lookup("fp") is None and len(remote) == 0
-        remote.close()

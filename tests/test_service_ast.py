@@ -178,7 +178,7 @@ class TestNotarization:
         assert not notarized.releases
         assert notarized.epsilon == 0.0
 
-    @pytest.mark.parametrize("name", ["evil", "sharded"])
+    @pytest.mark.parametrize("name", ["evil", "sharded", "naive-mpc"])
     def test_malformed_document_never_resolves(self, name):
         with pytest.raises(ScenarioValidationError, match=f"got {name!r}"):
             notarize(base_doc(engine={"name": name}))
@@ -187,16 +187,20 @@ class TestNotarization:
         with pytest.raises(ConfigurationError) as refused:
             get_engine("sharded")
         registered = str(refused.value).split("registered engines: ")[1]
-        for name in ("async", "fixed", "naive-mpc", "plaintext", "secure", "secure-async"):
+        for name in ("async", "fixed", "plaintext", "secure", "secure-async"):
             assert name in registered.split(", ")
         assert "sharded" not in registered.split(", ")
 
-    @pytest.mark.parametrize("alias", ["shard", "partitioned"])
+    @pytest.mark.parametrize(
+        "alias", ["shard", "partitioned", "naive-mpc", "naive", "monolithic"]
+    )
     def test_removed_engine_aliases_are_unknown_to_the_registry(self, alias):
         with pytest.raises(ConfigurationError, match="registered engines: "):
             get_engine(alias)
 
-    @pytest.mark.parametrize("alias", ["shard", "partitioned"])
+    @pytest.mark.parametrize(
+        "alias", ["shard", "partitioned", "naive-mpc", "naive", "monolithic"]
+    )
     def test_removed_engine_aliases_never_resolve(self, alias):
         with pytest.raises(ScenarioValidationError, match=f"got {alias!r}"):
             notarize(base_doc(engine={"name": alias}))

@@ -19,6 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import repro.service.__main__ as service_cli
 import repro.service.server as server_module
 from repro.api.cache import ScenarioCache
 from repro.exceptions import (
@@ -365,6 +366,11 @@ class TestSingleFlight:
         assert h.service.counters["engine_runs"] == 0
 
 
+async def _bind_nothing(server):
+    """Stands in for serving: only the command line is under test."""
+    return 0
+
+
 class TestProtocol:
     def test_garbage_line_gets_typed_error_not_silence(self):
         with ServiceHarness() as h:
@@ -382,6 +388,36 @@ class TestProtocol:
         assert not response.ok
         assert response.error == "ServiceProtocolError"
         assert "frobnicate" in response.message
+        assert response.message.endswith("supported: ping, shutdown, stats, submit")
+
+    def test_an_over_long_line_gets_a_typed_error_and_the_connection_closes(self):
+        with ServiceHarness(max_line_bytes=1024) as h:
+            with socket.create_connection(("127.0.0.1", h.port), timeout=10) as sock:
+                sock.sendall(b'{"op": "ping", "pad": "' + b"x" * 4096 + b'"}\n')
+                reader = sock.makefile("rb")
+                body = json.loads(reader.readline())
+                assert reader.readline() == b""  # the server hung up
+            with h.client() as c:
+                assert c.ping().ok  # the service itself carries on
+        assert body["ok"] is False
+        assert body["error"] == "ServiceProtocolError"
+        assert "exceeds 1024 bytes" in body["message"]
+
+    def test_a_handler_raising_a_typed_error_answers_with_its_class_name(self):
+        service = StressTestService()
+
+        async def refuse(request):
+            raise PrivacyBudgetExceeded("no budget for pings")
+
+        service._ops["ping"] = refuse
+        body = asyncio.run(service._dispatch_line(b'{"op": "ping"}\n'))
+        assert body == {
+            "ok": False,
+            "version": 1,
+            "status": "error",
+            "error": "PrivacyBudgetExceeded",
+            "message": "no budget for pings",
+        }
 
     def test_non_object_request_gets_typed_error(self):
         with ServiceHarness() as h:
@@ -401,6 +437,32 @@ class TestProtocol:
         assert stats.body["counters"]["requests"] >= 1
         assert stats.body["budget"]["epsilon_max"] == pytest.approx(acct.epsilon_max)
         assert "cache" in stats.body
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--cache-dir", "releases", "--no-cache"],
+            ["--cache", "tcp://127.0.0.1:7200"],
+            ["--role", "cache"],
+        ],
+        ids=["cache-dir-and-no-cache", "cache-tier-endpoint", "cache-tier-role"],
+    )
+    def test_a_contradictory_or_removed_flag_is_a_usage_error(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(service_cli, "_serve", _bind_nothing)
+        with pytest.raises(SystemExit) as exited:
+            service_cli.main(argv)
+        assert exited.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # no cache directory was made
+
+    def test_each_cache_flag_alone_is_a_service(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(service_cli, "_serve", _bind_nothing)
+        assert service_cli.main(["--no-cache"]) == 0
+        assert service_cli.main(["--cache-dir", str(tmp_path / "releases")]) == 0
+        assert (tmp_path / "releases").is_dir()
 
     def test_shutdown_leaves_no_running_thread(self):
         h = ServiceHarness()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.program import compiled_update_circuit
+from repro.exceptions import ConfigurationError
 from repro.finance import EisenbergNoeProgram
 from repro.mpc.cost import bill_for
 from repro.mpc.fixedpoint import FixedPointFormat
@@ -15,6 +16,7 @@ from repro.simulation import (
     matrix_multiply_circuit,
     measure_cost_constants,
 )
+from repro.simulation.naive_baseline import NaiveBaselineFit, measure_matmul_seconds
 from repro.simulation.netsim import PhaseTimer
 
 
@@ -135,6 +137,45 @@ class TestNaiveBaseline:
             for j in range(2):
                 got = fmt.decode(fmt.from_unsigned(out[f"c_{i}_{j}"]))
                 assert got == pytest.approx(expected[i][j], abs=0.15)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_matmul_circuit_computes_the_clear_product(self, n):
+        fmt = FixedPointFormat(12, 4)
+        circuit = matrix_multiply_circuit(n, fmt)
+        a = [[0.5 * (i + j) for j in range(n)] for i in range(n)]
+        b = [[1.0 if i == j else 0.25 for j in range(n)] for i in range(n)]
+        inputs = {}
+        for i in range(n):
+            for j in range(n):
+                inputs[f"a_{i}_{j}"] = fmt.to_unsigned(fmt.encode(a[i][j]))
+                inputs[f"b_{i}_{j}"] = fmt.to_unsigned(fmt.encode(b[i][j]))
+        out = circuit.evaluate(inputs)
+        for i in range(n):
+            for j in range(n):
+                expected = sum(a[i][k] * b[k][j] for k in range(n))
+                got = fmt.decode(fmt.from_unsigned(out[f"c_{i}_{j}"]))
+                assert got == pytest.approx(expected, abs=0.15)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_matmul_circuit_refuses_a_non_positive_dimension(self, n):
+        with pytest.raises(ConfigurationError, match="must be positive"):
+            matrix_multiply_circuit(n, FixedPointFormat(8, 2))
+
+    def test_measure_reports_the_circuits_and_count(self):
+        fmt = FixedPointFormat(8, 2)
+        seconds, ands = measure_matmul_seconds(2, fmt, parties=2)
+        assert seconds >= 0.0
+        assert ands == matrix_multiply_circuit(2, fmt).stats().and_gates
+
+    def test_end_to_end_is_iterations_minus_one_multiplies(self):
+        fit = NaiveBaselineFit(coefficient=2.0, sample_points=[])
+        assert fit.seconds_for_multiply(10) == 2000.0
+        assert fit.seconds_end_to_end(10, 12) == 11 * 2000.0
+        # one iteration still costs one multiply
+        assert fit.seconds_end_to_end(10, 1) == 2000.0
+        assert fit.years_end_to_end(10, 12) == pytest.approx(
+            22000.0 / (365.25 * 24 * 3600)
+        )
 
     def test_and_count_cubic(self):
         fmt = FixedPointFormat(8, 2)
