@@ -8,9 +8,11 @@ each vertex as an asyncio task over a :class:`~repro.core.transport.Transport`:
 a vertex computes its next round as soon as *its own* inbox completes,
 while slow links' deliveries are still in flight elsewhere. The schedule
 itself lives in :func:`repro.core.rounds.run_rounds_async`; the state it
-advances is the same :class:`~repro.core.rounds.RoundLoop` (same float
-arithmetic, same initial state) the ``plaintext`` engine drives with the
-sequential :func:`~repro.core.rounds.run_rounds` skeleton.
+advances is a :class:`~repro.core.rounds.RoundLoop` with the same float
+arithmetic and initial state as the ``plaintext`` engine's, kept per
+vertex (``plaintext_loop(..., pipelines=True)``): each pipeline steps
+its vertex with ``float_update``, the row ``plaintext`` computes in one
+numpy pass.
 
 Engine options (all reachable through the registry and batch scenarios)::
 
@@ -53,6 +55,7 @@ from typing import Optional, Sequence, Union
 from repro.api.engines import Engine, _PlaintextCore
 from repro.api.registry import register_engine
 from repro.api.result import RunResult
+from repro.core.engine import plaintext_loop
 from repro.core.lifecycle import ReleasePolicy, RunState, run_lifecycle
 from repro.core.transport import (
     Transport,
@@ -97,7 +100,7 @@ class _AsyncCore(_PlaintextCore):
     """The plaintext core with its loop driven as asyncio pipelines.
 
     Arithmetic, initial state, aggregate and result assembly are the
-    plaintext core's; each window is one
+    plaintext core's, on a per-vertex loop; each window is one
     :meth:`~repro.core.rounds.RoundLoop.advance_async` drive on its own
     event loop, resuming through the loop's pending outboxes (the §3.6
     window edge is a full barrier, so nothing is lost to overlap).
@@ -113,7 +116,7 @@ class _AsyncCore(_PlaintextCore):
         # A caller-supplied Transport instance may be reused across runs;
         # snapshot its totals so the extras below report *this* run.
         self.before = wan_totals(self.bus)
-        super().setup(state)
+        self.loop = plaintext_loop(self.program, self.graph, phases=state.phases, pipelines=True)
 
     def run_window(self, state: RunState, rounds: int, first: bool) -> None:
         run_coroutine(

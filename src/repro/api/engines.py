@@ -182,7 +182,7 @@ def _from_plaintext(
         # fixed-point message per directed edge per routed round
         traffic=meter_from_rounds(graph, iterations, program.fmt.total_bits / 8.0),
         phases=loop.phases,
-        final_states={vid: decode(state) for vid, state in loop.states.items()},
+        final_states={vid: decode(state) for vid, state in loop.rows().items()},
     )
 
 

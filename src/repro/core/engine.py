@@ -3,8 +3,11 @@
 Runs a :class:`~repro.core.program.VertexProgram` in the clear, in two
 modes:
 
-* **float** — plain Python floats; the semantic reference for the model
-  (what a trusted all-seeing regulator would compute);
+* **float** — IEEE doubles with ``float_update``'s exact semantics; the
+  semantic reference for the model (what a trusted all-seeing regulator
+  would compute). A computation step is one numpy pass over every
+  vertex's register column (:class:`~repro.core.rounds.ColumnLoop`), or
+  ``float_update`` vertex by vertex where numpy is missing;
 * **fixed** — evaluates the *same Boolean circuits* the secure engine runs
   under MPC, but in the clear. The secure engine's pre-noise output must
   equal this mode bit-for-bit (asserted by the integration tests), and the
@@ -27,7 +30,14 @@ from typing import Dict, Optional
 
 from repro.core.graph import DistributedGraph, VertexView
 from repro.core.program import NO_OP_MESSAGE, VertexProgram, compiled_update_circuit
-from repro.core.rounds import Arithmetic, RoundLoop, batched_superstep
+from repro.core.rounds import (
+    Arithmetic,
+    ColumnLoop,
+    RoundLoop,
+    batched_superstep,
+    np,
+    sequential_superstep,
+)
 from repro.exceptions import ConfigurationError
 from repro.obs.trace import timed_phase
 from repro.simulation.netsim import PhaseTimer
@@ -88,19 +98,22 @@ def plaintext_loop(
     graph: DistributedGraph,
     fixed: bool = False,
     phases: Optional[PhaseTimer] = None,
+    pipelines: bool = False,
 ) -> RoundLoop:
     """Initialize a resumable round loop (§3.6 setup) in float or
     fixed-point arithmetic; ``advance(n)`` on it runs ``n`` computation
     steps.
+
+    ``pipelines=True`` builds the loop the async engine drives through
+    :meth:`~repro.core.rounds.RoundLoop.advance_async`: its float states
+    stay per-vertex dicts, stepped by ``float_update`` — the float loop
+    wherever numpy is missing, too.
     """
     with timed_phase(phases, "initialization"):
-        make = fixed_arithmetic if fixed else float_arithmetic
-        arithmetic = make(program, graph.degree_bound)
-        superstep = None
+        degree_bound = graph.degree_bound
         if fixed:
             # a computation step is one walk of the circuit, a lane per
             # vertex (the async pipelines keep arithmetic.update)
-            degree_bound = graph.degree_bound
             circuit = compiled_update_circuit(program, degree_bound)
             superstep = batched_superstep(
                 graph.vertex_ids,
@@ -108,4 +121,17 @@ def plaintext_loop(
                     states, inboxes, degree_bound, circuit
                 ),
             )
-        return RoundLoop(graph, arithmetic, phases, superstep)
+            return RoundLoop(graph, fixed_arithmetic(program, degree_bound), superstep, phases)
+        arithmetic = float_arithmetic(program, degree_bound)
+        if pipelines or np is None:
+            superstep = sequential_superstep(graph.vertex_ids, arithmetic.update)
+            return RoundLoop(graph, arithmetic, superstep, phases)
+        # a computation step is one numpy pass over every vertex's registers
+        return ColumnLoop(
+            graph,
+            arithmetic,
+            lambda registers, inbox: program.float_update_many(registers, inbox, degree_bound),
+            program.state_registers(degree_bound),
+            program.aggregate_register,
+            phases,
+        )

@@ -61,7 +61,7 @@ class DistributedGraph:
     def add_vertex(self, vertex_id: int, **data: float) -> VertexView:
         if vertex_id in self._vertices:
             raise ConfigurationError(f"duplicate vertex {vertex_id}")
-        view = VertexView(vertex_id=vertex_id, data=dict(data))
+        view = VertexView(vertex_id=vertex_id, data=data)
         self._vertices[vertex_id] = view
         self._routes = None
         return view
@@ -78,20 +78,21 @@ class DistributedGraph:
             raise ConfigurationError("self-loops are not allowed")
         source = self._vertices[src]
         dest = self._vertices[dst]
-        if dst in source.out_neighbors:
+        out_neighbors, in_neighbors = source.out_neighbors, dest.in_neighbors
+        if dst in out_neighbors:
             raise ConfigurationError(f"duplicate edge {src}->{dst}")
-        if source.out_degree >= self.degree_bound:
+        out_slot = len(out_neighbors)
+        in_slot = len(in_neighbors)
+        if out_slot >= self.degree_bound:
             raise ConfigurationError(
                 f"vertex {src} would exceed out-degree bound {self.degree_bound}"
             )
-        if dest.in_degree >= self.degree_bound:
+        if in_slot >= self.degree_bound:
             raise ConfigurationError(
                 f"vertex {dst} would exceed in-degree bound {self.degree_bound}"
             )
-        out_slot = source.out_degree
-        in_slot = dest.in_degree
-        source.out_neighbors.append(dst)
-        dest.in_neighbors.append(src)
+        out_neighbors.append(dst)
+        in_neighbors.append(src)
         self._routes = None
         for name, value in edge_data.items():
             source.data[f"out_{name}_{out_slot}"] = value

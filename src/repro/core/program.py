@@ -6,7 +6,9 @@ function, (5) a no-op message and (6) a sensitivity bound. Update functions
 must be expressible as Boolean circuits with no data-dependent control flow
 (§3.7), so a :class:`VertexProgram` here provides the update in two forms:
 
-* ``float_update`` — plain Python over floats, the semantic reference;
+* ``float_update`` — plain Python over floats, the semantic reference
+  (``float_update_many`` is the same step for every vertex at once, in
+  column form);
 * ``build_update_circuit`` — the Boolean circuit the secure engine
   evaluates in MPC, over L-bit fixed point.
 
@@ -33,6 +35,11 @@ from repro.exceptions import SensitivityError
 from repro.mpc.circuit import Circuit
 from repro.mpc.fixedpoint import FixedPointBuilder, FixedPointFormat
 from repro.mpc.plan import PLANS
+
+try:  # optional: only the row-by-row default of float_update_many uses it
+    import numpy as np
+except ImportError:  # pragma: no cover - container always ships numpy
+    np = None  # type: ignore[assignment]
 
 __all__ = ["VertexProgram", "ProgramSpec", "program_token", "compiled_update_circuit"]
 
@@ -108,6 +115,34 @@ class VertexProgram(ABC):
         no-op message); returns the new state and ``degree_bound`` outgoing
         messages (padded likewise).
         """
+
+    def float_update_many(
+        self, registers: "np.ndarray", inbox: "np.ndarray", degree_bound: int
+    ) -> Tuple["np.ndarray", "np.ndarray"]:
+        """:meth:`float_update` of every vertex at once, in column form.
+
+        ``registers`` is ``R x V`` float64: ``registers[j]`` is register
+        ``state_registers(D)[j]`` of every vertex, in id order; ``inbox``
+        is ``D x V``, ``inbox[t]`` in-slot ``t`` of every vertex. Returns
+        the new registers and the ``D x V`` outbox (out-slot ``t`` in row
+        ``t``), entry for entry the bits :meth:`float_update` returns for
+        each vertex. The step owns ``registers``: it may write the new
+        values into it and return it.
+
+        This default goes vertex by vertex through :meth:`float_update`;
+        a program overrides it with whole-register numpy arithmetic.
+        """
+        names = self.state_registers(degree_bound)
+        rows: List[List[float]] = []
+        outboxes: List[List[float]] = []
+        for row, messages in zip(registers.T.tolist(), inbox.T.tolist()):
+            state, outbox = self.float_update(dict(zip(names, row)), messages, degree_bound)
+            rows.append(list(map(state.__getitem__, names)))
+            outboxes.append(outbox)
+        return (
+            np.array(rows, dtype=float).reshape(registers.shape[::-1]).T,
+            np.array(outboxes, dtype=float).reshape(inbox.shape[::-1]).T,
+        )
 
     @abstractmethod
     def build_update_circuit(self, degree_bound: int) -> Circuit:

@@ -8,8 +8,9 @@ followed by one final computation step. This module owns that
 skeleton so backends only supply the three varying pieces:
 
 * ``superstep`` — advance *all* vertices one computation step. The
-  float engine updates vertices one by one (:func:`sequential_superstep`);
-  the ``fixed`` engine walks the update circuit once, a lane per vertex
+  float engine takes one numpy step over every vertex's registers at
+  once (:class:`ColumnLoop`, ``VertexProgram.float_update_many``); the
+  ``fixed`` engine walks the update circuit once, a lane per vertex
   (:func:`batched_superstep`).
 * ``route`` — deliver outboxes to inboxes. :func:`route_messages`
   implements the §3.6 slot-to-slot delivery for any payload type (floats
@@ -23,7 +24,8 @@ skeleton so backends only supply the three varying pieces:
 :class:`Arithmetic` — the float reference or the clear fixed-point
 circuits — and is the single place a clear run's state lives between
 release windows, whichever driver (:func:`run_rounds`,
-:func:`run_rounds_async`) advances it.
+:func:`run_rounds_async`) advances it. :class:`ColumnLoop` is the float
+loop: the same handle over a register matrix.
 
 Determinism contract: :func:`run_rounds` calls ``superstep`` exactly
 ``iterations + 1`` times with identical inputs regardless of who computes
@@ -49,6 +51,7 @@ from __future__ import annotations
 import asyncio
 import copy
 from dataclasses import dataclass
+from itertools import chain
 from typing import (
     Callable,
     Dict,
@@ -67,6 +70,11 @@ from repro.exceptions import ConfigurationError
 from repro.obs.trace import current_recorder, timed_phase
 from repro.simulation.netsim import PhaseTimer
 
+try:  # optional: the float loop's column form
+    import numpy as np
+except ImportError:  # pragma: no cover - container always ships numpy
+    np = None  # type: ignore[assignment]
+
 __all__ = [
     "run_rounds",
     "run_rounds_async",
@@ -75,6 +83,7 @@ __all__ = [
     "batched_superstep",
     "Arithmetic",
     "RoundLoop",
+    "ColumnLoop",
     "LinkBytes",
     "WindowEvent",
     "WindowEvents",
@@ -90,7 +99,8 @@ S = TypeVar("S")
 #: Message payload (float or raw fixed-point word).
 M = TypeVar("M")
 
-#: states, inboxes -> new states, outboxes (all keyed by vertex id).
+#: states, inboxes -> new states, outboxes (maps keyed by vertex id; a
+#: :class:`ColumnLoop`'s register matrix and slot-by-vertex arrays).
 Superstep = Callable[[Dict[int, S], Dict[int, List[M]]], Tuple[Dict[int, S], Dict[int, List[M]]]]
 
 #: Ordered directed link with a byte payload: the unit the transport
@@ -222,7 +232,9 @@ def sequential_superstep(
     vertex_ids: List[int],
     update: Callable[[int, S, List[M]], Tuple[S, List[M]]],
 ) -> Superstep:
-    """A superstep that updates vertices one by one, in id order.
+    """A superstep that updates vertices one by one, in id order: the
+    per-vertex float loop's step (``plaintext_loop(..., pipelines=True)``,
+    and the float engine wherever numpy is missing).
 
     The id order fixes dict insertion order of the produced state map,
     which in turn fixes the float summation order of the observers.
@@ -269,45 +281,42 @@ class RoundLoop(Generic[S, M]):
     pending outboxes) pair between windows so a release policy can
     interleave aggregate/noise/release stages with the round schedule
     without the engine re-deriving resumption state. ``advance(n)`` runs
-    ``n`` more computation steps through :func:`run_rounds` and returns
-    the new trajectory entries; :meth:`advance_async` runs the same steps
-    as :func:`run_rounds_async` pipelines over a transport. Span numbering
+    ``n`` more computation steps of ``superstep`` through
+    :func:`run_rounds` and returns the new trajectory entries;
+    :meth:`advance_async` runs the same steps as :func:`run_rounds_async`
+    pipelines of ``arithmetic.update`` over a transport. Span numbering
     continues exactly where the previous window stopped, so a windowed
     run's trace is the one-shot trace with extra release stages in between.
 
-    ``superstep`` replaces the default one-by-one vertex update (the
-    ``fixed`` engine evaluates it as one circuit walk). :meth:`advance`
-    routes over the shared in-memory bus.
+    States and messages are per-vertex maps here; :meth:`advance` routes
+    them over the shared in-memory bus.
     """
 
     def __init__(
         self,
         graph: DistributedGraph,
         arithmetic: Arithmetic[S, M],
+        superstep: Superstep,
         phases: Optional[PhaseTimer] = None,
-        superstep: Optional[Superstep] = None,
     ) -> None:
         self.graph = graph
         self.arithmetic = arithmetic
         self.phases = phases
-        self.superstep: Superstep = (
-            superstep
-            if superstep is not None
-            else sequential_superstep(graph.vertex_ids, arithmetic.update)
+        self.superstep = superstep
+        self.states, self.inboxes = self._start(
+            {view.vertex_id: arithmetic.initial(view) for view in graph.vertices()}
         )
-        self.states: Dict[int, S] = {
-            view.vertex_id: arithmetic.initial(view) for view in graph.vertices()
-        }
-        self.inboxes: Dict[int, List[M]] = {
-            v: [arithmetic.fill] * graph.degree_bound for v in graph.vertex_ids
-        }
         self.steps = 0
-        self.pending: Optional[Dict[int, List[M]]] = None
+        self.pending = None
         self.trajectory: List[float] = []
+
+    def rows(self) -> Dict[int, S]:
+        """Every vertex's current state, by id in id order."""
+        return self.states
 
     def aggregate(self) -> float:
         """Current aggregate of the designated register."""
-        return self.arithmetic.observe(self.states)
+        return self._observe(self.states)
 
     def advance(self, rounds: int) -> List[float]:
         """Run ``rounds`` more computation steps; return their trajectory."""
@@ -316,7 +325,7 @@ class RoundLoop(Generic[S, M]):
             run_rounds(
                 self.superstep,
                 self._route,
-                self.arithmetic.observe,
+                self._observe,
                 self.states,
                 self.inboxes,
                 rounds,
@@ -353,8 +362,16 @@ class RoundLoop(Generic[S, M]):
             ),
         )
 
+    def _start(self, rows: Dict[int, S]):
+        """The initial (states, inboxes) in this loop's form."""
+        fill, degree_bound = self.arithmetic.fill, self.graph.degree_bound
+        return rows, {vid: [fill] * degree_bound for vid in rows}
+
     def _route(self, outboxes: Dict[int, List[M]]) -> Dict[int, List[M]]:
         return route_messages(self.graph, outboxes, self.arithmetic.fill)
+
+    def _observe(self, states: Dict[int, S]) -> float:
+        return self.arithmetic.observe(states)
 
     def _next_round(self) -> int:
         """Index of the next computation step: round numbering continues
@@ -370,6 +387,89 @@ class RoundLoop(Generic[S, M]):
         self.steps += rounds
         self.trajectory.extend(trajectory)
         return trajectory
+
+
+class ColumnLoop(RoundLoop[Dict[str, float], float]):
+    """The float :class:`RoundLoop`, in column form.
+
+    Between rounds the state is one ``R x V`` float64 register matrix —
+    ``states[j]`` is register ``registers[j]`` of every vertex, in id
+    order — and messages are ``D x V`` arrays, one row per slot.
+    ``superstep`` takes and returns them whole
+    (``VertexProgram.float_update_many``); a round routes by one
+    precomputed gather over :meth:`DistributedGraph.routes
+    <repro.core.graph.DistributedGraph.routes>`, the no-op message in
+    every unused in-slot; the aggregate is the builtin ``sum`` of the
+    aggregate register in vertex order, as the per-vertex observer sums
+    it. Per-vertex dicts are rebuilt only by :meth:`rows`, each in its
+    vertex's ``initial`` key order. Per-vertex pipelines need per-vertex
+    state: :meth:`advance_async` runs on the plain :class:`RoundLoop`.
+    """
+
+    def __init__(
+        self,
+        graph: DistributedGraph,
+        arithmetic: Arithmetic[Dict[str, float], float],
+        superstep: Superstep,
+        registers: Sequence[str],
+        aggregate_register: str,
+        phases: Optional[PhaseTimer] = None,
+    ) -> None:
+        self.registers = tuple(registers)
+        self._column = self.registers.index(aggregate_register)
+        super().__init__(graph, arithmetic, superstep, phases)
+
+    def _start(self, rows):
+        registers = self.registers
+        width = len(registers)
+        if any(len(state) != width for state in rows.values()):
+            raise ConfigurationError(f"initial state has registers beyond {list(registers)}")
+        values = chain.from_iterable(map(state.__getitem__, registers) for state in rows.values())
+        try:
+            matrix = np.fromiter(values, float, len(rows) * width)
+        except KeyError as missing:
+            raise ConfigurationError(f"initial state missing register {missing}") from None
+        # rows() refills each vertex's initial dict, keeping its key order
+        self._templates = list(rows.values())
+        self._ids = list(rows)
+        num_vertices, degree_bound = len(rows), self.graph.degree_bound
+        cells = num_vertices * degree_bound
+        # in-slot t of vertex i is cell t * V + i; it reads its out-slot's
+        # cell, an unused one the padding cell past the outboxes
+        position = {vid: i for i, vid in enumerate(self._ids)}
+        gather = [cells] * cells
+        for src, out_slot, dst, in_slot in self.graph.routes():
+            gather[in_slot * num_vertices + position[dst]] = (
+                out_slot * num_vertices + position[src]
+            )
+        self._gather = np.array(gather, dtype=np.intp)
+        self._padded = np.empty(cells + 1)
+        self._padded[cells] = self.arithmetic.fill
+        inboxes = np.empty((degree_bound, num_vertices))
+        inboxes.fill(self.arithmetic.fill)
+        return matrix.reshape(num_vertices, width).T, inboxes
+
+    def rows(self) -> Dict[int, Dict[str, float]]:
+        registers = self.registers
+        rows = {}
+        for vid, template, values in zip(self._ids, self._templates, self.states.T.tolist()):
+            rows[vid] = state = template.copy()
+            state.update(zip(registers, values))
+        return rows
+
+    async def advance_async(self, rounds, transport, max_tasks=None, overlap=True):
+        raise ConfigurationError(
+            "a ColumnLoop steps whole registers; drive per-vertex pipelines "
+            "on plaintext_loop(..., pipelines=True)"
+        )
+
+    def _route(self, outboxes: "np.ndarray") -> "np.ndarray":
+        padded = self._padded
+        padded[:-1] = outboxes.reshape(-1)
+        return padded[self._gather].reshape(outboxes.shape)
+
+    def _observe(self, states: "np.ndarray") -> float:
+        return sum(states[self._column].tolist())
 
 
 async def run_rounds_async(

@@ -35,6 +35,11 @@ from repro.finance.network import FinancialNetwork
 from repro.mpc.circuit import Circuit
 from repro.mpc.fixedpoint import FixedPointFormat
 
+try:  # optional: only the column-form float step uses it
+    import numpy as np
+except ImportError:  # pragma: no cover - container always ships numpy
+    np = None  # type: ignore[assignment]
+
 __all__ = ["ClearingResult", "clearing_vector", "total_dollar_shortfall", "EisenbergNoeProgram"]
 
 
@@ -210,6 +215,25 @@ class EisenbergNoeProgram(VertexProgram):
         new_state["shortfall"] = total_debt * unpaid
         out = [state[debt] * unpaid for debt in self.slot_names("debt", degree_bound)]
         return new_state, out
+
+    def float_update_many(self, registers, inbox, degree_bound):
+        """:meth:`float_update` of every vertex at once, in place
+        (``registers[j]`` is ``state_registers(D)[j]``)."""
+        prorate, total_debt = registers[0], registers[2]
+        # liquid = cash; liquid += credit_t - msg_t, a left fold in slot order
+        terms = registers[4 + degree_bound :] - inbox
+        terms[0] += registers[1]
+        liquid = np.add.accumulate(terms)[-1]
+        # prorate = min(1.0, max(0.0, liquid / total_debt)) where liquid <
+        # total_debt and total_debt > 0.0. Clamping liquid at 0.0 first
+        # (-0.0 too) lets one comparison say both and gives the bits of
+        # max(0.0, quotient); min never changes a quotient of liquid <
+        # total_debt; a NaN liquid is left as is and fails the comparison
+        np.copyto(liquid, 0.0, where=liquid <= 0.0)
+        np.divide(liquid, total_debt, out=prorate, where=liquid < total_debt)
+        unpaid = 1.0 - prorate
+        np.multiply(total_debt, unpaid, out=registers[3])
+        return registers, registers[4 : 4 + degree_bound] * unpaid
 
     # -- UPDATE + COMMUNICATE (circuit form) ---------------------------------------------
 

@@ -34,6 +34,11 @@ from repro.finance.network import FinancialNetwork
 from repro.mpc.circuit import Circuit
 from repro.mpc.fixedpoint import FixedPointFormat
 
+try:  # optional: only the column-form float step uses it
+    import numpy as np
+except ImportError:  # pragma: no cover - container always ships numpy
+    np = None  # type: ignore[assignment]
+
 __all__ = ["EGJResult", "egj_fixpoint", "egj_total_shortfall", "ElliottGolubJacksonProgram"]
 
 
@@ -178,6 +183,30 @@ class ElliottGolubJacksonProgram(VertexProgram):
         orig = state["orig_value"]
         discount = 1.0 - (value / orig) if orig > 0.0 else 0.0
         return new_state, [discount] * degree_bound
+
+    def float_update_many(self, registers, inbox, degree_bound):
+        """:meth:`float_update` of every vertex at once, in place
+        (``registers[j]`` is ``state_registers(D)[j]``)."""
+        value, orig_value, threshold = registers[0], registers[2], registers[3]
+        # value = base; value += insh_t * (1.0 - msg_t) * orig_t, a left
+        # fold in slot order
+        terms = (1.0 - inbox) * registers[6 : 6 + degree_bound]
+        terms *= registers[6 + degree_bound :]
+        terms[0] += registers[1]
+        value[:] = np.add.accumulate(terms)[-1]
+        np.subtract(value, registers[4], out=value, where=value < threshold)
+        # shortfall = max(0.0, threshold - value): -0.0 and NaN become 0.0
+        shortfall = registers[5]
+        np.subtract(threshold, value, out=shortfall)
+        np.copyto(shortfall, 0.0, where=~(shortfall > 0.0))
+        # discount = 1.0 - value / orig_value if orig_value > 0.0 else 0.0
+        discount = np.zeros_like(value)
+        held = orig_value > 0.0
+        np.divide(value, orig_value, out=discount, where=held)
+        np.subtract(1.0, discount, out=discount, where=held)
+        outbox = np.empty_like(inbox)
+        outbox[:] = discount
+        return registers, outbox
 
     # -- UPDATE + COMMUNICATE (circuit form) ----------------------------------------------
 

@@ -13,7 +13,8 @@ paper's ``T = $1B``), which keeps fixed-point encodings well-scaled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.graph import DistributedGraph
@@ -50,6 +51,17 @@ class Bank:
     penalty: float = 0.0
 
 
+#: The balance-sheet attributes of a :class:`Bank` that engines compute on.
+_BALANCE_SHEET = ("cash", "base_assets", "orig_value", "threshold", "penalty")
+
+
+def _check_finite(what: str, value: float) -> None:
+    """Refuse NaN and ±inf: no engine has a meaning for them (the clear
+    ones would release nonsense, the fixed-point ones cannot encode them)."""
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{what} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DebtContract:
     """``debtor`` owes ``creditor`` the (netted) amount ``amount``."""
@@ -59,6 +71,7 @@ class DebtContract:
     amount: float
 
     def __post_init__(self) -> None:
+        _check_finite("debt amount", self.amount)
         if self.amount < 0:
             raise ConfigurationError("debt amounts must be non-negative")
 
@@ -72,6 +85,7 @@ class CrossHolding:
     fraction: float
 
     def __post_init__(self) -> None:
+        _check_finite("holding fraction", self.fraction)
         if not 0.0 <= self.fraction <= 1.0:
             raise ConfigurationError("holding fractions must lie in [0, 1]")
 
@@ -89,6 +103,8 @@ class FinancialNetwork:
     def add_bank(self, bank: Bank) -> Bank:
         if bank.bank_id in self.banks:
             raise ConfigurationError(f"duplicate bank {bank.bank_id}")
+        for name in _BALANCE_SHEET:
+            _check_finite(f"bank {bank.bank_id} {name}", getattr(bank, name))
         self.banks[bank.bank_id] = bank
         return bank
 

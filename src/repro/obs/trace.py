@@ -29,7 +29,7 @@ Design constraints, in order of importance:
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
@@ -79,9 +79,8 @@ class NullRecorder:
     enabled = False
     party: Optional[int] = None
 
-    @contextmanager
-    def span(self, name: str, **attrs: Any) -> Iterator[None]:
-        yield None
+    def span(self, name: str, **attrs: Any) -> "nullcontext[None]":
+        return _NULL_SPAN
 
     def event(self, name: str, **attrs: Any) -> None:
         pass
@@ -138,6 +137,9 @@ class TraceRecorder:
         )
 
 
+#: The disabled recorder's span: one reusable no-op context, so a span
+#: on an untraced hot path costs no generator.
+_NULL_SPAN: "nullcontext[None]" = nullcontext()
 _NULL = NullRecorder()
 _RECORDER: Any = _NULL
 
@@ -167,41 +169,45 @@ def recording(recorder: Any) -> Iterator[Any]:
         set_recorder(previous)
 
 
-@contextmanager
-def timed_phase(
-    phases: Any, name: str, span: bool = True, **attrs: Any
-) -> Iterator[None]:
-    """Time a block into ``phases`` (a :class:`PhaseTimer` or ``None``)
-    and, when tracing is on, record it as a ``phase`` span too.
+class timed_phase:
+    """``with timed_phase(phases, name):`` times the block into ``phases``
+    (a :class:`PhaseTimer` or ``None``) and, when tracing is on, records
+    it as a ``phase`` span too.
 
     This is the one shared code path that fills ``RunResult.phases`` for
-    every engine. With ``phases is None`` and tracing off it degenerates
-    to a bare ``yield`` — zero clock reads on the disabled path.
-    ``span=False`` keeps the PhaseTimer accounting but suppresses the
-    span — the lifecycle's ``stage:*`` timings use it because a stage
-    envelope span would re-parent the per-round spans engines emit
-    inside it, and the round→run nesting is part of the traced contract.
+    every engine. With ``phases is None`` and tracing off it does nothing
+    — zero clock reads on the disabled path. ``span=False`` keeps the
+    PhaseTimer accounting but suppresses the span — the lifecycle's
+    ``stage:*`` timings use it because a stage envelope span would
+    re-parent the per-round spans engines emit inside it, and the
+    round→run nesting is part of the traced contract. A class, not a
+    generator: it sits on every round of every engine.
     """
-    recorder = _RECORDER
-    if phases is None and not recorder.enabled:
-        yield
-        return
-    if span and recorder.enabled:
-        record = None
-        try:
-            with recorder.span("phase", phase=name, **attrs) as record:
-                yield
-        finally:
+
+    __slots__ = ("phases", "name", "attrs", "span", "_started", "_context", "_record")
+
+    def __init__(self, phases: Any, name: str, span: bool = True, **attrs: Any) -> None:
+        self.phases = phases
+        self.name = name
+        self.span = span
+        self.attrs = attrs
+
+    def __enter__(self) -> None:
+        self._context = None
+        recorder = _RECORDER
+        if self.span and recorder.enabled:
+            self._context = recorder.span("phase", phase=self.name, **self.attrs)
+            self._record = self._context.__enter__()
+        elif self.phases is not None:
+            self._started = SYSTEM_CLOCK.now()
+
+    def __exit__(self, *exc_info: Any) -> None:
+        if self._context is not None:
+            self._context.__exit__(*exc_info)
             # span end is stamped on context exit; reuse it so the
             # PhaseTimer and the span agree to the same clock reads
-            if phases is not None and record is not None and record.end is not None:
-                phases.add(name, max(0.0, record.end - record.start))
-        return
-    if phases is None:
-        yield
-        return
-    started = SYSTEM_CLOCK.now()
-    try:
-        yield
-    finally:
-        phases.add(name, SYSTEM_CLOCK.now() - started)
+            record = self._record
+            if self.phases is not None and record.end is not None:
+                self.phases.add(self.name, max(0.0, record.end - record.start))
+        elif self.phases is not None:
+            self.phases.add(self.name, SYSTEM_CLOCK.now() - self._started)

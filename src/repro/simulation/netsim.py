@@ -116,14 +116,15 @@ def meter_from_rounds(graph, iterations: int, message_bytes: float) -> TrafficMe
     only traffic record, on every bus.
 
     A round-synchronous protocol's byte profile is straight arithmetic —
-    every directed edge of ``graph.edges()`` carries one fixed-point
+    every directed edge of ``graph.routes()`` carries one fixed-point
     message per routed round, empty outboxes included (a silent edge
     still transmits framing in the deployment model) — so the meter is
     ``message_bytes * iterations`` on each link, whatever bus carried it.
     """
+    per_link = message_bytes * iterations
     meter = TrafficMeter()
-    for src, dst in graph.edges():
-        meter.record_send(src, dst, message_bytes * iterations)
+    for src, _, dst, _ in graph.routes():
+        meter.record_send(src, dst, per_link)
     return meter
 
 

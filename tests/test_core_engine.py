@@ -11,7 +11,7 @@ from repro.core.aggregation import (
     reshare_word,
 )
 from repro.crypto.rng import DeterministicRNG
-from repro.exceptions import ProtocolError
+from repro.exceptions import ConfigurationError, ProtocolError
 from repro.finance import EisenbergNoeProgram, ElliottGolubJacksonProgram, clearing_vector, egj_fixpoint
 from repro.mpc.fixedpoint import FixedPointFormat
 from repro.sharing import xor_all
@@ -46,6 +46,25 @@ class TestFloatEngine:
         graph = small_en_network.to_en_graph(degree_bound=2)
         run = execute("plaintext", EisenbergNoeProgram(fmt), graph, 0)
         assert len(run.trajectory) == 1
+
+
+    @pytest.mark.parametrize("change", ["drop", "add"])
+    def test_state_must_be_the_declared_registers(self, small_en_network, fmt, change):
+        """The float loop keeps one column per declared register, so an
+        initial state with a register missing, or one more, is refused."""
+
+        class Misdeclared(EisenbergNoeProgram):
+            def initial_state(self, vertex, degree_bound):
+                state = super().initial_state(vertex, degree_bound)
+                if change == "drop":
+                    del state["cash"]
+                else:
+                    state["extra"] = 0.0
+                return state
+
+        graph = small_en_network.to_en_graph(degree_bound=2)
+        with pytest.raises(ConfigurationError, match="initial state"):
+            execute("plaintext", Misdeclared(fmt), graph, 1)
 
 
 class TestFixedEngine:

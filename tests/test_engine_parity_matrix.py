@@ -11,6 +11,9 @@ scale-free), all under a fixed seed:
   evaluation order;
 * the ``fixed`` backend must be bit-reproducible run-to-run and stay
   within quantization distance of the float oracle;
+* a computation step is one pass over every vertex in both clear
+  arithmetics (one circuit walk, one numpy float step), and must equal
+  the per-vertex update it replaces, state for state and bit for bit;
 * the **secure column**: ``secure-async`` (the protocol scheduled over
   the transport bus) and the ``bitsliced`` backend (numpy lane GMW with
   the offline/online phase split, under both drivers) must release
@@ -36,12 +39,15 @@ import pytest
 from repro import StressTest
 from repro.api.async_engine import run_coroutine
 from repro.api.engines import _SecureCore
+from repro.core import engine as engine_module
 from repro.core.engine import plaintext_loop
-from repro.core.rounds import RoundLoop, sequential_superstep
+from repro.core.program import VertexProgram
+from repro.core.rounds import ColumnLoop, RoundLoop, sequential_superstep
 from repro.core.secure_engine import run_bill
 from repro.core.transport import InMemoryTransport
 from repro.mpc.bitslice import HAVE_NUMPY
 from repro.crypto.rng import DeterministicRNG
+from repro.exceptions import ConfigurationError
 from repro.finance import (
     EisenbergNoeProgram,
     ElliottGolubJacksonProgram,
@@ -151,6 +157,24 @@ def test_fixed_engine_reproducible_and_near_float(
         assert abs(fixed_point - float_point) <= QUANTIZATION_TOLERANCE
 
 
+class _RowByRowEN(EisenbergNoeProgram):
+    float_update_many = VertexProgram.float_update_many
+
+
+class _RowByRowEGJ(ElliottGolubJacksonProgram):
+    float_update_many = VertexProgram.float_update_many
+
+
+def _program_and_graph(name, network, row_by_row=False):
+    """``name``'s program (with the base class's row-by-row
+    ``float_update_many`` if ``row_by_row``) and its graph of ``network``."""
+    if name == "eisenberg-noe":
+        program = _RowByRowEN() if row_by_row else EisenbergNoeProgram()
+        return program, network.to_en_graph()
+    program = _RowByRowEGJ() if row_by_row else ElliottGolubJacksonProgram()
+    return program, network.to_egj_graph()
+
+
 @pytest.mark.parametrize("program", PROGRAMS)
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
 def test_fixed_superstep_is_the_per_vertex_circuit_update(networks, program, graph_name):
@@ -158,11 +182,7 @@ def test_fixed_superstep_is_the_per_vertex_circuit_update(networks, program, gra
     the update circuit, a lane per vertex; vertex by vertex through
     ``circuit_update`` — sequentially, and as async pipelines over a bus —
     must leave the same states, outboxes and trajectory."""
-    network = networks[graph_name]
-    if program == "eisenberg-noe":
-        program, graph = EisenbergNoeProgram(), network.to_en_graph()
-    else:
-        program, graph = ElliottGolubJacksonProgram(), network.to_egj_graph()
+    program, graph = _program_and_graph(program, networks[graph_name])
     batched = plaintext_loop(program, graph, fixed=True)
     arithmetic = batched.arithmetic
     assert batched.superstep.__qualname__.startswith("batched_superstep")
@@ -181,6 +201,75 @@ def test_fixed_superstep_is_the_per_vertex_circuit_update(networks, program, gra
         assert list(other.states) == list(batched.states)  # summation order
         assert other.pending == batched.pending
         assert other.trajectory == batched.trajectory
+
+
+def _bits(value):
+    """``value`` with every float as ``float.hex`` and every dict as its
+    item list: equal only if bit-identical (``-0.0 != 0.0``) in key order."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return [(key, _bits(item)) for key, item in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [_bits(item) for item in value]
+    return value
+
+
+def _pending_rows(graph, loop):
+    """A loop's pending outboxes per vertex, in id order (a ``ColumnLoop``
+    keeps them as one ``D x V`` array, async pipelines in finishing order)."""
+    if isinstance(loop, ColumnLoop):
+        return dict(zip(graph.vertex_ids, loop.pending.T.tolist()))
+    return {vid: loop.pending[vid] for vid in graph.vertex_ids}
+
+
+@pytest.mark.parametrize("program", PROGRAMS)
+@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+def test_float_superstep_is_the_per_vertex_float_update(
+    networks, monkeypatch, program, graph_name
+):
+    """The float engine takes a computation step as one numpy pass over
+    every vertex's registers (``float_update_many``). Vertex by vertex
+    through ``float_update`` — the per-vertex loop, advanced in place and
+    as async pipelines over a bus, and the loop ``plaintext_loop`` builds
+    without numpy — must leave the same final states (bits and key
+    order), pending outboxes and trajectory; so must the base class's
+    row-by-row ``float_update_many`` and a run split into two windows."""
+    network = networks[graph_name]
+    row_program, _ = _program_and_graph(program, network, row_by_row=True)
+    program, graph = _program_and_graph(program, network)
+    column = plaintext_loop(program, graph)
+    assert isinstance(column, ColumnLoop)
+    windowed = plaintext_loop(program, graph)
+    row_by_row = plaintext_loop(row_program, graph)
+    one_by_one = plaintext_loop(program, graph, pipelines=True)
+    pipelined = plaintext_loop(program, graph, pipelines=True)
+    with monkeypatch.context() as patch:
+        patch.setattr(engine_module, "np", None)
+        no_numpy = plaintext_loop(program, graph)
+    for loop in (one_by_one, pipelined, no_numpy):
+        assert type(loop) is RoundLoop
+    one_by_one.advance(ITERATIONS)
+    column.advance(ITERATIONS)
+    row_by_row.advance(ITERATIONS)
+    no_numpy.advance(ITERATIONS)
+    run_coroutine(pipelined.advance_async(ITERATIONS, InMemoryTransport(), max_tasks=4))
+    windowed.advance(1)
+    windowed.advance(ITERATIONS - 1)
+    assert one_by_one.trajectory[-1] != 0.0, "shock produced no dynamics"
+    expected = (
+        _bits(one_by_one.rows()),
+        _bits(_pending_rows(graph, one_by_one)),
+        _bits(one_by_one.trajectory),
+    )
+    for loop in (column, row_by_row, pipelined, no_numpy, windowed):
+        assert (
+            _bits(loop.rows()),
+            _bits(_pending_rows(graph, loop)),
+            _bits(loop.trajectory),
+        ) == expected
+    with pytest.raises(ConfigurationError, match="pipelines=True"):
+        run_coroutine(column.advance_async(1, InMemoryTransport()))
 
 
 # ------------------------------------------------------- the secure column --

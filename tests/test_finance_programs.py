@@ -1,5 +1,8 @@
 """Tests for the Figure 2 vertex programs (float and circuit forms)."""
 
+import math
+
+import numpy as np
 import pytest
 
 from conftest import execute
@@ -7,9 +10,15 @@ from conftest import execute
 from repro import StressTest
 from repro.api.registry import available_engines
 from repro.core.graph import DistributedGraph
+from repro.core.program import VertexProgram
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import ConfigurationError
-from repro.finance import EisenbergNoeProgram, ElliottGolubJacksonProgram
+from repro.finance import (
+    Bank,
+    EisenbergNoeProgram,
+    ElliottGolubJacksonProgram,
+    FinancialNetwork,
+)
 from repro.mpc.fixedpoint import FixedPointFormat
 from repro.mpc.gmw import GMWEngine
 
@@ -69,6 +78,150 @@ class TestNegativeDebtIsRefused:
         session = StressTest(negative_debt_graph()).program("eisenberg-noe").engine(engine)
         with pytest.raises(ConfigurationError, match="negative debt"):
             session.run(iterations=1)
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+def finance_chain(cash=1.0, debt=2.0, fraction=0.5, penalty=0.1):
+    """Three banks in a debt and cross-holding chain; bank 0's cash, its
+    debt, the holding and bank 0's penalty are the parameters."""
+    net = FinancialNetwork()
+    net.add_bank(Bank(0, cash=cash, orig_value=2.0, threshold=1.0, penalty=penalty))
+    net.add_bank(Bank(1, cash=1.0, orig_value=2.0, threshold=1.0))
+    net.add_bank(Bank(2, cash=1.0, orig_value=2.0, threshold=1.0))
+    net.add_debt(0, 1, debt)
+    net.add_debt(1, 2, 1.0)
+    net.add_holding(1, 0, fraction)
+    return net
+
+
+class TestNonFiniteBalanceSheetsAreRefused:
+    """No engine has a meaning for NaN or ±inf (the clear ones released
+    0.0 or inf, the fixed-point ones failed to encode), so the network
+    model refuses them where negative debt is refused."""
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize(
+        "field", ["cash", "base_assets", "orig_value", "threshold", "penalty"]
+    )
+    def test_add_bank(self, field, value):
+        net = FinancialNetwork()
+        with pytest.raises(ConfigurationError, match=f"bank 7 {field} must be finite"):
+            net.add_bank(Bank(7, **{field: value}))
+        assert net.num_banks == 0
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_add_debt_and_add_holding(self, value):
+        with pytest.raises(ConfigurationError, match="debt amount must be finite"):
+            finance_chain(debt=value)
+        with pytest.raises(ConfigurationError, match="holding fraction must be finite"):
+            finance_chain(fraction=value)
+
+    @pytest.mark.parametrize("engine", available_engines())
+    def test_no_engine_is_handed_one(self, engine):
+        for program in ("eisenberg-noe", "elliott-golub-jackson"):
+            for value in NON_FINITE:
+                for field in ("cash", "debt", "penalty"):
+                    with pytest.raises(ConfigurationError, match="must be finite"):
+                        StressTest(finance_chain(**{field: value})).program(program).engine(
+                            engine
+                        ).run(iterations=1)
+
+
+def en_row(cash, debts, credits, prorate=1.0):
+    """An EN state as ``initial_state`` lays it out, at a chosen prorate."""
+    state = {"prorate": prorate, "cash": cash, "shortfall": 0.0}
+    total_debt = 0.0
+    for slot, (debt, credit) in enumerate(zip(debts, credits)):
+        state[f"debt_{slot}"] = debt
+        state[f"credit_{slot}"] = credit
+        total_debt += debt
+    state["total_debt"] = total_debt
+    return state
+
+
+def egj_row(base, threshold, orig_value, insh, orig, penalty=0.25):
+    """An EGJ state as ``initial_state`` lays it out."""
+    state = {
+        "value": orig_value,
+        "base": base,
+        "orig_value": orig_value,
+        "threshold": threshold,
+        "penalty": penalty,
+        "shortfall": 0.0,
+    }
+    for slot, (held, issuer_value) in enumerate(zip(insh, orig)):
+        state[f"insh_{slot}"] = held
+        state[f"orig_{slot}"] = issuer_value
+    return state
+
+
+#: (state, inbox) rows at D = 2 for each branch edge of the EN update
+EN_EDGE_ROWS = [
+    (en_row(1.0, [0.0, 0.0], [0.0, 0.0], prorate=0.5), [0.0, 0.0]),  # total debt 0
+    (en_row(-1.0, [0.0, 0.0], [0.0, 0.0]), [0.5, 0.0]),  # total debt 0, liquid < 0
+    (en_row(0.5, [1.0, 2.0], [1.0, 0.0]), [3.0, 0.0]),  # liquid < 0
+    (en_row(2.0, [1.0, 1.0], [0.5, 0.5], prorate=0.25), [0.5, 0.5]),  # liquid == total debt
+    (en_row(-0.0, [1.0, 2.0], [-0.0, -0.0]), [0.0, 0.0]),  # liquid == -0.0
+    (en_row(0.0, [1.0, 2.0], [0.0, 0.0]), [0.0, 0.0]),  # liquid == 0.0
+    (en_row(1.0, [3.0, 1.0], [2.0, 0.0]), [1.5, 0.0]),  # 0 < liquid < total debt
+    (en_row(5e-324, [1e300, 1e300], [0.0, 0.0]), [0.0, 0.0]),  # quotient underflows
+    (en_row(-1e308, [1.0, 0.0], [0.0, 0.0]), [1e308, 1e308]),  # liquid overflows to -inf
+    (en_row(1e308, [1.0, 0.0], [1e308, 1e308]), [0.0, 0.0]),  # liquid overflows to inf
+    (en_row(9.0, [1.0, 2.0], [0.0, 0.0], prorate=0.75), [0.0, 0.0]),  # solvent
+    (en_row(1e16, [1e16, 1e16], [1.0, 1.0]), [0.0, 0.0]),  # the fold's association shows
+]
+
+#: the same for EGJ: value against threshold, orig_value's sign, signed zeros
+EGJ_EDGE_ROWS = [
+    (egj_row(1.0, 1.0, 2.0, [0.0, 0.0], [0.0, 0.0]), [0.0, 0.0]),  # value == threshold
+    (egj_row(0.5, 1.0, 2.0, [0.5, 0.0], [1.0, 0.0]), [0.5, 0.0]),  # distressed
+    (egj_row(0.0, -0.0, 2.0, [0.0, 0.0], [0.0, 0.0]), [0.0, 0.0]),  # threshold - value == -0.0
+    (egj_row(1.0, 0.5, 0.0, [0.5, 0.5], [1.0, 2.0]), [0.25, 1.0]),  # orig_value == 0
+    (egj_row(1.0, 0.5, -1.0, [0.5, 0.0], [1.0, 0.0]), [0.0, 0.0]),  # orig_value < 0
+    (egj_row(3.0, 0.5, 3.0, [0.25, 0.5], [2.0, 4.0]), [1.0, -0.5]),  # healthy
+    (egj_row(-0.0, 0.5, 2.0, [0.0, 0.0], [1.0, 1.0]), [1.0, 1.0]),  # value == -0.0
+    (egj_row(1e16, 2e16, 1.0, [1.0, 1.0], [1.0, 1.0]), [0.0, 0.0]),  # the fold's association
+    (egj_row(1.0, 0.5, 2.0, [1.0, 1.0], [1e308, 1e308]), [-1e308, 1e308]),  # value is NaN
+]
+
+
+class TestColumnStep:
+    """``float_update_many`` is ``float_update`` for every vertex at once,
+    bit for bit — compared through ``float.hex``, so a ``-0.0`` where
+    Python has ``0.0`` fails — on the edge of every branch."""
+
+    @staticmethod
+    def assert_rows_match(program, rows):
+        degree_bound = 2
+        names = program.state_registers(degree_bound)
+        registers = np.array([[state[name] for name in names] for state, _ in rows]).T.copy()
+        inbox = np.array([messages for _, messages in rows]).T.copy()
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow rows; Python is silent
+            stepped, outbox = program.float_update_many(registers, inbox, degree_bound)
+        for (state, messages), column, out in zip(rows, stepped.T.tolist(), outbox.T.tolist()):
+            expected_state, expected_out = program.float_update(state, messages, degree_bound)
+            assert [value.hex() for value in column] == [
+                float(expected_state[name]).hex() for name in names
+            ]
+            assert [value.hex() for value in out] == [float(m).hex() for m in expected_out]
+
+    def test_en_edges(self):
+        self.assert_rows_match(EisenbergNoeProgram(), EN_EDGE_ROWS)
+
+    def test_egj_edges(self):
+        self.assert_rows_match(ElliottGolubJacksonProgram(), EGJ_EDGE_ROWS)
+
+    @pytest.mark.parametrize("program_cls", [EisenbergNoeProgram, ElliottGolubJacksonProgram])
+    def test_base_class_row_by_row(self, program_cls):
+        """The default a program without an override runs through."""
+
+        class RowByRow(program_cls):
+            float_update_many = VertexProgram.float_update_many
+
+        rows = EN_EDGE_ROWS if program_cls is EisenbergNoeProgram else EGJ_EDGE_ROWS
+        self.assert_rows_match(RowByRow(), rows)
 
 
 class TestCircuitShape:
