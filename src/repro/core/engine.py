@@ -6,8 +6,9 @@ modes:
 * **float** — IEEE doubles with ``float_update``'s exact semantics; the
   semantic reference for the model (what a trusted all-seeing regulator
   would compute). A computation step is one numpy pass over every
-  vertex's register column (:class:`~repro.core.rounds.ColumnLoop`), or
-  ``float_update`` vertex by vertex where numpy is missing;
+  vertex's register column (:class:`~repro.core.rounds.ColumnLoop`) for
+  a program with a ``float_update_many``, else ``float_update`` vertex
+  by vertex;
 * **fixed** — evaluates the *same Boolean circuits* the secure engine runs
   under MPC, but in the clear. The secure engine's pre-noise output must
   equal this mode bit-for-bit (asserted by the integration tests), and the
@@ -26,7 +27,7 @@ oracle, so it returns the exact aggregate).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.core.graph import DistributedGraph, VertexView
 from repro.core.program import NO_OP_MESSAGE, VertexProgram, compiled_update_circuit
@@ -45,6 +46,25 @@ from repro.simulation.netsim import PhaseTimer
 __all__ = ["plaintext_loop", "float_arithmetic", "fixed_arithmetic"]
 
 
+def declared_state(
+    program: VertexProgram, degree_bound: int
+) -> Callable[[VertexView], Dict[str, float]]:
+    """``program.initial_state``, refusing a state that lacks one of
+    ``state_registers(D)``. An extra register is accepted, as the secure
+    engine accepts it."""
+    registers = program.state_registers(degree_bound)
+    declared = set(registers)
+
+    def initial(view: VertexView) -> Dict[str, float]:
+        state = program.initial_state(view, degree_bound)
+        if not state.keys() >= declared:
+            missing = [name for name in registers if name not in state]
+            raise ConfigurationError(f"initial state missing registers {missing}")
+        return state
+
+    return initial
+
+
 def float_arithmetic(
     program: VertexProgram, degree_bound: int
 ) -> Arithmetic[Dict[str, float], float]:
@@ -52,7 +72,7 @@ def float_arithmetic(
     register = program.aggregate_register
     return Arithmetic(
         fill=NO_OP_MESSAGE,
-        initial=lambda view: program.initial_state(view, degree_bound),
+        initial=declared_state(program, degree_bound),
         update=lambda _vid, state, messages: program.float_update(
             state, messages, degree_bound
         ),
@@ -73,18 +93,10 @@ def fixed_arithmetic(
     fmt = program.fmt
     register = program.aggregate_register
     circuit = compiled_update_circuit(program, degree_bound)
-    registers = set(program.state_registers(degree_bound))
-
-    def initial(view: VertexView) -> Dict[str, int]:
-        state = program.initial_state(view, degree_bound)
-        missing = registers - set(state)
-        if missing:
-            raise ConfigurationError(f"initial state missing registers {missing}")
-        return program.encode_state(state)
-
+    initial = declared_state(program, degree_bound)
     return Arithmetic(
         fill=fmt.encode(NO_OP_MESSAGE),
-        initial=initial,
+        initial=lambda view: program.encode_state(initial(view)),
         update=lambda _vid, state, messages: program.circuit_update(
             state, messages, degree_bound, circuit
         ),
@@ -104,10 +116,11 @@ def plaintext_loop(
     fixed-point arithmetic; ``advance(n)`` on it runs ``n`` computation
     steps.
 
-    ``pipelines=True`` builds the loop the async engine drives through
-    :meth:`~repro.core.rounds.RoundLoop.advance_async`: its float states
-    stay per-vertex dicts, stepped by ``float_update`` — the float loop
-    wherever numpy is missing, too.
+    The float loop is a :class:`~repro.core.rounds.ColumnLoop` when the
+    program overrides ``float_update_many`` (and numpy is present);
+    otherwise, and always with ``pipelines=True`` (the loop the async
+    engine drives through :meth:`~repro.core.rounds.RoundLoop.advance_async`),
+    its states are per-vertex dicts stepped by ``float_update``.
     """
     with timed_phase(phases, "initialization"):
         degree_bound = graph.degree_bound
@@ -123,7 +136,8 @@ def plaintext_loop(
             )
             return RoundLoop(graph, fixed_arithmetic(program, degree_bound), superstep, phases)
         arithmetic = float_arithmetic(program, degree_bound)
-        if pipelines or np is None:
+        columns = type(program).float_update_many is not VertexProgram.float_update_many
+        if pipelines or np is None or not columns:
             superstep = sequential_superstep(graph.vertex_ids, arithmetic.update)
             return RoundLoop(graph, arithmetic, superstep, phases)
         # a computation step is one numpy pass over every vertex's registers

@@ -36,11 +36,6 @@ from repro.mpc.circuit import Circuit
 from repro.mpc.fixedpoint import FixedPointBuilder, FixedPointFormat
 from repro.mpc.plan import PLANS
 
-try:  # optional: only the row-by-row default of float_update_many uses it
-    import numpy as np
-except ImportError:  # pragma: no cover - container always ships numpy
-    np = None  # type: ignore[assignment]
-
 __all__ = ["VertexProgram", "ProgramSpec", "program_token", "compiled_update_circuit"]
 
 #: The no-op message value (§3.1): vertices always emit D messages, padding
@@ -117,9 +112,10 @@ class VertexProgram(ABC):
         """
 
     def float_update_many(
-        self, registers: "np.ndarray", inbox: "np.ndarray", degree_bound: int
-    ) -> Tuple["np.ndarray", "np.ndarray"]:
-        """:meth:`float_update` of every vertex at once, in column form.
+        self, registers: Any, inbox: Any, degree_bound: int
+    ) -> Tuple[Any, Any]:
+        """Optional: :meth:`float_update` of every vertex at once, in
+        column form.
 
         ``registers`` is ``R x V`` float64: ``registers[j]`` is register
         ``state_registers(D)[j]`` of every vertex, in id order; ``inbox``
@@ -127,22 +123,14 @@ class VertexProgram(ABC):
         the new registers and the ``D x V`` outbox (out-slot ``t`` in row
         ``t``), entry for entry the bits :meth:`float_update` returns for
         each vertex. The step owns ``registers``: it may write the new
-        values into it and return it.
+        values into it and return it. A register the step rewrites must
+        start as a ``float`` in :meth:`initial_state`.
 
-        This default goes vertex by vertex through :meth:`float_update`;
-        a program overrides it with whole-register numpy arithmetic.
+        A program that overrides this (with numpy) runs on the float
+        engine in column form; one that does not runs vertex by vertex
+        through :meth:`float_update`.
         """
-        names = self.state_registers(degree_bound)
-        rows: List[List[float]] = []
-        outboxes: List[List[float]] = []
-        for row, messages in zip(registers.T.tolist(), inbox.T.tolist()):
-            state, outbox = self.float_update(dict(zip(names, row)), messages, degree_bound)
-            rows.append(list(map(state.__getitem__, names)))
-            outboxes.append(outbox)
-        return (
-            np.array(rows, dtype=float).reshape(registers.shape[::-1]).T,
-            np.array(outboxes, dtype=float).reshape(inbox.shape[::-1]).T,
-        )
+        raise NotImplementedError
 
     @abstractmethod
     def build_update_circuit(self, degree_bound: int) -> Circuit:

@@ -51,7 +51,7 @@ from __future__ import annotations
 import asyncio
 import copy
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from typing import (
     Callable,
     Dict,
@@ -234,7 +234,7 @@ def sequential_superstep(
 ) -> Superstep:
     """A superstep that updates vertices one by one, in id order: the
     per-vertex float loop's step (``plaintext_loop(..., pipelines=True)``,
-    and the float engine wherever numpy is missing).
+    a program without ``float_update_many``, a host without numpy).
 
     The id order fixes dict insertion order of the produced state map,
     which in turn fixes the float summation order of the observers.
@@ -422,15 +422,12 @@ class ColumnLoop(RoundLoop[Dict[str, float], float]):
     def _start(self, rows):
         registers = self.registers
         width = len(registers)
-        if any(len(state) != width for state in rows.values()):
-            raise ConfigurationError(f"initial state has registers beyond {list(registers)}")
         values = chain.from_iterable(map(state.__getitem__, registers) for state in rows.values())
-        try:
-            matrix = np.fromiter(values, float, len(rows) * width)
-        except KeyError as missing:
-            raise ConfigurationError(f"initial state missing register {missing}") from None
-        # rows() refills each vertex's initial dict, keeping its key order
+        matrix = np.fromiter(values, float, len(rows) * width).reshape(len(rows), width).T
+        # rows() refills each vertex's initial dict, keeping its key order,
+        # its extra registers and every value whose bits a step left alone
         self._templates = list(rows.values())
+        self._initial = matrix.copy()
         self._ids = list(rows)
         num_vertices, degree_bound = len(rows), self.graph.degree_bound
         cells = num_vertices * degree_bound
@@ -447,14 +444,19 @@ class ColumnLoop(RoundLoop[Dict[str, float], float]):
         self._padded[cells] = self.arithmetic.fill
         inboxes = np.empty((degree_bound, num_vertices))
         inboxes.fill(self.arithmetic.fill)
-        return matrix.reshape(num_vertices, width).T, inboxes
+        return matrix, inboxes
 
     def rows(self) -> Dict[int, Dict[str, float]]:
-        registers = self.registers
+        registers, states, initial = self.registers, self.states, self._initial
+        # as under float_update's dict copy, a register whose bits no step
+        # moved keeps its initial object (an int cash stays an int)
+        moved = states.view(np.int64) != initial.view(np.int64)
         rows = {}
-        for vid, template, values in zip(self._ids, self._templates, self.states.T.tolist()):
+        for vid, template, values, changed in zip(
+            self._ids, self._templates, states.T.tolist(), moved.T.tolist()
+        ):
             rows[vid] = state = template.copy()
-            state.update(zip(registers, values))
+            state.update(compress(zip(registers, values), changed))
         return rows
 
     async def advance_async(self, rounds, transport, max_tasks=None, overlap=True):

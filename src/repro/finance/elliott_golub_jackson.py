@@ -140,7 +140,8 @@ class ElliottGolubJacksonProgram(VertexProgram):
 
     def initial_state(self, vertex: VertexView, degree_bound: int) -> Dict[str, float]:
         state: Dict[str, float] = {
-            "value": vertex.data.get("orig_value", 0.0),
+            # a float, as every step rewrites it
+            "value": float(vertex.data.get("orig_value", 0.0)),
             "base": vertex.data.get("base", 0.0),
             "orig_value": vertex.data.get("orig_value", 0.0),
             "threshold": vertex.data.get("threshold", 0.0),

@@ -49,9 +49,10 @@ class TestFloatEngine:
 
 
     @pytest.mark.parametrize("change", ["drop", "add"])
-    def test_state_must_be_the_declared_registers(self, small_en_network, fmt, change):
-        """The float loop keeps one column per declared register, so an
-        initial state with a register missing, or one more, is refused."""
+    def test_every_clear_engine_takes_the_same_states(self, small_en_network, fmt, change):
+        """An initial state missing a declared register is refused with
+        one typed error on every clear engine; one with an extra register
+        runs on all of them, and the float engines hand it back as is."""
 
         class Misdeclared(EisenbergNoeProgram):
             def initial_state(self, vertex, degree_bound):
@@ -59,12 +60,28 @@ class TestFloatEngine:
                 if change == "drop":
                     del state["cash"]
                 else:
-                    state["extra"] = 0.0
+                    state["extra"] = 7
                 return state
 
         graph = small_en_network.to_en_graph(degree_bound=2)
-        with pytest.raises(ConfigurationError, match="initial state"):
-            execute("plaintext", Misdeclared(fmt), graph, 1)
+        program = Misdeclared(fmt)
+        if change == "drop":
+            for engine in ("plaintext", "async", "fixed"):
+                with pytest.raises(ConfigurationError, match=r"missing registers \['cash'\]"):
+                    execute(engine, program, graph, 1)
+            return
+        runs = {
+            engine: execute(engine, program, graph, 1)
+            for engine in ("plaintext", "async", "fixed")
+        }
+        expected = execute("plaintext", EisenbergNoeProgram(fmt), graph, 1)
+        for engine in ("plaintext", "async"):
+            assert runs[engine].trajectory == expected.trajectory
+            for state in runs[engine].final_states.values():
+                assert type(state["extra"]) is int and state["extra"] == 7
+        assert runs["fixed"].trajectory == execute(
+            "fixed", EisenbergNoeProgram(fmt), graph, 1
+        ).trajectory
 
 
 class TestFixedEngine:

@@ -157,21 +157,21 @@ def test_fixed_engine_reproducible_and_near_float(
         assert abs(fixed_point - float_point) <= QUANTIZATION_TOLERANCE
 
 
-class _RowByRowEN(EisenbergNoeProgram):
+class _PerVertexEN(EisenbergNoeProgram):
     float_update_many = VertexProgram.float_update_many
 
 
-class _RowByRowEGJ(ElliottGolubJacksonProgram):
+class _PerVertexEGJ(ElliottGolubJacksonProgram):
     float_update_many = VertexProgram.float_update_many
 
 
-def _program_and_graph(name, network, row_by_row=False):
-    """``name``'s program (with the base class's row-by-row
-    ``float_update_many`` if ``row_by_row``) and its graph of ``network``."""
+def _program_and_graph(name, network, columns=True):
+    """``name``'s program (without its ``float_update_many`` unless
+    ``columns``) and its graph of ``network``."""
     if name == "eisenberg-noe":
-        program = _RowByRowEN() if row_by_row else EisenbergNoeProgram()
+        program = EisenbergNoeProgram() if columns else _PerVertexEN()
         return program, network.to_en_graph()
-    program = _RowByRowEGJ() if row_by_row else ElliottGolubJacksonProgram()
+    program = ElliottGolubJacksonProgram() if columns else _PerVertexEGJ()
     return program, network.to_egj_graph()
 
 
@@ -231,27 +231,28 @@ def test_float_superstep_is_the_per_vertex_float_update(
     """The float engine takes a computation step as one numpy pass over
     every vertex's registers (``float_update_many``). Vertex by vertex
     through ``float_update`` — the per-vertex loop, advanced in place and
-    as async pipelines over a bus, and the loop ``plaintext_loop`` builds
-    without numpy — must leave the same final states (bits and key
-    order), pending outboxes and trajectory; so must the base class's
-    row-by-row ``float_update_many`` and a run split into two windows."""
+    as async pipelines over a bus, the loop ``plaintext_loop`` builds
+    without numpy and the one it builds for a program without
+    ``float_update_many`` — must leave the same final states (bits and key
+    order), pending outboxes and trajectory; so must a run split into two
+    windows."""
     network = networks[graph_name]
-    row_program, _ = _program_and_graph(program, network, row_by_row=True)
+    per_vertex_program, _ = _program_and_graph(program, network, columns=False)
     program, graph = _program_and_graph(program, network)
     column = plaintext_loop(program, graph)
     assert isinstance(column, ColumnLoop)
     windowed = plaintext_loop(program, graph)
-    row_by_row = plaintext_loop(row_program, graph)
+    no_override = plaintext_loop(per_vertex_program, graph)
     one_by_one = plaintext_loop(program, graph, pipelines=True)
     pipelined = plaintext_loop(program, graph, pipelines=True)
     with monkeypatch.context() as patch:
         patch.setattr(engine_module, "np", None)
         no_numpy = plaintext_loop(program, graph)
-    for loop in (one_by_one, pipelined, no_numpy):
+    for loop in (one_by_one, pipelined, no_numpy, no_override):
         assert type(loop) is RoundLoop
     one_by_one.advance(ITERATIONS)
     column.advance(ITERATIONS)
-    row_by_row.advance(ITERATIONS)
+    no_override.advance(ITERATIONS)
     no_numpy.advance(ITERATIONS)
     run_coroutine(pipelined.advance_async(ITERATIONS, InMemoryTransport(), max_tasks=4))
     windowed.advance(1)
@@ -262,7 +263,7 @@ def test_float_superstep_is_the_per_vertex_float_update(
         _bits(_pending_rows(graph, one_by_one)),
         _bits(one_by_one.trajectory),
     )
-    for loop in (column, row_by_row, pipelined, no_numpy, windowed):
+    for loop in (column, no_override, pipelined, no_numpy, windowed):
         assert (
             _bits(loop.rows()),
             _bits(_pending_rows(graph, loop)),

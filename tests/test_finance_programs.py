@@ -10,7 +10,6 @@ from conftest import execute
 from repro import StressTest
 from repro.api.registry import available_engines
 from repro.core.graph import DistributedGraph
-from repro.core.program import VertexProgram
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import ConfigurationError
 from repro.finance import (
@@ -213,15 +212,40 @@ class TestColumnStep:
     def test_egj_edges(self):
         self.assert_rows_match(ElliottGolubJacksonProgram(), EGJ_EDGE_ROWS)
 
-    @pytest.mark.parametrize("program_cls", [EisenbergNoeProgram, ElliottGolubJacksonProgram])
-    def test_base_class_row_by_row(self, program_cls):
-        """The default a program without an override runs through."""
 
-        class RowByRow(program_cls):
-            float_update_many = VertexProgram.float_update_many
+class TestIntInputsKeepTheirType:
+    """A register no step rewrites keeps the object ``initial_state`` put
+    there, so an ``int`` balance-sheet entry reads back as that ``int`` on
+    ``plaintext`` (one numpy step per round) as on ``async`` (a
+    ``float_update`` dict copy per vertex)."""
 
-        rows = EN_EDGE_ROWS if program_cls is EisenbergNoeProgram else EGJ_EDGE_ROWS
-        self.assert_rows_match(RowByRow(), rows)
+    @staticmethod
+    def typed(final_states):
+        return {
+            vid: [
+                (name, type(value), value.hex() if isinstance(value, float) else value)
+                for name, value in state.items()
+            ]
+            for vid, state in final_states.items()
+        }
+
+    @pytest.mark.parametrize("program", ["eisenberg-noe", "elliott-golub-jackson"])
+    def test_plaintext_and_async_agree(self, program):
+        net = FinancialNetwork()
+        net.add_bank(Bank(0, cash=10, orig_value=10, threshold=4, penalty=1))
+        net.add_bank(Bank(1, cash=1, orig_value=3, threshold=1))
+        net.add_bank(Bank(2, cash=0, orig_value=2, threshold=1))
+        net.add_debt(0, 1, 2)
+        net.add_debt(1, 2, 4)
+        net.add_holding(1, 0, 0.5)
+        states = {
+            engine: self.typed(
+                StressTest(net).program(program).engine(engine).run(iterations=3).final_states
+            )
+            for engine in ("plaintext", "async")
+        }
+        assert states["plaintext"] == states["async"]
+        assert int in {kind for row in states["async"].values() for _, kind, _ in row}
 
 
 class TestCircuitShape:
