@@ -33,27 +33,48 @@ from __future__ import annotations
 import copy
 import hashlib
 from abc import ABC, abstractmethod
+from dataclasses import replace
 from typing import Any, Dict, Optional
 
 from repro.api.result import RunResult
 from repro.api.session import ResolvedRun
 from repro.core.program import program_token
 from repro.core.tokens import Unfingerprintable, stable_token
+from repro.simulation.netsim import PhaseTimer
 
 __all__ = ["ScenarioCache", "ScenarioCacheBase", "run_fingerprint", "clone_result"]
 
+#: Immutable ``extras`` values a copy shares instead of copying.
+_ATOMS = (int, float, str, bool, type(None))
+
 
 def clone_result(result: RunResult) -> Optional[RunResult]:
-    """An independent deep copy of a result, or ``None`` if uncopyable.
+    """An independent copy of a result, or ``None`` if uncopyable.
 
     Cached and duplicated outcomes must never alias a result another
     consumer can mutate — a cache entry whose trajectory someone edits in
-    place would silently poison every later hit. All built-in results
-    deep-copy cleanly; a third-party engine's result that refuses is
-    treated as uncopyable and the caller falls back to recomputing.
+    place would silently poison every later hit. The copy rebuilds only
+    what can change: the trajectory list, each vertex's state dict, the
+    traffic meter (:meth:`~repro.simulation.netsim.TrafficMeter.copy`),
+    the phase timer and the release records. Numbers and strings are
+    shared. An ``extras`` value that is not a number or a string is deep
+    copied; a third-party result whose extras refuse is treated as
+    uncopyable and the caller falls back to recomputing.
     """
     try:
-        return copy.deepcopy(result)
+        states, traffic, phases = result.final_states, result.traffic, result.phases
+        return replace(
+            result,
+            trajectory=list(result.trajectory),
+            final_states=None if states is None else {v: dict(s) for v, s in states.items()},
+            traffic=None if traffic is None else traffic.copy(),
+            phases=None if phases is None else PhaseTimer(dict(phases.seconds)),
+            extras={
+                key: value if type(value) in _ATOMS else copy.deepcopy(value)
+                for key, value in result.extras.items()
+            },
+            releases=None if result.releases is None else list(map(replace, result.releases)),
+        )
     except Exception:
         return None
 
@@ -186,10 +207,10 @@ class ScenarioCache(ScenarioCacheBase):
     :class:`~repro.api.batch.BatchResult`.
 
     Only successful results are stored — a failed scenario always re-runs.
-    Entries are isolated by deep copy on both store and lookup, so no
-    consumer ever holds a reference into the cache: mutating a hit's
-    result cannot poison later hits, and mutating the original result
-    after the batch cannot poison the stored golden copy.
+    Entries are isolated by :func:`clone_result` on both store and
+    lookup, so no consumer ever holds a reference into the cache:
+    mutating a hit's result cannot poison later hits, and mutating the
+    original result after the batch cannot poison the stored golden copy.
     """
 
     def __init__(self) -> None:

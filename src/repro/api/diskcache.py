@@ -26,9 +26,10 @@ Layout and guarantees:
   :data:`DISK_FORMAT_VERSION` is treated as a miss and discarded; a
   wrong hit is the one failure mode a result cache must never have.
 * **Two tiers.** An in-process memory tier (plain dict of golden copies)
-  fronts the disk tier, so hot sweeps pay one deep copy per hit —
-  exactly what the memory-only cache costs today — and the disk is only
-  read the first time each entry is seen by this process.
+  fronts the disk tier, so hot sweeps pay one structural copy per hit
+  (:func:`~repro.api.cache.clone_result`) — exactly what the memory-only
+  cache costs — and the disk is only read the first time each entry is
+  seen by this process.
 * **LRU eviction under a byte cap.** ``max_bytes`` bounds the entry
   bytes on disk; the least-recently-used entries go first. An entry's
   LRU stamp is its file's mtime, set from the injectable
@@ -99,8 +100,9 @@ class PersistentScenarioCache(ScenarioCacheBase):
         store (a hard budget, not advisory).
     memory_tier:
         Keep an in-process dict of entries already seen, so repeat hits
-        cost one deep copy instead of a disk read. Unbounded, like the
-        memory-only cache; disable for many-gigabyte sweeps.
+        cost one :func:`~repro.api.cache.clone_result` copy instead of a
+        disk read. Unbounded, like the memory-only cache; disable for
+        many-gigabyte sweeps.
     """
 
     def __init__(
@@ -141,8 +143,8 @@ class PersistentScenarioCache(ScenarioCacheBase):
         if self._memory is not None and fingerprint in self._memory:
             clone = clone_result(self._memory[fingerprint])
             if clone is not None:
-                # no mtime touch here: the hot path must cost exactly
-                # one deep copy (the entry's stamp was refreshed when
+                # no mtime touch here: the hot path must cost exactly one
+                # clone_result copy (the entry's stamp was refreshed when
                 # this process first read or wrote it, which bounds the
                 # LRU staleness at the process lifetime)
                 self.memory_hits += 1
@@ -174,7 +176,7 @@ class PersistentScenarioCache(ScenarioCacheBase):
 
     def _persist(self, fingerprint: str, result: RunResult) -> None:
         # encoding isolates the disk copy by itself, so a memory_tier=False
-        # store never deep-copies; only the memory tier needs its own clone
+        # store never copies; only the memory tier needs its own clone
         try:
             document = result.to_doc()
         except ResultFormatError:

@@ -14,7 +14,7 @@ paper's ``T = $1B``), which keeps fixed-point encodings well-scaled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from repro.core.graph import DistributedGraph
@@ -121,6 +121,15 @@ class FinancialNetwork:
             raise ConfigurationError("both endpoints must be registered banks")
         if a == b:
             raise ConfigurationError("contracts with oneself are not allowed")
+
+    def copy(self) -> "FinancialNetwork":
+        """An independent copy: new :class:`Bank` records and new contract
+        lists. The contracts themselves are frozen, so they are shared."""
+        other = FinancialNetwork()
+        other.banks = {bank_id: replace(bank) for bank_id, bank in self.banks.items()}
+        other.debts = list(self.debts)
+        other.holdings = list(self.holdings)
+        return other
 
     # -- aggregates ------------------------------------------------------------
 

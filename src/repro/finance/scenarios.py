@@ -12,9 +12,8 @@ cascades. Both are provided here as parameterized constructors.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
-from typing import Iterable, List
+from typing import Iterable
 
 from repro.exceptions import ConfigurationError
 from repro.finance.network import FinancialNetwork
@@ -39,17 +38,22 @@ class Shock:
             raise ConfigurationError("shock severity must lie in [0, 1]")
         if not self.targets:
             raise ConfigurationError("a shock must target at least one bank")
+        if len(set(self.targets)) != len(self.targets):
+            # each target is scaled once per mention: a repeat would
+            # compound the severity on that bank
+            raise ConfigurationError("a shock must not target a bank twice")
 
 
 def apply_shock(network: FinancialNetwork, shock: Shock) -> FinancialNetwork:
-    """Return a deep-copied network with the shock applied.
+    """Return a copy of the network (:meth:`FinancialNetwork.copy`) with
+    the shock applied; the input is left untouched.
 
     Liquid reserves and base assets of the targets are scaled by
     ``1 - severity``; contracts, thresholds and pre-shock valuations are
     untouched (the point of the stress test is to compare the shocked
     balance sheets against the pre-shock obligations).
     """
-    shocked = copy.deepcopy(network)
+    shocked = network.copy()
     for bank_id in shock.targets:
         if bank_id not in shocked.banks:
             raise ConfigurationError(f"shock targets unknown bank {bank_id}")

@@ -9,7 +9,7 @@ wall-clock artifacts of the simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 __all__ = [
@@ -55,6 +55,14 @@ class TrafficMeter:
         # order: the totals below are float sums over it
         self._stats: Dict[int, NodeStats] = dict(nodes or {})
         self._links: Dict[Tuple[int, int], float] = dict(links or {})
+
+    def copy(self) -> "TrafficMeter":
+        """An independent meter: new :class:`NodeStats` and link table, in
+        this meter's node and link order (the totals are float sums over it)."""
+        return TrafficMeter(
+            {node_id: replace(stats) for node_id, stats in self._stats.items()},
+            self._links,
+        )
 
     def node(self, node_id: int) -> NodeStats:
         if node_id not in self._stats:

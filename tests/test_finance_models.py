@@ -11,6 +11,7 @@ from repro.exceptions import ConfigurationError, SensitivityError
 from repro.finance import (
     Bank,
     FinancialNetwork,
+    Shock,
     apply_shock,
     check_leverage_bound,
     clearing_vector,
@@ -212,6 +213,34 @@ class TestShocks:
     def test_empty_targets_rejected(self):
         with pytest.raises(ConfigurationError):
             uniform_shock([], 0.5)
+
+    def test_duplicate_targets_rejected(self):
+        # applied once per mention, bank 0 would keep 25 % of its cash, not 50 %
+        with pytest.raises(ConfigurationError, match="twice"):
+            uniform_shock([0, 0], 0.5)
+        with pytest.raises(ConfigurationError, match="twice"):
+            Shock(targets=(1, 2, 1), severity=0.5)
+
+    def test_shocked_copy_leaves_its_input_untouched(self, small_egj_network):
+        net = small_egj_network
+        before = (
+            {i: vars(bank).copy() for i, bank in net.banks.items()},
+            list(net.debts),
+            list(net.holdings),
+        )
+        shocked = apply_shock(net, uniform_shock([1], 0.5))
+        assert shocked.holdings == net.holdings
+        shocked.banks[0].cash = -1.0
+        shocked.banks[0].threshold = -1.0
+        shocked.add_bank(Bank(99))
+        shocked.add_holding(99, 0, 0.5)
+        shocked.add_debt(0, 99, 1.0)
+        after = (
+            {i: vars(bank).copy() for i, bank in net.banks.items()},
+            list(net.debts),
+            list(net.holdings),
+        )
+        assert after == before
 
     def test_severity_monotone(self, small_en_network):
         shortfalls = []
