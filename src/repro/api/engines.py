@@ -362,10 +362,13 @@ class _SecureCore(LifecycleCore):
 class SecureDStressEngine(Engine):
     """The full DStress protocol stack (§3.3–§3.6).
 
-    ``backend="bitsliced"`` swaps the per-gate GMW loop for the numpy
-    lane evaluator with its offline/online phase split
-    (:mod:`repro.mpc.bitslice`); released outputs and metered traffic are
-    bit-identical to the default ``"scalar"`` backend. ``buckets=[10,
+    Every GMW evaluation is a lane batch with an offline/online phase
+    split; ``backend`` picks the lanes: ``"scalar"`` (default) one Python
+    int per wire, stdlib only (:meth:`GMWEngine.evaluate_batch
+    <repro.mpc.gmw.GMWEngine.evaluate_batch>`), ``"bitsliced"`` numpy
+    words (:mod:`repro.mpc.bitslice`), faster from about 64 blocks a
+    step. Released outputs and metered traffic are bit-identical on both.
+    ``buckets=[10,
     100]`` turns on the §3.7 degree buckets: each vertex runs the update
     circuit of the smallest bucket that holds its degree instead of the
     global bound.

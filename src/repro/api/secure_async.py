@@ -122,7 +122,10 @@ class SecureAsyncEngine(Engine):
     :class:`~repro.core.transport.Transport` instance); ``overlap=False``
     awaits every link delivery one at a time — the honest sequential
     baseline the overlap is measured against
-    (``tests/test_async_overlap.py``).
+    (``tests/test_async_overlap.py``). ``backend`` picks the GMW lanes as
+    for ``engine("secure")``: ``"scalar"`` (default) Python ints, stdlib
+    only, or ``"bitsliced"`` numpy words; each step's blocks are
+    evaluated as one batch before its first delivery is dispatched.
     """
 
     name = "secure-async"

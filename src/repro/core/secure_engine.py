@@ -41,7 +41,7 @@ wall-clock and the bus's own metering move.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
 from repro.core.aggregation import AggregationPlan, plan_groups, reshare_word
 from repro.core.config import DStressConfig
@@ -60,7 +60,7 @@ from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import ConfigurationError
 from repro.mpc.circuit import Circuit
 from repro.mpc.cost import Bill, bill_for
-from repro.mpc.gmw import GMWEngine, GMWResult
+from repro.mpc.gmw import GMWEngine, GMWResult, PoolBuilder
 from repro.mpc.noise_circuit import geometric_bits_seed_width
 from repro.mpc.plan import noised_sum_bits_circuit, partial_sum_circuit
 from repro.obs.metrics import absorb_gmw
@@ -257,12 +257,14 @@ class SecureEngine:
     stage by stage by the ``secure`` and ``secure-async`` lifecycle cores
     (:class:`repro.api.engines._SecureCore`).
 
-    ``backend`` selects the GMW gate evaluator: ``"scalar"`` (default) is
-    the per-gate Python loop; ``"bitsliced"`` packs every computation
-    step's blocks into numpy uint64 lanes with an offline/online phase
-    split (see :mod:`repro.mpc.bitslice`). Both produce bit-identical
-    released outputs, shares, and metered traffic — the parity matrix
-    asserts it — so the choice is purely a throughput knob.
+    Every GMW evaluation is a lane batch with an offline/online phase
+    split (:meth:`GMWEngine.evaluate_batch
+    <repro.mpc.gmw.GMWEngine.evaluate_batch>`). ``backend`` only picks the
+    lanes: ``"scalar"`` (default) one Python int per wire, stdlib only;
+    ``"bitsliced"`` numpy uint64 words (:mod:`repro.mpc.bitslice`). Both
+    produce bit-identical released outputs, shares, and metered traffic —
+    the parity matrix asserts it — so the choice is purely a throughput
+    knob.
     """
 
     def __init__(
@@ -386,22 +388,18 @@ class SecureEngine:
             bound: compiled_update_circuit(program, bound)
             for bound in sorted(set(vertex_bound.values()))
         }
+        lanes: Type[GMWEngine] = GMWEngine
         if self.backend == "bitsliced":
             # Imported lazily: numpy is an optional dependency and the
-            # scalar path must keep working without it.
+            # default int lanes must keep working without it.
             from repro.mpc.bitslice import BitslicedGMWEngine
 
-            gmw: GMWEngine = BitslicedGMWEngine(
-                config.block_size,
-                ot=SimulatedObliviousTransfer(config.group),
-                mode=config.gmw_mode,
-            )
-        else:
-            gmw = GMWEngine(
-                config.block_size,
-                ot=SimulatedObliviousTransfer(config.group),
-                mode=config.gmw_mode,
-            )
+            lanes = BitslicedGMWEngine
+        gmw = lanes(
+            config.block_size,
+            ot=SimulatedObliviousTransfer(config.group),
+            mode=config.gmw_mode,
+        )
         bill = run_bill(program, config, graph, iterations, vertex_bound)
         current_recorder().event(  # on the run span, before any of it is paid
             "bill", and_gates=bill.and_gates, rounds=bill.and_rounds, ots=bill.ots,
@@ -524,26 +522,15 @@ class SecureEngine:
     def _computation_blocks(self, ctx: _RunContext) -> Iterator[LinkBytes]:
         """One §3.6 computation step, block by block.
 
-        Evaluates each vertex block's update circuit under GMW (in vertex
-        order — the transcript order), commits the block's new state and
-        outbox shares, and yields its OT batch as per-link bytes *after*
-        metering it, so a driver can overlap the delivery of block ``b``
-        with the evaluation of block ``b + 1`` simply by consuming the
-        generator one item at a time.
-
-        The backend only decides how the evaluations are produced
-        (:meth:`_evaluate_scalar` lazily, one per vertex;
-        :meth:`_evaluate_bitsliced` as numpy lane batches); the contract —
-        one link batch per vertex, in vertex order, identical bytes — is
-        the same, so the window's consumer never knows which backend ran.
+        Evaluates every vertex block's update circuit under GMW
+        (:meth:`_evaluate_blocks`), then, in vertex order — the transcript
+        order — commits each block's new state and outbox shares and
+        yields its OT batch as per-link bytes *after* metering it: one
+        link batch per vertex, whichever backend ran, so a driver can
+        dispatch block ``b``'s delivery before it asks for block ``b + 1``.
         """
-        evaluate = (
-            self._evaluate_bitsliced
-            if self.backend == "bitsliced"
-            else self._evaluate_scalar
-        )
         meter = ctx.meter
-        for v, result in evaluate(ctx):
+        for v, result in self._evaluate_blocks(ctx):
             bound = ctx.vertex_bound[v]
             registers = self.program.state_registers(bound)
             ctx.state_shares[v] = {reg: result.output_shares[reg] for reg in registers}
@@ -557,29 +544,24 @@ class SecureEngine:
             ctx.total_ots += result.traffic.ot_count
             yield link_bytes
 
-    def _evaluate_scalar(self, ctx: _RunContext) -> Iterator[Tuple[int, GMWResult]]:
-        """The per-gate backend: one ``gmw.evaluate`` per vertex, on demand."""
-        for v in ctx.graph.vertex_ids:
-            circuit = ctx.circuits[ctx.vertex_bound[v]]
-            yield v, ctx.gmw.evaluate(circuit, ctx.block_inputs(v), ctx.rng)
-
-    def _evaluate_bitsliced(self, ctx: _RunContext) -> Iterator[Tuple[int, GMWResult]]:
-        """The bit-sliced backend: offline, online, then emit.
+    def _evaluate_blocks(self, ctx: _RunContext) -> Iterator[Tuple[int, GMWResult]]:
+        """The step's block evaluations: offline, online, then emit.
 
         **Offline** walks the vertices in vertex order — the transcript
         order — drawing each block's per-gate randomness from ``ctx.rng``
-        exactly as a scalar ``gmw.evaluate`` call would (same forks, same
+        exactly as a per-gate ``gmw.evaluate`` call would (same forks, same
         bytes), accumulating lane pools per circuit bound. **Online**
-        evaluates each bound's vertices as lanes of one RNG-free batch.
-        Results are emitted vertex by vertex, so state updates, traffic
-        accumulation order, and the per-link batches handed to the
-        window's consumer are bit-identical to the scalar path's.
+        evaluates each bound's vertices as lanes of one RNG-free batch
+        (int lanes or numpy words, by backend). Results are emitted vertex
+        by vertex, so state updates, traffic accumulation order, and the
+        per-link batches handed to the window's consumer follow the
+        transcript.
         """
         gmw = ctx.gmw
         vertex_ids = ctx.graph.vertex_ids
 
         with timed_phase(ctx.phases, "gmw-offline"):
-            builders: Dict[int, object] = {}
+            builders: Dict[int, PoolBuilder] = {}
             batch_inputs: Dict[int, List[Dict[str, List[int]]]] = {}
             batch_vertices: Dict[int, List[int]] = {}
             for v in vertex_ids:
@@ -733,7 +715,7 @@ class SecureEngine:
                     shared_inputs[f"state_{index}"] = reshare_to(
                         state_shares[v][register], bits, assignment.blocks[v], group_block
                     )
-                result = gmw.evaluate(circuit, shared_inputs, rng)
+                (result,) = gmw.evaluate_batch(circuit, [shared_inputs], rng)
                 self._meter_gmw(meter, group_block, result)
                 group_sum_shares.append(
                     reshare_to(
@@ -778,7 +760,7 @@ class SecureEngine:
         # the seed; XOR of the shares is the seed, so one honest member
         # suffices for uniformity (§3.6 "combine the random shares").
         shared_inputs["seed"] = [rng.fork(f"seed-{m}").randbits(seed_width) for m in root_members]
-        result = gmw.evaluate(root_circuit, shared_inputs, rng)
+        (result,) = gmw.evaluate_batch(root_circuit, [shared_inputs], rng)
         self._meter_gmw(meter, root_members, result)
 
         noised_raw = result.reveal("noised_sum", signed=True)

@@ -244,7 +244,7 @@ class SimulatedObliviousTransfer(ObliviousTransfer):
 
     def transfer4(self, messages: Sequence[bytes], choice: int, rng: DeterministicRNG) -> bytes:
         length = _check_four(messages, choice)
-        # the scalar GMW engine calls this once per AND gate per party pair
+        # the per-gate GMW oracle calls this once per AND gate per party pair
         self.stats.record(self._element_bytes + 4 * length, self._element_bytes)
         return messages[choice]
 

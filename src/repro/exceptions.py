@@ -28,11 +28,11 @@ class CircuitError(DStressError):
 
 
 class OfflinePoolExhaustedError(ProtocolError):
-    """A bit-sliced GMW online phase asked for per-gate randomness the
+    """A lane GMW online phase asked for per-gate randomness the
     offline phase never provisioned (wrong circuit, wrong instance count,
     or a pool consumed twice).
 
-    The offline/online split (see DESIGN.md "Bit-sliced GMW") sizes the
+    The offline/online split (see DESIGN.md "Lane GMW") sizes the
     Beaver-triple / OT-mask pools exactly from the compiled plan's AND
     count, the one :class:`repro.mpc.cost.Bill` reads; running dry therefore means a provisioning *bug*, and the engine must
     fail loudly rather than silently fall back to drawing fresh scalar

@@ -1,10 +1,11 @@
 """Bit-sliced GMW: whole AND rounds as numpy ``uint64`` lane operations.
 
-The scalar :class:`~repro.mpc.gmw.GMWEngine` evaluates one gate of one
-circuit instance per Python step. This module packs the same computation
-across *instances*: lane ``l`` of every wire word is circuit instance
-``l`` (``l // 64`` selects the word, ``l % 64`` the bit), so a batch of
-``L`` instances occupies ``ceil(L / 64)`` words per slot per party::
+:class:`~repro.mpc.gmw.GMWEngine` evaluates a batch with one Python
+``int`` per wire. This module keeps that contract (offline reads, prefix
+shares, results) with numpy words instead: lane ``l`` of every wire word
+is circuit instance ``l`` (``l // 64`` selects the word, ``l % 64`` the
+bit), so a batch of ``L`` instances occupies ``ceil(L / 64)`` words per
+slot per party::
 
     slots : uint64[num_slots, parties, words]      bit l of word w  =
     lane layout (one slot, one party):             instance 64*w + l
@@ -19,22 +20,14 @@ the slots hold *prefix shares* — party ``p`` the XOR of shares ``0..p``
 — converted once on the way in and out, because in that form a
 1-out-of-4 AND's share update is one AND of the operands.
 
-**Offline/online split.** All per-gate randomness is drawn in an offline
-phase (:class:`OfflinePoolBuilder`) *before* any gate is evaluated, from
-exactly the stream positions the scalar engine reads — the same
-``rng.fork("gmw-party-p")`` calls, then in ``ot`` mode each party's
-packed mask read (eight masks to the byte; the layout is in
-:mod:`repro.mpc.gmw`), which ``np.unpackbits`` turns into that party's
-row of the pool; in ``beaver`` mode the parent stream's one-byte
-``randbit()`` draws, top bits kept. Pools are sized from the
-circuit's compiled plan (the AND count its
-:class:`~repro.mpc.cost.Bill` reads) and indexed by AND-gate *ordinal* in gate-list order, so the
-online phase may evaluate the gates in stage order while every gate
-consumes the same random bits as its scalar twin. The
-result: output shares — not just revealed outputs — and per-pair traffic
-are bit-identical to the scalar transcript. The online phase touches no
-RNG at all, so its latency is pure lane arithmetic (wire-bound once a
-real transport carries the precomputed masks).
+**Offline/online split.** The offline reads are
+:class:`~repro.mpc.gmw.PoolBuilder`'s — the same forks and bytes the
+per-gate oracle reads. :class:`OfflinePoolBuilder` only builds them into
+numpy pools: ``np.unpackbits`` turns every instance's packed mask read
+into the mask cube, or the ``beaver`` draws into triple shares. Pools are
+indexed by AND-gate *ordinal* in gate-list order, so the online phase may
+evaluate the gates in stage order while every gate consumes the same
+random bits as in the oracle; the online phase touches no RNG at all.
 
 **Compile once.** Everything derived from the gate list — statistics and
 the stage schedule with its index vectors — is built by
@@ -53,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.crypto.ot import ObliviousTransfer, SimulatedObliviousTransfer
+from repro.crypto.ot import ObliviousTransfer
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import (
     ConfigurationError,
@@ -61,7 +54,7 @@ from repro.exceptions import (
     ProtocolError,
 )
 from repro.mpc.circuit import Circuit
-from repro.mpc.gmw import GMWEngine, GMWResult, mask_stream_bytes
+from repro.mpc.gmw import GMWEngine, GMWResult, PoolBuilder, beaver_draws, mask_stream_bytes
 
 try:  # pragma: no cover - exercised implicitly by every import site
     import numpy as np
@@ -244,75 +237,24 @@ class OfflinePools:
         )
 
 
-class OfflinePoolBuilder:
-    """Accumulates one batch's offline randomness, instance by instance,
-    consuming the parent RNG byte-for-byte as the scalar engine would.
-
-    Call :meth:`add_instance` once per circuit instance *in transcript
-    order* (for the secure engine: vertex order), interleaved freely with
-    other builders — each call consumes exactly the bytes the scalar
-    ``GMWEngine.evaluate`` would for that instance, so a mixed-bound walk
-    keeps the global RNG stream aligned. Then :meth:`build` packs lanes
-    (in ``ot`` mode it also unpacks every instance's mask read, in one pass).
-    """
+class OfflinePoolBuilder(PoolBuilder):
+    """The offline phase of :class:`BitslicedGMWEngine`: the reads of
+    :class:`~repro.mpc.gmw.PoolBuilder` (same forks, same bytes, same
+    transcript order), built into lane-packed numpy pools — every
+    instance's mask read unpacked in one pass."""
 
     def __init__(self, circuit: Circuit, num_parties: int, mode: str) -> None:
         require_numpy()
-        if mode not in ("ot", "beaver"):
-            raise ProtocolError(f"unknown GMW mode {mode!r}")
-        self.circuit = circuit
-        self.num_parties = num_parties
-        self.mode = mode
-        # Sized from the compiled plan, not by walking gates: the plan's
-        # AND count is the one the bill reads, and the cross-check test
-        # in tests/test_mpc_gmw.py pins both to the scalar transcript.
-        self.and_gates = circuit.compile().stats.and_gates
-        #: ot: every party's packed mask read, one ``bytes`` per instance
-        self._masks: List[bytes] = []
-        self._triples: List[Tuple["np.ndarray", "np.ndarray", "np.ndarray"]] = []
+        super().__init__(circuit, num_parties, mode)
 
-    @property
-    def num_instances(self) -> int:
-        return len(self._masks) if self.mode == "ot" else len(self._triples)
-
-    def add_instance(self, rng: DeterministicRNG) -> None:
-        n = self.num_parties
-        ands = self.and_gates
-        # Scalar transcript order, step 1: evaluate() forks one sub-stream
-        # per party (unconditionally, in both modes).
-        party_rngs = [rng.fork(f"gmw-party-{p}") for p in range(n)]
-        if self.mode == "ot":
-            # Step 2 (ot): sender i reads its ands * (n - 1 - i) masks from
-            # its own fork in one go (repro.mpc.gmw, "Mask stream"); build()
-            # unpacks every instance's read at once.
-            sizes = [mask_stream_bytes(ands, n, p) for p in range(n)]
-            self._masks.append(b"".join([r.randbytes(s) for r, s in zip(party_rngs, sizes)]))
-        else:
-            # Step 2 (beaver): per gate in list order the *parent* rng
-            # draws: a_plain, b_plain (1 byte each), then three
-            # share_value(·, 1, n, rng) calls of n-1 one-byte draws each;
-            # a one-byte randbit() keeps the byte's top bit.
-            per_gate = 2 + 3 * (n - 1)
-            raw = rng.randbytes(ands * per_gate)
-            bits = (np.frombuffer(raw, dtype=np.uint8) >> 7).reshape(ands, per_gate)
-            a_plain = bits[:, 0]
-            b_plain = bits[:, 1]
-            c_plain = a_plain & b_plain
-            shares = []
-            for plain, lo in ((a_plain, 2), (b_plain, 2 + (n - 1)), (c_plain, 2 + 2 * (n - 1))):
-                draws = bits[:, lo : lo + (n - 1)]
-                last = plain ^ np.bitwise_xor.reduce(draws, axis=1) if n > 1 else plain
-                shares.append(np.concatenate([draws, last[:, None]], axis=1))
-            self._triples.append((shares[0], shares[1], shares[2]))
-
-    def build(self) -> OfflinePools:
+    def build(self) -> OfflinePools:  # type: ignore[override]
         count = self.num_instances
+        n, ands = self.num_parties, self.and_gates
         if self.mode == "ot":
-            n, ands = self.num_parties, self.and_gates
             # eight masks to the byte, gate-major, sender i's receivers
             # j > i in party order: sender i's read is (instance, gate, j)
             sizes = [mask_stream_bytes(ands, n, i) for i in range(n)]
-            raw = np.frombuffer(b"".join(self._masks), dtype=np.uint8).reshape(count, sum(sizes))
+            raw = np.frombuffer(b"".join(self._reads), dtype=np.uint8).reshape(count, sum(sizes))
             cube = np.zeros((ands, n, n, count), dtype=np.uint8)
             offset = 0
             for i, size in enumerate(sizes[:-1]):
@@ -329,19 +271,24 @@ class OfflinePoolBuilder:
                 and_gates=ands,
                 ot_masks=pack_lane_axis(cube),
             )
+        # a randbit() keeps its byte's top bit; per gate: a, b, then n - 1
+        # draws for each of the shares of a, b and c, the last share
+        # completing the XOR to the plain value
+        bits = (
+            np.frombuffer(b"".join(self._reads), dtype=np.uint8) >> 7
+        ).reshape(count, ands, beaver_draws(n))
+        a_plain, b_plain = bits[..., 0], bits[..., 1]
         packed = []
-        for component in range(3):
-            stacked = (
-                np.stack([t[component] for t in self._triples], axis=-1)
-                if count
-                else np.zeros((self.and_gates, self.num_parties, 0), dtype=np.uint8)
-            )
-            packed.append(pack_lane_axis(stacked))
+        for plain, lo in ((a_plain, 2), (b_plain, 1 + n), (a_plain & b_plain, 2 * n)):
+            draws = bits[..., lo : lo + n - 1]
+            last = plain ^ np.bitwise_xor.reduce(draws, axis=-1)
+            shares = np.concatenate([draws, last[..., None]], axis=-1)  # (count, ands, n)
+            packed.append(pack_lane_axis(shares.transpose(1, 2, 0)))
         return OfflinePools(
             mode="beaver",
-            num_parties=self.num_parties,
+            num_parties=n,
             num_instances=count,
-            and_gates=self.and_gates,
+            and_gates=ands,
             triple_a=packed[0],
             triple_b=packed[1],
             triple_c=packed[2],
@@ -398,16 +345,14 @@ def _bus_values(bits: "np.ndarray") -> List[List[int]]:
 
 
 class BitslicedGMWEngine(GMWEngine):
-    """Drop-in :class:`GMWEngine` whose gate evaluation is lane-parallel.
+    """:class:`GMWEngine` whose lanes are numpy ``uint64`` words and whose
+    online phase runs the circuit's stage schedule.
 
-    ``evaluate`` matches the scalar engine bit-for-bit (output shares,
-    traffic, OT stats, RNG stream consumption); ``evaluate_batch`` runs
-    many instances of one circuit for the price of one stage walk. The
-    OT backend must be the rng-silent
-    :class:`~repro.crypto.ot.SimulatedObliviousTransfer`: the lanes compute
-    what a correct OT returns and never run the backend, so one that does
-    per-transfer work and draws (DDH, IKNP extension) would be billed but
-    not executed, and its draws are not something the offline phase reads.
+    ``evaluate`` is a batch of one; ``evaluate_batch`` is the base class's,
+    same checks, same results, bit for bit (output shares, traffic, OT
+    stats, RNG stream consumption). In ``ot`` mode the OT backend must be
+    the rng-silent :class:`~repro.crypto.ot.SimulatedObliviousTransfer`
+    (refused at construction).
     """
 
     def __init__(
@@ -418,31 +363,10 @@ class BitslicedGMWEngine(GMWEngine):
     ) -> None:
         require_numpy()
         super().__init__(num_parties, ot=ot, mode=mode)
-        if mode == "ot" and not isinstance(self.ot, SimulatedObliviousTransfer):
-            raise ProtocolError(
-                "bit-sliced GMW requires the rng-silent simulated OT backend; "
-                f"{type(self.ot).__name__} consumes per-transfer randomness, "
-                "which the offline phase cannot replay"
-            )
-
-    # -- offline phase -----------------------------------------------------
+        self._require_silent_ot()
 
     def pool_builder(self, circuit: Circuit) -> OfflinePoolBuilder:
-        """A builder for this engine's mode/party count (the secure engine
-        interleaves several builders to keep vertex transcript order)."""
         return OfflinePoolBuilder(circuit, self.num_parties, self.mode)
-
-    def precompute(
-        self, circuit: Circuit, num_instances: int, rng: DeterministicRNG
-    ) -> OfflinePools:
-        """Draw all per-gate randomness for ``num_instances`` back-to-back
-        evaluations of ``circuit`` — the offline phase."""
-        builder = self.pool_builder(circuit)
-        for _ in range(num_instances):
-            builder.add_instance(rng)
-        return builder.build()
-
-    # -- online phase ------------------------------------------------------
 
     def evaluate(
         self,
@@ -452,40 +376,14 @@ class BitslicedGMWEngine(GMWEngine):
     ) -> GMWResult:
         return self.evaluate_batch(circuit, [shared_inputs], rng)[0]
 
-    def evaluate_batch(
+    def _evaluate_lanes(
         self,
         circuit: Circuit,
         shared_inputs_list: Sequence[Dict[str, Sequence[int]]],
-        rng: Optional[DeterministicRNG] = None,
-        pools: Optional[OfflinePools] = None,
-    ) -> List[GMWResult]:
-        """Evaluate ``circuit`` once per entry of ``shared_inputs_list``.
-
-        With ``pools`` the online phase is RNG-free; otherwise ``rng`` is
-        consumed by an implicit offline phase exactly as the scalar engine
-        would consume it for the same sequence of ``evaluate`` calls.
-        """
+        pools: OfflinePools,  # type: ignore[override]
+    ) -> Dict[str, List[List[int]]]:
         n = self.num_parties
         lanes = len(shared_inputs_list)
-        for shared_inputs in shared_inputs_list:
-            self._check_shared_inputs(circuit, shared_inputs)
-        if pools is None:
-            if rng is None:
-                raise ProtocolError("evaluate_batch needs an rng or prebuilt pools")
-            pools = self.precompute(circuit, lanes, rng)
-        if pools.mode != self.mode or pools.num_parties != n:
-            raise ProtocolError(
-                f"offline pool is {pools.mode!r}/{pools.num_parties} parties, "
-                f"engine is {self.mode!r}/{n}"
-            )
-        if pools.num_instances != lanes:
-            raise OfflinePoolExhaustedError(
-                f"offline pool provisioned {pools.num_instances} instances, "
-                f"online batch has {lanes}"
-            )
-        if lanes == 0:
-            return []
-
         schedule = circuit.compile().schedule
         words = lane_words(lanes)
         and_lo, and_hi = schedule.and_lo, schedule.and_hi
@@ -527,39 +425,10 @@ class BitslicedGMWEngine(GMWEngine):
                     z ^= (d[:, None, :] & b) ^ (e[:, None, :] & a)
                     z[:, 0, :] ^= d & e
 
-        return self._collect_results(circuit, slots, lanes)
-
-    def _collect_results(
-        self, circuit: Circuit, slots: "np.ndarray", lanes: int
-    ) -> List[GMWResult]:
-        n = self.num_parties
-        plan = circuit.compile()
-        traffic = [self._closed_form_traffic(plan.stats) for _ in range(lanes)]
-        self._record_bulk_ot_stats(sum(t.ot_count for t in traffic))
-
         bus_shares: Dict[str, List[List[int]]] = {}  # name -> [lane][party]
-        bus_widths: Dict[str, int] = {}
-        for name, bus_slots in plan.schedule.output_slots.items():
-            words = slots[bus_slots]
-            if self.mode == "ot":  # prefix shares back to shares
-                words[:, 1:] ^= slots[bus_slots][:, :-1]
-            bus_shares[name] = _bus_values(unpack_lane_axis(words, lanes))
-            bus_widths[name] = len(bus_slots)
-
-        return [
-            GMWResult(
-                num_parties=n,
-                bus_widths=dict(bus_widths),
-                output_shares={name: shares[lane] for name, shares in bus_shares.items()},
-                traffic=traffic[lane],
-            )
-            for lane in range(lanes)
-        ]
-
-    def _record_bulk_ot_stats(self, transfers: int) -> None:
-        """Mirror the scalar engine's OT backend accounting in one update."""
-        stats = self.ot.stats
-        stats.transfers += transfers
-        sender_bytes, receiver_bytes = self.ot.and_gate_bytes()
-        stats.sender_bytes += transfers * sender_bytes
-        stats.receiver_bytes += transfers * receiver_bytes
+        for name, bus_slots in schedule.output_slots.items():
+            out = slots[bus_slots]
+            if ot:  # prefix shares back to shares
+                out[:, 1:] ^= slots[bus_slots][:, :-1]
+            bus_shares[name] = _bus_values(unpack_lane_axis(out, lanes))
+        return bus_shares

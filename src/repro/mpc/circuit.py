@@ -102,7 +102,7 @@ class StageSchedule(NamedTuple):
     last two in stage order, so each phase writes a contiguous slice and
     the AND outputs as a whole are the slice ``and_lo:and_hi``, row ``k``
     of which belongs to AND ordinal ``and_order[k]`` *in gate-list order*.
-    The scalar engine draws per-gate randomness in gate-list order, so the
+    The per-gate oracle draws per-gate randomness in gate-list order, so the
     ordinal is the index into an offline-precomputed randomness pool: the
     schedule reorders the gates without shifting which random bits each
     one consumes. ``and_order`` is a permutation of ``range(and_gates)``

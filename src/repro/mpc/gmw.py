@@ -28,8 +28,19 @@ sender, so party ``i`` reads ``and_gates * (n - 1 - i)`` masks and party
 receivers ``j > i`` in party order — is bit ``7 - k % 8`` of byte
 ``k // 8``; the tail bits of the last byte are unused. Whatever the OT
 backend draws per transfer comes after the masks on the sender's
-sub-stream. :mod:`repro.mpc.bitslice` unpacks the same read, so the two
-engines leave every party the same share of every wire.
+sub-stream. In ``beaver`` mode the parent stream gives one byte per
+``randbit()``, ``2 + 3 (n - 1)`` per AND gate (:func:`beaver_draws`).
+
+**Lanes.** :meth:`GMWEngine.evaluate` is the per-gate oracle: it runs the
+OT backend once per AND gate per pair. :meth:`GMWEngine.evaluate_batch`
+evaluates many instances of one circuit in one walk of the gate list,
+with one Python ``int`` per wire: bit ``lane * n + p`` is party ``p``'s
+*prefix share* (the XOR of shares ``0..p``) in instance ``lane``. XOR is
+``^``; NOT and the constant one are the all-ones word; an AND is its
+gate's offline seed ``^ (x & y)``. Its offline phase (:class:`PoolBuilder`)
+reads exactly the stream positions ``evaluate`` reads, before any gate
+runs, so both leave every party the same share of every wire.
+:mod:`repro.mpc.bitslice` keeps the same contract in numpy words.
 """
 
 from __future__ import annotations
@@ -39,18 +50,32 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.ot import ObliviousTransfer, SimulatedObliviousTransfer
 from repro.crypto.rng import DeterministicRNG
-from repro.exceptions import CircuitError, ProtocolError
+from repro.exceptions import CircuitError, OfflinePoolExhaustedError, ProtocolError
 from repro.mpc.circuit import Circuit, CircuitStats, GateOp
 from repro.mpc.cost import bill_for
 from repro.sharing.xor import reconstruct_value, share_value
 
-__all__ = ["GMWEngine", "GMWResult", "GMWTraffic", "mask_stream_bytes"]
+__all__ = [
+    "GMWEngine",
+    "GMWResult",
+    "GMWTraffic",
+    "LanePools",
+    "PoolBuilder",
+    "beaver_draws",
+    "mask_stream_bytes",
+]
 
 
 def mask_stream_bytes(and_gates: int, num_parties: int, party: int) -> int:
     """Bytes ``party`` reads for its ``and_gates * (n - 1 - party)`` sender
     masks."""
     return (and_gates * (num_parties - 1 - party) + 7) // 8
+
+
+def beaver_draws(num_parties: int) -> int:
+    """Parent-stream bytes one ``beaver`` AND gate reads: ``a``, ``b``, then
+    ``n - 1`` draws for each of the shares of ``a``, ``b`` and ``c``."""
+    return 2 + 3 * (num_parties - 1)
 
 
 @dataclass
@@ -118,6 +143,168 @@ _OFFERS = tuple(
     for x in (0, 1)
     for y in (0, 1)
 )
+#: ``bytes.translate`` table to one ASCII digit per byte, its top bit: a
+#: ``randbit()`` keeps the top bit of one parent-stream byte.
+_TOP_BIT_DIGITS = bytes(48 + (byte >> 7) for byte in range(256))
+
+
+# ---------------------------------------------------------------------------
+# Offline phase
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class LanePools:
+    """One batch's offline randomness as int lanes, one word per AND gate
+    ordinal in gate-list order, bit ``lane * n + p`` party ``p``'s prefix
+    share in instance ``lane``.
+
+    ``ot`` holds ``(seeds,)``: each gate's folded masks (what party ``p``
+    drew as sender XOR what it receives). ``beaver`` holds the dealer
+    triples' shares ``(a, b, c)``. Single-use: a second :meth:`claim`
+    raises :class:`OfflinePoolExhaustedError`.
+    """
+
+    mode: str
+    num_parties: int
+    num_instances: int
+    and_gates: int
+    words: Tuple[List[int], ...]
+    consumed: bool = False
+
+    @property
+    def remaining(self) -> int:
+        """AND gates whose randomness has not been consumed yet."""
+        return 0 if self.consumed else self.and_gates
+
+    def claim(self) -> Tuple[List[int], ...]:
+        if self.consumed:
+            raise OfflinePoolExhaustedError(
+                "offline randomness pool exhausted: AND-gate randomness "
+                "consumed twice (pools are single-use per batch)"
+            )
+        self.consumed = True
+        return self.words
+
+
+def _gate_words(lane_rows: List[List[int]], gates: int) -> List[int]:
+    """Transpose per-(lane, party) rows — ``gates``-bit ints, gate 0 the
+    most significant bit — into one word per gate with bit ``lane * n +
+    p``. Through binary text: the rows side by side, highest bit first, so
+    gate ``g`` is the stride-``gates`` slice from ``g``."""
+    spec = f"0{gates}b"
+    text = "".join([format(row, spec) for rows in reversed(lane_rows) for row in reversed(rows)])
+    return [int(text[g::gates], 2) for g in range(gates)]
+
+
+class PoolBuilder:
+    """Reads one batch's offline randomness, instance by instance, off the
+    stream positions :meth:`GMWEngine.evaluate` reads.
+
+    Call :meth:`add_instance` once per circuit instance *in transcript
+    order* (for the secure engine: vertex order), interleaved freely with
+    other builders: each call consumes exactly the bytes one ``evaluate``
+    of that instance would, so a mixed-bound walk keeps the run's stream
+    aligned. :meth:`build` turns the reads into :class:`LanePools`;
+    :class:`repro.mpc.bitslice.OfflinePoolBuilder` builds numpy words
+    from the same reads.
+    """
+
+    def __init__(self, circuit: Circuit, num_parties: int, mode: str) -> None:
+        if mode not in ("ot", "beaver"):
+            raise ProtocolError(f"unknown GMW mode {mode!r}")
+        self.circuit = circuit
+        self.num_parties = num_parties
+        self.mode = mode
+        # Sized from the compiled plan, not by walking gates: the plan's
+        # AND count is the one the bill reads, and the cross-check test
+        # in tests/test_mpc_gmw.py pins both to the per-gate transcript.
+        self.and_gates = circuit.compile().stats.and_gates
+        #: one ``bytes`` per instance: every sender's packed mask read
+        #: (``ot``) or the parent stream's triple draws (``beaver``)
+        self._reads: List[bytes] = []
+
+    @property
+    def num_instances(self) -> int:
+        return len(self._reads)
+
+    def add_instance(self, rng: DeterministicRNG) -> None:
+        n = self.num_parties
+        ands = self.and_gates
+        # evaluate() forks one sub-stream per party first, in both modes
+        party_rngs = [rng.fork(f"gmw-party-{p}") for p in range(n)]
+        if self.mode == "ot":
+            # sender i reads its ands * (n - 1 - i) masks in one go
+            self._reads.append(
+                b"".join(
+                    [r.randbytes(mask_stream_bytes(ands, n, p)) for p, r in enumerate(party_rngs)]
+                )
+            )
+        else:
+            # per gate in list order: a, b, then three share_value(., 1, n,
+            # rng) calls; every draw is a one-byte randbit()
+            self._reads.append(rng.randbytes(ands * beaver_draws(n)))
+
+    def build(self) -> LanePools:
+        ands = self.and_gates
+        lane_rows = self._ot_rows if self.mode == "ot" else self._beaver_rows
+        rows = [lane_rows(read) for read in self._reads] if ands else []
+        return LanePools(
+            mode=self.mode,
+            num_parties=self.num_parties,
+            num_instances=self.num_instances,
+            and_gates=ands,
+            words=tuple(
+                _gate_words([lane[c] for lane in rows], ands) if rows else []
+                for c in range(1 if self.mode == "ot" else 3)
+            ),
+        )
+
+    def _ot_rows(self, read: bytes) -> List[List[int]]:
+        """One instance's folded masks as prefix shares, one ``ands``-bit
+        row per party. Mask ``(i, j)`` is in ``p``'s fold iff ``p`` is
+        ``i`` or ``j``, so it is in ``p``'s prefix iff ``i <= p < j``."""
+        n, ands = self.num_parties, self.and_gates
+        columns: List[List[int]] = []  # columns[i][j - i - 1]: mask (i, j) per gate
+        offset = 0
+        for i in range(n):
+            size = mask_stream_bytes(ands, n, i)
+            bits = format(int.from_bytes(read[offset : offset + size], "big"), f"0{8 * size}b")
+            offset += size
+            stride = n - 1 - i
+            columns.append([int(bits[r : stride * ands : stride], 2) for r in range(stride)])
+        prefix = 0
+        row = []
+        for p in range(n):
+            for mask in columns[p]:  # p as sender
+                prefix ^= mask
+            for i in range(p):  # p as receiver
+                prefix ^= columns[i][p - i - 1]
+            row.append(prefix)
+        return [row]
+
+    def _beaver_rows(self, read: bytes) -> List[List[int]]:
+        """One instance's triple shares ``a, b, c`` as prefix shares: the
+        first ``n - 1`` shares are draws, the last completes the XOR to the
+        plain value, so the last prefix *is* the plain value."""
+        n = self.num_parties
+        per_gate = beaver_draws(n)
+        digits = read.translate(_TOP_BIT_DIGITS)
+
+        def column(c: int) -> int:  # draw c of every gate, gate 0 first
+            return int(digits[c::per_gate], 2)
+
+        a_plain, b_plain = column(0), column(1)
+        components = []
+        for plain, lo in ((a_plain, 2), (b_plain, 1 + n), (a_plain & b_plain, 2 * n)):
+            prefix = 0
+            shares = []
+            for c in range(lo, lo + n - 1):
+                prefix ^= column(c)
+                shares.append(prefix)
+            shares.append(plain)
+            components.append(shares)
+        return components
 
 
 class GMWEngine:
@@ -170,7 +357,10 @@ class GMWEngine:
         shared_inputs: Dict[str, Sequence[int]],
         rng: DeterministicRNG,
     ) -> GMWResult:
-        """Run the protocol on pre-shared inputs.
+        """Run the protocol on pre-shared inputs, gate by gate: the
+        per-gate oracle, which runs the OT backend once per AND gate per
+        pair (any backend). Engines evaluate through
+        :meth:`evaluate_batch`, which must match it bit for bit.
 
         ``shared_inputs[name]`` holds one integer share per party for the
         named input bus; XOR of the shares is the plaintext value.
@@ -242,16 +432,198 @@ class GMWEngine:
     def _check_shared_inputs(
         self, circuit: Circuit, shared_inputs: Dict[str, Sequence[int]]
     ) -> None:
-        """Validate one instance's share map (shared with the bit-sliced
-        engine so both backends reject malformed inputs identically)."""
+        """Validate one instance's share map (every evaluator calls it, so
+        all of them reject malformed inputs identically)."""
         n = self.num_parties
         for name in circuit.input_buses:
             if name not in shared_inputs:
                 raise CircuitError(f"missing shares for input bus {name!r}")
-            if len(shared_inputs[name]) != n:
+            shares = shared_inputs[name]
+            if len(shares) != n:
                 raise ProtocolError(
-                    f"input bus {name!r} has {len(shared_inputs[name])} shares, expected {n}"
+                    f"input bus {name!r} has {len(shares)} shares, expected {n}"
                 )
+            for share in shares:
+                if not isinstance(share, int):
+                    raise ProtocolError(
+                        f"input bus {name!r} has a {type(share).__name__} share; "
+                        "shares are int"
+                    )
+
+    # -- lanes: offline ------------------------------------------------------
+
+    def _require_silent_ot(self) -> None:
+        """Lanes compute what a correct OT returns and never run the
+        backend, so in ``ot`` mode it must be the rng-silent simulated one:
+        a backend that does per-transfer work and draws (DDH, IKNP) would
+        be billed but not executed, and its draws are not something the
+        offline phase reads."""
+        if self.mode == "ot" and not isinstance(self.ot, SimulatedObliviousTransfer):
+            raise ProtocolError(
+                "lane GMW requires the rng-silent simulated OT backend; "
+                f"{type(self.ot).__name__} consumes per-transfer randomness, "
+                "which the offline phase cannot replay"
+            )
+
+    def pool_builder(self, circuit: Circuit) -> PoolBuilder:
+        """A builder for this engine's mode and party count (the secure
+        engine interleaves several to keep vertex transcript order)."""
+        self._require_silent_ot()
+        return PoolBuilder(circuit, self.num_parties, self.mode)
+
+    def precompute(
+        self, circuit: Circuit, num_instances: int, rng: DeterministicRNG
+    ) -> LanePools:
+        """Draw all per-gate randomness for ``num_instances`` back-to-back
+        evaluations of ``circuit`` — the offline phase."""
+        builder = self.pool_builder(circuit)
+        for _ in range(num_instances):
+            builder.add_instance(rng)
+        return builder.build()
+
+    # -- lanes: online -------------------------------------------------------
+
+    def evaluate_batch(
+        self,
+        circuit: Circuit,
+        shared_inputs_list: Sequence[Dict[str, Sequence[int]]],
+        rng: Optional[DeterministicRNG] = None,
+        pools: Optional[LanePools] = None,
+    ) -> List[GMWResult]:
+        """Evaluate ``circuit`` once per entry of ``shared_inputs_list``, the
+        entries as lanes of one walk.
+
+        With ``pools`` (from :meth:`pool_builder`) the online phase is
+        RNG-free; otherwise ``rng`` is consumed by an implicit offline
+        phase exactly as back-to-back :meth:`evaluate` calls would consume
+        it. Output shares, traffic and OT stats equal theirs.
+        """
+        n = self.num_parties
+        lanes = len(shared_inputs_list)
+        self._require_silent_ot()
+        for shared_inputs in shared_inputs_list:
+            self._check_shared_inputs(circuit, shared_inputs)
+        if pools is None:
+            if rng is None:
+                raise ProtocolError("evaluate_batch needs an rng or prebuilt pools")
+            pools = self.precompute(circuit, lanes, rng)
+        if pools.mode != self.mode or pools.num_parties != n:
+            raise ProtocolError(
+                f"offline pool is {pools.mode!r}/{pools.num_parties} parties, "
+                f"engine is {self.mode!r}/{n}"
+            )
+        if pools.num_instances != lanes:
+            raise OfflinePoolExhaustedError(
+                f"offline pool provisioned {pools.num_instances} instances, "
+                f"online batch has {lanes}"
+            )
+        if lanes == 0:
+            return []
+        stats = circuit.compile().stats
+        if pools.and_gates != stats.and_gates:
+            raise OfflinePoolExhaustedError(
+                f"offline pool provisioned {pools.and_gates} AND gates, the circuit "
+                f"has {stats.and_gates} — pool built for a different circuit"
+            )
+        bus_shares = self._evaluate_lanes(circuit, shared_inputs_list, pools)
+        traffic = [self._closed_form_traffic(stats) for _ in range(lanes)]
+        self._record_bulk_ot_stats(sum(t.ot_count for t in traffic))
+        bus_widths = {name: len(wires) for name, wires in circuit.output_buses.items()}
+        return [
+            GMWResult(
+                num_parties=n,
+                bus_widths=dict(bus_widths),
+                output_shares={name: shares[lane] for name, shares in bus_shares.items()},
+                traffic=traffic[lane],
+            )
+            for lane in range(lanes)
+        ]
+
+    def _evaluate_lanes(
+        self,
+        circuit: Circuit,
+        shared_inputs_list: Sequence[Dict[str, Sequence[int]]],
+        pools: LanePools,
+    ) -> Dict[str, List[List[int]]]:
+        """The online walk: output shares as ``{bus: [lane][party]}``.
+
+        Buses are transposed at the edges through binary text, as in
+        :meth:`Circuit.evaluate_many`, with one row per (lane, party).
+        """
+        n = self.num_parties
+        lanes = len(shared_inputs_list)
+        rows = lanes * n
+        full = (1 << rows) - 1
+        low = sum(1 << (lane * n) for lane in range(lanes))  # party 0 of every lane
+        values = [0] * circuit.num_wires
+        values[circuit.one] = full  # party 0 holds the one: every prefix is 1
+        for name, wires in circuit.input_buses.items():
+            width = len(wires)
+            mask = (1 << width) - 1
+            spec = f"0{width}b"
+            text = []
+            for inputs in reversed(shared_inputs_list):  # highest bit first
+                prefix = 0
+                lane_rows = []
+                for share in inputs[name]:
+                    prefix ^= share
+                    lane_rows.append(format(prefix & mask, spec))
+                text.extend(reversed(lane_rows))
+            joined = "".join(text)
+            for position, wire in enumerate(wires):
+                values[wire] = int(joined[width - 1 - position :: width], 2)
+
+        ot = self.mode == "ot"
+        if ot:
+            (seeds,) = pools.claim()
+        else:
+            triple_a, triple_b, triple_c = pools.claim()
+            spread = (1 << n) - 1  # a lane's low bit times this fills its n bits
+            top = n - 1
+        ordinal = 0
+        xor_op, and_op = GateOp.XOR, GateOp.AND
+        for op, a, b, out in circuit.gates:
+            if op is xor_op:
+                values[out] = values[a] ^ values[b]
+            elif op is and_op:
+                if ot:
+                    # each party's prefix update telescopes to X_<=p & Y_<=p
+                    values[out] = seeds[ordinal] ^ (values[a] & values[b])
+                else:
+                    # the opened d = x ^ a and e = y ^ b are the last
+                    # party's prefix, broadcast to every party of the lane
+                    ta, tb = triple_a[ordinal], triple_b[ordinal]
+                    d = (((values[a] ^ ta) >> top) & low) * spread
+                    e = (((values[b] ^ tb) >> top) & low) * spread
+                    values[out] = triple_c[ordinal] ^ (d & tb) ^ (e & ta) ^ (d & e)
+                ordinal += 1
+            else:
+                values[out] = values[a] ^ full
+
+        # prefix shares back to shares: party p > 0 XORs away p - 1's prefix
+        upper = full ^ low
+        spec = f"0{rows}b"
+        bus_shares: Dict[str, List[List[int]]] = {}
+        for name, wires in circuit.output_buses.items():
+            if not wires:
+                bus_shares[name] = [[0] * n for _ in range(lanes)]
+                continue
+            text = "".join(
+                [format(w ^ ((w << 1) & upper), spec) for w in (values[x] for x in reversed(wires))]
+            )
+            # bit k of every wire, most significant wire first
+            flat = [int(text[rows - 1 - k :: rows], 2) for k in range(rows)]
+            bus_shares[name] = [flat[lane * n : lane * n + n] for lane in range(lanes)]
+        return bus_shares
+
+    def _record_bulk_ot_stats(self, transfers: int) -> None:
+        """The OT backend's accounting for ``transfers`` transfers that the
+        lanes computed, in one update."""
+        stats = self.ot.stats
+        stats.transfers += transfers
+        sender_bytes, receiver_bytes = self.ot.and_gate_bytes()
+        stats.sender_bytes += transfers * sender_bytes
+        stats.receiver_bytes += transfers * receiver_bytes
 
     def _closed_form_traffic(self, stats: CircuitStats) -> GMWTraffic:
         """One evaluation's traffic, off its bill: of every pair ``{i < j}``

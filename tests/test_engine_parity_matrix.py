@@ -25,8 +25,8 @@ scale-free), all under a fixed seed:
 * every secure run's counters — OTs, transfers, AND gates per step and
   metered exponentiations — equal its bill
   (:func:`~repro.core.secure_engine.run_bill`) exactly, and so does the
-  OT backend's own record — one transfer per ``transfer4`` call under
-  the scalar backend.
+  OT backend's own record, which the lanes book in one update per
+  batch.
 
 Any future backend (remote, ...) earns its registry entry by joining
 this matrix.

@@ -254,8 +254,8 @@ class TestOneBodyOneTrace:
     @pytest.mark.parametrize(
         "release, spans",
         [
-            ({}, 13),
-            ({"release": "windowed", "windows": [1, 1], "window_epsilon": 0.1}, 16),
+            ({}, 19),
+            ({"release": "windowed", "windows": [1, 1], "window_epsilon": 0.1}, 22),
         ],
         ids=["oneshot", "windowed"],
     )
