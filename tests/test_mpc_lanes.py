@@ -27,13 +27,9 @@ from repro.finance.eisenberg_noe import EisenbergNoeProgram
 from repro.mpc.builder import CircuitBuilder
 from repro.mpc.circuit import Circuit, GateOp
 from repro.mpc.fixedpoint import FixedPointFormat
+from repro.mpc.bitslice import HAVE_NUMPY, BitslicedGMWEngine
 from repro.mpc.gmw import GMWEngine, LanePools
 from repro.mpc.noise_circuit import build_noised_sum_bits_circuit
-
-try:
-    from repro.mpc.bitslice import HAVE_NUMPY, BitslicedGMWEngine
-except ImportError:  # pragma: no cover - bitslice imports without numpy
-    HAVE_NUMPY = False
 
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy engine not available")
 
@@ -256,28 +252,28 @@ class TestSimulatedOTOnly:
 # ---------------------------------------------------------- typed refusal --
 
 
-def _evaluators():
-    yield "oracle", lambda engine, c, shares: engine.evaluate(c, shares, DeterministicRNG(1))
-    yield "int-lanes", lambda engine, c, shares: engine.evaluate_batch(
-        c, [shares], DeterministicRNG(1)
-    )
-    if HAVE_NUMPY:
-        yield "numpy", lambda engine, c, shares: BitslicedGMWEngine(3).evaluate_batch(
-            c, [shares], DeterministicRNG(1)
-        )
-
-
-@pytest.mark.parametrize("evaluator", [run for _, run in _evaluators()],
-                         ids=[name for name, _ in _evaluators()])
+@pytest.mark.parametrize(
+    "evaluator",
+    [
+        pytest.param(lambda c, s: GMWEngine(3).evaluate(c, s, DeterministicRNG(1)), id="oracle"),
+        pytest.param(
+            lambda c, s: GMWEngine(3).evaluate_batch(c, [s], DeterministicRNG(1)), id="int-lanes"
+        ),
+        pytest.param(
+            lambda c, s: BitslicedGMWEngine(3).evaluate_batch(c, [s], DeterministicRNG(1)),
+            id="numpy",
+            marks=needs_numpy,
+        ),
+    ],
+)
 @pytest.mark.parametrize("bad", [1.0, "1", None], ids=["float", "str", "none"])
 def test_a_non_int_share_is_a_protocol_error(evaluator, bad):
     builder = CircuitBuilder()
     x = builder.input_bus("x", 4)
     y = builder.input_bus("y", 4)
     builder.output_bus("and", builder.bitwise_and(x, y))
-    engine = GMWEngine(3)
     with pytest.raises(ProtocolError, match="int"):
-        evaluator(engine, builder.circuit, {"x": [1, 2, 3], "y": [4, bad, 6]})
+        evaluator(builder.circuit, {"x": [1, 2, 3], "y": [4, bad, 6]})
 
 
 # ------------------------------------------------------------- speed gate --
