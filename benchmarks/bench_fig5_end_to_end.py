@@ -75,14 +75,12 @@ def _run(program_cls, block_size: int):
 
 def test_fig5_left_time_breakdown(benchmark):
     rows = []
-    totals = {}
     ots = {}
     for program_cls, label in ((EisenbergNoeProgram, "EN"), (ElliottGolubJacksonProgram, "EGJ")):
         for block in BLOCKS:
             result = _run(program_cls, block)
             phases = result.phases.seconds
             total = result.wall_seconds
-            totals[(label, block)] = total
             ots[(label, block)] = result.extras["gmw_ot_count"]
             rows.append(
                 [
@@ -96,18 +94,21 @@ def test_fig5_left_time_breakdown(benchmark):
             )
 
     # Paper shapes: super-linear growth in block size; computation steps
-    # dominate; EGJ >= EN at equal block size. The growth is checked on
-    # the OT count, not wall-clock (fixed costs blur it at this scale):
-    # each AND is one OT per unordered pair of the k members, and the AND
-    # count is fixed by the program, not by k.
+    # dominate; EGJ >= EN at equal block size. Both are checked on the
+    # bill, not wall-clock (fixed costs and transfers blur it at this
+    # scale): each AND is one OT per unordered pair of the k members, and
+    # the AND count is fixed by the program, not by k.
+    step_ands = {}
     for program_cls, label in ((EisenbergNoeProgram, "EN"), (ElliottGolubJacksonProgram, "EGJ")):
-        ands = (ITERATIONS + 1) * _step_ands(program_cls)
+        step_ands[label] = _step_ands(program_cls)
+        ands = (ITERATIONS + 1) * step_ands[label]
         for block in BLOCKS:
             assert ots[(label, block)] == ands * block * (block - 1) // 2, (
                 f"{label} OTs should grow as k(k-1)/2 per AND"
             )
+    assert step_ands["EGJ"] >= step_ands["EN"]
     for block in BLOCKS:
-        assert totals[("EGJ", block)] > 0.8 * totals[("EN", block)]
+        assert ots[("EGJ", block)] >= ots[("EN", block)]
 
     emit_table(
         "Figure 5 (left) - end-to-end time breakdown [seconds]"

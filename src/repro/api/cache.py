@@ -38,11 +38,18 @@ from typing import Any, Dict, Optional
 
 from repro.api.result import RunResult
 from repro.api.session import ResolvedRun
+from repro.core.graph import DistributedGraph
 from repro.core.program import program_token
 from repro.core.tokens import Unfingerprintable, stable_token
 from repro.simulation.netsim import PhaseTimer
 
-__all__ = ["ScenarioCache", "ScenarioCacheBase", "run_fingerprint", "clone_result"]
+__all__ = [
+    "ScenarioCache",
+    "ScenarioCacheBase",
+    "clone_result",
+    "graph_digest",
+    "run_fingerprint",
+]
 
 #: Immutable ``extras`` values a copy shares instead of copying.
 _ATOMS = (int, float, str, bool, type(None))
@@ -79,6 +86,13 @@ def clone_result(result: RunResult) -> Optional[RunResult]:
         return None
 
 
+def graph_digest(graph: DistributedGraph) -> str:
+    """SHA-256 of the graph's stable token: the O(V+E) part of
+    :func:`run_fingerprint`, collapsed to a fixed-size digest (raises
+    :class:`~repro.core.tokens.Unfingerprintable` like the token)."""
+    return hashlib.sha256(repr(stable_token(graph)).encode("utf-8")).hexdigest()
+
+
 def run_fingerprint(
     resolved: ResolvedRun,
     _graph_tokens: Optional[Dict[int, Any]] = None,
@@ -109,17 +123,15 @@ def run_fingerprint(
     try:
         graph_key = id(resolved.graph)
         if _graph_tokens is not None and graph_key in _graph_tokens:
-            graph_digest = _graph_tokens[graph_key]
+            digest = _graph_tokens[graph_key]
         else:
-            graph_digest = hashlib.sha256(
-                repr(stable_token(resolved.graph)).encode("utf-8")
-            ).hexdigest()
+            digest = graph_digest(resolved.graph)
             if _graph_tokens is not None:
-                _graph_tokens[graph_key] = graph_digest
+                _graph_tokens[graph_key] = digest
         # sub-tokens are already stable tuples; assembling them directly
         # (no outer stable_token pass) avoids re-walking every nested tuple
         token = (
-            ("graph", graph_digest),
+            ("graph", digest),
             ("config", stable_token(resolved.config)),
             ("program",) + program_token(resolved.program),
             (

@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, SealedGraphError
 
-__all__ = ["VertexView", "DistributedGraph"]
+__all__ = ["VertexView", "DistributedGraph", "SealedGraph"]
 
 
 @dataclass
@@ -144,9 +144,29 @@ class DistributedGraph:
             ]
         return routes
 
+    def seal(self) -> "SealedGraph":
+        """Make this graph refuse :meth:`add_vertex` / :meth:`add_edge` from
+        now on, and return it. Sealing swaps the class, so an unsealed graph's
+        construction path carries no check at all."""
+        self.__class__ = SealedGraph
+        return self  # type: ignore[return-value]
+
     def max_degree(self) -> int:
         """Largest in- or out-degree actually present."""
         return max(
             (max(v.in_degree, v.out_degree) for v in self._vertices.values()),
             default=0,
         )
+
+
+class SealedGraph(DistributedGraph):
+    """A :class:`DistributedGraph` after :meth:`~DistributedGraph.seal`: the
+    same content (tokens, digests and runs do not tell them apart), but
+    adding a vertex or an edge raises :class:`SealedGraphError`. Pickled
+    copies stay sealed."""
+
+    def add_vertex(self, vertex_id: int, **data: float) -> VertexView:
+        raise SealedGraphError(f"graph is sealed: cannot add vertex {vertex_id}")
+
+    def add_edge(self, src: int, dst: int, **edge_data: float) -> None:
+        raise SealedGraphError(f"graph is sealed: cannot add edge {src}->{dst}")

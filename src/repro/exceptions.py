@@ -52,6 +52,12 @@ class ConfigurationError(DStressError):
     """Invalid runtime configuration (block size, degree bound, ...)."""
 
 
+class SealedGraphError(ConfigurationError):
+    """A sealed :class:`~repro.core.graph.DistributedGraph` — one shared
+    through a table, so every run that found it reads the same graph —
+    was asked to add a vertex or an edge."""
+
+
 class ConvergenceError(DStressError):
     """An iterative solver failed to converge within its iteration bound."""
 

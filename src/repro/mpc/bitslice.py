@@ -43,7 +43,7 @@ stdlib); constructing :class:`BitslicedGMWEngine` without it raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.ot import ObliviousTransfer
@@ -169,8 +169,8 @@ class OfflinePools:
     the diagonal), one lane per instance. In beaver mode
     ``triple_a/b/c[g, p]`` hold party ``p``'s share of the dealer triple.
     A pool is single-use: the online phase takes all of it at once, in its
-    schedule's gate order, and re-use or an ordinal outside the pool
-    raises :class:`OfflinePoolExhaustedError`.
+    schedule's gate order, and a second take raises
+    :class:`OfflinePoolExhaustedError`.
     """
 
     mode: str
@@ -181,32 +181,20 @@ class OfflinePools:
     triple_a: Optional["np.ndarray"] = None  # (and_gates, n, words)
     triple_b: Optional["np.ndarray"] = None
     triple_c: Optional["np.ndarray"] = None
-    _consumed: "np.ndarray" = field(default=None, repr=False)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self._consumed is None:
-            self._consumed = np.zeros(self.and_gates, dtype=bool)
+    consumed: bool = False
 
     @property
     def remaining(self) -> int:
         """AND gates whose randomness has not been consumed yet."""
-        return int(self.and_gates - self._consumed.sum())
+        return 0 if self.consumed else self.and_gates
 
-    def _claim(self, ordinals: "np.ndarray") -> None:
-        if ordinals.size == 0:
-            return
-        if int(ordinals.max(initial=0)) >= self.and_gates or int(ordinals.min()) < 0:
-            raise OfflinePoolExhaustedError(
-                f"offline pool provisioned {self.and_gates} AND gates but the "
-                f"online phase asked for gate ordinal {int(ordinals.max())} — "
-                "pool built for a different circuit"
-            )
-        if bool(self._consumed[ordinals].any()):
+    def _claim(self) -> None:
+        if self.consumed:
             raise OfflinePoolExhaustedError(
                 "offline randomness pool exhausted: AND-gate randomness "
                 "consumed twice (pools are single-use per batch)"
             )
-        self._consumed[ordinals] = True
+        self.consumed = True
 
     def take_ot(self, ordinals: "np.ndarray") -> "np.ndarray":
         """Claim ``ordinals`` (a schedule's ``and_order``) and return, in
@@ -216,7 +204,7 @@ class OfflinePools:
             raise OfflinePoolExhaustedError(
                 f"pool holds {self.mode!r}-mode randomness, not OT masks"
             )
-        self._claim(ordinals)
+        self._claim()
         masks = self.ot_masks
         folded = np.bitwise_xor.reduce(masks, axis=2)  # party as sender
         folded ^= np.bitwise_xor.reduce(masks, axis=1)  # party as receiver
@@ -229,7 +217,7 @@ class OfflinePools:
             raise OfflinePoolExhaustedError(
                 f"pool holds {self.mode!r}-mode randomness, not Beaver triples"
             )
-        self._claim(ordinals)
+        self._claim()
         return (
             self.triple_a[ordinals],
             self.triple_b[ordinals],

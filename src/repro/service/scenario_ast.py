@@ -46,7 +46,9 @@ three gates before an engine ever sees it:
    and the accountant's audit ledger key on. Two documents that would
    produce the same released bits get the same fingerprint, which is
    what lets the server single-flight them into one engine run and one
-   epsilon charge.
+   epsilon charge. The network is the costly part of that build, and
+   many scenarios share one: :data:`GRAPHS` builds each network spec's
+   graph and its digest once per process.
 
 The notarization is a trust stamp, not a privilege gate: the server
 re-validates every submitted document itself and never executes anything
@@ -61,10 +63,14 @@ import math
 from dataclasses import dataclass, fields
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.api.cache import run_fingerprint
+from repro.api.cache import graph_digest, run_fingerprint
+from repro.api.registry import get_program
 from repro.api.session import ResolvedRun, StressTest
 from repro.core.config import available_presets
+from repro.core.graph import DistributedGraph
 from repro.core.lifecycle import MAX_WINDOWS as LIFECYCLE_MAX_WINDOWS
+from repro.core.tokens import Unfingerprintable
+from repro.mpc.plan import SealedTable
 from repro.privacy.admission import release_epsilon
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import DStressError, ScenarioValidationError
@@ -81,6 +87,8 @@ from repro.graphgen import (
 
 __all__ = [
     "AST_VERSION",
+    "GRAPHS",
+    "GRAPH_ELEMENT_BOUND",
     "MAX_BANKS",
     "MAX_ITERATIONS",
     "NotarizedScenario",
@@ -431,8 +439,6 @@ def validate_scenario(doc: Any) -> ValidatedScenario:
     # class, never a callable, and aliases resolve to the same canonical
     if not isinstance(program, str):
         _fail("scenario 'program' must be a registry name string")
-    from repro.api.registry import get_program
-
     try:
         program = get_program(program).name
     except DStressError as exc:
@@ -559,7 +565,10 @@ def build_session(validated: ValidatedScenario) -> StressTest:
     """A ready-to-run :class:`~repro.api.session.StressTest` for a
     validated scenario — the exact session a library caller would have
     built by hand, so service results are bit-identical to direct runs."""
-    session = StressTest(build_network(validated))
+    return _configured(StressTest(build_network(validated)), validated)
+
+
+def _configured(session: StressTest, validated: ValidatedScenario) -> StressTest:
     session.program(validated.program)
     session.engine(validated.engine, **validated.engine_options)
     if validated.preset is not None:
@@ -573,6 +582,49 @@ def build_session(validated: ValidatedScenario) -> StressTest:
     if validated.degree_bound is not None:
         session.degree_bound(validated.degree_bound)
     return session
+
+
+@dataclass(frozen=True)
+class TabledGraph:
+    """One :data:`GRAPHS` entry: a network spec's resolved graph, sealed,
+    its :func:`~repro.api.cache.graph_digest`, and its weight."""
+
+    graph: DistributedGraph
+    digest: str
+    elements: int
+
+
+#: Vertices plus edges :data:`GRAPHS` may hold (a few tens of MB). A
+#: constant, not an option: the service's 64-bank floor network is ≈ 300
+#: elements, a dense 512-bank one ≈ 260 k is built for its request and not
+#: kept, and an eviction costs one rebuild.
+GRAPH_ELEMENT_BOUND = 1 << 17
+
+#: Process-wide: network spec -> :class:`TabledGraph`
+#: (``service.graphs.builds`` / ``.hits`` under a recorder). The graph is a
+#: pure function of the spec, so documents that differ in anything else —
+#: name, seed, epsilon, engine, preset — share one build and one digest.
+GRAPHS = SealedTable(
+    "service.graphs",
+    GRAPH_ELEMENT_BOUND,
+    weigh=lambda tabled: tabled.elements,
+    seal=lambda tabled: tabled.graph.seal(),
+)
+
+
+#: The canonical document's sections a graph depends on: generator, params
+#: and topology seed; shock; program (its graph builder); degree bound.
+_GRAPH_SECTIONS = ("network", "shock", "program", "degree_bound")
+
+
+def _graph_key(document: Dict[str, Any]) -> str:
+    return canonical_json([document.get(section) for section in _GRAPH_SECTIONS])
+
+
+def _tabled_graph(validated: ValidatedScenario) -> TabledGraph:
+    build = get_program(validated.program).graph_builder
+    graph = build(build_network(validated), validated.degree_bound)
+    return TabledGraph(graph, graph_digest(graph), graph.num_vertices + graph.num_edges)
 
 
 @dataclass(frozen=True)
@@ -608,8 +660,17 @@ def notarize(doc: Any) -> NotarizedScenario:
     validated = validate_scenario(doc)
     canonical_doc = validated.document()
     canonical = canonical_json(canonical_doc)
+    graph_tokens: Optional[Dict[int, str]] = None
     try:
-        resolved = build_session(validated).resolve(
+        tabled = GRAPHS.get(_graph_key(canonical_doc), lambda: _tabled_graph(validated))
+    except (DStressError, Unfingerprintable):
+        # never tabled: the cold resolve below refuses it in its own words
+        session = build_session(validated)
+    else:
+        session = _configured(StressTest(tabled.graph), validated)
+        graph_tokens = {id(tabled.graph): tabled.digest}
+    try:
+        resolved = session.resolve(
             validated.iterations,
             max_iterations=validated.max_iterations,
             label=validated.name,
@@ -620,7 +681,7 @@ def notarize(doc: Any) -> NotarizedScenario:
         raise ScenarioValidationError(
             f"scenario {validated.name!r} failed to resolve: {exc}"
         ) from exc
-    fingerprint = run_fingerprint(resolved)
+    fingerprint = run_fingerprint(resolved, graph_tokens)
     if fingerprint is None:  # pragma: no cover - whitelisted inputs always token
         raise ScenarioValidationError(
             f"scenario {validated.name!r} resolved to an unfingerprintable "

@@ -13,9 +13,12 @@ other in-flight request:
 
 1. **Notarize.** Whitelist-validate, canonicalize, resolve, fingerprint.
    A malformed or unwhitelisted document gets a typed ``rejected``
-   response before anything is built further or charged. Notarizing is
-   pure, so the last notarizations are kept by canonical text: a re-submit
-   costs a lookup, not a resolve on the thread every client waits behind.
+   response before anything is built further or charged. The network is
+   built once per network spec per process
+   (:data:`~repro.service.scenario_ast.GRAPHS`), so a fresh document over a
+   known network costs validation and two small tokens; and the last
+   notarizations are kept by canonical text, so a re-submit costs a
+   lookup. Neither rebuilds on the thread every client waits behind.
 2. **Single-flight.** If an identical scenario (same notarized
    fingerprint) is already executing, this request *joins* it: no second
    engine run, no second charge — N concurrent identical requests cost
