@@ -43,13 +43,7 @@ from repro.core.program import program_token
 from repro.core.tokens import Unfingerprintable, stable_token
 from repro.simulation.netsim import PhaseTimer
 
-__all__ = [
-    "ScenarioCache",
-    "ScenarioCacheBase",
-    "clone_result",
-    "graph_digest",
-    "run_fingerprint",
-]
+__all__ = ["ScenarioCache", "ScenarioCacheBase", "run_fingerprint", "clone_result", "graph_digest"]
 
 #: Immutable ``extras`` values a copy shares instead of copying.
 _ATOMS = (int, float, str, bool, type(None))

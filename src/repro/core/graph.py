@@ -144,12 +144,11 @@ class DistributedGraph:
             ]
         return routes
 
-    def seal(self) -> "SealedGraph":
+    def seal(self) -> None:
         """Make this graph refuse :meth:`add_vertex` / :meth:`add_edge` from
-        now on, and return it. Sealing swaps the class, so an unsealed graph's
-        construction path carries no check at all."""
+        now on. Sealing swaps the class, so an unsealed graph's construction
+        path carries no check at all."""
         self.__class__ = SealedGraph
-        return self  # type: ignore[return-value]
 
     def max_degree(self) -> int:
         """Largest in- or out-degree actually present."""

@@ -69,7 +69,6 @@ from repro.api.session import ResolvedRun, StressTest
 from repro.core.config import available_presets
 from repro.core.graph import DistributedGraph
 from repro.core.lifecycle import MAX_WINDOWS as LIFECYCLE_MAX_WINDOWS
-from repro.core.tokens import Unfingerprintable
 from repro.mpc.plan import SealedTable
 from repro.privacy.admission import release_epsilon
 from repro.crypto.rng import DeterministicRNG
@@ -89,6 +88,7 @@ __all__ = [
     "AST_VERSION",
     "GRAPHS",
     "GRAPH_ELEMENT_BOUND",
+    "GRAPH_WEIGHT_FLOOR",
     "MAX_BANKS",
     "MAX_ITERATIONS",
     "NotarizedScenario",
@@ -591,14 +591,19 @@ class TabledGraph:
 
     graph: DistributedGraph
     digest: str
-    elements: int
+    weight: int
 
 
 #: Vertices plus edges :data:`GRAPHS` may hold (a few tens of MB). A
-#: constant, not an option: the service's 64-bank floor network is ≈ 300
-#: elements, a dense 512-bank one ≈ 260 k is built for its request and not
-#: kept, and an eviction costs one rebuild.
+#: constant, not an option: the service's 64-bank plaintext network is
+#: ≈ 300 elements, a dense 512-bank one ≈ 260 k is built for its request and
+#: not kept, and an eviction costs one rebuild.
 GRAPH_ELEMENT_BOUND = 1 << 17
+
+#: Least weight of an entry, so :data:`GRAPHS` holds at most 128 graphs:
+#: every publish re-sums the entries' weights, and 8 000 tiny graphs made
+#: that sum cost a cold notarize 2 ms.
+GRAPH_WEIGHT_FLOOR = 1 << 10
 
 #: Process-wide: network spec -> :class:`TabledGraph`
 #: (``service.graphs.builds`` / ``.hits`` under a recorder). The graph is a
@@ -607,7 +612,7 @@ GRAPH_ELEMENT_BOUND = 1 << 17
 GRAPHS = SealedTable(
     "service.graphs",
     GRAPH_ELEMENT_BOUND,
-    weigh=lambda tabled: tabled.elements,
+    weigh=lambda tabled: tabled.weight,
     seal=lambda tabled: tabled.graph.seal(),
 )
 
@@ -624,7 +629,8 @@ def _graph_key(document: Dict[str, Any]) -> str:
 def _tabled_graph(validated: ValidatedScenario) -> TabledGraph:
     build = get_program(validated.program).graph_builder
     graph = build(build_network(validated), validated.degree_bound)
-    return TabledGraph(graph, graph_digest(graph), graph.num_vertices + graph.num_edges)
+    weight = max(graph.num_vertices + graph.num_edges, GRAPH_WEIGHT_FLOOR)
+    return TabledGraph(graph, graph_digest(graph), weight)
 
 
 @dataclass(frozen=True)
@@ -663,8 +669,9 @@ def notarize(doc: Any) -> NotarizedScenario:
     graph_tokens: Optional[Dict[int, str]] = None
     try:
         tabled = GRAPHS.get(_graph_key(canonical_doc), lambda: _tabled_graph(validated))
-    except (DStressError, Unfingerprintable):
-        # never tabled: the cold resolve below refuses it in its own words
+    except DStressError:
+        # never tabled; the cold resolve below refuses it as it always has
+        # (a config fault outranks a graph fault, and names itself)
         session = build_session(validated)
     else:
         session = _configured(StressTest(tabled.graph), validated)

@@ -22,6 +22,7 @@ from repro.exceptions import ConfigurationError, ScenarioValidationError, Sealed
 from repro.obs.trace import TraceRecorder, recording
 from repro.service.scenario_ast import (
     GRAPH_ELEMENT_BOUND,
+    GRAPH_WEIGHT_FLOOR,
     GRAPHS,
     build_network,
     build_session,
@@ -97,7 +98,7 @@ def counts():
 
 
 def tabled_weight():
-    return sum(tabled.elements for tabled in GRAPHS._entries.values())
+    return sum(tabled.weight for tabled in GRAPHS._entries.values())
 
 
 class TestColdAndWarm:
@@ -182,19 +183,37 @@ class TestRefusals:
         notarize(make_doc())
         assert len(GRAPHS) == 1
 
-    def test_a_refused_build_words_its_refusal_as_the_cold_resolve_does(self):
-        doc = make_doc(degree_bound=1)
+    @pytest.mark.parametrize(
+        "overrides, words",
+        [
+            ({}, "would exceed out-degree bound"),
+            # the config is resolved before the graph: its fault is the one named
+            ({"dlog_half_width": 2, "collusion_bound": 4}, "dlog window"),
+        ],
+        ids=["graph-fault", "config-and-graph-fault"],
+    )
+    def test_a_refused_build_words_its_refusal_as_the_cold_resolve_does(
+        self, overrides, words
+    ):
+        doc = make_doc(degree_bound=1, overrides=overrides)
         validated = validate_scenario(doc)
         with pytest.raises(ConfigurationError) as cold:
             build_session(validated).resolve(ITERATIONS)
         with pytest.raises(ScenarioValidationError) as refused:
             notarize(doc)
+        assert words in str(cold.value)
         assert str(refused.value) == f"scenario 'table' failed to resolve: {cold.value}"
+        assert len(GRAPHS) == 0
 
 
 class TestBound:
-    def test_the_bound_is_a_constant(self):
+    def test_the_bound_is_a_constant_and_holds_few_graphs(self):
         assert GRAPHS.bound == GRAPH_ELEMENT_BOUND
+        tiny = make_doc(network={"generator": "random", "params": {"num_banks": 2}, "seed": 1})
+        notarize(tiny)
+        (tabled,) = GRAPHS._entries.values()
+        assert tabled.weight == GRAPH_WEIGHT_FLOOR
+        assert GRAPH_ELEMENT_BOUND // GRAPH_WEIGHT_FLOOR == 128
 
     def test_a_flood_of_specs_stays_within_the_bound(self, monkeypatch):
         first = notarize(make_doc(topology=0))
@@ -203,7 +222,7 @@ class TestBound:
         for topology in range(1, 12):
             notarize(make_doc(topology=topology))
             assert tabled_weight() <= GRAPHS.bound
-        assert 1 <= len(GRAPHS) <= 3
+        assert len(GRAPHS) == 3
         # the first spec was evicted: it rebuilds, to the same fingerprint
         builds = GRAPHS.builds
         again = notarize(make_doc(topology=0))
