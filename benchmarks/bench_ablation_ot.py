@@ -2,8 +2,8 @@
 
 The paper's GMW inherits OT extension from Choi et al.; this bench prices
 the alternatives on the same circuit: DDH base OT (public-key per AND
-gate), IKNP extension (amortized symmetric crypto), the fast simulated
-backend, and trusted-dealer Beaver triples.
+gate), IKNP extension (amortized symmetric crypto) and the fast simulated
+backend.
 """
 
 from __future__ import annotations
@@ -70,13 +70,12 @@ def test_ot_backend_ablation(benchmark):
         ("simulated", GMWEngine(parties, ot=SimulatedObliviousTransfer(groups["simulated"]))),
         ("DDH base OT", GMWEngine(parties, ot=DDHObliviousTransfer(groups["DDH base OT"]))),
         ("IKNP extension", GMWEngine(parties, ot=iknp)),
-        ("Beaver dealer", GMWEngine(parties, mode="beaver")),
     ]
     rows = []
     exps = {}
     for label, engine in backends:
         elapsed = _run(engine, circuit, rng)
-        exps[label] = groups[label].exp_count if label in groups else 0
+        exps[label] = groups[label].exp_count
         rows.append([label, elapsed * 1000, elapsed / ots * 1e6, exps[label]])
 
     # Ordering claims, on counted exponentiations rather than wall-clock:

@@ -23,7 +23,8 @@ class DStressConfig:
     ----------
     collusion_bound:
         ``k`` (§3.2 assumption 3): blocks have ``k + 1`` members; any
-        coalition of at most ``k`` nodes learns nothing.
+        coalition of at most ``k`` nodes learns nothing. Every AND gate
+        is an OT among the block's members; no trusted party takes part.
     fmt:
         Fixed-point format of state registers and messages (``L`` bits).
     group:
@@ -45,8 +46,6 @@ class DStressConfig:
     aggregation_fanout:
         Max inputs per aggregation block; more vertices trigger the
         hierarchical tree of §3.6 (the paper projects with fanout 100).
-    gmw_mode:
-        ``"ot"`` (the paper's GMW) or ``"beaver"`` (dealer ablation).
     pad_transfers:
         When True, every vertex runs a transfer for all ``D`` slots each
         round (self-sending no-ops on unused slots), hiding vertex degrees
@@ -72,7 +71,6 @@ class DStressConfig:
     noise_magnitude_bits: Optional[int] = None
     noise_precision_bits: int = 16
     aggregation_fanout: int = 100
-    gmw_mode: str = "ot"
     pad_transfers: bool = False
     wan_latency_seconds: float = 0.0
     wan_bandwidth_bytes: Optional[float] = None

@@ -203,7 +203,6 @@ def run_bill(
         transfers=iterations * per_step,
         message_bits=program.fmt.total_bits,
         element_bytes=config.group.element_size_bytes,
-        mode=config.gmw_mode,
         ot_bytes=SimulatedObliviousTransfer(config.group).and_gate_bytes(),
     )
 
@@ -395,11 +394,7 @@ class SecureEngine:
             from repro.mpc.bitslice import BitslicedGMWEngine
 
             lanes = BitslicedGMWEngine
-        gmw = lanes(
-            config.block_size,
-            ot=SimulatedObliviousTransfer(config.group),
-            mode=config.gmw_mode,
-        )
+        gmw = lanes(config.block_size, ot=SimulatedObliviousTransfer(config.group))
         bill = run_bill(program, config, graph, iterations, vertex_bound)
         current_recorder().event(  # on the run span, before any of it is paid
             "bill", and_gates=bill.and_gates, rounds=bill.and_rounds, ots=bill.ots,

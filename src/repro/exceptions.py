@@ -32,12 +32,13 @@ class OfflinePoolExhaustedError(ProtocolError):
     offline phase never provisioned (wrong circuit, wrong instance count,
     or a pool consumed twice).
 
-    The offline/online split (see DESIGN.md "Lane GMW") sizes the
-    Beaver-triple / OT-mask pools exactly from the compiled plan's AND
-    count, the one :class:`repro.mpc.cost.Bill` reads; running dry therefore means a provisioning *bug*, and the engine must
-    fail loudly rather than silently fall back to drawing fresh scalar
-    randomness — a fallback would both desynchronize the deterministic
-    transcript and hide the mis-sizing."""
+    The offline/online split (see DESIGN.md "Lane GMW") sizes the OT-mask
+    pools exactly from the compiled plan's AND count, the one
+    :class:`repro.mpc.cost.Bill` reads; running dry therefore means a
+    provisioning *bug*, and the engine must fail loudly rather than
+    silently fall back to drawing fresh scalar randomness — a fallback
+    would both desynchronize the deterministic transcript and hide the
+    mis-sizing."""
 
 
 class PrivacyBudgetExceeded(DStressError):

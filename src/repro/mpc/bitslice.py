@@ -15,19 +15,19 @@ slot per party::
 The circuit runs as its :class:`~repro.mpc.circuit.StageSchedule`: per AND
 round one XOR phase (one gather + one ``bitwise_xor.reduceat`` into a
 contiguous slice of the slot cube) and one AND phase (two gathers, an
-AND, one in-place XOR onto the round's pre-placed masks). In ``ot`` mode
-the slots hold *prefix shares* — party ``p`` the XOR of shares ``0..p``
-— converted once on the way in and out, because in that form a
-1-out-of-4 AND's share update is one AND of the operands.
+AND, one in-place XOR onto the round's pre-placed masks). The slots hold
+*prefix shares* — party ``p`` the XOR of shares ``0..p`` — converted once
+on the way in and out, because in that form a 1-out-of-4 AND's share
+update is one AND of the operands.
 
 **Offline/online split.** The offline reads are
 :class:`~repro.mpc.gmw.PoolBuilder`'s — the same forks and bytes the
 per-gate oracle reads. :class:`OfflinePoolBuilder` only builds them into
 numpy pools: ``np.unpackbits`` turns every instance's packed mask read
-into the mask cube, or the ``beaver`` draws into triple shares. Pools are
-indexed by AND-gate *ordinal* in gate-list order, so the online phase may
-evaluate the gates in stage order while every gate consumes the same
-random bits as in the oracle; the online phase touches no RNG at all.
+into the mask cube. Pools are indexed by AND-gate *ordinal* in gate-list
+order, so the online phase may evaluate the gates in stage order while
+every gate consumes the same random bits as in the oracle; the online
+phase touches no RNG at all.
 
 **Compile once.** Everything derived from the gate list — statistics and
 the stage schedule with its index vectors — is built by
@@ -44,7 +44,7 @@ stdlib); constructing :class:`BitslicedGMWEngine` without it raises
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.crypto.ot import ObliviousTransfer
 from repro.crypto.rng import DeterministicRNG
@@ -54,7 +54,7 @@ from repro.exceptions import (
     ProtocolError,
 )
 from repro.mpc.circuit import Circuit
-from repro.mpc.gmw import GMWEngine, GMWResult, PoolBuilder, beaver_draws, mask_stream_bytes
+from repro.mpc.gmw import GMWEngine, GMWResult, PoolBuilder, mask_stream_bytes
 
 try:  # pragma: no cover - exercised implicitly by every import site
     import numpy as np
@@ -166,21 +166,15 @@ class OfflinePools:
 
     ``ot_masks[g, i, j]`` holds, for AND ordinal ``g``, the mask bit party
     ``i`` drew as OT *sender* toward receiver ``j > i`` (zero on and below
-    the diagonal), one lane per instance. In beaver mode
-    ``triple_a/b/c[g, p]`` hold party ``p``'s share of the dealer triple.
-    A pool is single-use: the online phase takes all of it at once, in its
-    schedule's gate order, and a second take raises
-    :class:`OfflinePoolExhaustedError`.
+    the diagonal), one lane per instance. A pool is single-use: the online
+    phase takes all of it at once, in its schedule's gate order, and a
+    second take raises :class:`OfflinePoolExhaustedError`.
     """
 
-    mode: str
     num_parties: int
     num_instances: int
     and_gates: int
-    ot_masks: Optional["np.ndarray"] = None  # (and_gates, n, n, words)
-    triple_a: Optional["np.ndarray"] = None  # (and_gates, n, words)
-    triple_b: Optional["np.ndarray"] = None
-    triple_c: Optional["np.ndarray"] = None
+    ot_masks: "np.ndarray"  # (and_gates, n, n, words)
     consumed: bool = False
 
     @property
@@ -188,41 +182,20 @@ class OfflinePools:
         """AND gates whose randomness has not been consumed yet."""
         return 0 if self.consumed else self.and_gates
 
-    def _claim(self) -> None:
+    def take_ot(self, ordinals: "np.ndarray") -> "np.ndarray":
+        """Claim ``ordinals`` (a schedule's ``and_order``) and return, in
+        that order, each gate's masks folded per party: what party ``p``
+        drew as sender XOR what it receives, ``(gates, n, words)``."""
         if self.consumed:
             raise OfflinePoolExhaustedError(
                 "offline randomness pool exhausted: AND-gate randomness "
                 "consumed twice (pools are single-use per batch)"
             )
         self.consumed = True
-
-    def take_ot(self, ordinals: "np.ndarray") -> "np.ndarray":
-        """Claim ``ordinals`` (a schedule's ``and_order``) and return, in
-        that order, each gate's masks folded per party: what party ``p``
-        drew as sender XOR what it receives, ``(gates, n, words)``."""
-        if self.mode != "ot" or self.ot_masks is None:
-            raise OfflinePoolExhaustedError(
-                f"pool holds {self.mode!r}-mode randomness, not OT masks"
-            )
-        self._claim()
         masks = self.ot_masks
         folded = np.bitwise_xor.reduce(masks, axis=2)  # party as sender
         folded ^= np.bitwise_xor.reduce(masks, axis=1)  # party as receiver
         return folded[ordinals]
-
-    def take_beaver(
-        self, ordinals: "np.ndarray"
-    ) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
-        if self.mode != "beaver" or self.triple_a is None:
-            raise OfflinePoolExhaustedError(
-                f"pool holds {self.mode!r}-mode randomness, not Beaver triples"
-            )
-        self._claim()
-        return (
-            self.triple_a[ordinals],
-            self.triple_b[ordinals],
-            self.triple_c[ordinals],
-        )
 
 
 class OfflinePoolBuilder(PoolBuilder):
@@ -231,55 +204,31 @@ class OfflinePoolBuilder(PoolBuilder):
     transcript order), built into lane-packed numpy pools — every
     instance's mask read unpacked in one pass."""
 
-    def __init__(self, circuit: Circuit, num_parties: int, mode: str) -> None:
+    def __init__(self, circuit: Circuit, num_parties: int) -> None:
         require_numpy()
-        super().__init__(circuit, num_parties, mode)
+        super().__init__(circuit, num_parties)
 
     def build(self) -> OfflinePools:  # type: ignore[override]
         count = self.num_instances
         n, ands = self.num_parties, self.and_gates
-        if self.mode == "ot":
-            # eight masks to the byte, gate-major, sender i's receivers
-            # j > i in party order: sender i's read is (instance, gate, j)
-            sizes = [mask_stream_bytes(ands, n, i) for i in range(n)]
-            raw = np.frombuffer(b"".join(self._reads), dtype=np.uint8).reshape(count, sum(sizes))
-            cube = np.zeros((ands, n, n, count), dtype=np.uint8)
-            offset = 0
-            for i, size in enumerate(sizes[:-1]):
-                receivers = n - 1 - i
-                bits = np.unpackbits(
-                    raw[:, offset : offset + size], axis=-1, count=ands * receivers
-                ).reshape(count, ands, receivers)
-                cube[:, i, i + 1 :, :] = bits.transpose(1, 2, 0)
-                offset += size
-            return OfflinePools(
-                mode="ot",
-                num_parties=n,
-                num_instances=count,
-                and_gates=ands,
-                ot_masks=pack_lane_axis(cube),
-            )
-        # a randbit() keeps its byte's top bit; per gate: a, b, then n - 1
-        # draws for each of the shares of a, b and c, the last share
-        # completing the XOR to the plain value
-        bits = (
-            np.frombuffer(b"".join(self._reads), dtype=np.uint8) >> 7
-        ).reshape(count, ands, beaver_draws(n))
-        a_plain, b_plain = bits[..., 0], bits[..., 1]
-        packed = []
-        for plain, lo in ((a_plain, 2), (b_plain, 1 + n), (a_plain & b_plain, 2 * n)):
-            draws = bits[..., lo : lo + n - 1]
-            last = plain ^ np.bitwise_xor.reduce(draws, axis=-1)
-            shares = np.concatenate([draws, last[..., None]], axis=-1)  # (count, ands, n)
-            packed.append(pack_lane_axis(shares.transpose(1, 2, 0)))
+        # eight masks to the byte, gate-major, sender i's receivers j > i
+        # in party order: sender i's read is (instance, gate, j)
+        sizes = [mask_stream_bytes(ands, n, i) for i in range(n)]
+        raw = np.frombuffer(b"".join(self._reads), dtype=np.uint8).reshape(count, sum(sizes))
+        cube = np.zeros((ands, n, n, count), dtype=np.uint8)
+        offset = 0
+        for i, size in enumerate(sizes[:-1]):
+            receivers = n - 1 - i
+            bits = np.unpackbits(
+                raw[:, offset : offset + size], axis=-1, count=ands * receivers
+            ).reshape(count, ands, receivers)
+            cube[:, i, i + 1 :, :] = bits.transpose(1, 2, 0)
+            offset += size
         return OfflinePools(
-            mode="beaver",
             num_parties=n,
             num_instances=count,
             and_gates=ands,
-            triple_a=packed[0],
-            triple_b=packed[1],
-            triple_c=packed[2],
+            ot_masks=pack_lane_axis(cube),
         )
 
 
@@ -338,23 +287,18 @@ class BitslicedGMWEngine(GMWEngine):
 
     ``evaluate`` is a batch of one; ``evaluate_batch`` is the base class's,
     same checks, same results, bit for bit (output shares, traffic, OT
-    stats, RNG stream consumption). In ``ot`` mode the OT backend must be
-    the rng-silent :class:`~repro.crypto.ot.SimulatedObliviousTransfer`
-    (refused at construction).
+    stats, RNG stream consumption). The OT backend must be the rng-silent
+    :class:`~repro.crypto.ot.SimulatedObliviousTransfer` (refused at
+    construction).
     """
 
-    def __init__(
-        self,
-        num_parties: int,
-        ot: Optional[ObliviousTransfer] = None,
-        mode: str = "ot",
-    ) -> None:
+    def __init__(self, num_parties: int, ot: Optional[ObliviousTransfer] = None) -> None:
         require_numpy()
-        super().__init__(num_parties, ot=ot, mode=mode)
+        super().__init__(num_parties, ot=ot)
         self._require_silent_ot()
 
     def pool_builder(self, circuit: Circuit) -> OfflinePoolBuilder:
-        return OfflinePoolBuilder(circuit, self.num_parties, self.mode)
+        return OfflinePoolBuilder(circuit, self.num_parties)
 
     def evaluate(
         self,
@@ -385,38 +329,23 @@ class BitslicedGMWEngine(GMWEngine):
             bits = _bus_bits([inputs[name] for inputs in shared_inputs_list], len(bus_slots))
             slots[bus_slots] = pack_lane_axis(bits)
         xor = np.bitwise_xor
-        ot = self.mode == "ot"
-        if ot:
-            # ot mode runs on prefix shares, party p holding the XOR of
-            # shares 0..p: XOR gates commute with that map, the constant
-            # one becomes all ones, and an AND's share update
-            # z_p ^= x_p Y_<=p ^ X_<p y_p (the receiver's 1-out-of-4 output
-            # plus the local term) telescopes to Z_<=p ^= X_<=p & Y_<=p
-            xor.accumulate(slots[:and_lo], axis=1, out=slots[:and_lo])
-            slots[and_lo:and_hi] = xor.accumulate(pools.take_ot(schedule.and_order), axis=1)
-        else:
-            triple_a, triple_b, slots[and_lo:and_hi] = pools.take_beaver(schedule.and_order)
+        # prefix shares, party p holding the XOR of shares 0..p: XOR gates
+        # commute with that map, the constant one becomes all ones, and an
+        # AND's share update z_p ^= x_p Y_<=p ^ X_<p y_p (the receiver's
+        # 1-out-of-4 output plus the local term) telescopes to
+        # Z_<=p ^= X_<=p & Y_<=p
+        xor.accumulate(slots[:and_lo], axis=1, out=slots[:and_lo])
+        slots[and_lo:and_hi] = xor.accumulate(pools.take_ot(schedule.and_order), axis=1)
 
         for gather, starts, xor_lo, xor_hi, and_a, and_b, lo, hi in schedule.stages:
             if xor_hi > xor_lo:
                 xor.reduceat(slots[gather], starts, axis=0, out=slots[xor_lo:xor_hi])
             if hi > lo:
-                x = slots[and_a]  # (gates, n, words)
-                y = slots[and_b]
-                z = slots[lo:hi]
-                if ot:
-                    z ^= x & y
-                else:
-                    a, b = triple_a[lo - and_lo : hi - and_lo], triple_b[lo - and_lo : hi - and_lo]
-                    d = xor.reduce(x ^ a, axis=1)  # opened masks
-                    e = xor.reduce(y ^ b, axis=1)
-                    z ^= (d[:, None, :] & b) ^ (e[:, None, :] & a)
-                    z[:, 0, :] ^= d & e
+                slots[lo:hi] ^= slots[and_a] & slots[and_b]
 
         bus_shares: Dict[str, List[List[int]]] = {}  # name -> [lane][party]
         for name, bus_slots in schedule.output_slots.items():
             out = slots[bus_slots]
-            if ot:  # prefix shares back to shares
-                out[:, 1:] ^= slots[bus_slots][:, :-1]
+            out[:, 1:] ^= slots[bus_slots][:, :-1]  # prefix shares back to shares
             bus_shares[name] = _bus_values(unpack_lane_axis(out, lanes))
         return bus_shares

@@ -23,18 +23,17 @@ class Bill:
     """Operation counts of GMW computation steps and ``transfers`` §3.5
     transfers among blocks of ``parties`` = b = k + 1 members.
 
-    GMW: in ``ot`` mode every AND gate is one 1-out-of-4 OT per unordered
-    party pair ``{i < j}``, ``i`` the sender; in ``beaver`` mode every
-    party opens two mask bits to every other; one round per AND layer. A
-    transfer of L = ``message_bits`` bits costs b²(L+1) + bL + b + bL
-    exponentiations over the §5.3 roles below.
+    GMW: every AND gate is one 1-out-of-4 OT per unordered party pair
+    ``{i < j}``, ``i`` the sender; one round per AND layer. A transfer of
+    L = ``message_bits`` bits costs b²(L+1) + bL + b + bL exponentiations
+    over the §5.3 roles below.
     """
 
     parties: int
     #: AND gates and AND depth of the widest / deepest circuit in a step
     and_gates: int = 0
     and_rounds: int = 0
-    #: 1-out-of-4 OTs over every step and block (none in ``beaver`` mode)
+    #: 1-out-of-4 OTs over every step and block
     ots: int = 0
     #: wire bits of one block pair ``{i < j}`` in the widest circuit: what
     #: ``i`` sends ``j`` (the OT sender's link), then what ``j`` sends ``i``
@@ -121,28 +120,20 @@ def bill_for(
     transfers: int = 0,
     message_bits: int = 0,
     element_bytes: int = 0,
-    mode: str = "ot",
     ot_bytes: Tuple[int, int] = (0, 0),
 ) -> Bill:
     """The bill of ``steps`` computation steps, each evaluating one circuit
     per entry of ``stats`` (one block each), plus ``transfers`` transfers.
     ``ot_bytes`` is what one AND gate's OT puts on the wire, sender then
     receiver (:meth:`~repro.crypto.ot.ObliviousTransfer.and_gate_bytes`)."""
-    if mode not in ("ot", "beaver"):
-        raise ValueError(f"unknown GMW mode {mode!r}")
     stats = list(stats)
     ands = max((s.and_gates for s in stats), default=0)
-    if mode == "ot":
-        ots = steps * sum(s.and_gates for s in stats) * parties * (parties - 1) // 2
-        pair_bits = (8 * ands * ot_bytes[0], 8 * ands * ot_bytes[1])
-    else:
-        ots, pair_bits = 0, (2 * ands, 2 * ands)
     return Bill(
         parties,
         and_gates=ands,
         and_rounds=max((s.and_depth for s in stats), default=0),
-        ots=ots,
-        pair_bits=pair_bits,
+        ots=steps * sum(s.and_gates for s in stats) * parties * (parties - 1) // 2,
+        pair_bits=(8 * ands * ot_bytes[0], 8 * ands * ot_bytes[1]),
         transfers=transfers,
         message_bits=message_bits,
         element_bytes=element_bytes,

@@ -8,9 +8,8 @@ This is the MPC engine DStress invokes for every computation step (§3.3,
   to share the cross terms ``x_i y_j XOR x_j y_i`` of
   ``(XOR_i x_i)(XOR_j y_j)`` (Goldreich's presentation of GMW) — this is
   where the quadratic total cost and linear per-party cost of Figures 3–5
-  come from;
-* alternatively, AND gates can burn a Beaver triple from a trusted dealer
-  (the ``beaver`` mode, used for the backend ablation).
+  come from. No trusted party takes part: every AND gate runs between the
+  block's members alone.
 
 Inputs arrive already shared and outputs stay shared: DStress never opens
 intermediate values (§3.3). The engine reports per-party traffic in bits and
@@ -18,9 +17,9 @@ interaction rounds (= AND depth), which feed the cost model; both are read
 off the circuit's :class:`~repro.mpc.cost.Bill`
 (:meth:`GMWEngine._closed_form_traffic`).
 
-**Mask stream.** In ``ot`` mode every party forks one sub-stream off the
-run's generator (``rng.fork("gmw-party-p")``, 32 parent bytes each) and
-reads all its sender masks from it up front, eight to the byte
+**Mask stream.** Every party forks one sub-stream off the run's generator
+(``rng.fork("gmw-party-p")``, 32 parent bytes each) and reads all its
+sender masks from it up front, eight to the byte
 (:func:`mask_stream_bytes`). Of a pair ``{i < j}`` party ``i`` is the
 sender, so party ``i`` reads ``and_gates * (n - 1 - i)`` masks and party
 ``n - 1`` reads none (it still forks): mask ``k = gate_ordinal *
@@ -28,8 +27,7 @@ sender, so party ``i`` reads ``and_gates * (n - 1 - i)`` masks and party
 receivers ``j > i`` in party order — is bit ``7 - k % 8`` of byte
 ``k // 8``; the tail bits of the last byte are unused. Whatever the OT
 backend draws per transfer comes after the masks on the sender's
-sub-stream. In ``beaver`` mode the parent stream gives one byte per
-``randbit()``, ``2 + 3 (n - 1)`` per AND gate (:func:`beaver_draws`).
+sub-stream.
 
 **Lanes.** :meth:`GMWEngine.evaluate` is the per-gate oracle: it runs the
 OT backend once per AND gate per pair. :meth:`GMWEngine.evaluate_batch`
@@ -61,7 +59,6 @@ __all__ = [
     "GMWTraffic",
     "LanePools",
     "PoolBuilder",
-    "beaver_draws",
     "mask_stream_bytes",
 ]
 
@@ -70,12 +67,6 @@ def mask_stream_bytes(and_gates: int, num_parties: int, party: int) -> int:
     """Bytes ``party`` reads for its ``and_gates * (n - 1 - party)`` sender
     masks."""
     return (and_gates * (num_parties - 1 - party) + 7) // 8
-
-
-def beaver_draws(num_parties: int) -> int:
-    """Parent-stream bytes one ``beaver`` AND gate reads: ``a``, ``b``, then
-    ``n - 1`` draws for each of the shares of ``a``, ``b`` and ``c``."""
-    return 2 + 3 * (num_parties - 1)
 
 
 @dataclass
@@ -143,9 +134,6 @@ _OFFERS = tuple(
     for x in (0, 1)
     for y in (0, 1)
 )
-#: ``bytes.translate`` table to one ASCII digit per byte, its top bit: a
-#: ``randbit()`` keeps the top bit of one parent-stream byte.
-_TOP_BIT_DIGITS = bytes(48 + (byte >> 7) for byte in range(256))
 
 
 # ---------------------------------------------------------------------------
@@ -159,17 +147,15 @@ class LanePools:
     ordinal in gate-list order, bit ``lane * n + p`` party ``p``'s prefix
     share in instance ``lane``.
 
-    ``ot`` holds ``(seeds,)``: each gate's folded masks (what party ``p``
-    drew as sender XOR what it receives). ``beaver`` holds the dealer
-    triples' shares ``(a, b, c)``. Single-use: a second :meth:`claim`
+    ``seeds`` holds each gate's folded masks (what party ``p`` drew as
+    sender XOR what it receives). Single-use: a second :meth:`claim`
     raises :class:`OfflinePoolExhaustedError`.
     """
 
-    mode: str
     num_parties: int
     num_instances: int
     and_gates: int
-    words: Tuple[List[int], ...]
+    seeds: List[int]
     consumed: bool = False
 
     @property
@@ -177,14 +163,14 @@ class LanePools:
         """AND gates whose randomness has not been consumed yet."""
         return 0 if self.consumed else self.and_gates
 
-    def claim(self) -> Tuple[List[int], ...]:
+    def claim(self) -> List[int]:
         if self.consumed:
             raise OfflinePoolExhaustedError(
                 "offline randomness pool exhausted: AND-gate randomness "
                 "consumed twice (pools are single-use per batch)"
             )
         self.consumed = True
-        return self.words
+        return self.seeds
 
 
 def _gate_words(lane_rows: List[List[int]], gates: int) -> List[int]:
@@ -210,18 +196,14 @@ class PoolBuilder:
     from the same reads.
     """
 
-    def __init__(self, circuit: Circuit, num_parties: int, mode: str) -> None:
-        if mode not in ("ot", "beaver"):
-            raise ProtocolError(f"unknown GMW mode {mode!r}")
+    def __init__(self, circuit: Circuit, num_parties: int) -> None:
         self.circuit = circuit
         self.num_parties = num_parties
-        self.mode = mode
         # Sized from the compiled plan, not by walking gates: the plan's
         # AND count is the one the bill reads, and the cross-check test
         # in tests/test_mpc_gmw.py pins both to the per-gate transcript.
         self.and_gates = circuit.compile().stats.and_gates
         #: one ``bytes`` per instance: every sender's packed mask read
-        #: (``ot``) or the parent stream's triple draws (``beaver``)
         self._reads: List[bytes] = []
 
     @property
@@ -231,36 +213,24 @@ class PoolBuilder:
     def add_instance(self, rng: DeterministicRNG) -> None:
         n = self.num_parties
         ands = self.and_gates
-        # evaluate() forks one sub-stream per party first, in both modes
+        # evaluate() forks one sub-stream per party first; sender i then
+        # reads its ands * (n - 1 - i) masks in one go
         party_rngs = [rng.fork(f"gmw-party-{p}") for p in range(n)]
-        if self.mode == "ot":
-            # sender i reads its ands * (n - 1 - i) masks in one go
-            self._reads.append(
-                b"".join(
-                    [r.randbytes(mask_stream_bytes(ands, n, p)) for p, r in enumerate(party_rngs)]
-                )
-            )
-        else:
-            # per gate in list order: a, b, then three share_value(., 1, n,
-            # rng) calls; every draw is a one-byte randbit()
-            self._reads.append(rng.randbytes(ands * beaver_draws(n)))
+        self._reads.append(
+            b"".join([r.randbytes(mask_stream_bytes(ands, n, p)) for p, r in enumerate(party_rngs)])
+        )
 
     def build(self) -> LanePools:
         ands = self.and_gates
-        lane_rows = self._ot_rows if self.mode == "ot" else self._beaver_rows
-        rows = [lane_rows(read) for read in self._reads] if ands else []
+        rows = [self._ot_row(read) for read in self._reads] if ands else []
         return LanePools(
-            mode=self.mode,
             num_parties=self.num_parties,
             num_instances=self.num_instances,
             and_gates=ands,
-            words=tuple(
-                _gate_words([lane[c] for lane in rows], ands) if rows else []
-                for c in range(1 if self.mode == "ot" else 3)
-            ),
+            seeds=_gate_words(rows, ands) if rows else [],
         )
 
-    def _ot_rows(self, read: bytes) -> List[List[int]]:
+    def _ot_row(self, read: bytes) -> List[int]:
         """One instance's folded masks as prefix shares, one ``ands``-bit
         row per party. Mask ``(i, j)`` is in ``p``'s fold iff ``p`` is
         ``i`` or ``j``, so it is in ``p``'s prefix iff ``i <= p < j``."""
@@ -281,30 +251,7 @@ class PoolBuilder:
             for i in range(p):  # p as receiver
                 prefix ^= columns[i][p - i - 1]
             row.append(prefix)
-        return [row]
-
-    def _beaver_rows(self, read: bytes) -> List[List[int]]:
-        """One instance's triple shares ``a, b, c`` as prefix shares: the
-        first ``n - 1`` shares are draws, the last completes the XOR to the
-        plain value, so the last prefix *is* the plain value."""
-        n = self.num_parties
-        per_gate = beaver_draws(n)
-        digits = read.translate(_TOP_BIT_DIGITS)
-
-        def column(c: int) -> int:  # draw c of every gate, gate 0 first
-            return int(digits[c::per_gate], 2)
-
-        a_plain, b_plain = column(0), column(1)
-        components = []
-        for plain, lo in ((a_plain, 2), (b_plain, 1 + n), (a_plain & b_plain, 2 * n)):
-            prefix = 0
-            shares = []
-            for c in range(lo, lo + n - 1):
-                prefix ^= column(c)
-                shares.append(prefix)
-            shares.append(plain)
-            components.append(shares)
-        return components
+        return row
 
 
 class GMWEngine:
@@ -315,32 +262,20 @@ class GMWEngine:
     num_parties:
         Block size ``k + 1``.
     ot:
-        OT backend for AND gates (ignored in ``beaver`` mode). Defaults to
-        the fast simulated backend with real-protocol byte accounting.
-    mode:
-        ``"ot"`` for OT-based AND gates (the GMW of the paper), ``"beaver"``
-        for trusted-dealer Beaver triples (ablation baseline).
+        OT backend for AND gates. Defaults to the fast simulated backend
+        with real-protocol byte accounting.
     """
 
-    def __init__(
-        self,
-        num_parties: int,
-        ot: Optional[ObliviousTransfer] = None,
-        mode: str = "ot",
-    ) -> None:
+    def __init__(self, num_parties: int, ot: Optional[ObliviousTransfer] = None) -> None:
         if num_parties < 2:
             raise ProtocolError("GMW needs at least two parties")
-        if mode not in ("ot", "beaver"):
-            raise ProtocolError(f"unknown GMW mode {mode!r}")
         self.num_parties = num_parties
         self.ot = ot if ot is not None else SimulatedObliviousTransfer()
-        self.mode = mode
         # ``pair_bits`` insertion order, which ``SecureEngine._meter_gmw``'s
-        # float accumulation iterates: ``ot`` visits ``(i, j)`` then
-        # ``(j, i)`` pair by pair, ``beaver`` source by source
+        # float accumulation iterates: ``(i, j)`` then ``(j, i)``, pair by pair
         n = num_parties
         pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-        self._pairs = sorted(pairs, key=lambda p: (min(p), max(p))) if mode == "ot" else pairs
+        self._pairs = sorted(pairs, key=lambda p: (min(p), max(p)))
 
     # -- share plumbing ------------------------------------------------------
 
@@ -368,7 +303,6 @@ class GMWEngine:
         n = self.num_parties
         self._check_shared_inputs(circuit, shared_inputs)
         stats = circuit.stats()
-        ot_mode = self.mode == "ot"
 
         party_rngs = [rng.fork(f"gmw-party-{p}") for p in range(n)]
         # masks[i][k]: the module docstring's mask k of sender i
@@ -378,8 +312,6 @@ class GMWEngine:
                 for byte in party_rng.randbytes(mask_stream_bytes(stats.and_gates, n, p))
                 for shift in _BIT_SHIFTS
             ]
-            if ot_mode
-            else []
             for p, party_rng in enumerate(party_rngs)
         ]
         ordinal = 0  # gate-list ordinal of the next AND gate
@@ -404,13 +336,11 @@ class GMWEngine:
                 flipped = list(a_shares)
                 flipped[0] ^= 1
                 wire_shares[out] = flipped
-            elif ot_mode:
+            else:
                 wire_shares[out] = self._and_via_ot(
                     a_shares, wire_shares[b], masks, ordinal, party_rngs
                 )
                 ordinal += 1
-            else:
-                wire_shares[out] = self._and_via_beaver(a_shares, wire_shares[b], rng)
 
         output_shares: Dict[str, List[int]] = {}
         bus_widths: Dict[str, int] = {}
@@ -454,11 +384,11 @@ class GMWEngine:
 
     def _require_silent_ot(self) -> None:
         """Lanes compute what a correct OT returns and never run the
-        backend, so in ``ot`` mode it must be the rng-silent simulated one:
+        backend, so it must be the rng-silent simulated one:
         a backend that does per-transfer work and draws (DDH, IKNP) would
         be billed but not executed, and its draws are not something the
         offline phase reads."""
-        if self.mode == "ot" and not isinstance(self.ot, SimulatedObliviousTransfer):
+        if not isinstance(self.ot, SimulatedObliviousTransfer):
             raise ProtocolError(
                 "lane GMW requires the rng-silent simulated OT backend; "
                 f"{type(self.ot).__name__} consumes per-transfer randomness, "
@@ -466,10 +396,10 @@ class GMWEngine:
             )
 
     def pool_builder(self, circuit: Circuit) -> PoolBuilder:
-        """A builder for this engine's mode and party count (the secure
-        engine interleaves several to keep vertex transcript order)."""
+        """A builder for this engine's party count (the secure engine
+        interleaves several to keep vertex transcript order)."""
         self._require_silent_ot()
-        return PoolBuilder(circuit, self.num_parties, self.mode)
+        return PoolBuilder(circuit, self.num_parties)
 
     def precompute(
         self, circuit: Circuit, num_instances: int, rng: DeterministicRNG
@@ -507,10 +437,9 @@ class GMWEngine:
             if rng is None:
                 raise ProtocolError("evaluate_batch needs an rng or prebuilt pools")
             pools = self.precompute(circuit, lanes, rng)
-        if pools.mode != self.mode or pools.num_parties != n:
+        if pools.num_parties != n:
             raise ProtocolError(
-                f"offline pool is {pools.mode!r}/{pools.num_parties} parties, "
-                f"engine is {self.mode!r}/{n}"
+                f"offline pool is for {pools.num_parties} parties, engine has {n}"
             )
         if pools.num_instances != lanes:
             raise OfflinePoolExhaustedError(
@@ -573,29 +502,15 @@ class GMWEngine:
             for position, wire in enumerate(wires):
                 values[wire] = int(joined[width - 1 - position :: width], 2)
 
-        ot = self.mode == "ot"
-        if ot:
-            (seeds,) = pools.claim()
-        else:
-            triple_a, triple_b, triple_c = pools.claim()
-            spread = (1 << n) - 1  # a lane's low bit times this fills its n bits
-            top = n - 1
+        seeds = pools.claim()
         ordinal = 0
         xor_op, and_op = GateOp.XOR, GateOp.AND
         for op, a, b, out in circuit.gates:
             if op is xor_op:
                 values[out] = values[a] ^ values[b]
             elif op is and_op:
-                if ot:
-                    # each party's prefix update telescopes to X_<=p & Y_<=p
-                    values[out] = seeds[ordinal] ^ (values[a] & values[b])
-                else:
-                    # the opened d = x ^ a and e = y ^ b are the last
-                    # party's prefix, broadcast to every party of the lane
-                    ta, tb = triple_a[ordinal], triple_b[ordinal]
-                    d = (((values[a] ^ ta) >> top) & low) * spread
-                    e = (((values[b] ^ tb) >> top) & low) * spread
-                    values[out] = triple_c[ordinal] ^ (d & tb) ^ (e & ta) ^ (d & e)
+                # each party's prefix update telescopes to X_<=p & Y_<=p
+                values[out] = seeds[ordinal] ^ (values[a] & values[b])
                 ordinal += 1
             else:
                 values[out] = values[a] ^ full
@@ -630,7 +545,7 @@ class GMWEngine:
         the link ``i -> j`` carries the bill's first direction and
         ``j -> i`` its second."""
         n = self.num_parties
-        bill = bill_for([stats], n, mode=self.mode, ot_bytes=self.ot.and_gate_bytes())
+        bill = bill_for([stats], n, ot_bytes=self.ot.and_gate_bytes())
         down, up = bill.pair_bits
         return GMWTraffic(
             num_parties=n,
@@ -674,31 +589,4 @@ class GMWEngine:
                 k += 1
                 z[i] ^= r
                 z[j] ^= transfer4(_OFFERS[4 * r + held], 2 * x[j] + y[j], rng_i)[0]
-        return z
-
-    def _and_via_beaver(
-        self,
-        x: List[int],
-        y: List[int],
-        rng: DeterministicRNG,
-    ) -> List[int]:
-        """AND via a trusted-dealer Beaver triple (ablation backend).
-
-        The dealer shares a random triple ``c = a AND b``; the parties open
-        ``d = x XOR a`` and ``e = y XOR b`` (two bits broadcast per party)
-        and set ``z_p = c_p XOR d.b_p XOR e.a_p`` (+ ``d.e`` at party 0).
-        """
-        n = self.num_parties
-        a_plain = rng.randbit()
-        b_plain = rng.randbit()
-        a = share_value(a_plain, 1, n, rng)
-        b = share_value(b_plain, 1, n, rng)
-        c = share_value(a_plain & b_plain, 1, n, rng)
-        d = 0
-        e = 0
-        for p in range(n):  # each party broadcasts its two mask bits
-            d ^= x[p] ^ a[p]
-            e ^= y[p] ^ b[p]
-        z = [c[p] ^ (d & b[p]) ^ (e & a[p]) for p in range(n)]
-        z[0] ^= d & e
         return z

@@ -238,7 +238,6 @@ _OVERRIDE_FIELDS.update(
         "edge_noise_alpha": _float_field(1e-6, 1.0 - 1e-6),
         "noise_precision_bits": _int_field(1, 64),
         "aggregation_fanout": _int_field(2, 1024),
-        "gmw_mode": _str_field("ot", "beaver"),
         "pad_transfers": lambda where, value: _require_bool(where, value),
         "wan_latency_seconds": _float_field(0.0, 10.0),
         "wan_jitter": _float_field(0.0, 1.0),

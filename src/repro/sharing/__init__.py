@@ -1,12 +1,5 @@
-"""Secret sharing: XOR shares, additive shares and subshare splitting."""
+"""Secret sharing: XOR shares."""
 
-from repro.sharing.additive import reconstruct_additive, share_additive
-from repro.sharing.subshare import (
-    recombine_received,
-    split_bit_subshares,
-    split_word_subshares,
-    subshare_matrix_bits,
-)
 from repro.sharing.xor import (
     reconstruct_bit,
     reconstruct_value,
@@ -17,16 +10,10 @@ from repro.sharing.xor import (
 )
 
 __all__ = [
-    "recombine_received",
-    "reconstruct_additive",
     "reconstruct_bit",
     "reconstruct_value",
-    "share_additive",
     "share_bit",
     "share_bits",
     "share_value",
-    "split_bit_subshares",
-    "split_word_subshares",
-    "subshare_matrix_bits",
     "xor_all",
 ]

@@ -48,7 +48,6 @@ from repro.mpc.cost import bill_for
 from repro.mpc.fixedpoint import FixedPointFormat
 from repro.mpc.gmw import GMWEngine, mask_stream_bytes
 from repro.mpc.noise_circuit import build_noised_sum_bits_circuit
-from repro.sharing.xor import share_value
 
 
 def mixed_circuit(width=6):
@@ -230,7 +229,7 @@ class TestStageSchedule:
 # --------------------------------------- schedule ≡ the gate-by-gate walk --
 
 
-def assert_schedule_matches_the_gate_walk(circuit, parties=3, mode="ot", seed="walk"):
+def assert_schedule_matches_the_gate_walk(circuit, parties=3, seed="walk"):
     """Every input assignment as one lane of one batch: the stage schedule
     must reveal what ``Circuit.evaluate`` computes gate by gate, and leave
     each party holding exactly the share the scalar engine leaves it."""
@@ -238,13 +237,13 @@ def assert_schedule_matches_the_gate_walk(circuit, parties=3, mode="ot", seed="w
     assignments = [{}]
     for name, width in widths.items():
         assignments = [{**a, name: v} for a in assignments for v in range(1 << width)]
-    scalar = GMWEngine(parties, mode=mode)
+    scalar = GMWEngine(parties)
     share_rng = DeterministicRNG(f"{seed}-shares")
     batch = [
         {name: scalar.share_input(value, widths[name], share_rng) for name, value in a.items()}
         for a in assignments
     ]
-    sliced = BitslicedGMWEngine(parties, mode=mode)
+    sliced = BitslicedGMWEngine(parties)
     got = sliced.evaluate_batch(circuit, batch, DeterministicRNG(seed))
     scalar_rng = DeterministicRNG(seed)
     for assignment, shares, lane in zip(assignments, batch, got):
@@ -273,10 +272,10 @@ def raw_circuits(draw):
 
 
 class TestScheduleEquivalence:
-    @given(raw_circuits(), st.sampled_from([2, 3]), st.sampled_from(["ot", "beaver"]))
+    @given(raw_circuits(), st.sampled_from([2, 3]))
     @settings(max_examples=scale(60), deadline=None)
-    def test_random_circuits(self, circuit, parties, mode):
-        assert_schedule_matches_the_gate_walk(circuit, parties, mode)
+    def test_random_circuits(self, circuit, parties):
+        assert_schedule_matches_the_gate_walk(circuit, parties)
 
     def edge_case(self, build):
         circuit = Circuit()
@@ -285,8 +284,7 @@ class TestScheduleEquivalence:
         circuit.mark_output_bus("out", outputs)
         return circuit
 
-    @pytest.mark.parametrize("mode", ["ot", "beaver"])
-    def test_named_edge_cases(self, mode):
+    def test_named_edge_cases(self):
         def raw(op):
             return lambda c, a, b=0: c.add_gate(op, a, b)
 
@@ -320,7 +318,7 @@ class TestScheduleEquivalence:
         }
         for name, build in cases.items():
             circuit = self.edge_case(build)
-            assert_schedule_matches_the_gate_walk(circuit, mode=mode, seed=name)
+            assert_schedule_matches_the_gate_walk(circuit, seed=name)
         no_and = layerize(self.edge_case(cases["no AND gate at all"]))
         assert len(no_and.stages) == 1 and no_and.and_lo == no_and.and_hi
         assert len(no_and.and_order) == 0
@@ -340,12 +338,11 @@ class TestScheduleEquivalence:
 
 
 class TestTranscriptParity:
-    @pytest.mark.parametrize("mode", ["ot", "beaver"])
     @pytest.mark.parametrize("parties", [2, 3, 4, 5])
-    def test_single_evaluate_is_bit_identical_to_scalar(self, mode, parties):
+    def test_single_evaluate_is_bit_identical_to_scalar(self, parties):
         circuit = mixed_circuit()
-        scalar = GMWEngine(parties, mode=mode)
-        sliced = BitslicedGMWEngine(parties, mode=mode)
+        scalar = GMWEngine(parties)
+        sliced = BitslicedGMWEngine(parties)
         shares = shared_batch(scalar, 6, [(37, 52)])[0]
         scalar_rng = DeterministicRNG("parity")
         sliced_rng = DeterministicRNG("parity")
@@ -365,12 +362,11 @@ class TestTranscriptParity:
         # parent stream consumed byte-for-byte (later forks key off it)
         assert scalar_rng.randbytes(32) == sliced_rng.randbytes(32)
 
-    @pytest.mark.parametrize("mode", ["ot", "beaver"])
-    def test_batch_matches_back_to_back_scalar_evaluations(self, mode):
+    def test_batch_matches_back_to_back_scalar_evaluations(self):
         circuit = mixed_circuit()
         parties = 3
-        scalar = GMWEngine(parties, mode=mode)
-        sliced = BitslicedGMWEngine(parties, mode=mode)
+        scalar = GMWEngine(parties)
+        sliced = BitslicedGMWEngine(parties)
         pairs = [(i * 7 % 64, (63 - i * 11) % 64) for i in range(5)]
         inputs = shared_batch(scalar, 6, pairs)
         scalar_rng = DeterministicRNG("batch")
@@ -401,7 +397,7 @@ class TestTranscriptParity:
 
     @pytest.mark.parametrize("parties", [3, 4])
     def test_ot_pool_replays_scalar_draw_order(self, parties):
-        """OT-mode mask bits: pool entry (gate g, sender i, receiver j > i)
+        """OT mask bits: pool entry (gate g, sender i, receiver j > i)
         is bit ``7 - k % 8`` of byte ``k // 8`` of the one read sender
         ``i``'s fork makes, ``k = g * (n - 1 - i) + (j - i - 1)`` — forks
         in transcript order, eight masks to the byte, the last byte's tail
@@ -409,7 +405,7 @@ class TestTranscriptParity:
         circuit = mixed_circuit(4)
         ands = circuit.stats().and_gates
         assert ands % 8  # every sender's read ends inside a byte
-        engine = BitslicedGMWEngine(parties, mode="ot")
+        engine = BitslicedGMWEngine(parties)
         rng = DeterministicRNG("replay")
         pools = engine.precompute(circuit, 1, rng)
         replay = DeterministicRNG("replay")
@@ -458,28 +454,6 @@ class TestTranscriptParity:
         assert silent.output_shares == first.output_shares
         assert silent_rng.getstate() == first_state
 
-    def test_beaver_pool_replays_scalar_draw_order(self):
-        """Beaver triples: pool consumption order equals the scalar
-        transcript's parent-rng draw order under ``DeterministicRNG.fork``."""
-        circuit = mixed_circuit(4)
-        parties = 3
-        engine = BitslicedGMWEngine(parties, mode="beaver")
-        pools = engine.precompute(circuit, 1, DeterministicRNG("replay"))
-        rng = DeterministicRNG("replay")
-        for p in range(parties):  # evaluate() forks these first
-            rng.fork(f"gmw-party-{p}")
-        for g in range(circuit.stats().and_gates):
-            a_plain = rng.randbit()
-            b_plain = rng.randbit()
-            for component, plain in (
-                (pools.triple_a, a_plain),
-                (pools.triple_b, b_plain),
-                (pools.triple_c, a_plain & b_plain),
-            ):
-                expected = share_value(plain, 1, parties, rng)
-                lane0 = [int(component[g, p, 0] & np.uint64(1)) for p in range(parties)]
-                assert lane0 == expected
-
     def test_iknp_vectorized_transpose_bit_identical(self):
         """The batched-matrix pivot in ot_extension must equal the scalar
         bit loop for every width, ragged or aligned."""
@@ -508,13 +482,12 @@ class TestRealCircuitParity:
             "noised-sum": build_noised_sum_bits_circuit(3, 12, 0.8, 5, 8),
         }
 
-    @pytest.mark.parametrize("mode", ["ot", "beaver"])
     @pytest.mark.parametrize("name", ["en-update", "egj-update", "noised-sum"])
-    def test_output_shares_cost_model_and_pool_agree(self, circuits, name, mode):
+    def test_output_shares_cost_model_and_pool_agree(self, circuits, name):
         circuit = circuits[name]
         parties, lanes = 3, 3
-        scalar = GMWEngine(parties, mode=mode)
-        sliced = BitslicedGMWEngine(parties, mode=mode)
+        scalar = GMWEngine(parties)
+        sliced = BitslicedGMWEngine(parties)
         share_rng = DeterministicRNG(f"{name}-inputs")
         batch = [
             {
@@ -530,7 +503,7 @@ class TestRealCircuitParity:
         assert pools.remaining == 0
         assert scalar_rng.randbytes(32) == sliced_rng.randbytes(32)
 
-        cost = bill_for([circuit.stats()], parties, mode=mode, ot_bytes=scalar.ot.and_gate_bytes())
+        cost = bill_for([circuit.stats()], parties, ot_bytes=scalar.ot.and_gate_bytes())
         assert pools.and_gates == cost.and_gates == circuit.stats().and_gates
         for ref, got in zip(refs, gots):
             assert got.output_shares == ref.output_shares
@@ -544,22 +517,16 @@ class TestRealCircuitParity:
 
 
 class TestOfflineAccounting:
-    @pytest.mark.parametrize("mode", ["ot", "beaver"])
     @pytest.mark.parametrize("parties", [2, 4])
-    def test_pools_sized_exactly_from_cost_model(self, mode, parties):
+    def test_pools_sized_exactly_from_cost_model(self, parties):
         circuit = mixed_circuit()
-        engine = BitslicedGMWEngine(parties, mode=mode)
-        cost = bill_for([circuit.stats()], parties, mode=mode)
+        engine = BitslicedGMWEngine(parties)
+        cost = bill_for([circuit.stats()], parties)
         lanes = 3
         pools = engine.precompute(circuit, lanes, DeterministicRNG("size"))
         assert pools.and_gates == cost.and_gates
         assert pools.num_instances == lanes
-        words = lane_words(lanes)
-        if mode == "ot":
-            assert pools.ot_masks.shape == (cost.and_gates, parties, parties, words)
-        else:
-            for component in (pools.triple_a, pools.triple_b, pools.triple_c):
-                assert component.shape == (cost.and_gates, parties, words)
+        assert pools.ot_masks.shape == (cost.and_gates, parties, parties, lane_words(lanes))
         # online phase consumes every provisioned gate exactly once:
         # no under-provision (it would raise), no over-provision
         inputs = shared_batch(engine, 6, [(1, 2), (3, 4), (5, 6)])
@@ -598,14 +565,13 @@ class TestOfflineAccounting:
         with pytest.raises(OfflinePoolExhaustedError):
             engine.evaluate_batch(circuit, inputs, pools=pools)
 
-    def test_mode_mismatched_pool_rejected(self):
+    def test_party_count_mismatched_pool_rejected(self):
         circuit = mixed_circuit()
-        ot_engine = BitslicedGMWEngine(3, mode="ot")
-        beaver_engine = BitslicedGMWEngine(3, mode="beaver")
-        pools = ot_engine.precompute(circuit, 1, DeterministicRNG("mode"))
-        inputs = shared_batch(ot_engine, 6, [(1, 1)])
+        pools = BitslicedGMWEngine(2).precompute(circuit, 1, DeterministicRNG("parties"))
+        engine = BitslicedGMWEngine(3)
+        inputs = shared_batch(engine, 6, [(1, 1)])
         with pytest.raises(ProtocolError):
-            beaver_engine.evaluate_batch(circuit, inputs, pools=pools)
+            engine.evaluate_batch(circuit, inputs, pools=pools)
 
     def test_batch_without_rng_or_pools_rejected(self):
         engine = BitslicedGMWEngine(3)

@@ -1,5 +1,7 @@
 """Tests for the GMW engine: correctness, secrecy structure, accounting."""
 
+import dataclasses
+import inspect
 import itertools
 
 import pytest
@@ -56,17 +58,6 @@ class TestCorrectness:
         result = engine.evaluate(circuit, shares, rng)
         assert result.reveal("sum") == (a + b) & 0xFF
 
-    def test_beaver_mode_matches_ot_mode(self, rng):
-        circuit = adder_circuit()
-        for a, b in [(13, 200), (0, 255)]:
-            for mode in ("ot", "beaver"):
-                engine = GMWEngine(4, mode=mode)
-                shares = {
-                    "a": engine.share_input(a, 8, rng),
-                    "b": engine.share_input(b, 8, rng),
-                }
-                assert engine.evaluate(circuit, shares, rng).reveal("sum") == (a + b) & 0xFF
-
     def test_real_ddh_ot_backend(self, rng):
         """Full public-key OT under every AND gate (slow; tiny circuit)."""
         builder = CircuitBuilder()
@@ -115,9 +106,22 @@ class TestShapeAndErrors:
         with pytest.raises(ProtocolError):
             GMWEngine(1)
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ProtocolError):
-            GMWEngine(3, mode="magic")
+    def test_one_and_protocol(self):
+        """OT is the only AND protocol: no evaluator, pool builder or bill
+        takes a mode, and no pool carries one."""
+        from repro.mpc.bitslice import (
+            BitslicedGMWEngine,
+            OfflinePoolBuilder,
+            OfflinePools,
+        )
+        from repro.mpc.gmw import LanePools, PoolBuilder
+
+        for api in (GMWEngine, PoolBuilder, BitslicedGMWEngine, OfflinePoolBuilder, bill_for):
+            assert "mode" not in inspect.signature(api).parameters, api
+        for pool in (LanePools, OfflinePools):
+            assert "mode" not in {f.name for f in dataclasses.fields(pool)}, pool
+        with pytest.raises(TypeError):
+            GMWEngine(3, mode="ot")
 
     def test_missing_input_shares(self, rng):
         circuit = adder_circuit()
@@ -228,20 +232,16 @@ class TestAccounting:
         pairs = parties * (parties - 1) // 2
         assert sum(result.traffic.sent_bits) == pairs * sum(predicted.pair_bits)
 
-    @pytest.mark.parametrize("mode", ["ot", "beaver"])
     @pytest.mark.parametrize("parties", [2, 3, 4])
-    def test_cost_model_matches_transcript_counts(self, mode, parties, rng):
+    def test_cost_model_matches_transcript_counts(self, parties, rng):
         """Every bill line cross-checked against what the engine
         actually did — the bit-sliced offline phase sizes its randomness
         pools from these counts, so drift here would mis-provision pools
         (caught as ``OfflinePoolExhaustedError``) rather than just skew a
-        projection. The historical drift: the model only described ``ot``
-        mode, so beaver traffic/round predictions did not exist at all."""
+        projection."""
         circuit = adder_circuit()
-        engine = GMWEngine(parties, mode=mode)
-        predicted = bill_for(
-            [circuit.stats()], parties, mode=mode, ot_bytes=engine.ot.and_gate_bytes()
-        )
+        engine = GMWEngine(parties)
+        predicted = bill_for([circuit.stats()], parties, ot_bytes=engine.ot.and_gate_bytes())
         shares = {
             "a": engine.share_input(9, 8, rng),
             "b": engine.share_input(5, 8, rng),
@@ -255,55 +255,37 @@ class TestAccounting:
             assert traffic.sent_bits[party] == predicted.sent_bits(party)
             assert traffic.received_bits[party] == predicted.received_bits(party)
         assert 8 * predicted.party_sent_bytes * parties == sum(traffic.sent_bits)
-        if mode == "ot":
-            assert predicted.ots_per_party == (parties - 1) * stats.and_gates
+        assert predicted.ots_per_party == (parties - 1) * stats.and_gates
         # the reported traffic is closed-form; the backend's own record,
         # one per transfer4 call, is the gate-for-gate count behind it
         backend = engine.ot.stats
         assert backend.transfers == predicted.ots
-        if mode == "ot":
-            assert 8 * backend.total_bytes == sum(traffic.sent_bits)
+        assert 8 * backend.total_bytes == sum(traffic.sent_bits)
 
     def test_pair_traffic_pinned_by_hand(self, rng):
         """The closed form is the only traffic source in both engines, so
         its per-pair attribution, insertion order and rounds are pinned
         here as literals worked out from the per-gate rule: two chained AND
-        gates, three parties, TOY_GROUP_64 (8-byte elements). ``ot``: per
-        gate and pair ``{i < j}`` the sender puts A and four padded bits,
-        8 + 4 bytes = 96 bits, on ``i -> j`` and the receiver B, 8 bytes =
-        64 bits, on ``j -> i``, visited pair by pair: ``(i, j)`` then
-        ``(j, i)``. ``beaver``: per gate every party opens 2 bits to every
-        other."""
+        gates, three parties, TOY_GROUP_64 (8-byte elements). Per gate and
+        pair ``{i < j}`` the sender puts A and four padded bits, 8 + 4
+        bytes = 96 bits, on ``i -> j`` and the receiver B, 8 bytes = 64
+        bits, on ``j -> i``, visited pair by pair: ``(i, j)`` then
+        ``(j, i)``."""
         circuit = Circuit()
         a, b, c = circuit.add_input_bus("x", 3)
         circuit.mark_output_bus("out", [circuit.and_(circuit.and_(a, b), c)])
-        expected = {
-            "ot": (
-                [
-                    ((0, 1), 192), ((1, 0), 128),
-                    ((0, 2), 192), ((2, 0), 128),
-                    ((1, 2), 192), ((2, 1), 128),
-                ],
-                [384, 320, 256],
-                [256, 320, 384],
-                6,
-            ),
-            "beaver": (
-                [((0, 1), 4), ((0, 2), 4), ((1, 0), 4), ((1, 2), 4), ((2, 0), 4), ((2, 1), 4)],
-                [8, 8, 8],
-                [8, 8, 8],
-                0,
-            ),
-        }
-        for mode, (pairs, sent, received, ots) in expected.items():
-            engine = GMWEngine(3, ot=SimulatedObliviousTransfer(TOY_GROUP_64), mode=mode)
-            shares = {"x": engine.share_input(5, 3, rng)}
-            traffic = engine.evaluate(circuit, shares, rng).traffic
-            assert list(traffic.pair_bits.items()) == pairs
-            assert traffic.sent_bits == sent
-            assert traffic.received_bits == received
-            assert traffic.rounds == 2
-            assert traffic.ot_count == ots
+        engine = GMWEngine(3, ot=SimulatedObliviousTransfer(TOY_GROUP_64))
+        shares = {"x": engine.share_input(5, 3, rng)}
+        traffic = engine.evaluate(circuit, shares, rng).traffic
+        assert list(traffic.pair_bits.items()) == [
+            ((0, 1), 192), ((1, 0), 128),
+            ((0, 2), 192), ((2, 0), 128),
+            ((1, 2), 192), ((2, 1), 128),
+        ]
+        assert traffic.sent_bits == [384, 320, 256]
+        assert traffic.received_bits == [256, 320, 384]
+        assert traffic.rounds == 2
+        assert traffic.ot_count == 6
 
     def test_sent_received_balance(self, rng):
         circuit = adder_circuit()
@@ -318,14 +300,13 @@ class TestAccounting:
 
 class TestPairAttribution:
     """Block-granular traffic: the per-ordered-pair view must tile the
-    per-party totals exactly, in both AND-gate backends — it is what the
-    secure-async scheduler puts on the wire."""
+    per-party totals exactly — it is what the secure-async scheduler puts
+    on the wire."""
 
-    @pytest.mark.parametrize("mode", ["ot", "beaver"])
     @pytest.mark.parametrize("parties", [2, 3, 4])
-    def test_pair_bits_sum_to_party_totals(self, parties, mode, rng):
+    def test_pair_bits_sum_to_party_totals(self, parties, rng):
         circuit = adder_circuit()
-        engine = GMWEngine(parties, mode=mode)
+        engine = GMWEngine(parties)
         shares = {
             "a": engine.share_input(77, 8, rng),
             "b": engine.share_input(180, 8, rng),

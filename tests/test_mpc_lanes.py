@@ -79,14 +79,14 @@ def ot_stats(engine):
 _ORACLE = {}
 
 
-def oracle(circuit_name, parties, mode):
+def oracle(circuit_name, parties):
     """Back-to-back per-gate ``evaluate`` calls on ``max(LANES)`` instances,
     with the parent RNG state and OT stats after every prefix in
     ``LANES`` (a batch of ``L`` equals the first ``L`` calls)."""
-    key = (circuit_name, parties, mode)
+    key = (circuit_name, parties)
     if key not in _ORACLE:
         circuit = CIRCUITS[circuit_name]
-        engine = GMWEngine(parties, mode=mode)
+        engine = GMWEngine(parties)
         inputs = random_inputs(engine, circuit, max(LANES))
         rng = DeterministicRNG("lanes")
         results, after = [], {}
@@ -104,11 +104,10 @@ def oracle(circuit_name, parties, mode):
 class TestParityMatrix:
     @pytest.mark.parametrize("lanes", LANES)
     @pytest.mark.parametrize("parties", [2, 3, 5])
-    @pytest.mark.parametrize("mode", ["ot", "beaver"])
     @pytest.mark.parametrize("circuit_name", ["update", "noise"])
-    def test_int_lanes_match_the_oracle(self, circuit_name, mode, parties, lanes):
-        inputs, results, after = oracle(circuit_name, parties, mode)
-        engine = GMWEngine(parties, mode=mode)
+    def test_int_lanes_match_the_oracle(self, circuit_name, parties, lanes):
+        inputs, results, after = oracle(circuit_name, parties)
+        engine = GMWEngine(parties)
         rng = DeterministicRNG("lanes")
         got = engine.evaluate_batch(CIRCUITS[circuit_name], inputs[:lanes], rng)
         assert_same_results(got, results[:lanes])
@@ -117,12 +116,11 @@ class TestParityMatrix:
     @needs_numpy
     @pytest.mark.parametrize("lanes", LANES)
     @pytest.mark.parametrize("parties", [2, 3, 5])
-    @pytest.mark.parametrize("mode", ["ot", "beaver"])
     @pytest.mark.parametrize("circuit_name", ["update", "noise"])
-    def test_int_lanes_match_the_numpy_engine(self, circuit_name, mode, parties, lanes):
+    def test_int_lanes_match_the_numpy_engine(self, circuit_name, parties, lanes):
         circuit = CIRCUITS[circuit_name]
-        lane_engine = GMWEngine(parties, mode=mode)
-        numpy_engine = BitslicedGMWEngine(parties, mode=mode)
+        lane_engine = GMWEngine(parties)
+        numpy_engine = BitslicedGMWEngine(parties)
         inputs = random_inputs(lane_engine, circuit, lanes, seed=f"numpy-{lanes}")
         lane_rng, numpy_rng = DeterministicRNG("numpy"), DeterministicRNG("numpy")
         got = lane_engine.evaluate_batch(circuit, inputs, lane_rng)
@@ -131,12 +129,11 @@ class TestParityMatrix:
         assert lane_rng.getstate() == numpy_rng.getstate()
         assert ot_stats(lane_engine) == ot_stats(numpy_engine)
 
-    @pytest.mark.parametrize("mode", ["ot", "beaver"])
-    def test_interleaved_degree_buckets_keep_transcript_order(self, mode):
+    def test_interleaved_degree_buckets_keep_transcript_order(self):
         """Two circuits' builders filled in one mixed vertex order, as a
         §3.7 bucketed step does, equal per-gate calls in that order."""
         parties = 3
-        engine = GMWEngine(parties, mode=mode)
+        engine = GMWEngine(parties)
         order = ["update", "update-d1", "update-d1", "update", "update-d1"]
         inputs = [random_inputs(engine, CIRCUITS[name], 1, seed=f"mix-{i}")[0]
                   for i, name in enumerate(order)]
@@ -156,8 +153,7 @@ class TestParityMatrix:
             )
             assert_same_results(got, [refs[i] for i in lanes])
 
-    @pytest.mark.parametrize("mode", ["ot", "beaver"])
-    def test_zero_and_circuit_and_empty_output_bus(self, mode):
+    def test_zero_and_circuit_and_empty_output_bus(self):
         circuit = Circuit()
         x = circuit.add_input_bus("x", 3)
         y = circuit.add_input_bus("y", 70)  # wider than a machine word
@@ -165,12 +161,12 @@ class TestParityMatrix:
         circuit.mark_output_bus("out", [circuit.add_gate(GateOp.XOR, not_x, y[69]), circuit.one])
         circuit.mark_output_bus("none", [])
         circuit.mark_output_bus("wide", list(y))
-        engine = GMWEngine(3, mode=mode)
+        engine = GMWEngine(3)
         inputs = random_inputs(engine, circuit, 4)
         oracle_rng, rng = DeterministicRNG("zero"), DeterministicRNG("zero")
         refs = [engine.evaluate(circuit, shares, oracle_rng) for shares in inputs]
         pools = engine.precompute(circuit, 4, rng)
-        assert pools.and_gates == 0 and pools.words == (([],) if mode == "ot" else ([], [], []))
+        assert pools.and_gates == 0 and pools.seeds == []
         assert_same_results(engine.evaluate_batch(circuit, inputs, pools=pools), refs)
         assert rng.getstate() == oracle_rng.getstate()
         assert all(r.output_shares["none"] == [0, 0, 0] for r in refs)
@@ -204,7 +200,7 @@ class TestPools:
         with pytest.raises(OfflinePoolExhaustedError):
             engine.evaluate_batch(CIRCUITS["update"], inputs, pools=pools)
 
-    def test_instance_count_and_mode_mismatch(self):
+    def test_instance_count_and_party_count_mismatch(self):
         circuit = CIRCUITS["noise"]
         engine = GMWEngine(3)
         inputs = random_inputs(engine, circuit, 3)
@@ -212,17 +208,17 @@ class TestPools:
             engine.evaluate_batch(
                 circuit, inputs, pools=engine.precompute(circuit, 2, DeterministicRNG("n"))
             )
-        beaver_pools = GMWEngine(3, mode="beaver").precompute(circuit, 3, DeterministicRNG("m"))
+        two_party_pools = GMWEngine(2).precompute(circuit, 3, DeterministicRNG("m"))
         with pytest.raises(ProtocolError):
-            engine.evaluate_batch(circuit, inputs, pools=beaver_pools)
+            engine.evaluate_batch(circuit, inputs, pools=two_party_pools)
         with pytest.raises(ProtocolError):
             engine.evaluate_batch(circuit, inputs)  # neither rng nor pools
 
 
 class TestSimulatedOTOnly:
     """Lanes compute what a correct OT returns and never run the backend,
-    so an ``ot``-mode engine over a backend that draws per transfer must
-    refuse to build or run lanes (its ``evaluate`` still works)."""
+    so an engine over a backend that draws per transfer must refuse to
+    build or run lanes (its ``evaluate`` still works)."""
 
     @pytest.mark.parametrize(
         "backend",
@@ -237,15 +233,6 @@ class TestSimulatedOTOnly:
             engine.pool_builder(circuit)
         with pytest.raises(ProtocolError):
             engine.evaluate_batch(circuit, inputs, DeterministicRNG("ddh"))
-        assert engine.ot.stats.transfers == 0
-
-    def test_beaver_mode_runs_no_ot_so_any_backend_is_fine(self):
-        circuit = CIRCUITS["noise"]
-        engine = GMWEngine(2, ot=DDHObliviousTransfer(TOY_GROUP_64), mode="beaver")
-        inputs = random_inputs(engine, circuit, 2)
-        oracle_rng, rng = DeterministicRNG("b"), DeterministicRNG("b")
-        refs = [engine.evaluate(circuit, shares, oracle_rng) for shares in inputs]
-        assert_same_results(engine.evaluate_batch(circuit, inputs, rng), refs)
         assert engine.ot.stats.transfers == 0
 
 

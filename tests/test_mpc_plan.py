@@ -170,13 +170,12 @@ class TestSealing:
         assert engine.evaluate(circuit, shares, rng).reveal("sum") == 44
         assert circuit.compile() is plan
 
-    @pytest.mark.parametrize("mode", ["ot", "beaver"])
-    def test_plan_cost_model_and_scalar_transcript_agree(self, mode):
+    def test_plan_cost_model_and_scalar_transcript_agree(self):
         """The offline phase sizes its pools from the plan: pin the plan's
         AND count to the bill's and to what the scalar engine did."""
         circuit = adder_circuit()
         parties = 3
-        engine = GMWEngine(parties, mode=mode)
+        engine = GMWEngine(parties)
         rng = DeterministicRNG("pin")
         shares = {
             "a": engine.share_input(3, 8, rng),
@@ -184,12 +183,11 @@ class TestSealing:
         }
         traffic = engine.evaluate(circuit, shares, rng).traffic
         plan = circuit.compile()
-        predicted = bill_for([plan.stats], parties, mode=mode)
+        predicted = bill_for([plan.stats], parties)
         assert plan.stats.and_gates == predicted.and_gates
         assert plan.stats.and_depth == predicted.and_rounds == traffic.rounds
-        if mode == "ot":
-            assert traffic.ot_count == plan.stats.and_gates * parties * (parties - 1) // 2
-        builder = BitslicedGMWEngine(parties, mode=mode).pool_builder(circuit)
+        assert traffic.ot_count == plan.stats.and_gates * parties * (parties - 1) // 2
+        builder = BitslicedGMWEngine(parties).pool_builder(circuit)
         assert builder.and_gates == plan.stats.and_gates
 
 

@@ -193,17 +193,11 @@ class TestConfiguration:
         scale_lsb = 10.0 / (0.5 / 256)
         assert (1 << bits) >= 8 * scale_lsb
 
-
-class TestBeaverMode:
-    def test_beaver_backend_matches(self, small_egj_network):
-        fmt = FixedPointFormat(16, 8)
-        program = ElliottGolubJacksonProgram(fmt)
-        graph = small_egj_network.to_egj_graph(degree_bound=2)
-        ot_run = execute("secure", program, graph, 2, make_config(seed=9))
-        beaver_run = execute(
-            "secure", program, graph, 2, make_config(seed=9, gmw_mode="beaver")
-        )
-        assert ot_run.pre_noise_aggregate == beaver_run.pre_noise_aggregate
+    def test_gmw_mode_is_not_an_option(self):
+        """OT is the only AND protocol, so the config has no field that
+        picks one: naming it is the typed unknown-field error."""
+        with pytest.raises(ConfigurationError, match="gmw_mode"):
+            DStressConfig.preset("demo", gmw_mode="ot")
 
 
 class TestHierarchicalAggregation:

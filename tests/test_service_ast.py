@@ -101,6 +101,8 @@ class TestValidation:
             {"max_iterations": 0},
             {"seed": "abc"},
             {"degree_bound": 0},
+            {"overrides": {"gmw_mode": "ot"}},
+            {"overrides": {"gmw_mode": "beaver"}},
         ],
     )
     def test_rejections(self, mutation):

@@ -1,4 +1,4 @@
-"""Tests for XOR/additive secret sharing and subshare splitting."""
+"""Tests for XOR secret sharing."""
 
 import pytest
 from hypothesis import given, settings
@@ -9,16 +9,11 @@ from conftest import scale
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import ProtocolError
 from repro.sharing import (
-    reconstruct_additive,
     reconstruct_bit,
     reconstruct_value,
-    recombine_received,
-    share_additive,
     share_bit,
     share_bits,
     share_value,
-    split_bit_subshares,
-    subshare_matrix_bits,
     xor_all,
 )
 
@@ -75,56 +70,3 @@ class TestXorSharing:
         with pytest.raises(ProtocolError):
             reconstruct_bit([0, 2])
 
-
-class TestAdditiveSharing:
-    @given(
-        st.integers(min_value=-1000, max_value=1000),
-        st.integers(min_value=2, max_value=6),
-    )
-    @settings(max_examples=scale(50))
-    def test_roundtrip(self, value, parties):
-        rng = DeterministicRNG(value * 7 + parties)
-        modulus = 2**20
-        shares = share_additive(value, modulus, parties, rng)
-        assert reconstruct_additive(shares, modulus, signed=True) == value
-
-    def test_bad_modulus(self, rng):
-        with pytest.raises(ProtocolError):
-            share_additive(1, 1, 2, rng)
-
-    def test_unsigned_reconstruction(self, rng):
-        shares = share_additive(7, 100, 3, rng)
-        assert reconstruct_additive(shares, 100) == 7
-
-
-class TestSubshares:
-    @given(st.integers(min_value=0, max_value=1), st.integers(min_value=2, max_value=6))
-    @settings(max_examples=scale(30))
-    def test_bit_subshare_roundtrip(self, bit, receivers):
-        rng = DeterministicRNG(bit * 13 + receivers)
-        subshares = split_bit_subshares(bit, receivers, rng)
-        assert xor_all(subshares) == bit
-
-    def test_matrix_preserves_message(self, rng):
-        """Strawman #2 invariant: recombining received subshares yields
-        fresh shares of the same message bit."""
-        for message_bit in (0, 1):
-            sender_shares = share_bit(message_bit, 4, rng)
-            matrix = subshare_matrix_bits(sender_shares, 4, rng)
-            receiver_shares = [
-                recombine_received([matrix[x][y] for x in range(4)]) for y in range(4)
-            ]
-            assert xor_all(receiver_shares) == message_bit
-
-    def test_fresh_shares_differ_from_originals(self, rng):
-        """Resharing must not just copy the sender shares around."""
-        differs = False
-        for _ in range(20):
-            sender_shares = share_bit(1, 3, rng)
-            matrix = subshare_matrix_bits(sender_shares, 3, rng)
-            receiver_shares = [
-                recombine_received([matrix[x][y] for x in range(3)]) for y in range(3)
-            ]
-            if receiver_shares != sender_shares:
-                differs = True
-        assert differs
