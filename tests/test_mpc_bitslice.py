@@ -284,7 +284,8 @@ class TestScheduleEquivalence:
         circuit.mark_output_bus("out", outputs)
         return circuit
 
-    def test_named_edge_cases(self):
+    @pytest.mark.parametrize("parties", [2, 3, 4])
+    def test_named_edge_cases(self, parties):
         def raw(op):
             return lambda c, a, b=0: c.add_gate(op, a, b)
 
@@ -318,7 +319,7 @@ class TestScheduleEquivalence:
         }
         for name, build in cases.items():
             circuit = self.edge_case(build)
-            assert_schedule_matches_the_gate_walk(circuit, seed=name)
+            assert_schedule_matches_the_gate_walk(circuit, parties, seed=name)
         no_and = layerize(self.edge_case(cases["no AND gate at all"]))
         assert len(no_and.stages) == 1 and no_and.and_lo == no_and.and_hi
         assert len(no_and.and_order) == 0
@@ -362,9 +363,9 @@ class TestTranscriptParity:
         # parent stream consumed byte-for-byte (later forks key off it)
         assert scalar_rng.randbytes(32) == sliced_rng.randbytes(32)
 
-    def test_batch_matches_back_to_back_scalar_evaluations(self):
+    @pytest.mark.parametrize("parties", [2, 3, 4, 5])
+    def test_batch_matches_back_to_back_scalar_evaluations(self, parties):
         circuit = mixed_circuit()
-        parties = 3
         scalar = GMWEngine(parties)
         sliced = BitslicedGMWEngine(parties)
         pairs = [(i * 7 % 64, (63 - i * 11) % 64) for i in range(5)]
@@ -395,7 +396,7 @@ class TestTranscriptParity:
         for bus in ("sum", "prod", "lt"):
             assert result.reveal(bus) == plain[bus]
 
-    @pytest.mark.parametrize("parties", [3, 4])
+    @pytest.mark.parametrize("parties", [2, 3, 4, 5])
     def test_ot_pool_replays_scalar_draw_order(self, parties):
         """OT mask bits: pool entry (gate g, sender i, receiver j > i)
         is bit ``7 - k % 8`` of byte ``k // 8`` of the one read sender
@@ -482,10 +483,11 @@ class TestRealCircuitParity:
             "noised-sum": build_noised_sum_bits_circuit(3, 12, 0.8, 5, 8),
         }
 
+    @pytest.mark.parametrize("parties", [2, 3, 5])
     @pytest.mark.parametrize("name", ["en-update", "egj-update", "noised-sum"])
-    def test_output_shares_cost_model_and_pool_agree(self, circuits, name):
+    def test_output_shares_cost_model_and_pool_agree(self, circuits, name, parties):
         circuit = circuits[name]
-        parties, lanes = 3, 3
+        lanes = 3
         scalar = GMWEngine(parties)
         sliced = BitslicedGMWEngine(parties)
         share_rng = DeterministicRNG(f"{name}-inputs")
@@ -517,7 +519,7 @@ class TestRealCircuitParity:
 
 
 class TestOfflineAccounting:
-    @pytest.mark.parametrize("parties", [2, 4])
+    @pytest.mark.parametrize("parties", [2, 3, 4, 5])
     def test_pools_sized_exactly_from_cost_model(self, parties):
         circuit = mixed_circuit()
         engine = BitslicedGMWEngine(parties)
@@ -565,9 +567,10 @@ class TestOfflineAccounting:
         with pytest.raises(OfflinePoolExhaustedError):
             engine.evaluate_batch(circuit, inputs, pools=pools)
 
-    def test_party_count_mismatched_pool_rejected(self):
+    @pytest.mark.parametrize("pool_parties", [2, 4])
+    def test_party_count_mismatched_pool_rejected(self, pool_parties):
         circuit = mixed_circuit()
-        pools = BitslicedGMWEngine(2).precompute(circuit, 1, DeterministicRNG("parties"))
+        pools = BitslicedGMWEngine(pool_parties).precompute(circuit, 1, DeterministicRNG("parties"))
         engine = BitslicedGMWEngine(3)
         inputs = shared_batch(engine, 6, [(1, 1)])
         with pytest.raises(ProtocolError):

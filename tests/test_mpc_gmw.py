@@ -32,7 +32,7 @@ def adder_circuit(width=8):
 
 
 class TestCorrectness:
-    @pytest.mark.parametrize("parties", [2, 3, 5])
+    @pytest.mark.parametrize("parties", [2, 3, 4, 5])
     def test_adder_matches_plaintext(self, parties, rng):
         circuit = adder_circuit()
         engine = GMWEngine(parties)
@@ -122,6 +122,27 @@ class TestShapeAndErrors:
             assert "mode" not in {f.name for f in dataclasses.fields(pool)}, pool
         with pytest.raises(TypeError):
             GMWEngine(3, mode="ot")
+
+    @pytest.mark.parametrize(
+        "api", ["GMWEngine", "PoolBuilder", "BitslicedGMWEngine", "OfflinePoolBuilder", "bill_for"]
+    )
+    def test_a_mode_keyword_is_refused(self, api):
+        """Each entry point works with the arguments it takes and refuses a
+        ``mode`` on top of them, rather than quietly ignoring it."""
+        from repro.mpc import bitslice, gmw
+
+        circuit = adder_circuit()
+        calls = {
+            "GMWEngine": (gmw.GMWEngine, (3,)),
+            "PoolBuilder": (gmw.PoolBuilder, (circuit, 3)),
+            "BitslicedGMWEngine": (bitslice.BitslicedGMWEngine, (3,)),
+            "OfflinePoolBuilder": (bitslice.OfflinePoolBuilder, (circuit, 3)),
+            "bill_for": (bill_for, ([circuit.stats()], 3)),
+        }
+        target, args = calls[api]
+        target(*args)
+        with pytest.raises(TypeError, match="mode"):
+            target(*args, mode="ot")
 
     def test_missing_input_shares(self, rng):
         circuit = adder_circuit()
@@ -232,7 +253,7 @@ class TestAccounting:
         pairs = parties * (parties - 1) // 2
         assert sum(result.traffic.sent_bits) == pairs * sum(predicted.pair_bits)
 
-    @pytest.mark.parametrize("parties", [2, 3, 4])
+    @pytest.mark.parametrize("parties", [2, 3, 4, 5])
     def test_cost_model_matches_transcript_counts(self, parties, rng):
         """Every bill line cross-checked against what the engine
         actually did — the bit-sliced offline phase sizes its randomness
@@ -303,7 +324,7 @@ class TestPairAttribution:
     per-party totals exactly — it is what the secure-async scheduler puts
     on the wire."""
 
-    @pytest.mark.parametrize("parties", [2, 3, 4])
+    @pytest.mark.parametrize("parties", [2, 3, 4, 5])
     def test_pair_bits_sum_to_party_totals(self, parties, rng):
         circuit = adder_circuit()
         engine = GMWEngine(parties)

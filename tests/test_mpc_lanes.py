@@ -34,7 +34,7 @@ from repro.mpc.noise_circuit import build_noised_sum_bits_circuit
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy engine not available")
 
 FMT = FixedPointFormat(8, 4)
-LANES = (1, 3, 65)
+LANES = (1, 3, 64, 65)  # 64: exactly one full numpy word
 
 
 def _circuits():
@@ -103,7 +103,7 @@ def oracle(circuit_name, parties):
 
 class TestParityMatrix:
     @pytest.mark.parametrize("lanes", LANES)
-    @pytest.mark.parametrize("parties", [2, 3, 5])
+    @pytest.mark.parametrize("parties", [2, 3, 4, 5])
     @pytest.mark.parametrize("circuit_name", ["update", "noise"])
     def test_int_lanes_match_the_oracle(self, circuit_name, parties, lanes):
         inputs, results, after = oracle(circuit_name, parties)
@@ -115,7 +115,7 @@ class TestParityMatrix:
 
     @needs_numpy
     @pytest.mark.parametrize("lanes", LANES)
-    @pytest.mark.parametrize("parties", [2, 3, 5])
+    @pytest.mark.parametrize("parties", [2, 3, 4, 5])
     @pytest.mark.parametrize("circuit_name", ["update", "noise"])
     def test_int_lanes_match_the_numpy_engine(self, circuit_name, parties, lanes):
         circuit = CIRCUITS[circuit_name]
@@ -129,10 +129,10 @@ class TestParityMatrix:
         assert lane_rng.getstate() == numpy_rng.getstate()
         assert ot_stats(lane_engine) == ot_stats(numpy_engine)
 
-    def test_interleaved_degree_buckets_keep_transcript_order(self):
+    @pytest.mark.parametrize("parties", [2, 3, 5])
+    def test_interleaved_degree_buckets_keep_transcript_order(self, parties):
         """Two circuits' builders filled in one mixed vertex order, as a
         §3.7 bucketed step does, equal per-gate calls in that order."""
-        parties = 3
         engine = GMWEngine(parties)
         order = ["update", "update-d1", "update-d1", "update", "update-d1"]
         inputs = [random_inputs(engine, CIRCUITS[name], 1, seed=f"mix-{i}")[0]
@@ -153,7 +153,8 @@ class TestParityMatrix:
             )
             assert_same_results(got, [refs[i] for i in lanes])
 
-    def test_zero_and_circuit_and_empty_output_bus(self):
+    @pytest.mark.parametrize("parties", [2, 3, 5])
+    def test_zero_and_circuit_and_empty_output_bus(self, parties):
         circuit = Circuit()
         x = circuit.add_input_bus("x", 3)
         y = circuit.add_input_bus("y", 70)  # wider than a machine word
@@ -161,7 +162,7 @@ class TestParityMatrix:
         circuit.mark_output_bus("out", [circuit.add_gate(GateOp.XOR, not_x, y[69]), circuit.one])
         circuit.mark_output_bus("none", [])
         circuit.mark_output_bus("wide", list(y))
-        engine = GMWEngine(3)
+        engine = GMWEngine(parties)
         inputs = random_inputs(engine, circuit, 4)
         oracle_rng, rng = DeterministicRNG("zero"), DeterministicRNG("zero")
         refs = [engine.evaluate(circuit, shares, oracle_rng) for shares in inputs]
@@ -169,7 +170,7 @@ class TestParityMatrix:
         assert pools.and_gates == 0 and pools.seeds == []
         assert_same_results(engine.evaluate_batch(circuit, inputs, pools=pools), refs)
         assert rng.getstate() == oracle_rng.getstate()
-        assert all(r.output_shares["none"] == [0, 0, 0] for r in refs)
+        assert all(r.output_shares["none"] == [0] * parties for r in refs)
 
     def test_empty_batch(self):
         engine = GMWEngine(3)
@@ -200,7 +201,8 @@ class TestPools:
         with pytest.raises(OfflinePoolExhaustedError):
             engine.evaluate_batch(CIRCUITS["update"], inputs, pools=pools)
 
-    def test_instance_count_and_party_count_mismatch(self):
+    @pytest.mark.parametrize("pool_parties", [2, 4])
+    def test_instance_count_and_party_count_mismatch(self, pool_parties):
         circuit = CIRCUITS["noise"]
         engine = GMWEngine(3)
         inputs = random_inputs(engine, circuit, 3)
@@ -208,9 +210,9 @@ class TestPools:
             engine.evaluate_batch(
                 circuit, inputs, pools=engine.precompute(circuit, 2, DeterministicRNG("n"))
             )
-        two_party_pools = GMWEngine(2).precompute(circuit, 3, DeterministicRNG("m"))
+        other_pools = GMWEngine(pool_parties).precompute(circuit, 3, DeterministicRNG("m"))
         with pytest.raises(ProtocolError):
-            engine.evaluate_batch(circuit, inputs, pools=two_party_pools)
+            engine.evaluate_batch(circuit, inputs, pools=other_pools)
         with pytest.raises(ProtocolError):
             engine.evaluate_batch(circuit, inputs)  # neither rng nor pools
 

@@ -170,11 +170,11 @@ class TestSealing:
         assert engine.evaluate(circuit, shares, rng).reveal("sum") == 44
         assert circuit.compile() is plan
 
-    def test_plan_cost_model_and_scalar_transcript_agree(self):
+    @pytest.mark.parametrize("parties", [2, 3, 4, 5])
+    def test_plan_cost_model_and_scalar_transcript_agree(self, parties):
         """The offline phase sizes its pools from the plan: pin the plan's
         AND count to the bill's and to what the scalar engine did."""
         circuit = adder_circuit()
-        parties = 3
         engine = GMWEngine(parties)
         rng = DeterministicRNG("pin")
         shares = {

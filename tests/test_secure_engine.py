@@ -193,11 +193,17 @@ class TestConfiguration:
         scale_lsb = 10.0 / (0.5 / 256)
         assert (1 << bits) >= 8 * scale_lsb
 
-    def test_gmw_mode_is_not_an_option(self):
+    @pytest.mark.parametrize("value", ["ot", "beaver"])
+    @pytest.mark.parametrize("entry", ["demo", "paper", "production", "with_updates"])
+    def test_gmw_mode_is_not_an_option(self, entry, value):
         """OT is the only AND protocol, so the config has no field that
-        picks one: naming it is the typed unknown-field error."""
+        picks one: naming it, through any preset or ``with_updates``, is
+        the typed unknown-field error."""
         with pytest.raises(ConfigurationError, match="gmw_mode"):
-            DStressConfig.preset("demo", gmw_mode="ot")
+            if entry == "with_updates":
+                DStressConfig.preset("demo").with_updates(gmw_mode=value)
+            else:
+                DStressConfig.preset(entry, gmw_mode=value)
 
 
 class TestHierarchicalAggregation:
