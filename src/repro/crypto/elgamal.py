@@ -206,14 +206,10 @@ class CountingGroup(CyclicGroup):
         self.exp_count += 1
         return self.inner.power_of_g(exponent)
 
-    def exp_many(self, base: Any, exponents: Sequence[int]) -> List[Any]:
-        # a batch is still one exponentiation per exponent to the cost model
-        self.exp_count += len(exponents)
-        return self.inner.exp_many(base, exponents)
-
-    def exp_bases(self, bases: Sequence[Any], exponent: int) -> List[Any]:
-        self.exp_count += len(bases)
-        return self.inner.exp_bases(bases, exponent)
+    def exp_grid(self, bases: Sequence[Any], exponents: Sequence[int]) -> List[List[Any]]:
+        # a grid is still one exponentiation per cell to the cost model
+        self.exp_count += len(bases) * len(exponents)
+        return self.inner.exp_grid(bases, exponents)
 
     def inv(self, a: Any) -> Any:
         self.inv_count += 1

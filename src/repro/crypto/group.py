@@ -96,16 +96,10 @@ class CyclicGroup(ABC):
         precomputation."""
         return self.exp(self.generator, exponent)
 
-    def exp_many(self, base: Any, exponents: Sequence[int]) -> List[Any]:
-        """Return ``[base**e for e in exponents]``; subclasses may share
-        the work that depends only on ``base``."""
-        return [self.exp(base, exponent) for exponent in exponents]
-
-    def exp_bases(self, bases: Sequence[Any], exponent: int) -> List[Any]:
-        """Return ``[b**exponent for b in bases]``, the twin of
-        :meth:`exp_many`; subclasses may share the work that depends only
-        on ``exponent``."""
-        return [self.exp(base, exponent) for base in bases]
+    def exp_grid(self, bases: Sequence[Any], exponents: Sequence[int]) -> List[List[Any]]:
+        """Return ``[[b**e for e in exponents] for b in bases]``; subclasses
+        may share the work that depends on one operand only."""
+        return [[self.exp(base, exponent) for exponent in exponents] for base in bases]
 
     def random_scalar(self, rng: DeterministicRNG) -> int:
         """Return a uniform nonzero scalar in ``[1, q)``."""
@@ -139,9 +133,9 @@ class SchnorrGroup(CyclicGroup):
     ``exp`` is one :meth:`repro.crypto.modexp.Modulus.powm` — libcrypto's
     constant-time Montgomery ladder where the interpreter links it,
     ``pow`` otherwise — which makes these groups the default for the
-    large simulation runs. ``exp_many`` and ``exp_bases`` are one
-    :meth:`~repro.crypto.modexp.Modulus.powm_many` batch each (the shared
-    operand converted once); ``power_of_g`` reads a fixed-base table.
+    large simulation runs. ``exp_grid`` is one
+    :meth:`~repro.crypto.modexp.Modulus.powm_grid` call (each operand
+    converted once); ``power_of_g`` reads a fixed-base table.
     """
 
     def __init__(self, p: int, q: int, g: int, name: str = "schnorr") -> None:
@@ -177,13 +171,8 @@ class SchnorrGroup(CyclicGroup):
     def exp(self, base: int, exponent: int) -> int:
         return self._modulus.powm(base, exponent % self.order)
 
-    def exp_many(self, base: int, exponents: Sequence[int]) -> List[int]:
-        q = self.order
-        return self._modulus.powm_many([(base, exponent % q) for exponent in exponents])
-
-    def exp_bases(self, bases: Sequence[int], exponent: int) -> List[int]:
-        exponent %= self.order
-        return self._modulus.powm_many([(base, exponent) for base in bases])
+    def exp_grid(self, bases: Sequence[int], exponents: Sequence[int]) -> List[List[int]]:
+        return self._modulus.powm_grid(bases, [exponent % self.order for exponent in exponents])
 
     def power_of_g(self, exponent: int) -> int:
         """``g**exponent`` as a product of table entries, one per non-zero
@@ -308,7 +297,7 @@ def default_group() -> CyclicGroup:
     """The group used by default throughout the simulation.
 
     We default to the 256-bit Schnorr group: it is comfortably in the DDH
-    regime while keeping exponentiation (17 µs inside a batch and 20 µs
+    regime while keeping exponentiation (17 µs inside a grid and 20 µs
     for a single ``exp`` through libcrypto, 130 µs on the ``pow``
     fallback) fast enough for end-to-end runs. The
     paper's secp384r1 curve is available from

@@ -4,18 +4,17 @@
 :class:`Modulus` reaches its ``BN_mod_exp_mont_consttime`` through
 ``ctypes``: one Montgomery context per modulus, a fixed-window ladder whose
 multiplication schedule does not follow the exponent's bits, 8× faster
-than ``pow`` at 256 bits. There is one loop, :meth:`Modulus.powm_many`,
-over ``(base, exponent)`` pairs — a row of bases under one exponent, or
-one base under a row of exponents, converts the shared operand once —
-and ``powm`` is its one-pair case. Where the library or one symbol is
-missing, that loop is ``pow`` — decided once at import and readable as
-:data:`BACKEND`; nothing selects it.
+than ``pow`` at 256 bits. There is one loop, :meth:`Modulus.powm_grid`,
+``b**e`` for every base × exponent, which converts each operand into a
+``BIGNUM`` once per call; ``powm`` is its 1×1 case. Where the library or
+one symbol is missing, that loop is ``pow`` — decided once at import and
+readable as :data:`BACKEND`; nothing selects it.
 
 The library is loaded with ``PyDLL``: every foreign call holds the
 interpreter lock, so the per-modulus ``BN_CTX`` — the one piece of native
-state a call writes to — is never entered by two threads. The three
-operand ``BIGNUM``s and the output buffer are allocated per batch, local
-to the call and freed before it returns; nothing native is shared
+state a call writes to — is never entered by two threads. The operand
+``BIGNUM``s and the output buffer are allocated per call, local to it and
+freed in one ``finally`` before it returns; nothing native is shared
 *between* calls.
 """
 
@@ -24,7 +23,7 @@ from __future__ import annotations
 import ctypes
 import weakref
 from ctypes import c_char, c_char_p, c_int, c_void_p
-from typing import Iterable, List, NoReturn, Optional, Tuple
+from typing import List, NoReturn, Optional, Sequence, Tuple
 
 from repro.exceptions import CryptoError
 
@@ -77,12 +76,6 @@ def _free_native(lib: ctypes.PyDLL, modulus: int, ctx: int, mont: int) -> None:
     lib.BN_free(modulus)
 
 
-def _checked(exponent: int, p: int) -> int:
-    if not 0 <= exponent < p:
-        raise CryptoError("exponent outside [0, p): reduce it modulo the group order")
-    return exponent
-
-
 def _refuse() -> NoReturn:
     raise CryptoError("libcrypto failed a modular exponentiation")
 
@@ -103,47 +96,47 @@ class Modulus:
 
     def powm(self, base: int, exponent: int) -> int:
         """``base**exponent mod p`` for any integer base and ``0 <= exponent < p``."""
-        return self.powm_many(((base, exponent),))[0]
+        return self.powm_grid((base,), (exponent,))[0][0]
 
-    def powm_many(self, pairs: Iterable[Tuple[int, int]]) -> List[int]:
-        """``[b**e mod p for b, e in pairs]``, any integer bases, every
-        ``0 <= e < p``. An operand that is the previous pair's object is
-        not converted again."""
+    def powm_grid(self, bases: Sequence[int], exponents: Sequence[int]) -> List[List[int]]:
+        """``[[b**e mod p for e in exponents] for b in bases]``, any integer
+        bases, every ``0 <= e < p`` (all checked before the first ladder).
+        The exponents are converted up front, each base as its row starts."""
         p = self.p
+        if not all(0 <= exponent < p for exponent in exponents):
+            raise CryptoError("exponent outside [0, p): reduce it modulo the group order")
         lib = _LIB
         if lib is None:
-            return [pow(base, _checked(exponent, p), p) for base, exponent in pairs]
+            return [[pow(base, exponent, p) for exponent in exponents] for base in bases]
         modulus, ctx, mont = self._native or self._build_native(lib)
         size = self._size
         bin2bn, bn2binpad = lib.BN_bin2bn, lib.BN_bn2binpad
         mod_exp = lib.BN_mod_exp_mont_consttime
         from_bytes = int.from_bytes
-        results: List[int] = []
-        # no pair holds ``results``: the first one converts both operands
-        held_base: object = results
-        held_exponent: object = results
+        grid: List[List[int]] = []
+        converted: List[int] = []  # the exponent BIGNUMs, in order
         a: Optional[int] = None  # what was never allocated: BN_free(NULL) is a no-op
-        e: Optional[int] = None
         r: Optional[int] = None
         try:
+            for exponent in exponents:
+                converted.append(bin2bn(exponent.to_bytes(size, "big"), size, None) or _refuse())
             r = lib.BN_new() or _refuse()
             out = (c_char * size)()
-            for base, exponent in pairs:
-                # a failed conversion raises before assigning: the old pointer is freed
-                if base is not held_base:
-                    a = bin2bn((base % p).to_bytes(size, "big"), size, a) or _refuse()
-                    held_base = base
-                if exponent is not held_exponent:
-                    e = bin2bn(_checked(exponent, p).to_bytes(size, "big"), size, e) or _refuse()
-                    held_exponent = exponent
-                if mod_exp(r, a, e, modulus, ctx, mont) != 1 or bn2binpad(r, out, size) != size:
-                    _refuse()
-                results.append(from_bytes(out, "big"))
+            for base in bases:
+                # a failed refill raises before assigning: the old pointer is freed
+                a = bin2bn((base % p).to_bytes(size, "big"), size, a) or _refuse()
+                row = []
+                for e in converted:
+                    if mod_exp(r, a, e, modulus, ctx, mont) != 1 or bn2binpad(r, out, size) != size:
+                        _refuse()
+                    row.append(from_bytes(out, "big"))
+                grid.append(row)
         finally:
+            for e in converted:
+                lib.BN_free(e)
             lib.BN_free(a)
-            lib.BN_free(e)
             lib.BN_free(r)
-        return results
+        return grid
 
     def _build_native(self, lib: ctypes.PyDLL) -> Tuple[int, int, int]:
         raw = self.p.to_bytes(self._size, "big")

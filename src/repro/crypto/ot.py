@@ -172,7 +172,7 @@ class DDHObliviousTransfer(ObliviousTransfer):
         shifted = [big_b]
         for _ in messages[1:]:
             shifted.append(g.mul(shifted[-1], a_inverse))
-        pads = g.exp_bases(shifted, a)
+        pads = [pad for (pad,) in g.exp_grid(shifted, [a])]
         length = len(messages[0])
         padded = [_xor(m, _mask(self._derive(pad), length)) for m, pad in zip(messages, pads)]
 

@@ -99,6 +99,11 @@ class GMWTraffic:
     def per_party_bytes(self) -> List[float]:
         return [bits / 8.0 for bits in self.sent_bits]
 
+    def copy(self) -> "GMWTraffic":
+        """An equal record that shares no list or dict with this one."""
+        sent, received, pairs = list(self.sent_bits), list(self.received_bits), dict(self.pair_bits)
+        return GMWTraffic(self.num_parties, sent, received, self.ot_count, self.rounds, pairs)
+
     def sender_ots(self, party: int) -> int:
         """OTs ``party`` ran as the sender: one per AND gate per later party."""
         n = self.num_parties
@@ -455,15 +460,15 @@ class GMWEngine:
                 f"has {stats.and_gates} — pool built for a different circuit"
             )
         bus_shares = self._evaluate_lanes(circuit, shared_inputs_list, pools)
-        traffic = [self._closed_form_traffic(stats) for _ in range(lanes)]
-        self._record_bulk_ot_stats(sum(t.ot_count for t in traffic))
+        traffic = self._closed_form_traffic(stats)  # one bill per batch
+        self._record_bulk_ot_stats(traffic.ot_count * lanes)
         bus_widths = {name: len(wires) for name, wires in circuit.output_buses.items()}
         return [
             GMWResult(
                 num_parties=n,
                 bus_widths=dict(bus_widths),
                 output_shares={name: shares[lane] for name, shares in bus_shares.items()},
-                traffic=traffic[lane],
+                traffic=traffic.copy(),
             )
             for lane in range(lanes)
         ]

@@ -22,8 +22,8 @@ table pays that once per distinct circuit per process.
   own (nothing for a forked child to inherit in a locked state). Two
   threads missing on one key both build; ``setdefault`` publishes the
   first and the other build is dropped, so every caller gets one object.
-  The two counters are plain integers like the service's: exact whenever
-  compiles do not race, and only ever telemetry.
+  The two counters and the running total of the entries' weight are plain
+  integers like the service's: exact whenever compiles do not race.
 * **Forks.** Worker processes inherit the parent's table copy-on-write —
   the stage schedule and its index vectors included, since ``compile()``
   builds all of the plan; the batch layer compiles what its payloads need
@@ -83,6 +83,8 @@ class SealedTable:
         self._weigh = weigh
         self._seal = seal
         self.bound = bound
+        #: the entries' total weight, kept on insert and evict
+        self.weight = 0
         #: values built through this table, published or not
         self.builds = 0
         #: lookups answered without building
@@ -93,6 +95,7 @@ class SealedTable:
 
     def clear(self) -> None:
         self._entries.clear()
+        self.weight = 0
 
     def _mirror(self, event: str) -> None:
         recorder = current_recorder()
@@ -116,14 +119,20 @@ class SealedTable:
         self._seal(value)
         self.builds += 1
         self._mirror("builds")
-        if key is None or self._weigh(value) > self.bound:
+        weight = 0 if key is None else self._weigh(value)
+        if key is None or weight > self.bound:
             return value
-        value = entries.setdefault(key, value)
-        while sum(map(self._weigh, list(entries.values()))) > self.bound:
+        published = entries.setdefault(key, value)
+        if published is not value:  # a racing publisher got there first
+            return published
+        self.weight += weight
+        while self.weight > self.bound:
             try:
-                entries.popitem(last=False)
-            except KeyError:  # a racing publisher already trimmed it
+                _key, evicted = entries.popitem(last=False)
+            except KeyError:  # emptied by a racing publisher: nothing is left to weigh
+                self.weight = 0
                 break
+            self.weight -= self._weigh(evicted)
         return value
 
 

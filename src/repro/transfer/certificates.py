@@ -105,9 +105,9 @@ def build_certificates(
     """Trusted-party construction of a block's certificates, one per
     neighbor key, for edge slots ``first_slot, first_slot + 1, ...``.
 
-    Every member public key is raised to all of the owner's neighbor keys
-    in one ``exp_many`` call (one base, ``D`` exponents); each slot's table
-    is then signed, slot by slot, in the order the keys were given.
+    The members' ``b * L`` public keys are raised to the owner's ``D``
+    neighbor keys in one ``exp_grid`` call; each slot's table is then
+    signed, slot by slot, in the order the keys were given.
     """
     if not member_keys:
         raise ProtocolError("a certificate needs at least one member")
@@ -116,10 +116,8 @@ def build_certificates(
         if not (0 < neighbor_key < group.order):
             raise CryptoError("neighbor key must be a nonzero scalar")
     # randomized[y][t][slot]
-    randomized = [
-        [group.exp_many(pk, neighbor_keys) for pk in member.publics]
-        for member in member_keys
-    ]
+    rows = iter(group.exp_grid([pk for m in member_keys for pk in m.publics], neighbor_keys))
+    randomized = [[next(rows) for _pk in member.publics] for member in member_keys]
     certificates = []
     for index in range(len(neighbor_keys)):
         keys = [[per_slot[index] for per_slot in member] for member in randomized]

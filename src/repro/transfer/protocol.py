@@ -25,6 +25,7 @@ members of ``B_u`` and node ``v`` are linear in ``k``, and each member of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Any, List, Optional, Sequence
 
 from repro.crypto.elgamal import ExponentialElGamal
@@ -156,7 +157,7 @@ class MessageTransferProtocol:
                 f"{what} holds {len(vector)} elements, the protocol moves {self.message_bits} bits"
             )
 
-    # -- role: member of the sending block B_u -------------------------------
+    # -- role: members of the sending block B_u ------------------------------
 
     def sender_encrypt(
         self,
@@ -164,32 +165,47 @@ class MessageTransferProtocol:
         certificate: BlockCertificate,
         rng: DeterministicRNG,
     ) -> List[EncryptedSubshare]:
-        """Split an L-bit share into subshares and encrypt one per receiver.
+        """One member's subshares, one per receiver: :meth:`block_encrypt` of one."""
+        return self.block_encrypt([share_word], certificate, rng)[0]
 
-        Returns one :class:`EncryptedSubshare` per member of ``B_v``; the
-        Kurosawa optimization spends ``L + 1`` exponentiations per
-        receiver instead of ``2L``: the receiver's whole key row goes to
-        the one ephemeral scalar in a single batch, and ``g**bit`` is a
-        multiplication by ``g`` where the bit is set.
-        """
+    def block_encrypt(
+        self,
+        share_words: Sequence[int],
+        certificate: BlockCertificate,
+        rng: DeterministicRNG,
+    ) -> List[List[EncryptedSubshare]]:
+        """Every member of ``B_u`` splits its L-bit share into subshares and
+        encrypts one per receiver, ``bundles[x][y]``; each sender draws its
+        subshares, then one ephemeral per receiver. Kurosawa: ``L + 1``
+        exponentiations per sender and receiver, not ``2L`` — receiver
+        ``y``'s key row meets every sender's ephemeral for ``y`` in one
+        grid, and ``g**bit`` is a multiplication by ``g``."""
         if certificate.bits != self.message_bits:
             raise ProtocolError("certificate bit width does not match the protocol")
         for row in certificate.keys:
             self._check_width(row, "a certificate key row")
         group = self.elgamal.group
-        g = group.generator
-        subshares = share_value(share_word, self.message_bits, certificate.block_size, rng)
-        encrypted = []
-        for y, subshare in enumerate(subshares):
-            ephemeral = group.random_scalar(rng)
-            c1 = group.power_of_g(ephemeral)
-            masks = group.exp_bases(certificate.keys[y], ephemeral)
-            c2 = [
-                group.mul(mask, g) if (subshare >> t) & 1 else mask
-                for t, mask in enumerate(masks)
+        g, mul, scalar = group.generator, group.mul, group.random_scalar
+        b = certificate.block_size
+        draws = [
+            (share_value(word, self.message_bits, b, rng), [scalar(rng) for _ in range(b)])
+            for word in share_words
+        ]
+        # masks[y][t][x] = pk_{y,t} ** (sender x's ephemeral for y)
+        masks = [
+            group.exp_grid(row, [ephemerals[y] for _split, ephemerals in draws])
+            for y, row in enumerate(certificate.keys)
+        ]
+        return [
+            [
+                EncryptedSubshare(
+                    c1=group.power_of_g(ephemerals[y]),
+                    c2=[mul(m[x], g) if bits >> t & 1 else m[x] for t, m in enumerate(masks[y])],
+                )
+                for y, bits in enumerate(split)
             ]
-            encrypted.append(EncryptedSubshare(c1=c1, c2=c2))
-        return encrypted
+            for x, (split, ephemerals) in enumerate(draws)
+        ]
 
     # -- role: edge endpoint u ------------------------------------------------
 
@@ -220,22 +236,17 @@ class MessageTransferProtocol:
         else:
             draws = two_sided_geometric_samples(self.noise_alpha, count, rng)
             offsets = [2 * draw for draw in draws]
+        mul, power_of_g = group.mul, group.power_of_g
         aggregates = []
         noise_terms: List[List[int]] = []
         for y in range(block_size):
-            column = [bundles[x][y] for x in range(block_size)]
-            c1 = column[0].c1
-            for sub in column[1:]:
-                c1 = group.mul(c1, sub.c1)
+            column = [row[y] for row in bundles]
             noises = offsets[y * bits : (y + 1) * bits]
-            c2 = []
-            for t, noise in enumerate(noises):
-                acc = column[0].c2[t]
-                for sub in column[1:]:
-                    acc = group.mul(acc, sub.c2[t])
-                if self.noise_alpha is not None:
-                    acc = group.mul(acc, group.power_of_g(noise))
-                c2.append(acc)
+            # per bit, the senders' ciphertexts multiplied in sender order
+            c2 = [reduce(mul, cells) for cells in zip(*[sub.c2 for sub in column])]
+            if self.noise_alpha is not None:
+                c2 = [mul(acc, power_of_g(noise)) for acc, noise in zip(c2, noises)]
+            c1 = reduce(mul, [sub.c1 for sub in column])
             aggregates.append(AggregatedShare(c1=c1, c2=c2))
             noise_terms.append(noises)
         return aggregates, noise_terms
@@ -247,10 +258,8 @@ class MessageTransferProtocol:
         so the receivers' original secret keys apply."""
         for agg in aggregates:
             self._check_width(agg.c2, "an aggregate")
-        adjusted = self.elgamal.group.exp_bases([agg.c1 for agg in aggregates], neighbor_key)
-        return [
-            AggregatedShare(c1=c1, c2=list(agg.c2)) for c1, agg in zip(adjusted, aggregates)
-        ]
+        grid = self.elgamal.group.exp_grid([agg.c1 for agg in aggregates], [neighbor_key])
+        return [AggregatedShare(c1=c1, c2=list(agg.c2)) for (c1,), agg in zip(grid, aggregates)]
 
     # -- role: member of the receiving block B_v ------------------------------------
 
@@ -265,13 +274,12 @@ class MessageTransferProtocol:
         self._check_width(aggregate.c2, "an aggregate")
         group = self.elgamal.group
         # one base, L secrets: c1**(q - x_t) is already the inverse mask
-        masks = group.exp_many(
-            aggregate.c1, [group.order - pair.secret for pair in member.pairs]
-        )
+        inverses = [group.order - pair.secret for pair in member.pairs]
+        (masks,) = group.exp_grid([aggregate.c1], inverses)
+        recover, mul = self.elgamal.dlog_table.recover, group.mul
         share = 0
-        for t, mask in enumerate(masks):
-            total = self.elgamal.dlog_table.recover(group.mul(aggregate.c2[t], mask))
-            share |= (total & 1) << t
+        for t, (c2, mask) in enumerate(zip(aggregate.c2, masks)):
+            share |= (recover(mul(c2, mask)) & 1) << t
         return share
 
     # -- full edge transfer ----------------------------------------------------------
@@ -295,9 +303,7 @@ class MessageTransferProtocol:
         if certificate.block_size != block_size or len(receiver_keys) != block_size:
             raise ProtocolError("sending and receiving blocks must have equal size")
 
-        bundles = [
-            self.sender_encrypt(share, certificate, rng) for share in sender_shares
-        ]
+        bundles = self.block_encrypt(sender_shares, certificate, rng)
         aggregates, noise_terms = self.aggregate(bundles, rng)
         adjusted = self.adjust(aggregates, neighbor_key)
         receiver_shares = [

@@ -4,10 +4,10 @@
 Every parity test runs against both kernels through the one seam the
 module has (``modexp._LIB``, ``None`` = the fallback), so the line a
 machine without libcrypto would run is tested on a machine that has it.
-The kernel is one loop over ``(base, exponent)`` pairs (``powm_many``; a
-single ``powm`` is its one-pair case): parity, the failure model and the
-thread hammer below all go through that loop. ``exp_many`` / ``exp_bases``
-≡ the loop over ``exp`` is in ``tests/test_modexp_batching.py``.
+The kernel is one loop over every base × exponent (``powm_grid``; a
+single ``powm`` is its 1×1 case): parity, the failure model and the
+thread hammer below all go through that loop. ``exp_grid`` ≡ the loop
+over ``exp`` is in ``tests/test_modexp_batching.py``.
 """
 
 from __future__ import annotations
@@ -116,10 +116,10 @@ class TestParityWithPow:
             Modulus(p)
 
 
-def pairs_for(group):
-    """Batches with the shapes the callers send — one base under many
-    exponents, many bases under one exponent (the shared operand the
-    *same object*), and mixed — over bases the kernel must reduce first."""
+def grids_for(group):
+    """Grids with the shapes the callers send — one base under a row of
+    exponents, a row of bases under one exponent, n×m, and empty — over
+    bases the kernel must reduce first."""
     p = group.p
     base = st.one_of(
         st.sampled_from([0, 1, p - 1, p, 2 * p, p + 1, -1, -p]),
@@ -128,18 +128,14 @@ def pairs_for(group):
     exponent = st.one_of(
         st.sampled_from([0, 1, 2, group.order, p - 1]), st.integers(min_value=0, max_value=p - 1)
     )
-    same_base = st.tuples(base, st.lists(exponent, max_size=6)).map(
-        lambda drawn: [(drawn[0], e) for e in drawn[1]]
-    )
-    same_exponent = st.tuples(st.lists(base, max_size=6), exponent).map(
-        lambda drawn: [(b, drawn[1]) for b in drawn[0]]
-    )
-    mixed = st.lists(st.tuples(base, exponent), max_size=6)
-    return st.one_of(same_base, same_exponent, mixed, st.tuples(same_base, mixed).map(sum_lists))
+    row = st.tuples(base.map(lambda b: [b]), st.lists(exponent, max_size=6))
+    column = st.tuples(st.lists(base, max_size=6), exponent.map(lambda e: [e]))
+    grid = st.tuples(st.lists(base, max_size=4), st.lists(exponent, max_size=4))
+    return st.one_of(row, column, grid)
 
 
-def sum_lists(lists):
-    return [pair for batch in lists for pair in batch]
+def pow_grid(bases, exponents, p):
+    return [[pow(b, e, p) for e in exponents] for b in bases]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -148,9 +144,9 @@ class TestBatchParityWithPow:
     @given(data=st.data())
     @settings(max_examples=scale(40), deadline=None)
     def test_a_batch_equals_pow_pair_by_pair(self, backend, group, data):
-        pairs = data.draw(pairs_for(group))
+        bases, exponents = data.draw(grids_for(group))
         with kernel(backend):
-            assert group._modulus.powm_many(pairs) == [pow(b, e, group.p) for b, e in pairs]
+            assert group._modulus.powm_grid(bases, exponents) == pow_grid(bases, exponents, group.p)
 
     @pytest.mark.parametrize("group", SCHNORR_GROUPS, ids=by_name)
     def test_edges(self, backend, group):
@@ -158,23 +154,29 @@ class TestBatchParityWithPow:
         modulus = group._modulus
         base, exponent = group.power_of_g(77), q // 3
         with kernel(backend):
-            assert modulus.powm_many([]) == []
-            assert modulus.powm_many(iter([(base, exponent)])) == [pow(base, exponent, p)]
+            assert modulus.powm_grid([], []) == []
+            assert modulus.powm_grid([], [exponent]) == []
+            assert modulus.powm_grid([base, 2], []) == [[], []]
+            assert modulus.powm_grid((base,), (exponent,)) == [[pow(base, exponent, p)]]
             assert modulus.powm(base, exponent) == pow(base, exponent, p)
             # the same objects again and again, then equal values in new objects
-            repeated = [(base, exponent)] * 3 + [(base + 0 * p, int(str(exponent)))] + [(base, 2)]
-            assert modulus.powm_many(repeated) == [pow(b, e, p) for b, e in repeated]
-            zeros = [(0, 5), (p, 5), (2 * p, 0), (0, 0), (-p, 1)]
-            assert modulus.powm_many(zeros) == [0, 0, 1, 1, 0]
-            assert modulus.powm_many([(p + 2, 3), (3 * p - 1, 2), (-1, q)]) == [8, 1, p - 1]
+            bases = [base] * 3 + [base + 0 * p]
+            exponents = [exponent] * 2 + [int(str(exponent)), 2]
+            assert modulus.powm_grid(bases, exponents) == pow_grid(bases, exponents, p)
+            zeros = modulus.powm_grid([0, p, 2 * p, -p], [5, 0, 1])
+            assert zeros == [[0, 1, 0]] * 4
+            grid = modulus.powm_grid([p + 2, 3 * p - 1, -1], [3, 2, q])
+            assert (grid[0][0], grid[1][1], grid[2][2]) == (8, 1, p - 1)
+            assert grid == pow_grid([2, p - 1, p - 1], [3, 2, q], p)
 
     def test_an_exponent_out_of_range_mid_batch_is_a_typed_error(self, backend):
         modulus = Modulus(1019)
         with kernel(backend):
             for exponent in (-1, 1019, 1 << 64):
-                with pytest.raises(CryptoError, match="exponent outside"):
-                    modulus.powm_many([(2, 3), (2, exponent), (2, 4)])
-            assert modulus.powm_many([(2, 3), (2, 1018)]) == [8, 1]
+                for bases in ([2], [2, 3], []):
+                    with pytest.raises(CryptoError, match="exponent outside"):
+                        modulus.powm_grid(bases, [3, exponent, 4])
+            assert modulus.powm_grid([2], [3, 1018]) == [[8, 1]]
 
 
 def test_both_kernels_return_identical_lists():
@@ -183,12 +185,12 @@ def test_both_kernels_return_identical_lists():
     for group in SCHNORR_GROUPS:
         base = group.power_of_g(4242)
         step = group.order // 104729
-        pairs = [(base, (i + 1) * step) for i in range(8)] + [
-            (base * (i + 2) % group.p, step) for i in range(8)
-        ]
-        native = group._modulus.powm_many(pairs)
-        with mock.patch.object(modexp, "_LIB", None):
-            assert group._modulus.powm_many(pairs) == native
+        bases = [base * (i + 2) % group.p for i in range(8)]
+        exponents = [(i + 1) * step for i in range(8)]
+        for shape in (([base], exponents), (bases, [step]), (bases, exponents)):
+            native = group._modulus.powm_grid(*shape)
+            with mock.patch.object(modexp, "_LIB", None):
+                assert group._modulus.powm_grid(*shape) == native
 
 
 # ----------------------------------------------------------- failure model --
@@ -253,9 +255,10 @@ class TestForeignCallFailures:
         "name, returns, after",
         [
             ("BN_new", None, 0),
-            ("BN_bin2bn", None, 0),  # the first base
-            ("BN_bin2bn", None, 1),  # the first exponent
-            ("BN_bin2bn", None, 3),  # a refill mid-batch: the old pointer must still be freed
+            ("BN_bin2bn", None, 0),  # the first exponent
+            ("BN_bin2bn", None, 1),  # the second: the first must still be freed
+            ("BN_bin2bn", None, 2),  # the first base
+            ("BN_bin2bn", None, 3),  # a refill mid-grid: the old pointer must still be freed
             ("BN_mod_exp_mont_consttime", 0, 2),
             ("BN_bn2binpad", 0, 3),
         ],
@@ -265,16 +268,32 @@ class TestForeignCallFailures:
     ):
         group = TOY_GROUP_64
         modulus = Modulus(group.p)
-        base = group.power_of_g(5)
-        pairs = [(base, e) for e in (3, 4, 5, 6)] + [(b, 7) for b in (2, 3, 4)]
-        want = [pow(b, e, group.p) for b, e in pairs]
-        assert modulus.powm_many(pairs) == want
+        bases, exponents = [group.power_of_g(5), 2, 3, 4], [3, 7]
+        want = [[pow(b, e, group.p) for e in exponents] for b in bases]
+        assert modulus.powm_grid(bases, exponents) == want
         spy = self.Spy(name, returns, after)
         with mock.patch.object(modexp, "_LIB", spy):
             with pytest.raises(CryptoError, match="libcrypto failed"):
-                modulus.powm_many(pairs)
+                modulus.powm_grid(bases, exponents)
         assert spy.freed() == spy.allocated()
-        assert modulus.powm_many(pairs) == want
+        assert modulus.powm_grid(bases, exponents) == want
+
+    def test_a_fault_mid_grid_frees_every_operand(self):
+        """A ladder refused half-way through a 4×16 grid: every exponent,
+        the base and the result are freed, and no later cell runs."""
+        group = GROUP_256
+        modulus = Modulus(group.p)
+        bases = [group.power_of_g(n) for n in range(5, 9)]
+        exponents = [group.order // n for n in range(3, 19)]
+        modulus.powm(4, 5)
+        spy = self.Spy("BN_mod_exp_mont_consttime", 0, after=37)
+        with mock.patch.object(modexp, "_LIB", spy):
+            with pytest.raises(CryptoError, match="libcrypto failed"):
+                modulus.powm_grid(bases, exponents)
+        assert len(spy.allocated()) == 16 + 2 and spy.freed() == spy.allocated()
+        assert len(spy.args_of("BN_mod_exp_mont_consttime")) == 38
+        assert len(spy.args_of("BN_bin2bn")) == 16 + 3  # bases 0, 1, 2 reached
+        assert modulus.powm_grid(bases, exponents) == pow_grid(bases, exponents, group.p)
 
     def test_an_exponent_out_of_range_mid_batch_frees_every_operand(self):
         modulus = Modulus(TOY_GROUP_64.p)
@@ -282,24 +301,25 @@ class TestForeignCallFailures:
         spy = self.Spy()
         with mock.patch.object(modexp, "_LIB", spy):
             with pytest.raises(CryptoError, match="exponent outside"):
-                modulus.powm_many([(4, 5), (9, 6), (9, TOY_GROUP_64.p), (4, 7)])
-        assert len(spy.allocated()) == 3 and spy.freed() == spy.allocated()
-        assert len(spy.args_of("BN_mod_exp_mont_consttime")) == 2
+                modulus.powm_grid([4, 9], [5, 6, TOY_GROUP_64.p, 7])
+        # refused before anything native is touched
+        assert spy.calls == []
 
-    def test_a_batch_allocates_three_operands_whatever_its_length(self):
+    def test_a_grid_converts_each_operand_once(self):
         group = GROUP_256
         modulus = Modulus(group.p)
         modulus.powm(4, 5)
         base = group.power_of_g(5)
-        row, column = [(base, e) for e in range(2, 18)], [(b, 9) for b in range(2, 18)]
-        for pairs in ([(base, 3)], row, column):
+        row, column = list(range(2, 18)), [group.power_of_g(n) for n in range(2, 18)]
+        for bases, exponents in (([base], [3]), ([base], row), (column, [9]), (column[:4], row[:4])):
             spy = self.Spy()
             with mock.patch.object(modexp, "_LIB", spy):
-                assert modulus.powm_many(pairs) == [pow(b, e, group.p) for b, e in pairs]
-            assert len(spy.allocated()) == 3 and spy.freed() == spy.allocated()
-            # the shared operand is converted once, the varying one per pair
-            assert len(spy.args_of("BN_bin2bn")) == len(pairs) + 1
-            assert len(spy.args_of("BN_mod_exp_mont_consttime")) == len(pairs)
+                assert modulus.powm_grid(bases, exponents) == pow_grid(bases, exponents, group.p)
+            # every exponent, one base refilled per row, one result
+            assert len(spy.allocated()) == len(exponents) + 2
+            assert spy.freed() == spy.allocated()
+            assert len(spy.args_of("BN_bin2bn")) == len(bases) + len(exponents)
+            assert len(spy.args_of("BN_mod_exp_mont_consttime")) == len(bases) * len(exponents)
 
     @pytest.mark.parametrize(
         "name, returns", [("BN_MONT_CTX_set", 0), ("BN_CTX_new", None), ("BN_MONT_CTX_new", None)]
@@ -363,38 +383,38 @@ def check_samples(group, seed, count):
 
 def hammer(group, threads=4, rounds=60, budget_s=30.0):
     """``threads`` (more than this box has cores) in a tight loop of single
-    ``exp`` calls and whole batches (mixed pairs, one base under a row of
-    exponents, a row of bases under one exponent) on one group object with
-    the switch interval at its floor; returns the wrong answers and which
-    threads finished. A batch is several foreign calls per pair, so the
-    interpreter does switch threads inside one; what keeps them apart is
-    that a batch's operands are local to its call and the one shared
-    ``BN_CTX`` is only entered with the interpreter lock held. Load the
-    library with ``CDLL`` and two threads do meet inside it — a wrong answer
-    or a crash in libcrypto on most runs of this, not on all, which is why
-    the test also pins the loader's type."""
+    ``exp`` calls and whole grids (1×n, n×1, n×m and empty) on one group
+    object with the switch interval at its floor; returns the wrong answers
+    and which threads finished. A grid is several foreign calls per cell,
+    so the interpreter does switch threads inside one; what keeps them
+    apart is that a grid's operands are local to its call and the one
+    shared ``BN_CTX`` is only entered with the interpreter lock held. Load
+    the library with ``CDLL`` and two threads do meet inside it — a wrong
+    answer or a crash in libcrypto on most runs of this, not on all, which
+    is why the test also pins the loader's type."""
     base = group.power_of_g(99)
     step = group.order // 104729
     table = [(base * (i + 1) % group.p, (i + 3) * step % group.order) for i in range(32)]
     table = [(b, e, pow(b, e, group.p)) for b, e in table]
-    pairs = [(b, e) for b, e, _want in table]
-    wants = [want for _b, _e, want in table]
-    exponents = [e for _b, e in pairs]
-    bases = [b for b, _e in pairs]
-    row_wants = [pow(base, e, group.p) for e in exponents]
-    column_wants = [pow(b, step, group.p) for b in bases]
+    bases = [b for b, _e, _want in table]
+    exponents = [e for _b, e, _want in table]
+    shapes = [
+        ([base], exponents),
+        (bases, [step]),
+        (bases[:8], exponents[:6]),
+        ([], exponents),
+        (bases, []),
+    ]
+    wants = [pow_grid(b, e, group.p) for b, e in shapes]
     wrong, done = [], []
     deadline = time.monotonic() + budget_s
 
     def work(index):
         for _ in range(rounds):
             wrong.extend((b, e) for b, e, want in table if group.exp(b, e) != want)
-            if group._modulus.powm_many(pairs) != wants:
-                wrong.append("mixed batch")
-            if group.exp_many(base, exponents) != row_wants:
-                wrong.append("one base, a row of exponents")
-            if group.exp_bases(bases, step) != column_wants:
-                wrong.append("a row of bases, one exponent")
+            for (b, e), want in zip(shapes, wants):
+                if group.exp_grid(b, e) != want:
+                    wrong.append(f"a {len(b)}x{len(e)} grid")
             if time.monotonic() > deadline:
                 return
         done.append(index)

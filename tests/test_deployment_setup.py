@@ -404,13 +404,14 @@ class TestFaultsLeaveNothingBehind:
     def test_a_group_whose_exp_fails_part_way(self, cold, reference, monkeypatch):
         accountant = PrivacyAccountant(epsilon_max=5.0)
         with monkeypatch.context() as patch:
-            # instance attribute on the kernel every ``exp`` / ``exp_many`` of
-            # the group runs through: same group object, same token, same key
+            # instance attribute on the kernel every ``exp`` / ``exp_grid`` of
+            # the group runs through: same group object, same token, same key;
+            # the 8th grid is the third block's certificate keys
             kernel = TOY_GROUP_64._modulus
             patch.setattr(
                 kernel,
-                "powm_many",
-                fail_on_call(kernel.powm_many, 100, CryptoError("modexp failed")),
+                "powm_grid",
+                fail_on_call(kernel.powm_grid, 8, CryptoError("modexp failed")),
             )
             with pytest.raises(CryptoError, match="modexp failed"):
                 run_charged(accountant)

@@ -1,4 +1,4 @@
-"""The modexp batching kernels — ``exp_many``, the fixed-base table under
+"""The modexp batching kernels — ``exp_grid``, the fixed-base table under
 ``power_of_g``, ``inv`` without Fermat — and the proof that no released bit,
 metered byte or RNG draw moved when they replaced the per-call ``pow``.
 
@@ -55,7 +55,7 @@ from repro.transfer.protocol import MessageTransferProtocol
 
 SCHNORR_GROUPS = [TOY_GROUP_64, GROUP_160, GROUP_256, GROUP_512]
 #: the four Schnorr groups plus the paper's curve, which inherits the
-#: default ``exp_many`` loop and its own ``power_of_g``
+#: default ``exp_grid`` loop and its own ``power_of_g``
 ALL_GROUPS = SCHNORR_GROUPS + [P384]
 
 
@@ -78,37 +78,39 @@ def exponents_for(group):
     )
 
 
-class TestExpMany:
+class TestGridRow:
+    """The 1×n grid: one base under a row of exponents."""
+
     @pytest.mark.parametrize("group", ALL_GROUPS, ids=by_name)
     @given(data=st.data())
     @settings(max_examples=scale(6), deadline=None)
     def test_equals_the_loop_over_exp(self, group, data):
         exponents = data.draw(st.lists(exponents_for(group), max_size=5))
         base = group.power_of_g(data.draw(exponents_for(group)))
-        assert group.exp_many(base, exponents) == [group.exp(base, e) for e in exponents]
+        assert group.exp_grid([base], exponents) == [[group.exp(base, e) for e in exponents]]
 
     @pytest.mark.parametrize("group", ALL_GROUPS, ids=by_name)
     def test_edges(self, group):
         q = group.order
         base = group.power_of_g(7)
         exponents = [0, 1, 15, 16, -1, -q, q, q + 3, q - 1]
-        assert group.exp_many(base, []) == []
-        assert group.exp_many(base, exponents) == [group.exp(base, e) for e in exponents]
-        assert group.exp_many(group.identity, exponents) == [group.identity] * len(exponents)
-        assert group.exp_many(base, [0, q]) == [group.identity, group.identity]
+        assert group.exp_grid([base], []) == [[]]
+        assert group.exp_grid([base], exponents) == [[group.exp(base, e) for e in exponents]]
+        assert group.exp_grid([group.identity], exponents) == [[group.identity] * len(exponents)]
+        assert group.exp_grid([base], [0, q]) == [[group.identity, group.identity]]
 
     @pytest.mark.parametrize("group", SCHNORR_GROUPS, ids=by_name)
     def test_sixteen_full_width_secrets_on_one_base(self, group):
         rng = DeterministicRNG(f"exp-many-{group.name}")
         base = group.power_of_g(group.random_scalar(rng))
         secrets = [group.random_scalar(rng) for _ in range(16)]
-        inverse_masks = group.exp_many(base, [group.order - x for x in secrets])
+        (inverse_masks,) = group.exp_grid([base], [group.order - x for x in secrets])
         for x, mask in zip(secrets, inverse_masks):
             assert group.mul(group.exp(base, x), mask) == group.identity
 
 
-class TestExpBases:
-    """The same-exponent twin: a row of bases under one scalar."""
+class TestGridColumn:
+    """The n×1 grid: a row of bases under one scalar."""
 
     @pytest.mark.parametrize("group", ALL_GROUPS, ids=by_name)
     @given(data=st.data())
@@ -116,16 +118,37 @@ class TestExpBases:
     def test_equals_the_loop_over_exp(self, group, data):
         bases = [group.power_of_g(n) for n in data.draw(st.lists(exponents_for(group), max_size=5))]
         exponent = data.draw(exponents_for(group))
-        assert group.exp_bases(bases, exponent) == [group.exp(base, exponent) for base in bases]
+        assert group.exp_grid(bases, [exponent]) == [[group.exp(base, exponent)] for base in bases]
 
     @pytest.mark.parametrize("group", ALL_GROUPS, ids=by_name)
     def test_edges(self, group):
         q = group.order
         base = group.power_of_g(7)
-        assert group.exp_bases([], 5) == []
-        assert group.exp_bases([base, base, group.identity], q) == [group.identity] * 3
-        assert group.exp_bases([base, base], -1) == [group.inv(base)] * 2
-        assert group.exp_bases((base,), q + 3) == [group.exp(base, 3)]
+        assert group.exp_grid([], [5]) == []
+        assert group.exp_grid([base, base, group.identity], [q]) == [[group.identity]] * 3
+        assert group.exp_grid([base, base], [-1]) == [[group.inv(base)]] * 2
+        assert group.exp_grid((base,), (q + 3,)) == [[group.exp(base, 3)]]
+
+
+class TestExpGrid:
+    """The n×m grid: every base under every exponent, row by base."""
+
+    @pytest.mark.parametrize("group", ALL_GROUPS, ids=by_name)
+    @given(data=st.data())
+    @settings(max_examples=scale(6), deadline=None)
+    def test_equals_the_loop_over_exp(self, group, data):
+        bases = [group.power_of_g(n) for n in data.draw(st.lists(exponents_for(group), max_size=4))]
+        exponents = data.draw(st.lists(exponents_for(group), max_size=4))
+        assert group.exp_grid(bases, exponents) == [
+            [group.exp(base, e) for e in exponents] for base in bases
+        ]
+
+    @pytest.mark.parametrize("group", ALL_GROUPS, ids=by_name)
+    def test_empty_shapes(self, group):
+        base = group.power_of_g(7)
+        assert group.exp_grid([], []) == []
+        assert group.exp_grid([], [1, 2]) == []
+        assert group.exp_grid([base, group.identity], []) == [[], []]
 
 
 class TestPowerOfG:
@@ -210,21 +233,29 @@ def transfer_fixture(group, rng, bits=BITS, block=BLOCK):
 
 
 class TestCounting:
-    def test_exp_many_counts_one_exponentiation_per_exponent(self):
+    def test_a_row_counts_one_exponentiation_per_exponent(self):
         counting = CountingGroup(TOY_GROUP_64)
         base = TOY_GROUP_64.power_of_g(9)
-        assert counting.exp_many(base, [1, 2, 3]) == TOY_GROUP_64.exp_many(base, [1, 2, 3])
+        assert counting.exp_grid([base], [1, 2, 3]) == TOY_GROUP_64.exp_grid([base], [1, 2, 3])
         assert counting.exp_count == 3
-        counting.exp_many(base, [])
+        counting.exp_grid([base], [])
         assert (counting.exp_count, counting.mul_count, counting.inv_count) == (3, 0, 0)
 
-    def test_exp_bases_counts_one_exponentiation_per_base(self):
+    def test_a_column_counts_one_exponentiation_per_base(self):
         counting = CountingGroup(TOY_GROUP_64)
         bases = [TOY_GROUP_64.power_of_g(n) for n in (9, 10, 11)]
-        assert counting.exp_bases(bases, 5) == [TOY_GROUP_64.exp(base, 5) for base in bases]
+        assert counting.exp_grid(bases, [5]) == [[TOY_GROUP_64.exp(base, 5)] for base in bases]
         assert counting.exp_count == 3
-        counting.exp_bases([], 5)
+        counting.exp_grid([], [5])
         assert (counting.exp_count, counting.mul_count, counting.inv_count) == (3, 0, 0)
+
+    def test_a_grid_counts_one_exponentiation_per_cell(self):
+        counting = CountingGroup(TOY_GROUP_64)
+        bases = [TOY_GROUP_64.power_of_g(n) for n in (9, 10, 11)]
+        assert counting.exp_grid(bases, [5, 6]) == TOY_GROUP_64.exp_grid(bases, [5, 6])
+        assert counting.exp_count == 6
+        counting.exp_grid(bases, [])
+        assert (counting.exp_count, counting.mul_count, counting.inv_count) == (6, 0, 0)
 
     def test_one_transfer_is_252_exponentiations_and_no_inversion(self):
         counting = CountingGroup(TOY_GROUP_64)
@@ -286,7 +317,8 @@ class TestCounting:
 
 
 class TestSenderEncrypt:
-    """The §5.1 Kurosawa reuse lives in ``sender_encrypt`` only."""
+    """The §5.1 Kurosawa reuse lives in ``block_encrypt`` only;
+    ``sender_encrypt`` is its one-sender case."""
 
     def test_one_ephemeral_half_per_receiver_and_fewer_exponentiations(self):
         counting = CountingGroup(TOY_GROUP_64)
@@ -302,6 +334,31 @@ class TestSenderEncrypt:
             for public in member_keys:
                 elgamal.encrypt_int(public, 1, rng)
         assert kurosawa == BLOCK * (8 + 1) < counting.exp_count
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 4])
+    def test_the_block_draws_and_encrypts_as_b_sequential_senders(self, block, monkeypatch):
+        """One block call leaves the RNG where ``b`` ``sender_encrypt``
+        calls do, with equal bundles, in ``b`` grids instead of ``b * b``."""
+        counting = CountingGroup(TOY_GROUP_64)
+        rng = DeterministicRNG(f"block-encrypt-{block}")
+        elgamal, _members, _nk, certificate = transfer_fixture(counting, rng, block=block)
+        protocol = MessageTransferProtocol(elgamal, BITS)
+        shares = share_value(rng.randbits(BITS), BITS, block, rng)
+        sequential_rng, block_rng = DeterministicRNG("senders"), DeterministicRNG("senders")
+        sequential = [protocol.sender_encrypt(s, certificate, sequential_rng) for s in shares]
+        shapes = []
+        exp_grid = counting.exp_grid
+
+        def spy(bases, exponents):
+            shapes.append((len(bases), len(exponents)))
+            return exp_grid(bases, exponents)
+
+        monkeypatch.setattr(counting, "exp_grid", spy)
+        counting.reset()
+        assert protocol.block_encrypt(shares, certificate, block_rng) == sequential
+        assert shapes == [(BITS, block)] * block
+        assert counting.exp_count == block * block * (BITS + 1)
+        assert block_rng.randbytes(16) == sequential_rng.randbytes(16)
 
 
 # ----------------------------------------------------------- certificates --

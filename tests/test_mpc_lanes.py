@@ -172,6 +172,25 @@ class TestParityMatrix:
         assert rng.getstate() == oracle_rng.getstate()
         assert all(r.output_shares["none"] == [0] * parties for r in refs)
 
+    def test_one_bill_per_batch_and_each_lane_owns_its_traffic(self, monkeypatch):
+        circuit = CIRCUITS["update"]
+        inputs, results, _after = oracle("update", 3)
+        engine = GMWEngine(3)
+        bills = []
+        closed_form = engine._closed_form_traffic
+        monkeypatch.setattr(
+            engine, "_closed_form_traffic", lambda stats: bills.append(stats) or closed_form(stats)
+        )
+        got = engine.evaluate_batch(circuit, inputs[:3], DeterministicRNG("lanes"))
+        assert len(bills) == 1
+        assert_same_results(got, results[:3])
+        first, second, _third = (result.traffic for result in got)
+        assert first == second and first is not second
+        first.sent_bits[0] += 1
+        first.received_bits[1] += 1
+        first.pair_bits[(0, 1)] += 1
+        assert second == results[1].traffic
+
     def test_empty_batch(self):
         engine = GMWEngine(3)
         rng = DeterministicRNG("empty")

@@ -43,6 +43,7 @@ from repro.mpc.plan import (
     PLAN_TABLE_SIZE,
     PLANS,
     PlanTable,
+    SealedTable,
     noised_sum_bits_circuit,
     partial_sum_circuit,
 )
@@ -192,6 +193,49 @@ class TestSealing:
 
 
 # ---------------------------------------------------------------- the table --
+
+
+class TestSealedTableWeight:
+    """The entries' total weight is a running total: a publish weighs the
+    new value and whatever it evicts, never every entry."""
+
+    @staticmethod
+    def counted_table(bound):
+        weighed = []
+
+        def weigh(value):
+            weighed.append(value)
+            return value
+
+        return SealedTable("test.weight", bound, weigh=weigh), weighed
+
+    @pytest.mark.parametrize("entries", [1, 10, 100])
+    def test_a_miss_weighs_only_the_new_value_and_what_it_evicts(self, entries):
+        table, weighed = self.counted_table(bound=entries)
+        for key in range(entries):
+            table.get(key, lambda: 1)
+        assert (len(table), table.weight) == (entries, entries)
+        weighed.clear()
+        table.get("below the bound", lambda: 0)  # weight 0: nothing to evict
+        assert len(weighed) == 1
+        weighed.clear()
+        table.get("one over", lambda: 1)
+        assert len(weighed) == 2  # the new value, the one entry evicted
+        assert (len(table), table.weight) == (entries + 1, entries)
+        assert 0 not in table._entries  # least recently used out first
+
+    def test_the_total_follows_inserts_evictions_and_clear(self):
+        table, _weighed = self.counted_table(bound=10)
+        for key, weight in enumerate((4, 3, 2)):
+            table.get(key, lambda weight=weight: weight)
+        assert table.weight == 9
+        table.get(0, lambda: 99)  # a hit: nothing weighed, nothing moves
+        table.get("heavy", lambda: 6)  # evicts 1 and 2, the least recently used
+        assert (list(table._entries), table.weight) == ([0, "heavy"], 10)
+        table.get("too heavy", lambda: 11)  # above the bound: built, not kept
+        assert table.weight == sum(table._entries.values()) == 10
+        table.clear()
+        assert (len(table), table.weight) == (0, 0)
 
 
 class TestPlanTable:
