@@ -40,10 +40,10 @@ def test_naive_matrix_power_extrapolation(benchmark):
     for n in (10, 25):
         rows.append([n, "-", fit.seconds_for_multiply(n)])
 
-    # Cubic shape: quadrupling N multiplies cost by ~64.
-    t2 = fit.sample_points[0][1]
-    t4 = fit.sample_points[2][1]
-    assert 4 < t4 / t2 < 20  # 2->4 is 8x in N^3; slack for fixed costs
+    # Cubic shape, on exact counts rather than wall time: N^3
+    # multiply-accumulates of 470 AND gates each, plus 15 per output cell.
+    gates = {n: matrix_multiply_circuit(n, FMT).stats().and_gates for n in sizes}
+    assert gates == {n: 470 * n**3 + 15 * n**2 for n in sizes} == {2: 3820, 3: 12825, 4: 30320}
 
     years = fit.years_end_to_end(1750, iterations=12)
     assert years > 1.0, "naive MPC must be utterly impractical at N=1750"

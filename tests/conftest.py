@@ -9,11 +9,15 @@ curves directly.
 
 from __future__ import annotations
 
+from contextlib import ExitStack, contextmanager
+from unittest import mock
+
 import pytest
 from hypothesis import settings
 
 from repro.api.registry import get_engine
 from repro.core.config import DStressConfig
+from repro.crypto import modexp
 from repro.crypto.elgamal import ExponentialElGamal
 from repro.crypto.group import TOY_GROUP_64
 from repro.crypto.rng import DeterministicRNG
@@ -54,6 +58,30 @@ def execute(engine, program, graph, iterations, config=None, accountant=None, **
     return get_engine(engine, **options).execute(
         program, graph, iterations, config, accountant=accountant
     )
+
+
+#: every modexp kernel, in the order ``Modulus`` prefers them
+MODEXP_KERNELS = ["gmp", "libcrypto", "pow"]
+
+
+@contextmanager
+def modexp_kernel(kernel, *moduli):
+    """Run the body on one modexp ``kernel``: ``libcrypto`` and ``pow`` by
+    hiding the libraries ahead of them (``modexp._GMP``, ``modexp._LIB``),
+    ``gmp`` as the machine has it — and on each of ``moduli`` whatever
+    its width. A kernel this interpreter cannot load is a skip."""
+    with ExitStack() as stack:
+        if kernel != "gmp":
+            stack.enter_context(mock.patch.object(modexp, "_GMP", None))
+        if kernel == "pow":
+            stack.enter_context(mock.patch.object(modexp, "_LIB", None))
+        elif getattr(modexp, "_GMP" if kernel == "gmp" else "_LIB") is None:
+            pytest.skip(f"this interpreter cannot load the {kernel} kernel")
+        for modulus in moduli:
+            if kernel == "gmp":
+                stack.enter_context(mock.patch.object(modulus, "_narrow", True))
+            assert modulus.kernel == kernel
+        yield
 
 
 @pytest.fixture

@@ -1,14 +1,11 @@
 """Tests for the full L-bit message transfer protocol (§3.5)."""
 
-from unittest import mock
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import scale
+from conftest import MODEXP_KERNELS, modexp_kernel, scale
 
-from repro.crypto import modexp
 from repro.crypto.elgamal import ExponentialElGamal
 from repro.crypto.group import TOY_GROUP_64
 from repro.crypto.keys import SchnorrSigner
@@ -111,14 +108,11 @@ class TestEndToEnd:
         assert failures > 0
 
 
-@pytest.fixture(params=["libcrypto", "pow"])
-def either_kernel(request):
-    """Both modexp kernels: the batch path must refuse a malformed vector
+@pytest.fixture(params=MODEXP_KERNELS)
+def each_kernel(request):
+    """Every modexp kernel: the batch path must refuse a malformed vector
     itself, whichever loop would have run under it."""
-    if request.param == "pow":
-        with mock.patch.object(modexp, "_LIB", None):
-            yield
-    else:
+    with modexp_kernel(request.param, TOY_GROUP_64._modulus):
         yield
 
 
@@ -127,7 +121,7 @@ def resized(vector, width):
     return (list(vector) + [vector[-1]] * width)[:width]
 
 
-@pytest.mark.usefixtures("either_kernel")
+@pytest.mark.usefixtures("each_kernel")
 class TestMalformedRoleInputs:
     """A per-bit vector of the wrong width is a ``ProtocolError`` at the
     role that receives it: a short one never reaches an index, a long one
