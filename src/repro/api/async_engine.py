@@ -1,10 +1,10 @@
 """The async engine: per-vertex asyncio pipelines over a transport bus.
 
 The real DStress deployment is message-passing over a WAN where rounds
-are dominated by transfer I/O, not local compute (§6). Every previous
-backend executed rounds synchronously — route, barrier, repeat — so
-nothing could overlap communication with computation. This backend runs
-each vertex as an asyncio task over a :class:`~repro.core.transport.Transport`:
+are dominated by transfer I/O, not local compute (§6). The clear engines
+execute rounds in one process — route, barrier, repeat — so nothing
+overlaps communication with computation. This backend runs each vertex
+as an asyncio task over a :class:`~repro.core.transport.Transport`:
 a vertex computes its next round as soon as *its own* inbox completes,
 while slow links' deliveries are still in flight elsewhere. The schedule
 itself lives in :func:`repro.core.rounds.run_rounds_async`; the state it
@@ -19,8 +19,6 @@ Engine options (all reachable through the registry and batch scenarios)::
     StressTest(net).program("en").engine("async", tasks=8).run()
     .engine("async", transport="wan")          # simulated WAN delays
     .engine("async", transport=my_transport)   # any Transport instance
-    .engine("async", overlap=False)            # sequential-over-the-bus
-                                               # baseline (benchmark foil)
 
 Under the default :class:`~repro.core.transport.InMemoryTransport` the
 result is bit-identical to ``engine="plaintext"`` at every ``tasks``
@@ -38,12 +36,14 @@ to the bus in one :meth:`~repro.core.transport.Transport.send_round`
 call, which the in-memory bus delivers inline — the only Tasks are the
 vertex pipelines.
 ``tests/test_async_overlap.py`` holds both numbers to account: the Task
-count, and overlap beating the sequential schedule on a realtime WAN.
+count, and the overlapped run's wall-clock against the link delays its
+WAN bus accounted.
 
 Like every backend the engine executes through the shared run lifecycle;
 under ``release="windowed"`` each window is one
 :meth:`~repro.core.rounds.RoundLoop.advance_async` call, resuming the
-previous window's pending outboxes through the shared resumption contract.
+previous window's pending outboxes through the shared resumption contract
+— sent on the bus as the round they belong to, like every other round.
 """
 
 from __future__ import annotations
@@ -102,8 +102,7 @@ class _AsyncCore(_PlaintextCore):
     Arithmetic, initial state, aggregate and result assembly are the
     plaintext core's, on a per-vertex loop; each window is one
     :meth:`~repro.core.rounds.RoundLoop.advance_async` drive on its own
-    event loop, resuming through the loop's pending outboxes (the §3.6
-    window edge is a full barrier, so nothing is lost to overlap).
+    event loop, resuming through the loop's pending outboxes.
     """
 
     def __init__(self, engine, program, graph, config) -> None:
@@ -120,12 +119,7 @@ class _AsyncCore(_PlaintextCore):
 
     def run_window(self, state: RunState, rounds: int, first: bool) -> None:
         run_coroutine(
-            self.loop.advance_async(
-                rounds,
-                self.bus,
-                max_tasks=self.engine.tasks,
-                overlap=self.engine.overlap,
-            )
+            self.loop.advance_async(rounds, self.bus, max_tasks=self.engine.tasks)
         )
         state.trajectory = list(self.loop.trajectory)
 
@@ -133,11 +127,7 @@ class _AsyncCore(_PlaintextCore):
         result = super().finalize(state, started)
         result.extras.update(
             {
-                # effective concurrency: the sequential schedule runs one
-                # pipeline regardless of the constructor's tasks value,
-                # and the extras must report what actually happened
-                "tasks": float(self.engine.tasks if self.engine.overlap else 1),
-                "overlap": 1.0 if self.engine.overlap else 0.0,
+                "tasks": float(self.engine.tasks),
                 "messages_sent": float(self.graph.num_edges * state.rounds_done),
             }
         )
@@ -160,9 +150,7 @@ class AsyncEngine(Engine):
     ``tasks`` bounds how many vertex computations interleave (the message
     waits always stay concurrent — that is the point); ``transport`` picks
     the bus (``"memory"``, ``"wan"``, or a
-    :class:`~repro.core.transport.Transport` instance); ``overlap=False``
-    runs the same bus strictly sequentially — one edge per bus call — the
-    baseline the overlap is measured against.
+    :class:`~repro.core.transport.Transport` instance).
     """
 
     name = "async"
@@ -171,14 +159,12 @@ class AsyncEngine(Engine):
         self,
         tasks: int = 4,
         transport: Union[str, Transport] = "memory",
-        overlap: bool = True,
         release: Union[str, ReleasePolicy] = "oneshot",
         windows: Optional[Sequence[int]] = None,
         window_epsilon: Optional[float] = None,
     ) -> None:
         self.tasks = check_tasks(tasks, self.name)
         self.transport = check_transport_spec(transport)
-        self.overlap = bool(overlap)
         self._configure_release(release, windows, window_epsilon)
 
     def execute(self, program, graph, iterations, config, accountant=None):

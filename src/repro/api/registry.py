@@ -13,10 +13,11 @@ register themselves with :func:`register_engine` and immediately become
 addressable from ``StressTest(...).engine("my-backend")`` and from batch
 scenarios. Engine factories take constructor options through
 :func:`get_engine` (``get_engine("async", tasks=8, transport="wan")``,
-``get_engine("secure-async", overlap=False)``), which is how session and
-scenario engine options reach the backend.
-Lookup errors always list what *is* registered, so a typo is a
-one-glance fix.
+``get_engine("secure-async", backend="bitsliced")``), which is how
+session and scenario engine options reach the backend; an option a
+factory does not take (``get_engine("async", shards=4)``) is a
+:class:`ConfigurationError` naming it. Lookup errors always list what
+*is* registered, so a typo is a one-glance fix.
 """
 
 from __future__ import annotations

@@ -20,8 +20,6 @@ Engine options (all reachable through the registry and batch scenarios)::
     .engine("secure-async", tasks=8)           # bound in-flight batches
     .engine("secure-async", transport="wan")   # simulated WAN delays
     .engine("secure-async", transport=bus)     # any Transport instance
-    .engine("secure-async", overlap=False)     # sequential-over-the-bus
-                                               # baseline (benchmark foil)
     .engine("secure-async", backend="bitsliced")  # numpy lane GMW with
                                                # offline/online split
 
@@ -86,22 +84,12 @@ class _SecureAsyncCore(_SecureCore):
         super().setup(state)
 
     def drive(self, events: WindowEvents) -> None:
-        scheduler = SecureRoundScheduler(
-            self.bus, max_tasks=self.engine.tasks, overlap=self.engine.overlap
-        )
+        scheduler = SecureRoundScheduler(self.bus, max_tasks=self.engine.tasks)
         run_coroutine(scheduler.run(events))
 
     def finalize(self, state: RunState, started: float) -> RunResult:
         result = super().finalize(state, started)
-        result.extras.update(
-            {
-                # effective concurrency, as with the async engine: the
-                # sequential schedule keeps one batch in flight no matter
-                # what the constructor asked for
-                "tasks": float(self.engine.tasks if self.engine.overlap else 1),
-                "overlap": 1.0 if self.engine.overlap else 0.0,
-            }
-        )
+        result.extras["tasks"] = float(self.engine.tasks)
         attach_bus_extras(result, self.bus, self.before)
         self.close()
         return result
@@ -119,13 +107,11 @@ class SecureAsyncEngine(Engine):
 
     ``tasks`` bounds how many block batches may be in flight at once;
     ``transport`` picks the bus (``"memory"``, ``"wan"``, or a
-    :class:`~repro.core.transport.Transport` instance); ``overlap=False``
-    awaits every link delivery one at a time — the honest sequential
-    baseline the overlap is measured against
-    (``tests/test_async_overlap.py``). ``backend`` picks the GMW lanes as
-    for ``engine("secure")``: ``"scalar"`` (default) Python ints, stdlib
-    only, or ``"bitsliced"`` numpy words; each step's blocks are
-    evaluated as one batch before its first delivery is dispatched.
+    :class:`~repro.core.transport.Transport` instance). ``backend`` picks
+    the GMW lanes as for ``engine("secure")``: ``"scalar"`` (default)
+    Python ints, stdlib only, or ``"bitsliced"`` numpy words; each step's
+    blocks are evaluated as one batch before its first delivery is
+    dispatched.
     """
 
     name = "secure-async"
@@ -135,7 +121,6 @@ class SecureAsyncEngine(Engine):
         self,
         tasks: int = 4,
         transport: Union[str, Transport] = "memory",
-        overlap: bool = True,
         backend: str = "scalar",
         release: Union[str, ReleasePolicy] = "oneshot",
         windows: Optional[Sequence[int]] = None,
@@ -144,7 +129,6 @@ class SecureAsyncEngine(Engine):
         self.backend = check_backend(backend, "engine 'secure-async'")
         self.tasks = check_tasks(tasks, self.name)
         self.transport = check_transport_spec(transport)
-        self.overlap = bool(overlap)
         self._configure_release(release, windows, window_epsilon)
 
     compile_plans = SecureDStressEngine.compile_plans

@@ -14,9 +14,8 @@ skeleton so backends only supply the three varying pieces:
   (:func:`batched_superstep`).
 * ``route`` — deliver outboxes to inboxes. :func:`route_messages`
   implements the §3.6 slot-to-slot delivery for any payload type (floats
-  or raw fixed-point words). Since the transport subsystem landed it is a
-  thin wrapper over :meth:`~repro.core.transport.Transport.deliver_outboxes`
-  on the shared in-memory bus unless ``transport=`` names another.
+  or raw fixed-point words), in-process: the clear engines never put a
+  round on a bus.
 * ``observe`` — record the designated aggregate after each round (the
   convergence trajectory).
 
@@ -38,7 +37,10 @@ where a vertex starts its round ``r + 1`` computation as soon as *its own*
 round-``r`` inbox is complete — overlapping computation of ready vertices
 with in-flight deliveries of slow ones — while trajectories and final
 states are still assembled in sorted-vertex order, so the result is
-bit-identical to :func:`run_rounds` for pointwise-equal updates.
+bit-identical to :func:`run_rounds` for pointwise-equal updates. Every
+round it communicates, a window's resume step included, goes through
+:meth:`~repro.core.transport.Transport.send_round` and
+:meth:`~repro.core.transport.Transport.gather_round`.
 
 The secure protocol's rounds have their own body
 (:meth:`SecureEngine._window <repro.core.secure_engine.SecureEngine._window>`,
@@ -65,7 +67,7 @@ from typing import (
 )
 
 from repro.core.graph import DistributedGraph, VertexView
-from repro.core.transport import InMemoryTransport, LinkLoad, Transport
+from repro.core.transport import LinkLoad, Transport
 from repro.exceptions import ConfigurationError
 from repro.obs.trace import current_recorder, timed_phase
 from repro.simulation.netsim import PhaseTimer
@@ -89,10 +91,6 @@ __all__ = [
     "WindowEvents",
     "SecureRoundScheduler",
 ]
-
-#: Default bus behind :func:`route_messages`: stateless for the synchronous
-#: full-round path, so one shared instance serves every sequential engine.
-_DEFAULT_TRANSPORT = InMemoryTransport()
 
 #: Per-vertex state payload (float registers or raw fixed-point registers).
 S = TypeVar("S")
@@ -210,22 +208,17 @@ def route_messages(
     graph: DistributedGraph,
     outboxes: Dict[int, List[M]],
     fill: M,
-    transport: Optional[Transport] = None,
 ) -> Dict[int, List[M]]:
     """Deliver out-slot messages to the matching in-slots (§3.6).
 
     Unused in-slots hold ``fill`` (the encoded no-op message), so every
     vertex always receives exactly ``degree_bound`` messages and the
     communication pattern leaks nothing about the true degree.
-
-    Delivery is transport-backed: ``transport=None`` routes over the
-    shared zero-delay :class:`~repro.core.transport.InMemoryTransport`
-    (exactly the historical dict shuffle); passing a
-    :class:`~repro.core.transport.SimulatedWanTransport` totals the same
-    round's bytes and link delays without changing a single payload.
     """
-    bus = transport if transport is not None else _DEFAULT_TRANSPORT
-    return bus.deliver_outboxes(graph, outboxes, fill)
+    inboxes = {vid: [fill] * graph.degree_bound for vid in graph.vertex_ids}
+    for src, out_slot, dst, in_slot in graph.routes():
+        inboxes[dst][in_slot] = outboxes[src][out_slot]
+    return inboxes
 
 
 def sequential_superstep(
@@ -289,7 +282,7 @@ class RoundLoop(Generic[S, M]):
     run's trace is the one-shot trace with extra release stages in between.
 
     States and messages are per-vertex maps here; :meth:`advance` routes
-    them over the shared in-memory bus.
+    them with :func:`route_messages`.
     """
 
     def __init__(
@@ -340,7 +333,6 @@ class RoundLoop(Generic[S, M]):
         rounds: int,
         transport: Transport,
         max_tasks: Optional[int] = None,
-        overlap: bool = True,
     ) -> List[float]:
         """:meth:`advance` as per-vertex pipelines over ``transport``."""
         return self._commit(
@@ -355,7 +347,6 @@ class RoundLoop(Generic[S, M]):
                 transport,
                 self.arithmetic.fill,
                 max_tasks=max_tasks,
-                overlap=overlap,
                 phases=self.phases,
                 first_round=self._next_round(),
                 resume_outboxes=self.pending,
@@ -459,7 +450,7 @@ class ColumnLoop(RoundLoop[Dict[str, float], float]):
             state.update(compress(zip(registers, values), changed))
         return rows
 
-    async def advance_async(self, rounds, transport, max_tasks=None, overlap=True):
+    async def advance_async(self, rounds, transport, max_tasks=None):
         raise ConfigurationError(
             "a ColumnLoop steps whole registers; drive per-vertex pipelines "
             "on plaintext_loop(..., pipelines=True)"
@@ -484,7 +475,6 @@ async def run_rounds_async(
     transport: Transport,
     fill: M,
     max_tasks: Optional[int] = None,
-    overlap: bool = True,
     phases: Optional[PhaseTimer] = None,
     first_round: int = 0,
     resume_outboxes: Optional[Dict[int, List[M]]] = None,
@@ -495,14 +485,14 @@ async def run_rounds_async(
     resumption contract as :func:`run_rounds`: pass the previous window's
     ``final_outboxes`` back as ``resume_outboxes`` (with ``first_round``
     set to the steps already taken plus one) to continue the schedule
-    across release windows. The pending outboxes are routed synchronously
-    through :meth:`~repro.core.transport.Transport.deliver_outboxes`
-    before the per-vertex pipelines start — the §3.6 step boundary at a
-    window edge is a full barrier anyway, so nothing is lost to overlap.
-    The first window opens the bus; a resumed one continues the same
-    execution on it (a TCP bus serves exactly one), so the bus numbers
-    rounds across windows: computation step ``s`` communicates as bus
-    round ``s``, and no two windows share a mailbox.
+    across release windows. The first window opens the bus; a resumed one
+    continues the same execution on it (a TCP bus serves exactly one). Its
+    resume step sends the pending outboxes as bus round ``first_round - 1``
+    — one :meth:`~repro.core.transport.Transport.send_round` per vertex —
+    and gathers every inbox before the pipelines start: the §3.6 step
+    boundary at a window edge is a full barrier anyway. So computation
+    step ``s`` communicates as bus round ``s`` on the one path, and no two
+    windows share a mailbox.
 
     Each vertex runs its own task: compute round ``r``, push the round's
     out-edge messages onto the bus in one
@@ -513,9 +503,9 @@ async def run_rounds_async(
     *across* vertices between rounds, so a vertex whose neighbors already
     delivered computes ahead while slow links are still in flight — the
     communication/computation overlap the paper's WAN deployment assumes.
-    The pipelines are the only Tasks this driver creates: a message is a
-    call into the bus, which overlaps the links of one batch itself where
-    they have a delay to wait.
+    The pipelines are the only Tasks a one-window run creates: a message
+    is a call into the bus, which overlaps the links of one batch itself
+    where they have a delay to wait.
 
     ``max_tasks`` bounds how many vertex pipelines may occupy the compute
     section at once: an :class:`asyncio.Semaphore` around the compute
@@ -526,10 +516,7 @@ async def run_rounds_async(
     task interleavings — and identical results, which is what the parity
     matrix asserts. The gate covers the compute section only; the message
     waits must stay concurrent or a one-task schedule would deadlock on
-    its own barrier. ``overlap=False`` degrades to the fully
-    sequential schedule — one ``send_round`` per edge, awaited one at a
-    time in vertex-id order — which is the honest WAN baseline the async
-    engine is measured against.
+    its own barrier.
 
     Bit-identity argument: a vertex's round-``r`` inbox is complete if and
     only if it holds exactly the deliveries ``route_messages`` would have
@@ -549,21 +536,6 @@ async def run_rounds_async(
     # the engine exists to exploit (documented in DESIGN.md).
     recorder = current_recorder()
     vertex_ids = graph.vertex_ids
-    if resume_outboxes is None:
-        transport.open(graph, fill)
-        full_rounds = iterations
-    else:
-        if iterations < 1:
-            raise ConfigurationError(
-                "a resumed window needs at least one computation step"
-            )
-        # the communication half of the previous window's last computation
-        # step: a full barrier sits at the window edge anyway, so routing
-        # it synchronously loses no overlap
-        with recorder.span("round", round=first_round - 1):
-            with timed_phase(phases, "communication"):
-                inboxes = transport.deliver_outboxes(graph, resume_outboxes, fill)
-        full_rounds = iterations - 1
     # the graph's routing table grouped by sender: senders resolve the
     # destination slot, the transport only moves payloads.
     routes: Dict[int, List[Tuple[int, int, int]]] = {vid: [] for vid in vertex_ids}
@@ -573,6 +545,32 @@ async def run_rounds_async(
     def deliveries(vid: int, outbox: List[M]) -> List[Tuple[int, int, M]]:
         """``vid``'s round of ``(dst, in_slot, payload)``, out-slot order."""
         return [(dst, in_slot, outbox[out_slot]) for out_slot, dst, in_slot in routes[vid]]
+
+    if resume_outboxes is None:
+        transport.open(graph, fill)
+        full_rounds = iterations
+    else:
+        if iterations < 1:
+            raise ConfigurationError(
+                "a resumed window needs at least one computation step"
+            )
+        # the communication half of the previous window's last computation
+        # step, on the bus round it belongs to
+        resume_round = first_round - 1
+        with recorder.span("round", round=resume_round):
+            with timed_phase(phases, "communication"):
+                await _all_or_none(
+                    transport.send_round(
+                        vid, resume_round, deliveries(vid, resume_outboxes[vid])
+                    )
+                    for vid in vertex_ids
+                    if routes[vid]
+                )
+                inboxes = {
+                    vid: await transport.gather_round(vid, resume_round)
+                    for vid in vertex_ids
+                }
+        full_rounds = iterations - 1
 
     # round -> vertex -> state-after-that-computation-step. A round is
     # observed (in sorted-vertex order, preserving the reference float
@@ -604,85 +602,56 @@ async def run_rounds_async(
                 round_states[next_round] = {}
             next_round += 1
 
-    if overlap:
-        gate = asyncio.Semaphore(max_tasks) if max_tasks is not None else None
+    gate = asyncio.Semaphore(max_tasks) if max_tasks is not None else None
 
-        async def vertex_pipeline(vid: int) -> None:
-            state = states[vid]
-            inbox = inboxes[vid]
-            for round_index in range(full_rounds):
-                bus_round = first_round + round_index
-                with recorder.span("round", round=bus_round, vertex=vid):
-                    if gate is not None:
-                        async with gate:
-                            # the yield makes the gate real: the holder
-                            # suspends here, so other pipelines actually
-                            # queue on acquire while this slot is occupied
-                            await asyncio.sleep(0)
-                            with timed_phase(phases, "computation"):
-                                state, outbox = update(vid, state, inbox)
-                    else:
-                        with timed_phase(phases, "computation"):
-                            state, outbox = update(vid, state, inbox)
-                    record(round_index, vid, state)
-                    with timed_phase(phases, "communication"):
-                        if routes[vid]:
-                            await transport.send_round(
-                                vid, bus_round, deliveries(vid, outbox)
-                            )
-                        inbox = await transport.gather_round(vid, bus_round)
-            with recorder.span("round", round=first_round + full_rounds, vertex=vid):
-                with timed_phase(phases, "computation"):
-                    state, final_outboxes[vid] = update(vid, state, inbox)
-                record(full_rounds, vid, state)
-
-        # first failure cancels the siblings: a transport fault (dropped
-        # delivery, dead peer) raises in one pipeline while the others are
-        # parked on their own barriers — on a real-socket bus each would
-        # otherwise sit out its full I/O timeout before the error surfaces
-        tasks = [asyncio.ensure_future(vertex_pipeline(vid)) for vid in vertex_ids]
-        try:
-            await asyncio.gather(*tasks)
-        except BaseException:
-            for task in tasks:
-                task.cancel()
-            await asyncio.gather(*tasks, return_exceptions=True)
-            raise
-    else:
-        # Sequential reference schedule over the same bus: compute every
-        # vertex, then send every edge as its own one-message round, one
-        # at a time, then gather — no overlap anywhere, so wall-clock pays
-        # the full sum of link delays.
-        current = dict(states)
-        current_inboxes = dict(inboxes)
+    async def vertex_pipeline(vid: int) -> None:
+        state = states[vid]
+        inbox = inboxes[vid]
         for round_index in range(full_rounds):
             bus_round = first_round + round_index
-            with recorder.span("round", round=bus_round):
-                outboxes: Dict[int, List[M]] = {}
-                with timed_phase(phases, "computation"):
-                    for vid in vertex_ids:
-                        current[vid], outboxes[vid] = update(
-                            vid, current[vid], current_inboxes[vid]
-                        )
-                        record(round_index, vid, current[vid])
+            with recorder.span("round", round=bus_round, vertex=vid):
+                if gate is not None:
+                    async with gate:
+                        # the yield makes the gate real: the holder
+                        # suspends here, so other pipelines actually
+                        # queue on acquire while this slot is occupied
+                        await asyncio.sleep(0)
+                        with timed_phase(phases, "computation"):
+                            state, outbox = update(vid, state, inbox)
+                else:
+                    with timed_phase(phases, "computation"):
+                        state, outbox = update(vid, state, inbox)
+                record(round_index, vid, state)
                 with timed_phase(phases, "communication"):
-                    for vid in vertex_ids:
-                        for delivery in deliveries(vid, outboxes[vid]):
-                            await transport.send_round(vid, bus_round, [delivery])
-                    for vid in vertex_ids:
-                        current_inboxes[vid] = await transport.gather_round(
-                            vid, bus_round
+                    if routes[vid]:
+                        await transport.send_round(
+                            vid, bus_round, deliveries(vid, outbox)
                         )
-        with recorder.span("round", round=first_round + full_rounds):
+                    inbox = await transport.gather_round(vid, bus_round)
+        with recorder.span("round", round=first_round + full_rounds, vertex=vid):
             with timed_phase(phases, "computation"):
-                for vid in vertex_ids:
-                    current[vid], final_outboxes[vid] = update(
-                        vid, current[vid], current_inboxes[vid]
-                    )
-                    record(full_rounds, vid, current[vid])
+                state, final_outboxes[vid] = update(vid, state, inbox)
+            record(full_rounds, vid, state)
 
+    await _all_or_none(vertex_pipeline(vid) for vid in vertex_ids)
     final_states = {vid: round_states[full_rounds][vid] for vid in vertex_ids}
     return final_states, trajectory, final_outboxes
+
+
+async def _all_or_none(coroutines) -> None:
+    """Run ``coroutines`` as concurrent Tasks; the first failure cancels
+    the rest. A transport fault (dropped delivery, dead peer) raises in
+    one of them while the others are parked on their own barriers — on a
+    real-socket bus each would otherwise sit out its full I/O timeout
+    before the error surfaces."""
+    tasks = [asyncio.ensure_future(coroutine) for coroutine in coroutines]
+    try:
+        await asyncio.gather(*tasks)
+    except BaseException:
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        raise
 
 
 class SecureRoundScheduler:
@@ -708,22 +677,12 @@ class SecureRoundScheduler:
     ``max_tasks`` bounds how many batch deliveries may be in flight at
     once (an :class:`asyncio.Semaphore` acquired inside the task, so
     dispatch itself never blocks the computing coroutine).
-    ``overlap=False`` awaits every link of every batch one at a time —
-    the honest sequential baseline, paying the full sum of link delays —
-    which is what the tier-1 overlap ratio test in
-    ``tests/test_async_overlap.py`` measures the overlap against.
     """
 
-    def __init__(
-        self,
-        transport: Transport,
-        max_tasks: Optional[int] = None,
-        overlap: bool = True,
-    ) -> None:
+    def __init__(self, transport: Transport, max_tasks: Optional[int] = None) -> None:
         if max_tasks is not None and max_tasks < 1:
             raise ConfigurationError("max_tasks must be at least 1")
         self.transport = transport
-        self.overlap = bool(overlap)
         self._gate = asyncio.Semaphore(max_tasks) if max_tasks is not None else None
         #: This step's delivery tasks, finished or not: a batch that has
         #: already failed must still be in here for :meth:`barrier` to raise.
@@ -739,19 +698,12 @@ class SecureRoundScheduler:
     async def dispatch(
         self, link_bytes: LinkBytes, round_index: int, kind: str = "crypto"
     ) -> None:
-        """Put one block batch on the wire.
-
-        Overlapping mode schedules the batch as one ``convey_round`` task
-        and yields once (so the task actually enters its link waits before
-        the caller resumes computing); sequential mode awaits every link
-        as its own one-link call, in sorted order.
+        """Put one block batch on the wire: one ``convey_round`` task over
+        its links in sorted order, then one yield, so the task actually
+        enters its link waits before the caller resumes computing.
         """
         links = [(src, dst, num_bytes) for (src, dst), num_bytes in sorted(link_bytes.items())]
         if not links:
-            return
-        if not self.overlap:
-            for link in links:
-                await self.transport.convey_round(round_index, kind, [link])
             return
         self._pending.append(asyncio.ensure_future(self._deliver(links, round_index, kind)))
         # let the fresh task reach its first await so its link delays are

@@ -2,27 +2,25 @@
 
 A real DStress deployment is message-passing over a WAN: each participant
 is one node, and a round's cost is dominated by the transfer I/O, not the
-local compute. The seed engines instead shuffled dicts in-process, which
-made it impossible to model (let alone overlap) communication. This module
-is the abstraction that separates *what* a round delivers from *how* it
-travels:
+local compute. This module separates *what* a round delivers from *how*
+it travels:
 
-* :class:`Transport` — the protocol: a synchronous full-round delivery
-  (:meth:`~Transport.deliver_outboxes`, the hook behind
-  :func:`repro.core.rounds.route_messages`) plus the asynchronous path
-  the async engine schedules vertex pipelines over: one
-  :meth:`~Transport.send_round` call carries a vertex's whole round of
-  out-edge messages, and :meth:`~Transport.gather_round` *is* the round
-  barrier — a vertex's round-``r`` gather resolves exactly when all of
-  its expected round-``r`` messages have been delivered (or accounted as
-  faulted), never earlier. A third call, :meth:`~Transport.convey_round`,
-  carries one batch of slot-less cryptographic payloads (a block's GMW
-  OT-extension bytes, a §3.5 transfer's aggregates) for the secure
-  engine's rounds — same link model, byte counts instead of values.
+* :class:`Transport` — the protocol. A round reaches the bus one way:
+  one :meth:`~Transport.send_round` call carries a vertex's whole round
+  of out-edge messages, and :meth:`~Transport.gather_round` *is* the
+  round barrier — a vertex's round-``r`` gather resolves exactly when all
+  of its expected round-``r`` messages have been delivered (or accounted
+  as faulted), never earlier. Cryptographic bytes reach it one way too:
+  :meth:`~Transport.convey_round` carries one batch of slot-less payloads
+  (a block's GMW OT-extension bytes, a §3.5 transfer's aggregates) for
+  the secure engine's rounds — same link model, byte counts instead of
+  values. The clear engines route in-process
+  (:func:`repro.core.rounds.route_messages`) and never touch a bus.
 * :class:`InMemoryTransport` — the reference path. Zero-delay, in-order
-  per slot, bit-identical to the historical dict shuffle; every engine
-  that claims parity with ``plaintext`` runs over this. A round message
-  is a function call here: no await suspends and no Task is created.
+  per slot, bit-identical to :func:`~repro.core.rounds.route_messages`;
+  every engine that claims parity with ``plaintext`` runs over this. A
+  round message is a function call here: no await suspends and no Task
+  is created.
 * :class:`SimulatedWanTransport` — injects per-link latency and
   bandwidth delays derived from :class:`~repro.core.config.DStressConfig`
   (``wan_latency_seconds`` / ``wan_bandwidth_bytes`` / ``wan_jitter``)
@@ -42,14 +40,13 @@ travels:
 
 Determinism contract: transports deliver *values* into slots; they never
 reorder slots, merge payloads, or touch floats. Whatever the scheduling,
-an engine that gathers a complete round sees exactly the inbox the
-sequential ``route_messages`` would have produced.
+an engine that gathers a complete round sees exactly the inbox
+``route_messages`` would have produced.
 """
 
 from __future__ import annotations
 
 import asyncio
-from abc import ABC, abstractmethod
 from typing import (
     TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
 )
@@ -108,18 +105,7 @@ def validate_wan_params(
         raise ConfigurationError("WAN jitter must lie in [0, 1)")
 
 
-def _duplicate_delivery_error(
-    src: int, dst: int, in_slot: int, round_index: int
-) -> TransportError:
-    """The one wording for a duplicate-delivery fault, shared by the
-    async slot check and the synchronous fault injector."""
-    return TransportError(
-        f"round {round_index}: duplicate delivery {src}->{dst} "
-        f"(in-slot {in_slot} already filled)"
-    )
-
-
-class Transport(ABC):
+class Transport:
     """One way round messages travel between vertices.
 
     A transport instance serves one execution at a time: :meth:`open`
@@ -133,31 +119,15 @@ class Transport(ABC):
     #: Registry-style name stamped into result extras.
     name: str = "abstract"
 
-    # -- synchronous full-round path ------------------------------------------
-
-    @abstractmethod
-    def deliver_outboxes(
-        self, graph: "DistributedGraph", outboxes: Dict[int, List[Any]], fill: Any
-    ) -> Dict[int, List[Any]]:
-        """Deliver a full round of outboxes and return the inboxes.
-
-        This is the slot-to-slot §3.6 delivery the sequential engines
-        route through (:func:`repro.core.rounds.route_messages`): unused
-        in-slots hold ``fill`` so every vertex receives exactly
-        ``degree_bound`` messages.
-        """
-
-    # -- asynchronous path ----------------------------------------------------
-
     def open(self, graph: "DistributedGraph", fill: Any) -> None:
-        """Bind to a graph for one execution — sync or async.
+        """Bind to a graph for one execution.
 
         Allocates per-(vertex, round) mailboxes and the expected-arrival
         counts the round barrier resolves against, and resets any per-run
         state a subclass keeps (round counters, fault accounting). Every
         engine calls this once at the start of each execution, so a bus
-        instance reused across runs starts each run fresh; for the async
-        path, call it before the first :meth:`send_round`.
+        instance reused across runs starts each run fresh; call it before
+        the first :meth:`send_round`.
         """
         self._graph = graph
         self._fill = fill
@@ -280,7 +250,10 @@ class Transport(ABC):
         key = (dst, round_index)
         slots = self._slots(key)
         if slots[in_slot] is not _EMPTY:
-            raise _duplicate_delivery_error(src, dst, in_slot, round_index)
+            raise TransportError(
+                f"round {round_index}: duplicate delivery {src}->{dst} "
+                f"(in-slot {in_slot} already filled)"
+            )
         slots[in_slot] = payload
         self._resolve(key)
 
@@ -302,20 +275,13 @@ class Transport(ABC):
 class InMemoryTransport(Transport):
     """The reference bus: zero delay, nothing counted, bit-identical.
 
-    ``deliver_outboxes`` is exactly the historical dict shuffle; the async
-    path delivers each payload untouched and inline (``send_round`` and
+    Each payload is delivered untouched and inline (``send_round`` and
     ``convey_round`` are the protocol's reference bodies), so any engine
     scheduling over this transport reproduces the sequential inboxes
     verbatim.
     """
 
     name = "memory"
-
-    def deliver_outboxes(self, graph, outboxes, fill):
-        inboxes = {v: [fill] * graph.degree_bound for v in graph.vertex_ids}
-        for src, out_slot, dst, in_slot in graph.routes():
-            inboxes[dst][in_slot] = outboxes[src][out_slot]
-        return inboxes
 
 
 class SimulatedWanTransport(InMemoryTransport):
@@ -330,11 +296,11 @@ class SimulatedWanTransport(InMemoryTransport):
     delay when a bandwidth is configured.
 
     ``realtime=True`` (the async engines' mode) actually awaits the delay
-    so wall-clock reflects the schedule; ``realtime=False`` and the
-    synchronous :meth:`deliver_outboxes` path only *account* the delay in
-    :attr:`simulated_seconds`. Either way every delivery's bytes are added
-    to :attr:`bytes_sent`. Both totals run across every execution the bus
-    carries; engines report a run's share as a delta.
+    so wall-clock reflects the schedule; ``realtime=False`` only
+    *accounts* the delay in :attr:`simulated_seconds`. Either way every
+    delivery's bytes are added to :attr:`bytes_sent`. Both totals run
+    across every execution the bus carries; engines report a run's share
+    as a delta.
     """
 
     name = "wan"
@@ -357,7 +323,7 @@ class SimulatedWanTransport(InMemoryTransport):
         self.message_bytes = message_bytes
         self.seed = seed
         self.realtime = realtime
-        #: Total accounted link-delay seconds (both sync and async paths).
+        #: Total accounted link-delay seconds.
         self.simulated_seconds = 0.0
         #: Total bytes carried (round messages and conveyed payloads).
         self.bytes_sent = 0.0
@@ -403,11 +369,6 @@ class SimulatedWanTransport(InMemoryTransport):
         self.simulated_seconds += delay
         self.bytes_sent += self.message_bytes
         return delay
-
-    def deliver_outboxes(self, graph, outboxes, fill):
-        for src, _out_slot, dst, _in_slot in graph.routes():
-            self._account(src, dst)
-        return super().deliver_outboxes(graph, outboxes, fill)
 
     async def send_round(self, src, round_index, deliveries):
         # account every link first, land the zero-delay ones inline, then
@@ -455,12 +416,8 @@ class FaultInjectingTransport(Transport):
     (:meth:`Transport.fault_delivery`), so the victim's gather raises a
     :class:`TransportError` naming the link instead of hanging; a
     duplicated delivery goes through the inner bus twice, tripping the
-    duplicate check. On the synchronous path (the resume step of a
-    windowed async run) each :meth:`deliver_outboxes` call is one round —
-    numbered after every round the execution has already sent, so a
-    fault triple names the same round on either path — and the same
-    faults raise at that round's delivery. Used by the fault-path tests and available for chaos-style
-    batch runs over any engine.
+    duplicate check. Used by the fault-path tests and available for
+    chaos-style batch runs over any engine.
 
     When the inner bus is shared across real processes (TCP), give every
     replica the *same* fault sets: chaos is part of the replicated
@@ -478,11 +435,9 @@ class FaultInjectingTransport(Transport):
         self.drop: Set[Tuple[int, int, int]] = set(drop)
         self.duplicate: Set[Tuple[int, int, int]] = set(duplicate)
         self.inner: Transport = inner if inner is not None else InMemoryTransport()
-        self._sync_round = 0
 
     def open(self, graph, fill):
         self.inner.open(graph, fill)
-        self._sync_round = 0
 
     def close(self, error: Optional[BaseException] = None) -> None:
         self.inner.close(error)
@@ -490,39 +445,9 @@ class FaultInjectingTransport(Transport):
     async def gather_round(self, vertex_id, round_index):
         return await self.inner.gather_round(vertex_id, round_index)
 
-    def deliver_outboxes(self, graph, outboxes, fill):
-        # delegate the actual slot routing to the inner bus (one copy of
-        # the routing contract), then apply this round's faults on top
-        round_index = self._sync_round
-        self._sync_round += 1
-        inboxes = self.inner.deliver_outboxes(graph, outboxes, fill)
-        dropped: List[str] = []
-        # a fault triple naming a non-edge is inert: only real routes match
-        in_slots = (
-            {(src, dst): in_slot for src, _out_slot, dst, in_slot in graph.routes()}
-            if self.duplicate or self.drop
-            else {}
-        )
-        for src, dst, fault_round in sorted(self.duplicate):
-            if fault_round == round_index and (src, dst) in in_slots:
-                raise _duplicate_delivery_error(src, dst, in_slots[src, dst], round_index)
-        for src, dst, fault_round in sorted(self.drop):
-            if fault_round == round_index and (src, dst) in in_slots:
-                dropped.append(
-                    f"delivery {src}->{dst} (in-slot {in_slots[src, dst]}) was dropped"
-                )
-        if dropped:
-            raise TransportError(
-                f"round {round_index}: cannot complete delivery: "
-                + "; ".join(dropped)
-            )
-        return inboxes
-
     async def send_round(self, src, round_index, deliveries):
-        # no real-edge guard needed here: engines only send along the
-        # graph's actual edges, so a fault triple naming a non-edge never
-        # matches a delivery — inert on this path exactly as on the sync one
-        self._sync_round = max(self._sync_round, round_index + 1)
+        # engines only send along the graph's actual edges, so a fault
+        # triple naming a non-edge never matches a delivery: it is inert
         forwarded = []
         replays = []
         for dst, in_slot, payload in deliveries:
@@ -586,7 +511,7 @@ _TRANSPORT_SPECS: Dict[str, Callable[[Any], Transport]] = {
 }
 
 
-def check_transport_spec(spec, optional: bool = False):
+def check_transport_spec(spec):
     """Validate an engine's ``transport`` constructor option and return it.
 
     One validation shared by every engine that accepts a transport, so
@@ -594,11 +519,8 @@ def check_transport_spec(spec, optional: bool = False):
     between backends. String specs are resolved against the known names
     *here*, at engine construction — a typo'd name must abort a batch at
     resolve time, before budget is charged, not surface as a per-scenario
-    error mid-run. ``optional=True`` additionally admits ``None`` ("use
-    the engine's default bus").
+    error mid-run.
     """
-    if optional and spec is None:
-        return spec
     if not isinstance(spec, (str, Transport)):
         raise ConfigurationError(
             "transport must be a Transport instance or a name "

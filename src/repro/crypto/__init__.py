@@ -1,7 +1,11 @@
 """Cryptographic substrate: groups, ElGamal, signatures, OT.
 
-Everything DStress needs from cryptography, built from scratch:
+Everything DStress needs from cryptography. The protocols are Python;
+modular exponentiation runs in C, on GMP's constant-time ``mpn_sec_powm``
+up to 256 bits and libcrypto above, both loaded through ctypes:
 
+- :mod:`repro.crypto.modexp` — the exponentiation kernel (``pow`` when
+  neither library loads);
 - :mod:`repro.crypto.group` — prime-order cyclic groups (Schnorr groups);
 - :mod:`repro.crypto.ec` — NIST P-256 / P-384 elliptic curves (the paper's
   secp384r1 deployment group);

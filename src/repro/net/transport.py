@@ -168,7 +168,6 @@ class TcpTransport(Transport):
         self._departed: Set[int] = set()
         self._handshake_errors: List[TransportError] = []
         self._owner: Dict[int, int] = {}
-        self._sync_round = 0
         self._opened = False
         self._closed = False
         self._stats: Dict[str, float] = {
@@ -542,7 +541,7 @@ class TcpTransport(Transport):
             self._failure_error = error
         self._failure.set()
 
-    # ----------------------------------------------------- Transport: sync --
+    # ----------------------------------------------------- Transport: open --
 
     def open(self, graph, fill) -> None:
         self._call_io(self._inner_open(graph, fill), timeout=self.io_timeout)
@@ -558,40 +557,10 @@ class TcpTransport(Transport):
             vid: rank % self.num_parties
             for rank, vid in enumerate(graph.vertex_ids)
         }
-        self._sync_round = 0
         self._opened = True
         self._run_started.set()
 
-    def deliver_outboxes(self, graph, outboxes, fill):
-        """The synchronous full-round path, over the same wire machinery.
-
-        One call is one round, numbered after every round this execution
-        has already sent (the resume step of a windowed run follows the
-        async rounds of the window before it, so a fast peer's frames
-        never land in a mailbox a slow peer is still gathering): every
-        edge goes through the frame writer ``send_round`` uses —
-        cross-owner edges genuinely travel TCP — and every vertex's inbox
-        is gathered with the same failure/timeout protection the async
-        engines get.
-        """
-        return self._call_io(self._inner_round(graph, outboxes, fill))
-
-    async def _inner_round(self, graph, outboxes, fill):
-        if not self._opened:
-            raise ConfigurationError(
-                "TcpTransport.deliver_outboxes needs open() first — every "
-                "engine opens its bus at the start of the run"
-            )
-        round_index = self._sync_round
-        self._sync_round += 1
-        for src, out_slot, dst, in_slot in graph.routes():
-            await self._inner_send(src, dst, in_slot, outboxes[src][out_slot], round_index)
-        inboxes = {}
-        for vid in graph.vertex_ids:
-            inboxes[vid] = await Transport.gather_round(self, vid, round_index)
-        return inboxes
-
-    # ---------------------------------------------------- Transport: async --
+    # --------------------------------------------------- Transport: rounds --
 
     async def send_round(self, src, round_index, deliveries):
         await self._on_io(self._inner_send_round(src, round_index, deliveries))
@@ -629,7 +598,6 @@ class TcpTransport(Transport):
 
     async def _inner_send(self, src, dst, in_slot, payload, round_index):
         self._maybe_die(round_index)
-        self._sync_round = max(self._sync_round, round_index + 1)
         me = self.party_id
         src_owner = self._owner[src]
         dst_owner = self._owner[dst]

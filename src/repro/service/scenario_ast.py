@@ -216,13 +216,11 @@ _ENGINE_OPTIONS.update(
         "secure": {"backend": _str_field("scalar", "bitsliced"), **_RELEASE_OPTIONS},
         "async": {
             "tasks": _int_field(1, 64),
-            "overlap": lambda where, value: _require_bool(where, value),
             "transport": _str_field("memory", "wan"),
             **_RELEASE_OPTIONS,
         },
         "secure-async": {
             "tasks": _int_field(1, 64),
-            "overlap": lambda where, value: _require_bool(where, value),
             "transport": _str_field("memory", "wan"),
             "backend": _str_field("scalar", "bitsliced"),
             **_RELEASE_OPTIONS,

@@ -3,9 +3,8 @@
 Bit-identity against ``plaintext`` at every task count is asserted by
 the cross-engine parity matrix (``test_engine_parity_matrix.py``); this
 file covers everything around it — engine options through the registry,
-sessions and batch scenarios, the simulated-WAN traffic accounting, the
-sequential (``overlap=False``) baseline, and transport faults surfacing
-as scenario-named batch errors.
+sessions and batch scenarios, the simulated-WAN traffic accounting, and
+transport faults surfacing as scenario-named batch errors.
 """
 
 import pytest
@@ -64,6 +63,8 @@ def test_engine_options_validated_through_registry():
         AsyncEngine(transport=3.14)
     with pytest.raises(ConfigurationError, match="rejected options"):
         get_engine("async", shards=4)  # not an option of this engine
+    with pytest.raises(ConfigurationError, match="'overlap'"):
+        get_engine("async", overlap=False)  # one schedule: always overlapped
     with pytest.raises(ConfigurationError, match="tasks"):
         get_engine("plaintext", tasks=2)  # engine takes no such option
     # aliases resolve
@@ -204,13 +205,6 @@ def test_wan_latency_accounts_simulated_seconds(network, reference):
     # values never move, only the clock and the meters
     assert result.trajectory == reference.trajectory
     assert result.extras["simulated_seconds"] > 0.0
-
-
-def test_overlap_false_is_the_sequential_baseline(network, reference):
-    result = _session(network, overlap=False).run(iterations=ITERATIONS)
-    assert result.trajectory == reference.trajectory
-    assert result.final_states == reference.final_states
-    assert result.extras["overlap"] == 0.0
 
 
 # ------------------------------------------------------------------- faults --

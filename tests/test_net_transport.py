@@ -7,8 +7,8 @@ stays fast; the separate-OS-process acceptance path lives in
 
 * **bit-identity** — ``engine="async"`` and ``engine="secure-async"``
   over a TCP mesh release exactly what the in-memory bus releases;
-* **the sync path** — ``deliver_outboxes`` (the resume step of a
-  windowed run) travels the same wire;
+* **the window edge** — the resume step of a windowed run sends its
+  round through ``send_round`` on the same wire;
 * **chaos composition** — :class:`FaultInjectingTransport` wraps a
   ``TcpTransport``, so drop/duplicate chaos works against real sockets;
 * **never a hang** — a peer that vanishes (abrupt socket death, no
@@ -236,21 +236,28 @@ class TestSecureAsyncBitIdentity:
 
 
 class TestSynchronousPath:
+    """The resume step at a window edge: the one round the vertex
+    pipelines do not send, on the bus the first window opened."""
+
     def test_windowed_async_resumes_over_tcp(self):
-        """deliver_outboxes is the same wire: the step that resumes a
-        windowed run crosses real sockets on the bus the first window
-        opened, and every window releases what the in-memory run does."""
+        """The step that resumes a windowed run is one ``send_round`` per
+        sending vertex, on bus round 1, across real sockets; every window
+        releases what the in-memory run does."""
         windowed = {"release": "windowed", "windows": [1, 1]}
         reference = _template().engine("plaintext", **windowed).run(iterations=ITERATIONS)
+        graph = _network().to_en_graph(2)
+        senders = sum(1 for view in graph.vertices() if view.out_neighbors)
         transports, peers = _mesh(2, "test-sync-mesh")
         resumes = Counter()
         for party, bus in enumerate(transports):
 
-            def deliver(*args, _party=party, _original=bus.deliver_outboxes):
-                resumes[_party] += 1
-                return _original(*args)
+            async def send(src, round_index, deliveries, _party=party,
+                           _original=bus.send_round):
+                if round_index == 1:
+                    resumes[_party] += 1
+                await _original(src, round_index, deliveries)
 
-            bus.deliver_outboxes = deliver
+            bus.send_round = send
         try:
             results, errors = _run_parties(
                 transports,
@@ -262,7 +269,8 @@ class TestSynchronousPath:
         finally:
             _close_all(transports)
         assert errors == [None, None]
-        assert resumes == {0: 1, 1: 1}  # one window edge per party
+        assert 0 < senders < len(graph.vertex_ids)
+        assert resumes == {0: senders, 1: senders}  # one call per sender
         for result in results:
             _assert_released_identical(result, reference)
             assert result.releases == reference.releases

@@ -4,7 +4,7 @@ The contract under test, in order of importance:
 
 * **released bit-identity** — ``engine="secure-async"`` must release
   exactly what ``engine="secure"`` releases under the same seed, on every
-  bus, at every concurrency, in both schedules: scheduling overlaps only
+  bus, at every concurrency: scheduling overlaps only
   wire time, and wire time never touches a payload (the deep matrix
   lives in ``test_engine_parity_matrix.py``; this file covers the
   option/transport axes on one small network);
@@ -67,7 +67,6 @@ class TestReleasedBitIdentity:
     @pytest.mark.parametrize("options", [
         {"tasks": 1},
         {"tasks": 4},
-        {"overlap": False},
         {"tasks": 4, "transport": "wan"},
     ])
     def test_matches_secure_engine(self, network, secure_reference, options):
@@ -140,15 +139,6 @@ class TestWanScheduling:
         # the round loop; setup/init/aggregation stay off the bus
         assert result.extras["wan_bytes"] <= result.traffic.total_bytes_sent
 
-    def test_sequential_schedule_reports_width_one(self, network):
-        result = (
-            _template(network)
-            .engine("secure-async", tasks=8, overlap=False)
-            .run(iterations=1)
-        )
-        assert result.extras["tasks"] == 1.0
-        assert result.extras["overlap"] == 0.0
-
 
 class TestFaultInjection:
     def _all_pairs(self, round_index):
@@ -166,14 +156,6 @@ class TestFaultInjection:
         session = _template(network).engine("secure-async", tasks=4, transport=bus)
         with pytest.raises(TransportError, match=r"round 1: duplicate ot delivery"):
             session.run(iterations=ITERATIONS)
-
-    def test_sequential_schedule_faults_identically(self, network):
-        bus = FaultInjectingTransport(drop=self._all_pairs(0))
-        session = _template(network).engine(
-            "secure-async", overlap=False, transport=bus
-        )
-        with pytest.raises(TransportError, match=r"round 0: ot delivery .* was dropped"):
-            session.run(iterations=1)
 
     def test_chaos_batch_outcome_names_the_scenario(self, network):
         """Through the batch layer the fault surfaces as a scenario-named
@@ -273,7 +255,8 @@ class TestEngineWiring:
         engine = get_engine("secure-async", tasks=8, transport="wan")
         assert engine.tasks == 8
         assert engine.transport == "wan"
-        assert get_engine("secure-async", overlap=False).overlap is False
+        with pytest.raises(ConfigurationError, match="'overlap'"):
+            get_engine("secure-async", overlap=False)
 
     def test_aliases_resolve(self):
         assert get_engine("secure-asyncio").name == "secure-async"

@@ -89,6 +89,8 @@ class TestValidation:
             {"engine": {"name": "secure", "options": {"backend": "quantum"}}},
             {"engine": {"name": "secure", "options": {"transport": "tcp"}}},
             {"engine": {"name": "async", "options": {"tasks": 0}}},
+            {"engine": {"name": "async", "options": {"overlap": False}}},
+            {"engine": {"name": "secure-async", "options": {"overlap": False}}},
             {"preset": "galactic"},
             {"overrides": {"fmt": "anything"}},
             {"overrides": {"output_epsilon": -1.0}},

@@ -57,10 +57,10 @@ def _outboxes(graph, base=100.0):
     }
 
 
-# ------------------------------------------------------------ sync delivery --
+# ------------------------------------------------------------ slot routing --
 
 
-def test_in_memory_deliver_matches_legacy_routing():
+def test_route_messages_matches_legacy_routing():
     graph = _diamond_graph()
     outboxes = _outboxes(graph)
     legacy = {v: [0.0] * graph.degree_bound for v in graph.vertex_ids}
@@ -68,23 +68,7 @@ def test_in_memory_deliver_matches_legacy_routing():
         for out_slot, neighbor in enumerate(view.out_neighbors):
             in_slot = graph.vertex(neighbor).in_slot(view.vertex_id)
             legacy[neighbor][in_slot] = outboxes[view.vertex_id][out_slot]
-    assert InMemoryTransport().deliver_outboxes(graph, outboxes, 0.0) == legacy
-    # and route_messages without a transport is exactly that path
     assert route_messages(graph, outboxes, 0.0) == legacy
-
-
-def test_route_messages_accepts_explicit_transport_and_meters():
-    graph = _diamond_graph()
-    outboxes = _outboxes(graph)
-    wan = _LinkLoggingWan(latency_seconds=0.5, message_bytes=2.0, realtime=False)
-    inboxes = route_messages(graph, outboxes, 0.0, transport=wan)
-    # payloads untouched by the WAN model...
-    assert inboxes == route_messages(graph, outboxes, 0.0)
-    # ...but the round is carried: 4 edges x 2 bytes, and delays accounted
-    assert wan.bytes_sent == 8.0
-    assert wan.log.num_links == 4
-    assert wan.log.link_bytes(0, 1) == 2.0
-    assert wan.simulated_seconds == pytest.approx(4 * 0.5)
 
 
 def test_wan_link_delays_are_deterministic_and_jittered():
@@ -159,6 +143,30 @@ def test_async_send_gather_round_trip():
     assert inbox_2[graph.vertex(2).in_slot(0)] == 42.0
 
 
+def test_wan_round_arrives_as_routed_and_is_metered():
+    graph = _diamond_graph()
+    outboxes = _outboxes(graph)
+    wan = _LinkLoggingWan(latency_seconds=0.5, message_bytes=2.0, realtime=False)
+
+    async def scenario():
+        wan.open(graph, fill=0.0)
+        for src in graph.vertex_ids:
+            view = graph.vertex(src)
+            await wan.send_round(src, 0, [
+                (dst, graph.vertex(dst).in_slot(src), outboxes[src][out_slot])
+                for out_slot, dst in enumerate(view.out_neighbors)
+            ])
+        return {vid: await wan.gather_round(vid, 0) for vid in graph.vertex_ids}
+
+    # payloads untouched by the WAN model...
+    assert _run(scenario()) == route_messages(graph, outboxes, 0.0)
+    # ...but the round is carried: 4 edges x 2 bytes, and delays accounted
+    assert wan.bytes_sent == 8.0
+    assert wan.log.num_links == 4
+    assert wan.log.link_bytes(0, 1) == 2.0
+    assert wan.simulated_seconds == pytest.approx(4 * 0.5)
+
+
 def test_gather_blocks_until_round_complete():
     graph = _diamond_graph()
     bus = InMemoryTransport()
@@ -214,21 +222,6 @@ def test_duplicate_delivery_raises_at_the_sender():
 
     with pytest.raises(TransportError, match="round 2: duplicate delivery 0->1"):
         _run(scenario())
-
-
-def test_faults_apply_on_the_synchronous_path_too():
-    # chaos runs over sequential engines route through deliver_outboxes;
-    # each call is one round, counted from construction/open
-    graph = _diamond_graph()
-    outboxes = _outboxes(graph)
-    bus = FaultInjectingTransport(drop=[(1, 3, 1)])
-    first = bus.deliver_outboxes(graph, outboxes, 0.0)  # round 0: clean
-    assert first == InMemoryTransport().deliver_outboxes(graph, outboxes, 0.0)
-    with pytest.raises(TransportError, match=r"round 1: .* 1->3 .* dropped"):
-        bus.deliver_outboxes(graph, outboxes, 0.0)  # round 1: faulted
-    dup_bus = FaultInjectingTransport(duplicate=[(0, 2, 0)])
-    with pytest.raises(TransportError, match="round 0: duplicate delivery 0->2"):
-        dup_bus.deliver_outboxes(graph, outboxes, 0.0)
 
 
 def test_async_chaos_run_raises_scenario_error():
