@@ -9,7 +9,9 @@ other round. Computation step ``s`` therefore communicates as bus round
 one lets a fast peer's frames land in a round a slow peer is still
 gathering (``test_net_transport.py`` drives that race over TCP). This
 file pins the numbering on the in-process buses: the rounds the bus sees,
-and fault triples naming the same round inside a window and at its edge.
+through the fault wrapper too, the WAN bus metering every step, and drop
+and duplicate triples naming the same round inside a window and at its
+edge.
 """
 
 from collections import Counter
@@ -17,7 +19,11 @@ from collections import Counter
 import pytest
 
 from repro import StressTest
-from repro.core.transport import FaultInjectingTransport, InMemoryTransport
+from repro.core.transport import (
+    FaultInjectingTransport,
+    InMemoryTransport,
+    SimulatedWanTransport,
+)
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import TransportError
 from repro.finance import apply_shock, uniform_shock
@@ -90,6 +96,53 @@ def test_each_step_communicates_on_its_own_bus_round(network, windows):
     assert set(bus.sent.values()) == {network.to_en_graph().num_edges}
 
 
+@pytest.mark.parametrize("windows", SPLITS, ids=lambda w: "-".join(map(str, w)))
+def test_the_fault_wrapper_carries_every_round_to_its_inner_bus(network, windows):
+    """Fault sets naming no edge leave the run clean: the wrapper hands
+    every step, the resume steps included, to its inner bus as that
+    step's round."""
+    iterations = sum(windows)
+    reference = (
+        _session(network)
+        .engine("plaintext", **_windowed(windows))
+        .run(iterations=iterations)
+    )
+    inner = RecordingTransport()
+    bus = FaultInjectingTransport(drop={(0, 0, 0)}, duplicate={(1, 1, 1)}, inner=inner)
+    result = (
+        _session(network)
+        .engine("async", transport=bus, **_windowed(windows))
+        .run(iterations=iterations)
+    )
+    assert result.releases == reference.releases
+    assert result.trajectory == reference.trajectory
+    assert inner.opens == 1
+    assert sorted(inner.sent) == sorted(inner.gathered) == list(range(iterations))
+
+
+@pytest.mark.parametrize("windows", SPLITS, ids=lambda w: "-".join(map(str, w)))
+def test_the_wan_bus_meters_every_step_once(network, windows):
+    """Each step, window edges included, pays every edge's link once:
+    no resume step goes unmetered and none is carried twice."""
+    iterations = sum(windows)
+    reference = (
+        _session(network)
+        .engine("plaintext", **_windowed(windows))
+        .run(iterations=iterations)
+    )
+    bus = SimulatedWanTransport(latency_seconds=0.25, message_bytes=2.0, realtime=False)
+    result = (
+        _session(network)
+        .engine("async", transport=bus, **_windowed(windows))
+        .run(iterations=iterations)
+    )
+    assert result.releases == reference.releases
+    assert result.trajectory == reference.trajectory
+    links = iterations * network.to_en_graph().num_edges
+    assert bus.bytes_sent == 2.0 * links
+    assert bus.simulated_seconds == pytest.approx(0.25 * links)
+
+
 @pytest.mark.parametrize("fault_round", range(4))
 def test_a_fault_triple_names_one_round_inside_and_at_the_edge(network, fault_round):
     """Windows [2, 2]: round 2 is the resume step at the window edge,
@@ -98,6 +151,20 @@ def test_a_fault_triple_names_one_round_inside_and_at_the_edge(network, fault_ro
     bus = FaultInjectingTransport(drop={(0, 1, fault_round)})
     session = _session(network).engine("async", transport=bus, **_windowed([2, 2]))
     with pytest.raises(TransportError, match=rf"^round {fault_round}: .*0->1"):
+        session.run(iterations=4)
+
+
+@pytest.mark.parametrize("fault_round", range(4))
+def test_a_duplicate_triple_names_one_round_inside_and_at_the_edge(
+    network, fault_round
+):
+    """Windows [2, 2]: a replayed delivery trips the duplicate-slot check
+    at the round it names, the resume step's round 2 included."""
+    bus = FaultInjectingTransport(duplicate={(0, 1, fault_round)})
+    session = _session(network).engine("async", transport=bus, **_windowed([2, 2]))
+    with pytest.raises(
+        TransportError, match=rf"^round {fault_round}: duplicate delivery 0->1"
+    ):
         session.run(iterations=4)
 
 
