@@ -411,13 +411,14 @@ class FaultInjectingTransport(Transport):
     (default: a fresh :class:`InMemoryTransport`, the historical
     behavior — but wrapping a :class:`SimulatedWanTransport` or a
     real-socket ``TcpTransport`` injects the same chaos against a delayed
-    or genuinely networked mesh). On the async path, a dropped delivery
-    never reaches the inner bus but *is* accounted at its round barrier
+    or genuinely networked mesh). A dropped delivery never reaches the
+    inner bus but *is* accounted at its round barrier
     (:meth:`Transport.fault_delivery`), so the victim's gather raises a
     :class:`TransportError` naming the link instead of hanging; a
     duplicated delivery goes through the inner bus twice, tripping the
     duplicate check. Used by the fault-path tests and available for
-    chaos-style batch runs over any engine.
+    chaos-style batch runs over the bus engines (``async``,
+    ``secure-async``).
 
     When the inner bus is shared across real processes (TCP), give every
     replica the *same* fault sets: chaos is part of the replicated

@@ -235,7 +235,7 @@ class TestSecureAsyncBitIdentity:
         assert [_wire_sent(r) for r in results] == [(36.0, 262912.0), (42.0, 265232.0)]
 
 
-class TestSynchronousPath:
+class TestWindowEdge:
     """The resume step at a window edge: the one round the vertex
     pipelines do not send, on the bus the first window opened."""
 
@@ -247,7 +247,7 @@ class TestSynchronousPath:
         reference = _template().engine("plaintext", **windowed).run(iterations=ITERATIONS)
         graph = _network().to_en_graph(2)
         senders = sum(1 for view in graph.vertices() if view.out_neighbors)
-        transports, peers = _mesh(2, "test-sync-mesh")
+        transports, peers = _mesh(2, "test-window-mesh")
         resumes = Counter()
         for party, bus in enumerate(transports):
 
@@ -282,7 +282,7 @@ class TestSynchronousPath:
         windowed = {"release": "windowed", "windows": windows}
         iterations = sum(windows)
         reference = _template().engine("plaintext", **windowed).run(iterations=iterations)
-        transports, peers = _mesh(2, "test-sync-splits")
+        transports, peers = _mesh(2, "test-window-splits")
         try:
             results, errors = _run_parties(
                 transports,
@@ -304,7 +304,7 @@ class TestSynchronousPath:
         mailboxes party 1 has yet to drain."""
         windowed = {"release": "windowed", "windows": [1, 1]}
         reference = _template().engine("plaintext", **windowed).run(iterations=ITERATIONS)
-        transports, peers = _mesh(2, "test-sync-slow")
+        transports, peers = _mesh(2, "test-window-slow")
         slow = transports[1]
 
         async def gather(vertex_id, round_index, _original=slow.gather_round):
