@@ -39,23 +39,24 @@ vertex pipelines.
 count, and the overlapped run's wall-clock against the link delays its
 WAN bus accounted.
 
-Like every backend the engine executes through the shared run lifecycle;
-under ``release="windowed"`` each window is one
-:meth:`~repro.core.rounds.RoundLoop.advance_async` call, resuming the
-previous window's pending outboxes through the shared resumption contract
-— sent on the bus as the round they belong to, like every other round.
+Like every backend the engine executes through the shared run lifecycle,
+with the bus lifecycle it shares with ``secure-async`` (:class:`BusCore`):
+the bus is opened once at setup, and each window is one
+:meth:`~repro.core.rounds.RoundLoop.advance_async` coroutine handed to
+:meth:`~repro.core.transport.Transport.run` — a fresh event loop for the
+in-process buses, the io loop of a TCP mesh. Under ``release="windowed"``
+a window resumes the previous one's pending outboxes through the shared
+resumption contract — sent on the bus as the round they belong to, like
+every other round.
 """
 
 from __future__ import annotations
 
-import asyncio
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence, Union
 
 from repro.api.engines import Engine, _PlaintextCore
 from repro.api.registry import register_engine
 from repro.api.result import RunResult
-from repro.core.engine import plaintext_loop
 from repro.core.lifecycle import ReleasePolicy, RunState, run_lifecycle
 from repro.core.transport import (
     Transport,
@@ -66,71 +67,37 @@ from repro.core.transport import (
 )
 from repro.exceptions import ConfigurationError
 
-__all__ = ["AsyncEngine", "run_coroutine"]
+__all__ = ["AsyncEngine", "BusCore", "BusEngine"]
 
 
-def check_tasks(tasks, owner: str) -> int:
-    """``tasks`` as given, if it is a positive int (``bool`` is not)."""
-    if isinstance(tasks, bool) or not isinstance(tasks, int) or tasks < 1:
-        raise ConfigurationError(
-            f"engine {owner!r}: tasks must be a positive int, got {tasks!r}"
-        )
-    return tasks
+class BusCore:
+    """The bus lifecycle of the engines that route rounds over a
+    :class:`~repro.core.transport.Transport` (``async``, ``secure-async``),
+    mixed in ahead of the in-process core whose stages it wraps.
 
-
-def run_coroutine(coro):
-    """Drive ``coro`` to completion from synchronous code, loop or no loop.
-
-    ``asyncio.run`` refuses to nest inside a running event loop, which is
-    exactly where notebook kernels (Jupyter/ipykernel) execute user code.
-    In that case the schedule runs on a private loop in a worker thread —
-    the engine's ``execute`` stays synchronous either way, and the
-    computation is deterministic regardless of which thread hosts it.
-    Shared by every asyncio-scheduled backend (``async``, ``secure-async``).
-    """
-    try:
-        asyncio.get_running_loop()
-    except RuntimeError:
-        return asyncio.run(coro)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        return pool.submit(asyncio.run, coro).result()
-
-
-class _AsyncCore(_PlaintextCore):
-    """The plaintext core with its loop driven as asyncio pipelines.
-
-    Arithmetic, initial state, aggregate and result assembly are the
-    plaintext core's, on a per-vertex loop; each window is one
-    :meth:`~repro.core.rounds.RoundLoop.advance_async` drive on its own
-    event loop, resuming through the loop's pending outboxes.
+    Setup resolves the engine's transport spec, snapshots the bus's WAN
+    totals and opens it once for the whole execution; each window hands
+    its coroutine to the bus's :meth:`~repro.core.transport.Transport.run`
+    once; finalize stamps what the bus saw onto the result and closes an
+    engine-owned bus.
     """
 
-    def __init__(self, engine, program, graph, config) -> None:
-        super().__init__(engine, program, graph, config)
-        self.bus = None
-        self.before = None
+    #: The value of an in-slot no message fills (``None``: the secure
+    #: engine conveys bytes, never round values).
+    fill = None
+    bus: Optional[Transport] = None
 
     def setup(self, state: RunState) -> None:
         self.bus = transport_from_spec(self.engine.transport, self.config)
         # A caller-supplied Transport instance may be reused across runs;
         # snapshot its totals so the extras below report *this* run.
         self.before = wan_totals(self.bus)
-        self.loop = plaintext_loop(self.program, self.graph, phases=state.phases, pipelines=True)
-
-    def run_window(self, state: RunState, rounds: int, first: bool) -> None:
-        run_coroutine(
-            self.loop.advance_async(rounds, self.bus, max_tasks=self.engine.tasks)
-        )
-        state.trajectory = list(self.loop.trajectory)
+        super().setup(state)
+        self.bus.open(self.graph, self.fill)
 
     def finalize(self, state: RunState, started: float) -> RunResult:
         result = super().finalize(state, started)
-        result.extras.update(
-            {
-                "tasks": float(self.engine.tasks),
-                "messages_sent": float(self.graph.num_edges * state.rounds_done),
-            }
-        )
+        result.extras["tasks"] = float(self.engine.tasks)
         attach_bus_extras(result, self.bus, self.before)
         self.close()
         return result
@@ -144,16 +111,17 @@ class _AsyncCore(_PlaintextCore):
             self.bus = None
 
 
-class AsyncEngine(Engine):
-    """Float-mode execution as overlapped per-vertex asyncio pipelines.
+class BusEngine(Engine):
+    """What the bus engines share: the ``tasks`` and ``transport``
+    options, and a run that closes its engine-owned bus however it ends.
 
-    ``tasks`` bounds how many vertex computations interleave (the message
-    waits always stay concurrent — that is the point); ``transport`` picks
-    the bus (``"memory"``, ``"wan"``, or a
+    ``tasks`` bounds how much work interleaves on the bus; ``transport``
+    picks it (``"memory"``, ``"wan"``, ``"tcp"``, or a
     :class:`~repro.core.transport.Transport` instance).
     """
 
-    name = "async"
+    #: The :class:`BusCore` a run drives.
+    core: type
 
     def __init__(
         self,
@@ -163,17 +131,61 @@ class AsyncEngine(Engine):
         windows: Optional[Sequence[int]] = None,
         window_epsilon: Optional[float] = None,
     ) -> None:
-        self.tasks = check_tasks(tasks, self.name)
+        # a positive int (``bool`` is not)
+        if isinstance(tasks, bool) or not isinstance(tasks, int) or tasks < 1:
+            raise ConfigurationError(
+                f"engine {self.name!r}: tasks must be a positive int, got {tasks!r}"
+            )
+        self.tasks = tasks
         self.transport = check_transport_spec(transport)
         self._configure_release(release, windows, window_epsilon)
 
     def execute(self, program, graph, iterations, config, accountant=None):
-        core = _AsyncCore(self, program, graph, config)
+        core = self.core(self, program, graph, config)
         try:
             return run_lifecycle(self, core, program, config, iterations, accountant)
         except BaseException as exc:
             core.close(error=exc)
             raise
+
+
+class _AsyncCore(BusCore, _PlaintextCore):
+    """The plaintext core with its loop driven as asyncio pipelines.
+
+    Arithmetic, initial state, aggregate and result assembly are the
+    plaintext core's, on a per-vertex loop; each window is one
+    :meth:`~repro.core.rounds.RoundLoop.advance_async` drive on the bus,
+    resuming through the loop's pending outboxes.
+    """
+
+    pipelines = True
+
+    @property
+    def fill(self):
+        return self.loop.arithmetic.fill
+
+    def run_window(self, state: RunState, rounds: int, first: bool) -> None:
+        self.bus.run(
+            self.loop.advance_async(rounds, self.bus, max_tasks=self.engine.tasks)
+        )
+        state.trajectory = list(self.loop.trajectory)
+
+    def finalize(self, state: RunState, started: float) -> RunResult:
+        result = super().finalize(state, started)
+        result.extras["messages_sent"] = float(self.graph.num_edges * state.rounds_done)
+        return result
+
+
+class AsyncEngine(BusEngine):
+    """Float-mode execution as overlapped per-vertex asyncio pipelines.
+
+    ``tasks`` bounds how many vertex computations interleave (the message
+    waits always stay concurrent — that is the point); ``transport`` picks
+    the bus.
+    """
+
+    name = "async"
+    core = _AsyncCore
 
 
 register_engine("async", AsyncEngine, aliases=("asyncio", "overlapped"))

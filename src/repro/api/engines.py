@@ -215,6 +215,9 @@ class _PlaintextCore(_CentralNoiseCore):
     loop (per-vertex pipelines over a bus).
     """
 
+    #: Per-vertex loop rows, as the async pipelines step them.
+    pipelines = False
+
     def __init__(self, engine, program, graph, config, fixed: bool = False) -> None:
         self.engine = engine
         self.program = program
@@ -224,7 +227,9 @@ class _PlaintextCore(_CentralNoiseCore):
         self.loop: Optional[RoundLoop] = None
 
     def setup(self, state: RunState) -> None:
-        self.loop = plaintext_loop(self.program, self.graph, self.fixed, state.phases)
+        self.loop = plaintext_loop(
+            self.program, self.graph, self.fixed, state.phases, self.pipelines
+        )
 
     def run_window(self, state: RunState, rounds: int, first: bool) -> None:
         self.loop.advance(rounds)
@@ -294,7 +299,8 @@ class _SecureCore(LifecycleCore):
     ``_aggregation_tree``/``_noise_and_reveal``) in transcript order —
     the only order a secure run performs its crypto in. The async variant in
     :mod:`repro.api.secure_async` overrides only :meth:`drive`, handing
-    the same window's events to a scheduler over a transport bus.
+    the same window's events to a scheduler over a transport bus, and
+    wraps these stages in the bus lifecycle it shares with ``async``.
     """
 
     def __init__(self, engine, program, graph, config, buckets=None) -> None:

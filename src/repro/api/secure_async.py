@@ -33,35 +33,33 @@ protocol meter on every bus (per-node *and* per-link, OT-extension bytes
 included); a WAN bus adds only its delay and byte totals for the run,
 ``extras["simulated_seconds"]`` / ``extras["wan_bytes"]``.
 
-Like every backend the engine executes through the shared run lifecycle;
-under ``release="windowed"`` each window gets a fresh
+Like every backend the engine executes through the shared run lifecycle,
+with the bus lifecycle it shares with ``async``
+(:class:`~repro.api.async_engine.BusCore`): the bus is opened once at
+setup, and each window is a fresh
 :class:`~repro.core.rounds.SecureRoundScheduler` (a window edge is a full
-barrier, so no delivery ever spans one) on the bus opened once at setup.
+barrier, so no delivery ever spans one) whose coroutine is handed to
+:meth:`~repro.core.transport.Transport.run` — a fresh event loop for the
+in-process buses, the io loop of a TCP mesh, where the window body's
+crypto then runs too.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence, Union
 
-from repro.api.async_engine import check_tasks, run_coroutine
-from repro.api.engines import Engine, SecureDStressEngine, _SecureCore
+from repro.api.async_engine import BusCore, BusEngine
+from repro.api.engines import SecureDStressEngine, _SecureCore
 from repro.api.registry import register_engine
-from repro.api.result import RunResult
-from repro.core.lifecycle import ReleasePolicy, RunState, run_lifecycle
+from repro.core.lifecycle import ReleasePolicy
 from repro.core.rounds import SecureRoundScheduler, WindowEvents
 from repro.core.secure_engine import check_backend
-from repro.core.transport import (
-    Transport,
-    attach_bus_extras,
-    check_transport_spec,
-    transport_from_spec,
-    wan_totals,
-)
+from repro.core.transport import Transport
 
 __all__ = ["SecureAsyncEngine"]
 
 
-class _SecureAsyncCore(_SecureCore):
+class _SecureAsyncCore(BusCore, _SecureCore):
     """:class:`~repro.api.engines._SecureCore` with rounds over a bus.
 
     Setup, the window body, aggregation and noising are the parent's
@@ -70,52 +68,24 @@ class _SecureAsyncCore(_SecureCore):
     fresh scheduler over the transport.
     """
 
-    def __init__(self, engine, program, graph, config) -> None:
-        super().__init__(engine, program, graph, config)
-        self.bus = None
-        self.before = None
-
-    def setup(self, state: RunState) -> None:
-        self.bus = transport_from_spec(self.engine.transport, self.config)
-        # A caller-supplied Transport instance may be reused across runs;
-        # snapshot its totals so the extras below report *this* run.
-        self.before = wan_totals(self.bus)
-        self.bus.open(self.graph, fill=None)
-        super().setup(state)
-
     def drive(self, events: WindowEvents) -> None:
         scheduler = SecureRoundScheduler(self.bus, max_tasks=self.engine.tasks)
-        run_coroutine(scheduler.run(events))
-
-    def finalize(self, state: RunState, started: float) -> RunResult:
-        result = super().finalize(state, started)
-        result.extras["tasks"] = float(self.engine.tasks)
-        attach_bus_extras(result, self.bus, self.before)
-        self.close()
-        return result
-
-    def close(self, error: Optional[BaseException] = None) -> None:
-        """Close an engine-owned bus (a "tcp" spec owns sockets and an io
-        thread); caller-supplied instances stay open across runs."""
-        if self.bus is not None and self.bus is not self.engine.transport:
-            self.bus.close(error=error)
-            self.bus = None
+        self.bus.run(scheduler.run(events))
 
 
-class SecureAsyncEngine(Engine):
+class SecureAsyncEngine(BusEngine):
     """The full DStress protocol with rounds scheduled over a transport.
 
     ``tasks`` bounds how many block batches may be in flight at once;
-    ``transport`` picks the bus (``"memory"``, ``"wan"``, or a
-    :class:`~repro.core.transport.Transport` instance). ``backend`` picks
-    the GMW lanes as for ``engine("secure")``: ``"scalar"`` (default)
-    Python ints, stdlib only, or ``"bitsliced"`` numpy words; each step's
-    blocks are evaluated as one batch before its first delivery is
-    dispatched.
+    ``transport`` picks the bus. ``backend`` picks the GMW lanes as for
+    ``engine("secure")``: ``"scalar"`` (default) Python ints, stdlib only,
+    or ``"bitsliced"`` numpy words; each step's blocks are evaluated as
+    one batch before its first delivery is dispatched.
     """
 
     name = "secure-async"
     releases_output = True
+    core = _SecureAsyncCore
 
     def __init__(
         self,
@@ -127,19 +97,9 @@ class SecureAsyncEngine(Engine):
         window_epsilon: Optional[float] = None,
     ) -> None:
         self.backend = check_backend(backend, "engine 'secure-async'")
-        self.tasks = check_tasks(tasks, self.name)
-        self.transport = check_transport_spec(transport)
-        self._configure_release(release, windows, window_epsilon)
+        super().__init__(tasks, transport, release, windows, window_epsilon)
 
     compile_plans = SecureDStressEngine.compile_plans
-
-    def execute(self, program, graph, iterations, config, accountant=None):
-        core = _SecureAsyncCore(self, program, graph, config)
-        try:
-            return run_lifecycle(self, core, program, config, iterations, accountant)
-        except BaseException as exc:
-            core.close(error=exc)
-            raise
 
 
 register_engine(

@@ -84,7 +84,3 @@ class AggregationPlan:
     @property
     def root_input_bits(self) -> int:
         return self.group_sum_bits if self.is_hierarchical else self.value_bits
-
-    def verify_total(self, contributions: Sequence[int]) -> int:
-        """Reference sum (used only by tests)."""
-        return sum(contributions)

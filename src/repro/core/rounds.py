@@ -334,7 +334,8 @@ class RoundLoop(Generic[S, M]):
         transport: Transport,
         max_tasks: Optional[int] = None,
     ) -> List[float]:
-        """:meth:`advance` as per-vertex pipelines over ``transport``."""
+        """:meth:`advance` as per-vertex pipelines over ``transport``, a
+        bus already open on this loop's graph with its ``fill``."""
         return self._commit(
             rounds,
             await run_rounds_async(
@@ -345,7 +346,6 @@ class RoundLoop(Generic[S, M]):
                 self.inboxes,
                 rounds,
                 transport,
-                self.arithmetic.fill,
                 max_tasks=max_tasks,
                 phases=self.phases,
                 first_round=self._next_round(),
@@ -473,7 +473,6 @@ async def run_rounds_async(
     inboxes: Dict[int, List[M]],
     iterations: int,
     transport: Transport,
-    fill: M,
     max_tasks: Optional[int] = None,
     phases: Optional[PhaseTimer] = None,
     first_round: int = 0,
@@ -485,11 +484,14 @@ async def run_rounds_async(
     resumption contract as :func:`run_rounds`: pass the previous window's
     ``final_outboxes`` back as ``resume_outboxes`` (with ``first_round``
     set to the steps already taken plus one) to continue the schedule
-    across release windows. The first window opens the bus; a resumed one
-    continues the same execution on it (a TCP bus serves exactly one). Its
-    resume step sends the pending outboxes as bus round ``first_round - 1``
-    — one :meth:`~repro.core.transport.Transport.send_round` per vertex —
-    and gathers every inbox before the pipelines start: the §3.6 step
+    across release windows. ``transport`` must already be open on
+    ``graph`` (:meth:`~repro.core.transport.Transport.open`, with the
+    arithmetic's ``fill``): the caller opens it once per execution, and
+    every window, a resumed one included, runs on it (a TCP bus serves
+    exactly one). A resumed window's resume step sends the pending
+    outboxes as bus round ``first_round - 1`` — one
+    :meth:`~repro.core.transport.Transport.send_round` per vertex — and
+    gathers every inbox before the pipelines start: the §3.6 step
     boundary at a window edge is a full barrier anyway. So computation
     step ``s`` communicates as bus round ``s`` on the one path, and no two
     windows share a mailbox.
@@ -547,7 +549,6 @@ async def run_rounds_async(
         return [(dst, in_slot, outbox[out_slot]) for out_slot, dst, in_slot in routes[vid]]
 
     if resume_outboxes is None:
-        transport.open(graph, fill)
         full_rounds = iterations
     else:
         if iterations < 1:

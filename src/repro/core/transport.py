@@ -47,6 +47,7 @@ an engine that gathers a complete round sees exactly the inbox
 from __future__ import annotations
 
 import asyncio
+from concurrent.futures import ThreadPoolExecutor
 from typing import (
     TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
 )
@@ -199,25 +200,33 @@ class Transport:
             return [self._fill] * self._graph.degree_bound
         return [self._fill if value is _EMPTY else value for value in slots]
 
-    async def fault_delivery(
-        self, src: int, dst: int, in_slot: int, round_index: int, description: str
-    ) -> None:
-        """Account one delivery that will never arrive (the chaos wrapper's
-        drop path): the round barrier still resolves, and the victim's
-        gather raises a :class:`TransportError` carrying ``description``.
-        Buses whose mailboxes live on another thread/loop (the real-socket
-        transport) override this to account the fault over there.
+    def run(self, coro):
+        """Drive one window's coroutine to completion, where this bus's
+        mailboxes live, from synchronous code.
+
+        The in-process buses run it on a fresh event loop per call. When
+        the caller already runs a loop (a notebook kernel), ``asyncio.run``
+        refuses to nest, so the window runs on a private loop in a worker
+        thread instead; the engine's ``execute`` stays synchronous either
+        way, and the computation is deterministic whichever thread hosts
+        it. A bus whose sockets live on a loop of its own (the real-socket
+        transport) runs the coroutine there.
         """
-        self._fault((dst, round_index), description)
+        try:
+            asyncio.get_running_loop()
+        except RuntimeError:
+            return asyncio.run(coro)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            return pool.submit(asyncio.run, coro).result()
 
     def close(self, error: Optional[BaseException] = None) -> None:
-        """Release any resources the bus holds (sockets, loops, threads).
+        """Release any resources the bus holds (sockets, an io thread).
 
-        The in-process buses hold none, so this is a no-op; engines call
-        it in a ``finally`` for every bus they built themselves from a
-        string spec, which is what lets ``transport="tcp"`` tear its mesh
-        down (with ``error`` as the announced abort cause) even when the
-        run fails.
+        The in-process buses hold none, so this is a no-op. An engine
+        closes every bus it built itself from a string spec once its run
+        ends, failed or not: that is what tears a ``transport="tcp"``
+        mesh down, announcing ``error`` as the abort cause when there is
+        one. A caller-supplied instance is the caller's to close.
         """
 
     # -- shared mailbox mechanics ---------------------------------------------
@@ -258,7 +267,12 @@ class Transport:
         self._resolve(key)
 
     def _fault(self, key: Tuple[int, int], description: str) -> None:
-        """Account a delivery that will never arrive; resolves the barrier."""
+        """Account a delivery that will never arrive (the chaos wrapper's
+        drop path): the round barrier at ``key`` still resolves, and the
+        victim's gather raises a :class:`TransportError` carrying
+        ``description``. Called from inside the window :meth:`run` drives,
+        so it touches the mailboxes on the loop that owns them.
+        """
         self._faulted.setdefault(key, []).append(description)
         self._resolve(key)
 
@@ -413,7 +427,7 @@ class FaultInjectingTransport(Transport):
     real-socket ``TcpTransport`` injects the same chaos against a delayed
     or genuinely networked mesh). A dropped delivery never reaches the
     inner bus but *is* accounted at its round barrier
-    (:meth:`Transport.fault_delivery`), so the victim's gather raises a
+    (:meth:`Transport._fault`), so the victim's gather raises a
     :class:`TransportError` naming the link instead of hanging; a
     duplicated delivery goes through the inner bus twice, tripping the
     duplicate check. Used by the fault-path tests and available for
@@ -440,6 +454,9 @@ class FaultInjectingTransport(Transport):
     def open(self, graph, fill):
         self.inner.open(graph, fill)
 
+    def run(self, coro):
+        return self.inner.run(coro)
+
     def close(self, error: Optional[BaseException] = None) -> None:
         self.inner.close(error)
 
@@ -454,11 +471,8 @@ class FaultInjectingTransport(Transport):
         for dst, in_slot, payload in deliveries:
             link = (src, dst, round_index)
             if link in self.drop:
-                await self.inner.fault_delivery(
-                    src,
-                    dst,
-                    in_slot,
-                    round_index,
+                self.inner._fault(
+                    (dst, round_index),
                     f"delivery {src}->{dst} (in-slot {in_slot}) was dropped",
                 )
                 continue

@@ -134,9 +134,6 @@ class ExponentialElGamal(ElGamal):
         """Encrypt the integer ``value`` as ``g**value``."""
         return self.encrypt(public_key, self.group.power_of_g(value), rng)
 
-    def encrypt_int_with_ephemeral(self, public_key: Any, value: int, ephemeral: int) -> Ciphertext:
-        return self.encrypt_with_ephemeral(public_key, self.group.power_of_g(value), ephemeral)
-
     def decrypt_int(self, secret_key: int, ciphertext: Ciphertext) -> int:
         """Recover the integer plaintext via the bounded dlog table."""
         return self._dlog.recover(self.decrypt(secret_key, ciphertext))

@@ -148,9 +148,6 @@ class FinancialNetwork:
         """Everything owed *to* ``bank_id``."""
         return sum(d.amount for d in self.debts if d.creditor == bank_id)
 
-    def holdings_of(self, holder: int) -> List[CrossHolding]:
-        return [h for h in self.holdings if h.holder == holder]
-
     def max_debt_degree(self) -> int:
         """Largest in/out degree of the debt graph."""
         out: Dict[int, int] = {}

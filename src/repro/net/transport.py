@@ -22,17 +22,18 @@ byte volume on the wire (chunked under the frame cap, sender awaiting
 loop counts the bytes, and no replica blocks on them — the *values* were
 already computed everywhere.
 
-Threading model: the transport owns one background asyncio loop in a
-daemon thread. Every public entry point bridges onto it —
-``run_coroutine_threadsafe`` wrapped back into the caller's loop for the
-async methods, ``.result()`` for the sync ones — so all mailbox and
-connection state is mutated on exactly one thread, and the engine's own
-event loop (created per ``asyncio.run``) never touches a socket. A hop
-is paid per protocol call, not per message: one :meth:`send_round`
-carries a vertex's whole round (its frames written in out-slot order),
-one :meth:`convey_round` a whole crypto batch (in link order), and one
-:meth:`gather_round` a vertex's barrier — so the hops a run makes scale
-with vertex-rounds and batches, never with edges or links.
+Threading model: the transport owns one asyncio loop in a daemon io
+thread, where its sockets, read loops and mailboxes live. An engine hands
+each release window's whole coroutine to that loop with one
+:meth:`TcpTransport.run` (``run_coroutine_threadsafe(...).result()``), so
+every protocol call — :meth:`send_round`, :meth:`gather_round`,
+:meth:`convey_round`, the chaos wrapper's drops — already runs on the
+thread that owns the state it touches, and a window costs exactly one
+crossing however many vertices, edges and crypto links it carries. The
+io loop keeps reading peers' frames between windows and after this
+party's run: a ``secure-async`` receiver never waits for padding
+conveys, so a party can finish while a slower peer is still sending to
+it, and that peer's ``drain()`` must not stall on a reader that stopped.
 
 Failure model: a read loop that hits EOF/ECONNRESET without a prior BYE
 marks the peer failed and sets a transport-wide failure event; every
@@ -199,23 +200,28 @@ class TcpTransport(Transport):
             self._thread.start()
         return self._loop
 
-    def _call_io(self, coro, timeout: Optional[float] = None):
-        """Run ``coro`` on the io loop from synchronous code."""
-        future = asyncio.run_coroutine_threadsafe(coro, self._ensure_loop())
-        return future.result(timeout)
+    def run(self, coro):
+        """Run ``coro`` to completion on the io loop, from any other thread.
 
-    async def _on_io(self, coro):
-        """Run ``coro`` on the io loop from the engine's event loop."""
-        return await asyncio.wrap_future(
-            asyncio.run_coroutine_threadsafe(coro, self._ensure_loop())
-        )
+        One submission carries a whole release window, so the engine's
+        protocol calls run where the sockets and mailboxes live. The
+        submission copies the caller's context, so the window's ``round``
+        spans nest under the caller's ``run`` span. If the wait is
+        interrupted, the window is cancelled on the io loop.
+        """
+        future = asyncio.run_coroutine_threadsafe(coro, self._ensure_loop())
+        try:
+            return future.result()
+        except BaseException:
+            future.cancel()
+            raise
 
     def listen(self) -> int:
         """Bind the listener (port 0 picks a free one); returns the port."""
-        self.port = self._call_io(self._inner_listen(), timeout=self.connect_timeout)
+        self.port = self.run(asyncio.wait_for(self._bind(), self.connect_timeout))
         return self.port
 
-    async def _inner_listen(self) -> int:
+    async def _bind(self) -> int:
         self._server = await asyncio.start_server(
             self._on_connection, self.host, self.port
         )
@@ -237,9 +243,9 @@ class TcpTransport(Transport):
                 f"peer table {sorted(p.party_id for p in others)} does not "
                 f"cover parties {sorted(expected)}"
             )
-        self._call_io(self._inner_connect(others))
+        self.run(self._dial_mesh(others))
 
-    async def _inner_connect(self, others: Sequence[PeerAddress]) -> None:
+    async def _dial_mesh(self, others: Sequence[PeerAddress]) -> None:
         outcomes = await asyncio.gather(
             *(
                 dial_peer(
@@ -370,7 +376,7 @@ class TcpTransport(Transport):
             return
         try:
             asyncio.run_coroutine_threadsafe(
-                self._inner_close(error), loop
+                self._say_goodbye(error), loop
             ).result(timeout=self.connect_timeout)
         except Exception:
             pass  # best-effort goodbye; the loop is coming down regardless
@@ -379,7 +385,7 @@ class TcpTransport(Transport):
         if not thread.is_alive():
             loop.close()
 
-    async def _inner_close(self, error: Optional[BaseException]) -> None:
+    async def _say_goodbye(self, error: Optional[BaseException]) -> None:
         goodbye = Frame(
             kind=MessageKind.CONTROL,
             code=CTRL_ABORT if error is not None else CTRL_BYE,
@@ -544,59 +550,38 @@ class TcpTransport(Transport):
     # ----------------------------------------------------- Transport: open --
 
     def open(self, graph, fill) -> None:
-        self._call_io(self._inner_open(graph, fill), timeout=self.io_timeout)
-
-    async def _inner_open(self, graph, fill) -> None:
         if self._opened:
             raise ConfigurationError(
                 "a TcpTransport serves one execution; build a fresh mesh "
                 "per run (frames carry no run id)"
             )
+        loop = self._ensure_loop()
         Transport.open(self, graph, fill)
         self._owner = {
             vid: rank % self.num_parties
             for rank, vid in enumerate(graph.vertex_ids)
         }
         self._opened = True
-        self._run_started.set()
+        # the read loops hold round frames until this is set; setting it
+        # on the io loop, after the mailboxes above, makes open() safe to
+        # call from any thread
+        loop.call_soon_threadsafe(self._run_started.set)
 
     # --------------------------------------------------- Transport: rounds --
-
-    async def send_round(self, src, round_index, deliveries):
-        await self._on_io(self._inner_send_round(src, round_index, deliveries))
-
-    async def gather_round(self, vertex_id, round_index):
-        return await self._on_io(
-            Transport.gather_round(self, vertex_id, round_index)
-        )
-
-    async def convey_round(self, round_index, kind, links):
-        await self._on_io(self._inner_convey_round(round_index, kind, links))
-
-    async def fault_delivery(self, src, dst, in_slot, round_index, description):
-        await self._on_io(
-            self._inner_fault(src, dst, in_slot, round_index, description)
-        )
-
-    async def _inner_fault(self, src, dst, in_slot, round_index, description):
-        # chaos is replicated like everything else: every party's wrapper
-        # drops the same delivery, so each replica accounts it locally and
-        # no wire frame is sent (the wrapper left it out of the batch)
-        self._fault((dst, round_index), description)
 
     def _maybe_die(self, round_index: int) -> None:
         if self.die_at_round is not None and round_index >= self.die_at_round:
             os._exit(17)
 
-    async def _inner_send_round(self, src, round_index, deliveries):
+    async def send_round(self, src, round_index, deliveries):
         for dst, in_slot, payload in deliveries:
-            await self._inner_send(src, dst, in_slot, payload, round_index)
+            await self._send(src, dst, in_slot, payload, round_index)
 
-    async def _inner_convey_round(self, round_index, kind, links):
+    async def convey_round(self, round_index, kind, links):
         for src, dst, num_bytes in links:
-            await self._inner_convey(src, dst, num_bytes, round_index, kind)
+            await self._convey(src, dst, num_bytes, round_index, kind)
 
-    async def _inner_send(self, src, dst, in_slot, payload, round_index):
+    async def _send(self, src, dst, in_slot, payload, round_index):
         self._maybe_die(round_index)
         me = self.party_id
         src_owner = self._owner[src]
@@ -618,7 +603,7 @@ class TcpTransport(Transport):
             # a cross-owner destination: that slot fills only off the wire
             self._deliver(src, dst, in_slot, payload, round_index)
 
-    async def _inner_convey(self, src, dst, num_bytes, round_index, kind):
+    async def _convey(self, src, dst, num_bytes, round_index, kind):
         self._maybe_die(round_index)
         me = self.party_id
         dst_owner = self._owner[dst]

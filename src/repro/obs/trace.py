@@ -16,11 +16,11 @@ Design constraints, in order of importance:
   never touch the seeded :class:`DeterministicRNG` or reorder protocol
   work, so a traced run's released outputs are bit-identical to an
   untraced run (asserted across the engine parity matrix).
-* **Ambient recorder is a module global, not a ContextVar.** The async
-  engines fall back to running their event loop on a worker thread when
-  a loop is already running (``run_coroutine``), and forked cluster
-  children inherit module state; a ContextVar would silently drop the
-  recorder in both cases.
+* **Ambient recorder is a module global, not a ContextVar.** The
+  in-process buses run a window on a worker thread's loop when the
+  caller already runs one (``Transport.run``), which starts from an
+  empty context, and forked cluster children inherit module state; a
+  ContextVar would silently drop the recorder in both cases.
 * **Span parentage *is* a ContextVar.** ``asyncio`` tasks copy their
   context at creation, so per-task span nesting comes out right even
   with dozens of interleaved vertex pipelines.

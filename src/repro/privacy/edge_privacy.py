@@ -148,11 +148,6 @@ class EdgePrivacyAnalysis:
         return math.exp(-self.epsilon_per_transfer)
 
     @property
-    def noise_parameter(self) -> float:
-        """Parameter of the geometric the protocol actually samples."""
-        return mechanism_alpha(self.epsilon_per_transfer, self.sensitivity)
-
-    @property
     def transfers(self) -> int:
         return total_transfers(
             self.years,

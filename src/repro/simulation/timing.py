@@ -35,6 +35,11 @@ __all__ = [
 #: for two of these.
 PAPER_OTS_PER_AND_PAIR = 2
 
+#: Lanes of the GMW batch :func:`measure_cost_constants` times: a secure
+#: run evaluates a step's blocks as lanes of one walk, so a single lane
+#: would price the per-walk overhead a run spreads over many.
+CALIBRATION_LANES = 8
+
 
 @dataclass(frozen=True)
 class CostConstants:
@@ -78,12 +83,17 @@ def measure_cost_constants(
     gmw_parties: int = 3,
     sample_and_gates: int = 64,
 ) -> CostConstants:
-    """Measure unit costs on the current machine.
+    """Measure unit costs on the current machine, on the paths a secure
+    run takes.
 
-    Times a small GMW evaluation (division by its 1-out-of-4 OTs, two
-    paper OTs each, gives the per-OT cost) and a batch of exponentiations
-    in the given group. Takes well under a second — cheap enough to run at benchmark
-    startup.
+    Times a small GMW batch the way the secure engine evaluates a step's
+    blocks: ``CALIBRATION_LANES`` evaluations of a pure-AND circuit as the
+    lanes of one :meth:`~repro.mpc.gmw.GMWEngine.evaluate_batch` walk, its
+    offline pool included (division by its 1-out-of-4 OTs, two paper OTs
+    each, gives the per-OT cost). Then one 1 x 32
+    :meth:`~repro.crypto.group.CyclicGroup.exp_grid` in the given group,
+    the call every transfer exponentiates through. Takes well under a
+    second — cheap enough to run at benchmark startup.
     """
     group = group if group is not None else default_group()
     rng = DeterministicRNG("calibration")
@@ -94,22 +104,25 @@ def measure_cost_constants(
     b = builder.input_bus("b", sample_and_gates)
     builder.output_bus("out", builder.bitwise_and(a, b))
     circuit = builder.circuit
+    circuit.compile()  # a run compiles its circuits once, at setup
     engine = GMWEngine(gmw_parties)
-    shares = {
-        "a": engine.share_input(rng.randbits(sample_and_gates), sample_and_gates, rng),
-        "b": engine.share_input(rng.randbits(sample_and_gates), sample_and_gates, rng),
-    }
+    lanes = [
+        {
+            name: engine.share_input(rng.randbits(sample_and_gates), sample_and_gates, rng)
+            for name in ("a", "b")
+        }
+        for _ in range(CALIBRATION_LANES)
+    ]
     started = clock_now()
-    result = engine.evaluate(circuit, shares, rng)
+    results = engine.evaluate_batch(circuit, lanes, rng)
     elapsed = clock_now() - started
-    seconds_per_ot = elapsed / max(1, PAPER_OTS_PER_AND_PAIR * result.traffic.ot_count)
+    ots = sum(result.traffic.ot_count for result in results)
+    seconds_per_ot = elapsed / max(1, PAPER_OTS_PER_AND_PAIR * ots)
 
     # --- per-exponentiation cost ------------------------------------------
-    base = group.generator
     exponents = [group.random_scalar(rng) for _ in range(32)]
     started = clock_now()
-    for exponent in exponents:
-        base = group.exp(base, exponent)
+    group.exp_grid([group.generator], exponents)
     per_exp = (clock_now() - started) / len(exponents)
 
     return CostConstants(

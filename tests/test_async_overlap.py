@@ -19,10 +19,9 @@ machine-portable ratios and counts, never committed wall-clock:
 import asyncio
 import time
 
-import repro.api.async_engine as async_engine
 from repro import StressTest
 from repro.core.graph import DistributedGraph
-from repro.core.transport import SimulatedWanTransport
+from repro.core.transport import InMemoryTransport, SimulatedWanTransport
 from repro.crypto.rng import DeterministicRNG
 from repro.finance import Bank, FinancialNetwork, apply_shock, uniform_shock
 from repro.graphgen import CorePeripheryParams, core_periphery_network
@@ -53,7 +52,7 @@ def _debt_chain(num_banks: int) -> FinancialNetwork:
 def test_memory_bus_run_creates_one_task_per_vertex_pipeline(monkeypatch):
     created = []
 
-    def counting_run(coro):
+    def counting_run(bus, coro):
         def factory(loop, task_coro, **kwargs):
             created.append(task_coro)
             return asyncio.Task(task_coro, loop=loop, **kwargs)
@@ -70,7 +69,7 @@ def test_memory_bus_run_creates_one_task_per_vertex_pipeline(monkeypatch):
 
         return asyncio.run(main())
 
-    monkeypatch.setattr(async_engine, "run_coroutine", counting_run)
+    monkeypatch.setattr(InMemoryTransport, "run", counting_run)
     messages = []
     for num_banks, iterations in ((8, 2), (8, 5), (12, 5)):
         network = _core_periphery(num_banks)

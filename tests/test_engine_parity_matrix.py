@@ -37,7 +37,6 @@ from contextlib import contextmanager
 import pytest
 
 from repro import StressTest
-from repro.api.async_engine import run_coroutine
 from repro.api.engines import _SecureCore
 from repro.core import engine as engine_module
 from repro.core.engine import plaintext_loop
@@ -194,13 +193,21 @@ def test_fixed_superstep_is_the_per_vertex_circuit_update(networks, program, gra
     pipelined = plaintext_loop(program, graph, fixed=True)
     batched.advance(ITERATIONS)
     one_by_one.advance(ITERATIONS)
-    run_coroutine(pipelined.advance_async(ITERATIONS, InMemoryTransport(), max_tasks=4))
+    _advance_on_memory_bus(pipelined, ITERATIONS)
     assert batched.trajectory[-1] != 0.0, "shock produced no dynamics"
     for other in (one_by_one, pipelined):
         assert other.states == batched.states
         assert list(other.states) == list(batched.states)  # summation order
         assert other.pending == batched.pending
         assert other.trajectory == batched.trajectory
+
+
+def _advance_on_memory_bus(loop, rounds):
+    """``loop.advance_async`` over a fresh in-memory bus, opened as an
+    engine opens it: once, on the loop's graph, with its fill."""
+    bus = InMemoryTransport()
+    bus.open(loop.graph, loop.arithmetic.fill)
+    bus.run(loop.advance_async(rounds, bus, max_tasks=4))
 
 
 def _bits(value):
@@ -254,7 +261,7 @@ def test_float_superstep_is_the_per_vertex_float_update(
     column.advance(ITERATIONS)
     no_override.advance(ITERATIONS)
     no_numpy.advance(ITERATIONS)
-    run_coroutine(pipelined.advance_async(ITERATIONS, InMemoryTransport(), max_tasks=4))
+    _advance_on_memory_bus(pipelined, ITERATIONS)
     windowed.advance(1)
     windowed.advance(ITERATIONS - 1)
     assert one_by_one.trajectory[-1] != 0.0, "shock produced no dynamics"
@@ -270,7 +277,7 @@ def test_float_superstep_is_the_per_vertex_float_update(
             _bits(loop.trajectory),
         ) == expected
     with pytest.raises(ConfigurationError, match="pipelines=True"):
-        run_coroutine(column.advance_async(1, InMemoryTransport()))
+        _advance_on_memory_bus(column, 1)
 
 
 # ------------------------------------------------------- the secure column --

@@ -352,9 +352,9 @@ def _gather_after_hostile_round_value(frame: Frame, session: str):
             write_frame(attacker._writers[1], frame)
             await attacker._writers[1].drain()
 
-        attacker._call_io(send(), timeout=10.0)
+        attacker.run(send())
         with pytest.raises(TransportError) as caught:
-            asyncio.run(victim.gather_round(1, 0))
+            victim.run(victim.gather_round(1, 0))
         return caught.value, victim._peer_failure.get(0)
     finally:
         for transport in transports:

@@ -6,7 +6,11 @@ stays fast; the separate-OS-process acceptance path lives in
 ``test_net_cluster.py``. The contract under test:
 
 * **bit-identity** — ``engine="async"`` and ``engine="secure-async"``
-  over a TCP mesh release exactly what the in-memory bus releases;
+  over a TCP mesh release exactly what the in-memory bus releases, from
+  a plain thread or from inside a running event loop;
+* **one submission per window** — a run hands each release window to
+  the bus's io loop once (:meth:`TcpTransport.run`), so its ``round``
+  spans nest under the caller's ``run`` span;
 * **the window edge** — the resume step of a windowed run sends its
   round through ``send_round`` on the same wire;
 * **chaos composition** — :class:`FaultInjectingTransport` wraps a
@@ -40,6 +44,7 @@ from repro.finance import Bank, FinancialNetwork, apply_shock, uniform_shock
 from repro.graphgen import CorePeripheryParams, core_periphery_network
 from repro.net.peer import PeerAddress, dial_peer
 from repro.net.transport import ENV_PARTY, ENV_PEERS, TcpTransport, session_id
+from repro.obs.trace import TraceRecorder, recording
 
 ITERATIONS = 2
 IO_TIMEOUT = 10.0
@@ -114,11 +119,19 @@ def _assert_released_identical(summary, reference):
 
 
 def _count_calls(bus):
-    """Count ``bus``'s hops onto its io thread (``_on_io``) next to the
-    per-message work they carry (one ``_inner_send`` per edge, one
-    ``_inner_convey`` per crypto link)."""
+    """Count ``bus``'s submissions to its io loop (``run``, one per
+    window) next to the per-message work they carry (one ``_send`` per
+    edge, one ``_convey`` per crypto link). Install it after the mesh is
+    connected: ``connect`` is a submission of its own."""
     counts = Counter()
-    for name in ("_on_io", "_inner_send", "_inner_convey"):
+    original_run = bus.run
+
+    def run(coro):
+        counts["run"] += 1
+        return original_run(coro)
+
+    bus.run = run
+    for name in ("_send", "_convey"):
         original = getattr(bus, name)
 
         async def counted(*args, _original=original, _name=name):
@@ -153,6 +166,30 @@ class TestAsyncEngineBitIdentity:
             # real frames moved: every party has genuine wire traffic
             assert result.extras["wire_bytes_sent"] > 0
 
+    def test_a_run_started_inside_a_running_loop_matches_in_memory(self):
+        """Each party calls the synchronous ``run`` from inside an event
+        loop of its own (a notebook kernel's situation): the window goes
+        to the bus's io loop all the same, and every party releases what
+        the in-memory bus does."""
+        reference = _template().engine("async").run(iterations=ITERATIONS)
+        transports, peers = _mesh(2, "test-async-in-loop")
+
+        def run_one(i, bus):
+            async def inside_a_loop():
+                return _template().engine("async", transport=bus).run(iterations=ITERATIONS)
+
+            return asyncio.run(inside_a_loop())
+
+        try:
+            results, errors = _run_parties(transports, peers, run_one)
+        finally:
+            _close_all(transports)
+        assert errors == [None, None]
+        for result in results:
+            _assert_released_identical(result, reference)
+        # party 0 owns the sources of both cross-owner edges
+        assert [result.extras["wire_frames_sent"] > 0 for result in results] == [True, False]
+
     def test_wire_carries_only_cross_owner_edges(self):
         """A 1-party 'mesh' owns every vertex: nothing should hit a wire."""
         transport = TcpTransport(0, 1, session="solo")
@@ -170,10 +207,12 @@ class TestAsyncEngineBitIdentity:
         reference = _template().engine("async").run(iterations=ITERATIONS)
         _assert_released_identical(result, reference)
 
-    def test_hops_scale_with_vertex_rounds_not_edges(self):
-        """One io-thread hop per vertex-round send and per gather: on a
-        graph with three times as many edges as vertices the hops stay
-        under the edge count, and the wire carries what it always did."""
+    def test_one_io_submission_per_run_one_send_per_edge(self, monkeypatch):
+        """The whole one-shot run is one submission to each party's io
+        loop, however many edges it routes (three times as many as
+        vertices here): one send per edge-round inside it, no other
+        crossing onto the io thread, and the wire carries what it always
+        did."""
         network = apply_shock(
             core_periphery_network(
                 CorePeripheryParams(num_banks=8, core_size=3), DeterministicRNG(1)
@@ -182,43 +221,51 @@ class TestAsyncEngineBitIdentity:
         )
         session = StressTest(network).program("eisenberg-noe").seed(1).engine("async")
         reference = session.run(iterations=ITERATIONS)
-        vertex_rounds = 8 * ITERATIONS
         transports, peers = _mesh(2, "test-async-hops")
-        counts = [_count_calls(t) for t in transports]
+        counts = [None, None]
+        crossings = Counter()
+        submit = asyncio.run_coroutine_threadsafe
+
+        def counted_submit(coro, loop):
+            crossings[loop] += 1
+            return submit(coro, loop)
+
+        monkeypatch.setattr(asyncio, "run_coroutine_threadsafe", counted_submit)
+
+        def run_one(i, bus):
+            counts[i] = _count_calls(bus)
+            return session.clone().engine("async", transport=bus).run(iterations=ITERATIONS)
+
         try:
-            results, errors = _run_parties(
-                transports,
-                peers,
-                lambda i, bus: session.clone()
-                .engine("async", transport=bus)
-                .run(iterations=ITERATIONS),
-            )
+            results, errors = _run_parties(transports, peers, run_one)
+            per_party = [crossings[bus._loop] for bus in transports]
         finally:
             _close_all(transports)
         assert errors == [None, None]
+        assert per_party == [2, 2]  # connect, then the one window
         for result, count in zip(results, counts):
             _assert_released_identical(result, reference)
-            assert count["_inner_send"] == 23 * ITERATIONS  # one per edge-round
-            assert count["_on_io"] <= 2 * vertex_rounds < count["_inner_send"]
+            assert count["_send"] == 23 * ITERATIONS  # one per edge-round
+            assert count["run"] == 1  # the one window
             assert _wire_sent(result) == (16.0, 496.0)
 
 
 class TestSecureAsyncBitIdentity:
     def test_two_party_mesh_matches_secure_engine(self):
-        """Released bits match the in-memory engine, one io-thread hop
-        carries a whole crypto batch (never one per link), and each party
-        puts the same frames and bytes on the wire as a hop per link did."""
+        """Released bits match the in-memory engine, one io-loop
+        submission carries the whole run (every crypto batch and link of
+        it), and each party puts the frames and bytes on the wire it
+        always did."""
         reference = _template().engine("secure").run(iterations=ITERATIONS)
         transports, peers = _mesh(2, "test-secure-mesh")
-        counts = [_count_calls(t) for t in transports]
+        counts = [None, None]
+
+        def run_one(i, bus):
+            counts[i] = _count_calls(bus)
+            return _template().engine("secure-async", transport=bus).run(iterations=ITERATIONS)
+
         try:
-            results, errors = _run_parties(
-                transports,
-                peers,
-                lambda i, bus: _template()
-                .engine("secure-async", transport=bus)
-                .run(iterations=ITERATIONS),
-            )
+            results, errors = _run_parties(transports, peers, run_one)
         finally:
             _close_all(transports)
         assert errors == [None, None]
@@ -230,9 +277,48 @@ class TestSecureAsyncBitIdentity:
             # the OT batches genuinely travelled: megabytes, not frames
             assert result.extras["wire_bytes_sent"] > 1000
         for count in counts:
-            assert count["_on_io"] == 20  # the run's crypto batches
-            assert count["_inner_convey"] == 110  # the links they carry
+            assert count["run"] == 1  # the one window
+            assert count["_convey"] == 110  # the links its batches carry
         assert [_wire_sent(r) for r in results] == [(36.0, 262912.0), (42.0, 265232.0)]
+
+
+    def test_traced_round_spans_descend_from_their_run_span(self):
+        """Both parties trace into one recorder: each party's window runs
+        on its bus's io loop, yet every ``round`` span it records descends
+        from that party's own ``run`` span, and the released bits are
+        the untraced ones."""
+        reference = _template().engine("secure").run(iterations=ITERATIONS)
+        transports, peers = _mesh(2, "test-secure-trace")
+        recorder = TraceRecorder()
+        try:
+            with recording(recorder):
+                results, errors = _run_parties(
+                    transports,
+                    peers,
+                    lambda i, bus: _template()
+                    .engine("secure-async", transport=bus)
+                    .run(iterations=ITERATIONS),
+                )
+        finally:
+            _close_all(transports)
+        assert errors == [None, None]
+        for result in results:
+            assert result.noise_raw == reference.noise_raw
+            assert result.trajectory == reference.trajectory
+        spans = {span.span_id: span for span in recorder.spans}
+
+        def run_span_of(span):
+            while span.parent_id is not None:
+                span = spans[span.parent_id]
+            return span
+
+        runs = [span for span in recorder.spans if span.name == "run"]
+        rounds = [span for span in recorder.spans if span.name == "round"]
+        assert len(runs) == 2
+        assert all(run.parent_id is None for run in runs)
+        per_run = Counter(run_span_of(span).span_id for span in rounds)
+        # every computation step plus the final one, under each party's run
+        assert per_run == {run.span_id: ITERATIONS + 1 for run in runs}
 
 
 class TestWindowEdge:
@@ -258,19 +344,22 @@ class TestWindowEdge:
                 await _original(src, round_index, deliveries)
 
             bus.send_round = send
-        try:
-            results, errors = _run_parties(
-                transports,
-                peers,
-                lambda i, bus: _template()
-                .engine("async", transport=bus, **windowed)
-                .run(iterations=ITERATIONS),
+        counts = [None, None]
+
+        def run_one(i, bus):
+            counts[i] = _count_calls(bus)
+            return _template().engine("async", transport=bus, **windowed).run(
+                iterations=ITERATIONS
             )
+
+        try:
+            results, errors = _run_parties(transports, peers, run_one)
         finally:
             _close_all(transports)
         assert errors == [None, None]
         assert 0 < senders < len(graph.vertex_ids)
         assert resumes == {0: senders, 1: senders}  # one call per sender
+        assert [count["run"] for count in counts] == [2, 2]  # one per window
         for result in results:
             _assert_released_identical(result, reference)
             assert result.releases == reference.releases
@@ -377,7 +466,7 @@ class TestFailureModes:
                 # connect, then die abruptly: close every socket without
                 # BYE — exactly what a SIGKILL'd process looks like
                 run_started.wait(timeout=10.0)
-                bus._call_io(_slam_shut(bus))
+                bus.run(_slam_shut(bus))
                 return "died"
             run_started.set()
             return (
