@@ -1,10 +1,12 @@
 """Ablation: the §3.5 protocol refinements and the Kurosawa optimization.
 
-The final transfer protocol is strawman #3 plus noise; each refinement
+The paper's transfer protocol is strawman #3 plus noise; each refinement
 costs something. This bench prices the ladder — whole-share encryption
-(#1), subshares (#2), per-bit + homomorphic sums (#3), noise (final) — and
-quantifies the §5.1 Kurosawa ephemeral-key reuse, which trades L extra
-public keys for saving L-1 exponentiations per subshare.
+(#1), subshares (#2), per-bit + homomorphic sums (#3), noise (the paper's
+final protocol) — and, as its last row, the pad transfer every run takes:
+a key agreement once per run and edge slot, then no exponentiation in any
+iteration. It also quantifies the §5.1 Kurosawa ephemeral-key reuse, which
+trades L extra public keys for saving L-1 exponentiations per subshare.
 """
 
 from __future__ import annotations
@@ -13,12 +15,13 @@ import time
 
 import pytest
 
-from repro.crypto.elgamal import CountingGroup, ExponentialElGamal
+from repro.crypto.elgamal import CountingGroup, ElGamal, ExponentialElGamal
 from repro.crypto.group import TOY_GROUP_64
 from repro.crypto.keys import SchnorrSigner
 from repro.crypto.rng import DeterministicRNG
-from repro.sharing import share_value
+from repro.sharing import share_value, xor_all
 from repro.transfer.certificates import build_certificate, generate_member_keys
+from repro.transfer.pads import PadTransfer, agree_keys
 from repro.transfer.protocol import MessageTransferProtocol
 from repro.transfer.strawman import Strawman1, Strawman2, Strawman3
 from tables import emit_table
@@ -56,10 +59,42 @@ def test_protocol_ladder_costs(benchmark):
 
     timed("final (noise + rerandomized keys)", final)
 
+    # the pad transfer: one key per pair agreed at setup, under a one-key
+    # certificate, then every iteration on pads alone
+    counting = CountingGroup(TOY_GROUP_64)
+    elgamal = ElGamal(counting)
+    signer = SchnorrSigner(counting)
+    members = [generate_member_keys(elgamal, 1, rng) for _ in range(BLOCK)]
+    nk = counting.random_scalar(rng)
+    cert = build_certificate(elgamal, signer, signer.keygen(rng), 0, 0, members, nk, rng)
+    secrets = [member.secrets[0] for member in members]
+    transfer = PadTransfer(BITS)
+    keys = None
+
+    def agree(_eg):
+        nonlocal keys
+        keys = agree_keys(counting, cert, nk, secrets, rng)
+
+    def iteration(_eg):
+        shares = share_value(99, BITS, BLOCK, rng)
+        assert xor_all(transfer.execute(shares, keys, 0, rng)) == 99
+
+    for label, fn in (
+        ("pad transfer: key agreement (once per run and slot)", agree),
+        ("pad transfer: one iteration", iteration),
+    ):
+        counting.reset()
+        started = time.perf_counter()
+        fn(elgamal)
+        elapsed = time.perf_counter() - started
+        rows.append([label, elapsed * 1000, counting.exp_count, counting.mul_count])
+
     # The ladder must be monotone in exponentiation count: each privacy
     # refinement costs more crypto.
     exps = [row[2] for row in rows]
     assert exps[0] < exps[1] < exps[2]
+    # The pad transfer pays 2b^2 + 2b once per slot, and nothing per iteration.
+    assert exps[-2:] == [2 * BLOCK * BLOCK + 2 * BLOCK, 0]
 
     emit_table(
         "Ablation - §3.5 protocol ladder (block 4, 12-bit message)",
@@ -68,6 +103,8 @@ def test_protocol_ladder_costs(benchmark):
         [
             "each refinement closes a demonstrated leak (see tests/test_transfer_strawmen.py)",
             "the final protocol adds noise + certificate handling on top of #3",
+            "the pad transfer's key agreement runs once per run and edge slot;"
+            " its iterations only XOR pads",
         ],
     )
     benchmark.pedantic(

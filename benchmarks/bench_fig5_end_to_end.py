@@ -59,8 +59,6 @@ def _run(program_cls, block_size: int):
         collusion_bound=block_size - 1,
         fmt=FMT,
         group=TOY_GROUP_64,
-        dlog_half_width=400,
-        edge_noise_alpha=0.4,
         output_epsilon=0.5,
         seed=42,
     )

@@ -110,8 +110,6 @@ def main() -> None:
         collusion_bound=2,
         fmt=fmt,
         group=TOY_GROUP_64,
-        dlog_half_width=300,
-        edge_noise_alpha=0.4,
         output_epsilon=0.8,
         seed=11,
     )

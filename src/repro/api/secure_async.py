@@ -2,7 +2,7 @@
 
 The paper's §6 wall-clock numbers are dominated by transfer I/O — a
 secure round's cost is the wire time of its OT-extension batches and §3.5
-transfer aggregates, not the local crypto. The sequential
+transfer words, not the local crypto. The sequential
 ``engine="secure"`` backend computes everything in a straight line, so it
 cannot model that claim. This backend runs the *same* window body
 (:meth:`repro.core.secure_engine.SecureEngine._window` — one generator,

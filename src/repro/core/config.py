@@ -28,16 +28,9 @@ class DStressConfig:
     fmt:
         Fixed-point format of state registers and messages (``L`` bits).
     group:
-        DDH group for ElGamal and OT accounting. The paper deployed
-        secp384r1; the default 256-bit Schnorr group keeps runs fast
-        (see DESIGN.md).
-    dlog_half_width:
-        Decryption window of the exponential-ElGamal table — ``N_l / 2``
-        in the Appendix B failure analysis.
-    edge_noise_alpha:
-        Parameter of the two-sided geometric noise in the transfer
-        protocol; values near 1 mean more noise (Appendix B). ``None``
-        disables edge noising (strawman #3 mode, for ablations).
+        DDH group of the setup keys, the transfer's key agreement and OT
+        accounting. The paper deployed secp384r1; the default 256-bit
+        Schnorr group keeps runs fast (see DESIGN.md).
     output_epsilon:
         Per-release epsilon for the final Laplace/geometric noising.
     noise_magnitude_bits / noise_precision_bits:
@@ -65,8 +58,6 @@ class DStressConfig:
     collusion_bound: int = 2
     fmt: FixedPointFormat = field(default_factory=FixedPointFormat)
     group: CyclicGroup = field(default_factory=lambda: GROUP_256)
-    dlog_half_width: int = 4096
-    edge_noise_alpha: Optional[float] = 0.5
     output_epsilon: float = 0.23
     noise_magnitude_bits: Optional[int] = None
     noise_precision_bits: int = 16
@@ -83,12 +74,8 @@ class DStressConfig:
         validate_wan_params(
             self.wan_latency_seconds, self.wan_bandwidth_bytes, self.wan_jitter
         )
-        if self.dlog_half_width < self.block_size:
-            raise ConfigurationError("dlog window cannot even hold a noiseless sum")
         if self.output_epsilon <= 0:
             raise ConfigurationError("output epsilon must be positive")
-        if self.edge_noise_alpha is not None and not 0.0 < self.edge_noise_alpha < 1.0:
-            raise ConfigurationError("edge noise alpha must lie in (0, 1)")
         if self.aggregation_fanout < 2:
             raise ConfigurationError("aggregation fanout must be at least 2")
 
@@ -141,7 +128,7 @@ class DStressConfig:
     def preset(cls, name: str, **overrides: Any) -> "DStressConfig":
         """A named parameter bundle, optionally customized.
 
-        * ``demo`` — toy 64-bit group, small dlog window, generous epsilon:
+        * ``demo`` — toy 64-bit group, generous epsilon:
           runs the full protocol on a laptop in seconds. Not private in any
           cryptographic sense (the group is breakable by hand).
         * ``paper`` — the paper's evaluation regime (§5): blocks of 8,
@@ -183,8 +170,6 @@ _PRESETS: Dict[str, Dict[str, Any]] = {
         collusion_bound=2,
         fmt=FixedPointFormat(16, 8),
         group=TOY_GROUP_64,
-        dlog_half_width=300,
-        edge_noise_alpha=0.4,
         output_epsilon=0.5,
         seed=2017,
     ),
@@ -192,16 +177,12 @@ _PRESETS: Dict[str, Dict[str, Any]] = {
         collusion_bound=7,
         fmt=FixedPointFormat(16, 8),
         group=GROUP_256,
-        dlog_half_width=4096,
-        edge_noise_alpha=0.5,
         output_epsilon=0.23,
     ),
     "production": dict(
         collusion_bound=9,
         fmt=FixedPointFormat(24, 10),
         group=GROUP_512,
-        dlog_half_width=1 << 15,
-        edge_noise_alpha=0.5,
         output_epsilon=0.23,
         aggregation_fanout=100,
         pad_transfers=True,

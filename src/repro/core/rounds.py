@@ -661,7 +661,7 @@ class SecureRoundScheduler:
     The secure engine's rounds have a different shape from the plaintext
     ones: the expensive unit is not a vertex update but a *block batch* —
     the OT-extension bits a block's GMW evaluation puts on the wire, or a
-    §3.5 transfer's aggregates. The values of those batches must be
+    §3.5 transfer's masked words. The values of those batches must be
     computed in the sequential engine's exact order (every fork of the
     :class:`~repro.crypto.rng.DeterministicRNG` consumes parent stream, so
     reordering crypto work would change the transcript and break

@@ -6,15 +6,17 @@ output:
 
 1. **Setup** — once per deployment (:func:`repro.core.setup.deployment_for`):
    the trusted party assigns blocks and issues block certificates. Per
-   run, each node forwards certificates to its in-neighbors.
+   run, each node forwards certificates to its in-neighbors, and every
+   transferring edge slot agrees one key per sender–receiver pair
+   (:func:`repro.transfer.pads.agree_keys`).
 2. **Initialization** — every node XOR-shares its vertex's initial state
    (and ``D`` no-op inbox slots) among its block.
 3. **Computation steps** — each block evaluates the program's update
    circuit under GMW; inputs and outputs stay shared.
 4. **Communication steps** — each outgoing message's shares move along the
-   edge through the §3.5 transfer protocol (subshares, exponential
-   ElGamal, even geometric noise), landing as fresh shares at the
-   receiving block.
+   edge as subshares under XOR pads of the agreed keys
+   (:class:`repro.transfer.pads.PadTransfer`), landing as fresh shares at
+   the receiving block.
 5. **Aggregation + noising** — contribution registers are re-shared to
    the aggregation tree; the root block samples two-sided geometric noise
    inside MPC (Dwork-style bit sampler) and reveals only the noised sum.
@@ -29,7 +31,7 @@ in one fixed order (every :meth:`~repro.crypto.rng.DeterministicRNG.fork`
 consumes parent stream, so the order of crypto work *is* the transcript —
 reordering it would change every share), and yields what each finished
 block batch — a GMW evaluation's OT-extension bits, a transfer's
-aggregates — puts on the wire. ``engine="secure"`` drains it with a
+masked words — puts on the wire. ``engine="secure"`` drains it with a
 ``for`` loop; ``secure-async`` feeds the same events to a
 :class:`~repro.core.rounds.SecureRoundScheduler` that conveys the bytes
 over a :class:`~repro.core.transport.Transport` while later blocks are
@@ -41,7 +43,7 @@ wall-clock and the bus's own metering move.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Type
 
 from repro.core.aggregation import AggregationPlan, plan_groups, reshare_word
 from repro.core.config import DStressConfig
@@ -54,12 +56,11 @@ from repro.core.setup import (
     Deployment,
     deployment_for,
 )
-from repro.crypto.elgamal import ExponentialElGamal
 from repro.crypto.ot import SimulatedObliviousTransfer
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import ConfigurationError
 from repro.mpc.circuit import Circuit
-from repro.mpc.cost import Bill, bill_for
+from repro.mpc.cost import Bill, TransferLines, bill_for
 from repro.mpc.gmw import GMWEngine, GMWResult, PoolBuilder
 from repro.mpc.noise_circuit import geometric_bits_seed_width
 from repro.mpc.plan import noised_sum_bits_circuit, partial_sum_circuit
@@ -67,7 +68,7 @@ from repro.obs.metrics import absorb_gmw
 from repro.obs.trace import current_recorder, timed_phase
 from repro.sharing.xor import reconstruct_value, share_value
 from repro.simulation.netsim import PhaseTimer, TrafficMeter
-from repro.transfer.protocol import MessageTransferProtocol
+from repro.transfer.pads import PadTransfer, SlotKeys, agree_keys
 
 __all__ = ["SecureEngine", "check_backend", "compile_secure_plans", "run_bill"]
 
@@ -91,26 +92,36 @@ def _record_link(
     link_bytes[key] = link_bytes.get(key, 0.0) + num_bytes
 
 
-def _meter_transfer(ctx: "_RunContext", u: int, v: int) -> LinkBytes:
-    """Meter one transfer at the run bill's per-role lines; returns its
-    bytes per link for the transport dispatch."""
-    meter, blocks, bill = ctx.meter, ctx.assignment.blocks, ctx.bill
-    traffic = bill.transfer_bytes
+#: One transferring edge slot: ``(u, out_slot, v, in_slot)``; ``out_slot``
+#: is ``None`` for a padded self-transfer, which carries a no-op.
+Slot = Tuple[int, Optional[int], int, int]
+
+
+def _meter_transfer(
+    meter: TrafficMeter,
+    blocks: Mapping[int, Sequence[int]],
+    lines: TransferLines,
+    u: int,
+    v: int,
+) -> LinkBytes:
+    """Meter one transfer (or key agreement) from ``B_u`` to ``B_v`` at a
+    bill's per-role lines; returns its bytes per link for the transport
+    dispatch."""
     link_bytes: LinkBytes = {}
     for member in blocks[u]:
         if member != u:
-            _record_link(meter, link_bytes, member, u, traffic.sender_member_bytes)
+            _record_link(meter, link_bytes, member, u, lines.sender_bytes)
     if u != v:
-        _record_link(meter, link_bytes, u, v, traffic.node_u_sent_bytes)
+        _record_link(meter, link_bytes, u, v, lines.u_bytes)
     for member in blocks[v]:
         if member != v:
-            _record_link(meter, link_bytes, v, member, traffic.receiver_member_bytes)
+            _record_link(meter, link_bytes, v, member, lines.receiver_bytes)
     for member in blocks[u]:
-        meter.node(member).exponentiations += bill.sender_exps
-    meter.node(u).exponentiations += bill.u_exps
-    meter.node(v).exponentiations += bill.v_exps
+        meter.node(member).exponentiations += lines.sender_exps
+    meter.node(u).exponentiations += lines.u_exps
+    meter.node(v).exponentiations += lines.v_exps
     for member in blocks[v]:
-        meter.node(member).exponentiations += bill.receiver_exps
+        meter.node(member).exponentiations += lines.receiver_exps
     return link_bytes
 
 
@@ -168,7 +179,6 @@ def compile_secure_plans(
         graph.vertex_ids,
         graph.degree_bound,
         config.collusion_bound,
-        bits,
     )
     compiled_update_circuit(program, graph.degree_bound)
     plan = _aggregation_plan(graph, config, bits)
@@ -190,8 +200,9 @@ def run_bill(
 ) -> Bill:
     """The bill of ``iterations`` rounds: ``iterations + 1`` computation
     steps of every vertex's update circuit at its §3.7 bound (default: the
-    degree bound), and ``iterations`` communication steps of one transfer
-    per edge, or per inbox slot under ``pad_transfers``."""
+    degree bound), one key agreement at setup per transferring slot — each
+    edge, or each inbox slot under ``pad_transfers`` — and ``iterations``
+    communication steps of one transfer per such slot."""
     if vertex_bound is None:
         vertex_bound = {v: graph.degree_bound for v in graph.vertex_ids}
     stats = {b: compiled_update_circuit(program, b).stats() for b in set(vertex_bound.values())}
@@ -201,6 +212,7 @@ def run_bill(
         config.block_size,
         steps=iterations + 1,
         transfers=iterations * per_step,
+        key_agreements=per_step,
         message_bits=program.fmt.total_bits,
         element_bytes=config.group.element_size_bytes,
         ot_bytes=SimulatedObliviousTransfer(config.group).and_gate_bytes(),
@@ -226,6 +238,10 @@ class _RunContext:
     bill: Bill
     state_shares: Dict[int, Dict[str, List[int]]]
     inbox_shares: Dict[int, List[List[int]]]
+    #: each vertex, in transcript order, with the slots it transfers on
+    slots: List[Tuple[Any, List[Slot]]]
+    #: the keys agreed at setup, by receiving slot ``(v, in_slot)``
+    pad_keys: Dict[Tuple[int, int], SlotKeys]
     outbox_shares: Dict[int, List[List[int]]] = field(default_factory=dict)
     meter: TrafficMeter = field(default_factory=TrafficMeter)
     phases: PhaseTimer = field(default_factory=PhaseTimer)
@@ -277,14 +293,7 @@ class SecureEngine:
         self.config = config
         if program.fmt.total_bits != self.config.fmt.total_bits:
             raise ConfigurationError("program and config fixed-point formats disagree")
-        self.elgamal = ExponentialElGamal(
-            self.config.group, dlog_half_width=self.config.dlog_half_width
-        )
-        self.transfer = MessageTransferProtocol(
-            self.elgamal,
-            message_bits=self.config.fmt.total_bits,
-            noise_alpha=self.config.edge_noise_alpha,
-        )
+        self.transfer = PadTransfer(self.config.fmt.total_bits)
 
     # ------------------------------------------------------------- window --
 
@@ -333,7 +342,7 @@ class SecureEngine:
     def _communication_step(self, ctx: _RunContext, step: int) -> WindowEvents:
         """One communication step's transfer batches, then its barrier."""
         with timed_phase(ctx.phases, "communication"):
-            for batch in self._communication_transfers(ctx):
+            for batch in self._communication_transfers(ctx, step):
                 yield step, "transfer", batch
             yield None
 
@@ -363,6 +372,12 @@ class SecureEngine:
         meter = TrafficMeter()
         phases = phases if phases is not None else PhaseTimer()
         vertex_bound = self._assign_buckets(graph, buckets)
+        bill = run_bill(program, config, graph, iterations, vertex_bound)
+        current_recorder().event(  # on the run span, before any of it is paid
+            "bill", and_gates=bill.and_gates, rounds=bill.and_rounds, ots=bill.ots,
+            transfers=bill.transfers, exponentiations=bill.exponentiations,
+        )
+        slots = list(self._transfer_slots(graph, vertex_bound))
 
         # ---------------------------------------------------------- setup --
         with timed_phase(phases, "setup"):
@@ -372,9 +387,9 @@ class SecureEngine:
                 graph.vertex_ids,
                 graph.degree_bound,
                 config.collusion_bound,
-                bits,
             )
-            self._setup_blocks(graph, meter, bits)
+            self._setup_blocks(graph, meter)
+            pad_keys = self._agree_keys(deployment, slots, rng, meter, bill)
 
         # --------------------------------------------------------- init --
         with timed_phase(phases, "initialization"):
@@ -395,11 +410,6 @@ class SecureEngine:
 
             lanes = BitslicedGMWEngine
         gmw = lanes(config.block_size, ot=SimulatedObliviousTransfer(config.group))
-        bill = run_bill(program, config, graph, iterations, vertex_bound)
-        current_recorder().event(  # on the run span, before any of it is paid
-            "bill", and_gates=bill.and_gates, rounds=bill.and_rounds, ots=bill.ots,
-            transfers=bill.transfers, exponentiations=bill.exponentiations,
-        )
         return _RunContext(
             graph=graph,
             iterations=iterations,
@@ -411,19 +421,63 @@ class SecureEngine:
             bill=bill,
             state_shares=state_shares,
             inbox_shares=inbox_shares,
+            slots=slots,
+            pad_keys=pad_keys,
             meter=meter,
             phases=phases,
             rng=rng,
         )
 
-    def _setup_blocks(self, graph: DistributedGraph, meter: TrafficMeter, bits: int) -> None:
+    def _setup_blocks(self, graph: DistributedGraph, meter: TrafficMeter) -> None:
         """The per-run part of §3.4: each node forwards certificate ``slot``
         of its own block to the in-neighbor on that slot. Leftover slots
-        stay with the owner (padded self-transfers encrypt under them)."""
-        cert_bytes = self.config.block_size * bits * self.elgamal.group.element_size_bytes
+        stay with the owner (padded self-transfers agree keys under them)."""
+        cert_bytes = self.config.block_size * self.config.group.element_size_bytes
         for view in graph.vertices():
             for neighbor in view.in_neighbors:
                 meter.record_send(view.vertex_id, neighbor, cert_bytes)
+
+    def _transfer_slots(
+        self, graph: DistributedGraph, vertex_bound: Dict[int, int]
+    ) -> Iterator[Tuple[Any, List[Slot]]]:
+        """Each vertex, in vertex order, with the slots it sends on: one per
+        out-edge, in route order, then under ``pad_transfers`` one no-op
+        self-transfer per unused inbox slot (degree hiding)."""
+        routes: Dict[int, List[Slot]] = {vid: [] for vid in graph.vertex_ids}
+        for route in graph.routes():
+            routes[route[0]].append(route)
+        for view in graph.vertices():
+            slots = routes[view.vertex_id]
+            if self.config.pad_transfers:
+                v = view.vertex_id
+                slots += [(v, None, v, slot) for slot in range(view.in_degree, vertex_bound[v])]
+            yield view, slots
+
+    def _agree_keys(
+        self,
+        deployment: Deployment,
+        slots: List[Tuple[Any, List[Slot]]],
+        rng: DeterministicRNG,
+        meter: TrafficMeter,
+        bill: Bill,
+    ) -> Dict[Tuple[int, int], SlotKeys]:
+        """The transfer's per-run setup: one key agreement per transferring
+        slot, in transcript order, under the certificate ``v`` forwarded to
+        ``u`` for it — ``B_v``'s keys under the neighbor key of the slot
+        ``u`` occupies at ``v``."""
+        blocks = deployment.assignment.blocks
+        keys: Dict[Tuple[int, int], SlotKeys] = {}
+        for _view, sends in slots:
+            for u, _out_slot, v, in_slot in sends:
+                keys[v, in_slot] = agree_keys(
+                    self.config.group,
+                    deployment.certificates[v][in_slot],
+                    deployment.neighbor_keys[v][in_slot],
+                    [deployment.member_keys[m].secrets[0] for m in blocks[v]],
+                    rng,
+                )
+                _meter_transfer(meter, blocks, bill.agreement, u, v)
+        return keys
 
     def _share_initial_state(
         self,
@@ -581,80 +635,43 @@ class SecureEngine:
         for v in vertex_ids:
             yield v, results[v]
 
-    def _communication_transfers(self, ctx: _RunContext) -> Iterator[LinkBytes]:
+    def _communication_transfers(self, ctx: _RunContext, step: int) -> Iterator[LinkBytes]:
         """One §3.6 communication step, transfer by transfer.
 
-        Executes the §3.5 protocol for each directed edge (in vertex/slot
-        order — again the transcript order) and yields each transfer's
-        wire bytes at link granularity. Local no-op padding (the cheap
-        non-``pad_transfers`` mode) stays inside the generator: it moves
-        share words between block members but is not an edge transfer.
+        Moves each slot's shares on the keys agreed at setup (in
+        vertex/slot order — again the transcript order) and yields each
+        transfer's wire bytes at link granularity. Local no-op padding (the
+        cheap non-``pad_transfers`` mode) stays inside the generator: it
+        moves share words between block members but is not an edge
+        transfer.
         """
         config = self.config
         fmt = self.program.fmt
-        graph = ctx.graph
-        deployment = ctx.deployment
-        routes: Dict[int, List[Tuple[int, int, int, int]]] = {
-            vid: [] for vid in graph.vertex_ids
-        }
-        for route in graph.routes():
-            routes[route[0]].append(route)
-        for view in graph.vertices():
-            for u, out_slot, v, in_slot in routes[view.vertex_id]:
-                # the certificate v forwarded to u at setup: B_v's keys
-                # under the neighbor key of the slot u occupies at v
-                result = self.transfer.execute(
-                    ctx.outbox_shares[u][out_slot],
-                    deployment.certificates[v][in_slot],
-                    deployment.neighbor_keys[v][in_slot],
-                    [deployment.member_keys[m] for m in ctx.assignment.blocks[v]],
-                    ctx.rng,
+        bits = fmt.total_bits
+        blocks = ctx.assignment.blocks
+        raw_no_op = fmt.to_unsigned(fmt.encode(NO_OP_MESSAGE))
+        for view, sends in ctx.slots:
+            for u, out_slot, v, in_slot in sends:
+                if out_slot is None:
+                    shares = share_value(raw_no_op, bits, config.block_size, ctx.rng)
+                else:
+                    shares = ctx.outbox_shares[u][out_slot]
+                ctx.inbox_shares[v][in_slot] = self.transfer.execute(
+                    shares, ctx.pad_keys[v, in_slot], step, ctx.rng
                 )
-                ctx.inbox_shares[v][in_slot] = result.receiver_shares
                 ctx.transfer_count += 1
-                yield _meter_transfer(ctx, u, v)
-            if config.pad_transfers:
-                yield from self._padded_self_transfers(ctx, view)
-            else:
+                yield _meter_transfer(ctx.meter, blocks, ctx.bill.pad, u, v)
+            if not config.pad_transfers:
                 # Unused inbox slots revert to fresh no-op shares from the
                 # owner (cheap local padding; see DESIGN.md).
-                raw_no_op = fmt.to_unsigned(fmt.encode(NO_OP_MESSAGE))
-                for slot in range(view.in_degree, ctx.vertex_bound[view.vertex_id]):
-                    ctx.inbox_shares[view.vertex_id][slot] = share_value(
-                        raw_no_op, fmt.total_bits, config.block_size, ctx.rng
+                v = view.vertex_id
+                for slot in range(view.in_degree, ctx.vertex_bound[v]):
+                    ctx.inbox_shares[v][slot] = share_value(
+                        raw_no_op, bits, config.block_size, ctx.rng
                     )
                     self._meter_share_distribution(
-                        ctx.meter,
-                        view.vertex_id,
-                        ctx.assignment.blocks[view.vertex_id],
-                        (fmt.total_bits + 7) / 8.0,
+                        ctx.meter, v, blocks[v], (bits + 7) / 8.0
                     )
-
-    def _padded_self_transfers(self, ctx: _RunContext, view) -> Iterator[LinkBytes]:
-        """Run full no-op transfers on unused slots (degree hiding), each
-        under the leftover certificate the owner kept for that slot."""
-        config = self.config
-        fmt = self.program.fmt
-        deployment = ctx.deployment
-        v = view.vertex_id
-        receiver_keys = [deployment.member_keys[m] for m in ctx.assignment.blocks[v]]
-        for slot in range(view.in_degree, ctx.vertex_bound[v]):
-            shares = share_value(
-                fmt.to_unsigned(fmt.encode(NO_OP_MESSAGE)),
-                fmt.total_bits,
-                config.block_size,
-                ctx.rng,
-            )
-            result = self.transfer.execute(
-                shares,
-                deployment.certificates[v][slot],
-                deployment.neighbor_keys[v][slot],
-                receiver_keys,
-                ctx.rng,
-            )
-            ctx.inbox_shares[v][slot] = result.receiver_shares
-            ctx.transfer_count += 1
-            yield _meter_transfer(ctx, v, v)
 
     # -------------------------------------------------------- aggregation --
 

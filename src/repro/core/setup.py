@@ -7,7 +7,7 @@ and then leaves:
    (plus the aggregation block) at random, preventing Sybil-stuffed
    blocks, and publishes the signed list.
 2. **Certificate generation** — for each node ``v``, builds ``D``
-   certificates containing the public keys of ``B_v``'s members
+   certificates containing the public key of each of ``B_v``'s members
    re-randomized with ``v``'s ``D`` neighbor keys, and signs them.
 
 Critically, the TP's inputs are node identities, public keys and neighbor
@@ -17,7 +17,7 @@ code path that accepts edge information.
 
 One-time means one time: what setup leaves behind is a :class:`Deployment`,
 a sealed value that is a pure function of *(the root generator's state,
-the group, the ordered party ids, D, k, L)* and of nothing a stress test
+the group, the ordered party ids, D, k)* and of nothing a stress test
 varies — edges, balance sheets, shocks, the program, epsilon.
 :func:`deployment_for` keeps the ones this process (or its fork parent) has
 already set up in :data:`DEPLOYMENTS`, a :class:`~repro.mpc.plan.SealedTable`
@@ -175,7 +175,8 @@ class Deployment:
     ``certificates[v][slot]`` is the TP's certificate for ``B_v`` under
     ``neighbor_keys[v][slot]``: what ``v`` forwards to the in-neighbor on
     that slot, or keeps when the slot is unused (a padded self-transfer
-    encrypts under it). ``rng_state`` is where the root generator stood
+    agrees its keys under it). ``member_keys[v]`` is one key pair.
+    ``rng_state`` is where the root generator stood
     when the trusted party left.
     """
 
@@ -195,10 +196,9 @@ def build_deployment(
     node_ids: Sequence[int],
     degree_bound: int,
     collusion_bound: int,
-    message_bits: int,
 ) -> Deployment:
-    """Run §3.4 from a root generator in ``rng_state``: each node's ``L`` key
-    pairs and ``D`` neighbor keys, the block assignment, all ``N × D`` block
+    """Run §3.4 from a root generator in ``rng_state``: each node's key
+    pair and ``D`` neighbor keys, the block assignment, all ``N × D`` block
     certificates — then what every node does on receipt: check the
     assignment and each certificate under the TP's public key. A signature
     that does not verify is a :class:`CryptoError` and no deployment.
@@ -214,7 +214,7 @@ def build_deployment(
     for node_id in node_ids:
         node_rng = rng.fork(f"node-{node_id}")
         member_keys[node_id] = MemberKeys(
-            pairs=tuple(generate_member_keys(elgamal, message_bits, node_rng).pairs)
+            pairs=tuple(generate_member_keys(elgamal, 1, node_rng).pairs)
         )
         neighbor_keys[node_id] = tuple(
             group.random_scalar(node_rng) for _ in range(degree_bound)
@@ -245,15 +245,13 @@ def build_deployment(
         certificates=MappingProxyType(certificates),
         tp_public=tp.public_key,
         rng_state=rng.getstate(),
-        group_elements=len(member_keys)
-        * message_bits
-        * (1 + degree_bound * (collusion_bound + 1)),
+        group_elements=len(member_keys) * (1 + degree_bound * (collusion_bound + 1)),
     )
 
 
 #: Total group elements :data:`DEPLOYMENTS` may hold (≈ 25 MB of 256-bit
 #: integers). A constant, not an option: ten banks at D = 10, k = 2 are
-#: 5 k elements, a hundred at the paper's k = 7 are 130 k, and an eviction
+#: 310 elements, a thousand at the paper's k = 7 are 81 k, and an eviction
 #: costs one rebuild. A deployment above the bound is built for its run
 #: and not kept.
 DEPLOYMENT_ELEMENT_BOUND = 1 << 18
@@ -271,7 +269,6 @@ def deployment_for(
     node_ids: Sequence[int],
     degree_bound: int,
     collusion_bound: int,
-    message_bits: int,
 ) -> Deployment:
     """The deployment a root generator in ``rng``'s state sets up, found or
     built, with ``rng`` moved to where setup leaves it either way.
@@ -282,7 +279,7 @@ def deployment_for(
     — a ``CountingGroup``, any wrapper that observes calls — has no key and
     is built every time.
     """
-    parts = (rng.getstate(), tuple(node_ids), degree_bound, collusion_bound, message_bits)
+    parts = (rng.getstate(), tuple(node_ids), degree_bound, collusion_bound)
     token = group.token
     deployment = DEPLOYMENTS.get(
         None if token is None else (token,) + parts,

@@ -12,7 +12,7 @@ it travels:
   of its expected round-``r`` messages have been delivered (or accounted
   as faulted), never earlier. Cryptographic bytes reach it one way too:
   :meth:`~Transport.convey_round` carries one batch of slot-less payloads
-  (a block's GMW OT-extension bytes, a §3.5 transfer's aggregates) for
+  (a block's GMW OT-extension bytes, a §3.5 transfer's masked words) for
   the secure engine's rounds — same link model, byte counts instead of
   values. The clear engines route in-process
   (:func:`repro.core.rounds.route_messages`) and never touch a bus.
@@ -47,6 +47,7 @@ an engine that gathers a complete round sees exactly the inbox
 from __future__ import annotations
 
 import asyncio
+import contextvars
 from concurrent.futures import ThreadPoolExecutor
 from typing import (
     TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
@@ -163,7 +164,7 @@ class Transport:
 
         This is the bus's side-channel for protocol traffic that has no
         in-slot — a block's GMW OT-extension batch, a §3.5 transfer's
-        subshare aggregates — where the *values* are computed by the
+        masked words — where the *values* are computed by the
         protocol simulation and only the *bytes* travel. The reference bus
         carries them instantly; :class:`SimulatedWanTransport` adds every
         link's delay and bytes to its totals and awaits the slowest
@@ -209,7 +210,9 @@ class Transport:
         refuses to nest, so the window runs on a private loop in a worker
         thread instead; the engine's ``execute`` stays synchronous either
         way, and the computation is deterministic whichever thread hosts
-        it. A bus whose sockets live on a loop of its own (the real-socket
+        it. The worker runs in a copy of the caller's context, so spans the
+        window opens nest under the caller's, as they do on a fresh loop. A
+        bus whose sockets live on a loop of its own (the real-socket
         transport) runs the coroutine there.
         """
         try:
@@ -217,7 +220,7 @@ class Transport:
         except RuntimeError:
             return asyncio.run(coro)
         with ThreadPoolExecutor(max_workers=1) as pool:
-            return pool.submit(asyncio.run, coro).result()
+            return pool.submit(contextvars.copy_context().run, asyncio.run, coro).result()
 
     def close(self, error: Optional[BaseException] = None) -> None:
         """Release any resources the bus holds (sockets, an io thread).

@@ -9,13 +9,46 @@ parity matrix holds every secure run's counters to its bill exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Tuple
 
 from repro.mpc.circuit import CircuitStats
-from repro.transfer.protocol import TransferTraffic
 
-__all__ = ["Bill", "bill_for"]
+__all__ = ["Bill", "TransferLines", "bill_for"]
+
+
+@dataclass(frozen=True)
+class TransferLines:
+    """One transfer between blocks of ``parties`` = b members, per §5.3
+    role: the exponentiations each role performs, and the bytes it sends
+    along the route member of B_u → ``u`` → ``v`` → member of B_v."""
+
+    parties: int
+    #: each member of B_u to ``u``
+    sender_bytes: int
+    #: ``u`` to ``v``
+    u_bytes: int
+    #: ``v`` to each member of B_v
+    receiver_bytes: int
+    sender_exps: int = 0
+    u_exps: int = 0
+    v_exps: int = 0
+    receiver_exps: int = 0
+
+    @property
+    def exponentiations(self) -> int:
+        b = self.parties
+        return b * self.sender_exps + self.u_exps + self.v_exps + b * self.receiver_exps
+
+    @property
+    def critical_exps(self) -> int:
+        """The critical path: a sender, ``u``, ``v``, a receiver."""
+        return self.sender_exps + self.u_exps + self.v_exps + self.receiver_exps
+
+    @property
+    def sent_bytes(self) -> int:
+        """Bytes one transfer puts on the wire: the b senders, ``u``, ``v``."""
+        b = self.parties
+        return b * self.sender_bytes + self.u_bytes + b * self.receiver_bytes
 
 
 @dataclass(frozen=True)
@@ -24,9 +57,14 @@ class Bill:
     transfers among blocks of ``parties`` = b = k + 1 members.
 
     GMW: every AND gate is one 1-out-of-4 OT per unordered party pair
-    ``{i < j}``, ``i`` the sender; one round per AND layer. A transfer of
-    L = ``message_bits`` bits costs b²(L+1) + bL + b + bL exponentiations
-    over the §5.3 roles below.
+    ``{i < j}``, ``i`` the sender; one round per AND layer.
+
+    Transfers: the run agrees one key per sender–receiver pair on each of
+    ``key_agreements`` edge slots at setup (:attr:`agreement`, 2b² + 2b
+    exponentiations), then moves every step's subshares under XOR pads
+    (:attr:`pad`: no exponentiation, ⌈L/8⌉ bytes per subshare).
+    :attr:`elgamal` prices the paper's per-iteration ElGamal transfer,
+    which the estimator projects with and no run executes.
     """
 
     parties: int
@@ -39,6 +77,8 @@ class Bill:
     #: ``i`` sends ``j`` (the OT sender's link), then what ``j`` sends ``i``
     pair_bits: Tuple[int, int] = (0, 0)
     transfers: int = 0
+    #: edge slots whose keys the run agrees at setup, one per transferring slot
+    key_agreements: int = 0
     message_bits: int = 0
     element_bytes: int = 0
 
@@ -67,49 +107,44 @@ class Bill:
         averaged over the block (every pair carries both directions)."""
         return sum(self.pair_bits) * (self.parties - 1) / 16
 
-    # -- one §3.5 transfer, per role --
+    # -- transfers, per role --
 
     @property
-    def sender_exps(self) -> int:
-        """Each member of B_u: ``g^y`` and ``L`` ``pk^y`` per receiver."""
-        return self.parties * (self.message_bits + 1)
+    def agreement(self) -> TransferLines:
+        """One edge slot's key agreement at setup. Each member of B_u sends
+        ``g^r`` and derives its b keys as ``pk'^r``; ``u`` forwards the b
+        halves; ``v`` raises each to its neighbor key once and hands all b
+        to every receiver, who raises them to its secret key."""
+        b, e = self.parties, self.element_bytes
+        return TransferLines(
+            b, e, b * e, b * e, sender_exps=1 + b, v_exps=b, receiver_exps=b
+        )
 
     @property
-    def u_exps(self) -> int:
-        """Node ``u``: a ``g^noise`` offset per bit per aggregate."""
-        return self.parties * self.message_bits
+    def pad(self) -> TransferLines:
+        """One step's transfer on agreed keys: every subshare is L bits
+        under a pad, combined by XOR at ``u``; no exponentiation."""
+        b, word = self.parties, (self.message_bits + 7) // 8
+        return TransferLines(b, b * word, b * word, word)
 
     @property
-    def v_exps(self) -> int:
-        """Node ``v``: one ``c1^r`` adjustment per aggregate."""
-        return self.parties
-
-    @property
-    def receiver_exps(self) -> int:
-        """Each member of B_v: ``L`` decryption masks."""
-        return self.message_bits
-
-    @property
-    def critical_exps(self) -> int:
-        """One transfer's critical path: a sender, ``u``, ``v``, a receiver."""
-        return self.sender_exps + self.u_exps + self.v_exps + self.receiver_exps
+    def elgamal(self) -> TransferLines:
+        """The paper's transfer, paid in every iteration: each member of
+        B_u sends ``g^y`` and ``L`` ``pk^y`` per receiver, ``u`` adds a
+        ``g^noise`` offset per bit per aggregate, ``v`` adjusts each
+        aggregate's ``c1``, each member of B_v takes ``L`` decryption
+        masks; a subshare is ``L + 1`` group elements."""
+        b, bits = self.parties, self.message_bits
+        subshare = (bits + 1) * self.element_bytes
+        return TransferLines(
+            b, b * subshare, b * subshare, subshare,
+            sender_exps=b * (bits + 1), u_exps=b * bits, v_exps=b, receiver_exps=bits,
+        )
 
     @property
     def exponentiations(self) -> int:
-        b = self.parties
-        per_transfer = b * self.sender_exps + self.u_exps + self.v_exps + b * self.receiver_exps
-        return self.transfers * per_transfer
-
-    @cached_property
-    def transfer_bytes(self) -> TransferTraffic:
-        """Wire bytes per §5.3 role of one transfer."""
-        return TransferTraffic(self.element_bytes, self.parties, self.message_bits)
-
-    @property
-    def transfer_sent_bytes(self) -> int:
-        """Bytes one transfer puts on the wire: the b senders, ``u``, ``v``."""
-        t = self.transfer_bytes
-        return self.parties * t.sender_member_bytes + t.node_u_sent_bytes + t.node_v_sent_bytes
+        """The run's: its key agreements (a pad transfer exponentiates nothing)."""
+        return self.key_agreements * self.agreement.exponentiations
 
 
 def bill_for(
@@ -118,12 +153,14 @@ def bill_for(
     *,
     steps: int = 1,
     transfers: int = 0,
+    key_agreements: int = 0,
     message_bits: int = 0,
     element_bytes: int = 0,
     ot_bytes: Tuple[int, int] = (0, 0),
 ) -> Bill:
     """The bill of ``steps`` computation steps, each evaluating one circuit
-    per entry of ``stats`` (one block each), plus ``transfers`` transfers.
+    per entry of ``stats`` (one block each), plus ``transfers`` transfers
+    on ``key_agreements`` edge slots.
     ``ot_bytes`` is what one AND gate's OT puts on the wire, sender then
     receiver (:meth:`~repro.crypto.ot.ObliviousTransfer.and_gate_bytes`)."""
     stats = list(stats)
@@ -135,6 +172,7 @@ def bill_for(
         ots=steps * sum(s.and_gates for s in stats) * parties * (parties - 1) // 2,
         pair_bits=(8 * ands * ot_bytes[0], 8 * ands * ot_bytes[1]),
         transfers=transfers,
+        key_agreements=key_agreements,
         message_bits=message_bits,
         element_bytes=element_bytes,
     )

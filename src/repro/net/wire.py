@@ -33,7 +33,7 @@ Frame kinds and payload layouts (all integers big-endian):
     a wire hop can never break bit-identity with the in-memory bus.
 ``GMW_BATCH`` / ``TRANSFER_AGG`` / ``CRYPTO``
     A crypto payload conveyed for the secure engine (a block's GMW
-    OT-extension batch, a §3.5 transfer's aggregates, other protocol
+    OT-extension batch, a §3.5 transfer's masked words, other protocol
     bytes): ``src u32 | dst u32 | round u32 | pad_len u32`` followed by
     ``pad_len`` padding bytes. The *values* are computed by the protocol
     simulation at every replica; the frame carries the real byte volume
@@ -113,7 +113,7 @@ class MessageKind(IntEnum):
     HELLO = 1  #: versioned handshake (first frame, both directions)
     ROUND_VALUE = 2  #: one §3.6 round message into a destination in-slot
     GMW_BATCH = 3  #: a block's GMW OT-extension batch (padded bytes)
-    TRANSFER_AGG = 4  #: a §3.5 transfer's subshare aggregates (padded bytes)
+    TRANSFER_AGG = 4  #: a §3.5 transfer's masked subshare words (padded bytes)
     CRYPTO = 5  #: other conveyed protocol bytes (padded)
     CONTROL = 6  #: BYE / ABORT connection control
 

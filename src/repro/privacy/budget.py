@@ -1,8 +1,9 @@
 """Privacy-budget accounting with sequential composition.
 
 The paper maintains a privacy budget ``eps_max = ln 2`` that is replenished
-yearly (§4.5) and drawn down both by query releases and by the edge-privacy
-leakage of the transfer protocol (Appendix B). :class:`PrivacyAccountant`
+yearly (§4.5) and drawn down by query releases (the paper's ElGamal
+transfer also leaks edge privacy, Appendix B; the pad transfer every run
+takes releases no sum, so there is nothing to book). :class:`PrivacyAccountant`
 tracks the draw-downs, refuses charges that would exceed the budget, and
 models the replenishment schedule.
 """

@@ -4,8 +4,9 @@ DStress publishes one kind of noise, the discretized Laplace — the
 two-sided geometric of Ghosh et al. [33] over fixed-point LSBs (§3.6).
 :func:`geometric_release` is the one clear release: every engine that
 noises centrally and every dollar-DP release goes through it, and the
-secure engine samples the same distribution inside MPC. The transfer
-protocol noises its bit sums with the same sampler (§3.5, Appendix B).
+secure engine samples the same distribution inside MPC. The paper's
+ElGamal transfer noises its bit sums with the same sampler (§3.5,
+Appendix B); runs take the pad transfer, which adds none.
 All draws come from the deterministic RNG.
 """
 

@@ -232,8 +232,6 @@ _OVERRIDE_FIELDS.update(
     {
         "collusion_bound": _int_field(1, 16),
         "output_epsilon": _float_field(1e-6, MAX_EPSILON),
-        "dlog_half_width": _int_field(2, 1 << 20),
-        "edge_noise_alpha": _float_field(1e-6, 1.0 - 1e-6),
         "noise_precision_bits": _int_field(1, 64),
         "aggregation_fanout": _int_field(2, 1024),
         "pad_transfers": lambda where, value: _require_bool(where, value),

@@ -111,12 +111,12 @@ class ScalabilityEstimator:
         return PAPER_OTS_PER_AND_PAIR * bill.ots_per_party * self.constants.seconds_per_ot
 
     def transfer_seconds(self) -> float:
-        """One §3.5 edge transfer (§5.2: linear in k, exponentiations
-        dominate): the bill's critical path — a sender member, ``u``, ``v``
-        and a receiver member. ``seconds_per_exp`` is calibrated on
-        variable-base ``group.exp``, so it is an upper bound for the
-        ``g``-table terms (noise, ``g^y``)."""
-        return self._bill(transfers=1).critical_exps * self.constants.seconds_per_exp
+        """One §3.5 edge transfer as the paper runs it (§5.2: linear in k,
+        exponentiations dominate): the bill's ElGamal critical path — a
+        sender member, ``u``, ``v`` and a receiver member.
+        ``seconds_per_exp`` is calibrated on variable-base ``group.exp``, so
+        it is an upper bound for the ``g``-table terms (noise, ``g^y``)."""
+        return self._bill(transfers=1).elgamal.critical_exps * self.constants.seconds_per_exp
 
     def init_seconds(self, degree_bound: int) -> float:
         registers = len(self.program.state_registers(degree_bound)) + degree_bound
@@ -178,7 +178,7 @@ class ScalabilityEstimator:
         ``ots_per_party``).
 
         Transfers: ``D`` per iteration at the node's vertex, each the
-        bill's sent bytes; with up to ``N * D`` edges per iteration the
+        bill's ElGamal sent bytes; with up to ``N * D`` edges per iteration the
         network-wide bytes divide evenly across nodes in expectation.
         """
         bill = self._bill(
@@ -187,4 +187,4 @@ class ScalabilityEstimator:
             transfers=iterations * degree_bound,
         )
         gmw_total = bill.ots_per_party * self.ot_bytes_per_and * self.block_size
-        return gmw_total + bill.transfers * bill.transfer_sent_bytes
+        return gmw_total + bill.transfers * bill.elgamal.sent_bytes

@@ -1,4 +1,7 @@
-"""The DStress message transfer protocol (§3.5, Appendix A) and strawmen."""
+"""The DStress message transfer (§3.5): the setup-once pad transfer every
+run uses (:mod:`repro.transfer.pads`), and the paper's per-iteration
+ElGamal protocol (Appendix A) with its strawmen, which the ablation and
+the estimator price."""
 
 from repro.transfer.certificates import (
     BlockCertificate,
@@ -8,6 +11,7 @@ from repro.transfer.certificates import (
     generate_member_keys,
     verify_certificate,
 )
+from repro.transfer.pads import PadTransfer, SlotKeys, agree_keys
 from repro.transfer.protocol import (
     AggregatedShare,
     EncryptedSubshare,
@@ -24,7 +28,9 @@ __all__ = [
     "EncryptedSubshare",
     "MemberKeys",
     "MessageTransferProtocol",
+    "PadTransfer",
     "ShareTransferScheme",
+    "SlotKeys",
     "Strawman1",
     "Strawman2",
     "Strawman3",
@@ -32,6 +38,7 @@ __all__ = [
     "TransferInstance",
     "TransferResult",
     "TransferTraffic",
+    "agree_keys",
     "build_certificate",
     "certificate_digest",
     "generate_member_keys",

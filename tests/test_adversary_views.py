@@ -9,8 +9,15 @@ tests check the *observable structure* that those guarantees rest on:
   (nothing about the secrets is encoded in message sizes or counts);
 * the trusted party's outputs are identical across different graphs over
   the same participants (the TP never learns edges);
-* transfer artifacts differ completely between runs (no recognizability).
+* transfer artifacts differ completely between runs (no recognizability);
+* each role of the §3.5 pad transfer — a sender, ``u``, ``v``, a receiver,
+  and coalitions of up to k of them — sees the same distribution whatever
+  the honest members' shares are (``TestPadTransferViews``; DESIGN.md
+  "The transfer" writes the argument out).
 """
+
+import itertools
+from collections import Counter
 
 import pytest
 
@@ -24,6 +31,8 @@ from repro.crypto.rng import DeterministicRNG
 from repro.finance import Bank, EisenbergNoeProgram, FinancialNetwork
 from repro.mpc.fixedpoint import FixedPointFormat
 from repro.sharing import share_value, xor_all
+from repro.transfer import pads as pad_module
+from repro.transfer.pads import PadTransfer, SlotKeys
 
 FMT = FixedPointFormat(16, 8)
 
@@ -43,8 +52,6 @@ def _config(**overrides):
         collusion_bound=2,
         fmt=FMT,
         group=TOY_GROUP_64,
-        dlog_half_width=300,
-        edge_noise_alpha=0.4,
         output_epsilon=0.5,
         seed=5,
     )
@@ -186,3 +193,151 @@ class TestOutputPrivacy:
         overlap_low = max(min(releases[2.0]), min(releases[2.5]))
         overlap_high = min(max(releases[2.0]), max(releases[2.5]))
         assert overlap_high - overlap_low > 0.5 * spread
+
+
+# ------------------------------------------------------------ pad transfer --
+
+#: b = k + 1 = 3; L = 1 keeps every view small enough to enumerate
+BLOCK, K, L = 3, 2, 1
+
+#: (senders, receivers) in the coalition, by block position: sender 0 is
+#: ``u``, receiver 0 is ``v``. A node can sit in both blocks, so k nodes
+#: hold at most k positions on each side.
+COALITIONS = {
+    "sender": ({1}, set()),
+    "u": ({0}, set()),
+    "v": (set(), {0}),
+    "receiver": (set(), {1}),
+    "u-with-k-1-receivers": ({0}, {1}),
+    "u-with-v": ({0}, {0}),
+    "k-senders-with-k-receivers": ({0, 1}, {1, 2}),
+}
+
+
+class _Draws:
+    """The senders' split randomness, scripted: ``randbits`` hands out the
+    given values in order."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def randbits(self, bits):
+        return next(self._values)
+
+
+def _label(x, y):
+    return f"x{x}y{y}".encode()
+
+
+LABELS = SlotKeys(
+    senders=tuple(tuple(_label(x, y) for y in range(BLOCK)) for x in range(BLOCK)),
+    receivers=tuple(tuple(_label(x, y) for x in range(BLOCK)) for y in range(BLOCK)),
+)
+
+
+@pytest.fixture
+def pads(monkeypatch):
+    """The PRF replaced by a table (key label -> pad): the random-function
+    model of the keys a coalition does not hold. Fill it before a run."""
+    table = {}
+    monkeypatch.setattr(pad_module, "pad", lambda key, step, bits: table[key])
+    return table
+
+
+def coalition_view(coalition, shares, splits, pads):
+    """Run the real roles once on the pad table and scripted splits;
+    return all the coalition sees, and the fresh shares."""
+    senders, receivers = coalition
+    transfer = PadTransfer(L)
+    draws = _Draws(value for x in range(BLOCK) for value in splits[x])
+    words = transfer.mask(shares, LABELS, 0, draws)
+    combined = transfer.combine(words)
+    fresh = transfer.unmask(combined, LABELS, 0)
+    view = []
+    for x in sorted(senders):
+        view.append(("sender", x, shares[x], splits[x], [pads[k] for k in LABELS.senders[x]]))
+    for y in sorted(receivers):
+        view.append(("receiver", y, combined[y], fresh[y], [pads[k] for k in LABELS.receivers[y]]))
+    if 0 in senders:  # u: every sender's word for every receiver
+        view.append(("u", words))
+    if 0 in receivers:  # v: every combined word it forwards
+        view.append(("v", combined))
+    return repr(view), fresh
+
+
+class TestPadTransferViews:
+    """One step of the pad transfer, enumerated. A coalition's own
+    randomness and the pads it can derive are fixed (they are its own, and
+    independent of everyone's shares); everything honest is enumerated:
+    the honest senders' splits and every pad between an honest sender and
+    an honest receiver. For every coalition of at most k positions per
+    block the multiset of views is the same whatever the honest senders'
+    shares are — the pads of keys the coalition cannot derive hide each
+    honest subshare it could otherwise read, and the ones it can derive
+    open at most b − 1 subshares of any honest sender."""
+
+    @pytest.mark.parametrize("role", sorted(COALITIONS))
+    def test_view_is_independent_of_honest_shares(self, role, pads):
+        senders, receivers = COALITIONS[role]
+        assert len(senders) <= K and len(receivers) <= K
+        honest_senders = [x for x in range(BLOCK) if x not in senders]
+        hidden = [
+            _label(x, y) for x in honest_senders for y in range(BLOCK) if y not in receivers
+        ]
+        own_splits = {x: [1] * (BLOCK - 1) for x in senders}
+        known = {
+            _label(x, y): (x + y) & 1
+            for x in range(BLOCK)
+            for y in range(BLOCK)
+            if _label(x, y) not in hidden
+        }
+        split_bits = len(honest_senders) * (BLOCK - 1)
+        views = {}
+        for honest in itertools.product(range(1 << L), repeat=len(honest_senders)):
+            shares = [1] * BLOCK  # the coalition's own shares: fixed
+            for x, share in zip(honest_senders, honest):
+                shares[x] = share
+            seen = Counter()
+            for draw in itertools.product((0, 1), repeat=split_bits + len(hidden)):
+                drawn = iter(draw[:split_bits])
+                splits = {
+                    x: own_splits[x] if x in senders else [next(drawn) for _ in range(BLOCK - 1)]
+                    for x in range(BLOCK)
+                }
+                pads.update(known)
+                pads.update(zip(hidden, draw[split_bits:]))
+                view, fresh = coalition_view((senders, receivers), shares, splits, pads)
+                assert xor_all(fresh) == xor_all(shares)
+                seen[view] += 1
+            views[honest] = seen
+        reference = next(iter(views.values()))
+        assert len(views) == 1 << (L * len(honest_senders))
+        assert all(seen == reference for seen in views.values())
+
+    def test_the_enumeration_sees_a_leak_when_there_is_one(self, pads):
+        """The same check, given a coalition that holds every receiver,
+        does tell the honest shares apart: the test can fail."""
+        senders, receivers = {1}, set(range(BLOCK))
+        pads.update({_label(x, y): 0 for x in range(BLOCK) for y in range(BLOCK)})
+        splits = {x: [0] * (BLOCK - 1) for x in range(BLOCK)}
+        views = {
+            share: coalition_view((senders, receivers), [share, 1, 1], splits, pads)[0]
+            for share in (0, 1)
+        }
+        assert views[0] != views[1]
+
+    def test_setup_takes_no_share_and_keys_ignore_the_balance_sheets(self):
+        """Key agreement happens before any share exists: the keys two runs
+        agree on over different balance sheets (same seed, same topology)
+        are the same, so nothing a role sees at setup depends on a value."""
+        from repro.api import engines as api_engines
+
+        keys = []
+        for cash in ([2.0, 1.0, 1.0, 0.5], [50.0, 40.0, 30.0, 20.0]):
+            graph = _chain_network(cash).to_en_graph(degree_bound=1)
+            core = api_engines._SecureCore(
+                api_engines.SecureDStressEngine(), EisenbergNoeProgram(FMT), graph, _config()
+            )
+            ctx = core.inner._begin_run(graph, 1)
+            keys.append(ctx.pad_keys)
+        assert keys[0] == keys[1] and len(keys[0]) == 3

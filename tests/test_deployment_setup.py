@@ -165,7 +165,7 @@ class TestHitEqualsMiss:
 
 #: a deployment small enough to build in a millisecond
 BASE = dict(
-    seed="1", group=TOY_GROUP_64, node_ids=(0, 1, 2), degree_bound=2, collusion_bound=1, bits=3
+    seed="1", group=TOY_GROUP_64, node_ids=(0, 1, 2), degree_bound=2, collusion_bound=1
 )
 
 
@@ -178,7 +178,6 @@ def fetch(**changes):
         args["node_ids"],
         args["degree_bound"],
         args["collusion_bound"],
-        args["bits"],
     )
     return deployment, rng
 
@@ -191,7 +190,7 @@ class TestKey:
         assert (cold.builds, cold.hits, len(cold)) == (1, 1, 1)
         assert first_rng.getstate() == again_rng.getstate() == first.rng_state
         direct = build_deployment(
-            TOY_GROUP_64, DeterministicRNG("1").getstate(), (0, 1, 2), 2, 1, 3
+            TOY_GROUP_64, DeterministicRNG("1").getstate(), (0, 1, 2), 2, 1
         )
         assert direct == first and direct is not first
         assert first_rng.randbytes(64) == again_rng.randbytes(64)
@@ -212,7 +211,6 @@ class TestKey:
             {"node_ids": (0, 1, 2, 3)},
             {"degree_bound": 3},
             {"collusion_bound": 2},
-            {"bits": 4},
         ],
         ids=lambda change: next(iter(change)),
     )
@@ -273,7 +271,7 @@ class TestCountingGroupIsNeverCached:
         )
         resolved = test.resolve(ITERATIONS)
         n, d = resolved.graph.num_vertices, resolved.graph.degree_bound
-        b, bits = config.block_size, config.fmt.total_bits
+        b = config.block_size
         bills = []
         build = core_setup.build_deployment
 
@@ -288,8 +286,8 @@ class TestCountingGroupIsNeverCached:
         second = test.run(iterations=ITERATIONS)
         certificates = n * d
         expected = (
-            n * d * b * bits  # every member key raised to every neighbor key
-            + n * bits + 1  # key generation: g^x per key pair, and the TP's
+            n * d * b  # every member key raised to every neighbor key
+            + n + 1  # key generation: g^x per member key pair, and the TP's
             + (certificates + 1)  # g^k of each signature (+ the assignment's)
             + 2 * (certificates + 1)  # and the two of each verification
         )
@@ -419,14 +417,13 @@ class TestFaultsLeaveNothingBehind:
 
     def test_a_zero_neighbor_key(self, cold, reference, monkeypatch):
         accountant = PrivacyAccountant(epsilon_max=5.0)
-        bits = DStressConfig.preset("demo").fmt.total_bits
         draw = TOY_GROUP_64.random_scalar
         calls = {"n": 0}
 
         def zero_once(rng):
             calls["n"] += 1
-            # node 0 draws its L secret keys, then its neighbor keys
-            return 0 if calls["n"] == bits + 1 else draw(rng)
+            # node 0 draws its secret key, then its neighbor keys
+            return 0 if calls["n"] == 2 else draw(rng)
 
         with monkeypatch.context() as patch:
             patch.setattr(TOY_GROUP_64, "random_scalar", zero_once)

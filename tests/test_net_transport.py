@@ -279,7 +279,9 @@ class TestSecureAsyncBitIdentity:
         for count in counts:
             assert count["run"] == 1  # the one window
             assert count["_convey"] == 110  # the links its batches carry
-        assert [_wire_sent(r) for r in results] == [(36.0, 262912.0), (42.0, 265232.0)]
+        # the same frames as ever; a transfer's words are L-bit pads now,
+        # not L + 1 group elements per subshare
+        assert [_wire_sent(r) for r in results] == [(36.0, 259160.0), (42.0, 259336.0)]
 
 
     def test_traced_round_spans_descend_from_their_run_span(self):

@@ -188,7 +188,7 @@ class TestRefusals:
         [
             ({}, "would exceed out-degree bound"),
             # the config is resolved before the graph: its fault is the one named
-            ({"dlog_half_width": 2, "collusion_bound": 4}, "dlog window"),
+            ({"wan_jitter": 1.0, "collusion_bound": 4}, "WAN jitter"),
         ],
         ids=["graph-fault", "config-and-graph-fault"],
     )

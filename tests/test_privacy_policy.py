@@ -212,20 +212,15 @@ class TestEdgePrivacy:
         assert per_iteration_epsilon(19, 16, 2.34e-7) == pytest.approx(0.00142, abs=5e-5)
 
     def test_config_edge_alpha_round_trips_to_per_iteration_epsilon(self):
-        """A secure config's ``edge_noise_alpha`` is the §3.5 transfer
-        mechanism's alpha: at ``mechanism_alpha(eps, k + 1)`` a transfer is
-        eps-DP, so an iteration costs ``per_iteration_epsilon(k, L, eps)``."""
+        """The paper's §3.5 edge noise at ``mechanism_alpha(eps, k + 1)``
+        makes an ElGamal transfer eps-DP, so an iteration costs
+        ``per_iteration_epsilon(k, L, eps)``. Runs take the pad transfer,
+        which releases no sum, so no config carries this alpha any more."""
         k, bits = 2, 16
         eps = -math.log(0.4) * transfer_sensitivity(k) / 2
-        config = DStressConfig(
-            collusion_bound=k,
-            fmt=FixedPointFormat(bits, 8),
-            edge_noise_alpha=mechanism_alpha(eps, k + 1),
-        )
-        assert config.edge_noise_alpha == pytest.approx(0.4)
-        assert per_iteration_epsilon(k, config.fmt.total_bits, eps) == pytest.approx(
-            k * (k + 1) * bits * eps
-        )
+        assert mechanism_alpha(eps, k + 1) == pytest.approx(0.4)
+        assert "edge_noise_alpha" not in DStressConfig.__dataclass_fields__
+        assert per_iteration_epsilon(k, bits, eps) == pytest.approx(k * (k + 1) * bits * eps)
 
     def test_concrete_example_end_to_end(self):
         analysis = EdgePrivacyAnalysis()

@@ -77,8 +77,6 @@ class TestSecureEngineProperty:
             collusion_bound=2,
             fmt=FMT,
             group=TOY_GROUP_64,
-            dlog_half_width=300,
-            edge_noise_alpha=0.4,
             output_epsilon=0.5,
             seed=seed,
         )

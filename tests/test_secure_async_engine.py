@@ -16,6 +16,7 @@ The contract under test, in order of importance:
   :class:`TransportError` at the step barrier instead of hanging the run.
 """
 
+import asyncio
 import gc
 import logging
 
@@ -248,6 +249,30 @@ class TestOneBodyOneTrace:
         )
         assert overlapped == sync
         assert len(sync) == spans
+
+    def test_round_spans_keep_their_run_span_under_a_running_loop(
+        self, network, secure_reference
+    ):
+        """A caller that already runs an event loop (a notebook kernel)
+        gets each window run on a worker thread; the worker carries the
+        caller's context, so every ``round`` span still hangs off the run
+        span, and the bits are the ones a loop-free caller gets."""
+        recorder = TraceRecorder()
+
+        async def caller():
+            with recording(recorder):
+                return (
+                    _template(network)
+                    .engine("secure-async", transport="memory")
+                    .run(iterations=ITERATIONS)
+                )
+
+        result = asyncio.run(caller())
+        (run_span,) = [span for span in recorder.spans if span.name == "run"]
+        rounds = [span for span in recorder.spans if span.name == "round"]
+        assert [span.attrs["round"] for span in rounds] == list(range(ITERATIONS + 1))
+        assert all(span.parent_id == run_span.span_id for span in rounds)
+        _assert_released_identical(result, secure_reference)
 
 
 class TestEngineWiring:

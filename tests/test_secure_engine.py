@@ -23,7 +23,7 @@ from repro.exceptions import ConfigurationError, PrivacyBudgetExceeded
 from repro.finance import EisenbergNoeProgram, ElliottGolubJacksonProgram
 from repro.mpc.fixedpoint import FixedPointFormat
 from repro.privacy.budget import PrivacyAccountant
-from repro.transfer.protocol import MessageTransferProtocol
+from repro.transfer.pads import PadTransfer
 
 
 def make_config(**overrides):
@@ -31,8 +31,6 @@ def make_config(**overrides):
         collusion_bound=2,
         fmt=FixedPointFormat(16, 8),
         group=TOY_GROUP_64,
-        dlog_half_width=300,
-        edge_noise_alpha=0.4,
         output_epsilon=0.5,
         seed=7,
     )
@@ -144,7 +142,7 @@ class TestPrivacyStructure:
         def broken_transfer(*args, **kwargs):
             raise RuntimeError("transfer died mid-round")
 
-        monkeypatch.setattr(MessageTransferProtocol, "execute", broken_transfer)
+        monkeypatch.setattr(PadTransfer, "execute", broken_transfer)
         with pytest.raises(RuntimeError, match="mid-round"):
             execute("secure", program, graph, 1, make_config(), accountant)
         assert accountant.spent == 0.0
@@ -175,10 +173,6 @@ class TestConfiguration:
             make_config(collusion_bound=0)
         with pytest.raises(ConfigurationError):
             make_config(output_epsilon=0)
-        with pytest.raises(ConfigurationError):
-            make_config(edge_noise_alpha=1.0)
-        with pytest.raises(ConfigurationError):
-            make_config(dlog_half_width=1)
 
     def test_noise_alpha_for(self):
         config = make_config()
@@ -192,6 +186,17 @@ class TestConfiguration:
         bits = config.noise_magnitude_bits_for(10.0)
         scale_lsb = 10.0 / (0.5 / 256)
         assert (1 << bits) >= 8 * scale_lsb
+
+    @pytest.mark.parametrize("field", ["dlog_half_width", "edge_noise_alpha"])
+    @pytest.mark.parametrize("entry", ["demo", "paper", "production", "with_updates"])
+    def test_the_transfer_has_no_dlog_window_or_edge_noise(self, entry, field):
+        """The pad transfer decrypts no sum and adds no noise, so neither
+        knob exists: naming one is the typed unknown-field error."""
+        with pytest.raises(ConfigurationError, match=field):
+            if entry == "with_updates":
+                DStressConfig.preset("demo").with_updates(**{field: 2})
+            else:
+                DStressConfig.preset(entry, **{field: 2})
 
     @pytest.mark.parametrize("value", ["ot", "beaver"])
     @pytest.mark.parametrize("entry", ["demo", "paper", "production", "with_updates"])

@@ -310,4 +310,4 @@ class TestTrafficProfile:
         """The senders' share of a transfer's bill: ``k+1`` members, each
         encrypting an (L+1)-element subshare to each of ``k+1`` receivers."""
         bill = bill_for([], BLOCK, transfers=1, message_bits=BITS)
-        assert BLOCK * bill.sender_exps == BLOCK * BLOCK * (BITS + 1)
+        assert BLOCK * bill.elgamal.sender_exps == BLOCK * BLOCK * (BITS + 1)
