@@ -4,8 +4,8 @@ An :class:`Engine` turns ``(program, graph, iterations, config)`` into a
 :class:`~repro.api.result.RunResult`. The clear engines are one
 :class:`~repro.core.rounds.RoundLoop` in float or fixed-point
 :class:`~repro.core.rounds.Arithmetic`; the secure engines are one
-:meth:`SecureEngine._window <repro.core.secure_engine.SecureEngine._window>`
-body. A registry name only picks the arithmetic and who drives the rounds:
+:class:`~repro.core.secure_engine.SecureRun`. A registry name only picks
+the arithmetic and who drives the rounds:
 
 =============  ==========================================================
 ``plaintext``  float arithmetic — the reference oracle
@@ -54,11 +54,10 @@ from repro.core.lifecycle import (
     run_lifecycle,
 )
 from repro.core.program import VertexProgram, compiled_update_circuit
-from repro.core.rounds import RoundLoop, WindowEvents
-from repro.core.secure_engine import SecureEngine, check_backend, compile_secure_plans
+from repro.core.rounds import RoundLoop
+from repro.core.secure_engine import SecureRun, check_backend, compile_secure_plans
 from repro.crypto.rng import DeterministicRNG
 from repro.obs.clock import now as clock_now
-from repro.obs.trace import timed_phase
 from repro.privacy.budget import PrivacyAccountant
 from repro.privacy.mechanisms import geometric_release
 from repro.simulation.netsim import meter_from_rounds
@@ -291,80 +290,6 @@ class PlaintextFixedEngine(Engine):
 # --------------------------------------------------------- secure engine --
 
 
-class _SecureCore(LifecycleCore):
-    """The full protocol's stages, driving :class:`SecureEngine` windows.
-
-    The two classes are designed together: the core walks the engine's
-    window/aggregation internals (``_begin_run``/``_window``/
-    ``_aggregation_tree``/``_noise_and_reveal``) in transcript order —
-    the only order a secure run performs its crypto in. The async variant in
-    :mod:`repro.api.secure_async` overrides only :meth:`drive`, handing
-    the same window's events to a scheduler over a transport bus, and
-    wraps these stages in the bus lifecycle it shares with ``async``.
-    """
-
-    def __init__(self, engine, program, graph, config, buckets=None) -> None:
-        self.engine = engine
-        self.program = program
-        self.graph = graph
-        self.config = config
-        self.buckets = buckets
-        self.inner = SecureEngine(program, config, backend=engine.backend)
-        self.ctx = None
-        self.tree = None
-
-    def setup(self, state: RunState) -> None:
-        self.ctx = self.inner._begin_run(
-            self.graph, sum(state.windows), self.buckets, phases=state.phases
-        )
-
-    def run_window(self, state: RunState, rounds: int, first: bool) -> None:
-        self.drive(self.inner._window(self.ctx, rounds, first))
-        state.trajectory = list(self.ctx.trajectory)
-
-    def drive(self, events: WindowEvents) -> None:
-        """Consume one window's wire events; in process there is no wire,
-        so the bytes (already metered by the window body) go nowhere."""
-        for _event in events:
-            pass
-
-    def aggregate(self, state: RunState) -> float:
-        # the aggregation tree consumes shared randomness, so it runs once
-        # per window and hands its root inputs forward to the noise stage
-        with timed_phase(self.ctx.phases, "aggregation"):
-            self.tree = self.inner._aggregation_tree(self.ctx)
-        return self.tree[3] * self.program.fmt.resolution
-
-    def noise(self, state, pre_noise, epsilon, end):
-        root_inputs, root_width, _levels, pre_noise_raw = self.tree
-        with timed_phase(self.ctx.phases, "aggregation"):
-            noisy_raw = self.inner._noise_and_reveal(
-                self.ctx, root_inputs, root_width, epsilon
-            )
-        return noisy_raw * self.program.fmt.resolution, noisy_raw - pre_noise_raw
-
-    def finalize(self, state: RunState, started: float) -> RunResult:
-        # a secure run always releases, so the lifecycle stamps the released
-        # fields (aggregate / pre-noise / noise / epsilon) from its records
-        ctx = self.ctx
-        _root_inputs, _root_width, levels, _pre_noise_raw = self.tree
-        return RunResult(
-            engine=self.engine.name,
-            program=self.program.name,
-            aggregate=state.releases[-1].value,
-            trajectory=list(ctx.trajectory),
-            iterations=state.rounds_done,
-            wall_seconds=clock_now() - started,
-            traffic=ctx.meter,
-            phases=ctx.phases,
-            extras={
-                "transfer_count": float(ctx.transfer_count),
-                "gmw_ot_count": float(ctx.total_ots),
-                "aggregation_levels": float(levels),
-            },
-        )
-
-
 class SecureDStressEngine(Engine):
     """The full DStress protocol stack (§3.3–§3.6).
 
@@ -401,7 +326,7 @@ class SecureDStressEngine(Engine):
         )
 
     def execute(self, program, graph, iterations, config, accountant=None):
-        core = _SecureCore(self, program, graph, config, self.buckets)
+        core = SecureRun(self, program, graph, config, self.buckets)
         return run_lifecycle(self, core, program, config, iterations, accountant)
 
 

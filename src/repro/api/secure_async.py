@@ -4,11 +4,10 @@ The paper's §6 wall-clock numbers are dominated by transfer I/O — a
 secure round's cost is the wire time of its OT-extension batches and §3.5
 transfer words, not the local crypto. The sequential
 ``engine="secure"`` backend computes everything in a straight line, so it
-cannot model that claim. This backend runs the *same* window body
-(:meth:`repro.core.secure_engine.SecureEngine._window` — one generator,
-not a second copy of the loop) with every block batch it yields
-dispatched through a
-:class:`~repro.core.transport.Transport`: as soon as a block's GMW
+cannot model that claim. This backend runs the *same* run object
+(:class:`repro.core.secure_engine.SecureRun` — one window generator, not a
+second copy of the loop) with every block batch it yields dispatched
+through a :class:`~repro.core.transport.Transport`: as soon as a block's GMW
 evaluation finishes, its per-link OT bytes go on the bus as one
 :meth:`~repro.core.transport.Transport.convey_round` call in an asyncio
 task, and the next block's evaluation proceeds while those bytes are
@@ -49,20 +48,20 @@ from __future__ import annotations
 from typing import Optional, Sequence, Union
 
 from repro.api.async_engine import BusCore, BusEngine
-from repro.api.engines import SecureDStressEngine, _SecureCore
+from repro.api.engines import SecureDStressEngine
 from repro.api.registry import register_engine
 from repro.core.lifecycle import ReleasePolicy
 from repro.core.rounds import SecureRoundScheduler, WindowEvents
-from repro.core.secure_engine import check_backend
+from repro.core.secure_engine import SecureRun, check_backend
 from repro.core.transport import Transport
 
 __all__ = ["SecureAsyncEngine"]
 
 
-class _SecureAsyncCore(BusCore, _SecureCore):
-    """:class:`~repro.api.engines._SecureCore` with rounds over a bus.
+class _SecureAsyncCore(BusCore, SecureRun):
+    """:class:`~repro.core.secure_engine.SecureRun` with rounds over a bus.
 
-    Setup, the window body, aggregation and noising are the parent's
+    Setup, the window body, aggregation and noising are the run's
     (the aggregation tree is a final local phase, not a round); only what
     happens to the window's wire events differs — they dispatch through a
     fresh scheduler over the transport.

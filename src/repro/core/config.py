@@ -33,9 +33,11 @@ class DStressConfig:
         Schnorr group keeps runs fast (see DESIGN.md).
     output_epsilon:
         Per-release epsilon for the final Laplace/geometric noising.
-    noise_magnitude_bits / noise_precision_bits:
-        Size of the in-MPC noise sampler (see
-        :func:`repro.mpc.noise_circuit.build_geometric_bits_sampler`).
+    noise_precision_bits:
+        Coin precision of the in-MPC noise sampler (see
+        :func:`repro.mpc.noise_circuit.build_geometric_bits_sampler`); its
+        magnitude bits follow from the release budget
+        (:meth:`noise_magnitude_bits_for`).
     aggregation_fanout:
         Max inputs per aggregation block; more vertices trigger the
         hierarchical tree of §3.6 (the paper projects with fanout 100).
@@ -59,7 +61,6 @@ class DStressConfig:
     fmt: FixedPointFormat = field(default_factory=FixedPointFormat)
     group: CyclicGroup = field(default_factory=lambda: GROUP_256)
     output_epsilon: float = 0.23
-    noise_magnitude_bits: Optional[int] = None
     noise_precision_bits: int = 16
     aggregation_fanout: int = 100
     pad_transfers: bool = False
@@ -114,8 +115,6 @@ class DStressConfig:
         the same way as :meth:`noise_alpha_for` (smaller per-window
         budgets mean wider noise, so the window grows with it).
         """
-        if self.noise_magnitude_bits is not None:
-            return self.noise_magnitude_bits
         eps = self.output_epsilon if epsilon is None else epsilon
         if eps <= 0:
             raise ConfigurationError("release epsilon must be positive")

@@ -42,10 +42,10 @@ round it communicates, a window's resume step included, goes through
 :meth:`~repro.core.transport.Transport.send_round` and
 :meth:`~repro.core.transport.Transport.gather_round`.
 
-The secure protocol's rounds have their own body
-(:meth:`SecureEngine._window <repro.core.secure_engine.SecureEngine._window>`,
-a generator of :data:`WindowEvent`); :class:`SecureRoundScheduler` is the
-driver that puts those events on a transport.
+The secure protocol's rounds have their own body (the window generator
+of :class:`~repro.core.secure_engine.SecureRun`, whose events are
+:data:`WindowEvent`); :class:`SecureRoundScheduler` is the driver that
+puts those events on a transport.
 """
 
 from __future__ import annotations
@@ -714,8 +714,8 @@ class SecureRoundScheduler:
     async def run(self, events: WindowEvents) -> None:
         """Drive one secure window over the bus.
 
-        ``events`` is :meth:`SecureEngine._window
-        <repro.core.secure_engine.SecureEngine._window>` — the same body
+        ``events`` is one window of a
+        :class:`~repro.core.secure_engine.SecureRun` — the same body
         ``engine="secure"`` drains with a bare ``for`` loop. The generator
         does the crypto (in transcript order, between two ``next`` calls);
         this loop only decides what happens to the bytes it yields.

@@ -25,14 +25,16 @@ All network traffic is metered per node *and per directed link*; timings
 are recorded per phase. The engine is a faithful simulation: every byte it
 reports corresponds to a protocol message of the real deployment.
 
-One window body, two drivers. :meth:`SecureEngine._window` is a plain
-generator that performs every crypto operation of a round window itself,
-in one fixed order (every :meth:`~repro.crypto.rng.DeterministicRNG.fork`
+One run, one object: :class:`SecureRun` is the lifecycle core whose
+stages are the protocol's and whose attributes are the run's state. Its
+window body is a plain generator that performs every crypto operation of
+a round window itself, in one fixed order (every :meth:`~repro.crypto.rng.DeterministicRNG.fork`
 consumes parent stream, so the order of crypto work *is* the transcript —
 reordering it would change every share), and yields what each finished
 block batch — a GMW evaluation's OT-extension bits, a transfer's
 masked words — puts on the wire. ``engine="secure"`` drains it with a
-``for`` loop; ``secure-async`` feeds the same events to a
+``for`` loop (:meth:`SecureRun.drive`); ``secure-async`` overrides only
+that method and feeds the same events to a
 :class:`~repro.core.rounds.SecureRoundScheduler` that conveys the bytes
 over a :class:`~repro.core.transport.Transport` while later blocks are
 still computing. Released outputs are bit-identical between the two by
@@ -42,12 +44,12 @@ wall-clock and the bus's own metering move.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Type
 
 from repro.core.aggregation import AggregationPlan, plan_groups, reshare_word
 from repro.core.config import DStressConfig
 from repro.core.graph import DistributedGraph
+from repro.core.lifecycle import LifecycleCore, RunState
 from repro.core.program import NO_OP_MESSAGE, VertexProgram, compiled_update_circuit
 from repro.core.rounds import LinkBytes, WindowEvents
 from repro.core.setup import (
@@ -64,18 +66,19 @@ from repro.mpc.cost import Bill, TransferLines, bill_for
 from repro.mpc.gmw import GMWEngine, GMWResult, PoolBuilder
 from repro.mpc.noise_circuit import geometric_bits_seed_width
 from repro.mpc.plan import noised_sum_bits_circuit, partial_sum_circuit
+from repro.obs.clock import now as clock_now
 from repro.obs.metrics import absorb_gmw
 from repro.obs.trace import current_recorder, timed_phase
 from repro.sharing.xor import reconstruct_value, share_value
 from repro.simulation.netsim import PhaseTimer, TrafficMeter
 from repro.transfer.pads import PadTransfer, SlotKeys, agree_keys
 
-__all__ = ["SecureEngine", "check_backend", "compile_secure_plans", "run_bill"]
+__all__ = ["SecureRun", "check_backend", "compile_secure_plans", "run_bill"]
 
 
 def check_backend(backend: str, owner: str) -> str:
-    """The one rule for which GMW gate evaluators exist (``owner`` names
-    the rejecting engine in the error)."""
+    """The one rule for which GMW gate evaluators exist, checked where an
+    engine is built (``owner`` names the rejecting engine in the error)."""
     if backend not in ("scalar", "bitsliced"):
         raise ConfigurationError(
             f"{owner} has no backend {backend!r}; choose 'scalar' or 'bitsliced'"
@@ -169,8 +172,8 @@ def compile_secure_plans(
     The batch layer and the cluster harness call this before they fork,
     so workers and parties inherit one deployment and compiled plans
     instead of each building their own; the walk below mirrors
-    :meth:`SecureEngine._begin_run` and
-    :meth:`SecureEngine._aggregation_tree`, which then hit the tables.
+    :meth:`SecureRun.setup` and :meth:`SecureRun.aggregate`, which then
+    hit the tables.
     """
     bits = program.fmt.total_bits
     deployment_for(
@@ -219,91 +222,270 @@ def run_bill(
     )
 
 
-@dataclass
-class _RunContext:
-    """Mutable state of one execution.
+class SecureRun(LifecycleCore):
+    """One run of the full DStress protocol, as the lifecycle's stages.
 
-    Built once by :meth:`SecureEngine._begin_run` and walked window by
-    window through :meth:`SecureEngine._window`, whichever driver
-    consumes the window's events.
+    :func:`~repro.core.lifecycle.run_lifecycle` calls :meth:`setup` once,
+    then :meth:`run_window`, :meth:`aggregate` and :meth:`noise` once per
+    release window, then :meth:`finalize`. The attributes are the run's
+    state: what setup agreed (``deployment``, ``pad_keys``, ``slots``),
+    the live shares (``state_shares``, ``inbox_shares``,
+    ``outbox_shares``), the evaluator and its bill (``gmw``, ``bill``),
+    and what the run recorded (``meter``, ``phases``, ``rng``,
+    ``trajectory``, ``total_ots``, ``transfer_count``). Between windows
+    they are the resumption payload: window ``j + 1`` continues the §3.6
+    schedule where window ``j`` stopped.
+
+    ``engine`` is the registry engine whose options the run reads; its
+    ``backend`` (checked where the engine is built, :func:`check_backend`)
+    only picks the GMW lanes: ``"scalar"`` one Python int per wire,
+    stdlib only; ``"bitsliced"`` numpy uint64 words
+    (:mod:`repro.mpc.bitslice`). Both produce bit-identical released
+    outputs, shares, and metered traffic — the parity matrix asserts it.
+    ``buckets`` are the §3.7 degree buckets (:meth:`_assign_buckets`).
     """
 
-    graph: DistributedGraph
-    iterations: int
     deployment: Deployment
     vertex_bound: Dict[int, int]
     circuits: Dict[int, Circuit]
     circuit_and_gates: int
     gmw: GMWEngine
     bill: Bill
-    state_shares: Dict[int, Dict[str, List[int]]]
-    inbox_shares: Dict[int, List[List[int]]]
     #: each vertex, in transcript order, with the slots it transfers on
     slots: List[Tuple[Any, List[Slot]]]
     #: the keys agreed at setup, by receiving slot ``(v, in_slot)``
     pad_keys: Dict[Tuple[int, int], SlotKeys]
-    outbox_shares: Dict[int, List[List[int]]] = field(default_factory=dict)
-    meter: TrafficMeter = field(default_factory=TrafficMeter)
-    phases: PhaseTimer = field(default_factory=PhaseTimer)
-    rng: DeterministicRNG = field(default_factory=DeterministicRNG)
-    trajectory: List[float] = field(default_factory=list)
-    total_ots: int = 0
-    transfer_count: int = 0
-    #: Computation steps executed so far. Lets a windowed run resume the
-    #: §3.6 schedule exactly where the previous window stopped (the round
-    #: span numbering continues, so the transcript order is unchanged).
-    steps: int = 0
+    state_shares: Dict[int, Dict[str, List[int]]]
+    inbox_shares: Dict[int, List[List[int]]]
+    meter: TrafficMeter
+    phases: PhaseTimer
+    rng: DeterministicRNG
+    #: what :meth:`aggregate` hands :meth:`noise`: the root block's input
+    #: shares, their bit width, and the pre-noise aggregate (raw LSBs)
+    root_inputs: List[List[int]]
+    root_width: int
+    pre_noise_raw: int
+
+    def __init__(
+        self,
+        engine: Any,
+        program: VertexProgram,
+        graph: DistributedGraph,
+        config: DStressConfig,
+        buckets: Optional[Sequence[int]] = None,
+    ) -> None:
+        if program.fmt.total_bits != config.fmt.total_bits:
+            raise ConfigurationError("program and config fixed-point formats disagree")
+        self.engine = engine
+        self.program = program
+        self.graph = graph
+        self.config = config
+        self.buckets = buckets
+        self.transfer = PadTransfer(config.fmt.total_bits)
+        self.outbox_shares: Dict[int, List[List[int]]] = {}
+        self.trajectory: List[float] = []
+        self.total_ots = 0
+        self.transfer_count = 0
+        #: Computation steps executed so far. Lets a windowed run resume the
+        #: §3.6 schedule exactly where the previous window stopped (the round
+        #: span numbering continues, so the transcript order is unchanged).
+        self.steps = 0
+        #: aggregation-tree depth of the last :meth:`aggregate`
+        self.levels = 0
 
     @property
     def assignment(self) -> BlockAssignment:
         return self.deployment.assignment
 
-    def block_inputs(self, v: int) -> Dict[str, List[int]]:
-        """Vertex ``v``'s update-circuit inputs: its state registers plus
-        one ``msg_in_<slot>`` bus per inbox slot, all as block shares."""
-        shared_inputs = dict(self.state_shares[v])
-        for slot, shares in enumerate(self.inbox_shares[v]):
-            shared_inputs[f"msg_in_{slot}"] = shares
-        return shared_inputs
+    # ------------------------------------------------------------- stages --
 
+    def setup(self, state: RunState) -> None:
+        """Setup + initialization (§3.4, §3.6 init): everything before the
+        first computation step, timed into the lifecycle's timer."""
+        config = self.config
+        program = self.program
+        graph = self.graph
+        self.rng = rng = DeterministicRNG(config.seed)
+        self.meter = TrafficMeter()
+        self.phases = state.phases
+        self.vertex_bound = self._assign_buckets()
+        self.bill = bill = run_bill(
+            program, config, graph, sum(state.windows), self.vertex_bound
+        )
+        current_recorder().event(  # on the run span, before any of it is paid
+            "bill", and_gates=bill.and_gates, rounds=bill.and_rounds, ots=bill.ots,
+            transfers=bill.transfers, exponentiations=bill.exponentiations,
+        )
+        self.slots = list(self._transfer_slots())
 
-class SecureEngine:
-    """The full DStress protocol's window body and aggregation, driven
-    stage by stage by the ``secure`` and ``secure-async`` lifecycle cores
-    (:class:`repro.api.engines._SecureCore`).
+        # ---------------------------------------------------------- setup --
+        with timed_phase(self.phases, "setup"):
+            self.deployment = deployment_for(
+                config.group,
+                rng,
+                graph.vertex_ids,
+                graph.degree_bound,
+                config.collusion_bound,
+            )
+            self._setup_blocks()
+            self.pad_keys = self._agree_keys()
 
-    Every GMW evaluation is a lane batch with an offline/online phase
-    split (:meth:`GMWEngine.evaluate_batch
-    <repro.mpc.gmw.GMWEngine.evaluate_batch>`). ``backend`` only picks the
-    lanes: ``"scalar"`` (default) one Python int per wire, stdlib only;
-    ``"bitsliced"`` numpy uint64 words (:mod:`repro.mpc.bitslice`). Both
-    produce bit-identical released outputs, shares, and metered traffic —
-    the parity matrix asserts it — so the choice is purely a throughput
-    knob.
-    """
+        # --------------------------------------------------------- init --
+        with timed_phase(self.phases, "initialization"):
+            self._share_initial_state()
 
-    def __init__(
-        self,
-        program: VertexProgram,
-        config: DStressConfig,
-        backend: str = "scalar",
-    ) -> None:
-        self.backend = check_backend(backend, "SecureEngine")
-        self.program = program
-        self.config = config
-        if program.fmt.total_bits != self.config.fmt.total_bits:
-            raise ConfigurationError("program and config fixed-point formats disagree")
-        self.transfer = PadTransfer(self.config.fmt.total_bits)
+        self.circuits = {
+            bound: compiled_update_circuit(program, bound)
+            for bound in sorted(set(self.vertex_bound.values()))
+        }
+        self.circuit_and_gates = self.circuits[max(self.circuits)].stats().and_gates
+        lanes: Type[GMWEngine] = GMWEngine
+        if self.engine.backend == "bitsliced":
+            # Imported lazily: numpy is an optional dependency and the
+            # default int lanes must keep working without it.
+            from repro.mpc.bitslice import BitslicedGMWEngine
+
+            lanes = BitslicedGMWEngine
+        self.gmw = lanes(config.block_size, ot=SimulatedObliviousTransfer(config.group))
+
+    def run_window(self, state: RunState, rounds: int, first: bool) -> None:
+        self.drive(self._window(rounds, first))
+        state.trajectory = list(self.trajectory)
+
+    def drive(self, events: WindowEvents) -> None:
+        """Consume one window's wire events; in process there is no wire,
+        so the bytes (already metered by the window body) go nowhere."""
+        for _event in events:
+            pass
+
+    def aggregate(self, state: RunState) -> float:
+        """Re-share contribution registers up the aggregation tree and
+        return the simulation-only pre-noise aggregate.
+
+        The tree consumes shared randomness, so it runs once per window;
+        the root block's inputs wait in ``root_inputs`` for :meth:`noise`.
+        """
+        graph = self.graph
+        gmw = self.gmw
+        state_shares = self.state_shares
+        assignment = self.assignment
+        meter = self.meter
+        rng = self.rng
+        bits = self.program.fmt.total_bits
+        register = self.program.aggregate_register
+
+        with timed_phase(self.phases, "aggregation"):
+            plan = _aggregation_plan(graph, self.config, bits)
+            root_members = assignment.blocks[AGGREGATION_BLOCK_ID]
+
+            def reshare_to(
+                share_words: List[int], width: int, src_members: List[int], dst_members: List[int]
+            ) -> List[int]:
+                fresh = reshare_word(share_words, width, len(dst_members), rng)
+                for src in src_members:
+                    for dst in dst_members:
+                        if src != dst:
+                            meter.record_send(src, dst, (width + 7) / 8.0)
+                return fresh
+
+            self.pre_noise_raw = self._raw_aggregate()
+
+            if plan.is_hierarchical:
+                group_width = plan.group_sum_bits
+                group_sum_shares: List[List[int]] = []
+                for group in plan.groups:
+                    # The group's aggregation block: reuse the first member's
+                    # block (already a uniformly random k+1 subset).
+                    group_block = assignment.blocks[group[0]]
+                    circuit = partial_sum_circuit(len(group), bits, group_width)
+                    shared_inputs = {}
+                    for index, v in enumerate(group):
+                        shared_inputs[f"state_{index}"] = reshare_to(
+                            state_shares[v][register], bits, assignment.blocks[v], group_block
+                        )
+                    (result,) = gmw.evaluate_batch(circuit, [shared_inputs], rng)
+                    self._meter_gmw(group_block, result)
+                    group_sum_shares.append(
+                        reshare_to(
+                            result.output_shares["partial_sum"],
+                            group_width,
+                            group_block,
+                            root_members,
+                        )
+                    )
+                self.root_inputs = group_sum_shares
+                self.root_width = group_width
+                self.levels = 2
+            else:
+                self.root_inputs = [
+                    reshare_to(state_shares[v][register], bits, assignment.blocks[v], root_members)
+                    for v in graph.vertex_ids
+                ]
+                self.root_width = bits
+                self.levels = 1
+        return self.pre_noise_raw * self.program.fmt.resolution
+
+    def noise(self, state, pre_noise, epsilon, end):
+        """Root-block noised sum at ``epsilon`` (``None``: the config's
+        one-shot budget): in-MPC geometric sampler, then reveal."""
+        gmw = self.gmw
+        meter = self.meter
+        rng = self.rng
+        root_members = self.assignment.blocks[AGGREGATION_BLOCK_ID]
+
+        with timed_phase(self.phases, "aggregation"):
+            root_circuit, seed_width = _root_circuit(
+                self.program, self.config, len(self.root_inputs), self.root_width, epsilon
+            )
+            shared_inputs = {f"state_{i}": shares for i, shares in enumerate(self.root_inputs)}
+            # Every root member contributes its own uniform word as its share of
+            # the seed; XOR of the shares is the seed, so one honest member
+            # suffices for uniformity (§3.6 "combine the random shares").
+            shared_inputs["seed"] = [
+                rng.fork(f"seed-{m}").randbits(seed_width) for m in root_members
+            ]
+            (result,) = gmw.evaluate_batch(root_circuit, [shared_inputs], rng)
+            self._meter_gmw(root_members, result)
+
+            noised_raw = result.reveal("noised_sum", signed=True)
+            # Revealing the output: every root member publishes its share.
+            out_width = result.bus_widths["noised_sum"]
+            for member in root_members:
+                for other in root_members:
+                    if member != other:
+                        meter.record_send(member, other, (out_width + 7) / 8.0)
+        return noised_raw * self.program.fmt.resolution, noised_raw - self.pre_noise_raw
+
+    def finalize(self, state: RunState, started: float) -> Any:
+        # a secure run always releases, so the lifecycle stamps the released
+        # fields (aggregate / pre-noise / noise / epsilon) from its records
+        from repro.api.result import RunResult
+
+        return RunResult(
+            engine=self.engine.name,
+            program=self.program.name,
+            aggregate=state.releases[-1].value,
+            trajectory=list(self.trajectory),
+            iterations=state.rounds_done,
+            wall_seconds=clock_now() - started,
+            traffic=self.meter,
+            phases=self.phases,
+            extras={
+                "transfer_count": float(self.transfer_count),
+                "gmw_ot_count": float(self.total_ots),
+                "aggregation_levels": float(self.levels),
+            },
+        )
 
     # ------------------------------------------------------------- window --
 
-    def _window(self, ctx: _RunContext, rounds: int, first: bool) -> WindowEvents:
+    def _window(self, rounds: int, first: bool) -> WindowEvents:
         """Advance the §3.6 schedule by ``rounds`` computation steps.
 
         The one window body. It performs the crypto itself, in transcript
         order, and yields what goes on the wire: ``(step, kind,
         link_bytes)`` after each finished block batch, ``None`` at each
-        step boundary. The consumer only decides what happens to those
+        step boundary. :meth:`drive` only decides what happens to those
         bytes — nothing (drain the generator) or a dispatch over the bus
         (:meth:`SecureRoundScheduler.run
         <repro.core.rounds.SecureRoundScheduler.run>`) — so it cannot
@@ -317,132 +499,50 @@ class SecureEngine:
         same total length. Round span numbering continues across windows.
         """
         recorder = current_recorder()
-        base = ctx.steps
+        base = self.steps
         if not first:
             if rounds < 1:
                 raise ConfigurationError(
                     "a resumed window needs at least one computation step"
                 )
             with recorder.span("round", round=base - 1):
-                yield from self._communication_step(ctx, base - 1)
+                yield from self._communication_step(base - 1)
         final = base + (rounds if first else rounds - 1)
+        fmt = self.program.fmt
         for step in range(base, final + 1):
             with recorder.span("round", round=step):
-                with timed_phase(ctx.phases, "computation"):
-                    for batch in self._computation_blocks(ctx):
+                with timed_phase(self.phases, "computation"):
+                    for batch in self._computation_blocks():
                         yield step, "ot", batch
                     yield None
-                ctx.trajectory.append(
-                    self._simulated_aggregate(ctx.graph, ctx.state_shares)
-                )
+                self.trajectory.append(fmt.decode(self._raw_aggregate()))
                 if step < final:  # the final computation step (§3.6) routes nothing
-                    yield from self._communication_step(ctx, step)
-        ctx.steps = final + 1
+                    yield from self._communication_step(step)
+        self.steps = final + 1
 
-    def _communication_step(self, ctx: _RunContext, step: int) -> WindowEvents:
+    def _communication_step(self, step: int) -> WindowEvents:
         """One communication step's transfer batches, then its barrier."""
-        with timed_phase(ctx.phases, "communication"):
-            for batch in self._communication_transfers(ctx, step):
+        with timed_phase(self.phases, "communication"):
+            for batch in self._communication_transfers(step):
                 yield step, "transfer", batch
             yield None
 
-    # --------------------------------------------------------- run phases --
+    # -------------------------------------------------------------- setup --
 
-    def _begin_run(
-        self,
-        graph: DistributedGraph,
-        iterations: int,
-        buckets: Optional[Sequence[int]] = None,
-        phases: Optional[PhaseTimer] = None,
-    ) -> _RunContext:
-        """Setup + initialization (§3.4, §3.6 init): everything before the
-        first computation step.
-
-        ``buckets`` are the §3.7 degree buckets (:meth:`_assign_buckets`).
-        ``phases`` lets a lifecycle driver share one timer between its
-        stage timings and the engine's fine-grained phases; direct callers
-        get a fresh one.
-        """
-        config = self.config
-        program = self.program
-        fmt = program.fmt
-        bits = fmt.total_bits
-        word_bytes = (bits + 7) / 8.0
-        rng = DeterministicRNG(config.seed)
-        meter = TrafficMeter()
-        phases = phases if phases is not None else PhaseTimer()
-        vertex_bound = self._assign_buckets(graph, buckets)
-        bill = run_bill(program, config, graph, iterations, vertex_bound)
-        current_recorder().event(  # on the run span, before any of it is paid
-            "bill", and_gates=bill.and_gates, rounds=bill.and_rounds, ots=bill.ots,
-            transfers=bill.transfers, exponentiations=bill.exponentiations,
-        )
-        slots = list(self._transfer_slots(graph, vertex_bound))
-
-        # ---------------------------------------------------------- setup --
-        with timed_phase(phases, "setup"):
-            deployment = deployment_for(
-                config.group,
-                rng,
-                graph.vertex_ids,
-                graph.degree_bound,
-                config.collusion_bound,
-            )
-            self._setup_blocks(graph, meter)
-            pad_keys = self._agree_keys(deployment, slots, rng, meter, bill)
-
-        # --------------------------------------------------------- init --
-        with timed_phase(phases, "initialization"):
-            state_shares, inbox_shares = self._share_initial_state(
-                graph, config, program, vertex_bound, deployment.assignment, rng,
-                meter, word_bytes,
-            )
-
-        circuits = {
-            bound: compiled_update_circuit(program, bound)
-            for bound in sorted(set(vertex_bound.values()))
-        }
-        lanes: Type[GMWEngine] = GMWEngine
-        if self.backend == "bitsliced":
-            # Imported lazily: numpy is an optional dependency and the
-            # default int lanes must keep working without it.
-            from repro.mpc.bitslice import BitslicedGMWEngine
-
-            lanes = BitslicedGMWEngine
-        gmw = lanes(config.block_size, ot=SimulatedObliviousTransfer(config.group))
-        return _RunContext(
-            graph=graph,
-            iterations=iterations,
-            deployment=deployment,
-            vertex_bound=vertex_bound,
-            circuits=circuits,
-            circuit_and_gates=circuits[max(circuits)].stats().and_gates,
-            gmw=gmw,
-            bill=bill,
-            state_shares=state_shares,
-            inbox_shares=inbox_shares,
-            slots=slots,
-            pad_keys=pad_keys,
-            meter=meter,
-            phases=phases,
-            rng=rng,
-        )
-
-    def _setup_blocks(self, graph: DistributedGraph, meter: TrafficMeter) -> None:
+    def _setup_blocks(self) -> None:
         """The per-run part of §3.4: each node forwards certificate ``slot``
         of its own block to the in-neighbor on that slot. Leftover slots
         stay with the owner (padded self-transfers agree keys under them)."""
         cert_bytes = self.config.block_size * self.config.group.element_size_bytes
-        for view in graph.vertices():
+        for view in self.graph.vertices():
             for neighbor in view.in_neighbors:
-                meter.record_send(view.vertex_id, neighbor, cert_bytes)
+                self.meter.record_send(view.vertex_id, neighbor, cert_bytes)
 
-    def _transfer_slots(
-        self, graph: DistributedGraph, vertex_bound: Dict[int, int]
-    ) -> Iterator[Tuple[Any, List[Slot]]]:
+    def _transfer_slots(self) -> Iterator[Tuple[Any, List[Slot]]]:
         """Each vertex, in vertex order, with the slots it sends on: one per
         out-edge, in route order, then under ``pad_transfers`` one no-op
         self-transfer per unused inbox slot (degree hiding)."""
+        graph = self.graph
         routes: Dict[int, List[Slot]] = {vid: [] for vid in graph.vertex_ids}
         for route in graph.routes():
             routes[route[0]].append(route)
@@ -450,92 +550,60 @@ class SecureEngine:
             slots = routes[view.vertex_id]
             if self.config.pad_transfers:
                 v = view.vertex_id
-                slots += [(v, None, v, slot) for slot in range(view.in_degree, vertex_bound[v])]
+                slots += [
+                    (v, None, v, slot) for slot in range(view.in_degree, self.vertex_bound[v])
+                ]
             yield view, slots
 
-    def _agree_keys(
-        self,
-        deployment: Deployment,
-        slots: List[Tuple[Any, List[Slot]]],
-        rng: DeterministicRNG,
-        meter: TrafficMeter,
-        bill: Bill,
-    ) -> Dict[Tuple[int, int], SlotKeys]:
+    def _agree_keys(self) -> Dict[Tuple[int, int], SlotKeys]:
         """The transfer's per-run setup: one key agreement per transferring
         slot, in transcript order, under the certificate ``v`` forwarded to
         ``u`` for it — ``B_v``'s keys under the neighbor key of the slot
         ``u`` occupies at ``v``."""
+        deployment = self.deployment
         blocks = deployment.assignment.blocks
         keys: Dict[Tuple[int, int], SlotKeys] = {}
-        for _view, sends in slots:
+        for _view, sends in self.slots:
             for u, _out_slot, v, in_slot in sends:
                 keys[v, in_slot] = agree_keys(
                     self.config.group,
                     deployment.certificates[v][in_slot],
                     deployment.neighbor_keys[v][in_slot],
                     [deployment.member_keys[m].secrets[0] for m in blocks[v]],
-                    rng,
+                    self.rng,
                 )
-                _meter_transfer(meter, blocks, bill.agreement, u, v)
+                _meter_transfer(self.meter, blocks, self.bill.agreement, u, v)
         return keys
 
-    def _share_initial_state(
-        self,
-        graph: DistributedGraph,
-        config: DStressConfig,
-        program: VertexProgram,
-        vertex_bound: Dict[int, int],
-        assignment: BlockAssignment,
-        rng: DeterministicRNG,
-        meter: TrafficMeter,
-        word_bytes: float,
-    ) -> Tuple[Dict[int, Dict[str, List[int]]], Dict[int, List[List[int]]]]:
+    def _share_initial_state(self) -> None:
         """§3.6 init: XOR-share every vertex's state and no-op inbox slots."""
+        program = self.program
         fmt = program.fmt
         bits = fmt.total_bits
-        block_size = config.block_size
-        state_shares: Dict[int, Dict[str, List[int]]] = {}
-        inbox_shares: Dict[int, List[List[int]]] = {}
+        block_size = self.config.block_size
+        blocks = self.assignment.blocks
+        rng = self.rng
+        self.state_shares = {}
+        self.inbox_shares = {}
         raw_no_op = fmt.encode(NO_OP_MESSAGE)
-        for view in graph.vertices():
+        for view in self.graph.vertices():
             v = view.vertex_id
-            bound = vertex_bound[v]
+            bound = self.vertex_bound[v]
             initial = program.initial_state(view, bound)
             raw = program.encode_state(initial)
             shares: Dict[str, List[int]] = {}
             for reg in program.state_registers(bound):
                 shares[reg] = share_value(fmt.to_unsigned(raw[reg]), bits, block_size, rng)
-                self._meter_share_distribution(meter, v, assignment.blocks[v], word_bytes)
-            state_shares[v] = shares
-            inbox_shares[v] = []
+                self._meter_share_distribution(v, blocks[v])
+            self.state_shares[v] = shares
+            self.inbox_shares[v] = []
             for _ in range(bound):
-                inbox_shares[v].append(
+                self.inbox_shares[v].append(
                     share_value(fmt.to_unsigned(raw_no_op), bits, block_size, rng)
                 )
-                self._meter_share_distribution(meter, v, assignment.blocks[v], word_bytes)
-        return state_shares, inbox_shares
+                self._meter_share_distribution(v, blocks[v])
 
-    # ------------------------------------------------------------ phases --
-
-    def _simulated_aggregate(self, graph: DistributedGraph, state_shares) -> float:
-        """Reconstruct the pre-noise aggregate (simulation-only diagnostic).
-
-        The harness — not any protocol participant — XORs the shares back
-        together so results can expose a convergence trajectory comparable
-        to the clear engines'.
-        """
-        fmt = self.program.fmt
-        register = self.program.aggregate_register
-        raw = 0
-        for v in graph.vertex_ids:
-            raw += fmt.from_unsigned(
-                reconstruct_value(state_shares[v][register], fmt.total_bits)
-            )
-        return fmt.decode(raw)
-
-    def _assign_buckets(
-        self, graph: DistributedGraph, buckets: Optional[Sequence[int]]
-    ) -> Dict[int, int]:
+    def _assign_buckets(self) -> Dict[int, int]:
         """Map each vertex to its degree bound (§3.7 buckets).
 
         Without buckets every vertex pads to the global degree bound.
@@ -546,9 +614,10 @@ class SecureEngine:
         paper accepts — in exchange for much cheaper MPC steps at
         low-degree vertices.
         """
-        if buckets is None:
+        graph = self.graph
+        if self.buckets is None:
             return {v: graph.degree_bound for v in graph.vertex_ids}
-        bounds = sorted(set(buckets))
+        bounds = sorted(set(self.buckets))
         if not bounds or bounds[-1] < graph.max_degree():
             raise ConfigurationError(
                 "largest bucket must cover the graph's maximum degree"
@@ -561,14 +630,31 @@ class SecureEngine:
             assignment[view.vertex_id] = next(b for b in bounds if b >= degree)
         return assignment
 
-    def _meter_share_distribution(
-        self, meter: TrafficMeter, src: int, members: List[int], word_bytes: float
-    ) -> None:
+    # ------------------------------------------------------------- phases --
+
+    def _raw_aggregate(self) -> int:
+        """The pre-noise aggregate in raw LSBs (simulation-only).
+
+        The harness — not any protocol participant — XORs the shares back
+        together, for the convergence trajectory (comparable to the clear
+        engines') and the released record's pre-noise value.
+        """
+        fmt = self.program.fmt
+        register = self.program.aggregate_register
+        raw = 0
+        for v in self.graph.vertex_ids:
+            raw += fmt.from_unsigned(
+                reconstruct_value(self.state_shares[v][register], fmt.total_bits)
+            )
+        return raw
+
+    def _meter_share_distribution(self, src: int, members: List[int]) -> None:
+        word_bytes = (self.program.fmt.total_bits + 7) / 8.0
         for member in members:
             if member != src:
-                meter.record_send(src, member, word_bytes)
+                self.meter.record_send(src, member, word_bytes)
 
-    def _computation_blocks(self, ctx: _RunContext) -> Iterator[LinkBytes]:
+    def _computation_blocks(self) -> Iterator[LinkBytes]:
         """One §3.6 computation step, block by block.
 
         Evaluates every vertex block's update circuit under GMW
@@ -578,26 +664,34 @@ class SecureEngine:
         link batch per vertex, whichever backend ran, so a driver can
         dispatch block ``b``'s delivery before it asks for block ``b + 1``.
         """
-        meter = ctx.meter
-        for v, result in self._evaluate_blocks(ctx):
-            bound = ctx.vertex_bound[v]
+        meter = self.meter
+        for v, result in self._evaluate_blocks():
+            bound = self.vertex_bound[v]
             registers = self.program.state_registers(bound)
-            ctx.state_shares[v] = {reg: result.output_shares[reg] for reg in registers}
-            ctx.outbox_shares[v] = [
+            self.state_shares[v] = {reg: result.output_shares[reg] for reg in registers}
+            self.outbox_shares[v] = [
                 result.output_shares[f"msg_out_{slot}"] for slot in range(bound)
             ]
-            members = ctx.assignment.blocks[v]
-            link_bytes = self._meter_gmw(meter, members, result)
+            members = self.assignment.blocks[v]
+            link_bytes = self._meter_gmw(members, result)
             for rank, member in enumerate(members):
                 meter.node(member).ot_transfers += result.traffic.sender_ots(rank)
-            ctx.total_ots += result.traffic.ot_count
+            self.total_ots += result.traffic.ot_count
             yield link_bytes
 
-    def _evaluate_blocks(self, ctx: _RunContext) -> Iterator[Tuple[int, GMWResult]]:
+    def _block_inputs(self, v: int) -> Dict[str, List[int]]:
+        """Vertex ``v``'s update-circuit inputs: its state registers plus
+        one ``msg_in_<slot>`` bus per inbox slot, all as block shares."""
+        shared_inputs = dict(self.state_shares[v])
+        for slot, shares in enumerate(self.inbox_shares[v]):
+            shared_inputs[f"msg_in_{slot}"] = shares
+        return shared_inputs
+
+    def _evaluate_blocks(self) -> Iterator[Tuple[int, GMWResult]]:
         """The step's block evaluations: offline, online, then emit.
 
         **Offline** walks the vertices in vertex order — the transcript
-        order — drawing each block's per-gate randomness from ``ctx.rng``
+        order — drawing each block's per-gate randomness from ``rng``
         exactly as a per-gate ``gmw.evaluate`` call would (same forks, same
         bytes), accumulating lane pools per circuit bound. **Online**
         evaluates each bound's vertices as lanes of one RNG-free batch
@@ -606,36 +700,36 @@ class SecureEngine:
         per-link batches handed to the window's consumer follow the
         transcript.
         """
-        gmw = ctx.gmw
-        vertex_ids = ctx.graph.vertex_ids
+        gmw = self.gmw
+        vertex_ids = self.graph.vertex_ids
 
-        with timed_phase(ctx.phases, "gmw-offline"):
+        with timed_phase(self.phases, "gmw-offline"):
             builders: Dict[int, PoolBuilder] = {}
             batch_inputs: Dict[int, List[Dict[str, List[int]]]] = {}
             batch_vertices: Dict[int, List[int]] = {}
             for v in vertex_ids:
-                bound = ctx.vertex_bound[v]
+                bound = self.vertex_bound[v]
                 builder = builders.get(bound)
                 if builder is None:
-                    builder = builders[bound] = gmw.pool_builder(ctx.circuits[bound])
+                    builder = builders[bound] = gmw.pool_builder(self.circuits[bound])
                     batch_inputs[bound] = []
                     batch_vertices[bound] = []
-                builder.add_instance(ctx.rng)
-                batch_inputs[bound].append(ctx.block_inputs(v))
+                builder.add_instance(self.rng)
+                batch_inputs[bound].append(self._block_inputs(v))
                 batch_vertices[bound].append(v)
 
-        with timed_phase(ctx.phases, "gmw-online"):
+        with timed_phase(self.phases, "gmw-online"):
             results: Dict[int, GMWResult] = {}
             for bound, builder in builders.items():
                 batch = gmw.evaluate_batch(
-                    ctx.circuits[bound], batch_inputs[bound], pools=builder.build()
+                    self.circuits[bound], batch_inputs[bound], pools=builder.build()
                 )
                 results.update(zip(batch_vertices[bound], batch))
 
         for v in vertex_ids:
             yield v, results[v]
 
-    def _communication_transfers(self, ctx: _RunContext, step: int) -> Iterator[LinkBytes]:
+    def _communication_transfers(self, step: int) -> Iterator[LinkBytes]:
         """One §3.6 communication step, transfer by transfer.
 
         Moves each slot's shares on the keys agreed at setup (in
@@ -648,143 +742,31 @@ class SecureEngine:
         config = self.config
         fmt = self.program.fmt
         bits = fmt.total_bits
-        blocks = ctx.assignment.blocks
+        blocks = self.assignment.blocks
+        rng = self.rng
         raw_no_op = fmt.to_unsigned(fmt.encode(NO_OP_MESSAGE))
-        for view, sends in ctx.slots:
+        for view, sends in self.slots:
             for u, out_slot, v, in_slot in sends:
                 if out_slot is None:
-                    shares = share_value(raw_no_op, bits, config.block_size, ctx.rng)
+                    shares = share_value(raw_no_op, bits, config.block_size, rng)
                 else:
-                    shares = ctx.outbox_shares[u][out_slot]
-                ctx.inbox_shares[v][in_slot] = self.transfer.execute(
-                    shares, ctx.pad_keys[v, in_slot], step, ctx.rng
+                    shares = self.outbox_shares[u][out_slot]
+                self.inbox_shares[v][in_slot] = self.transfer.execute(
+                    shares, self.pad_keys[v, in_slot], step, rng
                 )
-                ctx.transfer_count += 1
-                yield _meter_transfer(ctx.meter, blocks, ctx.bill.pad, u, v)
+                self.transfer_count += 1
+                yield _meter_transfer(self.meter, blocks, self.bill.pad, u, v)
             if not config.pad_transfers:
                 # Unused inbox slots revert to fresh no-op shares from the
                 # owner (cheap local padding; see DESIGN.md).
                 v = view.vertex_id
-                for slot in range(view.in_degree, ctx.vertex_bound[v]):
-                    ctx.inbox_shares[v][slot] = share_value(
-                        raw_no_op, bits, config.block_size, ctx.rng
+                for slot in range(view.in_degree, self.vertex_bound[v]):
+                    self.inbox_shares[v][slot] = share_value(
+                        raw_no_op, bits, config.block_size, rng
                     )
-                    self._meter_share_distribution(
-                        ctx.meter, v, blocks[v], (bits + 7) / 8.0
-                    )
+                    self._meter_share_distribution(v, blocks[v])
 
-    # -------------------------------------------------------- aggregation --
-
-    def _aggregation_tree(
-        self, ctx: _RunContext
-    ) -> Tuple[List[List[int]], int, int, int]:
-        """Re-share contribution registers up the aggregation tree.
-
-        Returns the root block's input shares, their bit width, the tree
-        depth, and the simulation-only pre-noise aggregate (raw LSBs).
-        """
-        graph = ctx.graph
-        gmw = ctx.gmw
-        state_shares = ctx.state_shares
-        assignment = ctx.assignment
-        meter = ctx.meter
-        rng = ctx.rng
-        config = self.config
-        program = self.program
-        fmt = program.fmt
-        bits = fmt.total_bits
-
-        plan = _aggregation_plan(graph, config, bits)
-        root_members = assignment.blocks[AGGREGATION_BLOCK_ID]
-
-        def reshare_to(
-            share_words: List[int], width: int, src_members: List[int], dst_members: List[int]
-        ) -> List[int]:
-            fresh = reshare_word(share_words, width, len(dst_members), rng)
-            for src in src_members:
-                for dst in dst_members:
-                    if src != dst:
-                        meter.record_send(src, dst, (width + 7) / 8.0)
-            return fresh
-
-        register = program.aggregate_register
-        pre_noise_raw = 0
-        for v in graph.vertex_ids:
-            pre_noise_raw += fmt.from_unsigned(
-                reconstruct_value(state_shares[v][register], bits)
-            )
-
-        if plan.is_hierarchical:
-            group_width = plan.group_sum_bits
-            group_sum_shares: List[List[int]] = []
-            for group in plan.groups:
-                # The group's aggregation block: reuse the first member's
-                # block (already a uniformly random k+1 subset).
-                group_block = assignment.blocks[group[0]]
-                circuit = partial_sum_circuit(len(group), bits, group_width)
-                shared_inputs = {}
-                for index, v in enumerate(group):
-                    shared_inputs[f"state_{index}"] = reshare_to(
-                        state_shares[v][register], bits, assignment.blocks[v], group_block
-                    )
-                (result,) = gmw.evaluate_batch(circuit, [shared_inputs], rng)
-                self._meter_gmw(meter, group_block, result)
-                group_sum_shares.append(
-                    reshare_to(
-                        result.output_shares["partial_sum"],
-                        group_width,
-                        group_block,
-                        root_members,
-                    )
-                )
-            root_inputs = group_sum_shares
-            root_width = group_width
-            levels = 2
-        else:
-            root_inputs = [
-                reshare_to(state_shares[v][register], bits, assignment.blocks[v], root_members)
-                for v in graph.vertex_ids
-            ]
-            root_width = bits
-            levels = 1
-        return root_inputs, root_width, levels, pre_noise_raw
-
-    def _noise_and_reveal(
-        self,
-        ctx: _RunContext,
-        root_inputs: List[List[int]],
-        root_width: int,
-        epsilon: Optional[float] = None,
-    ) -> int:
-        """Root-block noised sum: in-MPC geometric sampler, then reveal."""
-        gmw = ctx.gmw
-        meter = ctx.meter
-        rng = ctx.rng
-        config = self.config
-        program = self.program
-        root_members = ctx.assignment.blocks[AGGREGATION_BLOCK_ID]
-
-        root_circuit, seed_width = _root_circuit(
-            program, config, len(root_inputs), root_width, epsilon
-        )
-        shared_inputs = {f"state_{i}": shares for i, shares in enumerate(root_inputs)}
-        # Every root member contributes its own uniform word as its share of
-        # the seed; XOR of the shares is the seed, so one honest member
-        # suffices for uniformity (§3.6 "combine the random shares").
-        shared_inputs["seed"] = [rng.fork(f"seed-{m}").randbits(seed_width) for m in root_members]
-        (result,) = gmw.evaluate_batch(root_circuit, [shared_inputs], rng)
-        self._meter_gmw(meter, root_members, result)
-
-        noised_raw = result.reveal("noised_sum", signed=True)
-        # Revealing the output: every root member publishes its share.
-        out_width = result.bus_widths["noised_sum"]
-        for member in root_members:
-            for other in root_members:
-                if member != other:
-                    meter.record_send(member, other, (out_width + 7) / 8.0)
-        return noised_raw
-
-    def _meter_gmw(self, meter: TrafficMeter, members: List[int], result) -> LinkBytes:
+    def _meter_gmw(self, members: List[int], result: GMWResult) -> LinkBytes:
         """Attribute a GMW evaluation's wire traffic to the member nodes.
 
         Uses the engine's per-ordered-pair accounting
@@ -794,6 +776,7 @@ class SecureEngine:
         totals by construction) but link-level hot spots become visible
         and the secure-async driver can dispatch the returned map.
         """
+        meter = self.meter
         link_bytes: LinkBytes = {}
         for (i, j), pair_bytes in result.traffic.pair_bytes().items():
             _record_link(meter, link_bytes, members[i], members[j], pair_bytes)

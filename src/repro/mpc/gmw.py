@@ -276,7 +276,7 @@ class GMWEngine:
             raise ProtocolError("GMW needs at least two parties")
         self.num_parties = num_parties
         self.ot = ot if ot is not None else SimulatedObliviousTransfer()
-        # ``pair_bits`` insertion order, which ``SecureEngine._meter_gmw``'s
+        # ``pair_bits`` insertion order, which ``SecureRun._meter_gmw``'s
         # float accumulation iterates: ``(i, j)`` then ``(j, i)``, pair by pair
         n = num_parties
         pairs = [(i, j) for i in range(n) for j in range(n) if i != j]

@@ -69,10 +69,11 @@ from repro.api.session import ResolvedRun, StressTest
 from repro.core.config import available_presets
 from repro.core.graph import DistributedGraph
 from repro.core.lifecycle import MAX_WINDOWS as LIFECYCLE_MAX_WINDOWS
+from repro.core.transport import validate_wan_params
 from repro.mpc.plan import SealedTable
 from repro.privacy.admission import release_epsilon
 from repro.crypto.rng import DeterministicRNG
-from repro.exceptions import DStressError, ScenarioValidationError
+from repro.exceptions import ConfigurationError, DStressError, ScenarioValidationError
 from repro.finance.network import FinancialNetwork
 from repro.finance.scenarios import Shock, apply_shock
 from repro.graphgen import (
@@ -185,6 +186,24 @@ def _str_field(*choices: str) -> Callable[[str, Any], str]:
     return lambda where, value: _require_str(where, value, choices)
 
 
+def _wan_field(param: str, hi: float) -> Callable[[str, Any], float]:
+    """A WAN model override: a bounded number that must also pass
+    :func:`~repro.core.transport.validate_wan_params`, the one rule the
+    config and the bus apply, so no document validates into a config
+    that refuses it."""
+
+    def check(where: str, value: Any) -> float:
+        value = _require_float(where, value, 0.0, hi)
+        params = {"latency_seconds": 0.0, "bandwidth_bytes": None, "jitter": 0.0, param: value}
+        try:
+            validate_wan_params(**params)
+        except ConfigurationError as exc:
+            _fail(f"{where}: {exc}")
+        return value
+
+    return check
+
+
 def _require_int_list(
     where: str, value: Any, lo: int, hi: int, max_length: int
 ) -> Tuple[int, ...]:
@@ -235,8 +254,8 @@ _OVERRIDE_FIELDS.update(
         "noise_precision_bits": _int_field(1, 64),
         "aggregation_fanout": _int_field(2, 1024),
         "pad_transfers": lambda where, value: _require_bool(where, value),
-        "wan_latency_seconds": _float_field(0.0, 10.0),
-        "wan_jitter": _float_field(0.0, 1.0),
+        "wan_latency_seconds": _wan_field("latency_seconds", 10.0),
+        "wan_jitter": _wan_field("jitter", 1.0),
         "seed": _int_field(-(2**62), 2**62),
     }
 )

@@ -330,14 +330,14 @@ class TestPadTransferViews:
         """Key agreement happens before any share exists: the keys two runs
         agree on over different balance sheets (same seed, same topology)
         are the same, so nothing a role sees at setup depends on a value."""
-        from repro.api import engines as api_engines
+        from repro.api.engines import SecureDStressEngine
+        from repro.core.lifecycle import RunState
+        from repro.core.secure_engine import SecureRun
 
         keys = []
         for cash in ([2.0, 1.0, 1.0, 0.5], [50.0, 40.0, 30.0, 20.0]):
             graph = _chain_network(cash).to_en_graph(degree_bound=1)
-            core = api_engines._SecureCore(
-                api_engines.SecureDStressEngine(), EisenbergNoeProgram(FMT), graph, _config()
-            )
-            ctx = core.inner._begin_run(graph, 1)
-            keys.append(ctx.pad_keys)
+            run = SecureRun(SecureDStressEngine(), EisenbergNoeProgram(FMT), graph, _config())
+            run.setup(RunState(engine="secure", program="eisenberg-noe", windows=[1]))
+            keys.append(run.pad_keys)
         assert keys[0] == keys[1] and len(keys[0]) == 3

@@ -9,9 +9,8 @@ from conftest import execute
 
 from repro import StressTest
 from repro.api.cache import run_fingerprint
-from repro.api.engines import _SecureCore
 from repro.core.config import DStressConfig
-from repro.core.secure_engine import run_bill
+from repro.core.secure_engine import SecureRun, run_bill
 from repro.crypto.group import TOY_GROUP_64
 from repro.exceptions import ConfigurationError
 from repro.finance import Bank, EisenbergNoeProgram, FinancialNetwork
@@ -61,14 +60,14 @@ def config(**overrides):
 def secure_run(iterations, buckets=None, backend="scalar", pad_transfers=False):
     """One secure run on the hub graph and the lifecycle core that ran it."""
     seen = []
-    setup = _SecureCore.setup
+    setup = SecureRun.setup
 
     def spy(core, state):
         setup(core, state)
         seen.append(core)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_SecureCore, "setup", spy)
+        patch.setattr(SecureRun, "setup", spy)
         result = execute(
             "secure",
             PROGRAM,
@@ -110,12 +109,11 @@ class TestBuckets:
         """OTs, transfers and AND gates are what the bill prices at each
         vertex's bucket bound."""
         result, core = secure_run(2, (1, 3), backend, pad_transfers)
-        ctx = core.ctx
-        assert set(ctx.vertex_bound.values()) == {1, 3}
-        bill = run_bill(PROGRAM, core.config, GRAPH, 2, vertex_bound=ctx.vertex_bound)
-        assert result.extras["gmw_ot_count"] == ctx.total_ots == bill.ots
-        assert result.extras["transfer_count"] == ctx.transfer_count == bill.transfers
-        assert ctx.circuit_and_gates == bill.and_gates
+        assert set(core.vertex_bound.values()) == {1, 3}
+        bill = run_bill(PROGRAM, core.config, GRAPH, 2, vertex_bound=core.vertex_bound)
+        assert result.extras["gmw_ot_count"] == core.total_ots == bill.ots
+        assert result.extras["transfer_count"] == core.transfer_count == bill.transfers
+        assert core.circuit_and_gates == bill.and_gates
 
     def test_buckets_reduce_ot_count(self):
         """Low-degree vertices run the small circuit: fewer OTs overall."""
@@ -144,7 +142,7 @@ class TestBuckets:
         """Padding interacts with buckets: each vertex pads to its own
         bucket bound, not the global one."""
         result, core = secure_run(1, (1, 3), pad_transfers=True)
-        bill = run_bill(PROGRAM, core.config, GRAPH, 1, vertex_bound=core.ctx.vertex_bound)
+        bill = run_bill(PROGRAM, core.config, GRAPH, 1, vertex_bound=core.vertex_bound)
         # the hub pads to 3, every other vertex to 1
         assert result.extras["transfer_count"] == bill.transfers == 3 + 4 * 1
         oracle = execute("fixed", PROGRAM, GRAPH, 1)

@@ -20,8 +20,8 @@ from test_engine_parity_matrix import SECURE_VARIANTS, _small_scale_free
 from test_lifecycle import make_network
 
 from repro import DStressConfig, Scenario, StressTest
-from repro.api import engines as api_engines
 from repro.core import setup as core_setup
+from repro.core.secure_engine import SecureRun
 from repro.core.setup import (
     DEPLOYMENTS,
     BlockAssignment,
@@ -83,15 +83,15 @@ def observe(test, monkeypatch):
     """Everything a run shows the outside, plus the next 64 bytes of its
     protocol generator (drawn after the run is over)."""
     seen = {}
-    finalize = api_engines._SecureCore.finalize
+    finalize = SecureRun.finalize
 
     def spy(core, state, started):
         result = finalize(core, state, started)
-        seen["rng"] = core.ctx.rng.randbytes(64)
+        seen["rng"] = core.rng.randbytes(64)
         return result
 
     with monkeypatch.context() as patch:
-        patch.setattr(api_engines._SecureCore, "finalize", spy)
+        patch.setattr(SecureRun, "finalize", spy)
         result = test.run(iterations=ITERATIONS)
     return {
         "released": released(result),

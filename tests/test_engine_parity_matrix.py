@@ -37,12 +37,11 @@ from contextlib import contextmanager
 import pytest
 
 from repro import StressTest
-from repro.api.engines import _SecureCore
 from repro.core import engine as engine_module
 from repro.core.engine import plaintext_loop
 from repro.core.program import VertexProgram
 from repro.core.rounds import ColumnLoop, RoundLoop, sequential_superstep
-from repro.core.secure_engine import run_bill
+from repro.core.secure_engine import SecureRun, run_bill
 from repro.core.transport import InMemoryTransport
 from repro.mpc.bitslice import HAVE_NUMPY
 from repro.crypto.rng import DeterministicRNG
@@ -320,26 +319,25 @@ def secure_cores():
     transfers its OT backend recorded by the end of the rounds (the
     aggregation tree then evaluates more circuits on the same backend)."""
     seen = []
-    aggregate = _SecureCore.aggregate
+    aggregate = SecureRun.aggregate
 
     def spy(core, state):
-        seen.append((core, core.ctx.gmw.ot.stats.transfers))
+        seen.append((core, core.gmw.ot.stats.transfers))
         return aggregate(core, state)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_SecureCore, "aggregate", spy)
+        patch.setattr(SecureRun, "aggregate", spy)
         yield seen
 
 
 def assert_counters_equal_bill(result, seen):
     """One secure run's counters against its bill, line by line."""
     ((core, ot_transfers),) = seen
-    ctx = core.ctx
     bill = run_bill(core.program, core.config, core.graph, SECURE_ITERATIONS)
     assert bill.ots > 0 and bill.transfers > 0
-    assert result.extras["gmw_ot_count"] == ctx.total_ots == ot_transfers == bill.ots
-    assert result.extras["transfer_count"] == ctx.transfer_count == bill.transfers
-    assert ctx.circuit_and_gates == bill.and_gates
+    assert result.extras["gmw_ot_count"] == core.total_ots == ot_transfers == bill.ots
+    assert result.extras["transfer_count"] == core.transfer_count == bill.transfers
+    assert core.circuit_and_gates == bill.and_gates
     assert result.traffic.summary()["total_exponentiations"] == bill.exponentiations
 
 

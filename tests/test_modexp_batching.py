@@ -43,7 +43,7 @@ from hypothesis import strategies as st
 from conftest import scale
 
 from repro import DStressConfig, StressTest
-from repro.api import engines as api_engines
+from repro.core.secure_engine import SecureRun
 from repro.core.setup import TrustedParty
 from repro.crypto.ec import P384
 from repro.crypto.elgamal import CountingGroup, ExponentialElGamal
@@ -455,14 +455,14 @@ def observe(group_name: str, engine_name: str, monkeypatch) -> dict:
         "demo", seed=GOLDEN_SEED, output_epsilon=0.5, group=GOLDEN_GROUPS[group_name]
     )
     seen = {}
-    finalize = api_engines._SecureCore.finalize
+    finalize = SecureRun.finalize
 
     def spy(core, state, started):
-        rng = core.ctx.rng
+        rng = core.rng
         seen["rng"] = [rng._counter, len(rng._buffer)]
         return finalize(core, state, started)
 
-    monkeypatch.setattr(api_engines._SecureCore, "finalize", spy)
+    monkeypatch.setattr(SecureRun, "finalize", spy)
     result = (
         StressTest(four_bank_network())
         .program("eisenberg-noe")

@@ -26,9 +26,11 @@ import repro.mpc.circuit as circuit_module
 import repro.mpc.plan as plan_module
 from repro import Bank, FinancialNetwork, PrivacyAccountant, Scenario, StressTest
 from repro.api.cache import ScenarioCache, run_fingerprint
+from repro.api.engines import SecureDStressEngine
 from repro.core.config import DStressConfig
+from repro.core.lifecycle import RunState
 from repro.core.program import compiled_update_circuit, program_token
-from repro.core.secure_engine import SecureEngine
+from repro.core.secure_engine import SecureRun
 from repro.core.tokens import Unfingerprintable
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import CircuitError
@@ -524,13 +526,13 @@ class TestRunsSharePlans:
         graph = _network().to_en_graph(degree_bound=2)
         tails = {}
         for backend in ("scalar", "bitsliced"):
-            engine = SecureEngine(program, config, backend=backend)
-            ctx = engine._begin_run(graph, 1, None)
-            for _event in engine._window(ctx, 1, first=True):
-                pass
-            root_inputs, width, levels, pre_noise = engine._aggregation_tree(ctx)
-            released = (engine._noise_and_reveal(ctx, root_inputs, width), pre_noise, levels)
-            tails[backend] = (released, ctx.rng.randbytes(32))
+            run = SecureRun(SecureDStressEngine(backend=backend), program, graph, config)
+            state = RunState(engine="secure", program=program.name, windows=[1])
+            run.setup(state)
+            run.run_window(state, 1, first=True)
+            pre_noise = run.aggregate(state)
+            released = (run.noise(state, pre_noise, None, 1), run.pre_noise_raw, run.levels)
+            tails[backend] = (released, run.rng.randbytes(32))
         assert tails["scalar"] == tails["bitsliced"]
 
 

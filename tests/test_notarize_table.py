@@ -187,10 +187,8 @@ class TestRefusals:
         "overrides, words",
         [
             ({}, "would exceed out-degree bound"),
-            # the config is resolved before the graph: its fault is the one named
-            ({"wan_jitter": 1.0, "collusion_bound": 4}, "WAN jitter"),
         ],
-        ids=["graph-fault", "config-and-graph-fault"],
+        ids=["graph-fault"],
     )
     def test_a_refused_build_words_its_refusal_as_the_cold_resolve_does(
         self, overrides, words

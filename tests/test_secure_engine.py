@@ -17,7 +17,8 @@ import pytest
 from conftest import execute
 
 from repro.core.config import DStressConfig
-from repro.core.secure_engine import SecureEngine
+from repro.api.engines import SecureDStressEngine
+from repro.core.secure_engine import SecureRun
 from repro.crypto.group import TOY_GROUP_64
 from repro.exceptions import ConfigurationError, PrivacyBudgetExceeded
 from repro.finance import EisenbergNoeProgram, ElliottGolubJacksonProgram
@@ -162,11 +163,12 @@ class TestPrivacyStructure:
 
 
 class TestConfiguration:
-    def test_format_mismatch_rejected(self):
+    def test_format_mismatch_rejected(self, small_en_network):
         program = EisenbergNoeProgram(FixedPointFormat(16, 8))
         config = make_config(fmt=FixedPointFormat(12, 6))
+        graph = small_en_network.to_en_graph(degree_bound=2)
         with pytest.raises(ConfigurationError):
-            SecureEngine(program, config)
+            SecureRun(SecureDStressEngine(), program, graph, config)
 
     def test_invalid_configs(self):
         with pytest.raises(ConfigurationError):
@@ -187,11 +189,14 @@ class TestConfiguration:
         scale_lsb = 10.0 / (0.5 / 256)
         assert (1 << bits) >= 8 * scale_lsb
 
-    @pytest.mark.parametrize("field", ["dlog_half_width", "edge_noise_alpha"])
+    @pytest.mark.parametrize(
+        "field", ["dlog_half_width", "edge_noise_alpha", "noise_magnitude_bits"]
+    )
     @pytest.mark.parametrize("entry", ["demo", "paper", "production", "with_updates"])
     def test_the_transfer_has_no_dlog_window_or_edge_noise(self, entry, field):
-        """The pad transfer decrypts no sum and adds no noise, so neither
-        knob exists: naming one is the typed unknown-field error."""
+        """The pad transfer decrypts no sum and adds no noise, and the
+        output sampler's magnitude follows from its budget, so none of these
+        knobs exists: naming one is the typed unknown-field error."""
         with pytest.raises(ConfigurationError, match=field):
             if entry == "with_updates":
                 DStressConfig.preset("demo").with_updates(**{field: 2})

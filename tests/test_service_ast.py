@@ -95,6 +95,7 @@ class TestValidation:
             {"overrides": {"fmt": "anything"}},
             {"overrides": {"output_epsilon": -1.0}},
             {"overrides": {"pad_transfers": 1}},
+            {"overrides": {"wan_jitter": 1.0}},
             {"epsilon": float("nan")},
             {"epsilon": -0.1},
             {"iterations": 0},
