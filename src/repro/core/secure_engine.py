@@ -28,9 +28,11 @@ reports corresponds to a protocol message of the real deployment.
 One run, one object: :class:`SecureRun` is the lifecycle core whose
 stages are the protocol's and whose attributes are the run's state. Its
 window body is a plain generator that performs every crypto operation of
-a round window itself, in one fixed order (every :meth:`~repro.crypto.rng.DeterministicRNG.fork`
-consumes parent stream, so the order of crypto work *is* the transcript —
-reordering it would change every share), and yields what each finished
+a round window itself, in one fixed order (setup, the shares and the
+transfers read the run's one sequential stream, so their order *is* the
+transcript; every GMW evaluation reads a stream derived by its step and
+vertex, or by its release and aggregation group, which no order moves),
+and yields what each finished
 block batch — a GMW evaluation's OT-extension bits, a transfer's
 masked words — puts on the wire. ``engine="secure"`` drains it with a
 ``for`` loop (:meth:`SecureRun.drive`); ``secure-async`` overrides only
@@ -63,7 +65,7 @@ from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import ConfigurationError
 from repro.mpc.circuit import Circuit
 from repro.mpc.cost import Bill, TransferLines, bill_for
-from repro.mpc.gmw import GMWEngine, GMWResult, PoolBuilder
+from repro.mpc.gmw import GMWEngine, GMWResult, LanePools
 from repro.mpc.noise_circuit import geometric_bits_seed_width
 from repro.mpc.plan import noised_sum_bits_circuit, partial_sum_circuit
 from repro.obs.clock import now as clock_now
@@ -157,6 +159,28 @@ def _root_circuit(
     return circuit, geometric_bits_seed_width(magnitude_bits, config.noise_precision_bits)
 
 
+def _release_circuits(
+    program: VertexProgram,
+    config: DStressConfig,
+    graph: DistributedGraph,
+    epsilon: Optional[float],
+) -> List[Circuit]:
+    """What one release evaluates, each circuit once, in order: the
+    aggregation tree's partial sum per group (hierarchical plans only),
+    then the root block's noised sum at ``epsilon``."""
+    bits = program.fmt.total_bits
+    plan = _aggregation_plan(graph, config, bits)
+    circuits: List[Circuit] = []
+    root_inputs = graph.num_vertices
+    if plan.is_hierarchical:
+        circuits = [
+            partial_sum_circuit(len(group), bits, plan.group_sum_bits) for group in plan.groups
+        ]
+        root_inputs = len(plan.groups)
+    circuits.append(_root_circuit(program, config, root_inputs, plan.root_input_bits, epsilon)[0])
+    return circuits
+
+
 def compile_secure_plans(
     program: VertexProgram,
     config: DStressConfig,
@@ -175,7 +199,6 @@ def compile_secure_plans(
     :meth:`SecureRun.setup` and :meth:`SecureRun.aggregate`, which then
     hit the tables.
     """
-    bits = program.fmt.total_bits
     deployment_for(
         config.group,
         DeterministicRNG(config.seed),
@@ -184,14 +207,8 @@ def compile_secure_plans(
         config.collusion_bound,
     )
     compiled_update_circuit(program, graph.degree_bound)
-    plan = _aggregation_plan(graph, config, bits)
-    root_inputs = graph.num_vertices
-    if plan.is_hierarchical:
-        for size in sorted({len(group) for group in plan.groups}):
-            partial_sum_circuit(size, bits, plan.group_sum_bits)
-        root_inputs = len(plan.groups)
     for epsilon in epsilons:
-        _root_circuit(program, config, root_inputs, plan.root_input_bits, epsilon)
+        _release_circuits(program, config, graph, epsilon)
 
 
 def run_bill(
@@ -200,12 +217,15 @@ def run_bill(
     graph: DistributedGraph,
     iterations: int,
     vertex_bound: Optional[Dict[int, int]] = None,
+    epsilons: Sequence[Optional[float]] = (None,),
 ) -> Bill:
     """The bill of ``iterations`` rounds: ``iterations + 1`` computation
     steps of every vertex's update circuit at its §3.7 bound (default: the
     degree bound), one key agreement at setup per transferring slot — each
     edge, or each inbox slot under ``pad_transfers`` — and ``iterations``
-    communication steps of one transfer per such slot."""
+    communication steps of one transfer per such slot. Its ``mask_bytes``
+    also count one release per entry of ``epsilons`` (``None``: the
+    config's one-shot budget), aggregation tree and noised sum."""
     if vertex_bound is None:
         vertex_bound = {v: graph.degree_bound for v in graph.vertex_ids}
     stats = {b: compiled_update_circuit(program, b).stats() for b in set(vertex_bound.values())}
@@ -219,6 +239,11 @@ def run_bill(
         message_bits=program.fmt.total_bits,
         element_bytes=config.group.element_size_bytes,
         ot_bytes=SimulatedObliviousTransfer(config.group).and_gate_bytes(),
+        releases=[
+            circuit.stats()
+            for epsilon in epsilons
+            for circuit in _release_circuits(program, config, graph, epsilon)
+        ],
     )
 
 
@@ -310,11 +335,13 @@ class SecureRun(LifecycleCore):
         self.phases = state.phases
         self.vertex_bound = self._assign_buckets()
         self.bill = bill = run_bill(
-            program, config, graph, sum(state.windows), self.vertex_bound
+            program, config, graph, sum(state.windows), self.vertex_bound,
+            self.engine.release_policy.epsilon_schedule(config),
         )
         current_recorder().event(  # on the run span, before any of it is paid
             "bill", and_gates=bill.and_gates, rounds=bill.and_rounds, ots=bill.ots,
             transfers=bill.transfers, exponentiations=bill.exponentiations,
+            mask_bytes=bill.mask_bytes,
         )
         self.slots = list(self._transfer_slots())
 
@@ -364,6 +391,8 @@ class SecureRun(LifecycleCore):
 
         The tree consumes shared randomness, so it runs once per window;
         the root block's inputs wait in ``root_inputs`` for :meth:`noise`.
+        Group ``g``'s partial sum reads ``rng.derive("gmw-aggregate",
+        window, g)``.
         """
         graph = self.graph
         gmw = self.gmw
@@ -393,17 +422,18 @@ class SecureRun(LifecycleCore):
             if plan.is_hierarchical:
                 group_width = plan.group_sum_bits
                 group_sum_shares: List[List[int]] = []
-                for group in plan.groups:
+                for index, group in enumerate(plan.groups):
                     # The group's aggregation block: reuse the first member's
                     # block (already a uniformly random k+1 subset).
                     group_block = assignment.blocks[group[0]]
                     circuit = partial_sum_circuit(len(group), bits, group_width)
                     shared_inputs = {}
-                    for index, v in enumerate(group):
-                        shared_inputs[f"state_{index}"] = reshare_to(
+                    for position, v in enumerate(group):
+                        shared_inputs[f"state_{position}"] = reshare_to(
                             state_shares[v][register], bits, assignment.blocks[v], group_block
                         )
-                    (result,) = gmw.evaluate_batch(circuit, [shared_inputs], rng)
+                    pools = self._pools(circuit, [rng.derive("gmw-aggregate", state.window, index)])
+                    (result,) = gmw.evaluate_batch(circuit, [shared_inputs], pools=pools)
                     self._meter_gmw(group_block, result)
                     group_sum_shares.append(
                         reshare_to(
@@ -427,7 +457,9 @@ class SecureRun(LifecycleCore):
 
     def noise(self, state, pre_noise, epsilon, end):
         """Root-block noised sum at ``epsilon`` (``None``: the config's
-        one-shot budget): in-MPC geometric sampler, then reveal."""
+        one-shot budget): in-MPC geometric sampler, then reveal. The seed
+        shares come off the run's sequential stream; the evaluation reads
+        ``rng.derive("gmw-noise", window)``."""
         gmw = self.gmw
         meter = self.meter
         rng = self.rng
@@ -444,7 +476,8 @@ class SecureRun(LifecycleCore):
             shared_inputs["seed"] = [
                 rng.fork(f"seed-{m}").randbits(seed_width) for m in root_members
             ]
-            (result,) = gmw.evaluate_batch(root_circuit, [shared_inputs], rng)
+            pools = self._pools(root_circuit, [rng.derive("gmw-noise", state.window)])
+            (result,) = gmw.evaluate_batch(root_circuit, [shared_inputs], pools=pools)
             self._meter_gmw(root_members, result)
 
             noised_raw = result.reveal("noised_sum", signed=True)
@@ -512,7 +545,7 @@ class SecureRun(LifecycleCore):
         for step in range(base, final + 1):
             with recorder.span("round", round=step):
                 with timed_phase(self.phases, "computation"):
-                    for batch in self._computation_blocks():
+                    for batch in self._computation_blocks(step):
                         yield step, "ot", batch
                     yield None
                 self.trajectory.append(fmt.decode(self._raw_aggregate()))
@@ -654,7 +687,7 @@ class SecureRun(LifecycleCore):
             if member != src:
                 self.meter.record_send(src, member, word_bytes)
 
-    def _computation_blocks(self) -> Iterator[LinkBytes]:
+    def _computation_blocks(self, step: int) -> Iterator[LinkBytes]:
         """One §3.6 computation step, block by block.
 
         Evaluates every vertex block's update circuit under GMW
@@ -665,7 +698,7 @@ class SecureRun(LifecycleCore):
         dispatch block ``b``'s delivery before it asks for block ``b + 1``.
         """
         meter = self.meter
-        for v, result in self._evaluate_blocks():
+        for v, result in self._evaluate_blocks(step):
             bound = self.vertex_bound[v]
             registers = self.program.state_registers(bound)
             self.state_shares[v] = {reg: result.output_shares[reg] for reg in registers}
@@ -687,13 +720,11 @@ class SecureRun(LifecycleCore):
             shared_inputs[f"msg_in_{slot}"] = shares
         return shared_inputs
 
-    def _evaluate_blocks(self) -> Iterator[Tuple[int, GMWResult]]:
+    def _evaluate_blocks(self, step: int) -> Iterator[Tuple[int, GMWResult]]:
         """The step's block evaluations: offline, online, then emit.
 
-        **Offline** walks the vertices in vertex order — the transcript
-        order — drawing each block's per-gate randomness from ``rng``
-        exactly as a per-gate ``gmw.evaluate`` call would (same forks, same
-        bytes), accumulating lane pools per circuit bound. **Online**
+        **Offline** (:meth:`_offline_batches`) builds one lane pool per
+        circuit bound from each vertex's derived stream. **Online**
         evaluates each bound's vertices as lanes of one RNG-free batch
         (int lanes or numpy words, by backend). Results are emitted vertex
         by vertex, so state updates, traffic accumulation order, and the
@@ -702,32 +733,52 @@ class SecureRun(LifecycleCore):
         """
         gmw = self.gmw
         vertex_ids = self.graph.vertex_ids
-
         with timed_phase(self.phases, "gmw-offline"):
-            builders: Dict[int, PoolBuilder] = {}
-            batch_inputs: Dict[int, List[Dict[str, List[int]]]] = {}
-            batch_vertices: Dict[int, List[int]] = {}
-            for v in vertex_ids:
-                bound = self.vertex_bound[v]
-                builder = builders.get(bound)
-                if builder is None:
-                    builder = builders[bound] = gmw.pool_builder(self.circuits[bound])
-                    batch_inputs[bound] = []
-                    batch_vertices[bound] = []
-                builder.add_instance(self.rng)
-                batch_inputs[bound].append(self._block_inputs(v))
-                batch_vertices[bound].append(v)
+            batches = self._offline_batches(step, vertex_ids)
 
         with timed_phase(self.phases, "gmw-online"):
             results: Dict[int, GMWResult] = {}
-            for bound, builder in builders.items():
-                batch = gmw.evaluate_batch(
-                    self.circuits[bound], batch_inputs[bound], pools=builder.build()
-                )
-                results.update(zip(batch_vertices[bound], batch))
+            for bound, (vertices, pools) in batches.items():
+                inputs = [self._block_inputs(v) for v in vertices]
+                batch = gmw.evaluate_batch(self.circuits[bound], inputs, pools=pools)
+                results.update(zip(vertices, batch))
 
         for v in vertex_ids:
             yield v, results[v]
+
+    def _offline_batches(
+        self, step: int, vertices: Sequence[int]
+    ) -> Dict[int, Tuple[List[int], LanePools]]:
+        """Each circuit bound's vertices, in the order given, with their
+        pool. Vertex ``v`` reads ``rng.derive("gmw", step, v)`` and
+        nothing else, so the pools do not depend on the order."""
+        by_bound: Dict[int, List[int]] = {}
+        for v in vertices:
+            by_bound.setdefault(self.vertex_bound[v], []).append(v)
+        return {
+            bound: (
+                members,
+                self._pools(
+                    self.circuits[bound], [self.rng.derive("gmw", step, v) for v in members]
+                ),
+            )
+            for bound, members in by_bound.items()
+        }
+
+    def _pools(self, circuit: Circuit, streams: Sequence[DeterministicRNG]) -> LanePools:
+        """One GMW batch's offline phase, one instance per stream; a traced
+        run counts its mask bytes (``gmw.mask_bytes``) and its seconds
+        (``gmw.offline_s``)."""
+        started = clock_now()
+        builder = self.gmw.pool_builder(circuit)
+        for stream in streams:
+            builder.add_instance(stream)
+        pools = builder.build()
+        recorder = current_recorder()
+        if recorder.enabled:
+            recorder.metrics.inc("gmw.mask_bytes", builder.mask_bytes)
+            recorder.metrics.observe("gmw.offline_s", clock_now() - started)
+        return pools
 
     def _communication_transfers(self, step: int) -> Iterator[LinkBytes]:
         """One §3.6 communication step, transfer by transfer.

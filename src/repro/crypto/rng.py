@@ -4,8 +4,15 @@ All randomness in the library flows through :class:`DeterministicRNG`, a
 SHA-256 counter-mode deterministic random bit generator. Determinism matters
 here: the whole point of the reproduction is that experiments are replayable,
 so every protocol component takes an explicit RNG instead of reaching for
-global entropy. Independent sub-streams are derived by label so that, e.g.,
-each simulated node owns an independent generator.
+global entropy.
+
+Sub-streams come two ways. :meth:`DeterministicRNG.fork` consumes 32
+bytes of the parent stream, so the order of forks is part of the
+transcript. :meth:`DeterministicRNG.derive` keys a generator by the
+parent's key and a tuple of labels (a role, a step, a vertex, …) and
+leaves the parent's position alone, so a derived stream is the same
+whatever was read before it: the secure engine keys every GMW
+evaluation's masks this way, one stream per (step, vertex).
 
 This is a *simulation* DRBG: it is uniform and unpredictable enough for
 protocol correctness experiments, but no security claims are made about seed
@@ -138,6 +145,27 @@ class DeterministicRNG:
         if not population:
             raise ValueError("cannot choose from an empty sequence")
         return population[self.randbelow(len(population))]
+
+    def derive(self, *labels: str | int | bytes) -> "DeterministicRNG":
+        """A generator keyed by this one's key and ``labels``, read off
+        nothing: the parent's position does not move, and equal labels
+        under equal keys give equal streams wherever the parent stands.
+
+        Each label is encoded with its type and length, so ``("ab", "c")``
+        and ``("a", "bc")`` differ, as do ``1`` and ``"1"``.
+        """
+        material = [self._key, b"|derive"]
+        for label in labels:
+            if isinstance(label, int):
+                tag, body = b"i", label.to_bytes((label.bit_length() + 8) // 8, "big", signed=True)
+            elif isinstance(label, str):
+                tag, body = b"s", label.encode("utf-8")
+            elif isinstance(label, bytes):
+                tag, body = b"b", label
+            else:
+                raise TypeError(f"cannot derive a stream from a {type(label).__name__} label")
+            material += [tag, _pack_counter(len(body)), body]
+        return DeterministicRNG(b"".join(material))
 
     def fork(self, label: str | int) -> "DeterministicRNG":
         """Derive an independent sub-stream keyed by ``label``.

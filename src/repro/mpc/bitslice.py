@@ -20,14 +20,17 @@ AND, one in-place XOR onto the round's pre-placed masks). The slots hold
 on the way in and out, because in that form a 1-out-of-4 AND's share
 update is one AND of the operands.
 
-**Offline/online split.** The offline reads are
-:class:`~repro.mpc.gmw.PoolBuilder`'s — the same forks and bytes the
-per-gate oracle reads. :class:`OfflinePoolBuilder` only builds them into
-numpy pools: ``np.unpackbits`` turns every instance's packed mask read
-into the mask cube. Pools are indexed by AND-gate *ordinal* in gate-list
-order, so the online phase may evaluate the gates in stage order while
-every gate consumes the same random bits as in the oracle; the online
-phase touches no RNG at all.
+**Offline/online split.** The offline reads and folds are
+:class:`~repro.mpc.gmw.PoolBuilder`'s — per instance the key and the
+per-pair keyed columns the per-gate oracle reads, folded into each
+party's prefix seed (the XOR of the columns ``(i, j)`` with ``i <= p <
+j``). :class:`OfflinePoolBuilder` only lays the folds out as numpy
+words: one ``np.unpackbits`` of every instance's folds, one transpose to
+``(ands, n, lanes)`` in the schedule's AND order, one
+:func:`pack_lane_axis`. A gate's bits are picked by its *ordinal* in
+gate-list order, so the online phase evaluates the gates in stage order
+while every gate consumes the same random bits as in the oracle; it
+copies the seeds into the AND slots as they are and touches no RNG.
 
 **Compile once.** Everything derived from the gate list — statistics and
 the stage schedule with its index vectors — is built by
@@ -43,18 +46,13 @@ stdlib); constructing :class:`BitslicedGMWEngine` without it raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.crypto.ot import ObliviousTransfer
 from repro.crypto.rng import DeterministicRNG
-from repro.exceptions import (
-    ConfigurationError,
-    OfflinePoolExhaustedError,
-    ProtocolError,
-)
+from repro.exceptions import ConfigurationError, ProtocolError
 from repro.mpc.circuit import Circuit
-from repro.mpc.gmw import GMWEngine, GMWResult, PoolBuilder, mask_stream_bytes
+from repro.mpc.gmw import GMWEngine, GMWResult, LanePools, PoolBuilder
 
 try:  # pragma: no cover - exercised implicitly by every import site
     import numpy as np
@@ -69,7 +67,6 @@ __all__ = [
     "LANE_BITS",
     "BitslicedGMWEngine",
     "OfflinePoolBuilder",
-    "OfflinePools",
     "lane_words",
     "pack_bits",
     "pack_lane_axis",
@@ -112,21 +109,21 @@ def pack_lane_axis(bits: "np.ndarray") -> "np.ndarray":
     """Pack the last axis (one entry per lane, values 0/1) into uint64
     words; shape ``(..., L)`` becomes ``(..., lane_words(L))``.
 
-    ``np.packbits`` does the bit gathering in C, eight lanes to the byte,
-    least-significant lane first; the bytes are zero-padded to whole words
-    (the canonical tail-zero form) and viewed as explicitly little-endian
-    ``uint64``, so lane ``l`` is bit ``l % 64`` of word ``l // 64`` on any
-    host. Needs numpy >= 1.17 (``bitorder=``).
+    The lanes are zero-padded to whole words (the canonical tail-zero
+    form); ``np.packbits`` then does the bit gathering in C, eight lanes
+    to the byte, least-significant lane first, and the bytes are viewed as
+    explicitly little-endian ``uint64``, so lane ``l`` is bit ``l % 64``
+    of word ``l // 64`` on any host. Needs numpy >= 1.17 (``bitorder=``).
     """
     require_numpy("lane packing")
     bits = np.asarray(bits)
-    packed = np.packbits(bits, axis=-1, bitorder="little")
-    padded = np.zeros(
-        bits.shape[:-1] + (lane_words(bits.shape[-1]) * (LANE_BITS // 8),),
-        dtype=np.uint8,
-    )
-    padded[..., : packed.shape[-1]] = packed
-    return padded.view("<u8")
+    lanes = bits.shape[-1]
+    width = lane_words(lanes) * LANE_BITS
+    if lanes != width:
+        padded = np.zeros(bits.shape[:-1] + (width,), dtype=bits.dtype)
+        padded[..., :lanes] = bits
+        bits = padded
+    return np.packbits(bits, axis=-1, bitorder="little").view("<u8")
 
 
 def unpack_lane_axis(words: "np.ndarray", count: int) -> "np.ndarray":
@@ -160,75 +157,32 @@ def unpack_bits(words: "np.ndarray", count: int) -> List[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class OfflinePools:
-    """Lane-packed per-AND-gate randomness for a batch of instances.
-
-    ``ot_masks[g, i, j]`` holds, for AND ordinal ``g``, the mask bit party
-    ``i`` drew as OT *sender* toward receiver ``j > i`` (zero on and below
-    the diagonal), one lane per instance. A pool is single-use: the online
-    phase takes all of it at once, in its schedule's gate order, and a
-    second take raises :class:`OfflinePoolExhaustedError`.
-    """
-
-    num_parties: int
-    num_instances: int
-    and_gates: int
-    ot_masks: "np.ndarray"  # (and_gates, n, n, words)
-    consumed: bool = False
-
-    @property
-    def remaining(self) -> int:
-        """AND gates whose randomness has not been consumed yet."""
-        return 0 if self.consumed else self.and_gates
-
-    def take_ot(self, ordinals: "np.ndarray") -> "np.ndarray":
-        """Claim ``ordinals`` (a schedule's ``and_order``) and return, in
-        that order, each gate's masks folded per party: what party ``p``
-        drew as sender XOR what it receives, ``(gates, n, words)``."""
-        if self.consumed:
-            raise OfflinePoolExhaustedError(
-                "offline randomness pool exhausted: AND-gate randomness "
-                "consumed twice (pools are single-use per batch)"
-            )
-        self.consumed = True
-        masks = self.ot_masks
-        folded = np.bitwise_xor.reduce(masks, axis=2)  # party as sender
-        folded ^= np.bitwise_xor.reduce(masks, axis=1)  # party as receiver
-        return folded[ordinals]
-
-
 class OfflinePoolBuilder(PoolBuilder):
-    """The offline phase of :class:`BitslicedGMWEngine`: the reads of
-    :class:`~repro.mpc.gmw.PoolBuilder` (same forks, same bytes, same
-    transcript order), built into lane-packed numpy pools — every
-    instance's mask read unpacked in one pass."""
+    """The offline phase of :class:`BitslicedGMWEngine`: the reads and
+    folds of :class:`~repro.mpc.gmw.PoolBuilder` (same keys, same
+    columns), built into a :class:`~repro.mpc.gmw.LanePools` of numpy
+    words — ``uint64[ands, n, words]`` prefix seeds in the schedule's
+    AND order."""
 
     def __init__(self, circuit: Circuit, num_parties: int) -> None:
         require_numpy()
         super().__init__(circuit, num_parties)
 
-    def build(self) -> OfflinePools:  # type: ignore[override]
+    def build(self) -> LanePools:
         count = self.num_instances
         n, ands = self.num_parties, self.and_gates
-        # eight masks to the byte, gate-major, sender i's receivers j > i
-        # in party order: sender i's read is (instance, gate, j)
-        sizes = [mask_stream_bytes(ands, n, i) for i in range(n)]
-        raw = np.frombuffer(b"".join(self._reads), dtype=np.uint8).reshape(count, sum(sizes))
-        cube = np.zeros((ands, n, n, count), dtype=np.uint8)
-        offset = 0
-        for i, size in enumerate(sizes[:-1]):
-            receivers = n - 1 - i
-            bits = np.unpackbits(
-                raw[:, offset : offset + size], axis=-1, count=ands * receivers
-            ).reshape(count, ands, receivers)
-            cube[:, i, i + 1 :, :] = bits.transpose(1, 2, 0)
-            offset += size
-        return OfflinePools(
+        size = (ands + 7) // 8
+        folds = b"".join([seed.to_bytes(size, "big") for row in self._rows for seed in row])
+        bits = np.unpackbits(
+            np.frombuffer(folds, dtype=np.uint8).reshape(count, n, size), axis=-1, count=ands
+        )
+        # (lanes, n, ands) -> (ands, n, lanes), then the gates in schedule order
+        lane_last = np.ascontiguousarray(bits.transpose(2, 1, 0))
+        return LanePools(
             num_parties=n,
             num_instances=count,
             and_gates=ands,
-            ot_masks=pack_lane_axis(cube),
+            seeds=pack_lane_axis(lane_last[self.circuit.compile().schedule.and_order]),
         )
 
 
@@ -312,7 +266,7 @@ class BitslicedGMWEngine(GMWEngine):
         self,
         circuit: Circuit,
         shared_inputs_list: Sequence[Dict[str, Sequence[int]]],
-        pools: OfflinePools,  # type: ignore[override]
+        pools: LanePools,
     ) -> Dict[str, List[List[int]]]:
         n = self.num_parties
         lanes = len(shared_inputs_list)
@@ -333,9 +287,9 @@ class BitslicedGMWEngine(GMWEngine):
         # commute with that map, the constant one becomes all ones, and an
         # AND's share update z_p ^= x_p Y_<=p ^ X_<p y_p (the receiver's
         # 1-out-of-4 output plus the local term) telescopes to
-        # Z_<=p ^= X_<=p & Y_<=p
+        # Z_<=p ^= X_<=p & Y_<=p onto the gate's prefix seed
         xor.accumulate(slots[:and_lo], axis=1, out=slots[:and_lo])
-        slots[and_lo:and_hi] = xor.accumulate(pools.take_ot(schedule.and_order), axis=1)
+        slots[and_lo:and_hi] = pools.claim()
 
         for gather, starts, xor_lo, xor_hi, and_a, and_b, lo, hi in schedule.stages:
             if xor_hi > xor_lo:

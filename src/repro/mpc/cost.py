@@ -13,7 +13,14 @@ from typing import Iterable, Tuple
 
 from repro.mpc.circuit import CircuitStats
 
-__all__ = ["Bill", "TransferLines", "bill_for"]
+__all__ = ["Bill", "TransferLines", "bill_for", "mask_bytes"]
+
+
+def mask_bytes(and_gates: int, parties: int, lanes: int = 1) -> int:
+    """Bytes a GMW batch of ``lanes`` instances reads offline: one
+    ``⌈and_gates / 8⌉``-byte mask column per block pair ``{i < j}`` and
+    instance (:class:`~repro.mpc.gmw.PoolBuilder`)."""
+    return lanes * parties * (parties - 1) // 2 * ((and_gates + 7) // 8)
 
 
 @dataclass(frozen=True)
@@ -81,6 +88,9 @@ class Bill:
     key_agreements: int = 0
     message_bits: int = 0
     element_bytes: int = 0
+    #: mask bytes every GMW offline phase of the run reads: each step's
+    #: blocks, then the circuits evaluated once per release (:func:`mask_bytes`)
+    mask_bytes: int = 0
 
     @property
     def ots_per_party(self) -> int:
@@ -157,12 +167,16 @@ def bill_for(
     message_bits: int = 0,
     element_bytes: int = 0,
     ot_bytes: Tuple[int, int] = (0, 0),
+    releases: Iterable[CircuitStats] = (),
 ) -> Bill:
     """The bill of ``steps`` computation steps, each evaluating one circuit
     per entry of ``stats`` (one block each), plus ``transfers`` transfers
     on ``key_agreements`` edge slots.
     ``ot_bytes`` is what one AND gate's OT puts on the wire, sender then
-    receiver (:meth:`~repro.crypto.ot.ObliviousTransfer.and_gate_bytes`)."""
+    receiver (:meth:`~repro.crypto.ot.ObliviousTransfer.and_gate_bytes`).
+    ``releases`` are the circuits evaluated once each outside the steps
+    (the aggregation tree's partial sums, every release's noised sum):
+    they add their offline reads to ``mask_bytes`` and nothing else."""
     stats = list(stats)
     ands = max((s.and_gates for s in stats), default=0)
     return Bill(
@@ -175,4 +189,6 @@ def bill_for(
         key_agreements=key_agreements,
         message_bits=message_bits,
         element_bytes=element_bytes,
+        mask_bytes=steps * sum(mask_bytes(s.and_gates, parties) for s in stats)
+        + sum(mask_bytes(s.and_gates, parties) for s in releases),
     )

@@ -17,17 +17,15 @@ interaction rounds (= AND depth), which feed the cost model; both are read
 off the circuit's :class:`~repro.mpc.cost.Bill`
 (:meth:`GMWEngine._closed_form_traffic`).
 
-**Mask stream.** Every party forks one sub-stream off the run's generator
-(``rng.fork("gmw-party-p")``, 32 parent bytes each) and reads all its
-sender masks from it up front, eight to the byte
-(:func:`mask_stream_bytes`). Of a pair ``{i < j}`` party ``i`` is the
-sender, so party ``i`` reads ``and_gates * (n - 1 - i)`` masks and party
-``n - 1`` reads none (it still forks): mask ``k = gate_ordinal *
-(n - 1 - i) + (j - i - 1)`` — AND gates numbered in gate-list order, the
-receivers ``j > i`` in party order — is bit ``7 - k % 8`` of byte
-``k // 8``; the tail bits of the last byte are unused. Whatever the OT
-backend draws per transfer comes after the masks on the sender's
-sub-stream.
+**Mask stream.** An evaluation reads one 32-byte instance key from its
+generator and nothing more. Of a pair ``{i < j}`` party ``i`` is the
+sender, and the pair's masks are one keyed column,
+``shake_256(key ‖ "gmw-pair" ‖ i ‖ j)`` read to ``⌈and_gates / 8⌉``
+bytes in one call (:func:`pair_columns`): the mask of AND ordinal ``g``
+(gate-list order) is bit ``7 - g % 8`` of byte ``g // 8``, the tail bits
+of the last byte unused. Whatever the OT backend draws per transfer
+comes from the sender's own stream, derived from the key
+(``DeterministicRNG(key).derive("gmw-ot-sender", i)``).
 
 **Lanes.** :meth:`GMWEngine.evaluate` is the per-gate oracle: it runs the
 OT backend once per AND gate per pair. :meth:`GMWEngine.evaluate_batch`
@@ -36,15 +34,19 @@ with one Python ``int`` per wire: bit ``lane * n + p`` is party ``p``'s
 *prefix share* (the XOR of shares ``0..p``) in instance ``lane``. XOR is
 ``^``; NOT and the constant one are the all-ones word; an AND is its
 gate's offline seed ``^ (x & y)``. Its offline phase (:class:`PoolBuilder`)
-reads exactly the stream positions ``evaluate`` reads, before any gate
-runs, so both leave every party the same share of every wire.
+reads the key and the columns ``evaluate`` reads, before any gate runs,
+and folds them: party ``p``'s seed is the XOR of the columns ``(i, j)``
+with ``i <= p < j``. Both leave every party the same share of every
+wire.
 :mod:`repro.mpc.bitslice` keeps the same contract in numpy words.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from hashlib import shake_256
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.ot import ObliviousTransfer, SimulatedObliviousTransfer
 from repro.crypto.rng import DeterministicRNG
@@ -59,14 +61,25 @@ __all__ = [
     "GMWTraffic",
     "LanePools",
     "PoolBuilder",
-    "mask_stream_bytes",
+    "pair_columns",
 ]
 
+#: bytes of an instance key: the one read an evaluation makes of its stream
+INSTANCE_KEY_BYTES = 32
+_PAIR_LABEL = b"gmw-pair"
+_pack_pair = struct.Struct(">II").pack
 
-def mask_stream_bytes(and_gates: int, num_parties: int, party: int) -> int:
-    """Bytes ``party`` reads for its ``and_gates * (n - 1 - party)`` sender
-    masks."""
-    return (and_gates * (num_parties - 1 - party) + 7) // 8
+
+def pair_columns(key: bytes, num_parties: int, and_gates: int) -> List[bytes]:
+    """One instance's masks: a ``⌈and_gates / 8⌉``-byte column per pair
+    ``{i < j}``, pairs in order ``(0, 1), (0, 2), …, (n - 2, n - 1)``,
+    each one SHAKE-256 read keyed by the instance key and the pair."""
+    size = (and_gates + 7) // 8
+    return [
+        shake_256(key + _PAIR_LABEL + _pack_pair(i, j)).digest(size)
+        for i in range(num_parties - 1)
+        for j in range(i + 1, num_parties)
+    ]
 
 
 @dataclass
@@ -148,19 +161,21 @@ _OFFERS = tuple(
 
 @dataclass
 class LanePools:
-    """One batch's offline randomness as int lanes, one word per AND gate
-    ordinal in gate-list order, bit ``lane * n + p`` party ``p``'s prefix
-    share in instance ``lane``.
+    """One batch's offline randomness: each AND gate's masks folded into
+    prefix seeds — party ``p``'s the XOR of what parties ``0..p`` drew as
+    senders and received.
 
-    ``seeds`` holds each gate's folded masks (what party ``p`` drew as
-    sender XOR what it receives). Single-use: a second :meth:`claim`
-    raises :class:`OfflinePoolExhaustedError`.
+    Int lanes hold ``seeds`` as one word per AND ordinal in gate-list
+    order, bit ``lane * n + p`` party ``p``'s prefix seed in instance
+    ``lane``; numpy lanes (:mod:`repro.mpc.bitslice`) as a ``uint64[ands,
+    n, words]`` array in the schedule's AND order. Single-use: a second
+    :meth:`claim` raises :class:`OfflinePoolExhaustedError`.
     """
 
     num_parties: int
     num_instances: int
     and_gates: int
-    seeds: List[int]
+    seeds: Any
     consumed: bool = False
 
     @property
@@ -168,7 +183,7 @@ class LanePools:
         """AND gates whose randomness has not been consumed yet."""
         return 0 if self.consumed else self.and_gates
 
-    def claim(self) -> List[int]:
+    def claim(self) -> Any:
         if self.consumed:
             raise OfflinePoolExhaustedError(
                 "offline randomness pool exhausted: AND-gate randomness "
@@ -178,27 +193,29 @@ class LanePools:
         return self.seeds
 
 
-def _gate_words(lane_rows: List[List[int]], gates: int) -> List[int]:
-    """Transpose per-(lane, party) rows — ``gates``-bit ints, gate 0 the
-    most significant bit — into one word per gate with bit ``lane * n +
-    p``. Through binary text: the rows side by side, highest bit first, so
-    gate ``g`` is the stride-``gates`` slice from ``g``."""
-    spec = f"0{gates}b"
+def _gate_words(lane_rows: List[List[int]], gates: int, width: int) -> List[int]:
+    """Transpose per-(lane, party) rows — ``width``-bit ints, gate 0 the
+    most significant bit, bits past ``gates`` unused — into one word per
+    gate with bit ``lane * n + p``. Through binary text: the rows side by
+    side, highest bit first, so gate ``g`` is the stride-``width`` slice
+    from ``g``."""
+    spec = f"0{width}b"
     text = "".join([format(row, spec) for rows in reversed(lane_rows) for row in reversed(rows)])
-    return [int(text[g::gates], 2) for g in range(gates)]
+    return [int(text[g::width], 2) for g in range(gates)]
 
 
 class PoolBuilder:
-    """Reads one batch's offline randomness, instance by instance, off the
-    stream positions :meth:`GMWEngine.evaluate` reads.
+    """Reads one batch's offline randomness, instance by instance: the
+    key and the pair columns :meth:`GMWEngine.evaluate` reads, folded into
+    each party's prefix seed on the way in.
 
-    Call :meth:`add_instance` once per circuit instance *in transcript
-    order* (for the secure engine: vertex order), interleaved freely with
-    other builders: each call consumes exactly the bytes one ``evaluate``
-    of that instance would, so a mixed-bound walk keeps the run's stream
-    aligned. :meth:`build` turns the reads into :class:`LanePools`;
-    :class:`repro.mpc.bitslice.OfflinePoolBuilder` builds numpy words
-    from the same reads.
+    Call :meth:`add_instance` once per circuit instance, in lane order:
+    each call takes exactly the 32 bytes one ``evaluate`` of that
+    instance would, so ``evaluate_batch(rng)`` and back-to-back
+    ``evaluate(rng)`` calls agree. :meth:`build` turns the folds into
+    :class:`LanePools`; :class:`repro.mpc.bitslice.OfflinePoolBuilder`
+    builds numpy words from the same folds. ``mask_bytes`` counts the
+    column bytes read (:func:`repro.mpc.cost.mask_bytes` per instance).
     """
 
     def __init__(self, circuit: Circuit, num_parties: int) -> None:
@@ -208,55 +225,45 @@ class PoolBuilder:
         # AND count is the one the bill reads, and the cross-check test
         # in tests/test_mpc_gmw.py pins both to the per-gate transcript.
         self.and_gates = circuit.compile().stats.and_gates
-        #: one ``bytes`` per instance: every sender's packed mask read
-        self._reads: List[bytes] = []
+        self.mask_bytes = 0
+        #: per instance, each party's prefix seed: a ``8 * ⌈ands / 8⌉``-bit
+        #: int, AND ordinal 0 the most significant bit
+        self._rows: List[List[int]] = []
 
     @property
     def num_instances(self) -> int:
-        return len(self._reads)
+        return len(self._rows)
 
     def add_instance(self, rng: DeterministicRNG) -> None:
         n = self.num_parties
-        ands = self.and_gates
-        # evaluate() forks one sub-stream per party first; sender i then
-        # reads its ands * (n - 1 - i) masks in one go
-        party_rngs = [rng.fork(f"gmw-party-{p}") for p in range(n)]
-        self._reads.append(
-            b"".join([r.randbytes(mask_stream_bytes(ands, n, p)) for p, r in enumerate(party_rngs)])
-        )
+        columns = pair_columns(rng.randbytes(INSTANCE_KEY_BYTES), n, self.and_gates)
+        # mask (i, j) is in party p's prefix iff i <= p < j: fold the
+        # columns at both ends of each pair, then XOR the folds up the parties
+        ends = [0] * n
+        pair = 0
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                column = int.from_bytes(columns[pair], "big")
+                ends[i] ^= column
+                ends[j] ^= column
+                pair += 1
+        prefix = 0
+        row = []
+        for fold in ends:
+            prefix ^= fold
+            row.append(prefix)
+        self._rows.append(row)
+        self.mask_bytes += sum(map(len, columns))
 
     def build(self) -> LanePools:
         ands = self.and_gates
-        rows = [self._ot_row(read) for read in self._reads] if ands else []
+        width = 8 * ((ands + 7) // 8)
         return LanePools(
             num_parties=self.num_parties,
             num_instances=self.num_instances,
             and_gates=ands,
-            seeds=_gate_words(rows, ands) if rows else [],
+            seeds=_gate_words(self._rows, ands, width) if ands and self._rows else [],
         )
-
-    def _ot_row(self, read: bytes) -> List[int]:
-        """One instance's folded masks as prefix shares, one ``ands``-bit
-        row per party. Mask ``(i, j)`` is in ``p``'s fold iff ``p`` is
-        ``i`` or ``j``, so it is in ``p``'s prefix iff ``i <= p < j``."""
-        n, ands = self.num_parties, self.and_gates
-        columns: List[List[int]] = []  # columns[i][j - i - 1]: mask (i, j) per gate
-        offset = 0
-        for i in range(n):
-            size = mask_stream_bytes(ands, n, i)
-            bits = format(int.from_bytes(read[offset : offset + size], "big"), f"0{8 * size}b")
-            offset += size
-            stride = n - 1 - i
-            columns.append([int(bits[r : stride * ands : stride], 2) for r in range(stride)])
-        prefix = 0
-        row = []
-        for p in range(n):
-            for mask in columns[p]:  # p as sender
-                prefix ^= mask
-            for i in range(p):  # p as receiver
-                prefix ^= columns[i][p - i - 1]
-            row.append(prefix)
-        return row
 
 
 class GMWEngine:
@@ -309,16 +316,14 @@ class GMWEngine:
         self._check_shared_inputs(circuit, shared_inputs)
         stats = circuit.stats()
 
-        party_rngs = [rng.fork(f"gmw-party-{p}") for p in range(n)]
-        # masks[i][k]: the module docstring's mask k of sender i
+        key = rng.randbytes(INSTANCE_KEY_BYTES)
+        # masks[pair][g]: the module docstring's mask of AND ordinal g
         masks = [
-            [
-                (byte >> shift) & 1
-                for byte in party_rng.randbytes(mask_stream_bytes(stats.and_gates, n, p))
-                for shift in _BIT_SHIFTS
-            ]
-            for p, party_rng in enumerate(party_rngs)
+            [(byte >> shift) & 1 for byte in column for shift in _BIT_SHIFTS]
+            for column in pair_columns(key, n, stats.and_gates)
         ]
+        keyed = DeterministicRNG(key)
+        sender_rngs = [keyed.derive("gmw-ot-sender", i) for i in range(n - 1)]
         ordinal = 0  # gate-list ordinal of the next AND gate
 
         # wire_shares[w] is the list of n share bits of wire w.
@@ -343,7 +348,7 @@ class GMWEngine:
                 wire_shares[out] = flipped
             else:
                 wire_shares[out] = self._and_via_ot(
-                    a_shares, wire_shares[b], masks, ordinal, party_rngs
+                    a_shares, wire_shares[b], masks, ordinal, sender_rngs
                 )
                 ordinal += 1
 
@@ -571,27 +576,27 @@ class GMWEngine:
         y: List[int],
         masks: List[List[int]],
         ordinal: int,
-        party_rngs: List[DeterministicRNG],
+        sender_rngs: List[DeterministicRNG],
     ) -> List[int]:
         """GMW AND: local terms plus one 1-out-of-4 OT per unordered pair.
 
         ``z = XOR_i x_i y_i  XOR  XOR_{i < j} (x_i y_j XOR x_j y_i)``; the
         pair's cross term is shared between sender ``i`` and receiver
         ``j``: the sender masks with its random bit ``r`` (the module
-        docstring's mask of ``(ordinal, i, j)``) and offers ``m[2a + b] =
-        r XOR b x_i XOR a y_i``; the receiver chooses ``2 x_j + y_j``.
+        docstring's mask of ``ordinal`` in column ``(i, j)``) and offers
+        ``m[2a + b] = r XOR b x_i XOR a y_i``; the receiver chooses
+        ``2 x_j + y_j``.
         """
         n = self.num_parties
         transfer4 = self.ot.transfer4
         z = [x[p] & y[p] for p in range(n)]
+        pair = 0
         for i in range(n - 1):
             held = 2 * x[i] + y[i]
-            masks_i = masks[i]
-            rng_i = party_rngs[i]
-            k = ordinal * (n - 1 - i)
+            rng_i = sender_rngs[i]
             for j in range(i + 1, n):
-                r = masks_i[k]
-                k += 1
+                r = masks[pair][ordinal]
+                pair += 1
                 z[i] ^= r
                 z[j] ^= transfer4(_OFFERS[4 * r + held], 2 * x[j] + y[j], rng_i)[0]
         return z

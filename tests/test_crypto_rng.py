@@ -130,6 +130,54 @@ class TestRanges:
         assert forked.randbytes(48) == skipped.randbytes(48)
 
 
+class TestDerive:
+    def test_derive_leaves_the_parent_where_it_was(self):
+        parent = DeterministicRNG(13)
+        parent.randbytes(5)  # mid-block, with buffered bytes
+        state = parent.getstate()
+        parent.derive("gmw", 0, 7).randbytes(100)
+        assert parent.getstate() == state
+
+    def test_equal_labels_give_equal_streams_wherever_the_parent_stands(self):
+        early, late = DeterministicRNG(13), DeterministicRNG(13)
+        late.randbytes(1000)
+        late.fork("moves the position")
+        assert early.derive("gmw", 3, 1).randbytes(64) == late.derive("gmw", 3, 1).randbytes(64)
+
+    def test_distinct_label_tuples_give_distinct_streams(self):
+        parent = DeterministicRNG(13)
+        tuples = [
+            (),
+            ("ab", "c"),
+            ("a", "bc"),
+            ("abc",),
+            (1,),
+            ("1",),
+            (b"1",),
+            (1, 2),
+            (12,),
+            (-1,),
+            (255,),
+            (256,),
+            ("gmw", 0, 1),
+            ("gmw", 1, 0),
+            ("gmw", 0, 1, 0),
+        ]
+        streams = {labels: parent.derive(*labels).randbytes(32) for labels in tuples}
+        assert len(set(streams.values())) == len(tuples)
+        assert DeterministicRNG(14).derive("ab", "c").randbytes(32) != streams[("ab", "c")]
+
+    def test_derived_reads_do_not_depend_on_chunking(self):
+        sizes = [1, 31, 32, 33, 500, 0, 7] * 5
+        whole = DeterministicRNG(15).derive("x", 1).randbytes(sum(sizes))
+        chunked = DeterministicRNG(15).derive("x", 1)
+        assert b"".join(chunked.randbytes(n) for n in sizes) == whole
+
+    def test_unsupported_label_refused(self):
+        with pytest.raises(TypeError):
+            DeterministicRNG(0).derive(1.5)
+
+
 class TestCollections:
     def test_shuffle_is_permutation(self):
         rng = DeterministicRNG(8)

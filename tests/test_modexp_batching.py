@@ -30,6 +30,15 @@ at setup, no ephemerals or edge noise per step), so ``released`` noise
 bits, ``rng`` and every transfer byte moved; ``total_exponentiations``
 became the key agreements' count. ``pre_noise_aggregate`` and the
 trajectory did not move, nor did ``total_ot_transfers``.
+
+It was re-recorded once more, by the same script, when GMW masks became
+keyed per block pair: every evaluation reads one 32-byte key from a
+stream derived by its step and vertex (or its release and aggregation
+group) instead of forking one sub-stream per party off the run's
+generator. The run stream's position moved, so the noise seed and the
+released noise bits (``released`` entries 0 and 2, and ``rng``) moved;
+``pre_noise_aggregate``, the trajectory, every ``traffic`` field and
+``total_ot_transfers`` did not.
 """
 
 from __future__ import annotations
@@ -503,8 +512,8 @@ class TestGoldenBitIdentity:
 #: recorder below refuses to print otherwise)
 GOLDEN = {
     "schnorr-256": {
-        "released": [11.77734375, 1.4453125, 2645, [1.10546875, 1.4453125]],
-        "rng": [92, 16],
+        "released": [-13.890625, 1.4453125, -3926, [1.10546875, 1.4453125]],
+        "rng": [65, 16],
         "traffic": {
             "max_node_bytes_sent": 766188.25,
             "mean_node_bytes_sent": 581379.03125,
@@ -515,8 +524,8 @@ GOLDEN = {
         },
     },
     "toy-64": {
-        "released": [0.07421875, 1.4453125, -351, [1.10546875, 1.4453125]],
-        "rng": [58, 24],
+        "released": [7.8359375, 1.4453125, 1636, [1.10546875, 1.4453125]],
+        "rng": [31, 24],
         "traffic": {
             "max_node_bytes_sent": 230164.25,
             "mean_node_bytes_sent": 171051.75,

@@ -11,6 +11,8 @@ stream. Offline pools must be sized exactly from
 :class:`repro.mpc.cost.Bill` and fail loudly when over-drawn.
 """
 
+import hashlib
+import struct
 import time
 
 import pytest
@@ -46,7 +48,7 @@ from repro.mpc.builder import CircuitBuilder
 from repro.mpc.circuit import Circuit, GateOp, layerize
 from repro.mpc.cost import bill_for
 from repro.mpc.fixedpoint import FixedPointFormat
-from repro.mpc.gmw import GMWEngine, mask_stream_bytes
+from repro.mpc.gmw import GMWEngine, pair_columns
 from repro.mpc.noise_circuit import build_noised_sum_bits_circuit
 
 
@@ -398,38 +400,44 @@ class TestTranscriptParity:
 
     @pytest.mark.parametrize("parties", [2, 3, 4, 5])
     def test_ot_pool_replays_scalar_draw_order(self, parties):
-        """OT mask bits: pool entry (gate g, sender i, receiver j > i)
-        is bit ``7 - k % 8`` of byte ``k // 8`` of the one read sender
-        ``i``'s fork makes, ``k = g * (n - 1 - i) + (j - i - 1)`` — forks
-        in transcript order, eight masks to the byte, the last byte's tail
-        bits unused, nothing on or below the diagonal."""
+        """OT mask bits: the instance reads one 32-byte key off the parent
+        stream; the mask of (AND ordinal ``g``, sender ``i``, receiver
+        ``j > i``) is bit ``7 - g % 8`` of byte ``g // 8`` of
+        ``shake_256(key ‖ "gmw-pair" ‖ i ‖ j)`` (``i``, ``j`` as 4-byte
+        big-endian), the last byte's tail bits unused. Party ``p``'s pool
+        seed for gate ``g``, at the gate's schedule position, is the XOR
+        of the masks ``(i, j)`` with ``i <= p < j`` — so the last party's
+        is always zero."""
         circuit = mixed_circuit(4)
         ands = circuit.stats().and_gates
-        assert ands % 8  # every sender's read ends inside a byte
+        assert ands % 8  # every column ends inside a byte
         engine = BitslicedGMWEngine(parties)
         rng = DeterministicRNG("replay")
         pools = engine.precompute(circuit, 1, rng)
         replay = DeterministicRNG("replay")
-        party_rngs = [replay.fork(f"gmw-party-{p}") for p in range(parties)]
-        sizes = [mask_stream_bytes(ands, parties, i) for i in range(parties)]
-        assert sizes == [-(-ands * (parties - 1 - i) // 8) for i in range(parties)]
-        assert sizes[-1] == 0  # the last party is never a sender
-        streams = [party_rng.randbytes(size) for party_rng, size in zip(party_rngs, sizes)]
-        for g in range(ands):
-            for i in range(parties):
-                for j in range(parties):
-                    got = int(pools.ot_masks[g, i, j, 0])
-                    if j <= i:
-                        assert got == 0
-                        continue
-                    k = g * (parties - 1 - i) + (j - i - 1)
-                    assert got == (streams[i][k // 8] >> (7 - k % 8)) & 1
-        # only the 32-byte forks came off the parent stream
+        key = replay.randbytes(32)
+        size = -(-ands // 8)
+        columns = {
+            (i, j): hashlib.shake_256(key + b"gmw-pair" + struct.pack(">II", i, j)).digest(size)
+            for i in range(parties)
+            for j in range(i + 1, parties)
+        }
+        assert pair_columns(key, parties, ands) == list(columns.values())
+        order = [int(g) for g in circuit.compile().schedule.and_order]
+        assert sorted(order) == list(range(ands))
+        for position, g in enumerate(order):
+            for p in range(parties):
+                want = 0
+                for (i, j), column in columns.items():
+                    if i <= p < j:
+                        want ^= (column[g // 8] >> (7 - g % 8)) & 1
+                assert int(pools.seeds[position, p, 0]) == want
+        # only the key came off the parent stream
         assert rng.getstate() == replay.getstate()
 
     def test_scalar_over_a_drawing_ot_backend_reads_masks_first(self):
         """A backend that draws per transfer (DDH) takes its randomness
-        from the sender's fork *after* the packed masks: the run is
+        from the sender's stream, derived from the instance key: the run is
         deterministic, reconstructs to the clear evaluation, and the
         parties' masks are the ones the rng-silent backend would use."""
         circuit = mixed_circuit(4)
@@ -528,7 +536,7 @@ class TestOfflineAccounting:
         pools = engine.precompute(circuit, lanes, DeterministicRNG("size"))
         assert pools.and_gates == cost.and_gates
         assert pools.num_instances == lanes
-        assert pools.ot_masks.shape == (cost.and_gates, parties, parties, lane_words(lanes))
+        assert pools.seeds.shape == (cost.and_gates, parties, lane_words(lanes))
         # online phase consumes every provisioned gate exactly once:
         # no under-provision (it would raise), no over-provision
         inputs = shared_batch(engine, 6, [(1, 2), (3, 4), (5, 6)])

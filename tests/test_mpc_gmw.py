@@ -109,17 +109,13 @@ class TestShapeAndErrors:
     def test_one_and_protocol(self):
         """OT is the only AND protocol: no evaluator, pool builder or bill
         takes a mode, and no pool carries one."""
-        from repro.mpc.bitslice import (
-            BitslicedGMWEngine,
-            OfflinePoolBuilder,
-            OfflinePools,
-        )
+        from repro.mpc.bitslice import BitslicedGMWEngine, OfflinePoolBuilder
         from repro.mpc.gmw import LanePools, PoolBuilder
 
         for api in (GMWEngine, PoolBuilder, BitslicedGMWEngine, OfflinePoolBuilder, bill_for):
             assert "mode" not in inspect.signature(api).parameters, api
-        for pool in (LanePools, OfflinePools):
-            assert "mode" not in {f.name for f in dataclasses.fields(pool)}, pool
+        # both lane types build the one pool type
+        assert "mode" not in {f.name for f in dataclasses.fields(LanePools)}
         with pytest.raises(TypeError):
             GMWEngine(3, mode="ot")
 
