@@ -16,35 +16,39 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import ProtocolError
-from repro.sharing.xor import share_value
+from repro.sharing.xor import share_words
 
-__all__ = ["reshare_word", "plan_groups", "partial_sum_width", "AggregationPlan"]
+__all__ = ["reshare_words", "plan_groups", "partial_sum_width", "AggregationPlan"]
 
 
-def reshare_word(
-    share_words: Sequence[int],
+def reshare_words(
+    words: Sequence[Tuple[Sequence[int], Sequence[int]]],
     bits: int,
     target_size: int,
     rng: DeterministicRNG,
-) -> List[int]:
-    """Re-share an XOR-shared word from one block to another.
-
-    Each holder splits its share into ``target_size`` subshares; receiver
-    ``q`` XORs the ``q``-th subshare from every holder. The result is a
-    fresh, independent sharing of the same word — no member of either
-    block learns anything, as long as each block has one honest member.
-    """
-    if not share_words:
-        raise ProtocolError("cannot reshare an empty share list")
-    received = [0] * target_size
-    for word in share_words:
-        subshares = share_value(word, bits, target_size, rng)
-        for q, subshare in enumerate(subshares):
-            received[q] ^= subshare
+    labels: Tuple[Union[str, int], ...],
+) -> List[List[int]]:
+    """Re-share XOR-shared words, each ``(holders, shares)``, to a block
+    of ``target_size``: each holder splits every share it holds from one
+    read of ``rng.derive(*labels, holder)``, and receiver ``q`` XORs the
+    ``q``-th subshares of a word. The result is a fresh, independent
+    sharing of each word — no member of either block learns anything,
+    as long as each block has one honest member."""
+    held: Dict[int, List[Tuple[int, int]]] = {}  # holder -> [(word, its share)]
+    for index, (holders, shares) in enumerate(words):
+        if not shares:
+            raise ProtocolError("cannot reshare an empty share list")
+        for holder, share in zip(holders, shares):
+            held.setdefault(holder, []).append((index, share))
+    received = [[0] * target_size for _ in words]
+    for holder, pieces in held.items():
+        splits = share_words([s for _, s in pieces], bits, target_size, rng.derive(*labels, holder))
+        for (index, _), subshares in zip(pieces, splits):
+            received[index] = [a ^ b for a, b in zip(received[index], subshares)]
     return received
 
 

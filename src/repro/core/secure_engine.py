@@ -28,10 +28,10 @@ reports corresponds to a protocol message of the real deployment.
 One run, one object: :class:`SecureRun` is the lifecycle core whose
 stages are the protocol's and whose attributes are the run's state. Its
 window body is a plain generator that performs every crypto operation of
-a round window itself, in one fixed order (setup, the shares and the
-transfers read the run's one sequential stream, so their order *is* the
-transcript; every GMW evaluation reads a stream derived by its step and
-vertex, or by its release and aggregation group, which no order moves),
+a round window itself, in one fixed order (only the deployment reads
+the run's one sequential stream; every share, subshare, ephemeral, noise
+seed and GMW evaluation reads a stream derived for the party that draws
+it, by step, vertex, slot or group and member, which no order moves),
 and yields what each finished
 block batch — a GMW evaluation's OT-extension bits, a transfer's
 masked words — puts on the wire. ``engine="secure"`` drains it with a
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Type
 
-from repro.core.aggregation import AggregationPlan, plan_groups, reshare_word
+from repro.core.aggregation import AggregationPlan, plan_groups, reshare_words
 from repro.core.config import DStressConfig
 from repro.core.graph import DistributedGraph
 from repro.core.lifecycle import LifecycleCore, RunState
@@ -71,7 +71,7 @@ from repro.mpc.plan import noised_sum_bits_circuit, partial_sum_circuit
 from repro.obs.clock import now as clock_now
 from repro.obs.metrics import absorb_gmw
 from repro.obs.trace import current_recorder, timed_phase
-from repro.sharing.xor import reconstruct_value, share_value
+from repro.sharing.xor import reconstruct_value, share_words
 from repro.simulation.netsim import PhaseTimer, TrafficMeter
 from repro.transfer.pads import PadTransfer, SlotKeys, agree_keys
 
@@ -95,6 +95,21 @@ def _record_link(
     meter.record_send(src, dst, num_bytes)
     key = (src, dst)
     link_bytes[key] = link_bytes.get(key, 0.0) + num_bytes
+
+
+def _meter_fan(
+    meter: TrafficMeter, sources: Sequence[Sequence[int]], targets: Sequence[int], num_bytes: float
+) -> None:
+    """Meter ``num_bytes`` from every member of each source block to every
+    other member of ``targets``: one send per link, its bytes summed."""
+    links: LinkBytes = {}
+    for block in sources:
+        for src in block:
+            for dst in targets:
+                if src != dst:
+                    links[src, dst] = links.get((src, dst), 0.0) + num_bytes
+    for (src, dst), total in links.items():
+        meter.record_send(src, dst, total)
 
 
 #: One transferring edge slot: ``(u, out_slot, v, in_slot)``; ``out_slot``
@@ -392,10 +407,12 @@ class SecureRun(LifecycleCore):
         The tree consumes shared randomness, so it runs once per window;
         the root block's inputs wait in ``root_inputs`` for :meth:`noise`.
         Group ``g``'s partial sum reads ``rng.derive("gmw-aggregate",
-        window, g)``.
+        window, g)``. A holder splits every word it re-shares into group
+        ``g`` from one read of ``rng.derive("reshare", window, g, holder)``
+        (a flat tree is group 0), and group ``g``'s sum on to the root
+        from ``("reshare", window, "root", g, holder)``.
         """
         graph = self.graph
-        gmw = self.gmw
         state_shares = self.state_shares
         assignment = self.assignment
         meter = self.meter
@@ -408,59 +425,51 @@ class SecureRun(LifecycleCore):
             root_members = assignment.blocks[AGGREGATION_BLOCK_ID]
 
             def reshare_to(
-                share_words: List[int], width: int, src_members: List[int], dst_members: List[int]
-            ) -> List[int]:
-                fresh = reshare_word(share_words, width, len(dst_members), rng)
-                for src in src_members:
-                    for dst in dst_members:
-                        if src != dst:
-                            meter.record_send(src, dst, (width + 7) / 8.0)
-                return fresh
+                words: List[Any], width: int, targets: List[int], *labels: Any
+            ) -> List[List[int]]:
+                _meter_fan(meter, [holders for holders, _ in words], targets, (width + 7) / 8.0)
+                return reshare_words(words, width, len(targets), rng, ("reshare", *labels))
 
             self.pre_noise_raw = self._raw_aggregate()
 
             if plan.is_hierarchical:
                 group_width = plan.group_sum_bits
-                group_sum_shares: List[List[int]] = []
+                group_sums: List[List[int]] = []
                 for index, group in enumerate(plan.groups):
                     # The group's aggregation block: reuse the first member's
                     # block (already a uniformly random k+1 subset).
                     group_block = assignment.blocks[group[0]]
                     circuit = partial_sum_circuit(len(group), bits, group_width)
-                    shared_inputs = {}
-                    for position, v in enumerate(group):
-                        shared_inputs[f"state_{position}"] = reshare_to(
-                            state_shares[v][register], bits, assignment.blocks[v], group_block
-                        )
-                    pools = self._pools(circuit, [rng.derive("gmw-aggregate", state.window, index)])
-                    (result,) = gmw.evaluate_batch(circuit, [shared_inputs], pools=pools)
-                    self._meter_gmw(group_block, result)
-                    group_sum_shares.append(
-                        reshare_to(
-                            result.output_shares["partial_sum"],
-                            group_width,
-                            group_block,
-                            root_members,
-                        )
+                    fresh = reshare_to(
+                        [(assignment.blocks[v], state_shares[v][register]) for v in group],
+                        bits, group_block, state.window, index,
                     )
-                self.root_inputs = group_sum_shares
+                    inputs = {f"state_{k}": shares for k, shares in enumerate(fresh)}
+                    stream = rng.derive("gmw-aggregate", state.window, index)
+                    (result,) = self._online(circuit, [inputs], self._pools(circuit, [stream]))
+                    self._meter_gmw(group_block, result)
+                    group_sums += reshare_to(
+                        [(group_block, result.output_shares["partial_sum"])],
+                        group_width, root_members, state.window, "root", index,
+                    )
+                self.root_inputs = group_sums
                 self.root_width = group_width
                 self.levels = 2
             else:
-                self.root_inputs = [
-                    reshare_to(state_shares[v][register], bits, assignment.blocks[v], root_members)
-                    for v in graph.vertex_ids
-                ]
+                self.root_inputs = reshare_to(
+                    [(assignment.blocks[v], state_shares[v][register]) for v in graph.vertex_ids],
+                    bits, root_members, state.window, 0,
+                )
                 self.root_width = bits
                 self.levels = 1
         return self.pre_noise_raw * self.program.fmt.resolution
 
     def noise(self, state, pre_noise, epsilon, end):
         """Root-block noised sum at ``epsilon`` (``None``: the config's
-        one-shot budget): in-MPC geometric sampler, then reveal. The seed
-        shares come off the run's sequential stream; the evaluation reads
-        ``rng.derive("gmw-noise", window)``."""
-        gmw = self.gmw
+        one-shot budget): in-MPC geometric sampler, then reveal. Root
+        member ``m`` draws its seed share from ``rng.derive("noise-seed",
+        window, m)``; the evaluation reads ``rng.derive("gmw-noise",
+        window)``."""
         meter = self.meter
         rng = self.rng
         root_members = self.assignment.blocks[AGGREGATION_BLOCK_ID]
@@ -474,19 +483,17 @@ class SecureRun(LifecycleCore):
             # the seed; XOR of the shares is the seed, so one honest member
             # suffices for uniformity (§3.6 "combine the random shares").
             shared_inputs["seed"] = [
-                rng.fork(f"seed-{m}").randbits(seed_width) for m in root_members
+                rng.derive("noise-seed", state.window, m).randbits(seed_width)
+                for m in root_members
             ]
             pools = self._pools(root_circuit, [rng.derive("gmw-noise", state.window)])
-            (result,) = gmw.evaluate_batch(root_circuit, [shared_inputs], pools=pools)
+            (result,) = self._online(root_circuit, [shared_inputs], pools)
             self._meter_gmw(root_members, result)
 
             noised_raw = result.reveal("noised_sum", signed=True)
             # Revealing the output: every root member publishes its share.
             out_width = result.bus_widths["noised_sum"]
-            for member in root_members:
-                for other in root_members:
-                    if member != other:
-                        meter.record_send(member, other, (out_width + 7) / 8.0)
+            _meter_fan(meter, [root_members], root_members, (out_width + 7) / 8.0)
         return noised_raw * self.program.fmt.resolution, noised_raw - self.pre_noise_raw
 
     def finalize(self, state: RunState, started: float) -> Any:
@@ -590,9 +597,10 @@ class SecureRun(LifecycleCore):
 
     def _agree_keys(self) -> Dict[Tuple[int, int], SlotKeys]:
         """The transfer's per-run setup: one key agreement per transferring
-        slot, in transcript order, under the certificate ``v`` forwarded to
-        ``u`` for it — ``B_v``'s keys under the neighbor key of the slot
-        ``u`` occupies at ``v``."""
+        slot, under the certificate ``v`` forwarded to ``u`` for it —
+        ``B_v``'s keys under the neighbor key of the slot ``u`` occupies at
+        ``v``. The senders' ephemerals come from ``rng.derive("agree", v,
+        in_slot)``."""
         deployment = self.deployment
         blocks = deployment.assignment.blocks
         keys: Dict[Tuple[int, int], SlotKeys] = {}
@@ -603,38 +611,32 @@ class SecureRun(LifecycleCore):
                     deployment.certificates[v][in_slot],
                     deployment.neighbor_keys[v][in_slot],
                     [deployment.member_keys[m].secrets[0] for m in blocks[v]],
-                    self.rng,
+                    self.rng.derive("agree", v, in_slot),
                 )
                 _meter_transfer(self.meter, blocks, self.bill.agreement, u, v)
         return keys
 
     def _share_initial_state(self) -> None:
-        """§3.6 init: XOR-share every vertex's state and no-op inbox slots."""
+        """§3.6 init: XOR-share every vertex's state and no-op inbox slots.
+        Vertex ``v`` splits all of its words from one read of
+        ``rng.derive("init", v)``."""
         program = self.program
         fmt = program.fmt
         bits = fmt.total_bits
-        block_size = self.config.block_size
         blocks = self.assignment.blocks
-        rng = self.rng
         self.state_shares = {}
         self.inbox_shares = {}
-        raw_no_op = fmt.encode(NO_OP_MESSAGE)
-        for view in self.graph.vertices():
+        raw_no_op = fmt.to_unsigned(fmt.encode(NO_OP_MESSAGE))
+        for view, _sends in self.slots:
             v = view.vertex_id
             bound = self.vertex_bound[v]
-            initial = program.initial_state(view, bound)
-            raw = program.encode_state(initial)
-            shares: Dict[str, List[int]] = {}
-            for reg in program.state_registers(bound):
-                shares[reg] = share_value(fmt.to_unsigned(raw[reg]), bits, block_size, rng)
-                self._meter_share_distribution(v, blocks[v])
-            self.state_shares[v] = shares
-            self.inbox_shares[v] = []
-            for _ in range(bound):
-                self.inbox_shares[v].append(
-                    share_value(fmt.to_unsigned(raw_no_op), bits, block_size, rng)
-                )
-                self._meter_share_distribution(v, blocks[v])
+            raw = program.encode_state(program.initial_state(view, bound))
+            registers = program.state_registers(bound)
+            values = [fmt.to_unsigned(raw[reg]) for reg in registers] + [raw_no_op] * bound
+            shares = share_words(values, bits, self.config.block_size, self.rng.derive("init", v))
+            self.state_shares[v] = dict(zip(registers, shares))
+            self.inbox_shares[v] = shares[len(registers) :]
+            _meter_fan(self.meter, [[v]] * len(values), blocks[v], (bits + 7) / 8.0)
 
     def _assign_buckets(self) -> Dict[int, int]:
         """Map each vertex to its degree bound (§3.7 buckets).
@@ -681,12 +683,6 @@ class SecureRun(LifecycleCore):
             )
         return raw
 
-    def _meter_share_distribution(self, src: int, members: List[int]) -> None:
-        word_bytes = (self.program.fmt.total_bits + 7) / 8.0
-        for member in members:
-            if member != src:
-                self.meter.record_send(src, member, word_bytes)
-
     def _computation_blocks(self, step: int) -> Iterator[LinkBytes]:
         """One §3.6 computation step, block by block.
 
@@ -731,7 +727,6 @@ class SecureRun(LifecycleCore):
         per-link batches handed to the window's consumer follow the
         transcript.
         """
-        gmw = self.gmw
         vertex_ids = self.graph.vertex_ids
         with timed_phase(self.phases, "gmw-offline"):
             batches = self._offline_batches(step, vertex_ids)
@@ -740,8 +735,7 @@ class SecureRun(LifecycleCore):
             results: Dict[int, GMWResult] = {}
             for bound, (vertices, pools) in batches.items():
                 inputs = [self._block_inputs(v) for v in vertices]
-                batch = gmw.evaluate_batch(self.circuits[bound], inputs, pools=pools)
-                results.update(zip(vertices, batch))
+                results.update(zip(vertices, self._online(self.circuits[bound], inputs, pools)))
 
         for v in vertex_ids:
             yield v, results[v]
@@ -780,12 +774,24 @@ class SecureRun(LifecycleCore):
             recorder.metrics.observe("gmw.offline_s", clock_now() - started)
         return pools
 
+    def _online(self, circuit: Circuit, inputs: List[Any], pools: LanePools) -> List[GMWResult]:
+        """One GMW batch's online phase, observed as ``gmw.online_s`` when traced."""
+        started = clock_now()
+        results = self.gmw.evaluate_batch(circuit, inputs, pools=pools)
+        recorder = current_recorder()
+        if recorder.enabled:
+            recorder.metrics.observe("gmw.online_s", clock_now() - started)
+        return results
+
     def _communication_transfers(self, step: int) -> Iterator[LinkBytes]:
         """One §3.6 communication step, transfer by transfer.
 
-        Moves each slot's shares on the keys agreed at setup (in
-        vertex/slot order — again the transcript order) and yields each
-        transfer's wire bytes at link granularity. Local no-op padding (the
+        Moves each slot's shares on the keys agreed at setup and yields
+        each transfer's wire bytes at link granularity. Sender ``x`` of
+        slot ``(v, in_slot)`` splits its share from ``rng.derive("transfer",
+        step, v, in_slot, x)``, and a no-op (padded send or local revert)
+        is shared from ``rng.derive("no-op", step, v, slot)``, so the
+        shares do not depend on the slot order. Local no-op padding (the
         cheap non-``pad_transfers`` mode) stays inside the generator: it
         moves share words between block members but is not an edge
         transfer.
@@ -793,17 +799,25 @@ class SecureRun(LifecycleCore):
         config = self.config
         fmt = self.program.fmt
         bits = fmt.total_bits
+        size = config.block_size
         blocks = self.assignment.blocks
         rng = self.rng
         raw_no_op = fmt.to_unsigned(fmt.encode(NO_OP_MESSAGE))
+
+        def no_op(v: int, slot: int) -> List[int]:
+            return share_words([raw_no_op], bits, size, rng.derive("no-op", step, v, slot))[0]
         for view, sends in self.slots:
             for u, out_slot, v, in_slot in sends:
                 if out_slot is None:
-                    shares = share_value(raw_no_op, bits, config.block_size, rng)
+                    shares = no_op(v, in_slot)
                 else:
                     shares = self.outbox_shares[u][out_slot]
-                self.inbox_shares[v][in_slot] = self.transfer.execute(
-                    shares, self.pad_keys[v, in_slot], step, rng
+                splits = [
+                    share_words([word], bits, size, rng.derive("transfer", step, v, in_slot, x))[0]
+                    for word, x in zip(shares, blocks[u])
+                ]
+                self.inbox_shares[v][in_slot] = self.transfer.deliver(
+                    splits, self.pad_keys[v, in_slot], step
                 )
                 self.transfer_count += 1
                 yield _meter_transfer(self.meter, blocks, self.bill.pad, u, v)
@@ -811,11 +825,10 @@ class SecureRun(LifecycleCore):
                 # Unused inbox slots revert to fresh no-op shares from the
                 # owner (cheap local padding; see DESIGN.md).
                 v = view.vertex_id
-                for slot in range(view.in_degree, self.vertex_bound[v]):
-                    self.inbox_shares[v][slot] = share_value(
-                        raw_no_op, bits, config.block_size, rng
-                    )
-                    self._meter_share_distribution(v, blocks[v])
+                unused = range(view.in_degree, self.vertex_bound[v])
+                for slot in unused:
+                    self.inbox_shares[v][slot] = no_op(v, slot)
+                _meter_fan(self.meter, [[v]] * len(unused), blocks[v], (bits + 7) / 8.0)
 
     def _meter_gmw(self, members: List[int], result: GMWResult) -> LinkBytes:
         """Attribute a GMW evaluation's wire traffic to the member nodes.

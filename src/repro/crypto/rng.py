@@ -9,10 +9,10 @@ global entropy.
 Sub-streams come two ways. :meth:`DeterministicRNG.fork` consumes 32
 bytes of the parent stream, so the order of forks is part of the
 transcript. :meth:`DeterministicRNG.derive` keys a generator by the
-parent's key and a tuple of labels (a role, a step, a vertex, …) and
+parent's key and labels (a role, a step, a vertex, a member, …) and
 leaves the parent's position alone, so a derived stream is the same
-whatever was read before it: the secure engine keys every GMW
-evaluation's masks this way, one stream per (step, vertex).
+whatever was read before it: a secure run derives every draw but its
+deployment's, one stream per drawing party and use.
 
 This is a *simulation* DRBG: it is uniform and unpredictable enough for
 protocol correctness experiments, but no security claims are made about seed

@@ -15,7 +15,10 @@ slot per party::
 The circuit runs as its :class:`~repro.mpc.circuit.StageSchedule`: per AND
 round one XOR phase (one gather + one ``bitwise_xor.reduceat`` into a
 contiguous slice of the slot cube) and one AND phase (two gathers, an
-AND, one in-place XOR onto the round's pre-placed masks). The slots hold
+AND, one in-place XOR onto the round's pre-placed masks), each gather a
+``slots.take``. Buses move by the schedule's two
+:class:`~repro.mpc.circuit.BusPlan` s: all inputs as one array of 64-bit
+share pieces, all outputs as one gather and one unpack. The slots hold
 *prefix shares* — party ``p`` the XOR of shares ``0..p`` — converted once
 on the way in and out, because in that form a 1-out-of-4 AND's share
 update is one AND of the operands.
@@ -33,7 +36,7 @@ while every gate consumes the same random bits as in the oracle; it
 copies the seeds into the AND slots as they are and touches no RNG.
 
 **Compile once.** Everything derived from the gate list — statistics and
-the stage schedule with its index vectors — is built by
+the stage schedule with its index vectors and bus plans — is built by
 :meth:`Circuit.compile <repro.mpc.circuit.Circuit.compile>` onto the
 circuit's :class:`~repro.mpc.circuit.CircuitPlan`: the first use compiles
 (and seals) an ad-hoc circuit, circuits from the process-wide table
@@ -51,7 +54,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.crypto.ot import ObliviousTransfer
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import ConfigurationError, ProtocolError
-from repro.mpc.circuit import Circuit
+from repro.mpc.circuit import BusPlan, Circuit
 from repro.mpc.gmw import GMWEngine, GMWResult, LanePools, PoolBuilder
 
 try:  # pragma: no cover - exercised implicitly by every import site
@@ -123,7 +126,8 @@ def pack_lane_axis(bits: "np.ndarray") -> "np.ndarray":
         padded = np.zeros(bits.shape[:-1] + (width,), dtype=bits.dtype)
         padded[..., :lanes] = bits
         bits = padded
-    return np.packbits(bits, axis=-1, bitorder="little").view("<u8")
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    return np.ascontiguousarray(packed).view("<u8")  # a transposed input packs strided
 
 
 def unpack_lane_axis(words: "np.ndarray", count: int) -> "np.ndarray":
@@ -191,42 +195,30 @@ class OfflinePoolBuilder(PoolBuilder):
 # ---------------------------------------------------------------------------
 
 
-def _bus_bits(values: Sequence[Sequence[int]], width: int) -> "np.ndarray":
-    """Bit planes of one bus: ``values[lane][party]`` (integer shares) to
-    ``uint8[width, parties, lanes]`` of 0/1, least-significant bit first."""
-    if width <= LANE_BITS:
-        mask = (1 << width) - 1
-        words = np.array(
-            [[int(share) & mask for share in shares] for shares in values],
-            dtype=np.uint64,
-        ).T  # (parties, lanes)
-        shifts = np.arange(width, dtype=np.uint64)[:, None, None]
-        return ((words >> shifts) & np.uint64(1)).astype(np.uint8)
-    # wider than a machine word (the noise circuit's seed bus): per bit
-    bits = np.zeros((width, len(values[0]), len(values)), dtype=np.uint8)
-    for lane, shares in enumerate(values):
-        for p, share in enumerate(shares):
-            value = int(share)
-            for position in range(width):
-                bits[position, p, lane] = (value >> position) & 1
-    return bits
+def _input_planes(plan: BusPlan, batch: Sequence[Dict[str, Sequence[int]]]) -> "np.ndarray":
+    """Every input bit of a batch as ``uint8[bits, parties, lanes]`` in the
+    plan's slot order: one array of the shares' pieces, one gather, one
+    shift, one ``& 1``."""
+    rows = [
+        [share >> shift & mask for name, shift, mask in plan.pieces for share in inputs[name]]
+        for inputs in batch
+    ]
+    words = np.array(rows, dtype=np.uint64).reshape(len(rows), len(plan.pieces), -1)
+    planes = words.transpose(1, 2, 0).take(plan.piece, 0) >> plan.bit[:, None, None]
+    return (planes & np.uint64(1)).astype(np.uint8)
 
 
-def _bus_values(bits: "np.ndarray") -> List[List[int]]:
-    """Inverse of :func:`_bus_bits`: ``uint8[width, parties, lanes]`` back
-    to ``values[lane][party]`` as Python integers."""
-    width = bits.shape[0]
-    if width <= LANE_BITS:
-        shifts = np.arange(width, dtype=np.uint64)[:, None, None]
-        words = np.bitwise_or.reduce(bits.astype(np.uint64) << shifts, axis=0)
-        return words.T.tolist()
-    _, parties, lanes = bits.shape
-    values = [[0] * parties for _ in range(lanes)]
-    for position in range(width):
-        plane = bits[position].tolist()
-        for p in range(parties):
-            for lane in range(lanes):
-                values[lane][p] |= plane[p][lane] << position
+def _output_values(plan: BusPlan, bits: "np.ndarray") -> Dict[str, List[List[int]]]:
+    """``uint8[bits, parties, lanes]`` in the plan's slot order back to
+    ``{bus: values[lane][party]}`` (empty buses left out): one shift, one
+    OR per piece, the pieces of a bus wider than a word joined in Python."""
+    values: Dict[str, List[List[int]]] = {}
+    shifted = bits.astype(np.uint64) << plan.bit[:, None, None]
+    words = np.bitwise_or.reduceat(shifted, plan.starts, axis=0).transpose(0, 2, 1)
+    for (name, shift, _), rows in zip(plan.pieces, words.tolist()):
+        if shift:
+            rows = [[a | b << shift for a, b in zip(*pair)] for pair in zip(values[name], rows)]
+        values[name] = rows
     return values
 
 
@@ -279,10 +271,10 @@ class BitslicedGMWEngine(GMWEngine):
         slots = np.empty((schedule.num_slots, n, words), dtype=np.uint64)
         slots[:and_lo] = 0
         slots[circuit.one, 0, :] = _tail_mask(lanes)  # canonical all-ones lanes
-        for name, bus_slots in schedule.input_slots.items():
-            bits = _bus_bits([inputs[name] for inputs in shared_inputs_list], len(bus_slots))
-            slots[bus_slots] = pack_lane_axis(bits)
-        xor = np.bitwise_xor
+        if schedule.inputs.pieces:
+            planes = _input_planes(schedule.inputs, shared_inputs_list)
+            slots[schedule.inputs.slots] = pack_lane_axis(planes)
+        xor, and_ = np.bitwise_xor, np.bitwise_and
         # prefix shares, party p holding the XOR of shares 0..p: XOR gates
         # commute with that map, the constant one becomes all ones, and an
         # AND's share update z_p ^= x_p Y_<=p ^ X_<p y_p (the receiver's
@@ -291,15 +283,18 @@ class BitslicedGMWEngine(GMWEngine):
         xor.accumulate(slots[:and_lo], axis=1, out=slots[:and_lo])
         slots[and_lo:and_hi] = pools.claim()
 
+        take = slots.take  # the method: a gather without the wrapper's overhead
         for gather, starts, xor_lo, xor_hi, and_a, and_b, lo, hi in schedule.stages:
             if xor_hi > xor_lo:
-                xor.reduceat(slots[gather], starts, axis=0, out=slots[xor_lo:xor_hi])
+                xor.reduceat(take(gather, 0), starts, axis=0, out=slots[xor_lo:xor_hi])
             if hi > lo:
-                slots[lo:hi] ^= slots[and_a] & slots[and_b]
+                product = take(and_a, 0)
+                and_(product, take(and_b, 0), out=product)
+                segment = slots[lo:hi]
+                xor(segment, product, out=segment)
 
-        bus_shares: Dict[str, List[List[int]]] = {}  # name -> [lane][party]
-        for name, bus_slots in schedule.output_slots.items():
-            out = slots[bus_slots]
-            out[:, 1:] ^= slots[bus_slots][:, :-1]  # prefix shares back to shares
-            bus_shares[name] = _bus_values(unpack_lane_axis(out, lanes))
-        return bus_shares
+        shares = take(schedule.outputs.slots, 0)
+        shares[:, 1:] ^= shares[:, :-1]  # prefix shares back to shares (numpy buffers overlap)
+        values = _output_values(schedule.outputs, unpack_lane_axis(shares, lanes))
+        outputs = circuit.output_buses
+        return {name: values.get(name) or [[0] * n for _ in range(lanes)] for name in outputs}

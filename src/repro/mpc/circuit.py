@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.exceptions import CircuitError
@@ -28,6 +29,7 @@ __all__ = [
     "Gate",
     "Circuit",
     "CircuitStats",
+    "BusPlan",
     "CircuitPlan",
     "Stage",
     "StageSchedule",
@@ -88,6 +90,21 @@ class Stage(NamedTuple):
     and_hi: int
 
 
+class BusPlan(NamedTuple):
+    """One side of a schedule's buses (inputs or outputs) as a whole-array
+    plan. Each bus is cut into pieces of at most 64 bits (an empty bus has
+    none); piece ``k`` is ``pieces[k] = (bus, shift, mask)``, ``(value >>
+    shift) & mask``. Entry ``j`` of the vectors is bit ``bit[j]`` of piece
+    ``piece[j]``, held in slot ``slots[j]``; piece ``k`` starts at entry
+    ``starts[k]``."""
+
+    pieces: Tuple[Tuple[str, int, int], ...]
+    slots: Sequence[int]
+    piece: Sequence[int]
+    bit: Sequence[int]
+    starts: Sequence[int]
+
+
 class StageSchedule(NamedTuple):
     """A circuit as ``and_depth + 1`` :class:`Stage` s over a dense slot array.
 
@@ -119,14 +136,28 @@ class StageSchedule(NamedTuple):
     and_lo: int
     and_hi: int
     and_order: Sequence[int]
-    input_slots: Dict[str, Sequence[int]]
-    output_slots: Dict[str, Sequence[int]]
+    inputs: BusPlan
+    outputs: BusPlan
 
 
-def _index_vector(values: Sequence[int]) -> Any:
+def _index_vector(values: Sequence[int], dtype: str = "intp") -> Any:
     if _np is None:
         return tuple(values)
-    return _np.asarray(values, dtype=_np.intp)
+    return _np.asarray(values, dtype=dtype)
+
+
+def _bus_plan(buses: Dict[str, List[int]], slot_of: Sequence[int]) -> BusPlan:
+    pieces = [
+        (name, lo, bus[lo:][:64]) for name, bus in buses.items() for lo in range(0, len(bus), 64)
+    ]
+    widths = [len(part) for _, _, part in pieces]
+    return BusPlan(
+        pieces=tuple((name, lo, (1 << len(part)) - 1) for name, lo, part in pieces),
+        slots=_index_vector([slot_of[wire] for _, _, part in pieces for wire in part]),
+        piece=_index_vector([k for k, width in enumerate(widths) for _ in range(width)]),
+        bit=_index_vector([t for width in widths for t in range(width)], "uint64"),
+        starts=_index_vector(list(accumulate(widths, initial=0))[:-1]),
+    )
 
 
 _PRIMARY, _AND, _FOLDED, _KEPT = range(4)
@@ -252,14 +283,8 @@ def layerize(circuit: "Circuit") -> StageSchedule:
         and_lo=and_lo,
         and_hi=xor_lo,
         and_order=_index_vector(and_order),
-        input_slots={
-            name: _index_vector([slot_of[w] for w in bus])
-            for name, bus in circuit.input_buses.items()
-        },
-        output_slots={
-            name: _index_vector([slot_of[w] for w in bus])
-            for name, bus in circuit.output_buses.items()
-        },
+        inputs=_bus_plan(circuit.input_buses, slot_of),
+        outputs=_bus_plan(circuit.output_buses, slot_of),
     )
 
 

@@ -6,6 +6,7 @@ from repro.sharing.xor import (
     share_bit,
     share_bits,
     share_value,
+    share_words,
     xor_all,
 )
 
@@ -15,5 +16,6 @@ __all__ = [
     "share_bit",
     "share_bits",
     "share_value",
+    "share_words",
     "xor_all",
 ]

@@ -13,6 +13,7 @@ feed both the GMW engine (bit by bit) and the transfer protocol.
 
 from __future__ import annotations
 
+import struct
 from typing import List, Sequence
 
 from repro.crypto.rng import DeterministicRNG
@@ -22,6 +23,7 @@ __all__ = [
     "share_bit",
     "share_bits",
     "share_value",
+    "share_words",
     "reconstruct_bit",
     "reconstruct_value",
     "xor_all",
@@ -61,6 +63,34 @@ def share_value(value: int, bits: int, parties: int, rng: DeterministicRNG) -> L
     value &= mask
     shares = [rng.randbits(bits) for _ in range(parties - 1)]
     shares.append(value ^ xor_all(shares))
+    return shares
+
+
+def share_words(
+    values: Sequence[int], bits: int, parties: int, rng: DeterministicRNG
+) -> List[List[int]]:
+    """Split each of ``values`` (modulo ``2**bits``) into ``parties`` XOR
+    shares from one read of ``rng``: ``parties - 1`` random words per value
+    in value order, each the smallest of 1, 2, 4 or 8 big-endian bytes
+    that holds ``bits`` (whole bytes beyond 64 bits), masked to ``bits``."""
+    if parties < 1:
+        raise ProtocolError("need at least one party")
+    if bits < 1:
+        raise ProtocolError("need at least one bit")
+    mask = (1 << bits) - 1
+    draws = parties - 1
+    count = draws * len(values)
+    size = 1 << (max(bits - 1, 7).bit_length() - 3) if bits <= 64 else (bits + 7) // 8
+    raw = rng.randbytes(size * count)
+    if bits <= 64:  # struct codes of 1, 2, 4 and 8 bytes
+        words = struct.unpack(f">{count}{'BHIQ'[size.bit_length() - 1]}", raw)
+    else:
+        words = tuple(int.from_bytes(raw[k : k + size], "big") for k in range(0, len(raw), size))
+    shares = []
+    for k, value in enumerate(values):
+        row = [word & mask for word in words[k * draws : k * draws + draws]]
+        row.append((value & mask) ^ xor_all(row))
+        shares.append(row)
     return shares
 
 

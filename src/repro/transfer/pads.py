@@ -17,7 +17,8 @@ certificate holds ``pk'_y = pk_y^nk`` for every member ``y`` of ``B_v``,
 That is 2b² + 2b exponentiations per slot, and nothing afterwards.
 
 **Each step** (:class:`PadTransfer`). Sender ``x`` splits its share into
-b subshares and sends ``s_xy ⊕ PRF(K_xy, step)`` (L bits, one
+b subshares (in a secure run from its own derived stream,
+:meth:`PadTransfer.deliver`) and sends ``s_xy ⊕ PRF(K_xy, step)`` (L bits, one
 ``shake_256`` read) to ``u``; ``u`` XORs the b senders' words per
 receiver; ``v`` forwards them; ``y`` XORs out its b pads and holds
 ``⊕_x s_xy``, its fresh share. Receivers learn fresh share bits and
@@ -123,16 +124,21 @@ class PadTransfer:
     def mask(
         self, share_words: Sequence[int], keys: SlotKeys, step: int, rng: DeterministicRNG
     ) -> List[List[int]]:
-        """The members of ``B_u``: ``words[x][y] = s_xy ⊕ PRF(K_xy, step)``,
-        each sender splitting its share in block order."""
-        if len(share_words) != keys.block_size:
+        """The members of ``B_u``: each sender splits its share from
+        ``rng`` (in block order), then :meth:`seal`."""
+        bits, size = self.message_bits, keys.block_size
+        return self.seal([share_value(w, bits, size, rng) for w in share_words], keys, step)
+
+    def seal(self, splits: Sequence[Sequence[int]], keys: SlotKeys, step: int) -> List[List[int]]:
+        """The members of ``B_u``, given their splits (``splits[x]``, one
+        subshare per receiver): ``words[x][y] = s_xy ⊕ PRF(K_xy, step)``."""
+        if len(splits) != keys.block_size:
             raise ProtocolError("one share per member of the sending block")
         bits = self.message_bits
-        words = []
-        for word, row in zip(share_words, keys.senders):
-            subshares = share_value(word, bits, len(row), rng)
-            words.append([sub ^ pad(key, step, bits) for sub, key in zip(subshares, row)])
-        return words
+        return [
+            [sub ^ pad(key, step, bits) for sub, key in zip(split, row)]
+            for split, row in zip(splits, keys.senders)
+        ]
 
     @staticmethod
     def combine(words: Sequence[Sequence[int]]) -> List[int]:
@@ -152,6 +158,11 @@ class PadTransfer:
     def execute(
         self, share_words: Sequence[int], keys: SlotKeys, step: int, rng: DeterministicRNG
     ) -> List[int]:
-        """One edge's transfer in step ``step``: the receivers' fresh shares
-        (``v`` forwards each combined word unchanged)."""
+        """One edge's transfer in step ``step``, the senders splitting from
+        ``rng`` in block order: the receivers' fresh shares."""
         return self.unmask(self.combine(self.mask(share_words, keys, step, rng)), keys, step)
+
+    def deliver(self, splits: Sequence[Sequence[int]], keys: SlotKeys, step: int) -> List[int]:
+        """One edge's transfer in step ``step`` from the senders' own splits
+        (``v`` forwards each combined word unchanged)."""
+        return self.unmask(self.combine(self.seal(splits, keys, step)), keys, step)

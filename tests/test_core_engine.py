@@ -8,7 +8,7 @@ from repro.core.aggregation import (
     AggregationPlan,
     partial_sum_width,
     plan_groups,
-    reshare_word,
+    reshare_words,
 )
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import ConfigurationError, ProtocolError
@@ -122,13 +122,20 @@ class TestAggregationHelpers:
         from repro.sharing import share_value
 
         shares = share_value(0xABC, 12, 4, rng)
-        fresh = reshare_word(shares, 12, 5, rng)
-        assert len(fresh) == 5
+        other = share_value(0x123, 12, 3, rng)
+        # holders 2 and 3 hold a share of both words and split both in one read
+        words = [([0, 1, 2, 3], shares), ([2, 3, 4], other)]
+        fresh, fresh_other = reshare_words(words, 12, 5, rng, ("reshare", 0))
+        assert len(fresh) == len(fresh_other) == 5
         assert xor_all(fresh) == 0xABC
+        assert xor_all(fresh_other) == 0x123
+        again = reshare_words(words, 12, 5, rng, ("reshare", 0))
+        assert again == [fresh, fresh_other]  # keyed: the parent stream did not move
+        assert reshare_words(words, 12, 5, rng, ("reshare", 1)) != again
 
     def test_reshare_empty_rejected(self, rng):
         with pytest.raises(ProtocolError):
-            reshare_word([], 8, 3, rng)
+            reshare_words([([], [])], 8, 3, rng, ("reshare", 0))
 
     def test_plan_groups_single_level(self):
         assert plan_groups(list(range(10)), fanout=100) == [list(range(10))]

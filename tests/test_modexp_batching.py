@@ -39,6 +39,18 @@ generator. The run stream's position moved, so the noise seed and the
 released noise bits (``released`` entries 0 and 2, and ``rng``) moved;
 ``pre_noise_aggregate``, the trajectory, every ``traffic`` field and
 ``total_ot_transfers`` did not.
+
+It was re-recorded once more, by the same script, when every other draw
+of a run moved onto keyed streams too: init shares, transfer subshares,
+no-op shares, aggregation reshares, noise seeds and agreement ephemerals
+each read a stream derived for the party that draws it (by step, vertex,
+slot, group and member), so only the deployment still reads the run's
+stream. The noise seed and the released noise bits (``released``
+entries 0 and 2) and ``rng`` (now where the deployment leaves it)
+moved; ``pre_noise_aggregate``, the trajectory, every ``traffic`` field
+and ``total_ot_transfers`` did not, and all three engines agreed. The
+earlier keyed-mask record could not be reused: it moved only the GMW
+masks, and these draws still read the run's stream in order then.
 """
 
 from __future__ import annotations
@@ -512,8 +524,8 @@ class TestGoldenBitIdentity:
 #: recorder below refuses to print otherwise)
 GOLDEN = {
     "schnorr-256": {
-        "released": [-13.890625, 1.4453125, -3926, [1.10546875, 1.4453125]],
-        "rng": [65, 16],
+        "released": [33.15234375, 1.4453125, 8117, [1.10546875, 1.4453125]],
+        "rng": [5, 0],
         "traffic": {
             "max_node_bytes_sent": 766188.25,
             "mean_node_bytes_sent": 581379.03125,
@@ -524,8 +536,8 @@ GOLDEN = {
         },
     },
     "toy-64": {
-        "released": [7.8359375, 1.4453125, 1636, [1.10546875, 1.4453125]],
-        "rng": [31, 24],
+        "released": [1.74609375, 1.4453125, 77, [1.10546875, 1.4453125]],
+        "rng": [5, 0],
         "traffic": {
             "max_node_bytes_sent": 230164.25,
             "mean_node_bytes_sent": 171051.75,

@@ -28,6 +28,7 @@ from repro.crypto.group import TOY_GROUP_64
 from repro.crypto.ot import DDHObliviousTransfer
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import (
+    CircuitError,
     ConfigurationError,
     OfflinePoolExhaustedError,
     ProtocolError,
@@ -173,14 +174,16 @@ class TestStageSchedule:
             written |= and_slots
         # every slot is written exactly once, every bus has its slots
         assert written == set(range(schedule.num_slots))
-        for slots in schedule.output_slots.values():
-            assert set(slots.tolist()) <= written
-        assert {n: len(s) for n, s in schedule.output_slots.items()} == {
-            n: len(bus) for n, bus in circuit.output_buses.items()
-        }
-        assert sorted(np.concatenate(list(schedule.input_slots.values())).tolist()) == list(
-            range(2, schedule.and_lo)
-        )
+        outputs = schedule.outputs
+        assert set(outputs.slots.tolist()) <= written
+        # each output bus's pieces cover it, in order; an empty bus has none
+        ends = outputs.starts.tolist()[1:] + [len(outputs.slots)]
+        covered = {}
+        for (name, shift, _), lo, hi in zip(outputs.pieces, outputs.starts.tolist(), ends):
+            assert shift == covered.get(name, 0)
+            covered[name] = shift + hi - lo
+        assert covered == {n: len(bus) for n, bus in circuit.output_buses.items() if bus}
+        assert sorted(schedule.inputs.slots.tolist()) == list(range(2, schedule.and_lo))
 
     def test_one_stage_per_and_round_and_ordinals_in_gate_list_order(self):
         """Stage ``r`` evaluates exactly the AND gates of depth ``r + 1``,
@@ -216,7 +219,8 @@ class TestStageSchedule:
         (stage,) = schedule.stages
         assert stage.gather.tolist() == [2, 3, 4, 5]
         assert stage.starts.tolist() == [0]
-        assert schedule.output_slots["parity"].tolist() == [6]
+        assert schedule.outputs.pieces == (("parity", 0, 1),)
+        assert schedule.outputs.slots.tolist() == [6]
 
     def test_only_wires_somebody_holds_get_a_slot(self):
         circuit = mixed_circuit()
@@ -524,6 +528,68 @@ class TestRealCircuitParity:
 
 
 # ------------------------------------------------- offline/online account --
+
+
+def wide_and_empty_circuit():
+    """70-bit buses in and out (each two 64-bit pieces), a narrow output,
+    and an output bus with no wires."""
+    circuit = Circuit()
+    x = circuit.add_input_bus("x", 70)
+    y = circuit.add_input_bus("y", 70)
+    circuit.mark_output_bus("product", [circuit.and_(a, b) for a, b in zip(x, y)])
+    circuit.mark_output_bus("nothing", [])
+    circuit.mark_output_bus("low", [circuit.xor(x[0], y[1]), circuit.and_(x[69], y[0])])
+    return circuit
+
+
+#: the bulk bus plans' shapes: the EN update circuit, the noise circuit
+#: (an 80-bit seed bus) and wide plus empty buses
+ONLINE = {
+    "en-update": EisenbergNoeProgram(FixedPointFormat(8, 4)).build_update_circuit(2),
+    "noise": build_noised_sum_bits_circuit(3, 12, 0.8, 5, 8),
+    "wide-and-empty": wide_and_empty_circuit(),
+}
+ONLINE_LANES = (1, 12, 64, 65)
+
+
+class TestOnlineParity:
+    @pytest.mark.parametrize("parties", [2, 3, 8])
+    @pytest.mark.parametrize("name", sorted(ONLINE))
+    def test_bulk_lanes_equal_the_per_gate_oracle(self, name, parties):
+        """Numpy lanes move every bus of a batch by the compiled bus plans;
+        each lane's output shares equal one per-gate ``evaluate``."""
+        circuit = ONLINE[name]
+        oracle = GMWEngine(parties)
+        rng = DeterministicRNG(f"online-{name}-{parties}")
+        inputs = [
+            {bus: oracle.share_input(rng.randbits(len(w)), len(w), rng)
+             for bus, w in circuit.input_buses.items()}
+            for _ in range(max(ONLINE_LANES))
+        ]
+        keys = DeterministicRNG("online-keys")
+        expected = [oracle.evaluate(circuit, shares, keys).output_shares for shares in inputs]
+        for lanes in ONLINE_LANES:
+            engine = BitslicedGMWEngine(parties)
+            got = engine.evaluate_batch(circuit, inputs[:lanes], DeterministicRNG("online-keys"))
+            assert [result.output_shares for result in got] == expected[:lanes], lanes
+        assert any(len(bus) > 64 for bus in circuit.input_buses.values()) == (name != "en-update")
+
+    @pytest.mark.parametrize("engine_type", [GMWEngine, BitslicedGMWEngine])
+    def test_refusals_keep_their_type_and_message(self, engine_type):
+        circuit = ONLINE["wide-and-empty"]
+        good = {"x": [1, 2, 3], "y": [4, 5, 6]}
+        cases = [
+            ({"x": [1, 2, 3]}, CircuitError, "missing shares for input bus 'y'"),
+            ({"x": [1, 2], "y": [4, 5, 6]}, ProtocolError, "input bus 'x' has 2 shares, expected 3"),
+            ({"x": [1, 2, 3.0], "y": [4, 5, 6]}, ProtocolError,
+             "input bus 'x' has a float share; shares are int"),
+            ({"x": [1, 2, 3], "y": [4, np.uint64(5), 6]}, ProtocolError,
+             "input bus 'y' has a uint64 share; shares are int"),
+        ]
+        for bad, error, message in cases:
+            with pytest.raises(error) as raised:
+                engine_type(3).evaluate_batch(circuit, [good, bad], DeterministicRNG("refusal"))
+            assert type(raised.value) is error and str(raised.value) == message
 
 
 class TestOfflineAccounting:

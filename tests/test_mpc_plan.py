@@ -57,8 +57,8 @@ np = pytest.importorskip("numpy")
 from repro.mpc.bitslice import (  # noqa: E402
     LANE_BITS,
     BitslicedGMWEngine,
-    _bus_bits,
-    _bus_values,
+    _input_planes,
+    _output_values,
     lane_words,
     pack_lane_axis,
     unpack_lane_axis,
@@ -72,8 +72,10 @@ def schedule_fields(schedule):
         schedule.and_lo,
         schedule.and_hi,
         schedule.and_order.tolist(),
-        {name: slots.tolist() for name, slots in schedule.input_slots.items()},
-        {name: slots.tolist() for name, slots in schedule.output_slots.items()},
+        [
+            [field if isinstance(field, tuple) else field.tolist() for field in plan]
+            for plan in (schedule.inputs, schedule.outputs)
+        ],
         [
             (
                 stage.gather.tolist(), stage.starts.tolist(), stage.xor_lo, stage.xor_hi,
@@ -612,11 +614,15 @@ class TestKernels:
                 max_size=lanes,
             )
         )
-        bits = _bus_bits(values, width)
+        # one bus in, the same wires out: the compiled plan's pieces
+        circuit = Circuit()
+        circuit.mark_output_bus("x", circuit.add_input_bus("x", width))
+        schedule = circuit.compile().schedule
+        bits = _input_planes(schedule.inputs, [{"x": shares} for shares in values])
         assert bits.dtype == np.uint8
         assert np.array_equal(bits, bus_bits_oracle(values, width))
         mask = (1 << width) - 1
-        unpacked = _bus_values(bits)
+        unpacked = _output_values(schedule.outputs, bits)["x"]
         assert unpacked == bus_values_oracle(bits)
         assert unpacked == [[v & mask for v in shares] for shares in values]
         assert all(type(v) is int for shares in unpacked for v in shares)

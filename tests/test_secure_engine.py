@@ -143,7 +143,7 @@ class TestPrivacyStructure:
         def broken_transfer(*args, **kwargs):
             raise RuntimeError("transfer died mid-round")
 
-        monkeypatch.setattr(PadTransfer, "execute", broken_transfer)
+        monkeypatch.setattr(PadTransfer, "deliver", broken_transfer)
         with pytest.raises(RuntimeError, match="mid-round"):
             execute("secure", program, graph, 1, make_config(), accountant)
         assert accountant.spent == 0.0
