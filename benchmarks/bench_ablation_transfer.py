@@ -4,8 +4,8 @@ The paper's transfer protocol is strawman #3 plus noise; each refinement
 costs something. This bench prices the ladder — whole-share encryption
 (#1), subshares (#2), per-bit + homomorphic sums (#3), noise (the paper's
 final protocol) — and, as its last row, the pad transfer every run takes:
-a key agreement once per run and edge slot, then no exponentiation in any
-iteration. It also quantifies the §5.1 Kurosawa ephemeral-key reuse, which
+a key agreement once per run and edge slot (its elements hashed into one
+pad stream per pair), then no exponentiation in any iteration. It also quantifies the §5.1 Kurosawa ephemeral-key reuse, which
 trades L extra public keys for saving L-1 exponentiations per subshare.
 """
 
@@ -21,7 +21,7 @@ from repro.crypto.keys import SchnorrSigner
 from repro.crypto.rng import DeterministicRNG
 from repro.sharing import share_value, xor_all
 from repro.transfer.certificates import build_certificate, generate_member_keys
-from repro.transfer.pads import PadTransfer, agree_keys
+from repro.transfer.pads import PadTransfer, agree_pads
 from repro.transfer.protocol import MessageTransferProtocol
 from repro.transfer.strawman import Strawman1, Strawman2, Strawman3
 from tables import emit_table
@@ -59,8 +59,9 @@ def test_protocol_ladder_costs(benchmark):
 
     timed("final (noise + rerandomized keys)", final)
 
-    # the pad transfer: one key per pair agreed at setup, under a one-key
-    # certificate, then every iteration on pads alone
+    # the pad transfer: one element per pair agreed at setup, under a
+    # one-key certificate, hashed into a one-step pad stream; then the
+    # iteration on pads alone
     counting = CountingGroup(TOY_GROUP_64)
     elgamal = ElGamal(counting)
     signer = SchnorrSigner(counting)
@@ -69,15 +70,16 @@ def test_protocol_ladder_costs(benchmark):
     cert = build_certificate(elgamal, signer, signer.keygen(rng), 0, 0, members, nk, rng)
     secrets = [member.secrets[0] for member in members]
     transfer = PadTransfer(BITS)
-    keys = None
+    pads = None
 
     def agree(_eg):
-        nonlocal keys
-        keys = agree_keys(counting, cert, nk, secrets, rng)
+        nonlocal pads
+        ephemerals = [counting.random_scalar(rng) for _ in range(BLOCK)]
+        pads = agree_pads(counting, cert, nk, secrets, ephemerals, 1, BITS)
 
     def iteration(_eg):
         shares = share_value(99, BITS, BLOCK, rng)
-        assert xor_all(transfer.execute(shares, keys, 0, rng)) == 99
+        assert xor_all(transfer.execute(shares, pads, 0, rng)) == 99
 
     for label, fn in (
         ("pad transfer: key agreement (once per run and slot)", agree),

@@ -7,16 +7,18 @@ output:
 1. **Setup** — once per deployment (:func:`repro.core.setup.deployment_for`):
    the trusted party assigns blocks and issues block certificates. Per
    run, each node forwards certificates to its in-neighbors, and every
-   transferring edge slot agrees one key per sender–receiver pair
-   (:func:`repro.transfer.pads.agree_keys`).
+   transferring edge slot agrees one element per sender–receiver pair,
+   hashed into a pad stream for every step of the run
+   (:func:`repro.transfer.pads.agree_pads`).
 2. **Initialization** — every node XOR-shares its vertex's initial state
    (and ``D`` no-op inbox slots) among its block.
 3. **Computation steps** — each block evaluates the program's update
    circuit under GMW; inputs and outputs stay shared.
 4. **Communication steps** — each outgoing message's shares move along the
-   edge as subshares under XOR pads of the agreed keys
+   edge as subshares under the step's words of the agreed pad streams
    (:class:`repro.transfer.pads.PadTransfer`), landing as fresh shares at
-   the receiving block.
+   the receiving block; each slot's traffic is replayed from a send plan
+   fixed at setup.
 5. **Aggregation + noising** — contribution registers are re-shared to
    the aggregation tree; the root block samples two-sided geometric noise
    inside MPC (Dwork-style bit sampler) and reveals only the noised sum.
@@ -31,7 +33,8 @@ window body is a plain generator that performs every crypto operation of
 a round window itself, in one fixed order (only the deployment reads
 the run's one sequential stream; every share, subshare, ephemeral, noise
 seed and GMW evaluation reads a stream derived for the party that draws
-it, by step, vertex, slot or group and member, which no order moves),
+it, by step, vertex, group or member, once per use, split in a canonical
+order that no loop order moves),
 and yields what each finished
 block batch — a GMW evaluation's OT-extension bits, a transfer's
 masked words — puts on the wire. ``engine="secure"`` drains it with a
@@ -72,8 +75,8 @@ from repro.obs.clock import now as clock_now
 from repro.obs.metrics import absorb_gmw
 from repro.obs.trace import current_recorder, timed_phase
 from repro.sharing.xor import reconstruct_value, share_words
-from repro.simulation.netsim import PhaseTimer, TrafficMeter
-from repro.transfer.pads import PadTransfer, SlotKeys, agree_keys
+from repro.simulation.netsim import PhaseTimer, SendPlan, TrafficMeter
+from repro.transfer.pads import PadTransfer, SlotPads, agree_pads
 
 __all__ = ["SecureRun", "check_backend", "compile_secure_plans", "run_bill"]
 
@@ -88,61 +91,42 @@ def check_backend(backend: str, owner: str) -> str:
     return backend
 
 
-def _record_link(
-    meter: TrafficMeter, link_bytes: LinkBytes, src: int, dst: int, num_bytes: float
-) -> None:
-    """Meter one directed send and accumulate it into a batch's link map."""
-    meter.record_send(src, dst, num_bytes)
-    key = (src, dst)
-    link_bytes[key] = link_bytes.get(key, 0.0) + num_bytes
-
-
-def _meter_fan(
-    meter: TrafficMeter, sources: Sequence[Sequence[int]], targets: Sequence[int], num_bytes: float
-) -> None:
-    """Meter ``num_bytes`` from every member of each source block to every
-    other member of ``targets``: one send per link, its bytes summed."""
-    links: LinkBytes = {}
+def _fan(sources: Sequence[Sequence[int]], targets: Sequence[int], num_bytes: float) -> SendPlan:
+    """``num_bytes`` from every member of each source block to every other
+    member of ``targets``: one send per link, its bytes summed."""
+    counts: Dict[int, int] = {}
     for block in sources:
         for src in block:
-            for dst in targets:
-                if src != dst:
-                    links[src, dst] = links.get((src, dst), 0.0) + num_bytes
-    for (src, dst), total in links.items():
-        meter.record_send(src, dst, total)
+            counts[src] = counts.get(src, 0) + 1
+    # a count times a multiple of 1/8 is the exact float the per-word sum was
+    return SendPlan(
+        (src, dst, count * num_bytes)
+        for src, count in counts.items()
+        for dst in targets
+        if src != dst
+    )
 
 
 #: One transferring edge slot: ``(u, out_slot, v, in_slot)``; ``out_slot``
 #: is ``None`` for a padded self-transfer, which carries a no-op.
 Slot = Tuple[int, Optional[int], int, int]
+#: A receiving slot ``(v, in_slot)``: what a slot's pads and splits are
+#: filed under, and the canonical order a drawing party splits one read in.
+SlotKey = Tuple[int, int]
 
 
-def _meter_transfer(
-    meter: TrafficMeter,
-    blocks: Mapping[int, Sequence[int]],
-    lines: TransferLines,
-    u: int,
-    v: int,
-) -> LinkBytes:
-    """Meter one transfer (or key agreement) from ``B_u`` to ``B_v`` at a
-    bill's per-role lines; returns its bytes per link for the transport
-    dispatch."""
-    link_bytes: LinkBytes = {}
-    for member in blocks[u]:
-        if member != u:
-            _record_link(meter, link_bytes, member, u, lines.sender_bytes)
-    if u != v:
-        _record_link(meter, link_bytes, u, v, lines.u_bytes)
-    for member in blocks[v]:
-        if member != v:
-            _record_link(meter, link_bytes, v, member, lines.receiver_bytes)
-    for member in blocks[u]:
-        meter.node(member).exponentiations += lines.sender_exps
-    meter.node(u).exponentiations += lines.u_exps
-    meter.node(v).exponentiations += lines.v_exps
-    for member in blocks[v]:
-        meter.node(member).exponentiations += lines.receiver_exps
-    return link_bytes
+def _transfer_sends(
+    blocks: Mapping[int, Sequence[int]], lines: TransferLines, u: int, v: int
+) -> SendPlan:
+    """One transfer's (or key agreement's) sends from ``B_u`` to ``B_v`` at
+    a bill's per-role lines: the senders to ``u``, ``u`` to ``v``, ``v``
+    to the receivers. A pad transfer's plan is all its metering; a key
+    agreement also books its exponentiations."""
+    return SendPlan(
+        [(member, u, lines.sender_bytes) for member in blocks[u] if member != u]
+        + ([(u, v, lines.u_bytes)] if u != v else [])
+        + [(v, member, lines.receiver_bytes) for member in blocks[v] if member != v]
+    )
 
 
 def _aggregation_plan(
@@ -268,7 +252,7 @@ class SecureRun(LifecycleCore):
     :func:`~repro.core.lifecycle.run_lifecycle` calls :meth:`setup` once,
     then :meth:`run_window`, :meth:`aggregate` and :meth:`noise` once per
     release window, then :meth:`finalize`. The attributes are the run's
-    state: what setup agreed (``deployment``, ``pad_keys``, ``slots``),
+    state: what setup agreed (``deployment``, ``pads``, ``slots``),
     the live shares (``state_shares``, ``inbox_shares``,
     ``outbox_shares``), the evaluator and its bill (``gmw``, ``bill``),
     and what the run recorded (``meter``, ``phases``, ``rng``,
@@ -293,8 +277,18 @@ class SecureRun(LifecycleCore):
     bill: Bill
     #: each vertex, in transcript order, with the slots it transfers on
     slots: List[Tuple[Any, List[Slot]]]
-    #: the keys agreed at setup, by receiving slot ``(v, in_slot)``
-    pad_keys: Dict[Tuple[int, int], SlotKeys]
+    #: what every communication step repeats, fixed at setup
+    #: (:meth:`_plan_transfers`): each vertex in transcript order with its
+    #: slots' send plans, then its local no-op reverts' (``None`` under
+    #: ``pad_transfers``)
+    transfer_plans: List[Tuple[int, List[Tuple[SlotKey, SendPlan]], Optional[SendPlan]]]
+    #: each sending block member's slots ``(v, in_slot, rank, u, out_slot)``
+    #: in ``(v, in_slot)`` order, ``rank`` its position in ``B_u``
+    sender_slots: Dict[int, List[Tuple[int, int, int, int, Optional[int]]]]
+    #: each owner's no-op inbox slots (padded sends or local reverts)
+    no_op_slots: Dict[int, List[int]]
+    #: the pad streams agreed at setup, by receiving slot
+    pads: Dict[SlotKey, SlotPads]
     state_shares: Dict[int, Dict[str, List[int]]]
     inbox_shares: Dict[int, List[List[int]]]
     meter: TrafficMeter
@@ -370,7 +364,8 @@ class SecureRun(LifecycleCore):
                 config.collusion_bound,
             )
             self._setup_blocks()
-            self.pad_keys = self._agree_keys()
+            self._plan_transfers()
+            self.pads = self._agree_pads(sum(state.windows))
 
         # --------------------------------------------------------- init --
         with timed_phase(self.phases, "initialization"):
@@ -427,7 +422,7 @@ class SecureRun(LifecycleCore):
             def reshare_to(
                 words: List[Any], width: int, targets: List[int], *labels: Any
             ) -> List[List[int]]:
-                _meter_fan(meter, [holders for holders, _ in words], targets, (width + 7) / 8.0)
+                meter.replay(_fan([holders for holders, _ in words], targets, (width + 7) / 8.0))
                 return reshare_words(words, width, len(targets), rng, ("reshare", *labels))
 
             self.pre_noise_raw = self._raw_aggregate()
@@ -493,7 +488,7 @@ class SecureRun(LifecycleCore):
             noised_raw = result.reveal("noised_sum", signed=True)
             # Revealing the output: every root member publishes its share.
             out_width = result.bus_widths["noised_sum"]
-            _meter_fan(meter, [root_members], root_members, (out_width + 7) / 8.0)
+            meter.replay(_fan([root_members], root_members, (out_width + 7) / 8.0))
         return noised_raw * self.program.fmt.resolution, noised_raw - self.pre_noise_raw
 
     def finalize(self, state: RunState, started: float) -> Any:
@@ -595,26 +590,75 @@ class SecureRun(LifecycleCore):
                 ]
             yield view, slots
 
-    def _agree_keys(self) -> Dict[Tuple[int, int], SlotKeys]:
+    def _plan_transfers(self) -> None:
+        """Fix at setup what every communication step repeats: each slot's
+        transfer sends at the bill's pad lines, each vertex's local no-op
+        revert fan, the slots each sending block member splits for, and
+        each owner's no-op slots."""
+        blocks = self.assignment.blocks
+        lines = self.bill.pad
+        revert_bytes = (self.program.fmt.total_bits + 7) / 8.0
+        self.transfer_plans, self.sender_slots, self.no_op_slots = [], {}, {}
+        for view, sends in self.slots:
+            owner = view.vertex_id
+            unused = list(range(view.in_degree, self.vertex_bound[owner]))
+            if unused:
+                self.no_op_slots[owner] = unused
+            plans = []
+            for u, out_slot, v, in_slot in sends:
+                plans.append(((v, in_slot), _transfer_sends(blocks, lines, u, v)))
+                for rank, x in enumerate(blocks[u]):
+                    self.sender_slots.setdefault(x, []).append((v, in_slot, rank, u, out_slot))
+            revert = None
+            if not self.config.pad_transfers:
+                revert = _fan([[owner]] * len(unused), blocks[owner], revert_bytes)
+            self.transfer_plans.append((owner, plans, revert))
+        for owned in self.sender_slots.values():
+            owned.sort()
+
+    def _agree_pads(self, steps: int) -> Dict[SlotKey, SlotPads]:
         """The transfer's per-run setup: one key agreement per transferring
         slot, under the certificate ``v`` forwarded to ``u`` for it —
         ``B_v``'s keys under the neighbor key of the slot ``u`` occupies at
-        ``v``. The senders' ephemerals come from ``rng.derive("agree", v,
-        in_slot)``."""
+        ``v`` — hashed into pad streams for the run's ``steps``
+        communication steps. Sender member ``x`` draws the ephemerals of
+        all its slots from one stream, ``rng.derive("agree", x)``, in
+        ``(v, in_slot)`` order."""
         deployment = self.deployment
         blocks = deployment.assignment.blocks
-        keys: Dict[Tuple[int, int], SlotKeys] = {}
+        group = self.config.group
+        size = self.config.block_size
+        ephemerals: Dict[SlotKey, List[int]] = {}
+        for x, owned in self.sender_slots.items():
+            stream = self.rng.derive("agree", x)
+            for v, in_slot, rank, _u, _out_slot in owned:
+                ephemerals.setdefault((v, in_slot), [0] * size)[rank] = group.random_scalar(stream)
+        secrets = {
+            v: [deployment.member_keys[m].secrets[0] for m in blocks[v]] for v in blocks
+        }
+        bits = self.program.fmt.total_bits
+        lines = self.bill.agreement
+        meter = self.meter
+        pads: Dict[SlotKey, SlotPads] = {}
         for _view, sends in self.slots:
             for u, _out_slot, v, in_slot in sends:
-                keys[v, in_slot] = agree_keys(
-                    self.config.group,
+                pads[v, in_slot] = agree_pads(
+                    group,
                     deployment.certificates[v][in_slot],
                     deployment.neighbor_keys[v][in_slot],
-                    [deployment.member_keys[m].secrets[0] for m in blocks[v]],
-                    self.rng.derive("agree", v, in_slot),
+                    secrets[v],
+                    ephemerals[v, in_slot],
+                    steps,
+                    bits,
                 )
-                _meter_transfer(self.meter, blocks, self.bill.agreement, u, v)
-        return keys
+                meter.replay(_transfer_sends(blocks, lines, u, v))
+                for member in blocks[u]:
+                    meter.node(member).exponentiations += lines.sender_exps
+                meter.node(u).exponentiations += lines.u_exps
+                meter.node(v).exponentiations += lines.v_exps
+                for member in blocks[v]:
+                    meter.node(member).exponentiations += lines.receiver_exps
+        return pads
 
     def _share_initial_state(self) -> None:
         """§3.6 init: XOR-share every vertex's state and no-op inbox slots.
@@ -636,7 +680,7 @@ class SecureRun(LifecycleCore):
             shares = share_words(values, bits, self.config.block_size, self.rng.derive("init", v))
             self.state_shares[v] = dict(zip(registers, shares))
             self.inbox_shares[v] = shares[len(registers) :]
-            _meter_fan(self.meter, [[v]] * len(values), blocks[v], (bits + 7) / 8.0)
+            self.meter.replay(_fan([[v]] * len(values), blocks[v], (bits + 7) / 8.0))
 
     def _assign_buckets(self) -> Dict[int, int]:
         """Map each vertex to its degree bound (§3.7 buckets).
@@ -786,49 +830,52 @@ class SecureRun(LifecycleCore):
     def _communication_transfers(self, step: int) -> Iterator[LinkBytes]:
         """One §3.6 communication step, transfer by transfer.
 
-        Moves each slot's shares on the keys agreed at setup and yields
-        each transfer's wire bytes at link granularity. Sender ``x`` of
-        slot ``(v, in_slot)`` splits its share from ``rng.derive("transfer",
-        step, v, in_slot, x)``, and a no-op (padded send or local revert)
-        is shared from ``rng.derive("no-op", step, v, slot)``, so the
-        shares do not depend on the slot order. Local no-op padding (the
-        cheap non-``pad_transfers`` mode) stays inside the generator: it
-        moves share words between block members but is not an edge
+        Moves each slot's shares on the pads agreed at setup and yields
+        each transfer's wire bytes at link granularity, replayed from the
+        slot's send plan. Every drawing party reads once per step: owner
+        ``v`` shares all its no-ops (padded sends or local reverts) from
+        ``rng.derive("no-op", step, v)``, in slot order, and sender member
+        ``x`` splits its shares of every slot it sends on from
+        ``rng.derive("transfer", step, x)``, in ``(v, in_slot)`` order, so
+        the shares do not depend on the slot order. Local no-op padding
+        (the cheap non-``pad_transfers`` mode) stays inside the generator:
+        it moves share words between block members but is not an edge
         transfer.
         """
-        config = self.config
         fmt = self.program.fmt
         bits = fmt.total_bits
-        size = config.block_size
-        blocks = self.assignment.blocks
+        size = self.config.block_size
         rng = self.rng
         raw_no_op = fmt.to_unsigned(fmt.encode(NO_OP_MESSAGE))
-
-        def no_op(v: int, slot: int) -> List[int]:
-            return share_words([raw_no_op], bits, size, rng.derive("no-op", step, v, slot))[0]
-        for view, sends in self.slots:
-            for u, out_slot, v, in_slot in sends:
-                if out_slot is None:
-                    shares = no_op(v, in_slot)
-                else:
-                    shares = self.outbox_shares[u][out_slot]
-                splits = [
-                    share_words([word], bits, size, rng.derive("transfer", step, v, in_slot, x))[0]
-                    for word, x in zip(shares, blocks[u])
-                ]
+        outbox = self.outbox_shares
+        no_ops: Dict[SlotKey, List[int]] = {}
+        for owner, slots in self.no_op_slots.items():
+            drawn = share_words([raw_no_op] * len(slots), bits, size, rng.derive("no-op", step, owner))
+            no_ops.update(zip([(owner, slot) for slot in slots], drawn))
+        splits: Dict[SlotKey, List[Any]] = {}
+        for x, owned in self.sender_slots.items():
+            # x's share of what each slot carries: a message, or a padded no-op
+            words = [
+                (no_ops[v, in_slot] if out_slot is None else outbox[u][out_slot])[rank]
+                for v, in_slot, rank, u, out_slot in owned
+            ]
+            drawn = share_words(words, bits, size, rng.derive("transfer", step, x))
+            for (v, in_slot, rank, _u, _out_slot), split in zip(owned, drawn):
+                splits.setdefault((v, in_slot), [None] * size)[rank] = split
+        for owner, plans, revert in self.transfer_plans:
+            for key, plan in plans:
+                v, in_slot = key
                 self.inbox_shares[v][in_slot] = self.transfer.deliver(
-                    splits, self.pad_keys[v, in_slot], step
+                    splits[key], self.pads[key], step
                 )
                 self.transfer_count += 1
-                yield _meter_transfer(self.meter, blocks, self.bill.pad, u, v)
-            if not config.pad_transfers:
+                yield self.meter.replay(plan)
+            if revert is not None:
                 # Unused inbox slots revert to fresh no-op shares from the
                 # owner (cheap local padding; see DESIGN.md).
-                v = view.vertex_id
-                unused = range(view.in_degree, self.vertex_bound[v])
-                for slot in unused:
-                    self.inbox_shares[v][slot] = no_op(v, slot)
-                _meter_fan(self.meter, [[v]] * len(unused), blocks[v], (bits + 7) / 8.0)
+                for slot in self.no_op_slots.get(owner, ()):
+                    self.inbox_shares[owner][slot] = no_ops[owner, slot]
+                self.meter.replay(revert)
 
     def _meter_gmw(self, members: List[int], result: GMWResult) -> LinkBytes:
         """Attribute a GMW evaluation's wire traffic to the member nodes.
@@ -841,9 +888,12 @@ class SecureRun(LifecycleCore):
         and the secure-async driver can dispatch the returned map.
         """
         meter = self.meter
-        link_bytes: LinkBytes = {}
-        for (i, j), pair_bytes in result.traffic.pair_bytes().items():
-            _record_link(meter, link_bytes, members[i], members[j], pair_bytes)
+        link_bytes = meter.replay(
+            SendPlan(
+                (members[i], members[j], pair_bytes)
+                for (i, j), pair_bytes in result.traffic.pair_bytes().items()
+            )
+        )
         for member in members:
             meter.node(member).gmw_evaluations += 1
         recorder = current_recorder()

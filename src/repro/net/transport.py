@@ -169,6 +169,11 @@ class TcpTransport(Transport):
         self._departed: Set[int] = set()
         self._handshake_errors: List[TransportError] = []
         self._owner: Dict[int, int] = {}
+        #: conveyed padding peers owe this party under the replicated
+        #: schedule, and what of it has arrived (see :meth:`_settled`)
+        self._convey_owed = 0
+        self._convey_arrived = 0
+        self._arrival: Optional[asyncio.Event] = None
         self._opened = False
         self._closed = False
         self._stats: Dict[str, float] = {
@@ -190,6 +195,7 @@ class TcpTransport(Transport):
             self._inbound_ready = asyncio.Event()
             self._run_started = asyncio.Event()
             self._failure = asyncio.Event()
+            self._arrival = asyncio.Event()
             if self.num_parties <= 1:
                 self._inbound_ready.set()
             self._thread = threading.Thread(
@@ -206,15 +212,53 @@ class TcpTransport(Transport):
         One submission carries a whole release window, so the engine's
         protocol calls run where the sockets and mailboxes live. The
         submission copies the caller's context, so the window's ``round``
-        spans nest under the caller's ``run`` span. If the wait is
-        interrupted, the window is cancelled on the io loop.
+        spans nest under the caller's ``run`` span. The window returns
+        only once its inbound conveyed bytes are in (:meth:`_settled`). If
+        the wait is interrupted, the window is cancelled on the io loop.
         """
-        future = asyncio.run_coroutine_threadsafe(coro, self._ensure_loop())
+        future = asyncio.run_coroutine_threadsafe(self._settled(coro), self._ensure_loop())
         try:
             return future.result()
         except BaseException:
             future.cancel()
             raise
+
+    async def _settled(self, coro):
+        """Run ``coro``, then wait until every conveyed byte the replicated
+        schedule so far routes to this party has arrived.
+
+        Conveys have no receive barrier of their own: a party whose
+        replica finished first would otherwise end its window, and report
+        its wire counts, before a slower peer's batches reached it. The
+        wait is raced against peer failure and ``io_timeout``, like a
+        gather: never a hang.
+        """
+        result = await coro
+        while self._convey_arrived < self._convey_owed:
+            self._arrival.clear()
+            waiters = [
+                asyncio.ensure_future(self._arrival.wait()),
+                asyncio.ensure_future(self._failure.wait()),
+            ]
+            try:
+                done, _pending = await asyncio.wait(
+                    waiters, timeout=self.io_timeout, return_when=asyncio.FIRST_COMPLETED
+                )
+            finally:
+                for waiter in waiters:
+                    waiter.cancel()
+            if self._convey_arrived >= self._convey_owed:
+                break
+            owed = f"{self._convey_owed - self._convey_arrived} conveyed bytes still owed"
+            if waiters[1] in done:
+                cause = self._failure_error
+                raise type(cause)(f"party {self.party_id}: {owed}: {cause}")
+            if not done:
+                raise TransportTimeoutError(
+                    f"party {self.party_id}: {owed} after {self.io_timeout:g}s "
+                    "(no peer failure detected — mesh stalled?)"
+                )
+        return result
 
     def listen(self) -> int:
         """Bind the listener (port 0 picks a free one); returns the port."""
@@ -522,7 +566,9 @@ class TcpTransport(Transport):
                         f"party {pid} aborted its run: {frame.detail}"
                     ),
                 )
-        # convey kinds carry only padding: counted above, nothing to route
+        else:  # convey kinds carry only padding: nothing to route
+            self._convey_arrived += frame.pad_len
+            self._arrival.set()
 
     def _check_round_value(self, frame: Frame, pid: int) -> None:
         """Refuse a round value this party has no mailbox for: a ``dst``
@@ -607,7 +653,11 @@ class TcpTransport(Transport):
         self._maybe_die(round_index)
         me = self.party_id
         dst_owner = self._owner[dst]
-        if self._owner[src] != me or dst_owner == me:
+        if self._owner[src] != me:
+            if dst_owner == me:  # a peer's to send: owed, settled at window end
+                self._convey_owed += max(0, math.ceil(num_bytes))
+            return
+        if dst_owner == me:
             return  # only the source owner pays the wire; replicas compute
         remaining = max(0, math.ceil(num_bytes))
         frame_kind = convey_kind(kind)

@@ -24,6 +24,7 @@ __all__ = [
     "share_bits",
     "share_value",
     "share_words",
+    "unpack_words",
     "reconstruct_bit",
     "reconstruct_value",
     "xor_all",
@@ -66,6 +67,18 @@ def share_value(value: int, bits: int, parties: int, rng: DeterministicRNG) -> L
     return shares
 
 
+_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def unpack_words(raw: bytes, size: int) -> Sequence[int]:
+    """``raw`` cut into big-endian words of ``size`` bytes, in order: one
+    ``struct`` call for 1, 2, 4 or 8 bytes, a slice per word otherwise."""
+    code = _STRUCT_CODES.get(size)
+    if code is not None:
+        return struct.unpack(f">{len(raw) // size}{code}", raw)
+    return [int.from_bytes(raw[k : k + size], "big") for k in range(0, len(raw), size)]
+
+
 def share_words(
     values: Sequence[int], bits: int, parties: int, rng: DeterministicRNG
 ) -> List[List[int]]:
@@ -79,13 +92,8 @@ def share_words(
         raise ProtocolError("need at least one bit")
     mask = (1 << bits) - 1
     draws = parties - 1
-    count = draws * len(values)
     size = 1 << (max(bits - 1, 7).bit_length() - 3) if bits <= 64 else (bits + 7) // 8
-    raw = rng.randbytes(size * count)
-    if bits <= 64:  # struct codes of 1, 2, 4 and 8 bytes
-        words = struct.unpack(f">{count}{'BHIQ'[size.bit_length() - 1]}", raw)
-    else:
-        words = tuple(int.from_bytes(raw[k : k + size], "big") for k in range(0, len(raw), size))
+    words = unpack_words(rng.randbytes(size * draws * len(values)), size)
     shares = []
     for k, value in enumerate(values):
         row = [word & mask for word in words[k * draws : k * draws + draws]]

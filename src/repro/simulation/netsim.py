@@ -10,10 +10,11 @@ wall-clock artifacts of the simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "NodeStats",
+    "SendPlan",
     "TrafficMeter",
     "PhaseTimer",
     "WanProjection",
@@ -35,6 +36,23 @@ class NodeStats:
     @property
     def total_bytes(self) -> float:
         return self.bytes_sent + self.bytes_received
+
+
+class SendPlan:
+    """A fixed list of point-to-point sends ``(src, dst, bytes)``, built
+    once and replayed on a meter (:meth:`TrafficMeter.replay`): a protocol
+    message whose shape never changes between steps is metered from its
+    plan, not re-derived. ``links`` sums the bytes per directed link in
+    first-seen order, as the sends themselves would."""
+
+    __slots__ = ("sends", "links")
+
+    def __init__(self, sends: Iterable[Tuple[int, int, float]]) -> None:
+        self.sends = tuple(sends)
+        links: Dict[Tuple[int, int], float] = {}
+        for src, dst, num_bytes in self.sends:
+            links[src, dst] = links.get((src, dst), 0.0) + num_bytes
+        self.links = links
 
 
 class TrafficMeter:
@@ -78,6 +96,15 @@ class TrafficMeter:
         self.node(src).bytes_sent += num_bytes
         self.node(dst).bytes_received += num_bytes
         self._links[(src, dst)] = self._links.get((src, dst), 0.0) + num_bytes
+
+    def replay(self, plan: SendPlan) -> Dict[Tuple[int, int], float]:
+        """Record ``plan``'s sends in order (node totals and links exactly as
+        one :meth:`record_send` each); returns its per-link bytes, shared:
+        read them, do not change them."""
+        record_send = self.record_send
+        for src, dst, num_bytes in plan.sends:
+            record_send(src, dst, num_bytes)
+        return plan.links
 
     def link_bytes(self, src: int, dst: int) -> float:
         """Total bytes carried by the directed link ``src -> dst``."""

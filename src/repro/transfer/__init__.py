@@ -11,7 +11,7 @@ from repro.transfer.certificates import (
     generate_member_keys,
     verify_certificate,
 )
-from repro.transfer.pads import PadTransfer, SlotKeys, agree_keys
+from repro.transfer.pads import PadTransfer, SlotPads, agree_pads, pad_stream
 from repro.transfer.protocol import (
     AggregatedShare,
     EncryptedSubshare,
@@ -30,7 +30,7 @@ __all__ = [
     "MessageTransferProtocol",
     "PadTransfer",
     "ShareTransferScheme",
-    "SlotKeys",
+    "SlotPads",
     "Strawman1",
     "Strawman2",
     "Strawman3",
@@ -38,9 +38,10 @@ __all__ = [
     "TransferInstance",
     "TransferResult",
     "TransferTraffic",
-    "agree_keys",
+    "agree_pads",
     "build_certificate",
     "certificate_digest",
     "generate_member_keys",
+    "pad_stream",
     "verify_certificate",
 ]

@@ -31,8 +31,7 @@ from repro.crypto.rng import DeterministicRNG
 from repro.finance import Bank, EisenbergNoeProgram, FinancialNetwork
 from repro.mpc.fixedpoint import FixedPointFormat
 from repro.sharing import share_value, xor_all
-from repro.transfer import pads as pad_module
-from repro.transfer.pads import PadTransfer, SlotKeys
+from repro.transfer.pads import PadTransfer, SlotPads
 
 FMT = FixedPointFormat(16, 8)
 
@@ -229,35 +228,52 @@ def _label(x, y):
     return f"x{x}y{y}".encode()
 
 
-LABELS = SlotKeys(
-    senders=tuple(tuple(_label(x, y) for y in range(BLOCK)) for x in range(BLOCK)),
-    receivers=tuple(tuple(_label(x, y) for x in range(BLOCK)) for y in range(BLOCK)),
-)
+class _TableStream:
+    """A one-step pad stream in the random-function model: its pad is the
+    table's entry for the pair's label, read when the roles read it."""
+
+    def __init__(self, table, label):
+        self.table, self.label = table, label
+
+    def __len__(self):
+        return 1
+
+    def __getitem__(self, step):
+        return self.table[self.label]
 
 
 @pytest.fixture
-def pads(monkeypatch):
-    """The PRF replaced by a table (key label -> pad): the random-function
-    model of the keys a coalition does not hold. Fill it before a run."""
-    table = {}
-    monkeypatch.setattr(pad_module, "pad", lambda key, step, bits: table[key])
-    return table
+def pads():
+    """The pad streams replaced by a table (pair label -> pad): the
+    random-function model of the elements a coalition does not hold.
+    Fill it before a run."""
+    return {}
 
 
 def coalition_view(coalition, shares, splits, pads):
     """Run the real roles once on the pad table and scripted splits;
     return all the coalition sees, and the fresh shares."""
     senders, receivers = coalition
+    streams = SlotPads(
+        senders=tuple(
+            tuple(_TableStream(pads, _label(x, y)) for y in range(BLOCK)) for x in range(BLOCK)
+        ),
+        receivers=tuple(
+            tuple(_TableStream(pads, _label(x, y)) for x in range(BLOCK)) for y in range(BLOCK)
+        ),
+    )
     transfer = PadTransfer(L)
     draws = _Draws(value for x in range(BLOCK) for value in splits[x])
-    words = transfer.mask(shares, LABELS, 0, draws)
+    words = transfer.mask(shares, streams, 0, draws)
     combined = transfer.combine(words)
-    fresh = transfer.unmask(combined, LABELS, 0)
+    fresh = transfer.unmask(combined, streams, 0)
     view = []
     for x in sorted(senders):
-        view.append(("sender", x, shares[x], splits[x], [pads[k] for k in LABELS.senders[x]]))
+        own = [pads[_label(x, y)] for y in range(BLOCK)]
+        view.append(("sender", x, shares[x], splits[x], own))
     for y in sorted(receivers):
-        view.append(("receiver", y, combined[y], fresh[y], [pads[k] for k in LABELS.receivers[y]]))
+        own = [pads[_label(x, y)] for x in range(BLOCK)]
+        view.append(("receiver", y, combined[y], fresh[y], own))
     if 0 in senders:  # u: every sender's word for every receiver
         view.append(("u", words))
     if 0 in receivers:  # v: every combined word it forwards
@@ -339,5 +355,5 @@ class TestPadTransferViews:
             graph = _chain_network(cash).to_en_graph(degree_bound=1)
             run = SecureRun(SecureDStressEngine(), EisenbergNoeProgram(FMT), graph, _config())
             run.setup(RunState(engine="secure", program="eisenberg-noe", windows=[1]))
-            keys.append(run.pad_keys)
+            keys.append(run.pads)
         assert keys[0] == keys[1] and len(keys[0]) == 3

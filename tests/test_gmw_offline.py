@@ -8,11 +8,12 @@ fold the same columns into the same prefix seeds, and the bytes the
 offline phases read are exactly the bill's ``mask_bytes``.
 
 Every share the run draws is keyed the same way, by the party that
-draws it: init shares by vertex, transfer subshares by step, slot and
-sender, no-op shares by step and slot, reshares by release, group and
+draws it: init shares by vertex, transfer subshares by step and sender
+member, no-op shares by step and owner, reshares by release, group and
 holder, noise seeds by release and root member, agreement ephemerals by
-slot. So the vertex and slot order moves no share, and only the
-deployment reads the run's sequential stream.
+sender member. A party that draws for several slots splits one read in
+``(v, in_slot)`` order. So the vertex and slot order moves no share, and
+only the deployment reads the run's sequential stream.
 """
 
 import hashlib
@@ -253,6 +254,7 @@ class TestDrawingParties:
         core = box["core"]
         blocks = core.assignment.blocks
         sender = {(v, in_slot): u for _, sends in core.slots for u, _, v, in_slot in sends}
+        members = {x for u in sender.values() for x in blocks[u]}
         in_degree = {view.vertex_id: view.in_degree for view, _ in core.slots}
         groups = plan_groups(core.graph.vertex_ids, core.config.aggregation_fanout)
         kinds = set()
@@ -260,14 +262,15 @@ class TestDrawingParties:
             kinds.add(kind)
             if kind == "init":  # the vertex shares its own state
                 assert rest[0] in blocks
-            elif kind == "agree":  # the slot's senders draw their ephemerals
-                assert tuple(rest) in sender
-            elif kind == "transfer":  # sender x of the slot's sending block
-                step, v, in_slot, x = rest
-                assert x in blocks[sender[v, in_slot]]
-            elif kind == "no-op":  # the owner of an unused inbox slot
-                step, v, slot = rest
-                assert in_degree[v] <= slot < core.vertex_bound[v]
+            elif kind == "agree":  # a sending block's member, for all its slots
+                (x,) = rest
+                assert x in members
+            elif kind == "transfer":  # a sending block's member, for the step
+                step, x = rest
+                assert x in members
+            elif kind == "no-op":  # the owner of unused inbox slots
+                step, v = rest
+                assert in_degree[v] < core.vertex_bound[v]
             elif kind == "gmw":  # vertex v's block evaluates its update
                 assert rest[1] in blocks
             elif kind == "reshare":  # a holder of the words it re-shares
@@ -284,6 +287,38 @@ class TestDrawingParties:
         assert {"init", "agree", "transfer", "no-op", "gmw", "reshare", "noise-seed"} <= kinds
         # nothing but the deployment reads the run's sequential stream
         assert box["end"] == box["deployed"]
+
+
+class TestOneReadPerDrawingParty:
+    def test_a_step_derives_once_per_drawing_party(self, monkeypatch):
+        """On the ``secure_gmw`` shape, each communication step derives one
+        stream per member of a sending block and one per owner of unused
+        inbox slots: at most 24 for 12 banks, where one per sender and
+        slot plus one per revert was 214 here (41 slots, 91 reverts; 216 on
+        the spine's topology). Key agreement derives one per member of a
+        sending block, for all its slots."""
+        seen, box = derived_labels(monkeypatch, backend="bitsliced")
+        core = box["core"]
+        blocks = core.assignment.blocks
+        sends = [send for _, slots in core.slots for send in slots]
+        members = {x for u, _, _, _ in sends for x in blocks[u]}
+        unused = {
+            view.vertex_id: core.vertex_bound[view.vertex_id] - view.in_degree
+            for view, _ in core.slots
+        }
+        owners = {v for v, count in unused.items() if count}
+        per_step = len(members) + len(owners)
+        assert len(sends) * core.config.block_size + sum(unused.values()) == 214
+        assert per_step <= 24
+        for step in (0, 1):
+            drawn = [labels for labels in seen if labels[0] in ("transfer", "no-op")
+                     and labels[1] == step]
+            assert len(drawn) == len(set(drawn)) == per_step
+            assert {labels[2] for labels in drawn if labels[0] == "transfer"} == members
+            assert {labels[2] for labels in drawn if labels[0] == "no-op"} == owners
+        agreed = [labels for labels in seen if labels[0] == "agree"]
+        assert sorted(x for _, x in agreed) == sorted(members)
+        assert core.transfer_count == 2 * len(sends)
 
 
 class TestMaskBytesCounter:

@@ -12,7 +12,8 @@ stays fast; the separate-OS-process acceptance path lives in
   the bus's io loop once (:meth:`TcpTransport.run`), so its ``round``
   spans nest under the caller's ``run`` span;
 * **the window edge** — the resume step of a windowed run sends its
-  round through ``send_round`` on the same wire;
+  round through ``send_round`` on the same wire, and a window returns
+  only once the crypto bytes its peers convey to it are in;
 * **chaos composition** — :class:`FaultInjectingTransport` wraps a
   ``TcpTransport``, so drop/duplicate chaos works against real sockets;
 * **never a hang** — a peer that vanishes (abrupt socket death, no
@@ -22,6 +23,7 @@ stays fast; the separate-OS-process acceptance path lives in
 
 import asyncio
 import threading
+import time
 from collections import Counter
 
 import pytest
@@ -283,6 +285,27 @@ class TestSecureAsyncBitIdentity:
         # not L + 1 group elements per subshare
         assert [_wire_sent(r) for r in results] == [(36.0, 259160.0), (42.0, 259336.0)]
 
+
+    def test_a_window_ends_with_its_inbound_crypto_bytes_in(self):
+        """Party 1 starts late, so party 0's replica finishes its crypto
+        first; party 0's window still returns only after party 1's
+        batches reached it: each party's received bytes are exactly what
+        the other sent, and so are its wire counts."""
+        transports, peers = _mesh(2, "test-secure-settle")
+
+        def run_one(i, bus):
+            if i == 1:
+                time.sleep(0.5)
+            return _template().engine("secure-async", transport=bus).run(iterations=ITERATIONS)
+
+        try:
+            results, errors = _run_parties(transports, peers, run_one)
+        finally:
+            _close_all(transports)
+        assert errors == [None, None]
+        received = [r.extras["wire_bytes_received"] for r in results]
+        sent = [r.extras["wire_bytes_sent"] for r in results]
+        assert received == sent[::-1] and min(received) > 0
 
     def test_traced_round_spans_descend_from_their_run_span(self):
         """Both parties trace into one recorder: each party's window runs
