@@ -4,8 +4,8 @@ Everything this repo computed so far ran inside one process, however many
 transports it simulated. This example is the proof that the deployment
 story is real: it launches **three OS processes** — one per party — that
 find each other over localhost TCP, handshake a versioned wire protocol,
-and run the full secure engine (``engine="secure-async"``) with every
-round value and OT-extension batch framed onto genuine sockets. Then it
+and run the full secure engine (``engine="secure-async"``) with the bytes
+of every OT-extension batch and transfer framed onto genuine sockets. Then it
 checks the only claim that matters:
 
 * every party's **released output is bit-identical** to the same scenario

@@ -1,18 +1,15 @@
-"""The async engine: per-vertex asyncio pipelines over a transport bus.
+"""The async engine: the plaintext loop with its rounds conveyed over a bus.
 
 The real DStress deployment is message-passing over a WAN where rounds
-are dominated by transfer I/O, not local compute (§6). The clear engines
-execute rounds in one process — route, barrier, repeat — so nothing
-overlaps communication with computation. This backend runs each vertex
-as an asyncio task over a :class:`~repro.core.transport.Transport`:
-a vertex computes its next round as soon as *its own* inbox completes,
-while slow links' deliveries are still in flight elsewhere. The schedule
-itself lives in :func:`repro.core.rounds.run_rounds_async`; the state it
-advances is a :class:`~repro.core.rounds.RoundLoop` with the same float
-arithmetic and initial state as the ``plaintext`` engine's, kept per
-vertex (``plaintext_loop(..., pipelines=True)``): each pipeline steps
-its vertex with ``float_update``, the row ``plaintext`` computes in one
-numpy pass.
+are dominated by transfer I/O, not local compute (§6). This backend steps
+exactly the loop ``engine="plaintext"`` steps (a
+:class:`~repro.core.rounds.ColumnLoop` wherever ``plaintext`` uses one)
+and hands every communication step's bytes — one fixed-point word per
+routed link — to a :class:`~repro.core.transport.Transport` as one
+:meth:`~repro.core.transport.Transport.convey_round` call, the way
+``secure-async`` conveys its block batches. Values are routed in
+process, so the bus never carries one: it carries the step's byte volume
+and pays its link delays.
 
 Engine options (all reachable through the registry and batch scenarios)::
 
@@ -20,34 +17,22 @@ Engine options (all reachable through the registry and batch scenarios)::
     .engine("async", transport="wan")          # simulated WAN delays
     .engine("async", transport=my_transport)   # any Transport instance
 
-Under the default :class:`~repro.core.transport.InMemoryTransport` the
-result is bit-identical to ``engine="plaintext"`` at every ``tasks``
-level — asserted by the cross-engine parity matrix. Under
-:class:`~repro.core.transport.SimulatedWanTransport` the payloads are
-unchanged (still bit-identical) but wall-clock reflects the link
-schedule, and the bus's delay and byte totals for the run land in
-``extras["simulated_seconds"]`` / ``extras["wan_bytes"]``. On every bus
-``result.traffic`` is the protocol's per-link bytes
+On every bus the result is bit-identical to ``engine="plaintext"`` at
+every ``tasks`` level — asserted by the cross-engine parity matrix.
+Under :class:`~repro.core.transport.SimulatedWanTransport` wall-clock
+reflects the link schedule, and the bus's delay and byte totals for the
+run land in ``extras["simulated_seconds"]`` / ``extras["wan_bytes"]``.
+On every bus ``result.traffic`` is the protocol's per-link bytes
 (:func:`~repro.simulation.netsim.meter_from_rounds`), never the bus's.
-
-All vertex tasks share the parent process, so nothing is pickled per
-round. Nor is there a Task per message: a vertex hands its whole round
-to the bus in one :meth:`~repro.core.transport.Transport.send_round`
-call, which the in-memory bus delivers inline — the only Tasks are the
-vertex pipelines.
-``tests/test_async_overlap.py`` holds both numbers to account: the Task
-count, and the overlapped run's wall-clock against the link delays its
-WAN bus accounted.
 
 Like every backend the engine executes through the shared run lifecycle,
 with the bus lifecycle it shares with ``secure-async`` (:class:`BusCore`):
 the bus is opened once at setup, and each window is one
-:meth:`~repro.core.rounds.RoundLoop.advance_async` coroutine handed to
+:class:`~repro.core.rounds.RoundScheduler` coroutine handed to
 :meth:`~repro.core.transport.Transport.run` — a fresh event loop for the
 in-process buses, the io loop of a TCP mesh. Under ``release="windowed"``
-a window resumes the previous one's pending outboxes through the shared
-resumption contract — sent on the bus as the round they belong to, like
-every other round.
+a window first conveys the resume step as the bus round it belongs to,
+like every other round.
 """
 
 from __future__ import annotations
@@ -58,6 +43,7 @@ from repro.api.engines import Engine, _PlaintextCore
 from repro.api.registry import register_engine
 from repro.api.result import RunResult
 from repro.core.lifecycle import ReleasePolicy, RunState, run_lifecycle
+from repro.core.rounds import RoundScheduler, WindowEvents
 from repro.core.transport import (
     Transport,
     attach_bus_extras,
@@ -71,20 +57,18 @@ __all__ = ["AsyncEngine", "BusCore", "BusEngine"]
 
 
 class BusCore:
-    """The bus lifecycle of the engines that route rounds over a
+    """The bus lifecycle of the engines that convey rounds over a
     :class:`~repro.core.transport.Transport` (``async``, ``secure-async``),
     mixed in ahead of the in-process core whose stages it wraps.
 
     Setup resolves the engine's transport spec, snapshots the bus's WAN
-    totals and opens it once for the whole execution; each window hands
-    its coroutine to the bus's :meth:`~repro.core.transport.Transport.run`
-    once; finalize stamps what the bus saw onto the result and closes an
-    engine-owned bus.
+    totals and opens it once for the whole execution; :meth:`drive` hands
+    each window to a fresh :class:`~repro.core.rounds.RoundScheduler` (a
+    window edge is a full barrier, so no delivery ever spans one) on the
+    bus's :meth:`~repro.core.transport.Transport.run`; finalize stamps
+    what the bus saw onto the result and closes an engine-owned bus.
     """
 
-    #: The value of an in-slot no message fills (``None``: the secure
-    #: engine conveys bytes, never round values).
-    fill = None
     bus: Optional[Transport] = None
 
     def setup(self, state: RunState) -> None:
@@ -93,7 +77,11 @@ class BusCore:
         # snapshot its totals so the extras below report *this* run.
         self.before = wan_totals(self.bus)
         super().setup(state)
-        self.bus.open(self.graph, self.fill)
+        self.bus.open(self.graph)
+
+    def drive(self, events: WindowEvents) -> None:
+        scheduler = RoundScheduler(self.bus, max_tasks=self.engine.tasks)
+        self.bus.run(scheduler.run(events))
 
     def finalize(self, state: RunState, started: float) -> RunResult:
         result = super().finalize(state, started)
@@ -115,8 +103,8 @@ class BusEngine(Engine):
     """What the bus engines share: the ``tasks`` and ``transport``
     options, and a run that closes its engine-owned bus however it ends.
 
-    ``tasks`` bounds how much work interleaves on the bus; ``transport``
-    picks it (``"memory"``, ``"wan"``, ``"tcp"``, or a
+    ``tasks`` bounds how many conveys may be in flight at once;
+    ``transport`` picks the bus (``"memory"``, ``"wan"``, ``"tcp"``, or a
     :class:`~repro.core.transport.Transport` instance).
     """
 
@@ -150,25 +138,7 @@ class BusEngine(Engine):
 
 
 class _AsyncCore(BusCore, _PlaintextCore):
-    """The plaintext core with its loop driven as asyncio pipelines.
-
-    Arithmetic, initial state, aggregate and result assembly are the
-    plaintext core's, on a per-vertex loop; each window is one
-    :meth:`~repro.core.rounds.RoundLoop.advance_async` drive on the bus,
-    resuming through the loop's pending outboxes.
-    """
-
-    pipelines = True
-
-    @property
-    def fill(self):
-        return self.loop.arithmetic.fill
-
-    def run_window(self, state: RunState, rounds: int, first: bool) -> None:
-        self.bus.run(
-            self.loop.advance_async(rounds, self.bus, max_tasks=self.engine.tasks)
-        )
-        state.trajectory = list(self.loop.trajectory)
+    """The plaintext core with its windows conveyed over a bus."""
 
     def finalize(self, state: RunState, started: float) -> RunResult:
         result = super().finalize(state, started)
@@ -177,12 +147,9 @@ class _AsyncCore(BusCore, _PlaintextCore):
 
 
 class AsyncEngine(BusEngine):
-    """Float-mode execution as overlapped per-vertex asyncio pipelines.
-
-    ``tasks`` bounds how many vertex computations interleave (the message
-    waits always stay concurrent — that is the point); ``transport`` picks
-    the bus.
-    """
+    """Float-mode execution with every communication step conveyed over a
+    bus; ``tasks`` bounds the conveys in flight, ``transport`` picks the
+    bus."""
 
     name = "async"
     core = _AsyncCore

@@ -11,8 +11,8 @@ the arithmetic and who drives the rounds:
 ``plaintext``  float arithmetic — the reference oracle
 ``fixed``      fixed-point arithmetic — clear circuit evaluation
 ``secure``     the full DStress protocol, window drained in place
-``async``      float arithmetic as per-vertex asyncio pipelines over a
-               transport bus, overlapping computation with deliveries
+``async``      float arithmetic, each communication step's bytes
+               conveyed over a transport bus
                (:class:`~repro.api.async_engine.AsyncEngine`)
 ``secure-async``  the same secure window with its per-block batches
                dispatched over the transport bus, bit-identical to
@@ -210,12 +210,9 @@ class _PlaintextCore(_CentralNoiseCore):
     """The clear round loop's stages: a resumable
     :class:`~repro.core.rounds.RoundLoop` in float or fixed arithmetic.
 
-    The async core is this core with a different driver for the same
-    loop (per-vertex pipelines over a bus).
+    The async core is this core with its windows' wire events conveyed
+    over a bus (:meth:`~repro.core.lifecycle.LifecycleCore.drive`).
     """
-
-    #: Per-vertex loop rows, as the async pipelines step them.
-    pipelines = False
 
     def __init__(self, engine, program, graph, config, fixed: bool = False) -> None:
         self.engine = engine
@@ -226,12 +223,10 @@ class _PlaintextCore(_CentralNoiseCore):
         self.loop: Optional[RoundLoop] = None
 
     def setup(self, state: RunState) -> None:
-        self.loop = plaintext_loop(
-            self.program, self.graph, self.fixed, state.phases, self.pipelines
-        )
+        self.loop = plaintext_loop(self.program, self.graph, self.fixed, state.phases)
 
     def run_window(self, state: RunState, rounds: int, first: bool) -> None:
-        self.loop.advance(rounds)
+        self.drive(self.loop.window(rounds))
         state.trajectory = list(self.loop.trajectory)
 
     def aggregate(self, state: RunState) -> float:

@@ -36,7 +36,7 @@ Like every backend the engine executes through the shared run lifecycle,
 with the bus lifecycle it shares with ``async``
 (:class:`~repro.api.async_engine.BusCore`): the bus is opened once at
 setup, and each window is a fresh
-:class:`~repro.core.rounds.SecureRoundScheduler` (a window edge is a full
+:class:`~repro.core.rounds.RoundScheduler` (a window edge is a full
 barrier, so no delivery ever spans one) whose coroutine is handed to
 :meth:`~repro.core.transport.Transport.run` — a fresh event loop for the
 in-process buses, the io loop of a TCP mesh, where the window body's
@@ -51,7 +51,6 @@ from repro.api.async_engine import BusCore, BusEngine
 from repro.api.engines import SecureDStressEngine
 from repro.api.registry import register_engine
 from repro.core.lifecycle import ReleasePolicy
-from repro.core.rounds import SecureRoundScheduler, WindowEvents
 from repro.core.secure_engine import SecureRun, check_backend
 from repro.core.transport import Transport
 
@@ -64,12 +63,8 @@ class _SecureAsyncCore(BusCore, SecureRun):
     Setup, the window body, aggregation and noising are the run's
     (the aggregation tree is a final local phase, not a round); only what
     happens to the window's wire events differs — they dispatch through a
-    fresh scheduler over the transport.
+    fresh scheduler over the transport (:meth:`BusCore.drive`).
     """
-
-    def drive(self, events: WindowEvents) -> None:
-        scheduler = SecureRoundScheduler(self.bus, max_tasks=self.engine.tasks)
-        self.bus.run(scheduler.run(events))
 
 
 class SecureAsyncEngine(BusEngine):

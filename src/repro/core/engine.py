@@ -78,6 +78,7 @@ def float_arithmetic(
         ),
         observe=lambda states: sum(state[register] for state in states.values()),
         decode=lambda state: state,
+        word_bytes=program.fmt.total_bits / 8.0,
     )
 
 
@@ -102,6 +103,7 @@ def fixed_arithmetic(
         ),
         observe=lambda states: fmt.decode(sum(raw[register] for raw in states.values())),
         decode=program.decode_state,
+        word_bytes=fmt.total_bits / 8.0,
     )
 
 
@@ -110,7 +112,6 @@ def plaintext_loop(
     graph: DistributedGraph,
     fixed: bool = False,
     phases: Optional[PhaseTimer] = None,
-    pipelines: bool = False,
 ) -> RoundLoop:
     """Initialize a resumable round loop (§3.6 setup) in float or
     fixed-point arithmetic; ``advance(n)`` on it runs ``n`` computation
@@ -118,15 +119,14 @@ def plaintext_loop(
 
     The float loop is a :class:`~repro.core.rounds.ColumnLoop` when the
     program overrides ``float_update_many`` (and numpy is present);
-    otherwise, and always with ``pipelines=True`` (the loop the async
-    engine drives through :meth:`~repro.core.rounds.RoundLoop.advance_async`),
-    its states are per-vertex dicts stepped by ``float_update``.
+    otherwise its states are per-vertex dicts stepped by ``float_update``.
+    Every clear engine steps this loop, the ``async`` engine too (it only
+    carries the loop's wire events over a bus).
     """
     with timed_phase(phases, "initialization"):
         degree_bound = graph.degree_bound
         if fixed:
-            # a computation step is one walk of the circuit, a lane per
-            # vertex (the async pipelines keep arithmetic.update)
+            # a computation step is one walk of the circuit, a lane per vertex
             circuit = compiled_update_circuit(program, degree_bound)
             superstep = batched_superstep(
                 graph.vertex_ids,
@@ -137,7 +137,7 @@ def plaintext_loop(
             return RoundLoop(graph, fixed_arithmetic(program, degree_bound), superstep, phases)
         arithmetic = float_arithmetic(program, degree_bound)
         columns = type(program).float_update_many is not VertexProgram.float_update_many
-        if pipelines or np is None or not columns:
+        if np is None or not columns:
             superstep = sequential_superstep(graph.vertex_ids, arithmetic.update)
             return RoundLoop(graph, arithmetic, superstep, phases)
         # a computation step is one numpy pass over every vertex's registers

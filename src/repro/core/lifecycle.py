@@ -244,6 +244,14 @@ class LifecycleCore(ABC):
         the pending outboxes of the previous window's last step).
         """
 
+    def drive(self, events: Any) -> None:
+        """Consume one window's wire events
+        (:data:`~repro.core.rounds.WindowEvents`). In process there is no
+        wire, so the bytes go nowhere; a bus core conveys them instead.
+        """
+        for _event in events:
+            pass
+
     @abstractmethod
     def aggregate(self, state: RunState) -> float:
         """Current pre-noise aggregate of the designated register."""

@@ -14,44 +14,38 @@ skeleton so backends only supply the three varying pieces:
   (:func:`batched_superstep`).
 * ``route`` — deliver outboxes to inboxes. :func:`route_messages`
   implements the §3.6 slot-to-slot delivery for any payload type (floats
-  or raw fixed-point words), in-process: the clear engines never put a
-  round on a bus.
+  or raw fixed-point words), in-process: values never travel on a bus.
 * ``observe`` — record the designated aggregate after each round (the
   convergence trajectory).
 
 :class:`RoundLoop` binds the three to one graph and one
 :class:`Arithmetic` — the float reference or the clear fixed-point
 circuits — and is the single place a clear run's state lives between
-release windows, whichever driver (:func:`run_rounds`,
-:func:`run_rounds_async`) advances it. :class:`ColumnLoop` is the float
-loop: the same handle over a register matrix.
+release windows. :class:`ColumnLoop` is the float loop: the same handle
+over a register matrix.
+
+The schedule is written once, as a generator of wire events
+(:meth:`RoundLoop.window`, :data:`WindowEvents`): ``None`` at every step
+boundary, and before the boundary of each routed communication step
+``(round, "round", link_bytes)`` — one word per routed link. The secure
+protocol's window (:class:`~repro.core.secure_engine.SecureRun`) yields
+the same shape. A lifecycle core consumes a window one of two ways: it
+drains it in process (:func:`run_rounds`, :meth:`RoundLoop.advance`), or
+a :class:`RoundScheduler` conveys every event over a
+:class:`~repro.core.transport.Transport` (the ``async`` and
+``secure-async`` engines). The consumer only decides where the bytes go,
+so it cannot change a value.
 
 Determinism contract: :func:`run_rounds` calls ``superstep`` exactly
 ``iterations + 1`` times with identical inputs regardless of who computes
 the superstep, so two backends whose supersteps are pointwise equal
 produce bit-identical trajectories and final states.
-
-:func:`run_rounds_async` is the same schedule reshaped for the async
-engine: one pipeline per vertex over a :class:`~repro.core.transport.Transport`,
-where a vertex starts its round ``r + 1`` computation as soon as *its own*
-round-``r`` inbox is complete — overlapping computation of ready vertices
-with in-flight deliveries of slow ones — while trajectories and final
-states are still assembled in sorted-vertex order, so the result is
-bit-identical to :func:`run_rounds` for pointwise-equal updates. Every
-round it communicates, a window's resume step included, goes through
-:meth:`~repro.core.transport.Transport.send_round` and
-:meth:`~repro.core.transport.Transport.gather_round`.
-
-The secure protocol's rounds have their own body (the window generator
-of :class:`~repro.core.secure_engine.SecureRun`, whose events are
-:data:`WindowEvent`); :class:`SecureRoundScheduler` is the driver that
-puts those events on a transport.
 """
 
 from __future__ import annotations
 
 import asyncio
-import copy
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain, compress
 from typing import (
@@ -79,7 +73,6 @@ except ImportError:  # pragma: no cover - container always ships numpy
 
 __all__ = [
     "run_rounds",
-    "run_rounds_async",
     "route_messages",
     "sequential_superstep",
     "batched_superstep",
@@ -89,7 +82,7 @@ __all__ = [
     "LinkBytes",
     "WindowEvent",
     "WindowEvents",
-    "SecureRoundScheduler",
+    "RoundScheduler",
 ]
 
 #: Per-vertex state payload (float registers or raw fixed-point registers).
@@ -101,15 +94,15 @@ M = TypeVar("M")
 #: :class:`ColumnLoop`'s register matrix and slot-by-vertex arrays).
 Superstep = Callable[[Dict[int, S], Dict[int, List[M]]], Tuple[Dict[int, S], Dict[int, List[M]]]]
 
-#: Ordered directed link with a byte payload: the unit the transport
-#: conveys for the secure path.
-LinkBytes = Dict[Tuple[int, int], float]
+#: Ordered directed link with a byte payload: the unit a bus conveys.
+LinkBytes = Mapping[Tuple[int, int], float]
 
-#: What a secure window puts on the wire, in transcript order: one
-#: ``(step, kind, link_bytes)`` per finished block batch, and ``None`` at
-#: every §3.6 step boundary (the barrier marker).
+#: What a window puts on the wire, in transcript order: one ``(step, kind,
+#: link_bytes)`` per finished batch (a clear communication step, a secure
+#: block batch), and ``None`` at every §3.6 step boundary (the barrier
+#: marker).
 WindowEvent = Optional[Tuple[int, str, LinkBytes]]
-#: One secure window: a generator, so a failing driver can ``close()`` it.
+#: One window: a generator, so a consumer that fails can ``close()`` it.
 WindowEvents = Generator[WindowEvent, None, None]
 
 
@@ -118,10 +111,10 @@ class Arithmetic(Generic[S, M]):
     """The number representation a clear run computes in.
 
     The float reference and the clear evaluation of the MPC circuits walk
-    one schedule over one graph; these five pieces are everything that
-    differs between them, so every plaintext-family engine (plaintext,
-    fixed, async) takes its initial state, vertex update, aggregate and
-    result decoding from the same value.
+    one schedule over one graph; these pieces are everything that differs
+    between them, so every plaintext-family engine (plaintext, fixed,
+    async) takes its initial state, vertex update, aggregate and result
+    decoding from the same value.
     """
 
     #: The encoded no-op message padding every unused in-slot.
@@ -134,6 +127,10 @@ class Arithmetic(Generic[S, M]):
     observe: Callable[[Dict[int, S]], float]
     #: One vertex's state in real units.
     decode: Callable[[S], Dict[str, float]]
+    #: What one message costs on a link: a fixed-point word of the
+    #: program's format, whatever the arithmetic computes in (the figure
+    #: :func:`~repro.simulation.netsim.meter_from_rounds` books).
+    word_bytes: float
 
 
 def run_rounds(
@@ -148,7 +145,8 @@ def run_rounds(
     first_round: int = 0,
     resume_outboxes: Optional[Dict[int, List[M]]] = None,
 ) -> Tuple[Dict[int, S], List[float], Dict[int, List[M]]]:
-    """Drive the §3.6 schedule; return (final states, trajectory, outboxes).
+    """Drive the §3.6 schedule in process; return (final states,
+    trajectory, outboxes).
 
     ``iterations`` computation+communication rounds, then one final
     computation step — exactly the shape both plaintext modes always had,
@@ -167,12 +165,41 @@ def run_rounds(
     inputs in the same order and the trajectory/final states concatenate
     bit-identically.
 
+    This is the schedule's wire events drained with nothing on a wire
+    (:meth:`RoundLoop.window` yields the same events to a bus).
     ``phases`` (optional) accumulates per-phase wall-clock through the
     shared :func:`~repro.obs.trace.timed_phase` path — the same recorder
     code path every engine uses, so ``RunResult.phases`` means the same
     thing everywhere. Telemetry reads only the injectable clock: it never
     touches the RNG or reorders work, so traced runs stay bit-identical.
     """
+    events = _round_events(
+        superstep, route, observe, states, inboxes, iterations, phases,
+        first_round, resume_outboxes, {},
+    )
+    while True:
+        try:
+            next(events)
+        except StopIteration as finished:
+            return finished.value
+
+
+def _round_events(
+    superstep: Superstep,
+    route: Callable[[Dict[int, List[M]]], Dict[int, List[M]]],
+    observe: Callable[[Dict[int, S]], float],
+    states: Dict[int, S],
+    inboxes: Dict[int, List[M]],
+    iterations: int,
+    phases: Optional[PhaseTimer],
+    first_round: int,
+    resume_outboxes: Optional[Dict[int, List[M]]],
+    link_bytes: LinkBytes,
+) -> Generator[WindowEvent, None, Tuple[Dict[int, S], List[float], Dict[int, List[M]]]]:
+    """The one body of the clear schedule (:func:`run_rounds`' contract)
+    as wire events: ``None`` at every step boundary, and each
+    communication step's ``link_bytes`` before its own; returns what
+    :func:`run_rounds` returns."""
     if iterations < 0:
         raise ConfigurationError("iteration count cannot be negative")
     recorder = current_recorder()
@@ -184,8 +211,9 @@ def run_rounds(
                 "a resumed window needs at least one computation step"
             )
         with recorder.span("round", round=round_index - 1):
-            with timed_phase(phases, "communication"):
-                inboxes = route(resume_outboxes)
+            inboxes = yield from _communicate(
+                route, resume_outboxes, phases, round_index - 1, link_bytes
+            )
         remaining = iterations - 1
     else:
         remaining = iterations
@@ -193,15 +221,29 @@ def run_rounds(
         with recorder.span("round", round=round_index):
             with timed_phase(phases, "computation"):
                 states, outboxes = superstep(states, inboxes)
-            with timed_phase(phases, "communication"):
-                inboxes = route(outboxes)
+            yield None
+            inboxes = yield from _communicate(
+                route, outboxes, phases, round_index, link_bytes
+            )
         trajectory.append(observe(states))
         round_index += 1
     with recorder.span("round", round=round_index):
         with timed_phase(phases, "computation"):
             states, final_outboxes = superstep(states, inboxes)
+        yield None
     trajectory.append(observe(states))
     return states, trajectory, final_outboxes
+
+
+def _communicate(route, outboxes, phases, round_index, link_bytes):
+    """One communication step: route in process, then put the step's
+    bytes on the wire as bus round ``round_index`` and close it with its
+    barrier (timed as communication, whoever carries the bytes)."""
+    with timed_phase(phases, "communication"):
+        inboxes = route(outboxes)
+        yield round_index, "round", link_bytes
+        yield None
+    return inboxes
 
 
 def route_messages(
@@ -226,8 +268,8 @@ def sequential_superstep(
     update: Callable[[int, S, List[M]], Tuple[S, List[M]]],
 ) -> Superstep:
     """A superstep that updates vertices one by one, in id order: the
-    per-vertex float loop's step (``plaintext_loop(..., pipelines=True)``,
-    a program without ``float_update_many``, a host without numpy).
+    per-vertex float loop's step (a program without
+    ``float_update_many``, a host without numpy).
 
     The id order fixes dict insertion order of the produced state map,
     which in turn fixes the float summation order of the observers.
@@ -273,15 +315,14 @@ class RoundLoop(Generic[S, M]):
     Derives the initial states and no-op inboxes, then owns the (states,
     pending outboxes) pair between windows so a release policy can
     interleave aggregate/noise/release stages with the round schedule
-    without the engine re-deriving resumption state. ``advance(n)`` runs
-    ``n`` more computation steps of ``superstep`` through
-    :func:`run_rounds` and returns the new trajectory entries;
-    :meth:`advance_async` runs the same steps as :func:`run_rounds_async`
-    pipelines of ``arithmetic.update`` over a transport. Span numbering
-    continues exactly where the previous window stopped, so a windowed
-    run's trace is the one-shot trace with extra release stages in between.
+    without the engine re-deriving resumption state. :meth:`window` is
+    ``n`` more computation steps of ``superstep`` as a generator of wire
+    events; :meth:`advance` drains it in process and returns the new
+    trajectory entries. Span numbering continues exactly where the
+    previous window stopped, so a windowed run's trace is the one-shot
+    trace with extra release stages in between.
 
-    States and messages are per-vertex maps here; :meth:`advance` routes
+    States and messages are per-vertex maps here; the schedule routes
     them with :func:`route_messages`.
     """
 
@@ -302,6 +343,8 @@ class RoundLoop(Generic[S, M]):
         self.steps = 0
         self.pending = None
         self.trajectory: List[float] = []
+        #: what every communication step puts on the wire
+        self.link_bytes: LinkBytes = _RoutedBytes(graph, arithmetic.word_bytes)
 
     def rows(self) -> Dict[int, S]:
         """Every vertex's current state, by id in id order."""
@@ -311,47 +354,35 @@ class RoundLoop(Generic[S, M]):
         """Current aggregate of the designated register."""
         return self._observe(self.states)
 
-    def advance(self, rounds: int) -> List[float]:
-        """Run ``rounds`` more computation steps; return their trajectory."""
-        return self._commit(
+    def window(self, rounds: int) -> WindowEvents:
+        """Run ``rounds`` more computation steps, yielding ``None`` at
+        every step boundary and, before a communication step's boundary,
+        its wire event ``(round, "round", link_bytes)``. A resumed
+        window's first event is the resume step, bus round
+        ``first_round - 1``, so computation step ``s`` communicates as bus
+        round ``s`` on every window."""
+        self.states, trajectory, self.pending = yield from _round_events(
+            self.superstep,
+            self._route,
+            self._observe,
+            self.states,
+            self.inboxes,
             rounds,
-            run_rounds(
-                self.superstep,
-                self._route,
-                self._observe,
-                self.states,
-                self.inboxes,
-                rounds,
-                phases=self.phases,
-                first_round=self._next_round(),
-                resume_outboxes=self.pending,
-            ),
+            self.phases,
+            self._next_round(),
+            self.pending,
+            self.link_bytes,
         )
+        self.steps += rounds
+        self.trajectory.extend(trajectory)
 
-    async def advance_async(
-        self,
-        rounds: int,
-        transport: Transport,
-        max_tasks: Optional[int] = None,
-    ) -> List[float]:
-        """:meth:`advance` as per-vertex pipelines over ``transport``, a
-        bus already open on this loop's graph with its ``fill``."""
-        return self._commit(
-            rounds,
-            await run_rounds_async(
-                self.graph,
-                self.arithmetic.update,
-                self.arithmetic.observe,
-                self.states,
-                self.inboxes,
-                rounds,
-                transport,
-                max_tasks=max_tasks,
-                phases=self.phases,
-                first_round=self._next_round(),
-                resume_outboxes=self.pending,
-            ),
-        )
+    def advance(self, rounds: int) -> List[float]:
+        """Run ``rounds`` more computation steps in process; return their
+        trajectory."""
+        start = len(self.trajectory)
+        for _event in self.window(rounds):
+            pass
+        return self.trajectory[start:]
 
     def _start(self, rows: Dict[int, S]):
         """The initial (states, inboxes) in this loop's form."""
@@ -369,15 +400,34 @@ class RoundLoop(Generic[S, M]):
         across windows (:func:`run_rounds`' resumption contract)."""
         return 0 if self.pending is None else self.steps + 1
 
-    def _commit(
-        self,
-        rounds: int,
-        outcome: Tuple[Dict[int, S], List[float], Dict[int, List[M]]],
-    ) -> List[float]:
-        self.states, trajectory, self.pending = outcome
-        self.steps += rounds
-        self.trajectory.extend(trajectory)
-        return trajectory
+
+class _RoutedBytes(Mapping):
+    """``num_bytes`` on every routed link of ``graph``, in ``(src, dst)``
+    order: what one clear communication step puts on the wire. Built on
+    first read, so a run drained in process never builds it."""
+
+    def __init__(self, graph: DistributedGraph, num_bytes: float) -> None:
+        self._graph = graph
+        self._num_bytes = num_bytes
+        self._links: Optional[Dict[Tuple[int, int], float]] = None
+
+    def _table(self) -> Dict[Tuple[int, int], float]:
+        if self._links is None:
+            links = sorted((src, dst) for src, _, dst, _ in self._graph.routes())
+            self._links = dict.fromkeys(links, self._num_bytes)
+        return self._links
+
+    def __getitem__(self, link):
+        return self._table()[link]
+
+    def __iter__(self):
+        return iter(self._table())
+
+    def __len__(self) -> int:
+        return len(self._table())
+
+    def items(self):
+        return self._table().items()
 
 
 class ColumnLoop(RoundLoop[Dict[str, float], float]):
@@ -393,8 +443,7 @@ class ColumnLoop(RoundLoop[Dict[str, float], float]):
     every unused in-slot; the aggregate is the builtin ``sum`` of the
     aggregate register in vertex order, as the per-vertex observer sums
     it. Per-vertex dicts are rebuilt only by :meth:`rows`, each in its
-    vertex's ``initial`` key order. Per-vertex pipelines need per-vertex
-    state: :meth:`advance_async` runs on the plain :class:`RoundLoop`.
+    vertex's ``initial`` key order.
     """
 
     def __init__(
@@ -450,12 +499,6 @@ class ColumnLoop(RoundLoop[Dict[str, float], float]):
             state.update(compress(zip(registers, values), changed))
         return rows
 
-    async def advance_async(self, rounds, transport, max_tasks=None):
-        raise ConfigurationError(
-            "a ColumnLoop steps whole registers; drive per-vertex pipelines "
-            "on plaintext_loop(..., pipelines=True)"
-        )
-
     def _route(self, outboxes: "np.ndarray") -> "np.ndarray":
         padded = self._padded
         padded[:-1] = outboxes.reshape(-1)
@@ -465,213 +508,23 @@ class ColumnLoop(RoundLoop[Dict[str, float], float]):
         return sum(states[self._column].tolist())
 
 
-async def run_rounds_async(
-    graph: DistributedGraph,
-    update: Callable[[int, S, List[M]], Tuple[S, List[M]]],
-    observe: Callable[[Dict[int, S]], float],
-    states: Dict[int, S],
-    inboxes: Dict[int, List[M]],
-    iterations: int,
-    transport: Transport,
-    max_tasks: Optional[int] = None,
-    phases: Optional[PhaseTimer] = None,
-    first_round: int = 0,
-    resume_outboxes: Optional[Dict[int, List[M]]] = None,
-) -> Tuple[Dict[int, S], List[float], Dict[int, List[M]]]:
-    """The §3.6 schedule as per-vertex pipelines over a transport.
+class RoundScheduler:
+    """Put one window's wire events on a bus, overlapping each batch's
+    wire time with the computation that follows it.
 
-    Returns ``(final_states, trajectory, final_outboxes)`` with the same
-    resumption contract as :func:`run_rounds`: pass the previous window's
-    ``final_outboxes`` back as ``resume_outboxes`` (with ``first_round``
-    set to the steps already taken plus one) to continue the schedule
-    across release windows. ``transport`` must already be open on
-    ``graph`` (:meth:`~repro.core.transport.Transport.open`, with the
-    arithmetic's ``fill``): the caller opens it once per execution, and
-    every window, a resumed one included, runs on it (a TCP bus serves
-    exactly one). A resumed window's resume step sends the pending
-    outboxes as bus round ``first_round - 1`` — one
-    :meth:`~repro.core.transport.Transport.send_round` per vertex — and
-    gathers every inbox before the pipelines start: the §3.6 step
-    boundary at a window edge is a full barrier anyway. So computation
-    step ``s`` communicates as bus round ``s`` on the one path, and no two
-    windows share a mailbox.
-
-    Each vertex runs its own task: compute round ``r``, push the round's
-    out-edge messages onto the bus in one
-    :meth:`~repro.core.transport.Transport.send_round` call, then await
-    its complete round-``r`` inbox
-    (:meth:`~repro.core.transport.Transport.gather_round` — the round
-    barrier) before computing round ``r + 1``. Nothing synchronizes
-    *across* vertices between rounds, so a vertex whose neighbors already
-    delivered computes ahead while slow links are still in flight — the
-    communication/computation overlap the paper's WAN deployment assumes.
-    The pipelines are the only Tasks a one-window run creates: a message
-    is a call into the bus, which overlaps the links of one batch itself
-    where they have a delay to wait.
-
-    ``max_tasks`` bounds how many vertex pipelines may occupy the compute
-    section at once: an :class:`asyncio.Semaphore` around the compute
-    step, with an explicit suspension point inside so the gate genuinely
-    contends (a synchronous-only critical section would always release
-    before anyone else could attempt acquire, making the bound a no-op).
-    Different ``max_tasks`` values therefore produce genuinely different
-    task interleavings — and identical results, which is what the parity
-    matrix asserts. The gate covers the compute section only; the message
-    waits must stay concurrent or a one-task schedule would deadlock on
-    its own barrier.
-
-    Bit-identity argument: a vertex's round-``r`` inbox is complete if and
-    only if it holds exactly the deliveries ``route_messages`` would have
-    produced (transports never alter payloads or slots), so every
-    ``update`` call sees the same ``(state, inbox)`` it sees under
-    :func:`run_rounds`; per-round states are recorded per vertex and
-    re-assembled in sorted-vertex order before ``observe`` runs, so float
-    summation order matches the sequential engines exactly.
-    """
-    if iterations < 0:
-        raise ConfigurationError("iteration count cannot be negative")
-    if max_tasks is not None and max_tasks < 1:
-        raise ConfigurationError("max_tasks must be at least 1")
-    # Note on phase semantics under overlap: per-pipeline communication
-    # waits run concurrently, so the summed "communication" seconds can
-    # legitimately exceed wall-clock — that over-count *is* the overlap
-    # the engine exists to exploit (documented in DESIGN.md).
-    recorder = current_recorder()
-    vertex_ids = graph.vertex_ids
-    # the graph's routing table grouped by sender: senders resolve the
-    # destination slot, the transport only moves payloads.
-    routes: Dict[int, List[Tuple[int, int, int]]] = {vid: [] for vid in vertex_ids}
-    for src, out_slot, dst, in_slot in graph.routes():
-        routes[src].append((out_slot, dst, in_slot))
-
-    def deliveries(vid: int, outbox: List[M]) -> List[Tuple[int, int, M]]:
-        """``vid``'s round of ``(dst, in_slot, payload)``, out-slot order."""
-        return [(dst, in_slot, outbox[out_slot]) for out_slot, dst, in_slot in routes[vid]]
-
-    if resume_outboxes is None:
-        full_rounds = iterations
-    else:
-        if iterations < 1:
-            raise ConfigurationError(
-                "a resumed window needs at least one computation step"
-            )
-        # the communication half of the previous window's last computation
-        # step, on the bus round it belongs to
-        resume_round = first_round - 1
-        with recorder.span("round", round=resume_round):
-            with timed_phase(phases, "communication"):
-                await _all_or_none(
-                    transport.send_round(
-                        vid, resume_round, deliveries(vid, resume_outboxes[vid])
-                    )
-                    for vid in vertex_ids
-                    if routes[vid]
-                )
-                inboxes = {
-                    vid: await transport.gather_round(vid, resume_round)
-                    for vid in vertex_ids
-                }
-        full_rounds = iterations - 1
-
-    # round -> vertex -> state-after-that-computation-step. A round is
-    # observed (in sorted-vertex order, preserving the reference float
-    # summation order) as soon as every vertex has recorded it, and its
-    # state map is freed — vertices record their rounds in order, so
-    # rounds complete in order and retained state is bounded by how far
-    # the fastest pipeline runs ahead of the slowest (O(vertices) when
-    # progress is balanced; a source vertex with no in-edges can race
-    # ahead and retain one entry per round it leads by).
-    round_states: List[Dict[int, S]] = [{} for _ in range(full_rounds + 1)]
-    num_vertices = len(vertex_ids)
-    trajectory: List[float] = []
-    final_outboxes: Dict[int, List[M]] = {}
-
-    def record(round_index: int, vid: int, state: S) -> None:
-        # snapshot, don't alias: observation is deferred until the whole
-        # round completes, and an update that mutates its state dict in
-        # place (instead of returning a fresh one) would otherwise leak a
-        # fast vertex's future rounds into an earlier observation — the
-        # sequential scheduler observes immediately, so async must see
-        # the same values. A shallow copy covers the flat register maps
-        # every engine uses.
-        round_states[round_index][vid] = copy.copy(state)
-        next_round = len(trajectory)
-        while next_round <= full_rounds and len(round_states[next_round]) == num_vertices:
-            per_round = round_states[next_round]
-            trajectory.append(observe({v: per_round[v] for v in vertex_ids}))
-            if next_round < full_rounds:  # the final round backs final_states
-                round_states[next_round] = {}
-            next_round += 1
-
-    gate = asyncio.Semaphore(max_tasks) if max_tasks is not None else None
-
-    async def vertex_pipeline(vid: int) -> None:
-        state = states[vid]
-        inbox = inboxes[vid]
-        for round_index in range(full_rounds):
-            bus_round = first_round + round_index
-            with recorder.span("round", round=bus_round, vertex=vid):
-                if gate is not None:
-                    async with gate:
-                        # the yield makes the gate real: the holder
-                        # suspends here, so other pipelines actually
-                        # queue on acquire while this slot is occupied
-                        await asyncio.sleep(0)
-                        with timed_phase(phases, "computation"):
-                            state, outbox = update(vid, state, inbox)
-                else:
-                    with timed_phase(phases, "computation"):
-                        state, outbox = update(vid, state, inbox)
-                record(round_index, vid, state)
-                with timed_phase(phases, "communication"):
-                    if routes[vid]:
-                        await transport.send_round(
-                            vid, bus_round, deliveries(vid, outbox)
-                        )
-                    inbox = await transport.gather_round(vid, bus_round)
-        with recorder.span("round", round=first_round + full_rounds, vertex=vid):
-            with timed_phase(phases, "computation"):
-                state, final_outboxes[vid] = update(vid, state, inbox)
-            record(full_rounds, vid, state)
-
-    await _all_or_none(vertex_pipeline(vid) for vid in vertex_ids)
-    final_states = {vid: round_states[full_rounds][vid] for vid in vertex_ids}
-    return final_states, trajectory, final_outboxes
-
-
-async def _all_or_none(coroutines) -> None:
-    """Run ``coroutines`` as concurrent Tasks; the first failure cancels
-    the rest. A transport fault (dropped delivery, dead peer) raises in
-    one of them while the others are parked on their own barriers — on a
-    real-socket bus each would otherwise sit out its full I/O timeout
-    before the error surfaces."""
-    tasks = [asyncio.ensure_future(coroutine) for coroutine in coroutines]
-    try:
-        await asyncio.gather(*tasks)
-    except BaseException:
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
-        raise
-
-
-class SecureRoundScheduler:
-    """Overlap per-block crypto deliveries with the blocks still computing.
-
-    The secure engine's rounds have a different shape from the plaintext
-    ones: the expensive unit is not a vertex update but a *block batch* —
-    the OT-extension bits a block's GMW evaluation puts on the wire, or a
-    §3.5 transfer's masked words. The values of those batches must be
-    computed in the sequential engine's exact order (every fork of the
+    The values a window carries are computed in process, in transcript
+    order, by the window generator itself (a clear
+    :meth:`RoundLoop.window` or a secure
+    :class:`~repro.core.secure_engine.SecureRun` window: every fork of the
     :class:`~repro.crypto.rng.DeterministicRNG` consumes parent stream, so
-    reordering crypto work would change the transcript and break
-    bit-identity with ``engine="secure"``); what *can* overlap is the
-    wire time. This scheduler is that overlap: :meth:`dispatch` hands a
-    finished batch's per-link bytes to the bus as one
+    reordering that work would change the transcript); what *can* overlap
+    is the wire time. :meth:`dispatch` hands a finished batch's per-link
+    bytes — a clear communication step's words, a secure block's
+    OT-extension bits, a §3.5 transfer's masked words — to the bus as one
     :meth:`~repro.core.transport.Transport.convey_round` call in an
-    asyncio task and returns to the caller immediately, so block ``b + 1``'s OT
-    computation proceeds while block ``b``'s bytes are still in flight on
-    a :class:`~repro.core.transport.SimulatedWanTransport`;
+    asyncio task and returns to the caller immediately, so block
+    ``b + 1``'s OT computation proceeds while block ``b``'s bytes are
+    still in flight on a :class:`~repro.core.transport.SimulatedWanTransport`;
     :meth:`barrier` is the §3.6 step boundary — computation steps and
     communication steps never interleave.
 
@@ -697,9 +550,9 @@ class SecureRoundScheduler:
                 await self.transport.convey_round(round_index, kind, links)
 
     async def dispatch(
-        self, link_bytes: LinkBytes, round_index: int, kind: str = "crypto"
+        self, link_bytes: LinkBytes, round_index: int, kind: str
     ) -> None:
-        """Put one block batch on the wire: one ``convey_round`` task over
+        """Put one batch on the wire: one ``convey_round`` task over
         its links in sorted order, then one yield, so the task actually
         enters its link waits before the caller resumes computing.
         """
@@ -712,13 +565,12 @@ class SecureRoundScheduler:
         await asyncio.sleep(0)
 
     async def run(self, events: WindowEvents) -> None:
-        """Drive one secure window over the bus.
+        """Drive one window over the bus.
 
-        ``events`` is one window of a
-        :class:`~repro.core.secure_engine.SecureRun` — the same body
-        ``engine="secure"`` drains with a bare ``for`` loop. The generator
-        does the crypto (in transcript order, between two ``next`` calls);
-        this loop only decides what happens to the bytes it yields.
+        ``events`` is the same window body an in-process engine drains
+        with a bare ``for`` loop. The generator computes (in transcript
+        order, between two ``next`` calls); this loop only decides what
+        happens to the bytes it yields.
         """
         try:
             for event in events:

@@ -38,9 +38,9 @@ order that no loop order moves),
 and yields what each finished
 block batch — a GMW evaluation's OT-extension bits, a transfer's
 masked words — puts on the wire. ``engine="secure"`` drains it with a
-``for`` loop (:meth:`SecureRun.drive`); ``secure-async`` overrides only
-that method and feeds the same events to a
-:class:`~repro.core.rounds.SecureRoundScheduler` that conveys the bytes
+``for`` loop (:meth:`~repro.core.lifecycle.LifecycleCore.drive`);
+``secure-async`` overrides only that method and feeds the same events to a
+:class:`~repro.core.rounds.RoundScheduler` that conveys the bytes
 over a :class:`~repro.core.transport.Transport` while later blocks are
 still computing. Released outputs are bit-identical between the two by
 construction — there is no second copy of the loop to drift; only
@@ -389,12 +389,6 @@ class SecureRun(LifecycleCore):
         self.drive(self._window(rounds, first))
         state.trajectory = list(self.trajectory)
 
-    def drive(self, events: WindowEvents) -> None:
-        """Consume one window's wire events; in process there is no wire,
-        so the bytes (already metered by the window body) go nowhere."""
-        for _event in events:
-            pass
-
     def aggregate(self, state: RunState) -> float:
         """Re-share contribution registers up the aggregation tree and
         return the simulation-only pre-noise aggregate.
@@ -522,8 +516,8 @@ class SecureRun(LifecycleCore):
         link_bytes)`` after each finished block batch, ``None`` at each
         step boundary. :meth:`drive` only decides what happens to those
         bytes — nothing (drain the generator) or a dispatch over the bus
-        (:meth:`SecureRoundScheduler.run
-        <repro.core.rounds.SecureRoundScheduler.run>`) — so it cannot
+        (:meth:`RoundScheduler.run
+        <repro.core.rounds.RoundScheduler.run>`) — so it cannot
         change a share.
 
         A fresh window runs ``rounds`` full (computation + communication)

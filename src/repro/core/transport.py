@@ -1,47 +1,34 @@
-"""The message bus every engine routes rounds over (§3.6 as a transport).
+"""The message bus the bus engines convey rounds over (§3.6 as a transport).
 
 A real DStress deployment is message-passing over a WAN: each participant
 is one node, and a round's cost is dominated by the transfer I/O, not the
-local compute. This module separates *what* a round delivers from *how*
-it travels:
+local compute. This module separates *what* a round computes from *how*
+its bytes travel:
 
 * :class:`Transport` — the protocol. A round reaches the bus one way:
-  one :meth:`~Transport.send_round` call carries a vertex's whole round
-  of out-edge messages, and :meth:`~Transport.gather_round` *is* the
-  round barrier — a vertex's round-``r`` gather resolves exactly when all
-  of its expected round-``r`` messages have been delivered (or accounted
-  as faulted), never earlier. Cryptographic bytes reach it one way too:
-  :meth:`~Transport.convey_round` carries one batch of slot-less payloads
-  (a block's GMW OT-extension bytes, a §3.5 transfer's masked words) for
-  the secure engine's rounds — same link model, byte counts instead of
-  values. The clear engines route in-process
-  (:func:`repro.core.rounds.route_messages`) and never touch a bus.
-* :class:`InMemoryTransport` — the reference path. Zero-delay, in-order
-  per slot, bit-identical to :func:`~repro.core.rounds.route_messages`;
-  every engine that claims parity with ``plaintext`` runs over this. A
-  round message is a function call here: no await suspends and no Task
-  is created.
+  :meth:`~Transport.convey_round` carries one batch of per-link byte
+  counts — a clear communication step's words, a secure block's GMW
+  OT-extension bytes, a §3.5 transfer's masked words. The values are
+  computed in process by the window that yields the batch
+  (:class:`~repro.core.rounds.RoundScheduler` drives it); only the bytes
+  travel, so no bus can change a released bit.
+* :class:`InMemoryTransport` — the reference path. Zero delay, nothing
+  counted: a convey is one call that returns at once.
 * :class:`SimulatedWanTransport` — injects per-link latency and
   bandwidth delays derived from :class:`~repro.core.config.DStressConfig`
   (``wan_latency_seconds`` / ``wan_bandwidth_bytes`` / ``wan_jitter``)
-  and totals the delay and bytes it carried. Delays never change
-  payloads, so results stay bit-identical to the in-memory path — only
-  wall-clock and those two totals move.
+  and totals the delay and bytes it carried. Only wall-clock and those
+  two totals move.
 * :class:`FaultInjectingTransport` — a chaos *wrapper* that drops or
-  duplicates selected deliveries over any inner bus so the failure path
-  is testable: a faulted round raises a
+  duplicates selected links of a convey over any inner bus, so the
+  failure path is testable: a faulted round raises a
   :class:`~repro.exceptions.TransportError` naming the link and round
-  instead of hanging the gather.
+  instead of hanging the step's barrier.
 * ``transport="tcp"`` — the real-socket backend
   (:class:`repro.net.transport.TcpTransport`, registered here, imported
   lazily): the same protocol over framed asyncio TCP streams between
   genuine OS processes, mesh shape taken from the ``REPRO_TCP_*``
   environment (or pass a connected instance; see :mod:`repro.net`).
-
-Determinism contract: transports deliver *values* into slots; they never
-reorder slots, merge payloads, or touch floats. Whatever the scheduling,
-an engine that gathers a complete round sees exactly the inbox
-``route_messages`` would have produced.
 """
 
 from __future__ import annotations
@@ -50,7 +37,7 @@ import asyncio
 import contextvars
 from concurrent.futures import ThreadPoolExecutor
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, Optional, Sequence, Set, Tuple,
 )
 
 from repro.crypto.rng import DeterministicRNG
@@ -61,7 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (config imports nothi
     from repro.core.graph import DistributedGraph
 
 __all__ = [
-    "Delivery",
     "LinkLoad",
     "Transport",
     "InMemoryTransport",
@@ -75,16 +61,8 @@ __all__ = [
     "validate_wan_params",
 ]
 
-#: Slot sentinel distinguishing "nothing delivered yet" from a delivered
-#: payload that happens to equal the fill value.
-_EMPTY = object()
-
 #: A link is one directed edge's (src, dst) pair.
 Link = Tuple[int, int]
-
-#: One round message of a :meth:`Transport.send_round` batch:
-#: ``(dst, in_slot, payload)``.
-Delivery = Tuple[int, int, Any]
 
 #: One link of a :meth:`Transport.convey_round` batch: ``(src, dst, num_bytes)``.
 LinkLoad = Tuple[int, int, float]
@@ -108,102 +86,48 @@ def validate_wan_params(
 
 
 class Transport:
-    """One way round messages travel between vertices.
+    """One way a round's bytes travel between nodes.
 
     A transport instance serves one execution at a time: :meth:`open`
-    resets all per-run state (mailboxes, fault accounting); a bus's
-    running totals are not per-run state, and engines report them as
-    deltas. Engines may reuse an instance across sequential runs but must
-    not share one across concurrent runs. A run's per-link traffic is
-    never the bus's: the engine computes it from the protocol.
+    binds it to the run's graph. A bus's running totals are not per-run
+    state, and engines report them as deltas. Engines may reuse an
+    instance across sequential runs but must not share one across
+    concurrent runs. A run's per-link traffic is never the bus's: the
+    engine computes it from the protocol.
     """
 
     #: Registry-style name stamped into result extras.
     name: str = "abstract"
 
-    def open(self, graph: "DistributedGraph", fill: Any) -> None:
-        """Bind to a graph for one execution.
-
-        Allocates per-(vertex, round) mailboxes and the expected-arrival
-        counts the round barrier resolves against, and resets any per-run
-        state a subclass keeps (round counters, fault accounting). Every
-        engine calls this once at the start of each execution, so a bus
-        instance reused across runs starts each run fresh; call it before
-        the first :meth:`send_round`.
-        """
-        self._graph = graph
-        self._fill = fill
-        self._expected: Dict[int, int] = {
-            view.vertex_id: view.in_degree for view in graph.vertices()
-        }
-        self._mail: Dict[Tuple[int, int], List[Any]] = {}
-        self._resolved: Dict[Tuple[int, int], int] = {}
-        self._faulted: Dict[Tuple[int, int], List[str]] = {}
-        self._events: Dict[Tuple[int, int], asyncio.Event] = {}
-
-    async def send_round(
-        self, src: int, round_index: int, deliveries: Sequence[Delivery]
-    ) -> None:
-        """Deliver one vertex's round of messages, each into its ``dst``'s
-        in-slot.
-
-        ``deliveries`` is ``src``'s ``[(dst, in_slot, payload)]`` in
-        out-slot order. The reference bus delivers them inline — the call
-        never suspends — and a bus that models the wire overrides this to
-        pay its link delays (overlapped within the call) before handing
-        each message to :meth:`_deliver`.
-        """
-        for dst, in_slot, payload in deliveries:
-            self._deliver(src, dst, in_slot, payload, round_index)
+    def open(self, graph: "DistributedGraph") -> None:
+        """Bind to a graph for one execution. Every engine calls this once
+        at the start of each execution, before the first
+        :meth:`convey_round`; the in-process buses keep nothing per run,
+        the real-socket bus assigns each vertex its owning party."""
 
     async def convey_round(
         self, round_index: int, kind: str, links: Sequence[LinkLoad]
     ) -> None:
-        """Carry one batch of cryptographic payload, ``num_bytes`` per
-        ``(src, dst, num_bytes)`` link.
+        """Carry one batch of payload, ``num_bytes`` per ``(src, dst,
+        num_bytes)`` link, as bus round ``round_index``.
 
-        This is the bus's side-channel for protocol traffic that has no
-        in-slot — a block's GMW OT-extension batch, a §3.5 transfer's
-        masked words — where the *values* are computed by the
-        protocol simulation and only the *bytes* travel. The reference bus
-        carries them instantly; :class:`SimulatedWanTransport` adds every
-        link's delay and bytes to its totals and awaits the slowest
-        payload-scaled link delay (latency + ``num_bytes / bandwidth``),
-        which is what the secure-async engine overlaps OT computation
-        against; and :class:`FaultInjectingTransport` raises a
+        The values are computed by the window that yields the batch; only
+        the *bytes* travel. The reference bus carries them instantly;
+        :class:`SimulatedWanTransport` adds every link's delay and bytes to
+        its totals and awaits the slowest payload-scaled link delay
+        (latency + ``num_bytes / bandwidth``), which is what the bus
+        engines overlap computation against; and
+        :class:`FaultInjectingTransport` raises a
         :class:`~repro.exceptions.TransportError` for a faulted link
-        instead of hanging the round. ``kind`` names the payload class in
-        fault messages (``"ot"`` / ``"transfer"``).
+        instead of hanging the round. ``kind`` names the payload class
+        (``"round"`` / ``"ot"`` / ``"transfer"``) in fault messages and on
+        the wire.
         """
         return None
 
-    async def gather_round(self, vertex_id: int, round_index: int) -> List[Any]:
-        """Await and return ``vertex_id``'s complete round inbox.
-
-        Resolves when every expected arrival for ``(vertex_id, round)``
-        has been delivered or accounted as faulted; a faulted round raises
-        :class:`TransportError` instead of returning a partial inbox — and
-        instead of hanging, because faults count toward the barrier too.
-        """
-        key = (vertex_id, round_index)
-        if self._expected[vertex_id] > 0:
-            await self._await_round(key)
-        faults = self._faulted.pop(key, None)
-        if faults:
-            raise TransportError(
-                f"round {round_index}: vertex {vertex_id} cannot complete its "
-                "gather: " + "; ".join(faults)
-            )
-        slots = self._mail.pop(key, None)
-        self._events.pop(key, None)
-        self._resolved.pop(key, None)
-        if slots is None:
-            return [self._fill] * self._graph.degree_bound
-        return [self._fill if value is _EMPTY else value for value in slots]
-
     def run(self, coro):
-        """Drive one window's coroutine to completion, where this bus's
-        mailboxes live, from synchronous code.
+        """Drive one window's coroutine to completion from synchronous
+        code.
 
         The in-process buses run it on a fresh event loop per call. When
         the caller already runs a loop (a notebook kernel), ``asyncio.run``
@@ -232,71 +156,13 @@ class Transport:
         one. A caller-supplied instance is the caller's to close.
         """
 
-    # -- shared mailbox mechanics ---------------------------------------------
-
-    async def _await_round(self, key: Tuple[int, int]) -> None:
-        """Block until ``key``'s round barrier resolves.
-
-        The one overridable wait inside :meth:`gather_round`: the
-        in-process buses wait on the mailbox event alone (nothing else can
-        happen), while the real-socket transport races it against peer
-        failure and an I/O timeout so a dead peer can never hang a round.
-        """
-        await self._event(key).wait()
-
-    def _event(self, key: Tuple[int, int]) -> asyncio.Event:
-        event = self._events.get(key)
-        if event is None:
-            event = self._events[key] = asyncio.Event()
-        return event
-
-    def _slots(self, key: Tuple[int, int]) -> List[Any]:
-        slots = self._mail.get(key)
-        if slots is None:
-            slots = self._mail[key] = [_EMPTY] * self._graph.degree_bound
-        return slots
-
-    def _deliver(
-        self, src: int, dst: int, in_slot: int, payload: Any, round_index: int
-    ) -> None:
-        key = (dst, round_index)
-        slots = self._slots(key)
-        if slots[in_slot] is not _EMPTY:
-            raise TransportError(
-                f"round {round_index}: duplicate delivery {src}->{dst} "
-                f"(in-slot {in_slot} already filled)"
-            )
-        slots[in_slot] = payload
-        self._resolve(key)
-
-    def _fault(self, key: Tuple[int, int], description: str) -> None:
-        """Account a delivery that will never arrive (the chaos wrapper's
-        drop path): the round barrier at ``key`` still resolves, and the
-        victim's gather raises a :class:`TransportError` carrying
-        ``description``. Called from inside the window :meth:`run` drives,
-        so it touches the mailboxes on the loop that owns them.
-        """
-        self._faulted.setdefault(key, []).append(description)
-        self._resolve(key)
-
-    def _resolve(self, key: Tuple[int, int]) -> None:
-        count = self._resolved.get(key, 0) + 1
-        self._resolved[key] = count
-        if count >= self._expected[key[0]]:
-            self._event(key).set()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} name={self.name!r}>"
 
 
 class InMemoryTransport(Transport):
-    """The reference bus: zero delay, nothing counted, bit-identical.
-
-    Each payload is delivered untouched and inline (``send_round`` and
-    ``convey_round`` are the protocol's reference bodies), so any engine
-    scheduling over this transport reproduces the sequential inboxes
-    verbatim.
-    """
+    """The reference bus: zero delay, nothing counted (the protocol's
+    reference bodies)."""
 
     name = "memory"
 
@@ -308,16 +174,16 @@ class SimulatedWanTransport(InMemoryTransport):
     ``latency_seconds * jitter_factor(src, dst)`` where the factor is
     drawn once per link from a :class:`DeterministicRNG` keyed by
     ``(seed, src, dst)`` — so delays are reproducible run-to-run and
-    independent of delivery order. A message of ``message_bytes`` bytes
-    additionally pays ``message_bytes / bandwidth_bytes`` serialization
-    delay when a bandwidth is configured.
+    independent of delivery order. A payload of ``num_bytes`` bytes
+    additionally pays ``num_bytes / bandwidth_bytes`` serialization delay
+    when a bandwidth is configured.
 
-    ``realtime=True`` (the async engines' mode) actually awaits the delay
+    ``realtime=True`` (the bus engines' mode) actually awaits the delay
     so wall-clock reflects the schedule; ``realtime=False`` only
     *accounts* the delay in :attr:`simulated_seconds`. Either way every
-    delivery's bytes are added to :attr:`bytes_sent`. Both totals run
-    across every execution the bus carries; engines report a run's share
-    as a delta.
+    link's bytes are added to :attr:`bytes_sent`. Both totals run across
+    every execution the bus carries; engines report a run's share as a
+    delta.
     """
 
     name = "wan"
@@ -327,22 +193,18 @@ class SimulatedWanTransport(InMemoryTransport):
         latency_seconds: float = 0.0,
         bandwidth_bytes: Optional[float] = None,
         jitter: float = 0.0,
-        message_bytes: float = 8.0,
         seed: int = 0,
         realtime: bool = True,
     ) -> None:
         validate_wan_params(latency_seconds, bandwidth_bytes, jitter)
-        if message_bytes < 0:
-            raise ConfigurationError("message size cannot be negative")
         self.latency_seconds = latency_seconds
         self.bandwidth_bytes = bandwidth_bytes
         self.jitter = jitter
-        self.message_bytes = message_bytes
         self.seed = seed
         self.realtime = realtime
         #: Total accounted link-delay seconds.
         self.simulated_seconds = 0.0
-        #: Total bytes carried (round messages and conveyed payloads).
+        #: Total bytes carried.
         self.bytes_sent = 0.0
         self._link_factors: Dict[Link, float] = {}
 
@@ -352,24 +214,18 @@ class SimulatedWanTransport(InMemoryTransport):
         config: "DStressConfig",
         realtime: bool = True,
     ) -> "SimulatedWanTransport":
-        """Build the WAN model a config describes (message size = one
-        fixed-point word of the config's format)."""
+        """Build the WAN model a config describes."""
         return cls(
             latency_seconds=config.wan_latency_seconds,
             bandwidth_bytes=config.wan_bandwidth_bytes,
             jitter=config.wan_jitter,
-            message_bytes=config.fmt.total_bits / 8.0,
             seed=config.seed,
             realtime=realtime,
         )
 
-    def link_delay(self, src: int, dst: int, num_bytes: Optional[float] = None) -> float:
-        """Deterministic one-way delay of the directed link ``src -> dst``.
-
-        ``num_bytes`` overrides the default per-message payload size for
-        serialization-delay purposes (used by :meth:`convey`, whose crypto
-        payloads are much larger than one round message).
-        """
+    def link_delay(self, src: int, dst: int, num_bytes: float) -> float:
+        """Deterministic one-way delay of ``num_bytes`` on the directed
+        link ``src -> dst``."""
         factor = self._link_factors.get((src, dst))
         if factor is None:
             rng = DeterministicRNG(f"wan-link|{self.seed}|{src}|{dst}")
@@ -377,40 +233,13 @@ class SimulatedWanTransport(InMemoryTransport):
             self._link_factors[(src, dst)] = factor
         delay = self.latency_seconds * factor
         if self.bandwidth_bytes is not None:
-            payload = self.message_bytes if num_bytes is None else num_bytes
-            delay += payload / self.bandwidth_bytes
+            delay += num_bytes / self.bandwidth_bytes
         return delay
-
-    def _account(self, src: int, dst: int) -> float:
-        delay = self.link_delay(src, dst)
-        self.simulated_seconds += delay
-        self.bytes_sent += self.message_bytes
-        return delay
-
-    async def send_round(self, src, round_index, deliveries):
-        # account every link first, land the zero-delay ones inline, then
-        # sleep the delayed ones concurrently: a batch costs its slowest
-        # link, and a Task exists only where a link has a delay to wait
-        delays = [self._account(src, dst) for dst, _in_slot, _payload in deliveries]
-        delayed = []
-        for delay, (dst, in_slot, payload) in zip(delays, deliveries):
-            if self.realtime and delay > 0:
-                delayed.append((delay, dst, in_slot, payload))
-            else:
-                self._deliver(src, dst, in_slot, payload, round_index)
-        if delayed:
-            await asyncio.gather(
-                *(self._deliver_after(src, round_index, *entry) for entry in delayed)
-            )
-
-    async def _deliver_after(self, src, round_index, delay, dst, in_slot, payload):
-        await asyncio.sleep(delay)
-        self._deliver(src, dst, in_slot, payload, round_index)
 
     async def convey_round(self, round_index, kind, links):
         slowest = 0.0
         for src, dst, num_bytes in links:
-            delay = self.link_delay(src, dst, num_bytes=num_bytes)
+            delay = self.link_delay(src, dst, num_bytes)
             self.simulated_seconds += delay
             self.bytes_sent += num_bytes
             slowest = max(slowest, delay)
@@ -421,21 +250,19 @@ class SimulatedWanTransport(InMemoryTransport):
 
 
 class FaultInjectingTransport(Transport):
-    """A chaos wrapper that misbehaves on selected deliveries — over any bus.
+    """A chaos wrapper that misbehaves on selected links — over any bus.
 
     ``drop`` / ``duplicate`` are sets of ``(src, dst, round_index)``
     triples; ``inner`` is the bus that actually carries everything else
-    (default: a fresh :class:`InMemoryTransport`, the historical
-    behavior — but wrapping a :class:`SimulatedWanTransport` or a
-    real-socket ``TcpTransport`` injects the same chaos against a delayed
-    or genuinely networked mesh). A dropped delivery never reaches the
-    inner bus but *is* accounted at its round barrier
-    (:meth:`Transport._fault`), so the victim's gather raises a
-    :class:`TransportError` naming the link instead of hanging; a
-    duplicated delivery goes through the inner bus twice, tripping the
-    duplicate check. Used by the fault-path tests and available for
-    chaos-style batch runs over the bus engines (``async``,
-    ``secure-async``).
+    (default: a fresh :class:`InMemoryTransport` — but wrapping a
+    :class:`SimulatedWanTransport` or a real-socket ``TcpTransport``
+    injects the same chaos against a delayed or genuinely networked
+    mesh). A convey naming a faulted link still carries its unfaulted
+    links, then raises a :class:`TransportError` naming the link and
+    round, which the step's barrier propagates instead of waiting
+    forever on bytes that will never (or twice) arrive. Used by the
+    fault-path tests and available for chaos-style batch runs over the
+    bus engines (``async``, ``secure-async``).
 
     When the inner bus is shared across real processes (TCP), give every
     replica the *same* fault sets: chaos is part of the replicated
@@ -454,8 +281,8 @@ class FaultInjectingTransport(Transport):
         self.duplicate: Set[Tuple[int, int, int]] = set(duplicate)
         self.inner: Transport = inner if inner is not None else InMemoryTransport()
 
-    def open(self, graph, fill):
-        self.inner.open(graph, fill)
+    def open(self, graph):
+        self.inner.open(graph)
 
     def run(self, coro):
         return self.inner.run(coro)
@@ -463,35 +290,9 @@ class FaultInjectingTransport(Transport):
     def close(self, error: Optional[BaseException] = None) -> None:
         self.inner.close(error)
 
-    async def gather_round(self, vertex_id, round_index):
-        return await self.inner.gather_round(vertex_id, round_index)
-
-    async def send_round(self, src, round_index, deliveries):
-        # engines only send along the graph's actual edges, so a fault
-        # triple naming a non-edge never matches a delivery: it is inert
-        forwarded = []
-        replays = []
-        for dst, in_slot, payload in deliveries:
-            link = (src, dst, round_index)
-            if link in self.drop:
-                self.inner._fault(
-                    (dst, round_index),
-                    f"delivery {src}->{dst} (in-slot {in_slot}) was dropped",
-                )
-                continue
-            forwarded.append((dst, in_slot, payload))
-            if link in self.duplicate:
-                replays.append((dst, in_slot, payload))
-        # replays go last, so every unfaulted sibling lands before the
-        # first replay trips the inner bus's duplicate-slot check
-        await self.inner.send_round(src, round_index, forwarded + replays)
-
     async def convey_round(self, round_index, kind, links):
-        # crypto payloads have no in-slot and no gather barrier, so both
-        # fault classes raise right here in the conveying call — the
-        # secure round scheduler's barrier propagates the error instead
-        # of waiting forever on bytes that will never (or twice) arrive;
-        # the batch's unfaulted links are still carried first
+        # engines only convey along links that carry something, so a
+        # fault triple naming any other link never matches: it is inert
         clean = []
         fault: Optional[TransportError] = None
         for src, dst, num_bytes in links:
@@ -503,8 +304,7 @@ class FaultInjectingTransport(Transport):
             elif link in self.duplicate:
                 fault = fault or TransportError(
                     f"round {round_index}: duplicate {kind} delivery {src}->{dst} "
-                    "(crypto payloads are one-shot; a replay would desynchronize "
-                    "the protocol transcript)"
+                    "(a replay would desynchronize the protocol transcript)"
                 )
             else:
                 clean.append((src, dst, num_bytes))

@@ -16,7 +16,7 @@ above never sees a raw ``OSError`` and never hangs on a dead peer:
   :class:`~repro.exceptions.TransportTimeoutError`
 * frame-level garbage → :class:`~repro.exceptions.WireFormatError`
   (raised by the codec, passed through here)
-* HELLO version/session/party mismatch →
+* HELLO version/session/party mismatch, an undecodable HELLO →
   :class:`~repro.exceptions.HandshakeError`
 """
 
@@ -31,6 +31,7 @@ from repro.exceptions import (
     PeerConnectError,
     PeerDisconnectedError,
     TransportTimeoutError,
+    WireFormatError,
 )
 from repro.net.wire import (
     DEFAULT_MAX_FRAME_BYTES,
@@ -162,10 +163,17 @@ async def expect_hello(
     max_frame_bytes: int,
     where: str,
 ) -> int:
-    """Read and validate the first frame of a connection (the HELLO)."""
-    frame, _ = await read_frame(
-        reader, max_frame_bytes=max_frame_bytes, timeout=timeout, where=where
-    )
+    """Read and validate the first frame of a connection (the HELLO).
+
+    A frame this build cannot decode is a failed handshake: a peer of
+    another protocol version is refused here, before any run starts.
+    """
+    try:
+        frame, _ = await read_frame(
+            reader, max_frame_bytes=max_frame_bytes, timeout=timeout, where=where
+        )
+    except WireFormatError as exc:
+        raise HandshakeError(f"{where}: handshake failed: {exc}") from exc
     return check_hello(
         frame, session=session, num_parties=num_parties, where=where
     )

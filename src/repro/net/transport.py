@@ -1,48 +1,43 @@
-""":class:`TcpTransport` — the full Transport protocol over real sockets.
+""":class:`TcpTransport` — the Transport protocol over real sockets.
 
 Execution model: **deterministic replication**. Every party process runs
 the complete engine with identical seeds, so every replica computes every
-payload; what distinguishes the parties is *ownership*. Each vertex is
-owned by one party (``sorted_rank(vertex_id) % num_parties``), and the
-wire carries exactly one frame per cross-owner edge per round: the owner
-of the source vertex sends, the owner of the destination vertex fills
-that in-slot **only** from the received frame (its local replica of the
-send is suppressed), and every other replica delivers locally. The
-secure engine's transcript is globally sequential (every
+value; what distinguishes the parties is *ownership*. Each vertex is
+owned by one party (``sorted_rank(vertex_id) % num_parties``), and a
+convey puts a link's bytes on the wire exactly once: only the owner of
+the source vertex sends them, as padding frames of the link's byte
+volume (chunked under the frame cap, the sender awaiting ``drain()`` so
+egress pays real kernel backpressure), and only when the destination's
+owner is another party. No replica waits on a value — every one already
+computed it — so the wire carries byte volume, never values, and a wire
+hop cannot break bit-identity with the in-memory bus. The secure
+engine's transcript is globally sequential (every
 :class:`~repro.crypto.rng.DeterministicRNG` fork consumes parent
-stream), so partitioning the *computation* would break bit-identity with
-the in-memory engines; replicating it keeps the transcript intact while
-the owners' payloads genuinely travel TCP — and since replicas are
-deterministic, the wire value always equals the local one, which is
-precisely the bit-identity claim the cluster tests assert.
-
-Crypto conveys follow the same rule: only ``owner(src)`` puts the padded
-byte volume on the wire (chunked under the frame cap, sender awaiting
-``drain()`` so egress pays real kernel backpressure); the receiving read
-loop counts the bytes, and no replica blocks on them — the *values* were
-already computed everywhere.
+stream), so partitioning the *computation* would break that identity;
+replicating it keeps the transcript intact while the owners' bytes
+genuinely travel TCP.
 
 Threading model: the transport owns one asyncio loop in a daemon io
-thread, where its sockets, read loops and mailboxes live. An engine hands
-each release window's whole coroutine to that loop with one
+thread, where its sockets, read loops and byte counts live. An engine
+hands each release window's whole coroutine to that loop with one
 :meth:`TcpTransport.run` (``run_coroutine_threadsafe(...).result()``), so
-every protocol call — :meth:`send_round`, :meth:`gather_round`,
-:meth:`convey_round`, the chaos wrapper's drops — already runs on the
-thread that owns the state it touches, and a window costs exactly one
-crossing however many vertices, edges and crypto links it carries. The
+every :meth:`~TcpTransport.convey_round` — and the chaos wrapper's
+faults — already runs on the thread that owns the state it touches, and
+a window costs exactly one crossing however many links it carries. The
 io loop keeps reading peers' frames between windows and after this
-party's run: a ``secure-async`` receiver never waits for padding
-conveys, so a party can finish while a slower peer is still sending to
-it, and that peer's ``drain()`` must not stall on a reader that stopped.
+party's run, so a peer still sending to a party that has finished never
+stalls its ``drain()`` on a reader that stopped.
 
-Failure model: a read loop that hits EOF/ECONNRESET without a prior BYE
-marks the peer failed and sets a transport-wide failure event; every
-round gather races its mailbox barrier against that event *and* the
-configured ``io_timeout``, so a killed peer surfaces as a named
-:class:`~repro.exceptions.PeerDisconnectedError` (or
+Failure model: a window returns only once every byte the replicated
+schedule so far routes to this party has arrived, counted per peer
+(:meth:`TcpTransport._settled`, the one receive barrier). That wait races
+the peers' failure event and ``io_timeout``: a read loop that hits
+EOF/ECONNRESET without a prior BYE, or refuses a malformed frame, marks
+its peer failed, so a killed peer surfaces as a named
+:class:`~repro.exceptions.PeerDisconnectedError` (a stalled one as
 :class:`~repro.exceptions.TransportTimeoutError`) within the timeout —
 never a hang. A clean BYE instead marks the peer *departed*: its run is
-complete (it could not have finished while still owing us frames), so
+complete (it could not have finished while still owing us bytes), so
 later sends to it are suppressed rather than failed.
 """
 
@@ -53,7 +48,8 @@ import hashlib
 import math
 import os
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from collections import Counter
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 
 from repro.core.transport import Transport
 from repro.exceptions import (
@@ -63,7 +59,6 @@ from repro.exceptions import (
     PeerDisconnectedError,
     TransportError,
     TransportTimeoutError,
-    WireFormatError,
 )
 from repro.net.peer import PeerAddress, dial_peer, expect_hello, read_frame, write_frame
 from repro.net.wire import (
@@ -105,8 +100,8 @@ class TcpTransport(Transport):
     and serves **one execution**: :meth:`listen` → :meth:`connect` (or
     :meth:`start` / :meth:`from_env` for the preassigned-port path), one
     engine run, :meth:`close`. Build a fresh mesh per run — frames carry
-    no run id, so reusing a connected mesh across runs could leak one
-    run's round-0 frames into the previous run's mailboxes.
+    no run id, so reusing a connected mesh across runs could count one
+    run's bytes toward another run's receive barrier.
     """
 
     name = "tcp"
@@ -149,7 +144,7 @@ class TcpTransport(Transport):
             chunk_bytes, max_frame_bytes - CONVEY_HEADER_BYTES
         )
         #: Chaos hook: ``os._exit(17)`` the whole process the first time a
-        #: delivery or convey reaches this round — how the kill-a-peer tests die
+        #: convey reaches this round — how the kill-a-peer tests die
         #: mid-round without cooperation from the engine above.
         self.die_at_round: Optional[int] = None
 
@@ -162,17 +157,16 @@ class TcpTransport(Transport):
         self._tasks: Set[asyncio.Task] = set()
         self._inbound_ids: Set[int] = set()
         self._inbound_ready: Optional[asyncio.Event] = None
-        self._run_started: Optional[asyncio.Event] = None
         self._failure: Optional[asyncio.Event] = None
         self._failure_error: Optional[TransportError] = None
         self._peer_failure: Dict[int, TransportError] = {}
         self._departed: Set[int] = set()
         self._handshake_errors: List[TransportError] = []
         self._owner: Dict[int, int] = {}
-        #: conveyed padding peers owe this party under the replicated
-        #: schedule, and what of it has arrived (see :meth:`_settled`)
-        self._convey_owed = 0
-        self._convey_arrived = 0
+        #: conveyed bytes each peer owes this party under the replicated
+        #: schedule, and what of them has arrived (see :meth:`_settled`)
+        self._owed: Counter = Counter()
+        self._arrived: Counter = Counter()
         self._arrival: Optional[asyncio.Event] = None
         self._opened = False
         self._closed = False
@@ -193,7 +187,6 @@ class TcpTransport(Transport):
             self._loop = asyncio.new_event_loop()
             # the mesh-wide coordination events must belong to the io loop
             self._inbound_ready = asyncio.Event()
-            self._run_started = asyncio.Event()
             self._failure = asyncio.Event()
             self._arrival = asyncio.Event()
             if self.num_parties <= 1:
@@ -210,7 +203,7 @@ class TcpTransport(Transport):
         """Run ``coro`` to completion on the io loop, from any other thread.
 
         One submission carries a whole release window, so the engine's
-        protocol calls run where the sockets and mailboxes live. The
+        protocol calls run where the sockets and byte counts live. The
         submission copies the caller's context, so the window's ``round``
         spans nest under the caller's ``run`` span. The window returns
         only once its inbound conveyed bytes are in (:meth:`_settled`). If
@@ -225,16 +218,17 @@ class TcpTransport(Transport):
 
     async def _settled(self, coro):
         """Run ``coro``, then wait until every conveyed byte the replicated
-        schedule so far routes to this party has arrived.
+        schedule so far routes to this party has arrived from each peer.
 
-        Conveys have no receive barrier of their own: a party whose
-        replica finished first would otherwise end its window, and report
-        its wire counts, before a slower peer's batches reached it. The
-        wait is raced against peer failure and ``io_timeout``, like a
-        gather: never a hang.
+        The one receive barrier: a party whose replica finished first would
+        otherwise end its window, and report its wire counts, before a
+        slower peer's bytes reached it. Counting per peer keeps a fast
+        peer's early bytes of a later window from standing in for a slow
+        peer's missing ones. The wait is raced against peer failure and
+        ``io_timeout``: never a hang.
         """
         result = await coro
-        while self._convey_arrived < self._convey_owed:
+        while self._still_owed():
             self._arrival.clear()
             waiters = [
                 asyncio.ensure_future(self._arrival.wait()),
@@ -247,18 +241,27 @@ class TcpTransport(Transport):
             finally:
                 for waiter in waiters:
                     waiter.cancel()
-            if self._convey_arrived >= self._convey_owed:
+            owed = self._still_owed()
+            if not owed:
                 break
-            owed = f"{self._convey_owed - self._convey_arrived} conveyed bytes still owed"
+            where = f"party {self.party_id}: still owed {owed}"
             if waiters[1] in done:
                 cause = self._failure_error
-                raise type(cause)(f"party {self.party_id}: {owed}: {cause}")
+                raise type(cause)(f"{where}: {cause}")
             if not done:
                 raise TransportTimeoutError(
-                    f"party {self.party_id}: {owed} after {self.io_timeout:g}s "
+                    f"{where} after {self.io_timeout:g}s "
                     "(no peer failure detected — mesh stalled?)"
                 )
         return result
+
+    def _still_owed(self) -> str:
+        """The conveyed bytes still owed, by peer (empty when none)."""
+        return ", ".join(
+            f"{owed - self._arrived[pid]} conveyed bytes by party {pid}"
+            for pid, owed in sorted(self._owed.items())
+            if self._arrived[pid] < owed
+        )
 
     def listen(self) -> int:
         """Bind the listener (port 0 picks a free one); returns the port."""
@@ -539,24 +542,7 @@ class TcpTransport(Transport):
     async def _handle_frame(self, frame: Frame, wire_bytes: int, pid: int) -> None:
         self._stats["frames_received"] += 1
         self._stats["bytes_received"] += wire_bytes
-        if frame.kind is MessageKind.ROUND_VALUE:
-            if not self._run_started.is_set():
-                # mesh startup skew: a fast peer's round-0 frames can land
-                # before this party's engine has open()ed its mailboxes —
-                # hold the connection (TCP buffers behind it) until then
-                await self._run_started.wait()
-            self._check_round_value(frame, pid)
-            try:
-                self._deliver(
-                    frame.src,
-                    frame.dst,
-                    frame.in_slot,
-                    frame.value,
-                    frame.round_index,
-                )
-            except TransportError as exc:  # duplicate delivery off the wire
-                self._mark_peer_failed(pid, exc)
-        elif frame.kind is MessageKind.CONTROL:
+        if frame.kind is MessageKind.CONTROL:
             if frame.code == CTRL_BYE:
                 self._departed.add(pid)
             elif frame.code == CTRL_ABORT:
@@ -567,25 +553,8 @@ class TcpTransport(Transport):
                     ),
                 )
         else:  # convey kinds carry only padding: nothing to route
-            self._convey_arrived += frame.pad_len
+            self._arrived[pid] += frame.pad_len
             self._arrival.set()
-
-    def _check_round_value(self, frame: Frame, pid: int) -> None:
-        """Refuse a round value this party has no mailbox for: a ``dst``
-        it does not own or an ``in_slot`` past the degree bound. The
-        raise ends the read loop and marks the peer failed, so a gather
-        waiting on it fails with this cause instead of timing out."""
-        if self._owner.get(frame.dst) != self.party_id:
-            problem = f"dst {frame.dst} is not a vertex party {self.party_id} owns"
-        elif not 0 <= frame.in_slot < self._graph.degree_bound:
-            problem = f"in_slot {frame.in_slot} is outside [0, {self._graph.degree_bound})"
-        else:
-            return
-        raise WireFormatError(
-            f"party {self.party_id} <- party {pid}: ROUND_VALUE frame "
-            f"(src {frame.src}, dst {frame.dst}, in_slot {frame.in_slot}, "
-            f"round {frame.round_index}) refused: {problem}"
-        )
 
     def _mark_peer_failed(self, pid: int, error: TransportError) -> None:
         self._peer_failure.setdefault(pid, error)
@@ -595,67 +564,37 @@ class TcpTransport(Transport):
 
     # ----------------------------------------------------- Transport: open --
 
-    def open(self, graph, fill) -> None:
+    def open(self, graph) -> None:
         if self._opened:
             raise ConfigurationError(
                 "a TcpTransport serves one execution; build a fresh mesh "
                 "per run (frames carry no run id)"
             )
-        loop = self._ensure_loop()
-        Transport.open(self, graph, fill)
+        self._ensure_loop()
         self._owner = {
             vid: rank % self.num_parties
             for rank, vid in enumerate(graph.vertex_ids)
         }
         self._opened = True
-        # the read loops hold round frames until this is set; setting it
-        # on the io loop, after the mailboxes above, makes open() safe to
-        # call from any thread
-        loop.call_soon_threadsafe(self._run_started.set)
 
-    # --------------------------------------------------- Transport: rounds --
+    # ------------------------------------------------- Transport: conveys --
 
     def _maybe_die(self, round_index: int) -> None:
         if self.die_at_round is not None and round_index >= self.die_at_round:
             os._exit(17)
 
-    async def send_round(self, src, round_index, deliveries):
-        for dst, in_slot, payload in deliveries:
-            await self._send(src, dst, in_slot, payload, round_index)
-
     async def convey_round(self, round_index, kind, links):
         for src, dst, num_bytes in links:
             await self._convey(src, dst, num_bytes, round_index, kind)
-
-    async def _send(self, src, dst, in_slot, payload, round_index):
-        self._maybe_die(round_index)
-        me = self.party_id
-        src_owner = self._owner[src]
-        dst_owner = self._owner[dst]
-        if src_owner == me and dst_owner != me:
-            await self._write_to(
-                dst_owner,
-                Frame(
-                    kind=MessageKind.ROUND_VALUE,
-                    src=src,
-                    dst=dst,
-                    in_slot=in_slot,
-                    round_index=round_index,
-                    value=payload,
-                ),
-            )
-        if not (dst_owner == me and src_owner != me):
-            # everyone delivers their replica locally, EXCEPT the owner of
-            # a cross-owner destination: that slot fills only off the wire
-            self._deliver(src, dst, in_slot, payload, round_index)
 
     async def _convey(self, src, dst, num_bytes, round_index, kind):
         self._maybe_die(round_index)
         me = self.party_id
         dst_owner = self._owner[dst]
-        if self._owner[src] != me:
+        src_owner = self._owner[src]
+        if src_owner != me:
             if dst_owner == me:  # a peer's to send: owed, settled at window end
-                self._convey_owed += max(0, math.ceil(num_bytes))
+                self._owed[src_owner] += max(0, math.ceil(num_bytes))
             return
         if dst_owner == me:
             return  # only the source owner pays the wire; replicas compute
@@ -723,46 +662,6 @@ class TcpTransport(Transport):
             raise PeerDisconnectedError(
                 f"{link}: connection to party {pid} died mid-write: {exc}"
             ) from exc
-
-    async def _await_round(self, key: Tuple[int, int]) -> None:
-        """The round barrier, raced against peer failure and the timeout.
-
-        This is the never-hang guarantee: the wait resolves when the
-        mailbox completes, raises the failure cause when a peer died, and
-        raises :class:`TransportTimeoutError` when ``io_timeout`` passes
-        with neither — a completed round always wins over a concurrent
-        failure, because its frames all arrived.
-        """
-        vertex_id, round_index = key
-        event = self._event(key)
-        if event.is_set():
-            return
-        waiters = [
-            asyncio.ensure_future(event.wait()),
-            asyncio.ensure_future(self._failure.wait()),
-        ]
-        try:
-            done, _pending = await asyncio.wait(
-                waiters,
-                timeout=self.io_timeout,
-                return_when=asyncio.FIRST_COMPLETED,
-            )
-        finally:
-            for waiter in waiters:
-                waiter.cancel()
-        if event.is_set():
-            return
-        if waiters[1] in done:
-            cause = self._failure_error
-            raise type(cause)(
-                f"round {round_index}: vertex {vertex_id} cannot complete "
-                f"its gather: {cause}"
-            )
-        raise TransportTimeoutError(
-            f"round {round_index}: vertex {vertex_id} gather still "
-            f"incomplete after {self.io_timeout:g}s (no peer failure "
-            "detected — mesh stalled?)"
-        )
 
     # --------------------------------------------------------- wire stats --
 

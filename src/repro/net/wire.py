@@ -26,33 +26,23 @@ Frame kinds and payload layouts (all integers big-endian):
     connection: ``session (16 bytes) | party_id u32 | num_parties u32``.
     Version lives in the header; a mismatch on any field is a
     :class:`~repro.exceptions.HandshakeError` at the peer layer.
-``ROUND_VALUE``
-    One §3.6 round message: ``src u32 | dst u32 | in_slot u16 |
-    round u32 | value`` where ``value`` is the typed scalar encoding
-    below — exact (floats travel as IEEE-754 doubles, ints exactly), so
-    a wire hop can never break bit-identity with the in-memory bus.
 ``GMW_BATCH`` / ``TRANSFER_AGG`` / ``CRYPTO``
-    A crypto payload conveyed for the secure engine (a block's GMW
-    OT-extension batch, a §3.5 transfer's masked words, other protocol
+    One link of a conveyed batch (a block's GMW OT-extension bytes, a
+    §3.5 transfer's masked words, a clear round's words or other protocol
     bytes): ``src u32 | dst u32 | round u32 | pad_len u32`` followed by
-    ``pad_len`` padding bytes. The *values* are computed by the protocol
-    simulation at every replica; the frame carries the real byte volume
-    so wall-clock pays genuine serialization. Batches larger than one
-    frame are chunked by the transport.
+    ``pad_len`` padding bytes. The *values* are computed at every
+    replica; the frame carries the real byte volume so wall-clock pays
+    genuine serialization, and no value. Batches larger than one frame
+    are chunked by the transport.
 ``CONTROL``
     Connection control: ``code u8`` + UTF-8 detail. ``CTRL_BYE`` is a
     clean goodbye; ``CTRL_ABORT`` announces the sender is unwinding an
     error (detail = the error text), so the survivors fail fast with a
     named cause instead of waiting out a timeout.
 
-Scalar value encoding (``ROUND_VALUE`` payloads): a 1-byte tag then the
-value — ``0`` float64, ``1`` int64, ``2`` arbitrary-size int (sign byte +
-u32 length + magnitude bytes), ``3`` ``None``, ``4``/``5`` ``True`` /
-``False``. That is the whole table: round values are floats (float
-arithmetic) or ints (fixed point), and a value of any other type is a
-:class:`~repro.exceptions.WireFormatError` at encode, an unknown tag the
-same error at decode — bytes off a peer socket are parsed, never
-executed.
+Kind ``2`` carried round values up to protocol version 1; version 2
+retired it, so it decodes as an unknown kind like any other unassigned
+byte, and a version-1 peer fails at HELLO.
 
 Decoders never over-read and never block: :func:`decode_frame` consumes
 exactly one frame from a buffer and reports how many bytes it used, and
@@ -66,7 +56,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Any, Tuple
+from typing import Tuple
 
 from repro.exceptions import FrameTooLargeError, WireFormatError
 
@@ -87,7 +77,7 @@ __all__ = [
 ]
 
 MAGIC = b"DS"
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 #: Refuse any frame declaring a larger payload than this (configurable on
 #: the transport; this is the default cap and the codec's hard ceiling).
 DEFAULT_MAX_FRAME_BYTES = 8 * 1024 * 1024
@@ -96,7 +86,6 @@ _HEADER = struct.Struct("!2sBBI")
 HEADER_BYTES = _HEADER.size
 
 _HELLO = struct.Struct("!16sII")
-_ROUND_VALUE = struct.Struct("!IIHI")
 _CONVEY = struct.Struct("!IIII")
 #: Fixed (src, dst, round, pad_len) prefix of a convey payload — what the
 #: transport subtracts from the frame cap when chunking padded batches.
@@ -111,7 +100,6 @@ class MessageKind(IntEnum):
     """Every frame type a DStress peer connection can carry."""
 
     HELLO = 1  #: versioned handshake (first frame, both directions)
-    ROUND_VALUE = 2  #: one §3.6 round message into a destination in-slot
     GMW_BATCH = 3  #: a block's GMW OT-extension batch (padded bytes)
     TRANSFER_AGG = 4  #: a §3.5 transfer's masked subshare words (padded bytes)
     CRYPTO = 5  #: other conveyed protocol bytes (padded)
@@ -143,87 +131,13 @@ class Frame:
     kind: MessageKind
     src: int = 0
     dst: int = 0
-    in_slot: int = 0
     round_index: int = 0
-    value: Any = None
     pad_len: int = 0
     session: bytes = b""
     party_id: int = 0
     num_parties: int = 0
     code: int = 0
     detail: str = ""
-
-
-# ------------------------------------------------------------ value codec --
-
-_TAG_FLOAT = 0
-_TAG_INT64 = 1
-_TAG_BIGINT = 2
-_TAG_NONE = 3
-_TAG_TRUE = 4
-_TAG_FALSE = 5
-
-_F64 = struct.Struct("!d")
-_I64 = struct.Struct("!q")
-_U32 = struct.Struct("!I")
-_INT64_MIN = -(2**63)
-_INT64_MAX = 2**63 - 1
-
-
-def _encode_value(value: Any) -> bytes:
-    if value is None:
-        return bytes([_TAG_NONE])
-    if value is True:
-        return bytes([_TAG_TRUE])
-    if value is False:
-        return bytes([_TAG_FALSE])
-    if type(value) is float:
-        return bytes([_TAG_FLOAT]) + _F64.pack(value)
-    if type(value) is int:
-        if _INT64_MIN <= value <= _INT64_MAX:
-            return bytes([_TAG_INT64]) + _I64.pack(value)
-        sign = 1 if value < 0 else 0
-        magnitude = abs(value).to_bytes((abs(value).bit_length() + 7) // 8, "big")
-        return bytes([_TAG_BIGINT, sign]) + _U32.pack(len(magnitude)) + magnitude
-    raise WireFormatError(f"cannot encode a {type(value).__name__} as a round value")
-
-
-def _decode_value(data: bytes, where: str) -> Any:
-    if not data:
-        raise WireFormatError(f"{where}: empty value encoding")
-    tag, body = data[0], data[1:]
-    if tag == _TAG_NONE:
-        _expect_len(body, 0, where)
-        return None
-    if tag == _TAG_TRUE:
-        _expect_len(body, 0, where)
-        return True
-    if tag == _TAG_FALSE:
-        _expect_len(body, 0, where)
-        return False
-    if tag == _TAG_FLOAT:
-        _expect_len(body, _F64.size, where)
-        return _F64.unpack(body)[0]
-    if tag == _TAG_INT64:
-        _expect_len(body, _I64.size, where)
-        return _I64.unpack(body)[0]
-    if tag == _TAG_BIGINT:
-        if len(body) < 1 + _U32.size:
-            raise WireFormatError(f"{where}: truncated bigint value")
-        sign = body[0]
-        (length,) = _U32.unpack(body[1 : 1 + _U32.size])
-        magnitude = body[1 + _U32.size :]
-        _expect_len(magnitude, length, where)
-        value = int.from_bytes(magnitude, "big")
-        return -value if sign else value
-    raise WireFormatError(f"{where}: unknown value tag {tag}")
-
-
-def _expect_len(body: bytes, expected: int, where: str) -> None:
-    if len(body) != expected:
-        raise WireFormatError(
-            f"{where}: value payload holds {len(body)} bytes, expected {expected}"
-        )
 
 
 # ------------------------------------------------------------ frame codec --
@@ -239,10 +153,6 @@ def encode_frame(frame: Frame, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES) -
                 f"HELLO session must be {_SESSION_BYTES} bytes, got {len(session)}"
             )
         payload = _HELLO.pack(session, frame.party_id, frame.num_parties)
-    elif kind is MessageKind.ROUND_VALUE:
-        payload = _ROUND_VALUE.pack(
-            frame.src, frame.dst, frame.in_slot, frame.round_index
-        ) + _encode_value(frame.value)
     elif kind in _CONVEY_KINDS:
         if frame.pad_len < 0:
             raise WireFormatError("convey padding length cannot be negative")
@@ -323,19 +233,6 @@ def decode_frame(
             session, party_id, num_parties = _HELLO.unpack(payload)
             frame = Frame(
                 kind=kind, session=session, party_id=party_id, num_parties=num_parties
-            )
-        elif kind is MessageKind.ROUND_VALUE:
-            src, dst, in_slot, round_index = _ROUND_VALUE.unpack(
-                payload[: _ROUND_VALUE.size]
-            )
-            value = _decode_value(payload[_ROUND_VALUE.size :], where)
-            frame = Frame(
-                kind=kind,
-                src=src,
-                dst=dst,
-                in_slot=in_slot,
-                round_index=round_index,
-                value=value,
             )
         elif kind in _CONVEY_KINDS:
             src, dst, round_index, pad_len = _CONVEY.unpack(payload[: _CONVEY.size])

@@ -23,7 +23,7 @@ Design constraints, in order of importance:
   ContextVar would silently drop the recorder in both cases.
 * **Span parentage *is* a ContextVar.** ``asyncio`` tasks copy their
   context at creation, so per-task span nesting comes out right even
-  with dozens of interleaved vertex pipelines.
+  with many conveys in flight at once.
 """
 
 from __future__ import annotations

@@ -146,7 +146,7 @@ class TrafficMeter:
         }
 
 
-def meter_from_rounds(graph, iterations: int, message_bytes: float) -> TrafficMeter:
+def meter_from_rounds(graph, iterations: int, word_bytes: float) -> TrafficMeter:
     """The per-link meter of a round-synchronous run: the clear engines'
     only traffic record, on every bus.
 
@@ -154,9 +154,9 @@ def meter_from_rounds(graph, iterations: int, message_bytes: float) -> TrafficMe
     every directed edge of ``graph.routes()`` carries one fixed-point
     message per routed round, empty outboxes included (a silent edge
     still transmits framing in the deployment model) — so the meter is
-    ``message_bytes * iterations`` on each link, whatever bus carried it.
+    ``word_bytes * iterations`` on each link, whatever bus carried it.
     """
-    per_link = message_bytes * iterations
+    per_link = word_bytes * iterations
     meter = TrafficMeter()
     for src, _, dst, _ in graph.routes():
         meter.record_send(src, dst, per_link)

@@ -181,7 +181,7 @@ def test_wan_run_is_bit_identical_and_metered(network, reference):
 def test_reused_transport_instance_reports_per_run_deltas(network):
     from repro.core.transport import SimulatedWanTransport
 
-    bus = SimulatedWanTransport(latency_seconds=0.0, message_bytes=2.0, realtime=False)
+    bus = SimulatedWanTransport(latency_seconds=0.0, realtime=False)
     engine = AsyncEngine(tasks=4, transport=bus)
     session = StressTest(network).program("eisenberg-noe").engine(engine).seed(SEED)
     first = session.run(iterations=ITERATIONS)
@@ -236,7 +236,7 @@ def test_duplicate_fault_raises_directly(network):
         tasks=2, transport=FaultInjectingTransport(duplicate=[(src, dst, 0)])
     )
     session = StressTest(network).program("eisenberg-noe").engine(engine).seed(SEED)
-    with pytest.raises(TransportError, match="duplicate delivery"):
+    with pytest.raises(TransportError, match="duplicate round delivery"):
         session.run(iterations=2)
 
 

@@ -3,10 +3,11 @@
 Two claims, each measured inside one test run so the numbers are
 machine-portable ratios and counts, never committed wall-clock:
 
-* **a round message is a call, not a Task** — on the in-memory bus an
-  ``engine="async"`` run creates one Task per vertex pipeline and no
-  more, however many edges and rounds it routes; a WAN bus pays its
-  links' delays concurrently inside one ``send_round`` call;
+* **a round is one convey, not a Task per vertex or per message** — on
+  the in-memory bus an ``engine="async"`` run creates at most one Task
+  per communication step (its convey), however many vertices and edges
+  it routes; a WAN bus pays a convey's link delays concurrently inside
+  that one call;
 * **overlap beats the link delays on a realtime WAN** — a run's
   wall-clock against what a schedule awaiting every link in turn must at
   least pay: the link delays its :class:`SimulatedWanTransport` accounted
@@ -20,7 +21,6 @@ import asyncio
 import time
 
 from repro import StressTest
-from repro.core.graph import DistributedGraph
 from repro.core.transport import InMemoryTransport, SimulatedWanTransport
 from repro.crypto.rng import DeterministicRNG
 from repro.finance import Bank, FinancialNetwork, apply_shock, uniform_shock
@@ -49,7 +49,7 @@ def _debt_chain(num_banks: int) -> FinancialNetwork:
 # ------------------------------------------------------------- task count --
 
 
-def test_memory_bus_run_creates_one_task_per_vertex_pipeline(monkeypatch):
+def test_memory_bus_run_creates_one_task_per_round_not_per_vertex(monkeypatch):
     created = []
 
     def counting_run(bus, coro):
@@ -81,10 +81,11 @@ def test_memory_bus_run_creates_one_task_per_vertex_pipeline(monkeypatch):
             .seed(1)
             .run(iterations=iterations)
         )
-        assert len(created) == num_banks
+        # one convey per communication step, none per vertex or message
+        assert len(created) == iterations
         messages.append(result.extras["messages_sent"])
-    # the Task count held while the messages routed grew with edges and
-    # rounds, far past the vertex count
+    # the Task count held at the round count while the messages routed
+    # grew with edges and rounds, far past it
     assert messages[0] < messages[1] < messages[2]
     assert messages[2] > 10 * 12
 
@@ -92,34 +93,26 @@ def test_memory_bus_run_creates_one_task_per_vertex_pipeline(monkeypatch):
 # ----------------------------------------------------------- WAN batching --
 
 
-def test_wan_send_round_pays_its_links_concurrently():
+def test_wan_convey_pays_its_links_concurrently():
     latency = 0.020
-    graph = DistributedGraph(degree_bound=4)
-    for vid in range(5):
-        graph.add_vertex(vid)
-    for dst in range(1, 5):
-        graph.add_edge(0, dst)
-    batch = [(dst, graph.vertex(dst).in_slot(0), float(dst)) for dst in range(1, 5)]
+    links = [(0, dst, 2.0) for dst in range(1, 5)]
     bus = SimulatedWanTransport(latency_seconds=latency, realtime=True)
 
     async def timed(round_index, calls):
         started = time.perf_counter()
-        for deliveries in calls:
-            await bus.send_round(0, round_index, deliveries)
+        for batch in calls:
+            await bus.convey_round(round_index, "round", batch)
         return time.perf_counter() - started
 
     async def scenario():
-        bus.open(graph, fill=0.0)
         # the batch is timed twice and the faster kept: one pause inside
         # a 20 ms window would otherwise decide the comparison
-        batched = min([await timed(0, [batch]), await timed(2, [batch])])
-        sequential = await timed(1, [[delivery] for delivery in batch])
-        inboxes = [await bus.gather_round(dst, r) for r in range(3) for dst in range(1, 5)]
-        return batched, sequential, inboxes
+        batched = min([await timed(0, [links]), await timed(2, [links])])
+        sequential = await timed(1, [[link] for link in links])
+        return batched, sequential
 
-    batched, sequential, inboxes = asyncio.run(scenario())
-    assert all(sorted(inbox) == [0.0, 0.0, 0.0, float(dst)]
-               for inbox, dst in zip(inboxes, list(range(1, 5)) * 3))
+    batched, sequential = asyncio.run(scenario())
+    assert bus.bytes_sent == 3 * 8.0
     assert batched < 2 * latency
     assert sequential > 3 * latency
     assert sequential / batched > 2.0

@@ -6,9 +6,8 @@ scale-free), all under a fixed seed:
 
 * every float-mode backend (``plaintext``, ``async@t``) must produce a
   **bit-identical** pre-noise trajectory — not approximately equal: float
-  addition is not associative, so bit-identity proves the async engine's
-  completion-order-independent state assembly preserves the reference
-  evaluation order;
+  addition is not associative, so bit-identity proves that conveying a
+  loop's rounds over a bus leaves the reference evaluation order alone;
 * the ``fixed`` backend must be bit-reproducible run-to-run and stay
   within quantization distance of the float oracle;
 * a computation step is one pass over every vertex in both clear
@@ -40,12 +39,11 @@ from repro import StressTest
 from repro.core import engine as engine_module
 from repro.core.engine import plaintext_loop
 from repro.core.program import VertexProgram
-from repro.core.rounds import ColumnLoop, RoundLoop, sequential_superstep
+from repro.core.rounds import ColumnLoop, RoundLoop, RoundScheduler, sequential_superstep
 from repro.core.secure_engine import SecureRun, run_bill
 from repro.core.transport import InMemoryTransport
 from repro.mpc.bitslice import HAVE_NUMPY
 from repro.crypto.rng import DeterministicRNG
-from repro.exceptions import ConfigurationError
 from repro.finance import (
     EisenbergNoeProgram,
     ElliottGolubJacksonProgram,
@@ -178,8 +176,8 @@ def _program_and_graph(name, network, columns=True):
 def test_fixed_superstep_is_the_per_vertex_circuit_update(networks, program, graph_name):
     """The ``fixed`` engine evaluates a computation step as one walk of
     the update circuit, a lane per vertex; vertex by vertex through
-    ``circuit_update`` — sequentially, and as async pipelines over a bus —
-    must leave the same states, outboxes and trajectory."""
+    ``circuit_update`` — and the batched loop's windows conveyed over a
+    bus — must leave the same states, outboxes and trajectory."""
     program, graph = _program_and_graph(program, networks[graph_name])
     batched = plaintext_loop(program, graph, fixed=True)
     arithmetic = batched.arithmetic
@@ -189,12 +187,12 @@ def test_fixed_superstep_is_the_per_vertex_circuit_update(networks, program, gra
         arithmetic,
         superstep=sequential_superstep(graph.vertex_ids, arithmetic.update),
     )
-    pipelined = plaintext_loop(program, graph, fixed=True)
+    conveyed = plaintext_loop(program, graph, fixed=True)
     batched.advance(ITERATIONS)
     one_by_one.advance(ITERATIONS)
-    _advance_on_memory_bus(pipelined, ITERATIONS)
+    _advance_on_memory_bus(conveyed, ITERATIONS)
     assert batched.trajectory[-1] != 0.0, "shock produced no dynamics"
-    for other in (one_by_one, pipelined):
+    for other in (one_by_one, conveyed):
         assert other.states == batched.states
         assert list(other.states) == list(batched.states)  # summation order
         assert other.pending == batched.pending
@@ -202,11 +200,11 @@ def test_fixed_superstep_is_the_per_vertex_circuit_update(networks, program, gra
 
 
 def _advance_on_memory_bus(loop, rounds):
-    """``loop.advance_async`` over a fresh in-memory bus, opened as an
-    engine opens it: once, on the loop's graph, with its fill."""
+    """``loop.window`` conveyed over a fresh in-memory bus, opened as an
+    engine opens it: once, on the loop's graph."""
     bus = InMemoryTransport()
-    bus.open(loop.graph, loop.arithmetic.fill)
-    bus.run(loop.advance_async(rounds, bus, max_tasks=4))
+    bus.open(loop.graph)
+    bus.run(RoundScheduler(bus, max_tasks=4).run(loop.window(rounds)))
 
 
 def _bits(value):
@@ -223,7 +221,7 @@ def _bits(value):
 
 def _pending_rows(graph, loop):
     """A loop's pending outboxes per vertex, in id order (a ``ColumnLoop``
-    keeps them as one ``D x V`` array, async pipelines in finishing order)."""
+    keeps them as one ``D x V`` array)."""
     if isinstance(loop, ColumnLoop):
         return dict(zip(graph.vertex_ids, loop.pending.T.tolist()))
     return {vid: loop.pending[vid] for vid in graph.vertex_ids}
@@ -236,12 +234,12 @@ def test_float_superstep_is_the_per_vertex_float_update(
 ):
     """The float engine takes a computation step as one numpy pass over
     every vertex's registers (``float_update_many``). Vertex by vertex
-    through ``float_update`` — the per-vertex loop, advanced in place and
-    as async pipelines over a bus, the loop ``plaintext_loop`` builds
-    without numpy and the one it builds for a program without
-    ``float_update_many`` — must leave the same final states (bits and key
-    order), pending outboxes and trajectory; so must a run split into two
-    windows."""
+    through ``float_update`` — the per-vertex loop, the loop
+    ``plaintext_loop`` builds without numpy and the one it builds for a
+    program without ``float_update_many`` — must leave the same final
+    states (bits and key order), pending outboxes and trajectory; so must
+    the column loop's windows conveyed over a bus, and a run split into
+    two windows."""
     network = networks[graph_name]
     per_vertex_program, _ = _program_and_graph(program, network, columns=False)
     program, graph = _program_and_graph(program, network)
@@ -249,18 +247,21 @@ def test_float_superstep_is_the_per_vertex_float_update(
     assert isinstance(column, ColumnLoop)
     windowed = plaintext_loop(program, graph)
     no_override = plaintext_loop(per_vertex_program, graph)
-    one_by_one = plaintext_loop(program, graph, pipelines=True)
-    pipelined = plaintext_loop(program, graph, pipelines=True)
+    arithmetic = column.arithmetic
+    one_by_one = RoundLoop(
+        graph, arithmetic, sequential_superstep(graph.vertex_ids, arithmetic.update)
+    )
+    conveyed = plaintext_loop(program, graph)
     with monkeypatch.context() as patch:
         patch.setattr(engine_module, "np", None)
         no_numpy = plaintext_loop(program, graph)
-    for loop in (one_by_one, pipelined, no_numpy, no_override):
+    for loop in (no_numpy, no_override):
         assert type(loop) is RoundLoop
     one_by_one.advance(ITERATIONS)
     column.advance(ITERATIONS)
     no_override.advance(ITERATIONS)
     no_numpy.advance(ITERATIONS)
-    _advance_on_memory_bus(pipelined, ITERATIONS)
+    _advance_on_memory_bus(conveyed, ITERATIONS)
     windowed.advance(1)
     windowed.advance(ITERATIONS - 1)
     assert one_by_one.trajectory[-1] != 0.0, "shock produced no dynamics"
@@ -269,14 +270,12 @@ def test_float_superstep_is_the_per_vertex_float_update(
         _bits(_pending_rows(graph, one_by_one)),
         _bits(one_by_one.trajectory),
     )
-    for loop in (column, no_override, pipelined, no_numpy, windowed):
+    for loop in (column, no_override, conveyed, no_numpy, windowed):
         assert (
             _bits(loop.rows()),
             _bits(_pending_rows(graph, loop)),
             _bits(loop.trajectory),
         ) == expected
-    with pytest.raises(ConfigurationError, match="pipelines=True"):
-        _advance_on_memory_bus(column, 1)
 
 
 # ------------------------------------------------------- the secure column --

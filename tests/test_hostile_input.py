@@ -1,4 +1,4 @@
-"""Hostile bytes at every place a result or a round value is decoded.
+"""Hostile bytes at every place a result or a frame is decoded.
 
 The release store is the long-lived, shared part of a deployment: a
 cache directory, a service port, a party port, a cluster's trace
@@ -29,10 +29,9 @@ from repro.exceptions import (
     PeerDisconnectedError,
     ProtocolError,
     ResultFormatError,
-    TransportError,
     WireFormatError,
 )
-from repro.net.peer import PeerAddress, read_frame, write_frame
+from repro.net.peer import PeerAddress, read_frame
 from repro.net.transport import TcpTransport
 from repro.obs import ManualClock, TraceRecorder, validate_export
 from repro.obs.merge import load_trace_shard, merge_cluster_trace, merge_shards
@@ -169,52 +168,24 @@ class TestServiceLine:
         assert server.counters["admitted"] == server.counters["engine_runs"] == 0
 
 
-# ------------------------------------------------------- (iii) round values --
+# ---------------------------------------------------- (iii) retired frames --
 
 
 def _round_value_frame(value_bytes: bytes) -> bytes:
+    """A frame of the retired kind 2 (round values, protocol version 1)
+    in its old layout, under the current header: what a stale or hostile
+    peer could still put on the wire."""
     payload = struct.pack("!IIHI", 1, 2, 0, 3) + value_bytes
-    header = struct.pack(
-        "!2sBBI", MAGIC, PROTOCOL_VERSION, int(MessageKind.ROUND_VALUE), len(payload)
-    )
+    header = struct.pack("!2sBBI", MAGIC, PROTOCOL_VERSION, 2, len(payload))
     return header + payload
 
 
-class TestRoundValue:
-    @given(body=st.binary(max_size=64))
-    @settings(max_examples=300)
-    def test_arbitrary_value_bytes_decode_or_raise_the_named_error(self, body):
-        data = _round_value_frame(body)
-        try:
-            frame, consumed = decode_frame(data)
-        except WireFormatError:
-            return
-        assert consumed == len(data)
-        assert frame.value is None or type(frame.value) in (bool, int, float)
-
-    @given(body=st.binary(max_size=64))
-    @settings(max_examples=100)
-    def test_the_retired_pickle_tag_is_an_unknown_tag(self, body):
-        with pytest.raises(WireFormatError, match="unknown value tag 6"):
-            decode_frame(_round_value_frame(b"\x06" + body))
-
-    @pytest.mark.parametrize("value", [[1.0, 2.0], "text", b"bytes", {"a": 1}, (1,), 1j])
-    def test_an_unsupported_value_is_refused_at_encode(self, value):
-        with pytest.raises(WireFormatError, match="cannot encode"):
-            encode_frame(Frame(kind=MessageKind.ROUND_VALUE, value=value))
-
-    def test_header_size_matches_the_handmade_frame(self):
-        data = _round_value_frame(b"\x03")
-        assert decode_frame(data) == (
-            Frame(kind=MessageKind.ROUND_VALUE, src=1, dst=2, round_index=3),
-            HEADER_BYTES + 14 + 1,
-        )
+def _convey_frame() -> bytes:
+    return encode_frame(Frame(kind=MessageKind.CRYPTO, src=1, dst=2, round_index=3, pad_len=4))
 
 
 _VALID_FRAMES = [
     Frame(kind=MessageKind.HELLO, session=bytes(range(16)), party_id=1, num_parties=3),
-    Frame(kind=MessageKind.ROUND_VALUE, src=4, dst=5, in_slot=1, round_index=2, value=-2.5),
-    Frame(kind=MessageKind.ROUND_VALUE, src=4, dst=5, round_index=2, value=-(2**70)),
     Frame(kind=MessageKind.GMW_BATCH, src=1, dst=2, round_index=3, pad_len=5),
     Frame(kind=MessageKind.TRANSFER_AGG, src=2, dst=1, round_index=0, pad_len=0),
     Frame(kind=MessageKind.CRYPTO, src=0, dst=3, round_index=9, pad_len=2),
@@ -297,6 +268,7 @@ class TestReadFrame:
             (struct.pack("!2sBBI", b"XX", PROTOCOL_VERSION, 2, 64), "bad magic"),
             (struct.pack("!2sBBI", MAGIC, PROTOCOL_VERSION + 1, 2, 64), "protocol version"),
             (struct.pack("!2sBBI", MAGIC, PROTOCOL_VERSION, 99, 64), "unknown message kind"),
+            (struct.pack("!2sBBI", MAGIC, PROTOCOL_VERSION, 2, 64), "unknown message kind 2"),
         ],
     )
     def test_a_garbage_header_is_refused_at_eight_bytes(self, header, complaint):
@@ -304,7 +276,7 @@ class TestReadFrame:
             _read_from_stream(header)
 
     def test_eof_mid_frame_is_a_disconnect(self):
-        data = _round_value_frame(b"\x03")
+        data = _convey_frame()
         with pytest.raises(PeerDisconnectedError, match="mid-frame"):
             _read_from_stream(data[:-3], eof=True)
         with pytest.raises(PeerDisconnectedError, match="mid-frame"):
@@ -313,18 +285,18 @@ class TestReadFrame:
             _read_from_stream(b"", eof=True)
 
     def test_a_whole_frame_comes_back_with_its_wire_size(self):
-        data = _round_value_frame(b"\x03")
+        data = _convey_frame()
         frame, wire_bytes = _read_from_stream(data + b"next frame")
-        assert frame == Frame(kind=MessageKind.ROUND_VALUE, src=1, dst=2, round_index=3)
+        assert frame == Frame(kind=MessageKind.CRYPTO, src=1, dst=2, round_index=3, pad_len=4)
         assert wire_bytes == len(data)
 
 
-# -------------------------------------- (iv b) round values off a party port --
+# -------------------------------------- (iv b) a retired frame off a party port --
 
 
 def _two_vertex_graph() -> DistributedGraph:
     """Vertex 0 -> vertex 1 under D = 2: over two parties (owner = vertex
-    rank mod 2) party 1 owns vertex 1 and waits for one frame into it."""
+    rank mod 2) party 1 owns vertex 1 and is owed party 0's bytes into it."""
     graph = DistributedGraph(degree_bound=2)
     graph.add_vertex(0)
     graph.add_vertex(1)
@@ -332,66 +304,38 @@ def _two_vertex_graph() -> DistributedGraph:
     return graph
 
 
-def _gather_after_hostile_round_value(frame: Frame, session: str):
-    """Party 0 of a loopback mesh writes ``frame`` to party 1, whose
-    engine then gathers vertex 1's round 0. Returns what the gather raised
-    and the failure party 1 recorded against party 0. The io timeout is
-    the fallback a read loop killed by the frame would leave."""
-    transports = [TcpTransport(i, 2, session=session, io_timeout=5.0) for i in range(2)]
-    try:
-        peers = [PeerAddress(i, "127.0.0.1", t.listen()) for i, t in enumerate(transports)]
-        dialers = [threading.Thread(target=t.connect, args=(peers,)) for t in transports]
-        for dialer in dialers:
-            dialer.start()
-        for dialer in dialers:
-            dialer.join(timeout=30.0)
-        attacker, victim = transports
-        victim.open(_two_vertex_graph(), 0.0)
+class TestRetiredFrameOverTcp:
+    def test_a_round_value_frame_fails_its_sender_with_the_named_error(self, caplog):
+        """Party 0 of a loopback mesh writes a kind-2 frame to party 1,
+        whose window then waits on the 2 bytes party 0 owes it. Party 1's
+        read loop refuses the frame and fails party 0, so the window fails
+        on that cause, not on the io timeout."""
+        transports = [TcpTransport(i, 2, session="retired", io_timeout=5.0) for i in range(2)]
+        try:
+            peers = [PeerAddress(i, "127.0.0.1", t.listen()) for i, t in enumerate(transports)]
+            dialers = [threading.Thread(target=t.connect, args=(peers,)) for t in transports]
+            for dialer in dialers:
+                dialer.start()
+            for dialer in dialers:
+                dialer.join(timeout=30.0)
+            attacker, victim = transports
+            victim.open(_two_vertex_graph())
 
-        async def send():
-            write_frame(attacker._writers[1], frame)
-            await attacker._writers[1].drain()
+            async def send():
+                attacker._writers[1].write(_round_value_frame(b"\x00" + bytes(8)))
+                await attacker._writers[1].drain()
 
-        attacker.run(send())
-        with pytest.raises(TransportError) as caught:
-            victim.run(victim.gather_round(1, 0))
-        return caught.value, victim._peer_failure.get(0)
-    finally:
-        for transport in transports:
-            transport.close()
-
-
-class TestHostileRoundValueOverTcp:
-    @pytest.mark.parametrize(
-        "frame, complaint",
-        [
-            (
-                Frame(kind=MessageKind.ROUND_VALUE, src=0, dst=1, in_slot=2, value=1.0),
-                "in_slot 2 is outside [0, 2)",
-            ),
-            (
-                Frame(kind=MessageKind.ROUND_VALUE, src=0, dst=1, in_slot=65535, value=1.0),
-                "in_slot 65535 is outside [0, 2)",
-            ),
-            (
-                Frame(kind=MessageKind.ROUND_VALUE, src=0, dst=99, value=1.0),
-                "dst 99 is not a vertex party 1 owns",
-            ),
-            (
-                Frame(kind=MessageKind.ROUND_VALUE, src=1, dst=0, value=1.0),
-                "dst 0 is not a vertex party 1 owns",
-            ),
-        ],
-        ids=["slot-at-bound", "slot-max", "dst-outside-graph", "dst-of-another-party"],
-    )
-    def test_the_sending_peer_is_failed_with_the_named_error(self, frame, complaint, caplog):
-        raised, recorded = _gather_after_hostile_round_value(frame, f"hostile-{complaint}")
-        # the gather fails on the cause, not on the io timeout
-        assert isinstance(raised, WireFormatError), raised
+            attacker.run(send())
+            with pytest.raises(WireFormatError) as caught:
+                victim.run(victim.convey_round(0, "round", [(0, 1, 2.0)]))
+            recorded = victim._peer_failure.get(0)
+        finally:
+            for transport in transports:
+                transport.close()
         assert isinstance(recorded, WireFormatError)
-        for error in (raised, recorded):
-            assert complaint in str(error)
-            assert f"src {frame.src}, dst {frame.dst}, in_slot {frame.in_slot}" in str(error)
+        assert "unknown message kind 2" in str(recorded)
+        assert "still owed 2 conveyed bytes by party 0" in str(caught.value)
+        assert "unknown message kind 2" in str(caught.value)
         assert "Unhandled exception" not in caplog.text
 
 

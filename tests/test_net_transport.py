@@ -11,9 +11,9 @@ stays fast; the separate-OS-process acceptance path lives in
 * **one submission per window** — a run hands each release window to
   the bus's io loop once (:meth:`TcpTransport.run`), so its ``round``
   spans nest under the caller's ``run`` span;
-* **the window edge** — the resume step of a windowed run sends its
-  round through ``send_round`` on the same wire, and a window returns
-  only once the crypto bytes its peers convey to it are in;
+* **the window edge** — the resume step of a windowed run conveys its
+  round on the same wire, and a window returns only once the bytes its
+  peers convey to it are in;
 * **chaos composition** — :class:`FaultInjectingTransport` wraps a
   ``TcpTransport``, so drop/duplicate chaos works against real sockets;
 * **never a hang** — a peer that vanishes (abrupt socket death, no
@@ -22,6 +22,7 @@ stays fast; the separate-OS-process acceptance path lives in
 """
 
 import asyncio
+import struct
 import threading
 import time
 from collections import Counter
@@ -46,6 +47,7 @@ from repro.finance import Bank, FinancialNetwork, apply_shock, uniform_shock
 from repro.graphgen import CorePeripheryParams, core_periphery_network
 from repro.net.peer import PeerAddress, dial_peer
 from repro.net.transport import ENV_PARTY, ENV_PEERS, TcpTransport, session_id
+from repro.net.wire import MAGIC, PROTOCOL_VERSION, MessageKind
 from repro.obs.trace import TraceRecorder, recording
 
 ITERATIONS = 2
@@ -122,9 +124,9 @@ def _assert_released_identical(summary, reference):
 
 def _count_calls(bus):
     """Count ``bus``'s submissions to its io loop (``run``, one per
-    window) next to the per-message work they carry (one ``_send`` per
-    edge, one ``_convey`` per crypto link). Install it after the mesh is
-    connected: ``connect`` is a submission of its own."""
+    window) next to the per-link work they carry (one ``_convey`` per
+    link of every batch). Install it after the mesh is connected:
+    ``connect`` is a submission of its own."""
     counts = Counter()
     original_run = bus.run
 
@@ -133,14 +135,13 @@ def _count_calls(bus):
         return original_run(coro)
 
     bus.run = run
-    for name in ("_send", "_convey"):
-        original = getattr(bus, name)
+    original = bus._convey
 
-        async def counted(*args, _original=original, _name=name):
-            counts[_name] += 1
-            return await _original(*args)
+    async def counted(*args):
+        counts["_convey"] += 1
+        return await original(*args)
 
-        setattr(bus, name, counted)
+    bus._convey = counted
     return counts
 
 
@@ -209,12 +210,13 @@ class TestAsyncEngineBitIdentity:
         reference = _template().engine("async").run(iterations=ITERATIONS)
         _assert_released_identical(result, reference)
 
-    def test_one_io_submission_per_run_one_send_per_edge(self, monkeypatch):
+    def test_one_io_submission_per_run_one_convey_per_edge(self, monkeypatch):
         """The whole one-shot run is one submission to each party's io
         loop, however many edges it routes (three times as many as
-        vertices here): one send per edge-round inside it, no other
-        crossing onto the io thread, and the wire carries what it always
-        did."""
+        vertices here): one convey per edge-round inside it, no other
+        crossing onto the io thread, and one padding frame per
+        cross-owner edge-round on the wire: a 16-byte convey header and
+        the 2-byte word, no value."""
         network = apply_shock(
             core_periphery_network(
                 CorePeripheryParams(num_banks=8, core_size=3), DeterministicRNG(1)
@@ -247,9 +249,9 @@ class TestAsyncEngineBitIdentity:
         assert per_party == [2, 2]  # connect, then the one window
         for result, count in zip(results, counts):
             _assert_released_identical(result, reference)
-            assert count["_send"] == 23 * ITERATIONS  # one per edge-round
+            assert count["_convey"] == 23 * ITERATIONS  # one per edge-round
             assert count["run"] == 1  # the one window
-            assert _wire_sent(result) == (16.0, 496.0)
+            assert _wire_sent(result) == (16.0, 16 * (8 + 16 + 2))
 
 
 class TestSecureAsyncBitIdentity:
@@ -347,28 +349,27 @@ class TestSecureAsyncBitIdentity:
 
 
 class TestWindowEdge:
-    """The resume step at a window edge: the one round the vertex
-    pipelines do not send, on the bus the first window opened."""
+    """The resume step at a window edge: the step the previous window
+    left pending, on the bus the first window opened."""
 
     def test_windowed_async_resumes_over_tcp(self):
-        """The step that resumes a windowed run is one ``send_round`` per
-        sending vertex, on bus round 1, across real sockets; every window
+        """The step that resumes a windowed run is one convey carrying
+        every edge, on bus round 1, across real sockets; every window
         releases what the in-memory run does."""
         windowed = {"release": "windowed", "windows": [1, 1]}
         reference = _template().engine("plaintext", **windowed).run(iterations=ITERATIONS)
-        graph = _network().to_en_graph(2)
-        senders = sum(1 for view in graph.vertices() if view.out_neighbors)
+        edges = _network().to_en_graph(2).num_edges
         transports, peers = _mesh(2, "test-window-mesh")
         resumes = Counter()
         for party, bus in enumerate(transports):
 
-            async def send(src, round_index, deliveries, _party=party,
-                           _original=bus.send_round):
+            async def convey(round_index, kind, links, _party=party,
+                             _original=bus.convey_round):
                 if round_index == 1:
-                    resumes[_party] += 1
-                await _original(src, round_index, deliveries)
+                    resumes[_party] += len(links)
+                await _original(round_index, kind, links)
 
-            bus.send_round = send
+            bus.convey_round = convey
         counts = [None, None]
 
         def run_one(i, bus):
@@ -382,8 +383,7 @@ class TestWindowEdge:
         finally:
             _close_all(transports)
         assert errors == [None, None]
-        assert 0 < senders < len(graph.vertex_ids)
-        assert resumes == {0: senders, 1: senders}  # one call per sender
+        assert resumes == {0: edges, 1: edges}  # one convey, every edge
         assert [count["run"] for count in counts] == [2, 2]  # one per window
         for result in results:
             _assert_released_identical(result, reference)
@@ -413,20 +413,22 @@ class TestWindowEdge:
             assert result.releases == reference.releases
 
     def test_a_slow_party_never_sees_the_next_window_early(self):
-        """Party 1 parks every round-0 gather while party 0 runs ahead into
-        the resume step: its frames belong to round 1, not to the round-0
-        mailboxes party 1 has yet to drain."""
+        """Party 1 parks its round-0 convey while party 0 runs ahead into
+        the resume step: party 0's round-1 bytes reach party 1 before its
+        first window settles, yet each window settles and every party
+        releases what the in-memory run does, and each party received
+        exactly the bytes the other sent."""
         windowed = {"release": "windowed", "windows": [1, 1]}
         reference = _template().engine("plaintext", **windowed).run(iterations=ITERATIONS)
         transports, peers = _mesh(2, "test-window-slow")
         slow = transports[1]
 
-        async def gather(vertex_id, round_index, _original=slow.gather_round):
+        async def convey(round_index, kind, links, _original=slow.convey_round):
             if round_index == 0:
                 await asyncio.sleep(0.2)
-            return await _original(vertex_id, round_index)
+            await _original(round_index, kind, links)
 
-        slow.gather_round = gather
+        slow.convey_round = convey
         try:
             results, errors = _run_parties(
                 transports,
@@ -441,12 +443,15 @@ class TestWindowEdge:
         for result in results:
             _assert_released_identical(result, reference)
             assert result.releases == reference.releases
+        received = [r.extras["wire_bytes_received"] for r in results]
+        sent = [r.extras["wire_bytes_sent"] for r in results]
+        assert received == sent[::-1] and max(received) > 0
 
 
 class TestFaultInjectionOverTcp:
     def test_drop_chaos_composes_over_real_sockets(self):
         """Every replica wraps its TCP bus with the same drop set; the
-        victim's gather raises a named TransportError at every party
+        dropped link's step raises a named TransportError at every party
         instead of hanging any of them."""
         transports, peers = _mesh(2, "test-fault-mesh", io_timeout=5.0)
         try:
@@ -480,9 +485,9 @@ class TestFaultInjectionOverTcp:
 
 class TestFailureModes:
     def test_abrupt_peer_death_raises_named_error_not_hang(self):
-        """Party 0 vanishes without a goodbye; party 1 — whose gathers
-        genuinely wait on party 0's frames in this graph — surfaces
-        PeerDisconnectedError within the io timeout."""
+        """Party 0 vanishes without a goodbye; party 1 — whose window
+        genuinely waits on the bytes party 0 owes it in this graph —
+        surfaces PeerDisconnectedError within the io timeout."""
         transports, peers = _mesh(2, "test-death-mesh", io_timeout=3.0)
         run_started = threading.Event()
 
@@ -506,11 +511,13 @@ class TestFailureModes:
             _close_all(transports)
         assert results[0] == "died"
         assert isinstance(errors[1], (PeerDisconnectedError, TransportTimeoutError))
-        assert "vertex" in str(errors[1]) and "round" in str(errors[1])
+        # two cross-owner edges x two rounds x one 2-byte word
+        assert "still owed 8 conveyed bytes by party 0" in str(errors[1])
 
     def test_stalled_mesh_times_out_with_named_error(self):
-        """Party 0 connects but never runs: party 1's gathers must raise
-        TransportTimeoutError after io_timeout, not wait forever."""
+        """Party 0 connects but never runs: party 1's window, owed party
+        0's bytes, must raise TransportTimeoutError after io_timeout, not
+        wait forever."""
         transports, peers = _mesh(2, "test-stall-mesh", io_timeout=1.5)
         done = threading.Event()
 
@@ -553,6 +560,83 @@ class TestFailureModes:
                 asyncio.run(dial_with_wrong_session())
         finally:
             listener.close()
+
+    def test_a_peer_of_the_previous_protocol_version_fails_at_hello(self):
+        """Version 2 retired the round-value frame: a version-1 peer's
+        HELLO is refused at the handshake, before any run starts."""
+        session = session_id("old-build")
+
+        hung_up = []
+
+        async def old_peer(reader, writer):
+            payload = struct.pack("!16sII", session, 0, 2)
+            header = struct.pack("!2sBBI", MAGIC, 1, int(MessageKind.HELLO), len(payload))
+            writer.write(header + payload)
+            await writer.drain()
+            await reader.read()  # until the dialer hangs up
+            writer.close()
+            await writer.wait_closed()
+            hung_up[0].set()
+
+        async def dial_an_old_peer():
+            hung_up.append(asyncio.Event())
+            server = await asyncio.start_server(old_peer, "127.0.0.1", 0)
+            try:
+                return await dial_peer(
+                    PeerAddress(0, "127.0.0.1", server.sockets[0].getsockname()[1]),
+                    my_party=1,
+                    session=session,
+                    num_parties=2,
+                    connect_timeout=5.0,
+                    retry_backoff=0.05,
+                    max_frame_bytes=1 << 20,
+                )
+            finally:
+                await asyncio.wait_for(hung_up[0].wait(), 5.0)
+                server.close()
+                await server.wait_closed()
+
+        assert PROTOCOL_VERSION == 2
+        with pytest.raises(HandshakeError, match="unsupported protocol version 1"):
+            asyncio.run(dial_an_old_peer())
+
+    def test_a_listener_refuses_a_dialer_of_the_previous_protocol_version(self):
+        listener = TcpTransport(0, 2, session="old-build", connect_timeout=5.0)
+        port = listener.listen()
+
+        async def dial_as_an_old_build():
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            payload = struct.pack("!16sII", session_id("old-build"), 1, 2)
+            header = struct.pack("!2sBBI", MAGIC, 1, int(MessageKind.HELLO), len(payload))
+            writer.write(header + payload)
+            await writer.drain()
+            await reader.read()  # until the listener hangs up
+            writer.close()
+            await writer.wait_closed()
+
+        try:
+            asyncio.run(asyncio.wait_for(dial_as_an_old_build(), 10.0))
+            [error] = listener._handshake_errors
+        finally:
+            listener.close()
+        assert isinstance(error, HandshakeError)
+        assert "unsupported protocol version 1" in str(error)
+
+    def test_a_fast_peer_never_settles_a_slow_peers_bytes(self):
+        """The receive barrier counts per peer: party 1 has already sent
+        8 bytes (a window ahead), party 2 none of its 4, so the window
+        waits on party 2 and names it, though 8 of the 8 bytes owed in
+        total have arrived."""
+        bus = TcpTransport(0, 3, session="per-peer", io_timeout=0.3)
+        try:
+            bus._owed.update({1: 4, 2: 4})
+            bus._arrived.update({1: 8})
+            with pytest.raises(
+                TransportTimeoutError, match=r"still owed 4 conveyed bytes by party 2 after"
+            ):
+                bus.run(asyncio.sleep(0))
+        finally:
+            bus.close()
 
     def test_unreachable_peer_is_a_connect_error(self):
         transport = TcpTransport(

@@ -10,11 +10,10 @@ touched. Over-reading is observable: :func:`decode_frame` reports the
 offset it consumed, so a junk suffix must never move it.
 """
 
-import math
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import FrameTooLargeError, WireFormatError
@@ -33,22 +32,11 @@ from repro.net.wire import (
 )
 
 _U32 = 2**32 - 1
-_U16 = 2**16 - 1
 
 # -- frame strategies, one per kind ------------------------------------------
 
 _sessions = st.binary(min_size=16, max_size=16)
 _u32 = st.integers(min_value=0, max_value=_U32)
-_u16 = st.integers(min_value=0, max_value=_U16)
-
-_values = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.integers(min_value=-(2**63), max_value=2**63 - 1),
-    st.integers(min_value=2**63, max_value=2**200),  # bigint tag
-    st.integers(min_value=-(2**200), max_value=-(2**63) - 1),
-)
 
 _hello_frames = st.builds(
     lambda session, party, num: Frame(
@@ -57,21 +45,6 @@ _hello_frames = st.builds(
     _sessions,
     _u32,
     _u32,
-)
-_round_frames = st.builds(
-    lambda src, dst, slot, rnd, value: Frame(
-        kind=MessageKind.ROUND_VALUE,
-        src=src,
-        dst=dst,
-        in_slot=slot,
-        round_index=rnd,
-        value=value,
-    ),
-    _u32,
-    _u32,
-    _u16,
-    _u32,
-    _values,
 )
 _convey_frames = st.builds(
     lambda kind, src, dst, rnd, pad: Frame(
@@ -90,14 +63,7 @@ _control_frames = st.builds(
     st.integers(min_value=0, max_value=255),
     st.text(max_size=64),
 )
-_frames = st.one_of(_hello_frames, _round_frames, _convey_frames, _control_frames)
-
-
-def _values_equal(sent, received) -> bool:
-    """Bit-level equality: NaN must survive the wire too."""
-    if type(sent) is float and type(received) is float:
-        return struct.pack("!d", sent) == struct.pack("!d", received)
-    return type(sent) is type(received) and sent == received
+_frames = st.one_of(_hello_frames, _convey_frames, _control_frames)
 
 
 class TestRoundTrip:
@@ -112,14 +78,6 @@ class TestRoundTrip:
             assert decoded.session == frame.session
             assert decoded.party_id == frame.party_id
             assert decoded.num_parties == frame.num_parties
-        elif frame.kind is MessageKind.ROUND_VALUE:
-            assert (decoded.src, decoded.dst, decoded.in_slot, decoded.round_index) == (
-                frame.src,
-                frame.dst,
-                frame.in_slot,
-                frame.round_index,
-            )
-            assert _values_equal(frame.value, decoded.value)
         elif frame.kind is MessageKind.CONTROL:
             assert (decoded.code, decoded.detail) == (frame.code, frame.detail)
         else:
@@ -137,11 +95,6 @@ class TestRoundTrip:
         decoded, consumed = decode_frame(offset_pad + data, offset=len(offset_pad))
         assert consumed == len(offset_pad) + len(data)
         assert decoded.kind is frame.kind
-
-    def test_nan_float_survives_exactly(self):
-        frame = Frame(kind=MessageKind.ROUND_VALUE, value=float("nan"))
-        decoded, _ = decode_frame(encode_frame(frame))
-        assert math.isnan(decoded.value)
 
 
 class TestNeverOverRead:
@@ -165,11 +118,12 @@ class TestTruncationAlwaysRaises:
         with pytest.raises(WireFormatError):
             decode_frame(encoded[:cut])
 
-    @given(frame=_round_frames, chopped=st.integers(min_value=1, max_value=8))
+    @given(frame=_convey_frames, chopped=st.integers(min_value=1, max_value=8))
     @settings(max_examples=100)
     def test_understated_length_raises_not_misparses(self, frame, chopped):
         """A header whose length lies short makes the *payload* parse fail
-        (truncated value), not silently produce a wrong frame."""
+        (padding short of its declared length), not silently produce a
+        wrong frame."""
         encoded = bytearray(encode_frame(frame))
         (length,) = struct.unpack_from("!I", encoded, 4)
         if length < chopped:
@@ -189,6 +143,7 @@ class TestGarbageHeaderAlwaysRaises:
             decode_frame(header)
 
     @given(kind_byte=st.integers(min_value=0, max_value=255))
+    @example(kind_byte=2)  # round values, retired with protocol version 1
     def test_unknown_kind_raises(self, kind_byte):
         known = {int(k) for k in MessageKind}
         if kind_byte in known:

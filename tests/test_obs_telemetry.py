@@ -524,7 +524,7 @@ class TestNoCodeExecutingSerializerRule:
     def test_no_module_under_src_imports_pickle_or_its_kin(self):
         """A decoder that can execute what it reads must not exist in
         ``src/repro``: results travel as ``dstress.obs.run`` documents
-        and round values as typed scalars. (``multiprocessing`` pickles
+        and peers exchange byte volumes, never values. (``multiprocessing`` pickles
         between a parent and the workers it forked — that is the standard
         library's IPC, not a decoder of ours.)"""
         import ast

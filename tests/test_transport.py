@@ -1,10 +1,11 @@
-"""The transport bus: delivery semantics, WAN modelling, fault paths.
+"""The transport bus: round conveys, WAN modelling, fault paths.
 
 The transport layer's contract is narrow but absolute: whatever the bus
-(zero-delay memory, simulated WAN, fault injection), a complete round's
-inbox must equal the historical dict-shuffle routing bit-for-bit, and a
-round that *cannot* complete must raise a :class:`TransportError` naming
-the link and round — never hang a gather.
+(zero-delay memory, simulated WAN, fault injection), a window conveyed
+over it computes exactly what the window drained in process computes,
+every communication step puts one word on each routed link, and a round
+that *cannot* complete raises a :class:`TransportError` naming the link
+and round — never hangs the step's barrier.
 """
 
 import asyncio
@@ -12,7 +13,13 @@ import asyncio
 import pytest
 
 from repro.core.graph import DistributedGraph
-from repro.core.rounds import route_messages
+from repro.core.rounds import (
+    Arithmetic,
+    RoundLoop,
+    RoundScheduler,
+    route_messages,
+    sequential_superstep,
+)
 from repro.core.transport import (
     FaultInjectingTransport,
     InMemoryTransport,
@@ -45,8 +52,8 @@ class _LinkLoggingWan(SimulatedWanTransport):
         super().__init__(**options)
         self.log = TrafficMeter()
 
-    def link_delay(self, src, dst, num_bytes=None):
-        self.log.record_send(src, dst, self.message_bytes if num_bytes is None else num_bytes)
+    def link_delay(self, src, dst, num_bytes):
+        self.log.record_send(src, dst, num_bytes)
         return super().link_delay(src, dst, num_bytes)
 
 
@@ -55,6 +62,30 @@ def _outboxes(graph, base=100.0):
         vid: [base + 10 * vid + slot for slot in range(graph.degree_bound)]
         for vid in graph.vertex_ids
     }
+
+
+#: A toy clear arithmetic: a vertex's state is a float, it adds its inbox
+#: and sends its old state on every out-slot, one 2-byte word per message.
+_SUMS = Arithmetic(
+    fill=0.0,
+    initial=lambda view: float(view.vertex_id + 1),
+    update=lambda _vid, state, inbox: (state + sum(inbox), [state, state]),
+    observe=lambda states: sum(states.values()),
+    decode=lambda state: {"x": state},
+    word_bytes=2.0,
+)
+
+
+def _loop(graph):
+    return RoundLoop(graph, _SUMS, sequential_superstep(graph.vertex_ids, _SUMS.update))
+
+
+def _convey_window(bus, graph, rounds):
+    """A fresh loop's window over ``bus``, opened as an engine opens it."""
+    loop = _loop(graph)
+    bus.open(graph)
+    bus.run(RoundScheduler(bus).run(loop.window(rounds)))
+    return loop
 
 
 # ------------------------------------------------------------ slot routing --
@@ -74,18 +105,19 @@ def test_route_messages_matches_legacy_routing():
 def test_wan_link_delays_are_deterministic_and_jittered():
     a = SimulatedWanTransport(latency_seconds=0.01, jitter=0.5, seed=7)
     b = SimulatedWanTransport(latency_seconds=0.01, jitter=0.5, seed=7)
-    delays = {(s, d): a.link_delay(s, d) for s in range(3) for d in range(3) if s != d}
+    delays = {(s, d): a.link_delay(s, d, 8.0) for s in range(3) for d in range(3) if s != d}
     # reproducible across instances (and independent of query order)
     for (s, d), delay in sorted(delays.items(), reverse=True):
-        assert b.link_delay(s, d) == delay
+        assert b.link_delay(s, d, 8.0) == delay
         assert 0.005 <= delay <= 0.015
     # jitter actually differentiates links
     assert len(set(delays.values())) > 1
 
 
-def test_wan_bandwidth_adds_serialization_delay():
-    wan = SimulatedWanTransport(bandwidth_bytes=100.0, message_bytes=50.0)
-    assert wan.link_delay(0, 1) == pytest.approx(0.5)
+def test_wan_bandwidth_adds_serialization_delay_on_the_bytes_given():
+    wan = SimulatedWanTransport(bandwidth_bytes=100.0)
+    assert wan.link_delay(0, 1, 50.0) == pytest.approx(0.5)
+    assert wan.link_delay(0, 1, 1000.0) == pytest.approx(10.0)
 
 
 def test_transport_from_spec_resolution():
@@ -93,8 +125,7 @@ def test_transport_from_spec_resolution():
     assert isinstance(transport_from_spec("memory", config), InMemoryTransport)
     wan = transport_from_spec("wan", config)
     assert isinstance(wan, SimulatedWanTransport)
-    assert wan.latency_seconds == 0.25
-    assert wan.message_bytes == config.fmt.total_bits / 8.0
+    assert (wan.latency_seconds, wan.jitter, wan.seed) == (0.25, 0.1, 3)
     passthrough = InMemoryTransport()
     assert transport_from_spec(passthrough, config) is passthrough
     with pytest.raises(ConfigurationError, match="unknown transport"):
@@ -112,116 +143,78 @@ def test_config_validates_wan_fields():
         DStressConfig(wan_jitter=1.0)
 
 
-# ----------------------------------------------------------- async delivery --
+# ------------------------------------------------------------ round conveys --
 
 
 def _run(coro):
     return asyncio.run(coro)
 
 
-def test_async_send_gather_round_trip():
+@pytest.mark.parametrize(
+    "make_bus",
+    [
+        InMemoryTransport,
+        lambda: SimulatedWanTransport(latency_seconds=0.5, jitter=0.5, realtime=False),
+        lambda: FaultInjectingTransport(drop=[(3, 0, 0)], inner=SimulatedWanTransport()),
+    ],
+    ids=["memory", "wan", "faulty-wan"],
+)
+def test_a_conveyed_window_computes_what_the_drained_one_does(make_bus):
     graph = _diamond_graph()
-    bus = InMemoryTransport()
-
-    async def scenario():
-        bus.open(graph, fill=-1.0)
-        await bus.send_round(
-            0,
-            0,
-            [(1, graph.vertex(1).in_slot(0), 41.0), (2, graph.vertex(2).in_slot(0), 42.0)],
-        )
-        inbox_1 = await bus.gather_round(1, 0)
-        inbox_2 = await bus.gather_round(2, 0)
-        # no in-edges at vertex 0: resolves immediately, all fill
-        inbox_0 = await bus.gather_round(0, 0)
-        return inbox_0, inbox_1, inbox_2
-
-    inbox_0, inbox_1, inbox_2 = _run(scenario())
-    assert inbox_0 == [-1.0, -1.0]
-    assert inbox_1[graph.vertex(1).in_slot(0)] == 41.0
-    assert -1.0 in inbox_1  # the unused slot holds fill
-    assert inbox_2[graph.vertex(2).in_slot(0)] == 42.0
+    drained = _loop(graph)
+    drained.advance(3)
+    conveyed = _convey_window(make_bus(), graph, 3)
+    assert drained.trajectory[-1] != drained.trajectory[0]
+    assert (conveyed.states, conveyed.pending, conveyed.trajectory) == (
+        drained.states, drained.pending, drained.trajectory,
+    )
 
 
-def test_wan_round_arrives_as_routed_and_is_metered():
+def test_only_a_conveyed_window_builds_its_link_table():
     graph = _diamond_graph()
-    outboxes = _outboxes(graph)
-    wan = _LinkLoggingWan(latency_seconds=0.5, message_bytes=2.0, realtime=False)
+    drained = _loop(graph)
+    drained.advance(3)
+    assert drained.link_bytes._links is None  # in process: no wire, no table
+    conveyed = _convey_window(InMemoryTransport(), graph, 1)
+    assert dict(conveyed.link_bytes) == {(0, 1): 2.0, (0, 2): 2.0, (1, 3): 2.0, (2, 3): 2.0}
 
-    async def scenario():
-        wan.open(graph, fill=0.0)
-        for src in graph.vertex_ids:
-            view = graph.vertex(src)
-            await wan.send_round(src, 0, [
-                (dst, graph.vertex(dst).in_slot(src), outboxes[src][out_slot])
-                for out_slot, dst in enumerate(view.out_neighbors)
-            ])
-        return {vid: await wan.gather_round(vid, 0) for vid in graph.vertex_ids}
 
-    # payloads untouched by the WAN model...
-    assert _run(scenario()) == route_messages(graph, outboxes, 0.0)
-    # ...but the round is carried: 4 edges x 2 bytes, and delays accounted
+def test_wan_round_is_carried_one_word_per_routed_link():
+    graph = _diamond_graph()
+    wan = _LinkLoggingWan(latency_seconds=0.5, realtime=False)
+    _convey_window(wan, graph, 1)
+    # one communication step: 4 edges x one 2-byte word, delays accounted
     assert wan.bytes_sent == 8.0
-    assert wan.log.num_links == 4
-    assert wan.log.link_bytes(0, 1) == 2.0
+    assert wan.log.links() == {(0, 1): 2.0, (0, 2): 2.0, (1, 3): 2.0, (2, 3): 2.0}
     assert wan.simulated_seconds == pytest.approx(4 * 0.5)
-
-
-def test_gather_blocks_until_round_complete():
-    graph = _diamond_graph()
-    bus = InMemoryTransport()
-    order = []
-
-    async def receiver():
-        inbox = await bus.gather_round(3, 0)
-        order.append("gathered")
-        return inbox
-
-    async def senders():
-        order.append("send-1")
-        await bus.send_round(1, 0, [(3, graph.vertex(3).in_slot(1), 1.5)])
-        await asyncio.sleep(0)  # give the receiver a chance to (not) fire
-        order.append("send-2")
-        await bus.send_round(2, 0, [(3, graph.vertex(3).in_slot(2), 2.5)])
-
-    async def scenario():
-        bus.open(graph, fill=0.0)
-        inbox, _ = await asyncio.gather(receiver(), senders())
-        return inbox
-
-    inbox = _run(scenario())
-    assert order == ["send-1", "send-2", "gathered"]
-    assert inbox[graph.vertex(3).in_slot(1)] == 1.5
-    assert inbox[graph.vertex(3).in_slot(2)] == 2.5
 
 
 # --------------------------------------------------------------- fault paths --
 
 
-def test_dropped_delivery_raises_instead_of_hanging():
-    graph = _diamond_graph()
-    bus = FaultInjectingTransport(drop=[(1, 3, 0)])
-
-    async def scenario():
-        bus.open(graph, fill=0.0)
-        await bus.send_round(1, 0, [(3, graph.vertex(3).in_slot(1), 1.5)])
-        await bus.send_round(2, 0, [(3, graph.vertex(3).in_slot(2), 2.5)])
-        return await bus.gather_round(3, 0)
-
-    with pytest.raises(TransportError, match=r"round 0: vertex 3 .* 1->3 .* dropped"):
-        _run(scenario())
+_ROUTE_LINKS = [(0, 1), (0, 2), (1, 3), (2, 3)]
 
 
-def test_duplicate_delivery_raises_at_the_sender():
-    graph = _diamond_graph()
-    bus = FaultInjectingTransport(duplicate=[(0, 1, 2)])
+@pytest.mark.parametrize("round_index", [0, 1])
+@pytest.mark.parametrize("link", _ROUTE_LINKS, ids=lambda link: "%d-%d" % link)
+def test_a_dropped_route_link_raises_at_its_round(link, round_index):
+    src, dst = link
+    bus = FaultInjectingTransport(drop=[(src, dst, round_index)])
+    with pytest.raises(
+        TransportError, match=rf"^round {round_index}: round delivery {src}->{dst} was dropped"
+    ):
+        _convey_window(bus, _diamond_graph(), 2)
 
-    async def scenario():
-        bus.open(graph, fill=0.0)
-        await bus.send_round(0, 2, [(1, graph.vertex(1).in_slot(0), 9.0)])
 
-    with pytest.raises(TransportError, match="round 2: duplicate delivery 0->1"):
-        _run(scenario())
+@pytest.mark.parametrize("round_index", [0, 1])
+@pytest.mark.parametrize("link", _ROUTE_LINKS, ids=lambda link: "%d-%d" % link)
+def test_a_duplicated_route_link_raises_at_its_round(link, round_index):
+    src, dst = link
+    bus = FaultInjectingTransport(duplicate=[(src, dst, round_index)])
+    with pytest.raises(
+        TransportError, match=rf"^round {round_index}: duplicate round delivery {src}->{dst}"
+    ):
+        _convey_window(bus, _diamond_graph(), 2)
 
 
 def test_async_chaos_run_raises_scenario_error():
@@ -270,64 +263,14 @@ def test_reused_faulty_bus_faults_every_run():
             session.run(iterations=2)
 
 
-def test_unfaulted_rounds_still_deliver_on_a_faulty_bus():
+def test_unfaulted_rounds_still_convey_on_a_faulty_bus():
     graph = _diamond_graph()
-    bus = FaultInjectingTransport(drop=[(1, 3, 5)])  # fault targets round 5 only
-
-    async def scenario():
-        bus.open(graph, fill=0.0)
-        await bus.send_round(1, 0, [(3, graph.vertex(3).in_slot(1), 1.5)])
-        await bus.send_round(2, 0, [(3, graph.vertex(3).in_slot(2), 2.5)])
-        return await bus.gather_round(3, 0)
-
-    inbox = _run(scenario())
-    assert sorted(inbox) == [1.5, 2.5]
-
-
-def _fan_out_graph() -> DistributedGraph:
-    """0 -> {1, 2, 3}: one vertex-round is a three-delivery batch."""
-    graph = DistributedGraph(degree_bound=3)
-    for vid in range(4):
-        graph.add_vertex(vid)
-    for dst in (1, 2, 3):
-        graph.add_edge(0, dst)
-    return graph
-
-
-def _fan_out_batch(graph):
-    return [(dst, graph.vertex(dst).in_slot(0), 10.0 * dst) for dst in (1, 2, 3)]
-
-
-def test_drop_inside_a_batch_faults_only_its_link():
-    graph = _fan_out_graph()
-    bus = FaultInjectingTransport(drop=[(0, 2, 0)])
-
-    async def scenario():
-        bus.open(graph, fill=0.0)
-        await bus.send_round(0, 0, _fan_out_batch(graph))
-        landed = [await bus.gather_round(dst, 0) for dst in (1, 3)]
-        with pytest.raises(TransportError, match=r"round 0: vertex 2 .* 0->2 .* dropped"):
-            await bus.gather_round(2, 0)
-        return landed
-
-    inbox_1, inbox_3 = _run(scenario())
-    assert inbox_1[graph.vertex(1).in_slot(0)] == 10.0
-    assert inbox_3[graph.vertex(3).in_slot(0)] == 30.0
-
-
-def test_duplicate_inside_a_batch_raises_after_its_siblings_land():
-    graph = _fan_out_graph()
-    bus = FaultInjectingTransport(duplicate=[(0, 1, 0)])
-
-    async def scenario():
-        bus.open(graph, fill=0.0)
-        with pytest.raises(TransportError, match="round 0: duplicate delivery 0->1"):
-            await bus.send_round(0, 0, _fan_out_batch(graph))
-        return [await bus.gather_round(dst, 0) for dst in (1, 2, 3)]
-
-    inboxes = _run(scenario())
-    for dst, inbox in zip((1, 2, 3), inboxes):
-        assert inbox[graph.vertex(dst).in_slot(0)] == 10.0 * dst
+    drained = _loop(graph)
+    drained.advance(2)
+    # the faults name round 5 and a non-edge: both inert in a 2-round window
+    bus = FaultInjectingTransport(drop=[(1, 3, 5)], duplicate=[(3, 0, 1)])
+    conveyed = _convey_window(bus, graph, 2)
+    assert conveyed.trajectory == drained.trajectory
 
 
 # ----------------------------------------------------------------- convey --
@@ -361,14 +304,6 @@ def test_wan_convey_accounts_payload_scaled_delay_and_meters():
     assert bus.simulated_seconds == pytest.approx(2 * (0.010 + 0.5))
     assert bus.bytes_sent == pytest.approx(1000.0)
     assert bus.log.link_bytes(0, 1) == pytest.approx(1000.0)
-
-
-def test_wan_convey_payload_overrides_message_size_for_serialization():
-    bus = SimulatedWanTransport(
-        latency_seconds=0.0, bandwidth_bytes=100.0, message_bytes=8.0, realtime=False
-    )
-    assert bus.link_delay(0, 1) == pytest.approx(0.08)
-    assert bus.link_delay(0, 1, num_bytes=1000.0) == pytest.approx(10.0)
 
 
 def test_faulty_convey_drop_raises_named_error():

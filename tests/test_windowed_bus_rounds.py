@@ -1,13 +1,11 @@
 """Windowed async runs number their bus rounds across windows.
 
 A windowed ``async`` run keeps one bus open for the whole execution: the
-first window opens it, each later window resumes on it by sending the
-previous window's pending outboxes as the bus round they belong to,
-through :meth:`~repro.core.transport.Transport.send_round` like every
+first window opens it, each later window resumes on it by conveying the
+step the previous window left pending as the bus round it belongs to,
+through :meth:`~repro.core.transport.Transport.convey_round` like every
 other round. Computation step ``s`` therefore communicates as bus round
-``s``, so no two windows share a mailbox — on a real-socket mesh a shared
-one lets a fast peer's frames land in a round a slow peer is still
-gathering (``test_net_transport.py`` drives that race over TCP). This
+``s``, and a fault triple names one step whichever window runs it. This
 file pins the numbering on the in-process buses: the rounds the bus sees,
 through the fault wrapper too, the WAN bus metering every step, and drop
 and duplicate triples naming the same round inside a window and at its
@@ -51,26 +49,24 @@ def _windowed(windows):
 
 
 class RecordingTransport(InMemoryTransport):
-    """The reference bus, logging the round each call carries."""
+    """The reference bus, logging the round each convey carries."""
 
     name = "recording"
 
     def __init__(self) -> None:
         self.opens = 0
-        self.sent: Counter = Counter()
-        self.gathered: Counter = Counter()
+        self.conveys: Counter = Counter()
+        self.links: Counter = Counter()
 
-    def open(self, graph, fill):
+    def open(self, graph):
         self.opens += 1
-        super().open(graph, fill)
+        super().open(graph)
 
-    async def send_round(self, src, round_index, deliveries):
-        self.sent[round_index] += len(deliveries)
-        await super().send_round(src, round_index, deliveries)
-
-    async def gather_round(self, vertex_id, round_index):
-        self.gathered[round_index] += 1
-        return await super().gather_round(vertex_id, round_index)
+    async def convey_round(self, round_index, kind, links):
+        assert kind == "round"
+        self.conveys[round_index] += 1
+        self.links[round_index] += len(links)
+        await super().convey_round(round_index, kind, links)
 
 
 @pytest.mark.parametrize("windows", SPLITS, ids=lambda w: "-".join(map(str, w)))
@@ -90,10 +86,11 @@ def test_each_step_communicates_on_its_own_bus_round(network, windows):
     assert result.releases == reference.releases
     assert result.trajectory == reference.trajectory
     assert bus.opens == 1  # one execution, one bus
-    # every step's communication, window edges included, on its own round
-    assert sorted(bus.sent) == sorted(bus.gathered) == list(range(iterations))
-    assert set(bus.gathered.values()) == {len(network.banks)}
-    assert set(bus.sent.values()) == {network.to_en_graph().num_edges}
+    # every step's communication, window edges included, is one convey on
+    # its own round carrying every edge
+    assert sorted(bus.conveys) == list(range(iterations))
+    assert set(bus.conveys.values()) == {1}
+    assert set(bus.links.values()) == {network.to_en_graph().num_edges}
 
 
 @pytest.mark.parametrize("windows", SPLITS, ids=lambda w: "-".join(map(str, w)))
@@ -117,7 +114,7 @@ def test_the_fault_wrapper_carries_every_round_to_its_inner_bus(network, windows
     assert result.releases == reference.releases
     assert result.trajectory == reference.trajectory
     assert inner.opens == 1
-    assert sorted(inner.sent) == sorted(inner.gathered) == list(range(iterations))
+    assert sorted(inner.conveys) == list(range(iterations))
 
 
 @pytest.mark.parametrize("windows", SPLITS, ids=lambda w: "-".join(map(str, w)))
@@ -130,7 +127,7 @@ def test_the_wan_bus_meters_every_step_once(network, windows):
         .engine("plaintext", **_windowed(windows))
         .run(iterations=iterations)
     )
-    bus = SimulatedWanTransport(latency_seconds=0.25, message_bytes=2.0, realtime=False)
+    bus = SimulatedWanTransport(latency_seconds=0.25, realtime=False)
     result = (
         _session(network)
         .engine("async", transport=bus, **_windowed(windows))
@@ -139,7 +136,7 @@ def test_the_wan_bus_meters_every_step_once(network, windows):
     assert result.releases == reference.releases
     assert result.trajectory == reference.trajectory
     links = iterations * network.to_en_graph().num_edges
-    assert bus.bytes_sent == 2.0 * links
+    assert bus.bytes_sent == 2.0 * links  # one 16-bit word per link
     assert bus.simulated_seconds == pytest.approx(0.25 * links)
 
 
@@ -158,12 +155,12 @@ def test_a_fault_triple_names_one_round_inside_and_at_the_edge(network, fault_ro
 def test_a_duplicate_triple_names_one_round_inside_and_at_the_edge(
     network, fault_round
 ):
-    """Windows [2, 2]: a replayed delivery trips the duplicate-slot check
-    at the round it names, the resume step's round 2 included."""
+    """Windows [2, 2]: a duplicated link raises at the round it names,
+    the resume step's round 2 included."""
     bus = FaultInjectingTransport(duplicate={(0, 1, fault_round)})
     session = _session(network).engine("async", transport=bus, **_windowed([2, 2]))
     with pytest.raises(
-        TransportError, match=rf"^round {fault_round}: duplicate delivery 0->1"
+        TransportError, match=rf"^round {fault_round}: duplicate round delivery 0->1"
     ):
         session.run(iterations=4)
 
