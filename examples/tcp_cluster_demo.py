@@ -4,7 +4,7 @@ Everything this repo computed so far ran inside one process, however many
 transports it simulated. This example is the proof that the deployment
 story is real: it launches **three OS processes** — one per party — that
 find each other over localhost TCP, handshake a versioned wire protocol,
-and run the full secure engine (``engine="secure-async"``) with the bytes
+and run the full secure engine (``engine="secure"``) with the bytes
 of every OT-extension batch and transfer framed onto genuine sockets. Then it
 checks the only claim that matters:
 
@@ -75,14 +75,13 @@ def main() -> None:
     print(f"  released aggregate {reference.aggregate:.6f}")
 
     print(
-        f"\ncluster: {NUM_PARTIES} OS processes, engine='secure-async', "
+        f"\ncluster: {NUM_PARTIES} OS processes, engine='secure', "
         "every byte over 127.0.0.1 TCP, traced ..."
     )
     with tempfile.TemporaryDirectory() as trace_dir:
         outcomes = run_scenario_cluster(
             build_scenario,
             num_parties=NUM_PARTIES,
-            engine="secure-async",
             iterations=ITERATIONS,
             session="tcp-cluster-demo",
             timeout=300.0,

@@ -8,7 +8,7 @@ across a process pool while one :class:`~repro.privacy.budget.PrivacyAccountant`
 guards the yearly budget.
 
 Importing this package registers the built-in engines (``plaintext``,
-``fixed``, ``secure``, ``async``, ``secure-async``) and
+``fixed``, ``secure``, ``async``) and
 programs (``eisenberg-noe``, ``elliott-golub-jackson``). See DESIGN.md
 for the architecture and README.md for the old-call → new-call
 migration table.
@@ -24,7 +24,6 @@ from repro.api.engines import (
     PlaintextFloatEngine,
     SecureDStressEngine,
 )
-from repro.api.secure_async import SecureAsyncEngine
 from repro.api.registry import (
     ProgramEntry,
     available_engines,
@@ -51,7 +50,6 @@ __all__ = [
     "ScenarioCache",
     "ScenarioCacheBase",
     "ScenarioOutcome",
-    "SecureAsyncEngine",
     "SecureDStressEngine",
     "StressTest",
     "available_engines",

@@ -1,23 +1,24 @@
-"""Engine backends: one protocol, five presets over two round bodies.
+"""Engine backends: one protocol, four presets over two round bodies.
 
 An :class:`Engine` turns ``(program, graph, iterations, config)`` into a
 :class:`~repro.api.result.RunResult`. The clear engines are one
 :class:`~repro.core.rounds.RoundLoop` in float or fixed-point
-:class:`~repro.core.rounds.Arithmetic`; the secure engines are one
+:class:`~repro.core.rounds.Arithmetic`; the secure engine is one
 :class:`~repro.core.secure_engine.SecureRun`. A registry name only picks
-the arithmetic and who drives the rounds:
+the arithmetic and whether a bus sees the rounds:
 
 =============  ==========================================================
 ``plaintext``  float arithmetic — the reference oracle
 ``fixed``      fixed-point arithmetic — clear circuit evaluation
-``secure``     the full DStress protocol, window drained in place
+``secure``     the full DStress protocol, each block batch's bytes
+               handed to a transport bus (drained in place on the
+               default memory bus)
 ``async``      float arithmetic, each communication step's bytes
-               conveyed over a transport bus
+               handed to a transport bus
                (:class:`~repro.api.async_engine.AsyncEngine`)
-``secure-async``  the same secure window with its per-block batches
-               dispatched over the transport bus, bit-identical to
-               ``secure`` (:class:`~repro.api.secure_async.SecureAsyncEngine`)
 =============  ==========================================================
+
+``secure-async`` is a registry alias of ``secure``.
 
 All built-ins compute the *same function* pre-noise on the same graph
 (the engine-parity tests assert it), so sweeps can trade fidelity for
@@ -54,9 +55,17 @@ from repro.core.lifecycle import (
     run_lifecycle,
 )
 from repro.core.program import VertexProgram, compiled_update_circuit
-from repro.core.rounds import RoundLoop
+from repro.core.rounds import RoundLoop, WindowEvents
 from repro.core.secure_engine import SecureRun, check_backend, compile_secure_plans
+from repro.core.transport import (
+    Transport,
+    attach_bus_extras,
+    check_transport_spec,
+    transport_from_spec,
+    wan_totals,
+)
 from repro.crypto.rng import DeterministicRNG
+from repro.exceptions import ConfigurationError
 from repro.obs.clock import now as clock_now
 from repro.privacy.budget import PrivacyAccountant
 from repro.privacy.mechanisms import geometric_release
@@ -64,6 +73,8 @@ from repro.simulation.netsim import meter_from_rounds
 
 __all__ = [
     "Engine",
+    "BusCore",
+    "BusEngine",
     "PlaintextFloatEngine",
     "PlaintextFixedEngine",
     "SecureDStressEngine",
@@ -282,10 +293,100 @@ class PlaintextFixedEngine(Engine):
         return run_lifecycle(self, core, program, config, iterations, accountant)
 
 
+# ------------------------------------------------------------ bus engines --
+
+
+class BusCore:
+    """The bus lifecycle of the engines that hand their rounds to a
+    :class:`~repro.core.transport.Transport` (``async``, ``secure``),
+    mixed in ahead of the in-process core whose stages it wraps.
+
+    Setup resolves the engine's transport spec, snapshots the bus's WAN
+    totals and opens it once for the whole execution; :meth:`drive` hands
+    each window to the bus (:meth:`~repro.core.transport.Transport.drive`:
+    drained in place on the memory bus, a fresh
+    :class:`~repro.core.rounds.RoundScheduler` on every other); finalize
+    stamps what the bus saw onto the result and closes an engine-owned
+    bus.
+    """
+
+    bus: Optional[Transport] = None
+
+    def setup(self, state: RunState) -> None:
+        self.bus = transport_from_spec(self.engine.transport, self.config)
+        # A caller-supplied Transport instance may be reused across runs;
+        # snapshot its totals so the extras below report *this* run.
+        self.before = wan_totals(self.bus)
+        super().setup(state)
+        self.bus.open(self.graph)
+
+    def drive(self, events: WindowEvents) -> None:
+        self.bus.drive(events, self.engine.tasks)
+
+    def finalize(self, state: RunState, started: float) -> RunResult:
+        result = super().finalize(state, started)
+        attach_bus_extras(result, self.bus, self.before)
+        self.close()
+        return result
+
+    def close(self, error: Optional[BaseException] = None) -> None:
+        """Tear down an engine-owned bus (a "tcp" spec owns sockets and an
+        io thread); a caller-supplied instance stays open — its mesh may
+        span further runs."""
+        if self.bus is not None and self.bus is not self.engine.transport:
+            self.bus.close(error=error)
+            self.bus = None
+
+
+class BusEngine(Engine):
+    """What the bus engines share: the ``tasks`` and ``transport``
+    options, and a run that closes its engine-owned bus however it ends.
+
+    ``tasks`` bounds how many conveys may be in flight at once;
+    ``transport`` picks the bus (``"memory"``, ``"wan"``, ``"tcp"``, or a
+    :class:`~repro.core.transport.Transport` instance).
+    """
+
+    #: The :class:`BusCore` a run drives.
+    core: type
+
+    def __init__(
+        self,
+        tasks: int = 4,
+        transport: Union[str, Transport] = "memory",
+        release: Union[str, ReleasePolicy] = "oneshot",
+        windows: Optional[Sequence[int]] = None,
+        window_epsilon: Optional[float] = None,
+    ) -> None:
+        # a positive int (``bool`` is not)
+        if isinstance(tasks, bool) or not isinstance(tasks, int) or tasks < 1:
+            raise ConfigurationError(
+                f"engine {self.name!r}: tasks must be a positive int, got {tasks!r}"
+            )
+        self.tasks = tasks
+        self.transport = check_transport_spec(transport)
+        self._configure_release(release, windows, window_epsilon)
+
+    def execute(self, program, graph, iterations, config, accountant=None):
+        core = self.core(self, program, graph, config)
+        try:
+            return run_lifecycle(self, core, program, config, iterations, accountant)
+        except BaseException as exc:
+            core.close(error=exc)
+            raise
+
+
 # --------------------------------------------------------- secure engine --
 
 
-class SecureDStressEngine(Engine):
+class _SecureCore(BusCore, SecureRun):
+    """:class:`~repro.core.secure_engine.SecureRun` under the bus
+    lifecycle: setup, the window body, aggregation and noising are the
+    run's (the aggregation tree is a final local phase, not a round);
+    each window's wire events go to the bus."""
+
+
+class SecureDStressEngine(BusEngine):
     """The full DStress protocol stack (§3.3–§3.6).
 
     Every GMW evaluation is a lane batch with an offline/online phase
@@ -294,17 +395,21 @@ class SecureDStressEngine(Engine):
     <repro.mpc.gmw.GMWEngine.evaluate_batch>`), ``"bitsliced"`` numpy
     words (:mod:`repro.mpc.bitslice`), faster from about 64 blocks a
     step. Released outputs and metered traffic are bit-identical on both.
-    ``buckets=[10,
-    100]`` turns on the §3.7 degree buckets: each vertex runs the update
-    circuit of the smallest bucket that holds its degree instead of the
-    global bound.
+    ``buckets=[10, 100]`` turns on the §3.7 degree buckets: each vertex
+    runs the update circuit of the smallest bucket that holds its degree
+    instead of the global bound. ``transport`` picks the bus the block
+    batches are handed to and ``tasks`` bounds the batches in flight
+    (:class:`BusEngine`); released outputs are bit-identical on every bus.
     """
 
     name = "secure"
     releases_output = True
+    core = _SecureCore
 
     def __init__(
         self,
+        tasks: int = 4,
+        transport: Union[str, Transport] = "memory",
         backend: str = "scalar",
         buckets: Optional[Sequence[int]] = None,
         release: Union[str, ReleasePolicy] = "oneshot",
@@ -313,18 +418,16 @@ class SecureDStressEngine(Engine):
     ) -> None:
         self.backend = check_backend(backend, "engine 'secure'")
         self.buckets = None if buckets is None else tuple(buckets)
-        self._configure_release(release, windows, window_epsilon)
+        super().__init__(tasks, transport, release, windows, window_epsilon)
 
     def compile_plans(self, program, graph, config):
         compile_secure_plans(
             program, config, graph, self.release_policy.epsilon_schedule(config)
         )
 
-    def execute(self, program, graph, iterations, config, accountant=None):
-        core = SecureRun(self, program, graph, config, self.buckets)
-        return run_lifecycle(self, core, program, config, iterations, accountant)
-
 
 register_engine("plaintext", PlaintextFloatEngine, aliases=("float", "clear"))
 register_engine("fixed", PlaintextFixedEngine, aliases=("plaintext-fixed",))
-register_engine("secure", SecureDStressEngine, aliases=("dstress",))
+# ``secure-async`` stays a name for ``secure`` while the benchmark
+# spine's frozen workloads run it
+register_engine("secure", SecureDStressEngine, aliases=("dstress", "secure-async"))

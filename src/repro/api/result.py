@@ -29,7 +29,7 @@ class RunResult:
         Registry names of the backend and vertex program that ran.
     aggregate:
         The headline number. For releasing runs (``secure``,
-        ``secure-async``, any windowed release) this is the *noised* output — the only value a real
+        any windowed release) this is the *noised* output — the only value a real
         deployment would publish; for plaintext engines it is exact.
     trajectory:
         Aggregate of the designated register after each computation step.

@@ -133,11 +133,11 @@ class StressTest:
 
     def engine(self, engine: Union[str, Engine], **options: Any) -> "StressTest":
         """Choose the backend — ``"plaintext"``, ``"fixed"``, ``"secure"``,
-        ``"async"``, ``"secure-async"``, or any :class:`Engine` instance.
+        ``"async"``, or any :class:`Engine` instance.
 
         Keyword ``options`` configure a registry backend at construction
         time (``.engine("async", tasks=8)``,
-        ``.engine("secure-async", tasks=8, transport="wan")``); they
+        ``.engine("secure", tasks=8, transport="wan")``); they
         replace any options from an earlier ``.engine(...)`` call.
         """
         if not isinstance(engine, (str, Engine)):

@@ -30,11 +30,12 @@ boundary, and before the boundary of each routed communication step
 ``(round, "round", link_bytes)`` — one word per routed link. The secure
 protocol's window (:class:`~repro.core.secure_engine.SecureRun`) yields
 the same shape. A lifecycle core consumes a window one of two ways: it
-drains it in process (:func:`run_rounds`, :meth:`RoundLoop.advance`), or
-a :class:`RoundScheduler` conveys every event over a
-:class:`~repro.core.transport.Transport` (the ``async`` and
-``secure-async`` engines). The consumer only decides where the bytes go,
-so it cannot change a value.
+drains it in process (:func:`run_rounds`, :meth:`RoundLoop.advance`, and
+the memory bus), or a :class:`RoundScheduler` conveys every event over a
+:class:`~repro.core.transport.Transport`
+(:meth:`~repro.core.transport.Transport.drive`, under the ``async`` and
+``secure`` engines). The consumer only decides where the bytes go, so it
+cannot change a value.
 
 Determinism contract: :func:`run_rounds` calls ``superstep`` exactly
 ``iterations + 1`` times with identical inputs regardless of who computes
@@ -533,21 +534,18 @@ class RoundScheduler:
     dispatch itself never blocks the computing coroutine).
     """
 
-    def __init__(self, transport: Transport, max_tasks: Optional[int] = None) -> None:
-        if max_tasks is not None and max_tasks < 1:
+    def __init__(self, transport: Transport, max_tasks: int) -> None:
+        if max_tasks < 1:
             raise ConfigurationError("max_tasks must be at least 1")
         self.transport = transport
-        self._gate = asyncio.Semaphore(max_tasks) if max_tasks is not None else None
+        self._gate = asyncio.Semaphore(max_tasks)
         #: This step's delivery tasks, finished or not: a batch that has
         #: already failed must still be in here for :meth:`barrier` to raise.
         self._pending: List[asyncio.Task] = []
 
     async def _deliver(self, links: List[LinkLoad], round_index: int, kind: str) -> None:
-        if self._gate is None:
+        async with self._gate:
             await self.transport.convey_round(round_index, kind, links)
-        else:
-            async with self._gate:
-                await self.transport.convey_round(round_index, kind, links)
 
     async def dispatch(
         self, link_bytes: LinkBytes, round_index: int, kind: str

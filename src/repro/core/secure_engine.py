@@ -37,14 +37,13 @@ it, by step, vertex, group or member, once per use, split in a canonical
 order that no loop order moves),
 and yields what each finished
 block batch — a GMW evaluation's OT-extension bits, a transfer's
-masked words — puts on the wire. ``engine="secure"`` drains it with a
-``for`` loop (:meth:`~repro.core.lifecycle.LifecycleCore.drive`);
-``secure-async`` overrides only that method and feeds the same events to a
-:class:`~repro.core.rounds.RoundScheduler` that conveys the bytes
-over a :class:`~repro.core.transport.Transport` while later blocks are
-still computing. Released outputs are bit-identical between the two by
-construction — there is no second copy of the loop to drift; only
-wall-clock and the bus's own metering move.
+masked words — puts on the wire. ``engine="secure"`` hands the window to
+its bus (:meth:`~repro.core.transport.Transport.drive`): the memory bus
+drains it in place, every other bus conveys the bytes through a
+:class:`~repro.core.rounds.RoundScheduler` while later blocks are still
+computing. Released outputs are bit-identical on every bus by
+construction — there is one window body and the bus sees only bytes;
+only wall-clock and the bus's own metering move.
 """
 
 from __future__ import annotations
@@ -266,7 +265,7 @@ class SecureRun(LifecycleCore):
     stdlib only; ``"bitsliced"`` numpy uint64 words
     (:mod:`repro.mpc.bitslice`). Both produce bit-identical released
     outputs, shares, and metered traffic — the parity matrix asserts it.
-    ``buckets`` are the §3.7 degree buckets (:meth:`_assign_buckets`).
+    Its ``buckets`` are the §3.7 degree buckets (:meth:`_assign_buckets`).
     """
 
     deployment: Deployment
@@ -306,7 +305,6 @@ class SecureRun(LifecycleCore):
         program: VertexProgram,
         graph: DistributedGraph,
         config: DStressConfig,
-        buckets: Optional[Sequence[int]] = None,
     ) -> None:
         if program.fmt.total_bits != config.fmt.total_bits:
             raise ConfigurationError("program and config fixed-point formats disagree")
@@ -314,7 +312,6 @@ class SecureRun(LifecycleCore):
         self.program = program
         self.graph = graph
         self.config = config
-        self.buckets = buckets
         self.transfer = PadTransfer(config.fmt.total_bits)
         self.outbox_shares: Dict[int, List[List[int]]] = {}
         self.trajectory: List[float] = []
@@ -514,11 +511,10 @@ class SecureRun(LifecycleCore):
         The one window body. It performs the crypto itself, in transcript
         order, and yields what goes on the wire: ``(step, kind,
         link_bytes)`` after each finished block batch, ``None`` at each
-        step boundary. :meth:`drive` only decides what happens to those
-        bytes — nothing (drain the generator) or a dispatch over the bus
-        (:meth:`RoundScheduler.run
-        <repro.core.rounds.RoundScheduler.run>`) — so it cannot
-        change a share.
+        step boundary. The bus only decides what happens to those bytes
+        — nothing (drain the generator) or a dispatch
+        (:meth:`Transport.drive <repro.core.transport.Transport.drive>`)
+        — so it cannot change a share.
 
         A fresh window runs ``rounds`` full (computation + communication)
         steps plus the final computation step. A resumed window first runs
@@ -688,9 +684,9 @@ class SecureRun(LifecycleCore):
         low-degree vertices.
         """
         graph = self.graph
-        if self.buckets is None:
+        if self.engine.buckets is None:
             return {v: graph.degree_bound for v in graph.vertex_ids}
-        bounds = sorted(set(self.buckets))
+        bounds = sorted(set(self.engine.buckets))
         if not bounds or bounds[-1] < graph.max_degree():
             raise ConfigurationError(
                 "largest bucket must cover the graph's maximum degree"
@@ -879,7 +875,7 @@ class SecureRun(LifecycleCore):
         byte lands on a directed *link* between two real block members —
         node totals are unchanged (the pair map sums to the per-party
         totals by construction) but link-level hot spots become visible
-        and the secure-async driver can dispatch the returned map.
+        and a bus can convey the returned map.
         """
         meter = self.meter
         link_bytes = meter.replay(

@@ -10,10 +10,11 @@ its bytes travel:
   counts — a clear communication step's words, a secure block's GMW
   OT-extension bytes, a §3.5 transfer's masked words. The values are
   computed in process by the window that yields the batch
-  (:class:`~repro.core.rounds.RoundScheduler` drives it); only the bytes
-  travel, so no bus can change a released bit.
+  (:meth:`~Transport.drive` puts it on a
+  :class:`~repro.core.rounds.RoundScheduler`); only the bytes travel, so
+  no bus can change a released bit.
 * :class:`InMemoryTransport` — the reference path. Zero delay, nothing
-  counted: a convey is one call that returns at once.
+  counted: a window drains in place, with no event loop.
 * :class:`SimulatedWanTransport` — injects per-link latency and
   bandwidth delays derived from :class:`~repro.core.config.DStressConfig`
   (``wan_latency_seconds`` / ``wan_bandwidth_bytes`` / ``wan_jitter``)
@@ -46,6 +47,7 @@ from repro.exceptions import ConfigurationError, TransportError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (config imports nothing here)
     from repro.core.config import DStressConfig
     from repro.core.graph import DistributedGraph
+    from repro.core.rounds import WindowEvents
 
 __all__ = [
     "LinkLoad",
@@ -125,11 +127,25 @@ class Transport:
         """
         return None
 
+    def drive(self, events: "WindowEvents", tasks: int) -> None:
+        """Put one window's wire events
+        (:data:`~repro.core.rounds.WindowEvents`) on this bus.
+
+        Each window is a fresh :class:`~repro.core.rounds.RoundScheduler`
+        (a window edge is a full barrier, so no delivery ever spans one),
+        at most ``tasks`` conveys in flight, whose coroutine :meth:`run`
+        drives. A bus whose conveys cost nothing drains the window in
+        place instead (:meth:`InMemoryTransport.drive`).
+        """
+        from repro.core.rounds import RoundScheduler  # rounds imports this module
+
+        self.run(RoundScheduler(self, tasks).run(events))
+
     def run(self, coro):
         """Drive one window's coroutine to completion from synchronous
         code.
 
-        The in-process buses run it on a fresh event loop per call. When
+        The simulated buses run it on a fresh event loop per call. When
         the caller already runs a loop (a notebook kernel), ``asyncio.run``
         refuses to nest, so the window runs on a private loop in a worker
         thread instead; the engine's ``execute`` stays synchronous either
@@ -166,8 +182,15 @@ class InMemoryTransport(Transport):
 
     name = "memory"
 
+    def drive(self, events, tasks):
+        """Drain the window in place: a convey here does nothing, so no
+        event loop or Task is worth paying for. The window body does the
+        same work under every bus."""
+        for _event in events:
+            pass
 
-class SimulatedWanTransport(InMemoryTransport):
+
+class SimulatedWanTransport(Transport):
     """A WAN bus: per-link latency + bandwidth delays, totalled.
 
     Each directed link ``src -> dst`` gets a deterministic latency of
@@ -262,7 +285,9 @@ class FaultInjectingTransport(Transport):
     round, which the step's barrier propagates instead of waiting
     forever on bytes that will never (or twice) arrive. Used by the
     fault-path tests and available for chaos-style batch runs over the
-    bus engines (``async``, ``secure-async``).
+    bus engines (``async``, ``secure``). A window keeps the scheduler
+    (:meth:`Transport.drive`) whatever the inner bus, so a fault-free
+    wrapper over the memory bus exercises it at zero delay.
 
     When the inner bus is shared across real processes (TCP), give every
     replica the *same* fault sets: chaos is part of the replicated

@@ -89,7 +89,7 @@ class GMWTraffic:
     Beyond the historical per-party totals, every bit on the wire is also
     attributed to its ordered *pair* ``(source party, destination party)``
     — the granularity a block's OT batch actually travels at. The
-    pair view is what the secure-async scheduler dispatches over the
+    pair view is what the secure engine hands its
     transport bus, and what the :class:`~repro.simulation.netsim.TrafficMeter`
     records as per-link bytes; by construction
     ``sum_j pair_bits[(i, j)] == sent_bits[i]`` for every party ``i``.

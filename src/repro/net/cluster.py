@@ -1,6 +1,6 @@
 """The process launcher: one OS process per party, a real mesh per run.
 
-This is the harness behind the acceptance claim "``secure-async`` runs
+This is the harness behind the acceptance claim "``secure`` runs
 genuinely multi-process": :func:`run_scenario_cluster` forks one child
 per party (the repo-wide fork policy, see :mod:`repro.api.pool`), each
 child binds a :class:`~repro.net.transport.TcpTransport` listener on
@@ -76,7 +76,7 @@ class ClusterRun:
 
     build: ScenarioBuilder
     num_parties: int = 3
-    engine: str = "secure-async"
+    engine: str = "secure"
     engine_options: Dict[str, Any] = field(default_factory=dict)
     iterations: Union[int, str] = "auto"
     host: str = "127.0.0.1"
@@ -184,7 +184,7 @@ def run_scenario_cluster(
     build: ScenarioBuilder,
     *,
     num_parties: int = 3,
-    engine: str = "secure-async",
+    engine: str = "secure",
     engine_options: Optional[Dict[str, Any]] = None,
     iterations: Union[int, str] = "auto",
     host: str = "127.0.0.1",

@@ -17,7 +17,7 @@ Design constraints, in order of importance:
   work, so a traced run's released outputs are bit-identical to an
   untraced run (asserted across the engine parity matrix).
 * **Ambient recorder is a module global, not a ContextVar.** The
-  in-process buses run a window on a worker thread's loop when the
+  simulated buses run a window on a worker thread's loop when the
   caller already runs one (``Transport.run``), which starts from an
   empty context, and forked cluster children inherit module state; a
   ContextVar would silently drop the recorder in both cases.

@@ -232,16 +232,15 @@ _ENGINE_OPTIONS.update(
     {
         "plaintext": {**_RELEASE_OPTIONS},
         "fixed": {**_RELEASE_OPTIONS},
-        "secure": {"backend": _str_field("scalar", "bitsliced"), **_RELEASE_OPTIONS},
-        "async": {
-            "tasks": _int_field(1, 64),
-            "transport": _str_field("memory", "wan"),
-            **_RELEASE_OPTIONS,
-        },
-        "secure-async": {
+        "secure": {
             "tasks": _int_field(1, 64),
             "transport": _str_field("memory", "wan"),
             "backend": _str_field("scalar", "bitsliced"),
+            **_RELEASE_OPTIONS,
+        },
+        "async": {
+            "tasks": _int_field(1, 64),
+            "transport": _str_field("memory", "wan"),
             **_RELEASE_OPTIONS,
         },
     }

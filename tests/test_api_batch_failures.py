@@ -194,7 +194,7 @@ def test_bad_scenario_engine_string_names_registry_entries(template):
     # names the failing scenario, promises nothing ran, and lists what exists
     assert "typo" in message
     assert "no scenario was executed" in message
-    for registered in ("plaintext", "fixed", "secure", "async", "secure-async"):
+    for registered in ("plaintext", "fixed", "secure", "async"):
         assert registered in message
 
 

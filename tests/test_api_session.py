@@ -72,9 +72,8 @@ def secure_result(en_network):
 
 
 def test_all_engine_families_registered():
-    assert {"plaintext", "fixed", "secure", "async", "secure-async"} <= set(
-        available_engines()
-    )
+    assert {"plaintext", "fixed", "secure", "async"} <= set(available_engines())
+    assert "secure-async" not in available_engines()  # an alias of ``secure``
 
 
 def test_engine_aliases_resolve_to_same_backend():

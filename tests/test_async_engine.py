@@ -11,6 +11,7 @@ import pytest
 
 from repro import StressTest
 from repro.api import AsyncEngine, Scenario, get_engine
+from repro.api.session import execute_resolved
 from repro.core.transport import FaultInjectingTransport, InMemoryTransport
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import ConfigurationError, TransportError
@@ -72,7 +73,7 @@ def test_engine_options_validated_through_registry():
     assert isinstance(get_engine("overlapped", tasks=2), AsyncEngine)
 
 
-@pytest.mark.parametrize("engine", ["async", "secure-async"])
+@pytest.mark.parametrize("engine", ["async", "secure"])
 @pytest.mark.parametrize("bad", [0, -1, True, False, 2.5, "2", None], ids=repr)
 def test_tasks_must_be_a_positive_int(engine, bad):
     with pytest.raises(
@@ -81,7 +82,7 @@ def test_tasks_must_be_a_positive_int(engine, bad):
         get_engine(engine, tasks=bad)
 
 
-@pytest.mark.parametrize("engine", ["async", "secure-async"])
+@pytest.mark.parametrize("engine", ["async", "secure"])
 @pytest.mark.parametrize("tasks", [1, 2, 64])
 def test_tasks_is_kept_as_given(engine, tasks):
     assert get_engine(engine, tasks=tasks).tasks == tasks
@@ -105,7 +106,16 @@ def test_engine_options_survive_clone_and_replacement(network):
     assert session.resolve(iterations=1).engine.name == "plaintext"
 
 
-def test_scenario_engine_options_flow_through(network):
+def test_scenario_engine_options_flow_through(network, monkeypatch):
+    import repro.api.batch as batch_module
+
+    tasks = {}
+
+    def recording(payload, accountant=None):
+        tasks[payload.label] = payload.engine.tasks
+        return execute_resolved(payload, accountant)
+
+    monkeypatch.setattr(batch_module, "execute_resolved", recording)
     template = _session(network, tasks=8)
     batch = template.run_many(
         [
@@ -119,10 +129,8 @@ def test_scenario_engine_options_flow_through(network):
         workers=1,
     )
     assert all(o.ok for o in batch)
-    assert batch.by_name("inherit").result.extras["tasks"] == 8
-    assert batch.by_name("narrow").result.extras["tasks"] == 3
-    assert batch.by_name("reset").result.extras["tasks"] == 4
-    assert batch.by_name("rewidth").result.extras["tasks"] == 1
+    # the engines the batch resolved and ran, one per scenario (inline)
+    assert tasks == {"inherit": 8, "narrow": 3, "reset": 4, "rewidth": 1}
 
 
 def test_scenario_engine_options_refused_for_instance_template(network):

@@ -1,27 +1,31 @@
 """What the asyncio schedules cost, and what their overlap buys.
 
-Two claims, each measured inside one test run so the numbers are
+Three claims, each measured inside one test run so the numbers are
 machine-portable ratios and counts, never committed wall-clock:
 
+* **the memory bus pays for no schedule** — ``secure`` and ``async``
+  on it drain each window in place: no event loop, no Task;
 * **a round is one convey, not a Task per vertex or per message** — on
-  the in-memory bus an ``engine="async"`` run creates at most one Task
+  a scheduling bus an ``engine="async"`` run creates at most one Task
   per communication step (its convey), however many vertices and edges
   it routes; a WAN bus pays a convey's link delays concurrently inside
   that one call;
 * **overlap beats the link delays on a realtime WAN** — a run's
   wall-clock against what a schedule awaiting every link in turn must at
   least pay: the link delays its :class:`SimulatedWanTransport` accounted
-  (``extras["simulated_seconds"]``), plus, for ``secure-async``, the
+  (``extras["simulated_seconds"]``), plus, for ``secure``, the memory
   run's own ``computation`` phase, which such a schedule cannot overlap
   with its links. Both engines release bit-identically to their
-  one-process twins (``plaintext`` / ``secure``).
+  memory-bus runs (``async`` to ``plaintext``).
 """
 
 import asyncio
 import time
 
+import pytest
+
 from repro import StressTest
-from repro.core.transport import InMemoryTransport, SimulatedWanTransport
+from repro.core.transport import SimulatedWanTransport, Transport
 from repro.crypto.rng import DeterministicRNG
 from repro.finance import Bank, FinancialNetwork, apply_shock, uniform_shock
 from repro.graphgen import CorePeripheryParams, core_periphery_network
@@ -49,7 +53,19 @@ def _debt_chain(num_banks: int) -> FinancialNetwork:
 # ------------------------------------------------------------- task count --
 
 
-def test_memory_bus_run_creates_one_task_per_round_not_per_vertex(monkeypatch):
+@pytest.mark.parametrize("engine, oracle", [("secure", "fixed"), ("async", "plaintext")])
+def test_memory_bus_runs_without_an_event_loop(monkeypatch, engine, oracle):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the memory bus started a schedule")
+
+    monkeypatch.setattr(Transport, "run", refuse)
+    monkeypatch.setattr(asyncio, "run", refuse)
+    template = StressTest(_debt_chain(4)).program("eisenberg-noe").preset("demo")
+    drained = template.clone().engine(engine, transport="memory").run(iterations=2)
+    assert drained.trajectory == template.clone().engine(oracle).run(iterations=2).trajectory
+
+
+def test_scheduled_run_creates_one_task_per_round_not_per_vertex(monkeypatch):
     created = []
 
     def counting_run(bus, coro):
@@ -69,7 +85,7 @@ def test_memory_bus_run_creates_one_task_per_round_not_per_vertex(monkeypatch):
 
         return asyncio.run(main())
 
-    monkeypatch.setattr(InMemoryTransport, "run", counting_run)
+    monkeypatch.setattr(SimulatedWanTransport, "run", counting_run)
     messages = []
     for num_banks, iterations in ((8, 2), (8, 5), (12, 5)):
         network = _core_periphery(num_banks)
@@ -77,7 +93,7 @@ def test_memory_bus_run_creates_one_task_per_round_not_per_vertex(monkeypatch):
         result = (
             StressTest(network)
             .program("eisenberg-noe")
-            .engine("async", tasks=2, transport="memory")
+            .engine("async", tasks=2, transport=SimulatedWanTransport(realtime=False))
             .seed(1)
             .run(iterations=iterations)
         )
@@ -151,7 +167,7 @@ def test_async_overlap_beats_the_link_delays_on_a_realtime_wan():
     assert ratio >= 5.0
 
 
-def test_secure_async_overlap_beats_the_link_delays_on_a_realtime_wan():
+def test_secure_overlap_beats_the_link_delays_on_a_realtime_wan():
     template = (
         StressTest(_debt_chain(4))
         .program("eisenberg-noe")
@@ -160,7 +176,7 @@ def test_secure_async_overlap_beats_the_link_delays_on_a_realtime_wan():
         .configure(wan_latency_seconds=0.002, wan_jitter=0.25)
     )
     reference = template.clone().engine("secure").run(iterations=1)
-    overlapped = _fastest_wan_run(template, "secure-async", 1, tasks=8)
+    overlapped = _fastest_wan_run(template, "secure", 1, tasks=8)
     for attr in ("aggregate", "pre_noise_aggregate", "noise_raw", "trajectory"):
         assert getattr(overlapped, attr) == getattr(reference, attr)
     # the in-process run's computation phase is pure compute: over the

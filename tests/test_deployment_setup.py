@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import pytest
 
-from test_engine_parity_matrix import SECURE_VARIANTS, _small_scale_free
+from test_engine_parity_matrix import SECURE_VARIANTS, _on_bus, _small_scale_free
 from test_lifecycle import make_network
 
 from repro import DStressConfig, Scenario, StressTest
@@ -123,7 +123,7 @@ class TestHitEqualsMiss:
     def test_a_found_deployment_is_indistinguishable_from_a_built_one(
         self, cold, network, engine, options, monkeypatch
     ):
-        test = session(network, engine, **options)
+        test = session(network, engine, **_on_bus(options))
         miss = observe(test, monkeypatch)
         assert (cold.builds, cold.hits) == (1, 0)
         hit = observe(test, monkeypatch)
@@ -140,7 +140,6 @@ class TestHitEqualsMiss:
         outcomes = run_scenario_cluster(
             build,
             num_parties=2,
-            engine="secure-async",
             iterations=ITERATIONS,
             session="test-deployment-cluster",
             timeout=120.0,

@@ -7,16 +7,18 @@ scale-free), all under a fixed seed:
 * every float-mode backend (``plaintext``, ``async@t``) must produce a
   **bit-identical** pre-noise trajectory — not approximately equal: float
   addition is not associative, so bit-identity proves that conveying a
-  loop's rounds over a bus leaves the reference evaluation order alone;
+  loop's rounds over a bus leaves the reference evaluation order alone.
+  The memory bus drains a window in place, so the bus rows run over the
+  zero-delay buses that keep the scheduler (:data:`BUSES`);
 * the ``fixed`` backend must be bit-reproducible run-to-run and stay
   within quantization distance of the float oracle;
 * a computation step is one pass over every vertex in both clear
   arithmetics (one circuit walk, one numpy float step), and must equal
   the per-vertex update it replaces, state for state and bit for bit;
-* the **secure column**: ``secure-async`` (the protocol scheduled over
-  the transport bus) and the ``bitsliced`` backend (numpy lane GMW with
-  the offline/online phase split, under both drivers) must release
-  outputs **bit-identical** to ``secure`` — noise and all — and meter
+* the **secure column**: ``secure`` scheduled over those buses and the
+  ``bitsliced`` backend (numpy lane GMW with the offline/online phase
+  split, drained and scheduled) must release outputs **bit-identical**
+  to ``secure`` drained on the memory bus — noise and all — and meter
   identical per-link traffic (the per-pair ``GMWTraffic.pair_bits``
   attribution lands on directed links) in every cell. The secure cells
   run on smaller graphs (full MPC per vertex per round) under the demo
@@ -41,7 +43,11 @@ from repro.core.engine import plaintext_loop
 from repro.core.program import VertexProgram
 from repro.core.rounds import ColumnLoop, RoundLoop, RoundScheduler, sequential_superstep
 from repro.core.secure_engine import SecureRun, run_bill
-from repro.core.transport import InMemoryTransport
+from repro.core.transport import (
+    FaultInjectingTransport,
+    InMemoryTransport,
+    SimulatedWanTransport,
+)
 from repro.mpc.bitslice import HAVE_NUMPY
 from repro.crypto.rng import DeterministicRNG
 from repro.finance import (
@@ -64,12 +70,29 @@ ITERATIONS = 4
 QUANTIZATION_TOLERANCE = 0.5
 
 PROGRAMS = ("eisenberg-noe", "elliott-golub-jackson")
+#: Zero-delay buses that keep the scheduler, built fresh for every run
+#: (the memory bus drains a window in place): a non-realtime WAN and a
+#: chaos wrapper with no faults over the memory bus.
+BUSES = {
+    "wan": lambda: SimulatedWanTransport(realtime=False),
+    "faulty": FaultInjectingTransport,
+}
 FLOAT_ENGINES = (
     ("plaintext", {}),
-    ("async", {"tasks": 1}),
-    ("async", {"tasks": 4}),
-    ("async", {"tasks": 16}),
+    ("async", {"tasks": 1, "transport": "wan"}),
+    ("async", {"tasks": 4, "transport": "wan"}),
+    ("async", {"tasks": 16, "transport": "wan"}),
+    ("async", {"tasks": 1, "transport": "faulty"}),
+    ("async", {"tasks": 4, "transport": "faulty"}),
+    ("async", {"tasks": 16, "transport": "faulty"}),
 )
+
+
+def _on_bus(options):
+    """``options`` with a :data:`BUSES` name replaced by a fresh bus."""
+    if options.get("transport") in BUSES:
+        return {**options, "transport": BUSES[options["transport"]]()}
+    return options
 
 
 def _core_periphery():
@@ -124,7 +147,7 @@ def test_float_family_trajectories_bit_identical(
     result = (
         StressTest(networks[graph_name])
         .program(program)
-        .engine(engine_name, **options)
+        .engine(engine_name, **_on_bus(options))
         .seed(SEED)
         .run(iterations=ITERATIONS)
     )
@@ -368,16 +391,23 @@ def test_secure_scalar_counters_equal_bill(secure_references, program, graph_nam
 
 _needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
-#: Every secure variant must reproduce the sequential scalar release.
+#: Every secure variant must reproduce the drained scalar release.
 SECURE_VARIANTS = (
-    pytest.param("secure-async", {"tasks": 4}, id="secure-async"),
+    pytest.param("secure", {"tasks": 4, "transport": "wan"}, id="secure-wan"),
+    pytest.param("secure", {"tasks": 4, "transport": "faulty"}, id="secure-faulty"),
     pytest.param(
         "secure", {"backend": "bitsliced"}, id="secure-bitsliced", marks=_needs_numpy
     ),
     pytest.param(
-        "secure-async",
-        {"tasks": 4, "backend": "bitsliced"},
-        id="secure-async-bitsliced",
+        "secure",
+        {"tasks": 4, "backend": "bitsliced", "transport": "wan"},
+        id="secure-wan-bitsliced",
+        marks=_needs_numpy,
+    ),
+    pytest.param(
+        "secure",
+        {"tasks": 4, "backend": "bitsliced", "transport": "faulty"},
+        id="secure-faulty-bitsliced",
         marks=_needs_numpy,
     ),
 )
@@ -394,7 +424,7 @@ def test_secure_variants_release_bit_identical(
         result = (
             StressTest(secure_networks[graph_name])
             .program(program)
-            .engine(engine_name, **options)
+            .engine(engine_name, **_on_bus(options))
             .preset("demo")
             .run(iterations=SECURE_ITERATIONS)
         )

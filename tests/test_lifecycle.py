@@ -58,7 +58,6 @@ ALL_ENGINES = (
     "fixed",
     "async",
     "secure",
-    "secure-async",
 )
 
 #: Engines whose released values are floats of the plaintext oracle

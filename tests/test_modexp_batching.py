@@ -452,9 +452,9 @@ GOLDEN_GROUPS = {"toy-64": TOY_GROUP_64, "schnorr-256": GROUP_256}
 GOLDEN_ENGINES = {
     "secure-bitsliced": ("secure", {"backend": "bitsliced"}),
     "secure-scalar": ("secure", {"backend": "scalar"}),
-    "secure-async": (
-        "secure-async",
-        {"backend": "bitsliced", "tasks": 2, "transport": "memory"},
+    "secure-wan": (
+        "secure",
+        {"backend": "bitsliced", "tasks": 2, "transport": "wan"},
     ),
 }
 

@@ -677,8 +677,6 @@ class TestGuards:
 
         with pytest.raises(ConfigurationError):
             get_engine("secure", backend="vectorized")
-        with pytest.raises(ConfigurationError):
-            get_engine("secure-async", backend="vectorized")
 
 
 # ------------------------------------------------------------ speed gate --

@@ -317,8 +317,8 @@ class TestAccounting:
 
 class TestPairAttribution:
     """Block-granular traffic: the per-ordered-pair view must tile the
-    per-party totals exactly — it is what the secure-async scheduler puts
-    on the wire."""
+    per-party totals exactly — it is what the secure engine hands its bus
+    to put on the wire."""
 
     @pytest.mark.parametrize("parties", [2, 3, 4, 5])
     def test_pair_bits_sum_to_party_totals(self, parties, rng):

@@ -316,8 +316,9 @@ def test_int_lanes_are_at_least_five_times_the_per_gate_oracle():
 # ------------------------------------------------------ numpy-free default --
 
 def released_by_default_engines():
-    """What ``secure`` and ``secure-async`` on the default backend release
-    on a four-bank cascade, as JSON text."""
+    """What ``secure`` on the default backend releases on a four-bank
+    cascade, drained on the memory bus and scheduled on the WAN bus, as
+    JSON text."""
     from repro import Bank, FinancialNetwork, StressTest
 
     net = FinancialNetwork()
@@ -327,9 +328,9 @@ def released_by_default_engines():
         net.add_debt(src, dst, amount)
     template = StressTest(net).program("eisenberg-noe").preset("demo").seed(5)
     released = {}
-    for engine in ("secure", "secure-async"):
-        result = template.clone().engine(engine).run(iterations=2)
-        released[engine] = [
+    for transport in ("memory", "wan"):
+        result = template.clone().engine("secure", transport=transport).run(iterations=2)
+        released[transport] = [
             result.aggregate,
             result.pre_noise_aggregate,
             result.noise_raw,
@@ -340,7 +341,7 @@ def released_by_default_engines():
 
 
 def test_default_secure_engines_need_no_numpy():
-    """``secure`` and ``secure-async`` on the default backend, in a child
+    """``secure`` on the default backend, on both buses, in a child
     interpreter where ``import numpy`` fails, release what they release
     here."""
     body = f"""

@@ -2,7 +2,7 @@
 
 This is the ISSUE's acceptance path, run as a test: a 3-party localhost
 cluster (genuine ``fork``'d processes, every byte over real TCP) executes
-``engine="secure-async"`` and releases output **bit-identical** to the
+``engine="secure"`` and releases output **bit-identical** to the
 in-memory bus; and killing one peer mid-round (``die_at_round`` →
 ``os._exit(17)``) surfaces a *named* ``TransportError`` at a survivor
 within the configured timeout — never a hang, never an anonymous crash.
@@ -46,7 +46,7 @@ class TestSecureAsyncCluster:
         outcomes = run_scenario_cluster(
             _build,
             num_parties=3,
-            engine="secure-async",
+            engine="secure",
             iterations=ITERATIONS,
             session="test-cluster-secure",
             timeout=120.0,
@@ -174,7 +174,7 @@ class TestClusterTrace:
         outcomes = run_scenario_cluster(
             _build,
             num_parties=3,
-            engine="secure-async",
+            engine="secure",
             iterations=ITERATIONS,
             session="test-cluster-trace",
             timeout=120.0,

@@ -5,7 +5,7 @@ host each party in a thread rather than a forked process, so the suite
 stays fast; the separate-OS-process acceptance path lives in
 ``test_net_cluster.py``. The contract under test:
 
-* **bit-identity** — ``engine="async"`` and ``engine="secure-async"``
+* **bit-identity** — ``engine="async"`` and ``engine="secure"``
   over a TCP mesh release exactly what the in-memory bus releases, from
   a plain thread or from inside a running event loop;
 * **one submission per window** — a run hands each release window to
@@ -266,7 +266,7 @@ class TestSecureAsyncBitIdentity:
 
         def run_one(i, bus):
             counts[i] = _count_calls(bus)
-            return _template().engine("secure-async", transport=bus).run(iterations=ITERATIONS)
+            return _template().engine("secure", transport=bus).run(iterations=ITERATIONS)
 
         try:
             results, errors = _run_parties(transports, peers, run_one)
@@ -298,7 +298,7 @@ class TestSecureAsyncBitIdentity:
         def run_one(i, bus):
             if i == 1:
                 time.sleep(0.5)
-            return _template().engine("secure-async", transport=bus).run(iterations=ITERATIONS)
+            return _template().engine("secure", transport=bus).run(iterations=ITERATIONS)
 
         try:
             results, errors = _run_parties(transports, peers, run_one)
@@ -323,7 +323,7 @@ class TestSecureAsyncBitIdentity:
                     transports,
                     peers,
                     lambda i, bus: _template()
-                    .engine("secure-async", transport=bus)
+                    .engine("secure", transport=bus)
                     .run(iterations=ITERATIONS),
                 )
         finally:

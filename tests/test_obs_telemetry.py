@@ -185,7 +185,7 @@ class TestMetricsRegistry:
 # ----------------------------------------------- trace determinism parity --
 
 
-ENGINES = ["plaintext", "fixed", "async", "secure", "secure-async"]
+ENGINES = ["plaintext", "fixed", "async", "secure"]
 
 
 class TestTraceDeterminism:
@@ -255,7 +255,7 @@ class TestTraceDeterminism:
 class TestBillEvent:
     """A secure run's bill is on its ``run`` span as one ``bill`` event."""
 
-    @pytest.mark.parametrize("engine", ["secure", "secure-async"])
+    @pytest.mark.parametrize("engine", ["secure"])
     def test_bill_event_matches_what_the_run_metered(self, engine):
         rec = TraceRecorder(clock=ManualClock())
         with recording(rec):
@@ -429,7 +429,7 @@ class TestExportAndReport:
 
 #: What each hypothesis-built party exported: the merge reads only its trace.
 _SHARD_RESULT = RunResult(
-    engine="secure-async",
+    engine="secure",
     program="eisenberg-noe",
     aggregate=1.0,
     trajectory=[1.0],

@@ -1,13 +1,14 @@
-"""The secure-async engine: the full protocol scheduled over a transport.
+"""The secure engine over its buses: the full protocol scheduled over a
+transport.
 
 The contract under test, in order of importance:
 
-* **released bit-identity** — ``engine="secure-async"`` must release
-  exactly what ``engine="secure"`` releases under the same seed, on every
-  bus, at every concurrency: scheduling overlaps only
-  wire time, and wire time never touches a payload (the deep matrix
-  lives in ``test_engine_parity_matrix.py``; this file covers the
-  option/transport axes on one small network);
+* **released bit-identity** — ``engine="secure"`` must release the same
+  bits on every bus, at every concurrency, as on the memory bus, which
+  drains each window in place: scheduling overlaps only wire time, and
+  wire time never touches a payload (the deep matrix lives in
+  ``test_engine_parity_matrix.py``; this file covers the option/transport
+  axes on one small network);
 * **per-link OT attribution** — the TrafficMeter now sees GMW
   OT-extension bytes on directed links between block members, summing to
   the per-node totals the sequential engine always reported;
@@ -73,17 +74,37 @@ class TestReleasedBitIdentity:
     def test_matches_secure_engine(self, network, secure_reference, options):
         result = (
             _template(network)
-            .engine("secure-async", **options)
+            .engine("secure", **options)
             .run(iterations=ITERATIONS)
         )
         _assert_released_identical(result, secure_reference)
+
+    def test_buckets_release_the_same_on_a_wan_bus(self, network, secure_reference):
+        """§3.7 degree buckets ride the one secure engine, so they work on
+        every bus: the scheduled run releases what the drained one does."""
+        buckets = {"buckets": [1, 2]}
+        drained = _template(network).engine("secure", **buckets).run(iterations=ITERATIONS)
+        bus = SimulatedWanTransport(realtime=False)
+        scheduled = (
+            _template(network)
+            .engine("secure", tasks=2, transport=bus, **buckets)
+            .run(iterations=ITERATIONS)
+        )
+        _assert_released_identical(scheduled, drained)
+        assert scheduled.traffic.summary() == drained.traffic.summary()
+        assert scheduled.extras["wan_bytes"] > 0.0
+        # the buckets took effect: a bucketed vertex runs a smaller circuit
+        assert drained.traffic.total_bytes_sent < secure_reference.traffic.total_bytes_sent
 
     def test_node_traffic_totals_match_sequential_engine(
         self, network, secure_reference
     ):
         """Per-link attribution re-buckets bytes; it must not invent any."""
+        bus = SimulatedWanTransport(realtime=False)
         result = (
-            _template(network).engine("secure-async", tasks=4).run(iterations=ITERATIONS)
+            _template(network)
+            .engine("secure", tasks=4, transport=bus)
+            .run(iterations=ITERATIONS)
         )
         ref = secure_reference.traffic
         got = result.traffic
@@ -130,7 +151,7 @@ class TestWanScheduling:
         )
         result = (
             _template(network)
-            .engine("secure-async", tasks=4, transport=bus)
+            .engine("secure", tasks=4, transport=bus)
             .run(iterations=ITERATIONS)
         )
         _assert_released_identical(result, secure_reference)
@@ -148,13 +169,13 @@ class TestFaultInjection:
 
     def test_dropped_ot_delivery_raises_instead_of_hanging(self, network):
         bus = FaultInjectingTransport(drop=self._all_pairs(0))
-        session = _template(network).engine("secure-async", tasks=4, transport=bus)
+        session = _template(network).engine("secure", tasks=4, transport=bus)
         with pytest.raises(TransportError, match=r"round 0: ot delivery .* was dropped"):
             session.run(iterations=ITERATIONS)
 
     def test_duplicated_ot_delivery_raises_instead_of_hanging(self, network):
         bus = FaultInjectingTransport(duplicate=self._all_pairs(1))
-        session = _template(network).engine("secure-async", tasks=4, transport=bus)
+        session = _template(network).engine("secure", tasks=4, transport=bus)
         with pytest.raises(TransportError, match=r"round 1: duplicate ot delivery"):
             session.run(iterations=ITERATIONS)
 
@@ -164,7 +185,7 @@ class TestFaultInjection:
         from repro.api import Scenario
 
         bus = FaultInjectingTransport(drop=self._all_pairs(0))
-        template = _template(network).engine("secure-async", tasks=2, transport=bus)
+        template = _template(network).engine("secure", tasks=2, transport=bus)
         batch = template.run_many(
             [Scenario(name="chaos-ot-drop", iterations=1)], workers=1
         )
@@ -185,7 +206,7 @@ class TestFaultInjection:
         session = (
             _template(network)
             .engine(
-                "secure-async",
+                "secure",
                 tasks=4,
                 transport=bus,
                 release="windowed",
@@ -215,9 +236,10 @@ class TestFaultInjection:
 
 
 class TestOneBodyOneTrace:
-    """``secure`` and ``secure-async`` consume one window generator, so a
-    recorder sees the same spans, in the same order, under the same
-    parents — a second copy of the loop could not keep that up."""
+    """``secure`` drains a window on the memory bus and schedules it on
+    the WAN bus, over one window generator, so a recorder sees the same
+    spans, in the same order, under the same parents — a second copy of
+    the loop could not keep that up."""
 
     @staticmethod
     def _span_tree(network, engine, **options):
@@ -245,7 +267,7 @@ class TestOneBodyOneTrace:
     def test_sync_and_async_emit_the_same_span_tree(self, network, release, spans):
         sync = self._span_tree(network, "secure", **release)
         overlapped = self._span_tree(
-            network, "secure-async", transport="memory", **release
+            network, "secure", transport=SimulatedWanTransport(realtime=False), **release
         )
         assert overlapped == sync
         assert len(sync) == spans
@@ -258,12 +280,13 @@ class TestOneBodyOneTrace:
         caller's context, so every ``round`` span still hangs off the run
         span, and the bits are the ones a loop-free caller gets."""
         recorder = TraceRecorder()
+        bus = SimulatedWanTransport(realtime=False)
 
         async def caller():
             with recording(recorder):
                 return (
                     _template(network)
-                    .engine("secure-async", transport="memory")
+                    .engine("secure", transport=bus)
                     .run(iterations=ITERATIONS)
                 )
 
@@ -277,22 +300,26 @@ class TestOneBodyOneTrace:
 
 class TestEngineWiring:
     def test_registry_options_flow_through(self):
-        engine = get_engine("secure-async", tasks=8, transport="wan")
+        engine = get_engine("secure", tasks=8, transport="wan")
         assert engine.tasks == 8
         assert engine.transport == "wan"
         with pytest.raises(ConfigurationError, match="'overlap'"):
-            get_engine("secure-async", overlap=False)
+            get_engine("secure", overlap=False)
 
     def test_aliases_resolve(self):
-        assert get_engine("secure-asyncio").name == "secure-async"
-        assert get_engine("dstress-async").name == "secure-async"
+        """``secure-async`` is only a name for ``secure`` now; its own
+        aliases are gone."""
+        assert get_engine("secure-async", tasks=2).name == "secure"
+        for retired in ("secure-asyncio", "dstress-async"):
+            with pytest.raises(ConfigurationError, match="unknown engine"):
+                get_engine(retired)
 
     def test_bad_options_fail_loudly(self):
         for bad in (0, True, "8"):
             with pytest.raises(ConfigurationError, match="positive int"):
-                get_engine("secure-async", tasks=bad)
+                get_engine("secure", tasks=bad)
         with pytest.raises(ConfigurationError, match="transport"):
-            get_engine("secure-async", transport=42)
+            get_engine("secure", transport=42)
 
     def test_releases_output_charges_budget(self, network):
         from repro.privacy.budget import PrivacyAccountant
@@ -300,7 +327,7 @@ class TestEngineWiring:
         accountant = PrivacyAccountant(epsilon_max=1.0)
         (
             _template(network)
-            .engine("secure-async")
+            .engine("secure")
             .privacy(accountant=accountant)
             .run(iterations=1)
         )

@@ -90,7 +90,7 @@ class TestValidation:
             {"engine": {"name": "secure", "options": {"transport": "tcp"}}},
             {"engine": {"name": "async", "options": {"tasks": 0}}},
             {"engine": {"name": "async", "options": {"overlap": False}}},
-            {"engine": {"name": "secure-async", "options": {"overlap": False}}},
+            {"engine": {"name": "secure", "options": {"overlap": False}}},
             {"preset": "galactic"},
             {"overrides": {"fmt": "anything"}},
             {"overrides": {"output_epsilon": -1.0}},
@@ -183,7 +183,7 @@ class TestNotarization:
         assert not notarized.releases
         assert notarized.epsilon == 0.0
 
-    @pytest.mark.parametrize("name", ["evil", "sharded", "naive-mpc"])
+    @pytest.mark.parametrize("name", ["evil", "sharded", "naive-mpc", "secure-async"])
     def test_malformed_document_never_resolves(self, name):
         with pytest.raises(ScenarioValidationError, match=f"got {name!r}"):
             notarize(base_doc(engine={"name": name}))
@@ -192,12 +192,14 @@ class TestNotarization:
         with pytest.raises(ConfigurationError) as refused:
             get_engine("sharded")
         registered = str(refused.value).split("registered engines: ")[1]
-        for name in ("async", "fixed", "plaintext", "secure", "secure-async"):
+        for name in ("async", "fixed", "plaintext", "secure"):
             assert name in registered.split(", ")
-        assert "sharded" not in registered.split(", ")
+        for removed in ("sharded", "secure-async"):
+            assert removed not in registered.split(", ")
 
     @pytest.mark.parametrize(
-        "alias", ["shard", "partitioned", "naive-mpc", "naive", "monolithic"]
+        "alias",
+        ["shard", "partitioned", "naive-mpc", "naive", "monolithic", "secure-asyncio", "dstress-async"],
     )
     def test_removed_engine_aliases_are_unknown_to_the_registry(self, alias):
         with pytest.raises(ConfigurationError, match="registered engines: "):

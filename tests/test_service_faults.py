@@ -265,7 +265,7 @@ class TestEnginesAcrossTheHop:
         "engine",
         [
             {"name": "async", "options": {"tasks": 2}},
-            {"name": "secure-async", "options": {"tasks": 2, "backend": "bitsliced"}},
+            {"name": "secure", "options": {"tasks": 2, "backend": "bitsliced"}},
             {"name": "fixed"},
         ],
         ids=lambda engine: engine["name"],

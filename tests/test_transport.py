@@ -84,7 +84,7 @@ def _convey_window(bus, graph, rounds):
     """A fresh loop's window over ``bus``, opened as an engine opens it."""
     loop = _loop(graph)
     bus.open(graph)
-    bus.run(RoundScheduler(bus).run(loop.window(rounds)))
+    bus.run(RoundScheduler(bus, max_tasks=4).run(loop.window(rounds)))
     return loop
 
 

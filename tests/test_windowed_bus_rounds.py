@@ -19,8 +19,8 @@ import pytest
 from repro import StressTest
 from repro.core.transport import (
     FaultInjectingTransport,
-    InMemoryTransport,
     SimulatedWanTransport,
+    Transport,
 )
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import TransportError
@@ -48,8 +48,9 @@ def _windowed(windows):
     return {"release": "windowed", "windows": list(windows)}
 
 
-class RecordingTransport(InMemoryTransport):
-    """The reference bus, logging the round each convey carries."""
+class RecordingTransport(Transport):
+    """A zero-delay bus that keeps the scheduler (the memory bus drains a
+    window in place), logging the round each convey carries."""
 
     name = "recording"
 
