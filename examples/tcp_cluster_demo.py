@@ -112,7 +112,8 @@ def main() -> None:
     chaos = run_scenario_cluster(
         build_scenario,
         num_parties=NUM_PARTIES,
-        engine="async",
+        engine="plaintext",
+        engine_options={"tasks": 8},
         iterations=ITERATIONS,
         session="tcp-cluster-demo-chaos",
         io_timeout=8.0,

@@ -2,8 +2,9 @@
 
 Everything the ``repro.obs`` layer offers, on one small network:
 
-1. a traced ``engine="async"`` run — round/phase spans and a versioned
-   ``dstress.obs.run`` JSON export carrying its phases and traffic;
+1. a traced ``engine="plaintext"`` run on the simulated WAN bus —
+   round/phase spans and a versioned ``dstress.obs.run`` JSON export
+   carrying its phases and traffic;
 2. a mixed success/failure batch against a shared privacy accountant —
    the failed release's pre-charge is refunded, and the append-only
    audit ledger reconciles bit-for-bit with the accountant's books;
@@ -61,7 +62,7 @@ class FlakyReleasingEngine(Engine):
 def main() -> None:
     network = build_network()
 
-    # -- 1. a traced async run ------------------------------------------------
+    # -- 1. a traced plaintext run on a bus ------------------------------------
     recorder = TraceRecorder()
     with recording(recorder):
         result = (
@@ -69,7 +70,7 @@ def main() -> None:
             .program("eisenberg-noe")
             .preset("demo")
             .degree_bound(2)
-            .engine("async")
+            .engine("plaintext", tasks=8, transport="wan")
             .run(iterations=4)
         )
     rounds = [s for s in recorder.spans if s.name == "round"]

@@ -8,13 +8,11 @@ across a process pool while one :class:`~repro.privacy.budget.PrivacyAccountant`
 guards the yearly budget.
 
 Importing this package registers the built-in engines (``plaintext``,
-``fixed``, ``secure``, ``async``) and
-programs (``eisenberg-noe``, ``elliott-golub-jackson``). See DESIGN.md
-for the architecture and README.md for the old-call → new-call
-migration table.
+``fixed``, ``secure``) and programs (``eisenberg-noe``,
+``elliott-golub-jackson``). See DESIGN.md for the architecture and
+README.md for the old-call → new-call migration table.
 """
 
-from repro.api.async_engine import AsyncEngine
 from repro.api.batch import BatchResult, Scenario, ScenarioOutcome, run_batch
 from repro.api.cache import ScenarioCache, ScenarioCacheBase, run_fingerprint
 from repro.api.diskcache import PersistentScenarioCache
@@ -37,7 +35,6 @@ from repro.api.result import RunResult
 from repro.api.session import ResolvedRun, StressTest
 
 __all__ = [
-    "AsyncEngine",
     "BatchResult",
     "Engine",
     "PersistentScenarioCache",

@@ -84,7 +84,7 @@ class Scenario:
     program: Optional[Union[str, VertexProgram]] = None
     engine: Optional[Union[str, Engine]] = None
     #: constructor options for a registry-named engine (e.g.
-    #: ``engine="async", engine_options={"tasks": 8}``). Without
+    #: ``engine="plaintext", engine_options={"tasks": 8}``). Without
     #: ``engine``, they re-apply to the template's engine name. Note a
     #: scenario ``engine`` string *replaces* the template's options, same
     #: as calling :meth:`StressTest.engine` again.

@@ -1,24 +1,24 @@
-"""Engine backends: one protocol, four presets over two round bodies.
+"""Engine backends: one protocol, three engines over two round bodies.
 
 An :class:`Engine` turns ``(program, graph, iterations, config)`` into a
 :class:`~repro.api.result.RunResult`. The clear engines are one
+:class:`~repro.core.engine.ClearRun` (a
 :class:`~repro.core.rounds.RoundLoop` in float or fixed-point
-:class:`~repro.core.rounds.Arithmetic`; the secure engine is one
-:class:`~repro.core.secure_engine.SecureRun`. A registry name only picks
-the arithmetic and whether a bus sees the rounds:
+:class:`~repro.core.rounds.Arithmetic`); the secure engine is one
+:class:`~repro.core.secure_engine.SecureRun`. Every built-in is a
+:class:`BusEngine`: ``transport`` picks the bus each window's wire events
+go to (drained in place on the default memory bus) and ``tasks`` bounds
+the conveys in flight. A registry name only picks the arithmetic:
 
 =============  ==========================================================
 ``plaintext``  float arithmetic — the reference oracle
 ``fixed``      fixed-point arithmetic — clear circuit evaluation
 ``secure``     the full DStress protocol, each block batch's bytes
-               handed to a transport bus (drained in place on the
-               default memory bus)
-``async``      float arithmetic, each communication step's bytes
-               handed to a transport bus
-               (:class:`~repro.api.async_engine.AsyncEngine`)
+               handed to the bus
 =============  ==========================================================
 
-``secure-async`` is a registry alias of ``secure``.
+``async`` is a registry alias of ``plaintext``, ``secure-async`` one of
+``secure``.
 
 All built-ins compute the *same function* pre-noise on the same graph
 (the engine-parity tests assert it), so sweeps can trade fidelity for
@@ -39,15 +39,14 @@ value per round window and charges the accountant per window.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Union
 
 from repro.api.registry import register_engine
 from repro.api.result import RunResult
 from repro.core.config import DStressConfig
-from repro.core.engine import plaintext_loop
+from repro.core.engine import ClearRun
 from repro.core.graph import DistributedGraph
 from repro.core.lifecycle import (
-    LifecycleCore,
     OneShotRelease,
     ReleasePolicy,
     RunState,
@@ -55,7 +54,7 @@ from repro.core.lifecycle import (
     run_lifecycle,
 )
 from repro.core.program import VertexProgram, compiled_update_circuit
-from repro.core.rounds import RoundLoop, WindowEvents
+from repro.core.rounds import WindowEvents
 from repro.core.secure_engine import SecureRun, check_backend, compile_secure_plans
 from repro.core.transport import (
     Transport,
@@ -64,12 +63,8 @@ from repro.core.transport import (
     transport_from_spec,
     wan_totals,
 )
-from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import ConfigurationError
-from repro.obs.clock import now as clock_now
 from repro.privacy.budget import PrivacyAccountant
-from repro.privacy.mechanisms import geometric_release
-from repro.simulation.netsim import meter_from_rounds
 
 __all__ = [
     "Engine",
@@ -143,163 +138,12 @@ class Engine(ABC):
         return f"<{type(self).__name__} name={self.name!r}>"
 
 
-# -------------------------------------------------------- shared helpers --
-
-
-def _central_release_noise(
-    program: VertexProgram,
-    config: DStressConfig,
-    pre_noise: float,
-    epsilon: float,
-    end: int,
-) -> Tuple[float, int]:
-    """Central grid release (plaintext-family engines) through
-    :func:`~repro.privacy.mechanisms.geometric_release`.
-
-    The secure engine samples this mechanism inside MPC. The fork is keyed
-    by the cumulative release round ``end``, so window ``j`` of any
-    windowed schedule draws the same noise as the release at round ``end``
-    of every other schedule reaching it — the bit-identity the windowed
-    property test pins.
-    """
-    rng = DeterministicRNG(config.seed).fork(f"windowed-release-{end}")
-    return geometric_release(
-        pre_noise, program.sensitivity, epsilon, program.fmt.resolution, rng
-    )
-
-
-def _from_plaintext(
-    engine_name: str,
-    program: VertexProgram,
-    loop: RoundLoop,
-    iterations: int,
-    started: float,
-    graph: DistributedGraph,
-) -> RunResult:
-    """A clear round loop's state as a result in real units, with its
-    phase timings and its per-link traffic from the round arithmetic
-    (whatever bus carried it), so every engine's RunResult exposes the
-    same telemetry shape."""
-    decode = loop.arithmetic.decode
-    return RunResult(
-        engine=engine_name,
-        program=program.name,
-        aggregate=loop.aggregate(),
-        trajectory=list(loop.trajectory),
-        iterations=iterations,
-        wall_seconds=clock_now() - started,
-        # round-synchronous byte profile is exact arithmetic: one
-        # fixed-point message per directed edge per routed round
-        traffic=meter_from_rounds(graph, iterations, program.fmt.total_bits / 8.0),
-        phases=loop.phases,
-        final_states={vid: decode(state) for vid, state in loop.rows().items()},
-    )
-
-
-class _CentralNoiseCore(LifecycleCore):
-    """Noise stage shared by the plaintext-family cores.
-
-    Expects ``self.program`` / ``self.config`` on the concrete core. The
-    default one-shot policy never releases for these engines (``epsilon``
-    is ``None`` and the exact value passes through); a windowed policy
-    noises each window centrally.
-    """
-
-    program: VertexProgram
-    config: DStressConfig
-
-    def noise(self, state, pre_noise, epsilon, end):
-        if epsilon is None:
-            return pre_noise, None
-        return _central_release_noise(self.program, self.config, pre_noise, epsilon, end)
-
-
-# ----------------------------------------------------- plaintext engines --
-
-
-class _PlaintextCore(_CentralNoiseCore):
-    """The clear round loop's stages: a resumable
-    :class:`~repro.core.rounds.RoundLoop` in float or fixed arithmetic.
-
-    The async core is this core with its windows' wire events conveyed
-    over a bus (:meth:`~repro.core.lifecycle.LifecycleCore.drive`).
-    """
-
-    def __init__(self, engine, program, graph, config, fixed: bool = False) -> None:
-        self.engine = engine
-        self.program = program
-        self.graph = graph
-        self.config = config
-        self.fixed = fixed
-        self.loop: Optional[RoundLoop] = None
-
-    def setup(self, state: RunState) -> None:
-        self.loop = plaintext_loop(self.program, self.graph, self.fixed, state.phases)
-
-    def run_window(self, state: RunState, rounds: int, first: bool) -> None:
-        self.drive(self.loop.window(rounds))
-        state.trajectory = list(self.loop.trajectory)
-
-    def aggregate(self, state: RunState) -> float:
-        return self.loop.aggregate()
-
-    def finalize(self, state: RunState, started: float) -> RunResult:
-        return _from_plaintext(
-            self.engine.name,
-            self.program,
-            self.loop,
-            state.rounds_done,
-            started,
-            self.graph,
-        )
-
-
-class PlaintextFloatEngine(Engine):
-    """The float reference semantics (what a trusted regulator computes)."""
-
-    name = "plaintext"
-
-    def __init__(
-        self,
-        release: Union[str, ReleasePolicy] = "oneshot",
-        windows: Optional[Sequence[int]] = None,
-        window_epsilon: Optional[float] = None,
-    ) -> None:
-        self._configure_release(release, windows, window_epsilon)
-
-    def execute(self, program, graph, iterations, config, accountant=None):
-        core = _PlaintextCore(self, program, graph, config)
-        return run_lifecycle(self, core, program, config, iterations, accountant)
-
-
-class PlaintextFixedEngine(Engine):
-    """Clear evaluation of the MPC circuits — the secure engine's oracle."""
-
-    name = "fixed"
-
-    def __init__(
-        self,
-        release: Union[str, ReleasePolicy] = "oneshot",
-        windows: Optional[Sequence[int]] = None,
-        window_epsilon: Optional[float] = None,
-    ) -> None:
-        self._configure_release(release, windows, window_epsilon)
-
-    def compile_plans(self, program, graph, config):
-        compiled_update_circuit(program, graph.degree_bound)
-
-    def execute(self, program, graph, iterations, config, accountant=None):
-        core = _PlaintextCore(self, program, graph, config, fixed=True)
-        return run_lifecycle(self, core, program, config, iterations, accountant)
-
-
 # ------------------------------------------------------------ bus engines --
 
 
 class BusCore:
-    """The bus lifecycle of the engines that hand their rounds to a
-    :class:`~repro.core.transport.Transport` (``async``, ``secure``),
-    mixed in ahead of the in-process core whose stages it wraps.
+    """The bus lifecycle every built-in core runs under, mixed in ahead of
+    the in-process run whose stages it wraps.
 
     Setup resolves the engine's transport spec, snapshots the bus's WAN
     totals and opens it once for the whole execution; :meth:`drive` hands
@@ -339,7 +183,7 @@ class BusCore:
 
 
 class BusEngine(Engine):
-    """What the bus engines share: the ``tasks`` and ``transport``
+    """What every built-in engine shares: the ``tasks`` and ``transport``
     options, and a run that closes its engine-owned bus however it ends.
 
     ``tasks`` bounds how many conveys may be in flight at once;
@@ -374,6 +218,43 @@ class BusEngine(Engine):
         except BaseException as exc:
             core.close(error=exc)
             raise
+
+
+# ----------------------------------------------------- plaintext engines --
+
+
+class _PlaintextCore(BusCore, ClearRun):
+    """:class:`~repro.core.engine.ClearRun` under the bus lifecycle:
+    each window's wire events (one fixed-point word per routed link per
+    communication step) go to the bus."""
+
+
+class PlaintextFloatEngine(BusEngine):
+    """The float reference semantics (what a trusted regulator computes).
+
+    Values are routed in process, so a bus never carries one: it carries
+    each communication step's byte volume and pays its link delays
+    (``transport="wan"`` for the simulated WAN, ``"tcp"`` or a
+    :class:`~repro.core.transport.Transport` instance for real sockets).
+    The result is bit-identical on every bus at every ``tasks`` level.
+    """
+
+    name = "plaintext"
+    core = _PlaintextCore
+    #: the arithmetic :class:`~repro.core.engine.ClearRun` steps
+    fixed = False
+
+
+class PlaintextFixedEngine(BusEngine):
+    """Clear evaluation of the MPC circuits — the secure engine's oracle —
+    on a bus as :class:`PlaintextFloatEngine` is."""
+
+    name = "fixed"
+    core = _PlaintextCore
+    fixed = True
+
+    def compile_plans(self, program, graph, config):
+        compiled_update_circuit(program, graph.degree_bound)
 
 
 # --------------------------------------------------------- secure engine --
@@ -426,8 +307,8 @@ class SecureDStressEngine(BusEngine):
         )
 
 
-register_engine("plaintext", PlaintextFloatEngine, aliases=("float", "clear"))
+# ``async`` and ``secure-async`` stay names for ``plaintext`` and
+# ``secure`` while the benchmark spine's frozen workloads run them
+register_engine("plaintext", PlaintextFloatEngine, aliases=("float", "clear", "async"))
 register_engine("fixed", PlaintextFixedEngine, aliases=("plaintext-fixed",))
-# ``secure-async`` stays a name for ``secure`` while the benchmark
-# spine's frozen workloads run it
 register_engine("secure", SecureDStressEngine, aliases=("dstress", "secure-async"))

@@ -12,10 +12,10 @@ Both support aliases and are open for extension: third-party backends
 register themselves with :func:`register_engine` and immediately become
 addressable from ``StressTest(...).engine("my-backend")`` and from batch
 scenarios. Engine factories take constructor options through
-:func:`get_engine` (``get_engine("async", tasks=8, transport="wan")``,
+:func:`get_engine` (``get_engine("plaintext", tasks=8, transport="wan")``,
 ``get_engine("secure", transport="wan", backend="bitsliced")``), which is how
 session and scenario engine options reach the backend; an option a
-factory does not take (``get_engine("async", shards=4)``) is a
+factory does not take (``get_engine("plaintext", shards=4)``) is a
 :class:`ConfigurationError` naming it. Lookup errors always list what
 *is* registered, so a typo is a one-glance fix.
 """
@@ -78,7 +78,7 @@ def get_engine(name: str, **options) -> "Engine":
     """Instantiate the backend registered under ``name`` (or an alias).
 
     ``options`` are forwarded to the factory — e.g.
-    ``get_engine("async", tasks=8)``. A factory that does not accept
+    ``get_engine("plaintext", tasks=8)``. A factory that does not accept
     the given options raises a :class:`ConfigurationError` naming them.
     """
     # A directly-registered name always wins over an alias of the same

@@ -133,10 +133,10 @@ class StressTest:
 
     def engine(self, engine: Union[str, Engine], **options: Any) -> "StressTest":
         """Choose the backend — ``"plaintext"``, ``"fixed"``, ``"secure"``,
-        ``"async"``, or any :class:`Engine` instance.
+        or any :class:`Engine` instance.
 
         Keyword ``options`` configure a registry backend at construction
-        time (``.engine("async", tasks=8)``,
+        time (``.engine("plaintext", tasks=8, transport="wan")``,
         ``.engine("secure", tasks=8, transport="wan")``); they
         replace any options from an earlier ``.engine(...)`` call.
         """

@@ -14,7 +14,7 @@ from repro.core.lifecycle import (
     run_lifecycle,
 )
 from repro.core.program import NO_OP_MESSAGE, ProgramSpec, VertexProgram
-from repro.core.rounds import route_messages, run_rounds
+from repro.core.rounds import route_messages
 
 __all__ = [
     "DEFAULT_TOLERANCE",
@@ -35,5 +35,4 @@ __all__ = [
     "plaintext_loop",
     "route_messages",
     "run_lifecycle",
-    "run_rounds",
 ]

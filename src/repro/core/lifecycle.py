@@ -1,8 +1,7 @@
 """The shared run lifecycle: one staged spine for every engine backend.
 
-Every DStress execution — float oracle, clear circuit evaluation, the
-async variant, and the full secure protocol — walks the same five
-stages:
+Every DStress execution — float oracle, clear circuit evaluation and
+the full secure protocol — walks the same five stages:
 
     setup -> rounds -> aggregate -> noise -> release
 
@@ -25,9 +24,11 @@ The :class:`RunState` threading through the stages is resumable: the
 round loop's pending outboxes (or the secure engine's share context)
 live in the core between windows, so window ``j + 1`` continues the §3.6
 schedule exactly where window ``j`` stopped. The resumption contract is
-stated (and property-tested) on :func:`~repro.core.rounds.run_rounds`:
-a windowed run's pre-noise trajectory is bit-identical to the one-shot
-run of the same total length.
+stated on :meth:`~repro.core.rounds.RoundLoop.window`: a windowed run's
+pre-noise trajectory is bit-identical to the one-shot run of the same
+total length. ``tests/test_lifecycle.py`` pins it on every engine (the
+windowed bit-identity tests), and ``tests/test_engine_parity_matrix.py``
+pins ``advance(1)`` + ``advance(n - 1)`` against ``advance(n)``.
 
 Stage timings land in the same :class:`~repro.simulation.netsim.PhaseTimer`
 as the engines' fine-grained phases, under ``stage:``-prefixed keys, so

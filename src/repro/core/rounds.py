@@ -29,16 +29,16 @@ The schedule is written once, as a generator of wire events
 boundary, and before the boundary of each routed communication step
 ``(round, "round", link_bytes)`` — one word per routed link. The secure
 protocol's window (:class:`~repro.core.secure_engine.SecureRun`) yields
-the same shape. A lifecycle core consumes a window one of two ways: it
-drains it in process (:func:`run_rounds`, :meth:`RoundLoop.advance`, and
-the memory bus), or a :class:`RoundScheduler` conveys every event over a
+the same shape. A window is consumed one of two ways: drained in process
+(:meth:`RoundLoop.advance` and the memory bus), or a
+:class:`RoundScheduler` conveys every event over a
 :class:`~repro.core.transport.Transport`
-(:meth:`~repro.core.transport.Transport.drive`, under the ``async`` and
-``secure`` engines). The consumer only decides where the bytes go, so it
-cannot change a value.
+(:meth:`~repro.core.transport.Transport.drive`, under every engine given
+another bus). The consumer only decides where the bytes go, so it cannot
+change a value.
 
-Determinism contract: :func:`run_rounds` calls ``superstep`` exactly
-``iterations + 1`` times with identical inputs regardless of who computes
+Determinism contract: a fresh window of ``n`` steps calls ``superstep``
+exactly ``n + 1`` times with identical inputs regardless of who computes
 the superstep, so two backends whose supersteps are pointwise equal
 produce bit-identical trajectories and final states.
 """
@@ -73,7 +73,6 @@ except ImportError:  # pragma: no cover - container always ships numpy
     np = None  # type: ignore[assignment]
 
 __all__ = [
-    "run_rounds",
     "route_messages",
     "sequential_superstep",
     "batched_superstep",
@@ -113,9 +112,9 @@ class Arithmetic(Generic[S, M]):
 
     The float reference and the clear evaluation of the MPC circuits walk
     one schedule over one graph; these pieces are everything that differs
-    between them, so every plaintext-family engine (plaintext, fixed,
-    async) takes its initial state, vertex update, aggregate and result
-    decoding from the same value.
+    between them, so both clear engines (plaintext, fixed) take their
+    initial state, vertex update, aggregate and result decoding from the
+    same value.
     """
 
     #: The encoded no-op message padding every unused in-slot.
@@ -134,57 +133,6 @@ class Arithmetic(Generic[S, M]):
     word_bytes: float
 
 
-def run_rounds(
-    superstep: Superstep,
-    route: Callable[[Dict[int, List[M]]], Dict[int, List[M]]],
-    observe: Callable[[Dict[int, S]], float],
-    states: Dict[int, S],
-    inboxes: Dict[int, List[M]],
-    iterations: int,
-    phases: Optional[PhaseTimer] = None,
-    *,
-    first_round: int = 0,
-    resume_outboxes: Optional[Dict[int, List[M]]] = None,
-) -> Tuple[Dict[int, S], List[float], Dict[int, List[M]]]:
-    """Drive the §3.6 schedule in process; return (final states,
-    trajectory, outboxes).
-
-    ``iterations`` computation+communication rounds, then one final
-    computation step — exactly the shape both plaintext modes always had,
-    now shared by every backend. The final step's outgoing messages are
-    returned (not routed): a one-shot run discards them, a windowed run
-    hands them back as ``resume_outboxes`` to continue the very same
-    schedule across release windows.
-
-    Resumption contract: calling once with ``iterations=a+b`` is
-    step-for-step identical to calling with ``iterations=a``, then again
-    with ``iterations=b``, ``resume_outboxes=`` the first call's returned
-    outboxes and ``first_round=a+1``. The resumed call first routes the
-    pending outboxes (the communication half of computation step ``a``,
-    spanned as round ``first_round - 1``), then runs ``b - 1`` full
-    rounds and the final computation step — so supersteps see the same
-    inputs in the same order and the trajectory/final states concatenate
-    bit-identically.
-
-    This is the schedule's wire events drained with nothing on a wire
-    (:meth:`RoundLoop.window` yields the same events to a bus).
-    ``phases`` (optional) accumulates per-phase wall-clock through the
-    shared :func:`~repro.obs.trace.timed_phase` path — the same recorder
-    code path every engine uses, so ``RunResult.phases`` means the same
-    thing everywhere. Telemetry reads only the injectable clock: it never
-    touches the RNG or reorders work, so traced runs stay bit-identical.
-    """
-    events = _round_events(
-        superstep, route, observe, states, inboxes, iterations, phases,
-        first_round, resume_outboxes, {},
-    )
-    while True:
-        try:
-            next(events)
-        except StopIteration as finished:
-            return finished.value
-
-
 def _round_events(
     superstep: Superstep,
     route: Callable[[Dict[int, List[M]]], Dict[int, List[M]]],
@@ -197,10 +145,10 @@ def _round_events(
     resume_outboxes: Optional[Dict[int, List[M]]],
     link_bytes: LinkBytes,
 ) -> Generator[WindowEvent, None, Tuple[Dict[int, S], List[float], Dict[int, List[M]]]]:
-    """The one body of the clear schedule (:func:`run_rounds`' contract)
-    as wire events: ``None`` at every step boundary, and each
-    communication step's ``link_bytes`` before its own; returns what
-    :func:`run_rounds` returns."""
+    """The one body of the clear schedule (:meth:`RoundLoop.window`'s
+    contract) as wire events: ``None`` at every step boundary, and each
+    communication step's ``link_bytes`` before its own; returns the final
+    states, the trajectory and the final step's unrouted outboxes."""
     if iterations < 0:
         raise ConfigurationError("iteration count cannot be negative")
     recorder = current_recorder()
@@ -358,10 +306,24 @@ class RoundLoop(Generic[S, M]):
     def window(self, rounds: int) -> WindowEvents:
         """Run ``rounds`` more computation steps, yielding ``None`` at
         every step boundary and, before a communication step's boundary,
-        its wire event ``(round, "round", link_bytes)``. A resumed
-        window's first event is the resume step, bus round
-        ``first_round - 1``, so computation step ``s`` communicates as bus
-        round ``s`` on every window."""
+        its wire event ``(round, "round", link_bytes)``.
+
+        The first window runs ``rounds`` computation+communication steps,
+        then one final computation step whose outgoing messages stay
+        pending (not routed). Resumption contract: one window of ``a + b``
+        steps is step-for-step identical to a window of ``a`` then one of
+        ``b``. The resumed window first routes the pending outboxes (the
+        communication half of step ``a``, bus round ``a``), then runs
+        ``b - 1`` full steps and the final computation step, so
+        supersteps see the same inputs in the same order and the
+        trajectory and final states concatenate bit-identically.
+        Computation step ``s`` communicates as bus round ``s`` on every
+        window.
+
+        ``phases`` accumulates per-phase wall-clock through the shared
+        :func:`~repro.obs.trace.timed_phase` path. Telemetry reads only the
+        injectable clock: it never touches the RNG or reorders work, so
+        traced runs stay bit-identical."""
         self.states, trajectory, self.pending = yield from _round_events(
             self.superstep,
             self._route,
@@ -398,7 +360,7 @@ class RoundLoop(Generic[S, M]):
 
     def _next_round(self) -> int:
         """Index of the next computation step: round numbering continues
-        across windows (:func:`run_rounds`' resumption contract)."""
+        across windows (:meth:`window`'s resumption contract)."""
         return 0 if self.pending is None else self.steps + 1
 
 

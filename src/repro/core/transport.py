@@ -284,10 +284,10 @@ class FaultInjectingTransport(Transport):
     links, then raises a :class:`TransportError` naming the link and
     round, which the step's barrier propagates instead of waiting
     forever on bytes that will never (or twice) arrive. Used by the
-    fault-path tests and available for chaos-style batch runs over the
-    bus engines (``async``, ``secure``). A window keeps the scheduler
-    (:meth:`Transport.drive`) whatever the inner bus, so a fault-free
-    wrapper over the memory bus exercises it at zero delay.
+    fault-path tests and available for chaos-style batch runs on every
+    engine. A window keeps the scheduler (:meth:`Transport.drive`)
+    whatever the inner bus, so a fault-free wrapper over the memory bus
+    exercises it at zero delay.
 
     When the inner bus is shared across real processes (TCP), give every
     replica the *same* fault sets: chaos is part of the replicated

@@ -10,7 +10,7 @@ named :class:`~repro.exceptions.TransportError` taxonomy
 implementing the full :class:`~repro.core.transport.Transport` protocol
 over asyncio TCP streams, and a process launcher
 (:mod:`repro.net.cluster`) that spawns one OS process per party on
-localhost so ``engine="async"`` and ``engine="secure"`` run
+localhost so ``engine="plaintext"`` and ``engine="secure"`` run
 genuinely multi-process — bit-identical to the in-memory bus.
 """
 

@@ -11,7 +11,7 @@ tracing by scoping a :class:`TraceRecorder`::
 
     rec = TraceRecorder()
     with recording(rec):
-        result = test.engine("async").run(iterations=4)
+        result = test.engine("plaintext", transport="wan").run(iterations=4)
     doc = result.export(recorder=rec)   # dstress.obs.run v1
 """
 

@@ -7,7 +7,7 @@ scoped::
 
     rec = TraceRecorder()
     with recording(rec):
-        test.engine("async").run(iterations=4)
+        test.engine("plaintext", transport="wan").run(iterations=4)
     rec.spans  # -> [SpanRecord, ...]
 
 Design constraints, in order of importance:

@@ -230,17 +230,16 @@ _RELEASE_OPTIONS = {
 
 _ENGINE_OPTIONS.update(
     {
-        "plaintext": {**_RELEASE_OPTIONS},
+        "plaintext": {
+            "tasks": _int_field(1, 64),
+            "transport": _str_field("memory", "wan"),
+            **_RELEASE_OPTIONS,
+        },
         "fixed": {**_RELEASE_OPTIONS},
         "secure": {
             "tasks": _int_field(1, 64),
             "transport": _str_field("memory", "wan"),
             "backend": _str_field("scalar", "bitsliced"),
-            **_RELEASE_OPTIONS,
-        },
-        "async": {
-            "tasks": _int_field(1, 64),
-            "transport": _str_field("memory", "wan"),
             **_RELEASE_OPTIONS,
         },
     }

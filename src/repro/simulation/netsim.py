@@ -170,7 +170,7 @@ class WanProjection:
     ``sequential_seconds`` is the straight-line deployment: every link's
     payload is waited for one after the other (one latency hit plus the
     serialization time per link). ``overlapped_seconds`` is the schedule
-    the async engines implement: all links run concurrently, but each
+    the bus engines implement: all links run concurrently, but each
     *node's* egress is serialized (a NIC sends one byte at a time), so the
     bound is the busiest sender's total serialization time plus one
     latency. The gap between the two is the headroom the paper's §6

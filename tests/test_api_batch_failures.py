@@ -194,8 +194,9 @@ def test_bad_scenario_engine_string_names_registry_entries(template):
     # names the failing scenario, promises nothing ran, and lists what exists
     assert "typo" in message
     assert "no scenario was executed" in message
-    for registered in ("plaintext", "fixed", "secure", "async"):
+    for registered in ("plaintext", "fixed", "secure"):
         assert registered in message
+    assert "async" not in message  # an alias, not a registered engine
 
 
 def test_bad_template_engine_options_fail_at_resolve_with_scenario_name(template):

@@ -72,8 +72,9 @@ def secure_result(en_network):
 
 
 def test_all_engine_families_registered():
-    assert {"plaintext", "fixed", "secure", "async"} <= set(available_engines())
+    assert {"plaintext", "fixed", "secure"} <= set(available_engines())
     assert "secure-async" not in available_engines()  # an alias of ``secure``
+    assert "async" not in available_engines()  # an alias of ``plaintext``
 
 
 def test_engine_aliases_resolve_to_same_backend():

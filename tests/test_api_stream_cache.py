@@ -13,7 +13,7 @@ import math
 import pytest
 
 from repro import StressTest
-from repro.api import AsyncEngine, Scenario, ScenarioCache, run_fingerprint
+from repro.api import PlaintextFloatEngine, Scenario, ScenarioCache, run_fingerprint
 from repro.core.transport import InMemoryTransport
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import ConfigurationError, PrivacyBudgetExceeded
@@ -90,7 +90,7 @@ def test_streaming_failure_does_not_block_other_outcomes(template, network):
     from repro.core.transport import FaultInjectingTransport
 
     src, dst = next(iter(network.to_en_graph(None).edges()))
-    faulty = AsyncEngine(
+    faulty = PlaintextFloatEngine(
         tasks=2, transport=FaultInjectingTransport(drop=[(src, dst, 0)])
     )
     scenarios = [
@@ -308,7 +308,7 @@ def test_unfingerprintable_engines_never_hit(template):
     # a live Transport instance has no stable content token, so the run
     # must execute every time — a cache may only ever err toward a miss
     cache = ScenarioCache()
-    engine = AsyncEngine(tasks=2, transport=InMemoryTransport())
+    engine = PlaintextFloatEngine(tasks=2, transport=InMemoryTransport())
     scenarios = [Scenario("opaque", engine=engine, iterations=2)]
     for _ in range(2):
         batch = template.run_many(scenarios, cache=cache)

@@ -1,8 +1,9 @@
-"""The async engine: options, WAN metering, overlap, batch integration.
+"""The clear engines on a bus: options, WAN metering, overlap, batch
+integration. ``async`` is a registry alias of ``plaintext``.
 
-Bit-identity against ``plaintext`` at every task count is asserted by
+Bit-identity against the memory bus at every task count is asserted by
 the cross-engine parity matrix (``test_engine_parity_matrix.py``); this
-file covers everything around it — engine options through the registry,
+file covers everything around it — the bus options through the registry,
 sessions and batch scenarios, the simulated-WAN traffic accounting, and
 transport faults surfacing as scenario-named batch errors.
 """
@@ -10,7 +11,7 @@ transport faults surfacing as scenario-named batch errors.
 import pytest
 
 from repro import StressTest
-from repro.api import AsyncEngine, Scenario, get_engine
+from repro.api import PlaintextFixedEngine, PlaintextFloatEngine, Scenario, get_engine
 from repro.api.session import execute_resolved
 from repro.core.transport import FaultInjectingTransport, InMemoryTransport
 from repro.crypto.rng import DeterministicRNG
@@ -59,21 +60,65 @@ def test_engine_options_validated_through_registry():
     # a misdeclared task count must surface, not silently mean "serial"
     for bad in ("16", 2.5, True, -1):
         with pytest.raises(ConfigurationError, match="positive int"):
-            AsyncEngine(tasks=bad)
+            PlaintextFloatEngine(tasks=bad)
     with pytest.raises(ConfigurationError, match="Transport instance or a name"):
-        AsyncEngine(transport=3.14)
+        PlaintextFloatEngine(transport=3.14)
     with pytest.raises(ConfigurationError, match="rejected options"):
         get_engine("async", shards=4)  # not an option of this engine
     with pytest.raises(ConfigurationError, match="'overlap'"):
         get_engine("async", overlap=False)  # one schedule: always overlapped
-    with pytest.raises(ConfigurationError, match="tasks"):
-        get_engine("plaintext", tasks=2)  # engine takes no such option
-    # aliases resolve
-    assert isinstance(get_engine("asyncio"), AsyncEngine)
-    assert isinstance(get_engine("overlapped", tasks=2), AsyncEngine)
+    with pytest.raises(ConfigurationError, match="backend"):
+        get_engine("plaintext", backend="bitsliced")  # engine takes no such option
+    # the alias resolves
+    assert isinstance(get_engine("async", tasks=2), PlaintextFloatEngine)
 
 
-@pytest.mark.parametrize("engine", ["async", "secure"])
+def _released(result):
+    return (
+        result.engine,
+        result.aggregate,
+        result.pre_noise_aggregate,
+        result.noise_raw,
+        result.trajectory,
+        result.final_states,
+        result.releases,
+    )
+
+
+@pytest.mark.parametrize(
+    "release",
+    [{}, {"release": "windowed", "windows": [2, 2], "window_epsilon": 0.1}],
+    ids=["oneshot", "windowed"],
+)
+def test_async_is_a_name_for_plaintext(network, release):
+    engine = get_engine("async", tasks=2, transport="memory", **release)
+    assert type(engine) is PlaintextFloatEngine
+    session = StressTest(network).program("eisenberg-noe").seed(SEED)
+    aliased = session.clone().engine("async", tasks=2, transport="memory", **release)
+    plain = session.clone().engine("plaintext", **release)
+    result = aliased.run(iterations=ITERATIONS)
+    # stamped with the canonical name, bit for bit plaintext's release
+    assert result.engine == "plaintext"
+    assert _released(result) == _released(plain.run(iterations=ITERATIONS))
+
+
+@pytest.mark.parametrize("retired", ["asyncio", "overlapped"])
+def test_retired_async_aliases_are_unknown(retired):
+    with pytest.raises(ConfigurationError, match=f"unknown engine '{retired}'"):
+        get_engine(retired)
+
+
+def test_fixed_on_the_wan_bus_is_bit_identical_to_memory(network):
+    session = StressTest(network).program("eisenberg-noe").seed(SEED)
+    memory = session.clone().engine("fixed").run(iterations=ITERATIONS)
+    wan = session.clone().engine(PlaintextFixedEngine(tasks=2, transport="wan"))
+    result = wan.run(iterations=ITERATIONS)
+    assert _released(result) == _released(memory)
+    assert result.traffic.links() == memory.traffic.links()
+    assert result.extras["wan_bytes"] == pytest.approx(result.traffic.total_bytes_sent)
+
+
+@pytest.mark.parametrize("engine", ["plaintext", "fixed", "secure"])
 @pytest.mark.parametrize("bad", [0, -1, True, False, 2.5, "2", None], ids=repr)
 def test_tasks_must_be_a_positive_int(engine, bad):
     with pytest.raises(
@@ -82,7 +127,7 @@ def test_tasks_must_be_a_positive_int(engine, bad):
         get_engine(engine, tasks=bad)
 
 
-@pytest.mark.parametrize("engine", ["async", "secure"])
+@pytest.mark.parametrize("engine", ["plaintext", "fixed", "secure"])
 @pytest.mark.parametrize("tasks", [1, 2, 64])
 def test_tasks_is_kept_as_given(engine, tasks):
     assert get_engine(engine, tasks=tasks).tasks == tasks
@@ -90,12 +135,12 @@ def test_tasks_is_kept_as_given(engine, tasks):
 
 def test_engine_options_reach_the_factory():
     assert get_engine("async", tasks=6).tasks == 6
-    assert get_engine("asyncio").tasks == 4  # alias, default options
+    assert get_engine("async").tasks == 4  # alias, default options
 
 
 def test_engine_options_refused_for_instances(network):
     with pytest.raises(ConfigurationError, match="instance"):
-        StressTest(network).engine(AsyncEngine(tasks=2), tasks=4)
+        StressTest(network).engine(PlaintextFloatEngine(tasks=2), tasks=4)
 
 
 def test_engine_options_survive_clone_and_replacement(network):
@@ -134,7 +179,9 @@ def test_scenario_engine_options_flow_through(network, monkeypatch):
 
 
 def test_scenario_engine_options_refused_for_instance_template(network):
-    template = StressTest(network).program("eisenberg-noe").engine(AsyncEngine(tasks=2))
+    template = (
+        StressTest(network).program("eisenberg-noe").engine(PlaintextFloatEngine(tasks=2))
+    )
     # the refusal carries the scenario name (batch error contract)
     with pytest.raises(ConfigurationError, match=r"scenario 'opts'.*Engine instance"):
         template.run_many(
@@ -159,7 +206,7 @@ def test_unknown_transport_name_fails_at_construction(network):
     # a typo'd transport must refuse at engine construction so a batch
     # aborts at resolve time, before compute or budget is spent
     with pytest.raises(ConfigurationError, match="unknown transport"):
-        AsyncEngine(transport="avian")
+        PlaintextFloatEngine(transport="avian")
     template = StressTest(network).program("eisenberg-noe").seed(SEED)
     with pytest.raises(ConfigurationError, match="failed to resolve"):
         template.run_many(
@@ -183,14 +230,15 @@ def test_wan_run_is_bit_identical_and_metered(network, reference):
     assert result.traffic.total_bytes_sent == pytest.approx(expected)
     assert result.traffic.num_links == graph.num_edges
     assert result.extras["wan_bytes"] == pytest.approx(expected)
-    assert result.extras["messages_sent"] == graph.num_edges * ITERATIONS
+    # one word per directed edge per round
+    assert result.traffic.total_bytes_sent / word_bytes == graph.num_edges * ITERATIONS
 
 
 def test_reused_transport_instance_reports_per_run_deltas(network):
     from repro.core.transport import SimulatedWanTransport
 
     bus = SimulatedWanTransport(latency_seconds=0.0, realtime=False)
-    engine = AsyncEngine(tasks=4, transport=bus)
+    engine = PlaintextFloatEngine(tasks=4, transport=bus)
     session = StressTest(network).program("eisenberg-noe").engine(engine).seed(SEED)
     first = session.run(iterations=ITERATIONS)
     links_when_returned = dict(first.traffic.links())
@@ -221,7 +269,9 @@ def test_wan_latency_accounts_simulated_seconds(network, reference):
 def test_transport_fault_surfaces_as_scenario_named_batch_error(network):
     graph = network.to_en_graph(None)
     src, dst = next(iter(graph.edges()))
-    faulty = AsyncEngine(tasks=4, transport=FaultInjectingTransport(drop=[(src, dst, 1)]))
+    faulty = PlaintextFloatEngine(
+        tasks=4, transport=FaultInjectingTransport(drop=[(src, dst, 1)])
+    )
     template = StressTest(network).program("eisenberg-noe").seed(SEED)
     batch = template.run_many(
         [
@@ -240,7 +290,7 @@ def test_transport_fault_surfaces_as_scenario_named_batch_error(network):
 def test_duplicate_fault_raises_directly(network):
     graph = network.to_en_graph(None)
     src, dst = next(iter(graph.edges()))
-    engine = AsyncEngine(
+    engine = PlaintextFloatEngine(
         tasks=2, transport=FaultInjectingTransport(duplicate=[(src, dst, 0)])
     )
     session = StressTest(network).program("eisenberg-noe").engine(engine).seed(SEED)

@@ -3,10 +3,11 @@
 Three claims, each measured inside one test run so the numbers are
 machine-portable ratios and counts, never committed wall-clock:
 
-* **the memory bus pays for no schedule** — ``secure`` and ``async``
-  on it drain each window in place: no event loop, no Task;
+* **the memory bus pays for no schedule** — ``secure`` and ``plaintext``
+  (here by its alias ``async``) on it drain each window in place: no
+  event loop, no Task;
 * **a round is one convey, not a Task per vertex or per message** — on
-  a scheduling bus an ``engine="async"`` run creates at most one Task
+  a scheduling bus a ``plaintext`` run creates at most one Task
   per communication step (its convey), however many vertices and edges
   it routes; a WAN bus pays a convey's link delays concurrently inside
   that one call;
@@ -16,7 +17,7 @@ machine-portable ratios and counts, never committed wall-clock:
   (``extras["simulated_seconds"]``), plus, for ``secure``, the memory
   run's own ``computation`` phase, which such a schedule cannot overlap
   with its links. Both engines release bit-identically to their
-  memory-bus runs (``async`` to ``plaintext``).
+  memory-bus runs.
 """
 
 import asyncio
@@ -29,6 +30,8 @@ from repro.core.transport import SimulatedWanTransport, Transport
 from repro.crypto.rng import DeterministicRNG
 from repro.finance import Bank, FinancialNetwork, apply_shock, uniform_shock
 from repro.graphgen import CorePeripheryParams, core_periphery_network
+
+WORD_BYTES = 16 / 8.0  # default FixedPointFormat(16, 8)
 
 
 def _core_periphery(num_banks: int) -> FinancialNetwork:
@@ -99,7 +102,8 @@ def test_scheduled_run_creates_one_task_per_round_not_per_vertex(monkeypatch):
         )
         # one convey per communication step, none per vertex or message
         assert len(created) == iterations
-        messages.append(result.extras["messages_sent"])
+        # one fixed-point word per directed edge per round
+        messages.append(result.traffic.total_bytes_sent / WORD_BYTES)
     # the Task count held at the round count while the messages routed
     # grew with edges and rounds, far past it
     assert messages[0] < messages[1] < messages[2]

@@ -5,7 +5,7 @@ host each party in a thread rather than a forked process, so the suite
 stays fast; the separate-OS-process acceptance path lives in
 ``test_net_cluster.py``. The contract under test:
 
-* **bit-identity** — ``engine="async"`` and ``engine="secure"``
+* **bit-identity** — ``engine="plaintext"`` and ``engine="secure"``
   over a TCP mesh release exactly what the in-memory bus releases, from
   a plain thread or from inside a running event loop;
 * **one submission per window** — a run hands each release window to
@@ -149,16 +149,16 @@ def _wire_sent(result):
     return result.extras["wire_frames_sent"], result.extras["wire_bytes_sent"]
 
 
-class TestAsyncEngineBitIdentity:
+class TestPlaintextBitIdentity:
     def test_three_party_mesh_matches_in_memory(self):
-        reference = _template().engine("async").run(iterations=ITERATIONS)
+        reference = _template().engine("plaintext").run(iterations=ITERATIONS)
         transports, peers = _mesh(3, "test-async-mesh")
         try:
             results, errors = _run_parties(
                 transports,
                 peers,
                 lambda i, bus: _template()
-                .engine("async", transport=bus)
+                .engine("plaintext", transport=bus)
                 .run(iterations=ITERATIONS),
             )
         finally:
@@ -174,12 +174,12 @@ class TestAsyncEngineBitIdentity:
         loop of its own (a notebook kernel's situation): the window goes
         to the bus's io loop all the same, and every party releases what
         the in-memory bus does."""
-        reference = _template().engine("async").run(iterations=ITERATIONS)
+        reference = _template().engine("plaintext").run(iterations=ITERATIONS)
         transports, peers = _mesh(2, "test-async-in-loop")
 
         def run_one(i, bus):
             async def inside_a_loop():
-                return _template().engine("async", transport=bus).run(iterations=ITERATIONS)
+                return _template().engine("plaintext", transport=bus).run(iterations=ITERATIONS)
 
             return asyncio.run(inside_a_loop())
 
@@ -201,13 +201,13 @@ class TestAsyncEngineBitIdentity:
         try:
             result = (
                 _template()
-                .engine("async", transport=transport)
+                .engine("plaintext", transport=transport)
                 .run(iterations=ITERATIONS)
             )
         finally:
             transport.close()
         assert result.extras["wire_bytes_sent"] == 0
-        reference = _template().engine("async").run(iterations=ITERATIONS)
+        reference = _template().engine("plaintext").run(iterations=ITERATIONS)
         _assert_released_identical(result, reference)
 
     def test_one_io_submission_per_run_one_convey_per_edge(self, monkeypatch):
@@ -223,7 +223,7 @@ class TestAsyncEngineBitIdentity:
             ),
             uniform_shock(range(3), 0.9, "core"),
         )
-        session = StressTest(network).program("eisenberg-noe").seed(1).engine("async")
+        session = StressTest(network).program("eisenberg-noe").seed(1).engine("plaintext")
         reference = session.run(iterations=ITERATIONS)
         transports, peers = _mesh(2, "test-async-hops")
         counts = [None, None]
@@ -238,7 +238,7 @@ class TestAsyncEngineBitIdentity:
 
         def run_one(i, bus):
             counts[i] = _count_calls(bus)
-            return session.clone().engine("async", transport=bus).run(iterations=ITERATIONS)
+            return session.clone().engine("plaintext", transport=bus).run(iterations=ITERATIONS)
 
         try:
             results, errors = _run_parties(transports, peers, run_one)
@@ -374,7 +374,7 @@ class TestWindowEdge:
 
         def run_one(i, bus):
             counts[i] = _count_calls(bus)
-            return _template().engine("async", transport=bus, **windowed).run(
+            return _template().engine("plaintext", transport=bus, **windowed).run(
                 iterations=ITERATIONS
             )
 
@@ -402,7 +402,7 @@ class TestWindowEdge:
                 transports,
                 peers,
                 lambda i, bus: _template()
-                .engine("async", transport=bus, **windowed)
+                .engine("plaintext", transport=bus, **windowed)
                 .run(iterations=iterations),
             )
         finally:
@@ -434,7 +434,7 @@ class TestWindowEdge:
                 transports,
                 peers,
                 lambda i, bus: _template()
-                .engine("async", transport=bus, **windowed)
+                .engine("plaintext", transport=bus, **windowed)
                 .run(iterations=ITERATIONS),
             )
         finally:
@@ -460,7 +460,7 @@ class TestFaultInjectionOverTcp:
                 peers,
                 lambda i, bus: _template()
                 .engine(
-                    "async",
+                    "plaintext",
                     transport=FaultInjectingTransport(
                         drop={(1, 3, 1)}, inner=bus
                     ),
@@ -501,7 +501,7 @@ class TestFailureModes:
             run_started.set()
             return (
                 _template()
-                .engine("async", transport=bus)
+                .engine("plaintext", transport=bus)
                 .run(iterations=ITERATIONS)
             )
 
@@ -528,7 +528,7 @@ class TestFailureModes:
             try:
                 return (
                     _template()
-                    .engine("async", transport=bus)
+                    .engine("plaintext", transport=bus)
                     .run(iterations=ITERATIONS)
                 )
             finally:
@@ -682,11 +682,11 @@ class TestSpecAndEnv:
         transport.listen()
         transport.connect([])
         try:
-            _template().engine("async", transport=transport).run(
+            _template().engine("plaintext", transport=transport).run(
                 iterations=ITERATIONS
             )
             with pytest.raises(ConfigurationError, match="one execution"):
-                _template().engine("async", transport=transport).run(
+                _template().engine("plaintext", transport=transport).run(
                     iterations=ITERATIONS
                 )
         finally:

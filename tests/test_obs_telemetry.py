@@ -185,18 +185,25 @@ class TestMetricsRegistry:
 # ----------------------------------------------- trace determinism parity --
 
 
-ENGINES = ["plaintext", "fixed", "async", "secure"]
+#: every engine by id, ``plaintext`` also on a scheduling bus
+ENGINES = {
+    "plaintext": ("plaintext", {}),
+    "fixed": ("fixed", {}),
+    "plaintext-wan": ("plaintext", {"transport": "wan"}),
+    "secure": ("secure", {}),
+}
 
 
 class TestTraceDeterminism:
     """Tracing must not change released outputs, traffic, or RNG stream."""
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", list(ENGINES))
     def test_traced_run_is_bit_identical(self, engine):
-        untraced = make_test().engine(engine).run(iterations=ITERATIONS)
+        name, options = ENGINES[engine]
+        untraced = make_test().engine(name, **options).run(iterations=ITERATIONS)
         rec = TraceRecorder(clock=ManualClock())
         with recording(rec):
-            traced = make_test().engine(engine).run(iterations=ITERATIONS)
+            traced = make_test().engine(name, **options).run(iterations=ITERATIONS)
         assert traced.aggregate == untraced.aggregate
         assert traced.trajectory == untraced.trajectory
         assert traced.noise_raw == untraced.noise_raw
@@ -207,11 +214,11 @@ class TestTraceDeterminism:
         assert traced.traffic.links() == untraced.traffic.links()
         # the traced run actually produced a trace
         assert rec.spans and rec.spans[0].name == "run"
-        assert rec.spans[0].attrs["engine"] == engine
+        assert rec.spans[0].attrs["engine"] == name
 
     def test_every_engine_reports_phases_and_traffic(self):
-        for engine in ENGINES:
-            result = make_test().engine(engine).run(iterations=ITERATIONS)
+        for engine, (name, options) in ENGINES.items():
+            result = make_test().engine(name, **options).run(iterations=ITERATIONS)
             assert result.phases is not None, engine
             assert result.traffic is not None, engine
             assert result.traffic.total_bytes_sent > 0, engine
@@ -374,7 +381,7 @@ class TestExportAndReport:
     def test_run_export_validates(self):
         rec = TraceRecorder(clock=ManualClock())
         with recording(rec):
-            result = make_test().engine("async").run(iterations=ITERATIONS)
+            result = make_test().engine("plaintext", transport="wan").run(iterations=ITERATIONS)
         payload = result.export(recorder=rec)
         assert payload["schema"] == RUN_SCHEMA
         assert validate_export(payload) == []
@@ -383,19 +390,19 @@ class TestExportAndReport:
         json.dumps(payload)  # JSON-safe end to end
 
     def test_export_traffic_reconciles_with_meter(self):
-        result = make_test().engine("async").run(iterations=ITERATIONS)
+        result = make_test().engine("plaintext", transport="wan").run(iterations=ITERATIONS)
         payload = result.export()
         link_total = sum(nbytes for _, _, nbytes in payload["traffic"]["links"])
         assert link_total == result.traffic.total_bytes_sent
 
     def test_report_check_passes_and_renders(self, tmp_path, capsys):
-        result = make_test().engine("async").run(iterations=ITERATIONS)
+        result = make_test().engine("plaintext", transport="wan").run(iterations=ITERATIONS)
         path = tmp_path / "run.json"
         path.write_text(json.dumps(result.export()))
         assert report_main([str(path), "--check"]) == 0
         assert report_main([str(path)]) == 0
         out = capsys.readouterr().out
-        assert "async" in out and "traffic" in out.lower()
+        assert "plaintext" in out and "traffic" in out.lower()
 
     def test_report_phase_shares_are_of_the_stages(self):
         """Engine phases nest inside the lifecycle's ``stage:*`` envelopes,
@@ -442,7 +449,7 @@ class TestShardMerge:
     def test_shard_roundtrip_and_merge(self, tmp_path):
         rec = TraceRecorder(clock=ManualClock(), party=1)
         with recording(rec):
-            result = make_test().engine("async").run(iterations=ITERATIONS)
+            result = make_test().engine("plaintext", transport="wan").run(iterations=ITERATIONS)
         path = tmp_path / "party-1.json"
         path.write_text(json.dumps(result.export(rec)))
 

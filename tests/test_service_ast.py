@@ -55,6 +55,15 @@ class TestValidation:
         assert validated.engine == "plaintext"
         assert validated.engine_options == {}
 
+    def test_plaintext_takes_the_bus_options(self):
+        options = {"tasks": 8, "transport": "wan"}
+        validated = validate_scenario(
+            base_doc(engine={"name": "plaintext", "options": options})
+        )
+        assert validated.engine_options == options
+        engine = build_session(validated).resolve(validated.iterations).engine
+        assert (engine.name, engine.tasks, engine.transport) == ("plaintext", 8, "wan")
+
     def test_program_alias_resolves_to_canonical_name(self):
         a = validate_scenario(base_doc(program="eisenberg-noe"))
         b = validate_scenario(base_doc(program=a.program))
@@ -88,8 +97,11 @@ class TestValidation:
             {"engine": {"name": "evil"}},
             {"engine": {"name": "secure", "options": {"backend": "quantum"}}},
             {"engine": {"name": "secure", "options": {"transport": "tcp"}}},
-            {"engine": {"name": "async", "options": {"tasks": 0}}},
-            {"engine": {"name": "async", "options": {"overlap": False}}},
+            {"engine": {"name": "plaintext", "options": {"tasks": 0}}},
+            {"engine": {"name": "plaintext", "options": {"overlap": False}}},
+            {"engine": {"name": "plaintext", "options": {"transport": "tcp"}}},
+            {"engine": {"name": "plaintext", "options": {"backend": "scalar"}}},
+            {"engine": {"name": "fixed", "options": {"tasks": 2}}},
             {"engine": {"name": "secure", "options": {"overlap": False}}},
             {"preset": "galactic"},
             {"overrides": {"fmt": "anything"}},
@@ -183,7 +195,9 @@ class TestNotarization:
         assert not notarized.releases
         assert notarized.epsilon == 0.0
 
-    @pytest.mark.parametrize("name", ["evil", "sharded", "naive-mpc", "secure-async"])
+    @pytest.mark.parametrize(
+        "name", ["evil", "sharded", "naive-mpc", "secure-async", "async"]
+    )
     def test_malformed_document_never_resolves(self, name):
         with pytest.raises(ScenarioValidationError, match=f"got {name!r}"):
             notarize(base_doc(engine={"name": name}))
@@ -192,21 +206,32 @@ class TestNotarization:
         with pytest.raises(ConfigurationError) as refused:
             get_engine("sharded")
         registered = str(refused.value).split("registered engines: ")[1]
-        for name in ("async", "fixed", "plaintext", "secure"):
+        for name in ("fixed", "plaintext", "secure"):
             assert name in registered.split(", ")
-        for removed in ("sharded", "secure-async"):
+        for removed in ("sharded", "secure-async", "async"):
             assert removed not in registered.split(", ")
 
     @pytest.mark.parametrize(
         "alias",
-        ["shard", "partitioned", "naive-mpc", "naive", "monolithic", "secure-asyncio", "dstress-async"],
+        [
+            "shard",
+            "partitioned",
+            "naive-mpc",
+            "naive",
+            "monolithic",
+            "secure-asyncio",
+            "dstress-async",
+            "asyncio",
+            "overlapped",
+        ],
     )
     def test_removed_engine_aliases_are_unknown_to_the_registry(self, alias):
         with pytest.raises(ConfigurationError, match="registered engines: "):
             get_engine(alias)
 
     @pytest.mark.parametrize(
-        "alias", ["shard", "partitioned", "naive-mpc", "naive", "monolithic"]
+        "alias",
+        ["shard", "partitioned", "naive-mpc", "naive", "monolithic", "asyncio", "overlapped"],
     )
     def test_removed_engine_aliases_never_resolve(self, alias):
         with pytest.raises(ScenarioValidationError, match=f"got {alias!r}"):

@@ -264,7 +264,7 @@ class TestEnginesAcrossTheHop:
     @pytest.mark.parametrize(
         "engine",
         [
-            {"name": "async", "options": {"tasks": 2}},
+            {"name": "plaintext", "options": {"tasks": 2, "transport": "wan"}},
             {"name": "secure", "options": {"tasks": 2, "backend": "bitsliced"}},
             {"name": "fixed"},
         ],
