@@ -2,13 +2,14 @@
 
 An :class:`Engine` turns ``(program, graph, iterations, config)`` into a
 :class:`~repro.api.result.RunResult`. The clear engines are one
-:class:`~repro.core.engine.ClearRun` (a
 :class:`~repro.core.rounds.RoundLoop` in float or fixed-point
-:class:`~repro.core.rounds.Arithmetic`); the secure engine is one
+:class:`~repro.core.rounds.Arithmetic`; the secure engine is one
 :class:`~repro.core.secure_engine.SecureRun`. Every built-in is a
-:class:`BusEngine`: ``transport`` picks the bus each window's wire events
-go to (drained in place on the default memory bus) and ``tasks`` bounds
-the conveys in flight. A registry name only picks the arithmetic:
+:class:`BusEngine`: each window's wire events go to a bus (drained in
+place on the default memory bus). ``plaintext`` and ``secure`` take the
+bus options — ``transport`` picks the bus, ``tasks`` bounds the conveys
+in flight; ``fixed`` always runs on the memory bus. A registry name only
+picks the arithmetic:
 
 =============  ==========================================================
 ``plaintext``  float arithmetic — the reference oracle
@@ -39,14 +40,15 @@ value per round window and charges the accountant per window.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from repro.api.registry import register_engine
 from repro.api.result import RunResult
 from repro.core.config import DStressConfig
-from repro.core.engine import ClearRun
+from repro.core.engine import plaintext_loop
 from repro.core.graph import DistributedGraph
 from repro.core.lifecycle import (
+    LifecycleCore,
     OneShotRelease,
     ReleasePolicy,
     RunState,
@@ -54,7 +56,7 @@ from repro.core.lifecycle import (
     run_lifecycle,
 )
 from repro.core.program import VertexProgram, compiled_update_circuit
-from repro.core.rounds import WindowEvents
+from repro.core.rounds import RoundLoop, WindowEvents
 from repro.core.secure_engine import SecureRun, check_backend, compile_secure_plans
 from repro.core.transport import (
     Transport,
@@ -63,8 +65,12 @@ from repro.core.transport import (
     transport_from_spec,
     wan_totals,
 )
+from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import ConfigurationError
+from repro.obs.clock import now as clock_now
 from repro.privacy.budget import PrivacyAccountant
+from repro.privacy.mechanisms import geometric_release
+from repro.simulation.netsim import meter_from_rounds
 
 __all__ = [
     "Engine",
@@ -183,8 +189,9 @@ class BusCore:
 
 
 class BusEngine(Engine):
-    """What every built-in engine shares: the ``tasks`` and ``transport``
-    options, and a run that closes its engine-owned bus however it ends.
+    """What every built-in engine shares: a run on a bus that closes its
+    engine-owned bus however it ends, and the ``tasks`` and ``transport``
+    options (which ``fixed`` pins to the memory bus).
 
     ``tasks`` bounds how many conveys may be in flight at once;
     ``transport`` picks the bus (``"memory"``, ``"wan"``, ``"tcp"``, or a
@@ -223,10 +230,75 @@ class BusEngine(Engine):
 # ----------------------------------------------------- plaintext engines --
 
 
-class _PlaintextCore(BusCore, ClearRun):
-    """:class:`~repro.core.engine.ClearRun` under the bus lifecycle:
-    each window's wire events (one fixed-point word per routed link per
-    communication step) go to the bus."""
+class _ClearRun(LifecycleCore):
+    """The clear round loop's stages: a resumable
+    :class:`~repro.core.rounds.RoundLoop` in the arithmetic
+    ``engine.fixed`` picks, each window's wire events (one fixed-point
+    word per routed link per communication step) handed to :meth:`drive`.
+
+    The default one-shot policy never releases a clear run (``epsilon``
+    is ``None`` and the exact value passes through); a windowed policy
+    noises each window centrally.
+    """
+
+    loop: RoundLoop
+
+    def __init__(self, engine, program, graph, config) -> None:
+        self.engine = engine
+        self.program = program
+        self.graph = graph
+        self.config = config
+
+    def setup(self, state: RunState) -> None:
+        self.loop = plaintext_loop(self.program, self.graph, self.engine.fixed, state.phases)
+
+    def run_window(self, state: RunState, rounds: int, first: bool) -> None:
+        self.drive(self.loop.window(rounds))
+        state.trajectory = list(self.loop.trajectory)
+
+    def aggregate(self, state: RunState) -> float:
+        return self.loop.aggregate()
+
+    def noise(self, state, pre_noise, epsilon, end) -> Tuple[float, Optional[int]]:
+        """Central grid release through
+        :func:`~repro.privacy.mechanisms.geometric_release` (the secure
+        engine samples this mechanism inside MPC). The fork is keyed by
+        the cumulative release round ``end``, so window ``j`` of any
+        windowed schedule draws the same noise as the release at round
+        ``end`` of every other schedule reaching it."""
+        if epsilon is None:
+            return pre_noise, None
+        rng = DeterministicRNG(self.config.seed).fork(f"windowed-release-{end}")
+        program = self.program
+        return geometric_release(
+            pre_noise, program.sensitivity, epsilon, program.fmt.resolution, rng
+        )
+
+    def finalize(self, state: RunState, started: float) -> RunResult:
+        """The loop's state as a result in real units, with its phase
+        timings and its per-link traffic from the round arithmetic
+        (whatever bus carried it): one fixed-point message per directed
+        edge per routed round."""
+        loop, program = self.loop, self.program
+        decode = loop.arithmetic.decode
+        return RunResult(
+            engine=self.engine.name,
+            program=program.name,
+            aggregate=loop.aggregate(),
+            trajectory=list(loop.trajectory),
+            iterations=state.rounds_done,
+            wall_seconds=clock_now() - started,
+            traffic=meter_from_rounds(
+                self.graph, state.rounds_done, program.fmt.total_bits / 8.0
+            ),
+            phases=loop.phases,
+            final_states={vid: decode(row) for vid, row in loop.rows().items()},
+        )
+
+
+class _PlaintextCore(BusCore, _ClearRun):
+    """:class:`_ClearRun` under the bus lifecycle, as ``_SecureCore`` is
+    :class:`~repro.core.secure_engine.SecureRun`."""
 
 
 class PlaintextFloatEngine(BusEngine):
@@ -241,17 +313,29 @@ class PlaintextFloatEngine(BusEngine):
 
     name = "plaintext"
     core = _PlaintextCore
-    #: the arithmetic :class:`~repro.core.engine.ClearRun` steps
+    #: the arithmetic :class:`_ClearRun` steps
     fixed = False
 
 
 class PlaintextFixedEngine(BusEngine):
-    """Clear evaluation of the MPC circuits — the secure engine's oracle —
-    on a bus as :class:`PlaintextFloatEngine` is."""
+    """Clear evaluation of the MPC circuits — the secure engine's oracle.
+
+    It takes only the release options and runs on the memory bus.
+    """
 
     name = "fixed"
     core = _PlaintextCore
     fixed = True
+    tasks = 1
+    transport = "memory"
+
+    def __init__(
+        self,
+        release: Union[str, ReleasePolicy] = "oneshot",
+        windows: Optional[Sequence[int]] = None,
+        window_epsilon: Optional[float] = None,
+    ) -> None:
+        self._configure_release(release, windows, window_epsilon)
 
     def compile_plans(self, program, graph, config):
         compiled_update_circuit(program, graph.degree_bound)

@@ -17,9 +17,7 @@ modes:
 The two modes are two :class:`~repro.core.rounds.Arithmetic` values
 (:func:`float_arithmetic`, :func:`fixed_arithmetic`) behind one
 :func:`plaintext_loop`; nothing else in the repository derives a clear
-run's initial state or aggregate. :class:`ClearRun` is that loop as
-the shared run lifecycle's stages, as
-:class:`~repro.core.secure_engine.SecureRun` is the secure protocol.
+run's initial state or aggregate.
 
 The engine follows §3.6 exactly: an initialization step, ``n`` computation
 + communication steps, one final computation step, then aggregation of the
@@ -29,11 +27,9 @@ oracle, so it returns the exact aggregate).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Callable, Dict, Optional
 
-from repro.core.config import DStressConfig
 from repro.core.graph import DistributedGraph, VertexView
-from repro.core.lifecycle import LifecycleCore, RunState
 from repro.core.program import NO_OP_MESSAGE, VertexProgram, compiled_update_circuit
 from repro.core.rounds import (
     Arithmetic,
@@ -43,14 +39,11 @@ from repro.core.rounds import (
     np,
     sequential_superstep,
 )
-from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import ConfigurationError
-from repro.obs.clock import now as clock_now
 from repro.obs.trace import timed_phase
-from repro.privacy.mechanisms import geometric_release
-from repro.simulation.netsim import PhaseTimer, meter_from_rounds
+from repro.simulation.netsim import PhaseTimer
 
-__all__ = ["ClearRun", "plaintext_loop", "float_arithmetic", "fixed_arithmetic"]
+__all__ = ["plaintext_loop", "float_arithmetic", "fixed_arithmetic"]
 
 
 def declared_state(
@@ -155,77 +148,4 @@ def plaintext_loop(
             program.state_registers(degree_bound),
             program.aggregate_register,
             phases,
-        )
-
-
-class ClearRun(LifecycleCore):
-    """One clear run as the lifecycle's stages: a resumable
-    :func:`plaintext_loop` in the arithmetic ``engine.fixed`` picks.
-
-    Each window's wire events go to :meth:`drive` (drained in process
-    here, conveyed by a bus core). The default one-shot policy never
-    releases a clear run (``epsilon`` is ``None`` and the exact value
-    passes through); a windowed policy noises each window centrally.
-    """
-
-    loop: RoundLoop
-
-    def __init__(
-        self,
-        engine: Any,
-        program: VertexProgram,
-        graph: DistributedGraph,
-        config: DStressConfig,
-    ) -> None:
-        self.engine = engine
-        self.program = program
-        self.graph = graph
-        self.config = config
-
-    def setup(self, state: RunState) -> None:
-        self.loop = plaintext_loop(self.program, self.graph, self.engine.fixed, state.phases)
-
-    def run_window(self, state: RunState, rounds: int, first: bool) -> None:
-        self.drive(self.loop.window(rounds))
-        state.trajectory = list(self.loop.trajectory)
-
-    def aggregate(self, state: RunState) -> float:
-        return self.loop.aggregate()
-
-    def noise(self, state, pre_noise, epsilon, end):
-        """Central grid release through
-        :func:`~repro.privacy.mechanisms.geometric_release` (the secure
-        engine samples this mechanism inside MPC). The fork is keyed by
-        the cumulative release round ``end``, so window ``j`` of any
-        windowed schedule draws the same noise as the release at round
-        ``end`` of every other schedule reaching it."""
-        if epsilon is None:
-            return pre_noise, None
-        rng = DeterministicRNG(self.config.seed).fork(f"windowed-release-{end}")
-        program = self.program
-        return geometric_release(
-            pre_noise, program.sensitivity, epsilon, program.fmt.resolution, rng
-        )
-
-    def finalize(self, state: RunState, started: float) -> Any:
-        """The loop's state as a result in real units, with its phase
-        timings and its per-link traffic from the round arithmetic
-        (whatever bus carried it): one fixed-point message per directed
-        edge per routed round."""
-        from repro.api.result import RunResult
-
-        loop, program = self.loop, self.program
-        decode = loop.arithmetic.decode
-        return RunResult(
-            engine=self.engine.name,
-            program=program.name,
-            aggregate=loop.aggregate(),
-            trajectory=list(loop.trajectory),
-            iterations=state.rounds_done,
-            wall_seconds=clock_now() - started,
-            traffic=meter_from_rounds(
-                self.graph, state.rounds_done, program.fmt.total_bits / 8.0
-            ),
-            phases=loop.phases,
-            final_states={vid: decode(row) for vid, row in loop.rows().items()},
         )

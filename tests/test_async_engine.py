@@ -11,7 +11,7 @@ transport faults surfacing as scenario-named batch errors.
 import pytest
 
 from repro import StressTest
-from repro.api import PlaintextFixedEngine, PlaintextFloatEngine, Scenario, get_engine
+from repro.api import PlaintextFloatEngine, Scenario, get_engine
 from repro.api.session import execute_resolved
 from repro.core.transport import FaultInjectingTransport, InMemoryTransport
 from repro.crypto.rng import DeterministicRNG
@@ -69,6 +69,8 @@ def test_engine_options_validated_through_registry():
         get_engine("async", overlap=False)  # one schedule: always overlapped
     with pytest.raises(ConfigurationError, match="backend"):
         get_engine("plaintext", backend="bitsliced")  # engine takes no such option
+    with pytest.raises(ConfigurationError, match="tasks"):
+        get_engine("fixed", tasks=2)  # fixed runs on the memory bus only
     # the alias resolves
     assert isinstance(get_engine("async", tasks=2), PlaintextFloatEngine)
 
@@ -108,17 +110,7 @@ def test_retired_async_aliases_are_unknown(retired):
         get_engine(retired)
 
 
-def test_fixed_on_the_wan_bus_is_bit_identical_to_memory(network):
-    session = StressTest(network).program("eisenberg-noe").seed(SEED)
-    memory = session.clone().engine("fixed").run(iterations=ITERATIONS)
-    wan = session.clone().engine(PlaintextFixedEngine(tasks=2, transport="wan"))
-    result = wan.run(iterations=ITERATIONS)
-    assert _released(result) == _released(memory)
-    assert result.traffic.links() == memory.traffic.links()
-    assert result.extras["wan_bytes"] == pytest.approx(result.traffic.total_bytes_sent)
-
-
-@pytest.mark.parametrize("engine", ["plaintext", "fixed", "secure"])
+@pytest.mark.parametrize("engine", ["plaintext", "secure"])
 @pytest.mark.parametrize("bad", [0, -1, True, False, 2.5, "2", None], ids=repr)
 def test_tasks_must_be_a_positive_int(engine, bad):
     with pytest.raises(
@@ -127,7 +119,7 @@ def test_tasks_must_be_a_positive_int(engine, bad):
         get_engine(engine, tasks=bad)
 
 
-@pytest.mark.parametrize("engine", ["plaintext", "fixed", "secure"])
+@pytest.mark.parametrize("engine", ["plaintext", "secure"])
 @pytest.mark.parametrize("tasks", [1, 2, 64])
 def test_tasks_is_kept_as_given(engine, tasks):
     assert get_engine(engine, tasks=tasks).tasks == tasks

@@ -65,17 +65,23 @@ class TestFloatEngine:
 
         graph = small_en_network.to_en_graph(degree_bound=2)
         program = Misdeclared(fmt)
+        # plaintext also on the WAN bus, through the round scheduler
+        engines = {
+            "plaintext": ("plaintext", {}),
+            "plaintext@wan": ("plaintext", {"transport": "wan"}),
+            "fixed": ("fixed", {}),
+        }
         if change == "drop":
-            for engine in ("plaintext", "async", "fixed"):
+            for name, options in engines.values():
                 with pytest.raises(ConfigurationError, match=r"missing registers \['cash'\]"):
-                    execute(engine, program, graph, 1)
+                    execute(name, program, graph, 1, **options)
             return
         runs = {
-            engine: execute(engine, program, graph, 1)
-            for engine in ("plaintext", "async", "fixed")
+            label: execute(name, program, graph, 1, **options)
+            for label, (name, options) in engines.items()
         }
         expected = execute("plaintext", EisenbergNoeProgram(fmt), graph, 1)
-        for engine in ("plaintext", "async"):
+        for engine in ("plaintext", "plaintext@wan"):
             assert runs[engine].trajectory == expected.trajectory
             for state in runs[engine].final_states.values():
                 assert type(state["extra"]) is int and state["extra"] == 7

@@ -216,8 +216,8 @@ class TestColumnStep:
 class TestIntInputsKeepTheirType:
     """A register no step rewrites keeps the object ``initial_state`` put
     there, so an ``int`` balance-sheet entry reads back as that ``int`` on
-    ``plaintext`` (one numpy step per round) as on ``async`` (a
-    ``float_update`` dict copy per vertex)."""
+    ``plaintext`` (one numpy step per round), on the memory bus as on the
+    WAN bus (its rounds through the round scheduler)."""
 
     @staticmethod
     def typed(final_states):
@@ -230,7 +230,7 @@ class TestIntInputsKeepTheirType:
         }
 
     @pytest.mark.parametrize("program", ["eisenberg-noe", "elliott-golub-jackson"])
-    def test_plaintext_and_async_agree(self, program):
+    def test_memory_and_wan_bus_agree(self, program):
         net = FinancialNetwork()
         net.add_bank(Bank(0, cash=10, orig_value=10, threshold=4, penalty=1))
         net.add_bank(Bank(1, cash=1, orig_value=3, threshold=1))
@@ -239,13 +239,17 @@ class TestIntInputsKeepTheirType:
         net.add_debt(1, 2, 4)
         net.add_holding(1, 0, 0.5)
         states = {
-            engine: self.typed(
-                StressTest(net).program(program).engine(engine).run(iterations=3).final_states
+            transport: self.typed(
+                StressTest(net)
+                .program(program)
+                .engine("plaintext", transport=transport)
+                .run(iterations=3)
+                .final_states
             )
-            for engine in ("plaintext", "async")
+            for transport in ("memory", "wan")
         }
-        assert states["plaintext"] == states["async"]
-        assert int in {kind for row in states["async"].values() for _, kind, _ in row}
+        assert states["memory"] == states["wan"]
+        assert int in {kind for row in states["wan"].values() for _, kind, _ in row}
 
 
 class TestCircuitShape:

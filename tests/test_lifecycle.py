@@ -3,7 +3,7 @@
 Every backend executes through :func:`repro.core.lifecycle.run_lifecycle`;
 these tests pin the guarantees that refactor introduced:
 
-* **Stage parity** — all seven engines emit the same ordered ``stage:*``
+* **Stage parity** — every engine emits the same ordered ``stage:*``
   phase names through the one ``timed_phase`` path.
 * **Continual release** — ``release="windowed"`` splits the §3.6 round
   schedule into windows, each publishing its own noised value; every
@@ -53,10 +53,14 @@ from repro.privacy.admission import (
 )
 from repro.service.scenario_ast import validate_scenario
 
+#: ``plaintext`` with its rounds handed to the (zero-latency) WAN bus, so
+#: the clear engine also runs through the round scheduler
+PLAINTEXT_WAN = "plaintext@wan"
+
 ALL_ENGINES = (
     "plaintext",
     "fixed",
-    "async",
+    PLAINTEXT_WAN,
     "secure",
 )
 
@@ -64,7 +68,7 @@ ALL_ENGINES = (
 #: family — their windowed releases are bit-comparable to standalone
 #: runs (the secure family's noise stream position differs by design;
 #: its *pre-noise* values are compared instead).
-FLOAT_FAMILY = ("plaintext", "fixed", "async")
+FLOAT_FAMILY = ("plaintext", "fixed", PLAINTEXT_WAN)
 
 WINDOW_EPSILON = 0.1
 
@@ -91,9 +95,22 @@ def make_test() -> StressTest:
     )
 
 
+def engine_args(engine: str):
+    """(registry name, options) of an entry of :data:`ALL_ENGINES`."""
+    if engine == PLAINTEXT_WAN:
+        return "plaintext", {"transport": "wan"}
+    return engine, {}
+
+
+def with_engine(session: StressTest, engine: str, **options) -> StressTest:
+    """``session`` on an entry of :data:`ALL_ENGINES`."""
+    name, bus = engine_args(engine)
+    return session.engine(name, **bus, **options)
+
+
 def run_windowed(engine: str, windows, iterations: int, accountant=None):
-    session = make_test().engine(
-        engine, release="windowed", windows=windows, window_epsilon=WINDOW_EPSILON
+    session = with_engine(
+        make_test(), engine, release="windowed", windows=windows, window_epsilon=WINDOW_EPSILON
     )
     if accountant is not None:
         session.privacy(accountant=accountant)
@@ -106,7 +123,7 @@ def run_windowed(engine: str, windows, iterations: int, accountant=None):
 class TestStageParity:
     @pytest.mark.parametrize("engine", ALL_ENGINES)
     def test_every_engine_emits_the_same_ordered_stages(self, engine):
-        result = make_test().engine(engine).run(iterations=2)
+        result = with_engine(make_test(), engine).run(iterations=2)
         stages = [
             key for key in result.phases.seconds if key.startswith("stage:")
         ]
@@ -158,7 +175,7 @@ class TestWindowedRelease:
     @pytest.mark.parametrize("engine", ALL_ENGINES)
     def test_windowed_pre_noise_matches_oneshot(self, engine):
         windowed = run_windowed(engine, [2, 2], 4)
-        oneshot = make_test().engine(engine).run(iterations=4)
+        oneshot = with_engine(make_test(), engine).run(iterations=4)
         assert windowed.trajectory == oneshot.trajectory
         assert windowed.exact_aggregate == oneshot.exact_aggregate
 
@@ -184,7 +201,7 @@ class TestWindowedRelease:
         under the one-shot label, and the same rounds as the one-shot run."""
         accountant = PrivacyAccountant(epsilon_max=1.0)
         single = run_windowed(engine, [4], 4, accountant=accountant)
-        oneshot = make_test().engine(engine).run(iterations=4)
+        oneshot = with_engine(make_test(), engine).run(iterations=4)
         assert [(r.window, r.end) for r in single.releases] == [(0, 4)]
         assert single.aggregate == single.releases[0].value
         assert single.trajectory == oneshot.trajectory
@@ -251,18 +268,15 @@ class TestGridRelease:
             uniform_shock([0, 1], 0.6),
         )
         released = {}
-        for engine in ("plaintext", "async", "fixed"):
-            result = (
-                StressTest(network)
-                .program("eisenberg-noe")
-                .preset("demo")
-                .engine(engine, release="windowed", windows=[1, 1], window_epsilon=0.2)
-                .run(iterations=2)
-            )
+        for engine in ("plaintext", PLAINTEXT_WAN, "fixed"):
+            session = StressTest(network).program("eisenberg-noe").preset("demo")
+            result = with_engine(
+                session, engine, release="windowed", windows=[1, 1], window_epsilon=0.2
+            ).run(iterations=2)
             for record in result.releases:
                 self.assert_on_grid(record)
             released[engine] = [r.value / self.RESOLUTION for r in result.releases]
-        for engine in ("plaintext", "async"):
+        for engine in ("plaintext", PLAINTEXT_WAN):
             assert released[engine] == [3388.0, 13432.0]
         assert released["fixed"] == [3386.0, 13428.0]
 

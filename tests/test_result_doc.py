@@ -21,7 +21,7 @@ from repro.net.cluster import _result_summary
 from repro.obs import validate_export
 from repro.service.server import result_payload
 from repro.simulation.netsim import TrafficMeter, project_wan_seconds
-from tests.test_lifecycle import ALL_ENGINES, make_test, run_windowed
+from tests.test_lifecycle import ALL_ENGINES, make_test, run_windowed, with_engine
 
 MODES = ("one-shot", "windowed")
 
@@ -29,7 +29,7 @@ MODES = ("one-shot", "windowed")
 def _run(engine: str, mode: str) -> RunResult:
     if mode == "windowed":
         return run_windowed(engine, [1, 1], 2)
-    return make_test().engine(engine).run(iterations=2)
+    return with_engine(make_test(), engine).run(iterations=2)
 
 
 @pytest.fixture(scope="module")

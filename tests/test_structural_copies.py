@@ -20,7 +20,7 @@ import threading
 
 import pytest
 
-from test_lifecycle import ALL_ENGINES, make_network, make_test
+from test_lifecycle import ALL_ENGINES, PLAINTEXT_WAN, make_network, make_test, with_engine
 from test_service_server import ServiceHarness, make_doc
 
 from repro.api import Scenario, ScenarioCache
@@ -34,10 +34,10 @@ MODES = ("oneshot", "windowed")
 
 def _run(engine, mode):
     if mode == "oneshot":
-        session = make_test().engine(engine)
+        session = with_engine(make_test(), engine)
     else:
-        session = make_test().engine(
-            engine, release="windowed", windows=[1, 1], window_epsilon=0.1
+        session = with_engine(
+            make_test(), engine, release="windowed", windows=[1, 1], window_epsilon=0.1
         )
     return session.run(iterations=2)
 
@@ -50,8 +50,9 @@ def results():
 @pytest.fixture
 def rich(results):
     """A result with every mutable part present: final states, traffic,
-    phases, releases and extras (the windowed ``async`` run)."""
-    return clone_result(results[("async", "windowed")])
+    phases, releases and extras (the windowed ``plaintext`` run on the
+    WAN bus)."""
+    return clone_result(results[(PLAINTEXT_WAN, "windowed")])
 
 
 def _vandalize(result):
@@ -127,7 +128,7 @@ class TestIsolation:
 
     def test_in_batch_duplicate_is_its_own_copy(self):
         session = make_test().engine(
-            "async", release="windowed", windows=[1, 1], window_epsilon=0.1
+            "plaintext", transport="wan", release="windowed", windows=[1, 1], window_epsilon=0.1
         )
         batch = session.run_many(
             [Scenario("p", seed=4, iterations=2), Scenario("q", seed=4, iterations=2)],
